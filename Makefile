@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt-check vet build test bench bench-smoke smoke scale-smoke metrics-smoke chaos soak clean
+.PHONY: all ci fmt-check vet build test bench bench-smoke gobench-smoke smoke scale-smoke metrics-smoke chaos soak clean
 
 all: vet build test
 
@@ -8,13 +8,15 @@ all: vet build test
 # deterministic chaos suite, the full race-enabled test suite (which covers
 # the sampler and trace-propagation tests), a koshabench smoke run that
 # fails unless the JSON output carries the latency-percentile fields, and a
-# /metrics exposition smoke against a live koshad.
+# /metrics exposition smoke against a live koshad, and a smoke run of the
+# benchmark harness.
 ci: fmt-check vet build
 	$(MAKE) chaos
 	$(GO) test -race ./...
 	$(MAKE) smoke
 	$(MAKE) scale-smoke
 	$(MAKE) metrics-smoke
+	$(MAKE) bench-smoke
 
 # chaos runs the deterministic fault-injection harness under the race
 # detector: the scripted failure scenarios, a randomized schedule, and the
@@ -119,7 +121,15 @@ bench:
 	$(GO) run ./cmd/koshabench -exp dedup
 	$(GO) run ./cmd/koshabench -exp stream
 
+# bench-smoke keeps the benchmark harness (bench/, BENCHMARK.json) building
+# and correct against the packages it drives: its own determinism pins, then
+# one small stream round whose exit code is the oracle's verdict.
 bench-smoke:
+	$(GO) test ./bench
+	$(GO) run ./bench --workload stream -quick
+
+# gobench-smoke runs every Go benchmark in the module once.
+gobench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x ./...
 
 clean:

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/mab"
@@ -24,10 +25,14 @@ func main() {
 	flag.Parse()
 	csv := *format == "csv"
 
+	var names []string
+	ran := false
 	run := func(name string, fn func() error) {
+		names = append(names, name)
 		if *exp != "all" && *exp != name {
 			return
 		}
+		ran = true
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
@@ -332,4 +337,9 @@ func main() {
 		}
 		return nil
 	})
+
+	if !ran {
+		fmt.Fprintf(os.Stderr, "koshabench: unknown experiment %q; valid: %s, all\n", *exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 }

@@ -57,6 +57,28 @@ func TestScenarioWriteBackCrash(t *testing.T) {
 	})
 }
 
+// TestScenarioWriteBackDup: duplicated requests while write-back flushes are
+// in flight and a replica holder dies. A duplicated kApply runs its handler
+// twice over one request buffer, each run borrowing its spans from that
+// buffer and sending one shared kMirror frame to both replicas (K=2). A
+// handler writing to a frame it was sent, or a store aliasing one, would
+// surface as an acknowledged byte read back wrong.
+func TestScenarioWriteBackDup(t *testing.T) {
+	run(t, Options{
+		Seed:           1103,
+		WriteBackBytes: 64 << 10,
+		Steps: []Step{
+			{Kind: OpDup, P: 0.50},
+			{Kind: OpStabilize},
+			{Kind: OpCrash, A: 4},
+			{Kind: OpStabilize},
+			{Kind: OpRevive, A: 4},
+			{Kind: OpClearFaults},
+			{Kind: OpStabilize},
+		},
+	})
+}
+
 // TestScenarioPartitionHeal: asymmetric partitions between storage nodes
 // while clients stay connected; after healing, everything re-converges.
 func TestScenarioPartitionHeal(t *testing.T) {

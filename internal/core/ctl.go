@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -128,7 +129,7 @@ func (n *Node) ctlServeList(ctx obs.TraceContext, from simnet.Addr, d *wire.Deco
 		return cost, nil
 	}
 	if attr.Type != localfs.TypeDir {
-		ctlFail(e, fmt.Errorf("koshactl: %s is not a directory", vpath))
+		ctlFail(e, fmt.Errorf("%s is not a directory", vpath))
 		return cost, nil
 	}
 	ents, c, err := m.Readdir(vh)
@@ -390,7 +391,7 @@ func (c *CtlClient) call(proc uint32, vpath string, extra func(*wire.Encoder)) (
 		if d.Err() != nil {
 			return nil, cost, d.Err()
 		}
-		return nil, cost, fmt.Errorf("koshactl: %s", msg)
+		return nil, cost, errors.New(msg) // the command prefixes its own name
 	}
 	return d, cost, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/localfs"
@@ -52,5 +53,26 @@ func TestCtlRoundTrip(t *testing.T) {
 	}
 	if _, _, err := ctl.List("/never"); err == nil {
 		t.Fatal("list of missing dir should fail")
+	}
+}
+
+// cmd/koshactl prints "koshactl: <err>"; the client library must not add the
+// command's name a second time (errors used to read "koshactl: koshactl: ...").
+func TestCtlErrorsCarryNoCommandPrefix(t *testing.T) {
+	_, nodes := testCluster(t, 3, 82, Config{Replicas: 1})
+	nodes[1].AttachCtl()
+	ctl := &CtlClient{Net: nodes[0].net, From: nodes[0].Addr(), To: nodes[1].Addr()}
+	if _, err := ctl.WriteFile("/ops/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	_, _, missing := ctl.ReadFile("/never")
+	_, _, notDir := ctl.List("/ops/f")
+	for _, err := range []error{missing, notDir} {
+		if err == nil || strings.Contains(err.Error(), "koshactl") {
+			t.Errorf("ctl error = %v, want a message without the command's name", err)
+		}
+	}
+	if notDir != nil && !strings.Contains(notDir.Error(), "is not a directory") {
+		t.Errorf("list of a file: %v", notDir)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/nfs"
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // Path-level conveniences for applications and experiments, built on the
@@ -97,6 +98,7 @@ func (m *Mount) writeFileOnce(vpath string, data []byte) (simnet.Cost, error) {
 	if err != nil {
 		return total, err
 	}
+	defer m.forget(dirVH) // a no-op on RootVH
 	fvh, _, c, err := m.Create(dirVH, base, 0o644, false)
 	total = simnet.Seq(total, c)
 	if err != nil {
@@ -118,14 +120,17 @@ func (m *Mount) writeFileOnce(vpath string, data []byte) (simnet.Cost, error) {
 
 // ReadFile reads a whole file at a virtual path. It reads to EOF rather
 // than trusting the looked-up size, so a concurrent append through another
-// node can never truncate the result.
+// node can never truncate the result; the size only presizes the buffer.
 func (m *Mount) ReadFile(vpath string) ([]byte, simnet.Cost, error) {
-	vh, _, total, err := m.LookupPath(vpath)
+	vh, attr, total, err := m.LookupPath(vpath)
 	if err != nil {
 		return nil, total, err
 	}
 	defer m.forget(vh)
 	var data []byte
+	if attr.Size > 0 && attr.Size <= wire.MaxOpaque {
+		data = make([]byte, 0, attr.Size)
+	}
 	const chunk = 1 << 20
 	for {
 		d, eof, c, err := m.Read(vh, int64(len(data)), chunk)

@@ -86,11 +86,8 @@ var _ repl.Overlay = engineOverlay{}
 // apply sends a mutation to the primary for key at addr. A non-nil trace
 // records the serving node, the replica fan-out width, and an apply span.
 func (n *Node) apply(tr *obs.Trace, to simnet.Addr, key id.ID, t Track, op FSOp) (localfs.Attr, nfs.Handle, simnet.Cost, error) {
-	e := wire.NewEncoder(256 + len(op.Data))
-	e.PutUint32(kApply)
 	r := applyReq{Key: key, Track: t, Op: op}
-	r.encode(e)
-	resp, cost, err := n.callKosha(tr.Ctx(), to, e.Bytes())
+	resp, cost, err := n.callKosha(tr.Ctx(), to, r.frame(kApply))
 	if err != nil {
 		return localfs.Attr{}, nfs.Handle{}, cost, n.noteErr(to, err)
 	}
@@ -111,19 +108,17 @@ func (n *Node) apply(tr *obs.Trace, to simnet.Addr, key id.ID, t Track, op FSOp)
 	return attr, fh, cost, nil
 }
 
-// mirror ships a mutation to one replica (replica area).
-func (n *Node) mirror(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp) (simnet.Cost, error) {
-	return n.mirrorArea(tc, to, t, op, false)
-}
-
 // mirrorArea ships a mutation to another node; primary selects the
 // namespace it lands in.
 func (n *Node) mirrorArea(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp, primary bool) (simnet.Cost, error) {
-	e := wire.NewEncoder(256 + len(op.Data))
-	e.PutUint32(kMirror)
 	r := applyReq{Track: t, Op: op, Primary: primary}
-	r.encode(e)
-	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	return n.sendMirror(tc, to, r.frame(kMirror))
+}
+
+// sendMirror ships an encoded kMirror request to one node. A request is
+// immutable once sent, so a fan-out sends one frame to every target.
+func (n *Node) sendMirror(tc obs.TraceContext, to simnet.Addr, frame []byte) (simnet.Cost, error) {
+	resp, cost, err := n.callKosha(tc, to, frame)
 	if err != nil {
 		return cost, n.noteErr(to, err)
 	}

@@ -112,7 +112,10 @@ func getFSOp(d *wire.Decoder) FSOp {
 	op.Kind = FSOpKind(d.Uint32())
 	op.Path = d.String()
 	op.Path2 = d.String()
-	op.Data = d.Opaque()
+	// Data and Spans borrow the request buffer: applyFSOp copies them into
+	// the store, and the mirror fan-out into its own frame, before the
+	// handler returns.
+	op.Data = d.OpaqueRef()
 	op.Offset = d.Int64()
 	op.Mode = d.Uint32()
 	op.Excl = d.Bool()
@@ -231,6 +234,16 @@ type applyReq struct {
 	Track   Track
 	Op      FSOp
 	Primary bool
+}
+
+// frame encodes a kApply/kMirror request in a buffer sized for the whole
+// frame (256 covers the fixed fields and path strings), so a data-bearing
+// mutation is allocated once.
+func (r *applyReq) frame(proc uint32) []byte {
+	e := wire.NewEncoder(256 + len(r.Op.Data) + nfs.SpansWireSize(r.Op.Spans) + 40*len(r.Op.Chunks))
+	e.PutUint32(proc)
+	r.encode(e)
+	return e.Bytes()
 }
 
 func (r *applyReq) encode(e *wire.Encoder) {

@@ -126,12 +126,15 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 	if removesRoot || removesLink {
 		targets = n.overlay.Leaf()
 	}
-	var fanout []simnet.Cost
-	for _, rep := range targets {
-		c, _ := n.mirror(ctx, rep.Addr, r.Track, r.Op)
-		fanout = append(fanout, c)
-	}
+	fanout := make([]simnet.Cost, 0, len(targets))
 	if len(targets) > 0 {
+		// The request is the same for every replica: encode it once.
+		mr := applyReq{Track: r.Track, Op: r.Op}
+		frame := mr.frame(kMirror)
+		for _, rep := range targets {
+			c, _ := n.sendMirror(ctx, rep.Addr, frame)
+			fanout = append(fanout, c)
+		}
 		n.repCount.Add(1)
 		n.repFanout.Add(uint64(len(targets)))
 		n.repHist.Observe(time.Duration(simnet.Par(fanout...)))

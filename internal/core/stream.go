@@ -38,9 +38,13 @@ type stream struct {
 	bufEOF  bool
 	repFH   map[simnet.Addr]nfs.Handle // replica-area handles for fan-out
 
-	// Write-back: disjoint dirty spans and their total payload size.
+	// Write-back: disjoint dirty spans and their total payload size. spare is
+	// the previous flush's largest span buffer, refilled by the next span so a
+	// sequential writer does not regrow a buffer per flush; it dies with the
+	// handle.
 	spans   []nfs.WriteSpan
 	wbBytes int
+	spare   []byte
 }
 
 // serve answers a read from the prefetched buffer. ok=false is a miss. The
@@ -98,7 +102,8 @@ func (st *stream) absorb(offset int64, data []byte) bool {
 	}
 	switch {
 	case adj == nil:
-		st.spans = append(st.spans, nfs.WriteSpan{Offset: offset, Data: append([]byte(nil), data...)})
+		st.spans = append(st.spans, nfs.WriteSpan{Offset: offset, Data: append(st.spare, data...)})
+		st.spare = nil
 	case prepend:
 		adj.Data = append(append([]byte(nil), data...), adj.Data...)
 		adj.Offset = offset
@@ -277,6 +282,11 @@ func (m *Mount) fillWindow(tr *obs.Trace, de *ventry, st *stream, offset int64) 
 	}
 	total = simnet.Seq(total, simnet.Par(costs...))
 
+	if len(parts) == 1 {
+		// One holder served the whole window: its reply's bytes are the buffer.
+		st.buf, st.bufOff, st.bufEOF = parts[0], offset, eofs[0]
+		return total, nil
+	}
 	// Stitch segments in order, stopping at the first short one: the file
 	// ended there, or a holder had less — anything after it would be
 	// discontiguous and is refetched by a later window.
@@ -376,6 +386,13 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 		}
 		return c, aerr
 	})
+	// apply is synchronous and copied the spans into its request frame, so
+	// their buffers are free again whatever the outcome.
+	for _, s := range spans {
+		if cap(s.Data) > cap(st.spare) {
+			st.spare = s.Data[:0]
+		}
+	}
 	if vp != "" {
 		m.invalAttr(vp)
 	}

@@ -32,6 +32,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("RemoveAllAccounting", func(t *testing.T) { testRemoveAllAccounting(t, factory) })
 	t.Run("Statfs", func(t *testing.T) { testStatfs(t, factory) })
 	t.Run("BadNames", func(t *testing.T) { testBadNames(t, factory) })
+	t.Run("ExtentBoundaries", func(t *testing.T) { testExtentBoundaries(t, factory) })
 	t.Run("MerkleDigestStability", func(t *testing.T) { testMerkleDigest(t, factory) })
 	t.Run("ChunkManifestStability", func(t *testing.T) { testChunkManifestStability(t, factory) })
 }
@@ -443,5 +444,141 @@ func testBadNames(t *testing.T, factory Factory) {
 		if _, _, err := f.Create(localfs.RootIno, bad, 0o644, false); err == nil {
 			t.Errorf("Create(%q) accepted", bad)
 		}
+	}
+}
+
+// extent is the in-memory store's extent size (localfs stores file data in
+// 1 MiB pieces); every case below crosses multiples of it. The on-disk store
+// has no such seam and must agree byte for byte.
+const extent = 1 << 20
+
+// pattern fills n bytes that differ at every offset modulo a prime, so a
+// byte landing in the wrong extent or at the wrong offset shows.
+func pattern(n int, salt byte) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i%251) ^ salt
+	}
+	return p
+}
+
+// checkFile compares the stored file with the model: attributes, capacity
+// accounting, a whole-file read, and odd-sized reads that straddle every
+// extent boundary.
+func checkFile(t *testing.T, f localfs.FileSystem, ino uint64, p string, want []byte) {
+	t.Helper()
+	if a, _, err := f.Getattr(ino); err != nil || a.Size != int64(len(want)) {
+		t.Fatalf("size = %d err=%v, want %d", a.Size, err, len(want))
+	}
+	if f.Used() != int64(len(want)) {
+		t.Fatalf("used = %d, want %d", f.Used(), len(want))
+	}
+	got, err := f.ReadFile(p)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ReadFile: %d bytes err=%v, want %d bytes equal to the model", len(got), err, len(want))
+	}
+	const step = 333_337
+	for off := 0; off < len(want); off += step {
+		data, eof, _, err := f.Read(ino, int64(off), step)
+		end := min(off+step, len(want))
+		if err != nil || !bytes.Equal(data, want[off:end]) || eof != (end == len(want)) {
+			t.Fatalf("Read(%d, %d): %d bytes eof=%v err=%v", off, step, len(data), eof, err)
+		}
+	}
+	for b := extent; b < len(want); b += extent {
+		data, _, _, err := f.Read(ino, int64(b-3), 7)
+		if err != nil || !bytes.Equal(data, want[b-3:min(b+4, len(want))]) {
+			t.Fatalf("read across the boundary at %d: %v err=%v", b, data, err)
+		}
+	}
+}
+
+func testExtentBoundaries(t *testing.T, factory Factory) {
+	f := factory(t, 0)
+	a, _, err := f.Create(localfs.RootIno, "big", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(model []byte, off int, data []byte) []byte {
+		t.Helper()
+		if n, _, err := f.Write(a.Ino, int64(off), data); err != nil || n != len(data) {
+			t.Fatalf("write %d bytes at %d: n=%d err=%v", len(data), off, n, err)
+		}
+		if end := off + len(data); end > len(model) {
+			model = append(model, make([]byte, end-len(model))...)
+		}
+		copy(model[off:], data)
+		return model
+	}
+	resize := func(model []byte, size int) []byte {
+		t.Helper()
+		sz := int64(size)
+		if _, _, err := f.Setattr(a.Ino, localfs.SetAttr{Size: &sz}); err != nil {
+			t.Fatalf("resize to %d: %v", size, err)
+		}
+		if size <= len(model) {
+			return model[:size:size]
+		}
+		return append(model, make([]byte, size-len(model))...)
+	}
+
+	// Appends whose pieces straddle the boundaries.
+	var model []byte
+	const piece = 700_001
+	for i := 0; i < 5; i++ {
+		model = write(model, len(model), pattern(piece, byte(i)))
+	}
+	checkFile(t, f, a.Ino, "/big", model)
+
+	// Overwrite in place across two boundaries: the size stays put.
+	model = write(model, extent-5, pattern(extent+12, 0x5A))
+	checkFile(t, f, a.Ino, "/big", model)
+
+	// A sparse write past EOF leaves a hole that reads as zeros.
+	model = write(model, len(model)+extent+extent/2, pattern(10, 0x33))
+	checkFile(t, f, a.Ino, "/big", model)
+
+	// Shrink into the middle of an extent, then extend: the bytes that were
+	// cut off must not come back.
+	model = resize(model, extent+10)
+	checkFile(t, f, a.Ino, "/big", model)
+	model = resize(model, 2*extent+extent/2)
+	checkFile(t, f, a.Ino, "/big", model)
+	// Shrink to exactly a boundary, write at it, shrink to a few bytes, grow
+	// within the first extent, and empty the file.
+	model = resize(model, extent)
+	model = write(model, extent, pattern(3, 0x77))
+	checkFile(t, f, a.Ino, "/big", model)
+	model = resize(model, 3)
+	model = resize(model, 4096)
+	checkFile(t, f, a.Ino, "/big", model)
+	model = resize(model, 0)
+	checkFile(t, f, a.Ino, "/big", model)
+
+	// A truncating create of a multi-extent file releases all of it.
+	model = write(model, 0, pattern(2*extent+1, 0x11))
+	checkFile(t, f, a.Ino, "/big", model)
+	if b, _, err := f.Create(localfs.RootIno, "big", 0o644, false); err != nil || b.Ino != a.Ino || b.Size != 0 {
+		t.Fatalf("truncating create: %+v err=%v", b, err)
+	}
+	checkFile(t, f, a.Ino, "/big", nil)
+
+	// Silent bit-rot (stores that can inject it) lands on exactly the byte
+	// named, also beyond the first extent and for a negative offset.
+	c, ok := f.(localfs.Corrupter)
+	if !ok {
+		return
+	}
+	model = write(nil, 0, pattern(3*extent+100, 0x42))
+	for _, off := range []int64{2*extent + 17, -5, int64(len(model)) + extent} {
+		if err := c.CorruptFile("/big", off); err != nil {
+			t.Fatal(err)
+		}
+		i := off % int64(len(model))
+		if i < 0 {
+			i += int64(len(model))
+		}
+		model[i] ^= 0xFF
+		checkFile(t, f, a.Ino, "/big", model)
 	}
 }

@@ -104,7 +104,7 @@ type inode struct {
 	mtime    time.Time
 	ctime    time.Time
 
-	data     []byte            // TypeRegular
+	data     extents           // TypeRegular
 	children map[string]*inode // TypeDir
 	target   string            // TypeSymlink
 
@@ -115,11 +115,82 @@ type inode struct {
 func (in *inode) size() int64 {
 	switch in.typ {
 	case TypeRegular:
-		return int64(len(in.data))
+		return in.data.size()
 	case TypeSymlink:
 		return int64(len(in.target))
 	default:
 		return 0
+	}
+}
+
+// extentSize is the fixed capacity of one file extent: the write-back flush
+// span, so a streaming writer adds one allocation per flush.
+const extentSize = 1 << 20
+
+// extents holds a regular file's bytes in fixed-capacity pieces, so growing
+// a file allocates only its new tail and never re-copies what is already
+// stored. Every extent but the last is exactly extentSize long; the last is
+// sized to the data, not to the extent, so a small file costs what a flat
+// slice would.
+type extents struct {
+	list [][]byte
+	one  [1][]byte // backs list while the file fits one extent: no header allocation
+}
+
+func (x *extents) size() int64 {
+	n := len(x.list)
+	if n == 0 {
+		return 0
+	}
+	return int64(n-1)*extentSize + int64(len(x.list[n-1]))
+}
+
+// resize truncates or zero-extends the file to size bytes.
+func (x *extents) resize(size int64) {
+	if size == 0 {
+		*x = extents{}
+		return
+	}
+	if size < x.size() {
+		keep := int((size + extentSize - 1) / extentSize)
+		clear(x.list[keep:]) // release the dropped extents
+		x.list = x.list[:keep]
+		x.list[keep-1] = x.list[keep-1][:size-int64(keep-1)*extentSize]
+		return
+	}
+	if x.list == nil {
+		x.list = x.one[:0]
+	}
+	if n := len(x.list); n > 0 {
+		x.list[n-1] = growTail(x.list[n-1], int(min(size-int64(n-1)*extentSize, extentSize)))
+	}
+	for x.size() < size {
+		x.list = append(x.list, make([]byte, min(size-x.size(), extentSize)))
+	}
+}
+
+// growTail zero-extends the last extent to n <= extentSize bytes with
+// append's amortised growth, clipped to the extent.
+func growTail(t []byte, n int) []byte {
+	if n > cap(t) && len(t) > 0 && n+n/4 > extentSize {
+		nt := make([]byte, n, extentSize)
+		copy(nt, t)
+		return nt
+	}
+	return append(t, make([]byte, n-len(t))...)
+}
+
+// readAt fills dst from offset off; the caller keeps off+len(dst) within the
+// file. writeAt is its mirror image.
+func (x *extents) readAt(dst []byte, off int64) {
+	for i, o := int(off/extentSize), int(off%extentSize); len(dst) > 0; i, o = i+1, 0 {
+		dst = dst[copy(dst, x.list[i][o:]):]
+	}
+}
+
+func (x *extents) writeAt(src []byte, off int64) {
+	for i, o := int(off/extentSize), int(off%extentSize); len(src) > 0; i, o = i+1, 0 {
+		src = src[copy(x.list[i][o:], src):]
 	}
 }
 
@@ -355,15 +426,11 @@ func (f *FS) Setattr(ino uint64, sa SetAttr) (Attr, simnet.Cost, error) {
 		if ns < 0 || ns > MaxFileSize {
 			return Attr{}, cost, ErrTooBig
 		}
-		delta := ns - int64(len(in.data))
+		delta := ns - in.data.size()
 		if err := f.charge(delta); err != nil {
 			return Attr{}, cost, err
 		}
-		if ns <= int64(len(in.data)) {
-			in.data = in.data[:ns]
-		} else {
-			in.data = append(in.data, make([]byte, ns-int64(len(in.data)))...)
-		}
+		in.data.resize(ns)
 		in.mtime = f.now()
 		cost = simnet.Seq(cost, f.disk.OpCost(int(abs64(delta))))
 	}
@@ -431,8 +498,8 @@ func (f *FS) Create(dirIno uint64, name string, mode uint32, exclusive bool) (At
 		if existing.typ != TypeRegular {
 			return Attr{}, cost, ErrIsDir
 		}
-		f.used -= int64(len(existing.data))
-		existing.data = nil
+		f.used -= existing.data.size()
+		existing.data.resize(0)
 		existing.mtime = f.now()
 		f.noteMutation(f.pathOf(existing))
 		return f.attrOf(existing), cost, nil
@@ -554,7 +621,7 @@ func (f *FS) Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cos
 	if offset < 0 || count < 0 {
 		return nil, false, f.disk.OpCost(0), ErrInval
 	}
-	size := int64(len(in.data))
+	size := in.data.size()
 	if offset >= size {
 		return nil, true, f.disk.OpCost(0), nil
 	}
@@ -563,7 +630,7 @@ func (f *FS) Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cos
 		end = size
 	}
 	out := make([]byte, end-offset)
-	copy(out, in.data[offset:end])
+	in.data.readAt(out, offset)
 	return out, end == size, f.disk.OpCost(len(out)), nil
 }
 
@@ -589,13 +656,13 @@ func (f *FS) Write(ino uint64, offset int64, data []byte) (int, simnet.Cost, err
 	if end > MaxFileSize {
 		return 0, f.disk.OpCost(0), ErrTooBig
 	}
-	if grow := end - int64(len(in.data)); grow > 0 {
+	if grow := end - in.data.size(); grow > 0 {
 		if err := f.charge(grow); err != nil {
 			return 0, f.disk.OpCost(0), err
 		}
-		in.data = append(in.data, make([]byte, grow)...)
+		in.data.resize(end)
 	}
-	copy(in.data[offset:end], data)
+	in.data.writeAt(data, offset)
 	in.mtime = f.now()
 	f.noteMutation(f.pathOf(in))
 	return len(data), cost, nil
@@ -987,14 +1054,15 @@ func (f *FS) CorruptFile(p string, off int64) error {
 	if cur.typ != TypeRegular {
 		return fmt.Errorf("%w: corrupt %q: not a regular file", ErrInval, p)
 	}
-	if len(cur.data) == 0 {
+	size := cur.data.size()
+	if size == 0 {
 		return fmt.Errorf("%w: corrupt %q: empty file", ErrInval, p)
 	}
-	i := off % int64(len(cur.data))
+	i := off % size
 	if i < 0 {
-		i += int64(len(cur.data))
+		i += size
 	}
-	cur.data[i] ^= 0xFF
+	cur.data.list[i/extentSize][i%extentSize] ^= 0xFF
 	return nil
 }
 

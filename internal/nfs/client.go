@@ -316,7 +316,8 @@ func (c Client) Readlink(to simnet.Addr, h Handle) (string, simnet.Cost, error) 
 	return d.String(), cost, nil
 }
 
-// Read returns up to count bytes of h at offset.
+// Read returns up to count bytes of h at offset. The data is the reply
+// frame's own bytes, handed to the caller: nothing else holds the frame.
 func (c Client) Read(to simnet.Addr, h Handle, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
 	d, cost, err := c.call(to, ProcRead, func(e *wire.Encoder) {
 		putHandle(e, h)
@@ -327,13 +328,13 @@ func (c Client) Read(to simnet.Addr, h Handle, offset int64, count int) ([]byte,
 		return nil, false, cost, err
 	}
 	eof := d.Bool()
-	return d.Opaque(), eof, cost, nil
+	return d.OpaqueRef(), eof, cost, nil
 }
 
 // ReadStream reads up to chunks consecutive chunk-byte pieces of h starting
 // at offset in one round trip — the pipelined window transfer behind the
 // client's readahead. The reply concatenates the pieces; eof reports whether
-// the file ended within the window.
+// the file ended within the window. Like Read, the data is the reply frame's.
 func (c Client) ReadStream(to simnet.Addr, h Handle, offset int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
 	d, cost, err := c.call(to, ProcReadStream, func(e *wire.Encoder) {
 		putHandle(e, h)
@@ -345,7 +346,7 @@ func (c Client) ReadStream(to simnet.Addr, h Handle, offset int64, chunk, chunks
 		return nil, false, cost, err
 	}
 	eof := d.Bool()
-	return d.Opaque(), eof, cost, nil
+	return d.OpaqueRef(), eof, cost, nil
 }
 
 // WriteBatch stores a vector of coalesced spans into h in one round trip —

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/localfs"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // rig wires one NFS server ("srv") and a client node ("cli") together.
@@ -737,5 +738,91 @@ func (m *mrand) Intn(n int) int { return int(m.next() % uint64(n)) }
 func (m *mrand) Read(p []byte) {
 	for i := range p {
 		p[i] = byte(m.next())
+	}
+}
+
+// scribble overwrites a buffer its owner is done with.
+func scribble(p []byte) {
+	for i := range p {
+		p[i] = 0xA5
+	}
+}
+
+// TestBorrowedBuffersDoNotAlias holds the server to the ownership rule:
+// WRITE and WRITEBATCH borrow their data from the request only until the
+// store has copied it, the duplicate-request cache replays from its own
+// record, and a READ reply is the client's to scribble on.
+func TestBorrowedBuffersDoNotAlias(t *testing.T) {
+	_, srv, c := rig(t, 0)
+	fh, _, _, err := c.Create("srv", srv.Root(), "f", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 3<<20+123) // several store extents
+	newRand(7).Read(payload)
+	half := len(payload) / 2
+	batch := func(xid uint64) []byte {
+		e := wire.NewEncoder(0)
+		e.PutUint32(uint32(ProcWriteBatch))
+		e.PutUint64(xid)
+		putHandle(e, fh)
+		PutWriteSpans(e, []WriteSpan{{Offset: 0, Data: payload[:half]}, {Offset: int64(half), Data: payload[half:]}})
+		return e.Bytes()
+	}
+	stored := func(when string) {
+		t.Helper()
+		got, err := srv.FS().ReadFile("/f")
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: store holds %d bytes (err=%v) that differ from what was written", when, len(got), err)
+		}
+	}
+
+	req := batch(1 << 40)
+	reply, _, err := srv.Handle("cli", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := append([]byte(nil), reply...)
+	scribble(req)
+	stored("after scribbling over the WRITEBATCH request")
+
+	// A retransmission is answered from the cache, byte for byte, without
+	// touching the store. (The cached reply is the buffer the first caller
+	// got; that is safe because mutating replies carry no data a client
+	// borrows.)
+	replay, _, err := srv.Handle("cli", batch(1<<40))
+	if err != nil || !bytes.Equal(replay, first) || srv.Replays() != 1 {
+		t.Fatalf("replay = %x (err=%v, %d replays), want %x from the cache", replay, err, srv.Replays(), first)
+	}
+
+	// Plain WRITE borrows the same way.
+	w := wire.NewEncoder(0)
+	w.PutUint32(uint32(ProcWrite))
+	w.PutUint64(1<<40 + 1)
+	putHandle(w, fh)
+	w.PutInt64(int64(half))
+	w.PutOpaque(payload[half:])
+	if _, _, err := srv.Handle("cli", w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	scribble(w.Bytes())
+	stored("after scribbling over the WRITE request")
+
+	// What READ and READSTREAM hand the client is the client's own: scribbling
+	// over it reaches neither the store nor the next reader.
+	data, _, _, err := c.Read("srv", fh, 1<<20-7, 64<<10)
+	if err != nil || !bytes.Equal(data, payload[1<<20-7:][:64<<10]) {
+		t.Fatalf("read: %d bytes err=%v", len(data), err)
+	}
+	scribble(data[:cap(data)])
+	window, _, _, err := c.ReadStream("srv", fh, 0, 32<<10, 1<<10)
+	if err != nil || !bytes.Equal(window, payload) {
+		t.Fatalf("readstream: %d bytes err=%v", len(window), err)
+	}
+	scribble(window[:cap(window)])
+	stored("after scribbling over READ replies")
+	again, _, _, err := c.Read("srv", fh, 1<<20-7, 64<<10)
+	if err != nil || !bytes.Equal(again, payload[1<<20-7:][:64<<10]) {
+		t.Fatal("a second reader saw the first reader's scribbles")
 	}
 }

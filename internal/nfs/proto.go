@@ -425,6 +425,7 @@ type WriteSpan struct {
 // PutWriteSpans encodes a span vector; exposed for the kosha replication
 // service, which ships the same vector inside its mirrored mutations.
 func PutWriteSpans(e *wire.Encoder, spans []WriteSpan) {
+	e.Grow(4 + SpansWireSize(spans))
 	e.PutUint32(uint32(len(spans)))
 	for _, s := range spans {
 		e.PutInt64(s.Offset)
@@ -432,7 +433,19 @@ func PutWriteSpans(e *wire.Encoder, spans []WriteSpan) {
 	}
 }
 
-// GetWriteSpans decodes a span vector written by PutWriteSpans.
+// SpansWireSize bounds from above the encoded size of the spans (the
+// vector's count word excluded), for sizing the frame that carries them.
+func SpansWireSize(spans []WriteSpan) int {
+	n := 0
+	for _, s := range spans {
+		n += 16 + len(s.Data) // offset, length, padding
+	}
+	return n
+}
+
+// GetWriteSpans decodes a span vector written by PutWriteSpans. The spans'
+// Data borrows the decoder's buffer (wire.Decoder.OpaqueRef): every consumer
+// copies the bytes into a store before the request returns.
 func GetWriteSpans(d *wire.Decoder) []WriteSpan {
 	n := d.ArrayLen()
 	if n <= 0 {
@@ -440,7 +453,7 @@ func GetWriteSpans(d *wire.Decoder) []WriteSpan {
 	}
 	spans := make([]WriteSpan, 0, n)
 	for i := 0; i < n; i++ {
-		spans = append(spans, WriteSpan{Offset: d.Int64(), Data: d.Opaque()})
+		spans = append(spans, WriteSpan{Offset: d.Int64(), Data: d.OpaqueRef()})
 	}
 	return spans
 }

@@ -292,7 +292,10 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		// The window's chunk reads run back to back against the store; their
 		// disk costs accumulate, but the propagation round trip is paid once
 		// for the whole window — that is the entire point of the procedure.
-		var data []byte
+		// The pieces go into the reply frame as they are, one opaque sized
+		// from what the store returned: the request's chunk x chunks reserves
+		// nothing, so a hostile window cannot force an allocation.
+		pieces := make([][]byte, 0, min(chunks, 8))
 		var eof bool
 		var cost simnet.Cost
 		off := offset
@@ -302,7 +305,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 			if err != nil {
 				return s.fail(proc, toStatus(err)), cost
 			}
-			data = append(data, piece...)
+			pieces = append(pieces, piece)
 			off += int64(len(piece))
 			if pe || len(piece) < chunk {
 				eof = pe
@@ -311,7 +314,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		}
 		e.PutUint32(uint32(OK))
 		e.PutBool(eof)
-		e.PutOpaque(data)
+		e.PutOpaqueV(pieces...)
 		return e.Bytes(), cost
 
 	case ProcWriteBatch:
@@ -341,7 +344,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 	case ProcWrite:
 		h := getHandle(d)
 		offset := d.Int64()
-		data := d.Opaque()
+		data := d.OpaqueRef() // the store copies it
 		if d.Err() != nil {
 			return s.fail(proc, ErrInval), 0
 		}

@@ -35,6 +35,13 @@ var ErrNoSuchService = errors.New("simnet: no such service")
 
 // Handler processes one request and returns the response payload together
 // with the simulated cost of local processing (disk ops, nested calls).
+//
+// Buffer ownership (both transports; DESIGN.md §10): a request or response
+// buffer is immutable once handed to a transport, and no transport recycles
+// one — this network passes the sender's slice to the handler and the
+// handler's slice back to the caller, so one frame may be sent to several
+// destinations or delivered twice (LinkFault.Dup). A handler may alias req
+// only until it returns, unless it copies; the caller owns resp.
 type Handler func(from Addr, req []byte) (resp []byte, cost Cost, err error)
 
 // HandlerCtx is a context-aware handler: it additionally receives the trace

@@ -8,6 +8,11 @@
 // handler's reported cost, and the caller adds the calibrated link-model
 // cost for the message sizes, so benchmark numbers remain comparable to
 // the in-process emulation regardless of real wire latency.
+//
+// Buffer ownership follows simnet.Handler's rule: every frame read off a
+// connection gets a freshly allocated slice that is never recycled, so a
+// handler may borrow from its request for the duration of the call and a
+// caller owns the response it is handed; buffers passed in are only read.
 package tcpnet
 
 import (

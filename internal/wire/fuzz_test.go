@@ -34,6 +34,26 @@ func FuzzDecoderNoPanic(f *testing.F) {
 		sink += d.ArrayLen()
 		_ = d.Done()
 		_ = sink
+
+		// The borrowing decode obeys the same limits as the copying one and
+		// never hands out bytes beyond its item, let alone beyond the input.
+		ref, cp := NewDecoder(data), NewDecoder(data)
+		for ref.Err() == nil {
+			before := ref.Remaining()
+			r, c := ref.OpaqueRef(), cp.Opaque()
+			if !bytes.Equal(r, c) || (ref.Err() == nil) != (cp.Err() == nil) || ref.Remaining() != cp.Remaining() {
+				t.Fatalf("OpaqueRef %x (err %v) and Opaque %x (err %v) disagree", r, ref.Err(), c, cp.Err())
+			}
+			if len(r) > MaxOpaque || cap(r) != len(r) || len(r) > before {
+				t.Fatalf("borrowed opaque len %d cap %d out of %d remaining bytes", len(r), cap(r), before)
+			}
+			if len(r) > 0 {
+				start := len(data) - before + 4
+				if &r[0] != &data[start] {
+					t.Fatalf("borrowed opaque does not point into the input at %d", start)
+				}
+			}
+		}
 	})
 }
 

@@ -75,11 +75,33 @@ func (e *Encoder) PutBool(v bool) {
 // PutFloat64 appends an IEEE-754 double.
 func (e *Encoder) PutFloat64(v float64) { e.PutUint64(math.Float64bits(v)) }
 
+// Grow reserves room for n more bytes, so a frame whose size is known up
+// front is allocated once, at that size, instead of regrown as it fills.
+// Repeated small reservations still amortise by doubling.
+func (e *Encoder) Grow(n int) {
+	if need := len(e.buf) + n; need > cap(e.buf) {
+		buf := make([]byte, len(e.buf), max(need, 2*cap(e.buf)))
+		copy(buf, e.buf)
+		e.buf = buf
+	}
+}
+
 // PutOpaque appends variable-length opaque data: u32 length, bytes, padding.
-func (e *Encoder) PutOpaque(p []byte) {
-	e.PutUint32(uint32(len(p)))
-	e.buf = append(e.buf, p...)
-	for i := 0; i < pad4(len(p)); i++ {
+func (e *Encoder) PutOpaque(p []byte) { e.PutOpaqueV(p) }
+
+// PutOpaqueV appends one opaque item whose content is the concatenation of
+// parts, so a caller holding the data in pieces need not join them first.
+func (e *Encoder) PutOpaqueV(parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	e.Grow(4 + n + pad4(n))
+	e.PutUint32(uint32(n))
+	for _, p := range parts {
+		e.buf = append(e.buf, p...)
+	}
+	for i := 0; i < pad4(n); i++ {
 		e.buf = append(e.buf, 0)
 	}
 }
@@ -199,6 +221,21 @@ func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
 // Opaque reads variable-length opaque data. The returned slice is a copy.
 func (d *Decoder) Opaque() []byte {
+	p := d.OpaqueRef()
+	if p == nil {
+		return nil
+	}
+	out := make([]byte, len(p))
+	copy(out, p)
+	return out
+}
+
+// OpaqueRef reads variable-length opaque data without copying: the result
+// aliases the decoder's buffer, its capacity capped so an append cannot
+// reach the bytes that follow. For consumers that copy the bytes into their
+// own storage or hand them to the buffer's owner; anything kept past the
+// buffer's lifetime needs Opaque.
+func (d *Decoder) OpaqueRef() []byte {
 	n := d.Uint32()
 	if n > MaxOpaque {
 		d.fail(ErrTooLong)
@@ -209,9 +246,7 @@ func (d *Decoder) Opaque() []byte {
 		return nil
 	}
 	d.take(pad4(int(n)))
-	out := make([]byte, n)
-	copy(out, p)
-	return out
+	return p[:n:n]
 }
 
 // FixedOpaque reads n bytes of fixed-length opaque data into dst.

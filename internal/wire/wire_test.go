@@ -276,3 +276,65 @@ func BenchmarkDecodeMixed(b *testing.B) {
 	}
 	_ = sink
 }
+
+// OpaqueRef is Opaque without the copy: same checks, and a result that can
+// neither be appended into the bytes that follow nor outlive its limits.
+func TestOpaqueRefBorrows(t *testing.T) {
+	e := NewEncoder(32)
+	e.PutOpaque([]byte{1, 2, 3, 4, 5})
+	e.PutUint32(0xfeedface)
+	buf := append([]byte(nil), e.Bytes()...)
+
+	d := NewDecoder(buf)
+	got := d.OpaqueRef()
+	if !bytes.Equal(got, []byte{1, 2, 3, 4, 5}) || cap(got) != 5 {
+		t.Fatalf("OpaqueRef = %v cap %d, want the 5 bytes capped at 5", got, cap(got))
+	}
+	if &got[0] != &buf[4] {
+		t.Fatal("OpaqueRef copied the data")
+	}
+	_ = append(got, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA)
+	if v := d.Uint32(); v != 0xfeedface || d.Done() != nil {
+		t.Fatalf("appending to a borrowed opaque reached the next field: %x err=%v", v, d.Done())
+	}
+
+	big := NewEncoder(8)
+	big.PutUint32(MaxOpaque + 1)
+	d = NewDecoder(big.Bytes())
+	if d.OpaqueRef() != nil || d.Err() != ErrTooLong {
+		t.Errorf("oversized borrowed opaque accepted: %v", d.Err())
+	}
+	d = NewDecoder(buf[:7]) // length says 5, only 3 bytes follow
+	if d.OpaqueRef() != nil || d.Err() != ErrShort {
+		t.Errorf("short borrowed opaque accepted: %v", d.Err())
+	}
+}
+
+// PutOpaqueV writes the bytes PutOpaque would for the joined parts, and a
+// frame whose size is reserved up front is allocated exactly once.
+func TestPutOpaqueVAndGrow(t *testing.T) {
+	parts := [][]byte{{1, 2, 3}, nil, {4, 5}, {6}}
+	joined := bytes.Join(parts, nil)
+	want := NewEncoder(16)
+	want.PutOpaque(joined)
+	got := NewEncoder(0)
+	got.PutOpaqueV(parts...)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("PutOpaqueV = %x, want %x", got.Bytes(), want.Bytes())
+	}
+	empty := NewEncoder(0)
+	empty.PutOpaqueV()
+	if !bytes.Equal(empty.Bytes(), []byte{0, 0, 0, 0}) {
+		t.Fatalf("empty PutOpaqueV = %x", empty.Bytes())
+	}
+
+	payload := make([]byte, 1<<20)
+	if n := testing.AllocsPerRun(10, func() {
+		e := NewEncoder(128)
+		e.PutUint32(0)
+		e.PutBool(true)
+		e.PutOpaqueV(payload[:1<<19], payload[1<<19:])
+	}); n != 2 { // the 128-byte start and the frame at its final size
+		t.Errorf("a sized 1 MiB frame took %.0f allocations, want 2", n)
+	}
+}
