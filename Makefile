@@ -123,10 +123,13 @@ bench:
 
 # bench-smoke keeps the benchmark harness (bench/, BENCHMARK.json) building
 # and correct against the packages it drives: its own determinism pins, then
-# one small stream round whose exit code is the oracle's verdict.
+# one small stream round and one small meta round (32 nodes, client caches
+# off: every path op is a LOOKUPPATH) whose exit code is the byte-exact
+# oracle's verdict.
 bench-smoke:
 	$(GO) test ./bench
 	$(GO) run ./bench --workload stream -quick
+	$(GO) run ./bench --workload meta -quick
 
 # gobench-smoke runs every Go benchmark in the module once.
 gobench-smoke:

@@ -375,23 +375,16 @@ func (m *Mount) remove(tr *obs.Trace, dir VH, name string) (simnet.Cost, error) 
 		if de.place.VRoot {
 			return 0, &nfs.Error{Proc: nfs.ProcRemove, Status: nfs.ErrIsDir}
 		}
-		phys := path.Join(de.physPath, name)
-		_, attr, c, err := m.n.remoteLookupPath(tr.Ctx(), de.node, phys)
+		// One walk from the directory's own handle types the victim and, for
+		// a symlink, brings the target that tells a special link apart.
+		w, c, err := m.n.nfsT(tr).Walk(de.node, de.fh, name)
 		if err != nil {
 			return c, err
 		}
-		if attr.Type == localfs.TypeDir {
+		if _, _, special := ParseLinkTarget(w.Target); special || w.Attr.Type == localfs.TypeDir {
 			return c, &nfs.Error{Proc: nfs.ProcRemove, Status: nfs.ErrIsDir}
 		}
-		if attr.Type == localfs.TypeSymlink {
-			target, c2, err := m.n.readLink(tr.Ctx(), de.node, phys)
-			c = simnet.Seq(c, c2)
-			if err == nil {
-				if _, _, ok := ParseLinkTarget(target); ok {
-					return c, &nfs.Error{Proc: nfs.ProcRemove, Status: nfs.ErrIsDir}
-				}
-			}
-		}
+		phys := path.Join(de.physPath, name)
 		_, _, c2, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
 			FSOp{Kind: FSRemove, Path: phys})
 		if err == nil {
@@ -480,16 +473,23 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 		linkTrack = Track{PN: parent.pn, Root: parent.root}
 	}
 	if !(parent.place.VRoot && child.root == "/"+name) {
+		// A level-1 link sits in its hash target's export root; any other is
+		// one name below the parent handle already held.
 		linkPath := path.Join(linkDir, name)
-		if _, attr, c, lerr := n.remoteLookupPath(tr.Ctx(), linkNode, linkPath); lerr == nil && attr.Type == localfs.TypeSymlink {
+		var w nfs.Walked
+		var lerr error
+		if parent.place.VRoot {
+			w, c, lerr = n.remoteWalk(tr.Ctx(), linkNode, linkPath)
+		} else {
+			w, c, lerr = n.nfsT(tr).Walk(linkNode, parent.fh, name)
+		}
+		total = simnet.Seq(total, c)
+		if lerr == nil && w.Attr.Type == localfs.TypeSymlink {
+			_, _, c, derr := n.apply(tr, linkNode, linkKey, linkTrack, FSOp{Kind: FSRemove, Path: linkPath})
 			total = simnet.Seq(total, c)
-			_, _, c2, derr := n.apply(tr, linkNode, linkKey, linkTrack, FSOp{Kind: FSRemove, Path: linkPath})
-			total = simnet.Seq(total, c2)
 			if derr != nil {
 				return total, derr
 			}
-		} else {
-			total = simnet.Seq(total, c)
 		}
 	}
 	n.cacheDrop(vpath)

@@ -15,19 +15,29 @@ import (
 
 // LookupPath resolves a whole virtual path to a handle.
 func (m *Mount) LookupPath(vpath string) (VH, localfs.Attr, simnet.Cost, error) {
-	o := m.begin(obs.OpcLookup, vpath)
-	total := m.n.cfg.InterposeCost
-	de, attr, cost, err := m.materializeRetry(o.tr, vpath)
-	total = simnet.Seq(total, cost)
+	de, attr, total, err := m.lookupPath(vpath)
 	if err != nil {
-		o.done(total, err)
 		return 0, localfs.Attr{}, total, err
 	}
-	o.done(total, nil)
+	return m.vhOf(de), attr, total, nil
+}
+
+// lookupPath is LookupPath before a handle is issued. A NOENT may come with
+// the entry of the deepest existing ancestor (see materialize).
+func (m *Mount) lookupPath(vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
+	o := m.begin(obs.OpcLookup, vpath)
+	de, attr, cost, err := m.materializeRetry(o.tr, vpath)
+	total := simnet.Seq(m.n.cfg.InterposeCost, cost)
+	o.done(total, err)
+	return de, attr, total, err
+}
+
+// vhOf issues a virtual handle for a materialized entry.
+func (m *Mount) vhOf(de *ventry) VH {
 	if de.place.VRoot {
-		return RootVH, attr, total, nil
+		return RootVH
 	}
-	return m.insert(de), attr, total, nil
+	return m.insert(de)
 }
 
 // dropMetaForPath invalidates this mount's metadata caches for a path's
@@ -55,25 +65,37 @@ func (m *Mount) MkdirAll(vpath string) (VH, simnet.Cost, error) {
 	return vh, total, err
 }
 
+// mkdirAllOnce resolves the path with one walk, which is all an existing
+// directory costs. When the walk stops at a missing component it names the
+// deepest ancestor that exists, and only the components below that one are
+// created; a miss at a distributed level names no ancestor, and the loop
+// starts at the root. Each step creates first and looks up on EXIST (a
+// component above the miss, or one another client created meanwhile): the
+// walk has just said the rest is missing, so a name-cache hit for any of it
+// could only be stale.
 func (m *Mount) mkdirAllOnce(vpath string) (VH, simnet.Cost, error) {
+	de, _, total, err := m.lookupPath(vpath)
+	if err == nil {
+		return m.vhOf(de), total, nil
+	}
+	if !nfs.IsStatus(err, nfs.ErrNoEnt) {
+		return 0, total, err
+	}
 	parts := SplitVirtual(vpath)
-	var total simnet.Cost
 	cur := m.Root()
-	for i, name := range parts {
-		next, _, c, err := m.Lookup(cur, name)
+	if de != nil {
+		cur, parts = m.insert(de), parts[len(SplitVirtual(de.vpath)):]
+	}
+	for _, name := range parts {
+		next, _, c, err := m.Mkdir(cur, name, 0o755)
 		total = simnet.Seq(total, c)
-		if err != nil {
-			if !nfs.IsStatus(err, nfs.ErrNoEnt) {
-				return 0, total, err
-			}
-			next, _, c, err = m.Mkdir(cur, name, 0o755)
+		if nfs.IsStatus(err, nfs.ErrExist) {
+			next, _, c, err = m.Lookup(cur, name)
 			total = simnet.Seq(total, c)
-			if err != nil {
-				return 0, total, err
-			}
 		}
-		if i > 0 && cur != m.Root() {
-			m.forget(cur)
+		m.forget(cur) // a no-op on RootVH
+		if err != nil {
+			return 0, total, err
 		}
 		cur = next
 	}
@@ -145,8 +167,21 @@ func (m *Mount) ReadFile(vpath string) ([]byte, simnet.Cost, error) {
 	}
 }
 
-// RemoveAllPath recursively removes a virtual subtree.
+// RemoveAllPath recursively removes a virtual subtree. Like MkdirAll, it
+// redrives once on a staleness-shaped failure, which here is NOTEMPTY: the
+// mark of a listing read through a name-cache entry that another client's
+// rename left pointing at the directory's old inode.
 func (m *Mount) RemoveAllPath(vpath string) (simnet.Cost, error) {
+	total, err := m.removeAllOnce(vpath)
+	if nfs.IsStatus(err, nfs.ErrNotEmpty) {
+		m.dropMetaForPath(vpath)
+		c, err2 := m.removeAllOnce(vpath)
+		return simnet.Seq(total, c), err2
+	}
+	return total, err
+}
+
+func (m *Mount) removeAllOnce(vpath string) (simnet.Cost, error) {
 	parts := SplitVirtual(vpath)
 	if len(parts) == 0 {
 		return 0, &nfs.Error{Proc: nfs.ProcRmdir, Status: nfs.ErrInval}

@@ -127,108 +127,88 @@ func cacheSuspect(err error) bool {
 		nfs.IsStatus(err, nfs.ErrIsDir)
 }
 
+// lookupAt walks phys on place's node. A NOENT below the storage root may be
+// a copy the node holds unpromoted after a fresh ownership change, so the
+// node is asked to promote and the walk repeats once. A NOENT above it means
+// the resolved storage root itself dangles — a stale cache entry survived a
+// rename or removal done elsewhere — and comes back as staleStore.
+func (m *Mount) lookupAt(tr *obs.Trace, place Place, phys string) (nfs.Walked, simnet.Cost, error) {
+	storeComps := pathComponents(place.SubtreeRoot())
+	var total simnet.Cost
+	for attempt := 0; ; attempt++ {
+		w, c, err := m.n.remoteWalk(tr.Ctx(), place.Node, phys)
+		total = simnet.Seq(total, c)
+		if !nfs.IsStatus(err, nfs.ErrNoEnt) || place.VRoot {
+			return w, total, err
+		}
+		if w.Resolved < storeComps {
+			return w, total, staleStore
+		}
+		if attempt > 0 {
+			return w, total, err
+		}
+		_, c, perr := m.n.promote(tr.Ctx(), place.Node, Track{PN: place.PN(), Root: place.SubtreeRoot()})
+		total = simnet.Seq(total, c)
+		if perr != nil {
+			return w, total, err
+		}
+	}
+}
+
 // materialize builds a ventry for a virtual path by resolving placement and
 // looking the path up on the storage node. It also returns the entry's
-// attributes (LOOKUP carries them, as in NFS).
+// attributes (the walk carries them, as LOOKUP does in NFS). When only
+// components below the storage root are missing, the NOENT comes with the
+// entry of the deepest directory the walk reached, for MkdirAll to carry on
+// from; every other failure returns a nil entry.
 func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
 	parts := SplitVirtual(vpath)
 	if len(parts) == 0 {
 		return &ventry{vpath: "/", kind: localfs.TypeDir, place: Place{VRoot: true, Store: "/"}},
 			localfs.Attr{Ino: 1, Type: localfs.TypeDir, Mode: 0o755, Nlink: 2}, 0, nil
 	}
-	var total simnet.Cost
-
-	place, cost, err := m.n.resolveDir(tr, parts)
-	total = simnet.Seq(total, cost)
-	switch {
-	case err == nil:
-		phys := place.PhysDir()
-		storeComps := pathComponents(place.SubtreeRoot())
-		fh, attr, idx, c, lerr := m.n.remoteLookupPathIdx(tr.Ctx(), place.Node, phys)
-		total = simnet.Seq(total, c)
-		if nfs.IsStatus(lerr, nfs.ErrNoEnt) {
-			if idx < storeComps {
-				// The resolved storage root itself dangles: a stale cache
-				// entry survived a rename/removal done elsewhere.
-				lerr = staleStore
-			} else {
-				_, c2, perr := m.n.promote(tr.Ctx(), place.Node, Track{PN: place.PN(), Root: place.SubtreeRoot()})
-				total = simnet.Seq(total, c2)
-				if perr == nil {
-					fh, attr, idx, c, lerr = m.n.remoteLookupPathIdx(tr.Ctx(), place.Node, phys)
-					total = simnet.Seq(total, c)
-					if nfs.IsStatus(lerr, nfs.ErrNoEnt) && idx < storeComps {
-						lerr = staleStore
-					}
-				}
-			}
-		}
-		if lerr != nil {
-			return nil, localfs.Attr{}, total, lerr
-		}
-		tr.SetServedBy(string(place.Node))
-		ve := &ventry{
-			vpath:    JoinVirtual(parts),
-			kind:     attr.Type,
-			node:     place.Node,
-			fh:       fh,
-			physPath: phys,
-			pn:       place.PN(),
-			root:     place.SubtreeRoot(),
-			place:    place,
-		}
-		m.cacheAttr(ve.vpath, attr)
-		return ve, attr, total, nil
-
-	case nfs.IsStatus(err, nfs.ErrNotDir):
+	place, total, err := m.n.resolveDir(tr, parts)
+	phys := place.PhysDir()
+	if nfs.IsStatus(err, nfs.ErrNotDir) {
 		// The final component is a file or plain symlink at a depth the
 		// resolver treated as a directory level; resolve the parent and
 		// look the leaf up there.
-		parent, cost, perr := m.n.resolveDir(tr, parts[:len(parts)-1])
-		total = simnet.Seq(total, cost)
-		if perr != nil {
-			return nil, localfs.Attr{}, total, perr
-		}
-		name := parts[len(parts)-1]
-		phys := path.Join(parent.PhysDir(), name)
-		storeComps := pathComponents(parent.SubtreeRoot())
-		fh, attr, idx, c, lerr := m.n.remoteLookupPathIdx(tr.Ctx(), parent.Node, phys)
+		var c simnet.Cost
+		place, c, err = m.n.resolveDir(tr, parts[:len(parts)-1])
 		total = simnet.Seq(total, c)
-		if nfs.IsStatus(lerr, nfs.ErrNoEnt) && !parent.VRoot {
-			if idx < storeComps {
-				lerr = staleStore
-			} else {
-				_, c2, perr := m.n.promote(tr.Ctx(), parent.Node, Track{PN: parent.PN(), Root: parent.SubtreeRoot()})
-				total = simnet.Seq(total, c2)
-				if perr == nil {
-					fh, attr, idx, c, lerr = m.n.remoteLookupPathIdx(tr.Ctx(), parent.Node, phys)
-					total = simnet.Seq(total, c)
-					if nfs.IsStatus(lerr, nfs.ErrNoEnt) && idx < storeComps {
-						lerr = staleStore
-					}
-				}
-			}
-		}
-		if lerr != nil {
-			return nil, localfs.Attr{}, total, lerr
-		}
-		tr.SetServedBy(string(parent.Node))
-		ve := &ventry{
-			vpath:    JoinVirtual(parts),
-			kind:     attr.Type,
-			node:     parent.Node,
-			fh:       fh,
-			physPath: phys,
-			pn:       parent.PN(),
-			root:     parent.SubtreeRoot(),
-			place:    parent,
-		}
-		m.cacheAttr(ve.vpath, attr)
-		return ve, attr, total, nil
-
-	default:
+		phys = path.Join(place.PhysDir(), parts[len(parts)-1])
+	}
+	if err != nil {
 		return nil, localfs.Attr{}, total, err
 	}
+	w, c, err := m.lookupAt(tr, place, phys)
+	total = simnet.Seq(total, c)
+	if err != nil {
+		missing := pathComponents(phys) - w.Resolved
+		if !nfs.IsStatus(err, nfs.ErrNoEnt) || missing > len(place.Rest) {
+			return nil, localfs.Attr{}, total, err
+		}
+		// The walk got below the storage root: describe the directory it
+		// reached last, whose handle the failed reply carries.
+		place.Rest = place.Rest[:len(place.Rest)-missing]
+		parts, phys = parts[:len(parts)-missing], place.PhysDir()
+		w.Attr = localfs.Attr{Type: localfs.TypeDir}
+	}
+	ve := &ventry{
+		vpath:    JoinVirtual(parts),
+		kind:     w.Attr.Type,
+		node:     place.Node,
+		fh:       w.FH,
+		physPath: phys,
+		pn:       place.PN(),
+		root:     place.SubtreeRoot(),
+		place:    place,
+	}
+	if err == nil {
+		tr.SetServedBy(string(place.Node))
+		m.cacheAttr(ve.vpath, w.Attr)
+	}
+	return ve, w.Attr, total, err
 }
 
 // materializeRetry is materialize with transparent failover: a retryable

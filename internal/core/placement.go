@@ -87,7 +87,10 @@ func Key(pn string) id.ID { return id.HashKey(pn) }
 // SplitVirtual normalizes a virtual path (relative to the mount point) and
 // returns its components. "/" yields nil.
 func SplitVirtual(vpath string) []string {
-	clean := path.Clean("/" + vpath)
+	if !strings.HasPrefix(vpath, "/") {
+		vpath = "/" + vpath
+	}
+	clean := path.Clean(vpath) // allocates nothing for a path already clean
 	if clean == "/" {
 		return nil
 	}

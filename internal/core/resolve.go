@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path"
-	"strings"
 
 	"repro/internal/localfs"
 	"repro/internal/nfs"
@@ -28,24 +27,19 @@ func (n *Node) noteErr(addr simnet.Addr, err error) error {
 	return err
 }
 
-// remoteLookupPath resolves a physical path on a remote store, fetching and
-// caching the export's root handle. A stale cached handle (the remote store
-// was purged and re-incarnated) is refreshed once.
-func (n *Node) remoteLookupPath(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Handle, localfs.Attr, simnet.Cost, error) {
-	fh, attr, _, cost, err := n.remoteLookupPathIdx(tc, to, phys)
-	return fh, attr, cost, err
-}
-
-// remoteLookupPathIdx additionally reports how many components resolved.
-func (n *Node) remoteLookupPathIdx(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Handle, localfs.Attr, int, simnet.Cost, error) {
+// remoteWalk resolves a physical path on a remote store in one LOOKUPPATH
+// from the export's root, fetching and caching the root handle. A stale
+// cached handle (the remote store was purged and re-incarnated) is refreshed
+// once.
+func (n *Node) remoteWalk(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Walked, simnet.Cost, error) {
 	var total simnet.Cost
 	for attempt := 0; ; attempt++ {
 		root, c, err := n.rootHandle(to)
 		total = simnet.Seq(total, c)
 		if err != nil {
-			return nfs.Handle{}, localfs.Attr{}, 0, total, n.noteErr(to, err)
+			return nfs.Walked{}, total, n.noteErr(to, err)
 		}
-		fh, attr, idx, c, err := n.nfsCtx(tc).LookupPathIdx(to, root, phys)
+		w, c, err := n.nfsCtx(tc).Walk(to, root, phys)
 		total = simnet.Seq(total, c)
 		if err != nil && nfs.IsStatus(err, nfs.ErrStale) && attempt == 0 {
 			n.dropRootHandle(to)
@@ -54,32 +48,35 @@ func (n *Node) remoteLookupPathIdx(tc obs.TraceContext, to simnet.Addr, phys str
 		if err != nil && !nfs.IsStatus(err, nfs.ErrStale) {
 			err = n.noteErr(to, err)
 		}
-		return fh, attr, idx, total, err
+		return w, total, err
 	}
+}
+
+// remoteLookupPath is remoteWalk for callers that want only the leaf.
+func (n *Node) remoteLookupPath(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Handle, localfs.Attr, simnet.Cost, error) {
+	w, cost, err := n.remoteWalk(tc, to, phys)
+	return w.FH, w.Attr, cost, err
 }
 
 // pathComponents counts the components of a physical path.
 func pathComponents(p string) int {
 	n := 0
-	for _, part := range strings.Split(p, "/") {
-		if part != "" {
+	for i := 0; i < len(p); i++ {
+		if p[i] != '/' && (i == 0 || p[i-1] == '/') {
 			n++
 		}
 	}
 	return n
 }
 
-// readLink reads a symlink target on a remote store by physical path.
+// readLink reads a symlink target on a remote store by physical path; the
+// walk's reply carries it.
 func (n *Node) readLink(tc obs.TraceContext, to simnet.Addr, phys string) (string, simnet.Cost, error) {
-	fh, attr, cost, err := n.remoteLookupPath(tc, to, phys)
-	if err != nil {
-		return "", cost, err
+	w, cost, err := n.remoteWalk(tc, to, phys)
+	if err == nil && w.Attr.Type != localfs.TypeSymlink {
+		err = &nfs.Error{Proc: nfs.ProcReadlink, Status: nfs.ErrInval}
 	}
-	if attr.Type != localfs.TypeSymlink {
-		return "", cost, &nfs.Error{Proc: nfs.ProcReadlink, Status: nfs.ErrInval}
-	}
-	target, c, err := n.nfsCtx(tc).Readlink(to, fh)
-	return target, simnet.Seq(cost, c), err
+	return w.Target, cost, err
 }
 
 func (n *Node) cacheGet(vpath string) (Place, bool) {
@@ -144,9 +141,9 @@ restart:
 		}
 		probePath := path.Join(probeDir, name)
 		wantIdx := pathComponents(probePath) - 1 // components before the name
-		_, attr, idx, cost, err := n.remoteLookupPathIdx(tr.Ctx(), probeNode, probePath)
+		w, cost, err := n.remoteWalk(tr.Ctx(), probeNode, probePath)
 		total = simnet.Seq(total, cost)
-		if nfs.IsStatus(err, nfs.ErrNoEnt) && idx >= wantIdx {
+		if nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved >= wantIdx {
 			// Only the name itself is missing; the node may hold an
 			// unpromoted copy after a fresh ownership change.
 			var t Track
@@ -158,11 +155,11 @@ restart:
 			_, c2, perr := n.promote(tr.Ctx(), probeNode, t)
 			total = simnet.Seq(total, c2)
 			if perr == nil {
-				_, attr, idx, cost, err = n.remoteLookupPathIdx(tr.Ctx(), probeNode, probePath)
+				w, cost, err = n.remoteWalk(tr.Ctx(), probeNode, probePath)
 				total = simnet.Seq(total, cost)
 			}
 		}
-		if nfs.IsStatus(err, nfs.ErrNoEnt) && idx < wantIdx && usedCache && !retried {
+		if nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved < wantIdx && usedCache && !retried {
 			// The cached level's storage root dangles: the directory was
 			// renamed or removed elsewhere (renames relocate storage by
 			// design). Re-resolve the whole chain from scratch once.
@@ -178,7 +175,7 @@ restart:
 			return Place{}, total, err
 		}
 		var next Place
-		switch attr.Type {
+		switch w.Attr.Type {
 		case localfs.TypeDir:
 			// A real directory at the probe location only occurs for an
 			// unsalted level-1 home sitting at its own hash target; deeper
@@ -188,14 +185,10 @@ restart:
 			}
 			next = Place{Node: probeNode, Name: name, Store: "/" + name}
 		case localfs.TypeSymlink:
-			// Special link: follow to the placement name and storage root.
-			// A user symlink (no marker) is not a directory.
-			target, cost, err := n.readLink(tr.Ctx(), probeNode, path.Join(probeDir, name))
-			total = simnet.Seq(total, cost)
-			if err != nil {
-				return Place{}, total, err
-			}
-			pn, store, ok := ParseLinkTarget(target)
+			// Special link: follow to the placement name and storage root,
+			// which the probe's reply carried. A user symlink (no marker) is
+			// not a directory.
+			pn, store, ok := ParseLinkTarget(w.Target)
 			if !ok {
 				return Place{}, total, &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNotDir}
 			}

@@ -2,6 +2,7 @@ package nfs
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -16,13 +17,17 @@ import (
 func TestHotPathLabelsDoNotAllocate(t *testing.T) {
 	net := simnet.New(simnet.LAN100)
 	c := NewClient(net, "cli")
-	for p := Proc(0); p < procCount(); p++ {
+	procs := namedProcs()
+	if len(procs) != 22 || procs[len(procs)-2] != ProcLookupPath {
+		t.Fatalf("named procedures = %v, want all 22 with LOOKUPPATH the last below MNT", procs)
+	}
+	for _, p := range procs {
 		c.proc(p) // warm the per-proc cache
 	}
 	tc := obs.TraceContext{Hi: 1, Lo: 2, Span: 3}
 
 	if n := testing.AllocsPerRun(1000, func() {
-		for p := Proc(0); p < procCount(); p++ {
+		for _, p := range procs {
 			c.proc(p)
 		}
 	}); n != 0 {
@@ -36,9 +41,21 @@ func TestHotPathLabelsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// procCount returns the number of real procedures (label table is sized
-// maxProc; probing a handful is enough to catch regressions).
-func procCount() Proc { return Proc(16) }
+// named reports whether p is a procedure the protocol defines, as opposed to
+// a number Proc.String can only print as PROC(n).
+func named(p Proc) bool { return !strings.HasPrefix(p.String(), "PROC(") }
+
+// namedProcs lists every defined procedure, the extension numbers above the
+// RFC 1813 program (READSTREAM, WRITEBATCH, LOOKUPPATH, MNT) included.
+func namedProcs() []Proc {
+	var out []Proc
+	for p := Proc(0); p < maxProc; p++ {
+		if named(p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 // BenchmarkProcHistLookup measures the per-RPC label path in isolation; run
 // with -benchmem to watch the 0 B/op invariant.

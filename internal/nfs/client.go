@@ -2,7 +2,6 @@ package nfs
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -149,7 +148,9 @@ func (c Client) ResetStats() {
 // request carries a transaction id (xid) unique to this client so the
 // server's duplicate-request cache can recognize retransmissions and keep
 // non-idempotent procedures at-most-once. The client's trace context (if
-// stamped via WithCtx) rides the envelope.
+// stamped via WithCtx) rides the envelope. A non-OK status comes back as an
+// *Error beside the decoder, positioned after the status word, for the
+// procedures whose failure replies carry more than the status.
 func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
 	e := wire.NewEncoder(256)
 	e.PutUint32(uint32(proc))
@@ -179,7 +180,7 @@ func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wir
 		return nil, cost, fmt.Errorf("nfs %s to %s: bad reply: %w", proc, to, d.Err())
 	}
 	if st != OK {
-		return nil, cost, &Error{Proc: proc, Status: st}
+		return d, cost, &Error{Proc: proc, Status: st}
 	}
 	return d, cost, nil
 }
@@ -233,49 +234,34 @@ func (c Client) Lookup(to simnet.Addr, dir Handle, name string) (Handle, localfs
 	return h, getAttr(d), cost, nil
 }
 
-// LookupPath resolves a slash-separated path relative to root with one
-// LOOKUP RPC per component, as an NFSv3 client must (the protocol has no
-// full-path lookup, Section 4.1.3). Intermediate symlinks are not followed.
-func (c Client) LookupPath(to simnet.Addr, root Handle, p string) (Handle, localfs.Attr, simnet.Cost, error) {
-	h, attr, _, cost, err := c.LookupPathIdx(to, root, p)
-	return h, attr, cost, err
-}
-
-// LookupPathIdx is LookupPath reporting how many components resolved before
-// a failure (== the component count on success). Callers holding cached
-// location state use it to tell a genuinely missing leaf from a dangling
-// intermediate directory.
-func (c Client) LookupPathIdx(to simnet.Addr, root Handle, p string) (Handle, localfs.Attr, int, simnet.Cost, error) {
-	cur := root
-	var attr localfs.Attr
-	var total simnet.Cost
-	attr, cost, err := c.Getattr(to, root)
-	total = simnet.Seq(total, cost)
-	if err != nil {
-		return Handle{}, localfs.Attr{}, 0, total, err
+// Walk resolves the slash-separated path p below start in one LOOKUPPATH
+// round trip. Request: start handle, counted component list. Reply: walk
+// status, components resolved, handle of the last object reached, then on
+// success its attributes and link target. Intermediate symlinks are not
+// followed; a non-directory in the middle is NFS3ERR_NOTDIR. A failed walk
+// returns what it reached (see Walked) beside the error.
+func (c Client) Walk(to simnet.Addr, start Handle, p string) (Walked, simnet.Cost, error) {
+	d, cost, err := c.call(to, ProcLookupPath, func(e *wire.Encoder) {
+		putHandle(e, start)
+		putPath(e, p)
+	})
+	if d == nil {
+		return Walked{}, cost, err
 	}
-	resolved := 0
-	for _, part := range splitPath(p) {
-		var h Handle
-		h, attr, cost, err = c.Lookup(to, cur, part)
-		total = simnet.Seq(total, cost)
-		if err != nil {
-			return Handle{}, localfs.Attr{}, resolved, total, err
+	w := Walked{Resolved: int(d.Uint32()), FH: getHandle(d)}
+	if err == nil {
+		w.Attr = getAttr(d)
+		w.Target = d.String()
+	}
+	if d.Err() != nil {
+		// An error-only reply (a request the server could not decode) keeps
+		// its status; a short reply to a walk that succeeded is malformed.
+		if err == nil {
+			err = fmt.Errorf("nfs LOOKUPPATH to %s: bad reply: %w", to, d.Err())
 		}
-		resolved++
-		cur = h
+		return Walked{}, cost, err
 	}
-	return cur, attr, resolved, total, nil
-}
-
-func splitPath(p string) []string {
-	var out []string
-	for _, part := range strings.Split(p, "/") {
-		if part != "" && part != "." {
-			out = append(out, part)
-		}
-	}
-	return out
+	return w, cost, err
 }
 
 // Access checks the caller's permissions on h, returning the granted

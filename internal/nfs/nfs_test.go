@@ -144,16 +144,23 @@ func TestLookupAndLookupPath(t *testing.T) {
 	if !IsStatus(err, ErrNoEnt) {
 		t.Fatalf("lookup missing err = %v", err)
 	}
-	fh, fattr, cost, err := c.LookupPath("srv", root, "/a/b/c.txt")
-	if err != nil || fattr.Size != 4 {
-		t.Fatalf("lookupPath: %+v err=%v", fattr, err)
+	// An N-component path lookup is exactly one round trip.
+	before := c.Stats()
+	w, cost, err := c.Walk("srv", root, "/a/b/c.txt")
+	if err != nil || w.Attr.Size != 4 || w.Resolved != 3 {
+		t.Fatalf("walk: %+v err=%v", w, err)
 	}
-	// Path lookup must cost more than a single RPC (one per component).
-	_, single, _ := c.Getattr("srv", root)
-	if cost < 3*single {
-		t.Fatalf("LookupPath cost %v suspiciously low vs single %v", cost, single)
+	if d := c.Stats().Sub(before); d.RPCs != 1 || c.ProcCount(ProcLookupPath) != 1 {
+		t.Fatalf("a 3-component walk issued %d RPCs (%d LOOKUPPATH), want exactly 1",
+			d.RPCs, c.ProcCount(ProcLookupPath))
 	}
-	data, _, _, err := c.Read("srv", fh, 0, 10)
+	// It still pays the disk for every component: more than one LOOKUP's
+	// worth, less than three round trips' worth.
+	_, _, single, _ := c.Lookup("srv", root, "a")
+	if cost <= single || cost >= 3*single {
+		t.Fatalf("walk cost %v, want between one LOOKUP (%v) and three", cost, single)
+	}
+	data, _, _, err := c.Read("srv", w.FH, 0, 10)
 	if err != nil || string(data) != "deep" {
 		t.Fatalf("read after path lookup: %q err=%v", data, err)
 	}
@@ -532,7 +539,7 @@ func TestErrorTypeHelpers(t *testing.T) {
 }
 
 func TestProcAndStatusStrings(t *testing.T) {
-	if ProcWrite.String() != "WRITE" || Proc(99).String() != "PROC(99)" {
+	if ProcWrite.String() != "WRITE" || ProcLookupPath.String() != "LOOKUPPATH" || Proc(99).String() != "PROC(99)" {
 		t.Fatal("Proc.String broken")
 	}
 	if ErrNoSpc.String() != "NFS3ERR_NOSPC" || Status(999).String() != "NFS3ERR(999)" {
@@ -566,7 +573,7 @@ func BenchmarkRPCLookup(b *testing.B) {
 	c := NewClient(net, "cli")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.LookupPath("srv", srv.Root(), "/dir/file")
+		c.Walk("srv", srv.Root(), "/dir/file")
 	}
 }
 
@@ -824,5 +831,39 @@ func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 	again, _, _, err := c.Read("srv", fh, 1<<20-7, 64<<10)
 	if err != nil || !bytes.Equal(again, payload[1<<20-7:][:64<<10]) {
 		t.Fatal("a second reader saw the first reader's scribbles")
+	}
+
+	// LOOKUPPATH copies each name out of the request before the store sees
+	// it, and a name the store keeps (MKDIR's) is a copy too: scribbling over
+	// either request changes neither the reply in hand nor the namespace.
+	mk := wire.NewEncoder(0)
+	mk.PutUint32(uint32(ProcMkdir))
+	mk.PutUint64(1<<40 + 2)
+	putHandle(mk, srv.Root())
+	mk.PutString("docs")
+	mk.PutUint32(0o755)
+	if _, _, err := srv.Handle("cli", mk.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	scribble(mk.Bytes())
+	if err := srv.FS().WriteFile("/docs/notes/todo.txt", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	lp := wire.NewEncoder(0)
+	lp.PutUint32(uint32(ProcLookupPath))
+	lp.PutUint64(1<<40 + 3)
+	putHandle(lp, srv.Root())
+	putPath(lp, "/docs/notes/todo.txt")
+	walked, _, err := srv.Handle("cli", lp.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := append([]byte(nil), walked...)
+	scribble(lp.Bytes())
+	if !bytes.Equal(walked, held) {
+		t.Fatal("the LOOKUPPATH reply aliases its request")
+	}
+	if w, _, err := c.Walk("srv", srv.Root(), "docs/notes/todo.txt"); err != nil || w.Resolved != 3 || w.Attr.Size != 1 {
+		t.Fatalf("walk after scribbling: %+v err=%v", w, err)
 	}
 }

@@ -7,16 +7,18 @@
 // Faithfulness notes: handles are opaque to clients ("they only have meaning
 // to the NFS server", Section 4.1.2) — this opacity is exactly what lets
 // koshad substitute virtual handles. Like NFSv3, LOOKUP takes a parent
-// handle plus one name, so resolving a full path is a sequence of LOOKUPs
-// (Section 4.1.3); Client.LookupPath models that. Write stability levels and
-// COMMIT are collapsed into synchronous writes, which does not affect any
-// measured quantity because the disk cost model charges writes identically.
+// handle plus one name (Section 4.1.3); LOOKUPPATH, a Kosha extension, walks
+// a whole component list on the server in one round trip. Write stability
+// levels and COMMIT are collapsed into synchronous writes, which does not
+// affect any measured quantity because the disk cost model charges writes
+// identically.
 package nfs
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/localfs"
@@ -59,6 +61,11 @@ const (
 	// plain NFSv3 peer could still answer the standard procedures.
 	ProcReadStream Proc = 40
 	ProcWriteBatch Proc = 41
+	// ProcLookupPath resolves a whole component list below a start handle in
+	// one round trip: everything below Kosha's distribution level lives on one
+	// node, so the per-component LOOKUPs an NFSv3 client must issue would all
+	// go to the same server. Idempotent; see Client.Walk for the messages.
+	ProcLookupPath Proc = 42
 	// ProcMountRoot stands in for the separate MOUNT protocol's MNT call,
 	// which hands an NFS client the root file handle of an export.
 	ProcMountRoot Proc = 100
@@ -106,6 +113,8 @@ func (p Proc) String() string {
 		return "READSTREAM"
 	case ProcWriteBatch:
 		return "WRITEBATCH"
+	case ProcLookupPath:
+		return "LOOKUPPATH"
 	case ProcMountRoot:
 		return "MNT"
 	default:
@@ -412,6 +421,52 @@ type DirEntryPlus struct {
 	FH        Handle
 	Attr      localfs.Attr
 	SymTarget string
+}
+
+// MaxPathComponents bounds the component list of one LOOKUPPATH request.
+const MaxPathComponents = 1024
+
+// Walked is one LOOKUPPATH result. On success FH and Attr describe the leaf
+// (the start handle itself for an empty path), Resolved is the component
+// count, and Target is the leaf's link target when it is a symlink, so a
+// caller classifying special links needs no READLINK. On failure Resolved
+// counts the components that resolved before the failing one and FH is the
+// last directory entered, which is where a caller creating the missing rest
+// carries on.
+type Walked struct {
+	FH       Handle
+	Attr     localfs.Attr
+	Resolved int
+	Target   string
+}
+
+// nextComponent splits the first component off a slash-separated path,
+// skipping empty and "." components; name is "" when none is left.
+func nextComponent(p string) (name, rest string) {
+	for p != "" {
+		if i := strings.IndexByte(p, '/'); i < 0 {
+			name, p = p, ""
+		} else {
+			name, p = p[:i], p[i+1:]
+		}
+		if name != "" && name != "." {
+			return name, p
+		}
+	}
+	return "", ""
+}
+
+// putPath encodes p as LOOKUPPATH's counted component list, straight from
+// the string: no component slice is built.
+func putPath(e *wire.Encoder, p string) {
+	at := e.Len()
+	e.PutUint32(0)
+	n := uint32(0)
+	for name, rest := nextComponent(p); name != ""; name, rest = nextComponent(rest) {
+		e.PutString(name)
+		n++
+	}
+	binary.BigEndian.PutUint32(e.Bytes()[at:], n)
 }
 
 // WriteSpan is one contiguous byte range of a vectored write: the unit

@@ -211,6 +211,9 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		putAttr(e, attr)
 		return e.Bytes(), cost
 
+	case ProcLookupPath:
+		return s.lookupPath(d, e)
+
 	case ProcAccess:
 		h := getHandle(d)
 		want := d.Uint32()
@@ -482,14 +485,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		if err != nil {
 			return s.fail(proc, toStatus(err)), cost
 		}
-		start := int(cookie)
-		if start > len(ents) {
-			start = len(ents)
-		}
-		end := start + int(count)
-		if count == 0 || end > len(ents) {
-			end = len(ents)
-		}
+		start, end := pageOf(len(ents), cookie, count)
 		page := ents[start:end]
 		e.PutUint32(uint32(OK))
 		e.PutBool(end == len(ents)) // eof
@@ -517,14 +513,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		if err != nil {
 			return s.fail(proc, toStatus(err)), cost
 		}
-		start := int(cookie)
-		if start > len(ents) {
-			start = len(ents)
-		}
-		end := start + int(count)
-		if count == 0 || end > len(ents) {
-			end = len(ents)
-		}
+		start, end := pageOf(len(ents), cookie, count)
 		page := ents[start:end]
 		e.PutUint32(uint32(OK))
 		e.PutBool(end == len(ents)) // eof
@@ -575,6 +564,75 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 	default:
 		return s.fail(proc, ErrInval), 0
 	}
+}
+
+// pageOf bounds one READDIR/READDIRPLUS page of an n-entry listing: it
+// starts at cookie and holds count entries, count 0 meaning all that remain.
+// The cookie is compared unsigned, so a hostile one cannot go negative.
+func pageOf(n int, cookie uint64, count uint32) (start, end int) {
+	start = n
+	if cookie < uint64(n) {
+		start = int(cookie)
+	}
+	end = start + int(count)
+	if count == 0 || end > n {
+		end = n
+	}
+	return start, end
+}
+
+// lookupPath serves LOOKUPPATH: the component walk an NFSv3 client makes
+// with one LOOKUP per name, run against the store in one request. It charges
+// what the RPCs it replaces charge on disk — each component's LOOKUP, the
+// leaf's READLINK when a target goes back, GETATTR only when there is no
+// component to look up — so what the procedure saves is round trips and
+// nothing else. Every reply carries the components resolved and the handle
+// of the last object reached; a successful one adds the leaf's attributes
+// and link target.
+func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Cost) {
+	h := getHandle(d)
+	n := d.ArrayLen()
+	// Every component takes at least its length word, so a count the bytes
+	// left cannot hold is refused before anything is decoded or allocated.
+	if d.Err() != nil || n > MaxPathComponents || n > d.Remaining()/4 {
+		return s.fail(ProcLookupPath, ErrInval), 0
+	}
+	ino, st := s.check(h)
+	var attr localfs.Attr
+	var target string
+	var cost simnet.Cost
+	resolved := 0
+	if st == OK {
+		var c simnet.Cost
+		var err error
+		if n == 0 {
+			attr, cost, err = s.fs.Getattr(ino)
+		}
+		for err == nil && resolved < n {
+			name := d.String()
+			if d.Err() != nil {
+				return s.fail(ProcLookupPath, ErrInval), cost
+			}
+			if attr, c, err = s.fs.Lookup(ino, name); err == nil {
+				ino = attr.Ino
+				resolved++
+			}
+			cost = simnet.Seq(cost, c)
+		}
+		if err == nil && attr.Type == localfs.TypeSymlink {
+			target, c, err = s.fs.Readlink(ino)
+			cost = simnet.Seq(cost, c)
+		}
+		st = toStatus(err)
+	}
+	e.PutUint32(uint32(st))
+	e.PutUint32(uint32(resolved))
+	putHandle(e, Handle{Gen: h.Gen, Ino: ino})
+	if st == OK {
+		putAttr(e, attr)
+		e.PutString(target)
+	}
+	return e.Bytes(), cost
 }
 
 // accessFor derives the ACCESS grant mask from an entry's mode bits,

@@ -2,13 +2,16 @@ package tcpnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/id"
+	"repro/internal/nfs"
 	"repro/internal/simnet"
 )
 
@@ -272,5 +275,143 @@ func TestFreshDialFailureIsUnreachable(t *testing.T) {
 	defer cli.Close()
 	if _, _, err := cli.Call("client", addr, "echo", []byte("x")); !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
+	}
+}
+
+// frameCounter sits on one pooled connection and counts the length-prefixed
+// frames that cross it in each direction.
+type frameCounter struct {
+	net.Conn
+	out, in   int // frames written, frames read
+	outLeft   int // bytes of the current outbound frame still to come
+	inLeft    int
+	outH, inH []byte // partial 4-byte headers
+}
+
+// scan advances one direction's frame parser over p.
+func scan(p []byte, left *int, hdr *[]byte, frames *int) {
+	for len(p) > 0 {
+		if *left > 0 {
+			n := min(*left, len(p))
+			*left -= n
+			p = p[n:]
+			continue
+		}
+		n := min(4-len(*hdr), len(p))
+		*hdr = append(*hdr, p[:n]...)
+		p = p[n:]
+		if len(*hdr) == 4 {
+			*left = int(binary.BigEndian.Uint32(*hdr))
+			*hdr = (*hdr)[:0]
+			*frames++
+		}
+	}
+}
+
+func (f *frameCounter) Write(p []byte) (int, error) {
+	n, err := f.Conn.Write(p)
+	scan(p[:n], &f.outLeft, &f.outH, &f.out)
+	return n, err
+}
+
+func (f *frameCounter) Read(p []byte) (int, error) {
+	n, err := f.Conn.Read(p)
+	scan(p[:n], &f.inLeft, &f.inH, &f.in)
+	return n, err
+}
+
+// TestLookupPathIsOneFrameEachWay runs the whole stack over loopback TCP: a
+// 5-component Mount.LookupPath whose placement is already resolved costs one
+// NFS RPC, which is one frame out and one frame back on the socket to the
+// storing node, and leaves exactly one server span, nfs.LOOKUPPATH, under
+// the operation's trace id.
+func TestLookupPathIsOneFrameEachWay(t *testing.T) {
+	state := uint64(2024)
+	var nodes []*core.Node
+	var nets []*Net
+	for i := 0; i < 3; i++ {
+		tn, err := Listen("127.0.0.1:0", simnet.LAN100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tn.Close()
+		nets = append(nets, tn)
+		nd := core.NewNode(tn.Addr(), id.Rand128(&state), tn, core.Config{NoMetadataCache: true})
+		var boot simnet.Addr
+		if i > 0 {
+			boot = nodes[0].Addr()
+		}
+		if _, err := nd.Join(boot); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+		nodes = append(nodes, nd)
+	}
+	for round := 0; round < 3; round++ {
+		for _, nd := range nodes {
+			nd.Overlay().Stabilize()
+		}
+	}
+
+	// Find a home directory another node stores, so the lookup crosses a
+	// socket (a node's calls to itself are dispatched in process).
+	m := nodes[0].NewMount()
+	var file string
+	var holder simnet.Addr
+	for k := 0; k < 16 && holder == ""; k++ {
+		file = fmt.Sprintf("/home%d/a/b/c/notes.txt", k)
+		if _, err := m.WriteFile(file, []byte("five deep")); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := m.LookupPath(file); err != nil { // also warms the resolver
+			t.Fatal(err)
+		}
+		if by := nodes[0].Tracer().Recent(1)[0].ServedBy; by != string(nodes[0].Addr()) {
+			holder = simnet.Addr(by)
+		}
+	}
+	if holder == "" {
+		t.Fatal("every candidate directory hashed to the client's own node")
+	}
+	nets[0].mu.Lock()
+	pooled := nets[0].conns[holder]
+	nets[0].mu.Unlock()
+	if pooled == nil {
+		t.Fatalf("no pooled connection to %s", holder)
+	}
+	fc := &frameCounter{Conn: pooled.c}
+	pooled.mu.Lock()
+	pooled.c = fc
+	pooled.mu.Unlock()
+
+	rpcs := nodes[0].NFSStats().RPCs
+	walks := nodes[0].NFSProcCount(nfs.ProcLookupPath)
+	vh, attr, _, err := m.LookupPath(file)
+	if err != nil || attr.Size != 9 {
+		t.Fatalf("lookup %s: %+v err=%v", file, attr, err)
+	}
+	m.Forget(vh)
+	if d, w := nodes[0].NFSStats().RPCs-rpcs, nodes[0].NFSProcCount(nfs.ProcLookupPath)-walks; d != 1 || w != 1 {
+		t.Errorf("a 5-component lookup issued %d NFS RPCs (%d LOOKUPPATH), want exactly one", d, w)
+	}
+	if fc.out != 1 || fc.in != 1 {
+		t.Errorf("%d frames out, %d back on the socket to %s, want 1 and 1", fc.out, fc.in, holder)
+	}
+
+	tr := nodes[0].Tracer().Recent(1)[0]
+	if tr.Path != file || tr.Hi == 0 && tr.Lo == 0 {
+		t.Fatalf("newest trace is %s %s (id %x:%x), want the lookup's", tr.Op, tr.Path, tr.Hi, tr.Lo)
+	}
+	var spans []string
+	for _, nd := range nodes {
+		for _, rec := range nd.Tracer().SpansFor(tr.Hi, tr.Lo) {
+			if rec.Node != string(holder) || rec.Parent != tr.Span {
+				t.Errorf("span %s recorded by %s under parent %x, want %s under the op's root span %x",
+					rec.Name, rec.Node, rec.Parent, holder, tr.Span)
+			}
+			spans = append(spans, rec.Name)
+		}
+	}
+	if len(spans) != 1 || spans[0] != "nfs.LOOKUPPATH" {
+		t.Errorf("server spans under the lookup's trace id = %v, want exactly [nfs.LOOKUPPATH]", spans)
 	}
 }
