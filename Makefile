@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt-check vet build test bench bench-smoke gobench-smoke smoke scale-smoke metrics-smoke chaos soak clean
+.PHONY: all ci fmt-check vet build test bench bench-smoke bench-json gobench-smoke smoke scale-smoke metrics-smoke chaos soak clean
 
 all: vet build test
 
@@ -41,13 +41,16 @@ soak:
 	KOSHA_MAINT_SOAK=1 $(GO) test -count=1 -timeout 30m ./internal/chaos -run TestMaintScrubSoak -v
 
 # scale-smoke is the quick (<=100-node) scale-sweep variant wired into ci:
-# two soak points plus the hops-vs-N JSON fields the docs table is built from.
+# two soak points plus the hops-vs-N JSON fields the docs table is built from,
+# and the message cost of listing "/", which must be the same at every point.
 scale-smoke:
 	@out=$$($(GO) run ./cmd/koshabench -exp scale -quick -format json); \
-	for f in mean_route_hops probe_mean_hops mean_join_ms replica_fanout; do \
+	for f in mean_route_hops probe_mean_hops mean_join_ms replica_fanout root_readdir_msgs; do \
 		echo "$$out" | grep -q "\"$$f\"" || { echo "scale-smoke: missing $$f in koshabench JSON" >&2; exit 1; }; \
 	done; \
-	echo "scale-smoke: koshabench scale JSON ok"
+	n=$$(echo "$$out" | grep '"root_readdir_msgs"' | sort -u | wc -l); \
+	[ "$$n" -eq 1 ] || { echo "scale-smoke: root_readdir_msgs varies with the node count:" >&2; echo "$$out" | grep -E '"(nodes|root_readdir_msgs)"' >&2; exit 1; }; \
+	echo "scale-smoke: koshabench scale JSON ok, root listing cost flat"
 
 smoke:
 	@out=$$($(GO) run ./cmd/koshabench -exp latency -quick -format json); \
@@ -130,6 +133,26 @@ bench-smoke:
 	$(GO) test ./bench
 	$(GO) run ./bench --workload stream -quick
 	$(GO) run ./bench --workload meta -quick
+
+# bench-json records the benchmark's trajectory: the three workloads at seed 1,
+# end-to-end (--trace 0) and per-layer (--trace 1), one result line each, in
+# BENCH_<pr>.json at the repo root. A perf claim is a diff of two of these
+# files. Everything but setup_s, heap_live_mb and the wall.* / ns / us
+# per-layer metrics is a function of the seed (the two alloc metrics to about
+# four digits); BENCH_SECONDS only bounds how long the wall-clock ones sample.
+#   make bench-json BENCH_PR=17
+BENCH_PR ?= 16
+BENCH_SECONDS ?= 5
+bench-json:
+	@out=BENCH_$(BENCH_PR).json; tmp=$$out.tmp; \
+	printf '{"pr": $(BENCH_PR), "seed": 1, "seconds": $(BENCH_SECONDS), "runs": {' > $$tmp; \
+	sep=''; \
+	for w in mab meta stream; do for t in 0 1; do \
+		line=$$($(GO) run ./bench --workload $$w --seed 1 --seconds $(BENCH_SECONDS) --trace $$t | tail -n 1); \
+		case "$$line" in '{"correct":true,'*) ;; *) echo "bench-json: $$w --trace $$t: $$line" >&2; rm -f $$tmp; exit 1;; esac; \
+		printf '%s\n"%s.trace%s": %s' "$$sep" $$w $$t "$$line" >> $$tmp; sep=','; \
+	done; done; \
+	printf '\n}}\n' >> $$tmp; mv $$tmp $$out; echo "bench-json: wrote $$out"
 
 # gobench-smoke runs every Go benchmark in the module once.
 gobench-smoke:

@@ -32,7 +32,6 @@ func TestScenarioHolderCrashMidPromoteFetch(t *testing.T) {
 			Replicas:     replicas,
 			AttrCacheTTL: -1,
 			NameCacheTTL: -1,
-			RingCacheTTL: -1,
 		},
 	})
 	if err != nil {

@@ -66,7 +66,6 @@ func TestScenarioScrubRepairsSilentCorruption(t *testing.T) {
 			Replicas:     replicas,
 			AttrCacheTTL: -1,
 			NameCacheTTL: -1,
-			RingCacheTTL: -1,
 			MaintScrub:   true,
 		},
 	})
@@ -197,7 +196,6 @@ func rebalCluster(t *testing.T, seed uint64, mover int, moverCap int64, seedDirs
 			Replicas:     2,
 			AttrCacheTTL: -1,
 			NameCacheTTL: -1,
-			RingCacheTTL: -1,
 			// Foreground mkdir redirection stays out of the way so placement
 			// is identical with and without the capacity skew.
 			UtilizationLimit: 0.99,
@@ -451,7 +449,6 @@ func TestMaintScrubSoak(t *testing.T) {
 			Replicas:         replicas,
 			AttrCacheTTL:     -1,
 			NameCacheTTL:     -1,
-			RingCacheTTL:     -1,
 			MaintScrub:       true,
 			MaintVerifyFiles: maxVerify,
 		},

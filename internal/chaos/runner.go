@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/nfs"
+	"repro/internal/pastry"
 	"repro/internal/simnet"
 )
 
@@ -139,7 +140,6 @@ func Run(o Options) (*Report, error) {
 		DistributionLevel: o.DistributionLevel,
 		AttrCacheTTL:      -1,
 		NameCacheTTL:      -1,
-		RingCacheTTL:      -1,
 		WriteBackBytes:    o.WriteBackBytes,
 		MaintScrub:        o.Maint,
 		MaintRebalance:    o.Maint && o.MaintRebalance,
@@ -415,8 +415,9 @@ func Run(o Options) (*Report, error) {
 // ReplicaConvergence verifies the paper's steady-state replication invariant
 // (Section 4.2): after quiescence, every model file is held by its current
 // primary in the primary namespace and by each of the primary's K leaf-set
-// replica candidates in the replica area. Call only on a healed, stabilized
-// cluster.
+// replica candidates in the replica area; the same holds for the root
+// directory's name index under its own key. Call only on a healed,
+// stabilized cluster.
 func ReplicaConvergence(c *cluster.Cluster, model *Oracle, k int) error {
 	if k <= 0 || len(c.Nodes) == 0 {
 		return nil
@@ -478,24 +479,46 @@ func ReplicaConvergence(c *cluster.Cluster, model *Oracle, k int) error {
 			continue
 		}
 		checkedRoots[rootKey{pl.Node, root}] = true
-		ptd := primary.Repl().DigestLocal(root)
-		if !ptd.Exists {
-			return fmt.Errorf("primary %s has no subtree at %s", pl.Node, root)
+		if err := digestsAgree(primary, byAddr, cands, root); err != nil {
+			return err
 		}
-		if ptd.Flag {
-			return fmt.Errorf("primary %s left the migration sentinel at %s", pl.Node, root)
+	}
+	// The root directory's name index is one more replicated hierarchy, held
+	// by the owner of Key(RootPN) once any level-1 directory has existed.
+	res, err := resolver.Overlay().Route(core.Key(core.RootPN))
+	if err != nil {
+		return fmt.Errorf("route root index: %w", err)
+	}
+	holder := byAddr[res.Node.Addr]
+	if holder == nil {
+		return fmt.Errorf("root index routed to unknown node %s", res.Node.Addr)
+	}
+	if len(model.List("/")) == 0 && !holder.Repl().DigestLocal(core.RootStore).Exists {
+		return nil
+	}
+	return digestsAgree(holder, byAddr, holder.Overlay().ReplicaCandidates(k), core.RootStore)
+}
+
+// digestsAgree checks that primary holds a settled copy of the hierarchy at
+// root and that every replica candidate's replica-area copy has its digest.
+func digestsAgree(primary *core.Node, byAddr map[simnet.Addr]*core.Node, cands []pastry.NodeInfo, root string) error {
+	ptd := primary.Repl().DigestLocal(root)
+	if !ptd.Exists {
+		return fmt.Errorf("primary %s has no subtree at %s", primary.Addr(), root)
+	}
+	if ptd.Flag {
+		return fmt.Errorf("primary %s left the migration sentinel at %s", primary.Addr(), root)
+	}
+	for _, rc := range cands {
+		rtd := byAddr[rc.Addr].Repl().DigestLocal(core.RepPath(root))
+		if !rtd.Exists {
+			return fmt.Errorf("replica %s holds no copy of %s", rc.Addr, root)
 		}
-		for _, rc := range cands {
-			rtd := byAddr[rc.Addr].Repl().DigestLocal(core.RepPath(root))
-			if !rtd.Exists {
-				return fmt.Errorf("replica %s holds no copy of %s", rc.Addr, root)
-			}
-			if rtd.Flag {
-				return fmt.Errorf("replica %s stuck mid-migration at %s", rc.Addr, root)
-			}
-			if rtd.Root != ptd.Root {
-				return fmt.Errorf("replica %s digest diverges from primary %s at %s", rc.Addr, pl.Node, root)
-			}
+		if rtd.Flag {
+			return fmt.Errorf("replica %s stuck mid-migration at %s", rc.Addr, root)
+		}
+		if rtd.Root != ptd.Root {
+			return fmt.Errorf("replica %s digest diverges from primary %s at %s", rc.Addr, primary.Addr(), root)
 		}
 	}
 	return nil

@@ -8,7 +8,7 @@ import "testing"
 // allocations. The per-component walk it replaced (a GETATTR and four
 // LOOKUPs, the path split three times over) spent 36.
 func TestLookupPathAllocs(t *testing.T) {
-	_, nodes := testCluster(t, 8, 5, Config{DistributionLevel: 2, NoMetadataCache: true, TraceBufSize: -1, RingCacheTTL: -1})
+	_, nodes := testCluster(t, 8, 5, Config{DistributionLevel: 2, NoMetadataCache: true, TraceBufSize: -1})
 	m := nodes[0].NewMount()
 	const file = "/a/b/c/file.txt"
 	if _, err := m.WriteFile(file, []byte("x")); err != nil {

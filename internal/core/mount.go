@@ -22,6 +22,9 @@ type VH uint64
 // RootVH is the virtual handle of the mount root (/kosha).
 const RootVH VH = 1
 
+// rootAttr is what the mount root reports, not its name index's attributes.
+var rootAttr = localfs.Attr{Ino: 1, Type: localfs.TypeDir, Mode: 0o755, Nlink: 2}
+
 // ventry is one row of the virtual-handle table: virtual handle → full
 // path, storage node, and real handle (Section 4.1.2 stores exactly this).
 // Rows are immutable once published in the table; rebinding installs a
@@ -70,19 +73,11 @@ type Mount struct {
 	// can warp time per mount.
 	now  func() time.Time // injectable clock for TTL tests
 	meta metaCache        // sharded attribute + name caches
-
-	// Ring-walk cache for root listings: enumerating the live membership is
-	// O(ring) leaf-set RPCs, so the mount memoizes the node list briefly
-	// (Config.RingCacheTTL), keyed on the node's ring epoch so overlay
-	// membership events (joins, departures, revivals) invalidate it ahead of
-	// the TTL.
-	ringMu    sync.Mutex
-	ringNodes []simnet.Addr
-	ringEpoch uint64
-	ringAt    time.Time
 }
 
-// NewMount attaches a client to the node's koshad.
+// NewMount attaches a client to the node's koshad. The root row starts
+// unbound — a mount may exist before its node has joined — and binds to the
+// root directory's name index on first use (see failover).
 func (n *Node) NewMount() *Mount {
 	m := &Mount{
 		n:       n,
@@ -254,7 +249,7 @@ func (m *Mount) Getattr(vh VH) (localfs.Attr, simnet.Cost, error) {
 
 func (m *Mount) getattr(tr *obs.Trace, vh VH) (localfs.Attr, simnet.Cost, error) {
 	if vh == RootVH {
-		return localfs.Attr{Ino: 1, Type: localfs.TypeDir, Mode: 0o755, Nlink: 2}, m.n.cfg.InterposeCost, nil
+		return rootAttr, m.n.cfg.InterposeCost, nil
 	}
 	if de, err := m.entry(vh); err == nil {
 		if a, ok := m.cachedAttr(de.vpath); ok {

@@ -2,8 +2,8 @@ package core
 
 import (
 	"path"
-	"sort"
 
+	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/nfs"
 	"repro/internal/obs"
@@ -77,30 +77,23 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	n := m.n
 	var total simnet.Cost
 
-	// Where resolution will probe for this name (and where a special link
-	// would live): the original hash target for level-1 directories, the
-	// parent's node otherwise.
-	var linkNode simnet.Addr
-	var linkDir string
-	var linkKey = Key(name)
-	var linkTrack Track
-	if parent.place.VRoot {
-		res, c, err := n.route(tr, Key(name))
-		total = simnet.Seq(total, c)
-		if err != nil {
-			return 0, localfs.Attr{}, total, err
-		}
-		linkNode, linkDir = res.Node.Addr, "/"
-		linkTrack = Track{PN: name, Link: path.Join("/", name)}
-	} else {
-		linkNode, linkDir = parent.node, parent.physPath
-		linkKey = Key(parent.pn)
-		linkTrack = Track{PN: parent.pn, Root: parent.root}
+	linkNode, linkDir, linkKey, linkTrack, c, err := m.linkSite(tr, parent, name)
+	total = simnet.Seq(total, c)
+	if err != nil {
+		return 0, localfs.Attr{}, total, err
 	}
 
-	// Existence check at the probe location.
+	// Existence check at the probe location. A level-1 name that exists is
+	// listed again: the only repair the index has against the homes.
 	if _, _, c, err := n.remoteLookupPath(tr.Ctx(), linkNode, path.Join(linkDir, name)); err == nil {
-		return 0, localfs.Attr{}, simnet.Seq(total, c), &nfs.Error{Proc: nfs.ProcMkdir, Status: nfs.ErrExist}
+		if parent.place.VRoot {
+			total = simnet.Seq(total, c)
+			c, err = m.indexRoot(tr, name, true)
+		}
+		if err == nil {
+			err = &nfs.Error{Proc: nfs.ProcMkdir, Status: nfs.ErrExist}
+		}
+		return 0, localfs.Attr{}, simnet.Seq(total, c), err
 	} else {
 		total = simnet.Seq(total, c)
 		if !nfs.IsStatus(err, nfs.ErrNoEnt) {
@@ -148,6 +141,16 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 		subRoot = "/" + pn
 	}
 
+	// A level-1 name is indexed before its home exists, so a home that
+	// resolves is always listed (see indexRoot).
+	if parent.place.VRoot {
+		c, err := m.indexRoot(tr, name, true)
+		total = simnet.Seq(total, c)
+		if err != nil {
+			return 0, localfs.Attr{}, total, err
+		}
+	}
+
 	// Create the subtree root on the chosen node.
 	attr, fh, c, err := n.apply(tr, target, Key(pn), Track{PN: pn, Root: subRoot},
 		FSOp{Kind: FSMkdirAll, Path: subRoot, Mode: mode})
@@ -181,6 +184,37 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	return vh, attr, total, nil
 }
 
+// indexRoot adds or drops a level-1 name in the root directory's name index
+// (DESIGN.md §4 "The root directory"), through the routed apply on the root
+// row, rebinding it when the index has moved. Both directions are idempotent,
+// and every caller keeps one order: a name is added before its home (or
+// link) is created and dropped after it is removed, so at every instant a
+// home that resolves is listed. The converse can fail: a half-done mkdir or
+// rmdir leaves a listed name with no home until it is retried — mkdir starts
+// over, rmdir and rename drop the name before reporting NOENT.
+func (m *Mount) indexRoot(tr *obs.Trace, name string, add bool) (simnet.Cost, error) {
+	return m.failover(tr, RootVH, func(root *ventry) (simnet.Cost, error) {
+		op := FSOp{Kind: FSRemoveAll, Path: path.Join(root.physPath, name)}
+		if add {
+			op.Kind = FSMkdirAll
+		}
+		_, _, c, err := m.n.apply(tr, root.node, Key(root.pn), Track{PN: root.pn, Root: root.root}, op)
+		return c, err
+	})
+}
+
+// linkSite says where resolution probes for a distributed child's name, and
+// so where its special link lives: the root of the name's own hash target
+// for a level-1 directory, the parent's directory otherwise. It returns the
+// node, the directory there, and the key and track an apply to it carries.
+func (m *Mount) linkSite(tr *obs.Trace, parent *ventry, name string) (simnet.Addr, string, id.ID, Track, simnet.Cost, error) {
+	if !parent.place.VRoot {
+		return parent.node, parent.physPath, Key(parent.pn), Track{PN: parent.pn, Root: parent.root}, 0, nil
+	}
+	res, c, err := m.n.route(tr, Key(name))
+	return res.Node.Addr, "/", Key(name), Track{PN: name, Link: path.Join("/", name)}, c, err
+}
+
 // Readdir lists a virtual directory: physical entries minus Kosha-internal
 // names, with special links reported as the directories they stand for
 // (Section 3.3: the link's name "helps Kosha list the directory contents of
@@ -188,7 +222,9 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 // handle, attributes, and symlink target, so classifying special links
 // needs no per-entry READLINK, and below the distribution level the reply
 // pre-warms the name and attribute caches: a following stat-all-entries
-// sweep issues no RPCs at all (the N+1 round trips collapse into 1).
+// sweep issues no RPCs at all (the N+1 round trips collapse into 1). The
+// root is listed the same way: its handle is the name index at Key(RootPN),
+// one empty directory per level-1 name.
 func (m *Mount) Readdir(dir VH) ([]DirEntry, simnet.Cost, error) {
 	o := m.begin(obs.OpcReaddir, m.vpathOf(dir))
 	ents, cost, err := m.readdir(o.tr, dir)
@@ -197,18 +233,20 @@ func (m *Mount) Readdir(dir VH) ([]DirEntry, simnet.Cost, error) {
 }
 
 func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) {
-	de, err := m.entry(dir)
-	if err != nil {
-		return nil, m.n.cfg.InterposeCost, err
-	}
-	if de.place.VRoot {
-		return m.readdirRoot(tr)
-	}
 	var out []DirEntry
 	cost, err := m.withFailover(tr, dir, func(de *ventry) (simnet.Cost, error) {
 		ents, c, err := m.n.nfsT(tr).ReaddirPlusAll(de.node, de.fh, 256)
 		if err != nil {
-			return c, err
+			return c, m.n.noteErr(de.node, err)
+		}
+		if de.place.VRoot {
+			// The root row is permanent, and a holder that lost the index's
+			// key keeps its copy's inode but soon gets no mirrors: it is asked
+			// beside the listing whether it still owns the key, or we rebind.
+			_, c2, err := m.n.askReplicas(tr.Ctx(), de.node, Key(de.pn))
+			if c = simnet.Par(c, c2); err != nil {
+				return c, err
+			}
 		}
 		// Children of a sub-distribution-level directory live on the
 		// parent's node and their handles came back in the reply, so each
@@ -246,119 +284,6 @@ func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) 
 		return c, nil
 	})
 	return out, cost, err
-}
-
-// readdirRoot lists the virtual root: "the /kosha/$USER directory actually
-// corresponds to the union of the /kosha_store/$USER directories on all
-// nodes" (Section 3) — the root listing is the union of store roots.
-func (m *Mount) readdirRoot(tr *obs.Trace) ([]DirEntry, simnet.Cost, error) {
-	total := m.n.cfg.InterposeCost
-	seen := make(map[string]localfs.FileType)
-	// The union must cover *every* live node, not just the ones this node's
-	// routing state happens to name: at large N, Known() is O(log N) of the
-	// membership and the union would silently drop top-level directories
-	// hosted on strangers. A clockwise ring walk enumerates the live
-	// membership at one leaf-set RPC per l/2 positions; Known() is folded in
-	// as a free extra so a mid-churn walk cut short by a stale leaf entry
-	// still sees this node's own horizon.
-	nodes, c := m.ringWalk()
-	total = simnet.Seq(total, c)
-	for _, addr := range nodes {
-		var ents []nfs.DirEntry
-		ok := false
-		for attempt := 0; attempt < 2; attempt++ {
-			rootH, c, err := m.n.rootHandle(addr)
-			total = simnet.Seq(total, c)
-			if err != nil {
-				break
-			}
-			ents, c, err = m.n.nfsT(tr).ReaddirAll(addr, rootH, 256)
-			total = simnet.Seq(total, c)
-			if err != nil {
-				// A cached handle for a node that crashed and rejoined is
-				// stale; drop it and retry once so the revived node's store
-				// still contributes to the union.
-				if nfs.IsStatus(err, nfs.ErrStale) && attempt == 0 {
-					m.n.dropRootHandle(addr)
-					continue
-				}
-				break
-			}
-			ok = true
-			break
-		}
-		if !ok {
-			continue
-		}
-		for _, e := range ents {
-			if Hidden(e.Name) {
-				continue
-			}
-			if _, dup := seen[e.Name]; dup {
-				continue
-			}
-			// Root entries are directories (real or via special link).
-			seen[e.Name] = localfs.TypeDir
-		}
-	}
-	// The union is advisory: a node that fell out of a key's replica set
-	// can still hold a stale copy of a deleted directory, so each name is
-	// validated against authoritative resolution before it is listed.
-	out := make([]DirEntry, 0, len(seen))
-	for name, typ := range seen {
-		if _, _, c, err := m.materialize(tr, "/"+name); err != nil {
-			total = simnet.Seq(total, c)
-			continue
-		} else {
-			total = simnet.Seq(total, c)
-		}
-		out = append(out, DirEntry{Name: name, Type: typ})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, total, nil
-}
-
-// ringWalk returns the live node list the root listing unions over,
-// memoized per mount. A fresh walk enumerates the ring clockwise and folds
-// in Known(); the result is cached for Config.RingCacheTTL and reused for
-// free (no RPCs, no cost) as long as the node's ring epoch is unchanged —
-// any membership event bumps the epoch and forces a re-walk. Callers must
-// not mutate the returned slice.
-func (m *Mount) ringWalk() ([]simnet.Addr, simnet.Cost) {
-	ttl := m.n.cfg.RingCacheTTL
-	epoch := m.n.ringEpoch.Load()
-	if ttl > 0 {
-		m.ringMu.Lock()
-		if m.ringNodes != nil && m.ringEpoch == epoch && m.now().Sub(m.ringAt) < ttl {
-			nodes := m.ringNodes
-			m.ringMu.Unlock()
-			return nodes, 0
-		}
-		m.ringMu.Unlock()
-	}
-	nodes := []simnet.Addr{m.n.addr}
-	dup := map[simnet.Addr]bool{m.n.addr: true}
-	ring, c := m.n.overlay.EnumerateRing()
-	for _, p := range ring {
-		if !dup[p.Addr] {
-			dup[p.Addr] = true
-			nodes = append(nodes, p.Addr)
-		}
-	}
-	for _, p := range m.n.overlay.Known() {
-		if !dup[p.Addr] {
-			dup[p.Addr] = true
-			nodes = append(nodes, p.Addr)
-		}
-	}
-	if ttl > 0 {
-		m.ringMu.Lock()
-		m.ringNodes = nodes
-		m.ringEpoch = epoch
-		m.ringAt = m.now()
-		m.ringMu.Unlock()
-	}
-	return nodes, c
 }
 
 // Remove unlinks a file or user symlink (Section 4.1.5): the RPC is
@@ -429,7 +354,8 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 	child, _, c, err := m.materialize(tr, vpath)
 	total = simnet.Seq(total, c)
 	if err != nil {
-		return total, err
+		c, err = m.unindexGone(tr, parent, name, err)
+		return simnet.Seq(total, c), err
 	}
 	if child.kind != localfs.TypeDir {
 		return total, &nfs.Error{Proc: nfs.ProcRmdir, Status: nfs.ErrNotDir}
@@ -455,22 +381,10 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 	}
 
 	// Remove the special link from the parent, if one exists.
-	var linkNode simnet.Addr
-	var linkDir string
-	linkKey := Key(name)
-	var linkTrack Track
-	if parent.place.VRoot {
-		res, c, rerr := n.route(tr, Key(name))
-		total = simnet.Seq(total, c)
-		if rerr != nil {
-			return total, rerr
-		}
-		linkNode, linkDir = res.Node.Addr, "/"
-		linkTrack = Track{PN: name, Link: path.Join("/", name)}
-	} else {
-		linkNode, linkDir = parent.node, parent.physPath
-		linkKey = Key(parent.pn)
-		linkTrack = Track{PN: parent.pn, Root: parent.root}
+	linkNode, linkDir, linkKey, linkTrack, c, err := m.linkSite(tr, parent, name)
+	total = simnet.Seq(total, c)
+	if err != nil {
+		return total, err
 	}
 	if !(parent.place.VRoot && child.root == "/"+name) {
 		// A level-1 link sits in its hash target's export root; any other is
@@ -495,7 +409,26 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 	n.cacheDrop(vpath)
 	m.dropMetaUnder(vpath)
 	m.invalAttr(parent.vpath)
+	if parent.place.VRoot {
+		c, err := m.indexRoot(tr, name, false)
+		return simnet.Seq(total, c), err
+	}
 	return total, nil
+}
+
+// unindexGone finishes a half-done level-1 removal: a rmdir or rename whose
+// victim no longer resolves (err is its NOENT) drops the name an earlier,
+// failed attempt may have left in the root's index. The NOENT is reported
+// only once the name is out; until then the caller sees why it is not.
+func (m *Mount) unindexGone(tr *obs.Trace, parent *ventry, name string, err error) (simnet.Cost, error) {
+	if !parent.place.VRoot || !nfs.IsStatus(err, nfs.ErrNoEnt) {
+		return 0, err
+	}
+	c, ierr := m.indexRoot(tr, name, false)
+	if ierr != nil {
+		err = ierr
+	}
+	return c, err
 }
 
 // Rename renames an entry (Section 4.1.4). Renames within one stored
@@ -600,7 +533,8 @@ func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, ds
 	child, _, c, err := m.materialize(tr, path.Join(parent.vpath, srcName))
 	total = simnet.Seq(total, c)
 	if err != nil {
-		return total, false, err
+		c, err = m.unindexGone(tr, parent, srcName, err)
+		return simnet.Seq(total, c), false, err
 	}
 	if child.kind != localfs.TypeDir {
 		return total, false, nil
@@ -619,6 +553,16 @@ func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, ds
 		// Unredirected level-1 home: no link exists; placement is the
 		// visible name, so a rename must move the data (copy + delete).
 		return total, false, nil
+	}
+
+	// A level-1 rename is bracketed by the root's index: the new name enters
+	// it before anything moves, the old one leaves it last.
+	if parent.place.VRoot {
+		c, err := m.indexRoot(tr, dstName, true)
+		total = simnet.Seq(total, c)
+		if err != nil {
+			return total, false, err
+		}
 	}
 
 	// 1. Relocate the hierarchy to a fresh storage root on its own node —
@@ -672,7 +616,11 @@ func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, ds
 		Track{PN: srcName, Link: path.Join("/", srcName)},
 		FSOp{Kind: FSRemove, Path: path.Join("/", srcName)})
 	total = simnet.Seq(total, c)
-	return total, err == nil, err
+	if err != nil {
+		return total, false, err
+	}
+	c, err = m.indexRoot(tr, srcName, false)
+	return simnet.Seq(total, c), err == nil, err
 }
 
 // copyTree recursively copies srcDir/srcName to dstDir/dstName via client

@@ -23,16 +23,23 @@ func (m *Mount) LookupPath(vpath string) (VH, localfs.Attr, simnet.Cost, error) 
 }
 
 // lookupPath is LookupPath before a handle is issued. A NOENT may come with
-// the entry of the deepest existing ancestor (see materialize).
+// the entry of the deepest existing ancestor (see materialize). The root
+// resolves to its permanent row as it stands: failover binds and rebinds it.
 func (m *Mount) lookupPath(vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
 	o := m.begin(obs.OpcLookup, vpath)
+	if path.Clean(vpath) == "/" {
+		de, err := m.entry(RootVH)
+		o.done(m.n.cfg.InterposeCost, err)
+		return de, rootAttr, m.n.cfg.InterposeCost, err
+	}
 	de, attr, cost, err := m.materializeRetry(o.tr, vpath)
 	total := simnet.Seq(m.n.cfg.InterposeCost, cost)
 	o.done(total, err)
 	return de, attr, total, err
 }
 
-// vhOf issues a virtual handle for a materialized entry.
+// vhOf issues a virtual handle for a materialized entry; the root keeps its
+// permanent handle.
 func (m *Mount) vhOf(de *ventry) VH {
 	if de.place.VRoot {
 		return RootVH
@@ -202,7 +209,16 @@ func (m *Mount) removeAllIn(dir VH, name string) (simnet.Cost, error) {
 	vh, attr, total, err := m.Lookup(dir, name)
 	if err != nil {
 		if nfs.IsStatus(err, nfs.ErrNoEnt) {
-			return total, nil
+			if dir != RootVH {
+				return total, nil
+			}
+			// A removal that failed half-way may have left the name in the
+			// root's index; Rmdir drops it before its own NOENT.
+			c, err := m.Rmdir(dir, name)
+			if nfs.IsStatus(err, nfs.ErrNoEnt) {
+				err = nil
+			}
+			return simnet.Seq(total, c), err
 		}
 		return total, err
 	}

@@ -96,10 +96,9 @@ type Config struct {
 	// pre-chunk-store behavior). Kept as the baseline arm of the dedup
 	// experiment (koshabench -exp dedup); implied by FullTreePush.
 	WholeFileSync bool
-	// RingCacheTTL bounds how long a mount may serve a memoized ring walk
-	// (the EnumerateRing behind root READDIR) before re-walking. The cache
-	// is additionally invalidated by overlay-health events (joins,
-	// departures, revivals). Default 2s; negative disables the cache.
+	// RingCacheTTL has no effect: the ring walk it tuned is gone (the root
+	// is listed from its name index). The field stays only because bench/
+	// sets it, and is removed with the bench/ rename in the Config-diet PR.
 	RingCacheTTL time.Duration
 	// AttrCacheTTL bounds how long a mount may serve cached attributes
 	// without revalidating, mirroring the kernel NFS client's
@@ -217,9 +216,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceBufSize == 0 {
 		c.TraceBufSize = obs.DefaultTraceBuf
-	}
-	if c.RingCacheTTL == 0 {
-		c.RingCacheTTL = 2 * time.Second
 	}
 	if c.RetryAttempts == 0 {
 		c.RetryAttempts = 3
@@ -349,12 +345,6 @@ type Node struct {
 
 	storeSeq atomic.Uint64 // storage-root allocation counter
 	gen      uint64        // store incarnation counter
-
-	// ringEpoch versions this node's view of overlay membership: bumped on
-	// every leaf-set change, node invalidation, and revival. Mount-level
-	// ring-walk caches key on it so a membership event invalidates them
-	// immediately, ahead of the TTL.
-	ringEpoch atomic.Uint64
 }
 
 // nodeHistNames are the histogram keys every node registers at
@@ -540,7 +530,6 @@ func (n *Node) onLeafChange(c pastry.LeafSetChange) {
 		n.events.Add(obs.EvDeparture, string(p.Addr), p.ID.Short())
 	}
 	n.events.Add(obs.EvCachePurge, string(n.addr), "leaf-set change")
-	n.ringEpoch.Add(1)
 	n.cacheMu.Lock()
 	n.dirCache = make(map[string]Place)
 	n.cacheMu.Unlock()
@@ -555,7 +544,6 @@ func (n *Node) onLeafChange(c pastry.LeafSetChange) {
 // invalidateNode drops all client-side state naming a (presumed dead) node
 // and tells the overlay, so re-resolution routes around it (Section 4.4).
 func (n *Node) invalidateNode(dead simnet.Addr) {
-	n.ringEpoch.Add(1)
 	n.mu.Lock()
 	delete(n.rootHandles, dead)
 	n.replicaCache = make(map[string][]simnet.Addr)
@@ -590,7 +578,6 @@ func (n *Node) Revive(newID id.ID, seed simnet.Addr) (simnet.Cost, error) {
 	if n.maintEng != nil {
 		n.maintEng.Reset()
 	}
-	n.ringEpoch.Add(1)
 	n.mu.Lock()
 	n.gen++
 	n.rootHandles = make(map[simnet.Addr]nfs.Handle)
@@ -616,20 +603,6 @@ func (n *Node) SyncReplicas() simnet.Cost { return n.rep.Sync() }
 // TrackedRoots returns a snapshot of the subtree roots this node holds
 // (primary or replica), for tests and experiments.
 func (n *Node) TrackedRoots() map[string]string { return n.rep.TrackedRoots() }
-
-// The thin wrappers below keep core-internal call sites (and white-box
-// tests) reading as before while the implementation lives in the engine.
-
-func (n *Node) isDead(root string) bool       { return n.rep.IsDead(root) }
-func (n *Node) verOf(key string) uint64       { return n.rep.VerOf(key) }
-func (n *Node) track(t Track, op FSOp)        { n.rep.Track(t, op) }
-func (n *Node) statTree(root string) TreeStat { return n.rep.StatLocal(root) }
-func (n *Node) promoteLocal(t Track) bool     { return n.rep.PromoteLocal(t) }
-func (n *Node) demoteLocal(t Track)           { n.rep.DemoteLocal(t) }
-
-func (n *Node) adoptRoot(tc obs.TraceContext, t Track) (simnet.Cost, bool) {
-	return n.rep.AdoptRoot(tc, t)
-}
 
 func (n *Node) nsrvGen() uint64 {
 	return n.nsrv.Root().Gen

@@ -249,11 +249,23 @@ func (n *Node) remoteChunkFetch(tc obs.TraceContext, to simnet.Addr, phys string
 // node's view of membership changes.
 func (n *Node) replicaSet(tc obs.TraceContext, primary simnet.Addr, key id.ID, root string) ([]simnet.Addr, simnet.Cost, error) {
 	n.mu.Lock()
-	if reps, ok := n.replicaCache[root]; ok {
-		n.mu.Unlock()
+	reps, ok := n.replicaCache[root]
+	n.mu.Unlock()
+	if ok {
 		return reps, 0, nil
 	}
-	n.mu.Unlock()
+	reps, cost, err := n.askReplicas(tc, primary, key)
+	if err == nil {
+		n.mu.Lock()
+		n.replicaCache[root] = reps
+		n.mu.Unlock()
+	}
+	return reps, cost, err
+}
+
+// askReplicas is the exchange under replicaSet. Only key's current owner
+// answers, the rest say ErrNotPrimary: readdir's check of a long-held handle.
+func (n *Node) askReplicas(tc obs.TraceContext, primary simnet.Addr, key id.ID) ([]simnet.Addr, simnet.Cost, error) {
 	e := wire.NewEncoder(32)
 	e.PutUint32(kReplicas)
 	e.PutFixedOpaque(key[:])
@@ -270,13 +282,7 @@ func (n *Node) replicaSet(tc obs.TraceContext, primary simnet.Addr, key id.ID, r
 	for i := 0; i < cnt; i++ {
 		reps = append(reps, simnet.Addr(d.String()))
 	}
-	if d.Err() != nil {
-		return nil, cost, d.Err()
-	}
-	n.mu.Lock()
-	n.replicaCache[root] = reps
-	n.mu.Unlock()
-	return reps, cost, nil
+	return reps, cost, d.Err()
 }
 
 // dropRootHandle forgets a cached export root handle. A node that crashed

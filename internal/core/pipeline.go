@@ -164,8 +164,8 @@ func (m *Mount) lookupAt(tr *obs.Trace, place Place, phys string) (nfs.Walked, s
 func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
 	parts := SplitVirtual(vpath)
 	if len(parts) == 0 {
-		return &ventry{vpath: "/", kind: localfs.TypeDir, place: Place{VRoot: true, Store: "/"}},
-			localfs.Attr{Ino: 1, Type: localfs.TypeDir, Mode: 0o755, Nlink: 2}, 0, nil
+		de, c, err := m.bindRoot(tr)
+		return de, rootAttr, c, err
 	}
 	place, total, err := m.n.resolveDir(tr, parts)
 	phys := place.PhysDir()
@@ -250,6 +250,38 @@ func (m *Mount) materializeRetry(tr *obs.Trace, vpath string) (*ventry, localfs.
 	}
 }
 
+// bindRoot resolves the root directory's name index: the node owning
+// Key(RootPN) and the handle of RootStore there. Before the first level-1
+// mkdir the directory is missing, after an ownership change it sits in the
+// replica area; the routed apply's cold path adopts that, MkdirAll the rest.
+func (m *Mount) bindRoot(tr *obs.Trace) (*ventry, simnet.Cost, error) {
+	res, total, err := m.n.route(tr, Key(RootPN))
+	if err != nil {
+		return nil, total, err
+	}
+	node := res.Node.Addr
+	fh, _, c, err := m.n.remoteLookupPath(tr.Ctx(), node, RootStore)
+	total = simnet.Seq(total, c)
+	if nfs.IsStatus(err, nfs.ErrNoEnt) {
+		_, fh, c, err = m.n.apply(tr, node, Key(RootPN), Track{PN: RootPN, Root: RootStore},
+			FSOp{Kind: FSMkdirAll, Path: RootStore})
+		total = simnet.Seq(total, c)
+	}
+	if err != nil {
+		return nil, total, err
+	}
+	return &ventry{
+		vpath:    "/",
+		kind:     localfs.TypeDir,
+		node:     node,
+		fh:       fh,
+		physPath: RootStore,
+		pn:       RootPN,
+		root:     RootStore,
+		place:    Place{VRoot: true, Store: "/"},
+	}, total, nil
+}
+
 // --- failover+retry stage ---
 
 // withFailover runs fn against a ventry, transparently re-resolving and
@@ -258,10 +290,24 @@ func (m *Mount) materializeRetry(tr *obs.Trace, vpath string) (*ventry, localfs.
 // recorded in the overlay event log, the failover latency histogram (the
 // cost of re-resolving onto a replica), and the operation's trace.
 func (m *Mount) withFailover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost, error)) (simnet.Cost, error) {
-	total := m.n.cfg.InterposeCost
+	c, err := m.failover(tr, vh, fn)
+	return simnet.Seq(m.n.cfg.InterposeCost, c), err
+}
+
+// failover is withFailover without the interposition charge, for a step
+// inside an operation that has already paid it (indexRoot).
+func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost, error)) (simnet.Cost, error) {
+	var total simnet.Cost
 	de, err := m.entry(vh)
 	if err != nil {
 		return total, err
+	}
+	if de.node == "" {
+		// Only the root row is ever unbound, until its first use.
+		if de, _, total, err = m.materializeRetry(tr, de.vpath); err != nil {
+			return total, err
+		}
+		m.replace(vh, de)
 	}
 	cacheRetried := false
 	for attempt := 0; ; attempt++ {
@@ -285,8 +331,10 @@ func (m *Mount) withFailover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.C
 			// Drop state naming the failed node and re-resolve the path:
 			// the overlay now routes the key to a node holding a replica.
 			// A NotPrimary answer came from a live node — only the stale
-			// resolution is dropped, not the node.
-			if !errors.Is(err, ErrNotPrimary) {
+			// resolution is dropped, not the node. Nor is the root's node:
+			// operations under the root work on other nodes, whose RPCs
+			// have each named their own failed peer (noteErr).
+			if !errors.Is(err, ErrNotPrimary) && !de.place.VRoot {
 				m.n.invalidateNode(de.node)
 			}
 			failedOver = true

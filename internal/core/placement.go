@@ -126,6 +126,17 @@ func ControllingDepth(dirDepth, level int) int {
 // the parent's entry for a distributed child is always the special link.
 const ChainSep = "\x01"
 
+// RootPN is the reserved placement name of the root directory's name index:
+// Key(RootPN) picks its primary, and ValidName refuses '/' in a name, so no
+// user directory can hash from it. RootStore is the index's storage root, a
+// ChainSep name like every other allocated root (unsalted: there is one). It
+// holds one empty directory per visible level-1 name and nothing else; see
+// DESIGN.md §4 "The root directory".
+const (
+	RootPN    = "/"
+	RootStore = "/" + ChainSep + "root"
+)
+
 // ChainRoot joins placement names into a deterministic store path; used by
 // tests that reason about legacy chain-style layouts.
 func ChainRoot(chain []string) string {

@@ -154,10 +154,12 @@ restart:
 			}
 			_, c2, perr := n.promote(tr.Ctx(), probeNode, t)
 			total = simnet.Seq(total, c2)
-			if perr == nil {
-				w, cost, err = n.remoteWalk(tr.Ctx(), probeNode, probePath)
-				total = simnet.Seq(total, cost)
+			if perr != nil {
+				// No NOENT to act on: the node never said what it holds.
+				return Place{}, total, perr
 			}
+			w, cost, err = n.remoteWalk(tr.Ctx(), probeNode, probePath)
+			total = simnet.Seq(total, cost)
 		}
 		if nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved < wantIdx && usedCache && !retried {
 			// The cached level's storage root dangles: the directory was

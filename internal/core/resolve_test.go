@@ -107,7 +107,7 @@ func TestVersionBumpsPerMutation(t *testing.T) {
 			primary = nd
 		}
 	}
-	before := primary.verOf(pl.SubtreeRoot())
+	before := primary.rep.VerOf(pl.SubtreeRoot())
 	if before == 0 {
 		t.Fatal("version not established at creation")
 	}
@@ -116,7 +116,7 @@ func TestVersionBumpsPerMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after := primary.verOf(pl.SubtreeRoot())
+	after := primary.rep.VerOf(pl.SubtreeRoot())
 	if after < before+3 {
 		t.Fatalf("version %d -> %d after 3 writes", before, after)
 	}
@@ -135,14 +135,14 @@ func TestTombstoneOnRemoval(t *testing.T) {
 			primary = nd
 		}
 	}
-	verAlive := primary.verOf(pl.SubtreeRoot())
+	verAlive := primary.rep.VerOf(pl.SubtreeRoot())
 	if _, err := m.RemoveAllPath("/dead"); err != nil {
 		t.Fatal(err)
 	}
-	if !primary.isDead(pl.SubtreeRoot()) {
+	if !primary.rep.IsDead(pl.SubtreeRoot()) {
 		t.Fatal("removal did not tombstone the root")
 	}
-	if primary.verOf(pl.SubtreeRoot()) <= verAlive {
+	if primary.rep.VerOf(pl.SubtreeRoot()) <= verAlive {
 		t.Fatal("tombstone version not above the live version")
 	}
 	// Re-creation clears the tombstone and continues the version chain.
@@ -159,7 +159,7 @@ func TestTombstoneOnRemoval(t *testing.T) {
 			p2 = nd
 		}
 	}
-	if p2.isDead(pl2.SubtreeRoot()) {
+	if p2.rep.IsDead(pl2.SubtreeRoot()) {
 		t.Fatal("recreated root still tombstoned")
 	}
 	data, _, err := m.ReadFile("/dead/f2")
@@ -182,7 +182,7 @@ func TestDemotePreservesDataInReplicaArea(t *testing.T) {
 		}
 	}
 	t0 := Track{PN: pl.PN(), Root: pl.SubtreeRoot()}
-	primary.demoteLocal(t0)
+	primary.rep.DemoteLocal(t0)
 	if _, err := primary.Store().LookupPath(pl.SubtreeRoot()); err == nil {
 		t.Fatal("primary path still present after demotion")
 	}
@@ -191,7 +191,7 @@ func TestDemotePreservesDataInReplicaArea(t *testing.T) {
 		t.Fatalf("replica-area copy: %q err=%v", data, err)
 	}
 	// Promotion round-trips it back.
-	primary.promoteLocal(t0)
+	primary.rep.PromoteLocal(t0)
 	data, err = primary.Store().ReadFile(pl.SubtreeRoot() + "/f")
 	if err != nil || string(data) != "kept" {
 		t.Fatalf("after promote: %q err=%v", data, err)

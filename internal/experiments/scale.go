@@ -51,8 +51,11 @@ type ScaleRow struct {
 	MeanOpMS      float64 `json:"mean_op_ms"`
 	ReplicaFanout float64 `json:"replica_fanout"`
 	MeanJoinMS    float64 `json:"mean_join_ms"`
-	Crashes       int     `json:"crashes"`
-	Revives       int     `json:"revives"`
+	// RootReaddirMsgs is the message cost of listing "/" once the soak has
+	// quiesced; it must not depend on Nodes.
+	RootReaddirMsgs uint64 `json:"root_readdir_msgs"`
+	Crashes         int    `json:"crashes"`
+	Revives         int    `json:"revives"`
 }
 
 // ScaleResult carries the sweep.
@@ -76,14 +79,15 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 			return nil, fmt.Errorf("scale n=%d: %w", n, err)
 		}
 		row := ScaleRow{
-			Nodes:         n,
-			MeanRouteHops: rep.MeanRouteHops,
-			ProbeMeanHops: rep.ProbeMeanHops,
-			ProbeMaxHops:  rep.ProbeMaxHops,
-			Log16N:        math.Log(float64(n)) / math.Log(16),
-			ReplicaFanout: rep.ReplicaFanout,
-			Crashes:       rep.Crashes,
-			Revives:       rep.Revives,
+			Nodes:           n,
+			MeanRouteHops:   rep.MeanRouteHops,
+			ProbeMeanHops:   rep.ProbeMeanHops,
+			ProbeMaxHops:    rep.ProbeMaxHops,
+			Log16N:          math.Log(float64(n)) / math.Log(16),
+			ReplicaFanout:   rep.ReplicaFanout,
+			RootReaddirMsgs: rep.RootReaddirMsgs,
+			Crashes:         rep.Crashes,
+			Revives:         rep.Revives,
 		}
 		if rep.Ops > 0 {
 			row.MeanOpMS = rep.OpCost.Duration().Seconds() * 1e3 / float64(rep.Ops)
@@ -100,22 +104,22 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 func (r *ScaleResult) Fprint(w io.Writer, opts ScaleOptions) {
 	fmt.Fprintf(w, "Scale-out sweep: soak metrics vs overlay size (%d epochs, %d ops per point)\n",
 		opts.Epochs, opts.Ops)
-	fmt.Fprintf(w, "%-7s %9s %10s %9s %8s %9s %8s %9s %8s %8s\n",
-		"nodes", "hops", "probehops", "maxhops", "log16N", "op_ms", "fanout", "join_ms", "crashes", "revives")
+	fmt.Fprintf(w, "%-7s %9s %10s %9s %8s %9s %8s %9s %9s %8s %8s\n",
+		"nodes", "hops", "probehops", "maxhops", "log16N", "op_ms", "fanout", "join_ms", "ls_/_msgs", "crashes", "revives")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-7d %9.2f %10.2f %9d %8.2f %9.3f %8.2f %9.3f %8d %8d\n",
+		fmt.Fprintf(w, "%-7d %9.2f %10.2f %9d %8.2f %9.3f %8.2f %9.3f %9d %8d %8d\n",
 			row.Nodes, row.MeanRouteHops, row.ProbeMeanHops, row.ProbeMaxHops, row.Log16N,
-			row.MeanOpMS, row.ReplicaFanout, row.MeanJoinMS, row.Crashes, row.Revives)
+			row.MeanOpMS, row.ReplicaFanout, row.MeanJoinMS, row.RootReaddirMsgs, row.Crashes, row.Revives)
 	}
 }
 
 // FprintCSV renders the sweep as CSV rows.
 func (r *ScaleResult) FprintCSV(w io.Writer, opts ScaleOptions) {
-	fmt.Fprintln(w, "nodes,mean_route_hops,probe_mean_hops,probe_max_hops,log16_n,mean_op_ms,replica_fanout,mean_join_ms,crashes,revives")
+	fmt.Fprintln(w, "nodes,mean_route_hops,probe_mean_hops,probe_max_hops,log16_n,mean_op_ms,replica_fanout,mean_join_ms,root_readdir_msgs,crashes,revives")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d,%.4f,%.4f,%d,%.4f,%.4f,%.4f,%.4f,%d,%d\n",
+		fmt.Fprintf(w, "%d,%.4f,%.4f,%d,%.4f,%.4f,%.4f,%.4f,%d,%d,%d\n",
 			row.Nodes, row.MeanRouteHops, row.ProbeMeanHops, row.ProbeMaxHops, row.Log16N,
-			row.MeanOpMS, row.ReplicaFanout, row.MeanJoinMS, row.Crashes, row.Revives)
+			row.MeanOpMS, row.ReplicaFanout, row.MeanJoinMS, row.RootReaddirMsgs, row.Crashes, row.Revives)
 	}
 }
 

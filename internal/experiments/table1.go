@@ -67,9 +67,6 @@ func koshaCfg() core.Config {
 		Replicas:          1,
 		Capacity:          35 << 30,
 		TraceBufSize:      -1,
-		// Ring-walk reuse is wall-clock-TTL-driven; off so measured costs are
-		// a pure function of the workload.
-		RingCacheTTL: -1,
 	}
 }
 

@@ -591,10 +591,8 @@ func pageOf(n int, cookie uint64, count uint32) (start, end int) {
 // and link target.
 func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Cost) {
 	h := getHandle(d)
-	n := d.ArrayLen()
-	// Every component takes at least its length word, so a count the bytes
-	// left cannot hold is refused before anything is decoded or allocated.
-	if d.Err() != nil || n > MaxPathComponents || n > d.Remaining()/4 {
+	n := d.ArrayLen() // refuses a count the bytes left cannot hold
+	if d.Err() != nil || n > MaxPathComponents {
 		return s.fail(ProcLookupPath, ErrInval), 0
 	}
 	ino, st := s.check(h)

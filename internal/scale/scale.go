@@ -141,6 +141,11 @@ type Report struct {
 	// OpCost is the summed simulated critical-path cost of workload ops.
 	OpCost simnet.Cost
 
+	// RootReaddirMsgs is what one listing of "/" costs in network messages
+	// at final quiesce, through a mount that has listed it before: the
+	// number the roadmap wants flat from 8 to 1000 nodes.
+	RootReaddirMsgs uint64
+
 	// Maintenance totals over the run (zero unless Options.Maint): scrub
 	// rounds ticked, divergences caught, and repairs applied.
 	ScrubRounds    uint64
@@ -171,7 +176,6 @@ func Run(opts Options) (*Report, error) {
 			// dominate memory at N=1000.
 			AttrCacheTTL: -1,
 			NameCacheTTL: -1,
-			RingCacheTTL: -1,
 			TraceBufSize: -1,
 			MaintScrub:   opts.Maint,
 		},
@@ -273,6 +277,15 @@ func Run(opts Options) (*Report, error) {
 	}
 	if err := chaos.ReplicaConvergence(c, model, opts.Replicas); err != nil {
 		return rep, fmt.Errorf("scale: final replica convergence: %w", err)
+	}
+	// Two listings, the second measured: the first pays for whatever rebind
+	// the churn left due (route hops, which do grow with N).
+	for i := 0; i < 2; i++ {
+		before := c.Net.Stats().Messages
+		if _, _, err := mounts[0].Readdir(core.RootVH); err != nil {
+			return rep, fmt.Errorf("scale: final root listing: %w", err)
+		}
+		rep.RootReaddirMsgs = c.Net.Stats().Messages - before
 	}
 	inv, err := checkOverlay(c, opts, pastry.InvariantConverged, uint64(opts.Epochs))
 	if err != nil {

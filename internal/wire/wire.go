@@ -297,11 +297,18 @@ func (d *Decoder) Strings() []string {
 	return out
 }
 
-// ArrayLen reads a counted-array length prefix and validates it.
+// ArrayLen reads a counted-array length prefix and validates it: against
+// MaxItems, and against the bytes that follow — every item encodes to at
+// least one 4-byte word, so a count the buffer cannot hold is refused here,
+// before the caller sizes an allocation by it.
 func (d *Decoder) ArrayLen() int {
 	n := d.Uint32()
 	if n > MaxItems {
 		d.fail(ErrTooLong)
+		return 0
+	}
+	if int(n) > d.Remaining()/4 {
+		d.fail(ErrShort)
 		return 0
 	}
 	return int(n)

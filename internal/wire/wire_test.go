@@ -153,6 +153,20 @@ func TestCorruptLengthRejected(t *testing.T) {
 	if d.ArrayLen() != 0 || d.Err() != ErrTooLong {
 		t.Errorf("oversized ArrayLen accepted: %v", d.Err())
 	}
+
+	// A count the rest of the buffer cannot hold, at one word per item.
+	e.Reset()
+	e.PutUint32(3)
+	e.PutUint32(0)
+	e.PutUint32(0)
+	d = NewDecoder(e.Bytes())
+	if d.ArrayLen() != 0 || d.Err() != ErrShort {
+		t.Errorf("ArrayLen 3 with 2 words left accepted: %v", d.Err())
+	}
+	e.PutUint32(0)
+	if d = NewDecoder(e.Bytes()); d.ArrayLen() != 3 || d.Err() != nil {
+		t.Errorf("ArrayLen 3 with 3 words left refused: %v", d.Err())
+	}
 }
 
 func TestTrailingGarbage(t *testing.T) {
