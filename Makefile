@@ -7,9 +7,9 @@ all: vet build test
 # ci is the gate for pull requests: static checks (gofmt + vet), the
 # deterministic chaos suite, the full race-enabled test suite (which covers
 # the sampler and trace-propagation tests), a koshabench smoke run that
-# fails unless the JSON output carries the latency-percentile fields, and a
-# /metrics exposition smoke against a live koshad, and a smoke run of the
-# benchmark harness.
+# fails unless the JSON output carries the latency-percentile fields, a
+# /metrics exposition smoke against a live koshad, a smoke run of the
+# benchmark harness, and one iteration of every Go benchmark.
 ci: fmt-check vet build
 	$(MAKE) chaos
 	$(GO) test -race ./...
@@ -17,6 +17,7 @@ ci: fmt-check vet build
 	$(MAKE) scale-smoke
 	$(MAKE) metrics-smoke
 	$(MAKE) bench-smoke
+	$(MAKE) gobench-smoke
 
 # chaos runs the deterministic fault-injection harness under the race
 # detector: the scripted failure scenarios, a randomized schedule, and the
@@ -52,32 +53,23 @@ scale-smoke:
 	[ "$$n" -eq 1 ] || { echo "scale-smoke: root_readdir_msgs varies with the node count:" >&2; echo "$$out" | grep -E '"(nodes|root_readdir_msgs)"' >&2; exit 1; }; \
 	echo "scale-smoke: koshabench scale JSON ok, root listing cost flat"
 
+# smoke runs the quick variant of each experiment whose JSON the docs tables
+# are built from, and fails unless every named field is in the output.
+SMOKE_FIELDS = \
+	latency:p50_ms,p95_ms,p99_ms,mean_route_hops \
+	sync:full_bytes,delta_bytes,delta_pct,files_sent \
+	dedup:dedup_ratio,stored_bytes,edit_delta_bytes,promote_delta_bytes \
+	stream:seq_rpcs_base,seq_rpcs_stream,read_rpc_ratio,write_rpc_ratio,seq_mbps_stream \
+	rebalance:skew_before,skew_after,moved_bytes,moved_fraction,high_water
 smoke:
-	@out=$$($(GO) run ./cmd/koshabench -exp latency -quick -format json); \
-	for f in p50_ms p95_ms p99_ms mean_route_hops; do \
-		echo "$$out" | grep -q "\"$$f\"" || { echo "smoke: missing $$f in koshabench JSON" >&2; exit 1; }; \
-	done; \
-	echo "smoke: koshabench latency JSON ok"
-	@out=$$($(GO) run ./cmd/koshabench -exp sync -quick -format json); \
-	for f in full_bytes delta_bytes delta_pct files_sent; do \
-		echo "$$out" | grep -q "\"$$f\"" || { echo "smoke: missing $$f in koshabench JSON" >&2; exit 1; }; \
-	done; \
-	echo "smoke: koshabench sync JSON ok"
-	@out=$$($(GO) run ./cmd/koshabench -exp dedup -quick -format json); \
-	for f in dedup_ratio stored_bytes edit_delta_bytes promote_delta_bytes; do \
-		echo "$$out" | grep -q "\"$$f\"" || { echo "smoke: missing $$f in koshabench JSON" >&2; exit 1; }; \
-	done; \
-	echo "smoke: koshabench dedup JSON ok"
-	@out=$$($(GO) run ./cmd/koshabench -exp stream -quick -format json); \
-	for f in seq_rpcs_base seq_rpcs_stream read_rpc_ratio write_rpc_ratio seq_mbps_stream; do \
-		echo "$$out" | grep -q "\"$$f\"" || { echo "smoke: missing $$f in koshabench JSON" >&2; exit 1; }; \
-	done; \
-	echo "smoke: koshabench stream JSON ok"
-	@out=$$($(GO) run ./cmd/koshabench -exp rebalance -quick -format json); \
-	for f in skew_before skew_after moved_bytes moved_fraction high_water; do \
-		echo "$$out" | grep -q "\"$$f\"" || { echo "smoke: missing $$f in koshabench JSON" >&2; exit 1; }; \
-	done; \
-	echo "smoke: koshabench rebalance JSON ok"
+	@for pair in $(SMOKE_FIELDS); do \
+		exp=$${pair%%:*}; \
+		out=$$($(GO) run ./cmd/koshabench -exp $$exp -quick -format json) || exit 1; \
+		for f in $$(echo $${pair#*:} | tr , ' '); do \
+			echo "$$out" | grep -q "\"$$f\"" || { echo "smoke: missing $$f in koshabench $$exp JSON" >&2; exit 1; }; \
+		done; \
+		echo "smoke: koshabench $$exp JSON ok"; \
+	done
 
 # metrics-smoke spawns a real koshad with the pprof/metrics listener on and
 # asserts the Prometheus exposition carries an overlay-health gauge and a
@@ -141,7 +133,7 @@ bench-smoke:
 # per-layer metrics is a function of the seed (the two alloc metrics to about
 # four digits); BENCH_SECONDS only bounds how long the wall-clock ones sample.
 #   make bench-json BENCH_PR=17
-BENCH_PR ?= 16
+BENCH_PR ?= 17
 BENCH_SECONDS ?= 5
 bench-json:
 	@out=BENCH_$(BENCH_PR).json; tmp=$$out.tmp; \
@@ -154,7 +146,8 @@ bench-json:
 	done; done; \
 	printf '\n}}\n' >> $$tmp; mv $$tmp $$out; echo "bench-json: wrote $$out"
 
-# gobench-smoke runs every Go benchmark in the module once.
+# gobench-smoke runs every Go benchmark in the module once (the root ones
+# are the four ablations and the parallel-metadata check: seconds in all).
 gobench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x ./...
 

@@ -1,19 +1,15 @@
-// Package repro's root benchmarks regenerate every table and figure in the
-// paper's evaluation (Section 6). Each benchmark runs the corresponding
-// experiment harness and reports the paper's headline quantities as custom
-// metrics, so `go test -bench=. -benchmem` doubles as the reproduction run:
+// Package repro's root benchmarks are the ablations of the design choices
+// DESIGN.md calls out, reported as custom metrics:
 //
-//	BenchmarkTable1MABScalability    — Table 1: MAB overhead vs node count
-//	BenchmarkTable2DistributionLevel — Table 2: MAB overhead vs level
-//	BenchmarkFigure5LoadDistribution — Fig 5: per-node load balance
-//	BenchmarkFigure6Redirection      — Fig 6: failure ratio vs utilization
-//	BenchmarkFigure7Availability     — Fig 7: availability vs replicas
-//	BenchmarkOverheadModel           — §6.1.2 analytic model
+//	BenchmarkAblationSyncReplication  — synchronous vs asynchronous fan-out
+//	BenchmarkAblationReplicaCount     — write cost vs K under synchronous fan-out
+//	BenchmarkAblationReadFromReplicas — read-load spread with replica reads
+//	BenchmarkAblationMetadataCache    — client metadata caches on vs off
 //
-// plus ablation benches for the design choices DESIGN.md calls out
-// (synchronous vs asynchronous replication, replica count) and raw
-// microbenches of the stack. Full paper-scale tables print via
-// `go run ./cmd/koshabench`.
+// plus BenchmarkParallelMetadata, the concurrency-scaling check of the
+// sharded hot path. The paper's tables and figures print via
+// `go run ./cmd/koshabench` (and run in internal/experiments' tests); the
+// per-layer microbenchmarks live in the bench/ ledger (`make bench-json`).
 package main
 
 import (
@@ -25,159 +21,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/mab"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 	"repro/kosha"
 )
-
-// BenchmarkTable1MABScalability regenerates Table 1 (Section 6.1.1): the
-// Modified Andrew Benchmark on Kosha with 1..8 nodes against the two-node
-// NFS baseline. Reported metrics are overhead percentages; the paper
-// observes ~4.1% fixed overhead and ~1.5% more from one to eight nodes.
-func BenchmarkTable1MABScalability(b *testing.B) {
-	opts := experiments.DefaultTable1Options()
-	opts.Runs = 4
-	if testing.Short() {
-		opts.Workload = mab.Tiny()
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.KoshaTotal[1].Overhead, "fixed-ovhd-%")
-		b.ReportMetric(res.KoshaTotal[8].Overhead, "total8-ovhd-%")
-		b.ReportMetric(res.KoshaTotal[8].Overhead-res.KoshaTotal[1].Overhead, "marginal-ovhd-%")
-	}
-}
-
-// BenchmarkTable2DistributionLevel regenerates Table 2 (Section 6.1.3):
-// MAB on four nodes with distribution level 1..4. The paper reports +5%,
-// +9%, +10% for levels 2-4 relative to level 1, concentrated in the mkdir
-// and copy phases.
-func BenchmarkTable2DistributionLevel(b *testing.B) {
-	opts := experiments.DefaultTable2Options()
-	opts.Runs = 4
-	if testing.Short() {
-		opts.Workload = mab.Tiny()
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable2(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Overhead[2], "lvl2-ovhd-%")
-		b.ReportMetric(res.Overhead[4], "lvl4-ovhd-%")
-		mk := res.Seconds[4][mab.PhaseMkdir] / res.Seconds[1][mab.PhaseMkdir]
-		b.ReportMetric(mk, "mkdir-lvl4/lvl1")
-	}
-}
-
-// BenchmarkFigure5LoadDistribution regenerates Figure 5 (Section 6.2): the
-// per-node standard deviation of file-count share as the distribution level
-// rises, against the per-file-hashing bound. The paper finds level >= 4
-// comparable to hashing individual files.
-func BenchmarkFigure5LoadDistribution(b *testing.B) {
-	opts := experiments.DefaultFigure5Options()
-	opts.Seeds = 10
-	if testing.Short() {
-		opts.Trace = trace.SmallFSConfig()
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure5(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].StdFilesPct, "lvl1-std-%")
-		b.ReportMetric(res.Rows[3].StdFilesPct, "lvl4-std-%")
-		b.ReportMetric(res.PerFile.StdFilesPct, "perfile-std-%")
-	}
-}
-
-// BenchmarkFigure6Redirection regenerates Figure 6 (Section 6.2): the
-// cumulative insertion-failure ratio versus storage utilization for
-// increasing redirection budgets; the paper sees ~0 up to 60% utilization
-// with 4 redirects and no more than ~12% approaching 100%.
-func BenchmarkFigure6Redirection(b *testing.B) {
-	opts := experiments.DefaultFigure6Options()
-	opts.Seeds = 5
-	if testing.Short() {
-		opts.Trace = trace.SmallFSConfig()
-		for i := range opts.Capacities {
-			opts.Capacities[i] /= 256
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure6(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var noRedir, redir4 experiments.Figure6Curve
-		for _, c := range res.Curves {
-			switch c.Attempts {
-			case 0:
-				noRedir = c
-			case 4:
-				redir4 = c
-			}
-		}
-		last := len(redir4.Failure) - 1
-		b.ReportMetric(redir4.Failure[last]*100, "redir4-final-fail-%")
-		b.ReportMetric(noRedir.Failure[last]*100, "noredir-final-fail-%")
-		// Failure ratio at 60% utilization with 4 redirects (paper: ~0).
-		for bkt, u := range redir4.Util {
-			if u >= 0.6 {
-				b.ReportMetric(redir4.Failure[bkt]*100, "redir4-at60-fail-%")
-				break
-			}
-		}
-	}
-}
-
-// BenchmarkFigure7Availability regenerates Figure 7 (Section 6.3): file
-// availability over the 840-hour machine trace for 0..4 replicas. The
-// paper's headline: >12% of files unavailable at the hour-615 spike with no
-// replicas, near-zero with three, and 99.99%+ average availability.
-func BenchmarkFigure7Availability(b *testing.B) {
-	opts := experiments.DefaultFigure7Options()
-	opts.Runs = 5
-	if testing.Short() {
-		opts.Trace = trace.SmallFSConfig()
-		opts.Nodes = 100
-		opts.Avail = trace.CorporateAvailConfig(100)
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure7(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range res.Series {
-			switch s.Replicas {
-			case 0:
-				b.ReportMetric(s.SpikeUnavail, "k0-spike-unavail-%")
-			case 3:
-				b.ReportMetric(s.SpikeUnavail, "k3-spike-unavail-%")
-				b.ReportMetric(s.AveragePct, "k3-avg-avail-%")
-			}
-		}
-	}
-}
-
-// BenchmarkOverheadModel evaluates the Section 6.1.2 analytic model,
-// reporting D at the paper's 10^4-node target ("does not exceed 4ms plus a
-// constant factor").
-func BenchmarkOverheadModel(b *testing.B) {
-	opts := experiments.DefaultModelOptions()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.RunModel(opts)
-		last := rows[len(rows)-1]
-		b.ReportMetric(float64(last.D.Microseconds())/1000, "D-at-10k-ms")
-		b.ReportMetric(float64(last.Hops), "hops-at-10k")
-	}
-}
-
-// --- ablations ---
 
 // BenchmarkAblationSyncReplication quantifies the design choice of keeping
 // replica fan-out off the client-visible path: it reruns a write-heavy
@@ -297,9 +143,7 @@ func BenchmarkAblationReadFromReplicas(b *testing.B) {
 func BenchmarkAblationMetadataCache(b *testing.B) {
 	opts := experiments.DefaultCacheAblationOptions()
 	if testing.Short() {
-		opts.Dirs = 2
-		opts.FilesPerDir = 8
-		opts.Sweeps = 2
+		opts = experiments.QuickCacheAblationOptions()
 	}
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunCacheAblation(opts)
@@ -310,85 +154,6 @@ func BenchmarkAblationMetadataCache(b *testing.B) {
 		b.ReportMetric(res.Off.RPCsOp, "rpcs/op-uncached")
 		b.ReportMetric(res.RPCReductionPct, "rpc-reduction-%")
 		b.ReportMetric(res.TimeSavedPct, "sim-time-saved-%")
-	}
-}
-
-// --- microbenches of the full stack ---
-
-// BenchmarkKoshaWrite32K measures real wall-clock throughput of the whole
-// stack (overlay + interposition + NFS RPC + replication) for 32 KiB writes.
-func BenchmarkKoshaWrite32K(b *testing.B) {
-	c, err := kosha.NewCluster(kosha.ClusterOptions{Nodes: 8, Seed: 3, Config: kosha.Config{Replicas: 1}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := c.Mount(0)
-	vh, _, _, err := m.LookupPath("/")
-	_ = vh
-	if err != nil {
-		b.Fatal(err)
-	}
-	dirVH, _, err := m.MkdirAll("/bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fvh, _, _, err := m.Create(dirVH, "f", 0o644, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 32<<10)
-	b.SetBytes(32 << 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := m.Write(fvh, int64(i%64)*(32<<10), payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKoshaRead32K measures read throughput through the mount.
-func BenchmarkKoshaRead32K(b *testing.B) {
-	c, err := kosha.NewCluster(kosha.ClusterOptions{Nodes: 8, Seed: 4, Config: kosha.Config{Replicas: 1}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := c.Mount(0)
-	if _, err := m.WriteFile("/bench/f", make([]byte, 2<<20)); err != nil {
-		b.Fatal(err)
-	}
-	fvh, _, _, err := m.LookupPath("/bench/f")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(32 << 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := m.Read(fvh, int64(i%64)*(32<<10), 32<<10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKoshaLookup measures path resolution with a warm cache.
-func BenchmarkKoshaLookup(b *testing.B) {
-	c, err := kosha.NewCluster(kosha.ClusterOptions{Nodes: 8, Seed: 5, Config: kosha.Config{Replicas: 1, DistributionLevel: 2}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := c.Mount(0)
-	if _, err := m.WriteFile("/a/b/c/file.txt", []byte("x")); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vh, _, _, err := m.LookupPath("/a/b/c/file.txt")
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = vh
 	}
 }
 

@@ -81,21 +81,11 @@ type Config struct {
 	SyncReplication bool
 	// Disk is the cost model for the contributed partition.
 	Disk simnet.DiskModel
-	// AutoSync runs replica maintenance from overlay membership callbacks.
-	// Default on; the cluster harness may disable it and drive SyncReplicas
-	// explicitly for deterministic scheduling.
-	AutoSync bool
-	// noAutoSyncSet distinguishes "zero value = default on" from off.
+	// NoAutoSync stops overlay membership callbacks from running replica
+	// maintenance (on by default), so a harness can drive SyncReplicas
+	// explicitly for deterministic scheduling. The negative spelling keeps
+	// the zero value meaning "on"; bench/ sets it by this name.
 	NoAutoSync bool
-	// FullTreePush restores the legacy remove-and-recopy replica push in
-	// place of the Merkle delta protocol. Kept as the baseline arm of the
-	// sync experiment (koshabench -exp sync).
-	FullTreePush bool
-	// WholeFileSync disables block-level manifest negotiation in the
-	// replication engine: changed files ship and fetch whole (the
-	// pre-chunk-store behavior). Kept as the baseline arm of the dedup
-	// experiment (koshabench -exp dedup); implied by FullTreePush.
-	WholeFileSync bool
 	// RingCacheTTL has no effect: the ring walk it tuned is gone (the root
 	// is listed from its name index). The field stays only because bench/
 	// sets it, and is removed with the bench/ rename in the Config-diet PR.
@@ -203,7 +193,6 @@ func (c Config) withDefaults() Config {
 	if c.WriteBackBytes < 0 {
 		c.WriteBackBytes = 0
 	}
-	c.AutoSync = !c.NoAutoSync
 	if c.AttrCacheTTL == 0 {
 		c.AttrCacheTTL = 3 * time.Second
 	}
@@ -415,17 +404,15 @@ func NewNodeWithStore(addr simnet.Addr, nodeID id.ID, net simnet.Transport, cfg 
 	n.rpc = newRetrier(net, cfg, n.reg)
 	n.nfsc = nfs.NewClientWithRegistry(n.rpc, addr, n.reg)
 	n.rep = repl.New(repl.Options{
-		Self:      addr,
-		Store:     store,
-		Overlay:   engineOverlay{n},
-		Peer:      enginePeer{n},
-		Replicas:  cfg.Replicas,
-		Key:       Key,
-		Events:    n.events,
-		Registry:  n.reg,
-		Tracer:    n.tracer,
-		FullPush:  cfg.FullTreePush,
-		WholeFile: cfg.WholeFileSync,
+		Self:     addr,
+		Store:    store,
+		Overlay:  engineOverlay{n},
+		Peer:     enginePeer{n},
+		Replicas: cfg.Replicas,
+		Key:      Key,
+		Events:   n.events,
+		Registry: n.reg,
+		Tracer:   n.tracer,
 	})
 	n.overlay = pastry.NewNode(nodeID, addr, net, cfg.LeafSize)
 	n.overlay.OnLeafSetChange(n.onLeafChange)
@@ -536,7 +523,7 @@ func (n *Node) onLeafChange(c pastry.LeafSetChange) {
 	n.mu.Lock()
 	n.replicaCache = make(map[string][]simnet.Addr)
 	n.mu.Unlock()
-	if n.cfg.AutoSync {
+	if !n.cfg.NoAutoSync {
 		n.SyncReplicas()
 	}
 }

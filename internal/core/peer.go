@@ -58,10 +58,6 @@ func (p enginePeer) LookupPath(tc obs.TraceContext, to simnet.Addr, phys string)
 	return p.n.remoteLookupPath(tc, to, phys)
 }
 
-func (p enginePeer) ReadDir(tc obs.TraceContext, to simnet.Addr, fh nfs.Handle) ([]nfs.DirEntry, simnet.Cost, error) {
-	return p.n.nfsCtx(tc).ReaddirAll(to, fh, 256)
-}
-
 func (p enginePeer) ReadStream(tc obs.TraceContext, to simnet.Addr, fh nfs.Handle, off int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
 	return p.n.nfsCtx(tc).ReadStream(to, fh, off, chunk, chunks)
 }

@@ -33,20 +33,33 @@ func DefaultCacheAblationOptions() CacheAblationOptions {
 	}
 }
 
+// QuickCacheAblationOptions is the -quick shrink: two small directories,
+// two sweeps.
+func QuickCacheAblationOptions() CacheAblationOptions {
+	o := DefaultCacheAblationOptions()
+	o.Dirs = 2
+	o.FilesPerDir = 8
+	o.Sweeps = 2
+	return o
+}
+
 // CacheArm is one side of the ablation.
 type CacheArm struct {
-	RPCs    uint64  // NFS round trips issued by the scanning node
-	Bytes   uint64  // request+response payload bytes of those RPCs
-	Ops     int     // client operations (1 per readdir, 1 per stat)
-	RPCsOp  float64 // RPCs / Ops
-	Seconds float64 // simulated time of the scan
+	RPCs    uint64  `json:"rpcs"`        // NFS round trips issued by the scanning node
+	Bytes   uint64  `json:"bytes"`       // request+response payload bytes of those RPCs
+	Ops     int     `json:"ops"`         // client operations (1 per readdir, 1 per stat)
+	RPCsOp  float64 `json:"rpcs_per_op"` // RPCs / Ops
+	Seconds float64 `json:"sim_seconds"` // simulated time of the scan
 }
 
 // CacheAblationResult compares the two arms.
 type CacheAblationResult struct {
-	On, Off         CacheArm
-	RPCReductionPct float64 // fewer RPCs with caching, percent of Off
-	TimeSavedPct    float64 // simulated-time saving, percent of Off
+	On              CacheArm `json:"on"`
+	Off             CacheArm `json:"off"`
+	RPCReductionPct float64  `json:"rpc_reduction_pct"` // fewer RPCs with caching, percent of Off
+	TimeSavedPct    float64  `json:"time_saved_pct"`    // simulated-time saving, percent of Off
+
+	opts CacheAblationOptions // what the run used; the renderers read their headers from it
 }
 
 // RunCacheAblation builds the same tree under both configurations and
@@ -127,7 +140,7 @@ func RunCacheAblation(opts CacheAblationOptions) (*CacheAblationResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cache ablation (off): %w", err)
 	}
-	res := &CacheAblationResult{On: on, Off: off}
+	res := &CacheAblationResult{opts: opts, On: on, Off: off}
 	if off.RPCs > 0 {
 		res.RPCReductionPct = (1 - float64(on.RPCs)/float64(off.RPCs)) * 100
 	}
@@ -138,9 +151,9 @@ func RunCacheAblation(opts CacheAblationOptions) (*CacheAblationResult, error) {
 }
 
 // Fprint renders the comparison.
-func (r *CacheAblationResult) Fprint(w io.Writer, opts CacheAblationOptions) {
+func (r *CacheAblationResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Cache ablation: readdir + stat-all-entries, %d dirs x %d files x %d sweeps\n",
-		opts.Dirs, opts.FilesPerDir, opts.Sweeps)
+		r.opts.Dirs, r.opts.FilesPerDir, r.opts.Sweeps)
 	fmt.Fprintf(w, "%-10s %10s %10s %10s %12s\n", "Caching", "NFS RPCs", "rpcs/op", "sim-sec", "bytes")
 	for _, row := range []struct {
 		name string
@@ -154,7 +167,7 @@ func (r *CacheAblationResult) Fprint(w io.Writer, opts CacheAblationOptions) {
 }
 
 // FprintCSV renders the comparison as CSV.
-func (r *CacheAblationResult) FprintCSV(w io.Writer, opts CacheAblationOptions) {
+func (r *CacheAblationResult) FprintCSV(w io.Writer) {
 	fmt.Fprintln(w, "caching,rpcs,rpcs_per_op,sim_seconds,bytes")
 	fmt.Fprintf(w, "off,%d,%.4f,%.4f,%d\n", r.Off.RPCs, r.Off.RPCsOp, r.Off.Seconds, r.Off.Bytes)
 	fmt.Fprintf(w, "on,%d,%.4f,%.4f,%d\n", r.On.RPCs, r.On.RPCsOp, r.On.Seconds, r.On.Bytes)

@@ -37,6 +37,17 @@ func DefaultChurnOptions() ChurnOptions {
 	}
 }
 
+// QuickChurnOptions is the -quick shrink: one replica count, at most one
+// failure, one run.
+func QuickChurnOptions() ChurnOptions {
+	o := DefaultChurnOptions()
+	o.Replicas = []int{2}
+	o.Failed = []int{0, 1}
+	o.Files = 16
+	o.Runs = 1
+	return o
+}
+
 // ChurnRow is one (K, failed-nodes) cell, aggregated over runs.
 type ChurnRow struct {
 	Replicas     int     `json:"replicas"`
@@ -49,6 +60,8 @@ type ChurnRow struct {
 // ChurnResult carries the sweep.
 type ChurnResult struct {
 	Rows []ChurnRow `json:"rows"`
+
+	opts ChurnOptions // what the run used; the renderers read their headers from it
 }
 
 // RunChurn executes the sweep. Each cell builds a fresh cluster, populates
@@ -57,7 +70,7 @@ type ChurnResult struct {
 // harness's oracle: a read that fails or returns stale-but-acknowledged
 // contents is a miss; contents never acknowledged abort the experiment.
 func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
-	res := &ChurnResult{}
+	res := &ChurnResult{opts: opts}
 	for _, k := range opts.Replicas {
 		for _, failed := range opts.Failed {
 			if failed >= opts.Nodes {
@@ -118,9 +131,9 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 }
 
 // Fprint renders the sweep as an availability matrix.
-func (r *ChurnResult) Fprint(w io.Writer, opts ChurnOptions) {
+func (r *ChurnResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Churn sweep: read availability vs simultaneous failures (Fig 8 echo, %d nodes, %d files, %d runs)\n",
-		opts.Nodes, opts.Files, opts.Runs)
+		r.opts.Nodes, r.opts.Files, r.opts.Runs)
 	fmt.Fprintf(w, "%-4s %-8s %8s %8s %14s\n", "K", "failed", "reads", "missed", "availability")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-4d %-8d %8d %8d %13.2f%%\n",
@@ -129,7 +142,7 @@ func (r *ChurnResult) Fprint(w io.Writer, opts ChurnOptions) {
 }
 
 // FprintCSV renders the sweep as replicas,failed,reads,missed,availability rows.
-func (r *ChurnResult) FprintCSV(w io.Writer, opts ChurnOptions) {
+func (r *ChurnResult) FprintCSV(w io.Writer) {
 	fmt.Fprintln(w, "replicas,failed,reads,missed,availability_pct")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%d,%d,%d,%d,%.2f\n",

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -15,7 +15,8 @@ import (
 // several users publish duplicate-heavy trees (many files drawn from a small
 // payload pool), one big file takes a one-chunk edit, and a primary crash
 // forces a promote repair. The three arms measure what the chunk store buys
-// in each case: index dedup, sync bytes, and promote-repair fetch bytes.
+// in each case: index dedup, sync bytes, and promote-repair fetch bytes — the
+// last two against the content a whole-file copy of the big file must move.
 type DedupOptions struct {
 	Nodes            int
 	Users            int // duplicate-heavy trees, one per user
@@ -40,6 +41,17 @@ func DefaultDedupOptions() DedupOptions {
 	}
 }
 
+// QuickDedupOptions is the -quick shrink: a smaller corpus and a 1 MiB
+// edited file.
+func QuickDedupOptions() DedupOptions {
+	o := DefaultDedupOptions()
+	o.Users = 2
+	o.FilesPerUser = 8
+	o.FileSize = 64 << 10
+	o.EditFileSize = 1 << 20
+	return o
+}
+
 // DedupResult carries all three measurements.
 type DedupResult struct {
 	Nodes            int   `json:"nodes"`
@@ -53,11 +65,11 @@ type DedupResult struct {
 	DedupRatio float64 `json:"dedup_ratio"`
 
 	EditFileSize   int     `json:"edit_file_size"`
-	EditFullBytes  uint64  `json:"edit_full_bytes"`  // whole-file refresh after a 16-byte edit
+	EditFullBytes  uint64  `json:"edit_full_bytes"`  // EditFileSize: what a whole-file refresh ships, before framing
 	EditDeltaBytes uint64  `json:"edit_delta_bytes"` // chunk-negotiated refresh of the same edit
 	EditDeltaPct   float64 `json:"edit_delta_pct"`   // delta as % of whole-file
 
-	PromoteFullBytes  uint64  `json:"promote_full_bytes"`  // fetch bytes of a whole-file promote repair
+	PromoteFullBytes  uint64  `json:"promote_full_bytes"`  // EditFileSize: what a whole-file promote repair fetches
 	PromoteDeltaBytes uint64  `json:"promote_delta_bytes"` // fetch bytes of the block-level repair
 	PromoteDeltaPct   float64 `json:"promote_delta_pct"`
 }
@@ -94,6 +106,51 @@ func primaryOf(c *cluster.Cluster, vpath string) (*core.Node, int, error) {
 		}
 	}
 	return nil, 0, fmt.Errorf("primary %s not in cluster", pl.Node)
+}
+
+// staleWrite rewrites the file at vpath on its tree's primary while the link
+// between the primary and one of its replica candidates is cut: the primary
+// applies the write and bumps its version, the mirror is dropped, and that
+// candidate is stale by exactly this write. The candidate chosen is the one
+// closest to the tree's key — the node that inherits the root if the primary
+// dies, so a promote afterwards has a repair to do. The link is then healed
+// and only the overlay repaired: a full Stabilize would run everyone's
+// replica sync and converge the tree before the measured refresh.
+func staleWrite(c *cluster.Cluster, replicas int, vpath string, data []byte) (primary *core.Node, pi int, err error) {
+	pn := strings.SplitN(vpath, "/", 3)[1]
+	primary, pi, err = primaryOf(c, "/"+pn)
+	if err != nil {
+		return nil, 0, err
+	}
+	cands := primary.Overlay().ReplicaCandidates(replicas)
+	if len(cands) < replicas {
+		return nil, 0, fmt.Errorf("primary %s has %d replica candidates, want %d", primary.Addr(), len(cands), replicas)
+	}
+	ids := make([]id.ID, len(cands))
+	for i, cd := range cands {
+		ids[i] = cd.ID
+	}
+	best, _ := id.Closest(core.Key(pn), ids)
+	stale := cands[0].Addr
+	for _, cd := range cands {
+		if cd.ID == best {
+			stale = cd.Addr
+		}
+	}
+	c.Net.SetPartition(func(a, b simnet.Addr) bool {
+		return (a == primary.Addr() && b == stale) || (a == stale && b == primary.Addr())
+	})
+	_, err = primary.NewMount().WriteFile(vpath, data)
+	c.Net.SetPartition(nil)
+	if err != nil {
+		return nil, 0, fmt.Errorf("write %s behind the partition: %w", vpath, err)
+	}
+	for round := 0; round < 3; round++ {
+		for _, nd := range c.Nodes {
+			nd.Overlay().Stabilize()
+		}
+	}
+	return primary, pi, nil
 }
 
 // runDedupRatioArm publishes the duplicate-heavy corpus and reads the
@@ -157,10 +214,9 @@ func runDedupRatioArm(opts DedupOptions) (logical, stored int64, err error) {
 // runDedupEditArm replicates one big file, makes the replica stale by a
 // 16-byte edit applied behind a partition, and returns the kosha-service
 // bytes the primary's next SyncReplicas moves to reconverge.
-func runDedupEditArm(opts DedupOptions, wholeFile bool) (uint64, error) {
+func runDedupEditArm(opts DedupOptions) (uint64, error) {
 	cfg := koshaCfg()
 	cfg.NoAutoSync = true
-	cfg.WholeFileSync = wholeFile
 	c, err := cluster.New(cluster.Options{Nodes: opts.Nodes, Seed: opts.Seed, Config: cfg})
 	if err != nil {
 		return 0, err
@@ -172,32 +228,10 @@ func runDedupEditArm(opts DedupOptions, wholeFile bool) (uint64, error) {
 	}
 	c.Stabilize()
 
-	primary, _, err := primaryOf(c, "/dedit00")
+	primary, _, err := staleWrite(c, cfg.Replicas, "/dedit00/blob.bin", spliceEdit(data, opts.EditFileSize/2))
 	if err != nil {
 		return 0, err
 	}
-	cands := primary.Overlay().ReplicaCandidates(cfg.Replicas)
-	if len(cands) == 0 {
-		return 0, fmt.Errorf("primary %s has no replica candidates", primary.Addr())
-	}
-	replica := cands[0].Addr
-
-	c.Net.SetPartition(func(a, b simnet.Addr) bool {
-		return (a == primary.Addr() && b == replica) || (a == replica && b == primary.Addr())
-	})
-	if _, err := primary.NewMount().WriteFile("/dedit00/blob.bin", spliceEdit(data, opts.EditFileSize/2)); err != nil {
-		c.Net.SetPartition(nil)
-		return 0, fmt.Errorf("edit: %w", err)
-	}
-	c.Net.SetPartition(nil)
-	// Overlay repair only — a full Stabilize would converge the tree before
-	// the measured refresh.
-	for round := 0; round < 3; round++ {
-		for _, nd := range c.Nodes {
-			nd.Overlay().Stabilize()
-		}
-	}
-
 	c.Net.ResetStats()
 	primary.SyncReplicas()
 	return c.Net.ServiceStats(core.KoshaService).Bytes, nil
@@ -208,10 +242,9 @@ func runDedupEditArm(opts DedupOptions, wholeFile bool) (uint64, error) {
 // returns how many bytes the successor's pull repair fetches while
 // promoting (the repl.fetch.bytes counter, which charges only the pull
 // path — block fetches, ranged reads, and whole-file streams).
-func runDedupPromoteArm(opts DedupOptions, wholeFile bool) (uint64, error) {
+func runDedupPromoteArm(opts DedupOptions) (uint64, error) {
 	cfg := koshaCfg()
 	cfg.NoAutoSync = true
-	cfg.WholeFileSync = wholeFile
 	cfg.Replicas = 2
 	nodes := opts.Nodes
 	if nodes < 5 {
@@ -228,40 +261,9 @@ func runDedupPromoteArm(opts DedupOptions, wholeFile bool) (uint64, error) {
 	}
 	c.Stabilize()
 
-	primary, pi, err := primaryOf(c, "/djob00")
+	_, pi, err := staleWrite(c, cfg.Replicas, "/djob00/blob.bin", spliceEdit(data, opts.EditFileSize/2))
 	if err != nil {
 		return 0, err
-	}
-	cands := primary.Overlay().ReplicaCandidates(cfg.Replicas)
-	if len(cands) < 2 {
-		return 0, fmt.Errorf("primary %s has %d replica candidates, want 2", primary.Addr(), len(cands))
-	}
-	// The candidate closest to the tree's key inherits the root when the
-	// primary dies; stale that one so the promote has a repair to do.
-	ids := make([]id.ID, len(cands))
-	for i, cd := range cands {
-		ids[i] = cd.ID
-	}
-	best, _ := id.Closest(core.Key("djob00"), ids)
-	succ := cands[0].Addr
-	for _, cd := range cands {
-		if cd.ID == best {
-			succ = cd.Addr
-		}
-	}
-
-	c.Net.SetPartition(func(a, b simnet.Addr) bool {
-		return (a == primary.Addr() && b == succ) || (a == succ && b == primary.Addr())
-	})
-	if _, err := primary.NewMount().WriteFile("/djob00/blob.bin", spliceEdit(data, opts.EditFileSize/2)); err != nil {
-		c.Net.SetPartition(nil)
-		return 0, fmt.Errorf("edit: %w", err)
-	}
-	c.Net.SetPartition(nil)
-	for round := 0; round < 3; round++ {
-		for _, nd := range c.Nodes {
-			nd.Overlay().Stabilize()
-		}
 	}
 
 	before := uint64(0)
@@ -283,21 +285,13 @@ func RunDedup(opts DedupOptions) (*DedupResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dedup ratio arm: %w", err)
 	}
-	editFull, err := runDedupEditArm(opts, true)
+	editDelta, err := runDedupEditArm(opts)
 	if err != nil {
-		return nil, fmt.Errorf("edit whole-file arm: %w", err)
+		return nil, fmt.Errorf("edit arm: %w", err)
 	}
-	editDelta, err := runDedupEditArm(opts, false)
+	promDelta, err := runDedupPromoteArm(opts)
 	if err != nil {
-		return nil, fmt.Errorf("edit delta arm: %w", err)
-	}
-	promFull, err := runDedupPromoteArm(opts, true)
-	if err != nil {
-		return nil, fmt.Errorf("promote whole-file arm: %w", err)
-	}
-	promDelta, err := runDedupPromoteArm(opts, false)
-	if err != nil {
-		return nil, fmt.Errorf("promote delta arm: %w", err)
+		return nil, fmt.Errorf("promote arm: %w", err)
 	}
 
 	res := &DedupResult{
@@ -309,33 +303,23 @@ func RunDedup(opts DedupOptions) (*DedupResult, error) {
 		LogicalBytes:      logical,
 		StoredBytes:       stored,
 		EditFileSize:      opts.EditFileSize,
-		EditFullBytes:     editFull,
+		EditFullBytes:     uint64(opts.EditFileSize),
 		EditDeltaBytes:    editDelta,
-		PromoteFullBytes:  promFull,
+		PromoteFullBytes:  uint64(opts.EditFileSize),
 		PromoteDeltaBytes: promDelta,
 	}
 	if stored > 0 {
 		res.DedupRatio = float64(logical) / float64(stored)
 	}
-	if editFull > 0 {
-		res.EditDeltaPct = float64(editDelta) / float64(editFull) * 100
-	}
-	if promFull > 0 {
-		res.PromoteDeltaPct = float64(promDelta) / float64(promFull) * 100
+	if opts.EditFileSize > 0 {
+		res.EditDeltaPct = float64(editDelta) / float64(opts.EditFileSize) * 100
+		res.PromoteDeltaPct = float64(promDelta) / float64(opts.EditFileSize) * 100
 	}
 	return res, nil
 }
 
-// FprintJSON emits the result as an indented JSON document; make ci's
-// smoke run greps it for the ratio and byte fields.
-func (r *DedupResult) FprintJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // Fprint renders the result as a text report.
-func (r *DedupResult) Fprint(w io.Writer, opts DedupOptions) {
+func (r *DedupResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Content-addressed chunk store, %d nodes\n", r.Nodes)
 	fmt.Fprintf(w, "corpus: %d users x %d files x %d B (%d distinct payloads)\n",
 		r.Users, r.FilesPerUser, r.FileSize, r.DistinctPayloads)
@@ -351,7 +335,7 @@ func (r *DedupResult) Fprint(w io.Writer, opts DedupOptions) {
 }
 
 // FprintCSV renders the three arms as CSV.
-func (r *DedupResult) FprintCSV(w io.Writer, opts DedupOptions) {
+func (r *DedupResult) FprintCSV(w io.Writer) {
 	fmt.Fprintln(w, "metric,full,delta")
 	fmt.Fprintf(w, "corpus_bytes,%d,%d\n", r.LogicalBytes, r.StoredBytes)
 	fmt.Fprintf(w, "edit_sync_bytes,%d,%d\n", r.EditFullBytes, r.EditDeltaBytes)

@@ -38,7 +38,7 @@ func TestTable1ShapeHolds(t *testing.T) {
 	}
 	// Printing works and mentions every phase.
 	var sb strings.Builder
-	res.Fprint(&sb, opts)
+	res.Fprint(&sb)
 	for _, p := range mab.Phases {
 		if !strings.Contains(sb.String(), p.String()) {
 			t.Fatalf("printout missing phase %v", p)
@@ -100,7 +100,7 @@ func TestTable2LevelsMonotoneCost(t *testing.T) {
 		t.Fatalf("mkdir not penalized at level 3: %.3f vs %.3f", mk3, mk1)
 	}
 	var sb strings.Builder
-	res.Fprint(&sb, opts)
+	res.Fprint(&sb)
 	if !strings.Contains(sb.String(), "overhead") {
 		t.Fatal("printout missing overhead row")
 	}
@@ -138,7 +138,7 @@ func TestFigure5ConvergesTowardPerFileBound(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	res.Fprint(&sb, opts)
+	res.Fprint(&sb)
 	if !strings.Contains(sb.String(), "per-file") {
 		t.Fatal("printout missing bound row")
 	}
@@ -211,15 +211,15 @@ func TestFigure7ReplicationRaisesAvailability(t *testing.T) {
 		t.Fatalf("Kosha-3 average availability %.4f%%", k3.AveragePct)
 	}
 	var sb strings.Builder
-	res.Fprint(&sb, opts)
+	res.Fprint(&sb)
 	if !strings.Contains(sb.String(), "Kosha-3") {
 		t.Fatal("printout missing series")
 	}
 }
 
 func TestModelMatchesPaperDiscussion(t *testing.T) {
-	opts := DefaultModelOptions()
-	rows := RunModel(opts)
+	res := RunModel(DefaultModelOptions())
+	rows := res.Rows
 	last := rows[len(rows)-1]
 	if last.N != 10000 {
 		t.Fatalf("last row N = %d", last.N)
@@ -239,7 +239,7 @@ func TestModelMatchesPaperDiscussion(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	FprintModel(&sb, rows, opts)
+	res.Fprint(&sb)
 	if !strings.Contains(sb.String(), "10000") {
 		t.Fatal("printout missing 10^4 row")
 	}
@@ -272,19 +272,19 @@ func TestScaleSweepLogarithmicHops(t *testing.T) {
 		t.Fatalf("hop growth super-logarithmic: %.2f -> %.2f", r0.ProbeMeanHops, r1.ProbeMeanHops)
 	}
 	var sb strings.Builder
-	res.Fprint(&sb, sopts)
+	res.Fprint(&sb)
 	if !strings.Contains(sb.String(), "48") {
 		t.Fatal("printout missing 48-node row")
 	}
 	sb.Reset()
-	if err := res.FprintJSON(&sb); err != nil {
+	if err := FprintJSON(&sb, res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "probe_mean_hops") {
 		t.Fatal("json missing probe_mean_hops")
 	}
 	sb.Reset()
-	res.FprintCSV(&sb, sopts)
+	res.FprintCSV(&sb)
 	if !strings.Contains(sb.String(), "nodes,mean_route_hops") {
 		t.Fatal("csv header missing")
 	}
@@ -315,7 +315,7 @@ func TestCacheAblationCutsRPCs(t *testing.T) {
 		t.Fatalf("caching slower: %.3fs vs %.3fs", res.On.Seconds, res.Off.Seconds)
 	}
 	var sb strings.Builder
-	res.Fprint(&sb, opts)
+	res.Fprint(&sb)
 	if !strings.Contains(sb.String(), "RPC reduction") {
 		t.Fatal("printout missing reduction line")
 	}
@@ -343,7 +343,7 @@ func TestChurnAvailabilityMeetsFig8Bar(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	res.Fprint(&sb, opts)
+	res.Fprint(&sb)
 	if !strings.Contains(sb.String(), "availability") {
 		t.Fatal("printout missing availability column")
 	}

@@ -37,22 +37,32 @@ func DefaultFigure5Options() Figure5Options {
 	}
 }
 
+// QuickFigure5Options is the -quick shrink: the small trace, five seeds.
+func QuickFigure5Options() Figure5Options {
+	o := DefaultFigure5Options()
+	o.Trace = trace.SmallFSConfig()
+	o.Seeds = 5
+	return o
+}
+
 // Figure5Row is the per-level result: mean and standard deviation of the
 // per-node percentage of file count and of bytes, across nodes and seeds.
 type Figure5Row struct {
-	Level        int
-	MeanFilesPct float64
-	StdFilesPct  float64
-	MeanBytesPct float64
-	StdBytesPct  float64
+	Level        int     `json:"level"`
+	MeanFilesPct float64 `json:"files_mean_pct"`
+	StdFilesPct  float64 `json:"files_std_pct"`
+	MeanBytesPct float64 `json:"bytes_mean_pct"`
+	StdBytesPct  float64 `json:"bytes_std_pct"`
 }
 
 // Figure5Result carries the directory-level rows plus the per-file-hashing
 // bound (the dotted lines in the paper's figure: "the upper bound on the
 // best load balancing ... using DHTs").
 type Figure5Result struct {
-	Rows    []Figure5Row
-	PerFile Figure5Row // Level is -1
+	Rows    []Figure5Row `json:"rows"`
+	PerFile Figure5Row   `json:"per_file"` // Level is -1
+
+	opts Figure5Options // what the run used; the renderers read their headers from it
 }
 
 // dirGroup aggregates a controlling placement name's files and bytes.
@@ -97,7 +107,7 @@ func RunFigure5(opts Figure5Options) (*Figure5Result, error) {
 		perLevel[l] = groups
 	}
 
-	res := &Figure5Result{}
+	res := &Figure5Result{opts: opts}
 	totFiles := float64(len(tr.Files))
 	totBytes := float64(tr.TotalBytes())
 
@@ -174,9 +184,9 @@ func RunFigure5(opts Figure5Options) (*Figure5Result, error) {
 }
 
 // Fprint renders the two series with the per-file bound.
-func (r *Figure5Result) Fprint(w io.Writer, opts Figure5Options) {
+func (r *Figure5Result) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Figure 5: per-node load distribution, %d nodes, %d replicas, %d seeds\n",
-		opts.Nodes, opts.Replicas, opts.Seeds)
+		r.opts.Nodes, r.opts.Replicas, r.opts.Seeds)
 	fmt.Fprintf(w, "%-12s %12s %12s %12s %12s\n",
 		"dist-level", "files mean%", "files std%", "bytes mean%", "bytes std%")
 	for _, row := range r.Rows {

@@ -54,17 +54,31 @@ func DefaultFigure6Options() Figure6Options {
 	}
 }
 
+// QuickFigure6Options is the -quick shrink: the small trace, five seeds, and
+// capacities scaled down with the trace (keeping the 3:4:5 mix).
+func QuickFigure6Options() Figure6Options {
+	o := DefaultFigure6Options()
+	o.Trace = trace.SmallFSConfig()
+	for i := range o.Capacities {
+		o.Capacities[i] /= 256
+	}
+	o.Seeds = 5
+	return o
+}
+
 // Figure6Curve is one redirection budget's cumulative-failure-ratio curve,
 // sampled at utilization buckets.
 type Figure6Curve struct {
-	Attempts int
-	Util     []float64 // bucket upper edges, 0..1
-	Failure  []float64 // cumulative failure ratio when that utilization was reached
+	Attempts int       `json:"attempts"`
+	Util     []float64 `json:"utilization"`   // bucket upper edges, 0..1
+	Failure  []float64 `json:"failure_ratio"` // cumulative failure ratio when that utilization was reached
 }
 
 // Figure6Result carries one curve per attempt budget (averaged over seeds).
 type Figure6Result struct {
-	Curves []Figure6Curve
+	Curves []Figure6Curve `json:"curves"`
+
+	opts Figure6Options // what the run used; the renderers read their headers from it
 }
 
 // fig6Dir tracks one virtual directory's current placement.
@@ -106,7 +120,7 @@ func RunFigure6(opts Figure6Options) (*Figure6Result, error) {
 		totalCap += c
 	}
 
-	res := &Figure6Result{}
+	res := &Figure6Result{opts: opts}
 	for _, attempts := range opts.Attempts {
 		sumFail := make([]float64, opts.Buckets)
 		cnt := make([]int, opts.Buckets)
@@ -212,9 +226,9 @@ func recordBucket(curve []float64, seen []bool, stored, totalCap int64, inserts,
 
 // Fprint renders the curves: one row per utilization bucket, one column per
 // redirection budget.
-func (r *Figure6Result) Fprint(w io.Writer, opts Figure6Options) {
+func (r *Figure6Result) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Figure 6: cumulative failure ratio vs utilization (level %d, %d replicas, %d seeds)\n",
-		opts.Level, opts.Replicas, opts.Seeds)
+		r.opts.Level, r.opts.Replicas, r.opts.Seeds)
 	fmt.Fprintf(w, "%-12s", "utilization")
 	for _, c := range r.Curves {
 		label := fmt.Sprintf("redir %d", c.Attempts)

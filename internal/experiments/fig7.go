@@ -47,23 +47,36 @@ func DefaultFigure7Options() Figure7Options {
 	}
 }
 
+// QuickFigure7Options is the -quick shrink: the small trace on 50 nodes,
+// three runs.
+func QuickFigure7Options() Figure7Options {
+	o := DefaultFigure7Options()
+	o.Trace = trace.SmallFSConfig()
+	o.Nodes = 50
+	o.Avail = trace.CorporateAvailConfig(50)
+	o.Runs = 3
+	return o
+}
+
 // Figure7Series is the availability curve for one replica count.
 type Figure7Series struct {
-	Replicas      int
-	HourlyPct     []float64 // percentage of files available, per hour
-	AveragePct    float64
-	WorstPct      float64
-	WorstHour     int
-	SpikeHourPct  float64 // availability at the mass-failure hour
-	SpikeUnavail  float64 // 100 - SpikeHourPct
-	AvgUnavailPct float64
+	Replicas      int       `json:"replicas"`
+	HourlyPct     []float64 `json:"hourly_pct"` // percentage of files available, per hour
+	AveragePct    float64   `json:"average_pct"`
+	WorstPct      float64   `json:"worst_pct"`
+	WorstHour     int       `json:"worst_hour"`
+	SpikeHourPct  float64   `json:"spike_hour_pct"`    // availability at the mass-failure hour
+	SpikeUnavail  float64   `json:"spike_unavail_pct"` // 100 - SpikeHourPct
+	AvgUnavailPct float64   `json:"avg_unavail_pct"`
 }
 
 // Figure7Result carries one series per replica count.
 type Figure7Result struct {
-	Series    []Figure7Series
-	SpikeHour int
-	MaxDown   int
+	Series    []Figure7Series `json:"series"`
+	SpikeHour int             `json:"spike_hour"`
+	MaxDown   int             `json:"max_down"`
+
+	opts Figure7Options // what the run used; the renderers read their headers from it
 }
 
 // RunFigure7 executes the availability simulation. Files sharing a primary
@@ -94,7 +107,7 @@ func RunFigure7(opts Figure7Options) (*Figure7Result, error) {
 	av := trace.GenAvail(opts.Avail, opts.Seed)
 	spikeHour, maxDown := av.MaxSimultaneousFailures()
 
-	res := &Figure7Result{SpikeHour: spikeHour, MaxDown: maxDown}
+	res := &Figure7Result{opts: opts, SpikeHour: spikeHour, MaxDown: maxDown}
 	for _, k := range opts.Replicas {
 		hourly := make([]*stats.Accum, av.Hours)
 		for h := range hourly {
@@ -206,9 +219,9 @@ func RunFigure7(opts Figure7Options) (*Figure7Result, error) {
 }
 
 // Fprint renders a summary plus a decimated hourly series per replica count.
-func (r *Figure7Result) Fprint(w io.Writer, opts Figure7Options) {
+func (r *Figure7Result) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Figure 7: file availability over %d hours, %d nodes, level %d, %d runs\n",
-		opts.Avail.Hours, opts.Nodes, opts.Level, opts.Runs)
+		r.opts.Avail.Hours, r.opts.Nodes, r.opts.Level, r.opts.Runs)
 	fmt.Fprintf(w, "largest simultaneous failure: %d machines at hour %d\n", r.MaxDown, r.SpikeHour)
 	fmt.Fprintf(w, "%-10s %12s %12s %10s %14s\n", "config", "avg avail%", "worst%", "worst hr", "spike unavail%")
 	for _, s := range r.Series {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -34,6 +33,15 @@ func DefaultLatencyOptions() LatencyOptions {
 		FileSize:    16 << 10,
 		Seed:        11,
 	}
+}
+
+// QuickLatencyOptions is the -quick shrink: a dozen small files.
+func QuickLatencyOptions() LatencyOptions {
+	o := DefaultLatencyOptions()
+	o.Dirs = 3
+	o.FilesPerDir = 4
+	o.FileSize = 4 << 10
+	return o
 }
 
 // OpLatency is one operation's simulated-time latency distribution, in
@@ -71,6 +79,8 @@ type LatencyResult struct {
 	// Samples is the per-phase cluster-wide time series (populate, one per
 	// read-back directory, final sync), present when Options.Sample is set.
 	Samples []obs.Sample `json:"samples,omitempty"`
+
+	opts LatencyOptions // what the run used; the renderers read their headers from it
 }
 
 // RunLatency builds a cluster, runs a create/write/lookup/read/readdir mix
@@ -134,7 +144,7 @@ func RunLatency(opts LatencyOptions) (*LatencyResult, error) {
 	}
 	tick()
 
-	res := &LatencyResult{Nodes: opts.Nodes}
+	res := &LatencyResult{opts: opts, Nodes: opts.Nodes}
 	var agg obs.Snapshot
 	var ev obs.EventsSnapshot
 	for _, nd := range c.Nodes {
@@ -182,18 +192,10 @@ func RunLatency(opts LatencyOptions) (*LatencyResult, error) {
 
 func toMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// FprintJSON emits the result as an indented JSON document; make ci's smoke
-// run greps it for the percentile fields.
-func (r *LatencyResult) FprintJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // Fprint renders the result as a text table.
-func (r *LatencyResult) Fprint(w io.Writer, opts LatencyOptions) {
+func (r *LatencyResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Per-operation latency, %d nodes (%d dirs x %d files, %d B each)\n",
-		r.Nodes, opts.Dirs, opts.FilesPerDir, opts.FileSize)
+		r.Nodes, r.opts.Dirs, r.opts.FilesPerDir, r.opts.FileSize)
 	fmt.Fprintf(w, "%-14s %8s %10s %10s %10s %10s %10s\n",
 		"op", "count", "mean ms", "p50 ms", "p95 ms", "p99 ms", "max ms")
 	for _, o := range r.Ops {
@@ -219,7 +221,7 @@ func (r *LatencyResult) Fprint(w io.Writer, opts LatencyOptions) {
 // FprintCSV renders the per-op rows as CSV, followed by comment lines for
 // the cluster-summed maintenance counters (and the time-series samples in
 // long form when retained, so one capture feeds a plotting pipeline).
-func (r *LatencyResult) FprintCSV(w io.Writer, opts LatencyOptions) {
+func (r *LatencyResult) FprintCSV(w io.Writer) {
 	fmt.Fprintln(w, "op,count,mean_ms,p50_ms,p95_ms,p99_ms,max_ms")
 	for _, o := range r.Ops {
 		fmt.Fprintf(w, "%s,%d,%.3f,%.3f,%.3f,%.3f,%.3f\n",

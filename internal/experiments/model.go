@@ -37,15 +37,22 @@ func DefaultModelOptions() ModelOptions {
 
 // ModelRow is the predicted per-operation overhead at one overlay size.
 type ModelRow struct {
-	N          int
-	Hops       int
-	RemoteFrac float64
-	D          time.Duration
+	N          int           `json:"n"`
+	Hops       int           `json:"hops"`
+	RemoteFrac float64       `json:"remote_frac"`
+	D          time.Duration `json:"d_ns"`
+}
+
+// ModelResult is the model evaluated at every overlay size.
+type ModelResult struct {
+	Rows []ModelRow `json:"rows"`
+
+	opts ModelOptions // what the run used; the renderers read their headers from it
 }
 
 // RunModel evaluates the analytic model.
-func RunModel(opts ModelOptions) []ModelRow {
-	var rows []ModelRow
+func RunModel(opts ModelOptions) *ModelResult {
+	res := &ModelResult{opts: opts}
 	for _, n := range opts.NodeCounts {
 		h := 0
 		if n > 1 {
@@ -56,19 +63,19 @@ func RunModel(opts ModelOptions) []ModelRow {
 		}
 		rf := float64(n-1) / float64(n)
 		d := opts.I + time.Duration(float64(h)*float64(opts.HopCost)*rf)
-		rows = append(rows, ModelRow{N: n, Hops: h, RemoteFrac: rf, D: d})
+		res.Rows = append(res.Rows, ModelRow{N: n, Hops: h, RemoteFrac: rf, D: d})
 	}
-	return rows
+	return res
 }
 
-// FprintModel renders the model table; the paper's conclusion — "the
-// overhead D does not exceed 4ms plus a constant factor" for 10^4 nodes —
-// is directly visible in the final row.
-func FprintModel(w io.Writer, rows []ModelRow, opts ModelOptions) {
+// Fprint renders the model table; the paper's conclusion — "the overhead D
+// does not exceed 4ms plus a constant factor" for 10^4 nodes — is directly
+// visible in the final row.
+func (r *ModelResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Section 6.1.2 overhead model: D = I + H*hc*(N-1)/N  (I=%v, hc=%v, base %d)\n",
-		opts.I, opts.HopCost, opts.Base)
+		r.opts.I, r.opts.HopCost, r.opts.Base)
 	fmt.Fprintf(w, "%-8s %6s %12s %14s\n", "N", "H", "(N-1)/N", "D")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8d %6d %12.4f %14v\n", r.N, r.Hops, r.RemoteFrac, r.D)
+	for _, row := range r.Rows {
+		fmt.Fprintf(w, "%-8d %6d %12.4f %14v\n", row.N, row.Hops, row.RemoteFrac, row.D)
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -40,6 +39,15 @@ func DefaultRebalanceOptions() RebalanceOptions {
 		TargetHot: 0.9,
 		MaxRounds: 8,
 	}
+}
+
+// QuickRebalanceOptions is the -quick shrink: fewer, smaller trees.
+func QuickRebalanceOptions() RebalanceOptions {
+	o := DefaultRebalanceOptions()
+	o.Trees = 24
+	o.BigFile = 48 << 10
+	o.SmallFile = 6 << 10
+	return o
 }
 
 // RebalanceResult reports utilization before and after the rebalancer runs,
@@ -235,16 +243,8 @@ func RunRebalance(opts RebalanceOptions) (*RebalanceResult, error) {
 	return res, nil
 }
 
-// FprintJSON emits the result as an indented JSON document; make ci's smoke
-// run greps it for the skew and moved-bytes fields.
-func (r *RebalanceResult) FprintJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // Fprint renders the result as a text report.
-func (r *RebalanceResult) Fprint(w io.Writer, opts RebalanceOptions) {
+func (r *RebalanceResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Capacity-driven rebalancer, %d nodes, %d trees (seed %d)\n", r.Nodes, r.Trees, r.Seed)
 	fmt.Fprintf(w, "per-node capacity %d B, %d B stored, water marks %.2f/%.2f\n",
 		r.Capacity, r.UsedTotal, r.HighWater, r.LowWater)
@@ -256,7 +256,7 @@ func (r *RebalanceResult) Fprint(w io.Writer, opts RebalanceOptions) {
 }
 
 // FprintCSV renders the before/after rows as CSV.
-func (r *RebalanceResult) FprintCSV(w io.Writer, opts RebalanceOptions) {
+func (r *RebalanceResult) FprintCSV(w io.Writer) {
 	fmt.Fprintln(w, "phase,util_max,util_mean,skew")
 	fmt.Fprintf(w, "before,%.4f,%.4f,%.4f\n", r.UtilMaxBefore, r.UtilMeanBefore, r.SkewBefore)
 	fmt.Fprintf(w, "after,%.4f,%.4f,%.4f\n", r.UtilMaxAfter, r.UtilMeanAfter, r.SkewAfter)

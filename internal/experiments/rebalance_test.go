@@ -31,14 +31,14 @@ func TestRebalanceAcceptance(t *testing.T) {
 			res.MovedFrac*100, res.MovedBytes, res.UsedTotal)
 	}
 	var sb strings.Builder
-	res.Fprint(&sb, opts)
+	res.Fprint(&sb)
 	for _, row := range []string{"utilization before", "utilization after", "moves over"} {
 		if !strings.Contains(sb.String(), row) {
 			t.Fatalf("printout missing %q row", row)
 		}
 	}
 	var jb strings.Builder
-	if err := res.FprintJSON(&jb); err != nil {
+	if err := FprintJSON(&jb, res); err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []string{"skew_before", "skew_after", "moved_bytes", "moved_fraction"} {
@@ -47,7 +47,7 @@ func TestRebalanceAcceptance(t *testing.T) {
 		}
 	}
 	var cb strings.Builder
-	res.FprintCSV(&cb, opts)
+	res.FprintCSV(&cb)
 	if !strings.Contains(cb.String(), "after,") {
 		t.Fatal("CSV missing after row")
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -38,6 +37,17 @@ func DefaultScaleOptions() ScaleOptions {
 	}
 }
 
+// QuickScaleOptions is the -quick shrink (<= 100 nodes): two soak points
+// over the small trace.
+func QuickScaleOptions() ScaleOptions {
+	o := DefaultScaleOptions()
+	o.NodeCounts = []int{50, 100}
+	o.Epochs = 6
+	o.Ops = 180
+	o.FS = trace.SmallFSConfig()
+	return o
+}
+
 // ScaleRow is one overlay size's soak summary.
 type ScaleRow struct {
 	Nodes int `json:"nodes"`
@@ -61,12 +71,14 @@ type ScaleRow struct {
 // ScaleResult carries the sweep.
 type ScaleResult struct {
 	Rows []ScaleRow `json:"rows"`
+
+	opts ScaleOptions // what the run used; the renderers read their headers from it
 }
 
 // RunScale executes the sweep. Every point must pass the soak's oracle and
 // invariant checks; a violation fails the experiment.
 func RunScale(opts ScaleOptions) (*ScaleResult, error) {
-	res := &ScaleResult{}
+	res := &ScaleResult{opts: opts}
 	for _, n := range opts.NodeCounts {
 		rep, err := scale.Run(scale.Options{
 			Nodes:  n,
@@ -101,9 +113,9 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 }
 
 // Fprint renders the sweep.
-func (r *ScaleResult) Fprint(w io.Writer, opts ScaleOptions) {
+func (r *ScaleResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Scale-out sweep: soak metrics vs overlay size (%d epochs, %d ops per point)\n",
-		opts.Epochs, opts.Ops)
+		r.opts.Epochs, r.opts.Ops)
 	fmt.Fprintf(w, "%-7s %9s %10s %9s %8s %9s %8s %9s %9s %8s %8s\n",
 		"nodes", "hops", "probehops", "maxhops", "log16N", "op_ms", "fanout", "join_ms", "ls_/_msgs", "crashes", "revives")
 	for _, row := range r.Rows {
@@ -114,18 +126,11 @@ func (r *ScaleResult) Fprint(w io.Writer, opts ScaleOptions) {
 }
 
 // FprintCSV renders the sweep as CSV rows.
-func (r *ScaleResult) FprintCSV(w io.Writer, opts ScaleOptions) {
+func (r *ScaleResult) FprintCSV(w io.Writer) {
 	fmt.Fprintln(w, "nodes,mean_route_hops,probe_mean_hops,probe_max_hops,log16_n,mean_op_ms,replica_fanout,mean_join_ms,root_readdir_msgs,crashes,revives")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%d,%.4f,%.4f,%d,%.4f,%.4f,%.4f,%.4f,%d,%d,%d\n",
 			row.Nodes, row.MeanRouteHops, row.ProbeMeanHops, row.ProbeMaxHops, row.Log16N,
 			row.MeanOpMS, row.ReplicaFanout, row.MeanJoinMS, row.RootReaddirMsgs, row.Crashes, row.Revives)
 	}
-}
-
-// FprintJSON emits the sweep as an indented JSON document.
-func (r *ScaleResult) FprintJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -45,6 +44,16 @@ func DefaultStreamOptions() StreamOptions {
 	}
 }
 
+// QuickStreamOptions is the -quick shrink: an 8 MiB file and fewer reads
+// and writes.
+func QuickStreamOptions() StreamOptions {
+	o := DefaultStreamOptions()
+	o.FileBytes = 8 << 20
+	o.RandReads = 8
+	o.WriteCount = 64
+	return o
+}
+
 // StreamResult compares the two data paths over the same workload.
 type StreamResult struct {
 	Nodes     int `json:"nodes"`
@@ -68,6 +77,8 @@ type StreamResult struct {
 	ReadaheadHits uint64 `json:"readahead_hits"`
 	WBCoalesced   uint64 `json:"wb_coalesced"`
 	WBFlushes     uint64 `json:"wb_flushes"`
+
+	opts StreamOptions // what the run used; the renderers read their headers from it
 }
 
 // dataRPCs sums the data-bearing read procedures issued by every node: the
@@ -223,6 +234,7 @@ func RunStream(opts StreamOptions) (*StreamResult, error) {
 		return float64(bytes) / (1 << 20) / secs
 	}
 	res := &StreamResult{
+		opts:            opts,
 		Nodes:           opts.Nodes,
 		FileBytes:       opts.FileBytes,
 		Window:          opts.Window,
@@ -249,18 +261,10 @@ func RunStream(opts StreamOptions) (*StreamResult, error) {
 	return res, nil
 }
 
-// FprintJSON emits the result as an indented JSON document; make ci's smoke
-// run greps it for the ratio fields.
-func (r *StreamResult) FprintJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // Fprint renders the comparison as a text table.
-func (r *StreamResult) Fprint(w io.Writer, opts StreamOptions) {
+func (r *StreamResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Streaming I/O over a %d MiB file, %d nodes (window %d x %d KiB, write-back %d KiB)\n",
-		r.FileBytes>>20, r.Nodes, r.Window, opts.StreamChunk>>10, opts.WriteBackBytes>>10)
+		r.FileBytes>>20, r.Nodes, r.Window, r.opts.StreamChunk>>10, r.opts.WriteBackBytes>>10)
 	fmt.Fprintf(w, "%-28s %14s %14s\n", "metric", "stop-and-wait", "streamed")
 	fmt.Fprintf(w, "%-28s %14d %14d\n", "sequential-read data RPCs", r.SeqRPCsBase, r.SeqRPCsStream)
 	fmt.Fprintf(w, "%-28s %14.1f %14.1f\n", "sequential MB/s (modeled)", r.SeqMBpsBase, r.SeqMBpsStream)
@@ -272,7 +276,7 @@ func (r *StreamResult) Fprint(w io.Writer, opts StreamOptions) {
 }
 
 // FprintCSV renders the comparison as CSV.
-func (r *StreamResult) FprintCSV(w io.Writer, opts StreamOptions) {
+func (r *StreamResult) FprintCSV(w io.Writer) {
 	fmt.Fprintln(w, "arm,seq_rpcs,seq_mbps,rand_rpcs,write_rpcs,write_mbps")
 	fmt.Fprintf(w, "base,%d,%.2f,%d,%d,%.2f\n", r.SeqRPCsBase, r.SeqMBpsBase, r.RandRPCsBase, r.WriteRPCsBase, r.WriteMBpsBase)
 	fmt.Fprintf(w, "stream,%d,%.2f,%d,%d,%.2f\n", r.SeqRPCsStream, r.SeqMBpsStream, r.RandRPCsStream, r.WriteRPCsStream, r.WriteMBpsStream)

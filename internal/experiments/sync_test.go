@@ -7,15 +7,19 @@ import (
 
 // TestSyncDeltaUnderTenPercent is the anti-entropy acceptance bar: touching
 // one file in a 100-file replicated subtree must refresh the replica for
-// less than 10% of the bytes a full-tree re-push moves.
+// less than 10% of the tree's content bytes — what any full re-push would
+// have to move before framing.
 func TestSyncDeltaUnderTenPercent(t *testing.T) {
 	opts := DefaultSyncOptions()
 	res, err := RunSync(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FullBytes == 0 || res.DeltaBytes == 0 {
-		t.Fatalf("arm moved no bytes: full=%d delta=%d", res.FullBytes, res.DeltaBytes)
+	if want := uint64(opts.Files * opts.FileSize); res.FullBytes != want {
+		t.Fatalf("full_bytes = %d, want files x file_size = %d", res.FullBytes, want)
+	}
+	if res.DeltaBytes == 0 {
+		t.Fatal("the refresh moved no bytes")
 	}
 	if res.DeltaBytes*10 >= res.FullBytes {
 		t.Fatalf("delta sync moved %d bytes, >= 10%% of the %d-byte full push (%.1f%%)",
@@ -28,12 +32,12 @@ func TestSyncDeltaUnderTenPercent(t *testing.T) {
 		t.Fatalf("delta sync skipped %d files, want >= %d", res.FilesSkipped, opts.Files-1)
 	}
 	var sb strings.Builder
-	res.Fprint(&sb, opts)
+	res.Fprint(&sb)
 	if !strings.Contains(sb.String(), "merkle delta") {
 		t.Fatal("printout missing delta row")
 	}
 	var jb strings.Builder
-	if err := res.FprintJSON(&jb); err != nil {
+	if err := FprintJSON(&jb, res); err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []string{"full_bytes", "delta_bytes", "delta_pct"} {

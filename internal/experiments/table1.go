@@ -42,19 +42,29 @@ func DefaultTable1Options() Table1Options {
 	}
 }
 
+// QuickTable1Options is the -quick shrink: the tiny MAB tree, two seeds.
+func QuickTable1Options() Table1Options {
+	o := DefaultTable1Options()
+	o.Workload = mab.Tiny()
+	o.Runs = 2
+	return o
+}
+
 // Table1Cell is one (phase, configuration) measurement.
 type Table1Cell struct {
-	Seconds  float64
-	Overhead float64 // percent vs the NFS baseline; NaN for the baseline
+	Seconds  float64 `json:"seconds"`
+	Overhead float64 `json:"overhead_pct"` // percent vs the NFS baseline; NaN for the baseline
 }
 
 // Table1Result carries the full table.
 type Table1Result struct {
-	Phases     []mab.Phase
-	NFS        map[mab.Phase]float64 // baseline seconds per phase
-	NFSTotal   float64
-	Kosha      map[int]map[mab.Phase]Table1Cell // node count -> phase -> cell
-	KoshaTotal map[int]Table1Cell
+	Phases     []mab.Phase                      `json:"phases"`
+	NFS        map[mab.Phase]float64            `json:"nfs"` // baseline seconds per phase
+	NFSTotal   float64                          `json:"nfs_total"`
+	Kosha      map[int]map[mab.Phase]Table1Cell `json:"kosha"` // node count -> phase -> cell
+	KoshaTotal map[int]Table1Cell               `json:"kosha_total"`
+
+	opts Table1Options // what the run used; the renderers read their headers from it
 }
 
 // koshaCfg is the Table 1/2 node configuration: replication factor 1,
@@ -73,6 +83,7 @@ func koshaCfg() core.Config {
 // RunTable1 executes the Table 1 experiment.
 func RunTable1(opts Table1Options) (*Table1Result, error) {
 	res := &Table1Result{
+		opts:       opts,
 		Phases:     mab.Phases,
 		NFS:        make(map[mab.Phase]float64),
 		Kosha:      make(map[int]map[mab.Phase]Table1Cell),
@@ -132,23 +143,23 @@ func RunTable1(opts Table1Options) (*Table1Result, error) {
 }
 
 // Fprint renders the table in the paper's row layout.
-func (r *Table1Result) Fprint(w io.Writer, opts Table1Options) {
+func (r *Table1Result) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Table 1: MAB on Kosha with increasing number of nodes (simulated seconds)\n")
 	fmt.Fprintf(w, "%-10s %10s", "Benchmark", "NFS")
-	for _, n := range opts.NodeCounts {
+	for _, n := range r.opts.NodeCounts {
 		fmt.Fprintf(w, " %9s-%d%6s", "Kosha", n, "ovhd")
 	}
 	fmt.Fprintln(w)
 	for _, p := range r.Phases {
 		fmt.Fprintf(w, "%-10s %10.2f", p, r.NFS[p])
-		for _, n := range opts.NodeCounts {
+		for _, n := range r.opts.NodeCounts {
 			c := r.Kosha[n][p]
 			fmt.Fprintf(w, " %11.2f %5.1f%%", c.Seconds, c.Overhead)
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "%-10s %10.2f", "Total", r.NFSTotal)
-	for _, n := range opts.NodeCounts {
+	for _, n := range r.opts.NodeCounts {
 		c := r.KoshaTotal[n]
 		fmt.Fprintf(w, " %11.2f %5.1f%%", c.Seconds, c.Overhead)
 	}

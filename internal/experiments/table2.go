@@ -29,18 +29,29 @@ func DefaultTable2Options() Table2Options {
 	}
 }
 
+// QuickTable2Options is the -quick shrink: the tiny MAB tree, two seeds.
+func QuickTable2Options() Table2Options {
+	o := DefaultTable2Options()
+	o.Workload = mab.Tiny()
+	o.Runs = 2
+	return o
+}
+
 // Table2Result carries per-level, per-phase times and the overhead of each
 // level relative to level 1.
 type Table2Result struct {
-	Phases   []mab.Phase
-	Seconds  map[int]map[mab.Phase]float64 // level -> phase -> seconds
-	Totals   map[int]float64
-	Overhead map[int]float64 // percent vs level 1 (level 1 -> 0)
+	Phases   []mab.Phase                   `json:"phases"`
+	Seconds  map[int]map[mab.Phase]float64 `json:"seconds"` // level -> phase -> seconds
+	Totals   map[int]float64               `json:"totals"`
+	Overhead map[int]float64               `json:"overhead_pct"` // percent vs level 1 (level 1 -> 0)
+
+	opts Table2Options // what the run used; the renderers read their headers from it
 }
 
 // RunTable2 executes the Table 2 experiment.
 func RunTable2(opts Table2Options) (*Table2Result, error) {
 	res := &Table2Result{
+		opts:     opts,
 		Phases:   mab.Phases,
 		Seconds:  make(map[int]map[mab.Phase]float64),
 		Totals:   make(map[int]float64),
@@ -87,27 +98,27 @@ func RunTable2(opts Table2Options) (*Table2Result, error) {
 }
 
 // Fprint renders the table in the paper's row layout.
-func (r *Table2Result) Fprint(w io.Writer, opts Table2Options) {
-	fmt.Fprintf(w, "Table 2: MAB on Kosha as the distribution level increases (%d nodes, simulated seconds)\n", opts.Nodes)
+func (r *Table2Result) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "Table 2: MAB on Kosha as the distribution level increases (%d nodes, simulated seconds)\n", r.opts.Nodes)
 	fmt.Fprintf(w, "%-10s", "Benchmark")
-	for _, l := range opts.Levels {
+	for _, l := range r.opts.Levels {
 		fmt.Fprintf(w, " %10s", fmt.Sprintf("Dist-lvl %d", l))
 	}
 	fmt.Fprintln(w)
 	for _, p := range r.Phases {
 		fmt.Fprintf(w, "%-10s", p)
-		for _, l := range opts.Levels {
+		for _, l := range r.opts.Levels {
 			fmt.Fprintf(w, " %10.2f", r.Seconds[l][p])
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "%-10s", "Total")
-	for _, l := range opts.Levels {
+	for _, l := range r.opts.Levels {
 		fmt.Fprintf(w, " %10.2f", r.Totals[l])
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-10s", "overhead")
-	for _, l := range opts.Levels {
+	for _, l := range r.opts.Levels {
 		fmt.Fprintf(w, " %9.1f%%", r.Overhead[l])
 	}
 	fmt.Fprintln(w)

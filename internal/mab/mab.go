@@ -30,6 +30,10 @@ const (
 // Phases lists all phases in execution order.
 var Phases = []Phase{PhaseMkdir, PhaseCopy, PhaseStat, PhaseGrep, PhaseCompile}
 
+// MarshalText spells a phase by name wherever it is encoded as text (the
+// keys and values of koshabench's JSON tables).
+func (p Phase) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
 func (p Phase) String() string {
 	switch p {
 	case PhaseMkdir:

@@ -1,13 +1,9 @@
 package repl
 
 import (
-	"errors"
 	"path"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cas"
 	"repro/internal/id"
@@ -56,8 +52,6 @@ type Peer interface {
 	DirDigests(tc obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error)
 	// LookupPath resolves a physical path on a remote store.
 	LookupPath(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Handle, localfs.Attr, simnet.Cost, error)
-	// ReadDir lists a remote directory.
-	ReadDir(tc obs.TraceContext, to simnet.Addr, fh nfs.Handle) ([]nfs.DirEntry, simnet.Cost, error)
 	// ReadStream reads up to chunks consecutive chunk-byte pieces of a
 	// remote file in one round trip, reporting EOF — the pipelined window
 	// transfer tree fetches are built from.
@@ -92,13 +86,6 @@ type Options struct {
 	// records server spans on the peers it touches. Nil disables (all engine
 	// RPCs then carry the zero context).
 	Tracer *obs.Tracer
-	// FullPush disables the Merkle delta protocol and restores the legacy
-	// remove-and-recopy push. Kept for the sync experiment's baseline arm.
-	FullPush bool
-	// WholeFile disables block-level manifest negotiation: changed files are
-	// shipped and fetched whole (the pre-chunk-store behavior). Kept for the
-	// dedup experiment's baseline arm; implied by FullPush.
-	WholeFile bool
 }
 
 // Engine tracks the replicated hierarchies this node holds and re-establishes
@@ -106,19 +93,17 @@ type Options struct {
 // methods are safe for concurrent use; Sync is additionally self-excluding
 // (overlapping calls collapse to one).
 type Engine struct {
-	self      simnet.Addr
-	store     localfs.FileSystem
-	ov        Overlay
-	peer      Peer
-	replicas  int
-	key       func(pn string) id.ID
-	events    *obs.EventLog
-	reg       *obs.Registry
-	tracer    *obs.Tracer
-	mk        *merkle.Cache // subtree digests over store, mutation-invalidated
-	cas       *cas.Store    // block index the merkle cache keeps in lockstep
-	fullPush  bool
-	wholeFile bool
+	self     simnet.Addr
+	store    localfs.FileSystem
+	ov       Overlay
+	peer     Peer
+	replicas int
+	key      func(pn string) id.ID
+	events   *obs.EventLog
+	reg      *obs.Registry
+	tracer   *obs.Tracer
+	mk       *merkle.Cache // subtree digests over store, mutation-invalidated
+	cas      *cas.Store    // block index the merkle cache keeps in lockstep
 
 	// Sync-traffic counters: payload bytes shipped, files sent vs skipped
 	// by digest match, and whole-tree digest exchanges that hit vs missed.
@@ -163,8 +148,6 @@ func New(o Options) *Engine {
 		tracer:        o.Tracer,
 		mk:            merkle.NewCacheWithStore(o.Store, blocks),
 		cas:           blocks,
-		fullPush:      o.FullPush,
-		wholeFile:     o.WholeFile || o.FullPush,
 		syncBytes:     o.Registry.Counter("repl.sync.bytes"),
 		syncSent:      o.Registry.Counter("repl.sync.files.sent"),
 		syncSkipped:   o.Registry.Counter("repl.sync.files.skipped"),
@@ -408,26 +391,35 @@ func (e *Engine) PromoteLocal(t Track) bool {
 	if _, err := e.store.LookupPath(target); err == nil {
 		return false
 	}
-	src := RepPath(target)
+	if !e.moveTree(RepPath(target), target) {
+		return false
+	}
+	e.Track(t, FSOp{Kind: FSMkdirAll, Path: t.Root})
+	return true
+}
+
+// moveTree renames the subtree or link at src to dst, creating dst's parent
+// directories and pruning the scaffolding src leaves empty. It reports
+// whether the move happened; false when src does not exist.
+func (e *Engine) moveTree(src, dst string) bool {
 	if _, err := e.store.LookupPath(src); err != nil {
 		return false
 	}
-	if _, err := e.store.MkdirAll(path.Dir(target)); err != nil {
+	if _, err := e.store.MkdirAll(path.Dir(dst)); err != nil {
 		return false
 	}
 	spar, err := e.store.LookupPath(path.Dir(src))
 	if err != nil {
 		return false
 	}
-	dpar, err := e.store.LookupPath(path.Dir(target))
+	dpar, err := e.store.LookupPath(path.Dir(dst))
 	if err != nil {
 		return false
 	}
-	if _, err := e.store.Rename(spar.Ino, path.Base(src), dpar.Ino, path.Base(target)); err != nil {
+	if _, err := e.store.Rename(spar.Ino, path.Base(src), dpar.Ino, path.Base(dst)); err != nil {
 		return false
 	}
 	e.PruneUp(path.Dir(src))
-	e.Track(t, FSOp{Kind: FSMkdirAll, Path: t.Root})
 	return true
 }
 
@@ -447,1226 +439,6 @@ func (e *Engine) DemoteLocal(t Track) {
 	if _, err := e.store.LookupPath(target); err != nil {
 		return
 	}
-	dst := RepPath(target)
-	e.store.RemoveAll(dst)
-	if _, err := e.store.MkdirAll(path.Dir(dst)); err != nil {
-		return
-	}
-	spar, err := e.store.LookupPath(path.Dir(target))
-	if err != nil {
-		return
-	}
-	dpar, err := e.store.LookupPath(path.Dir(dst))
-	if err != nil {
-		return
-	}
-	if _, err := e.store.Rename(spar.Ino, path.Base(target), dpar.Ino, path.Base(dst)); err != nil {
-		return
-	}
-	e.PruneUp(path.Dir(target))
-}
-
-// Sync re-establishes the replication invariant for every subtree and
-// level-1 link this node tracks: if this node is the primary it pushes to
-// its current K leaf-set neighbors; if ownership moved (a closer node
-// joined) it migrates the subtree to the new primary, keeping its own copy
-// as a replica (Section 4.3.1). Returns the simulated cost.
-func (e *Engine) Sync() (total simnet.Cost) {
-	if !e.syncing.CompareAndSwap(false, true) {
-		return 0
-	}
-	defer e.syncing.Store(false)
-	e.events.Add(obs.EvResync, string(e.self), "")
-	// Each sync run is its own traced operation: the remote side of every
-	// stat/digest/mirror below records a span under this trace id.
-	str := e.tracer.Start(obs.OpResync, "/", string(e.self))
-	tc := str.Ctx()
-	defer func() {
-		e.reg.Observe("op."+obs.OpResync, time.Duration(total))
-		e.tracer.Finish(str, time.Duration(total), nil)
-	}()
-	// Snapshot in sorted order: map iteration order would otherwise vary the
-	// RPC sequence between runs, breaking seed-exact replay of fault
-	// schedules (the chaos harness's determinism contract).
-	type trackedRoot struct {
-		root string
-		meta Track
-	}
-	e.mu.Lock()
-	roots := make([]trackedRoot, 0, len(e.tracked))
-	for r, t := range e.tracked {
-		roots = append(roots, trackedRoot{r, t})
-	}
-	links := make([]Track, 0, len(e.trackedLinks))
-	linkKeys := make([]string, 0, len(e.trackedLinks))
-	for p := range e.trackedLinks {
-		linkKeys = append(linkKeys, p)
-	}
-	sort.Strings(linkKeys)
-	for _, p := range linkKeys {
-		links = append(links, e.trackedLinks[p])
-	}
-	e.mu.Unlock()
-	sort.Slice(roots, func(i, j int) bool { return roots[i].root < roots[j].root })
-
-	for _, tr := range roots {
-		root, meta := tr.root, tr.meta
-		key := e.key(meta.PN)
-		t := Track{PN: meta.PN, Root: root, Ver: meta.Ver, Dead: meta.Dead}
-		if isRoot, c := e.ov.EnsureRootFor(key); isRoot {
-			total = simnet.Seq(total, c)
-			if meta.Dead {
-				// Propagate the deletion to any replica still holding a
-				// copy older than the tombstone. The replicas are
-				// independent peers, so the fan-out cost is the slowest
-				// branch, not the sum.
-				var fan []simnet.Cost
-				for _, rep := range e.ov.ReplicaCandidates(e.replicas) {
-					st, c, err := e.peer.StatTree(tc, rep.Addr, RepPath(root))
-					if err != nil || (!st.Exists && st.Ver >= t.Ver) {
-						fan = append(fan, c)
-						continue
-					}
-					mc, _ := e.peer.Mirror(tc, rep.Addr, t, FSOp{Kind: FSRemoveAll, Path: root}, false)
-					fan = append(fan, simnet.Seq(c, mc))
-				}
-				total = simnet.Seq(total, simnet.Par(fan...))
-				continue
-			}
-			// Surface any replica-area copy; if a replica holds a newer
-			// version or a newer deletion, adopt it before refreshing.
-			ac, _ := e.AdoptRoot(tc, t)
-			total = simnet.Seq(total, ac)
-			t.Ver = e.VerOf(root)
-			if e.IsDead(root) {
-				continue
-			}
-			var fan []simnet.Cost
-			for _, rep := range e.ov.ReplicaCandidates(e.replicas) {
-				c, _ := e.ensureTree(tc, rep.Addr, t, false)
-				fan = append(fan, c)
-			}
-			total = simnet.Seq(total, simnet.Par(fan...))
-			continue
-		} else {
-			total = simnet.Seq(total, c)
-		}
-		res, err := e.ov.Route(key)
-		total = simnet.Seq(total, res.Cost)
-		if err != nil || res.Node.Addr == e.self {
-			continue
-		}
-		if meta.Dead {
-			// Tell the new owner about the deletion unless it already
-			// knows a state at least as new.
-			st, c, err := e.peer.StatTree(tc, res.Node.Addr, root)
-			total = simnet.Seq(total, c)
-			if err == nil && st.Ver < t.Ver {
-				c, _ = e.peer.Mirror(tc, res.Node.Addr, t, FSOp{Kind: FSRemoveAll, Path: root, Prune: true}, true)
-				total = simnet.Seq(total, c)
-			}
-			continue
-		}
-		// Someone else owns the key now: migrate the subtree to them; our
-		// copy stays behind as one of the replicas (Section 4.3.1), parked
-		// back in the replica area.
-		c, err := e.ensureTree(tc, res.Node.Addr, t, true)
-		total = simnet.Seq(total, c)
-		if err == nil {
-			e.DemoteLocal(t)
-		}
-	}
-
-	for _, t := range links {
-		src, ok := e.LocalTreePath(t.Link)
-		if !ok {
-			continue
-		}
-		linkAttr, err := e.store.LookupPath(src)
-		if err != nil {
-			continue
-		}
-		tgt, _, err := e.store.Readlink(linkAttr.Ino)
-		if err != nil {
-			continue
-		}
-		op := FSOp{Kind: FSSymlink, Path: t.Link, Target: tgt}
-		key := e.key(t.PN)
-		if isRoot, c := e.ov.EnsureRootFor(key); isRoot {
-			total = simnet.Seq(total, c)
-			e.PromoteLocal(t)
-			var fan []simnet.Cost
-			for _, rep := range e.ov.ReplicaCandidates(e.replicas) {
-				c, _ := e.peer.Mirror(tc, rep.Addr, t, op, false)
-				fan = append(fan, c)
-			}
-			total = simnet.Seq(total, simnet.Par(fan...))
-			continue
-		} else {
-			total = simnet.Seq(total, c)
-		}
-		res, err := e.ov.Route(key)
-		total = simnet.Seq(total, res.Cost)
-		if err != nil || res.Node.Addr == e.self {
-			continue
-		}
-		c, merr := e.peer.Mirror(tc, res.Node.Addr, t, op, false)
-		total = simnet.Seq(total, c)
-		_, c, perr := e.peer.Promote(tc, res.Node.Addr, t)
-		total = simnet.Seq(total, c)
-		if merr == nil && perr == nil {
-			e.DemoteLocal(t)
-		}
-	}
-	return total
-}
-
-// ensureTree makes target hold an up-to-date replica-area copy of the
-// local subtree. Root digests are exchanged first; a match means the
-// remote copy is byte-identical and nothing moves. On a mismatch the delta
-// walk descends only into differing directories and ships only changed
-// files and deletions, under the MIGRATION_NOT_COMPLETE flag protocol
-// (Section 4.4). When promote is set (the target is the new primary after
-// an ownership change) the pushed copy lands at the primary path.
-func (e *Engine) ensureTree(tc obs.TraceContext, target simnet.Addr, t Track, promote bool) (simnet.Cost, error) {
-	src, ok := e.LocalTreePath(t.Root)
-	if !ok {
-		return 0, nil
-	}
-	localDigest, lerr := e.mk.DigestOf(src)
-	if promote {
-		// Migration to the key's new primary. Versions arbitrate: a
-		// settled remote copy at least as new as ours wins; otherwise we
-		// surface the remote's replica-area copy if that is new enough, or
-		// push ours (§4.3.1, with the §4.4 flag protocol inside the push).
-		remote, cost, err := e.peer.DigestTree(tc, target, t.Root)
-		if err != nil {
-			return cost, err
-		}
-		if remote.Exists && !remote.Flag && remote.Ver >= t.Ver {
-			return cost, nil
-		}
-		if !remote.Exists && remote.Ver > t.Ver {
-			// The target knows a strictly newer state and holds no data:
-			// that is a deletion tombstone. Pushing our older copy would
-			// resurrect the hierarchy; leave it and let the tombstone
-			// propagate back to us through the normal sync path.
-			return cost, nil
-		}
-		repRemote, c, err := e.peer.DigestTree(tc, target, RepPath(t.Root))
-		cost = simnet.Seq(cost, c)
-		if err != nil {
-			return cost, err
-		}
-		if repRemote.Exists && !repRemote.Flag && repRemote.Ver >= t.Ver && !remote.Exists {
-			_, c, err := e.peer.Promote(tc, target, t)
-			return simnet.Seq(cost, c), err
-		}
-		c, err = e.deltaPush(tc, target, t, src, true, remote)
-		return simnet.Seq(cost, c), err
-	}
-
-	// Primary -> replica refresh: the primary's copy is authoritative for
-	// its version; a replica whose root digest already matches holds a
-	// byte-identical copy and is left alone (at most re-stamped).
-	remote, cost, err := e.peer.DigestTree(tc, target, RepPath(t.Root))
-	if err != nil {
-		return cost, err
-	}
-	if lerr == nil && remote.Exists && !remote.Flag && remote.Root == localDigest {
-		e.digestHits.Add(1)
-		if remote.Ver != t.Ver {
-			// Content matches but the replica's recorded version lags (e.g.
-			// it missed the mirrors but obtained the bytes elsewhere). One
-			// metadata-only op re-stamps it without moving data.
-			c, err := e.peer.Mirror(tc, target, t, FSOp{Kind: FSMkdirAll, Path: t.Root}, false)
-			return simnet.Seq(cost, c), err
-		}
-		return cost, nil
-	}
-	e.digestMisses.Add(1)
-	c, err := e.deltaPush(tc, target, t, src, false, remote)
-	return simnet.Seq(cost, c), err
-}
-
-// PushChunk bounds the payload of a single mirrored write, matching
-// fetchTree's read granularity, so arbitrarily large files sync with
-// bounded memory on both ends. The client-side streaming data path shares
-// this chunk size (core.Config.StreamChunk defaults to it).
-const PushChunk = 1 << 20
-
-// FetchWindow is how many PushChunk pieces a pull-repair tree fetch keeps
-// in flight per ReadStream round trip.
-const FetchWindow = 4
-
-// deltaPush brings target's copy of the subtree (remote, already digested)
-// up to date with the local copy at src, shipping only changed files and
-// deletions. The migration flag is written at the hierarchy root first and
-// removed only after the walk completes (Section 4.4); the tree underneath
-// is edited in place, never removed wholesale, so the remote copy stays
-// readable throughout.
-func (e *Engine) deltaPush(tc obs.TraceContext, target simnet.Addr, t Track, src string, primary bool, remote TreeDigest) (simnet.Cost, error) {
-	if e.fullPush {
-		return e.pushTree(tc, target, t, src, primary)
-	}
-	var total simnet.Cost
-	flag := path.Join(t.Root, MigrationFlag)
-
-	add := func(c simnet.Cost) { total = simnet.Seq(total, c) }
-	step := func(op FSOp) error {
-		c, err := e.peer.Mirror(tc, target, t, op, primary)
-		add(c)
-		return err
-	}
-
-	if !remote.Exists {
-		if err := step(FSOp{Kind: FSMkdirAll, Path: t.Root}); err != nil {
-			return total, err
-		}
-	}
-	if err := step(FSOp{Kind: FSWriteFile, Path: flag}); err != nil {
-		return total, err
-	}
-	if err := e.syncDir(tc, target, t, src, t.Root, primary, step, add); err != nil {
-		return total, err
-	}
-	err := step(FSOp{Kind: FSRemove, Path: flag})
-	return total, err
-}
-
-// syncDir reconciles one directory level: it fetches the remote children's
-// digests, ships entries whose digest differs (recursing into mismatching
-// directories), skips matching subtrees entirely, and deletes remote-only
-// entries. localDir is the local source directory, destDir the matching
-// primary-relative destination (Mirror translates to the replica area when
-// primary is false).
-func (e *Engine) syncDir(tc obs.TraceContext, target simnet.Addr, t Track, localDir, destDir string, primary bool, step func(FSOp) error, add func(simnet.Cost)) error {
-	queryDir := destDir
-	if !primary {
-		queryDir = RepPath(destDir)
-	}
-	remoteEnts, ok, c, err := e.peer.DirDigests(tc, target, queryDir)
-	add(c)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		// Remote side missing or not a directory: (re)create it empty and
-		// treat it as having no children. If that clobbered the hierarchy
-		// root, re-arm the migration sentinel before copying underneath it.
-		if err := step(FSOp{Kind: FSRemoveAll, Path: destDir}); err != nil {
-			return err
-		}
-		if err := step(FSOp{Kind: FSMkdirAll, Path: destDir}); err != nil {
-			return err
-		}
-		if destDir == t.Root {
-			if err := step(FSOp{Kind: FSWriteFile, Path: path.Join(t.Root, MigrationFlag)}); err != nil {
-				return err
-			}
-		}
-		remoteEnts = nil
-	}
-	remote := make(map[string]merkle.Entry, len(remoteEnts))
-	for _, ent := range remoteEnts {
-		remote[ent.Name] = ent
-	}
-	// The root-level migration flag is protocol state, not content: never
-	// shipped, never deleted mid-sync (deltaPush removes it at the end).
-	if destDir == t.Root {
-		delete(remote, MigrationFlag)
-	}
-
-	locals, ok, err := e.mk.Entries(localDir)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	for _, ent := range locals {
-		if destDir == t.Root && ent.Name == MigrationFlag {
-			continue
-		}
-		lsrc := joinChild(localDir, ent.Name)
-		ldst := joinChild(destDir, ent.Name)
-		rem, exists := remote[ent.Name]
-		delete(remote, ent.Name)
-		if exists && rem.Type == ent.Type && rem.Digest == ent.Digest {
-			e.digestHits.Add(1)
-			e.syncSkipped.Add(uint64(e.countFiles(lsrc, ent.Type)))
-			continue
-		}
-		if exists {
-			e.digestMisses.Add(1)
-		}
-		switch ent.Type {
-		case localfs.TypeDir:
-			if exists && rem.Type != localfs.TypeDir {
-				if err := step(FSOp{Kind: FSRemoveAll, Path: ldst}); err != nil {
-					return err
-				}
-			}
-			if !exists || rem.Type != localfs.TypeDir {
-				if err := step(FSOp{Kind: FSMkdirAll, Path: ldst}); err != nil {
-					return err
-				}
-			}
-			if err := e.syncDir(tc, target, t, lsrc, ldst, primary, step, add); err != nil {
-				return err
-			}
-		case localfs.TypeSymlink:
-			attr, err := e.store.LookupPath(lsrc)
-			if err != nil {
-				return err
-			}
-			symTarget, _, err := e.store.Readlink(attr.Ino)
-			if err != nil {
-				return err
-			}
-			if exists {
-				if err := step(FSOp{Kind: FSRemoveAll, Path: ldst}); err != nil {
-					return err
-				}
-			}
-			if err := step(FSOp{Kind: FSSymlink, Path: ldst, Target: symTarget}); err != nil {
-				return err
-			}
-		default:
-			if exists && rem.Type != localfs.TypeRegular {
-				if err := step(FSOp{Kind: FSRemoveAll, Path: ldst}); err != nil {
-					return err
-				}
-			}
-			if err := e.sendFile(tc, target, lsrc, ldst, primary, step, add); err != nil {
-				return err
-			}
-		}
-	}
-	// Whatever remains on the remote side has no local counterpart: delete,
-	// in sorted order so the RPC sequence is deterministic for seed replay.
-	staleNames := make([]string, 0, len(remote))
-	for name := range remote {
-		staleNames = append(staleNames, name)
-	}
-	sort.Strings(staleNames)
-	for _, name := range staleNames {
-		if err := step(FSOp{Kind: FSRemoveAll, Path: joinChild(destDir, name)}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sendFile ships one regular file whose digest mismatched. On the normal
-// path it negotiates at the block level: the local manifest's hashes are
-// offered as a WANT list, the receiver answers which blocks its
-// content-addressed index already holds (indexing its stale copy of this
-// very file in the process), and only the missing chunks travel inline —
-// a 1-changed-chunk file ships ~one chunk. Behind Options.WholeFile the
-// legacy whole-file streaming is used instead.
-func (e *Engine) sendFile(tc obs.TraceContext, target simnet.Addr, lsrc, ldst string, primary bool, step func(FSOp) error, add func(simnet.Cost)) error {
-	if e.wholeFile {
-		return e.sendFileWhole(lsrc, ldst, step)
-	}
-	attr, err := e.store.LookupPath(lsrc)
-	if err != nil {
-		return err
-	}
-	man, err := e.mk.ManifestOf(lsrc)
-	if err != nil {
-		return err
-	}
-	queryPath := ldst
-	if !primary {
-		queryPath = RepPath(ldst)
-	}
-	_, exists, have, c, err := e.peer.ChunkManifest(tc, target, queryPath, man.Hashes())
-	add(c)
-	if err != nil {
-		// Negotiation is an optimization, not a dependency: fall back to the
-		// verbatim stream (which will surface a real transport failure too).
-		return e.sendFileWhole(lsrc, ldst, step)
-	}
-	if !exists {
-		if err := step(FSOp{Kind: FSCreate, Path: ldst, Mode: attr.Mode}); err != nil {
-			return err
-		}
-	}
-
-	// Walk the manifest accumulating contiguous spans of chunks; each span
-	// becomes one FSChunkWrite whose inline payload is bounded by PushChunk
-	// and whose covered range is bounded by spanBytes, so memory stays
-	// bounded on both ends regardless of file size.
-	const spanBytes = 4 << 20
-	var (
-		refs      []ChunkRef
-		data      []byte
-		spanStart int64
-		spanLen   int64
-		off       int64
-	)
-	flush := func() error {
-		if len(refs) == 0 {
-			return nil
-		}
-		op := FSOp{Kind: FSChunkWrite, Path: ldst, Offset: spanStart, Chunks: refs, Data: data}
-		if err := step(op); err != nil {
-			// The receiver could not resolve a reference it promised (its
-			// copy mutated between negotiation and apply): re-ship the span
-			// verbatim. A transport failure fails the retry as well.
-			raw, rerr := e.readRange(attr.Ino, spanStart, spanLen)
-			if rerr != nil {
-				return err
-			}
-			if err := step(FSOp{Kind: FSWrite, Path: ldst, Offset: spanStart, Data: raw}); err != nil {
-				return err
-			}
-			e.syncBytes.Add(uint64(len(raw)))
-		} else {
-			e.syncBytes.Add(uint64(len(data)))
-		}
-		refs, data = nil, nil
-		spanStart, spanLen = off, 0
-		return nil
-	}
-	for i, ch := range man {
-		inline := i >= len(have) || !have[i]
-		if inline {
-			b, err := e.readRange(attr.Ino, off, int64(ch.Len))
-			if err != nil {
-				return err
-			}
-			if len(data)+len(b) > PushChunk {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-			data = append(data, b...)
-		} else if spanLen >= spanBytes {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		refs = append(refs, ChunkRef{Hash: ch.Hash, Len: ch.Len, Inline: inline})
-		off += int64(ch.Len)
-		spanLen += int64(ch.Len)
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	if exists {
-		// The old remote file may extend past the new content: truncate.
-		size := man.TotalLen()
-		if err := step(FSOp{Kind: FSSetattr, Path: ldst, SetAttr: localfs.SetAttr{Size: &size}}); err != nil {
-			return err
-		}
-	}
-	e.syncSent.Add(1)
-	return nil
-}
-
-// readRange reads exactly [off, off+n) of a local file.
-func (e *Engine) readRange(ino uint64, off, n int64) ([]byte, error) {
-	buf := make([]byte, 0, n)
-	for int64(len(buf)) < n {
-		data, eof, _, err := e.store.Read(ino, off+int64(len(buf)), int(n-int64(len(buf))))
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, data...)
-		if eof || len(data) == 0 {
-			break
-		}
-	}
-	if int64(len(buf)) != n {
-		return nil, errors.New("repl: short local read")
-	}
-	return buf, nil
-}
-
-// sendFileWhole ships one regular file verbatim in PushChunk-sized pieces:
-// a truncating create, then sequential writes. The WholeFile baseline and
-// the fallback when block negotiation fails.
-func (e *Engine) sendFileWhole(lsrc, ldst string, step func(FSOp) error) error {
-	attr, err := e.store.LookupPath(lsrc)
-	if err != nil {
-		return err
-	}
-	if err := step(FSOp{Kind: FSCreate, Path: ldst, Mode: attr.Mode}); err != nil {
-		return err
-	}
-	for off := int64(0); ; {
-		data, eof, _, err := e.store.Read(attr.Ino, off, PushChunk)
-		if err != nil {
-			return err
-		}
-		if len(data) > 0 {
-			if err := step(FSOp{Kind: FSWrite, Path: ldst, Offset: off, Data: data}); err != nil {
-				return err
-			}
-			e.syncBytes.Add(uint64(len(data)))
-			off += int64(len(data))
-		}
-		if eof || len(data) == 0 {
-			break
-		}
-	}
-	e.syncSent.Add(1)
-	return nil
-}
-
-// countFiles returns the number of regular files under a matched local
-// entry, for the files-skipped counter (a local walk only; no traffic).
-func (e *Engine) countFiles(p string, typ localfs.FileType) int {
-	if typ == localfs.TypeRegular {
-		return 1
-	}
-	if typ != localfs.TypeDir {
-		return 0
-	}
-	n := 0
-	e.store.Walk(p, func(_ string, a localfs.Attr, _ string) error {
-		if a.Type == localfs.TypeRegular {
-			n++
-		}
-		return nil
-	})
-	return n
-}
-
-func joinChild(dir, name string) string {
-	if dir == "/" {
-		return "/" + name
-	}
-	return dir + "/" + name
-}
-
-// pushTree copies the local subtree at src to target wholesale: remove,
-// recreate, re-ship every entry under the migration flag (Section 4.4).
-// This is the legacy full push, retained behind Options.FullPush as the
-// sync experiment's baseline; deltaPush replaces it on the normal path.
-func (e *Engine) pushTree(tc obs.TraceContext, target simnet.Addr, t Track, src string, primary bool) (simnet.Cost, error) {
-	var total simnet.Cost
-	flag := path.Join(t.Root, MigrationFlag)
-
-	step := func(op FSOp) error {
-		c, err := e.peer.Mirror(tc, target, t, op, primary)
-		total = simnet.Seq(total, c)
-		return err
-	}
-
-	if err := step(FSOp{Kind: FSRemoveAll, Path: t.Root}); err != nil {
-		return total, err
-	}
-	if err := step(FSOp{Kind: FSMkdirAll, Path: t.Root}); err != nil {
-		return total, err
-	}
-	if err := step(FSOp{Kind: FSWriteFile, Path: flag}); err != nil {
-		return total, err
-	}
-	werr := e.store.Walk(src, func(p string, a localfs.Attr, symTarget string) error {
-		dst := t.Root + p[len(src):] // translate source prefix to dest root
-		if dst == t.Root || dst == flag {
-			return nil
-		}
-		switch a.Type {
-		case localfs.TypeDir:
-			return step(FSOp{Kind: FSMkdirAll, Path: dst})
-		case localfs.TypeSymlink:
-			return step(FSOp{Kind: FSSymlink, Path: dst, Target: symTarget})
-		default:
-			return e.sendFileWhole(p, dst, step)
-		}
-	})
-	if werr != nil {
-		return total, werr
-	}
-	err := step(FSOp{Kind: FSRemove, Path: flag})
-	return total, err
-}
-
-// fetchTree pulls a remote replica-area copy of a subtree into this node's
-// primary namespace, adopting the remote's version. Used when a freshly
-// promoted primary discovers a replica holding a newer copy than the one it
-// surfaced. On the normal path this is a block-level delta pull: the local
-// (promoted, stale) copy is kept as a chunk source, directory digests skip
-// identical subtrees, and each mismatching file is rebuilt from its remote
-// manifest, fetching only the blocks no local file holds — in parallel from
-// every settled holder in holders plus from itself. Behind
-// Options.WholeFile the legacy remove-and-recopy walk runs instead.
-func (e *Engine) fetchTree(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, t Track, remoteVer uint64) (simnet.Cost, error) {
-	var total simnet.Cost
-	src := RepPath(t.Root)
-	if e.wholeFile {
-		if err := e.store.RemoveAll(t.Root); err != nil {
-			return total, err
-		}
-		if _, err := e.store.MkdirAll(t.Root); err != nil {
-			return total, err
-		}
-		if err := e.fetchTreeWhole(tc, from, src, t.Root, &total); err != nil {
-			return total, err
-		}
-	} else {
-		if _, err := e.store.MkdirAll(t.Root); err != nil {
-			return total, err
-		}
-		if err := e.pullDir(tc, from, holders, src, t.Root, src, &total); err != nil {
-			return total, err
-		}
-	}
-	adopted := t
-	adopted.Ver = remoteVer
-	e.Track(adopted, FSOp{Kind: FSMkdirAll, Path: t.Root})
-	return total, nil
-}
-
-// pullDir reconciles one local directory against its remote counterpart
-// during a delta pull: matching child digests are skipped wholesale,
-// mismatching files are rebuilt block-wise, and local-only entries are
-// deleted. flagDir is the remote hierarchy root, where the migration
-// sentinel is protocol state rather than content.
-func (e *Engine) pullDir(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, remoteDir, localDir, flagDir string, total *simnet.Cost) error {
-	remoteEnts, ok, c, err := e.peer.DirDigests(tc, from, remoteDir)
-	*total = simnet.Seq(*total, c)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	locals := make(map[string]merkle.Entry)
-	if ents, lok, err := e.mk.Entries(localDir); err == nil && lok {
-		for _, ent := range ents {
-			locals[ent.Name] = ent
-		}
-	}
-	for _, ent := range remoteEnts {
-		if remoteDir == flagDir && ent.Name == MigrationFlag {
-			continue
-		}
-		rp := joinChild(remoteDir, ent.Name)
-		lp := joinChild(localDir, ent.Name)
-		l, exists := locals[ent.Name]
-		delete(locals, ent.Name)
-		if exists && l.Type == ent.Type && l.Digest == ent.Digest {
-			e.digestHits.Add(1)
-			continue
-		}
-		if exists {
-			e.digestMisses.Add(1)
-		}
-		switch ent.Type {
-		case localfs.TypeDir:
-			if exists && l.Type != localfs.TypeDir {
-				if err := e.store.RemoveAll(lp); err != nil {
-					return err
-				}
-			}
-			if _, err := e.store.MkdirAll(lp); err != nil {
-				return err
-			}
-			if err := e.pullDir(tc, from, holders, rp, lp, flagDir, total); err != nil {
-				return err
-			}
-		case localfs.TypeSymlink:
-			target, c, err := e.peer.ReadLink(tc, from, rp)
-			*total = simnet.Seq(*total, c)
-			if err != nil {
-				return err
-			}
-			if exists {
-				if err := e.store.RemoveAll(lp); err != nil {
-					return err
-				}
-			}
-			attr, err := e.store.LookupPath(path.Dir(lp))
-			if err != nil {
-				return err
-			}
-			if _, _, err := e.store.Symlink(attr.Ino, ent.Name, target); err != nil {
-				return err
-			}
-		default:
-			if exists && l.Type != localfs.TypeRegular {
-				if err := e.store.RemoveAll(lp); err != nil {
-					return err
-				}
-			}
-			if err := e.pullFile(tc, from, holders, rp, lp, total); err != nil {
-				return err
-			}
-		}
-	}
-	staleNames := make([]string, 0, len(locals))
-	for name := range locals {
-		staleNames = append(staleNames, name)
-	}
-	sort.Strings(staleNames)
-	for _, name := range staleNames {
-		if err := e.store.RemoveAll(joinChild(localDir, name)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pullFile rebuilds one local file from its remote chunk manifest. Blocks
-// some indexed local file already holds are copied locally; the rest are
-// fetched content-addressed from the holder swarm, with a ranged read from
-// `from` as the per-block last resort. The new content is assembled fully
-// before the local file is overwritten, so the stale copy stays available
-// as a chunk source throughout.
-func (e *Engine) pullFile(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, rp, lp string, total *simnet.Cost) error {
-	man, exists, _, c, err := e.peer.ChunkManifest(tc, from, rp, nil)
-	*total = simnet.Seq(*total, c)
-	if err != nil {
-		return err
-	}
-	if !exists {
-		return e.pullFileWhole(tc, from, rp, lp, total)
-	}
-	// Index the stale local copy (if any): its unchanged blocks then resolve
-	// locally instead of over the network.
-	if attr, lerr := e.store.LookupPath(lp); lerr == nil && attr.Type == localfs.TypeRegular {
-		e.mk.ManifestOf(lp)
-	}
-	lens := make(map[cas.Hash]uint32, len(man))
-	var need []cas.Hash
-	for _, ch := range man {
-		if _, dup := lens[ch.Hash]; dup {
-			continue
-		}
-		lens[ch.Hash] = ch.Len
-		if !e.cas.Has(ch.Hash) {
-			need = append(need, ch.Hash)
-		}
-	}
-	blocks := make(map[cas.Hash][]byte)
-	if len(need) > 0 {
-		e.fetchBlocks(tc, from, holders, rp, need, lens, blocks, total)
-	}
-	buf := make([]byte, 0, man.TotalLen())
-	var off int64
-	var fh nfs.Handle
-	haveFh := false
-	for _, ch := range man {
-		if b, ok := blocks[ch.Hash]; ok {
-			buf = append(buf, b...)
-			off += int64(ch.Len)
-			continue
-		}
-		if b, ok := e.cas.Get(ch.Hash); ok && len(b) == int(ch.Len) {
-			buf = append(buf, b...)
-			off += int64(ch.Len)
-			continue
-		}
-		// Last resort: a ranged read of this chunk's extent from `from`.
-		if !haveFh {
-			var c simnet.Cost
-			fh, _, c, err = e.peer.LookupPath(tc, from, rp)
-			*total = simnet.Seq(*total, c)
-			if err != nil {
-				return err
-			}
-			haveFh = true
-		}
-		b := make([]byte, 0, ch.Len)
-		for int64(len(b)) < int64(ch.Len) {
-			part, eof, c, err := e.peer.ReadStream(tc, from, fh, off+int64(len(b)), int(ch.Len)-len(b), 1)
-			*total = simnet.Seq(*total, c)
-			if err != nil {
-				return err
-			}
-			b = append(b, part...)
-			if eof || len(part) == 0 {
-				break
-			}
-		}
-		if len(b) != int(ch.Len) {
-			return errors.New("repl: short ranged chunk read")
-		}
-		e.fetchBytes.Add(uint64(len(b)))
-		blocks[ch.Hash] = b
-		buf = append(buf, b...)
-		off += int64(ch.Len)
-	}
-	return e.store.WriteFile(lp, buf)
-}
-
-// pullFileWhole streams one remote file verbatim — the fallback when the
-// remote cannot answer a manifest (and the building block of the WholeFile
-// baseline's tree walk).
-func (e *Engine) pullFileWhole(tc obs.TraceContext, from simnet.Addr, rp, lp string, total *simnet.Cost) error {
-	fh, attr, c, err := e.peer.LookupPath(tc, from, rp)
-	*total = simnet.Seq(*total, c)
-	if err != nil {
-		return err
-	}
-	data := make([]byte, 0, attr.Size)
-	for off := int64(0); ; {
-		chunk, eof, c, err := e.peer.ReadStream(tc, from, fh, off, PushChunk, FetchWindow)
-		*total = simnet.Seq(*total, c)
-		if err != nil {
-			return err
-		}
-		data = append(data, chunk...)
-		off += int64(len(chunk))
-		if eof || len(chunk) == 0 {
-			break
-		}
-	}
-	e.fetchBytes.Add(uint64(len(data)))
-	return e.store.WriteFile(lp, data)
-}
-
-// fetchBatch bounds how many blocks one CHUNK_FETCH round trip requests.
-const fetchBatch = 16
-
-// fetchBlocks retrieves the needed blocks from the holder swarm: the WANT
-// list is partitioned round-robin across `from` plus every other settled
-// holder, each holder's batches run as one branch of a simnet.Par fan-out,
-// and every returned block is verified against its hash. Blocks a holder
-// failed to serve are retried from `from`; whatever still cannot be
-// obtained is simply left out of the result (pullFile falls back to a
-// ranged read). The holder order is deterministic for seed-exact replay.
-func (e *Engine) fetchBlocks(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, pathHint string, need []cas.Hash, lens map[cas.Hash]uint32, out map[cas.Hash][]byte, total *simnet.Cost) {
-	swarm := []simnet.Addr{from}
-	seen := map[simnet.Addr]bool{from: true, e.self: true}
-	sorted := append([]simnet.Addr(nil), holders...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, h := range sorted {
-		if !seen[h] {
-			seen[h] = true
-			swarm = append(swarm, h)
-		}
-	}
-	assign := make([][]cas.Hash, len(swarm))
-	for i, h := range need {
-		assign[i%len(swarm)] = append(assign[i%len(swarm)], h)
-	}
-	e.mu.Lock()
-	hook := e.fetchHook
-	e.mu.Unlock()
-
-	accept := func(holder simnet.Addr, batch []cas.Hash, blocks [][]byte, missing *[]cas.Hash) {
-		for i, h := range batch {
-			var b []byte
-			if i < len(blocks) {
-				b = blocks[i]
-			}
-			if b == nil || len(b) != int(lens[h]) || cas.SumChunk(b) != h {
-				if missing != nil {
-					*missing = append(*missing, h)
-				}
-				continue
-			}
-			out[h] = b
-			e.blocksFetched.Add(1)
-			e.fetchBytes.Add(uint64(len(b)))
-		}
-	}
-
-	var missing []cas.Hash
-	var fan []simnet.Cost
-	for hi, holder := range swarm {
-		var hc simnet.Cost
-		hashes := assign[hi]
-		for start := 0; start < len(hashes); start += fetchBatch {
-			end := start + fetchBatch
-			if end > len(hashes) {
-				end = len(hashes)
-			}
-			batch := hashes[start:end]
-			blocks, c, err := e.peer.ChunkFetch(tc, holder, pathHint, batch)
-			hc = simnet.Seq(hc, c)
-			if hook != nil {
-				hook(holder, len(batch))
-			}
-			if err != nil {
-				missing = append(missing, hashes[start:]...)
-				break
-			}
-			accept(holder, batch, blocks, &missing)
-		}
-		fan = append(fan, hc)
-	}
-	*total = simnet.Seq(*total, simnet.Par(fan...))
-
-	// Retry pass against `from` for anything a holder could not serve.
-	var unresolved []cas.Hash
-	for start := 0; start < len(missing); start += fetchBatch {
-		end := start + fetchBatch
-		if end > len(missing) {
-			end = len(missing)
-		}
-		batch := missing[start:end]
-		blocks, c, err := e.peer.ChunkFetch(tc, from, pathHint, batch)
-		*total = simnet.Seq(*total, c)
-		if hook != nil {
-			hook(from, len(batch))
-		}
-		if err != nil {
-			unresolved = append(unresolved, missing[start:]...)
-			break
-		}
-		accept(from, batch, blocks, &unresolved)
-	}
-
-	// Routed-holder fallback: when the leaf-set swarm came up empty, ask the
-	// node that routing says owns the subtree's key — it serves the file at
-	// its primary path. This covers the window where the candidates around us
-	// are fresh (post-heal) but the settled owner is outside the leaf set.
-	if len(unresolved) == 0 {
-		return
-	}
-	alt, altCost, ok := e.routedSource(pathHint)
-	*total = simnet.Seq(*total, altCost)
-	if !ok || seen[alt] {
-		return
-	}
-	altHint := PrimaryRoot(pathHint)
-	for start := 0; start < len(unresolved); start += fetchBatch {
-		end := start + fetchBatch
-		if end > len(unresolved) {
-			end = len(unresolved)
-		}
-		batch := unresolved[start:end]
-		blocks, c, err := e.peer.ChunkFetch(tc, alt, altHint, batch)
-		*total = simnet.Seq(*total, c)
-		if hook != nil {
-			hook(alt, len(batch))
-		}
-		if err != nil {
-			return
-		}
-		before := len(out)
-		accept(alt, batch, blocks, nil)
-		e.routedFetched.Add(uint64(len(out) - before))
-	}
-}
-
-// routedSource resolves the node that currently owns the key controlling the
-// subtree containing pathHint (a physical path, possibly replica-area). The
-// longest tracked-root prefix wins, keeping the lookup deterministic when
-// nested hierarchies are tracked.
-func (e *Engine) routedSource(pathHint string) (simnet.Addr, simnet.Cost, bool) {
-	p := PrimaryRoot(pathHint)
-	e.mu.Lock()
-	var pn string
-	best := -1
-	for root, t := range e.tracked {
-		if (root == p || strings.HasPrefix(p, root+"/")) && len(root) > best {
-			pn, best = t.PN, len(root)
-		}
-	}
-	e.mu.Unlock()
-	if best < 0 || e.key == nil {
-		return "", 0, false
-	}
-	res, err := e.ov.Route(e.key(pn))
-	if err != nil || res.Node.Addr == e.self {
-		return "", res.Cost, false
-	}
-	return res.Node.Addr, res.Cost, true
-}
-
-// fetchTreeWhole is the legacy full-copy walk over plain NFS reads: list,
-// recurse, stream every file. Retained behind Options.WholeFile as the
-// dedup experiment's promote-repair baseline.
-func (e *Engine) fetchTreeWhole(tc obs.TraceContext, from simnet.Addr, src, root string, total *simnet.Cost) error {
-	var walk func(remotePath, localPath string) error
-	walk = func(remotePath, localPath string) error {
-		fh, _, c, err := e.peer.LookupPath(tc, from, remotePath)
-		*total = simnet.Seq(*total, c)
-		if err != nil {
-			return err
-		}
-		ents, c, err := e.peer.ReadDir(tc, from, fh)
-		*total = simnet.Seq(*total, c)
-		if err != nil {
-			return err
-		}
-		for _, ent := range ents {
-			rp := remotePath + "/" + ent.Name
-			lp := localPath + "/" + ent.Name
-			switch ent.Type {
-			case localfs.TypeDir:
-				if _, err := e.store.MkdirAll(lp); err != nil {
-					return err
-				}
-				if err := walk(rp, lp); err != nil {
-					return err
-				}
-			case localfs.TypeSymlink:
-				target, c, err := e.peer.ReadLink(tc, from, rp)
-				*total = simnet.Seq(*total, c)
-				if err != nil {
-					return err
-				}
-				attr, err := e.store.LookupPath(path.Dir(lp))
-				if err != nil {
-					return err
-				}
-				if _, _, err := e.store.Symlink(attr.Ino, ent.Name, target); err != nil {
-					return err
-				}
-			default:
-				// Only the sentinel at the hierarchy root is protocol
-				// state; an identically-named user file deeper in the tree
-				// is ordinary data and must be fetched.
-				if ent.Name == MigrationFlag && remotePath == src {
-					continue
-				}
-				if err := e.pullFileWhole(tc, from, rp, lp, total); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return walk(src, root)
-}
-
-// AdoptRoot makes this node's primary-path copy of a subtree current after
-// it becomes the key's owner: surface the local replica-area copy, then
-// check the current replica candidates for a newer version and fetch it if
-// one exists. Runs on the cold path only (first access after an ownership
-// change, or replica synchronization). The second result reports whether
-// read-repair changed local state — callers holding handles into the
-// subtree must re-resolve when it did.
-func (e *Engine) AdoptRoot(tc obs.TraceContext, t Track) (simnet.Cost, bool) {
-	changed := e.PromoteLocal(t)
-	if t.Root == "" || t.Link != "" {
-		return 0, changed
-	}
-	var total simnet.Cost
-	myVer := e.VerOf(t.Root)
-	cands := e.ov.ReplicaCandidates(e.replicas)
-	stats := make([]TreeStat, len(cands))
-	alive := make([]bool, len(cands))
-	for i, rep := range cands {
-		st, c, err := e.peer.StatTree(tc, rep.Addr, RepPath(t.Root))
-		total = simnet.Seq(total, c)
-		if err != nil {
-			continue
-		}
-		stats[i] = st
-		alive[i] = true
-	}
-	for i, rep := range cands {
-		if !alive[i] {
-			continue
-		}
-		st := stats[i]
-		if st.Flag || st.Ver <= myVer {
-			continue
-		}
-		if !st.Exists {
-			// The newer state is a deletion: adopt the tombstone.
-			e.store.RemoveAll(t.Root)
-			e.store.RemoveAll(RepPath(t.Root))
-			dead := t
-			dead.Ver = st.Ver
-			e.Track(dead, FSOp{Kind: FSRemoveAll, Path: t.Root})
-			myVer = st.Ver
-			changed = true
-			continue
-		}
-		// Every other candidate holding a settled copy can serve blocks for
-		// the fetch, bitswap-style, in parallel with the version's holder.
-		var holders []simnet.Addr
-		for j, other := range cands {
-			if j != i && alive[j] && stats[j].Exists && !stats[j].Flag {
-				holders = append(holders, other.Addr)
-			}
-		}
-		c, err := e.fetchTree(tc, rep.Addr, holders, t, st.Ver)
-		total = simnet.Seq(total, c)
-		if err == nil {
-			myVer = st.Ver
-			changed = true
-		}
-	}
-	return total, changed
-}
-
-// ManifestLocal returns the chunk manifest of the local regular file at
-// phys, computing and indexing it as needed — the CHUNK_MANIFEST server
-// primitive. ok is false when phys is missing or not a regular file.
-func (e *Engine) ManifestLocal(phys string) (cas.Manifest, bool) {
-	attr, err := e.store.LookupPath(phys)
-	if err != nil || attr.Type != localfs.TypeRegular {
-		return nil, false
-	}
-	m, err := e.mk.ManifestOf(phys)
-	if err != nil {
-		return nil, false
-	}
-	return m, true
-}
-
-// HaveBlocks answers a HAVE query against the local block index.
-func (e *Engine) HaveBlocks(hs []cas.Hash) []bool { return e.cas.HasAll(hs) }
-
-// GetBlock serves one block's bytes from the local index (hash-verified) —
-// the CHUNK_FETCH server primitive.
-func (e *Engine) GetBlock(h cas.Hash) ([]byte, bool) { return e.cas.Get(h) }
-
-// CASStats snapshots the block index accounting (dedup experiment).
-func (e *Engine) CASStats() cas.StoreStats { return e.cas.Stats() }
-
-// SetFetchHook installs a test hook invoked after every CHUNK_FETCH round
-// trip a pull repair issues (holder address plus batch size). The chaos
-// harness uses it to crash holders mid-fetch at a deterministic point.
-func (e *Engine) SetFetchHook(fn func(holder simnet.Addr, blocks int)) {
-	e.mu.Lock()
-	e.fetchHook = fn
-	e.mu.Unlock()
-}
-
-// ErrMissingChunk reports an FSChunkWrite reference the receiver could not
-// resolve from its block index; the sender answers by re-shipping the span
-// verbatim.
-var ErrMissingChunk = errors.New("repl: referenced chunk not present locally")
-
-// AssembleChunks materializes an FSChunkWrite span's bytes on the receiver:
-// inline chunks are consumed from op.Data in order, references resolve
-// against the local block index (or chunks appearing earlier in the same
-// span). Every chunk is verified against its hash before use.
-func (e *Engine) AssembleChunks(op FSOp) ([]byte, error) {
-	var size int
-	for _, cr := range op.Chunks {
-		size += int(cr.Len)
-	}
-	buf := make([]byte, 0, size)
-	data := op.Data
-	local := make(map[cas.Hash][]byte)
-	for _, cr := range op.Chunks {
-		if cr.Inline {
-			if len(data) < int(cr.Len) {
-				return nil, ErrMissingChunk
-			}
-			b := data[:cr.Len]
-			data = data[cr.Len:]
-			if cas.SumChunk(b) != cr.Hash {
-				return nil, ErrMissingChunk
-			}
-			buf = append(buf, b...)
-			local[cr.Hash] = b
-			continue
-		}
-		if b, ok := local[cr.Hash]; ok {
-			buf = append(buf, b...)
-			continue
-		}
-		b, ok := e.cas.Get(cr.Hash)
-		if !ok || len(b) != int(cr.Len) {
-			return nil, ErrMissingChunk
-		}
-		buf = append(buf, b...)
-		local[cr.Hash] = b
-	}
-	return buf, nil
+	e.store.RemoveAll(RepPath(target))
+	e.moveTree(target, RepPath(target))
 }

@@ -27,6 +27,9 @@ type storePeer struct {
 	vers    map[string]uint64    // primary-relative root -> recorded Ver
 	fetches map[simnet.Addr]int  // CHUNK_FETCH round trips per holder address
 	down    map[simnet.Addr]bool // addresses whose block procedures fail
+	// noManifest makes every CHUNK_MANIFEST answer exists=false, as a remote
+	// that cannot chunk the file would; noFetch makes every CHUNK_FETCH fail.
+	noManifest, noFetch bool
 }
 
 var errPeerDown = &nfs.Error{Proc: nfs.Proc(200), Status: nfs.ErrIO}
@@ -195,18 +198,6 @@ func (s *storePeer) LookupPath(_ obs.TraceContext, to simnet.Addr, phys string) 
 	return nfs.Handle{Ino: attr.Ino}, attr, 0, nil
 }
 
-func (s *storePeer) ReadDir(_ obs.TraceContext, to simnet.Addr, fh nfs.Handle) ([]nfs.DirEntry, simnet.Cost, error) {
-	ents, _, err := s.remote.Readdir(fh.Ino)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]nfs.DirEntry, 0, len(ents))
-	for _, ent := range ents {
-		out = append(out, nfs.DirEntry{Name: ent.Name, Ino: ent.Ino, Type: ent.Type})
-	}
-	return out, 0, nil
-}
-
 func (s *storePeer) ReadStream(_ obs.TraceContext, to simnet.Addr, fh nfs.Handle, off int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
 	var data []byte
 	for i := 0; i < chunks; i++ {
@@ -238,7 +229,7 @@ func (s *storePeer) ChunkManifest(_ obs.TraceContext, to simnet.Addr, phys strin
 	}
 	var man cas.Manifest
 	exists := false
-	if attr, err := s.remote.LookupPath(phys); err == nil && attr.Type == localfs.TypeRegular {
+	if attr, err := s.remote.LookupPath(phys); !s.noManifest && err == nil && attr.Type == localfs.TypeRegular {
 		if m, err := s.mk.ManifestOf(phys); err == nil {
 			man, exists = m, true
 		}
@@ -247,7 +238,7 @@ func (s *storePeer) ChunkManifest(_ obs.TraceContext, to simnet.Addr, phys strin
 }
 
 func (s *storePeer) ChunkFetch(_ obs.TraceContext, to simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
-	if s.down[to] {
+	if s.down[to] || s.noFetch {
 		return nil, 0, errPeerDown
 	}
 	s.fetches[to]++
@@ -299,6 +290,11 @@ func TestFetchTreeKeepsNestedFlagNamedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, store, _ := deltaEngine(t, peer)
+	// A sentinel left at the local root by an interrupted migration to this
+	// node must come down once the pull completes.
+	if err := store.WriteFile("/docs/"+MigrationFlag, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	if _, err := e.fetchTree(obs.TraceContext{}, "r1", nil, Track{PN: "docs", Root: "/docs"}, 5); err != nil {
 		t.Fatal(err)
@@ -310,7 +306,7 @@ func TestFetchTreeKeepsNestedFlagNamedFile(t *testing.T) {
 		t.Fatalf("nested flag-named user file was dropped: %q err=%v", data, err)
 	}
 	if _, err := store.LookupPath("/docs/" + MigrationFlag); err == nil {
-		t.Fatal("root-level migration sentinel was fetched as content")
+		t.Fatal("root-level migration sentinel present after the pull: fetched as content, or a stale local one kept")
 	}
 	if v := e.VerOf("/docs"); v != 5 {
 		t.Fatalf("adopted version %d, want 5", v)
@@ -318,8 +314,8 @@ func TestFetchTreeKeepsNestedFlagNamedFile(t *testing.T) {
 }
 
 // Satellite fix: whole-file pushes ship file contents in bounded chunks
-// rather than one whole-file op. (sendFileWhole is the WholeFile baseline and
-// the fallback when block negotiation fails.)
+// rather than one whole-file op. (sendFileWhole is the fallback when block
+// negotiation fails.)
 func TestSendFileChunksLargePayload(t *testing.T) {
 	e, store, _ := deltaEngine(t, newStorePeer())
 	payload := bytes.Repeat([]byte("x"), PushChunk*2+PushChunk/2)
@@ -602,5 +598,94 @@ func TestEnsureTreeRestampsMatchingReplica(t *testing.T) {
 	}
 	if peer.vers["/w"] != 4 {
 		t.Fatalf("replica version %d after restamp, want 4", peer.vers["/w"])
+	}
+}
+
+// The whole-file code is only ever reached as a fallback edge inside the
+// chunk path. Edge 1: CHUNK_MANIFEST negotiation fails, so sendFile streams
+// the file verbatim and the replica still converges byte-exact.
+func TestSendFileFallsBackWhenNegotiationFails(t *testing.T) {
+	peer := newStorePeer()
+	e, store, reg := deltaEngine(t, peer)
+	content := patternBytes(PushChunk+PushChunk/2, 21)
+	if err := store.WriteFile("/proj/big.bin", content); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.remote.WriteFile(RepPath("/proj")+"/big.bin", []byte("stale")); err != nil {
+		t.Fatal(err)
+	}
+	peer.down["r1"] = true // block procedures fail; mirrors and digests still work
+	if _, err := e.ensureTree(obs.TraceContext{}, "r1", Track{PN: "proj", Root: "/proj", Ver: 2}, false); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := peer.remote.ReadFile(RepPath("/proj") + "/big.bin"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("replica content diverged after the whole-file fallback (err=%v, %d bytes)", err, len(got))
+	}
+	writes := 0
+	for _, m := range peer.mirrors {
+		switch m.op.Kind {
+		case FSChunkWrite:
+			t.Fatal("fallback still shipped a chunk-negotiated span")
+		case FSWrite:
+			writes++
+		}
+	}
+	if writes != 2 {
+		t.Fatalf("fallback shipped %d FSWrite ops, want 2 PushChunk-bounded pieces", writes)
+	}
+	if sent := reg.Counter("repl.sync.files.sent").Load(); sent != 1 {
+		t.Fatalf("files.sent = %d, want 1", sent)
+	}
+	if b := reg.Counter("repl.sync.bytes").Load(); b != uint64(len(content)) {
+		t.Fatalf("sync.bytes = %d, want the whole file (%d)", b, len(content))
+	}
+}
+
+// Edge 2: the remote has no manifest for the file (exists=false), so
+// pullFile streams it whole — no CHUNK_FETCH is issued — byte-exact.
+func TestPullFileStreamsWholeWithoutRemoteManifest(t *testing.T) {
+	peer := newStorePeer()
+	peer.noManifest = true
+	e, store, reg := deltaEngine(t, peer)
+	content := patternBytes(PushChunk*FetchWindow+4096, 23) // more than one ReadStream window
+	if err := peer.remote.WriteFile(RepPath("/pull")+"/blob.bin", content); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.fetchTree(obs.TraceContext{}, "r1", []simnet.Addr{"r2"}, Track{PN: "pull", Root: "/pull"}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := store.ReadFile("/pull/blob.bin"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("streamed content diverged (err=%v, %d bytes)", err, len(got))
+	}
+	if len(peer.fetches) != 0 {
+		t.Fatalf("whole-file stream still issued CHUNK_FETCH: %v", peer.fetches)
+	}
+	if b := reg.Counter("repl.fetch.bytes").Load(); b != uint64(len(content)) {
+		t.Fatalf("fetch.bytes = %d, want %d", b, len(content))
+	}
+}
+
+// Edge 3: every holder refuses CHUNK_FETCH (swarm, retry pass, and no routed
+// owner to ask), so each block comes from a ranged read of the version's
+// holder and the file is still rebuilt byte-exact.
+func TestPullFileRangedReadLastResort(t *testing.T) {
+	peer := newStorePeer()
+	peer.noFetch = true
+	e, store, reg := deltaEngine(t, peer)
+	content := patternBytes(1<<20, 25)
+	if err := peer.remote.WriteFile(RepPath("/pull")+"/blob.bin", content); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.fetchTree(obs.TraceContext{}, "r1", []simnet.Addr{"r2"}, Track{PN: "pull", Root: "/pull"}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := store.ReadFile("/pull/blob.bin"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("rebuilt content diverged (err=%v, %d bytes)", err, len(got))
+	}
+	if f := reg.Counter("repl.cas.blocks.fetched").Load(); f != 0 {
+		t.Fatalf("blocks.fetched = %d with every CHUNK_FETCH refused", f)
+	}
+	if b := reg.Counter("repl.fetch.bytes").Load(); b != uint64(len(content)) {
+		t.Fatalf("fetch.bytes = %d, want %d from ranged reads", b, len(content))
 	}
 }

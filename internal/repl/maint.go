@@ -235,34 +235,9 @@ func (e *Engine) VerifyFile(tc obs.TraceContext, phys string, helpers []BlockSou
 		if len(need) == 0 {
 			break
 		}
-		var rest []cas.Hash
-		for start := 0; start < len(need); start += fetchBatch {
-			end := start + fetchBatch
-			if end > len(need) {
-				end = len(need)
-			}
-			batch := need[start:end]
-			got, c, err := e.peer.ChunkFetch(tc, h.Addr, h.Phys, batch)
-			total = simnet.Seq(total, c)
-			if err != nil {
-				rest = append(rest, need[start:]...)
-				break
-			}
-			for i, hh := range batch {
-				var b []byte
-				if i < len(got) {
-					b = got[i]
-				}
-				if b == nil || len(b) != int(lens[hh]) || cas.SumChunk(b) != hh {
-					rest = append(rest, hh)
-					continue
-				}
-				blocks[hh] = b
-				e.blocksFetched.Add(1)
-				e.fetchBytes.Add(uint64(len(b)))
-			}
-		}
-		need = rest
+		var c simnet.Cost
+		need, c = e.fetchFrom(tc, h.Addr, h.Phys, need, lens, blocks)
+		total = simnet.Seq(total, c)
 	}
 	if len(need) > 0 {
 		// Some chunk is gone everywhere we can reach. Leave the bytes but

@@ -162,12 +162,6 @@ type TreeStat struct {
 	Ver    uint64 // the holder's recorded mutation counter for the root
 }
 
-// Same reports whether two summaries describe equivalent, settled trees.
-func (t TreeStat) Same(o TreeStat) bool {
-	return t.Exists == o.Exists && !t.Flag && !o.Flag &&
-		t.Files == o.Files && t.Dirs == o.Dirs && t.Bytes == o.Bytes
-}
-
 // TreeDigest summarizes a replicated hierarchy by its Merkle root digest:
 // two settled copies are byte-identical exactly when their Root digests
 // match, so replica maintenance can skip an entire subtree with one
