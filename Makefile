@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt-check vet build test bench bench-smoke bench-json gobench-smoke smoke scale-smoke metrics-smoke chaos soak clean
+.PHONY: all ci fmt-check vet build test bench bench-smoke bench-json bench-diff gobench-smoke smoke scale-smoke metrics-smoke chaos soak loc clean
 
 all: vet build test
 
@@ -9,8 +9,10 @@ all: vet build test
 # the sampler and trace-propagation tests), a koshabench smoke run that
 # fails unless the JSON output carries the latency-percentile fields, a
 # /metrics exposition smoke against a live koshad, a smoke run of the
-# benchmark harness, and one iteration of every Go benchmark.
+# benchmark harness, one iteration of every Go benchmark, and the ledger
+# comparison of the two newest BENCH_*.json.
 ci: fmt-check vet build
+	$(MAKE) bench-diff
 	$(MAKE) chaos
 	$(GO) test -race ./...
 	$(MAKE) smoke
@@ -132,8 +134,8 @@ bench-smoke:
 # files. Everything but setup_s, heap_live_mb and the wall.* / ns / us
 # per-layer metrics is a function of the seed (the two alloc metrics to about
 # four digits); BENCH_SECONDS only bounds how long the wall-clock ones sample.
-#   make bench-json BENCH_PR=17
-BENCH_PR ?= 17
+#   make bench-json BENCH_PR=18
+BENCH_PR ?= 18
 BENCH_SECONDS ?= 5
 bench-json:
 	@out=BENCH_$(BENCH_PR).json; tmp=$$out.tmp; \
@@ -145,6 +147,32 @@ bench-json:
 		printf '%s\n"%s.trace%s": %s' "$$sep" $$w $$t "$$line" >> $$tmp; sep=','; \
 	done; done; \
 	printf '\n}}\n' >> $$tmp; mv $$tmp $$out; echo "bench-json: wrote $$out"
+
+# bench-diff compares the two highest-numbered BENCH_*.json: the end-to-end
+# metrics that are a pure function of the seed must not move between them on
+# any workload's --trace 0 run, unless the last line of CHANGES.md (the PR's
+# own) names the metric that did. A file comparison: no benchmark runs.
+SEED_EXACT = sim_ms_per_op sim_vs_nfs_ratio rpcs_per_op net_bytes_per_user_byte
+bench-diff:
+	@set -- $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -n 2); \
+	[ $$# -eq 2 ] || { echo "bench-diff: fewer than two BENCH_*.json" >&2; exit 1; }; \
+	claimed=$$(tail -n 1 CHANGES.md); fail=0; \
+	for w in mab meta stream; do for m in $(SEED_EXACT); do \
+		a=$$(grep "^\"$$w.trace0\"" $$1 | grep -o "\"$$m\":{\"value\":[^,]*"); \
+		b=$$(grep "^\"$$w.trace0\"" $$2 | grep -o "\"$$m\":{\"value\":[^,]*"); \
+		if [ -n "$$a" ] && [ "$$a" = "$$b" ]; then continue; fi; \
+		case "$$claimed" in \
+		*"$$m"*) echo "bench-diff: $$w $$m moved, as CHANGES.md says: $${a##*:} -> $${b##*:}";; \
+		*) echo "bench-diff: $$w $$m moved from $$1 to $$2 and CHANGES.md does not name it: $${a##*:} -> $${b##*:}" >&2; fail=1;; \
+		esac; \
+	done; done; \
+	[ $$fail -eq 0 ] && echo "bench-diff: $$1 -> $$2: no unclaimed drift in the seed-exact end-to-end metrics"; exit $$fail
+
+# loc prints the two sizes CHANGES.md tracks: non-test Go outside bench/, and
+# the number of core.Config fields.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l | xargs echo "non-test Go lines outside bench/:"; \
+	awk '/^type Config struct/ {in_cfg=1; next} in_cfg && /^}/ {exit} in_cfg && /^\t[A-Z][A-Za-z0-9]*[ \t]+[^ \t]/ {n++} END {print "core.Config fields:", n}' internal/core/node.go
 
 # gobench-smoke runs every Go benchmark in the module once (the root ones
 # are the four ablations and the parallel-metadata check: seconds in all).

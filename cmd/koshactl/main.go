@@ -510,7 +510,7 @@ func assembleTrace(tn simnet.Caller, seed simnet.Addr, hi, lo uint64) (*obs.Asse
 		}
 	}
 	var origin *obs.Trace
-	var frags []obs.SpanRecord
+	var frags []obs.Span
 	reached := 0
 	for _, a := range addrs {
 		ctl := &core.CtlClient{Net: tn, From: from, To: a}
@@ -536,9 +536,21 @@ func assembleTrace(tn simnet.Caller, seed simnet.Addr, hi, lo uint64) (*obs.Asse
 	return at, nil
 }
 
+// printSpan renders one span, client-side stage or server fragment alike,
+// indented to its depth in the causal tree.
+func printSpan(depth int, sp obs.Span) {
+	fmt.Printf("  %s%-24s node=%-16s from=%-16s %s",
+		strings.Repeat("  ", depth), sp.Name, sp.Node, sp.From, dur(time.Duration(sp.DurNS)))
+	if sp.Err != "" {
+		fmt.Printf("  err %q", sp.Err)
+	}
+	fmt.Println()
+}
+
 // printAssembled renders the cluster-wide causal tree of one trace: the
 // origin line (op, path, originating node, end-to-end latency), the overlay
-// hops the origin recorded, then the span tree with per-edge latency.
+// hops the origin recorded, then the span tree — the origin's own stages
+// beside the server spans they caused — with per-edge latency.
 func printAssembled(at *obs.AssembledTrace) {
 	fmt.Printf("trace %s", obs.FormatTraceID(at.Hi, at.Lo))
 	if o := at.Origin; o != nil {
@@ -556,20 +568,13 @@ func printAssembled(at *obs.AssembledTrace) {
 			fmt.Printf("  hop %s (%s) prefix %d\n", h.Addr, h.ID, h.Prefix)
 		}
 	}
-	at.Walk(func(depth int, n *obs.TraceNode) {
-		sp := n.Span
-		fmt.Printf("  %s%-24s node=%-16s from=%-16s %s",
-			strings.Repeat("  ", depth), sp.Name, sp.Node, sp.From, dur(time.Duration(sp.DurNS)))
-		if sp.Err != "" {
-			fmt.Printf("  err %q", sp.Err)
-		}
-		fmt.Println()
-	})
+	at.Walk(func(depth int, n *obs.TraceNode) { printSpan(depth, n.Span) })
 }
 
-// printTrace renders one operation trace as a compact multi-line record.
+// printTrace renders one operation trace as a compact multi-line record: the
+// header (with the id trace -id takes), the overlay hops, the client stages.
 func printTrace(t obs.Trace) {
-	fmt.Printf("#%d %s %s  total %s", t.ID, t.Op, t.Path, dur(time.Duration(t.TotalNS)))
+	fmt.Printf("#%d %s %s  total %s  id %s", t.ID, t.Op, t.Path, dur(time.Duration(t.TotalNS)), obs.FormatTraceID(t.Hi, t.Lo))
 	if t.ServedBy != "" {
 		fmt.Printf("  served by %s", t.ServedBy)
 	}
@@ -587,10 +592,6 @@ func printTrace(t obs.Trace) {
 		fmt.Printf("    hop %s (%s) prefix %d\n", h.Addr, h.ID, h.Prefix)
 	}
 	for _, sp := range t.Spans {
-		node := sp.Node
-		if node == "" {
-			node = "-"
-		}
-		fmt.Printf("    span %-10s %-20s %s\n", sp.Name, node, dur(time.Duration(sp.DurNS)))
+		printSpan(1, sp)
 	}
 }

@@ -37,15 +37,15 @@ func TestCachedMetadataHitsCostInterposeOnly(t *testing.T) {
 	if err != nil || attr2 != attr {
 		t.Fatalf("cached getattr: %+v err=%v", attr2, err)
 	}
-	if cost != n.Config().InterposeCost {
-		t.Fatalf("cached getattr cost %v, want exactly I=%v", cost, n.Config().InterposeCost)
+	if cost != InterposeCost {
+		t.Fatalf("cached getattr cost %v, want exactly I=%v", cost, InterposeCost)
 	}
 	vh2, attr3, cost, err := m.Lookup(dirVH, "notes.txt")
 	if err != nil || attr3 != attr {
 		t.Fatalf("cached lookup: %+v err=%v", attr3, err)
 	}
-	if cost != n.Config().InterposeCost {
-		t.Fatalf("cached lookup cost %v, want exactly I=%v", cost, n.Config().InterposeCost)
+	if cost != InterposeCost {
+		t.Fatalf("cached lookup cost %v, want exactly I=%v", cost, InterposeCost)
 	}
 	if s := n.NFSStats(); s.RPCs != 0 {
 		t.Fatalf("cache hits issued %d RPCs", s.RPCs)

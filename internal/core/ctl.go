@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/localfs"
 	"repro/internal/obs"
@@ -35,111 +34,109 @@ const (
 	ctlSlow
 )
 
-// ctlOnce lazily attaches the ctl handler's mount.
-type ctlState struct {
-	once  sync.Once
-	mount *Mount
-}
-
-var ctlMounts sync.Map // *Node -> *ctlState
-
+// ctlMount returns the mount ctl file procedures run through, created on
+// first use.
 func (n *Node) ctlMount() *Mount {
-	v, _ := ctlMounts.LoadOrStore(n, &ctlState{})
-	st := v.(*ctlState)
-	st.once.Do(func() { st.mount = n.NewMount() })
-	return st.mount
+	n.ctlOnce.Do(func() { n.ctlMnt = n.NewMount() })
+	return n.ctlMnt
 }
 
 // AttachCtl registers the koshactl service on this node.
 func (n *Node) AttachCtl() {
-	n.net.Register(n.addr, CtlService, n.handleCtl)
+	n.net.RegisterCtx(n.addr, CtlService, n.serve(CtlService, ctlProcs))
+}
+
+// ctlHandler is the body of one ctl procedure. Every ctl request carries a
+// vpath right after the procedure number ("" for node-level procedures); the
+// decoder is positioned past it. The body encodes its success reply after a
+// leading true; a returned error becomes the ctl failure reply.
+type ctlHandler func(n *Node, vpath string, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error)
+
+// ctl adapts a ctl procedure body to a dispatch-table entry. It owns the
+// reply convention: a request that did not decode aborts the RPC; a body that
+// failed answers ok=false plus the message (the RPC itself still succeeds and
+// the client surfaces the message as an error).
+func ctl(name string, h ctlHandler) proc {
+	return proc{name, func(n *Node, _ obs.TraceContext, _ simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
+		vpath := d.String()
+		if d.Err() != nil {
+			return 0, d.Err()
+		}
+		e.PutBool(true)
+		cost, err := h(n, vpath, d, e)
+		if d.Err() != nil {
+			return 0, d.Err()
+		}
+		if err != nil {
+			e.Reset()
+			e.PutBool(false)
+			e.PutString(err.Error())
+		}
+		return cost, nil
+	}}
+}
+
+// ctlJSON is ctl for the observability procedures, whose whole reply is one
+// JSON document in an opaque. doc decodes its own arguments and builds the
+// document; ctl refuses the request afterwards if they did not decode.
+func ctlJSON(name string, doc func(n *Node, d *wire.Decoder) any) proc {
+	return ctl(name, func(n *Node, _ string, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
+		b, err := json.Marshal(doc(n, d))
+		e.PutOpaque(b)
+		return 0, err
+	})
 }
 
 // ctlProcs is the koshactl administrative service, dispatched through the
-// same typed table mechanism as the kosha replication service. Every ctl
-// request carries a vpath argument right after the procedure number (""
-// for node-level procedures); handlers decode it themselves.
+// same table mechanism as the kosha replication service.
 var ctlProcs = serviceTable{
-	ctlRead:      (*Node).ctlServeRead,
-	ctlWrite:     (*Node).ctlServeWrite,
-	ctlList:      (*Node).ctlServeList,
-	ctlMkdirAll:  (*Node).ctlServeMkdirAll,
-	ctlRemoveAll: (*Node).ctlServeRemoveAll,
-	ctlStat:      (*Node).ctlServeStat,
-	ctlStatfs:    (*Node).ctlServeStatfs,
-	ctlPeers:     (*Node).ctlServePeers,
-	ctlStats:     (*Node).ctlServeStats,
-	ctlTrace:     (*Node).ctlServeTrace,
-	ctlTraceFrag: (*Node).ctlServeTraceFrag,
-	ctlSamples:   (*Node).ctlServeSamples,
-	ctlSlow:      (*Node).ctlServeSlow,
+	ctlRead:      ctl("read", (*Node).ctlServeRead),
+	ctlWrite:     ctl("write", (*Node).ctlServeWrite),
+	ctlList:      ctl("list", (*Node).ctlServeList),
+	ctlMkdirAll:  ctl("mkdir-all", (*Node).ctlServeMkdirAll),
+	ctlRemoveAll: ctl("remove-all", (*Node).ctlServeRemoveAll),
+	ctlStat:      ctl("stat", (*Node).ctlServeStat),
+	ctlStatfs:    ctl("statfs", (*Node).ctlServeStatfs),
+	ctlPeers:     ctl("peers", (*Node).ctlServePeers),
+	ctlStats:     ctlJSON("stats", (*Node).ctlStatsDoc),
+	ctlTrace:     ctlJSON("trace", (*Node).ctlTraceDoc),
+	ctlTraceFrag: ctlJSON("trace-frag", (*Node).ctlTraceFragDoc),
+	ctlSamples:   ctlJSON("samples", (*Node).ctlSamplesDoc),
+	ctlSlow:      ctlJSON("slow", (*Node).ctlSlowDoc),
 }
 
-func (n *Node) handleCtl(from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-	return n.dispatch(ctlProcs, "koshactl", obs.TraceContext{}, from, req)
-}
-
-// ctlFail encodes the ctl failure convention: ok=false plus a message. The
-// RPC itself still succeeds; the client surfaces the message as an error.
-func ctlFail(e *wire.Encoder, err error) {
-	e.Reset()
-	e.PutBool(false)
-	e.PutString(err.Error())
-}
-
-func (n *Node) ctlServeRead(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	vpath := d.String()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
+func (n *Node) ctlServeRead(vpath string, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
 	data, cost, err := n.ctlMount().ReadFile(vpath)
 	if err != nil {
-		ctlFail(e, err)
-		return cost, nil
+		return cost, err
 	}
-	e.PutBool(true)
 	e.PutOpaque(data)
 	return cost, nil
 }
 
-func (n *Node) ctlServeWrite(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	vpath := d.String()
+func (n *Node) ctlServeWrite(vpath string, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
 	data := d.Opaque()
 	if d.Err() != nil {
 		return 0, d.Err()
 	}
-	cost, err := n.ctlMount().WriteFile(vpath, data)
-	if err != nil {
-		ctlFail(e, err)
-		return cost, nil
-	}
-	e.PutBool(true)
-	return cost, nil
+	return n.ctlMount().WriteFile(vpath, data)
 }
 
-func (n *Node) ctlServeList(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	vpath := d.String()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
+func (n *Node) ctlServeList(vpath string, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
 	m := n.ctlMount()
 	vh, attr, cost, err := m.LookupPath(vpath)
 	if err != nil {
-		ctlFail(e, err)
-		return cost, nil
+		return cost, err
 	}
 	if attr.Type != localfs.TypeDir {
-		ctlFail(e, fmt.Errorf("%s is not a directory", vpath))
-		return cost, nil
+		return cost, fmt.Errorf("%s is not a directory", vpath)
 	}
 	ents, c, err := m.Readdir(vh)
 	cost = simnet.Seq(cost, c)
 	m.forget(vh)
 	if err != nil {
-		ctlFail(e, err)
-		return cost, nil
+		return cost, err
 	}
-	e.PutBool(true)
 	e.PutUint32(uint32(len(ents)))
 	for _, ent := range ents {
 		e.PutString(ent.Name)
@@ -148,49 +145,26 @@ func (n *Node) ctlServeList(ctx obs.TraceContext, from simnet.Addr, d *wire.Deco
 	return cost, nil
 }
 
-func (n *Node) ctlServeMkdirAll(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	vpath := d.String()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
+func (n *Node) ctlServeMkdirAll(vpath string, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
 	m := n.ctlMount()
 	vh, cost, err := m.MkdirAll(vpath)
-	if err != nil {
-		ctlFail(e, err)
-		return cost, nil
+	if err == nil {
+		m.forget(vh)
 	}
-	m.forget(vh)
-	e.PutBool(true)
-	return cost, nil
+	return cost, err
 }
 
-func (n *Node) ctlServeRemoveAll(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	vpath := d.String()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	cost, err := n.ctlMount().RemoveAllPath(vpath)
-	if err != nil {
-		ctlFail(e, err)
-		return cost, nil
-	}
-	e.PutBool(true)
-	return cost, nil
+func (n *Node) ctlServeRemoveAll(vpath string, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
+	return n.ctlMount().RemoveAllPath(vpath)
 }
 
-func (n *Node) ctlServeStat(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	vpath := d.String()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
+func (n *Node) ctlServeStat(vpath string, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
 	m := n.ctlMount()
 	vh, attr, cost, err := m.LookupPath(vpath)
 	if err != nil {
-		ctlFail(e, err)
-		return cost, nil
+		return cost, err
 	}
 	m.forget(vh)
-	e.PutBool(true)
 	e.PutUint32(uint32(attr.Type))
 	e.PutUint32(attr.Mode)
 	e.PutInt64(attr.Size)
@@ -198,12 +172,7 @@ func (n *Node) ctlServeStat(ctx obs.TraceContext, from simnet.Addr, d *wire.Deco
 	return cost, nil
 }
 
-func (n *Node) ctlServePeers(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	_ = d.String() // vpath, unused by node-level procedures
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	e.PutBool(true)
+func (n *Node) ctlServePeers(_ string, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
 	peers := n.overlay.Known()
 	e.PutUint32(uint32(len(peers)))
 	for _, p := range peers {
@@ -213,17 +182,11 @@ func (n *Node) ctlServePeers(ctx obs.TraceContext, from simnet.Addr, d *wire.Dec
 	return 0, nil
 }
 
-func (n *Node) ctlServeStatfs(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	_ = d.String() // vpath, unused by node-level procedures
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
+func (n *Node) ctlServeStatfs(_ string, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
 	st, cost, err := n.store.Statfs()
 	if err != nil {
-		ctlFail(e, err)
-		return cost, nil
+		return cost, err
 	}
-	e.PutBool(true)
 	e.PutInt64(st.TotalBytes)
 	e.PutInt64(st.UsedBytes)
 	e.PutInt64(st.Files)
@@ -232,130 +195,55 @@ func (n *Node) ctlServeStatfs(ctx obs.TraceContext, from simnet.Addr, d *wire.De
 	return cost, nil
 }
 
-func (n *Node) ctlServeStats(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	_ = d.String() // vpath, unused by node-level procedures
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	p := StatsPayload{
+func (n *Node) ctlStatsDoc(*wire.Decoder) any {
+	return StatsPayload{
 		Addr:   string(n.addr),
 		NodeID: n.overlay.Info().ID.String(),
 		Stats:  n.reg.Snapshot(),
 		Events: n.events.Snapshot(32),
 	}
-	b, err := json.Marshal(p)
-	if err != nil {
-		ctlFail(e, err)
-		return 0, nil
-	}
-	e.PutBool(true)
-	e.PutOpaque(b)
-	return 0, nil
 }
 
-func (n *Node) ctlServeTrace(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	_ = d.String() // vpath, unused
-	count := int(d.Uint32())
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	traces := n.tracer.Recent(count)
-	if traces == nil {
-		traces = []obs.Trace{}
-	}
-	b, err := json.Marshal(traces)
-	if err != nil {
-		ctlFail(e, err)
-		return 0, nil
-	}
-	e.PutBool(true)
-	e.PutOpaque(b)
-	return 0, nil
+// ctlTraceDoc returns recent operation traces, newest first. The slices in
+// these documents are never nil: an empty answer is [] on the wire, not null.
+func (n *Node) ctlTraceDoc(d *wire.Decoder) any {
+	return append([]obs.Trace{}, n.tracer.Recent(int(d.Uint32()))...)
 }
 
-// ctlServeTraceFrag returns this node's fragment of one distributed trace:
+// ctlTraceFragDoc returns this node's fragment of one distributed trace:
 // the origin-side Trace if the op started here, plus every server span this
 // node recorded for the 128-bit trace id. koshactl collects fragments from
 // all live nodes and reassembles the causal tree.
-func (n *Node) ctlServeTraceFrag(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	_ = d.String() // vpath, unused
-	hi := d.Uint64()
-	lo := d.Uint64()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	var p TraceFragPayload
-	p.Node = string(n.addr)
+func (n *Node) ctlTraceFragDoc(d *wire.Decoder) any {
+	hi, lo := d.Uint64(), d.Uint64()
+	p := TraceFragPayload{Node: string(n.addr), Spans: append([]obs.Span{}, n.tracer.SpansFor(hi, lo)...)}
 	if tr, ok := n.tracer.FindTrace(hi, lo); ok {
 		p.Origin = &tr
 	}
-	p.Spans = n.tracer.SpansFor(hi, lo)
-	if p.Spans == nil {
-		p.Spans = []obs.SpanRecord{}
-	}
-	b, err := json.Marshal(p)
-	if err != nil {
-		ctlFail(e, err)
-		return 0, nil
-	}
-	e.PutBool(true)
-	e.PutOpaque(b)
-	return 0, nil
+	return p
 }
 
-// ctlServeSamples returns the node's retained time-series samples, oldest
+// ctlSamplesDoc returns the node's retained time-series samples, oldest
 // first; empty until the node's sampler has been started (koshad's
 // -sampleevery flag or koshabench's -sample).
-func (n *Node) ctlServeSamples(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	_ = d.String() // vpath, unused
-	count := int(d.Uint32())
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	samples := n.sampler.Recent(count)
-	if samples == nil {
-		samples = []obs.Sample{}
-	}
-	b, err := json.Marshal(samples)
-	if err != nil {
-		ctlFail(e, err)
-		return 0, nil
-	}
-	e.PutBool(true)
-	e.PutOpaque(b)
-	return 0, nil
+func (n *Node) ctlSamplesDoc(d *wire.Decoder) any {
+	return append([]obs.Sample{}, n.sampler.Recent(int(d.Uint32()))...)
 }
 
-// ctlServeSlow returns the slow-op flight recorder: traces whose total
+// ctlSlowDoc returns the slow-op flight recorder: traces whose total
 // exceeded Config.SlowOpNS, kept in a ring the normal eviction never
 // touches.
-func (n *Node) ctlServeSlow(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	_ = d.String() // vpath, unused
-	count := int(d.Uint32())
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	traces := n.tracer.Slow(count)
-	if traces == nil {
-		traces = []obs.Trace{}
-	}
-	b, err := json.Marshal(traces)
-	if err != nil {
-		ctlFail(e, err)
-		return 0, nil
-	}
-	e.PutBool(true)
-	e.PutOpaque(b)
-	return 0, nil
+func (n *Node) ctlSlowDoc(d *wire.Decoder) any {
+	return append([]obs.Trace{}, n.tracer.Slow(int(d.Uint32()))...)
 }
 
 // TraceFragPayload is one node's contribution to a distributed trace: the
-// originating Trace when the op began on that node, plus all server spans
-// the node recorded under the trace id.
+// originating Trace (with its client-side stages) when the op began on that
+// node, plus all server spans the node recorded under the trace id.
 type TraceFragPayload struct {
-	Node   string           `json:"node"`
-	Origin *obs.Trace       `json:"origin,omitempty"`
-	Spans  []obs.SpanRecord `json:"spans"`
+	Node   string     `json:"node"`
+	Origin *obs.Trace `json:"origin,omitempty"`
+	Spans  []obs.Span `json:"spans"`
 }
 
 // StatsPayload is the JSON document ctlStats returns: one node's metrics
@@ -381,7 +269,7 @@ func (c *CtlClient) call(proc uint32, vpath string, extra func(*wire.Encoder)) (
 	if extra != nil {
 		extra(e)
 	}
-	resp, cost, err := c.Net.Call(c.From, c.To, CtlService, e.Bytes())
+	resp, cost, err := c.Net.CallCtx(obs.TraceContext{}, c.From, c.To, CtlService, e.Bytes())
 	if err != nil {
 		return nil, cost, err
 	}
@@ -487,104 +375,62 @@ func (c *CtlClient) Peers() ([]Peer, simnet.Cost, error) {
 	return out, cost, d.Err()
 }
 
-// Stats fetches the remote node's metrics registry and event-log snapshot.
-func (c *CtlClient) Stats() (StatsPayload, simnet.Cost, error) {
-	d, cost, err := c.call(ctlStats, "", nil)
+// callJSON is call for the observability procedures: the reply is one JSON
+// document in an opaque, decoded into out.
+func (c *CtlClient) callJSON(proc uint32, extra func(*wire.Encoder), out any) (simnet.Cost, error) {
+	d, cost, err := c.call(proc, "", extra)
 	if err != nil {
-		return StatsPayload{}, cost, err
+		return cost, err
 	}
 	raw := d.Opaque()
 	if d.Err() != nil {
-		return StatsPayload{}, cost, d.Err()
+		return cost, d.Err()
 	}
-	var p StatsPayload
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return StatsPayload{}, cost, err
+	return cost, json.Unmarshal(raw, out)
+}
+
+// upTo encodes the "at most count, all when count <= 0" argument.
+func upTo(count int) func(*wire.Encoder) {
+	if count < 0 {
+		count = 0
 	}
-	return p, cost, nil
+	return func(e *wire.Encoder) { e.PutUint32(uint32(count)) }
+}
+
+// Stats fetches the remote node's metrics registry and event-log snapshot.
+func (c *CtlClient) Stats() (p StatsPayload, cost simnet.Cost, err error) {
+	cost, err = c.callJSON(ctlStats, nil, &p)
+	return p, cost, err
 }
 
 // TraceDump fetches up to count recent operation traces from the remote
 // node's ring buffer, newest first (count <= 0 means all retained).
-func (c *CtlClient) TraceDump(count int) ([]obs.Trace, simnet.Cost, error) {
-	if count < 0 {
-		count = 0
-	}
-	d, cost, err := c.call(ctlTrace, "", func(e *wire.Encoder) { e.PutUint32(uint32(count)) })
-	if err != nil {
-		return nil, cost, err
-	}
-	raw := d.Opaque()
-	if d.Err() != nil {
-		return nil, cost, d.Err()
-	}
-	var traces []obs.Trace
-	if err := json.Unmarshal(raw, &traces); err != nil {
-		return nil, cost, err
-	}
-	return traces, cost, nil
+func (c *CtlClient) TraceDump(count int) (traces []obs.Trace, cost simnet.Cost, err error) {
+	cost, err = c.callJSON(ctlTrace, upTo(count), &traces)
+	return traces, cost, err
 }
 
 // TraceFrag fetches one node's fragment of the distributed trace (hi, lo).
-func (c *CtlClient) TraceFrag(hi, lo uint64) (TraceFragPayload, simnet.Cost, error) {
-	d, cost, err := c.call(ctlTraceFrag, "", func(e *wire.Encoder) {
+func (c *CtlClient) TraceFrag(hi, lo uint64) (p TraceFragPayload, cost simnet.Cost, err error) {
+	cost, err = c.callJSON(ctlTraceFrag, func(e *wire.Encoder) {
 		e.PutUint64(hi)
 		e.PutUint64(lo)
-	})
-	if err != nil {
-		return TraceFragPayload{}, cost, err
-	}
-	raw := d.Opaque()
-	if d.Err() != nil {
-		return TraceFragPayload{}, cost, d.Err()
-	}
-	var p TraceFragPayload
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return TraceFragPayload{}, cost, err
-	}
-	return p, cost, nil
+	}, &p)
+	return p, cost, err
 }
 
 // Samples fetches up to count retained time-series samples, oldest first
 // (count <= 0 means all retained).
-func (c *CtlClient) Samples(count int) ([]obs.Sample, simnet.Cost, error) {
-	if count < 0 {
-		count = 0
-	}
-	d, cost, err := c.call(ctlSamples, "", func(e *wire.Encoder) { e.PutUint32(uint32(count)) })
-	if err != nil {
-		return nil, cost, err
-	}
-	raw := d.Opaque()
-	if d.Err() != nil {
-		return nil, cost, d.Err()
-	}
-	var samples []obs.Sample
-	if err := json.Unmarshal(raw, &samples); err != nil {
-		return nil, cost, err
-	}
-	return samples, cost, nil
+func (c *CtlClient) Samples(count int) (samples []obs.Sample, cost simnet.Cost, err error) {
+	cost, err = c.callJSON(ctlSamples, upTo(count), &samples)
+	return samples, cost, err
 }
 
 // SlowDump fetches up to count flight-recorded slow traces, newest first
 // (count <= 0 means all retained).
-func (c *CtlClient) SlowDump(count int) ([]obs.Trace, simnet.Cost, error) {
-	if count < 0 {
-		count = 0
-	}
-	d, cost, err := c.call(ctlSlow, "", func(e *wire.Encoder) { e.PutUint32(uint32(count)) })
-	if err != nil {
-		return nil, cost, err
-	}
-	raw := d.Opaque()
-	if d.Err() != nil {
-		return nil, cost, d.Err()
-	}
-	var traces []obs.Trace
-	if err := json.Unmarshal(raw, &traces); err != nil {
-		return nil, cost, err
-	}
-	return traces, cost, nil
+func (c *CtlClient) SlowDump(count int) (traces []obs.Trace, cost simnet.Cost, err error) {
+	cost, err = c.callJSON(ctlSlow, upTo(count), &traces)
+	return traces, cost, err
 }
 
 // Status reports the remote node's store occupancy and overlay identity.

@@ -2,10 +2,16 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/id"
 	"repro/internal/localfs"
+	"repro/internal/simnet"
 )
 
 func TestCtlRoundTrip(t *testing.T) {
@@ -74,5 +80,57 @@ func TestCtlErrorsCarryNoCommandPrefix(t *testing.T) {
 	}
 	if notDir != nil && !strings.Contains(notDir.Error(), "is not a directory") {
 		t.Errorf("list of a file: %v", notDir)
+	}
+}
+
+// leakStore is a contributed store carrying a pointer-free sentinel: the
+// sentinel is reachable exactly as long as the node that holds the store is,
+// and (having no pointers of its own) sits in no reference cycle, so a
+// finalizer on it reports the node's collection reliably.
+type leakStore struct {
+	localfs.FileSystem
+	sentinel *[64]byte
+}
+
+// servedCluster builds a cluster whose nodes have all answered a ctl file
+// request (so each created its ctl mount), drops it, and returns a counter of
+// the nodes collected so far.
+func servedCluster(t *testing.T, n int) *atomic.Int32 {
+	net := simnet.New(simnet.LAN100)
+	var collected atomic.Int32
+	state := uint64(61)
+	var first simnet.Addr
+	for i := 0; i < n; i++ {
+		st := &leakStore{FileSystem: localfs.New(0, simnet.Disk7200), sentinel: new([64]byte)}
+		runtime.SetFinalizer(st.sentinel, func(*[64]byte) { collected.Add(1) })
+		nd := NewNodeWithStore(simnet.Addr(fmt.Sprintf("k%d", i)), id.Rand128(&state), net, Config{}, st)
+		if _, err := nd.Join(first); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = nd.Addr()
+		}
+		nd.AttachCtl()
+		ctl := &CtlClient{Net: net, From: "cli", To: nd.Addr()}
+		if _, _, err := ctl.List("/"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &collected
+}
+
+// TestCtlMountDoesNotPinNode: a node that has served ctl requests is garbage
+// once its cluster is dropped. (The ctl mount used to live in a package-level
+// map keyed by *Node that nothing pruned, so every node that ever answered a
+// ctl request stayed reachable for the life of the process.)
+func TestCtlMountDoesNotPinNode(t *testing.T) {
+	const n = 3
+	collected := servedCluster(t, n)
+	for i := 0; i < 50 && collected.Load() < n; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != n {
+		t.Fatalf("%d of %d nodes collected after their cluster was dropped", got, n)
 	}
 }

@@ -141,7 +141,7 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 			return localfs.Attr{}, resolveCost, err
 		}
 		attr, err := n.store.LookupPath(op.Path)
-		return attr, simnet.Seq(resolveCost, n.cfg.Disk.OpCost(len(op.Data))), err
+		return attr, simnet.Seq(resolveCost, simnet.Disk7200.OpCost(len(op.Data))), err
 
 	case FSSetattr:
 		attr, err := n.store.LookupPath(op.Path)

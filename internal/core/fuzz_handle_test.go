@@ -31,11 +31,6 @@ func (r *recordingNet) note(service string, req []byte) {
 	r.mu.Unlock()
 }
 
-func (r *recordingNet) Call(from, to simnet.Addr, service string, req []byte) ([]byte, simnet.Cost, error) {
-	r.note(service, req)
-	return r.Network.Call(from, to, service, req)
-}
-
 func (r *recordingNet) CallCtx(ctx obs.TraceContext, from, to simnet.Addr, service string, req []byte) ([]byte, simnet.Cost, error) {
 	r.note(service, req)
 	return r.Network.CallCtx(ctx, from, to, service, req)
@@ -151,13 +146,13 @@ func FuzzKoshaHandleNoPanic(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, ctl bool, req []byte) {
 		n := fuzzCluster(t, simnet.New(simnet.LAN100))[1]
-		handle := n.handleKosha
+		handle := n.serve(KoshaService, koshaProcs)
 		if ctl {
-			handle = n.handleCtl
+			handle = n.serve(CtlService, ctlProcs)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		handle("fuzz", req)
+		handle(obs.TraceContext{}, "fuzz", req)
 		runtime.ReadMemStats(&after)
 		// Decoded structures cost up to ten times their wire form (a 4-byte
 		// item can stand for a 40-byte ChunkRef); the fixed part covers a

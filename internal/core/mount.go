@@ -182,10 +182,10 @@ func (m *Mount) Lookup(dir VH, name string) (VH, localfs.Attr, simnet.Cost, erro
 func (m *Mount) lookup(tr *obs.Trace, dir VH, name string) (VH, localfs.Attr, simnet.Cost, error) {
 	de, err := m.entry(dir)
 	if err != nil {
-		return 0, localfs.Attr{}, m.n.cfg.InterposeCost, err
+		return 0, localfs.Attr{}, InterposeCost, err
 	}
 	if de.kind != localfs.TypeDir {
-		return 0, localfs.Attr{}, m.n.cfg.InterposeCost, &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNotDir}
+		return 0, localfs.Attr{}, InterposeCost, &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNotDir}
 	}
 	if !m.distributedAt(de) {
 		// Name-cache hit: the child was resolved (or pre-warmed by
@@ -199,7 +199,7 @@ func (m *Mount) lookup(tr *obs.Trace, dir VH, name string) (VH, localfs.Attr, si
 		if ve, a, ok := m.dnlcGet(path.Join(de.vpath, name)); ok &&
 			ve.node == de.node && ve.root == de.root {
 			ve.cached = true
-			return m.insert(&ve), a, m.n.cfg.InterposeCost, nil
+			return m.insert(&ve), a, InterposeCost, nil
 		}
 		var out VH
 		var attr localfs.Attr
@@ -228,7 +228,7 @@ func (m *Mount) lookup(tr *obs.Trace, dir VH, name string) (VH, localfs.Attr, si
 		return out, attr, cost, err
 	}
 
-	total := m.n.cfg.InterposeCost
+	total := InterposeCost
 	child, attr, cost, err := m.materializeRetry(tr, path.Join(de.vpath, name))
 	total = simnet.Seq(total, cost)
 	if err != nil {
@@ -249,11 +249,11 @@ func (m *Mount) Getattr(vh VH) (localfs.Attr, simnet.Cost, error) {
 
 func (m *Mount) getattr(tr *obs.Trace, vh VH) (localfs.Attr, simnet.Cost, error) {
 	if vh == RootVH {
-		return rootAttr, m.n.cfg.InterposeCost, nil
+		return rootAttr, InterposeCost, nil
 	}
 	if de, err := m.entry(vh); err == nil {
 		if a, ok := m.cachedAttr(de.vpath); ok {
-			return a, m.n.cfg.InterposeCost, nil
+			return a, InterposeCost, nil
 		}
 	}
 	// The fetched attributes must reflect buffered write-back data (size,
@@ -337,7 +337,7 @@ func (m *Mount) read(tr *obs.Trace, vh VH, offset int64, count int) ([]byte, boo
 			data, eof = d, e
 			m.countRead(de.node)
 			if de.node == m.n.addr {
-				c = simnet.Seq(c, m.n.cfg.LoopbackXfer(len(d)))
+				c = simnet.Seq(c, loopbackXfer(len(d)))
 			}
 		}
 		return c, err
@@ -370,7 +370,7 @@ func (m *Mount) readViaReplica(tr *obs.Trace, de *ventry, offset int64, count in
 	m.countRead(rep)
 	tr.SetServedBy(string(rep))
 	if rep == m.n.addr {
-		total = simnet.Seq(total, m.n.cfg.LoopbackXfer(len(d)))
+		total = simnet.Seq(total, loopbackXfer(len(d)))
 	}
 	return d, e, total, true
 }
@@ -421,7 +421,7 @@ func (m *Mount) write(tr *obs.Trace, vh VH, offset int64, data []byte) (int, sim
 			n = len(data)
 			m.invalAttr(de.vpath)
 			if de.node == m.n.addr {
-				c = simnet.Seq(c, m.n.cfg.LoopbackXfer(len(data)))
+				c = simnet.Seq(c, loopbackXfer(len(data)))
 			}
 		}
 		return c, err
@@ -442,7 +442,7 @@ func (m *Mount) create(tr *obs.Trace, dir VH, name string, mode uint32, exclusiv
 	var out VH
 	var attr localfs.Attr
 	if err := ValidName(name); err != nil {
-		return 0, localfs.Attr{}, m.n.cfg.InterposeCost, err
+		return 0, localfs.Attr{}, InterposeCost, err
 	}
 	cost, err := m.withFailover(tr, dir, func(de *ventry) (simnet.Cost, error) {
 		if de.place.VRoot {
@@ -487,10 +487,10 @@ func (m *Mount) Symlink(dir VH, name, target string) (VH, simnet.Cost, error) {
 
 func (m *Mount) symlink(tr *obs.Trace, dir VH, name, target string) (VH, simnet.Cost, error) {
 	if err := ValidName(name); err != nil {
-		return 0, m.n.cfg.InterposeCost, err
+		return 0, InterposeCost, err
 	}
 	if _, _, ok := ParseLinkTarget(target); ok {
-		return 0, m.n.cfg.InterposeCost, fmt.Errorf("kosha: symlink target begins with a reserved marker")
+		return 0, InterposeCost, fmt.Errorf("kosha: symlink target begins with a reserved marker")
 	}
 	var out VH
 	cost, err := m.withFailover(tr, dir, func(de *ventry) (simnet.Cost, error) {

@@ -27,7 +27,7 @@ func (m *Mount) Mkdir(dir VH, name string, mode uint32) (VH, localfs.Attr, simne
 
 func (m *Mount) mkdir(tr *obs.Trace, dir VH, name string, mode uint32) (VH, localfs.Attr, simnet.Cost, error) {
 	if err := ValidName(name); err != nil {
-		return 0, localfs.Attr{}, m.n.cfg.InterposeCost, err
+		return 0, localfs.Attr{}, InterposeCost, err
 	}
 	var out VH
 	var attr localfs.Attr
@@ -443,7 +443,7 @@ func (m *Mount) Rename(srcDir VH, srcName string, dstDir VH, dstName string) (si
 }
 
 func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstName string) (simnet.Cost, error) {
-	total := m.n.cfg.InterposeCost
+	total := InterposeCost
 	if err := ValidName(dstName); err != nil {
 		return total, err
 	}

@@ -29,11 +29,11 @@ func (m *Mount) lookupPath(vpath string) (*ventry, localfs.Attr, simnet.Cost, er
 	o := m.begin(obs.OpcLookup, vpath)
 	if path.Clean(vpath) == "/" {
 		de, err := m.entry(RootVH)
-		o.done(m.n.cfg.InterposeCost, err)
-		return de, rootAttr, m.n.cfg.InterposeCost, err
+		o.done(InterposeCost, err)
+		return de, rootAttr, InterposeCost, err
 	}
 	de, attr, cost, err := m.materializeRetry(o.tr, vpath)
-	total := simnet.Seq(m.n.cfg.InterposeCost, cost)
+	total := simnet.Seq(InterposeCost, cost)
 	o.done(total, err)
 	return de, attr, total, err
 }
@@ -269,7 +269,7 @@ type ClusterStat struct {
 
 // Statfs sums FSSTAT over the local node and every known peer.
 func (m *Mount) Statfs() (ClusterStat, simnet.Cost, error) {
-	total := m.n.cfg.InterposeCost
+	total := InterposeCost
 	var out ClusterStat
 	nodes := []simnet.Addr{m.n.addr}
 	for _, p := range m.n.overlay.Known() {

@@ -33,24 +33,6 @@ type Config struct {
 	UtilizationLimit float64
 	// Capacity is the contributed partition size in bytes; 0 = unlimited.
 	Capacity int64
-	// LeafSize is the Pastry leaf-set size l. Default 16.
-	LeafSize int
-	// InterposeCost is I, the fixed per-operation cost of the loopback
-	// interposition (kernel crossing + local socket to koshad + handle
-	// table work, Section 6.1.2). Default 300µs.
-	InterposeCost simnet.Cost
-	// LoopbackBytesPerSec is the data rate of the user-space loopback
-	// path (kernel NFS client -> koshad). The SFS-toolkit loopback server
-	// the paper builds on moves data through user space, which is why
-	// Kosha on one node is slightly slower than plain NFS rather than
-	// faster (Table 1). Default 12.5 MB/s, on par with the 100 Mb/s LAN.
-	LoopbackBytesPerSec float64
-	// P2PLookupCost is the fixed cost of one koshad -> local p2p component
-	// node lookup (the local socket round trip plus substrate processing;
-	// "a delay caused by the lookup for the appropriate storage node",
-	// Section 4). Charged per overlay route issued on the client path, on
-	// top of the per-hop network cost. Default 1ms.
-	P2PLookupCost simnet.Cost
 	// ReadFromReplicas spreads read operations across the primary and its
 	// K replica holders instead of always reading from the primary — the
 	// optimization Section 4.2 leaves as an exploration ("allow at least
@@ -79,8 +61,6 @@ type Config struct {
 	// apply and mirrors propagate off the measured path, matching the
 	// small overheads the paper reports with replication enabled.
 	SyncReplication bool
-	// Disk is the cost model for the contributed partition.
-	Disk simnet.DiskModel
 	// NoAutoSync stops overlay membership callbacks from running replica
 	// maintenance (on by default), so a harness can drive SyncReplicas
 	// explicitly for deterministic scheduling. The negative spelling keeps
@@ -120,16 +100,6 @@ type Config struct {
 	// logged value. The cluster harness derives per-node seeds from its own
 	// Options.Seed.
 	Seed uint64
-	// RetryAttempts is the total number of tries (first send + retries) the
-	// RPC retrier gives a transiently unreachable peer before surfacing the
-	// error. Default 3; negative disables retries (1 try).
-	RetryAttempts int
-	// RetryBackoff is the base pause before the first retry; it doubles per
-	// retry up to RetryBackoffCap, jittered. Charged as simulated cost.
-	// Default 5ms.
-	RetryBackoff time.Duration
-	// RetryBackoffCap bounds the exponential backoff. Default 80ms.
-	RetryBackoffCap time.Duration
 
 	// Background maintenance (internal/maint). MaintScrub enables the
 	// anti-entropy scrub loop; MaintRebalance the capacity-driven
@@ -138,21 +108,49 @@ type Config struct {
 	// enabled, and nothing calls Tick unless a harness or daemon does.
 	MaintScrub     bool
 	MaintRebalance bool
-	// MaintTokens is the shared per-tick work budget (default 64);
-	// MaintVerifyFiles / MaintVerifyBlocks bound the scrub's local
-	// verification windows per round (defaults 4 / 32; negative disables).
-	MaintTokens       int
-	MaintVerifyFiles  int
-	MaintVerifyBlocks int
+	// MaintVerifyFiles bounds the files the scrub re-chunks against their
+	// manifests per round (default 4; negative disables; the maintenance
+	// soak raises it to sweep a whole store per tick).
+	MaintVerifyFiles int
 	// MaintHighWater arms the rebalancer (default 0.80); MaintLowWater is
-	// where a shedding round stops (default 0.60). MaintSaltProbes bounds
-	// re-salting attempts per victim (default 4); MaintMoveBytes caps the
-	// bytes migrated per round (default 8 MiB).
-	MaintHighWater  float64
-	MaintLowWater   float64
-	MaintSaltProbes int
-	MaintMoveBytes  int64
+	// where a shedding round stops (default 0.60).
+	MaintHighWater float64
+	MaintLowWater  float64
 }
+
+// What Config does not carry. Every caller runs with the same value of
+// these, so they are constants: the cost model the simulated numbers are
+// stated in, and the budget of the RPC retrier. (Likewise the maintenance
+// engine's per-round budgets, constants in internal/maint; the leaf-set
+// size, pastry.DefaultLeafSize; and the cost model of the contributed
+// partition, simnet.Disk7200.)
+const (
+	// InterposeCost is I, the fixed per-operation cost of the loopback
+	// interposition (kernel crossing + local socket to koshad + handle
+	// table work, Section 6.1.2).
+	InterposeCost = simnet.Cost(210 * time.Microsecond)
+	// LoopbackBytesPerSec is the data rate of the user-space loopback path
+	// (kernel NFS client -> koshad). The SFS-toolkit loopback server the
+	// paper builds on moves data through user space, which is why Kosha on
+	// one node is slightly slower than plain NFS rather than faster
+	// (Table 1). 12.5 MB/s is on par with the 100 Mb/s LAN.
+	LoopbackBytesPerSec = 12.5e6
+	// P2PLookupCost is the fixed cost of one koshad -> local p2p component
+	// node lookup (the local socket round trip plus substrate processing;
+	// "a delay caused by the lookup for the appropriate storage node",
+	// Section 4), charged per overlay route issued on the client path on
+	// top of the per-hop network cost.
+	P2PLookupCost = simnet.Cost(4 * time.Millisecond)
+
+	// RetryAttempts is the total number of tries (first send + retries) the
+	// RPC retrier gives a transiently unreachable peer before surfacing the
+	// error. RetryBackoff is the pause before the first retry; it doubles
+	// per retry up to RetryBackoffCap, jittered, and is charged as
+	// simulated cost.
+	RetryAttempts   = 3
+	RetryBackoff    = 5 * time.Millisecond
+	RetryBackoffCap = 80 * time.Millisecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.DistributionLevel < 1 {
@@ -168,21 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.UtilizationLimit == 0 {
 		c.UtilizationLimit = 0.85
-	}
-	if c.LeafSize == 0 {
-		c.LeafSize = pastry.DefaultLeafSize
-	}
-	if c.InterposeCost == 0 {
-		c.InterposeCost = simnet.Cost(210_000) // 210µs
-	}
-	if c.LoopbackBytesPerSec == 0 {
-		c.LoopbackBytesPerSec = 12.5e6
-	}
-	if c.P2PLookupCost == 0 {
-		c.P2PLookupCost = simnet.Cost(4_000_000) // 4ms
-	}
-	if c.Disk == (simnet.DiskModel{}) {
-		c.Disk = simnet.Disk7200
 	}
 	if c.StreamChunk <= 0 {
 		c.StreamChunk = repl.PushChunk
@@ -206,17 +189,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceBufSize == 0 {
 		c.TraceBufSize = obs.DefaultTraceBuf
 	}
-	if c.RetryAttempts == 0 {
-		c.RetryAttempts = 3
-	} else if c.RetryAttempts < 1 {
-		c.RetryAttempts = 1
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 5 * time.Millisecond
-	}
-	if c.RetryBackoffCap == 0 {
-		c.RetryBackoffCap = 80 * time.Millisecond
-	}
 	return c
 }
 
@@ -235,16 +207,16 @@ func (n *Node) route(tr *obs.Trace, key id.ID) (pastry.RouteResult, simnet.Cost,
 		}
 		tr.AddSpan("route", string(res.Node.Addr), time.Duration(res.Cost))
 	}
-	return res, simnet.Seq(res.Cost, n.cfg.P2PLookupCost), err
+	return res, simnet.Seq(res.Cost, P2PLookupCost), err
 }
 
-// LoopbackXfer returns the loopback-path cost of moving n payload bytes
+// loopbackXfer returns the loopback-path cost of moving n payload bytes
 // between the kernel NFS client and koshad.
-func (c Config) LoopbackXfer(n int) simnet.Cost {
-	if c.LoopbackBytesPerSec <= 0 || n <= 0 {
+func loopbackXfer(n int) simnet.Cost {
+	if n <= 0 {
 		return 0
 	}
-	return simnet.Cost(float64(n) / c.LoopbackBytesPerSec * 1e9)
+	return simnet.Cost(float64(n) / LoopbackBytesPerSec * 1e9)
 }
 
 // Place is a resolved location for a virtual directory: the primary node
@@ -328,6 +300,11 @@ type Node struct {
 	wbCoalesced *obs.Counter
 	wbFlushes   *obs.Counter
 
+	// The mount the ctl service's file procedures run through, created by
+	// the first one (ctlMount).
+	ctlOnce sync.Once
+	ctlMnt  *Mount
+
 	// maintEng is the background maintenance engine (scrub + rebalancer).
 	// Always constructed; its loops run only when enabled and ticked.
 	maintEng *maint.Engine
@@ -353,8 +330,7 @@ var nodeHistNames = func() []string {
 // contributed store is in-memory; use NewNodeWithStore for a persistent
 // backend.
 func NewNode(addr simnet.Addr, nodeID id.ID, net simnet.Transport, cfg Config) *Node {
-	c := cfg.withDefaults()
-	return NewNodeWithStore(addr, nodeID, net, cfg, localfs.New(c.Capacity, c.Disk))
+	return NewNodeWithStore(addr, nodeID, net, cfg, localfs.New(cfg.Capacity, simnet.Disk7200))
 }
 
 // NewNodeWithStore builds a Kosha node over a caller-supplied contributed
@@ -401,7 +377,7 @@ func NewNodeWithStore(addr simnet.Addr, nodeID id.ID, net simnet.Transport, cfg 
 	// retrying caller so transient message loss does not read as node death;
 	// the overlay keeps the raw transport because its liveness probes need
 	// to see real timeouts.
-	n.rpc = newRetrier(net, cfg, n.reg)
+	n.rpc = newRetrier(net, cfg.Seed, n.reg)
 	n.nfsc = nfs.NewClientWithRegistry(n.rpc, addr, n.reg)
 	n.rep = repl.New(repl.Options{
 		Self:     addr,
@@ -414,23 +390,19 @@ func NewNodeWithStore(addr simnet.Addr, nodeID id.ID, net simnet.Transport, cfg 
 		Registry: n.reg,
 		Tracer:   n.tracer,
 	})
-	n.overlay = pastry.NewNode(nodeID, addr, net, cfg.LeafSize)
+	n.overlay = pastry.NewNode(nodeID, addr, net, pastry.DefaultLeafSize)
 	n.overlay.OnLeafSetChange(n.onLeafChange)
 	n.attach()
 	n.maintEng = maint.New(maint.Options{
-		Host:          maintHost{n},
-		Registry:      n.reg,
-		Events:        n.events,
-		Replicas:      cfg.Replicas,
-		Scrub:         cfg.MaintScrub,
-		Rebalance:     cfg.MaintRebalance,
-		TokensPerTick: cfg.MaintTokens,
-		VerifyFiles:   cfg.MaintVerifyFiles,
-		VerifyBlocks:  cfg.MaintVerifyBlocks,
-		HighWater:     cfg.MaintHighWater,
-		LowWater:      cfg.MaintLowWater,
-		SaltProbes:    cfg.MaintSaltProbes,
-		MoveBytes:     cfg.MaintMoveBytes,
+		Host:        maintHost{n},
+		Registry:    n.reg,
+		Events:      n.events,
+		Replicas:    cfg.Replicas,
+		Scrub:       cfg.MaintScrub,
+		Rebalance:   cfg.MaintRebalance,
+		VerifyFiles: cfg.MaintVerifyFiles,
+		HighWater:   cfg.MaintHighWater,
+		LowWater:    cfg.MaintLowWater,
 	})
 	return n
 }
@@ -442,17 +414,8 @@ func (n *Node) attach() {
 	// Done here because Revive replaces the overlay instance.
 	n.overlay.SetLoadProvider(n.loadProvider)
 	n.nsrv.Attach(n.net, n.addr)
-	// On context-aware transports the kosha service registers its
-	// ctx-carrying handler (serveApply forwards the caller's trace into the
-	// mirror fan-out) and the node installs its span sink, which records a
-	// server span for EVERY inbound traced RPC — including plainly-registered
-	// services like nfs and pastry, whose spans the transport times for them.
-	if ct, ok := n.net.(simnet.CtxTransport); ok {
-		ct.RegisterCtx(n.addr, KoshaService, n.handleKoshaCtx)
-		ct.SetSpanSink(n.addr, nodeSink{n})
-	} else {
-		n.net.Register(n.addr, KoshaService, n.handleKosha)
-	}
+	n.net.RegisterCtx(n.addr, KoshaService, n.serve(KoshaService, koshaProcs))
+	n.net.SetSpanSink(n.addr, nodeSink{n})
 }
 
 // newStoreRoot allocates a fresh, node-unique physical storage root for a
@@ -574,7 +537,7 @@ func (n *Node) Revive(newID id.ID, seed simnet.Addr) (simnet.Cost, error) {
 	n.dirCache = make(map[string]Place)
 	n.cacheMu.Unlock()
 	n.nsrv.Bump()
-	n.overlay = pastry.NewNode(newID, n.addr, n.net, n.cfg.LeafSize)
+	n.overlay = pastry.NewNode(newID, n.addr, n.net, pastry.DefaultLeafSize)
 	n.overlay.OnLeafSetChange(n.onLeafChange)
 	n.attach()
 	return n.Join(seed)

@@ -291,7 +291,7 @@ func (m *Mount) bindRoot(tr *obs.Trace) (*ventry, simnet.Cost, error) {
 // cost of re-resolving onto a replica), and the operation's trace.
 func (m *Mount) withFailover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost, error)) (simnet.Cost, error) {
 	c, err := m.failover(tr, vh, fn)
-	return simnet.Seq(m.n.cfg.InterposeCost, c), err
+	return simnet.Seq(InterposeCost, c), err
 }
 
 // failover is withFailover without the interposition charge, for a step

@@ -25,27 +25,22 @@ import (
 // deterministic; jitter comes from a seeded splitmix64 sequence so a failing
 // schedule replays from one logged seed.
 type retrier struct {
-	net      simnet.Caller
-	attempts int           // total tries per call, >= 1
-	base     time.Duration // first backoff step
-	cap      time.Duration // backoff ceiling
-	state    atomic.Uint64 // splitmix64 jitter state, seeded from Config.Seed
-	retries  *obs.Counter
-	giveups  *obs.Counter
+	net     simnet.Caller
+	state   atomic.Uint64 // splitmix64 jitter state, seeded from Config.Seed
+	retries *obs.Counter
+	giveups *obs.Counter
 }
 
-// newRetrier builds the node's retrying caller from its config. reg hosts
-// the retry counters so they surface in node snapshots and cluster stats.
-func newRetrier(net simnet.Caller, cfg Config, reg *obs.Registry) *retrier {
+// newRetrier builds the node's retrying caller (budget: RetryAttempts,
+// RetryBackoff, RetryBackoffCap). reg hosts the retry counters so they
+// surface in node snapshots and cluster stats.
+func newRetrier(net simnet.Caller, seed uint64, reg *obs.Registry) *retrier {
 	r := &retrier{
-		net:      net,
-		attempts: cfg.RetryAttempts,
-		base:     cfg.RetryBackoff,
-		cap:      cfg.RetryBackoffCap,
-		retries:  reg.Counter(obs.CtrRetries),
-		giveups:  reg.Counter(obs.CtrGiveups),
+		net:     net,
+		retries: reg.Counter(obs.CtrRetries),
+		giveups: reg.Counter(obs.CtrGiveups),
 	}
-	r.state.Store(cfg.Seed ^ 0x9e3779b97f4a7c15)
+	r.state.Store(seed ^ 0x9e3779b97f4a7c15)
 	return r
 }
 
@@ -61,52 +56,35 @@ func (r *retrier) splitmix64() uint64 {
 }
 
 // backoff returns the pause before retry number try (0-based): exponential
-// growth capped at r.cap, with the upper half jittered so retry storms from
-// many callers decorrelate.
+// growth capped at RetryBackoffCap, with the upper half jittered so retry
+// storms from many callers decorrelate.
 func (r *retrier) backoff(try int) time.Duration {
-	d := r.base
-	for i := 0; i < try && d < r.cap; i++ {
+	d := RetryBackoff
+	for i := 0; i < try && d < RetryBackoffCap; i++ {
 		d *= 2
 	}
-	if d > r.cap {
-		d = r.cap
-	}
-	if d <= 0 {
-		return 0
+	if d > RetryBackoffCap {
+		d = RetryBackoffCap
 	}
 	half := d / 2
 	return half + time.Duration(r.splitmix64()%uint64(half+1))
 }
 
-// Call implements simnet.Caller. Transient unreachability is retried up to
+// CallCtx implements simnet.Caller. Transient unreachability is retried up to
 // the budget, each retry preceded by a backoff charged to the returned cost;
 // any other outcome (success, handler error, status error) returns
-// immediately with the accumulated cost.
-func (r *retrier) Call(from, to simnet.Addr, service string, req []byte) ([]byte, simnet.Cost, error) {
-	return r.CallCtx(obs.TraceContext{}, from, to, service, req)
-}
-
-// CallCtx is Call with trace-context propagation: when ctx is valid and the
-// wrapped transport supports it, each attempt (including retries after
-// transient unreachability) carries the same context, so a retried exchange
-// still records its server span under the originating trace.
+// immediately with the accumulated cost. Every attempt carries the same
+// trace context, so a retried exchange still records its server span under
+// the originating trace.
 func (r *retrier) CallCtx(ctx obs.TraceContext, from, to simnet.Addr, service string, req []byte) ([]byte, simnet.Cost, error) {
-	cc, hasCtx := r.net.(simnet.CtxCaller)
 	var total simnet.Cost
 	for try := 0; ; try++ {
-		var resp []byte
-		var cost simnet.Cost
-		var err error
-		if ctx.Valid() && hasCtx {
-			resp, cost, err = cc.CallCtx(ctx, from, to, service, req)
-		} else {
-			resp, cost, err = r.net.Call(from, to, service, req)
-		}
+		resp, cost, err := r.net.CallCtx(ctx, from, to, service, req)
 		total = simnet.Seq(total, cost)
 		if err == nil || !errors.Is(err, simnet.ErrUnreachable) {
 			return resp, total, err
 		}
-		if try >= r.attempts-1 {
+		if try >= RetryAttempts-1 {
 			r.giveups.Add(1)
 			return resp, total, err
 		}

@@ -27,8 +27,8 @@ func TestRetrierRecoversFromTransientDrop(t *testing.T) {
 		// Lose only the first transmission.
 		return simnet.LinkFault{Drop: calls.Add(1) == 1}
 	})
-	r := newRetrier(net, Config{Seed: 7}.withDefaults(), reg)
-	resp, cost, err := r.Call("cli", "srv", "echo", []byte("hi"))
+	r := newRetrier(net, 7, reg)
+	resp, cost, err := r.CallCtx(obs.TraceContext{}, "cli", "srv", "echo", []byte("hi"))
 	if err != nil {
 		t.Fatalf("retried call failed: %v", err)
 	}
@@ -54,14 +54,13 @@ func TestRetrierExhaustsBudget(t *testing.T) {
 		calls.Add(1)
 		return simnet.LinkFault{Drop: true}
 	})
-	cfg := Config{Seed: 7, RetryAttempts: 3}.withDefaults()
-	r := newRetrier(net, cfg, reg)
-	_, _, err := r.Call("cli", "srv", "echo", []byte("hi"))
+	r := newRetrier(net, 7, reg)
+	_, _, err := r.CallCtx(obs.TraceContext{}, "cli", "srv", "echo", []byte("hi"))
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("transmissions = %d, want 3 (budget)", got)
+	if got := calls.Load(); got != RetryAttempts {
+		t.Fatalf("transmissions = %d, want %d (budget)", got, RetryAttempts)
 	}
 	if got := reg.Counter(obs.CtrGiveups).Load(); got != 1 {
 		t.Fatalf("giveups = %d, want 1", got)
@@ -76,8 +75,8 @@ func TestRetrierDoesNotRetryRealAnswers(t *testing.T) {
 		served.Add(1)
 		return nil, 0, boom
 	})
-	r := newRetrier(net, Config{}.withDefaults(), reg)
-	_, _, err := r.Call("cli", "srv", "fail", nil)
+	r := newRetrier(net, 0, reg)
+	_, _, err := r.CallCtx(obs.TraceContext{}, "cli", "srv", "fail", nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -89,28 +88,12 @@ func TestRetrierDoesNotRetryRealAnswers(t *testing.T) {
 	}
 }
 
-func TestRetrierDisabled(t *testing.T) {
-	net, reg := retryRig(t)
-	var calls atomic.Int64
-	net.SetFaults(func(from, to simnet.Addr, service string) simnet.LinkFault {
-		calls.Add(1)
-		return simnet.LinkFault{Drop: true}
-	})
-	r := newRetrier(net, Config{RetryAttempts: -1}.withDefaults(), reg)
-	if _, _, err := r.Call("cli", "srv", "echo", nil); !errors.Is(err, simnet.ErrUnreachable) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("transmissions = %d, want 1 when retries are disabled", calls.Load())
-	}
-}
-
 // Backoff sequences are a pure function of the seed: same seed, same pauses —
 // the property that makes chaos schedules replayable from one logged value.
 func TestRetrierBackoffDeterministic(t *testing.T) {
 	seq := func(seed uint64) []time.Duration {
 		_, reg := retryRig(t)
-		r := newRetrier(nil, Config{Seed: seed}.withDefaults(), reg)
+		r := newRetrier(nil, seed, reg)
 		var out []time.Duration
 		for try := 0; try < 6; try++ {
 			out = append(out, r.backoff(try))
@@ -123,10 +106,9 @@ func TestRetrierBackoffDeterministic(t *testing.T) {
 			t.Fatalf("try %d: %v != %v for identical seeds", i, a[i], b[i])
 		}
 	}
-	cfg := Config{}.withDefaults()
 	for i, d := range a {
-		if d < cfg.RetryBackoff/2 || d > cfg.RetryBackoffCap {
-			t.Fatalf("try %d: backoff %v outside [%v/2, %v]", i, d, cfg.RetryBackoff, cfg.RetryBackoffCap)
+		if d < RetryBackoff/2 || d > RetryBackoffCap {
+			t.Fatalf("try %d: backoff %v outside [%v/2, %v]", i, d, RetryBackoff, RetryBackoffCap)
 		}
 	}
 }

@@ -20,60 +20,59 @@ import (
 // arguments, encodes the reply into e, and returns the simulated cost. A
 // non-nil error is a malformed request (or internal failure) and aborts the
 // RPC without a reply body; application-level failures are encoded replies.
-// The trace context is the caller's span context when the request arrived
-// over a context-aware transport, and the zero value otherwise; handlers
-// that issue downstream RPCs thread it so the fan-out parents correctly.
+// The trace context is the server span the transport allocated for the
+// request (zero when the exchange is untraced); handlers that issue
+// downstream RPCs thread it so the fan-out — replica mirroring, root
+// adoption — nests under it in the assembled trace tree.
 type procHandler func(n *Node, ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error)
+
+// proc is one entry of a service's dispatch table: the handler and the name
+// its server spans are labelled with ("<service>.<name>").
+type proc struct {
+	name  string
+	serve procHandler
+}
 
 // serviceTable maps procedure numbers to handlers. Both node services (the
 // kosha replication service and the koshactl administrative service) are
 // plain tables dispatched through the same path, so adding a procedure is a
 // table entry plus a handler rather than a new arm in a monolithic switch.
-type serviceTable map[uint32]procHandler
+type serviceTable map[uint32]proc
 
-// dispatch decodes the procedure number and routes to the table entry.
-func (n *Node) dispatch(table serviceTable, service string, ctx obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-	d := wire.NewDecoder(req)
-	proc := d.Uint32()
-	if d.Err() != nil {
-		return nil, 0, d.Err()
+// serve returns the transport handler for one of the node's service tables:
+// it decodes the procedure number and routes to the table entry.
+func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
+	return func(ctx obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
+		d := wire.NewDecoder(req)
+		num := d.Uint32()
+		if d.Err() != nil {
+			return nil, 0, d.Err()
+		}
+		p, ok := table[num]
+		if !ok {
+			return nil, 0, fmt.Errorf("%s: unknown proc %d", service, num)
+		}
+		e := wire.NewEncoder(256)
+		cost, err := p.serve(n, ctx, from, d, e)
+		if err != nil {
+			return nil, cost, err
+		}
+		return cp(e), cost, nil
 	}
-	h, ok := table[proc]
-	if !ok {
-		return nil, 0, fmt.Errorf("%s: unknown proc %d", service, proc)
-	}
-	e := wire.NewEncoder(256)
-	cost, err := h(n, ctx, from, d, e)
-	if err != nil {
-		return nil, cost, err
-	}
-	return cp(e), cost, nil
 }
 
 // koshaProcs is the kosha replication service (Sections 4.2-4.4).
 var koshaProcs = serviceTable{
-	kApply:         (*Node).serveApply,
-	kMirror:        (*Node).serveMirror,
-	kStatTree:      (*Node).serveStatTree,
-	kUntrack:       (*Node).serveUntrack,
-	kPromote:       (*Node).servePromote,
-	kReplicas:      (*Node).serveReplicas,
-	kTreeDigest:    (*Node).serveTreeDigest,
-	kDirDigests:    (*Node).serveDirDigests,
-	kChunkManifest: (*Node).serveChunkManifest,
-	kChunkFetch:    (*Node).serveChunkFetch,
-}
-
-func (n *Node) handleKosha(from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-	return n.dispatch(koshaProcs, "kosha", obs.TraceContext{}, from, req)
-}
-
-// handleKoshaCtx is the context-aware variant registered on transports that
-// propagate trace contexts; the handler context is the server span allocated
-// by the transport, so downstream RPCs (replica mirroring, root adoption)
-// nest under it in the assembled trace tree.
-func (n *Node) handleKoshaCtx(ctx obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-	return n.dispatch(koshaProcs, "kosha", ctx, from, req)
+	kApply:         {"apply", (*Node).serveApply},
+	kMirror:        {"mirror", (*Node).serveMirror},
+	kStatTree:      {"stat-tree", (*Node).serveStatTree},
+	kUntrack:       {"untrack", (*Node).serveUntrack},
+	kPromote:       {"promote", (*Node).servePromote},
+	kReplicas:      {"replicas", (*Node).serveReplicas},
+	kTreeDigest:    {"tree-digest", (*Node).serveTreeDigest},
+	kDirDigests:    {"dir-digests", (*Node).serveDirDigests},
+	kChunkManifest: {"chunk-manifest", (*Node).serveChunkManifest},
+	kChunkFetch:    {"chunk-fetch", (*Node).serveChunkFetch},
 }
 
 // serveApply executes a mutation at the primary and fans out to replicas.
@@ -194,7 +193,7 @@ func (n *Node) serveStatTree(ctx obs.TraceContext, from simnet.Addr, d *wire.Dec
 	e.PutInt64(st.Bytes)
 	e.PutBool(st.Flag)
 	e.PutUint64(st.Ver)
-	return n.cfg.Disk.OpCost(0), nil
+	return simnet.Disk7200.OpCost(0), nil
 }
 
 // serveTreeDigest reports the Merkle digest summary of the local subtree at
@@ -214,7 +213,7 @@ func (n *Node) serveTreeDigest(ctx obs.TraceContext, from simnet.Addr, d *wire.D
 	e.PutBool(td.Flag)
 	e.PutUint64(td.Ver)
 	e.PutDigest(td.Root)
-	return n.cfg.Disk.OpCost(0), nil
+	return simnet.Disk7200.OpCost(0), nil
 }
 
 // serveDirDigests lists the immediate children of a local directory with
@@ -227,12 +226,12 @@ func (n *Node) serveDirDigests(ctx obs.TraceContext, from simnet.Addr, d *wire.D
 	ents, ok, err := n.rep.DirDigestsLocal(dir)
 	if err != nil {
 		e.PutUint32(codeNFSBase + uint32(nfs.ToStatus(err)))
-		return n.cfg.Disk.OpCost(0), nil
+		return simnet.Disk7200.OpCost(0), nil
 	}
 	e.PutUint32(codeOK)
 	e.PutBool(ok)
 	merkle.PutEntries(e, ents)
-	return n.cfg.Disk.OpCost(len(ents) * 64), nil
+	return simnet.Disk7200.OpCost(len(ents) * 64), nil
 }
 
 // serveUntrack drops root-tracking metadata for a removed subtree.
@@ -282,7 +281,7 @@ func (n *Node) servePromote(ctx obs.TraceContext, from simnet.Addr, d *wire.Deco
 	cost = simnet.Seq(cost, c)
 	e.PutUint32(codeOK)
 	e.PutBool(changed)
-	return simnet.Seq(cost, n.cfg.Disk.OpCost(0)), nil
+	return simnet.Seq(cost, simnet.Disk7200.OpCost(0)), nil
 }
 
 // serveChunkManifest answers a CHUNK_MANIFEST negotiation: the chunk
@@ -302,7 +301,7 @@ func (n *Node) serveChunkManifest(ctx obs.TraceContext, from simnet.Addr, d *wir
 	e.PutBool(exists)
 	cas.PutManifest(e, man)
 	cas.PutBools(e, have)
-	return n.cfg.Disk.OpCost(len(man)*36 + len(want)*32), nil
+	return simnet.Disk7200.OpCost(len(man)*36 + len(want)*32), nil
 }
 
 // serveChunkFetch serves block bytes by content hash (CHUNK_FETCH). The phys
@@ -330,7 +329,7 @@ func (n *Node) serveChunkFetch(ctx obs.TraceContext, from simnet.Addr, d *wire.D
 			total += len(b)
 		}
 	}
-	return n.cfg.Disk.OpCost(total), nil
+	return simnet.Disk7200.OpCost(total), nil
 }
 
 func putApplyReplyBody(e *wire.Encoder, attr localfs.Attr, fh nfs.Handle, fanout int) {

@@ -35,82 +35,57 @@ func addrHash(a simnet.Addr) uint64 {
 	return h
 }
 
-// nodeSink plugs the node's tracer into a context-propagating transport.
-// The transport drives it around every exchange that arrives with a valid
-// trace context: NextSpanID before the handler runs (so nested RPCs issued
-// by the handler parent under the server span), RecordServerSpan after.
+// nodeSink plugs the node's tracer into the transport, which drives it
+// around every exchange that arrives with a valid trace context: NextSpanID
+// before the handler runs (so nested RPCs issued by the handler parent under
+// the server span), RecordServerSpan after. Every service is covered — nfs
+// and pastry get their spans timed by the transport, with no instrumentation
+// of their own.
 type nodeSink struct{ n *Node }
 
 func (s nodeSink) NextSpanID() uint64 { return s.n.tracer.NextSpanID() }
 
 func (s nodeSink) RecordServerSpan(ctx obs.TraceContext, span uint64, service string, from simnet.Addr, req []byte, cost simnet.Cost, err error) {
-	rec := obs.SpanRecord{
+	sp := obs.Span{
 		Hi:     ctx.Hi,
 		Lo:     ctx.Lo,
 		Parent: ctx.Span,
-		Span:   span,
+		ID:     span,
 		Name:   spanName(service, req),
 		From:   string(from),
 		Node:   string(s.n.addr),
 		DurNS:  int64(cost),
 	}
 	if err != nil {
-		rec.Err = err.Error()
+		sp.Err = err.Error()
 	}
-	s.n.tracer.RecordSpan(rec)
-}
-
-// koshaProcNames names replication-service procedures for span labels.
-var koshaProcNames = map[uint32]string{
-	kApply:      "apply",
-	kMirror:     "mirror",
-	kStatTree:   "stat-tree",
-	kUntrack:    "untrack",
-	kPromote:    "promote",
-	kReplicas:   "replicas",
-	kTreeDigest: "tree-digest",
-	kDirDigests: "dir-digests",
-}
-
-// ctlProcNames names administrative-service procedures for span labels.
-var ctlProcNames = map[uint32]string{
-	ctlRead:      "read",
-	ctlWrite:     "write",
-	ctlList:      "list",
-	ctlMkdirAll:  "mkdir-all",
-	ctlRemoveAll: "remove-all",
-	ctlStat:      "stat",
-	ctlStatfs:    "statfs",
-	ctlPeers:     "peers",
-	ctlStats:     "stats",
-	ctlTrace:     "trace",
-	ctlTraceFrag: "trace-frag",
-	ctlSamples:   "samples",
-	ctlSlow:      "slow",
+	s.n.tracer.RecordSpan(sp)
 }
 
 // spanName labels a server span "service.proc" by decoding the leading
 // big-endian procedure number every node service puts first on the wire.
+// The node's own two services are named from their dispatch tables.
 func spanName(service string, req []byte) string {
 	if len(req) < 4 {
 		return service
 	}
-	proc := binary.BigEndian.Uint32(req[:4])
+	num := binary.BigEndian.Uint32(req[:4])
+	name := "?"
 	switch service {
 	case nfs.Service:
-		return "nfs." + nfs.Proc(proc).String()
-	case KoshaService:
-		if s, ok := koshaProcNames[proc]; ok {
-			return "kosha." + s
-		}
+		name = nfs.Proc(num).String()
 	case pastry.Service:
-		return "pastry." + pastry.ProcName(proc)
+		name = pastry.ProcName(num)
+	case KoshaService:
+		if p, ok := koshaProcs[num]; ok {
+			name = p.name
+		}
 	case CtlService:
-		if s, ok := ctlProcNames[proc]; ok {
-			return "koshactl." + s
+		if p, ok := ctlProcs[num]; ok {
+			name = p.name
 		}
 	}
-	return service + ".?"
+	return service + "." + name
 }
 
 // nfsT returns the node's NFS client stamped with tr's trace context: the
@@ -130,8 +105,8 @@ func (n *Node) nfsCtx(tc obs.TraceContext) nfs.Client {
 }
 
 // callKosha issues one kosha-service RPC through the retrier, carrying tc
-// across the wire when it is valid so the server's handler work appears as
-// a span in the originating trace.
+// across the wire so the server's handler work appears as a span in the
+// originating trace.
 func (n *Node) callKosha(tc obs.TraceContext, to simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
 	return n.rpc.CallCtx(tc, n.addr, to, KoshaService, req)
 }

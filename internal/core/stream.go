@@ -162,7 +162,7 @@ func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int) ([]byte
 		// interposition constant, the same convention the attribute cache
 		// uses (forwarded READs don't charge the loopback leg either).
 		m.n.raHits.Add(1)
-		return data, eof, m.n.cfg.InterposeCost, nil
+		return data, eof, InterposeCost, nil
 	}
 	if w := st.discard(); w > 0 {
 		m.n.raWasted.Add(uint64(w))
@@ -185,7 +185,7 @@ func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int) ([]byte
 			data, eof = d, e
 			m.countRead(de.node)
 			if de.node == m.n.addr {
-				c = simnet.Seq(c, m.n.cfg.LoopbackXfer(len(d)))
+				c = simnet.Seq(c, loopbackXfer(len(d)))
 			}
 			return c, nil
 		}
@@ -196,7 +196,7 @@ func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int) ([]byte
 		d, e, _ := st.serve(offset, count)
 		data, eof = d, e
 		if de.node == m.n.addr {
-			c = simnet.Seq(c, m.n.cfg.LoopbackXfer(len(d)))
+			c = simnet.Seq(c, loopbackXfer(len(d)))
 		}
 		return c, nil
 	})
@@ -335,7 +335,7 @@ func (m *Mount) writeBuffered(tr *obs.Trace, vh VH, offset int64, data []byte) (
 	defer st.mu.Unlock()
 	// Absorbing into the client-side buffer costs the interposition
 	// constant alone; the network and disk are paid at flush time.
-	cost := m.n.cfg.InterposeCost
+	cost := InterposeCost
 	if !st.absorb(offset, data) {
 		// The write overlaps buffered data: flush first so bytes land in
 		// write order, then buffer the new write.
@@ -381,7 +381,7 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 		if aerr == nil {
 			vp = de.vpath
 			if de.node == m.n.addr {
-				c = simnet.Seq(c, m.n.cfg.LoopbackXfer(size))
+				c = simnet.Seq(c, loopbackXfer(size))
 			}
 		}
 		return c, aerr
@@ -420,7 +420,7 @@ func (m *Mount) Commit(vh VH) (simnet.Cost, error) {
 	o := m.begin(obs.OpcCommit, m.vpathOf(vh))
 	cost, err := m.flushVH(o.tr, vh)
 	if cost == 0 {
-		cost = m.n.cfg.InterposeCost
+		cost = InterposeCost
 	}
 	o.done(cost, err)
 	return cost, err
@@ -439,7 +439,7 @@ func (m *Mount) Close(vh VH) (simnet.Cost, error) {
 		m.vt.delete(vh)
 	}
 	if cost == 0 {
-		cost = m.n.cfg.InterposeCost
+		cost = InterposeCost
 	}
 	o.done(cost, err)
 	return cost, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -12,10 +13,10 @@ import (
 // collectFrags gathers one trace's span fragments from every live node over
 // the CTL protocol, exactly as koshactl trace -id does, returning the origin
 // trace (from whichever node retained it) and the merged fragment list.
-func collectFrags(t *testing.T, nodes []*Node, hi, lo uint64) (*obs.Trace, []obs.SpanRecord) {
+func collectFrags(t *testing.T, nodes []*Node, hi, lo uint64) (*obs.Trace, []obs.Span) {
 	t.Helper()
 	var origin *obs.Trace
-	var frags []obs.SpanRecord
+	var frags []obs.Span
 	for _, nd := range nodes {
 		ctl := &CtlClient{Net: nodes[0].net, From: nodes[0].Addr(), To: nd.Addr()}
 		frag, _, err := ctl.TraceFrag(hi, lo)
@@ -102,6 +103,68 @@ func TestCrossNodeTraceAssembly(t *testing.T) {
 			t.Fatalf("span %+v escaped trace %s", n.Span, obs.FormatTraceID(best.Hi, best.Lo))
 		}
 	})
+}
+
+// TestClientStagesJoinTheAssembledTree: the origin's own stages (route,
+// apply) and the server spans other nodes recorded are one span type in one
+// tree — the stages hang off the trace's root span beside the server spans
+// the origin caused, under the same 128-bit id, each with its own span id.
+func TestClientStagesJoinTheAssembledTree(t *testing.T) {
+	_, nodes := testCluster(t, 6, 71, Config{Replicas: 2})
+	for _, nd := range nodes {
+		nd.AttachCtl()
+	}
+	m := nodes[5].NewMount()
+	if _, err := m.WriteFile("/staged/file.txt", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range nodes[5].Tracer().Recent(0) {
+		origin, frags := collectFrags(t, nodes, tr.Hi, tr.Lo)
+		at := obs.Assemble(tr.Hi, tr.Lo, origin, frags)
+		if !hasSpan(at, "route") || !hasSpan(at, "apply") || !hasSpan(at, "kosha.apply") {
+			continue
+		}
+		if at.SpanCount != len(origin.Spans)+len(frags) {
+			t.Fatalf("SpanCount = %d, want %d client stages + %d server spans", at.SpanCount, len(origin.Spans), len(frags))
+		}
+		ids := map[uint64]bool{}
+		at.Walk(func(depth int, n *obs.TraceNode) {
+			sp := n.Span
+			if sp.Hi != tr.Hi || sp.Lo != tr.Lo || sp.ID == 0 || ids[sp.ID] {
+				t.Errorf("span %+v: wrong trace id, or a zero or reused span id", sp)
+			}
+			ids[sp.ID] = true
+			if sp.Name == "route" || sp.Name == "apply" {
+				if depth != 0 || sp.Parent != origin.Span || sp.From != origin.Node || sp.Node == "" {
+					t.Errorf("client stage %+v at depth %d, want a child of root span %d issued by %s", sp, depth, origin.Span, origin.Node)
+				}
+			}
+		})
+		return
+	}
+	t.Fatal("no trace assembled with client stages beside the server apply span")
+}
+
+// TestEveryProcedureNamesItsSpan: span labels are read off the dispatch
+// tables, so a procedure cannot be added without a name (kChunkManifest and
+// kChunkFetch used to be labelled "kosha.?" by a hand-kept map).
+func TestEveryProcedureNamesItsSpan(t *testing.T) {
+	for service, table := range map[string]serviceTable{KoshaService: koshaProcs, CtlService: ctlProcs} {
+		seen := map[string]uint32{}
+		for num := range table {
+			name := spanName(service, binary.BigEndian.AppendUint32(nil, num))
+			if !strings.HasPrefix(name, service+".") || strings.Contains(name, "?") || name == service+"." {
+				t.Errorf("%s proc %d is labelled %q", service, num, name)
+			}
+			if other, dup := seen[name]; dup {
+				t.Errorf("%s procs %d and %d share the label %q", service, other, num, name)
+			}
+			seen[name] = num
+		}
+	}
+	if got := spanName(KoshaService, binary.BigEndian.AppendUint32(nil, 9999)); got != "kosha.?" {
+		t.Errorf("unknown procedure labelled %q, want kosha.?", got)
+	}
 }
 
 func hasSpan(at *obs.AssembledTrace, name string) bool {
@@ -223,13 +286,13 @@ func TestDupReplaysDoNotDoubleRecordSpans(t *testing.T) {
 		if tr.Hi == 0 && tr.Lo == 0 {
 			continue
 		}
-		seen := make(map[uint64]obs.SpanRecord)
+		seen := make(map[uint64]obs.Span)
 		for _, nd := range nodes {
 			for _, sp := range nd.Tracer().SpansFor(tr.Hi, tr.Lo) {
-				if prev, dup := seen[sp.Span]; dup {
-					t.Fatalf("span %d recorded twice (%+v vs %+v)", sp.Span, prev, sp)
+				if prev, dup := seen[sp.ID]; dup {
+					t.Fatalf("span %d recorded twice (%+v vs %+v)", sp.ID, prev, sp)
 				}
-				seen[sp.Span] = sp
+				seen[sp.ID] = sp
 				checked++
 			}
 		}

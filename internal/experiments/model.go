@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/simnet"
 )
 
@@ -28,7 +29,7 @@ type ModelOptions struct {
 // paper's 10^4-node target scale.
 func DefaultModelOptions() ModelOptions {
 	return ModelOptions{
-		I:          210 * time.Microsecond,
+		I:          time.Duration(core.InterposeCost),
 		HopCost:    700 * time.Microsecond, // one overlay RPC round trip
 		Base:       16,
 		NodeCounts: []int{1, 2, 4, 8, 16, 64, 256, 1024, 4096, 10000},

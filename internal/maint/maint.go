@@ -104,50 +104,44 @@ type Options struct {
 	Scrub     bool
 	Rebalance bool
 
-	// TokensPerTick is the shared work budget both loops draw from each
-	// round: one token per digest exchange or file verification, one per
-	// MiB migrated. Default 64.
-	TokensPerTick int
 	// VerifyFiles caps files re-chunked against their manifests per round
-	// (sliding cursor). Default 4.
+	// (sliding cursor). Default 4; negative disables.
 	VerifyFiles int
-	// VerifyBlocks caps indexed blocks hash-checked per round (sliding
-	// cursor). Default 32.
-	VerifyBlocks int
 	// HighWater is the utilization that arms the rebalancer (default 0.8);
 	// LowWater is where a round stops shedding (default 0.6).
 	HighWater float64
 	LowWater  float64
-	// SaltProbes bounds the re-salting attempts per victim. Default 4.
-	SaltProbes int
-	// MoveBytes caps the bytes migrated per round. Default 8 MiB.
-	MoveBytes int64
 }
+
+// The per-round budgets: every engine runs with the same ones, so they are
+// constants rather than Options.
+const (
+	// TokensPerTick is the shared work budget both loops draw from each
+	// round: one token per digest exchange or file verification, one per
+	// MiB migrated (plus one per move).
+	TokensPerTick = 64
+	// VerifyBlocks caps indexed blocks hash-checked per round (sliding
+	// cursor).
+	VerifyBlocks = 32
+	// SaltProbes bounds the re-salting attempts per victim.
+	SaltProbes = 4
+	// MoveBytes caps the bytes migrated per round: no new move starts once
+	// a round has shipped this much.
+	MoveBytes = 8 << 20
+)
 
 func (o Options) withDefaults() Options {
 	if o.Replicas <= 0 {
 		o.Replicas = 1
 	}
-	if o.TokensPerTick <= 0 {
-		o.TokensPerTick = 64
-	}
 	if o.VerifyFiles == 0 {
 		o.VerifyFiles = 4
-	}
-	if o.VerifyBlocks == 0 {
-		o.VerifyBlocks = 32
 	}
 	if o.HighWater <= 0 {
 		o.HighWater = 0.8
 	}
 	if o.LowWater <= 0 {
 		o.LowWater = 0.6
-	}
-	if o.SaltProbes <= 0 {
-		o.SaltProbes = 4
-	}
-	if o.MoveBytes <= 0 {
-		o.MoveBytes = 8 << 20
 	}
 	return o
 }
@@ -212,7 +206,7 @@ func (e *Engine) Tick() simnet.Cost {
 	if !e.Enabled() {
 		return 0
 	}
-	tokens := e.opts.TokensPerTick
+	tokens := TokensPerTick
 	var total simnet.Cost
 	if e.opts.Scrub {
 		total = simnet.Seq(total, e.scrubRound(obs.TraceContext{}, &tokens))
@@ -243,17 +237,15 @@ func (e *Engine) scrubRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 
 	// Local block verification: hash-check a cursor window of the index.
 	// Bad locations are pruned as a side effect of the failed Get.
-	if e.opts.VerifyBlocks > 0 {
-		e.mu.Lock()
-		cursor := e.blockCursor
-		e.mu.Unlock()
-		next, _, bad := rep.VerifyBlocks(cursor, e.opts.VerifyBlocks)
-		e.mu.Lock()
-		e.blockCursor = next
-		e.mu.Unlock()
-		if bad > 0 {
-			e.scrubBadBlocks.Add(uint64(bad))
-		}
+	e.mu.Lock()
+	cursor := e.blockCursor
+	e.mu.Unlock()
+	next, _, bad := rep.VerifyBlocks(cursor, VerifyBlocks)
+	e.mu.Lock()
+	e.blockCursor = next
+	e.mu.Unlock()
+	if bad > 0 {
+		e.scrubBadBlocks.Add(uint64(bad))
 	}
 
 	tracks := rep.Tracks()
@@ -431,7 +423,7 @@ func (e *Engine) rebalanceRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 		if ld.Utilization() < e.opts.LowWater {
 			break
 		}
-		if *tokens <= 0 || moved >= e.opts.MoveBytes {
+		if *tokens <= 0 || moved >= MoveBytes {
 			break
 		}
 		c, ok := e.moveVictim(tc, v, tokens)
@@ -461,7 +453,7 @@ func (e *Engine) moveVictim(tc obs.TraceContext, v victim, tokens *int) (simnet.
 	var destAddr simnet.Addr
 	var destPN string
 	bestU := localU
-	for attempt := 1; attempt <= e.opts.SaltProbes; attempt++ {
+	for attempt := 1; attempt <= SaltProbes; attempt++ {
 		pn := e.host.Salt(base, attempt)
 		if pn == v.t.PN {
 			continue

@@ -44,9 +44,8 @@ func init() {
 // context-stamped copy of a client, so xids stay unique per node and the
 // counters aggregate regardless of which copy issued the call.
 type clientState struct {
-	net    simnet.Caller
-	ctxNet simnet.CtxCaller // non-nil when net supports trace propagation
-	from   simnet.Addr
+	net  simnet.Caller
+	from simnet.Addr
 
 	reg    *obs.Registry
 	rpcs   *obs.Counter
@@ -88,9 +87,6 @@ func NewClientWithRegistry(net simnet.Caller, from simnet.Addr, reg *obs.Registr
 		reg:   reg,
 		rpcs:  reg.Counter("nfs.rpcs"),
 		bytes: reg.Counter("nfs.bytes"),
-	}
-	if cn, ok := net.(simnet.CtxCaller); ok {
-		s.ctxNet = cn
 	}
 	return Client{s: s}
 }
@@ -161,14 +157,7 @@ func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wir
 	lat := c.proc(proc)
 	c.s.rpcs.Add(1)
 	c.s.bytes.Add(uint64(len(e.Bytes())))
-	var resp []byte
-	var cost simnet.Cost
-	var err error
-	if c.tc.Valid() && c.s.ctxNet != nil {
-		resp, cost, err = c.s.ctxNet.CallCtx(c.tc, c.s.from, to, Service, e.Bytes())
-	} else {
-		resp, cost, err = c.s.net.Call(c.s.from, to, Service, e.Bytes())
-	}
+	resp, cost, err := c.s.net.CallCtx(c.tc, c.s.from, to, Service, e.Bytes())
 	lat.Observe(time.Duration(cost))
 	c.s.bytes.Add(uint64(len(resp)))
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/localfs"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -16,7 +17,7 @@ type recorder struct {
 	reqs [][]byte
 }
 
-func (r *recorder) Call(from, _ simnet.Addr, _ string, req []byte) ([]byte, simnet.Cost, error) {
+func (r *recorder) CallCtx(_ obs.TraceContext, from, _ simnet.Addr, _ string, req []byte) ([]byte, simnet.Cost, error) {
 	r.reqs = append(r.reqs, append([]byte(nil), req...))
 	return r.srv.Handle(from, req)
 }

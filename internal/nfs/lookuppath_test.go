@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/localfs"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -116,7 +117,7 @@ type diskTap struct {
 	disk simnet.Cost
 }
 
-func (n *diskTap) Call(from, _ simnet.Addr, _ string, req []byte) ([]byte, simnet.Cost, error) {
+func (n *diskTap) CallCtx(_ obs.TraceContext, from, _ simnet.Addr, _ string, req []byte) ([]byte, simnet.Cost, error) {
 	resp, c, err := n.srv.Handle(from, req)
 	n.disk = simnet.Seq(n.disk, c)
 	return resp, c, err

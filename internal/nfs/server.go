@@ -62,7 +62,7 @@ func (s *Server) Bump() { s.gen.Add(1) }
 
 // Attach registers the server's RPC handler on the network at addr.
 func (s *Server) Attach(n simnet.Transport, addr simnet.Addr) {
-	n.Register(addr, Service, s.Handle)
+	n.RegisterCtx(addr, Service, simnet.Handler(s.Handle).Ctx())
 }
 
 // Handle is the simnet.Handler entry point: decode proc and xid, consult the

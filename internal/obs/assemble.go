@@ -4,78 +4,72 @@ import (
 	"sort"
 )
 
-// TraceNode is one node of an assembled causal tree: a server-side span and
-// the spans it caused (nested RPCs the server issued while handling it).
+// TraceNode is one node of an assembled causal tree: a span and the spans
+// it caused (nested RPCs the server issued while handling it).
 type TraceNode struct {
-	Span     SpanRecord   `json:"span"`
+	Span     Span         `json:"span"`
 	Children []*TraceNode `json:"children,omitempty"`
 }
 
 // AssembledTrace is the cluster-wide view of one operation, rebuilt from the
 // originating node's Trace plus server-span fragments collected from every
-// live node. Roots are the spans directly caused by the origin (route hops,
-// the serving NFS RPC, the primary apply); deeper fan-out (mirrors pushed by
-// the primary) hangs beneath them. Spans whose parent fragment was evicted
-// from its ring surface as additional roots rather than being dropped.
+// live node. Roots are the children of the trace's root span: the origin's
+// own client-side stages (route, apply) beside the server spans the origin
+// caused directly (route hops, the serving NFS RPC, the primary apply);
+// deeper fan-out (mirrors pushed by the primary) hangs beneath them. Spans
+// whose parent fragment was evicted from its ring surface as additional
+// roots rather than being dropped.
 type AssembledTrace struct {
 	Hi     uint64       `json:"hi"`
 	Lo     uint64       `json:"lo"`
 	Origin *Trace       `json:"origin,omitempty"`
 	Roots  []*TraceNode `json:"roots,omitempty"`
-	// NodeCount is how many distinct cluster nodes contributed spans
-	// (including the origin).
+	// NodeCount is how many distinct cluster nodes the spans name as their
+	// server, plus the origin.
 	NodeCount int `json:"node_count"`
 	SpanCount int `json:"span_count"`
 }
 
 // Assemble rebuilds the causal tree for one trace id from an optional origin
-// trace and span fragments gathered across the cluster. Duplicate fragments
-// (the same span collected twice) are dropped; ordering is deterministic
-// (children sorted by span id) so identical inputs render identically.
-func Assemble(hi, lo uint64, origin *Trace, frags []SpanRecord) *AssembledTrace {
+// trace (whose client-side stages join the tree) and span fragments gathered
+// across the cluster. Duplicate fragments (the same span collected twice) are
+// dropped; ordering is deterministic (children sorted by span id) so
+// identical inputs render identically.
+func Assemble(hi, lo uint64, origin *Trace, frags []Span) *AssembledTrace {
 	at := &AssembledTrace{Hi: hi, Lo: lo, Origin: origin}
-	nodes := make(map[uint64]*TraceNode, len(frags))
 	seen := make(map[string]bool)
-	order := make([]uint64, 0, len(frags))
-	for _, f := range frags {
-		if f.Hi != hi || f.Lo != lo || f.Span == 0 {
-			continue
-		}
-		if nodes[f.Span] != nil {
-			continue
-		}
-		nodes[f.Span] = &TraceNode{Span: f}
-		order = append(order, f.Span)
-		if !seen[f.Node] {
-			seen[f.Node] = true
-		}
-		at.SpanCount++
-	}
-	if origin != nil && origin.Node != "" && !seen[origin.Node] {
-		seen[origin.Node] = true
-	}
-	at.NodeCount = len(seen)
-
-	rootSpan := uint64(0)
 	if origin != nil {
-		rootSpan = origin.Span
-	}
-	for _, id := range order {
-		n := nodes[id]
-		if n.Span.Parent != rootSpan {
-			if p := nodes[n.Span.Parent]; p != nil {
-				p.Children = append(p.Children, n)
-				continue
-			}
+		frags = append(origin.Spans[:len(origin.Spans):len(origin.Spans)], frags...)
+		if origin.Node != "" {
+			seen[origin.Node] = true
 		}
-		at.Roots = append(at.Roots, n)
+	}
+	nodes := make(map[uint64]*TraceNode, len(frags))
+	order := make([]*TraceNode, 0, len(frags))
+	for _, f := range frags {
+		if f.Hi != hi || f.Lo != lo || f.ID == 0 || nodes[f.ID] != nil {
+			continue
+		}
+		n := &TraceNode{Span: f}
+		nodes[f.ID] = n
+		order = append(order, n)
+		seen[f.Node] = true
+	}
+	at.SpanCount = len(order)
+	at.NodeCount = len(seen)
+	for _, n := range order {
+		if p := nodes[n.Span.Parent]; p != nil {
+			p.Children = append(p.Children, n)
+		} else {
+			at.Roots = append(at.Roots, n)
+		}
 	}
 	sortTree(at.Roots)
 	return at
 }
 
 func sortTree(ns []*TraceNode) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].Span.Span < ns[j].Span.Span })
+	sort.Slice(ns, func(i, j int) bool { return ns[i].Span.ID < ns[j].Span.ID })
 	for _, n := range ns {
 		sortTree(n.Children)
 	}

@@ -29,11 +29,8 @@ func (c TraceContext) Child(span uint64) TraceContext {
 	return TraceContext{Hi: c.Hi, Lo: c.Lo, Span: span}
 }
 
-// TraceID formats the 128-bit trace id as 32 lowercase hex digits, the form
+// FormatTraceID renders a (hi, lo) pair as 32 lowercase hex digits, the form
 // koshactl trace -id accepts.
-func (c TraceContext) TraceID() string { return FormatTraceID(c.Hi, c.Lo) }
-
-// FormatTraceID renders a (hi, lo) pair as 32 hex digits.
 func FormatTraceID(hi, lo uint64) string { return fmt.Sprintf("%016x%016x", hi, lo) }
 
 // ParseTraceID parses the 32-hex-digit form back into (hi, lo). Shorter
@@ -55,20 +52,4 @@ func ParseTraceID(s string) (hi, lo uint64, err error) {
 		return 0, 0, fmt.Errorf("obs: bad trace id %q: %w", s, err)
 	}
 	return hi, lo, nil
-}
-
-// SpanRecord is one server-side span fragment: the trace it belongs to, its
-// position in the causal tree (Parent -> Span), and what ran where. Recorded
-// by the transport layer on the serving node, so every service (nfs, kosha,
-// pastry, ctl) gets spans without per-handler instrumentation.
-type SpanRecord struct {
-	Hi     uint64 `json:"hi"`
-	Lo     uint64 `json:"lo"`
-	Parent uint64 `json:"parent"`
-	Span   uint64 `json:"span"`
-	Name   string `json:"name"`
-	From   string `json:"from,omitempty"`
-	Node   string `json:"node"`
-	DurNS  int64  `json:"dur_ns"`
-	Err    string `json:"err,omitempty"`
 }

@@ -49,11 +49,8 @@ const DefaultEventBuf = 128
 // (the counts survive ring eviction so stats stay accurate).
 type EventLog struct {
 	mu     sync.Mutex
-	cap    int
 	seq    uint64
-	ring   []Event
-	next   int
-	full   bool
+	recent ring[Event]
 	counts map[string]uint64
 }
 
@@ -64,43 +61,19 @@ func NewEventLog(capacity int) *EventLog {
 		capacity = DefaultEventBuf
 	}
 	return &EventLog{
-		cap:    capacity,
+		recent: ring[Event]{max: capacity},
 		counts: make(map[string]uint64),
 	}
 }
 
-// Add records an event. The ring grows geometrically up to cap so quiet
-// nodes (and the many short-lived nodes of simulated clusters) never pay
-// for the full buffer.
+// Add records an event.
 func (l *EventLog) Add(kind, node, detail string) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	l.seq++
-	ev := Event{Seq: l.seq, Kind: kind, Node: node, Detail: detail, At: time.Now()}
-	if !l.full && l.next == len(l.ring) && len(l.ring) < l.cap {
-		if len(l.ring) == cap(l.ring) {
-			grown := cap(l.ring) * 2
-			if grown == 0 {
-				grown = 8
-			}
-			if grown > l.cap {
-				grown = l.cap
-			}
-			next := make([]Event, len(l.ring), grown)
-			copy(next, l.ring)
-			l.ring = next
-		}
-		l.ring = append(l.ring, ev)
-	} else {
-		l.ring[l.next] = ev
-	}
-	l.next++
-	if l.next == l.cap {
-		l.next = 0
-		l.full = true
-	}
+	l.recent.put(Event{Seq: l.seq, Kind: kind, Node: node, Detail: detail, At: time.Now()})
 	l.counts[kind]++
 	l.mu.Unlock()
 }
@@ -133,20 +106,7 @@ func (l *EventLog) Snapshot(n int) EventsSnapshot {
 	for k, v := range l.counts {
 		s.Counts[k] = v
 	}
-	size := l.next
-	if l.full {
-		size = l.cap
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	for i := 0; i < n; i++ {
-		idx := l.next - 1 - i
-		if idx < 0 {
-			idx += l.cap
-		}
-		s.Recent = append(s.Recent, l.ring[idx])
-	}
+	s.Recent = l.recent.newestFirst(n)
 	return s
 }
 

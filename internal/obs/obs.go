@@ -114,9 +114,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set overwrites the gauge.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
@@ -314,59 +311,32 @@ func (r *Registry) Histograms(names ...string) []*Histogram {
 	return out
 }
 
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
+// metric returns (creating if needed) the named entry of one of the
+// registry's maps: a read-locked lookup, then a double-checked insert.
+func metric[M any](mu *sync.RWMutex, m map[string]*M, name string) *M {
+	mu.RLock()
+	v, ok := m[name]
+	mu.RUnlock()
 	if ok {
-		return c
+		return v
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
+	mu.Lock()
+	defer mu.Unlock()
+	if v, ok = m[name]; !ok {
+		v = new(M)
+		m[name] = v
 	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return v
 }
+
+// Counter returns (creating if needed) the named counter.
+func (r *Registry) Counter(name string) *Counter { return metric(&r.mu, r.counters, name) }
 
 // Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return metric(&r.mu, r.gauges, name) }
 
 // Histogram returns (creating if needed) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; ok {
-		return h
-	}
-	h = &Histogram{}
-	r.hists[name] = h
-	return h
-}
+func (r *Registry) Histogram(name string) *Histogram { return metric(&r.mu, r.hists, name) }
 
 // Observe records a duration into the named histogram.
 func (r *Registry) Observe(name string, d time.Duration) {
@@ -451,13 +421,15 @@ func (s *Snapshot) Merge(o Snapshot) {
 
 // HistNames returns the snapshot's histogram names, sorted, for stable
 // rendering.
-func (s Snapshot) HistNames() []string {
-	names := make([]string, 0, len(s.Hists))
-	for k := range s.Hists {
-		names = append(names, k)
+func (s Snapshot) HistNames() []string { return sortedKeys(s.Hists) }
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(out)
+	return out
 }
 
 // MeanRatio divides two counters (0 when the denominator is 0); the mean

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -14,24 +13,14 @@ import (
 // kosha_op_lookup_ns. Histograms are exported in nanoseconds with the
 // registry's fixed factor-2 bucket bounds.
 func WriteProm(w io.Writer, s Snapshot) error {
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(s.Counters) {
 		pn := promName(name) + "_total"
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, s.Counters[name]); err != nil {
 			return err
 		}
 	}
 
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(s.Gauges) {
 		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, s.Gauges[name]); err != nil {
 			return err

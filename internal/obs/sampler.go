@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -44,13 +42,10 @@ type Sample struct {
 type Sampler struct {
 	src func() Snapshot
 
-	mu    sync.Mutex
-	last  Snapshot
-	lastT time.Time
-	ring  []Sample
-	cap   int
-	next  int
-	full  bool
+	mu     sync.Mutex
+	last   Snapshot
+	lastT  time.Time
+	recent ring[Sample]
 
 	stop chan struct{}
 	done chan struct{}
@@ -68,7 +63,7 @@ func NewSamplerFunc(src func() Snapshot, capacity int) *Sampler {
 	if capacity <= 0 {
 		capacity = DefaultSampleBuf
 	}
-	return &Sampler{src: src, cap: capacity}
+	return &Sampler{src: src, recent: ring[Sample]{max: capacity}}
 }
 
 // TickNow takes one sample at the given timestamp. The first tick only
@@ -87,16 +82,7 @@ func (s *Sampler) TickNow(now time.Time) Sample {
 	}
 	sm := diffSample(s.last, snap, s.lastT, now)
 	s.last, s.lastT = snap, now
-	if !s.full && s.next == len(s.ring) && len(s.ring) < s.cap {
-		s.ring = append(s.ring, sm)
-	} else {
-		s.ring[s.next] = sm
-	}
-	s.next++
-	if s.next == s.cap {
-		s.next = 0
-		s.full = true
-	}
+	s.recent.put(sm)
 	return sm
 }
 
@@ -159,20 +145,7 @@ func (s *Sampler) Recent(n int) []Sample {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	size := s.next
-	start := 0
-	if s.full {
-		size = s.cap
-		start = s.next
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Sample, 0, n)
-	for i := size - n; i < size; i++ {
-		out = append(out, s.ring[(start+i)%s.cap])
-	}
-	return out
+	return s.recent.oldestFirst(n)
 }
 
 // Start launches the wall-clock sampling goroutine at the given interval.
@@ -221,13 +194,6 @@ func (s *Sampler) Stop() {
 	}
 }
 
-// WriteSamplesJSON dumps samples as a JSON array.
-func WriteSamplesJSON(w io.Writer, samples []Sample) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(samples)
-}
-
 // WriteSamplesCSV dumps samples in long form — one row per metric per
 // sample: t_unix_ns,metric,kind,value. Long form keeps the schema stable as
 // metrics come and go, which is what plotting pipelines want.
@@ -237,13 +203,13 @@ func WriteSamplesCSV(w io.Writer, samples []Sample) error {
 	}
 	for _, sm := range samples {
 		t := sm.T.UnixNano()
-		for _, name := range sortedKeysF(sm.Rates) {
+		for _, name := range sortedKeys(sm.Rates) {
 			fmt.Fprintf(w, "%d,%s,rate,%.3f\n", t, name, sm.Rates[name])
 		}
-		for _, name := range sortedKeysI(sm.Gauges) {
+		for _, name := range sortedKeys(sm.Gauges) {
 			fmt.Fprintf(w, "%d,%s,gauge,%d\n", t, name, sm.Gauges[name])
 		}
-		for _, name := range sortedKeysH(sm.Hists) {
+		for _, name := range sortedKeys(sm.Hists) {
 			h := sm.Hists[name]
 			fmt.Fprintf(w, "%d,%s.count,hist,%d\n", t, name, h.Count)
 			fmt.Fprintf(w, "%d,%s.p50_ns,hist,%d\n", t, name, h.P50NS)
@@ -252,31 +218,4 @@ func WriteSamplesCSV(w io.Writer, samples []Sample) error {
 		}
 	}
 	return nil
-}
-
-func sortedKeysF(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysI(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysH(m map[string]HistSample) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -28,12 +28,23 @@ type Hop struct {
 	Prefix int    `json:"prefix"`
 }
 
-// Span is one timed stage inside an operation (resolve, route, an NFS RPC,
-// replica fan-out, a failover retry).
+// Span is one timed piece of a traced operation, and the only span shape in
+// the system: the trace it belongs to (Hi, Lo), its position in the causal
+// tree (Parent -> ID), and what ran where — From issued it, Node served it.
+// The transport records one on the serving node for every traced exchange, so
+// every service (nfs, kosha, pastry, ctl) gets spans without per-handler
+// instrumentation; the originating node records its own client-side stages
+// (route, apply) in the same shape through Trace.AddSpan.
 type Span struct {
-	Name  string `json:"name"`
-	Node  string `json:"node,omitempty"`
-	DurNS int64  `json:"dur_ns"`
+	Hi     uint64 `json:"hi"`
+	Lo     uint64 `json:"lo"`
+	Parent uint64 `json:"parent"`
+	ID     uint64 `json:"span"`
+	Name   string `json:"name"`
+	From   string `json:"from,omitempty"`
+	Node   string `json:"node"`
+	DurNS  int64  `json:"dur_ns"`
+	Err    string `json:"err,omitempty"`
 }
 
 // Trace follows one virtual-mount operation end to end: Mount resolve →
@@ -73,12 +84,18 @@ func (t *Trace) AddHop(id, addr string, prefix int) {
 	t.Hops = append(t.Hops, Hop{ID: id, Addr: addr, Prefix: prefix})
 }
 
-// AddSpan appends a timed stage.
+// AddSpan records a client-side stage served by node as a child of the
+// trace's root span. Its id is a function of the root span id and the stage
+// index alone, so a replayed run names its stages identically and the id
+// cannot collide with the tracer-drawn ids of server spans in practice.
 func (t *Trace) AddSpan(name, node string, d time.Duration) {
 	if t == nil {
 		return
 	}
-	t.Spans = append(t.Spans, Span{Name: name, Node: node, DurNS: int64(d)})
+	t.Spans = append(t.Spans, Span{
+		Hi: t.Hi, Lo: t.Lo, Parent: t.Span, ID: mix64(t.Span + uint64(len(t.Spans)) + 1),
+		Name: name, From: t.Node, Node: node, DurNS: int64(d),
+	})
 }
 
 // SetServedBy records the node that served the operation's final NFS RPC.
@@ -119,32 +136,25 @@ func (t *Trace) Ctx() TraceContext {
 // buffer. A zero-capacity tracer is disabled and returns nil traces (every
 // Trace mutator is nil-safe, so instrumented paths pay one nil check).
 type Tracer struct {
-	cap     int
 	seq     atomic.Uint64
 	idState atomic.Uint64 // splitmix64 state behind trace/span ids
 	slowNS  atomic.Int64  // SLO threshold; 0 disables the flight recorder
 
-	mu   sync.Mutex
-	ring []Trace
-	next int
-	full bool
+	recent traceRing // finished traces
+	slow   traceRing // the flight recorder: finished traces over slowNS
 
-	spanMu   sync.Mutex
-	spans    []SpanRecord
-	spanCap  int
-	spanNext int
-	spanFull bool
-
-	slowMu   sync.Mutex
-	slow     []Trace
-	slowNext int
-	slowFull bool
+	spanMu sync.Mutex
+	spans  ring[Span] // server-side fragments
 }
 
 // NewTracer returns a tracer retaining up to capacity traces; capacity <= 0
 // disables tracing.
 func NewTracer(capacity int) *Tracer {
-	return &Tracer{cap: capacity, spanCap: capacity * spanRingFactor}
+	t := &Tracer{}
+	t.recent.max = capacity
+	t.slow.max = DefaultSlowBuf
+	t.spans.max = capacity * spanRingFactor
+	return t
 }
 
 // SeedIDs seeds the deterministic generator behind trace and span ids. Nodes
@@ -157,12 +167,6 @@ func (t *Tracer) SeedIDs(seed uint64) {
 	t.idState.Store(seed)
 }
 
-// rand64 advances the seeded splitmix64 stream. Never returns 0 so a valid
-// trace id is always distinguishable from the zero ("no trace") context.
-func (t *Tracer) rand64() uint64 {
-	return mix64(t.idState.Add(0x9e3779b97f4a7c15))
-}
-
 // rand3 derives three id words (trace hi/lo + root span) from ONE advance of
 // the stream: Start runs on every client operation, often from many
 // goroutines at once, and a single atomic RMW on the shared state keeps the
@@ -172,7 +176,8 @@ func (t *Tracer) rand3() (a, b, c uint64) {
 	return mix64(base), mix64(base ^ 0x94d049bb133111eb), mix64(base ^ 0xbf58476d1ce4e5b9)
 }
 
-// mix64 is the splitmix64 finalizer, zero-guarded.
+// mix64 is the splitmix64 finalizer, zero-guarded so a drawn id is always
+// distinguishable from the zero ("no trace") context.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -190,7 +195,7 @@ func (t *Tracer) NextSpanID() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.rand64()
+	return mix64(t.idState.Add(0x9e3779b97f4a7c15))
 }
 
 // SetSlowThreshold arms the slow-op flight recorder: finished traces whose
@@ -204,117 +209,110 @@ func (t *Tracer) SetSlowThreshold(ns int64) {
 }
 
 // RecordSpan publishes one server-side span fragment into the span ring.
-func (t *Tracer) RecordSpan(rec SpanRecord) {
-	if t == nil || t.spanCap <= 0 {
+func (t *Tracer) RecordSpan(sp Span) {
+	if t == nil {
 		return
 	}
 	t.spanMu.Lock()
-	if !t.spanFull && t.spanNext == len(t.spans) && len(t.spans) < t.spanCap {
-		t.spans = append(t.spans, rec)
-	} else {
-		t.spans[t.spanNext] = rec
-	}
-	t.spanNext++
-	if t.spanNext == t.spanCap {
-		t.spanNext = 0
-		t.spanFull = true
-	}
+	t.spans.put(sp)
 	t.spanMu.Unlock()
 }
 
 // SpansFor returns the retained span fragments belonging to trace (hi, lo),
 // oldest first.
-func (t *Tracer) SpansFor(hi, lo uint64) []SpanRecord {
+func (t *Tracer) SpansFor(hi, lo uint64) []Span {
 	if t == nil {
 		return nil
 	}
 	t.spanMu.Lock()
 	defer t.spanMu.Unlock()
-	size := t.spanNext
-	start := 0
-	if t.spanFull {
-		size = t.spanCap
-		start = t.spanNext
-	}
-	var out []SpanRecord
-	for i := 0; i < size; i++ {
-		rec := t.spans[(start+i)%t.spanCap]
-		if rec.Hi == hi && rec.Lo == lo {
-			out = append(out, rec)
+	var out []Span
+	for i := range t.spans.buf {
+		if sp := t.spans.at(i); sp.Hi == hi && sp.Lo == lo {
+			out = append(out, *sp)
 		}
 	}
 	return out
 }
 
+// traceRing is a locked ring of finished traces. The ring aliases each
+// trace's Hops and Spans (the op goroutine is done with them by Finish), so
+// everything copied out is detached: a caller may hold or mutate a snapshot.
+type traceRing struct {
+	mu sync.Mutex
+	ring[Trace]
+}
+
+func detach(tr *Trace) {
+	tr.Hops = append([]Hop(nil), tr.Hops...)
+	tr.Spans = append([]Span(nil), tr.Spans...)
+}
+
+func (r *traceRing) add(tr *Trace) {
+	r.mu.Lock()
+	r.put(*tr)
+	r.mu.Unlock()
+}
+
+func (r *traceRing) newest(n int) []Trace {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := r.newestFirst(n)
+	for i := range out {
+		detach(&out[i])
+	}
+	return out
+}
+
+func (r *traceRing) lookup(hi, lo uint64) (Trace, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p := r.find(func(tr *Trace) bool { return tr.Hi == hi && tr.Lo == lo })
+	if p == nil {
+		return Trace{}, false
+	}
+	tr := *p
+	detach(&tr)
+	return tr, true
+}
+
+// Recent returns up to n of the most recent traces, newest first. n <= 0
+// means all retained traces.
+func (t *Tracer) Recent(n int) []Trace {
+	if t == nil || t.recent.max <= 0 {
+		return nil
+	}
+	return t.recent.newest(n)
+}
+
 // Slow returns up to n traces from the flight recorder, newest first (n <= 0
-// means all). Deep-copied like Recent.
+// means all).
 func (t *Tracer) Slow(n int) []Trace {
 	if t == nil {
 		return nil
 	}
-	t.slowMu.Lock()
-	defer t.slowMu.Unlock()
-	size := t.slowNext
-	if t.slowFull {
-		size = DefaultSlowBuf
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Trace, 0, n)
-	for i := 0; i < n; i++ {
-		idx := t.slowNext - 1 - i
-		if idx < 0 {
-			idx += DefaultSlowBuf
-		}
-		tr := t.slow[idx]
-		tr.Hops = append([]Hop(nil), tr.Hops...)
-		tr.Spans = append([]Span(nil), tr.Spans...)
-		out = append(out, tr)
-	}
-	return out
+	return t.slow.newest(n)
 }
 
 // FindTrace looks up a retained trace by its cluster-wide id, searching the
-// main ring and the flight recorder. Returns a deep copy.
+// main ring and then the flight recorder.
 func (t *Tracer) FindTrace(hi, lo uint64) (Trace, bool) {
-	for _, tr := range t.Recent(0) {
-		if tr.Hi == hi && tr.Lo == lo {
-			return tr, true
-		}
+	if t == nil {
+		return Trace{}, false
 	}
-	for _, tr := range t.Slow(0) {
-		if tr.Hi == hi && tr.Lo == lo {
-			return tr, true
-		}
+	if tr, ok := t.recent.lookup(hi, lo); ok {
+		return tr, true
 	}
-	return Trace{}, false
-}
-
-func (t *Tracer) recordSlow(tr *Trace) {
-	t.slowMu.Lock()
-	if !t.slowFull && t.slowNext == len(t.slow) && len(t.slow) < DefaultSlowBuf {
-		t.slow = append(t.slow, *tr)
-	} else {
-		t.slow[t.slowNext] = *tr
-	}
-	// The ring aliases the finished trace's Hops/Spans; the op goroutine is
-	// done with them by Finish, and readers (Slow) deep-copy on the way out.
-	t.slowNext++
-	if t.slowNext == DefaultSlowBuf {
-		t.slowNext = 0
-		t.slowFull = true
-	}
-	t.slowMu.Unlock()
+	return t.slow.lookup(hi, lo)
 }
 
 // Enabled reports whether the tracer retains traces; instrumentation can
 // skip building trace labels when it does not.
-func (t *Tracer) Enabled() bool { return t != nil && t.cap > 0 }
+func (t *Tracer) Enabled() bool { return t != nil && t.recent.max > 0 }
 
 // Start begins a trace for one operation, or returns nil if disabled.
 func (t *Tracer) Start(op, path, node string) *Trace {
-	if t == nil || t.cap <= 0 {
+	if t == nil || t.recent.max <= 0 {
 		return nil
 	}
 	hi, lo, span := t.rand3()
@@ -330,9 +328,8 @@ func (t *Tracer) Start(op, path, node string) *Trace {
 	}
 }
 
-// Finish records the total duration and publishes the trace into the ring.
-// The ring grows geometrically up to cap so lightly-used tracers never pay
-// for the full buffer.
+// Finish records the total duration and publishes the trace into the ring,
+// and into the flight recorder when it met the slow threshold.
 func (t *Tracer) Finish(tr *Trace, total time.Duration, err error) {
 	if t == nil || tr == nil {
 		return
@@ -342,61 +339,7 @@ func (t *Tracer) Finish(tr *Trace, total time.Duration, err error) {
 		tr.Err = err.Error()
 	}
 	if slow := t.slowNS.Load(); slow > 0 && tr.TotalNS >= slow {
-		t.recordSlow(tr)
+		t.slow.add(tr)
 	}
-	t.mu.Lock()
-	if !t.full && t.next == len(t.ring) && len(t.ring) < t.cap {
-		if len(t.ring) == cap(t.ring) {
-			grown := cap(t.ring) * 2
-			if grown == 0 {
-				grown = 8
-			}
-			if grown > t.cap {
-				grown = t.cap
-			}
-			next := make([]Trace, len(t.ring), grown)
-			copy(next, t.ring)
-			t.ring = next
-		}
-		t.ring = append(t.ring, *tr)
-	} else {
-		t.ring[t.next] = *tr
-	}
-	t.next++
-	if t.next == t.cap {
-		t.next = 0
-		t.full = true
-	}
-	t.mu.Unlock()
-}
-
-// Recent returns up to n of the most recent traces, newest first. n <= 0
-// means all retained traces. The result is a deep copy: Hops and Spans are
-// cloned so callers can hold or mutate a snapshot without aliasing the ring
-// (a shallow struct copy would share the slices' backing arrays).
-func (t *Tracer) Recent(n int) []Trace {
-	if t == nil || t.cap <= 0 {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	size := t.next
-	if t.full {
-		size = t.cap
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Trace, 0, n)
-	for i := 0; i < n; i++ {
-		idx := t.next - 1 - i
-		if idx < 0 {
-			idx += t.cap
-		}
-		tr := t.ring[idx]
-		tr.Hops = append([]Hop(nil), tr.Hops...)
-		tr.Spans = append([]Span(nil), tr.Spans...)
-		out = append(out, tr)
-	}
-	return out
+	t.recent.add(tr)
 }

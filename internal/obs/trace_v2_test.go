@@ -47,9 +47,6 @@ func TestTraceContextChildAndValid(t *testing.T) {
 	if ch.Hi != 1 || ch.Lo != 2 || ch.Span != 9 {
 		t.Fatalf("Child = %+v", ch)
 	}
-	if c.TraceID() != FormatTraceID(1, 2) {
-		t.Fatalf("TraceID = %q", c.TraceID())
-	}
 }
 
 func TestTracerSeededIDDeterminism(t *testing.T) {
@@ -87,8 +84,8 @@ func TestTracerSeededIDDeterminism(t *testing.T) {
 func TestSpanRingSpansFor(t *testing.T) {
 	tr := NewTracer(4) // span ring = 4 * spanRingFactor = 16
 	for i := 0; i < 10; i++ {
-		tr.RecordSpan(SpanRecord{Hi: 1, Lo: 1, Span: uint64(i + 1), Name: "a"})
-		tr.RecordSpan(SpanRecord{Hi: 2, Lo: 2, Span: uint64(i + 100), Name: "b"})
+		tr.RecordSpan(Span{Hi: 1, Lo: 1, ID: uint64(i + 1), Name: "a"})
+		tr.RecordSpan(Span{Hi: 2, Lo: 2, ID: uint64(i + 100), Name: "b"})
 	}
 	got := tr.SpansFor(1, 1)
 	// 20 records through a 16-slot ring: the oldest 4 are gone; of the 16
@@ -97,7 +94,7 @@ func TestSpanRingSpansFor(t *testing.T) {
 		t.Fatalf("SpansFor(1,1) = %d records, want 8", len(got))
 	}
 	for i := 1; i < len(got); i++ {
-		if got[i].Span < got[i-1].Span {
+		if got[i].ID < got[i-1].ID {
 			t.Fatalf("spans not oldest-first: %v", got)
 		}
 	}
@@ -132,13 +129,13 @@ func TestSlowFlightRecorder(t *testing.T) {
 
 func TestAssembleTree(t *testing.T) {
 	origin := &Trace{Hi: 7, Lo: 8, Span: 100, Node: "n0", Op: "WRITE"}
-	frags := []SpanRecord{
-		{Hi: 7, Lo: 8, Parent: 100, Span: 2, Name: "pastry.next-hop", Node: "n1"},
-		{Hi: 7, Lo: 8, Parent: 100, Span: 1, Name: "nfs.WRITE", Node: "n2"},
-		{Hi: 7, Lo: 8, Parent: 1, Span: 3, Name: "kosha.mirror", Node: "n3"},
-		{Hi: 7, Lo: 8, Parent: 1, Span: 3, Name: "kosha.mirror", Node: "n3"}, // duplicate
-		{Hi: 9, Lo: 9, Parent: 100, Span: 4, Name: "other-trace", Node: "n4"},
-		{Hi: 7, Lo: 8, Parent: 999, Span: 5, Name: "orphan", Node: "n4"}, // evicted parent
+	frags := []Span{
+		{Hi: 7, Lo: 8, Parent: 100, ID: 2, Name: "pastry.next-hop", Node: "n1"},
+		{Hi: 7, Lo: 8, Parent: 100, ID: 1, Name: "nfs.WRITE", Node: "n2"},
+		{Hi: 7, Lo: 8, Parent: 1, ID: 3, Name: "kosha.mirror", Node: "n3"},
+		{Hi: 7, Lo: 8, Parent: 1, ID: 3, Name: "kosha.mirror", Node: "n3"}, // duplicate
+		{Hi: 9, Lo: 9, Parent: 100, ID: 4, Name: "other-trace", Node: "n4"},
+		{Hi: 7, Lo: 8, Parent: 999, ID: 5, Name: "orphan", Node: "n4"}, // evicted parent
 	}
 	at := Assemble(7, 8, origin, frags)
 	if at.SpanCount != 4 {
@@ -149,7 +146,7 @@ func TestAssembleTree(t *testing.T) {
 		t.Fatalf("NodeCount = %d, want 5", at.NodeCount)
 	}
 	// Roots: spans 1, 2 (children of origin) and 5 (orphan), sorted by id.
-	if len(at.Roots) != 3 || at.Roots[0].Span.Span != 1 || at.Roots[1].Span.Span != 2 || at.Roots[2].Span.Span != 5 {
+	if len(at.Roots) != 3 || at.Roots[0].Span.ID != 1 || at.Roots[1].Span.ID != 2 || at.Roots[2].Span.ID != 5 {
 		t.Fatalf("roots = %+v", at.Roots)
 	}
 	kids := at.Roots[0].Children
@@ -158,13 +155,29 @@ func TestAssembleTree(t *testing.T) {
 	}
 	var walked []uint64
 	at.Walk(func(depth int, n *TraceNode) {
-		if n.Span.Span == 3 && depth != 1 {
+		if n.Span.ID == 3 && depth != 1 {
 			t.Fatalf("mirror at depth %d", depth)
 		}
-		walked = append(walked, n.Span.Span)
+		walked = append(walked, n.Span.ID)
 	})
 	if len(walked) != 4 {
 		t.Fatalf("Walk visited %d nodes", len(walked))
+	}
+	// The origin's client-side stages are spans of the same type and join
+	// the tree as children of the root span, beside the server spans.
+	origin.AddSpan("route", "n1", time.Millisecond)
+	origin.AddSpan("apply", "n2", time.Millisecond)
+	at = Assemble(7, 8, origin, frags)
+	if at.SpanCount != 6 || len(at.Roots) != 5 || at.NodeCount != 5 {
+		t.Fatalf("with client stages: spans=%d roots=%d nodes=%d", at.SpanCount, len(at.Roots), at.NodeCount)
+	}
+	for _, st := range origin.Spans {
+		if st.Hi != 7 || st.Lo != 8 || st.Parent != 100 || st.From != "n0" || st.ID == 0 {
+			t.Fatalf("client stage not a full span: %+v", st)
+		}
+	}
+	if origin.Spans[0].ID == origin.Spans[1].ID {
+		t.Fatal("client stages share a span id")
 	}
 	// Without an origin, children of the (unknown) root span become roots.
 	at = Assemble(7, 8, nil, frags)

@@ -120,7 +120,7 @@ func (n *Node) OnLeafSetChange(fn func(LeafSetChange)) {
 
 // Attach registers the node's overlay RPC handler.
 func (n *Node) Attach() {
-	n.net.Register(n.Info().Addr, Service, n.handle)
+	n.net.RegisterCtx(n.Info().Addr, Service, n.handle)
 }
 
 // Leaf returns the current leaf set (excluding self).
@@ -644,22 +644,15 @@ func (n *Node) call(to simnet.Addr, proc uint32, build func(*wire.Encoder)) (*wi
 }
 
 // callCtx is call with trace-context propagation: a valid context rides the
-// RPC envelope when the transport supports it, so the peer's transport layer
-// records a server span for the hop.
+// RPC envelope, so the peer's transport layer records a server span for the
+// hop.
 func (n *Node) callCtx(tc obs.TraceContext, to simnet.Addr, proc uint32, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
 	e := wire.NewEncoder(128)
 	e.PutUint32(proc)
 	if build != nil {
 		build(e)
 	}
-	var resp []byte
-	var cost simnet.Cost
-	var err error
-	if cc, ok := n.net.(simnet.CtxCaller); ok && tc.Valid() {
-		resp, cost, err = cc.CallCtx(tc, n.Info().Addr, to, Service, e.Bytes())
-	} else {
-		resp, cost, err = n.net.Call(n.Info().Addr, to, Service, e.Bytes())
-	}
+	resp, cost, err := n.net.CallCtx(tc, n.Info().Addr, to, Service, e.Bytes())
 	if err != nil {
 		return nil, cost, err
 	}
@@ -734,7 +727,7 @@ func (n *Node) rpcRemoveNode(to simnet.Addr, dead id.ID) (simnet.Cost, error) {
 
 // --- RPC server handler ---
 
-func (n *Node) handle(from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
+func (n *Node) handle(_ obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
 	d := wire.NewDecoder(req)
 	proc := d.Uint32()
 	if d.Err() != nil {

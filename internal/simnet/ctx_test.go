@@ -12,7 +12,7 @@ import (
 type testSink struct {
 	mu   sync.Mutex
 	next uint64
-	recs []obs.SpanRecord
+	recs []obs.Span
 }
 
 func (s *testSink) NextSpanID() uint64 {
@@ -25,17 +25,17 @@ func (s *testSink) NextSpanID() uint64 {
 func (s *testSink) RecordServerSpan(ctx obs.TraceContext, span uint64, service string, from Addr, req []byte, cost Cost, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec := obs.SpanRecord{Hi: ctx.Hi, Lo: ctx.Lo, Parent: ctx.Span, Span: span, Name: service, From: string(from), DurNS: int64(cost)}
+	rec := obs.Span{Hi: ctx.Hi, Lo: ctx.Lo, Parent: ctx.Span, ID: span, Name: service, From: string(from), DurNS: int64(cost)}
 	if err != nil {
 		rec.Err = err.Error()
 	}
 	s.recs = append(s.recs, rec)
 }
 
-func (s *testSink) spans() []obs.SpanRecord {
+func (s *testSink) spans() []obs.Span {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]obs.SpanRecord(nil), s.recs...)
+	return append([]obs.Span(nil), s.recs...)
 }
 
 func TestCallCtxPropagatesAndRecordsServerSpan(t *testing.T) {
@@ -63,13 +63,13 @@ func TestCallCtxPropagatesAndRecordsServerSpan(t *testing.T) {
 	if r.Hi != 11 || r.Lo != 22 || r.Parent != 33 {
 		t.Fatalf("span not parented under caller context: %+v", r)
 	}
-	if r.Span == 0 || r.From != "a" || r.DurNS != 5 {
+	if r.ID == 0 || r.From != "a" || r.DurNS != 5 {
 		t.Fatalf("span fields: %+v", r)
 	}
 	// The handler saw the same trace re-parented under the server span, so its
 	// nested RPCs descend from this exchange.
-	if handlerCtx.Hi != 11 || handlerCtx.Lo != 22 || handlerCtx.Span != r.Span {
-		t.Fatalf("handler ctx = %+v, want child of span %d", handlerCtx, r.Span)
+	if handlerCtx.Hi != 11 || handlerCtx.Lo != 22 || handlerCtx.Span != r.ID {
+		t.Fatalf("handler ctx = %+v, want child of span %d", handlerCtx, r.ID)
 	}
 }
 

@@ -33,8 +33,12 @@ var ErrUnreachable = errors.New("simnet: destination unreachable")
 // handler for the requested service.
 var ErrNoSuchService = errors.New("simnet: no such service")
 
-// Handler processes one request and returns the response payload together
-// with the simulated cost of local processing (disk ops, nested calls).
+// HandlerCtx processes one request and returns the response payload together
+// with the simulated cost of local processing (disk ops, nested calls). ctx
+// is the trace context of the exchange, already re-parented under the server
+// span the transport allocated for this request, so any nested calls the
+// handler issues nest correctly in the causal tree; it is the zero context
+// on an untraced exchange.
 //
 // Buffer ownership (both transports; DESIGN.md §10): a request or response
 // buffer is immutable once handed to a transport, and no transport recycles
@@ -42,31 +46,25 @@ var ErrNoSuchService = errors.New("simnet: no such service")
 // handler's slice back to the caller, so one frame may be sent to several
 // destinations or delivered twice (LinkFault.Dup). A handler may alias req
 // only until it returns, unless it copies; the caller owns resp.
-type Handler func(from Addr, req []byte) (resp []byte, cost Cost, err error)
-
-// HandlerCtx is a context-aware handler: it additionally receives the trace
-// context of the exchange, already re-parented under the server span the
-// transport allocated for this request, so any nested calls the handler
-// issues nest correctly in the causal tree.
 type HandlerCtx func(ctx obs.TraceContext, from Addr, req []byte) (resp []byte, cost Cost, err error)
 
-// Caller is the client side of the transport, implemented by *Network and by
-// the TCP transport in internal/tcpnet.
-type Caller interface {
-	// Call sends req from one node to another node's named service and
-	// waits for the response. cost covers the round trip plus the remote
-	// handler's own reported cost, and is meaningful even on error.
-	Call(from, to Addr, service string, req []byte) (resp []byte, cost Cost, err error)
+// Handler is a HandlerCtx with no use for the trace context.
+type Handler func(from Addr, req []byte) (resp []byte, cost Cost, err error)
+
+// Ctx adapts h to the form transports register.
+func (h Handler) Ctx() HandlerCtx {
+	return func(_ obs.TraceContext, from Addr, req []byte) ([]byte, Cost, error) { return h(from, req) }
 }
 
-// CtxCaller extends Caller with trace-context propagation. Both transports
-// and the core retrier implement it; Call is CallCtx with the zero context.
-type CtxCaller interface {
-	Caller
-	// CallCtx is Call carrying a trace context on the envelope. A valid
-	// context makes the receiving transport record a server span (if the
-	// destination installed a SpanSink) and hand the handler a re-parented
-	// child context; the zero context makes CallCtx behave exactly as Call.
+// Caller is the client side of the transport, implemented by *Network, by
+// the TCP transport in internal/tcpnet and by core's retrier.
+type Caller interface {
+	// CallCtx sends req from one node to another node's named service and
+	// waits for the response. cost covers the round trip plus the remote
+	// handler's own reported cost, and is meaningful even on error. A valid
+	// ctx rides the envelope: the receiving transport records a server span
+	// (if the destination installed a SpanSink) and hands the handler a
+	// re-parented child context. The zero context is an untraced call.
 	CallCtx(ctx obs.TraceContext, from, to Addr, service string, req []byte) (resp []byte, cost Cost, err error)
 }
 
@@ -75,21 +73,19 @@ type CtxCaller interface {
 // emulation; internal/tcpnet implements it for multi-process deployment.
 type Transport interface {
 	Caller
-	// Register installs a service handler reachable at addr.
-	Register(addr Addr, service string, h Handler)
-}
-
-// CtxTransport is implemented by transports that also accept context-aware
-// registrations and per-node span sinks.
-type CtxTransport interface {
-	Transport
-	CtxCaller
-	// RegisterCtx installs a context-aware service handler at addr.
+	// RegisterCtx installs a service handler reachable at addr.
 	RegisterCtx(addr Addr, service string, h HandlerCtx)
 	// SetSpanSink installs the span recorder for a node: the transport
 	// consults it on every traced exchange delivered to addr.
 	SetSpanSink(addr Addr, s SpanSink)
 }
+
+// CtxCaller and CtxTransport name the same interfaces: every caller and
+// every transport carries the trace context.
+type (
+	CtxCaller    = Caller
+	CtxTransport = Transport
+)
 
 // SpanSink is how a node plugs its tracer into the transport. The transport
 // drives it around every traced exchange: NextSpanID before the handler runs
@@ -211,14 +207,12 @@ func (n *Network) RemoveNode(addr Addr) {
 	delete(n.nodes, addr)
 }
 
-// Register installs a service handler on addr, adding the node if needed.
+// Register installs a context-free service handler on addr.
 func (n *Network) Register(addr Addr, service string, h Handler) {
-	n.RegisterCtx(addr, service, func(_ obs.TraceContext, from Addr, req []byte) ([]byte, Cost, error) {
-		return h(from, req)
-	})
+	n.RegisterCtx(addr, service, h.Ctx())
 }
 
-// RegisterCtx installs a context-aware service handler on addr.
+// RegisterCtx installs a service handler on addr, adding the node if needed.
 func (n *Network) RegisterCtx(addr Addr, service string, h HandlerCtx) {
 	n.AddNode(addr)
 	n.mu.RLock()
@@ -332,13 +326,13 @@ func (n *Network) svc(service string) *svcCounter {
 	return v.(*svcCounter)
 }
 
-// Call implements Caller. Local calls (from == to) skip the link cost but
-// still pay the handler's processing cost, mirroring a loopback RPC.
+// Call is CallCtx with the zero context: an untraced call.
 func (n *Network) Call(from, to Addr, service string, req []byte) ([]byte, Cost, error) {
 	return n.CallCtx(obs.TraceContext{}, from, to, service, req)
 }
 
-// CallCtx implements CtxCaller: Call with a trace context on the envelope.
+// CallCtx implements Caller. Local calls (from == to) skip the link cost but
+// still pay the handler's processing cost, mirroring a loopback RPC.
 func (n *Network) CallCtx(ctx obs.TraceContext, from, to Addr, service string, req []byte) ([]byte, Cost, error) {
 	n.messages.Add(1)
 	n.bytes.Add(uint64(len(req)))

@@ -11,7 +11,7 @@ import (
 type recSink struct {
 	mu   sync.Mutex
 	next uint64
-	recs []obs.SpanRecord
+	recs []obs.Span
 }
 
 func (s *recSink) NextSpanID() uint64 {
@@ -24,7 +24,7 @@ func (s *recSink) NextSpanID() uint64 {
 func (s *recSink) RecordServerSpan(ctx obs.TraceContext, span uint64, service string, from simnet.Addr, req []byte, cost simnet.Cost, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.recs = append(s.recs, obs.SpanRecord{Hi: ctx.Hi, Lo: ctx.Lo, Parent: ctx.Span, Span: span, Name: service, From: string(from)})
+	s.recs = append(s.recs, obs.Span{Hi: ctx.Hi, Lo: ctx.Lo, Parent: ctx.Span, ID: span, Name: service, From: string(from)})
 }
 
 // TestTraceContextCrossesWire proves the propagation header survives the TCP
@@ -65,7 +65,7 @@ func TestTraceContextCrossesWire(t *testing.T) {
 		t.Fatalf("server recorded %d spans, want 1", len(sink.recs))
 	}
 	r := sink.recs[0]
-	if r.Hi != parent.Hi || r.Lo != parent.Lo || r.Parent != parent.Span || r.Span != got.Span {
+	if r.Hi != parent.Hi || r.Lo != parent.Lo || r.Parent != parent.Span || r.ID != got.Span {
 		t.Fatalf("server span misfiled: %+v", r)
 	}
 	if r.From != "client" {

@@ -9,7 +9,7 @@
 // cost for the message sizes, so benchmark numbers remain comparable to
 // the in-process emulation regardless of real wire latency.
 //
-// Buffer ownership follows simnet.Handler's rule: every frame read off a
+// Buffer ownership follows simnet.HandlerCtx's rule: every frame read off a
 // connection gets a freshly allocated slice that is never recycled, so a
 // handler may borrow from its request for the duration of the call and a
 // caller owns the response it is handed; buffers passed in are only read.
@@ -30,8 +30,14 @@ import (
 	"repro/internal/wire"
 )
 
-// maxFrame bounds one request or response frame.
-const maxFrame = 96 << 20
+// maxFrame bounds one request or response frame. frameStep bounds what a
+// frame header alone can make the reader allocate: frames up to frameStep —
+// every frame but a multi-chunk READSTREAM window — are allocated once at
+// their stated size, larger ones grow geometrically as their bytes arrive.
+const (
+	maxFrame  = 96 << 20
+	frameStep = 4 << 20
+)
 
 // Net is a TCP-backed simnet.Transport. Handlers registered for the local
 // address are served from the listener; calls to other addresses dial out.
@@ -116,15 +122,13 @@ func (n *Net) Close() error {
 	return nil
 }
 
-// Register implements simnet.Transport. Only the local address can host
-// services; registering for another address is a programming error.
+// Register installs a context-free service handler at the local address.
 func (n *Net) Register(addr simnet.Addr, service string, h simnet.Handler) {
-	n.RegisterCtx(addr, service, func(_ obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-		return h(from, req)
-	})
+	n.RegisterCtx(addr, service, h.Ctx())
 }
 
-// RegisterCtx installs a context-aware service handler at the local address.
+// RegisterCtx implements simnet.Transport. Only the local address can host
+// services; registering for another address is a programming error.
 func (n *Net) RegisterCtx(addr simnet.Addr, service string, h simnet.HandlerCtx) {
 	if addr != n.local {
 		panic(fmt.Sprintf("tcpnet: cannot register %q for remote address %s (local %s)", service, addr, n.local))
@@ -171,15 +175,15 @@ func (n *Net) serve(ctx obs.TraceContext, from simnet.Addr, service string, req 
 	return resp, cost, err
 }
 
-// Call implements simnet.Caller. Local calls dispatch directly (loopback);
-// remote calls go over TCP. Cost composes the modeled link cost with the
-// remote handler's reported processing cost.
+// Call is CallCtx with the zero context: an untraced call.
 func (n *Net) Call(from, to simnet.Addr, service string, req []byte) ([]byte, simnet.Cost, error) {
 	return n.CallCtx(obs.TraceContext{}, from, to, service, req)
 }
 
-// CallCtx implements simnet.CtxCaller: the trace context rides the request
-// frame and is rehydrated by the serving side.
+// CallCtx implements simnet.Caller. Local calls dispatch directly (loopback);
+// remote calls go over TCP, the trace context riding the request frame to be
+// rehydrated by the serving side. Cost composes the modeled link cost with
+// the remote handler's reported processing cost.
 func (n *Net) CallCtx(ctx obs.TraceContext, from, to simnet.Addr, service string, req []byte) ([]byte, simnet.Cost, error) {
 	if to == n.local {
 		return n.serve(ctx, from, service, req)
@@ -338,12 +342,8 @@ func (n *Net) serveConn(raw net.Conn) {
 		if err != nil {
 			return
 		}
-		d := wire.NewDecoder(frame)
-		from := simnet.Addr(d.String())
-		service := d.String()
-		ctx := obs.TraceContext{Hi: d.Uint64(), Lo: d.Uint64(), Span: d.Uint64()}
-		req := d.Opaque()
-		if d.Err() != nil {
+		from, service, ctx, req, err := decodeRequest(frame)
+		if err != nil {
 			return
 		}
 
@@ -365,6 +365,16 @@ func (n *Net) serveConn(raw net.Conn) {
 	}
 }
 
+// decodeRequest opens the request envelope exchange builds.
+func decodeRequest(frame []byte) (from simnet.Addr, service string, ctx obs.TraceContext, req []byte, err error) {
+	d := wire.NewDecoder(frame)
+	from = simnet.Addr(d.String())
+	service = d.String()
+	ctx = obs.TraceContext{Hi: d.Uint64(), Lo: d.Uint64(), Span: d.Uint64()}
+	req = d.Opaque()
+	return from, service, ctx, req, d.Err()
+}
+
 func writeFrame(w io.Writer, p []byte) error {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(p)))
@@ -380,13 +390,22 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := int(binary.BigEndian.Uint32(hdr[:]))
 	if size > maxFrame {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", size)
 	}
-	p := make([]byte, size)
-	if _, err := io.ReadFull(r, p); err != nil {
-		return nil, err
+	// The header is only a claim: the buffer grows toward it as the bytes
+	// arrive, so four bytes from a peer cannot reserve 96 MiB here.
+	p := make([]byte, min(size, frameStep))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, p[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(p); got == size {
+			return p, nil
+		}
+		grown := make([]byte, min(size, 2*got))
+		copy(grown, p)
+		p = grown
 	}
-	return p, nil
 }
