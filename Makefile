@@ -134,8 +134,8 @@ bench-smoke:
 # files. Everything but setup_s, heap_live_mb and the wall.* / ns / us
 # per-layer metrics is a function of the seed (the two alloc metrics to about
 # four digits); BENCH_SECONDS only bounds how long the wall-clock ones sample.
-#   make bench-json BENCH_PR=18
-BENCH_PR ?= 18
+#   make bench-json BENCH_PR=19
+BENCH_PR ?= 19
 BENCH_SECONDS ?= 5
 bench-json:
 	@out=BENCH_$(BENCH_PR).json; tmp=$$out.tmp; \
@@ -151,7 +151,9 @@ bench-json:
 # bench-diff compares the two highest-numbered BENCH_*.json: the end-to-end
 # metrics that are a pure function of the seed must not move between them on
 # any workload's --trace 0 run, unless the last line of CHANGES.md (the PR's
-# own) names the metric that did. A file comparison: no benchmark runs.
+# own) names the workload and the metric together, as `meta` `rpcs_per_op`:
+# a claim about one workload excuses nothing on another. A file comparison:
+# no benchmark runs.
 SEED_EXACT = sim_ms_per_op sim_vs_nfs_ratio rpcs_per_op net_bytes_per_user_byte
 bench-diff:
 	@set -- $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -n 2); \
@@ -162,8 +164,8 @@ bench-diff:
 		b=$$(grep "^\"$$w.trace0\"" $$2 | grep -o "\"$$m\":{\"value\":[^,]*"); \
 		if [ -n "$$a" ] && [ "$$a" = "$$b" ]; then continue; fi; \
 		case "$$claimed" in \
-		*"$$m"*) echo "bench-diff: $$w $$m moved, as CHANGES.md says: $${a##*:} -> $${b##*:}";; \
-		*) echo "bench-diff: $$w $$m moved from $$1 to $$2 and CHANGES.md does not name it: $${a##*:} -> $${b##*:}" >&2; fail=1;; \
+		*"\`$$w\` \`$$m\`"*) echo "bench-diff: $$w $$m moved, as CHANGES.md says: $${a##*:} -> $${b##*:}";; \
+		*) echo "bench-diff: $$w $$m moved from $$1 to $$2 and CHANGES.md does not say \`$$w\` \`$$m\`: $${a##*:} -> $${b##*:}" >&2; fail=1;; \
 		esac; \
 	done; done; \
 	[ $$fail -eq 0 ] && echo "bench-diff: $$1 -> $$2: no unclaimed drift in the seed-exact end-to-end metrics"; exit $$fail

@@ -15,6 +15,12 @@ import (
 func testCluster(t testing.TB, n int, seed uint64, cfg Config) (*simnet.Network, []*Node) {
 	t.Helper()
 	net := simnet.New(simnet.LAN100)
+	return net, testClusterOn(t, net, n, seed, cfg)
+}
+
+// testClusterOn is testCluster over a transport the test supplies.
+func testClusterOn(t testing.TB, net simnet.Transport, n int, seed uint64, cfg Config) []*Node {
+	t.Helper()
 	state := seed
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
@@ -29,7 +35,7 @@ func testCluster(t testing.TB, n int, seed uint64, cfg Config) (*simnet.Network,
 		}
 	}
 	stabilizeAll(nodes)
-	return net, nodes
+	return nodes
 }
 
 func stabilizeAll(nodes []*Node) {

@@ -3,21 +3,24 @@ package core
 import (
 	"fmt"
 	"path"
+	"strings"
 
 	"repro/internal/localfs"
 	"repro/internal/nfs"
 	"repro/internal/simnet"
 )
 
+// resolveCost is what an apply pays to turn its physical path into an inode.
+// Path resolution against a warm name cache is much cheaper than a
+// data-bearing disk op; a small fixed cost rather than a full disk operation
+// keeps path-based mutations comparable to the handle-based NFS ones they
+// stand in for.
+const resolveCost = simnet.Cost(50_000)
+
 // applyFSOp executes a path-based mutation on the local store. lenient mode
 // (replica application) auto-creates missing ancestors and tolerates
 // re-application, keeping mirrors idempotent.
 func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, error) {
-	// Path resolution against a warm name cache is much cheaper than a
-	// data-bearing disk op; charge a small fixed cost rather than a full
-	// disk operation so path-based mutations stay comparable to the
-	// handle-based NFS ones they stand in for.
-	resolveCost := simnet.Cost(50_000)
 	parentOf := func(p string) (localfs.Attr, error) {
 		dir := path.Dir(p)
 		if lenient {
@@ -137,11 +140,36 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 		return attr, simnet.Seq(resolveCost, cost), err
 
 	case FSWriteFile:
-		if err := n.store.WriteFile(op.Path, op.Data); err != nil {
-			return localfs.Attr{}, resolveCost, err
+		// Mount.WriteFile in one apply. The primary walks to the parent as the
+		// client's LOOKUPPATH did, then creates and writes as its CREATE and
+		// WRITE did, each step at the store's own price: the compound saves
+		// their round trips and nothing else. A replica creates missing
+		// ancestors instead, like every lenient arm.
+		total := resolveCost
+		var pattr localfs.Attr
+		var err error
+		if lenient {
+			pattr, err = n.store.MkdirAll(path.Dir(op.Path))
+		} else {
+			var c simnet.Cost
+			pattr, c, err = n.walkDir(path.Dir(op.Path))
+			total = simnet.Seq(total, c)
 		}
-		attr, err := n.store.LookupPath(op.Path)
-		return attr, simnet.Seq(resolveCost, simnet.Disk7200.OpCost(len(op.Data))), err
+		if err != nil {
+			return localfs.Attr{}, total, err
+		}
+		attr, c, err := n.store.Create(pattr.Ino, path.Base(op.Path), 0o644, false)
+		total = simnet.Seq(total, c)
+		if err != nil {
+			return localfs.Attr{}, total, err
+		}
+		_, c, err = n.store.Write(attr.Ino, 0, op.Data)
+		total = simnet.Seq(total, c)
+		if err != nil {
+			return localfs.Attr{}, total, err
+		}
+		attr, _, err = n.store.Getattr(attr.Ino)
+		return attr, total, err
 
 	case FSSetattr:
 		attr, err := n.store.LookupPath(op.Path)
@@ -151,13 +179,24 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 		attr, cost, err := n.store.Setattr(attr.Ino, op.SetAttr)
 		return attr, simnet.Seq(resolveCost, cost), err
 
-	case FSRemove:
+	case FSRemove, FSUnlink:
 		pattr, err := n.store.LookupPath(path.Dir(op.Path))
 		if err != nil {
 			if lenient {
 				return localfs.Attr{}, resolveCost, nil
 			}
 			return localfs.Attr{}, resolveCost, err
+		}
+		total := resolveCost
+		if op.Kind == FSUnlink && !lenient {
+			// Mount.Remove types its victim where the removal happens: no round
+			// trip separates the check from the act. The store is locked for
+			// each on its own, so another apply can still land between them.
+			c, err := n.userRemovable(pattr.Ino, path.Base(op.Path))
+			total = simnet.Seq(total, c)
+			if err != nil {
+				return localfs.Attr{}, total, err
+			}
 		}
 		cost, err := n.store.Remove(pattr.Ino, path.Base(op.Path))
 		if lenient && err != nil && nfs.ToStatus(err) == nfs.ErrNoEnt {
@@ -166,7 +205,7 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 		if err == nil && op.Prune {
 			n.rep.PruneUp(path.Dir(op.Path))
 		}
-		return localfs.Attr{}, simnet.Seq(resolveCost, cost), err
+		return localfs.Attr{}, simnet.Seq(total, cost), err
 
 	case FSRmdir:
 		pattr, err := n.store.LookupPath(path.Dir(op.Path))
@@ -227,4 +266,50 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 	default:
 		return localfs.Attr{}, 0, fmt.Errorf("kosha: unknown FS op %v", op.Kind)
 	}
+}
+
+// walkDir resolves a directory of the local store as a client holding only
+// the export's root would: one Lookup per component, each at the store's
+// price, stopping at the first that fails.
+func (n *Node) walkDir(dir string) (localfs.Attr, simnet.Cost, error) {
+	attr := localfs.Attr{Ino: localfs.RootIno, Type: localfs.TypeDir}
+	var total simnet.Cost
+	for rest := strings.TrimLeft(dir, "/"); rest != ""; {
+		var name string
+		name, rest, _ = strings.Cut(rest, "/")
+		rest = strings.TrimLeft(rest, "/")
+		var c simnet.Cost
+		var err error
+		attr, c, err = n.store.Lookup(attr.Ino, name)
+		total = simnet.Seq(total, c)
+		if err != nil {
+			return localfs.Attr{}, total, err
+		}
+	}
+	return attr, total, nil
+}
+
+// userRemovable is the check Mount.Remove used to make with a walk of its
+// own: the LOOKUP of the name and, for a symlink, the READLINK that tells a
+// special link apart. A directory and a special link (a directory on another
+// node) both answer ISDIR.
+func (n *Node) userRemovable(dirIno uint64, name string) (simnet.Cost, error) {
+	attr, cost, err := n.store.Lookup(dirIno, name)
+	if err != nil {
+		return cost, err
+	}
+	switch attr.Type {
+	case localfs.TypeDir:
+		return cost, localfs.ErrIsDir
+	case localfs.TypeSymlink:
+		target, c, err := n.store.Readlink(attr.Ino)
+		cost = simnet.Seq(cost, c)
+		if err != nil {
+			return cost, err
+		}
+		if _, _, special := ParseLinkTarget(target); special {
+			return cost, localfs.ErrIsDir
+		}
+	}
+	return cost, nil
 }

@@ -74,7 +74,8 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	tc := obs.TraceContext{}
 	track := Track{PN: pl.PN(), Root: pl.SubtreeRoot()}
 	file := pl.SubtreeRoot() + "/f"
-	// kApply and kMirror were recorded by the WriteFile above.
+	// kApply and kMirror were recorded by the WriteFile above: one compound
+	// frame each.
 	n.remoteStatTree(tc, peer, track.Root)
 	n.promote(tc, peer, track)
 	n.replicaSet(tc, peer, Key(track.PN), track.Root)
@@ -83,6 +84,18 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	n.remoteChunkManifest(tc, peer, file, []cas.Hash{{1}})
 	n.remoteChunkFetch(tc, peer, file, []cas.Hash{{1}})
 	maintHost{n}.UntrackAt(tc, peer, "/nothing")
+	// Mount.Remove's apply; its fan-out is a plain FSRemove, so the mirror
+	// frame of the new kind is sent by hand.
+	m := n.NewMount()
+	if _, err := m.WriteFile("/d/victim", []byte("x")); err != nil {
+		f.Fatal(err)
+	}
+	if dir, _, _, err := m.LookupPath("/d"); err != nil {
+		f.Fatal(err)
+	} else if _, err := m.Remove(dir, "victim"); err != nil {
+		f.Fatal(err)
+	}
+	n.mirrorArea(tc, peer, track, FSOp{Kind: FSUnlink, Path: file}, false)
 	n.mirrorArea(tc, peer, track, FSOp{Kind: FSChunkWrite, Path: file, Chunks: []repl.ChunkRef{{Len: 2, Inline: true}}, Data: []byte("ab")}, false)
 
 	ctl := &CtlClient{Net: rec, From: "cli", To: n.Addr()}
@@ -101,8 +114,26 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	ctl.SlowDump(2)
 
 	// One frame per procedure, the last recorded: for kMirror that is the
-	// chunk-write above, the op with the most structure to mutate.
+	// chunk-write above, the op with the most structure to mutate. Beside
+	// them, the apply and the mirror of WriteFile's compound and of the
+	// unlink, the two ops whose primary arm walks the store itself.
 	var seeds []koshaSeed
+	compounds := map[[2]uint32]bool{}
+	for _, req := range rec.reqs[KoshaService] {
+		d := wire.NewDecoder(req)
+		proc := d.Uint32()
+		if proc != kApply && proc != kMirror {
+			continue
+		}
+		kind := decodeApplyReq(d).Op.Kind
+		if key := [2]uint32{proc, uint32(kind)}; (kind == FSWriteFile || kind == FSUnlink) && !compounds[key] {
+			compounds[key] = true
+			seeds = append(seeds, koshaSeed{false, req})
+		}
+	}
+	if len(compounds) != 4 {
+		f.Fatalf("recorded %d of the 4 apply/mirror frames of FSWriteFile and FSUnlink", len(compounds))
+	}
 	for _, svc := range []struct {
 		name  string
 		table serviceTable

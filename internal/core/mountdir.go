@@ -300,23 +300,15 @@ func (m *Mount) remove(tr *obs.Trace, dir VH, name string) (simnet.Cost, error) 
 		if de.place.VRoot {
 			return 0, &nfs.Error{Proc: nfs.ProcRemove, Status: nfs.ErrIsDir}
 		}
-		// One walk from the directory's own handle types the victim and, for
-		// a symlink, brings the target that tells a special link apart.
-		w, c, err := m.n.nfsT(tr).Walk(de.node, de.fh, name)
-		if err != nil {
-			return c, err
-		}
-		if _, _, special := ParseLinkTarget(w.Target); special || w.Attr.Type == localfs.TypeDir {
-			return c, &nfs.Error{Proc: nfs.ProcRemove, Status: nfs.ErrIsDir}
-		}
-		phys := path.Join(de.physPath, name)
-		_, _, c2, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-			FSOp{Kind: FSRemove, Path: phys})
+		// The primary types the victim itself: a directory or a special link
+		// answers ISDIR (FSUnlink in applyFSOp).
+		_, _, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
+			FSOp{Kind: FSUnlink, Path: path.Join(de.physPath, name)})
 		if err == nil {
 			m.dropMetaUnder(path.Join(de.vpath, name))
 			m.invalAttr(de.vpath)
 		}
-		return simnet.Seq(c, c2), err
+		return c, err
 	})
 }
 

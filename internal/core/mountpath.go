@@ -109,42 +109,92 @@ func (m *Mount) mkdirAllOnce(vpath string) (VH, simnet.Cost, error) {
 	return cur, total, nil
 }
 
-// WriteFile creates (or truncates) a file at a virtual path and writes
-// data. Like MkdirAll, it redrives once on a staleness-shaped failure.
+// WriteFile creates (or truncates) a file at a virtual path and writes data
+// in one routed apply: the resolver's cache places the parent directory, and
+// its primary walks to it, creates, writes and mirrors once (FSWriteFile in
+// applyFSOp). When the cache has no answer, or the primary says the parent is
+// missing, moved or out of reach — NOENT, a cache-suspect status, a retryable
+// error — the call goes through MkdirAll, which owns resolution, creation,
+// failover and promotion, and sends the same apply to the directory that
+// returns. A stale resolver entry needs no dropping here: its storage root
+// dangles, which MkdirAll's own walk finds and re-resolves. Only the fast
+// path is a single op with a single InterposeCost: MkdirAll's lookups and
+// mkdirs and a write-back tail are pipeline ops of their own, counted and
+// charged as they were when WriteFile was a sequence of them.
 func (m *Mount) WriteFile(vpath string, data []byte) (simnet.Cost, error) {
-	total, err := m.writeFileOnce(vpath, data)
-	if err != nil && cacheSuspect(err) {
-		m.dropMetaForPath(vpath)
-		c, err2 := m.writeFileOnce(vpath, data)
-		return simnet.Seq(total, c), err2
-	}
-	return total, err
+	o := m.begin(obs.OpcWrite, vpath)
+	cost, err := m.writeFile(o.tr, vpath, data)
+	o.done(cost, err)
+	return cost, err
 }
 
-func (m *Mount) writeFileOnce(vpath string, data []byte) (simnet.Cost, error) {
-	dir, base := path.Split(path.Clean("/" + vpath))
-	dirVH, total, err := m.MkdirAll(dir)
+func (m *Mount) writeFile(tr *obs.Trace, vpath string, data []byte) (simnet.Cost, error) {
+	dir, name := path.Split(path.Clean("/" + vpath))
+	if err := ValidName(name); err != nil {
+		return InterposeCost, err
+	}
+	dirParts := SplitVirtual(dir)
+	if len(dirParts) == 0 {
+		return InterposeCost, ErrRootOnlyDirs
+	}
+	total := InterposeCost
+	if place, ok := m.n.cachedDir(dirParts); ok {
+		de := entryAt(JoinVirtual(dirParts), place, place.PhysDir(), nfs.Walked{Attr: localfs.Attr{Type: localfs.TypeDir}})
+		c, err := m.writeFileIn(tr, de, name, data)
+		total = simnet.Seq(total, c)
+		if err == nil || !(retryable(err) || cacheSuspect(err)) {
+			return total, err
+		}
+	}
+	dirVH, c, err := m.MkdirAll(dir)
+	total = simnet.Seq(total, c)
 	if err != nil {
 		return total, err
 	}
 	defer m.forget(dirVH) // a no-op on RootVH
-	fvh, _, c, err := m.Create(dirVH, base, 0o644, false)
-	total = simnet.Seq(total, c)
-	if err != nil {
-		return total, err
-	}
-	defer m.forget(fvh)
-	_, c, err = m.Write(fvh, 0, data)
-	total = simnet.Seq(total, c)
-	if err != nil {
-		return total, err
-	}
-	// Under write-back the Write above may only have buffered. WriteFile's
-	// contract is an acknowledged durable write, so flush before the handle
-	// is dropped: forget's flush is best-effort and would swallow the error,
-	// acknowledging data that was never placed.
-	c, err = m.flushVH(nil, fvh)
+	c, err = m.failover(tr, dirVH, func(de *ventry) (simnet.Cost, error) {
+		return m.writeFileIn(tr, de, name, data)
+	})
 	return simnet.Seq(total, c), err
+}
+
+// writeFileIn sends the FSWriteFile compound for name in the directory de.
+// Under write-back it carries one batch at most and the rest follows through
+// the handle the reply returns, so no frame outgrows the buffer's high water.
+// WriteFile's contract is an acknowledged durable write, so that tail is
+// flushed here: forget's flush is best-effort and would swallow the error.
+func (m *Mount) writeFileIn(tr *obs.Trace, de *ventry, name string, data []byte) (simnet.Cost, error) {
+	if de.kind != localfs.TypeDir {
+		return 0, &nfs.Error{Proc: nfs.ProcCreate, Status: nfs.ErrNotDir}
+	}
+	first := data
+	if wb := m.n.cfg.WriteBackBytes; wb > 0 && len(data) > wb {
+		first = data[:wb]
+	}
+	phys := path.Join(de.physPath, name)
+	_, fh, cost, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
+		FSOp{Kind: FSWriteFile, Path: phys, Data: first})
+	if err != nil {
+		return cost, err
+	}
+	if de.node == m.n.addr {
+		cost = simnet.Seq(cost, loopbackXfer(len(first)))
+	}
+	m.dropMetaUnder(path.Join(de.vpath, name))
+	m.invalAttr(de.vpath)
+	if len(first) == len(data) {
+		return cost, nil
+	}
+	fvh := m.insert(entryAt(path.Join(de.vpath, name), de.place, phys,
+		nfs.Walked{FH: fh, Attr: localfs.Attr{Type: localfs.TypeRegular}}))
+	defer m.forget(fvh)
+	_, c, err := m.write(tr, fvh, int64(len(first)), data[len(first):])
+	cost = simnet.Seq(cost, c)
+	if err != nil {
+		return cost, err
+	}
+	c, err = m.flushVH(tr, fvh)
+	return simnet.Seq(cost, c), err
 }
 
 // ReadFile reads a whole file at a virtual path. It reads to EOF rather

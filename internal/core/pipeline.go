@@ -167,22 +167,21 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr,
 		de, c, err := m.bindRoot(tr)
 		return de, rootAttr, c, err
 	}
-	place, total, err := m.n.resolveDir(tr, parts)
+	place, w, total, err := m.n.resolveDir(tr, parts)
 	phys := place.PhysDir()
-	if nfs.IsStatus(err, nfs.ErrNotDir) {
+	switch {
+	case nfs.IsStatus(err, nfs.ErrNotDir) && w.FH != (nfs.Handle{}):
 		// The final component is a file or plain symlink at a depth the
-		// resolver treated as a directory level; resolve the parent and
-		// look the leaf up there.
-		var c simnet.Cost
-		place, c, err = m.n.resolveDir(tr, parts[:len(parts)-1])
-		total = simnet.Seq(total, c)
-		phys = path.Join(place.PhysDir(), parts[len(parts)-1])
-	}
-	if err != nil {
+		// resolver treated as a directory level: place is its parent's, and
+		// the probe that typed it has already walked to it.
+		phys, err = path.Join(phys, parts[len(parts)-1]), nil
+	case err != nil:
 		return nil, localfs.Attr{}, total, err
+	default:
+		var c simnet.Cost
+		w, c, err = m.lookupAt(tr, place, phys)
+		total = simnet.Seq(total, c)
 	}
-	w, c, err := m.lookupAt(tr, place, phys)
-	total = simnet.Seq(total, c)
 	if err != nil {
 		missing := pathComponents(phys) - w.Resolved
 		if !nfs.IsStatus(err, nfs.ErrNoEnt) || missing > len(place.Rest) {
@@ -194,8 +193,19 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr,
 		parts, phys = parts[:len(parts)-missing], place.PhysDir()
 		w.Attr = localfs.Attr{Type: localfs.TypeDir}
 	}
-	ve := &ventry{
-		vpath:    JoinVirtual(parts),
+	ve := entryAt(JoinVirtual(parts), place, phys, w)
+	if err == nil {
+		tr.SetServedBy(string(place.Node))
+		m.cacheAttr(ve.vpath, w.Attr)
+	}
+	return ve, w.Attr, total, err
+}
+
+// entryAt is the handle-table row for phys in place's hierarchy, as a walk
+// found it.
+func entryAt(vpath string, place Place, phys string, w nfs.Walked) *ventry {
+	return &ventry{
+		vpath:    vpath,
 		kind:     w.Attr.Type,
 		node:     place.Node,
 		fh:       w.FH,
@@ -204,11 +214,6 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr,
 		root:     place.SubtreeRoot(),
 		place:    place,
 	}
-	if err == nil {
-		tr.SetServedBy(string(place.Node))
-		m.cacheAttr(ve.vpath, w.Attr)
-	}
-	return ve, w.Attr, total, err
 }
 
 // materializeRetry is materialize with transparent failover: a retryable

@@ -85,6 +85,7 @@ const (
 	FSWriteV     = repl.FSWriteV
 	FSChunkWrite = repl.FSChunkWrite
 	FSRelink     = repl.FSRelink
+	FSUnlink     = repl.FSUnlink
 )
 
 func putFSOp(e *wire.Encoder, op FSOp) {

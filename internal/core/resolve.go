@@ -105,13 +105,18 @@ func (n *Node) cacheDrop(vpath string) {
 // parent directory. Resolved levels are cached, mirroring koshad's practice
 // of "record[ing] the information needed for future accesses" (Section 4).
 func (n *Node) ResolveDir(vdirs []string) (Place, simnet.Cost, error) {
-	return n.resolveDir(nil, vdirs)
+	pl, _, cost, err := n.resolveDir(nil, vdirs)
+	return pl, cost, err
 }
 
 // resolveDir is ResolveDir with an optional trace receiving the route hops.
-func (n *Node) resolveDir(tr *obs.Trace, vdirs []string) (Place, simnet.Cost, error) {
+// When the last component sits at a distributed depth and is a regular file
+// or a user symlink, the NOTDIR comes with the parent's place and what the
+// probe found there, so the caller need not walk to the leaf again; every
+// other failure returns neither.
+func (n *Node) resolveDir(tr *obs.Trace, vdirs []string) (Place, nfs.Walked, simnet.Cost, error) {
 	if len(vdirs) == 0 {
-		return Place{VRoot: true, Store: "/"}, 0, nil
+		return Place{VRoot: true, Store: "/"}, nfs.Walked{}, 0, nil
 	}
 	d := ControllingDepth(len(vdirs), n.cfg.DistributionLevel)
 	cur := Place{VRoot: true, Store: "/"}
@@ -133,7 +138,7 @@ restart:
 			res, c, err := n.route(tr, Key(name))
 			total = simnet.Seq(total, c)
 			if err != nil {
-				return Place{}, total, fmt.Errorf("kosha: resolve %s: %w", vpath, err)
+				return Place{}, nfs.Walked{}, total, fmt.Errorf("kosha: resolve %s: %w", vpath, err)
 			}
 			probeNode, probeDir = res.Node.Addr, "/"
 		} else {
@@ -156,7 +161,7 @@ restart:
 			total = simnet.Seq(total, c2)
 			if perr != nil {
 				// No NOENT to act on: the node never said what it holds.
-				return Place{}, total, perr
+				return Place{}, nfs.Walked{}, total, perr
 			}
 			w, cost, err = n.remoteWalk(tr.Ctx(), probeNode, probePath)
 			total = simnet.Seq(total, cost)
@@ -174,40 +179,62 @@ restart:
 			goto restart
 		}
 		if err != nil {
-			return Place{}, total, err
+			return Place{}, nfs.Walked{}, total, err
 		}
 		var next Place
-		switch w.Attr.Type {
-		case localfs.TypeDir:
+		pn, store, special := ParseLinkTarget(w.Target)
+		switch {
+		case w.Attr.Type == localfs.TypeDir && i == 1:
 			// A real directory at the probe location only occurs for an
 			// unsalted level-1 home sitting at its own hash target; deeper
 			// distributed children are always behind special links.
-			if i != 1 {
-				return Place{}, total, &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNotDir}
-			}
 			next = Place{Node: probeNode, Name: name, Store: "/" + name}
-		case localfs.TypeSymlink:
+		case special:
 			// Special link: follow to the placement name and storage root,
-			// which the probe's reply carried. A user symlink (no marker) is
-			// not a directory.
-			pn, store, ok := ParseLinkTarget(w.Target)
-			if !ok {
-				return Place{}, total, &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNotDir}
-			}
+			// which the probe's reply carried.
 			res, c, err := n.route(tr, Key(pn))
 			total = simnet.Seq(total, c)
 			if err != nil {
-				return Place{}, total, err
+				return Place{}, nfs.Walked{}, total, err
 			}
 			next = Place{Node: res.Node.Addr, Name: pn, Store: store}
 		default:
-			return Place{}, total, &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNotDir}
+			// A file or a user symlink (no marker) is not a directory; as the
+			// path's last component it is the leaf the caller was after.
+			err := &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNotDir}
+			if i == len(vdirs) && i > 1 && w.Attr.Type != localfs.TypeDir {
+				return cur, w, total, err
+			}
+			return Place{}, nfs.Walked{}, total, err
 		}
 		n.cachePut(vpath, next)
 		cur = next
 	}
 	cur.Rest = append([]string(nil), vdirs[d:]...)
-	return cur, total, nil
+	return cur, nfs.Walked{}, total, nil
+}
+
+// cachedDir is resolveDir answered from the resolver cache alone: the place
+// of the directory's controlling ancestor as an earlier resolution recorded
+// it, and no RPC. It is a hit only when every level from 1 to the controlling
+// one is cached, the chain rule resolveDir applies: a rename of a distributed
+// ancestor drops the ancestor's entry but relocates only its own storage
+// root, so a descendant's entry on its own still names a live directory,
+// the one that now belongs to the new name. The entry may still be stale;
+// whoever acts on it finds out from the node it names.
+func (n *Node) cachedDir(vdirs []string) (Place, bool) {
+	d := ControllingDepth(len(vdirs), n.cfg.DistributionLevel)
+	n.cacheMu.Lock()
+	defer n.cacheMu.Unlock()
+	var pl Place
+	for i := 1; i <= d; i++ {
+		var ok bool
+		if pl, ok = n.dirCache[JoinVirtual(vdirs[:i])]; !ok {
+			return Place{}, false
+		}
+	}
+	pl.Rest = append([]string(nil), vdirs[d:]...)
+	return pl, true
 }
 
 // ResolvePath is ResolveDir on a slash-separated virtual path.

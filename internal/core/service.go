@@ -111,6 +111,10 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 		putApplyReplyBody(e, localfs.Attr{}, nfs.Handle{}, 0)
 		return simnet.Seq(checkCost, cost), nil
 	}
+	if r.Op.Kind == FSUnlink {
+		// The check was the primary's; replicas just remove.
+		r.Op.Kind = FSRemove
+	}
 	r.Track = n.rep.Stamp(r.Track, r.Op)
 	n.rep.Track(r.Track, r.Op)
 	// Fan out to the K leaf-set replicas; the primary "forwards the

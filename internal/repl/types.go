@@ -63,10 +63,11 @@ const (
 	FSRemoveAll // recursive removal (migration resync, forced deletes)
 	FSRename
 	FSSymlink
-	FSWriteFile  // create-or-truncate plus full contents, used by migration
+	FSWriteFile  // create-or-truncate plus full contents: Mount.WriteFile's one apply, and migration
 	FSWriteV     // vectored write: a write-back buffer's coalesced spans
 	FSChunkWrite // manifest span: chunk refs resolved against the receiver's block index
 	FSRelink     // atomic ownership flip: replace the entry at Path with a symlink to Target
+	FSUnlink     // user-level remove: ISDIR for a directory or a special link; mirrored as FSRemove
 )
 
 func (k FSOpKind) String() string {
@@ -99,6 +100,8 @@ func (k FSOpKind) String() string {
 		return "chunkwrite"
 	case FSRelink:
 		return "relink"
+	case FSUnlink:
+		return "unlink"
 	default:
 		return fmt.Sprintf("fsop(%d)", uint32(k))
 	}
