@@ -5,8 +5,9 @@ GO ?= go
 all: vet build test
 
 # ci is the gate for pull requests: static checks (gofmt + vet), the
-# deterministic chaos suite, the full race-enabled test suite (which covers
-# the sampler and trace-propagation tests), a koshabench smoke run that
+# deterministic chaos suite with the 1000-seed oracle sweep, the full
+# race-enabled test suite (which covers the sampler and trace-propagation
+# tests), a koshabench smoke run that
 # fails unless the JSON output carries the latency-percentile fields, a
 # /metrics exposition smoke against a live koshad, a smoke run of the
 # benchmark harness, one iteration of every Go benchmark, and the ledger
@@ -28,8 +29,15 @@ ci: fmt-check vet build
 #   go test -race ./internal/chaos -run <TestName> -v
 # Opt into the longer randomized soak with KOSHA_CHAOS_SOAK=<runs>, pinning
 # its base seed with KOSHA_CHAOS_SEED=<seed>.
+# Then the oracle sweep (internal/cluster: random operations through three
+# mounts against chaos.Oracle) over seeds 1000-1999, which must all pass. It
+# runs without the race detector (~1 min; ~8 min with it): the raced run of
+# its committed seed list is part of `go test -race ./...`. Replay one seed
+# with
+#   go test ./internal/cluster -run 'TestOracleSeedSweep/seed<seed>$$' -seeds 1000 -v
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos
+	$(GO) test -count=1 ./internal/cluster -run TestOracleSeedSweep -seeds 1000
 
 # soak is the gated slow target: the 500-node scale-out soak (internal/scale)
 # replaying >= 10K Purdue-trace operations under diurnal availability churn
@@ -134,8 +142,8 @@ bench-smoke:
 # files. Everything but setup_s, heap_live_mb and the wall.* / ns / us
 # per-layer metrics is a function of the seed (the two alloc metrics to about
 # four digits); BENCH_SECONDS only bounds how long the wall-clock ones sample.
-#   make bench-json BENCH_PR=19
-BENCH_PR ?= 19
+#   make bench-json BENCH_PR=21
+BENCH_PR ?= 21
 BENCH_SECONDS ?= 5
 bench-json:
 	@out=BENCH_$(BENCH_PR).json; tmp=$$out.tmp; \

@@ -24,10 +24,10 @@ import (
 	"repro/internal/nfs"
 )
 
-// Oracle is the in-memory reference model of the virtual file system. It is
-// the exported, error-returning descendant of the model in
-// internal/cluster's oracle tests, so fuzzers and experiments can use it
-// outside a *testing.T.
+// Oracle is the in-memory reference model of the virtual file system, the
+// only one: the scheduler's runs here, the scale soak, the fuzzers and the
+// oracle sweep in internal/cluster all check a cluster against it. It is
+// exported and returns errors so that it works outside a *testing.T.
 type Oracle struct {
 	files map[string][]byte // virtual path -> contents
 	// history records every value ever acknowledged at a path. While the

@@ -426,7 +426,10 @@ func ReplicaConvergence(c *cluster.Cluster, model *Oracle, k int) error {
 	for _, nd := range c.Nodes {
 		byAddr[nd.Addr()] = nd
 	}
-	resolver := c.Nodes[0]
+	// Resolution goes through a mount first: its lookup leaves the node's
+	// resolver chain for the directory validated, where ResolvePath alone
+	// would hand back an entry another node's rename left dangling.
+	resolver, view := c.Nodes[0], c.Mount(0)
 	type rootKey struct {
 		primary simnet.Addr
 		root    string
@@ -434,6 +437,9 @@ func ReplicaConvergence(c *cluster.Cluster, model *Oracle, k int) error {
 	checkedRoots := map[rootKey]bool{}
 	for _, f := range model.Files() {
 		want := model.files[f]
+		if vh, _, _, err := view.LookupPath(path.Dir(f)); err == nil {
+			view.Forget(vh)
+		}
 		pl, _, err := resolver.ResolvePath(path.Dir(f))
 		if err != nil {
 			return fmt.Errorf("resolve %s: %w", f, err)

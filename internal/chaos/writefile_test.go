@@ -14,8 +14,8 @@ import (
 
 const wfReplicas = 2
 
-// wfBed is an 8-node, K=2 cluster (L=2 unless a row asks for more) with the
-// client caches off and one file in place at /u/proj/src/a.go, written
+// wfBed is an 8-node, K=2 cluster (L=2 and the client caches off unless cfg
+// says otherwise) with one file in place at /u/proj/src/a.go, written
 // through the bed's client: a mount on a node that is neither the primary of
 // that file's directory nor one of its replica holders, so every message the
 // client sends crosses the network and crashing the primary leaves the client
@@ -29,22 +29,16 @@ type wfBed struct {
 	primary int // the node holding /u/proj/src (at L=2, all of /u/proj)
 }
 
-func newWFBed(t *testing.T, level, writeBack int) *wfBed {
+func newWFBed(t *testing.T, cfg core.Config) *wfBed {
 	t.Helper()
-	if level == 0 {
-		level = 2
+	if cfg.DistributionLevel == 0 {
+		cfg.DistributionLevel = 2
 	}
-	c, err := cluster.New(cluster.Options{
-		Nodes: 8,
-		Seed:  1901,
-		Config: core.Config{
-			DistributionLevel: level,
-			Replicas:          wfReplicas,
-			AttrCacheTTL:      -1,
-			NameCacheTTL:      -1,
-			WriteBackBytes:    writeBack,
-		},
-	})
+	if cfg.NameCacheTTL == 0 {
+		cfg.AttrCacheTTL, cfg.NameCacheTTL = -1, -1
+	}
+	cfg.Replicas = wfReplicas
+	c, err := cluster.New(cluster.Options{Nodes: 8, Seed: 1901, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +82,20 @@ func (b *wfBed) index(addr simnet.Addr) int {
 
 // other is a mount on a live node that is neither the client's nor the
 // primary's.
-func (b *wfBed) other() *core.Mount {
+func (b *wfBed) other() *core.Mount { return b.others(1)[0] }
+
+// others is n such mounts, each on a node of its own.
+func (b *wfBed) others(n int) []*core.Mount {
+	var out []*core.Mount
 	for i := range b.c.Nodes {
-		if i != b.client && i != b.primary && !b.c.Net.IsDown(b.c.Nodes[i].Addr()) {
-			return b.c.Mount(i)
+		if i != b.client && i != b.primary && !b.c.Net.IsDown(b.c.Nodes[i].Addr()) && len(out) < n {
+			out = append(out, b.c.Mount(i))
 		}
 	}
-	b.t.Fatal("no third live node")
-	return nil
+	if len(out) < n {
+		b.t.Fatalf("%d live nodes besides the client and the primary, want %d", len(out), n)
+	}
+	return out
 }
 
 func (b *wfBed) write(p string, data []byte) {
@@ -119,10 +119,13 @@ func (b *wfBed) reboot(i int) {
 // settle stabilizes and holds the steady-state invariants: everything the
 // model says exists, and nothing else, reads back through another node, and
 // every file sits on its primary and its K replica holders.
-func (b *wfBed) settle() {
+func (b *wfBed) settle() { b.t.Helper(); b.settleThrough(b.other()) }
+
+// settleThrough is settle reading through a mount of the caller's choosing.
+func (b *wfBed) settleThrough(third *core.Mount) {
 	b.t.Helper()
 	b.c.Stabilize()
-	if err := b.model.Check(b.other()); err != nil {
+	if err := b.model.Check(third); err != nil {
 		b.t.Fatalf("oracle: %v", err)
 	}
 	if err := ReplicaConvergence(b.c, b.model, wfReplicas); err != nil {
@@ -201,8 +204,9 @@ func TestWriteFileFallbacks(t *testing.T) {
 			}
 		}},
 		{name: "resolver entry stale after a rename elsewhere", run: func(b *wfBed) {
-			// Each rename of a distributed directory moves its storage root,
-			// so the client's resolver now names a root that is gone.
+			// Each link rename of a distributed directory (here at the leaf
+			// level, L=2) moves its storage root, so the client's resolver now
+			// names a root that is gone.
 			m2 := b.other()
 			u, _, _, err := m2.LookupPath("/u")
 			if err != nil {
@@ -219,10 +223,11 @@ func TestWriteFileFallbacks(t *testing.T) {
 			}
 		}},
 		{name: "distributed ancestor renamed through this mount", level: 3, run: func(b *wfBed) {
-			// The link rename drops the resolver's /u/proj and moves that
-			// directory's own storage root; /u/proj/src is distributed too, so
-			// its entry survives and its root is live, now under /u/tmp. The
-			// write must not follow it there: /u/proj is gone and is made afresh.
+			// /u/proj is above the leaf distributed level, so the rename copies:
+			// /u/proj/src gets a fresh storage root under /u/tmp and its old one
+			// is removed. The write must not land there: /u/proj is gone and is
+			// made afresh. (TestStaleChainAfterAncestorRename renames through
+			// another node, which leaves this one's resolver chain whole.)
 			u, _, _, err := b.m.LookupPath("/u")
 			if err != nil {
 				b.t.Fatal(err)
@@ -266,7 +271,7 @@ func TestWriteFileFallbacks(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := newWFBed(t, tc.level, tc.writeBack)
+			b := newWFBed(t, core.Config{DistributionLevel: tc.level, WriteBackBytes: tc.writeBack})
 			tc.run(b)
 			b.settle()
 		})
@@ -282,7 +287,7 @@ func TestWriteFileFallbacks(t *testing.T) {
 // replica area — the file is absent or complete, never present and empty,
 // which is the state a create-then-write pair of applies could leave behind.
 func TestScenarioWriteFileCrash(t *testing.T) {
-	b := newWFBed(t, 0, 0)
+	b := newWFBed(t, core.Config{})
 	wholeOrAbsent := func(when, vpath string, want []byte) {
 		t.Helper()
 		pl, _, err := b.c.Nodes[b.client].ResolvePath("/u/proj/src")

@@ -4,6 +4,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/diskfs"
+	"repro/internal/id"
+	"repro/internal/localfs"
+	"repro/internal/nfs"
+	"repro/internal/simnet"
 )
 
 // TestConcurrentMountDisjointPaths drives one shared Mount from many
@@ -141,5 +147,67 @@ func TestConcurrentMountSharedPath(t *testing.T) {
 	}
 	if spread := m.ReadSpread(); len(spread) == 0 {
 		t.Fatal("no reads recorded")
+	}
+}
+
+// TestUnlinkNeverRemovesSpecialLink: FSUnlink types its victim and removes it
+// under one store lock, so however a name flips between a regular file and a
+// special link while another goroutine unlinks it, only the file ever goes.
+// The flipper removes each link it planted itself; a link that is missing by
+// then was taken by the unlink. Run under -race, on both stores.
+func TestUnlinkNeverRemovesSpecialLink(t *testing.T) {
+	disk, err := diskfs.Open(t.TempDir(), 0, simnet.Disk7200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, store := range map[string]localfs.FileSystem{"localfs": localfs.New(0, simnet.Disk7200), "diskfs": disk} {
+		t.Run(name, func(t *testing.T) {
+			state := uint64(5)
+			n := NewNodeWithStore("k0", id.Rand128(&state), simnet.New(simnet.LAN100), Config{}, store)
+			dir, err := store.MkdirAll("/a/b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			const flips = 400
+			stop := make(chan struct{})
+			unlinked := make(chan int)
+			go func() {
+				removed := 0
+				for {
+					select {
+					case <-stop:
+						unlinked <- removed
+						return
+					default:
+					}
+					if _, _, err := n.applyFSOp(FSOp{Kind: FSUnlink, Path: "/a/b/x"}, false); err == nil {
+						removed++
+					} else if st := nfs.ToStatus(err); st != nfs.ErrNoEnt && st != nfs.ErrIsDir {
+						t.Errorf("unlink: %v", err)
+					}
+				}
+			}()
+			taken := 0
+			for i := 0; i < flips; i++ {
+				if _, _, err := store.Create(dir.Ino, "x", 0o644, false); err != nil {
+					t.Fatalf("flip %d: create: %v", i, err)
+				}
+				if _, err := store.Remove(dir.Ino, "x"); err != nil && nfs.ToStatus(err) != nfs.ErrNoEnt {
+					t.Fatalf("flip %d: remove the file: %v", i, err)
+				}
+				if _, _, err := store.Symlink(dir.Ino, "x", MakeLinkTarget("pn", "/store")); err != nil {
+					t.Fatalf("flip %d: plant the link: %v", i, err)
+				}
+				if _, err := store.Remove(dir.Ino, "x"); err != nil {
+					taken++
+				}
+			}
+			close(stop)
+			removed := <-unlinked
+			if taken > 0 {
+				t.Errorf("%d of %d special links were gone before their planter removed them", taken, flips)
+			}
+			t.Logf("%d flips, %d files unlinked in between", flips, removed)
+		})
 	}
 }

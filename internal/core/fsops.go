@@ -54,12 +54,7 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 		return attr, simnet.Seq(resolveCost, cost), err
 
 	case FSWrite:
-		attr, err := n.store.LookupPath(op.Path)
-		if err != nil && lenient {
-			if werr := n.store.WriteFile(op.Path, nil); werr == nil {
-				attr, err = n.store.LookupPath(op.Path)
-			}
-		}
+		attr, err := n.fileForWrite(op.Path, lenient)
 		if err != nil {
 			return localfs.Attr{}, resolveCost, err
 		}
@@ -71,12 +66,7 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 		return attr, simnet.Seq(resolveCost, cost), nil
 
 	case FSWriteV:
-		attr, err := n.store.LookupPath(op.Path)
-		if err != nil && lenient {
-			if werr := n.store.WriteFile(op.Path, nil); werr == nil {
-				attr, err = n.store.LookupPath(op.Path)
-			}
-		}
+		attr, err := n.fileForWrite(op.Path, lenient)
 		if err != nil {
 			return localfs.Attr{}, resolveCost, err
 		}
@@ -104,12 +94,7 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 		if aerr != nil {
 			return localfs.Attr{}, resolveCost, aerr
 		}
-		attr, err := n.store.LookupPath(op.Path)
-		if err != nil && lenient {
-			if werr := n.store.WriteFile(op.Path, nil); werr == nil {
-				attr, err = n.store.LookupPath(op.Path)
-			}
-		}
+		attr, err := n.fileForWrite(op.Path, lenient)
 		if err != nil {
 			return localfs.Attr{}, resolveCost, err
 		}
@@ -179,7 +164,7 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 		attr, cost, err := n.store.Setattr(attr.Ino, op.SetAttr)
 		return attr, simnet.Seq(resolveCost, cost), err
 
-	case FSRemove, FSUnlink:
+	case FSRemove, FSUnlink, FSRmdir:
 		pattr, err := n.store.LookupPath(path.Dir(op.Path))
 		if err != nil {
 			if lenient {
@@ -187,35 +172,18 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 			}
 			return localfs.Attr{}, resolveCost, err
 		}
-		total := resolveCost
-		if op.Kind == FSUnlink && !lenient {
-			// Mount.Remove types its victim where the removal happens: no round
-			// trip separates the check from the act. The store is locked for
-			// each on its own, so another apply can still land between them.
-			c, err := n.userRemovable(pattr.Ino, path.Base(op.Path))
-			total = simnet.Seq(total, c)
-			if err != nil {
-				return localfs.Attr{}, total, err
-			}
+		var cost simnet.Cost
+		switch {
+		case op.Kind == FSRmdir:
+			cost, err = n.store.Rmdir(pattr.Ino, path.Base(op.Path))
+		case op.Kind == FSUnlink && !lenient:
+			// Mount.Remove types its victim where the removal happens, under
+			// the store's own lock: no round trip and no other apply separates
+			// the check from the act.
+			cost, err = n.store.RemoveUnless(pattr.Ino, path.Base(op.Path), refuseDirectory)
+		default:
+			cost, err = n.store.Remove(pattr.Ino, path.Base(op.Path))
 		}
-		cost, err := n.store.Remove(pattr.Ino, path.Base(op.Path))
-		if lenient && err != nil && nfs.ToStatus(err) == nfs.ErrNoEnt {
-			err = nil
-		}
-		if err == nil && op.Prune {
-			n.rep.PruneUp(path.Dir(op.Path))
-		}
-		return localfs.Attr{}, simnet.Seq(total, cost), err
-
-	case FSRmdir:
-		pattr, err := n.store.LookupPath(path.Dir(op.Path))
-		if err != nil {
-			if lenient {
-				return localfs.Attr{}, resolveCost, nil
-			}
-			return localfs.Attr{}, resolveCost, err
-		}
-		cost, err := n.store.Rmdir(pattr.Ino, path.Base(op.Path))
 		if lenient && err != nil && nfs.ToStatus(err) == nfs.ErrNoEnt {
 			err = nil
 		}
@@ -268,6 +236,18 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 	}
 }
 
+// fileForWrite resolves the file a write lands in; a replica makes it, and
+// its ancestors, when it is missing.
+func (n *Node) fileForWrite(p string, lenient bool) (localfs.Attr, error) {
+	attr, err := n.store.LookupPath(p)
+	if err != nil && lenient {
+		if werr := n.store.WriteFile(p, nil); werr == nil {
+			attr, err = n.store.LookupPath(p)
+		}
+	}
+	return attr, err
+}
+
 // walkDir resolves a directory of the local store as a client holding only
 // the export's root would: one Lookup per component, each at the store's
 // price, stopping at the first that fails.
@@ -289,27 +269,12 @@ func (n *Node) walkDir(dir string) (localfs.Attr, simnet.Cost, error) {
 	return attr, total, nil
 }
 
-// userRemovable is the check Mount.Remove used to make with a walk of its
-// own: the LOOKUP of the name and, for a symlink, the READLINK that tells a
-// special link apart. A directory and a special link (a directory on another
-// node) both answer ISDIR.
-func (n *Node) userRemovable(dirIno uint64, name string) (simnet.Cost, error) {
-	attr, cost, err := n.store.Lookup(dirIno, name)
-	if err != nil {
-		return cost, err
+// refuseDirectory is FSUnlink's veto: a directory and a special link (a
+// directory on another node) both answer ISDIR, as the LOOKUP and READLINK
+// Mount.Remove used to send before its REMOVE would have found.
+func refuseDirectory(victim localfs.Attr, target string) error {
+	if _, _, special := ParseLinkTarget(target); special || victim.Type == localfs.TypeDir {
+		return localfs.ErrIsDir
 	}
-	switch attr.Type {
-	case localfs.TypeDir:
-		return cost, localfs.ErrIsDir
-	case localfs.TypeSymlink:
-		target, c, err := n.store.Readlink(attr.Ino)
-		cost = simnet.Seq(cost, c)
-		if err != nil {
-			return cost, err
-		}
-		if _, _, special := ParseLinkTarget(target); special {
-			return cost, localfs.ErrIsDir
-		}
-	}
-	return cost, nil
+	return nil
 }

@@ -41,6 +41,26 @@ type ventry struct {
 	cached   bool   // served from the name cache, not a fresh resolution
 }
 
+// child is the row for name in the directory de, as a reply from de's node
+// described it: same node, placement name and storage root. A directory's
+// place is one component deeper; nothing is placed under anything else.
+func (de *ventry) child(name string, kind localfs.FileType, fh nfs.Handle) ventry {
+	place := de.place
+	if kind == localfs.TypeDir {
+		place.Rest = append(append([]string(nil), de.place.Rest...), name)
+	}
+	return ventry{
+		vpath:    path.Join(de.vpath, name),
+		kind:     kind,
+		node:     de.node,
+		fh:       fh,
+		physPath: path.Join(de.physPath, name),
+		pn:       de.pn,
+		root:     de.root,
+		place:    place,
+	}
+}
+
 // DirEntry is one row of a virtual directory listing.
 type DirEntry struct {
 	Name string
@@ -130,10 +150,12 @@ func (m *Mount) dnlcGet(vpath string) (ventry, localfs.Attr, bool) {
 	return m.meta.getName(vpath, m.now(), ttl)
 }
 
-// dropMetaUnder invalidates cached metadata for vpath and everything below
-// it (rename/remove/failover relocate whole subtrees).
-func (m *Mount) dropMetaUnder(vpath string) {
-	m.meta.dropUnder(vpath)
+// childChanged is the write-through invalidation every mutation of one name
+// in the directory de makes: whatever is cached at or below the name, and the
+// directory's own attributes.
+func (m *Mount) childChanged(de *ventry, name string) {
+	m.meta.dropUnder(path.Join(de.vpath, name))
+	m.invalAttr(de.vpath)
 }
 
 // Root returns the mount's root virtual handle.
@@ -209,18 +231,7 @@ func (m *Mount) lookup(tr *obs.Trace, dir VH, name string) (VH, localfs.Attr, si
 				return c, err
 			}
 			attr = a
-			childPlace := de.place
-			childPlace.Rest = append(append([]string(nil), de.place.Rest...), name)
-			ve := ventry{
-				vpath:    path.Join(de.vpath, name),
-				kind:     a.Type,
-				node:     de.node,
-				fh:       fh,
-				physPath: path.Join(de.physPath, name),
-				pn:       de.pn,
-				root:     de.root,
-				place:    childPlace,
-			}
+			ve := de.child(name, a.Type, fh)
 			m.dnlcPut(ve, a)
 			out = m.insert(&ve)
 			return c, nil
@@ -451,25 +462,15 @@ func (m *Mount) create(tr *obs.Trace, dir VH, name string, mode uint32, exclusiv
 		if de.kind != localfs.TypeDir {
 			return 0, &nfs.Error{Proc: nfs.ProcCreate, Status: nfs.ErrNotDir}
 		}
-		phys := path.Join(de.physPath, name)
+		file := de.child(name, localfs.TypeRegular, nfs.Handle{}) // the reply brings the handle
 		a, fh, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-			FSOp{Kind: FSCreate, Path: phys, Mode: mode, Excl: exclusive})
+			FSOp{Kind: FSCreate, Path: file.physPath, Mode: mode, Excl: exclusive})
 		if err != nil {
 			return c, err
 		}
-		attr = a
-		m.dropMetaUnder(path.Join(de.vpath, name))
-		m.invalAttr(de.vpath)
-		out = m.insert(&ventry{
-			vpath:    path.Join(de.vpath, name),
-			kind:     localfs.TypeRegular,
-			node:     de.node,
-			fh:       fh,
-			physPath: phys,
-			pn:       de.pn,
-			root:     de.root,
-			place:    de.place,
-		})
+		attr, file.fh = a, fh
+		m.childChanged(de, name)
+		out = m.insert(&file)
 		return c, nil
 	})
 	return out, attr, cost, err
@@ -497,24 +498,15 @@ func (m *Mount) symlink(tr *obs.Trace, dir VH, name, target string) (VH, simnet.
 		if de.place.VRoot {
 			return 0, ErrRootOnlyDirs
 		}
-		phys := path.Join(de.physPath, name)
+		link := de.child(name, localfs.TypeSymlink, nfs.Handle{}) // the reply brings the handle
 		_, fh, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-			FSOp{Kind: FSSymlink, Path: phys, Target: target})
+			FSOp{Kind: FSSymlink, Path: link.physPath, Target: target})
 		if err != nil {
 			return c, err
 		}
-		m.dropMetaUnder(path.Join(de.vpath, name))
-		m.invalAttr(de.vpath)
-		out = m.insert(&ventry{
-			vpath:    path.Join(de.vpath, name),
-			kind:     localfs.TypeSymlink,
-			node:     de.node,
-			fh:       fh,
-			physPath: phys,
-			pn:       de.pn,
-			root:     de.root,
-			place:    de.place,
-		})
+		link.fh = fh
+		m.childChanged(de, name)
+		out = m.insert(&link)
 		return c, nil
 	})
 	return out, cost, err

@@ -36,34 +36,20 @@ func (m *Mount) mkdir(tr *obs.Trace, dir VH, name string, mode uint32) (VH, loca
 			return 0, &nfs.Error{Proc: nfs.ProcMkdir, Status: nfs.ErrNotDir}
 		}
 		if m.distributedAt(de) {
-			vh, a, c, err := m.mkdirDistributed(tr, de, name, mode)
-			if err != nil {
-				return c, err
-			}
-			out, attr = vh, a
-			return c, nil
+			var c simnet.Cost
+			var err error
+			out, attr, c, err = m.mkdirDistributed(tr, de, name, mode)
+			return c, err
 		}
-		phys := path.Join(de.physPath, name)
+		child := de.child(name, localfs.TypeDir, nfs.Handle{}) // the reply brings the handle
 		a, fh, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-			FSOp{Kind: FSMkdir, Path: phys, Mode: mode})
+			FSOp{Kind: FSMkdir, Path: child.physPath, Mode: mode})
 		if err != nil {
 			return c, err
 		}
-		attr = a
-		m.dropMetaUnder(path.Join(de.vpath, name))
-		m.invalAttr(de.vpath)
-		childPlace := de.place
-		childPlace.Rest = append(append([]string(nil), de.place.Rest...), name)
-		out = m.insert(&ventry{
-			vpath:    path.Join(de.vpath, name),
-			kind:     localfs.TypeDir,
-			node:     de.node,
-			fh:       fh,
-			physPath: phys,
-			pn:       de.pn,
-			root:     de.root,
-			place:    childPlace,
-		})
+		attr, child.fh = a, fh
+		m.childChanged(de, name)
+		out = m.insert(&child)
 		return c, nil
 	})
 	return out, attr, cost, err
@@ -171,16 +157,7 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	place := Place{Node: target, Name: pn, Store: subRoot}
 	vpath := path.Join(parent.vpath, name)
 	n.cachePut(vpath, place)
-	vh := m.insert(&ventry{
-		vpath:    vpath,
-		kind:     localfs.TypeDir,
-		node:     target,
-		fh:       fh,
-		physPath: subRoot,
-		pn:       pn,
-		root:     subRoot,
-		place:    place,
-	})
+	vh := m.insert(entryAt(vpath, place, subRoot, nfs.Walked{FH: fh, Attr: localfs.Attr{Type: localfs.TypeDir}}))
 	return vh, attr, total, nil
 }
 
@@ -267,18 +244,7 @@ func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) 
 			}
 			out = append(out, DirEntry{Name: e.Name, Type: e.Type})
 			if prewarm {
-				childPlace := de.place
-				childPlace.Rest = append(append([]string(nil), de.place.Rest...), e.Name)
-				m.dnlcPut(ventry{
-					vpath:    path.Join(de.vpath, e.Name),
-					kind:     e.Type,
-					node:     de.node,
-					fh:       e.FH,
-					physPath: path.Join(de.physPath, e.Name),
-					pn:       de.pn,
-					root:     de.root,
-					place:    childPlace,
-				}, e.Attr)
+				m.dnlcPut(de.child(e.Name, e.Type, e.FH), e.Attr)
 			}
 		}
 		return c, nil
@@ -305,8 +271,7 @@ func (m *Mount) remove(tr *obs.Trace, dir VH, name string) (simnet.Cost, error) 
 		_, _, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
 			FSOp{Kind: FSUnlink, Path: path.Join(de.physPath, name)})
 		if err == nil {
-			m.dropMetaUnder(path.Join(de.vpath, name))
-			m.invalAttr(de.vpath)
+			m.childChanged(de, name)
 		}
 		return c, err
 	})
@@ -326,12 +291,10 @@ func (m *Mount) rmdir(tr *obs.Trace, dir VH, name string) (simnet.Cost, error) {
 		if m.distributedAt(de) {
 			return m.rmdirDistributed(tr, de, name)
 		}
-		phys := path.Join(de.physPath, name)
 		_, _, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-			FSOp{Kind: FSRmdir, Path: phys})
+			FSOp{Kind: FSRmdir, Path: path.Join(de.physPath, name)})
 		if err == nil {
-			m.dropMetaUnder(path.Join(de.vpath, name))
-			m.invalAttr(de.vpath)
+			m.childChanged(de, name)
 		}
 		return c, err
 	})
@@ -343,7 +306,7 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 	vpath := path.Join(parent.vpath, name)
 
 	// Locate the child and verify virtual emptiness.
-	child, _, c, err := m.materialize(tr, vpath)
+	child, _, c, err := m.materializeRetry(tr, vpath)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		c, err = m.unindexGone(tr, parent, name, err)
@@ -399,8 +362,7 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 		}
 	}
 	n.cacheDrop(vpath)
-	m.dropMetaUnder(vpath)
-	m.invalAttr(parent.vpath)
+	m.childChanged(parent, name)
 	if parent.place.VRoot {
 		c, err := m.indexRoot(tr, name, false)
 		return simnet.Seq(total, c), err
@@ -424,9 +386,14 @@ func (m *Mount) unindexGone(tr *obs.Trace, parent *ventry, name string, err erro
 }
 
 // Rename renames an entry (Section 4.1.4). Renames within one stored
-// hierarchy are a single forwarded NFS rename (mirrored to replicas).
-// Renaming a distributed directory, or across hierarchies, is "equivalent
-// to a copy to a new location followed by a delete of the old location".
+// hierarchy are a single forwarded NFS rename (mirrored to replicas). A
+// directory at the leaf distributed level (depth L) renames by its link
+// within one parent. Everything else — across hierarchies, or a distributed
+// directory above level L, whose distributed descendants each have a
+// storage root of their own — is "equivalent to a copy to a new location
+// followed by a delete of the old location": every directory copied gets a
+// fresh root and every old root is removed, so a resolver entry another
+// node keeps for the old name dangles rather than naming the new one.
 func (m *Mount) Rename(srcDir VH, srcName string, dstDir VH, dstName string) (simnet.Cost, error) {
 	o := m.beginAt(obs.OpcRename, srcDir, srcName)
 	cost, err := m.rename(o.tr, srcDir, srcName, dstDir, dstName)
@@ -448,9 +415,13 @@ func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstN
 		return total, err
 	}
 	srcDepth := len(SplitVirtual(sde.vpath)) + 1
-	srcDistributed := srcDepth <= m.n.cfg.DistributionLevel
+	src, dst := path.Join(sde.vpath, srcName), path.Join(dde.vpath, dstName)
+	moved := func() { // whatever either name reached is cached no longer
+		m.dropCachesUnder(src)
+		m.dropCachesUnder(dst)
+	}
 
-	if !srcDistributed && sde.node == dde.node && sde.root == dde.root {
+	if srcDepth > m.n.cfg.DistributionLevel && sde.node == dde.node && sde.root == dde.root {
 		c, err := m.withFailover(tr, srcDir, func(de *ventry) (simnet.Cost, error) {
 			_, _, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
 				FSOp{
@@ -460,8 +431,7 @@ func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstN
 				})
 			return c, err
 		})
-		m.dropCachesUnder(path.Join(sde.vpath, srcName))
-		m.dropCachesUnder(path.Join(dde.vpath, dstName))
+		moved()
 		m.invalAttr(sde.vpath)
 		m.invalAttr(dde.vpath)
 		return simnet.Seq(total, c), err
@@ -470,47 +440,33 @@ func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstN
 	// Cheap rename of a distributed directory within the same parent
 	// (Section 4.1.4): "the rename is achieved by renaming the link ...
 	// The target of the link needs not be changed" — the subtree stays
-	// where its placement name hashes; only the name users see moves.
-	if srcDistributed && sde.vpath == dde.vpath {
+	// where its placement name hashes; only the name users see moves. Taken
+	// only at the leaf distributed level: the link rename gives the renamed
+	// hierarchy a fresh storage root and can do so for nothing below it, and
+	// at depth L nothing below it has a root of its own.
+	if srcDepth == m.n.cfg.DistributionLevel && sde.vpath == dde.vpath {
 		c, ok, err := m.renameDistributedLink(tr, sde, srcName, dstName)
 		total = simnet.Seq(total, c)
 		if err != nil {
 			return total, err
 		}
 		if ok {
-			m.dropCachesUnder(path.Join(sde.vpath, srcName))
-			m.dropCachesUnder(path.Join(sde.vpath, dstName))
+			moved()
 			return total, nil
 		}
 	}
 
-	// Copy-then-delete across hierarchies or for unredirected level-1
-	// directories, whose placement is their visible name ("renaming of
-	// distributed subdirectories ... is equivalent to a copy ... followed
-	// by a delete").
+	// Copy-then-delete: across hierarchies, above the leaf distributed
+	// level, and for an unredirected level-1 directory, whose placement is
+	// its visible name ("renaming of distributed subdirectories ... is
+	// equivalent to a copy ... followed by a delete").
 	c, err := m.copyTree(srcDir, srcName, dstDir, dstName)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		return total, err
 	}
-	srcVH, _, c, err := m.Lookup(srcDir, srcName)
-	total = simnet.Seq(total, c)
-	if err != nil {
-		return total, err
-	}
-	sattr, c, err := m.Getattr(srcVH)
-	total = simnet.Seq(total, c)
-	if err != nil {
-		return total, err
-	}
-	if sattr.Type == localfs.TypeDir {
-		c, err = m.RemoveAllPath(path.Join(sde.vpath, srcName))
-	} else {
-		c, err = m.Remove(srcDir, srcName)
-	}
-	total = simnet.Seq(total, c)
-	m.forget(srcVH)
-	return total, err
+	c, err = m.RemoveAllPath(src)
+	return simnet.Seq(total, c), err
 }
 
 // renameDistributedLink renames a distributed directory cheaply (Section
@@ -522,7 +478,7 @@ func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstN
 func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, dstName string) (simnet.Cost, bool, error) {
 	n := m.n
 	var total simnet.Cost
-	child, _, c, err := m.materialize(tr, path.Join(parent.vpath, srcName))
+	child, _, c, err := m.materializeRetry(tr, path.Join(parent.vpath, srcName))
 	total = simnet.Seq(total, c)
 	if err != nil {
 		c, err = m.unindexGone(tr, parent, srcName, err)
@@ -532,7 +488,7 @@ func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, ds
 		return total, false, nil
 	}
 	// Destination must not exist.
-	if _, _, c, err := m.materialize(tr, path.Join(parent.vpath, dstName)); err == nil {
+	if _, _, c, err := m.materializeRetry(tr, path.Join(parent.vpath, dstName)); err == nil {
 		return simnet.Seq(total, c), false, &nfs.Error{Proc: nfs.ProcRename, Status: nfs.ErrExist}
 	} else {
 		total = simnet.Seq(total, c)

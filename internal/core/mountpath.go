@@ -47,40 +47,15 @@ func (m *Mount) vhOf(de *ventry) VH {
 	return m.insert(de)
 }
 
-// dropMetaForPath invalidates this mount's metadata caches for a path's
-// whole top-level subtree plus resolver entries along the path — the
-// recovery hammer the path helpers swing before redriving after a failure
-// that implicates cached state.
-func (m *Mount) dropMetaForPath(vpath string) {
-	m.dropCachesUnder(vpath)
-	if parts := SplitVirtual(vpath); len(parts) > 0 {
-		m.dropMetaUnder(JoinVirtual(parts[:1]))
-	}
-}
-
-// MkdirAll creates a directory path and any missing ancestors. A NOENT on
-// the way can mean a name-cache entry went stale mid-walk (another client
-// removed or renamed a component); the walk redrives once with fresh
-// resolutions before giving up.
+// MkdirAll creates a directory path and any missing ancestors. It resolves
+// the path with one walk, which is all an existing directory costs. When the
+// walk stops at a missing component it names the deepest ancestor that
+// exists, and only the components below that one are created; a miss at a
+// distributed level names no ancestor, and the loop starts at the root. Each
+// step creates first and looks up on EXIST (a component above the miss, or
+// one another client created meanwhile): the walk has just said the rest is
+// missing, so a name-cache hit for any of it could only be stale.
 func (m *Mount) MkdirAll(vpath string) (VH, simnet.Cost, error) {
-	vh, total, err := m.mkdirAllOnce(vpath)
-	if err != nil && cacheSuspect(err) {
-		m.dropMetaForPath(vpath)
-		vh2, c, err2 := m.mkdirAllOnce(vpath)
-		return vh2, simnet.Seq(total, c), err2
-	}
-	return vh, total, err
-}
-
-// mkdirAllOnce resolves the path with one walk, which is all an existing
-// directory costs. When the walk stops at a missing component it names the
-// deepest ancestor that exists, and only the components below that one are
-// created; a miss at a distributed level names no ancestor, and the loop
-// starts at the root. Each step creates first and looks up on EXIST (a
-// component above the miss, or one another client created meanwhile): the
-// walk has just said the rest is missing, so a name-cache hit for any of it
-// could only be stale.
-func (m *Mount) mkdirAllOnce(vpath string) (VH, simnet.Cost, error) {
 	de, _, total, err := m.lookupPath(vpath)
 	if err == nil {
 		return m.vhOf(de), total, nil
@@ -117,10 +92,10 @@ func (m *Mount) mkdirAllOnce(vpath string) (VH, simnet.Cost, error) {
 // error — the call goes through MkdirAll, which owns resolution, creation,
 // failover and promotion, and sends the same apply to the directory that
 // returns. A stale resolver entry needs no dropping here: its storage root
-// dangles, which MkdirAll's own walk finds and re-resolves. Only the fast
-// path is a single op with a single InterposeCost: MkdirAll's lookups and
-// mkdirs and a write-back tail are pipeline ops of their own, counted and
-// charged as they were when WriteFile was a sequence of them.
+// is gone, which MkdirAll's walk finds and re-resolves (materializeRetry).
+// Only the fast path is a single op with a single InterposeCost: MkdirAll's
+// lookups and mkdirs and a write-back tail are pipeline ops of their own,
+// counted and charged as they were when WriteFile was a sequence of them.
 func (m *Mount) WriteFile(vpath string, data []byte) (simnet.Cost, error) {
 	o := m.begin(obs.OpcWrite, vpath)
 	cost, err := m.writeFile(o.tr, vpath, data)
@@ -171,22 +146,20 @@ func (m *Mount) writeFileIn(tr *obs.Trace, de *ventry, name string, data []byte)
 	if wb := m.n.cfg.WriteBackBytes; wb > 0 && len(data) > wb {
 		first = data[:wb]
 	}
-	phys := path.Join(de.physPath, name)
 	_, fh, cost, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-		FSOp{Kind: FSWriteFile, Path: phys, Data: first})
+		FSOp{Kind: FSWriteFile, Path: path.Join(de.physPath, name), Data: first})
 	if err != nil {
 		return cost, err
 	}
 	if de.node == m.n.addr {
 		cost = simnet.Seq(cost, loopbackXfer(len(first)))
 	}
-	m.dropMetaUnder(path.Join(de.vpath, name))
-	m.invalAttr(de.vpath)
+	m.childChanged(de, name)
 	if len(first) == len(data) {
 		return cost, nil
 	}
-	fvh := m.insert(entryAt(path.Join(de.vpath, name), de.place, phys,
-		nfs.Walked{FH: fh, Attr: localfs.Attr{Type: localfs.TypeRegular}}))
+	file := de.child(name, localfs.TypeRegular, fh)
+	fvh := m.insert(&file)
 	defer m.forget(fvh)
 	_, c, err := m.write(tr, fvh, int64(len(first)), data[len(first):])
 	cost = simnet.Seq(cost, c)
@@ -224,14 +197,15 @@ func (m *Mount) ReadFile(vpath string) ([]byte, simnet.Cost, error) {
 	}
 }
 
-// RemoveAllPath recursively removes a virtual subtree. Like MkdirAll, it
-// redrives once on a staleness-shaped failure, which here is NOTEMPTY: the
-// mark of a listing read through a name-cache entry that another client's
-// rename left pointing at the directory's old inode.
+// RemoveAllPath recursively removes a virtual subtree. It redrives once on
+// NOTEMPTY, the mark of a listing read through a name-cache entry that
+// another client's rename left pointing at the directory's old inode: the
+// children it listed and removed were the old directory's, the rmdir met the
+// new one's (TestOracleSeedSweep/seed1284 fails without it).
 func (m *Mount) RemoveAllPath(vpath string) (simnet.Cost, error) {
 	total, err := m.removeAllOnce(vpath)
 	if nfs.IsStatus(err, nfs.ErrNotEmpty) {
-		m.dropMetaForPath(vpath)
+		m.dropCachesUnder(vpath)
 		c, err2 := m.removeAllOnce(vpath)
 		return simnet.Seq(total, c), err2
 	}
@@ -272,8 +246,8 @@ func (m *Mount) removeAllIn(dir VH, name string) (simnet.Cost, error) {
 		}
 		return total, err
 	}
+	defer m.forget(vh)
 	if attr.Type != localfs.TypeDir {
-		m.forget(vh)
 		c, err := m.Remove(dir, name)
 		if nfs.IsStatus(err, nfs.ErrNoEnt) {
 			err = nil
@@ -283,7 +257,6 @@ func (m *Mount) removeAllIn(dir VH, name string) (simnet.Cost, error) {
 	ents, c, err := m.Readdir(vh)
 	total = simnet.Seq(total, c)
 	if err != nil {
-		m.forget(vh)
 		if nfs.IsStatus(err, nfs.ErrNoEnt) {
 			return total, nil
 		}
@@ -293,11 +266,9 @@ func (m *Mount) removeAllIn(dir VH, name string) (simnet.Cost, error) {
 		c, err := m.removeAllIn(vh, e.Name)
 		total = simnet.Seq(total, c)
 		if err != nil {
-			m.forget(vh)
 			return total, err
 		}
 	}
-	m.forget(vh)
 	c, err = m.Rmdir(dir, name)
 	if nfs.IsStatus(err, nfs.ErrNoEnt) {
 		err = nil

@@ -22,7 +22,8 @@ import (
 //	           through placement hashing and special links (materialize)
 //	failover — run the op body with transparent retry: re-resolve onto a
 //	           replica on node failure, stale handles, or primary changes
-//	           (withFailover / materializeRetry)
+//	           (withFailover); resolution itself redrives in one place
+//	           (materializeRetry)
 //	rpc      — the op body itself: forwarded NFS calls and kosha-service
 //	           applies, written per operation in mount.go / mountdir.go
 //
@@ -102,9 +103,12 @@ func (m *Mount) distributedAt(de *ventry) bool {
 	return de.place.VRoot || depth <= m.n.cfg.DistributionLevel
 }
 
-// staleStore marks a resolution whose cached storage root no longer exists
-// (the hierarchy was renamed or removed through another node); the caller
-// drops its caches and re-resolves.
+// staleStore marks a resolution whose cached storage root no longer exists:
+// the hierarchy was renamed or removed through another node, and either
+// takes the root away (a resolver entry names the directory its path reaches
+// now, or a root that is gone). resolveDir and lookupAt report it,
+// materializeRetry drops the caches and resolves again, and it never leaves
+// the package: rematerialize turns a second one into NOENT.
 var staleStore = errors.New("kosha: cached storage root dangles")
 
 // retryable reports whether an error warrants transparent failover:
@@ -216,43 +220,49 @@ func entryAt(vpath string, place Place, phys string, w nfs.Walked) *ventry {
 	}
 }
 
-// materializeRetry is materialize with transparent failover: a retryable
-// failure has already invalidated the caches naming the dead node (noteErr),
-// so re-resolution routes onto a replica holder. One NoEnt retry with
-// dropped caches covers stale resolver entries whose storage root moved
-// (renames relocate storage by design). ErrNotDir gets the same single
-// revalidation: a re-salting redirect or a rebalancer migration replaces a
-// cached directory root with a special link, so a walk through the stale
-// entry hits a non-directory where the root used to be; a fresh resolution
-// follows the link instead. A genuine not-a-directory error survives the
-// retry and is returned unchanged.
+// materializeRetry is materialize plus the mount's one redrive loop: the
+// only place that answers a failed resolution by dropping what is cached for
+// the path and resolving again. Three things earn the second look. A
+// retryable failure has already invalidated the caches naming the dead node
+// (noteErr), so re-resolution routes onto a replica holder; it may repeat. A
+// staleStore says a cached level outlived a rename or removal done through
+// another node — such an entry always dangles, it never names another live
+// directory — and one fresh resolution tells a directory that moved from one
+// that is gone (TestNoSentinelCrossesTheAPI, TestOracleSeedSweep/seed1021).
+// NOTDIR gets the same single revalidation: a re-salting redirect or a
+// rebalancer migration replaces a cached directory root with a special link,
+// so a walk through the stale entry hits a non-directory where the root used
+// to be (TestScenarioRebalanceTargetCrashMidMove fails without it); a genuine
+// not-a-directory survives the retry and is returned unchanged.
 func (m *Mount) materializeRetry(tr *obs.Trace, vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
-	var total simnet.Cost
-	staleRetried := false
-	for attempt := 0; ; attempt++ {
-		de, attr, c, err := m.materialize(tr, vpath)
-		total = simnet.Seq(total, c)
-		if err == nil || attempt >= 3 {
-			return de, attr, total, err
-		}
-		switch {
-		case errors.Is(err, staleStore):
-			if staleRetried {
-				return de, attr, total, &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNoEnt}
+	de, attr, total, err := m.materialize(tr, vpath)
+	revalidated := false
+	for attempt := 0; err != nil && attempt < 3; attempt++ {
+		if errors.Is(err, staleStore) || nfs.IsStatus(err, nfs.ErrNotDir) {
+			if revalidated {
+				break
 			}
-			staleRetried = true
-			m.dropCachesUnder(vpath)
-			continue
-		case nfs.IsStatus(err, nfs.ErrNotDir) && !staleRetried:
-			staleRetried = true
-			m.dropCachesUnder(vpath)
-			continue
+			revalidated = true
+		} else if !retryable(err) {
+			break
 		}
-		if !retryable(err) {
-			return de, attr, total, err
-		}
-		m.dropCachesUnder(vpath)
+		var c simnet.Cost
+		de, attr, c, err = m.rematerialize(tr, vpath)
+		total = simnet.Seq(total, c)
 	}
+	return de, attr, total, err
+}
+
+// rematerialize drops everything cached for vpath and resolves it afresh.
+// With no cached level left to dangle, a storage root that is missing is a
+// directory that does not exist: staleStore goes no further than here.
+func (m *Mount) rematerialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
+	m.dropCachesUnder(vpath)
+	de, attr, c, err := m.materialize(tr, vpath)
+	if errors.Is(err, staleStore) {
+		err = &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNoEnt}
+	}
+	return de, attr, c, err
 }
 
 // bindRoot resolves the root directory's name index: the node owning
@@ -345,13 +355,13 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 			failedOver = true
 		case de.cached && !cacheRetried && cacheSuspect(err):
 			// The entry came from the name cache and the failure smells
-			// like staleness; revalidate once against a fresh resolution.
+			// like staleness; revalidate once against a fresh resolution
+			// (TestRenameUnderReader fails without it).
 			cacheRetried = true
 		default:
 			return total, err
 		}
-		m.dropCachesUnder(de.vpath)
-		nde, _, c2, rerr := m.materialize(tr, de.vpath)
+		nde, _, c2, rerr := m.rematerialize(tr, de.vpath)
 		total = simnet.Seq(total, c2)
 		if failedOver {
 			m.n.events.Add(obs.EvFailover, string(m.n.addr), de.vpath)
@@ -371,8 +381,7 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 			changed, c3, perr := m.n.promote(tr.Ctx(), nde.node, Track{PN: nde.pn, Root: nde.root})
 			total = simnet.Seq(total, c3)
 			if perr == nil && changed {
-				m.dropCachesUnder(de.vpath)
-				nde, _, c3, rerr = m.materialize(tr, de.vpath)
+				nde, _, c3, rerr = m.rematerialize(tr, de.vpath)
 				total = simnet.Seq(total, c3)
 				if rerr != nil {
 					return total, rerr
@@ -389,9 +398,6 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 // metadata caches for the path's subtree (handles and attributes cached
 // below a failed or relocated directory are all suspect).
 func (m *Mount) dropCachesUnder(vpath string) {
-	parts := SplitVirtual(vpath)
-	for i := 1; i <= len(parts); i++ {
-		m.n.cacheDrop(JoinVirtual(parts[:i]))
-	}
-	m.dropMetaUnder(vpath)
+	m.n.cacheDropChain(SplitVirtual(vpath))
+	m.meta.dropUnder(vpath)
 }

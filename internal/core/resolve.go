@@ -98,14 +98,30 @@ func (n *Node) cacheDrop(vpath string) {
 	n.cacheMu.Unlock()
 }
 
+// cacheDropChain drops the entry of every level on the way to a path.
+func (n *Node) cacheDropChain(parts []string) {
+	for i := range parts {
+		n.cacheDrop(JoinVirtual(parts[:i+1]))
+	}
+}
+
 // ResolveDir locates the virtual directory whose components are vdirs,
 // following the mapping of Section 3.1 with special-link redirection
 // (Section 3.3): hash the controlling directory's placement name, route to
 // the numerically closest node, and follow any special link found in the
 // parent directory. Resolved levels are cached, mirroring koshad's practice
 // of "record[ing] the information needed for future accesses" (Section 4).
+// It has no mount to redrive it (materializeRetry), so a cached level found
+// dangling is dropped with the rest of its chain and resolved once more here
+// (TestResolveDirDanglingLevel fails without it).
 func (n *Node) ResolveDir(vdirs []string) (Place, simnet.Cost, error) {
 	pl, _, cost, err := n.resolveDir(nil, vdirs)
+	if errors.Is(err, staleStore) {
+		n.cacheDropChain(vdirs)
+		var c simnet.Cost
+		pl, _, c, err = n.resolveDir(nil, vdirs)
+		cost = simnet.Seq(cost, c)
+	}
 	return pl, cost, err
 }
 
@@ -122,8 +138,6 @@ func (n *Node) resolveDir(tr *obs.Trace, vdirs []string) (Place, nfs.Walked, sim
 	cur := Place{VRoot: true, Store: "/"}
 	var total simnet.Cost
 	usedCache := false
-	retried := false
-restart:
 	for i := 1; i <= d; i++ {
 		vpath := JoinVirtual(vdirs[:i])
 		if pl, ok := n.cacheGet(vpath); ok {
@@ -166,17 +180,10 @@ restart:
 			w, cost, err = n.remoteWalk(tr.Ctx(), probeNode, probePath)
 			total = simnet.Seq(total, cost)
 		}
-		if nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved < wantIdx && usedCache && !retried {
+		if nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved < wantIdx && usedCache {
 			// The cached level's storage root dangles: the directory was
-			// renamed or removed elsewhere (renames relocate storage by
-			// design). Re-resolve the whole chain from scratch once.
-			retried = true
-			usedCache = false
-			for j := 1; j <= d; j++ {
-				n.cacheDrop(JoinVirtual(vdirs[:j]))
-			}
-			cur = Place{VRoot: true, Store: "/"}
-			goto restart
+			// renamed or removed elsewhere, which always takes its root away.
+			err = staleStore
 		}
 		if err != nil {
 			return Place{}, nfs.Walked{}, total, err
@@ -217,11 +224,9 @@ restart:
 // cachedDir is resolveDir answered from the resolver cache alone: the place
 // of the directory's controlling ancestor as an earlier resolution recorded
 // it, and no RPC. It is a hit only when every level from 1 to the controlling
-// one is cached, the chain rule resolveDir applies: a rename of a distributed
-// ancestor drops the ancestor's entry but relocates only its own storage
-// root, so a descendant's entry on its own still names a live directory,
-// the one that now belongs to the new name. The entry may still be stale;
-// whoever acts on it finds out from the node it names.
+// one is cached, the levels resolveDir would pass through without a probe.
+// The entry may still be stale, and then its storage root is gone; whoever
+// acts on it finds out from the node it names.
 func (n *Node) cachedDir(vdirs []string) (Place, bool) {
 	d := ControllingDepth(len(vdirs), n.cfg.DistributionLevel)
 	n.cacheMu.Lock()

@@ -45,6 +45,41 @@ func TestResolveDirCachesLevels(t *testing.T) {
 	}
 }
 
+// TestResolveDirDanglingLevel: node 1 has resolved /a/b and no further when
+// node 0 removes the directory and makes it again with a child. Node 1's
+// entry for /a/b then names a storage root that is gone, the probe for the
+// child under it says so, and ResolveDir — which has no mount to redrive it —
+// resolves the chain once more itself instead of returning the resolver's
+// internal sentinel.
+func TestResolveDirDanglingLevel(t *testing.T) {
+	_, nodes := testCluster(t, 6, 304, Config{DistributionLevel: 3})
+	m := nodes[0].NewMount()
+	if _, _, err := m.MkdirAll("/a/b"); err != nil {
+		t.Fatal(err)
+	}
+	stale, _, err := nodes[1].ResolvePath("/a/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RemoveAllPath("/a/b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.MkdirAll("/a/b/c"); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := nodes[0].ResolvePath("/a/b/c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := nodes[1].ResolvePath("/a/b/c")
+	if err != nil || got.Node != want.Node || got.Store != want.Store {
+		t.Fatalf("through the stale level: %+v err=%v, want %+v", got, err, want)
+	}
+	if fresh, _, _ := nodes[1].ResolvePath("/a/b"); fresh.Store == stale.Store {
+		t.Errorf("/a/b still resolves to the removed root %s", stale.Store)
+	}
+}
+
 func TestResolveDirDeterministicAcrossNodes(t *testing.T) {
 	_, nodes := testCluster(t, 6, 303, Config{DistributionLevel: 3})
 	m := nodes[0].NewMount()

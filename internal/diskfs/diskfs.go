@@ -550,9 +550,18 @@ func (f *FS) Write(ino uint64, offset int64, data []byte) (int, simnet.Cost, err
 
 // Remove unlinks a regular file or symlink.
 func (f *FS) Remove(dirIno uint64, name string) (simnet.Cost, error) {
+	return f.RemoveUnless(dirIno, name, nil)
+}
+
+// RemoveUnless is Remove with the caller's veto inside the store's lock, as
+// in localfs: refuse sees the victim's attributes and a symlink's target, an
+// error from it leaves the name alone, and a call with a veto charges the
+// Lookup, a symlink's Readlink and the Remove it replaces.
+func (f *FS) RemoveUnless(dirIno uint64, name string, refuse func(victim localfs.Attr, target string) error) (simnet.Cost, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cost := f.disk.OpCost(0)
+	op := f.disk.OpCost(0)
+	cost := op
 	dir, err := f.pathFor(dirIno)
 	if err != nil {
 		return cost, err
@@ -561,6 +570,19 @@ func (f *FS) Remove(dirIno uint64, name string) (simnet.Cost, error) {
 	a, err := f.attrAt(rel)
 	if err != nil {
 		return cost, err
+	}
+	if refuse != nil {
+		var target string
+		if a.Type == localfs.TypeSymlink {
+			cost = simnet.Seq(cost, op)
+			if target, err = os.Readlink(f.host(rel)); err != nil {
+				return cost, localfs.ErrInval
+			}
+		}
+		if err := refuse(a, target); err != nil {
+			return cost, err
+		}
+		cost = simnet.Seq(cost, op)
 	}
 	if a.Type == localfs.TypeDir {
 		return cost, localfs.ErrIsDir

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/localfs"
+	"repro/internal/simnet"
 )
 
 // Factory builds a fresh, empty file system with the given capacity.
@@ -23,6 +24,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("Quota", func(t *testing.T) { testQuota(t, factory) })
 	t.Run("Truncate", func(t *testing.T) { testTruncate(t, factory) })
 	t.Run("RemoveRmdir", func(t *testing.T) { testRemoveRmdir(t, factory) })
+	t.Run("RemoveUnless", func(t *testing.T) { testRemoveUnless(t, factory) })
 	t.Run("Rename", func(t *testing.T) { testRename(t, factory) })
 	t.Run("HandleStableAcrossRename", func(t *testing.T) { testHandleStable(t, factory) })
 	t.Run("ReaddirSorted", func(t *testing.T) { testReaddirSorted(t, factory) })
@@ -189,6 +191,57 @@ func testRemoveRmdir(t *testing.T, factory Factory) {
 	}
 	if _, err := f.Remove(localfs.RootIno, "ghost"); !errors.Is(err, localfs.ErrNoEnt) {
 		t.Fatalf("remove missing err = %v", err)
+	}
+}
+
+// testRemoveUnless: the veto sees what sits at the name — its type and a
+// symlink's target — and decides alone whether it goes. A call with a veto
+// charges the Lookup, a symlink's Readlink and, once past the veto, the
+// Remove; a call without one is Remove.
+func testRemoveUnless(t *testing.T, factory Factory) {
+	f := factory(t, 0)
+	d, _, _ := f.Mkdir(localfs.RootIno, "d", 0o755)
+	f.Mkdir(d.Ino, "sub", 0o755)
+	f.Create(d.Ino, "file", 0o644, false)
+	f.Symlink(d.Ino, "keep", "marked:target")
+	f.Symlink(d.Ino, "link", "plain/target")
+	_, op, _ := f.Lookup(d.Ino, "file") // the store's price for one metadata op
+
+	veto := errors.New("vetoed")
+	var saw []string
+	refuseMarked := func(victim localfs.Attr, target string) error {
+		saw = append(saw, victim.Type.String()+":"+target)
+		if strings.HasPrefix(target, "marked:") {
+			return veto
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		ops  simnet.Cost // metadata ops charged
+		want error       // and then the name stays
+	}{
+		{"keep", 2, veto}, // lookup + readlink
+		{"link", 3, nil},  // + remove
+		{"file", 2, nil},
+		{"sub", 2, localfs.ErrIsDir}, // past the veto, Remove's own rule holds
+		{"ghost", 1, localfs.ErrNoEnt},
+		{"keep", 1, nil}, // no veto: Remove, at Remove's price
+	} {
+		refuse := refuseMarked
+		if tc.ops == 1 {
+			refuse = nil
+		}
+		cost, err := f.RemoveUnless(d.Ino, tc.name, refuse)
+		if !errors.Is(err, tc.want) || cost != tc.ops*op {
+			t.Errorf("RemoveUnless(%s) = %v, %v; want %d ops of %v and %v", tc.name, cost, err, tc.ops, op, tc.want)
+		}
+		if _, _, lerr := f.Lookup(d.Ino, tc.name); (lerr == nil) != (err != nil && tc.name != "ghost") {
+			t.Errorf("after RemoveUnless(%s) = %v the name resolves: %v", tc.name, err, lerr == nil)
+		}
+	}
+	if want := "symlink:marked:target symlink:plain/target file: dir:"; strings.Join(saw, " ") != want {
+		t.Errorf("the veto saw %q, want %q", saw, want)
 	}
 }
 

@@ -670,9 +670,20 @@ func (f *FS) Write(ino uint64, offset int64, data []byte) (int, simnet.Cost, err
 
 // Remove unlinks a regular file or symlink.
 func (f *FS) Remove(dirIno uint64, name string) (simnet.Cost, error) {
+	return f.RemoveUnless(dirIno, name, nil)
+}
+
+// RemoveUnless is Remove with the caller's veto inside the store's lock:
+// refuse sees the victim's attributes and, for a symlink, its target, and an
+// error from it is the call's, with the name left alone. Nothing can put
+// another object at the name between the check and the removal. A call with
+// a veto charges what it replaces — the Lookup of the name, the Readlink of a
+// symlink, and the Remove once the veto has passed; with none it is Remove.
+func (f *FS) RemoveUnless(dirIno uint64, name string, refuse func(victim Attr, target string) error) (simnet.Cost, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cost := f.disk.OpCost(0)
+	op := f.disk.OpCost(0)
+	cost := op
 	dir, err := f.getDir(dirIno)
 	if err != nil {
 		return cost, err
@@ -680,6 +691,15 @@ func (f *FS) Remove(dirIno uint64, name string) (simnet.Cost, error) {
 	in, ok := dir.children[name]
 	if !ok {
 		return cost, fmt.Errorf("%w: %q", ErrNoEnt, name)
+	}
+	if refuse != nil {
+		if in.typ == TypeSymlink {
+			cost = simnet.Seq(cost, op)
+		}
+		if err := refuse(f.attrOf(in), in.target); err != nil {
+			return cost, err
+		}
+		cost = simnet.Seq(cost, op)
 	}
 	if in.typ == TypeDir {
 		return cost, ErrIsDir
@@ -1090,6 +1110,7 @@ type FileSystem interface {
 	Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error)
 	Write(ino uint64, offset int64, data []byte) (int, simnet.Cost, error)
 	Remove(dirIno uint64, name string) (simnet.Cost, error)
+	RemoveUnless(dirIno uint64, name string, refuse func(victim Attr, target string) error) (simnet.Cost, error)
 	Rmdir(dirIno uint64, name string) (simnet.Cost, error)
 	Rename(srcDir uint64, srcName string, dstDir uint64, dstName string) (simnet.Cost, error)
 	Readdir(ino uint64) ([]DirEntry, simnet.Cost, error)
