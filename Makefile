@@ -142,8 +142,10 @@ bench-smoke:
 # files. Everything but setup_s, heap_live_mb and the wall.* / ns / us
 # per-layer metrics is a function of the seed (the two alloc metrics to about
 # four digits); BENCH_SECONDS only bounds how long the wall-clock ones sample.
-#   make bench-json BENCH_PR=21
-BENCH_PR ?= 21
+# BENCH_PR defaults to one past the highest committed file, so a forgotten
+# argument never overwrites a previous PR's ledger.
+#   make bench-json BENCH_PR=22
+BENCH_PR ?= $(shell ls BENCH_*.json 2>/dev/null | sed 's/[^0-9]//g' | sort -n | awk 'END {print $$1 + 1}')
 BENCH_SECONDS ?= 5
 bench-json:
 	@out=BENCH_$(BENCH_PR).json; tmp=$$out.tmp; \
@@ -178,10 +180,11 @@ bench-diff:
 	done; done; \
 	[ $$fail -eq 0 ] && echo "bench-diff: $$1 -> $$2: no unclaimed drift in the seed-exact end-to-end metrics"; exit $$fail
 
-# loc prints the two sizes CHANGES.md tracks: non-test Go outside bench/, and
-# the number of core.Config fields.
+# loc prints the sizes CHANGES.md tracks: non-test Go outside bench/, the
+# share of it in internal/core, and the number of core.Config fields.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l | xargs echo "non-test Go lines outside bench/:"; \
+	find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l | xargs echo "non-test Go lines in internal/core:"; \
 	awk '/^type Config struct/ {in_cfg=1; next} in_cfg && /^}/ {exit} in_cfg && /^\t[A-Z][A-Za-z0-9]*[ \t]+[^ \t]/ {n++} END {print "core.Config fields:", n}' internal/core/node.go
 
 # gobench-smoke runs every Go benchmark in the module once (the root ones

@@ -14,6 +14,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,8 +31,8 @@ import (
 	"repro/internal/tcpnet"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: koshactl -node host:port <command> [args]
+func usage(w io.Writer) {
+	fmt.Fprint(w, `usage: koshactl -node host:port <command> [args]
 
 commands:
   ls <path>            list a virtual directory
@@ -59,36 +60,80 @@ trace dump filters:
 flags:
   -json                emit stats/trace/samples output as JSON instead of text
 `)
-	os.Exit(2)
 }
 
+// errUsage ends a command with the usage text and exit status 2; errFlags
+// with status 2 alone, the flag set having said what is wrong.
+var (
+	errUsage = errors.New("usage")
+	errFlags = errors.New("bad flags")
+)
+
 func main() {
-	node := flag.String("node", "127.0.0.1:7001", "address of any koshad")
-	jsonOut := flag.Bool("json", false, "emit stats/trace output as JSON")
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-	}
-
 	tn := tcpnet.Dialer("koshactl", simnet.LAN100)
-	defer tn.Close()
-	ctl := &core.CtlClient{Net: tn, From: tn.Addr(), To: simnet.Addr(*node)}
+	code := run(tn, tn.Addr(), "127.0.0.1:7001", os.Args[1:], os.Stdout, os.Stderr)
+	tn.Close()
+	os.Exit(code)
+}
 
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "koshactl: %v\n", err)
-		os.Exit(1)
+// cli is one invocation: the transport and the koshad it talks to, and where
+// its output goes.
+type cli struct {
+	net            simnet.Caller
+	from, node     simnet.Addr
+	ctl            *core.CtlClient
+	jsonOut        bool
+	stdout, stderr io.Writer
+}
+
+// run is the whole command behind main: it parses args (the command line
+// after the program name; node is the koshad addressed unless -node names
+// another), talks to that koshad from `from` over net, and returns the exit
+// status: 0, 1 after an error (printed once, "koshactl: " first), 2 after a
+// usage error.
+func run(net simnet.Caller, from, node simnet.Addr, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("koshactl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { usage(stderr) }
+	nodeFlag := fs.String("node", string(node), "address of any koshad")
+	jsonOut := fs.Bool("json", false, "emit stats/trace output as JSON")
+	if fs.Parse(args) != nil {
+		return 2
 	}
+	c := &cli{net: net, from: from, node: simnet.Addr(*nodeFlag), jsonOut: *jsonOut, stdout: stdout, stderr: stderr}
+	c.ctl = c.ctlTo(c.node)
+	switch err := c.command(fs.Args()); {
+	case err == nil:
+		return 0
+	case err == errUsage:
+		usage(stderr)
+		return 2
+	case err == errFlags:
+		return 2
+	default:
+		fmt.Fprintf(stderr, "koshactl: %v\n", err)
+		return 1
+	}
+}
 
+func (c *cli) ctlTo(node simnet.Addr) *core.CtlClient {
+	return &core.CtlClient{Net: c.net, From: c.from, To: node}
+}
+
+// command runs one subcommand.
+func (c *cli) command(args []string) error {
+	ctl, node, jsonOut, w := c.ctl, c.node, c.jsonOut, c.stdout
+	if len(args) == 0 {
+		return errUsage
+	}
 	switch args[0] {
 	case "ls":
 		if len(args) != 2 {
-			usage()
+			return errUsage
 		}
 		ents, _, err := ctl.List(args[1])
 		if err != nil {
-			fail(err)
+			return err
 		}
 		for _, e := range ents {
 			marker := ""
@@ -98,22 +143,22 @@ func main() {
 			case localfs.TypeSymlink:
 				marker = "@"
 			}
-			fmt.Printf("%s%s\n", e.Name, marker)
+			fmt.Fprintf(w, "%s%s\n", e.Name, marker)
 		}
 
 	case "get":
 		if len(args) != 2 {
-			usage()
+			return errUsage
 		}
 		data, _, err := ctl.ReadFile(args[1])
 		if err != nil {
-			fail(err)
+			return err
 		}
-		os.Stdout.Write(data)
+		w.Write(data)
 
 	case "put":
 		if len(args) != 2 && len(args) != 3 {
-			usage()
+			return errUsage
 		}
 		var data []byte
 		var err error
@@ -123,62 +168,62 @@ func main() {
 			data, err = io.ReadAll(os.Stdin)
 		}
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if _, err := ctl.WriteFile(args[1], data); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("stored %d bytes at %s\n", len(data), args[1])
+		fmt.Fprintf(w, "stored %d bytes at %s\n", len(data), args[1])
 
 	case "mkdir":
 		if len(args) != 2 {
-			usage()
+			return errUsage
 		}
 		if _, err := ctl.MkdirAll(args[1]); err != nil {
-			fail(err)
+			return err
 		}
 
 	case "rm":
 		if len(args) != 2 {
-			usage()
+			return errUsage
 		}
 		if _, err := ctl.RemoveAll(args[1]); err != nil {
-			fail(err)
+			return err
 		}
 
 	case "stat":
 		if len(args) != 2 {
-			usage()
+			return errUsage
 		}
 		st, _, err := ctl.Stat(args[1])
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("%s: %s mode %o size %d\n", args[1], st.Type, st.Mode, st.Size)
+		fmt.Fprintf(w, "%s: %s mode %o size %d\n", args[1], st.Type, st.Mode, st.Size)
 
 	case "status":
 		st, _, err := ctl.Status()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("node %s\n  nodeId      %s\n  leaf set    %d neighbors\n  files       %d\n  used bytes  %d\n",
-			*node, st.NodeID, st.LeafSize, st.Files, st.UsedBytes)
+		fmt.Fprintf(w, "node %s\n  nodeId      %s\n  leaf set    %d neighbors\n  files       %d\n  used bytes  %d\n",
+			node, st.NodeID, st.LeafSize, st.Files, st.UsedBytes)
 		if st.TotalBytes > 0 {
-			fmt.Printf("  capacity    %d (%.1f%% used)\n", st.TotalBytes,
+			fmt.Fprintf(w, "  capacity    %d (%.1f%% used)\n", st.TotalBytes,
 				float64(st.UsedBytes)/float64(st.TotalBytes)*100)
 		} else {
-			fmt.Printf("  capacity    unlimited\n")
+			fmt.Fprintf(w, "  capacity    unlimited\n")
 		}
 
 	case "tree":
 		if len(args) != 2 {
-			usage()
+			return errUsage
 		}
-		var walk func(p, indent string)
-		walk = func(p, indent string) {
+		var walk func(p, indent string) error
+		walk = func(p, indent string) error {
 			ents, _, err := ctl.List(p)
 			if err != nil {
-				fail(err)
+				return err
 			}
 			for _, e := range ents {
 				child := p + "/" + e.Name
@@ -187,68 +232,71 @@ func main() {
 				}
 				switch e.Type {
 				case localfs.TypeDir:
-					fmt.Printf("%s%s/\n", indent, e.Name)
-					walk(child, indent+"  ")
+					fmt.Fprintf(w, "%s%s/\n", indent, e.Name)
+					if err := walk(child, indent+"  "); err != nil {
+						return err
+					}
 				case localfs.TypeSymlink:
-					fmt.Printf("%s%s@\n", indent, e.Name)
+					fmt.Fprintf(w, "%s%s@\n", indent, e.Name)
 				default:
 					st, _, err := ctl.Stat(child)
 					if err != nil {
-						fmt.Printf("%s%s\n", indent, e.Name)
+						fmt.Fprintf(w, "%s%s\n", indent, e.Name)
 						continue
 					}
-					fmt.Printf("%s%s (%d bytes)\n", indent, e.Name, st.Size)
+					fmt.Fprintf(w, "%s%s (%d bytes)\n", indent, e.Name, st.Size)
 				}
 			}
+			return nil
 		}
-		fmt.Println(args[1])
-		walk(args[1], "  ")
+		fmt.Fprintln(w, args[1])
+		return walk(args[1], "  ")
 
 	case "cluster":
 		peers, _, err := ctl.Peers()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		addrs := []simnet.Addr{simnet.Addr(*node)}
+		addrs := []simnet.Addr{node}
 		for _, p := range peers {
 			addrs = append(addrs, p.Addr)
 		}
-		fmt.Printf("%-22s %-12s %8s %12s %10s\n", "node", "nodeId", "files", "used", "capacity")
+		fmt.Fprintf(w, "%-22s %-12s %8s %12s %10s\n", "node", "nodeId", "files", "used", "capacity")
 		var totFiles, totUsed int64
 		for _, a := range addrs {
-			peerCtl := &core.CtlClient{Net: tn, From: tn.Addr(), To: a}
+			peerCtl := c.ctlTo(a)
 			st, _, err := peerCtl.Status()
 			if err != nil {
-				fmt.Printf("%-22s %s\n", a, "unreachable")
+				fmt.Fprintf(w, "%-22s %s\n", a, "unreachable")
 				continue
 			}
 			capStr := "unlimited"
 			if st.TotalBytes > 0 {
 				capStr = fmt.Sprintf("%d", st.TotalBytes)
 			}
-			fmt.Printf("%-22s %-12s %8d %12d %10s\n", a, st.NodeID[:8], st.Files, st.UsedBytes, capStr)
+			fmt.Fprintf(w, "%-22s %-12s %8d %12d %10s\n", a, st.NodeID[:8], st.Files, st.UsedBytes, capStr)
 			totFiles += st.Files
 			totUsed += st.UsedBytes
 		}
-		fmt.Printf("%-22s %-12s %8d %12d\n", "TOTAL", "", totFiles, totUsed)
+		fmt.Fprintf(w, "%-22s %-12s %8d %12d\n", "TOTAL", "", totFiles, totUsed)
 
 	case "stats":
 		if len(args) > 1 && args[1] == "cluster" {
 			peers, _, err := ctl.Peers()
 			if err != nil {
-				fail(err)
+				return err
 			}
-			addrs := []simnet.Addr{simnet.Addr(*node)}
+			addrs := []simnet.Addr{node}
 			for _, p := range peers {
 				addrs = append(addrs, p.Addr)
 			}
 			var nodes []core.StatsPayload
 			agg := core.StatsPayload{Addr: "cluster"}
 			for _, a := range addrs {
-				peerCtl := &core.CtlClient{Net: tn, From: tn.Addr(), To: a}
+				peerCtl := c.ctlTo(a)
 				p, _, err := peerCtl.Stats()
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "koshactl: %s unreachable: %v\n", a, err)
+					fmt.Fprintf(c.stderr, "koshactl: %s unreachable: %v\n", a, err)
 					continue
 				}
 				nodes = append(nodes, p)
@@ -256,31 +304,30 @@ func main() {
 				agg.Events.Merge(p.Events)
 			}
 			agg.Events.Recent = nil
-			if *jsonOut {
-				emitJSON(struct {
+			if jsonOut {
+				return emitJSON(w, struct {
 					Cluster core.StatsPayload   `json:"cluster"`
 					Nodes   []core.StatsPayload `json:"nodes"`
 				}{agg, nodes})
-				return
 			}
 			for _, p := range nodes {
-				printStats("node "+p.Addr, p)
+				printStats(w, "node "+p.Addr, p)
 			}
-			printStats(fmt.Sprintf("CLUSTER (%d nodes)", len(nodes)), agg)
-			return
+			printStats(w, fmt.Sprintf("CLUSTER (%d nodes)", len(nodes)), agg)
+			return nil
 		}
 		p, _, err := ctl.Stats()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		if *jsonOut {
-			emitJSON(p)
-			return
+		if jsonOut {
+			return emitJSON(w, p)
 		}
-		printStats("node "+p.Addr, p)
+		printStats(w, "node "+p.Addr, p)
 
 	case "trace":
-		fs := flag.NewFlagSet("trace", flag.ExitOnError)
+		fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+		fs.SetOutput(c.stderr)
 		idStr := fs.String("id", "", "32-hex-digit trace id to assemble cluster-wide")
 		opFilter := fs.String("op", "", "keep only traces of this operation")
 		pathFilter := fs.String("path", "", "keep only traces whose path has this prefix")
@@ -299,41 +346,42 @@ func main() {
 		if len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
 			var err error
 			if count, err = strconv.Atoi(rest[0]); err != nil {
-				usage()
+				return errUsage
 			}
 			rest = rest[1:]
 		}
-		fs.Parse(rest)
+		if fs.Parse(rest) != nil {
+			return errFlags
+		}
 		switch tail := fs.Args(); len(tail) {
 		case 0:
 		case 1:
 			var err error
 			if count, err = strconv.Atoi(tail[0]); err != nil {
-				usage()
+				return errUsage
 			}
 		default:
-			usage()
+			return errUsage
 		}
 
 		if *idStr != "" {
 			hi, lo, err := obs.ParseTraceID(*idStr)
 			if err != nil {
-				fail(err)
+				return err
 			}
-			at, err := assembleTrace(tn, simnet.Addr(*node), hi, lo)
+			at, err := c.assembleTrace(hi, lo)
 			if err != nil {
-				fail(err)
+				return err
 			}
-			if *jsonOut {
-				emitJSON(at)
-				return
+			if jsonOut {
+				return emitJSON(w, at)
 			}
-			printAssembled(at)
-			return
+			printAssembled(w, at)
+			return nil
 		}
 
 		if !isDump && !*slow {
-			usage()
+			return errUsage
 		}
 
 		var traces []obs.Trace
@@ -344,15 +392,14 @@ func main() {
 			traces, _, err = ctl.TraceDump(count)
 		}
 		if err != nil {
-			fail(err)
+			return err
 		}
 		traces = filterTraces(traces, *opFilter, *pathFilter, *minDur)
-		if *jsonOut {
-			emitJSON(traces)
-			return
+		if jsonOut {
+			return emitJSON(w, traces)
 		}
 		for _, t := range traces {
-			printTrace(t)
+			printTrace(w, t)
 		}
 
 	case "samples":
@@ -360,33 +407,28 @@ func main() {
 		if len(args) == 2 {
 			var err error
 			if count, err = strconv.Atoi(args[1]); err != nil {
-				usage()
+				return errUsage
 			}
 		}
 		samples, _, err := ctl.Samples(count)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		if *jsonOut {
-			emitJSON(samples)
-			return
+		if jsonOut {
+			return emitJSON(w, samples)
 		}
-		if err := obs.WriteSamplesCSV(os.Stdout, samples); err != nil {
-			fail(err)
-		}
+		return obs.WriteSamplesCSV(w, samples)
 
 	default:
-		usage()
+		return errUsage
 	}
+	return nil
 }
 
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
+func emitJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fmt.Fprintf(os.Stderr, "koshactl: %v\n", err)
-		os.Exit(1)
-	}
+	return enc.Encode(v)
 }
 
 func dur(d time.Duration) string {
@@ -395,10 +437,10 @@ func dur(d time.Duration) string {
 
 // printStats renders one node's (or the cluster aggregate's) stats payload:
 // a per-operation latency table, mean route hop count, and overlay events.
-func printStats(title string, p core.StatsPayload) {
-	fmt.Println(title)
+func printStats(w io.Writer, title string, p core.StatsPayload) {
+	fmt.Fprintln(w, title)
 	if p.NodeID != "" {
-		fmt.Printf("  nodeId %s\n", p.NodeID)
+		fmt.Fprintf(w, "  nodeId %s\n", p.NodeID)
 	}
 	s := p.Stats
 	header := false
@@ -412,51 +454,51 @@ func printStats(title string, p core.StatsPayload) {
 			continue
 		}
 		if !header {
-			fmt.Printf("  %-14s %8s %10s %10s %10s %10s %10s\n",
+			fmt.Fprintf(w, "  %-14s %8s %10s %10s %10s %10s %10s\n",
 				"op", "count", "mean", "p50", "p95", "p99", "max")
 			header = true
 		}
-		fmt.Printf("  %-14s %8d %10s %10s %10s %10s %10s\n", op, h.Count,
+		fmt.Fprintf(w, "  %-14s %8d %10s %10s %10s %10s %10s\n", op, h.Count,
 			dur(h.Mean()), dur(h.Quantile(50)), dur(h.Quantile(95)),
 			dur(h.Quantile(99)), dur(time.Duration(h.MaxNS)))
 	}
 	if n := s.Counters["route.count"]; n > 0 {
-		fmt.Printf("  mean route hops %.2f over %d routes\n",
+		fmt.Fprintf(w, "  mean route hops %.2f over %d routes\n",
 			s.MeanRatio("route.hops", "route.count"), n)
 	}
-	fmt.Printf("  ops %d (%d errors)   nfs rpcs %d (%d bytes)\n",
+	fmt.Fprintf(w, "  ops %d (%d errors)   nfs rpcs %d (%d bytes)\n",
 		s.Counters["ops.total"], s.Counters["ops.errors"],
 		s.Counters["nfs.rpcs"], s.Counters["nfs.bytes"])
 	if hits, misses := s.Counters["repl.sync.digest.hits"], s.Counters["repl.sync.digest.misses"]; hits+misses > 0 {
-		fmt.Printf("  replica sync: %d bytes, %d files sent, %d skipped, digest hit %.1f%% (%d/%d)\n",
+		fmt.Fprintf(w, "  replica sync: %d bytes, %d files sent, %d skipped, digest hit %.1f%% (%d/%d)\n",
 			s.Counters["repl.sync.bytes"], s.Counters["repl.sync.files.sent"],
 			s.Counters["repl.sync.files.skipped"],
 			float64(hits)/float64(hits+misses)*100, hits, hits+misses)
 	}
 	if stored, deduped := s.Counters["repl.cas.blocks.stored"], s.Counters["repl.cas.blocks.deduped"]; stored+deduped > 0 {
-		fmt.Printf("  chunk store: %d blocks stored, %d deduped, %d fetched, %d bytes gc'd\n",
+		fmt.Fprintf(w, "  chunk store: %d blocks stored, %d deduped, %d fetched, %d bytes gc'd\n",
 			stored, deduped, s.Counters["repl.cas.blocks.fetched"],
 			s.Counters["repl.cas.bytes.gc"])
 	}
 	if ra := s.Counters["io.readahead.hits"] + s.Counters["io.readahead.wasted"]; ra > 0 {
-		fmt.Printf("  readahead: %d hits, %d wasted\n",
+		fmt.Fprintf(w, "  readahead: %d hits, %d wasted\n",
 			s.Counters["io.readahead.hits"], s.Counters["io.readahead.wasted"])
 	}
 	if fl := s.Counters["io.writeback.flushes"]; fl > 0 {
-		fmt.Printf("  write-back: %d writes coalesced over %d flushes\n",
+		fmt.Fprintf(w, "  write-back: %d writes coalesced over %d flushes\n",
 			s.Counters["io.writeback.coalesced"], fl)
 	}
 	if rounds := s.Counters["maint.scrub.rounds"]; rounds > 0 {
-		fmt.Printf("  scrub: %d rounds, %d divergences (%d repaired), %d bad blocks\n",
+		fmt.Fprintf(w, "  scrub: %d rounds, %d divergences (%d repaired), %d bad blocks\n",
 			rounds, s.Counters["maint.scrub.divergences"],
 			s.Counters["maint.scrub.repaired"], s.Counters["maint.scrub.badblocks"])
 	}
 	if moves := s.Counters["maint.rebalance.moves"]; moves > 0 {
-		fmt.Printf("  rebalance: %d moves, %d bytes migrated\n",
+		fmt.Fprintf(w, "  rebalance: %d moves, %d bytes migrated\n",
 			moves, s.Counters["maint.rebalance.bytes"])
 	}
 	if bp, ok := s.Gauges["maint.util.bp"]; ok {
-		fmt.Printf("  utilization %.1f%%\n", float64(bp)/100)
+		fmt.Fprintf(w, "  utilization %.1f%%\n", float64(bp)/100)
 	}
 	if len(p.Events.Counts) > 0 {
 		kinds := make([]string, 0, len(p.Events.Counts))
@@ -464,11 +506,11 @@ func printStats(title string, p core.StatsPayload) {
 			kinds = append(kinds, k)
 		}
 		sort.Strings(kinds)
-		fmt.Printf("  events:")
+		fmt.Fprintf(w, "  events:")
 		for _, k := range kinds {
-			fmt.Printf(" %s=%d", k, p.Events.Counts[k])
+			fmt.Fprintf(w, " %s=%d", k, p.Events.Counts[k])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
@@ -494,17 +536,12 @@ func filterTraces(ts []obs.Trace, op, pathPrefix string, minDur time.Duration) [
 	return out
 }
 
-// assembleTrace crawls the overlay from seed, collects every live node's
+// assembleTrace crawls the overlay from the addressed node, collects every live node's
 // fragment of the trace (origin record plus server spans), and reassembles
 // the cluster-wide causal tree.
-func assembleTrace(tn simnet.Caller, seed simnet.Addr, hi, lo uint64) (*obs.AssembledTrace, error) {
-	from := seed
-	if d, ok := tn.(interface{ Addr() simnet.Addr }); ok {
-		from = d.Addr()
-	}
-	seedCtl := &core.CtlClient{Net: tn, From: from, To: seed}
-	addrs := []simnet.Addr{seed}
-	if peers, _, err := seedCtl.Peers(); err == nil {
+func (c *cli) assembleTrace(hi, lo uint64) (*obs.AssembledTrace, error) {
+	addrs := []simnet.Addr{c.node}
+	if peers, _, err := c.ctl.Peers(); err == nil {
 		for _, p := range peers {
 			addrs = append(addrs, p.Addr)
 		}
@@ -513,10 +550,9 @@ func assembleTrace(tn simnet.Caller, seed simnet.Addr, hi, lo uint64) (*obs.Asse
 	var frags []obs.Span
 	reached := 0
 	for _, a := range addrs {
-		ctl := &core.CtlClient{Net: tn, From: from, To: a}
-		p, _, err := ctl.TraceFrag(hi, lo)
+		p, _, err := c.ctlTo(a).TraceFrag(hi, lo)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "koshactl: %s unreachable: %v\n", a, err)
+			fmt.Fprintf(c.stderr, "koshactl: %s unreachable: %v\n", a, err)
 			continue
 		}
 		reached++
@@ -538,60 +574,60 @@ func assembleTrace(tn simnet.Caller, seed simnet.Addr, hi, lo uint64) (*obs.Asse
 
 // printSpan renders one span, client-side stage or server fragment alike,
 // indented to its depth in the causal tree.
-func printSpan(depth int, sp obs.Span) {
-	fmt.Printf("  %s%-24s node=%-16s from=%-16s %s",
+func printSpan(w io.Writer, depth int, sp obs.Span) {
+	fmt.Fprintf(w, "  %s%-24s node=%-16s from=%-16s %s",
 		strings.Repeat("  ", depth), sp.Name, sp.Node, sp.From, dur(time.Duration(sp.DurNS)))
 	if sp.Err != "" {
-		fmt.Printf("  err %q", sp.Err)
+		fmt.Fprintf(w, "  err %q", sp.Err)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // printAssembled renders the cluster-wide causal tree of one trace: the
 // origin line (op, path, originating node, end-to-end latency), the overlay
 // hops the origin recorded, then the span tree — the origin's own stages
 // beside the server spans they caused — with per-edge latency.
-func printAssembled(at *obs.AssembledTrace) {
-	fmt.Printf("trace %s", obs.FormatTraceID(at.Hi, at.Lo))
+func printAssembled(w io.Writer, at *obs.AssembledTrace) {
+	fmt.Fprintf(w, "trace %s", obs.FormatTraceID(at.Hi, at.Lo))
 	if o := at.Origin; o != nil {
-		fmt.Printf("  %s %s  origin %s  total %s", o.Op, o.Path, o.Node, dur(time.Duration(o.TotalNS)))
+		fmt.Fprintf(w, "  %s %s  origin %s  total %s", o.Op, o.Path, o.Node, dur(time.Duration(o.TotalNS)))
 		if o.Failovers > 0 {
-			fmt.Printf("  failovers %d", o.Failovers)
+			fmt.Fprintf(w, "  failovers %d", o.Failovers)
 		}
 		if o.Err != "" {
-			fmt.Printf("  err %q", o.Err)
+			fmt.Fprintf(w, "  err %q", o.Err)
 		}
 	}
-	fmt.Printf("\n  %d spans across %d nodes\n", at.SpanCount, at.NodeCount)
+	fmt.Fprintf(w, "\n  %d spans across %d nodes\n", at.SpanCount, at.NodeCount)
 	if o := at.Origin; o != nil {
 		for _, h := range o.Hops {
-			fmt.Printf("  hop %s (%s) prefix %d\n", h.Addr, h.ID, h.Prefix)
+			fmt.Fprintf(w, "  hop %s (%s) prefix %d\n", h.Addr, h.ID, h.Prefix)
 		}
 	}
-	at.Walk(func(depth int, n *obs.TraceNode) { printSpan(depth, n.Span) })
+	at.Walk(func(depth int, n *obs.TraceNode) { printSpan(w, depth, n.Span) })
 }
 
 // printTrace renders one operation trace as a compact multi-line record: the
 // header (with the id trace -id takes), the overlay hops, the client stages.
-func printTrace(t obs.Trace) {
-	fmt.Printf("#%d %s %s  total %s  id %s", t.ID, t.Op, t.Path, dur(time.Duration(t.TotalNS)), obs.FormatTraceID(t.Hi, t.Lo))
+func printTrace(w io.Writer, t obs.Trace) {
+	fmt.Fprintf(w, "#%d %s %s  total %s  id %s", t.ID, t.Op, t.Path, dur(time.Duration(t.TotalNS)), obs.FormatTraceID(t.Hi, t.Lo))
 	if t.ServedBy != "" {
-		fmt.Printf("  served by %s", t.ServedBy)
+		fmt.Fprintf(w, "  served by %s", t.ServedBy)
 	}
 	if t.Replicas > 0 {
-		fmt.Printf("  replicas %d", t.Replicas)
+		fmt.Fprintf(w, "  replicas %d", t.Replicas)
 	}
 	if t.Failovers > 0 {
-		fmt.Printf("  failovers %d", t.Failovers)
+		fmt.Fprintf(w, "  failovers %d", t.Failovers)
 	}
 	if t.Err != "" {
-		fmt.Printf("  err %q", t.Err)
+		fmt.Fprintf(w, "  err %q", t.Err)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, h := range t.Hops {
-		fmt.Printf("    hop %s (%s) prefix %d\n", h.Addr, h.ID, h.Prefix)
+		fmt.Fprintf(w, "    hop %s (%s) prefix %d\n", h.Addr, h.ID, h.Prefix)
 	}
 	for _, sp := range t.Spans {
-		printSpan(1, sp)
+		printSpan(w, 1, sp)
 	}
 }

@@ -95,32 +95,49 @@ func TestReaddirPlusPrewarmsCaches(t *testing.T) {
 }
 
 // TestWriteInvalidatesCachedAttrs: a write through the same mount must not
-// leave a stale size in the attribute cache.
+// leave a stale size in the caches, whichever of them answers: Getattr on the
+// handle, or Lookup by name (a warm name-cache row), write-through and with a
+// write-back buffer absorbing the write.
 func TestWriteInvalidatesCachedAttrs(t *testing.T) {
-	_, nodes := testCluster(t, 4, 9003, Config{})
-	m := nodes[0].NewMount()
-	if _, err := m.WriteFile("/home/f", []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	vh, attr, _, err := m.LookupPath("/home/f")
-	if err != nil || attr.Size != 3 {
-		t.Fatalf("lookup: %+v err=%v", attr, err)
-	}
-	if attr, _, err = m.Getattr(vh); err != nil || attr.Size != 3 {
-		t.Fatalf("pre-write getattr: %+v err=%v", attr, err)
-	}
-	if _, _, err := m.Write(vh, 3, []byte("defg")); err != nil {
-		t.Fatal(err)
-	}
-	if attr, _, err = m.Getattr(vh); err != nil || attr.Size != 7 {
-		t.Fatalf("post-write getattr: %+v err=%v (stale cache?)", attr, err)
-	}
-	sz := int64(2)
-	if _, _, err := m.Setattr(vh, localfs.SetAttr{Size: &sz}); err != nil {
-		t.Fatal(err)
-	}
-	if attr, _, err = m.Getattr(vh); err != nil || attr.Size != 2 {
-		t.Fatalf("post-truncate getattr: %+v err=%v", attr, err)
+	for _, wb := range []int{0, 1 << 20} {
+		_, nodes := testCluster(t, 4, 9003, Config{
+			WriteBackBytes: wb, AttrCacheTTL: time.Hour, NameCacheTTL: time.Hour,
+		})
+		m := nodes[0].NewMount()
+		if _, err := m.WriteFile("/home/f", []byte("abc")); err != nil {
+			t.Fatal(err)
+		}
+		dir, _, _, err := m.LookupPath("/home")
+		if err != nil {
+			t.Fatal(err)
+		}
+		vh, attr, _, err := m.LookupPath("/home/f")
+		if err != nil || attr.Size != 3 {
+			t.Fatalf("wb=%d lookup: %+v err=%v", wb, attr, err)
+		}
+		sizes := func(when string, want int64) {
+			t.Helper()
+			// Getattr first: under write-back it is what lands the buffered
+			// bytes, and a LOOKUP answers with what the primary holds.
+			if attr, _, err := m.Getattr(vh); err != nil || attr.Size != want {
+				t.Errorf("wb=%d %s getattr: size %d err=%v, want %d (stale cache?)", wb, when, attr.Size, err, want)
+			}
+			byName, attr, _, err := m.Lookup(dir, "f")
+			if err != nil || attr.Size != want {
+				t.Errorf("wb=%d %s lookup by name: size %d err=%v, want %d (stale cache?)", wb, when, attr.Size, err, want)
+			}
+			m.Forget(byName)
+		}
+		sizes("pre-write", 3) // and warms the name cache
+		if _, _, err := m.Write(vh, 3, []byte("defg")); err != nil {
+			t.Fatal(err)
+		}
+		sizes("post-write", 7)
+		sz := int64(2)
+		if _, _, err := m.Setattr(vh, localfs.SetAttr{Size: &sz}); err != nil {
+			t.Fatal(err)
+		}
+		sizes("post-truncate", 2)
 	}
 }
 
@@ -157,7 +174,7 @@ func TestCrossMountWriteVisibility(t *testing.T) {
 	}
 
 	// Past the TTL the attribute cache must revalidate.
-	mb.now = func() time.Time {
+	mb.meta.now = func() time.Time {
 		return time.Now().Add(nodes[1].Config().AttrCacheTTL + time.Second)
 	}
 	attrB, _, err = mb.Getattr(vhB)

@@ -778,7 +778,7 @@ func TestNotPrimaryRejected(t *testing.T) {
 			break
 		}
 	}
-	_, _, _, err := nodes[0].apply(nil, wrong.Addr(), Key(pl.PN()), Track{},
+	_, _, _, err := nodes[0].apply(nil, site{node: wrong.Addr(), key: Key(pl.PN())},
 		FSOp{Kind: FSWriteFile, Path: "/" + pl.PN() + "/evil", Data: []byte("no")})
 	if err != ErrNotPrimary {
 		t.Fatalf("apply at wrong node err = %v", err)

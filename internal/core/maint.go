@@ -14,7 +14,6 @@ import (
 	"repro/internal/pastry"
 	"repro/internal/repl"
 	"repro/internal/simnet"
-	"repro/internal/wire"
 )
 
 // maintHost adapts a Node to maint.Host.
@@ -110,45 +109,25 @@ func (h maintHost) Relink(tc obs.TraceContext, base, pn, storeRoot string) (simn
 	if err != nil {
 		return res.Cost, err
 	}
-	e := wire.NewEncoder(256)
-	e.PutUint32(kApply)
 	r := applyReq{
 		Key:   Key(base),
 		Track: Track{PN: base, Link: "/" + base},
 		Op:    FSOp{Kind: FSRelink, Path: "/" + base, Target: MakeLinkTarget(pn, storeRoot)},
 	}
-	r.encode(e)
-	resp, c, err := h.n.callKosha(tc, res.Node.Addr, e.Bytes())
-	total := simnet.Seq(res.Cost, c)
-	if err != nil {
-		return total, h.n.noteErr(res.Node.Addr, err)
+	d, c, err := h.n.koshaCall(tc, res.Node.Addr, r.frame(kApply))
+	if err == nil {
+		getApplyReplyBody(&d)
+		err = d.Err()
 	}
-	d := wire.NewDecoder(resp)
-	code := d.Uint32()
-	getApplyReplyBody(d)
-	if d.Err() != nil {
-		return total, d.Err()
-	}
-	return total, codeToError(code)
+	return simnet.Seq(res.Cost, c), err
 }
 
 // UntrackAt drops a root-tracking record on a peer (kUntrack), used after a
 // migration retires an unsalted home whose old replica copies were already
 // converted to links by the relink fan-out.
 func (h maintHost) UntrackAt(tc obs.TraceContext, to simnet.Addr, root string) (simnet.Cost, error) {
-	e := wire.NewEncoder(64)
-	e.PutUint32(kUntrack)
-	e.PutString(root)
-	resp, cost, err := h.n.callKosha(tc, to, e.Bytes())
-	if err != nil {
-		return cost, h.n.noteErr(to, err)
-	}
-	d := wire.NewDecoder(resp)
-	code := d.Uint32()
-	if d.Err() != nil {
-		return cost, d.Err()
-	}
-	return cost, codeToError(code)
+	_, cost, err := h.n.koshaPathCall(tc, to, kUntrack, root)
+	return cost, err
 }
 
 func (h maintHost) SyncReplicas() simnet.Cost { return h.n.rep.Sync() }

@@ -8,18 +8,15 @@ import (
 	"repro/internal/localfs"
 )
 
-// attrEntry is one attribute-cache row.
-type attrEntry struct {
-	attr localfs.Attr
-	at   time.Time
-}
-
-// dnlcEntry is one name-cache row: the fully resolved child (node, handle,
-// physical path) plus the attributes LOOKUP would have carried.
-type dnlcEntry struct {
-	ve   ventry
-	attr localfs.Attr
-	at   time.Time
+// metaRow is everything a mount caches about one virtual path: its
+// attributes and, once a LOOKUP or READDIRPLUS reply has described it as a
+// directory's child, its resolved handle-table row. A row always holds
+// attributes; nameAt is the zero time until a reply fills ve.
+type metaRow struct {
+	attr   localfs.Attr
+	at     time.Time
+	ve     ventry
+	nameAt time.Time
 }
 
 // mcShards is the shard count of the metadata cache; selection is an FNV-1a
@@ -27,27 +24,30 @@ type dnlcEntry struct {
 // two.
 const mcShards = 16
 
-// mcShard holds one shard's attribute and name rows behind one mutex.
+// mcShard holds one shard's rows behind one mutex.
 type mcShard struct {
-	mu    sync.Mutex
-	attrs map[string]attrEntry // virtual path -> cached attributes
-	dnlc  map[string]dnlcEntry // child virtual path -> resolved entry
+	mu   sync.Mutex
+	rows map[string]metaRow // virtual path -> what is cached for it
 }
 
 // metaCache is the sharded client-side metadata cache, modeling the kernel
 // NFS client's attribute cache and dnlc that the paper's overhead numbers
-// rely on (Section 6.1). Rows serve hits for at most a TTL and are
-// write-through invalidated by every mutating op and by failover. Sharding
-// by path hash keeps cache probes for different files off one global mutex;
-// the TTL clock is injected per call so tests can warp time.
+// rely on (Section 6.1). It keeps one row per path, so whatever invalidates
+// a path's attributes — every mutating op and failover, write-through —
+// takes the cached name with them: a name is served only beside attributes
+// that are still fresh, and a miss is an ordinary LOOKUP, which brings both.
+// Sharding by path hash keeps probes for different files off one global
+// mutex; the TTL clock is a field so tests can warp time per mount.
 type metaCache struct {
-	shards [mcShards]mcShard
+	attrTTL, nameTTL time.Duration // <= 0: nothing is cached / no names are
+	now              func() time.Time
+	shards           [mcShards]mcShard
 }
 
-func (c *metaCache) init() {
+func (c *metaCache) init(attrTTL, nameTTL time.Duration) {
+	c.attrTTL, c.nameTTL, c.now = attrTTL, nameTTL, time.Now
 	for i := range c.shards {
-		c.shards[i].attrs = make(map[string]attrEntry)
-		c.shards[i].dnlc = make(map[string]dnlcEntry)
+		c.shards[i].rows = make(map[string]metaRow)
 	}
 }
 
@@ -64,73 +64,67 @@ func (c *metaCache) shard(vpath string) *mcShard {
 	return &c.shards[h&(mcShards-1)]
 }
 
-func (c *metaCache) putAttr(vpath string, a localfs.Attr, now time.Time) {
+// put records a path's attributes, and with a non-nil ve the resolved child
+// they came with.
+func (c *metaCache) put(vpath string, a localfs.Attr, ve *ventry) {
+	if c.attrTTL <= 0 {
+		return
+	}
+	now := c.now()
 	s := c.shard(vpath)
 	s.mu.Lock()
-	s.attrs[vpath] = attrEntry{attr: a, at: now}
+	r := s.rows[vpath]
+	r.attr, r.at = a, now
+	if ve != nil && c.nameTTL > 0 {
+		r.ve, r.nameAt = *ve, now
+	}
+	s.rows[vpath] = r
 	s.mu.Unlock()
 }
 
-func (c *metaCache) getAttr(vpath string, now time.Time, ttl time.Duration) (localfs.Attr, bool) {
+// get returns the row cached for a path while its attributes are fresh; a
+// row found stale is dropped whole. With name set it is a probe of the name
+// cache and the resolved child must be fresh as well (the zero nameAt of a row
+// no reply has filled is older than any TTL).
+func (c *metaCache) get(vpath string, name bool) (metaRow, bool) {
+	if c.attrTTL <= 0 {
+		return metaRow{}, false
+	}
+	now := c.now()
 	s := c.shard(vpath)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.attrs[vpath]
-	if !ok {
-		return localfs.Attr{}, false
+	r, ok := s.rows[vpath]
+	switch {
+	case !ok:
+	case now.Sub(r.at) > c.attrTTL:
+		delete(s.rows, vpath)
+		ok = false
+	case name && now.Sub(r.nameAt) > c.nameTTL:
+		ok = false
 	}
-	if now.Sub(e.at) > ttl {
-		delete(s.attrs, vpath)
-		return localfs.Attr{}, false
-	}
-	return e.attr, true
+	return r, ok
 }
 
-func (c *metaCache) dropAttr(vpath string) {
+// drop invalidates everything cached for one path.
+func (c *metaCache) drop(vpath string) {
 	s := c.shard(vpath)
 	s.mu.Lock()
-	delete(s.attrs, vpath)
+	delete(s.rows, vpath)
 	s.mu.Unlock()
 }
 
-func (c *metaCache) putName(ve ventry, a localfs.Attr, now time.Time) {
-	s := c.shard(ve.vpath)
-	s.mu.Lock()
-	s.dnlc[ve.vpath] = dnlcEntry{ve: ve, attr: a, at: now}
-	s.mu.Unlock()
-}
-
-func (c *metaCache) getName(vpath string, now time.Time, ttl time.Duration) (ventry, localfs.Attr, bool) {
-	s := c.shard(vpath)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.dnlc[vpath]
-	if !ok {
-		return ventry{}, localfs.Attr{}, false
-	}
-	if now.Sub(e.at) > ttl {
-		delete(s.dnlc, vpath)
-		return ventry{}, localfs.Attr{}, false
-	}
-	return e.ve, e.attr, true
-}
-
-// dropUnder invalidates cached metadata for vpath and everything below it
-// (rename/remove/failover relocate whole subtrees). Subtree members hash to
-// arbitrary shards, so every shard is swept.
+// dropUnder invalidates vpath and everything below it (rename, remove and
+// failover relocate whole subtrees). Subtree members hash to arbitrary
+// shards, so every shard is swept.
 func (c *metaCache) dropUnder(vpath string) {
 	prefix := strings.TrimSuffix(vpath, "/") + "/"
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for p := range s.attrs {
+		for p := range s.rows {
 			if p == vpath || strings.HasPrefix(p, prefix) {
-				delete(s.attrs, p)
-			}
-		}
-		for p := range s.dnlc {
-			if p == vpath || strings.HasPrefix(p, prefix) {
-				delete(s.dnlc, p)
+				delete(s.rows, p)
 			}
 		}
 		s.mu.Unlock()

@@ -6,8 +6,8 @@ import (
 	"path"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/nfs"
 	"repro/internal/obs"
@@ -26,9 +26,10 @@ const RootVH VH = 1
 var rootAttr = localfs.Attr{Ino: 1, Type: localfs.TypeDir, Mode: 0o755, Nlink: 2}
 
 // ventry is one row of the virtual-handle table: virtual handle → full
-// path, storage node, and real handle (Section 4.1.2 stores exactly this).
-// Rows are immutable once published in the table; rebinding installs a
-// fresh row (see vtable).
+// path, storage node, and real handle (Section 4.1.2 stores exactly this),
+// plus the replicated hierarchy the path sits in — its placement name and
+// storage root, which every apply is addressed by (site). Rows are immutable
+// once published in the table; rebinding installs a fresh row (see vtable).
 type ventry struct {
 	vpath    string
 	kind     localfs.FileType
@@ -37,18 +38,16 @@ type ventry struct {
 	physPath string
 	pn       string // controlling placement name
 	root     string // physical subtree root of the replicated hierarchy
-	place    Place  // directories: resolved place for child operations
 	cached   bool   // served from the name cache, not a fresh resolution
 }
 
+// isRoot reports whether the row is the mount root's: the one directory whose
+// children are placed by their own names, not stored beside its handle.
+func (de *ventry) isRoot() bool { return de.vpath == "/" }
+
 // child is the row for name in the directory de, as a reply from de's node
-// described it: same node, placement name and storage root. A directory's
-// place is one component deeper; nothing is placed under anything else.
+// described it: same node, placement name and storage root.
 func (de *ventry) child(name string, kind localfs.FileType, fh nfs.Handle) ventry {
-	place := de.place
-	if kind == localfs.TypeDir {
-		place.Rest = append(append([]string(nil), de.place.Rest...), name)
-	}
 	return ventry{
 		vpath:    path.Join(de.vpath, name),
 		kind:     kind,
@@ -57,9 +56,22 @@ func (de *ventry) child(name string, kind localfs.FileType, fh nfs.Handle) ventr
 		physPath: path.Join(de.physPath, name),
 		pn:       de.pn,
 		root:     de.root,
-		place:    place,
 	}
 }
+
+// site is what an apply is addressed by: the node it is sent to, the key that
+// node must own to accept it, and the track it stamps.
+type site struct {
+	node  simnet.Addr
+	key   id.ID
+	track Track
+}
+
+// track names the replicated hierarchy the row sits in.
+func (de *ventry) track() Track { return Track{PN: de.pn, Root: de.root} }
+
+// site addresses an apply to the primary of the row's hierarchy.
+func (de *ventry) site() site { return site{de.node, Key(de.pn), de.track()} }
 
 // DirEntry is one row of a virtual directory listing.
 type DirEntry struct {
@@ -89,10 +101,7 @@ type Mount struct {
 	smu     sync.Mutex
 	streams map[VH]*stream
 
-	// Client-side metadata caches; the clock is a Mount field so TTL tests
-	// can warp time per mount.
-	now  func() time.Time // injectable clock for TTL tests
-	meta metaCache        // sharded attribute + name caches
+	meta metaCache // client-side attribute and name cache, one row per path
 }
 
 // NewMount attaches a client to the node's koshad. The root row starts
@@ -102,60 +111,18 @@ func (n *Node) NewMount() *Mount {
 	m := &Mount{
 		n:       n,
 		streams: make(map[VH]*stream),
-		now:     time.Now,
 	}
-	m.meta.init()
-	m.vt.init(&ventry{
-		vpath: "/",
-		kind:  localfs.TypeDir,
-		place: Place{VRoot: true, Store: "/"},
-	})
+	m.meta.init(n.cfg.AttrCacheTTL, n.cfg.NameCacheTTL)
+	m.vt.init(&ventry{vpath: "/", kind: localfs.TypeDir})
 	return m
-}
-
-// --- client-side metadata caches (cache stage of the pipeline) ---
-
-func (m *Mount) cacheAttr(vpath string, a localfs.Attr) {
-	if m.n.cfg.AttrCacheTTL <= 0 {
-		return
-	}
-	m.meta.putAttr(vpath, a, m.now())
-}
-
-func (m *Mount) cachedAttr(vpath string) (localfs.Attr, bool) {
-	ttl := m.n.cfg.AttrCacheTTL
-	if ttl <= 0 {
-		return localfs.Attr{}, false
-	}
-	return m.meta.getAttr(vpath, m.now(), ttl)
-}
-
-func (m *Mount) invalAttr(vpath string) {
-	m.meta.dropAttr(vpath)
-}
-
-// dnlcPut caches a resolved child entry and its attributes.
-func (m *Mount) dnlcPut(ve ventry, a localfs.Attr) {
-	if m.n.cfg.NameCacheTTL > 0 {
-		m.meta.putName(ve, a, m.now())
-	}
-	m.cacheAttr(ve.vpath, a)
-}
-
-func (m *Mount) dnlcGet(vpath string) (ventry, localfs.Attr, bool) {
-	ttl := m.n.cfg.NameCacheTTL
-	if ttl <= 0 {
-		return ventry{}, localfs.Attr{}, false
-	}
-	return m.meta.getName(vpath, m.now(), ttl)
 }
 
 // childChanged is the write-through invalidation every mutation of one name
 // in the directory de makes: whatever is cached at or below the name, and the
-// directory's own attributes.
+// directory's own row (its attributes changed).
 func (m *Mount) childChanged(de *ventry, name string) {
 	m.meta.dropUnder(path.Join(de.vpath, name))
-	m.invalAttr(de.vpath)
+	m.meta.drop(de.vpath)
 }
 
 // Root returns the mount's root virtual handle.
@@ -218,10 +185,11 @@ func (m *Mount) lookup(tr *obs.Trace, dir VH, name string) (VH, localfs.Attr, si
 		// hit that slips through self-heals: handle ops return
 		// NFS3ERR_STALE and path ops NFS3ERR_NOENT, both of which the
 		// failover path retries against a fresh resolution.
-		if ve, a, ok := m.dnlcGet(path.Join(de.vpath, name)); ok &&
-			ve.node == de.node && ve.root == de.root {
+		if r, ok := m.meta.get(path.Join(de.vpath, name), true); ok &&
+			r.ve.node == de.node && r.ve.root == de.root {
+			ve := r.ve // the published row is the child's alone, not the cache's
 			ve.cached = true
-			return m.insert(&ve), a, InterposeCost, nil
+			return m.insert(&ve), r.attr, InterposeCost, nil
 		}
 		var out VH
 		var attr localfs.Attr
@@ -232,7 +200,7 @@ func (m *Mount) lookup(tr *obs.Trace, dir VH, name string) (VH, localfs.Attr, si
 			}
 			attr = a
 			ve := de.child(name, a.Type, fh)
-			m.dnlcPut(ve, a)
+			m.meta.put(ve.vpath, a, &ve)
 			out = m.insert(&ve)
 			return c, nil
 		})
@@ -263,8 +231,8 @@ func (m *Mount) getattr(tr *obs.Trace, vh VH) (localfs.Attr, simnet.Cost, error)
 		return rootAttr, InterposeCost, nil
 	}
 	if de, err := m.entry(vh); err == nil {
-		if a, ok := m.cachedAttr(de.vpath); ok {
-			return a, InterposeCost, nil
+		if r, ok := m.meta.get(de.vpath, false); ok {
+			return r.attr, InterposeCost, nil
 		}
 	}
 	// The fetched attributes must reflect buffered write-back data (size,
@@ -278,7 +246,7 @@ func (m *Mount) getattr(tr *obs.Trace, vh VH) (localfs.Attr, simnet.Cost, error)
 		a, c, err := m.n.nfsT(tr).Getattr(de.node, de.fh)
 		if err == nil {
 			attr = a
-			m.cacheAttr(de.vpath, a)
+			m.meta.put(de.vpath, a, nil)
 		}
 		return c, err
 	})
@@ -301,11 +269,10 @@ func (m *Mount) setattr(tr *obs.Trace, vh VH, sa localfs.SetAttr) (localfs.Attr,
 	}
 	var attr localfs.Attr
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
-		a, _, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-			FSOp{Kind: FSSetattr, Path: de.physPath, SetAttr: sa})
+		a, _, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSSetattr, Path: de.physPath, SetAttr: sa})
 		if err == nil {
 			attr = a
-			m.invalAttr(de.vpath)
+			m.meta.drop(de.vpath)
 		}
 		return c, err
 	})
@@ -336,24 +303,30 @@ func (m *Mount) read(tr *obs.Trace, vh VH, offset int64, count int) ([]byte, boo
 	}
 	var data []byte
 	var eof bool
-	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
-		if m.n.cfg.ReadFromReplicas && m.n.cfg.Replicas > 0 && de.kind == localfs.TypeRegular {
-			if d, e, c, ok := m.readViaReplica(tr, de, offset, count); ok {
-				data, eof = d, e
-				return c, nil
-			}
-		}
-		d, e, c, err := m.n.nfsT(tr).Read(de.node, de.fh, offset, count)
-		if err == nil {
-			data, eof = d, e
-			m.countRead(de.node)
-			if de.node == m.n.addr {
-				c = simnet.Seq(c, loopbackXfer(len(d)))
-			}
-		}
+	cost, err := m.withFailover(tr, vh, func(de *ventry) (c simnet.Cost, err error) {
+		data, eof, c, err = m.readAt(tr, de, offset, count)
 		return c, err
 	})
 	return data, eof, simnet.Seq(fcost, cost), err
+}
+
+// readAt is one stop-and-wait READ of the file behind de: from a rotating
+// replica holder when replica reads are on and it is their turn, from the
+// primary otherwise.
+func (m *Mount) readAt(tr *obs.Trace, de *ventry, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+	if m.n.cfg.ReadFromReplicas && m.n.cfg.Replicas > 0 && de.kind == localfs.TypeRegular {
+		if d, e, c, ok := m.readViaReplica(tr, de, offset, count); ok {
+			return d, e, c, nil
+		}
+	}
+	d, e, c, err := m.n.nfsT(tr).Read(de.node, de.fh, offset, count)
+	if err == nil {
+		m.countRead(de.node)
+		if de.node == m.n.addr {
+			c = simnet.Seq(c, loopbackXfer(len(d)))
+		}
+	}
+	return d, e, c, err
 }
 
 // readViaReplica attempts one read against a rotating replica holder;
@@ -426,11 +399,11 @@ func (m *Mount) write(tr *obs.Trace, vh VH, offset int64, data []byte) (int, sim
 	}
 	n := 0
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
-		_, _, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
+		_, _, c, err := m.n.apply(tr, de.site(),
 			FSOp{Kind: FSWrite, Path: de.physPath, Offset: offset, Data: data})
 		if err == nil {
 			n = len(data)
-			m.invalAttr(de.vpath)
+			m.meta.drop(de.vpath)
 			if de.node == m.n.addr {
 				c = simnet.Seq(c, loopbackXfer(len(data)))
 			}
@@ -456,14 +429,14 @@ func (m *Mount) create(tr *obs.Trace, dir VH, name string, mode uint32, exclusiv
 		return 0, localfs.Attr{}, InterposeCost, err
 	}
 	cost, err := m.withFailover(tr, dir, func(de *ventry) (simnet.Cost, error) {
-		if de.place.VRoot {
+		if de.isRoot() {
 			return 0, ErrRootOnlyDirs
 		}
 		if de.kind != localfs.TypeDir {
 			return 0, &nfs.Error{Proc: nfs.ProcCreate, Status: nfs.ErrNotDir}
 		}
 		file := de.child(name, localfs.TypeRegular, nfs.Handle{}) // the reply brings the handle
-		a, fh, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
+		a, fh, c, err := m.n.apply(tr, de.site(),
 			FSOp{Kind: FSCreate, Path: file.physPath, Mode: mode, Excl: exclusive})
 		if err != nil {
 			return c, err
@@ -495,12 +468,11 @@ func (m *Mount) symlink(tr *obs.Trace, dir VH, name, target string) (VH, simnet.
 	}
 	var out VH
 	cost, err := m.withFailover(tr, dir, func(de *ventry) (simnet.Cost, error) {
-		if de.place.VRoot {
+		if de.isRoot() {
 			return 0, ErrRootOnlyDirs
 		}
 		link := de.child(name, localfs.TypeSymlink, nfs.Handle{}) // the reply brings the handle
-		_, fh, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-			FSOp{Kind: FSSymlink, Path: link.physPath, Target: target})
+		_, fh, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSSymlink, Path: link.physPath, Target: target})
 		if err != nil {
 			return c, err
 		}

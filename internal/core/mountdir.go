@@ -3,7 +3,6 @@ package core
 import (
 	"path"
 
-	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/nfs"
 	"repro/internal/obs"
@@ -42,8 +41,7 @@ func (m *Mount) mkdir(tr *obs.Trace, dir VH, name string, mode uint32) (VH, loca
 			return c, err
 		}
 		child := de.child(name, localfs.TypeDir, nfs.Handle{}) // the reply brings the handle
-		a, fh, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-			FSOp{Kind: FSMkdir, Path: child.physPath, Mode: mode})
+		a, fh, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSMkdir, Path: child.physPath, Mode: mode})
 		if err != nil {
 			return c, err
 		}
@@ -63,7 +61,7 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	n := m.n
 	var total simnet.Cost
 
-	linkNode, linkDir, linkKey, linkTrack, c, err := m.linkSite(tr, parent, name)
+	link, linkDir, c, err := m.linkSite(tr, parent, name)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		return 0, localfs.Attr{}, total, err
@@ -71,8 +69,8 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 
 	// Existence check at the probe location. A level-1 name that exists is
 	// listed again: the only repair the index has against the homes.
-	if _, _, c, err := n.remoteLookupPath(tr.Ctx(), linkNode, path.Join(linkDir, name)); err == nil {
-		if parent.place.VRoot {
+	if _, _, c, err := n.remoteLookupPath(tr.Ctx(), link.node, path.Join(linkDir, name)); err == nil {
+		if parent.isRoot() {
 			total = simnet.Seq(total, c)
 			c, err = m.indexRoot(tr, name, true)
 		}
@@ -119,7 +117,7 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	// name and needs no link; every other distributed directory gets a
 	// fresh, unique storage root behind a special link, so a later rename
 	// or re-creation can never alias its storage (see MakeLinkTarget).
-	needLink := !(parent.place.VRoot && pn == name)
+	needLink := !(parent.isRoot() && pn == name)
 	var subRoot string
 	if needLink {
 		subRoot = n.newStoreRoot(pn)
@@ -129,7 +127,7 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 
 	// A level-1 name is indexed before its home exists, so a home that
 	// resolves is always listed (see indexRoot).
-	if parent.place.VRoot {
+	if parent.isRoot() {
 		c, err := m.indexRoot(tr, name, true)
 		total = simnet.Seq(total, c)
 		if err != nil {
@@ -138,7 +136,7 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	}
 
 	// Create the subtree root on the chosen node.
-	attr, fh, c, err := n.apply(tr, target, Key(pn), Track{PN: pn, Root: subRoot},
+	attr, fh, c, err := n.apply(tr, site{target, Key(pn), Track{PN: pn, Root: subRoot}},
 		FSOp{Kind: FSMkdirAll, Path: subRoot, Mode: mode})
 	total = simnet.Seq(total, c)
 	if err != nil {
@@ -146,7 +144,7 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	}
 
 	if needLink {
-		_, _, c, err := n.apply(tr, linkNode, linkKey, linkTrack,
+		_, _, c, err := n.apply(tr, link,
 			FSOp{Kind: FSSymlink, Path: path.Join(linkDir, name), Target: MakeLinkTarget(pn, subRoot)})
 		total = simnet.Seq(total, c)
 		if err != nil {
@@ -175,21 +173,21 @@ func (m *Mount) indexRoot(tr *obs.Trace, name string, add bool) (simnet.Cost, er
 		if add {
 			op.Kind = FSMkdirAll
 		}
-		_, _, c, err := m.n.apply(tr, root.node, Key(root.pn), Track{PN: root.pn, Root: root.root}, op)
+		_, _, c, err := m.n.apply(tr, root.site(), op)
 		return c, err
 	})
 }
 
 // linkSite says where resolution probes for a distributed child's name, and
 // so where its special link lives: the root of the name's own hash target
-// for a level-1 directory, the parent's directory otherwise. It returns the
-// node, the directory there, and the key and track an apply to it carries.
-func (m *Mount) linkSite(tr *obs.Trace, parent *ventry, name string) (simnet.Addr, string, id.ID, Track, simnet.Cost, error) {
-	if !parent.place.VRoot {
-		return parent.node, parent.physPath, Key(parent.pn), Track{PN: parent.pn, Root: parent.root}, 0, nil
+// for a level-1 directory, the parent's directory otherwise. It returns what
+// an apply to the link is addressed by, and the directory it sits in there.
+func (m *Mount) linkSite(tr *obs.Trace, parent *ventry, name string) (site, string, simnet.Cost, error) {
+	if !parent.isRoot() {
+		return parent.site(), parent.physPath, 0, nil
 	}
 	res, c, err := m.n.route(tr, Key(name))
-	return res.Node.Addr, "/", Key(name), Track{PN: name, Link: path.Join("/", name)}, c, err
+	return site{res.Node.Addr, Key(name), Track{PN: name, Link: path.Join("/", name)}}, "/", c, err
 }
 
 // Readdir lists a virtual directory: physical entries minus Kosha-internal
@@ -216,7 +214,7 @@ func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) 
 		if err != nil {
 			return c, m.n.noteErr(de.node, err)
 		}
-		if de.place.VRoot {
+		if de.isRoot() {
 			// The root row is permanent, and a holder that lost the index's
 			// key keeps its copy's inode but soon gets no mirrors: it is asked
 			// beside the listing whether it still owns the key, or we rebind.
@@ -244,7 +242,8 @@ func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) 
 			}
 			out = append(out, DirEntry{Name: e.Name, Type: e.Type})
 			if prewarm {
-				m.dnlcPut(de.child(e.Name, e.Type, e.FH), e.Attr)
+				ve := de.child(e.Name, e.Type, e.FH)
+				m.meta.put(ve.vpath, e.Attr, &ve)
 			}
 		}
 		return c, nil
@@ -263,13 +262,12 @@ func (m *Mount) Remove(dir VH, name string) (simnet.Cost, error) {
 
 func (m *Mount) remove(tr *obs.Trace, dir VH, name string) (simnet.Cost, error) {
 	return m.withFailover(tr, dir, func(de *ventry) (simnet.Cost, error) {
-		if de.place.VRoot {
+		if de.isRoot() {
 			return 0, &nfs.Error{Proc: nfs.ProcRemove, Status: nfs.ErrIsDir}
 		}
 		// The primary types the victim itself: a directory or a special link
 		// answers ISDIR (FSUnlink in applyFSOp).
-		_, _, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-			FSOp{Kind: FSUnlink, Path: path.Join(de.physPath, name)})
+		_, _, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSUnlink, Path: path.Join(de.physPath, name)})
 		if err == nil {
 			m.childChanged(de, name)
 		}
@@ -291,8 +289,7 @@ func (m *Mount) rmdir(tr *obs.Trace, dir VH, name string) (simnet.Cost, error) {
 		if m.distributedAt(de) {
 			return m.rmdirDistributed(tr, de, name)
 		}
-		_, _, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-			FSOp{Kind: FSRmdir, Path: path.Join(de.physPath, name)})
+		_, _, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSRmdir, Path: path.Join(de.physPath, name)})
 		if err == nil {
 			m.childChanged(de, name)
 		}
@@ -328,33 +325,32 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 
 	// Remove the hierarchy on its node (and replicas), pruning empty
 	// scaffolding above it.
-	_, _, c, err = n.apply(tr, child.node, Key(child.pn), Track{PN: child.pn, Root: child.root},
-		FSOp{Kind: FSRemoveAll, Path: child.root, Prune: true})
+	_, _, c, err = n.apply(tr, child.site(), FSOp{Kind: FSRemoveAll, Path: child.root, Prune: true})
 	total = simnet.Seq(total, c)
 	if err != nil {
 		return total, err
 	}
 
 	// Remove the special link from the parent, if one exists.
-	linkNode, linkDir, linkKey, linkTrack, c, err := m.linkSite(tr, parent, name)
+	link, linkDir, c, err := m.linkSite(tr, parent, name)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		return total, err
 	}
-	if !(parent.place.VRoot && child.root == "/"+name) {
+	if !(parent.isRoot() && child.root == "/"+name) {
 		// A level-1 link sits in its hash target's export root; any other is
 		// one name below the parent handle already held.
 		linkPath := path.Join(linkDir, name)
 		var w nfs.Walked
 		var lerr error
-		if parent.place.VRoot {
-			w, c, lerr = n.remoteWalk(tr.Ctx(), linkNode, linkPath)
+		if parent.isRoot() {
+			w, c, lerr = n.remoteWalk(tr.Ctx(), link.node, linkPath)
 		} else {
-			w, c, lerr = n.nfsT(tr).Walk(linkNode, parent.fh, name)
+			w, c, lerr = n.nfsT(tr).Walk(link.node, parent.fh, name)
 		}
 		total = simnet.Seq(total, c)
 		if lerr == nil && w.Attr.Type == localfs.TypeSymlink {
-			_, _, c, derr := n.apply(tr, linkNode, linkKey, linkTrack, FSOp{Kind: FSRemove, Path: linkPath})
+			_, _, c, derr := n.apply(tr, link, FSOp{Kind: FSRemove, Path: linkPath})
 			total = simnet.Seq(total, c)
 			if derr != nil {
 				return total, derr
@@ -363,7 +359,7 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 	}
 	n.cacheDrop(vpath)
 	m.childChanged(parent, name)
-	if parent.place.VRoot {
+	if parent.isRoot() {
 		c, err := m.indexRoot(tr, name, false)
 		return simnet.Seq(total, c), err
 	}
@@ -375,7 +371,7 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 // failed attempt may have left in the root's index. The NOENT is reported
 // only once the name is out; until then the caller sees why it is not.
 func (m *Mount) unindexGone(tr *obs.Trace, parent *ventry, name string, err error) (simnet.Cost, error) {
-	if !parent.place.VRoot || !nfs.IsStatus(err, nfs.ErrNoEnt) {
+	if !parent.isRoot() || !nfs.IsStatus(err, nfs.ErrNoEnt) {
 		return 0, err
 	}
 	c, ierr := m.indexRoot(tr, name, false)
@@ -423,17 +419,16 @@ func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstN
 
 	if srcDepth > m.n.cfg.DistributionLevel && sde.node == dde.node && sde.root == dde.root {
 		c, err := m.withFailover(tr, srcDir, func(de *ventry) (simnet.Cost, error) {
-			_, _, c, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-				FSOp{
-					Kind:  FSRename,
-					Path:  path.Join(sde.physPath, srcName),
-					Path2: path.Join(dde.physPath, dstName),
-				})
+			_, _, c, err := m.n.apply(tr, de.site(), FSOp{
+				Kind:  FSRename,
+				Path:  path.Join(sde.physPath, srcName),
+				Path2: path.Join(dde.physPath, dstName),
+			})
 			return c, err
 		})
 		moved()
-		m.invalAttr(sde.vpath)
-		m.invalAttr(dde.vpath)
+		m.meta.drop(sde.vpath)
+		m.meta.drop(dde.vpath)
 		return simnet.Seq(total, c), err
 	}
 
@@ -497,7 +492,7 @@ func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, ds
 		}
 	}
 
-	if parent.place.VRoot && child.root == "/"+srcName {
+	if parent.isRoot() && child.root == "/"+srcName {
 		// Unredirected level-1 home: no link exists; placement is the
 		// visible name, so a rename must move the data (copy + delete).
 		return total, false, nil
@@ -505,7 +500,7 @@ func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, ds
 
 	// A level-1 rename is bracketed by the root's index: the new name enters
 	// it before anything moves, the old one leaves it last.
-	if parent.place.VRoot {
+	if parent.isRoot() {
 		c, err := m.indexRoot(tr, dstName, true)
 		total = simnet.Seq(total, c)
 		if err != nil {
@@ -518,53 +513,39 @@ func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, ds
 	// for the old virtual name now dangle instead of aliasing the
 	// renamed directory.
 	newRoot := n.newStoreRoot(child.pn)
-	_, _, c, err = n.apply(tr, child.node, Key(child.pn),
-		Track{PN: child.pn, Root: newRoot},
+	_, _, c, err = n.apply(tr, site{child.node, Key(child.pn), Track{PN: child.pn, Root: newRoot}},
 		FSOp{Kind: FSRename, Path: child.root, Path2: newRoot})
 	total = simnet.Seq(total, c)
 	if err != nil {
 		return total, false, err
 	}
-	target := MakeLinkTarget(child.pn, newRoot)
 
-	// 2. Replace the link: remove the old name, create the new one.
-	if !parent.place.VRoot {
-		pt := Track{PN: parent.pn, Root: parent.root}
-		if _, _, c, err := n.apply(tr, parent.node, Key(parent.pn), pt,
-			FSOp{Kind: FSRemove, Path: path.Join(parent.physPath, srcName)}); err != nil {
-			return simnet.Seq(total, c), false, err
-		} else {
-			total = simnet.Seq(total, c)
-		}
-		_, _, c, err := n.apply(tr, parent.node, Key(parent.pn), pt,
-			FSOp{Kind: FSSymlink, Path: path.Join(parent.physPath, dstName), Target: target})
+	// 2. Replace the link. Below level 1 both names sit in the parent's
+	// directory and the old one goes first; at level 1 the link moves between
+	// the two names' hash targets, new name first.
+	relink := func(name string, op FSOp) error {
+		link, dir, c, err := m.linkSite(tr, parent, name)
 		total = simnet.Seq(total, c)
+		if err != nil {
+			return err
+		}
+		op.Path = path.Join(dir, name)
+		_, _, c, err = n.apply(tr, link, op)
+		total = simnet.Seq(total, c)
+		return err
+	}
+	remove, create := FSOp{Kind: FSRemove}, FSOp{Kind: FSSymlink, Target: MakeLinkTarget(child.pn, newRoot)}
+	if !parent.isRoot() {
+		if err := relink(srcName, remove); err != nil {
+			return total, false, err
+		}
+		err := relink(dstName, create)
 		return total, err == nil, err
 	}
-
-	// Level 1: the link moves between the old and new names' hash targets.
-	newRes, c, err := n.route(tr, Key(dstName))
-	total = simnet.Seq(total, c)
-	if err != nil {
+	if err := relink(dstName, create); err != nil {
 		return total, false, err
 	}
-	_, _, c, err = n.apply(tr, newRes.Node.Addr, Key(dstName),
-		Track{PN: dstName, Link: path.Join("/", dstName)},
-		FSOp{Kind: FSSymlink, Path: path.Join("/", dstName), Target: target})
-	total = simnet.Seq(total, c)
-	if err != nil {
-		return total, false, err
-	}
-	oldRes, c, err := n.route(tr, Key(srcName))
-	total = simnet.Seq(total, c)
-	if err != nil {
-		return total, false, err
-	}
-	_, _, c, err = n.apply(tr, oldRes.Node.Addr, Key(srcName),
-		Track{PN: srcName, Link: path.Join("/", srcName)},
-		FSOp{Kind: FSRemove, Path: path.Join("/", srcName)})
-	total = simnet.Seq(total, c)
-	if err != nil {
+	if err := relink(srcName, remove); err != nil {
 		return total, false, err
 	}
 	c, err = m.indexRoot(tr, srcName, false)

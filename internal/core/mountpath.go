@@ -41,7 +41,7 @@ func (m *Mount) lookupPath(vpath string) (*ventry, localfs.Attr, simnet.Cost, er
 // vhOf issues a virtual handle for a materialized entry; the root keeps its
 // permanent handle.
 func (m *Mount) vhOf(de *ventry) VH {
-	if de.place.VRoot {
+	if de.isRoot() {
 		return RootVH
 	}
 	return m.insert(de)
@@ -146,7 +146,7 @@ func (m *Mount) writeFileIn(tr *obs.Trace, de *ventry, name string, data []byte)
 	if wb := m.n.cfg.WriteBackBytes; wb > 0 && len(data) > wb {
 		first = data[:wb]
 	}
-	_, fh, cost, err := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
+	_, fh, cost, err := m.n.apply(tr, de.site(),
 		FSOp{Kind: FSWriteFile, Path: path.Join(de.physPath, name), Data: first})
 	if err != nil {
 		return cost, err

@@ -79,25 +79,45 @@ var _ repl.Overlay = engineOverlay{}
 
 // --- kosha service (client side) ---
 
-// apply sends a mutation to the primary for key at addr. A non-nil trace
-// records the serving node, the replica fan-out width, and an apply span.
-func (n *Node) apply(tr *obs.Trace, to simnet.Addr, key id.ID, t Track, op FSOp) (localfs.Attr, nfs.Handle, simnet.Cost, error) {
-	r := applyReq{Key: key, Track: t, Op: op}
-	resp, cost, err := n.callKosha(tr.Ctx(), to, r.frame(kApply))
+// koshaCall sends one kosha-service request and returns a decoder positioned
+// after the reply's OK code. Anything else is the error: the transport's
+// (noted against the node), a reply too short to carry a code, ErrNotPrimary,
+// or the NFS status the code stands for.
+func (n *Node) koshaCall(tc obs.TraceContext, to simnet.Addr, req []byte) (wire.Decoder, simnet.Cost, error) {
+	resp, cost, err := n.callKosha(tc, to, req)
 	if err != nil {
-		return localfs.Attr{}, nfs.Handle{}, cost, n.noteErr(to, err)
+		return wire.Decoder{}, cost, n.noteErr(to, err)
 	}
-	d := wire.NewDecoder(resp)
+	d := *wire.NewDecoder(resp)
 	code := d.Uint32()
-	attr, fh, fanout := getApplyReplyBody(d)
+	if d.Err() != nil {
+		return d, cost, d.Err()
+	}
+	return d, cost, codeToError(code)
+}
+
+// koshaPathCall is koshaCall for the procedures whose request is one path.
+func (n *Node) koshaPathCall(tc obs.TraceContext, to simnet.Addr, proc uint32, phys string) (wire.Decoder, simnet.Cost, error) {
+	e := wire.NewEncoder(64)
+	e.PutUint32(proc)
+	e.PutString(phys)
+	return n.koshaCall(tc, to, e.Bytes())
+}
+
+// apply sends a mutation to the primary that at addresses. A non-nil trace
+// records the serving node, the replica fan-out width, and an apply span.
+func (n *Node) apply(tr *obs.Trace, at site, op FSOp) (localfs.Attr, nfs.Handle, simnet.Cost, error) {
+	r := applyReq{Key: at.key, Track: at.track, Op: op}
+	d, cost, err := n.koshaCall(tr.Ctx(), at.node, r.frame(kApply))
+	if err != nil {
+		return localfs.Attr{}, nfs.Handle{}, cost, err
+	}
+	attr, fh, fanout := getApplyReplyBody(&d)
 	if d.Err() != nil {
 		return localfs.Attr{}, nfs.Handle{}, cost, d.Err()
 	}
-	if err := codeToError(code); err != nil {
-		return attr, fh, cost, err
-	}
-	tr.AddSpan("apply", string(to), time.Duration(cost))
-	tr.SetServedBy(string(to))
+	tr.AddSpan("apply", string(at.node), time.Duration(cost))
+	tr.SetServedBy(string(at.node))
 	if fanout > 0 {
 		tr.SetReplicas(fanout)
 	}
@@ -114,30 +134,15 @@ func (n *Node) mirrorArea(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp,
 // sendMirror ships an encoded kMirror request to one node. A request is
 // immutable once sent, so a fan-out sends one frame to every target.
 func (n *Node) sendMirror(tc obs.TraceContext, to simnet.Addr, frame []byte) (simnet.Cost, error) {
-	resp, cost, err := n.callKosha(tc, to, frame)
-	if err != nil {
-		return cost, n.noteErr(to, err)
-	}
-	d := wire.NewDecoder(resp)
-	code := d.Uint32()
-	if d.Err() != nil {
-		return cost, d.Err()
-	}
-	return cost, codeToError(code)
+	_, cost, err := n.koshaCall(tc, to, frame)
+	return cost, err
 }
 
 // remoteStatTree summarizes a subtree on another node.
 func (n *Node) remoteStatTree(tc obs.TraceContext, to simnet.Addr, root string) (TreeStat, simnet.Cost, error) {
-	e := wire.NewEncoder(64)
-	e.PutUint32(kStatTree)
-	e.PutString(root)
-	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	d, cost, err := n.koshaPathCall(tc, to, kStatTree, root)
 	if err != nil {
-		return TreeStat{}, cost, n.noteErr(to, err)
-	}
-	d := wire.NewDecoder(resp)
-	if code := d.Uint32(); code != codeOK {
-		return TreeStat{}, cost, codeToError(code)
+		return TreeStat{}, cost, err
 	}
 	st := TreeStat{Exists: d.Bool(), Files: d.Int64(), Dirs: d.Int64(), Bytes: d.Int64(), Flag: d.Bool(), Ver: d.Uint64()}
 	return st, cost, d.Err()
@@ -146,37 +151,23 @@ func (n *Node) remoteStatTree(tc obs.TraceContext, to simnet.Addr, root string) 
 // remoteDigestTree fetches the Merkle digest summary of a subtree on
 // another node.
 func (n *Node) remoteDigestTree(tc obs.TraceContext, to simnet.Addr, root string) (TreeDigest, simnet.Cost, error) {
-	e := wire.NewEncoder(64)
-	e.PutUint32(kTreeDigest)
-	e.PutString(root)
-	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	d, cost, err := n.koshaPathCall(tc, to, kTreeDigest, root)
 	if err != nil {
-		return TreeDigest{}, cost, n.noteErr(to, err)
+		return TreeDigest{}, cost, err
 	}
-	d := wire.NewDecoder(resp)
-	if code := d.Uint32(); code != codeOK {
-		return TreeDigest{}, cost, codeToError(code)
-	}
-	td := TreeDigest{Exists: d.Bool(), Flag: d.Bool(), Ver: d.Uint64(), Root: merkle.GetDigest(d)}
+	td := TreeDigest{Exists: d.Bool(), Flag: d.Bool(), Ver: d.Uint64(), Root: merkle.GetDigest(&d)}
 	return td, cost, d.Err()
 }
 
 // remoteDirDigests lists the immediate children of a remote directory with
 // their subtree digests; ok is false when the directory is missing.
 func (n *Node) remoteDirDigests(tc obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error) {
-	e := wire.NewEncoder(64)
-	e.PutUint32(kDirDigests)
-	e.PutString(dir)
-	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	d, cost, err := n.koshaPathCall(tc, to, kDirDigests, dir)
 	if err != nil {
-		return nil, false, cost, n.noteErr(to, err)
-	}
-	d := wire.NewDecoder(resp)
-	if code := d.Uint32(); code != codeOK {
-		return nil, false, cost, codeToError(code)
+		return nil, false, cost, err
 	}
 	ok := d.Bool()
-	ents := merkle.GetEntries(d)
+	ents := merkle.GetEntries(&d)
 	return ents, ok, cost, d.Err()
 }
 
@@ -189,17 +180,13 @@ func (n *Node) remoteChunkManifest(tc obs.TraceContext, to simnet.Addr, phys str
 	e.PutUint32(kChunkManifest)
 	e.PutString(phys)
 	cas.PutHashes(e, want)
-	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	d, cost, err := n.koshaCall(tc, to, e.Bytes())
 	if err != nil {
-		return nil, false, nil, cost, n.noteErr(to, err)
-	}
-	d := wire.NewDecoder(resp)
-	if code := d.Uint32(); code != codeOK {
-		return nil, false, nil, cost, codeToError(code)
+		return nil, false, nil, cost, err
 	}
 	exists := d.Bool()
-	man := cas.GetManifest(d)
-	have := cas.GetBools(d)
+	man := cas.GetManifest(&d)
+	have := cas.GetBools(&d)
 	if d.Err() != nil {
 		return nil, false, nil, cost, d.Err()
 	}
@@ -217,13 +204,9 @@ func (n *Node) remoteChunkFetch(tc obs.TraceContext, to simnet.Addr, phys string
 	e.PutUint32(kChunkFetch)
 	e.PutString(phys)
 	cas.PutHashes(e, hashes)
-	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	d, cost, err := n.koshaCall(tc, to, e.Bytes())
 	if err != nil {
-		return nil, cost, n.noteErr(to, err)
-	}
-	d := wire.NewDecoder(resp)
-	if code := d.Uint32(); code != codeOK {
-		return nil, cost, codeToError(code)
+		return nil, cost, err
 	}
 	cnt := d.ArrayLen()
 	blocks := make([][]byte, 0, cnt)
@@ -265,13 +248,9 @@ func (n *Node) askReplicas(tc obs.TraceContext, primary simnet.Addr, key id.ID) 
 	e := wire.NewEncoder(32)
 	e.PutUint32(kReplicas)
 	e.PutFixedOpaque(key[:])
-	resp, cost, err := n.callKosha(tc, primary, e.Bytes())
+	d, cost, err := n.koshaCall(tc, primary, e.Bytes())
 	if err != nil {
-		return nil, cost, n.noteErr(primary, err)
-	}
-	d := wire.NewDecoder(resp)
-	if code := d.Uint32(); code != codeOK {
-		return nil, cost, codeToError(code)
+		return nil, cost, err
 	}
 	cnt := d.ArrayLen()
 	reps := make([]simnet.Addr, 0, cnt)
@@ -281,33 +260,36 @@ func (n *Node) askReplicas(tc obs.TraceContext, primary simnet.Addr, key id.ID) 
 	return reps, cost, d.Err()
 }
 
-// dropRootHandle forgets a cached export root handle. A node that crashed
-// and rejoined re-incarnates its store under a new handle generation, so a
-// caller observing ErrStale on a cached handle drops it and refetches.
-func (n *Node) dropRootHandle(to simnet.Addr) {
-	n.mu.Lock()
-	delete(n.rootHandles, to)
-	n.mu.Unlock()
-}
-
-// remoteFSStat fetches FSSTAT from a node's export, refreshing a stale
-// cached root handle once.
-func (n *Node) remoteFSStat(to simnet.Addr) (nfs.FSStat, simnet.Cost, error) {
+// withRootHandle runs fn with the root handle of a node's export, fetched
+// once and cached. A node that crashed and rejoined re-incarnates its store
+// under a new handle generation, so when fn meets ErrStale the cached handle
+// is dropped and fn runs once more with a fresh one.
+func (n *Node) withRootHandle(to simnet.Addr, fn func(root nfs.Handle) (simnet.Cost, error)) (simnet.Cost, error) {
 	var total simnet.Cost
 	for attempt := 0; ; attempt++ {
-		rootH, c, err := n.rootHandle(to)
+		root, c, err := n.rootHandle(to)
 		total = simnet.Seq(total, c)
 		if err != nil {
-			return nfs.FSStat{}, total, err
+			return total, err
 		}
-		st, c, err := n.nfsc.FSStat(to, rootH)
+		c, err = fn(root)
 		total = simnet.Seq(total, c)
-		if err != nil && nfs.IsStatus(err, nfs.ErrStale) && attempt == 0 {
-			n.dropRootHandle(to)
-			continue
+		if attempt > 0 || !nfs.IsStatus(err, nfs.ErrStale) {
+			return total, err
 		}
-		return st, total, err
+		n.mu.Lock()
+		delete(n.rootHandles, to)
+		n.mu.Unlock()
 	}
+}
+
+// remoteFSStat fetches FSSTAT from a node's export.
+func (n *Node) remoteFSStat(to simnet.Addr) (st nfs.FSStat, cost simnet.Cost, err error) {
+	cost, err = n.withRootHandle(to, func(root nfs.Handle) (c simnet.Cost, err error) {
+		st, c, err = n.nfsc.FSStat(to, root)
+		return c, err
+	})
+	return st, cost, err
 }
 
 // rootHandle returns (and caches) the NFS root handle of a node's export.
@@ -336,13 +318,9 @@ func (n *Node) promote(tc obs.TraceContext, to simnet.Addr, t Track) (changed bo
 	e := wire.NewEncoder(128)
 	e.PutUint32(kPromote)
 	putTrack(e, t)
-	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	d, cost, err := n.koshaCall(tc, to, e.Bytes())
 	if err != nil {
-		return false, cost, n.noteErr(to, err)
-	}
-	d := wire.NewDecoder(resp)
-	if cerr := codeToError(d.Uint32()); cerr != nil {
-		return false, cost, cerr
+		return false, cost, err
 	}
 	return d.Bool(), cost, nil
 }

@@ -99,8 +99,7 @@ func (m *Mount) beginAt(op obs.OpCode, dir VH, name string) opCtx {
 // (Sections 3.2-3.3) — rather than on the parent's node. Lookup, Mkdir, and
 // Rmdir all branch on this to pick the placement path.
 func (m *Mount) distributedAt(de *ventry) bool {
-	depth := len(SplitVirtual(de.vpath)) + 1
-	return de.place.VRoot || depth <= m.n.cfg.DistributionLevel
+	return len(SplitVirtual(de.vpath))+1 <= m.n.cfg.DistributionLevel
 }
 
 // staleStore marks a resolution whose cached storage root no longer exists:
@@ -142,7 +141,7 @@ func (m *Mount) lookupAt(tr *obs.Trace, place Place, phys string) (nfs.Walked, s
 	for attempt := 0; ; attempt++ {
 		w, c, err := m.n.remoteWalk(tr.Ctx(), place.Node, phys)
 		total = simnet.Seq(total, c)
-		if !nfs.IsStatus(err, nfs.ErrNoEnt) || place.VRoot {
+		if !nfs.IsStatus(err, nfs.ErrNoEnt) {
 			return w, total, err
 		}
 		if w.Resolved < storeComps {
@@ -200,7 +199,7 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr,
 	ve := entryAt(JoinVirtual(parts), place, phys, w)
 	if err == nil {
 		tr.SetServedBy(string(place.Node))
-		m.cacheAttr(ve.vpath, w.Attr)
+		m.meta.put(ve.vpath, w.Attr, nil)
 	}
 	return ve, w.Attr, total, err
 }
@@ -216,7 +215,6 @@ func entryAt(vpath string, place Place, phys string, w nfs.Walked) *ventry {
 		physPath: phys,
 		pn:       place.PN(),
 		root:     place.SubtreeRoot(),
-		place:    place,
 	}
 }
 
@@ -274,27 +272,21 @@ func (m *Mount) bindRoot(tr *obs.Trace) (*ventry, simnet.Cost, error) {
 	if err != nil {
 		return nil, total, err
 	}
-	node := res.Node.Addr
-	fh, _, c, err := m.n.remoteLookupPath(tr.Ctx(), node, RootStore)
+	root := &ventry{
+		vpath: "/", kind: localfs.TypeDir,
+		node: res.Node.Addr, physPath: RootStore, pn: RootPN, root: RootStore,
+	}
+	var c simnet.Cost
+	root.fh, _, c, err = m.n.remoteLookupPath(tr.Ctx(), root.node, RootStore)
 	total = simnet.Seq(total, c)
 	if nfs.IsStatus(err, nfs.ErrNoEnt) {
-		_, fh, c, err = m.n.apply(tr, node, Key(RootPN), Track{PN: RootPN, Root: RootStore},
-			FSOp{Kind: FSMkdirAll, Path: RootStore})
+		_, root.fh, c, err = m.n.apply(tr, root.site(), FSOp{Kind: FSMkdirAll, Path: RootStore})
 		total = simnet.Seq(total, c)
 	}
 	if err != nil {
 		return nil, total, err
 	}
-	return &ventry{
-		vpath:    "/",
-		kind:     localfs.TypeDir,
-		node:     node,
-		fh:       fh,
-		physPath: RootStore,
-		pn:       RootPN,
-		root:     RootStore,
-		place:    Place{VRoot: true, Store: "/"},
-	}, total, nil
+	return root, total, nil
 }
 
 // --- failover+retry stage ---
@@ -349,7 +341,7 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 			// resolution is dropped, not the node. Nor is the root's node:
 			// operations under the root work on other nodes, whose RPCs
 			// have each named their own failed peer (noteErr).
-			if !errors.Is(err, ErrNotPrimary) && !de.place.VRoot {
+			if !errors.Is(err, ErrNotPrimary) && !de.isRoot() {
 				m.n.invalidateNode(de.node)
 			}
 			failedOver = true
@@ -378,7 +370,7 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 			// so the retried operation — and a later revival of the failed
 			// node — sees converged state. If repair moved the subtree, the
 			// handle just materialized is stale; resolve it again.
-			changed, c3, perr := m.n.promote(tr.Ctx(), nde.node, Track{PN: nde.pn, Root: nde.root})
+			changed, c3, perr := m.n.promote(tr.Ctx(), nde.node, nde.track())
 			total = simnet.Seq(total, c3)
 			if perr == nil && changed {
 				nde, _, c3, rerr = m.rematerialize(tr, de.vpath)

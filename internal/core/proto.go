@@ -2,10 +2,8 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/id"
-	"repro/internal/localfs"
 	"repro/internal/nfs"
 	"repro/internal/repl"
 	"repro/internal/wire"
@@ -97,7 +95,7 @@ func putFSOp(e *wire.Encoder, op FSOp) {
 	e.PutUint32(op.Mode)
 	e.PutBool(op.Excl)
 	e.PutString(op.Target)
-	putSetAttr(e, op.SetAttr)
+	nfs.PutSetAttr(e, op.SetAttr)
 	e.PutBool(op.Prune)
 	nfs.PutWriteSpans(e, op.Spans)
 	e.PutUint32(uint32(len(op.Chunks)))
@@ -121,7 +119,7 @@ func getFSOp(d *wire.Decoder) FSOp {
 	op.Mode = d.Uint32()
 	op.Excl = d.Bool()
 	op.Target = d.String()
-	op.SetAttr = getSetAttr(d)
+	op.SetAttr = nfs.GetSetAttr(d)
 	op.Prune = d.Bool()
 	op.Spans = nfs.GetWriteSpans(d)
 	if n := d.ArrayLen(); n > 0 && d.Err() == nil {
@@ -131,87 +129,6 @@ func getFSOp(d *wire.Decoder) FSOp {
 		}
 	}
 	return op
-}
-
-// setattr encoding mirrors internal/nfs's field-presence mask.
-const (
-	saMode = 1 << iota
-	saUID
-	saGID
-	saSize
-	saMtime
-	saAtime
-)
-
-func putSetAttr(e *wire.Encoder, sa localfs.SetAttr) {
-	var mask uint32
-	if sa.Mode != nil {
-		mask |= saMode
-	}
-	if sa.UID != nil {
-		mask |= saUID
-	}
-	if sa.GID != nil {
-		mask |= saGID
-	}
-	if sa.Size != nil {
-		mask |= saSize
-	}
-	if sa.Mtime != nil {
-		mask |= saMtime
-	}
-	if sa.Atime != nil {
-		mask |= saAtime
-	}
-	e.PutUint32(mask)
-	if sa.Mode != nil {
-		e.PutUint32(*sa.Mode)
-	}
-	if sa.UID != nil {
-		e.PutUint32(*sa.UID)
-	}
-	if sa.GID != nil {
-		e.PutUint32(*sa.GID)
-	}
-	if sa.Size != nil {
-		e.PutInt64(*sa.Size)
-	}
-	if sa.Mtime != nil {
-		e.PutInt64(sa.Mtime.UnixNano())
-	}
-	if sa.Atime != nil {
-		e.PutInt64(sa.Atime.UnixNano())
-	}
-}
-
-func getSetAttr(d *wire.Decoder) localfs.SetAttr {
-	var sa localfs.SetAttr
-	mask := d.Uint32()
-	if mask&saMode != 0 {
-		v := d.Uint32()
-		sa.Mode = &v
-	}
-	if mask&saUID != 0 {
-		v := d.Uint32()
-		sa.UID = &v
-	}
-	if mask&saGID != 0 {
-		v := d.Uint32()
-		sa.GID = &v
-	}
-	if mask&saSize != 0 {
-		v := d.Int64()
-		sa.Size = &v
-	}
-	if mask&saMtime != 0 {
-		v := time.Unix(0, d.Int64())
-		sa.Mtime = &v
-	}
-	if mask&saAtime != 0 {
-		v := time.Unix(0, d.Int64())
-		sa.Atime = &v
-	}
-	return sa
 }
 
 func putTrack(e *wire.Encoder, t Track) {
@@ -261,13 +178,6 @@ func decodeApplyReq(d *wire.Decoder) applyReq {
 	r.Op = getFSOp(d)
 	r.Primary = d.Bool()
 	return r
-}
-
-// applyReply carries the result of an Apply/Mirror.
-type applyReply struct {
-	Code uint32
-	Attr localfs.Attr
-	FH   nfs.Handle
 }
 
 func codeToError(code uint32) error {

@@ -28,28 +28,16 @@ func (n *Node) noteErr(addr simnet.Addr, err error) error {
 }
 
 // remoteWalk resolves a physical path on a remote store in one LOOKUPPATH
-// from the export's root, fetching and caching the root handle. A stale
-// cached handle (the remote store was purged and re-incarnated) is refreshed
-// once.
-func (n *Node) remoteWalk(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Walked, simnet.Cost, error) {
-	var total simnet.Cost
-	for attempt := 0; ; attempt++ {
-		root, c, err := n.rootHandle(to)
-		total = simnet.Seq(total, c)
-		if err != nil {
-			return nfs.Walked{}, total, n.noteErr(to, err)
-		}
-		w, c, err := n.nfsCtx(tc).Walk(to, root, phys)
-		total = simnet.Seq(total, c)
-		if err != nil && nfs.IsStatus(err, nfs.ErrStale) && attempt == 0 {
-			n.dropRootHandle(to)
-			continue
-		}
-		if err != nil && !nfs.IsStatus(err, nfs.ErrStale) {
-			err = n.noteErr(to, err)
-		}
-		return w, total, err
+// from the export's root (see withRootHandle).
+func (n *Node) remoteWalk(tc obs.TraceContext, to simnet.Addr, phys string) (w nfs.Walked, cost simnet.Cost, err error) {
+	cost, err = n.withRootHandle(to, func(root nfs.Handle) (c simnet.Cost, err error) {
+		w, c, err = n.nfsCtx(tc).Walk(to, root, phys)
+		return c, err
+	})
+	if !nfs.IsStatus(err, nfs.ErrStale) {
+		err = n.noteErr(to, err)
 	}
+	return w, cost, err
 }
 
 // remoteLookupPath is remoteWalk for callers that want only the leaf.

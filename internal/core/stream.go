@@ -170,24 +170,10 @@ func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int) ([]byte
 	sequential := offset == st.nextOff
 	var data []byte
 	var eof bool
-	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
+	cost, err := m.withFailover(tr, vh, func(de *ventry) (c simnet.Cost, err error) {
 		if de.kind != localfs.TypeRegular || !sequential {
-			if m.n.cfg.ReadFromReplicas && m.n.cfg.Replicas > 0 && de.kind == localfs.TypeRegular {
-				if d, e, c, ok := m.readViaReplica(tr, de, offset, count); ok {
-					data, eof = d, e
-					return c, nil
-				}
-			}
-			d, e, c, rerr := m.n.nfsT(tr).Read(de.node, de.fh, offset, count)
-			if rerr != nil {
-				return c, rerr
-			}
-			data, eof = d, e
-			m.countRead(de.node)
-			if de.node == m.n.addr {
-				c = simnet.Seq(c, loopbackXfer(len(d)))
-			}
-			return c, nil
+			data, eof, c, err = m.readAt(tr, de, offset, count)
+			return c, err
 		}
 		c, ferr := m.fillWindow(tr, de, st, offset)
 		if ferr != nil {
@@ -347,7 +333,7 @@ func (m *Mount) writeBuffered(tr *obs.Trace, vh VH, offset int64, data []byte) (
 		st.absorb(offset, data)
 	}
 	m.n.wbCoalesced.Add(1)
-	m.invalAttr(de.vpath)
+	m.meta.drop(de.vpath)
 	if st.wbBytes >= m.n.cfg.WriteBackBytes || len(st.spans) > wbMaxSpans {
 		c, ferr := m.flushLocked(tr, vh, st)
 		cost = simnet.Seq(cost, c)
@@ -376,8 +362,7 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 	}
 	var vp string
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
-		_, _, c, aerr := m.n.apply(tr, de.node, Key(de.pn), Track{PN: de.pn, Root: de.root},
-			FSOp{Kind: FSWriteV, Path: de.physPath, Spans: spans})
+		_, _, c, aerr := m.n.apply(tr, de.site(), FSOp{Kind: FSWriteV, Path: de.physPath, Spans: spans})
 		if aerr == nil {
 			vp = de.vpath
 			if de.node == m.n.addr {
@@ -394,7 +379,7 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 		}
 	}
 	if vp != "" {
-		m.invalAttr(vp)
+		m.meta.drop(vp)
 	}
 	return cost, err
 }

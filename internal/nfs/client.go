@@ -202,7 +202,7 @@ func (c Client) Getattr(to simnet.Addr, h Handle) (localfs.Attr, simnet.Cost, er
 func (c Client) Setattr(to simnet.Addr, h Handle, sa localfs.SetAttr) (localfs.Attr, simnet.Cost, error) {
 	d, cost, err := c.call(to, ProcSetattr, func(e *wire.Encoder) {
 		putHandle(e, h)
-		putSetAttr(e, sa)
+		PutSetAttr(e, sa)
 	})
 	if err != nil {
 		return localfs.Attr{}, cost, err

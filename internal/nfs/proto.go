@@ -315,7 +315,10 @@ const (
 	saAtime
 )
 
-func putSetAttr(e *wire.Encoder, sa localfs.SetAttr) {
+// PutSetAttr encodes the fields a SETATTR sets behind a presence mask;
+// exposed for the kosha replication protocol, which carries the same record
+// inside its mutation frames.
+func PutSetAttr(e *wire.Encoder, sa localfs.SetAttr) {
 	var mask uint32
 	if sa.Mode != nil {
 		mask |= saMode
@@ -356,7 +359,8 @@ func putSetAttr(e *wire.Encoder, sa localfs.SetAttr) {
 	}
 }
 
-func getSetAttr(d *wire.Decoder) localfs.SetAttr {
+// GetSetAttr decodes a record written by PutSetAttr.
+func GetSetAttr(d *wire.Decoder) localfs.SetAttr {
 	var sa localfs.SetAttr
 	mask := d.Uint32()
 	if mask&saMode != 0 {

@@ -176,7 +176,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 
 	case ProcSetattr:
 		h := getHandle(d)
-		sa := getSetAttr(d)
+		sa := GetSetAttr(d)
 		if d.Err() != nil {
 			return s.fail(proc, ErrInval), 0
 		}

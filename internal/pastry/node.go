@@ -30,7 +30,8 @@ type RouteResult struct {
 	Hops int         // overlay RPCs taken
 	Cost simnet.Cost // simulated latency of those RPCs
 	// Path lists the nodes that answered a next-hop query, in routing
-	// order, ending with the root. Iterative routing makes this available
+	// order, ending with the root (unless the walk ended on a revisit, see
+	// routeCollect). Iterative routing makes this available
 	// client-side for free; the observability layer turns it into
 	// hop-by-hop trace records with prefix-match depths.
 	Path []NodeInfo
@@ -445,7 +446,11 @@ func (n *Node) RouteCtx(tc obs.TraceContext, key id.ID) (RouteResult, error) {
 }
 
 // routeCollect performs iterative routing. When collect is true, the full
-// state of every hop is merged into our own (used during join).
+// state of every hop is merged into our own (used during join). The origin
+// sees every hop, so the walk terminates by construction: a next hop it has
+// already visited — right after concurrent joins two nodes' views can each
+// send a key to the other — means every node asked has disowned the key, and
+// the walk ends at the numerically closest of them.
 func (n *Node) routeCollect(tc obs.TraceContext, key id.ID, collect bool) (RouteResult, error) {
 	self := n.Info()
 	var res RouteResult
@@ -467,6 +472,7 @@ restart:
 		}
 
 		cur := next
+		walk := len(res.Path) // this attempt's hops are res.Path[walk:]
 		for hop := 0; hop < maxHops; hop++ {
 			if collect {
 				if st, cost, err := n.rpcGetState(cur.Addr); err == nil {
@@ -489,10 +495,36 @@ restart:
 				res.Node = cur
 				return res, nil
 			}
+			if nh.ID == self.ID || among(res.Path[walk:], nh.ID) {
+				res.Node = closestTo(key, self, res.Path[walk:])
+				return res, nil
+			}
 			cur = nh
 		}
 		return res, fmt.Errorf("%w: exceeded %d hops for %s", ErrRouteFailed, maxHops, key.Short())
 	}
+}
+
+// among reports whether one of nodes has the given id.
+func among(nodes []NodeInfo, x id.ID) bool {
+	for _, p := range nodes {
+		if p.ID == x {
+			return true
+		}
+	}
+	return false
+}
+
+// closestTo returns the node numerically closest to key among first and rest,
+// ties toward the smaller id as id.Closest breaks them.
+func closestTo(key id.ID, first NodeInfo, rest []NodeInfo) NodeInfo {
+	best := first
+	for _, p := range rest {
+		if c := key.Distance(p.ID).Cmp(key.Distance(best.ID)); c < 0 || c == 0 && p.ID.Less(best.ID) {
+			best = p
+		}
+	}
+	return best
 }
 
 // Stabilize probes leaf-set members, purges dead ones, and repairs the leaf

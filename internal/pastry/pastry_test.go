@@ -519,3 +519,33 @@ func TestChurnStorm(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteEndsOnRevisit builds the two inconsistent views a join storm can
+// leave behind: a's leaf arc stops short of the key, so it forwards by prefix
+// to b, whose leaf set — missing the node between them — sends the key back
+// to a. The origin sees both hops, so the walk must end there, at the closest
+// node it visited, instead of ping-ponging through its hop budget.
+func TestRouteEndsOnRevisit(t *testing.T) {
+	net := simnet.New(simnet.LAN100)
+	at := func(v uint64, addr simnet.Addr) NodeInfo { return NodeInfo{ID: id.FromUint64(v), Addr: addr} }
+	key := id.FromUint64(0x8000 << 48)
+	a := NewNode(id.FromUint64(0x7f00<<48), "a", net, 2)
+	b := NewNode(id.FromUint64(0x8f00<<48), "b", net, 2)
+	a.Attach()
+	b.Attach()
+	for _, p := range []NodeInfo{at(0x6000<<48, "p"), at(0x7ff0<<48, "s"), b.Info()} {
+		a.st.add(p) // leaf arc [p, s]; b fits only the routing table
+	}
+	for _, p := range []NodeInfo{a.Info(), at(0xa000<<48, "y")} {
+		b.st.add(p) // leaf arc [a, y] covers the key, and a is closer to it than b
+	}
+	for _, from := range []*Node{a, b} {
+		res, err := from.Route(key)
+		if err != nil {
+			t.Fatalf("route from %s: %v", from.Info().Addr, err)
+		}
+		if res.Node != a.Info() || res.Hops > 2 {
+			t.Fatalf("route from %s ended at %s after %d hops, want a within 2", from.Info().Addr, res.Node.Addr, res.Hops)
+		}
+	}
+}
