@@ -499,7 +499,7 @@ func ReplicaConvergence(c *cluster.Cluster, model *Oracle, k int) error {
 	if holder == nil {
 		return fmt.Errorf("root index routed to unknown node %s", res.Node.Addr)
 	}
-	if len(model.List("/")) == 0 && !holder.Repl().DigestLocal(core.RootStore).Exists {
+	if len(model.List("/")) == 0 && !holder.Repl().DigestLocal(core.RootStore, false).Exists {
 		return nil
 	}
 	return digestsAgree(holder, byAddr, holder.Overlay().ReplicaCandidates(k), core.RootStore)
@@ -508,7 +508,7 @@ func ReplicaConvergence(c *cluster.Cluster, model *Oracle, k int) error {
 // digestsAgree checks that primary holds a settled copy of the hierarchy at
 // root and that every replica candidate's replica-area copy has its digest.
 func digestsAgree(primary *core.Node, byAddr map[simnet.Addr]*core.Node, cands []pastry.NodeInfo, root string) error {
-	ptd := primary.Repl().DigestLocal(root)
+	ptd := primary.Repl().DigestLocal(root, true)
 	if !ptd.Exists {
 		return fmt.Errorf("primary %s has no subtree at %s", primary.Addr(), root)
 	}
@@ -516,7 +516,7 @@ func digestsAgree(primary *core.Node, byAddr map[simnet.Addr]*core.Node, cands [
 		return fmt.Errorf("primary %s left the migration sentinel at %s", primary.Addr(), root)
 	}
 	for _, rc := range cands {
-		rtd := byAddr[rc.Addr].Repl().DigestLocal(core.RepPath(root))
+		rtd := byAddr[rc.Addr].Repl().DigestLocal(core.RepPath(root), true)
 		if !rtd.Exists {
 			return fmt.Errorf("replica %s holds no copy of %s", rc.Addr, root)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -76,10 +77,9 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	file := pl.SubtreeRoot() + "/f"
 	// kApply and kMirror were recorded by the WriteFile above: one compound
 	// frame each.
-	n.remoteStatTree(tc, peer, track.Root)
 	n.promote(tc, peer, track)
 	n.replicaSet(tc, peer, Key(track.PN), track.Root)
-	n.remoteDigestTree(tc, peer, track.Root)
+	n.remoteDigestTree(tc, peer, track.Root, true)
 	n.remoteDirDigests(tc, peer, track.Root)
 	n.remoteChunkManifest(tc, peer, file, []cas.Hash{{1}})
 	n.remoteChunkFetch(tc, peer, file, []cas.Hash{{1}})
@@ -146,6 +146,17 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 			if last[proc] == nil {
 				f.Fatalf("%s: no seed request for proc %d", svc.name, proc)
 			}
+		}
+		if svc.name == KoshaService {
+			// The retired STAT_TREE frame (proc 3: one path) keeps its place
+			// in the corpus: a retired number is refused like any unknown one.
+			e := wire.NewEncoder(64)
+			e.PutUint32(3)
+			e.PutString(track.Root)
+			if _, _, err := n.serve(KoshaService, koshaProcs)(tc, "cli", e.Bytes()); err == nil || !strings.Contains(err.Error(), "unknown proc 3") {
+				f.Fatalf("retired kosha proc 3 answered %v, want the unknown-procedure error", err)
+			}
+			last[3] = e.Bytes()
 		}
 		for proc := uint32(0); len(last) > 0; proc++ { // in procedure order
 			if req, ok := last[proc]; ok {

@@ -58,7 +58,7 @@ func (h maintHost) PeerLoads() map[simnet.Addr]maint.Load {
 }
 
 func (h maintHost) ProbeLoad(addr simnet.Addr) (maint.Load, simnet.Cost, error) {
-	st, cost, err := h.n.remoteFSStat(addr)
+	st, cost, err := h.n.remoteFSStat(obs.TraceContext{}, addr)
 	if err != nil {
 		return maint.Load{}, cost, err
 	}

@@ -99,7 +99,7 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 			return 0, localfs.Attr{}, total, err
 		}
 		target = res.Node.Addr
-		st, c, err := n.remoteFSStat(target)
+		st, c, err := n.remoteFSStat(tr.Ctx(), target)
 		total = simnet.Seq(total, c)
 		if err != nil {
 			continue
@@ -312,7 +312,7 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 	if child.kind != localfs.TypeDir {
 		return total, &nfs.Error{Proc: nfs.ProcRmdir, Status: nfs.ErrNotDir}
 	}
-	ents, c, err := n.nfsc.ReaddirAll(child.node, child.fh, 256)
+	ents, c, err := n.nfsT(tr).ReaddirAll(child.node, child.fh, 256)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		return total, err

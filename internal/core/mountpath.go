@@ -297,7 +297,7 @@ func (m *Mount) Statfs() (ClusterStat, simnet.Cost, error) {
 		nodes = append(nodes, p.Addr)
 	}
 	for _, addr := range nodes {
-		st, c, err := m.n.remoteFSStat(addr)
+		st, c, err := m.n.remoteFSStat(obs.TraceContext{}, addr)
 		total = simnet.Seq(total, c)
 		if err != nil {
 			continue

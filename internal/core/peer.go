@@ -38,16 +38,12 @@ func (p enginePeer) Mirror(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp
 	return p.n.mirrorArea(tc, to, t, op, primary)
 }
 
-func (p enginePeer) StatTree(tc obs.TraceContext, to simnet.Addr, root string) (TreeStat, simnet.Cost, error) {
-	return p.n.remoteStatTree(tc, to, root)
-}
-
 func (p enginePeer) Promote(tc obs.TraceContext, to simnet.Addr, t Track) (bool, simnet.Cost, error) {
 	return p.n.promote(tc, to, t)
 }
 
-func (p enginePeer) DigestTree(tc obs.TraceContext, to simnet.Addr, root string) (TreeDigest, simnet.Cost, error) {
-	return p.n.remoteDigestTree(tc, to, root)
+func (p enginePeer) DigestTree(tc obs.TraceContext, to simnet.Addr, root string, hash bool) (TreeDigest, simnet.Cost, error) {
+	return p.n.remoteDigestTree(tc, to, root, hash)
 }
 
 func (p enginePeer) DirDigests(tc obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error) {
@@ -138,24 +134,22 @@ func (n *Node) sendMirror(tc obs.TraceContext, to simnet.Addr, frame []byte) (si
 	return cost, err
 }
 
-// remoteStatTree summarizes a subtree on another node.
-func (n *Node) remoteStatTree(tc obs.TraceContext, to simnet.Addr, root string) (TreeStat, simnet.Cost, error) {
-	d, cost, err := n.koshaPathCall(tc, to, kStatTree, root)
-	if err != nil {
-		return TreeStat{}, cost, err
-	}
-	st := TreeStat{Exists: d.Bool(), Files: d.Int64(), Dirs: d.Int64(), Bytes: d.Int64(), Flag: d.Bool(), Ver: d.Uint64()}
-	return st, cost, d.Err()
-}
-
-// remoteDigestTree fetches the Merkle digest summary of a subtree on
-// another node.
-func (n *Node) remoteDigestTree(tc obs.TraceContext, to simnet.Addr, root string) (TreeDigest, simnet.Cost, error) {
-	d, cost, err := n.koshaPathCall(tc, to, kTreeDigest, root)
+// remoteDigestTree asks another node what it holds at root (TREE_DIGEST);
+// the reply carries the Merkle root digest when hash asked for it and the
+// root exists.
+func (n *Node) remoteDigestTree(tc obs.TraceContext, to simnet.Addr, root string, hash bool) (TreeDigest, simnet.Cost, error) {
+	e := wire.NewEncoder(64)
+	e.PutUint32(kTreeDigest)
+	e.PutString(root)
+	e.PutBool(hash)
+	d, cost, err := n.koshaCall(tc, to, e.Bytes())
 	if err != nil {
 		return TreeDigest{}, cost, err
 	}
-	td := TreeDigest{Exists: d.Bool(), Flag: d.Bool(), Ver: d.Uint64(), Root: merkle.GetDigest(&d)}
+	td := TreeDigest{Exists: d.Bool(), Flag: d.Bool(), Ver: d.Uint64()}
+	if td.Exists && hash {
+		td.Root = merkle.GetDigest(&d)
+	}
 	return td, cost, d.Err()
 }
 
@@ -263,11 +257,12 @@ func (n *Node) askReplicas(tc obs.TraceContext, primary simnet.Addr, key id.ID) 
 // withRootHandle runs fn with the root handle of a node's export, fetched
 // once and cached. A node that crashed and rejoined re-incarnates its store
 // under a new handle generation, so when fn meets ErrStale the cached handle
-// is dropped and fn runs once more with a fresh one.
-func (n *Node) withRootHandle(to simnet.Addr, fn func(root nfs.Handle) (simnet.Cost, error)) (simnet.Cost, error) {
+// is dropped and fn runs once more with a fresh one. The MNT, when one is
+// needed, carries the caller's trace context like fn's own RPC does.
+func (n *Node) withRootHandle(tc obs.TraceContext, to simnet.Addr, fn func(root nfs.Handle) (simnet.Cost, error)) (simnet.Cost, error) {
 	var total simnet.Cost
 	for attempt := 0; ; attempt++ {
-		root, c, err := n.rootHandle(to)
+		root, c, err := n.rootHandle(tc, to)
 		total = simnet.Seq(total, c)
 		if err != nil {
 			return total, err
@@ -284,23 +279,23 @@ func (n *Node) withRootHandle(to simnet.Addr, fn func(root nfs.Handle) (simnet.C
 }
 
 // remoteFSStat fetches FSSTAT from a node's export.
-func (n *Node) remoteFSStat(to simnet.Addr) (st nfs.FSStat, cost simnet.Cost, err error) {
-	cost, err = n.withRootHandle(to, func(root nfs.Handle) (c simnet.Cost, err error) {
-		st, c, err = n.nfsc.FSStat(to, root)
+func (n *Node) remoteFSStat(tc obs.TraceContext, to simnet.Addr) (st nfs.FSStat, cost simnet.Cost, err error) {
+	cost, err = n.withRootHandle(tc, to, func(root nfs.Handle) (c simnet.Cost, err error) {
+		st, c, err = n.nfsCtx(tc).FSStat(to, root)
 		return c, err
 	})
 	return st, cost, err
 }
 
 // rootHandle returns (and caches) the NFS root handle of a node's export.
-func (n *Node) rootHandle(to simnet.Addr) (nfs.Handle, simnet.Cost, error) {
+func (n *Node) rootHandle(tc obs.TraceContext, to simnet.Addr) (nfs.Handle, simnet.Cost, error) {
 	n.mu.Lock()
 	h, ok := n.rootHandles[to]
 	n.mu.Unlock()
 	if ok {
 		return h, 0, nil
 	}
-	h, cost, err := n.nfsc.MountRoot(to)
+	h, cost, err := n.nfsCtx(tc).MountRoot(to)
 	if err != nil {
 		return nfs.Handle{}, cost, err
 	}

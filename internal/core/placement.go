@@ -5,17 +5,16 @@
 // and transparently fails over when nodes die.
 //
 // Layout of each node's contributed store (its /kosha_store): the store's
-// root corresponds to the virtual root /kosha. A distributed directory at
-// virtual depth i is identified by the chain of placement names of its
-// controlling ancestors (pn_1 .. pn_i, each a directory name optionally
-// carrying a "#salt" redirection suffix, Section 3.3); its subtree is
-// stored on the node owning hash(pn_i), rooted at a single store-level
-// directory that encodes the whole chain (see ChainRoot). Files and deeper
-// (non-distributed) subdirectories nest below that root under their plain
-// names (Section 3.1). The parent directory lists a distributed child via a
-// special link — a symlink named `name` whose target is the child's
-// placement name — which resolution follows before rehashing, exactly as in
-// Section 3.3.
+// root corresponds to the virtual root /kosha. A distributed directory is
+// identified by its placement name (the directory name, optionally carrying
+// a "#salt" redirection suffix, Section 3.3); its subtree is stored on the
+// node owning hash(pn), rooted at a store-level directory the creating node
+// allocates (Node.newStoreRoot). Files and deeper (non-distributed)
+// subdirectories nest below that root under their plain names (Section
+// 3.1; Place.PhysDir joins the two). The parent directory lists a
+// distributed child via a special link — a symlink named `name` whose
+// target carries the child's placement name and storage root — which
+// resolution follows before rehashing, exactly as in Section 3.3.
 package core
 
 import (
@@ -136,27 +135,6 @@ const (
 	RootPN    = "/"
 	RootStore = "/" + ChainSep + "root"
 )
-
-// ChainRoot joins placement names into a deterministic store path; used by
-// tests that reason about legacy chain-style layouts.
-func ChainRoot(chain []string) string {
-	if len(chain) == 0 {
-		return "/"
-	}
-	return "/" + strings.Join(chain, ChainSep)
-}
-
-// PhysPath joins a chain root with components below it.
-func PhysPath(chain []string, rest []string) string {
-	root := ChainRoot(chain)
-	if len(rest) == 0 {
-		return root
-	}
-	if root == "/" {
-		return "/" + strings.Join(rest, "/")
-	}
-	return root + "/" + strings.Join(rest, "/")
-}
 
 // LinkMarker prefixes every special link's target, distinguishing Kosha's
 // placement links from user-created symlinks regardless of how the link is

@@ -116,22 +116,17 @@ func TestControllingDepth(t *testing.T) {
 	}
 }
 
+// TestPhysPath pins how a storage root joins the components below it.
 func TestPhysPath(t *testing.T) {
-	if PhysPath(nil, nil) != "/" {
-		t.Error("empty")
+	if got := (Place{Store: "/"}).PhysDir(); got != "/" {
+		t.Errorf("empty = %q", got)
 	}
-	if PhysPath([]string{"a#12345678"}, nil) != "/a#12345678" {
-		t.Error("chain only")
+	if got := (Place{Store: "/a#12345678"}).PhysDir(); got != "/a#12345678" {
+		t.Errorf("root only = %q", got)
 	}
 	want := "/a" + ChainSep + "b#12345678/x/y"
-	if got := PhysPath([]string{"a", "b#12345678"}, []string{"x", "y"}); got != want {
-		t.Errorf("chain+rest = %q, want %q", got, want)
-	}
-	if ChainRoot([]string{"a", "b"}) != "/a"+ChainSep+"b" {
-		t.Error("ChainRoot")
-	}
-	if ChainRoot(nil) != "/" {
-		t.Error("empty ChainRoot")
+	if got := (Place{Store: "/a" + ChainSep + "b#12345678", Rest: []string{"x", "y"}}).PhysDir(); got != want {
+		t.Errorf("root+rest = %q, want %q", got, want)
 	}
 }
 

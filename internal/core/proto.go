@@ -14,11 +14,11 @@ import (
 // 4.2) and the replica-maintenance traffic (Section 4.3).
 const KoshaService = "kosha"
 
-// kosha service procedure numbers.
+// kosha service procedure numbers. 3 was STAT_TREE, which kTreeDigest
+// answers; the number stays vacant.
 const (
 	kApply      = 1 // execute an FS op at the primary; primary fans out
 	kMirror     = 2 // execute an FS op at a replica; no fan-out
-	kStatTree   = 3 // summarize a subtree (existence, files, bytes, flag)
 	kUntrack    = 4 // drop root-tracking metadata for a removed subtree
 	kPromote    = 5 // move a replica-area copy to the primary path
 	kReplicas   = 6 // report the primary's current replica holders for a key
@@ -60,9 +60,6 @@ type (
 	// Track carries subtree-ownership metadata alongside mutations (see
 	// repl.Track).
 	Track = repl.Track
-	// TreeStat summarizes a replicated hierarchy for cheap divergence
-	// checks (see repl.TreeStat).
-	TreeStat = repl.TreeStat
 	// TreeDigest summarizes a replicated hierarchy by its Merkle root
 	// digest (see repl.TreeDigest).
 	TreeDigest = repl.TreeDigest

@@ -30,7 +30,7 @@ func (n *Node) noteErr(addr simnet.Addr, err error) error {
 // remoteWalk resolves a physical path on a remote store in one LOOKUPPATH
 // from the export's root (see withRootHandle).
 func (n *Node) remoteWalk(tc obs.TraceContext, to simnet.Addr, phys string) (w nfs.Walked, cost simnet.Cost, err error) {
-	cost, err = n.withRootHandle(to, func(root nfs.Handle) (c simnet.Cost, err error) {
+	cost, err = n.withRootHandle(tc, to, func(root nfs.Handle) (c simnet.Cost, err error) {
 		w, c, err = n.nfsCtx(tc).Walk(to, root, phys)
 		return c, err
 	})

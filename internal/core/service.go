@@ -65,7 +65,6 @@ func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 var koshaProcs = serviceTable{
 	kApply:         {"apply", (*Node).serveApply},
 	kMirror:        {"mirror", (*Node).serveMirror},
-	kStatTree:      {"stat-tree", (*Node).serveStatTree},
 	kUntrack:       {"untrack", (*Node).serveUntrack},
 	kPromote:       {"promote", (*Node).servePromote},
 	kReplicas:      {"replicas", (*Node).serveReplicas},
@@ -180,35 +179,17 @@ func (n *Node) serveMirror(ctx obs.TraceContext, from simnet.Addr, d *wire.Decod
 	return cost, nil
 }
 
-// serveStatTree summarizes the local subtree at a path.
-func (n *Node) serveStatTree(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	root := d.String()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	st := n.rep.StatLocal(root)
-	// Version is keyed by the primary-relative root regardless of the
-	// area being statted.
-	st.Ver = n.rep.VerOf(repl.PrimaryRoot(root))
-	e.PutUint32(codeOK)
-	e.PutBool(st.Exists)
-	e.PutInt64(st.Files)
-	e.PutInt64(st.Dirs)
-	e.PutInt64(st.Bytes)
-	e.PutBool(st.Flag)
-	e.PutUint64(st.Ver)
-	return simnet.Disk7200.OpCost(0), nil
-}
-
-// serveTreeDigest reports the Merkle digest summary of the local subtree at
-// a path: the anti-entropy fast path ("has anything changed?") answered in
-// one exchange.
+// serveTreeDigest reports what this node holds at a path — existence,
+// migration flag, version and, when asked for, the Merkle root digest: the
+// anti-entropy fast path ("has anything changed?") and every version
+// arbitration, answered in one exchange.
 func (n *Node) serveTreeDigest(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
 	root := d.String()
+	hash := d.Bool()
 	if d.Err() != nil {
 		return 0, d.Err()
 	}
-	td := n.rep.DigestLocal(root)
+	td := n.rep.DigestLocal(root, hash)
 	// Version is keyed by the primary-relative root regardless of the
 	// area being digested.
 	td.Ver = n.rep.VerOf(repl.PrimaryRoot(root))
@@ -216,7 +197,11 @@ func (n *Node) serveTreeDigest(ctx obs.TraceContext, from simnet.Addr, d *wire.D
 	e.PutBool(td.Exists)
 	e.PutBool(td.Flag)
 	e.PutUint64(td.Ver)
-	e.PutDigest(td.Root)
+	if td.Exists && hash {
+		// There is no digest of nothing: "I do not hold that root" is the
+		// three fields above.
+		e.PutDigest(td.Root)
+	}
 	return simnet.Disk7200.OpCost(0), nil
 }
 

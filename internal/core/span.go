@@ -129,7 +129,7 @@ func (n *Node) ProbeHealth() {
 		if n.rep.IsDead(root) {
 			continue
 		}
-		if local := n.rep.DigestLocal(root); local.Exists {
+		if local := n.rep.DigestLocal(root, false); local.Exists {
 			roots = append(roots, root)
 		}
 	}
@@ -137,9 +137,9 @@ func (n *Node) ProbeHealth() {
 	reps := n.overlay.ReplicaCandidates(n.cfg.Replicas)
 	lag := 0
 	for _, root := range roots {
-		local := n.rep.DigestLocal(root)
+		local := n.rep.DigestLocal(root, true)
 		for _, rep := range reps {
-			remote, _, err := n.remoteDigestTree(obs.TraceContext{}, rep.Addr, repl.RepPath(root))
+			remote, _, err := n.remoteDigestTree(obs.TraceContext{}, rep.Addr, repl.RepPath(root), true)
 			if err != nil || !remote.Exists || remote.Flag || remote.Root != local.Root {
 				lag++
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -259,8 +260,11 @@ func TestFailoverKeepsOneTraceID(t *testing.T) {
 }
 
 // TestDupReplaysDoNotDoubleRecordSpans runs traced mutations while every
-// link duplicates its messages: the DRC keeps the mutations at-most-once,
-// and the transport records exactly one server span per logical exchange,
+// link duplicates its messages. The mutations ride kApply/kMirror, which
+// keep no duplicate-request cache: the second delivery re-executes, harmless
+// by construction (idempotent kinds repeat themselves, strict kinds answer
+// EXIST/NOENT into the void), and the caller sees the first reply. The
+// transport records exactly one server span per logical exchange either way,
 // so the assembled trees contain no double-counted work.
 func TestDupReplaysDoNotDoubleRecordSpans(t *testing.T) {
 	net, nodes := testCluster(t, 4, 97, Config{Replicas: 1})
@@ -428,5 +432,52 @@ func TestCtlObservabilityRoundTrip(t *testing.T) {
 	}
 	if !found {
 		t.Error("no service-qualified span names collected")
+	}
+}
+
+// TestDistributedMkdirRmdirTraceEveryRPC: the capacity probe of a
+// distributed mkdir (FSSTAT, with the MNT that fetches the export's root
+// handle) and the emptiness listing of a distributed rmdir (READDIR) carry
+// the operation's trace context, so each shows as a server span in its tree.
+func TestDistributedMkdirRmdirTraceEveryRPC(t *testing.T) {
+	_, nodes := testCluster(t, 4, 61, Config{Replicas: 1})
+	origin := nodes[0]
+	spansOf := func(op string) map[string]bool {
+		t.Helper()
+		names := map[string]bool{}
+		for _, tr := range origin.Tracer().Recent(0) {
+			if tr.Op != op {
+				continue
+			}
+			for _, nd := range nodes {
+				for _, sp := range nd.Tracer().SpansFor(tr.Hi, tr.Lo) {
+					names[sp.Name] = true
+				}
+			}
+		}
+		return names
+	}
+	m := origin.NewMount()
+	// Some name lands on another node: its root handle was never fetched.
+	for i := 0; ; i++ {
+		name := fmt.Sprintf("home%d", i)
+		if res, err := origin.Overlay().Route(Key(name)); err != nil {
+			t.Fatal(err)
+		} else if res.Node.Addr == origin.Addr() {
+			continue
+		}
+		if _, _, _, err := m.Mkdir(m.Root(), name, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if got := spansOf(obs.OpMkdir); !got["nfs.FSSTAT"] || !got["nfs.MNT"] {
+			t.Errorf("traced mkdir recorded %v, want nfs.FSSTAT and nfs.MNT among them", got)
+		}
+		if _, err := m.Rmdir(m.Root(), name); err != nil {
+			t.Fatal(err)
+		}
+		if got := spansOf(obs.OpRmdir); !got["nfs.READDIR"] {
+			t.Errorf("traced rmdir recorded %v, want nfs.READDIR among them", got)
+		}
+		return
 	}
 }

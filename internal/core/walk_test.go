@@ -197,7 +197,7 @@ func TestRemoteWalkRefreshesStaleRootHandle(t *testing.T) {
 	if _, attr, _, err := a.remoteLookupPath(obs.TraceContext{}, b.Addr(), "/x/y/z"); err != nil || attr.Size != 2 {
 		t.Fatalf("first walk: %+v err=%v", attr, err)
 	}
-	cached, _, _ := a.rootHandle(b.Addr())
+	cached, _, _ := a.rootHandle(obs.TraceContext{}, b.Addr())
 	b.nsrv.Bump()
 	if w, _, err := a.nfsc.Walk(b.Addr(), cached, "/x/y/z"); !nfs.IsStatus(err, nfs.ErrStale) || w.Resolved != 0 {
 		t.Fatalf("walk from the stale handle: %+v err=%v, want NFS3ERR_STALE after 0 components", w, err)
@@ -207,7 +207,7 @@ func TestRemoteWalkRefreshesStaleRootHandle(t *testing.T) {
 			t.Fatalf("walk after re-incarnation: %+v err=%v", attr, err)
 		}
 	})
-	if fresh, _, _ := a.rootHandle(b.Addr()); walks != 2 || fresh == cached || fresh != b.nsrv.Root() {
+	if fresh, _, _ := a.rootHandle(obs.TraceContext{}, b.Addr()); walks != 2 || fresh == cached || fresh != b.nsrv.Root() {
 		t.Errorf("%d walks, root handle %v (was %v), want one retry on the refreshed handle %v", walks, fresh, cached, b.nsrv.Root())
 	}
 }

@@ -75,7 +75,7 @@ func (p *storePeers) Mirror(_ obs.TraceContext, to simnet.Addr, _ repl.Track, op
 	return 0, fmt.Errorf("storePeers: unscripted op %v", op.Kind)
 }
 
-func (p *storePeers) DigestTree(_ obs.TraceContext, to simnet.Addr, root string) (repl.TreeDigest, simnet.Cost, error) {
+func (p *storePeers) DigestTree(_ obs.TraceContext, to simnet.Addr, root string, _ bool) (repl.TreeDigest, simnet.Cost, error) {
 	s := p.at(to)
 	var td repl.TreeDigest
 	if _, err := s.fs.LookupPath(root); err != nil {
@@ -99,10 +99,6 @@ func (p *storePeers) ChunkManifest(obs.TraceContext, simnet.Addr, string, []cas.
 
 func (p *storePeers) ChunkFetch(obs.TraceContext, simnet.Addr, string, []cas.Hash) ([][]byte, simnet.Cost, error) {
 	return nil, 0, errScripted
-}
-
-func (p *storePeers) StatTree(obs.TraceContext, simnet.Addr, string) (repl.TreeStat, simnet.Cost, error) {
-	return repl.TreeStat{}, 0, errScripted
 }
 
 func (p *storePeers) Promote(obs.TraceContext, simnet.Addr, repl.Track) (bool, simnet.Cost, error) {

@@ -18,8 +18,8 @@ func TestHotPathLabelsDoNotAllocate(t *testing.T) {
 	net := simnet.New(simnet.LAN100)
 	c := NewClient(net, "cli")
 	procs := namedProcs()
-	if len(procs) != 22 || procs[len(procs)-2] != ProcLookupPath {
-		t.Fatalf("named procedures = %v, want all 22 with LOOKUPPATH the last below MNT", procs)
+	if len(procs) != 21 || procs[len(procs)-2] != ProcLookupPath {
+		t.Fatalf("named procedures = %v, want all 21 with LOOKUPPATH the last below MNT", procs)
 	}
 	for _, p := range procs {
 		c.proc(p) // warm the per-proc cache
@@ -46,7 +46,7 @@ func TestHotPathLabelsDoNotAllocate(t *testing.T) {
 func named(p Proc) bool { return !strings.HasPrefix(p.String(), "PROC(") }
 
 // namedProcs lists every defined procedure, the extension numbers above the
-// RFC 1813 program (READSTREAM, WRITEBATCH, LOOKUPPATH, MNT) included.
+// RFC 1813 program (READSTREAM, LOOKUPPATH, MNT) included.
 func namedProcs() []Proc {
 	var out []Proc
 	for p := Proc(0); p < maxProc; p++ {

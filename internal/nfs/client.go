@@ -324,20 +324,6 @@ func (c Client) ReadStream(to simnet.Addr, h Handle, offset int64, chunk, chunks
 	return d.OpaqueRef(), eof, cost, nil
 }
 
-// WriteBatch stores a vector of coalesced spans into h in one round trip —
-// the flush transfer behind the client's write-back buffer. Spans apply in
-// order; the result is the total byte count written.
-func (c Client) WriteBatch(to simnet.Addr, h Handle, spans []WriteSpan) (int, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcWriteBatch, func(e *wire.Encoder) {
-		putHandle(e, h)
-		PutWriteSpans(e, spans)
-	})
-	if err != nil {
-		return 0, cost, err
-	}
-	return int(d.Uint32()), cost, nil
-}
-
 // Write stores data into h at offset.
 func (c Client) Write(to simnet.Addr, h Handle, offset int64, data []byte) (int, simnet.Cost, error) {
 	d, cost, err := c.call(to, ProcWrite, func(e *wire.Encoder) {

@@ -42,8 +42,9 @@ func fuzzServer(t testing.TB) *Server {
 
 // FuzzServerHandleNoPanic drives arbitrary bytes through Server.Handle, the
 // decoder a daemon exposes to the network. The seed corpus holds one valid
-// request per procedure; whatever the mutator makes of them, the handler
-// must answer or refuse, never panic. Run longer with
+// request per procedure and one for a retired number; whatever the mutator
+// makes of them, the handler must answer or refuse, never panic. Run longer
+// with
 //
 //	go test ./internal/nfs -run '^$' -fuzz FuzzServerHandleNoPanic -fuzztime 30s
 func FuzzServerHandleNoPanic(f *testing.F) {
@@ -74,7 +75,6 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 	c.FSStat("srv", root)
 	c.FSInfo("srv", root)
 	c.ReadStream("srv", file, 0, 2, 2)
-	c.WriteBatch("srv", file, []WriteSpan{{Offset: 0, Data: []byte("ab")}, {Offset: 6, Data: []byte("cd")}})
 	seen := map[Proc]bool{}
 	for _, req := range rec.reqs {
 		seen[Proc(wire.NewDecoder(req).Uint32())] = true
@@ -85,6 +85,17 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 			f.Fatalf("no seed request for %s", p)
 		}
 	}
+	// The retired WRITEBATCH frame (proc 41: xid, handle, two spans) stays in
+	// the corpus: a retired number is refused like any unknown one.
+	e := wire.NewEncoder(64)
+	e.PutUint32(41)
+	e.PutUint64(1)
+	putHandle(e, file)
+	PutWriteSpans(e, []WriteSpan{{Offset: 0, Data: []byte("ab")}, {Offset: 6, Data: []byte("cd")}})
+	if resp, _, _ := rec.srv.Handle("cli", e.Bytes()); Status(wire.NewDecoder(resp).Uint32()) != ErrInval {
+		f.Fatalf("retired proc 41 answered %x, want NFS3ERR_INVAL", resp)
+	}
+	f.Add(e.Bytes())
 
 	f.Fuzz(func(t *testing.T, req []byte) {
 		srv := fuzzServer(t)

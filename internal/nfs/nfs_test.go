@@ -756,9 +756,9 @@ func scribble(p []byte) {
 }
 
 // TestBorrowedBuffersDoNotAlias holds the server to the ownership rule:
-// WRITE and WRITEBATCH borrow their data from the request only until the
-// store has copied it, the duplicate-request cache replays from its own
-// record, and a READ reply is the client's to scribble on.
+// WRITE borrows its data from the request only until the store has copied
+// it, the duplicate-request cache replays from its own record, and a READ
+// reply is the client's to scribble on.
 func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	fh, _, _, err := c.Create("srv", srv.Root(), "f", 0o644, false)
@@ -767,13 +767,13 @@ func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 	}
 	payload := make([]byte, 3<<20+123) // several store extents
 	newRand(7).Read(payload)
-	half := len(payload) / 2
-	batch := func(xid uint64) []byte {
+	write := func(xid uint64) []byte {
 		e := wire.NewEncoder(0)
-		e.PutUint32(uint32(ProcWriteBatch))
+		e.PutUint32(uint32(ProcWrite))
 		e.PutUint64(xid)
 		putHandle(e, fh)
-		PutWriteSpans(e, []WriteSpan{{Offset: 0, Data: payload[:half]}, {Offset: int64(half), Data: payload[half:]}})
+		e.PutInt64(0)
+		e.PutOpaque(payload)
 		return e.Bytes()
 	}
 	stored := func(when string) {
@@ -784,36 +784,23 @@ func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 		}
 	}
 
-	req := batch(1 << 40)
+	req := write(1 << 40)
 	reply, _, err := srv.Handle("cli", req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := append([]byte(nil), reply...)
 	scribble(req)
-	stored("after scribbling over the WRITEBATCH request")
+	stored("after scribbling over the WRITE request")
 
 	// A retransmission is answered from the cache, byte for byte, without
 	// touching the store. (The cached reply is the buffer the first caller
 	// got; that is safe because mutating replies carry no data a client
 	// borrows.)
-	replay, _, err := srv.Handle("cli", batch(1<<40))
+	replay, _, err := srv.Handle("cli", write(1<<40))
 	if err != nil || !bytes.Equal(replay, first) || srv.Replays() != 1 {
 		t.Fatalf("replay = %x (err=%v, %d replays), want %x from the cache", replay, err, srv.Replays(), first)
 	}
-
-	// Plain WRITE borrows the same way.
-	w := wire.NewEncoder(0)
-	w.PutUint32(uint32(ProcWrite))
-	w.PutUint64(1<<40 + 1)
-	putHandle(w, fh)
-	w.PutInt64(int64(half))
-	w.PutOpaque(payload[half:])
-	if _, _, err := srv.Handle("cli", w.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	scribble(w.Bytes())
-	stored("after scribbling over the WRITE request")
 
 	// What READ and READSTREAM hand the client is the client's own: scribbling
 	// over it reaches neither the store nor the next reader.

@@ -54,13 +54,12 @@ const (
 	ProcReaddirPlus Proc = 17
 	ProcFSStat      Proc = 18
 	ProcFSInfo      Proc = 19
-	// ProcReadStream and ProcWriteBatch are Kosha's streaming extensions:
-	// one round trip moves a whole readahead window (several chunk-sized
-	// READs pipelined server-side) or a write-back buffer (a vector of
-	// coalesced spans). They take numbers above the RFC 1813 program so a
-	// plain NFSv3 peer could still answer the standard procedures.
+	// ProcReadStream is Kosha's streaming extension: one round trip moves a
+	// whole readahead window (several chunk-sized READs pipelined
+	// server-side). Extensions take numbers above the RFC 1813 program so a
+	// plain NFSv3 peer could still answer the standard procedures. 41 was
+	// WRITEBATCH (a flush is an FSWriteV apply now) and stays vacant.
 	ProcReadStream Proc = 40
-	ProcWriteBatch Proc = 41
 	// ProcLookupPath resolves a whole component list below a start handle in
 	// one round trip: everything below Kosha's distribution level lives on one
 	// node, so the per-component LOOKUPs an NFSv3 client must issue would all
@@ -71,55 +70,37 @@ const (
 	ProcMountRoot Proc = 100
 )
 
+// procNames is the table of defined procedures: a number without a row
+// prints as PROC(n).
+var procNames = [...]string{
+	ProcNull:        "NULL",
+	ProcGetattr:     "GETATTR",
+	ProcSetattr:     "SETATTR",
+	ProcLookup:      "LOOKUP",
+	ProcAccess:      "ACCESS",
+	ProcReadlink:    "READLINK",
+	ProcRead:        "READ",
+	ProcWrite:       "WRITE",
+	ProcCreate:      "CREATE",
+	ProcMkdir:       "MKDIR",
+	ProcSymlink:     "SYMLINK",
+	ProcRemove:      "REMOVE",
+	ProcRmdir:       "RMDIR",
+	ProcRename:      "RENAME",
+	ProcReaddir:     "READDIR",
+	ProcReaddirPlus: "READDIRPLUS",
+	ProcFSStat:      "FSSTAT",
+	ProcFSInfo:      "FSINFO",
+	ProcReadStream:  "READSTREAM",
+	ProcLookupPath:  "LOOKUPPATH",
+	ProcMountRoot:   "MNT",
+}
+
 func (p Proc) String() string {
-	switch p {
-	case ProcNull:
-		return "NULL"
-	case ProcGetattr:
-		return "GETATTR"
-	case ProcSetattr:
-		return "SETATTR"
-	case ProcLookup:
-		return "LOOKUP"
-	case ProcReadlink:
-		return "READLINK"
-	case ProcRead:
-		return "READ"
-	case ProcWrite:
-		return "WRITE"
-	case ProcCreate:
-		return "CREATE"
-	case ProcMkdir:
-		return "MKDIR"
-	case ProcSymlink:
-		return "SYMLINK"
-	case ProcRemove:
-		return "REMOVE"
-	case ProcRmdir:
-		return "RMDIR"
-	case ProcRename:
-		return "RENAME"
-	case ProcReaddir:
-		return "READDIR"
-	case ProcReaddirPlus:
-		return "READDIRPLUS"
-	case ProcAccess:
-		return "ACCESS"
-	case ProcFSStat:
-		return "FSSTAT"
-	case ProcFSInfo:
-		return "FSINFO"
-	case ProcReadStream:
-		return "READSTREAM"
-	case ProcWriteBatch:
-		return "WRITEBATCH"
-	case ProcLookupPath:
-		return "LOOKUPPATH"
-	case ProcMountRoot:
-		return "MNT"
-	default:
-		return fmt.Sprintf("PROC(%d)", uint32(p))
+	if int(p) < len(procNames) && procNames[p] != "" {
+		return procNames[p]
 	}
+	return fmt.Sprintf("PROC(%d)", uint32(p))
 }
 
 // Status is an NFSv3 status code (nfsstat3).
@@ -473,8 +454,8 @@ func putPath(e *wire.Encoder, p string) {
 	binary.BigEndian.PutUint32(e.Bytes()[at:], n)
 }
 
-// WriteSpan is one contiguous byte range of a vectored write: the unit
-// WRITEBATCH carries on the wire and the write-back buffer coalesces
+// WriteSpan is one contiguous byte range of a vectored write: the unit an
+// FSWriteV mutation carries on the wire and the write-back buffer coalesces
 // adjacent WRITEs into.
 type WriteSpan struct {
 	Offset int64

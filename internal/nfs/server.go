@@ -72,7 +72,7 @@ func (s *Server) Handle(from simnet.Addr, req []byte) ([]byte, simnet.Cost, erro
 	proc := Proc(d.Uint32())
 	xid := d.Uint64()
 	if d.Err() != nil {
-		return s.fail(proc, ErrInval), 0, nil
+		return s.fail(ErrInval), 0, nil
 	}
 	if mutating(proc) {
 		if resp, ok := s.drcGet(from, xid); ok {
@@ -94,8 +94,8 @@ func (s *Server) Handle(from simnet.Addr, req []byte) ([]byte, simnet.Cost, erro
 // idempotent and bypass the cache.
 func mutating(p Proc) bool {
 	switch p {
-	case ProcSetattr, ProcWrite, ProcWriteBatch, ProcCreate, ProcMkdir,
-		ProcSymlink, ProcRemove, ProcRmdir, ProcRename:
+	case ProcSetattr, ProcWrite, ProcCreate, ProcMkdir, ProcSymlink,
+		ProcRemove, ProcRmdir, ProcRename:
 		return true
 	}
 	return false
@@ -133,11 +133,10 @@ func (s *Server) drcPut(from simnet.Addr, xid uint64, resp []byte) {
 }
 
 // fail encodes an error-only reply.
-func (s *Server) fail(proc Proc, st Status) []byte {
-	e := wire.NewEncoder(8)
+func (s *Server) fail(st Status) []byte {
+	e := wire.NewEncoder(4)
 	e.PutUint32(uint32(st))
-	_ = proc
-	return append([]byte(nil), e.Bytes()...)
+	return e.Bytes()
 }
 
 // check resolves a handle to an inode number, validating the incarnation.
@@ -164,11 +163,11 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		h := getHandle(d)
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		attr, cost, err := s.fs.Getattr(ino)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		putAttr(e, attr)
@@ -178,15 +177,15 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		h := getHandle(d)
 		sa := GetSetAttr(d)
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		attr, cost, err := s.fs.Setattr(ino, sa)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		putAttr(e, attr)
@@ -196,15 +195,15 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		h := getHandle(d)
 		name := d.String()
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		attr, cost, err := s.fs.Lookup(ino, name)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
@@ -218,15 +217,15 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		h := getHandle(d)
 		want := d.Uint32()
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		attr, cost, err := s.fs.Getattr(ino)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		putAttr(e, attr)
@@ -236,7 +235,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 	case ProcFSInfo:
 		h := getHandle(d)
 		if _, st := s.check(h); st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		e.PutUint32(uint32(OK))
 		e.PutUint32(64 << 10) // rtmax
@@ -250,11 +249,11 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		h := getHandle(d)
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		target, cost, err := s.fs.Readlink(ino)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		e.PutString(target)
@@ -265,15 +264,15 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		offset := d.Int64()
 		count := d.Uint32()
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		data, eof, cost, err := s.fs.Read(ino, offset, int(count))
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		e.PutBool(eof)
@@ -286,11 +285,11 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		chunk := int(d.Uint32())
 		chunks := int(d.Uint32())
 		if d.Err() != nil || chunk <= 0 || chunks <= 0 {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		// The window's chunk reads run back to back against the store; their
 		// disk costs accumulate, but the propagation round trip is paid once
@@ -306,7 +305,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 			piece, pe, c, err := s.fs.Read(ino, off, chunk)
 			cost = simnet.Seq(cost, c)
 			if err != nil {
-				return s.fail(proc, toStatus(err)), cost
+				return s.fail(toStatus(err)), cost
 			}
 			pieces = append(pieces, piece)
 			off += int64(len(piece))
@@ -320,44 +319,20 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		e.PutOpaqueV(pieces...)
 		return e.Bytes(), cost
 
-	case ProcWriteBatch:
-		h := getHandle(d)
-		spans := GetWriteSpans(d)
-		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
-		}
-		ino, st := s.check(h)
-		if st != OK {
-			return s.fail(proc, st), 0
-		}
-		var total int
-		var cost simnet.Cost
-		for _, sp := range spans {
-			n, c, err := s.fs.Write(ino, sp.Offset, sp.Data)
-			cost = simnet.Seq(cost, c)
-			if err != nil {
-				return s.fail(proc, toStatus(err)), cost
-			}
-			total += n
-		}
-		e.PutUint32(uint32(OK))
-		e.PutUint32(uint32(total))
-		return e.Bytes(), cost
-
 	case ProcWrite:
 		h := getHandle(d)
 		offset := d.Int64()
 		data := d.OpaqueRef() // the store copies it
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		n, cost, err := s.fs.Write(ino, offset, data)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		e.PutUint32(uint32(n))
@@ -369,15 +344,15 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		mode := d.Uint32()
 		exclusive := d.Bool()
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		attr, cost, err := s.fs.Create(ino, name, mode, exclusive)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
@@ -389,15 +364,15 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		name := d.String()
 		mode := d.Uint32()
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		attr, cost, err := s.fs.Mkdir(ino, name, mode)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
@@ -409,15 +384,15 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		name := d.String()
 		target := d.String()
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		attr, cost, err := s.fs.Symlink(ino, name, target)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
@@ -428,11 +403,11 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		h := getHandle(d)
 		name := d.String()
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		var cost simnet.Cost
 		var err error
@@ -442,7 +417,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 			cost, err = s.fs.Rmdir(ino, name)
 		}
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		return e.Bytes(), cost
@@ -453,19 +428,19 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		toH := getHandle(d)
 		toName := d.String()
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		fromIno, st := s.check(fromH)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		toIno, st := s.check(toH)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		cost, err := s.fs.Rename(fromIno, fromName, toIno, toName)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		return e.Bytes(), cost
@@ -475,15 +450,15 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		cookie := d.Uint64()
 		count := d.Uint32()
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		ents, cost, err := s.fs.Readdir(ino)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		start, end := pageOf(len(ents), cookie, count)
 		page := ents[start:end]
@@ -503,15 +478,15 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		cookie := d.Uint64()
 		count := d.Uint32()
 		if d.Err() != nil {
-			return s.fail(proc, ErrInval), 0
+			return s.fail(ErrInval), 0
 		}
 		ino, st := s.check(h)
 		if st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		ents, cost, err := s.fs.Readdir(ino)
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		start, end := pageOf(len(ents), cookie, count)
 		page := ents[start:end]
@@ -549,11 +524,11 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 	case ProcFSStat:
 		h := getHandle(d)
 		if _, st := s.check(h); st != OK {
-			return s.fail(proc, st), 0
+			return s.fail(st), 0
 		}
 		st, cost, err := s.fs.Statfs()
 		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
+			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
 		e.PutInt64(st.TotalBytes)
@@ -562,7 +537,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		return e.Bytes(), cost
 
 	default:
-		return s.fail(proc, ErrInval), 0
+		return s.fail(ErrInval), 0
 	}
 }
 
@@ -593,7 +568,7 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 	h := getHandle(d)
 	n := d.ArrayLen() // refuses a count the bytes left cannot hold
 	if d.Err() != nil || n > MaxPathComponents {
-		return s.fail(ProcLookupPath, ErrInval), 0
+		return s.fail(ErrInval), 0
 	}
 	ino, st := s.check(h)
 	var attr localfs.Attr
@@ -609,7 +584,7 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 		for err == nil && resolved < n {
 			name := d.String()
 			if d.Err() != nil {
-				return s.fail(ProcLookupPath, ErrInval), cost
+				return s.fail(ErrInval), cost
 			}
 			if attr, c, err = s.fs.Lookup(ino, name); err == nil {
 				ino = attr.Ino

@@ -38,14 +38,16 @@ type Peer interface {
 	// Mirror ships one mutation to another node; primary selects whether it
 	// lands in the primary namespace (migration push) or the replica area.
 	Mirror(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp, primary bool) (simnet.Cost, error)
-	// StatTree summarizes the subtree stored at exactly root on to.
-	StatTree(tc obs.TraceContext, to simnet.Addr, root string) (TreeStat, simnet.Cost, error)
 	// Promote asks to, as the new owner of t's key, to surface its
 	// replica-area copy; reports whether remote state changed.
 	Promote(tc obs.TraceContext, to simnet.Addr, t Track) (bool, simnet.Cost, error)
-	// DigestTree returns the Merkle digest summary of the subtree stored at
-	// exactly root on to.
-	DigestTree(tc obs.TraceContext, to simnet.Addr, root string) (TreeDigest, simnet.Cost, error)
+	// DigestTree asks to what it holds at exactly root: existence, the
+	// migration flag, its recorded version and, when hash is set, the
+	// Merkle root digest. Callers that arbitrate on versions alone leave
+	// hash unset, which spares the holder computing a digest its memo has
+	// dropped since the last mutation — unless a push follows: digesting
+	// indexes the holder's blocks, which chunk negotiation answers from.
+	DigestTree(tc obs.TraceContext, to simnet.Addr, root string, hash bool) (TreeDigest, simnet.Cost, error)
 	// DirDigests lists the immediate children of a remote directory with
 	// their subtree digests; ok is false when dir is missing or not a
 	// directory.
@@ -302,7 +304,8 @@ func (e *Engine) PruneUp(dir string) {
 	}
 }
 
-// StatLocal summarizes the local subtree stored at exactly this path.
+// StatLocal sizes the local subtree stored at exactly this path: one walk,
+// for the rebalancer's victim choice only.
 func (e *Engine) StatLocal(root string) TreeStat {
 	var st TreeStat
 	if _, err := e.store.LookupPath(root); err != nil {
@@ -311,27 +314,23 @@ func (e *Engine) StatLocal(root string) TreeStat {
 	st.Exists = true
 	flagPath := path.Join(root, MigrationFlag)
 	e.store.Walk(root, func(p string, a localfs.Attr, _ string) error {
-		if a.Type == localfs.TypeDir {
-			st.Dirs++
-			return nil
-		}
 		// Only the root-level sentinel is protocol state; a user file that
 		// happens to share the name deeper in the tree is ordinary data.
 		if p == flagPath {
 			st.Flag = true
-			return nil
+		} else if a.Type != localfs.TypeDir {
+			st.Bytes += a.Size
 		}
-		st.Files++
-		st.Bytes += a.Size
 		return nil
 	})
 	return st
 }
 
-// DigestLocal summarizes the local subtree stored at exactly this path by
-// its Merkle root digest. Ver is left zero; the RPC layer stamps the
-// holder's recorded mutation counter (the engine's VerOf) on the way out.
-func (e *Engine) DigestLocal(root string) TreeDigest {
+// DigestLocal summarizes the local subtree stored at exactly this path:
+// existence, the migration flag and, when hash is set, its Merkle root
+// digest. Ver is left zero; the RPC layer stamps the holder's recorded
+// mutation counter (the engine's VerOf) on the way out.
+func (e *Engine) DigestLocal(root string, hash bool) TreeDigest {
 	var td TreeDigest
 	if _, err := e.store.LookupPath(root); err != nil {
 		return td
@@ -340,8 +339,10 @@ func (e *Engine) DigestLocal(root string) TreeDigest {
 	if _, err := e.store.LookupPath(path.Join(root, MigrationFlag)); err == nil {
 		td.Flag = true
 	}
-	if d, err := e.mk.DigestOf(root); err == nil {
-		td.Root = d
+	if hash {
+		// A subtree that cannot be digested answers the zero digest, which
+		// no settled copy matches.
+		td.Root, _ = e.mk.DigestOf(root)
 	}
 	return td
 }

@@ -161,15 +161,11 @@ func applyLenient(fs localfs.FileSystem, op FSOp) error {
 	return nil
 }
 
-func (s *storePeer) StatTree(_ obs.TraceContext, to simnet.Addr, root string) (TreeStat, simnet.Cost, error) {
-	return TreeStat{}, 0, nil
-}
-
 func (s *storePeer) Promote(obs.TraceContext, simnet.Addr, Track) (bool, simnet.Cost, error) {
 	return false, 0, nil
 }
 
-func (s *storePeer) DigestTree(_ obs.TraceContext, to simnet.Addr, root string) (TreeDigest, simnet.Cost, error) {
+func (s *storePeer) DigestTree(_ obs.TraceContext, to simnet.Addr, root string, _ bool) (TreeDigest, simnet.Cost, error) {
 	var td TreeDigest
 	td.Ver = s.vers[PrimaryRoot(root)]
 	if _, err := s.remote.LookupPath(root); err != nil {

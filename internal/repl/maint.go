@@ -79,11 +79,11 @@ func (e *Engine) EnsureReplica(tc obs.TraceContext, target simnet.Addr, root str
 // diverged reports a settled remote copy whose content differs or is
 // missing; in-flight copies (migration flag up) are never flagged.
 func (e *Engine) CheckReplica(tc obs.TraceContext, cand simnet.Addr, root string) (diverged bool, cost simnet.Cost, err error) {
-	local := e.DigestLocal(root)
+	local := e.DigestLocal(root, true)
 	if !local.Exists || local.Flag {
 		return false, 0, nil
 	}
-	remote, cost, err := e.peer.DigestTree(tc, cand, RepPath(root))
+	remote, cost, err := e.peer.DigestTree(tc, cand, RepPath(root), true)
 	if err != nil {
 		return false, cost, err
 	}
@@ -103,7 +103,7 @@ func (e *Engine) MigrateTree(tc obs.TraceContext, target simnet.Addr, t Track, s
 	if _, err := e.store.LookupPath(src); err != nil {
 		return 0, err
 	}
-	remote, cost, err := e.peer.DigestTree(tc, target, t.Root)
+	remote, cost, err := e.peer.DigestTree(tc, target, t.Root, true)
 	if err != nil {
 		return cost, err
 	}

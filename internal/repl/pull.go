@@ -29,33 +29,33 @@ func (e *Engine) AdoptRoot(tc obs.TraceContext, t Track) (simnet.Cost, bool) {
 	var total simnet.Cost
 	myVer := e.VerOf(t.Root)
 	cands := e.ov.ReplicaCandidates(e.replicas)
-	stats := make([]TreeStat, len(cands))
+	held := make([]TreeDigest, len(cands))
 	alive := make([]bool, len(cands))
 	for i, rep := range cands {
-		st, c, err := e.peer.StatTree(tc, rep.Addr, RepPath(t.Root))
+		td, c, err := e.peer.DigestTree(tc, rep.Addr, RepPath(t.Root), false)
 		total = simnet.Seq(total, c)
 		if err != nil {
 			continue
 		}
-		stats[i] = st
+		held[i] = td
 		alive[i] = true
 	}
 	for i, rep := range cands {
 		if !alive[i] {
 			continue
 		}
-		st := stats[i]
-		if st.Flag || st.Ver <= myVer {
+		td := held[i]
+		if td.Flag || td.Ver <= myVer {
 			continue
 		}
-		if !st.Exists {
+		if !td.Exists {
 			// The newer state is a deletion: adopt the tombstone.
 			e.store.RemoveAll(t.Root)
 			e.store.RemoveAll(RepPath(t.Root))
 			dead := t
-			dead.Ver = st.Ver
+			dead.Ver = td.Ver
 			e.Track(dead, FSOp{Kind: FSRemoveAll, Path: t.Root})
-			myVer = st.Ver
+			myVer = td.Ver
 			changed = true
 			continue
 		}
@@ -63,14 +63,14 @@ func (e *Engine) AdoptRoot(tc obs.TraceContext, t Track) (simnet.Cost, bool) {
 		// the fetch, bitswap-style, in parallel with the version's holder.
 		var holders []simnet.Addr
 		for j, other := range cands {
-			if j != i && alive[j] && stats[j].Exists && !stats[j].Flag {
+			if j != i && alive[j] && held[j].Exists && !held[j].Flag {
 				holders = append(holders, other.Addr)
 			}
 		}
-		c, err := e.fetchTree(tc, rep.Addr, holders, t, st.Ver)
+		c, err := e.fetchTree(tc, rep.Addr, holders, t, td.Ver)
 		total = simnet.Seq(total, c)
 		if err == nil {
-			myVer = st.Ver
+			myVer = td.Ver
 			changed = true
 		}
 	}

@@ -35,13 +35,13 @@ type mirrorRec struct {
 	primary bool
 }
 
-// fakePeer records Mirror traffic and answers StatTree/DigestTree/DirDigests
-// from scripts keyed by "addr path".
+// fakePeer records Mirror traffic and answers DigestTree/DirDigests from
+// scripts keyed by "addr path".
 type fakePeer struct {
 	mirrors []mirrorRec
-	stats   map[string]TreeStat
 	digests map[string]TreeDigest
 	dirs    map[string][]merkle.Entry // presence of the key = directory exists
+	dirAsks int                       // DirDigests calls: a fetch or delta walk began
 }
 
 func (f *fakePeer) Mirror(_ obs.TraceContext, to simnet.Addr, t Track, op FSOp, primary bool) (simnet.Cost, error) {
@@ -49,15 +49,12 @@ func (f *fakePeer) Mirror(_ obs.TraceContext, to simnet.Addr, t Track, op FSOp, 
 	return 0, nil
 }
 
-func (f *fakePeer) StatTree(_ obs.TraceContext, to simnet.Addr, root string) (TreeStat, simnet.Cost, error) {
-	return f.stats[fmt.Sprintf("%s %s", to, root)], 0, nil
-}
-
-func (f *fakePeer) DigestTree(_ obs.TraceContext, to simnet.Addr, root string) (TreeDigest, simnet.Cost, error) {
+func (f *fakePeer) DigestTree(_ obs.TraceContext, to simnet.Addr, root string, _ bool) (TreeDigest, simnet.Cost, error) {
 	return f.digests[fmt.Sprintf("%s %s", to, root)], 0, nil
 }
 
 func (f *fakePeer) DirDigests(_ obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error) {
+	f.dirAsks++
 	ents, ok := f.dirs[fmt.Sprintf("%s %s", to, dir)]
 	return ents, ok, 0, nil
 }
@@ -211,7 +208,7 @@ func TestPromoteLocalHonorsTombstone(t *testing.T) {
 func TestSyncPushesToReplicas(t *testing.T) {
 	rep := pastry.NodeInfo{ID: id.HashKey("r1"), Addr: "r1"}
 	ov := &fakeOverlay{isRoot: true, reps: []pastry.NodeInfo{rep}}
-	peer := &fakePeer{stats: map[string]TreeStat{}} // replica holds nothing
+	peer := &fakePeer{} // replica holds nothing
 	e, store := testEngine(ov, peer)
 
 	if err := store.WriteFile("/music/a.mp3", []byte("notes")); err != nil {
@@ -256,7 +253,7 @@ func TestSyncPushesToReplicas(t *testing.T) {
 func TestSyncMigratesWhenOwnershipMoved(t *testing.T) {
 	newOwner := pastry.NodeInfo{ID: id.HashKey("n2"), Addr: "n2"}
 	ov := &fakeOverlay{isRoot: false, routeTo: newOwner}
-	peer := &fakePeer{stats: map[string]TreeStat{}}
+	peer := &fakePeer{}
 	e, store := testEngine(ov, peer)
 
 	if err := store.WriteFile("/work/w.txt", []byte("w")); err != nil {
@@ -291,8 +288,8 @@ func TestSyncPropagatesDeletionToReplicas(t *testing.T) {
 	rep := pastry.NodeInfo{ID: id.HashKey("r1"), Addr: "r1"}
 	ov := &fakeOverlay{isRoot: true, reps: []pastry.NodeInfo{rep}}
 	// The replica still holds a copy older than the tombstone.
-	peer := &fakePeer{stats: map[string]TreeStat{
-		"r1 " + RepPath("/dead"): {Exists: true, Ver: 1, Files: 1},
+	peer := &fakePeer{digests: map[string]TreeDigest{
+		"r1 " + RepPath("/dead"): {Exists: true, Ver: 1, Root: merkle.Digest{1}},
 	}}
 	e, _ := testEngine(ov, peer)
 	e.Track(Track{PN: "dead", Root: "/dead", Ver: 2}, FSOp{Kind: FSRemoveAll, Path: "/dead"})
@@ -312,28 +309,39 @@ func TestSyncPropagatesDeletionToReplicas(t *testing.T) {
 
 func TestAdoptRootAdoptsNewerTombstone(t *testing.T) {
 	rep := pastry.NodeInfo{ID: id.HashKey("r1"), Addr: "r1"}
-	ov := &fakeOverlay{isRoot: true, reps: []pastry.NodeInfo{rep}}
-	// The replica reports the subtree deleted at a newer version than ours.
-	peer := &fakePeer{stats: map[string]TreeStat{
-		"r1 " + RepPath("/share"): {Exists: false, Ver: 7},
-	}}
-	e, store := testEngine(ov, peer)
-	if err := store.WriteFile("/share/s.txt", []byte("stale")); err != nil {
-		t.Fatal(err)
-	}
-	e.Track(Track{PN: "share", Root: "/share", Ver: 2}, FSOp{Kind: FSMkdirAll, Path: "/share"})
+	for _, c := range []struct {
+		name   string
+		remote TreeDigest
+		dead   bool
+		ver    uint64
+	}{
+		// The replica reports the subtree deleted at a newer version than ours.
+		{"a newer deletion is adopted", TreeDigest{Ver: 7}, true, 7},
+		// A newer copy still under the migration flag is not settled.
+		{"a newer copy that is still flagged is skipped", TreeDigest{Exists: true, Flag: true, Ver: 7, Root: merkle.Digest{1}}, false, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ov := &fakeOverlay{isRoot: true, reps: []pastry.NodeInfo{rep}}
+			peer := &fakePeer{digests: map[string]TreeDigest{"r1 " + RepPath("/share"): c.remote}}
+			e, store := testEngine(ov, peer)
+			if err := store.WriteFile("/share/s.txt", []byte("stale")); err != nil {
+				t.Fatal(err)
+			}
+			e.Track(Track{PN: "share", Root: "/share", Ver: 2}, FSOp{Kind: FSMkdirAll, Path: "/share"})
 
-	_, changed := e.AdoptRoot(obs.TraceContext{}, Track{PN: "share", Root: "/share", Ver: 2})
-	if !changed {
-		t.Fatal("adopting a newer deletion must report a state change")
-	}
-	if !e.IsDead("/share") {
-		t.Fatal("record is not a tombstone after adopting the deletion")
-	}
-	if v := e.VerOf("/share"); v != 7 {
-		t.Fatalf("tombstone Ver = %d, want the replica's 7", v)
-	}
-	if _, err := store.LookupPath("/share"); err == nil {
-		t.Fatal("stale local copy survived adopting the deletion")
+			_, changed := e.AdoptRoot(obs.TraceContext{}, Track{PN: "share", Root: "/share", Ver: 2})
+			if changed != c.dead || e.IsDead("/share") != c.dead {
+				t.Fatalf("changed=%v dead=%v, want both %v", changed, e.IsDead("/share"), c.dead)
+			}
+			if v := e.VerOf("/share"); v != c.ver {
+				t.Fatalf("Ver = %d, want %d", v, c.ver)
+			}
+			if _, err := store.LookupPath("/share"); (err == nil) == c.dead {
+				t.Fatalf("local copy after adoption: err=%v, want gone=%v", err, c.dead)
+			}
+			if peer.dirAsks != 0 {
+				t.Fatalf("%d DirDigests: a fetch began", peer.dirAsks)
+			}
+		})
 	}
 }

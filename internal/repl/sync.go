@@ -20,7 +20,7 @@ func (e *Engine) Sync() (total simnet.Cost) {
 	defer e.syncing.Store(false)
 	e.events.Add(obs.EvResync, string(e.self), "")
 	// Each sync run is its own traced operation: the remote side of every
-	// stat/digest/mirror below records a span under this trace id.
+	// digest/mirror below records a span under this trace id.
 	str := e.tracer.Start(obs.OpResync, "/", string(e.self))
 	tc := str.Ctx()
 	defer func() {
@@ -59,8 +59,8 @@ func (e *Engine) Sync() (total simnet.Cost) {
 				// Propagate the deletion to any replica still holding a
 				// copy older than the tombstone.
 				fanOut(func(rep simnet.Addr) simnet.Cost {
-					st, c, err := e.peer.StatTree(tc, rep, RepPath(root))
-					if err != nil || (!st.Exists && st.Ver >= t.Ver) {
+					td, c, err := e.peer.DigestTree(tc, rep, RepPath(root), false)
+					if err != nil || (!td.Exists && td.Ver >= t.Ver) {
 						return c
 					}
 					mc, _ := e.peer.Mirror(tc, rep, t, FSOp{Kind: FSRemoveAll, Path: root}, false)
@@ -90,9 +90,9 @@ func (e *Engine) Sync() (total simnet.Cost) {
 		if t.Dead {
 			// Tell the new owner about the deletion unless it already
 			// knows a state at least as new.
-			st, c, err := e.peer.StatTree(tc, res.Node.Addr, root)
+			td, c, err := e.peer.DigestTree(tc, res.Node.Addr, root, false)
 			total = simnet.Seq(total, c)
-			if err == nil && st.Ver < t.Ver {
+			if err == nil && td.Ver < t.Ver {
 				c, _ = e.peer.Mirror(tc, res.Node.Addr, t, FSOp{Kind: FSRemoveAll, Path: root, Prune: true}, true)
 				total = simnet.Seq(total, c)
 			}
@@ -167,7 +167,8 @@ func (e *Engine) ensureTree(tc obs.TraceContext, target simnet.Addr, t Track, pr
 		// settled remote copy at least as new as ours wins; otherwise we
 		// surface the remote's replica-area copy if that is new enough, or
 		// push ours (§4.3.1, with the §4.4 flag protocol inside the push).
-		remote, cost, err := e.peer.DigestTree(tc, target, t.Root)
+		// Only versions arbitrate, but a push may follow: ask for the hash.
+		remote, cost, err := e.peer.DigestTree(tc, target, t.Root, true)
 		if err != nil {
 			return cost, err
 		}
@@ -181,7 +182,7 @@ func (e *Engine) ensureTree(tc obs.TraceContext, target simnet.Addr, t Track, pr
 			// propagate back to us through the normal sync path.
 			return cost, nil
 		}
-		repRemote, c, err := e.peer.DigestTree(tc, target, RepPath(t.Root))
+		repRemote, c, err := e.peer.DigestTree(tc, target, RepPath(t.Root), true)
 		cost = simnet.Seq(cost, c)
 		if err != nil {
 			return cost, err
@@ -197,7 +198,7 @@ func (e *Engine) ensureTree(tc obs.TraceContext, target simnet.Addr, t Track, pr
 	// Primary -> replica refresh: the primary's copy is authoritative for
 	// its version; a replica whose root digest already matches holds a
 	// byte-identical copy and is left alone (at most re-stamped).
-	remote, cost, err := e.peer.DigestTree(tc, target, RepPath(t.Root))
+	remote, cost, err := e.peer.DigestTree(tc, target, RepPath(t.Root), true)
 	if err != nil {
 		return cost, err
 	}

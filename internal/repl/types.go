@@ -154,24 +154,23 @@ type Track struct {
 	Dead bool   // tombstone: the hierarchy was deleted at this version
 }
 
-// TreeStat summarizes a replicated hierarchy for cheap divergence checks
-// during replica maintenance.
+// TreeStat is the local summary of a hierarchy the capacity rebalancer
+// sizes victims with (StatLocal). What a peer holds is asked with a
+// TreeDigest.
 type TreeStat struct {
 	Exists bool
-	Files  int64
-	Dirs   int64
+	Flag   bool // MIGRATION_NOT_COMPLETE present
 	Bytes  int64
-	Flag   bool   // MIGRATION_NOT_COMPLETE present
-	Ver    uint64 // the holder's recorded mutation counter for the root
 }
 
-// TreeDigest summarizes a replicated hierarchy by its Merkle root digest:
-// two settled copies are byte-identical exactly when their Root digests
-// match, so replica maintenance can skip an entire subtree with one
-// exchange and otherwise walk only the mismatching directories.
+// TreeDigest is what a node holds at a hierarchy root: two settled copies
+// are byte-identical exactly when their Root digests match, so replica
+// maintenance can skip an entire subtree with one exchange and otherwise
+// walk only the mismatching directories; Exists, Flag and Ver arbitrate
+// which copy is current.
 type TreeDigest struct {
 	Exists bool
 	Flag   bool          // MIGRATION_NOT_COMPLETE present at the root
 	Ver    uint64        // the holder's recorded mutation counter for the root
-	Root   merkle.Digest // content-structural digest of the subtree
+	Root   merkle.Digest // content-structural digest of the subtree; zero unless asked for
 }

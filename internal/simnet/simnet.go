@@ -111,8 +111,10 @@ type LinkFault struct {
 	Drop bool
 	// Dup delivers the request to the handler twice (back to back); the
 	// caller sees only the first response. This models a retransmitted
-	// datagram reaching a server that already executed the request, and is
-	// what the NFS server's duplicate-request cache defends against.
+	// datagram reaching a server that already executed the request. The NFS
+	// server's duplicate-request cache replays its mutating procedures; the
+	// kosha service has no such cache and re-executes, every op kind being
+	// harmless the second time (DESIGN.md §8).
 	Dup bool
 	// Delay is added to the exchange's wire cost (a latency spike).
 	Delay Cost
@@ -393,10 +395,11 @@ func (n *Network) CallCtx(ctx obs.TraceContext, from, to Addr, service string, r
 	}
 	if fault.Dup {
 		// Deliver the retransmitted copy after the original; the caller only
-		// ever sees the first response. Servers must therefore treat
-		// non-idempotent requests at-most-once (see nfs.Server's duplicate
-		// request cache). The duplicate is the same exchange, so it records
-		// no second server span.
+		// ever sees the first response. A server must therefore either
+		// replay (nfs.Server's duplicate-request cache) or make a second
+		// execution harmless (the kosha service; see LinkFault.Dup). The
+		// duplicate is the same exchange, so it records no second server
+		// span.
 		n.duped.Add(1)
 		h(hctx, from, req)
 	}
