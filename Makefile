@@ -181,14 +181,16 @@ bench-diff:
 	[ $$fail -eq 0 ] && echo "bench-diff: $$1 -> $$2: no unclaimed drift in the seed-exact end-to-end metrics"; exit $$fail
 
 # loc prints the sizes CHANGES.md tracks: non-test Go outside bench/, the
-# shares of it in internal/core and internal/nfs, the number of core.Config
-# fields, and the wire surface countable from the source: rows of the two
-# dispatch tables and nfs.Proc constants.
+# shares of it in internal/core, internal/nfs, internal/repl and
+# internal/maint, the number of core.Config fields, and the wire surface
+# countable from the source: rows of the two dispatch tables and nfs.Proc
+# constants.
 TABLE_ROWS = awk -v t="$$t" '$$0 ~ "^var " t " = serviceTable" {in_t=1; next} in_t && /^}/ {exit} in_t && /^\t[a-zA-Z]+:/ {n++} END {print n}'
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l | xargs echo "non-test Go lines outside bench/:"; \
-	find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l | xargs echo "non-test Go lines in internal/core:"; \
-	find internal/nfs -name '*.go' -not -name '*_test.go' | xargs cat | wc -l | xargs echo "non-test Go lines in internal/nfs:"; \
+	for p in core nfs repl maint; do \
+		find internal/$$p -name '*.go' -not -name '*_test.go' | xargs cat | wc -l | xargs echo "non-test Go lines in internal/$$p:"; \
+	done; \
 	awk '/^type Config struct/ {in_cfg=1; next} in_cfg && /^}/ {exit} in_cfg && /^\t[A-Z][A-Za-z0-9]*[ \t]+[^ \t]/ {n++} END {print "core.Config fields:", n}' internal/core/node.go; \
 	t=koshaProcs; echo "koshaProcs rows: $$($(TABLE_ROWS) internal/core/service.go)"; \
 	t=ctlProcs; echo "ctlProcs rows: $$($(TABLE_ROWS) internal/core/ctl.go)"; \

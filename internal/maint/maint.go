@@ -146,16 +146,34 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// pair is one digest exchange: an owned root and a replica candidate.
+type pair struct {
+	root string
+	cand simnet.Addr
+}
+
+// after orders pairs by root, then candidate: the order the exchange visits.
+func (p pair) after(q pair) bool {
+	return p.root > q.root || (p.root == q.root && p.cand > q.cand)
+}
+
+// cursors is where the scrub's three sweeps stopped: each round resumes just
+// past them and wraps, so every block, file and pair is reached in turn.
+type cursors struct {
+	block cas.Hash // block-index sampling cursor
+	file  string   // last file verified
+	pair  pair     // last (root, candidate) exchanged with
+}
+
 // Engine is one node's maintenance engine. Tick runs one bounded round of
-// both loops; all state between rounds is the pair of scrub cursors.
+// both loops; all state between rounds is the scrub cursors.
 type Engine struct {
 	host   Host
 	opts   Options
 	events *obs.EventLog
 
-	mu          sync.Mutex
-	fileCursor  string   // last file verified; the next round resumes after it
-	blockCursor cas.Hash // block-index sampling cursor
+	mu sync.Mutex
+	at cursors
 
 	scrubRounds      *obs.Counter
 	scrubDivergences *obs.Counter
@@ -188,8 +206,7 @@ func New(opts Options) *Engine {
 // store, so resumed cursors would point into purged state).
 func (e *Engine) Reset() {
 	e.mu.Lock()
-	e.fileCursor = ""
-	e.blockCursor = cas.Hash{}
+	e.at = cursors{}
 	e.mu.Unlock()
 }
 
@@ -235,99 +252,102 @@ func (e *Engine) scrubRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 	rep := e.host.Rep()
 	var total simnet.Cost
 
+	e.mu.Lock()
+	at := e.at
+	e.mu.Unlock()
+	defer func() {
+		e.mu.Lock()
+		e.at = at
+		e.mu.Unlock()
+	}()
+
 	// Local block verification: hash-check a cursor window of the index.
 	// Bad locations are pruned as a side effect of the failed Get.
-	e.mu.Lock()
-	cursor := e.blockCursor
-	e.mu.Unlock()
-	next, _, bad := rep.VerifyBlocks(cursor, VerifyBlocks)
-	e.mu.Lock()
-	e.blockCursor = next
-	e.mu.Unlock()
-	if bad > 0 {
-		e.scrubBadBlocks.Add(uint64(bad))
-	}
+	var bad int
+	at.block, _, bad = rep.VerifyBlocks(at.block, VerifyBlocks)
+	e.scrubBadBlocks.Add(uint64(bad))
 
-	tracks := rep.Tracks()
-
-	// File verification: walk every local copy's regular files in sorted
-	// order and re-chunk a budget-bounded window past the cursor.
-	if e.opts.VerifyFiles > 0 {
-		var targets []verifyTarget
-		for _, t := range tracks {
-			if t.Dead {
-				continue
-			}
-			src, files := rep.LocalFiles(t.Root)
-			if len(files) == 0 {
-				continue
-			}
-			owns, c := e.host.OwnsKey(t.PN)
-			total = simnet.Seq(total, c)
-			var helpers []repl.BlockSource
-			if owns && src == t.Root {
-				for _, cand := range e.host.Candidates(e.opts.Replicas) {
-					helpers = append(helpers, repl.BlockSource{Addr: cand})
-				}
-			} else if !owns {
-				owner, c, err := e.host.Route(t.PN)
-				total = simnet.Seq(total, c)
-				if err == nil && owner != e.host.Self() {
-					helpers = []repl.BlockSource{{Addr: owner}}
-				}
-			}
-			for _, f := range files {
-				hs := make([]repl.BlockSource, len(helpers))
-				for i, h := range helpers {
-					hs[i] = h
-					if h.Phys == "" {
-						if src == t.Root {
-							hs[i].Phys = repl.RepPath(f)
-						} else {
-							hs[i].Phys = repl.PrimaryRoot(f)
-						}
-					}
-				}
-				targets = append(targets, verifyTarget{phys: f, helpers: hs})
-			}
-		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i].phys < targets[j].phys })
-		total = simnet.Seq(total, e.verifyWindow(tc, targets, tokens))
-	}
-
-	// Digest exchange: compare every owned, settled root against each
-	// replica candidate's copy and schedule a delta re-sync on divergence.
-	for _, t := range tracks {
-		if *tokens <= 0 {
-			break
-		}
+	// Ownership is asked once per live root per round (each ask can ping): it
+	// picks a file's repair helpers and the pairs the exchange visits.
+	cands := e.host.Candidates(e.opts.Replicas)
+	var live []repl.Track
+	owned := map[string]bool{}
+	var pairs []pair
+	for _, t := range rep.Tracks() {
 		if t.Dead {
 			continue
 		}
 		owns, c := e.host.OwnsKey(t.PN)
 		total = simnet.Seq(total, c)
-		if !owns {
-			continue
-		}
-		for _, cand := range e.host.Candidates(e.opts.Replicas) {
-			if *tokens <= 0 {
-				break
+		live = append(live, t)
+		owned[t.Root] = owns
+		if owns {
+			for _, cand := range cands {
+				pairs = append(pairs, pair{t.Root, cand})
 			}
-			*tokens--
-			diverged, c, err := rep.CheckReplica(tc, cand, t.Root)
-			total = simnet.Seq(total, c)
-			if err != nil || !diverged {
+		}
+	}
+
+	// File verification: walk every local copy's regular files in sorted
+	// order and re-chunk a budget-bounded window past the cursor.
+	if e.opts.VerifyFiles > 0 {
+		var targets []verifyTarget
+		for _, t := range live {
+			src, files := rep.LocalFiles(t.Root)
+			if len(files) == 0 {
 				continue
 			}
-			e.scrubDivergences.Add(1)
-			if e.events != nil {
-				e.events.Add(obs.EvScrubRepair, string(cand), t.Root)
+			// A repair fetches blocks from the replica candidates when this is
+			// the primary copy and from the owner when it is a replica; either
+			// way the helper holds the file in the other area.
+			var helpers []simnet.Addr
+			there := repl.RepPath
+			if src != t.Root {
+				there = repl.PrimaryRoot
 			}
-			c, err = rep.EnsureReplica(tc, cand, t.Root)
-			total = simnet.Seq(total, c)
-			if err == nil {
-				e.scrubRepaired.Add(1)
+			if owned[t.Root] && src == t.Root {
+				helpers = cands
+			} else if !owned[t.Root] {
+				owner, c, err := e.host.Route(t.PN)
+				total = simnet.Seq(total, c)
+				if err == nil && owner != e.host.Self() {
+					helpers = []simnet.Addr{owner}
+				}
 			}
+			for _, f := range files {
+				hs := make([]repl.BlockSource, len(helpers))
+				for j, a := range helpers {
+					hs[j] = repl.BlockSource{Addr: a, Phys: there(f)}
+				}
+				targets = append(targets, verifyTarget{phys: f, helpers: hs})
+			}
+		}
+		sort.Slice(targets, func(i, j int) bool { return targets[i].phys < targets[j].phys })
+		total = simnet.Seq(total, e.verifyWindow(tc, targets, &at.file, tokens))
+	}
+
+	// Digest exchange: one ask per (owned root, replica candidate) pair, and
+	// a delta re-sync fed that answer when a settled copy diverges. The pairs
+	// are visited in (root, candidate) order from just past the cursor,
+	// wrapping, one token each, so a node with more pairs than one round's
+	// budget still reaches every pair: in ceil(pairs/budget) rounds while the
+	// pair set holds still.
+	sort.Slice(pairs, func(i, j int) bool { return pairs[j].after(pairs[i]) })
+	start := sort.Search(len(pairs), func(i int) bool { return pairs[i].after(at.pair) })
+	for k := 0; k < len(pairs) && *tokens > 0; k++ {
+		at.pair = pairs[(start+k)%len(pairs)]
+		*tokens--
+		diverged, c, err := rep.ScrubReplica(tc, at.pair.cand, at.pair.root)
+		total = simnet.Seq(total, c)
+		if !diverged {
+			continue
+		}
+		e.scrubDivergences.Add(1)
+		if e.events != nil {
+			e.events.Add(obs.EvScrubRepair, string(at.pair.cand), at.pair.root)
+		}
+		if err == nil {
+			e.scrubRepaired.Add(1)
 		}
 	}
 	return total
@@ -335,23 +355,16 @@ func (e *Engine) scrubRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 
 // verifyWindow verifies up to VerifyFiles targets past the cursor, wrapping
 // at the end of the sorted list so every file is eventually visited.
-func (e *Engine) verifyWindow(tc obs.TraceContext, targets []verifyTarget, tokens *int) simnet.Cost {
-	if len(targets) == 0 {
-		return 0
-	}
-	e.mu.Lock()
-	cursor := e.fileCursor
-	e.mu.Unlock()
-	start := sort.Search(len(targets), func(i int) bool { return targets[i].phys > cursor })
+func (e *Engine) verifyWindow(tc obs.TraceContext, targets []verifyTarget, cursor *string, tokens *int) simnet.Cost {
+	start := sort.Search(len(targets), func(i int) bool { return targets[i].phys > *cursor })
 	var total simnet.Cost
 	rep := e.host.Rep()
-	last := cursor
 	for k := 0; k < len(targets) && k < e.opts.VerifyFiles && *tokens > 0; k++ {
 		tgt := targets[(start+k)%len(targets)]
 		*tokens--
 		outcome, c := rep.VerifyFile(tc, tgt.phys, tgt.helpers)
 		total = simnet.Seq(total, c)
-		last = tgt.phys
+		*cursor = tgt.phys
 		switch outcome {
 		case repl.VerifyRepaired:
 			e.scrubDivergences.Add(1)
@@ -363,9 +376,6 @@ func (e *Engine) verifyWindow(tc obs.TraceContext, targets []verifyTarget, token
 			e.scrubDivergences.Add(1)
 		}
 	}
-	e.mu.Lock()
-	e.fileCursor = last
-	e.mu.Unlock()
 	return total
 }
 

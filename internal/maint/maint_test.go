@@ -39,6 +39,7 @@ type peerStore struct {
 // down the verbatim create-and-write path, so no chunk index is needed.
 type storePeers struct {
 	stores map[simnet.Addr]*peerStore
+	asks   map[pair]int // TREE_DIGEST asks per (primary-relative root, node)
 }
 
 func (p *storePeers) at(a simnet.Addr) *peerStore {
@@ -76,6 +77,7 @@ func (p *storePeers) Mirror(_ obs.TraceContext, to simnet.Addr, _ repl.Track, op
 }
 
 func (p *storePeers) DigestTree(_ obs.TraceContext, to simnet.Addr, root string, _ bool) (repl.TreeDigest, simnet.Cost, error) {
+	p.asks[pair{repl.PrimaryRoot(root), to}]++
 	s := p.at(to)
 	var td repl.TreeDigest
 	if _, err := s.fs.LookupPath(root); err != nil {
@@ -138,17 +140,22 @@ type scriptedHost struct {
 	dest  simnet.Addr          // where every re-salted name routes ("" = nowhere)
 	loads map[simnet.Addr]Load // gossiped peer loads
 
-	relinks []string // "base -> new storage root", in order
-	syncs   int      // SyncReplicas calls
+	relinks   []string       // "base -> new storage root", in order
+	syncs     int            // SyncReplicas calls
+	ownership map[string]int // OwnsKey calls per placement name
 }
 
-func (h *scriptedHost) Rep() *repl.Engine                  { return h.rep }
-func (h *scriptedHost) Self() simnet.Addr                  { return "self" }
-func (h *scriptedHost) OwnsKey(string) (bool, simnet.Cost) { return true, 0 }
-func (h *scriptedHost) Candidates(int) []simnet.Addr       { return h.cands }
-func (h *scriptedHost) PeerLoads() map[simnet.Addr]Load    { return h.loads }
-func (h *scriptedHost) BaseName(pn string) string          { return strings.SplitN(pn, "#", 2)[0] }
-func (h *scriptedHost) NewStoreRoot(pn string) string      { return "/moved/" + pn }
+func (h *scriptedHost) Rep() *repl.Engine               { return h.rep }
+func (h *scriptedHost) Self() simnet.Addr               { return "self" }
+func (h *scriptedHost) Candidates(int) []simnet.Addr    { return h.cands }
+func (h *scriptedHost) PeerLoads() map[simnet.Addr]Load { return h.loads }
+func (h *scriptedHost) BaseName(pn string) string       { return strings.SplitN(pn, "#", 2)[0] }
+func (h *scriptedHost) NewStoreRoot(pn string) string   { return "/moved/" + pn }
+
+func (h *scriptedHost) OwnsKey(pn string) (bool, simnet.Cost) {
+	h.ownership[pn]++
+	return true, 0
+}
 
 func (h *scriptedHost) Salt(base string, attempt int) string {
 	return fmt.Sprintf("%s#%d", base, attempt)
@@ -189,10 +196,11 @@ func (h *scriptedHost) SyncReplicas() simnet.Cost {
 
 func newHost(capacity int64) *scriptedHost {
 	h := &scriptedHost{
-		fs:    localfs.New(capacity, simnet.DiskModel{}),
-		peers: &storePeers{stores: map[simnet.Addr]*peerStore{}},
-		reg:   obs.NewRegistry(),
-		loads: map[simnet.Addr]Load{},
+		fs:        localfs.New(capacity, simnet.DiskModel{}),
+		peers:     &storePeers{stores: map[simnet.Addr]*peerStore{}, asks: map[pair]int{}},
+		reg:       obs.NewRegistry(),
+		loads:     map[simnet.Addr]Load{},
+		ownership: map[string]int{},
 	}
 	h.rep = repl.New(repl.Options{Self: "self", Store: h.fs, Overlay: noOverlay{}, Peer: h.peers, Replicas: 1, Key: func(pn string) (k id.ID) { copy(k[:], pn); return k }, Registry: h.reg})
 	return h
@@ -246,6 +254,82 @@ func TestTokenBudgetEndsScrubRound(t *testing.T) {
 	}
 }
 
+// TestExchangeCursorCoversEveryPair: a node with three rounds' worth of
+// (owned root, candidate) pairs exchanges with every one of them in exactly
+// three rounds — the cursor resumes after the last pair visited and wraps —
+// so a divergence on the very last pair is found and repaired; and a pair
+// costs one TREE_DIGEST ask whether or not it diverged. Reset rewinds.
+func TestExchangeCursorCoversEveryPair(t *testing.T) {
+	h := newHost(0)
+	h.cands = []simnet.Addr{"r3", "r1", "r2"} // the visit order is sorted, not the host's
+	var roots []string
+	for i := 0; i < TokensPerTick; i++ {
+		roots = append(roots, h.home(t, fmt.Sprintf("u%03d", i), 8))
+	}
+	const rounds = 3 // ceil(pairs / budget) with pairs = 3 * TokensPerTick
+	e := h.engine(Options{Scrub: true, VerifyFiles: -1})
+
+	// sweep runs one full coverage and checks each pair was asked once more.
+	sweep := func(asksPerPair int) {
+		t.Helper()
+		for r := 0; r < rounds; r++ {
+			e.Tick()
+		}
+		for _, root := range roots {
+			for _, cand := range h.cands {
+				if got := h.peers.asks[pair{root, cand}]; got != asksPerPair {
+					t.Fatalf("%s at %s asked %d times after %d rounds, want %d", root, cand, got, asksPerPair*rounds, asksPerPair)
+				}
+			}
+		}
+	}
+	// Every candidate starts empty, so every pair diverges: one ask and a
+	// push each, all of them within the first three rounds.
+	sweep(1)
+	if got, want := h.counter("maint.scrub.repaired"), uint64(len(roots)*len(h.cands)); got != want {
+		t.Fatalf("repaired %d pairs in %d rounds, want all %d", got, rounds, want)
+	}
+	if last := (pair{roots[len(roots)-1], "r3"}); e.at.pair != last {
+		t.Fatalf("cursor at %v after a full sweep, want the last pair %v", e.at.pair, last)
+	}
+
+	// Rot on the last pair in visit order; everything else is converged.
+	lastRoot := roots[len(roots)-1]
+	remote := h.peers.at("r3").fs
+	if err := remote.WriteFile(repl.RepPath(lastRoot+"/f00"), []byte("bit rot")); err != nil {
+		t.Fatal(err)
+	}
+	before := h.counter("maint.scrub.repaired")
+	sweep(2)
+	if got := h.counter("maint.scrub.repaired") - before; got != 1 {
+		t.Fatalf("second sweep repaired %d pairs, want exactly the planted one", got)
+	}
+	if got, err := remote.ReadFile(repl.RepPath(lastRoot + "/f00")); err != nil || !bytes.Equal(got, payload("u063", 0, 8)) {
+		t.Fatalf("last root's replica not restored: %q err=%v", got, err)
+	}
+
+	e.Reset()
+	if e.at.pair != (pair{}) {
+		t.Fatal("Reset left the exchange cursor behind")
+	}
+}
+
+// TestScrubAsksOwnershipOncePerRoot: a round asks the host who owns a root
+// once, however many of its loops use the answer.
+func TestScrubAsksOwnershipOncePerRoot(t *testing.T) {
+	h := newHost(0)
+	h.cands = []simnet.Addr{"r1"}
+	for _, name := range []string{"alice", "bob", "carol"} {
+		h.home(t, name, 8, 8)
+	}
+	h.engine(Options{Scrub: true, VerifyFiles: 2}).Tick()
+	for _, name := range []string{"alice", "bob", "carol"} {
+		if got := h.ownership[name]; got != 1 {
+			t.Fatalf("OwnsKey(%s) asked %d times in one round, want 1", name, got)
+		}
+	}
+}
+
 // TestVerifyCursorSlidesAndWraps: each round re-chunks the next VerifyFiles
 // files in sorted order after the cursor, wrapping at the end, so every file
 // is visited and none starves. Reset rewinds the cursor.
@@ -255,22 +339,22 @@ func TestVerifyCursorSlidesAndWraps(t *testing.T) {
 	e := h.engine(Options{Scrub: true, VerifyFiles: 2})
 	for round, want := range []string{"f01", "f03", "f00", "f02", "f04", "f01"} {
 		e.Tick()
-		if e.fileCursor != root+"/"+want {
-			t.Fatalf("round %d: cursor at %q, want %s", round, e.fileCursor, want)
+		if e.at.file != root+"/"+want {
+			t.Fatalf("round %d: cursor at %q, want %s", round, e.at.file, want)
 		}
 	}
 	if got := h.counter("maint.scrub.rounds"); got != 6 {
 		t.Fatalf("scrub rounds = %d, want 6", got)
 	}
 	e.Reset()
-	if e.fileCursor != "" || e.blockCursor != (cas.Hash{}) {
+	if e.at.file != "" || e.at.block != (cas.Hash{}) {
 		t.Fatal("Reset left a cursor behind")
 	}
 	// A negative window disables file verification: the cursor stays put.
 	off := h.engine(Options{Scrub: true, VerifyFiles: -1})
 	off.Tick()
-	if off.fileCursor != "" {
-		t.Fatalf("disabled verification moved the cursor to %q", off.fileCursor)
+	if off.at.file != "" {
+		t.Fatalf("disabled verification moved the cursor to %q", off.at.file)
 	}
 }
 

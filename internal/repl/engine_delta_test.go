@@ -252,6 +252,16 @@ func (s *storePeer) ChunkFetch(_ obs.TraceContext, to simnet.Addr, phys string, 
 	return blocks, 0, nil
 }
 
+// refreshAsked is the primary->replica tail as Sync and the scrub run it:
+// ask r1 once, with the hash, and hand the answer to refresh.
+func refreshAsked(e *Engine, peer *storePeer, t Track) (simnet.Cost, error) {
+	remote, _, err := peer.DigestTree(obs.TraceContext{}, "r1", RepPath(t.Root), true)
+	if err != nil {
+		return 0, err
+	}
+	return e.refresh(obs.TraceContext{}, "r1", t, remote)
+}
+
 func deltaEngine(t *testing.T, peer Peer) (*Engine, localfs.FileSystem, *obs.Registry) {
 	t.Helper()
 	store := localfs.New(0, simnet.DiskModel{})
@@ -347,7 +357,7 @@ func TestSendFileChunksLargePayload(t *testing.T) {
 // The tentpole guarantee: a matching replica costs one digest exchange and
 // zero mutations; a one-file change ships only that file; and the replica
 // tree is never removed wholesale (stays readable throughout).
-func TestEnsureTreeDeltaSkipsAndShipsOnlyChanges(t *testing.T) {
+func TestRefreshDeltaSkipsAndShipsOnlyChanges(t *testing.T) {
 	peer := newStorePeer()
 	e, store, reg := deltaEngine(t, peer)
 
@@ -364,7 +374,7 @@ func TestEnsureTreeDeltaSkipsAndShipsOnlyChanges(t *testing.T) {
 	tr := Track{PN: "proj", Root: "/proj", Ver: 1}
 
 	// Identical copy, identical version: one digest exchange, no mutations.
-	if _, err := e.ensureTree(obs.TraceContext{}, "r1", tr, false); err != nil {
+	if _, err := refreshAsked(e, peer, tr); err != nil {
 		t.Fatal(err)
 	}
 	if len(peer.mirrors) != 0 {
@@ -379,7 +389,7 @@ func TestEnsureTreeDeltaSkipsAndShipsOnlyChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Ver = 2
-	if _, err := e.ensureTree(obs.TraceContext{}, "r1", tr, false); err != nil {
+	if _, err := refreshAsked(e, peer, tr); err != nil {
 		t.Fatal(err)
 	}
 	var wrote []string
@@ -432,7 +442,7 @@ func TestEnsureTreeDeltaSkipsAndShipsOnlyChanges(t *testing.T) {
 	}
 	tr.Ver = 3
 	peer.mirrors = nil
-	if _, err := e.ensureTree(obs.TraceContext{}, "r1", tr, false); err != nil {
+	if _, err := refreshAsked(e, peer, tr); err != nil {
 		t.Fatal(err)
 	}
 	var removed []string
@@ -484,7 +494,7 @@ func TestSendFileDeltaWithinTenPercent(t *testing.T) {
 	if err := store.WriteFile("/proj/big.bin", edited); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ensureTree(obs.TraceContext{}, "r1", Track{PN: "proj", Root: "/proj", Ver: 2}, false); err != nil {
+	if _, err := refreshAsked(e, peer, Track{PN: "proj", Root: "/proj", Ver: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := peer.remote.ReadFile(RepPath("/proj") + "/big.bin"); err != nil || !bytes.Equal(got, edited) {
@@ -576,7 +586,7 @@ func TestPullFileFetchesOnlyMissingBlocks(t *testing.T) {
 
 // Content-identical replica whose recorded version lags is re-stamped with a
 // single metadata op instead of a re-push.
-func TestEnsureTreeRestampsMatchingReplica(t *testing.T) {
+func TestRefreshRestampsMatchingReplica(t *testing.T) {
 	peer := newStorePeer()
 	e, store, _ := deltaEngine(t, peer)
 	if err := store.WriteFile("/w/x.txt", []byte("x")); err != nil {
@@ -586,7 +596,7 @@ func TestEnsureTreeRestampsMatchingReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer.vers["/w"] = 1
-	if _, err := e.ensureTree(obs.TraceContext{}, "r1", Track{PN: "w", Root: "/w", Ver: 4}, false); err != nil {
+	if _, err := refreshAsked(e, peer, Track{PN: "w", Root: "/w", Ver: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if len(peer.mirrors) != 1 || peer.mirrors[0].op.Kind != FSMkdirAll {
@@ -611,7 +621,7 @@ func TestSendFileFallsBackWhenNegotiationFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer.down["r1"] = true // block procedures fail; mirrors and digests still work
-	if _, err := e.ensureTree(obs.TraceContext{}, "r1", Track{PN: "proj", Root: "/proj", Ver: 2}, false); err != nil {
+	if _, err := refreshAsked(e, peer, Track{PN: "proj", Root: "/proj", Ver: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := peer.remote.ReadFile(RepPath("/proj") + "/big.bin"); err != nil || !bytes.Equal(got, content) {

@@ -12,7 +12,7 @@ import (
 
 // This file is the engine surface the background maintenance subsystem
 // (internal/maint) is built from: tracked-state snapshots, the anti-entropy
-// verify/exchange primitives, and subtree migration as a library call. The
+// verify and exchange actions, and subtree migration as a library call. The
 // maintenance engine owns scheduling, budgets, and policy; everything here
 // is a single bounded action.
 
@@ -63,46 +63,40 @@ func (e *Engine) Tombstone(root string) {
 	e.store.RemoveAll(RepPath(root))
 }
 
-// EnsureReplica refreshes one candidate's replica-area copy of a tracked
-// root — ensureTree as a library call, used when a digest exchange detects
-// divergence outside any foreground event.
-func (e *Engine) EnsureReplica(tc obs.TraceContext, target simnet.Addr, root string) (simnet.Cost, error) {
+// ScrubReplica is the scrub's exchange for one (owned root, replica
+// candidate) pair: one hashed TREE_DIGEST ask, and when the candidate's
+// settled copy differs from the local content or is missing, a refresh fed
+// that same answer. A copy in flight on either side (migration flag up) is
+// never touched. diverged reports that a repair ran; err is its outcome.
+func (e *Engine) ScrubReplica(tc obs.TraceContext, cand simnet.Addr, root string) (diverged bool, cost simnet.Cost, err error) {
 	t, ok := e.TrackOf(root)
-	if !ok || t.Dead {
-		return 0, nil
-	}
-	return e.ensureTree(tc, target, Track{PN: t.PN, Root: root, Ver: t.Ver}, false)
-}
-
-// CheckReplica compares this node's digest of a root it owns against one
-// replica candidate's replica-area copy — the scrub's TREE_DIGEST exchange.
-// diverged reports a settled remote copy whose content differs or is
-// missing; in-flight copies (migration flag up) are never flagged.
-func (e *Engine) CheckReplica(tc obs.TraceContext, cand simnet.Addr, root string) (diverged bool, cost simnet.Cost, err error) {
 	local := e.DigestLocal(root, true)
-	if !local.Exists || local.Flag {
+	if !ok || t.Dead || !local.Exists || local.Flag {
 		return false, 0, nil
 	}
 	remote, cost, err := e.peer.DigestTree(tc, cand, RepPath(root), true)
-	if err != nil {
+	if err != nil || remote.Flag || (remote.Exists && remote.Root == local.Root) {
 		return false, cost, err
 	}
-	if remote.Flag {
-		return false, cost, nil
-	}
-	return !remote.Exists || remote.Root != local.Root, cost, nil
+	c, err := e.refresh(tc, cand, t, remote)
+	return true, simnet.Seq(cost, c), err
 }
 
-// MigrateTree pushes the local subtree at src to target as the new primary
-// copy at t.Root, under the MIGRATION_NOT_COMPLETE flag protocol with
-// chunk-negotiated delta transfer. src is separate from t.Root so a
-// rebalance move can ship an existing hierarchy under a fresh destination
-// root. Safe to retry after a mid-move target crash: the flag re-arms and
-// negotiation skips blocks that already arrived.
+// MigrateTree hands the local subtree at src to target as the primary copy
+// at t.Root: Sync's push to the key's new owner after an ownership change,
+// and a rebalance move, which ships an existing hierarchy under a fresh
+// destination root (so src is separate from t.Root). Versions arbitrate: a
+// settled remote copy at least as new as ours wins; otherwise the target
+// surfaces its replica-area copy if that is new enough, or ours is pushed
+// (Section 4.3.1) under the MIGRATION_NOT_COMPLETE flag protocol with
+// chunk-negotiated delta transfer (Section 4.4). Safe to retry after a
+// mid-move target crash: the flag re-arms and negotiation skips blocks that
+// already arrived.
 func (e *Engine) MigrateTree(tc obs.TraceContext, target simnet.Addr, t Track, src string) (simnet.Cost, error) {
 	if _, err := e.store.LookupPath(src); err != nil {
 		return 0, err
 	}
+	// Only versions arbitrate, but a push may follow: ask for the hash.
 	remote, cost, err := e.peer.DigestTree(tc, target, t.Root, true)
 	if err != nil {
 		return cost, err
@@ -110,7 +104,23 @@ func (e *Engine) MigrateTree(tc obs.TraceContext, target simnet.Addr, t Track, s
 	if remote.Exists && !remote.Flag && remote.Ver >= t.Ver {
 		return cost, nil
 	}
-	c, err := e.deltaPush(tc, target, t, src, true, remote)
+	if !remote.Exists && remote.Ver > t.Ver {
+		// The target knows a strictly newer state and holds no data: that
+		// is a deletion tombstone. Pushing our older copy would resurrect
+		// the hierarchy; leave it and let the tombstone propagate back to us
+		// through the normal sync path.
+		return cost, nil
+	}
+	repRemote, c, err := e.peer.DigestTree(tc, target, RepPath(t.Root), true)
+	cost = simnet.Seq(cost, c)
+	if err != nil {
+		return cost, err
+	}
+	if repRemote.Exists && !repRemote.Flag && repRemote.Ver >= t.Ver && !remote.Exists {
+		_, c, err := e.peer.Promote(tc, target, t)
+		return simnet.Seq(cost, c), err
+	}
+	c, err = e.deltaPush(tc, target, t, src, true, remote)
 	return simnet.Seq(cost, c), err
 }
 

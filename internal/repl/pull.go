@@ -16,61 +16,74 @@ import (
 
 // AdoptRoot makes this node's primary-path copy of a subtree current after
 // it becomes the key's owner: surface the local replica-area copy, then
-// check the current replica candidates for a newer version and fetch it if
+// ask the current replica candidates for a newer version and fetch it if
 // one exists. Runs on the cold path only (first access after an ownership
-// change, or replica synchronization). The second result reports whether
-// read-repair changed local state — callers holding handles into the
-// subtree must re-resolve when it did.
+// change, a NOENT below an existing root), when the holders' digest memos
+// are cold too, so the ask is version-only. The second result reports
+// whether local state changed — callers holding handles into the subtree
+// must re-resolve when it did.
 func (e *Engine) AdoptRoot(tc obs.TraceContext, t Track) (simnet.Cost, bool) {
 	changed := e.PromoteLocal(t)
 	if t.Root == "" || t.Link != "" {
 		return 0, changed
 	}
-	var total simnet.Cost
-	myVer := e.VerOf(t.Root)
-	cands := e.ov.ReplicaCandidates(e.replicas)
-	held := make([]TreeDigest, len(cands))
-	alive := make([]bool, len(cands))
-	for i, rep := range cands {
-		td, c, err := e.peer.DigestTree(tc, rep.Addr, RepPath(t.Root), false)
+	answers, cost := e.askCandidates(tc, t.Root, false)
+	c, adopted := e.adopt(tc, t, answers)
+	return simnet.Seq(cost, c), changed || adopted
+}
+
+// held is what one replica candidate answered that it holds of a root.
+type held struct {
+	addr simnet.Addr
+	TreeDigest
+}
+
+// askCandidates asks every current replica candidate, once, what its replica
+// area holds of root; those that do not answer are left out. Adopting a newer
+// copy and refreshing a stale one both act on these answers, not a new ask.
+func (e *Engine) askCandidates(tc obs.TraceContext, root string, hash bool) (answers []held, total simnet.Cost) {
+	for _, rep := range e.ov.ReplicaCandidates(e.replicas) {
+		td, c, err := e.peer.DigestTree(tc, rep.Addr, RepPath(root), hash)
 		total = simnet.Seq(total, c)
-		if err != nil {
-			continue
+		if err == nil {
+			answers = append(answers, held{rep.Addr, td})
 		}
-		held[i] = td
-		alive[i] = true
 	}
-	for i, rep := range cands {
-		if !alive[i] {
+	return answers, total
+}
+
+// adopt brings this node's copy of t.Root up to the newest settled state
+// among the candidates' answers: a newer copy is fetched, a newer deletion
+// becomes the local tombstone. Reports whether local state changed.
+func (e *Engine) adopt(tc obs.TraceContext, t Track, answers []held) (total simnet.Cost, changed bool) {
+	myVer := e.VerOf(t.Root)
+	for i, h := range answers {
+		if h.Flag || h.Ver <= myVer {
 			continue
 		}
-		td := held[i]
-		if td.Flag || td.Ver <= myVer {
-			continue
-		}
-		if !td.Exists {
+		if !h.Exists {
 			// The newer state is a deletion: adopt the tombstone.
 			e.store.RemoveAll(t.Root)
 			e.store.RemoveAll(RepPath(t.Root))
 			dead := t
-			dead.Ver = td.Ver
+			dead.Ver = h.Ver
 			e.Track(dead, FSOp{Kind: FSRemoveAll, Path: t.Root})
-			myVer = td.Ver
+			myVer = h.Ver
 			changed = true
 			continue
 		}
 		// Every other candidate holding a settled copy can serve blocks for
 		// the fetch, bitswap-style, in parallel with the version's holder.
 		var holders []simnet.Addr
-		for j, other := range cands {
-			if j != i && alive[j] && held[j].Exists && !held[j].Flag {
-				holders = append(holders, other.Addr)
+		for j, other := range answers {
+			if j != i && other.Exists && !other.Flag {
+				holders = append(holders, other.addr)
 			}
 		}
-		c, err := e.fetchTree(tc, rep.Addr, holders, t, td.Ver)
+		c, err := e.fetchTree(tc, h.addr, holders, t, h.Ver)
 		total = simnet.Seq(total, c)
 		if err == nil {
-			myVer = td.Ver
+			myVer = h.Ver
 			changed = true
 		}
 	}

@@ -38,13 +38,12 @@ func (e *Engine) Sync() (total simnet.Cost) {
 	e.mu.Unlock()
 	sort.Slice(links, func(i, j int) bool { return links[i].Link < links[j].Link })
 
-	// fanOut runs one step against every current replica candidate. The
-	// replicas are independent peers, so the cost is the slowest branch, not
-	// the sum.
-	fanOut := func(step func(rep simnet.Addr) simnet.Cost) {
-		var fan []simnet.Cost
-		for _, rep := range e.ov.ReplicaCandidates(e.replicas) {
-			fan = append(fan, step(rep.Addr))
+	// fanOut runs one step per replica candidate. The replicas are
+	// independent peers, so the cost is the slowest branch, not the sum.
+	fanOut := func(n int, step func(i int) simnet.Cost) {
+		fan := make([]simnet.Cost, n)
+		for i := range fan {
+			fan[i] = step(i)
 		}
 		total = simnet.Seq(total, simnet.Par(fan...))
 	}
@@ -55,29 +54,35 @@ func (e *Engine) Sync() (total simnet.Cost) {
 		isRoot, c := e.ov.EnsureRootFor(key)
 		total = simnet.Seq(total, c)
 		if isRoot {
+			// Ask every candidate once and act on the answers. A live root
+			// asks for the hash, which the refresh compares; for a tombstone
+			// versions alone arbitrate.
+			answers, c := e.askCandidates(tc, root, !t.Dead)
+			total = simnet.Seq(total, c)
 			if t.Dead {
-				// Propagate the deletion to any replica still holding a
-				// copy older than the tombstone.
-				fanOut(func(rep simnet.Addr) simnet.Cost {
-					td, c, err := e.peer.DigestTree(tc, rep, RepPath(root), false)
-					if err != nil || (!td.Exists && td.Ver >= t.Ver) {
-						return c
+				// Propagate the deletion to any replica still holding a copy
+				// older than the tombstone.
+				fanOut(len(answers), func(i int) simnet.Cost {
+					if h := answers[i]; !h.Exists && h.Ver >= t.Ver {
+						return 0
 					}
-					mc, _ := e.peer.Mirror(tc, rep, t, FSOp{Kind: FSRemoveAll, Path: root}, false)
-					return simnet.Seq(c, mc)
+					c, _ := e.peer.Mirror(tc, answers[i].addr, t, FSOp{Kind: FSRemoveAll, Path: root}, false)
+					return c
 				})
 				continue
 			}
 			// Surface any replica-area copy; if a replica holds a newer
-			// version or a newer deletion, adopt it before refreshing.
-			ac, _ := e.AdoptRoot(tc, t)
-			total = simnet.Seq(total, ac)
+			// version or a newer deletion, adopt it; then refresh every
+			// candidate whose answer differs from what is now here.
+			e.PromoteLocal(t)
+			c, _ = e.adopt(tc, t, answers)
+			total = simnet.Seq(total, c)
 			t.Ver = e.VerOf(root)
 			if e.IsDead(root) {
 				continue
 			}
-			fanOut(func(rep simnet.Addr) simnet.Cost {
-				c, _ := e.ensureTree(tc, rep, t, false)
+			fanOut(len(answers), func(i int) simnet.Cost {
+				c, _ := e.refresh(tc, answers[i].addr, t, answers[i].TreeDigest)
 				return c
 			})
 			continue
@@ -101,10 +106,12 @@ func (e *Engine) Sync() (total simnet.Cost) {
 		// Someone else owns the key now: migrate the subtree to them; our
 		// copy stays behind as one of the replicas (Section 4.3.1), parked
 		// back in the replica area.
-		c, err = e.ensureTree(tc, res.Node.Addr, t, true)
-		total = simnet.Seq(total, c)
-		if err == nil {
-			e.DemoteLocal(t)
+		if src, ok := e.LocalTreePath(root); ok {
+			c, err = e.MigrateTree(tc, res.Node.Addr, t, src)
+			total = simnet.Seq(total, c)
+			if err == nil {
+				e.DemoteLocal(t)
+			}
 		}
 	}
 
@@ -127,8 +134,9 @@ func (e *Engine) Sync() (total simnet.Cost) {
 		total = simnet.Seq(total, c)
 		if isRoot {
 			e.PromoteLocal(t)
-			fanOut(func(rep simnet.Addr) simnet.Cost {
-				c, _ := e.peer.Mirror(tc, rep, t, op, false)
+			cands := e.ov.ReplicaCandidates(e.replicas)
+			fanOut(len(cands), func(i int) simnet.Cost {
+				c, _ := e.peer.Mirror(tc, cands[i].Addr, t, op, false)
 				return c
 			})
 			continue
@@ -149,71 +157,29 @@ func (e *Engine) Sync() (total simnet.Cost) {
 	return total
 }
 
-// ensureTree makes target hold an up-to-date replica-area copy of the
-// local subtree. Root digests are exchanged first; a match means the
-// remote copy is byte-identical and nothing moves. On a mismatch the delta
-// walk descends only into differing directories and ships only changed
-// files and deletions, under the MIGRATION_NOT_COMPLETE flag protocol
-// (Section 4.4). When promote is set (the target is the new primary after
-// an ownership change) the pushed copy lands at the primary path.
-func (e *Engine) ensureTree(tc obs.TraceContext, target simnet.Addr, t Track, promote bool) (simnet.Cost, error) {
+// refresh makes target's replica-area copy of the local subtree current,
+// given what target answered when asked (remote, with the hash). The
+// primary's copy is authoritative for its version: a settled replica whose
+// root digest matches is byte-identical and nothing moves (at most it is
+// re-stamped). Otherwise the delta walk descends only into differing
+// directories and ships only changed files and deletions, under the
+// MIGRATION_NOT_COMPLETE flag protocol (Section 4.4).
+func (e *Engine) refresh(tc obs.TraceContext, target simnet.Addr, t Track, remote TreeDigest) (simnet.Cost, error) {
 	src, ok := e.LocalTreePath(t.Root)
 	if !ok {
 		return 0, nil
 	}
-	localDigest, lerr := e.mk.DigestOf(src)
-	if promote {
-		// Migration to the key's new primary. Versions arbitrate: a
-		// settled remote copy at least as new as ours wins; otherwise we
-		// surface the remote's replica-area copy if that is new enough, or
-		// push ours (§4.3.1, with the §4.4 flag protocol inside the push).
-		// Only versions arbitrate, but a push may follow: ask for the hash.
-		remote, cost, err := e.peer.DigestTree(tc, target, t.Root, true)
-		if err != nil {
-			return cost, err
-		}
-		if remote.Exists && !remote.Flag && remote.Ver >= t.Ver {
-			return cost, nil
-		}
-		if !remote.Exists && remote.Ver > t.Ver {
-			// The target knows a strictly newer state and holds no data:
-			// that is a deletion tombstone. Pushing our older copy would
-			// resurrect the hierarchy; leave it and let the tombstone
-			// propagate back to us through the normal sync path.
-			return cost, nil
-		}
-		repRemote, c, err := e.peer.DigestTree(tc, target, RepPath(t.Root), true)
-		cost = simnet.Seq(cost, c)
-		if err != nil {
-			return cost, err
-		}
-		if repRemote.Exists && !repRemote.Flag && repRemote.Ver >= t.Ver && !remote.Exists {
-			_, c, err := e.peer.Promote(tc, target, t)
-			return simnet.Seq(cost, c), err
-		}
-		c, err = e.deltaPush(tc, target, t, src, true, remote)
-		return simnet.Seq(cost, c), err
-	}
-
-	// Primary -> replica refresh: the primary's copy is authoritative for
-	// its version; a replica whose root digest already matches holds a
-	// byte-identical copy and is left alone (at most re-stamped).
-	remote, cost, err := e.peer.DigestTree(tc, target, RepPath(t.Root), true)
-	if err != nil {
-		return cost, err
-	}
-	if lerr == nil && remote.Exists && !remote.Flag && remote.Root == localDigest {
+	local, err := e.mk.DigestOf(src)
+	if err == nil && remote.Exists && !remote.Flag && remote.Root == local {
 		e.digestHits.Add(1)
-		if remote.Ver != t.Ver {
-			// Content matches but the replica's recorded version lags (e.g.
-			// it missed the mirrors but obtained the bytes elsewhere). One
-			// metadata-only op re-stamps it without moving data.
-			c, err := e.peer.Mirror(tc, target, t, FSOp{Kind: FSMkdirAll, Path: t.Root}, false)
-			return simnet.Seq(cost, c), err
+		if remote.Ver == t.Ver {
+			return 0, nil
 		}
-		return cost, nil
+		// Content matches but the replica's recorded version lags (e.g. it
+		// missed the mirrors but obtained the bytes elsewhere). One
+		// metadata-only op re-stamps it without moving data.
+		return e.peer.Mirror(tc, target, t, FSOp{Kind: FSMkdirAll, Path: t.Root}, false)
 	}
 	e.digestMisses.Add(1)
-	c, err := e.deltaPush(tc, target, t, src, false, remote)
-	return simnet.Seq(cost, c), err
+	return e.deltaPush(tc, target, t, src, false, remote)
 }
