@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/localfs"
+	"repro/internal/maint"
 	"repro/internal/repl"
 	"repro/internal/simnet"
 )
@@ -162,6 +163,167 @@ func TestScenarioScrubRepairsSilentCorruption(t *testing.T) {
 		t.Fatalf("maint.scrub.repaired = %d, want >= 2", rep)
 	}
 
+	if err := model.Check(m); err != nil {
+		t.Fatalf("post-repair oracle check: %v", err)
+	}
+	if err := ReplicaConvergence(c, model, replicas); err != nil {
+		t.Fatalf("post-repair replica convergence: %v", err)
+	}
+}
+
+// TestScenarioScrubRepairsLastRootOfOverBudgetNode: one node owns more
+// (root, candidate) pairs than a round's token budget, and two silent faults
+// land on the replica of its last root in pair order, on the last candidate.
+// One file's digest memo there is warm, so only that candidate's own file
+// verification can see the rot; it rebuilds the file with the gatherer, from
+// blocks the owner serves. The other file was rewritten just before the
+// fault, so its memo is cold and the candidate's digest reports the rot;
+// only the owner's digest exchange, once its cursor reaches the last pair,
+// repairs that one. Both must be repaired within ceil(pairs/64) + 1 rounds.
+func TestScenarioScrubRepairsLastRootOfOverBudgetNode(t *testing.T) {
+	const (
+		seed     = 6161
+		replicas = 3
+		fileSize = 96 << 10
+	)
+	c, err := cluster.New(cluster.Options{
+		Nodes: 4,
+		Seed:  seed,
+		Config: core.Config{
+			Replicas:     replicas,
+			AttrCacheTTL: -1,
+			NameCacheTTL: -1,
+			MaintScrub:   true,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byAddr := map[simnet.Addr]*core.Node{}
+	for _, nd := range c.Nodes {
+		byAddr[nd.Addr()] = nd
+	}
+	m := c.Mount(0)
+	model := NewOracle()
+
+	// Empty level-1 directories until one node owns enough roots to exceed
+	// the budget; only the last of them will hold files, so every node's
+	// file-verification window covers its files each round.
+	owned := map[simnet.Addr][]string{}
+	var owner simnet.Addr
+	for i := 0; owner == ""; i++ {
+		if i == 400 {
+			t.Fatal("no node came to own enough roots")
+		}
+		dir := fmt.Sprintf("/d%03d", i)
+		vh, _, err := m.MkdirAll(dir)
+		if err != nil {
+			t.Fatalf("mkdir %s: %v", dir, err)
+		}
+		m.Forget(vh)
+		model.MkdirAll(dir)
+		pl, _, err := c.Nodes[0].ResolvePath(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned[pl.Node] = append(owned[pl.Node], dir)
+		if len(owned[pl.Node])*replicas > maint.TokensPerTick {
+			owner = pl.Node
+		}
+	}
+	lastDir := owned[owner][len(owned[owner])-1] // names sort in creation order
+	warm := make([]byte, fileSize)
+	lcgFill(warm, seed)
+	cold := make([]byte, fileSize)
+	lcgFill(cold, seed+1)
+	for name, data := range map[string][]byte{"warm.bin": warm, "cold.bin": cold} {
+		if _, err := m.WriteFile(lastDir+"/"+name, data); err != nil {
+			t.Fatal(err)
+		}
+		model.WriteFile(lastDir+"/"+name, data)
+	}
+	c.Stabilize()
+	tickAll(c)
+	tickAll(c)
+	if err := ReplicaConvergence(c, model, replicas); err != nil {
+		t.Fatalf("replicas not converged before fault: %v", err)
+	}
+
+	// The pairs the owner's exchange visits, counted the way its scrub does.
+	on := byAddr[owner]
+	cands := on.Overlay().ReplicaCandidates(replicas)
+	roots, last := 0, ""
+	for _, tr := range on.Repl().Tracks() {
+		if owns, _ := on.Overlay().EnsureRootFor(core.Key(tr.PN)); owns && !tr.Dead {
+			roots++
+			last = tr.Root
+		}
+	}
+	pairs := roots * len(cands)
+	if pairs <= maint.TokensPerTick {
+		t.Fatalf("owner has %d pairs, want more than %d", pairs, maint.TokensPerTick)
+	}
+	place, _, err := c.Nodes[0].ResolvePath(lastDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if place.Node != owner || place.SubtreeRoot() != last {
+		t.Fatalf("%s is %s on %s, want the owner's last root %s", lastDir, place.SubtreeRoot(), place.Node, last)
+	}
+	lastCand := cands[0].Addr
+	for _, cd := range cands {
+		if cd.Addr > lastCand {
+			lastCand = cd.Addr
+		}
+	}
+	rep := byAddr[lastCand]
+	warmPhys := core.RepPath(joinPhys(place.PhysDir(), "warm.bin"))
+	coldPhys := core.RepPath(joinPhys(place.PhysDir(), "cold.bin"))
+
+	// Rewrite cold.bin (the mirror drops its memo on the candidate), then rot
+	// one byte of each file there. No mutation notification fires.
+	cold2 := make([]byte, fileSize)
+	lcgFill(cold2, seed+2)
+	if _, err := m.WriteFile(lastDir+"/cold.bin", cold2); err != nil {
+		t.Fatal(err)
+	}
+	model.WriteFile(lastDir+"/cold.bin", cold2)
+	intact := func(phys string, want []byte) bool {
+		got, err := rep.Store().ReadFile(phys)
+		return err == nil && bytes.Equal(got, want)
+	}
+	if !intact(coldPhys, cold2) {
+		t.Fatal("the rewrite did not reach the last candidate")
+	}
+	repairedAt := func(nd *core.Node) uint64 { return nd.Obs().Counter("maint.scrub.repaired").Load() }
+	ownerBefore, repBefore := repairedAt(on), repairedAt(rep)
+	rot := rep.Store().(localfs.Corrupter)
+	if err := rot.CorruptFile(warmPhys, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if err := rot.CorruptFile(coldPhys, -4096); err != nil {
+		t.Fatal(err)
+	}
+
+	bound := (pairs+maint.TokensPerTick-1)/maint.TokensPerTick + 1
+	repairedIn := -1
+	for round := 1; round <= bound; round++ {
+		tickAll(c)
+		if intact(warmPhys, warm) && intact(coldPhys, cold2) {
+			repairedIn = round
+			break
+		}
+	}
+	if repairedIn < 0 {
+		t.Fatalf("scrub did not repair the last root's replica within %d rounds (%d pairs)", bound, pairs)
+	}
+	t.Logf("%d pairs on the owner: repaired in %d of %d rounds", pairs, repairedIn, bound)
+	if repairedAt(rep) == repBefore {
+		t.Fatal("the candidate's file verification repaired nothing: warm.bin was not rebuilt by the gatherer")
+	}
+	if repairedAt(on) == ownerBefore {
+		t.Fatal("the owner's exchange repaired nothing: cold.bin was not pushed from the last pair")
+	}
 	if err := model.Check(m); err != nil {
 		t.Fatalf("post-repair oracle check: %v", err)
 	}
@@ -431,7 +593,6 @@ func TestMaintScrubSoak(t *testing.T) {
 		batches   = 10
 		perBatch  = 3  // corruptions injected per batch
 		maxRepair = 15 // scrub rounds allowed to clear one batch
-		maxVerify = 64 // files verified per node per round, so a round covers the corpus
 	)
 	rng := seed
 	next := func() uint64 {
@@ -446,11 +607,10 @@ func TestMaintScrubSoak(t *testing.T) {
 		Nodes: 10,
 		Seed:  seed,
 		Config: core.Config{
-			Replicas:         replicas,
-			AttrCacheTTL:     -1,
-			NameCacheTTL:     -1,
-			MaintScrub:       true,
-			MaintVerifyFiles: maxVerify,
+			Replicas:     replicas,
+			AttrCacheTTL: -1,
+			NameCacheTTL: -1,
+			MaintScrub:   true,
 		},
 	})
 	if err != nil {

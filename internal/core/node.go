@@ -40,9 +40,8 @@ type Config struct {
 	// Writes still serialize through the primary.
 	ReadFromReplicas bool
 	// StreamChunk is the chunk size of the streaming data path: readahead
-	// windows and pull-repair tree fetches move multiples of it per round
-	// trip. Default repl.PushChunk (1 MiB), keeping the client path and the
-	// replication engine on one tunable.
+	// windows move multiples of it per round trip. Default repl.PushChunk
+	// (1 MiB), the bound on a replication push's inline payload.
 	StreamChunk int
 	// ReadaheadChunks is N, the readahead window in StreamChunk-sized
 	// pieces a mount keeps in flight ahead of a sequential reader (one
@@ -108,10 +107,6 @@ type Config struct {
 	// enabled, and nothing calls Tick unless a harness or daemon does.
 	MaintScrub     bool
 	MaintRebalance bool
-	// MaintVerifyFiles bounds the files the scrub re-chunks against their
-	// manifests per round (default 4; negative disables; the maintenance
-	// soak raises it to sweep a whole store per tick).
-	MaintVerifyFiles int
 	// MaintHighWater arms the rebalancer (default 0.80); MaintLowWater is
 	// where a shedding round stops (default 0.60).
 	MaintHighWater float64
@@ -394,15 +389,14 @@ func NewNodeWithStore(addr simnet.Addr, nodeID id.ID, net simnet.Transport, cfg 
 	n.overlay.OnLeafSetChange(n.onLeafChange)
 	n.attach()
 	n.maintEng = maint.New(maint.Options{
-		Host:        maintHost{n},
-		Registry:    n.reg,
-		Events:      n.events,
-		Replicas:    cfg.Replicas,
-		Scrub:       cfg.MaintScrub,
-		Rebalance:   cfg.MaintRebalance,
-		VerifyFiles: cfg.MaintVerifyFiles,
-		HighWater:   cfg.MaintHighWater,
-		LowWater:    cfg.MaintLowWater,
+		Host:      maintHost{n},
+		Registry:  n.reg,
+		Events:    n.events,
+		Replicas:  cfg.Replicas,
+		Scrub:     cfg.MaintScrub,
+		Rebalance: cfg.MaintRebalance,
+		HighWater: cfg.MaintHighWater,
+		LowWater:  cfg.MaintLowWater,
 	})
 	return n
 }

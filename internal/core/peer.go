@@ -50,14 +50,6 @@ func (p enginePeer) DirDigests(tc obs.TraceContext, to simnet.Addr, dir string) 
 	return p.n.remoteDirDigests(tc, to, dir)
 }
 
-func (p enginePeer) LookupPath(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Handle, localfs.Attr, simnet.Cost, error) {
-	return p.n.remoteLookupPath(tc, to, phys)
-}
-
-func (p enginePeer) ReadStream(tc obs.TraceContext, to simnet.Addr, fh nfs.Handle, off int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
-	return p.n.nfsCtx(tc).ReadStream(to, fh, off, chunk, chunks)
-}
-
 func (p enginePeer) ReadLink(tc obs.TraceContext, to simnet.Addr, phys string) (string, simnet.Cost, error) {
 	return p.n.readLink(tc, to, phys)
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/merkle"
-	"repro/internal/nfs"
 	"repro/internal/obs"
 	"repro/internal/pastry"
 	"repro/internal/repl"
@@ -35,8 +34,9 @@ type peerStore struct {
 }
 
 // storePeers is a repl.Peer over in-memory remote stores. Mirror applies the
-// ops a push emits; block negotiation always fails, which sends every file
-// down the verbatim create-and-write path, so no chunk index is needed.
+// ops a push emits; block negotiation always answers that the remote holds
+// neither the file nor any block, so every chunk of a push travels inline
+// and no chunk index is needed.
 type storePeers struct {
 	stores map[simnet.Addr]*peerStore
 	asks   map[pair]int // TREE_DIGEST asks per (primary-relative root, node)
@@ -63,7 +63,7 @@ func (p *storePeers) Mirror(_ obs.TraceContext, to simnet.Addr, _ repl.Track, op
 		return 0, fs.WriteFile(op.Path, op.Data)
 	case repl.FSCreate:
 		return 0, fs.WriteFile(op.Path, nil)
-	case repl.FSWrite:
+	case repl.FSWrite, repl.FSChunkWrite: // a span's chunks are all inline
 		a, err := fs.LookupPath(op.Path)
 		if err != nil {
 			return 0, err
@@ -95,8 +95,8 @@ func (p *storePeers) DirDigests(_ obs.TraceContext, to simnet.Addr, dir string) 
 	return ents, ok, 0, err
 }
 
-func (p *storePeers) ChunkManifest(obs.TraceContext, simnet.Addr, string, []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
-	return nil, false, nil, 0, errScripted
+func (p *storePeers) ChunkManifest(_ obs.TraceContext, _ simnet.Addr, _ string, want []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
+	return nil, false, make([]bool, len(want)), 0, nil
 }
 
 func (p *storePeers) ChunkFetch(obs.TraceContext, simnet.Addr, string, []cas.Hash) ([][]byte, simnet.Cost, error) {
@@ -105,14 +105,6 @@ func (p *storePeers) ChunkFetch(obs.TraceContext, simnet.Addr, string, []cas.Has
 
 func (p *storePeers) Promote(obs.TraceContext, simnet.Addr, repl.Track) (bool, simnet.Cost, error) {
 	return false, 0, errScripted
-}
-
-func (p *storePeers) LookupPath(obs.TraceContext, simnet.Addr, string) (nfs.Handle, localfs.Attr, simnet.Cost, error) {
-	return nfs.Handle{}, localfs.Attr{}, 0, errScripted
-}
-
-func (p *storePeers) ReadStream(obs.TraceContext, simnet.Addr, nfs.Handle, int64, int, int) ([]byte, bool, simnet.Cost, error) {
-	return nil, false, 0, errScripted
 }
 
 func (p *storePeers) ReadLink(obs.TraceContext, simnet.Addr, string) (string, simnet.Cost, error) {

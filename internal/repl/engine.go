@@ -9,7 +9,6 @@ import (
 	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/merkle"
-	"repro/internal/nfs"
 	"repro/internal/obs"
 	"repro/internal/pastry"
 	"repro/internal/simnet"
@@ -29,8 +28,9 @@ type Overlay interface {
 	Route(key id.ID) (pastry.RouteResult, error)
 }
 
-// Peer is the engine's view of other nodes: the kosha-service RPCs used for
-// replica maintenance plus the plain NFS reads tree fetches are built from.
+// Peer is the engine's view of other nodes: the RPCs replica maintenance is
+// built from. File bytes move only as hash-verified blocks (ChunkManifest,
+// ChunkFetch) or as mirrored mutations (Mirror).
 // Every method takes the caller's trace context first, so anti-entropy and
 // migration traffic shows up as server spans on the remote side of the
 // assembled cross-node trace (a zero context propagates nothing).
@@ -52,12 +52,6 @@ type Peer interface {
 	// their subtree digests; ok is false when dir is missing or not a
 	// directory.
 	DirDigests(tc obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error)
-	// LookupPath resolves a physical path on a remote store.
-	LookupPath(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Handle, localfs.Attr, simnet.Cost, error)
-	// ReadStream reads up to chunks consecutive chunk-byte pieces of a
-	// remote file in one round trip, reporting EOF — the pipelined window
-	// transfer tree fetches are built from.
-	ReadStream(tc obs.TraceContext, to simnet.Addr, fh nfs.Handle, off int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error)
 	// ReadLink reads a remote symlink target by physical path.
 	ReadLink(tc obs.TraceContext, to simnet.Addr, phys string) (string, simnet.Cost, error)
 	// ChunkManifest negotiates at the block level (CHUNK_MANIFEST): it
@@ -114,15 +108,11 @@ type Engine struct {
 	syncSkipped  *obs.Counter
 	digestHits   *obs.Counter
 	digestMisses *obs.Counter
-	// Pull-repair counters: blocks obtained over CHUNK_FETCH, and total
-	// content bytes a tree fetch materialized over the network (both the
-	// block and the whole-file path), so promote-repair traffic is
-	// measurable independent of the surrounding sync chatter.
+	// Repair counters: blocks a pull or a scrub repair obtained over
+	// CHUNK_FETCH and their bytes, so promote-repair traffic is measurable
+	// independent of the surrounding sync chatter.
 	blocksFetched *obs.Counter
 	fetchBytes    *obs.Counter
-	// routedFetched counts blocks obtained from a holder found via routing
-	// after the leaf-set swarm (and its retry pass) came up empty.
-	routedFetched *obs.Counter
 
 	mu           sync.Mutex
 	tracked      map[string]Track // physical subtree root -> metadata (PN, version)
@@ -157,7 +147,6 @@ func New(o Options) *Engine {
 		digestMisses:  o.Registry.Counter("repl.sync.digest.misses"),
 		blocksFetched: o.Registry.Counter("repl.cas.blocks.fetched"),
 		fetchBytes:    o.Registry.Counter("repl.fetch.bytes"),
-		routedFetched: o.Registry.Counter("repl.cas.blocks.routed"),
 		tracked:       make(map[string]Track),
 		trackedLinks:  make(map[string]Track),
 	}

@@ -25,11 +25,14 @@ type storePeer struct {
 	blocks  *cas.Store // the remote's content-addressed block index
 	mirrors []mirrorRec
 	vers    map[string]uint64    // primary-relative root -> recorded Ver
-	fetches map[simnet.Addr]int  // CHUNK_FETCH round trips per holder address
+	fetches map[simnet.Addr]int  // CHUNK_FETCH round trips served per holder address
 	down    map[simnet.Addr]bool // addresses whose block procedures fail
+	lies    map[simnet.Addr]bool // addresses whose CHUNK_FETCH answers carry wrong bytes
 	// noManifest makes every CHUNK_MANIFEST answer exists=false, as a remote
-	// that cannot chunk the file would; noFetch makes every CHUNK_FETCH fail.
+	// whose file changed type would; noFetch makes every CHUNK_FETCH fail.
 	noManifest, noFetch bool
+	// onManifest, when set, runs once after a CHUNK_MANIFEST is answered.
+	onManifest func()
 }
 
 var errPeerDown = &nfs.Error{Proc: nfs.Proc(200), Status: nfs.ErrIO}
@@ -44,6 +47,7 @@ func newStorePeer() *storePeer {
 		vers:    map[string]uint64{},
 		fetches: map[simnet.Addr]int{},
 		down:    map[simnet.Addr]bool{},
+		lies:    map[simnet.Addr]bool{},
 	}
 }
 
@@ -186,30 +190,6 @@ func (s *storePeer) DirDigests(_ obs.TraceContext, to simnet.Addr, dir string) (
 	return ents, ok, 0, err
 }
 
-func (s *storePeer) LookupPath(_ obs.TraceContext, to simnet.Addr, phys string) (nfs.Handle, localfs.Attr, simnet.Cost, error) {
-	attr, err := s.remote.LookupPath(phys)
-	if err != nil {
-		return nfs.Handle{}, localfs.Attr{}, 0, err
-	}
-	return nfs.Handle{Ino: attr.Ino}, attr, 0, nil
-}
-
-func (s *storePeer) ReadStream(_ obs.TraceContext, to simnet.Addr, fh nfs.Handle, off int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
-	var data []byte
-	for i := 0; i < chunks; i++ {
-		piece, eof, _, err := s.remote.Read(fh.Ino, off, chunk)
-		if err != nil {
-			return nil, false, 0, err
-		}
-		data = append(data, piece...)
-		off += int64(len(piece))
-		if eof || len(piece) < chunk {
-			return data, eof, 0, nil
-		}
-	}
-	return data, false, 0, nil
-}
-
 func (s *storePeer) ReadLink(_ obs.TraceContext, to simnet.Addr, phys string) (string, simnet.Cost, error) {
 	attr, err := s.remote.LookupPath(phys)
 	if err != nil {
@@ -230,7 +210,12 @@ func (s *storePeer) ChunkManifest(_ obs.TraceContext, to simnet.Addr, phys strin
 			man, exists = m, true
 		}
 	}
-	return man, exists, s.blocks.HasAll(want), 0, nil
+	have := s.blocks.HasAll(want)
+	if hook := s.onManifest; hook != nil {
+		s.onManifest = nil
+		hook()
+	}
+	return man, exists, have, 0, nil
 }
 
 func (s *storePeer) ChunkFetch(_ obs.TraceContext, to simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
@@ -246,6 +231,10 @@ func (s *storePeer) ChunkFetch(_ obs.TraceContext, to simnet.Addr, phys string, 
 	blocks := make([][]byte, len(hashes))
 	for i, h := range hashes {
 		if b, ok := s.blocks.Get(h); ok {
+			if s.lies[to] {
+				b = append([]byte(nil), b...)
+				b[0] ^= 0xFF
+			}
 			blocks[i] = b
 		}
 	}
@@ -319,38 +308,43 @@ func TestFetchTreeKeepsNestedFlagNamedFile(t *testing.T) {
 	}
 }
 
-// Satellite fix: whole-file pushes ship file contents in bounded chunks
-// rather than one whole-file op. (sendFileWhole is the fallback when block
-// negotiation fails.)
+// A file the receiver holds none of ships in bounded pieces: a create, then
+// FSChunkWrite spans whose inline payload never exceeds PushChunk and which
+// reassemble, in offset order, to the source file.
 func TestSendFileChunksLargePayload(t *testing.T) {
 	e, store, _ := deltaEngine(t, newStorePeer())
-	payload := bytes.Repeat([]byte("x"), PushChunk*2+PushChunk/2)
+	payload := patternBytes(PushChunk*2+PushChunk/2, 3)
 	if err := store.WriteFile("/big/blob", payload); err != nil {
 		t.Fatal(err)
 	}
 	var ops []FSOp
 	step := func(op FSOp) error { ops = append(ops, op); return nil }
-	if err := e.sendFileWhole("/big/blob", "/big/blob", step); err != nil {
+	if err := e.sendFile(obs.TraceContext{}, "r1", "/big/blob", "/big/blob", false, step, func(simnet.Cost) {}); err != nil {
 		t.Fatal(err)
 	}
-	if len(ops) != 4 || ops[0].Kind != FSCreate {
-		t.Fatalf("got %d ops (first %v), want FSCreate + 3 chunked FSWrites", len(ops), ops[0].Kind)
+	if len(ops) < 4 || ops[0].Kind != FSCreate {
+		t.Fatalf("got %d ops (first %v), want FSCreate + at least 3 bounded spans", len(ops), ops[0].Kind)
 	}
 	var rebuilt []byte
 	for i, op := range ops[1:] {
-		if op.Kind != FSWrite {
-			t.Fatalf("op %d kind %v, want FSWrite", i+1, op.Kind)
+		if op.Kind != FSChunkWrite {
+			t.Fatalf("op %d kind %v, want FSChunkWrite", i+1, op.Kind)
 		}
 		if op.Offset != int64(len(rebuilt)) {
 			t.Fatalf("op %d offset %d, want %d", i+1, op.Offset, len(rebuilt))
 		}
 		if len(op.Data) > PushChunk {
-			t.Fatalf("chunk %d bytes exceeds the %d limit", len(op.Data), PushChunk)
+			t.Fatalf("span %d carries %d inline bytes, over the %d limit", i+1, len(op.Data), PushChunk)
+		}
+		for _, cr := range op.Chunks {
+			if !cr.Inline {
+				t.Fatalf("span %d references a block the receiver does not hold", i+1)
+			}
 		}
 		rebuilt = append(rebuilt, op.Data...)
 	}
 	if !bytes.Equal(rebuilt, payload) {
-		t.Fatal("chunks do not reassemble to the source file")
+		t.Fatal("spans do not reassemble to the source file")
 	}
 }
 
@@ -607,12 +601,12 @@ func TestRefreshRestampsMatchingReplica(t *testing.T) {
 	}
 }
 
-// The whole-file code is only ever reached as a fallback edge inside the
-// chunk path. Edge 1: CHUNK_MANIFEST negotiation fails, so sendFile streams
-// the file verbatim and the replica still converges byte-exact.
-func TestSendFileFallsBackWhenNegotiationFails(t *testing.T) {
+// A CHUNK_MANIFEST that fails fails the push: nothing of the file is
+// mirrored, the remote root keeps MIGRATION_NOT_COMPLETE armed, and the next
+// refresh, with the peer back, converges byte-exact and drops the flag.
+func TestSendFileNegotiationFailureLeavesFlagArmed(t *testing.T) {
 	peer := newStorePeer()
-	e, store, reg := deltaEngine(t, peer)
+	e, store, _ := deltaEngine(t, peer)
 	content := patternBytes(PushChunk+PushChunk/2, 21)
 	if err := store.WriteFile("/proj/big.bin", content); err != nil {
 		t.Fatal(err)
@@ -620,78 +614,230 @@ func TestSendFileFallsBackWhenNegotiationFails(t *testing.T) {
 	if err := peer.remote.WriteFile(RepPath("/proj")+"/big.bin", []byte("stale")); err != nil {
 		t.Fatal(err)
 	}
+	tr := Track{PN: "proj", Root: "/proj", Ver: 2}
+	flag := RepPath("/proj") + "/" + MigrationFlag
+
 	peer.down["r1"] = true // block procedures fail; mirrors and digests still work
-	if _, err := refreshAsked(e, peer, Track{PN: "proj", Root: "/proj", Ver: 2}); err != nil {
+	if _, err := refreshAsked(e, peer, tr); err == nil {
+		t.Fatal("refresh succeeded with CHUNK_MANIFEST failing")
+	}
+	for _, m := range peer.mirrors {
+		switch m.op.Kind {
+		case FSCreate, FSWrite, FSWriteFile, FSChunkWrite:
+			if m.op.Path != "/proj/"+MigrationFlag {
+				t.Fatalf("failed negotiation still mirrored %v %s", m.op.Kind, m.op.Path)
+			}
+		}
+	}
+	if _, err := peer.remote.LookupPath(flag); err != nil {
+		t.Fatal("migration flag not armed after the failed push")
+	}
+
+	peer.down["r1"] = false
+	if _, err := refreshAsked(e, peer, tr); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := peer.remote.ReadFile(RepPath("/proj") + "/big.bin"); err != nil || !bytes.Equal(got, content) {
-		t.Fatalf("replica content diverged after the whole-file fallback (err=%v, %d bytes)", err, len(got))
+		t.Fatalf("replica diverged after the retried push (err=%v, %d bytes)", err, len(got))
 	}
-	writes := 0
-	for _, m := range peer.mirrors {
-		switch m.op.Kind {
-		case FSChunkWrite:
-			t.Fatal("fallback still shipped a chunk-negotiated span")
-		case FSWrite:
-			writes++
-		}
-	}
-	if writes != 2 {
-		t.Fatalf("fallback shipped %d FSWrite ops, want 2 PushChunk-bounded pieces", writes)
-	}
-	if sent := reg.Counter("repl.sync.files.sent").Load(); sent != 1 {
-		t.Fatalf("files.sent = %d, want 1", sent)
-	}
-	if b := reg.Counter("repl.sync.bytes").Load(); b != uint64(len(content)) {
-		t.Fatalf("sync.bytes = %d, want the whole file (%d)", b, len(content))
+	if _, err := peer.remote.LookupPath(flag); err == nil {
+		t.Fatal("migration flag still armed after the retried push converged")
 	}
 }
 
-// Edge 2: the remote has no manifest for the file (exists=false), so
-// pullFile streams it whole — no CHUNK_FETCH is issued — byte-exact.
-func TestPullFileStreamsWholeWithoutRemoteManifest(t *testing.T) {
+// pullFixture is a stale local copy of /pull/doc.bin at version 2 and a
+// newer remote one to pull at version 3.
+func pullFixture(t *testing.T, peer *storePeer) (e *Engine, store localfs.FileSystem, stale []byte) {
+	t.Helper()
+	e, store, _ = deltaEngine(t, peer)
+	remote := patternBytes(1<<20, 27)
+	stale = append([]byte(nil), remote...)
+	copy(stale[1<<19:], "STALE-LOCAL-EDIT")
+	mustWrite(t, peer.remote, RepPath("/pull")+"/doc.bin", string(remote))
+	mustWrite(t, store, "/pull/doc.bin", string(stale))
+	e.Track(Track{PN: "pull", Root: "/pull", Ver: 2}, FSOp{Kind: FSMkdirAll, Path: "/pull"})
+	return e, store, stale
+}
+
+// wantUntouched fails unless the failed pull left the local copy and its
+// version exactly as they were.
+func wantUntouched(t *testing.T, e *Engine, store localfs.FileSystem, stale []byte) {
+	t.Helper()
+	if got, err := store.ReadFile("/pull/doc.bin"); err != nil || !bytes.Equal(got, stale) {
+		t.Fatalf("a failed pull rewrote the local file (err=%v, %d bytes)", err, len(got))
+	}
+	if v := e.VerOf("/pull"); v != 2 {
+		t.Fatalf("a failed pull adopted version %d", v)
+	}
+}
+
+// A holder that lists a regular file and then has no manifest for it fails
+// the pull; adopt then fetches from the next candidate holding the version.
+func TestPullFileWithoutManifestWritesNothing(t *testing.T) {
 	peer := newStorePeer()
 	peer.noManifest = true
-	e, store, reg := deltaEngine(t, peer)
-	content := patternBytes(PushChunk*FetchWindow+4096, 23) // more than one ReadStream window
-	if err := peer.remote.WriteFile(RepPath("/pull")+"/blob.bin", content); err != nil {
-		t.Fatal(err)
+	e, store, stale := pullFixture(t, peer)
+	if _, err := e.fetchTree(obs.TraceContext{}, "r1", []simnet.Addr{"r2"}, Track{PN: "pull", Root: "/pull"}, 3); err == nil {
+		t.Fatal("pull succeeded without a manifest")
 	}
+	wantUntouched(t, e, store, stale)
+	if len(peer.fetches) != 0 {
+		t.Fatalf("a pull with no manifest fetched blocks: %v", peer.fetches)
+	}
+
+	peers := newCountingPeers("r1", "r2")
+	e, store = ownerEngine(peers, "r1", "r2")
+	content := patternBytes(1<<20, 29)
+	for _, a := range []simnet.Addr{"r1", "r2"} {
+		mustWrite(t, peers.at[a].remote, RepPath("/pull")+"/doc.bin", string(content))
+		peers.at[a].vers["/pull"] = 3
+	}
+	peers.at["r1"].noManifest = true
+	mustWrite(t, store, "/pull/doc.bin", "stale")
+	e.Track(Track{PN: "pull", Root: "/pull", Ver: 2}, FSOp{Kind: FSMkdirAll, Path: "/pull"})
+	if _, changed := e.AdoptRoot(obs.TraceContext{}, Track{PN: "pull", Root: "/pull", Ver: 2}); !changed {
+		t.Fatal("adopt gave up after the first holder of the version failed")
+	}
+	if got, err := store.ReadFile("/pull/doc.bin"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("content adopted from the second holder diverged (err=%v, %d bytes)", err, len(got))
+	}
+	if v := e.VerOf("/pull"); v != 3 {
+		t.Fatalf("adopted version %d, want 3", v)
+	}
+}
+
+// Every source refuses CHUNK_FETCH: the pull fails and writes nothing.
+func TestPullFileWithEveryFetchRefusedWritesNothing(t *testing.T) {
+	peer := newStorePeer()
+	peer.noFetch = true
+	e, store, stale := pullFixture(t, peer)
+	_, err := e.fetchTree(obs.TraceContext{}, "r1", []simnet.Addr{"r2"}, Track{PN: "pull", Root: "/pull"}, 3)
+	if err == nil {
+		t.Fatal("pull succeeded with every CHUNK_FETCH refused")
+	}
+	wantUntouched(t, e, store, stale)
+}
+
+// The source's copy changes between CHUNK_MANIFEST and the block fetches,
+// across two chunks, and no source serves the missing block. The pull must
+// not stitch the manifest's old blocks from the local index to the new
+// bytes: it fails, and the local file and version stay as they were.
+func TestPullFileTornSourceWritesNothing(t *testing.T) {
+	peer := newStorePeer()
+	peer.noFetch = true
+	e, store, _ := deltaEngine(t, peer)
+	v1 := patternBytes(1<<20, 31)
+	man := cas.Split(v1)
+	if len(man) < 4 {
+		t.Fatalf("%d chunks, want >= 4", len(man))
+	}
+	// The local copy lacks chunk k of v1; v2 rewrites bytes on both sides of
+	// the boundary between chunks k and k+1.
+	k := len(man) / 2
+	var start int64
+	for _, ch := range man[:k] {
+		start += int64(ch.Len)
+	}
+	boundary := start + int64(man[k].Len)
+	stale := append([]byte(nil), v1...)
+	copy(stale[start+16:], "STALE-LOCAL-EDIT")
+	v2 := append([]byte(nil), v1...)
+	copy(v2[boundary-8:], "REWRITTEN-ACROSS")
+	mustWrite(t, peer.remote, RepPath("/pull")+"/doc.bin", string(v1))
+	mustWrite(t, store, "/pull/doc.bin", string(stale))
+	e.Track(Track{PN: "pull", Root: "/pull", Ver: 2}, FSOp{Kind: FSMkdirAll, Path: "/pull"})
+	peer.onManifest = func() { mustWrite(t, peer.remote, RepPath("/pull")+"/doc.bin", string(v2)) }
+
+	if _, err := e.fetchTree(obs.TraceContext{}, "r1", nil, Track{PN: "pull", Root: "/pull"}, 3); err == nil {
+		got, _ := store.ReadFile("/pull/doc.bin")
+		t.Fatalf("torn pull adopted: local file is v1=%v v2=%v", bytes.Equal(got, v1), bytes.Equal(got, v2))
+	}
+	wantUntouched(t, e, store, stale)
+}
+
+// A source that answers wrong bytes for a hash is never written: the next
+// source serves that hash, and every block fetched is one the manifest names.
+func TestGatherDropsWrongBytes(t *testing.T) {
+	peer := newStorePeer()
+	peer.lies["r1"] = true
+	e, store, reg := deltaEngine(t, peer)
+	content := patternBytes(1<<20, 41)
+	mustWrite(t, peer.remote, RepPath("/pull")+"/blob.bin", string(content))
 	if _, err := e.fetchTree(obs.TraceContext{}, "r1", []simnet.Addr{"r2"}, Track{PN: "pull", Root: "/pull"}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := store.ReadFile("/pull/blob.bin"); err != nil || !bytes.Equal(got, content) {
-		t.Fatalf("streamed content diverged (err=%v, %d bytes)", err, len(got))
+		t.Fatalf("pulled content diverged (err=%v, %d bytes)", err, len(got))
 	}
-	if len(peer.fetches) != 0 {
-		t.Fatalf("whole-file stream still issued CHUNK_FETCH: %v", peer.fetches)
+	unique := map[cas.Hash]bool{}
+	for _, ch := range cas.Split(content) {
+		unique[ch.Hash] = true
+	}
+	if f := reg.Counter("repl.cas.blocks.fetched").Load(); f != uint64(len(unique)) {
+		t.Fatalf("blocks.fetched = %d, want the %d distinct chunks, each once", f, len(unique))
+	}
+	if b := reg.Counter("repl.fetch.bytes").Load(); b != uint64(len(content)) {
+		t.Fatalf("fetch.bytes = %d, want %d", b, len(content))
+	}
+	if peer.fetches["r2"] < 2 {
+		t.Fatalf("r2 served %d batches: it was not asked for r1's share", peer.fetches["r2"])
+	}
+}
+
+// A holder that dies after its first batch has the rest of its share served
+// by the other source, and is not asked again.
+func TestGatherServesADeadHoldersShare(t *testing.T) {
+	peer := newStorePeer()
+	e, store, reg := deltaEngine(t, peer)
+	content := patternBytes(4<<20, 43)
+	mustWrite(t, peer.remote, RepPath("/pull")+"/blob.bin", string(content))
+	asked := 0
+	e.SetFetchHook(func(holder simnet.Addr, _ int) {
+		if holder == "r2" {
+			asked++
+			peer.down["r2"] = true
+		}
+	})
+	if _, err := e.fetchTree(obs.TraceContext{}, "r1", []simnet.Addr{"r2"}, Track{PN: "pull", Root: "/pull"}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := store.ReadFile("/pull/blob.bin"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("pulled content diverged (err=%v, %d bytes)", err, len(got))
+	}
+	if peer.fetches["r2"] != 1 || asked != 2 {
+		t.Fatalf("r2 served %d batches and was asked %d times, want 1 served then 1 refused", peer.fetches["r2"], asked)
 	}
 	if b := reg.Counter("repl.fetch.bytes").Load(); b != uint64(len(content)) {
 		t.Fatalf("fetch.bytes = %d, want %d", b, len(content))
 	}
 }
 
-// Edge 3: every holder refuses CHUNK_FETCH (swarm, retry pass, and no routed
-// owner to ask), so each block comes from a ranged read of the version's
-// holder and the file is still rebuilt byte-exact.
-func TestPullFileRangedReadLastResort(t *testing.T) {
+// A scrub repair splits its WANT list across its helpers, as a pull does.
+func TestVerifyFileSplitsWantAcrossHelpers(t *testing.T) {
 	peer := newStorePeer()
-	peer.noFetch = true
-	e, store, reg := deltaEngine(t, peer)
-	content := patternBytes(1<<20, 25)
-	if err := peer.remote.WriteFile(RepPath("/pull")+"/blob.bin", content); err != nil {
+	e, store, _ := deltaEngine(t, peer)
+	content := patternBytes(1<<20, 47)
+	mustWrite(t, store, "/v/blob.bin", string(content))
+	mustWrite(t, peer.remote, RepPath("/v")+"/blob.bin", string(content))
+	if _, err := e.mk.ManifestOf("/v/blob.bin"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.fetchTree(obs.TraceContext{}, "r1", []simnet.Addr{"r2"}, Track{PN: "pull", Root: "/pull"}, 3); err != nil {
+	// Two chunks rot: the first and the last.
+	rot := store.(localfs.Corrupter)
+	if err := rot.CorruptFile("/v/blob.bin", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := store.ReadFile("/pull/blob.bin"); err != nil || !bytes.Equal(got, content) {
-		t.Fatalf("rebuilt content diverged (err=%v, %d bytes)", err, len(got))
+	if err := rot.CorruptFile("/v/blob.bin", -2048); err != nil {
+		t.Fatal(err)
 	}
-	if f := reg.Counter("repl.cas.blocks.fetched").Load(); f != 0 {
-		t.Fatalf("blocks.fetched = %d with every CHUNK_FETCH refused", f)
+	helpers := []BlockSource{{Addr: "r1", Phys: RepPath("/v/blob.bin")}, {Addr: "r2", Phys: RepPath("/v/blob.bin")}}
+	if out, _ := e.VerifyFile(obs.TraceContext{}, "/v/blob.bin", helpers); out != VerifyRepaired {
+		t.Fatalf("VerifyFile = %v, want VerifyRepaired", out)
 	}
-	if b := reg.Counter("repl.fetch.bytes").Load(); b != uint64(len(content)) {
-		t.Fatalf("fetch.bytes = %d, want %d from ranged reads", b, len(content))
+	if got, err := store.ReadFile("/v/blob.bin"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("repaired content diverged (err=%v, %d bytes)", err, len(got))
+	}
+	if peer.fetches["r1"] != 1 || peer.fetches["r2"] != 1 {
+		t.Fatalf("fetches per helper %v, want one batch from each", peer.fetches)
 	}
 }

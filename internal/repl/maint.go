@@ -182,23 +182,16 @@ const (
 	VerifyFailed
 )
 
-// BlockSource is one remote node a VerifyFile repair may fetch blocks from,
-// with the physical path its copy of the file lives at (primary path on the
-// owner, replica-area path on candidates).
-type BlockSource struct {
-	Addr simnet.Addr
-	Phys string
-}
-
 // VerifyFile re-chunks the local regular file at phys and compares against
 // the memoized manifest — the scrub's bit-rot detector. Silent corruption
 // never fires a mutation notification, so the memo still describes the
 // *intended* bytes; a mismatch means the media lied. Repair rebuilds the
-// file to the cached manifest, preferring chunks still intact locally (the
-// fresh re-chunk and the block index), then content-addressed fetches from
-// helpers. Files without a baseline get one computed (counted clean).
+// file to the cached manifest through gather, the pull's own routine: the
+// corrupt file's intact spans and the block index first, then
+// content-addressed fetches split across helpers (the owner's copy in the
+// primary area, the candidates' in the replica area). Files without a
+// baseline get one computed (counted clean).
 func (e *Engine) VerifyFile(tc obs.TraceContext, phys string, helpers []BlockSource) (VerifyOutcome, simnet.Cost) {
-	var total simnet.Cost
 	attr, err := e.store.LookupPath(phys)
 	if err != nil || attr.Type != localfs.TypeRegular {
 		return VerifyClean, 0
@@ -217,48 +210,21 @@ func (e *Engine) VerifyFile(tc obs.TraceContext, phys string, helpers []BlockSou
 		return VerifyClean, 0
 	}
 
-	// Gather the cached manifest's chunks: intact spans of the corrupt file
-	// first, then the local block index, then the helper swarm.
-	blocks := make(map[cas.Hash][]byte, len(cached))
+	// The fresh re-chunk hashed every span of the corrupt file: the spans
+	// whose hash the cached manifest still names are intact.
+	intact := make(map[cas.Hash][]byte, len(fresh))
 	var off int64
 	for _, ch := range fresh {
-		blocks[ch.Hash] = data[off : off+int64(ch.Len)]
+		intact[ch.Hash] = data[off : off+int64(ch.Len)]
 		off += int64(ch.Len)
 	}
-	lens := make(map[cas.Hash]uint32, len(cached))
-	var need []cas.Hash
-	for _, ch := range cached {
-		if _, dup := lens[ch.Hash]; dup {
-			continue
-		}
-		lens[ch.Hash] = ch.Len
-		if b, ok := blocks[ch.Hash]; ok && len(b) == int(ch.Len) {
-			continue
-		}
-		if b, ok := e.cas.Get(ch.Hash); ok && len(b) == int(ch.Len) {
-			blocks[ch.Hash] = b
-			continue
-		}
-		need = append(need, ch.Hash)
-	}
-	for _, h := range helpers {
-		if len(need) == 0 {
-			break
-		}
-		var c simnet.Cost
-		need, c = e.fetchFrom(tc, h.Addr, h.Phys, need, lens, blocks)
-		total = simnet.Seq(total, c)
-	}
-	if len(need) > 0 {
+	buf, total, ok := e.gather(tc, cached, intact, helpers)
+	if !ok {
 		// Some chunk is gone everywhere we can reach. Leave the bytes but
 		// drop the stale memo: digests now report the corrupt truth, so the
 		// divergence surfaces in exchanges instead of hiding forever.
 		e.mk.Invalidate(phys)
 		return VerifyFailed, total
-	}
-	buf := make([]byte, 0, cached.TotalLen())
-	for _, ch := range cached {
-		buf = append(buf, blocks[ch.Hash]...)
 	}
 	if err := e.store.WriteFile(phys, buf); err != nil {
 		return VerifyFailed, total

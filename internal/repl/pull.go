@@ -4,12 +4,10 @@ import (
 	"errors"
 	"path"
 	"sort"
-	"strings"
 
 	"repro/internal/cas"
 	"repro/internal/localfs"
 	"repro/internal/merkle"
-	"repro/internal/nfs"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
@@ -54,7 +52,9 @@ func (e *Engine) askCandidates(tc obs.TraceContext, root string, hash bool) (ans
 
 // adopt brings this node's copy of t.Root up to the newest settled state
 // among the candidates' answers: a newer copy is fetched, a newer deletion
-// becomes the local tombstone. Reports whether local state changed.
+// becomes the local tombstone. A fetch that fails adopts nothing, so the next
+// answer holding the same version is tried. Reports whether local state
+// changed.
 func (e *Engine) adopt(tc obs.TraceContext, t Track, answers []held) (total simnet.Cost, changed bool) {
 	myVer := e.VerOf(t.Root)
 	for i, h := range answers {
@@ -96,15 +96,27 @@ func (e *Engine) adopt(tc obs.TraceContext, t Track, answers []held) (total simn
 // surfaced. It is a block-level delta pull: the local (promoted, stale) copy
 // is kept as a chunk source, directory digests skip identical subtrees, and
 // each mismatching file is rebuilt from its remote manifest, fetching only
-// the blocks no local file holds — in parallel from every settled holder in
-// holders plus from itself.
+// the blocks no local file holds — in parallel from `from` and every other
+// settled holder in holders.
 func (e *Engine) fetchTree(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, t Track, remoteVer uint64) (simnet.Cost, error) {
 	var total simnet.Cost
 	src := RepPath(t.Root)
 	if _, err := e.store.MkdirAll(t.Root); err != nil {
 		return total, err
 	}
-	if err := e.pullDir(tc, from, holders, src, t.Root, src, &total); err != nil {
+	// The swarm is `from` first, then the other holders in address order
+	// (deterministic for seed-exact replay), never this node itself.
+	swarm := []simnet.Addr{from}
+	seen := map[simnet.Addr]bool{from: true, e.self: true}
+	sorted := append([]simnet.Addr(nil), holders...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	for _, h := range sorted {
+		if !seen[h] {
+			seen[h] = true
+			swarm = append(swarm, h)
+		}
+	}
+	if err := e.pullDir(tc, swarm, src, t.Root, src, &total); err != nil {
 		return total, err
 	}
 	adopted := t
@@ -113,12 +125,13 @@ func (e *Engine) fetchTree(tc obs.TraceContext, from simnet.Addr, holders []simn
 	return total, nil
 }
 
-// pullDir reconciles one local directory against its remote counterpart
-// during a delta pull: matching child digests are skipped wholesale,
-// mismatching files are rebuilt block-wise, and local-only entries are
-// deleted. flagDir is the remote hierarchy root, where the migration
-// sentinel is protocol state rather than content.
-func (e *Engine) pullDir(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, remoteDir, localDir, flagDir string, total *simnet.Cost) error {
+// pullDir reconciles one local directory against its remote counterpart on
+// swarm[0] during a delta pull: matching child digests are skipped
+// wholesale, mismatching files are rebuilt block-wise, and local-only
+// entries are deleted. flagDir is the remote hierarchy root, where the
+// migration sentinel is protocol state rather than content.
+func (e *Engine) pullDir(tc obs.TraceContext, swarm []simnet.Addr, remoteDir, localDir, flagDir string, total *simnet.Cost) error {
+	from := swarm[0]
 	remoteEnts, ok, c, err := e.peer.DirDigests(tc, from, remoteDir)
 	*total = simnet.Seq(*total, c)
 	if err != nil {
@@ -158,7 +171,7 @@ func (e *Engine) pullDir(tc obs.TraceContext, from simnet.Addr, holders []simnet
 			if _, err := e.store.MkdirAll(lp); err != nil {
 				return err
 			}
-			if err := e.pullDir(tc, from, holders, rp, lp, flagDir, total); err != nil {
+			if err := e.pullDir(tc, swarm, rp, lp, flagDir, total); err != nil {
 				return err
 			}
 		case localfs.TypeSymlink:
@@ -185,7 +198,7 @@ func (e *Engine) pullDir(tc obs.TraceContext, from simnet.Addr, holders []simnet
 					return err
 				}
 			}
-			if err := e.pullFile(tc, from, holders, rp, lp, total); err != nil {
+			if err := e.pullFile(tc, swarm, rp, lp, total); err != nil {
 				return err
 			}
 		}
@@ -203,145 +216,139 @@ func (e *Engine) pullDir(tc obs.TraceContext, from simnet.Addr, holders []simnet
 	return nil
 }
 
-// pullFile rebuilds one local file from its remote chunk manifest. Blocks
-// some indexed local file already holds are copied locally; the rest are
-// fetched content-addressed from the holder swarm, with a ranged read from
-// `from` as the per-block last resort. The new content is assembled fully
-// before the local file is overwritten, so the stale copy stays available
-// as a chunk source throughout.
-func (e *Engine) pullFile(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, rp, lp string, total *simnet.Cost) error {
-	man, exists, _, c, err := e.peer.ChunkManifest(tc, from, rp, nil)
+var (
+	// errNoManifest: the version's holder listed a regular file and then had
+	// no manifest for it (the file changed under the pull).
+	errNoManifest = errors.New("repl: remote file has no chunk manifest")
+	// errShortRepair: some chunk of the manifest was served, hash-verified,
+	// by no source.
+	errShortRepair = errors.New("repl: a chunk is held by no source")
+)
+
+// pullFile rebuilds one local file from the chunk manifest of its copy on
+// swarm[0], gathering the chunks from the local block index and the swarm.
+// The local file is overwritten only once every chunk is in hand, so the
+// stale copy stays available as a chunk source throughout and a pull that
+// comes up short leaves it untouched.
+func (e *Engine) pullFile(tc obs.TraceContext, swarm []simnet.Addr, rp, lp string, total *simnet.Cost) error {
+	man, exists, _, c, err := e.peer.ChunkManifest(tc, swarm[0], rp, nil)
 	*total = simnet.Seq(*total, c)
 	if err != nil {
 		return err
 	}
 	if !exists {
-		return e.pullFileWhole(tc, from, rp, lp, total)
+		return errNoManifest
 	}
 	// Index the stale local copy (if any): its unchanged blocks then resolve
 	// locally instead of over the network.
 	if attr, lerr := e.store.LookupPath(lp); lerr == nil && attr.Type == localfs.TypeRegular {
 		e.mk.ManifestOf(lp)
 	}
+	sources := make([]BlockSource, len(swarm))
+	for i, a := range swarm {
+		sources[i] = BlockSource{Addr: a, Phys: rp}
+	}
+	buf, c, ok := e.gather(tc, man, nil, sources)
+	*total = simnet.Seq(*total, c)
+	if !ok {
+		return errShortRepair
+	}
+	return e.store.WriteFile(lp, buf)
+}
+
+// BlockSource is one remote node a repair may fetch blocks from, with the
+// physical path its copy of the file lives at (the path hint CHUNK_FETCH
+// carries).
+type BlockSource struct {
+	Addr simnet.Addr
+	Phys string
+}
+
+// gather assembles the bytes man describes, every chunk checked against the
+// manifest's hash and length: the one way a pull or a scrub repair rebuilds
+// a file. Chunks come from have (bytes already in hand and hashed, such as a
+// corrupt file's intact spans), then the local block index, then sources
+// over CHUNK_FETCH: the WANT list is split round-robin across the sources as
+// one simnet.Par fan-out, and whatever a source did not serve is asked of
+// the other sources in order, none of them twice for the same hash. ok is
+// false when some chunk is still missing; nothing is assembled then.
+func (e *Engine) gather(tc obs.TraceContext, man cas.Manifest, have map[cas.Hash][]byte, sources []BlockSource) (buf []byte, cost simnet.Cost, ok bool) {
 	lens := make(map[cas.Hash]uint32, len(man))
+	blocks := make(map[cas.Hash][]byte, len(man))
 	var need []cas.Hash
 	for _, ch := range man {
 		if _, dup := lens[ch.Hash]; dup {
 			continue
 		}
 		lens[ch.Hash] = ch.Len
-		if !e.cas.Has(ch.Hash) {
+		if b, ok := have[ch.Hash]; ok && len(b) == int(ch.Len) {
+			blocks[ch.Hash] = b
+		} else if b, ok := e.cas.Get(ch.Hash); ok && len(b) == int(ch.Len) {
+			blocks[ch.Hash] = b
+		} else {
 			need = append(need, ch.Hash)
 		}
 	}
-	blocks := make(map[cas.Hash][]byte)
-	if len(need) > 0 {
-		e.fetchBlocks(tc, from, holders, rp, need, lens, blocks, total)
+	if n := len(sources); n > 0 && len(need) > 0 {
+		// Hash need[k] is first asked of source k mod n.
+		share := make([][]cas.Hash, n)
+		for k, h := range need {
+			share[k%n] = append(share[k%n], h)
+		}
+		fan := make([]simnet.Cost, n)
+		for i, s := range sources {
+			fan[i] = e.fetchFrom(tc, s, share[i], lens, blocks)
+		}
+		cost = simnet.Par(fan...)
+		for i, s := range sources {
+			var ask []cas.Hash
+			for k, h := range need {
+				if _, got := blocks[h]; !got && k%n != i {
+					ask = append(ask, h)
+				}
+			}
+			cost = simnet.Seq(cost, e.fetchFrom(tc, s, ask, lens, blocks))
+		}
 	}
-	buf := make([]byte, 0, man.TotalLen())
-	var off int64
-	var fh nfs.Handle
-	haveFh := false
+	for _, h := range need {
+		if _, got := blocks[h]; !got {
+			return nil, cost, false
+		}
+	}
+	buf = make([]byte, 0, man.TotalLen())
 	for _, ch := range man {
-		b, ok := blocks[ch.Hash]
-		if !ok {
-			b, ok = e.cas.Get(ch.Hash)
-			ok = ok && len(b) == int(ch.Len)
-		}
-		if !ok {
-			// Last resort: a ranged read of this chunk's extent from `from`.
-			if !haveFh {
-				var c simnet.Cost
-				fh, _, c, err = e.peer.LookupPath(tc, from, rp)
-				*total = simnet.Seq(*total, c)
-				if err != nil {
-					return err
-				}
-				haveFh = true
-			}
-			b = make([]byte, 0, ch.Len)
-			for int64(len(b)) < int64(ch.Len) {
-				part, eof, c, err := e.peer.ReadStream(tc, from, fh, off+int64(len(b)), int(ch.Len)-len(b), 1)
-				*total = simnet.Seq(*total, c)
-				if err != nil {
-					return err
-				}
-				b = append(b, part...)
-				if eof || len(part) == 0 {
-					break
-				}
-			}
-			if len(b) != int(ch.Len) {
-				return errors.New("repl: short ranged chunk read")
-			}
-			e.fetchBytes.Add(uint64(len(b)))
-			blocks[ch.Hash] = b
-		}
-		buf = append(buf, b...)
-		off += int64(ch.Len)
+		buf = append(buf, blocks[ch.Hash]...)
 	}
-	return e.store.WriteFile(lp, buf)
-}
-
-// FetchWindow is how many PushChunk pieces a whole-file pull keeps in flight
-// per ReadStream round trip.
-const FetchWindow = 4
-
-// pullFileWhole streams one remote file verbatim — the fallback when the
-// remote cannot answer a manifest.
-func (e *Engine) pullFileWhole(tc obs.TraceContext, from simnet.Addr, rp, lp string, total *simnet.Cost) error {
-	fh, attr, c, err := e.peer.LookupPath(tc, from, rp)
-	*total = simnet.Seq(*total, c)
-	if err != nil {
-		return err
-	}
-	data := make([]byte, 0, attr.Size)
-	for off := int64(0); ; {
-		chunk, eof, c, err := e.peer.ReadStream(tc, from, fh, off, PushChunk, FetchWindow)
-		*total = simnet.Seq(*total, c)
-		if err != nil {
-			return err
-		}
-		data = append(data, chunk...)
-		off += int64(len(chunk))
-		if eof || len(chunk) == 0 {
-			break
-		}
-	}
-	e.fetchBytes.Add(uint64(len(data)))
-	return e.store.WriteFile(lp, data)
+	return buf, cost, true
 }
 
 // fetchBatch bounds how many blocks one CHUNK_FETCH round trip requests.
 const fetchBatch = 16
 
-// fetchFrom asks one holder for blocks by hash in fetchBatch-sized
-// CHUNK_FETCH round trips, one after the other. Every returned block is
-// verified against its hash and expected length (lens) before it lands in
-// out. missing lists, in request order, the hashes the holder did not serve;
-// a transport error abandons the holder, so everything not yet answered is
-// missing too.
-func (e *Engine) fetchFrom(tc obs.TraceContext, holder simnet.Addr, pathHint string, hashes []cas.Hash, lens map[cas.Hash]uint32, out map[cas.Hash][]byte) (missing []cas.Hash, cost simnet.Cost) {
+// fetchFrom asks one source for blocks by hash in fetchBatch-sized
+// CHUNK_FETCH round trips, one after the other. A returned block lands in
+// out only if it matches its hash and expected length (lens); anything else
+// is dropped as not served. A transport error abandons the source.
+func (e *Engine) fetchFrom(tc obs.TraceContext, src BlockSource, hashes []cas.Hash, lens map[cas.Hash]uint32, out map[cas.Hash][]byte) (cost simnet.Cost) {
 	e.mu.Lock()
 	hook := e.fetchHook
 	e.mu.Unlock()
 	for start := 0; start < len(hashes); start += fetchBatch {
 		batch := hashes[start:min(start+fetchBatch, len(hashes))]
-		blocks, c, err := e.peer.ChunkFetch(tc, holder, pathHint, batch)
+		blocks, c, err := e.peer.ChunkFetch(tc, src.Addr, src.Phys, batch)
 		cost = simnet.Seq(cost, c)
 		if hook != nil {
-			hook(holder, len(batch))
+			hook(src.Addr, len(batch))
 		}
 		if err != nil {
-			return append(missing, hashes[start:]...), cost
+			return cost
 		}
 		for i, h := range batch {
-			var b []byte
-			if i < len(blocks) {
-				b = blocks[i]
+			if i >= len(blocks) {
+				break
 			}
+			b := blocks[i]
 			if b == nil || len(b) != int(lens[h]) || cas.SumChunk(b) != h {
-				missing = append(missing, h)
 				continue
 			}
 			out[h] = b
@@ -349,83 +356,5 @@ func (e *Engine) fetchFrom(tc obs.TraceContext, holder simnet.Addr, pathHint str
 			e.fetchBytes.Add(uint64(len(b)))
 		}
 	}
-	return missing, cost
-}
-
-// fetchBlocks retrieves the needed blocks from the holder swarm: the WANT
-// list is partitioned round-robin across `from` plus every other settled
-// holder, and each holder's batches run as one branch of a simnet.Par
-// fan-out. Blocks a holder failed to serve are retried from `from`; whatever
-// still cannot be obtained is simply left out of the result (pullFile falls
-// back to a ranged read). The holder order is deterministic for seed-exact
-// replay.
-func (e *Engine) fetchBlocks(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, pathHint string, need []cas.Hash, lens map[cas.Hash]uint32, out map[cas.Hash][]byte, total *simnet.Cost) {
-	swarm := []simnet.Addr{from}
-	seen := map[simnet.Addr]bool{from: true, e.self: true}
-	sorted := append([]simnet.Addr(nil), holders...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, h := range sorted {
-		if !seen[h] {
-			seen[h] = true
-			swarm = append(swarm, h)
-		}
-	}
-	assign := make([][]cas.Hash, len(swarm))
-	for i, h := range need {
-		assign[i%len(swarm)] = append(assign[i%len(swarm)], h)
-	}
-
-	var missing []cas.Hash
-	fan := make([]simnet.Cost, len(swarm))
-	for hi, holder := range swarm {
-		var m []cas.Hash
-		m, fan[hi] = e.fetchFrom(tc, holder, pathHint, assign[hi], lens, out)
-		missing = append(missing, m...)
-	}
-	*total = simnet.Seq(*total, simnet.Par(fan...))
-
-	// Retry pass against `from` for anything a holder could not serve.
-	unresolved, c := e.fetchFrom(tc, from, pathHint, missing, lens, out)
-	*total = simnet.Seq(*total, c)
-
-	// Routed-holder fallback: when the leaf-set swarm came up empty, ask the
-	// node that routing says owns the subtree's key — it serves the file at
-	// its primary path. This covers the window where the candidates around us
-	// are fresh (post-heal) but the settled owner is outside the leaf set.
-	if len(unresolved) == 0 {
-		return
-	}
-	alt, altCost, ok := e.routedSource(pathHint)
-	*total = simnet.Seq(*total, altCost)
-	if !ok || seen[alt] {
-		return
-	}
-	lost, c := e.fetchFrom(tc, alt, PrimaryRoot(pathHint), unresolved, lens, out)
-	*total = simnet.Seq(*total, c)
-	e.routedFetched.Add(uint64(len(unresolved) - len(lost)))
-}
-
-// routedSource resolves the node that currently owns the key controlling the
-// subtree containing pathHint (a physical path, possibly replica-area). The
-// longest tracked-root prefix wins, keeping the lookup deterministic when
-// nested hierarchies are tracked.
-func (e *Engine) routedSource(pathHint string) (simnet.Addr, simnet.Cost, bool) {
-	p := PrimaryRoot(pathHint)
-	e.mu.Lock()
-	var pn string
-	best := -1
-	for root, t := range e.tracked {
-		if (root == p || strings.HasPrefix(p, root+"/")) && len(root) > best {
-			pn, best = t.PN, len(root)
-		}
-	}
-	e.mu.Unlock()
-	if best < 0 || e.key == nil {
-		return "", 0, false
-	}
-	res, err := e.ov.Route(e.key(pn))
-	if err != nil || res.Node.Addr == e.self {
-		return "", res.Cost, false
-	}
-	return res.Node.Addr, res.Cost, true
+	return cost
 }

@@ -11,10 +11,10 @@ import (
 	"repro/internal/simnet"
 )
 
-// PushChunk bounds the payload of a single mirrored write, matching
-// fetchTree's read granularity, so arbitrarily large files sync with
-// bounded memory on both ends. The client-side streaming data path shares
-// this chunk size (core.Config.StreamChunk defaults to it).
+// PushChunk bounds the inline payload of a single mirrored write, so
+// arbitrarily large files sync with bounded memory on both ends. The
+// client-side streaming data path shares this chunk size
+// (core.Config.StreamChunk defaults to it).
 const PushChunk = 1 << 20
 
 // deltaPush brings target's copy of the subtree (remote, already digested)
@@ -173,12 +173,12 @@ func (e *Engine) syncDir(tc obs.TraceContext, target simnet.Addr, t Track, local
 	return nil
 }
 
-// sendFile ships one regular file whose digest mismatched. On the normal
-// path it negotiates at the block level: the local manifest's hashes are
-// offered as a WANT list, the receiver answers which blocks its
-// content-addressed index already holds (indexing its stale copy of this
-// very file in the process), and only the missing chunks travel inline —
-// a 1-changed-chunk file ships ~one chunk.
+// sendFile ships one regular file whose digest mismatched, negotiated at
+// the block level: the local manifest's hashes are offered as a WANT list,
+// the receiver answers which blocks its content-addressed index already
+// holds (indexing its stale copy of this very file in the process), and
+// only the missing chunks travel inline — a 1-changed-chunk file ships ~one
+// chunk.
 func (e *Engine) sendFile(tc obs.TraceContext, target simnet.Addr, lsrc, ldst string, primary bool, step func(FSOp) error, add func(simnet.Cost)) error {
 	attr, err := e.store.LookupPath(lsrc)
 	if err != nil {
@@ -195,9 +195,10 @@ func (e *Engine) sendFile(tc obs.TraceContext, target simnet.Addr, lsrc, ldst st
 	_, exists, have, c, err := e.peer.ChunkManifest(tc, target, queryPath, man.Hashes())
 	add(c)
 	if err != nil {
-		// Negotiation is an optimization, not a dependency: fall back to the
-		// verbatim stream (which will surface a real transport failure too).
-		return e.sendFileWhole(lsrc, ldst, step)
+		// A failed negotiation fails the push like any other transport
+		// error in the walk: the migration flag stays armed and the next
+		// round redoes the push (Section 4.4).
+		return err
 	}
 	if !exists {
 		if err := step(FSOp{Kind: FSCreate, Path: ldst, Mode: attr.Mode}); err != nil {
@@ -294,37 +295,6 @@ func (e *Engine) readRange(ino uint64, off, n int64) ([]byte, error) {
 		return nil, errors.New("repl: short local read")
 	}
 	return buf, nil
-}
-
-// sendFileWhole ships one regular file verbatim in PushChunk-sized pieces:
-// a truncating create, then sequential writes. The fallback when block
-// negotiation fails.
-func (e *Engine) sendFileWhole(lsrc, ldst string, step func(FSOp) error) error {
-	attr, err := e.store.LookupPath(lsrc)
-	if err != nil {
-		return err
-	}
-	if err := step(FSOp{Kind: FSCreate, Path: ldst, Mode: attr.Mode}); err != nil {
-		return err
-	}
-	for off := int64(0); ; {
-		data, eof, _, err := e.store.Read(attr.Ino, off, PushChunk)
-		if err != nil {
-			return err
-		}
-		if len(data) > 0 {
-			if err := step(FSOp{Kind: FSWrite, Path: ldst, Offset: off, Data: data}); err != nil {
-				return err
-			}
-			e.syncBytes.Add(uint64(len(data)))
-			off += int64(len(data))
-		}
-		if eof || len(data) == 0 {
-			break
-		}
-	}
-	e.syncSent.Add(1)
-	return nil
 }
 
 // countFiles returns the number of regular files under a matched local

@@ -8,7 +8,6 @@ import (
 	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/merkle"
-	"repro/internal/nfs"
 	"repro/internal/obs"
 	"repro/internal/pastry"
 	"repro/internal/simnet"
@@ -36,7 +35,7 @@ type mirrorRec struct {
 }
 
 // fakePeer records Mirror traffic and answers DigestTree/DirDigests from
-// scripts keyed by "addr path".
+// scripts keyed by "addr path"; it holds no file bytes.
 type fakePeer struct {
 	mirrors []mirrorRec
 	digests map[string]TreeDigest
@@ -63,20 +62,14 @@ func (f *fakePeer) Promote(obs.TraceContext, simnet.Addr, Track) (bool, simnet.C
 	return false, 0, nil
 }
 
-func (f *fakePeer) LookupPath(obs.TraceContext, simnet.Addr, string) (nfs.Handle, localfs.Attr, simnet.Cost, error) {
-	return nfs.Handle{}, localfs.Attr{}, 0, fmt.Errorf("fakePeer: no remote store")
-}
-
-func (f *fakePeer) ReadStream(obs.TraceContext, simnet.Addr, nfs.Handle, int64, int, int) ([]byte, bool, simnet.Cost, error) {
-	return nil, false, 0, fmt.Errorf("fakePeer: no remote store")
-}
-
 func (f *fakePeer) ReadLink(obs.TraceContext, simnet.Addr, string) (string, simnet.Cost, error) {
 	return "", 0, fmt.Errorf("fakePeer: no remote store")
 }
 
-func (f *fakePeer) ChunkManifest(obs.TraceContext, simnet.Addr, string, []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
-	return nil, false, nil, 0, fmt.Errorf("fakePeer: no remote store")
+// ChunkManifest answers as a remote that holds neither the file nor any of
+// the wanted blocks, so a push ships everything inline.
+func (f *fakePeer) ChunkManifest(_ obs.TraceContext, _ simnet.Addr, _ string, want []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
+	return nil, false, make([]bool, len(want)), 0, nil
 }
 
 func (f *fakePeer) ChunkFetch(obs.TraceContext, simnet.Addr, string, []cas.Hash) ([][]byte, simnet.Cost, error) {
@@ -234,7 +227,7 @@ func TestSyncPushesToReplicas(t *testing.T) {
 			sawFlagCreate = true
 		case m.op.Kind == FSRemove && m.op.Path == "/music/"+MigrationFlag:
 			sawFlagRemove = true
-		case m.op.Kind == FSWrite && m.op.Path == "/music/a.mp3":
+		case m.op.Kind == FSChunkWrite && m.op.Path == "/music/a.mp3":
 			sawData = true
 			if !sawFlagCreate {
 				t.Fatal("data pushed before the migration flag was set")
@@ -265,7 +258,7 @@ func TestSyncMigratesWhenOwnershipMoved(t *testing.T) {
 
 	var pushed bool
 	for _, m := range peer.mirrors {
-		if m.to == "n2" && m.op.Kind == FSWrite && m.op.Path == "/work/w.txt" {
+		if m.to == "n2" && m.op.Kind == FSChunkWrite && m.op.Path == "/work/w.txt" {
 			pushed = true
 			if !m.primary {
 				t.Fatal("migration push must target the new primary's namespace")

@@ -7,7 +7,6 @@ import (
 	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/merkle"
-	"repro/internal/nfs"
 	"repro/internal/obs"
 	"repro/internal/pastry"
 	"repro/internal/simnet"
@@ -59,14 +58,6 @@ func (p *countingPeers) Promote(tc obs.TraceContext, to simnet.Addr, t Track) (b
 
 func (p *countingPeers) DirDigests(tc obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error) {
 	return p.at[to].DirDigests(tc, to, dir)
-}
-
-func (p *countingPeers) LookupPath(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Handle, localfs.Attr, simnet.Cost, error) {
-	return p.at[to].LookupPath(tc, to, phys)
-}
-
-func (p *countingPeers) ReadStream(tc obs.TraceContext, to simnet.Addr, fh nfs.Handle, off int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
-	return p.at[to].ReadStream(tc, to, fh, off, chunk, chunks)
 }
 
 func (p *countingPeers) ReadLink(tc obs.TraceContext, to simnet.Addr, phys string) (string, simnet.Cost, error) {

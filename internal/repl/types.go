@@ -4,8 +4,8 @@
 // the K-replica invariant after membership changes, and migrates subtrees
 // when key ownership moves. The engine sees the rest of the system through
 // two narrow interfaces — Overlay (who owns a key, who the replica
-// candidates are) and Peer (remote stat/mirror/promote plus plain NFS reads
-// for tree fetches) — so it carries no dependency on the koshad wiring that
+// candidates are) and Peer (remote digest/mirror/promote and hash-verified
+// block exchange) — so it carries no dependency on the koshad wiring that
 // consumes it.
 package repl
 
