@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/id"
+	"repro/internal/nfs"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
@@ -147,7 +148,9 @@ func (n scribbleNet) RegisterCtx(addr simnet.Addr, service string, h simnet.Hand
 // TestHandlersDoNotRetainRequestBuffers drives write-through writes, write-
 // back flushes (kApply at the primary, the shared kMirror frame at both
 // replicas) and whole-file writes over a transport that scribbles over every
-// request after its handler returns, then checks every copy in every store.
+// request after its handler returns, then checks every copy in every store
+// and reads files back through another node: one over several READs, one in
+// the walk's reply alone.
 func TestHandlersDoNotRetainRequestBuffers(t *testing.T) {
 	net := scribbleNet{simnet.New(simnet.LAN100)}
 	state := uint64(86)
@@ -219,5 +222,15 @@ func TestHandlersDoNotRetainRequestBuffers(t *testing.T) {
 	got, _, err := nodes[3].NewMount().ReadFile("/alias/wb")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read back through another node: %d bytes err=%v", len(got), err)
+	}
+	// A file of up to one chunk comes back in the walk's own reply.
+	walks := nodes[3].NFSProcCount(nfs.ProcLookupPath)
+	reads := nodes[3].NFSProcCount(nfs.ProcRead)
+	got, _, err = nodes[3].NewMount().ReadFile("/alias/whole-wt")
+	if err != nil || !bytes.Equal(got, payload[:300<<10]) {
+		t.Fatalf("one-reply read through another node: %d bytes err=%v", len(got), err)
+	}
+	if nodes[3].NFSProcCount(nfs.ProcLookupPath) == walks || nodes[3].NFSProcCount(nfs.ProcRead) != reads {
+		t.Error("the whole-file read was not served by the walk alone")
 	}
 }

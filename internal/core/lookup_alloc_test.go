@@ -14,9 +14,11 @@ import (
 
 // TestLookupPathAllocs pins the allocation count of the uncached metadata
 // path: a 4-component Mount.LookupPath over simnet with the client caches
-// off is one resolver-cache hit and one LOOKUPPATH round trip: 16
+// off is one resolver-cache hit and one LOOKUPPATH round trip: 14
 // allocations. The per-component walk it replaced (a GETATTR and four
-// LOOKUPs, the path split three times over) spent 36. The cached counterpart
+// LOOKUPs, the path split three times over) spent 36. A ReadFile of the same
+// file is that walk asking for the data too, and allocates one more. The
+// cached counterpart
 // is pinned beside it: a Mount.Lookup answered by a warm name-cache row joins
 // the child's path (2), splits the directory's to find its depth (1) and
 // publishes one handle-table row (1): 4 allocations and no RPC.
@@ -37,8 +39,11 @@ func TestLookupPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n > 16 {
-		t.Errorf("uncached 4-component LookupPath allocates %.1f times, want <= 16", n)
+	if n > 14 {
+		t.Errorf("uncached 4-component LookupPath allocates %.1f times, want <= 14", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { _, _, err = m.ReadFile(file) }); err != nil || n > 15 {
+		t.Errorf("uncached ReadFile of a 1-byte file allocates %.1f times (err=%v), want <= 15", n, err)
 	}
 
 	_, nodes = testCluster(t, 8, 5, Config{DistributionLevel: 2, AttrCacheTTL: time.Hour, NameCacheTTL: time.Hour, TraceBufSize: -1})

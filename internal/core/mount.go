@@ -208,12 +208,12 @@ func (m *Mount) lookup(tr *obs.Trace, dir VH, name string) (VH, localfs.Attr, si
 	}
 
 	total := InterposeCost
-	child, attr, cost, err := m.materializeRetry(tr, path.Join(de.vpath, name))
+	child, w, cost, err := m.materializeRetry(tr, path.Join(de.vpath, name), 0)
 	total = simnet.Seq(total, cost)
 	if err != nil {
 		return 0, localfs.Attr{}, total, err
 	}
-	return m.insert(child), attr, total, nil
+	return m.insert(child), w.Attr, total, nil
 }
 
 // Getattr fetches attributes for a virtual handle. Within the attribute

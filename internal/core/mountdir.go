@@ -303,7 +303,7 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 	vpath := path.Join(parent.vpath, name)
 
 	// Locate the child and verify virtual emptiness.
-	child, _, c, err := m.materializeRetry(tr, vpath)
+	child, _, c, err := m.materializeRetry(tr, vpath, 0)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		c, err = m.unindexGone(tr, parent, name, err)
@@ -344,9 +344,9 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 		var w nfs.Walked
 		var lerr error
 		if parent.isRoot() {
-			w, c, lerr = n.remoteWalk(tr.Ctx(), link.node, linkPath)
+			w, c, lerr = n.remoteWalk(tr.Ctx(), link.node, linkPath, 0)
 		} else {
-			w, c, lerr = n.nfsT(tr).Walk(link.node, parent.fh, name)
+			w, c, lerr = n.nfsT(tr).Walk(link.node, parent.fh, name, 0)
 		}
 		total = simnet.Seq(total, c)
 		if lerr == nil && w.Attr.Type == localfs.TypeSymlink {
@@ -473,7 +473,7 @@ func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstN
 func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, dstName string) (simnet.Cost, bool, error) {
 	n := m.n
 	var total simnet.Cost
-	child, _, c, err := m.materializeRetry(tr, path.Join(parent.vpath, srcName))
+	child, _, c, err := m.materializeRetry(tr, path.Join(parent.vpath, srcName), 0)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		c, err = m.unindexGone(tr, parent, srcName, err)
@@ -483,7 +483,7 @@ func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, ds
 		return total, false, nil
 	}
 	// Destination must not exist.
-	if _, _, c, err := m.materializeRetry(tr, path.Join(parent.vpath, dstName)); err == nil {
+	if _, _, c, err := m.materializeRetry(tr, path.Join(parent.vpath, dstName), 0); err == nil {
 		return simnet.Seq(total, c), false, &nfs.Error{Proc: nfs.ProcRename, Status: nfs.ErrExist}
 	} else {
 		total = simnet.Seq(total, c)

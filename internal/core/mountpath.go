@@ -15,27 +15,29 @@ import (
 
 // LookupPath resolves a whole virtual path to a handle.
 func (m *Mount) LookupPath(vpath string) (VH, localfs.Attr, simnet.Cost, error) {
-	de, attr, total, err := m.lookupPath(vpath)
+	de, w, total, err := m.lookupPath(vpath, 0)
 	if err != nil {
 		return 0, localfs.Attr{}, total, err
 	}
-	return m.vhOf(de), attr, total, nil
+	return m.vhOf(de), w.Attr, total, nil
 }
 
-// lookupPath is LookupPath before a handle is issued. A NOENT may come with
-// the entry of the deepest existing ancestor (see materialize). The root
-// resolves to its permanent row as it stands: failover binds and rebinds it.
-func (m *Mount) lookupPath(vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
+// lookupPath is LookupPath before a handle is issued, with the walk's reply:
+// the attributes and, when readMax asks, a regular file's first READ. A NOENT
+// may come with the entry of the deepest existing ancestor (see materialize).
+// The root resolves to its permanent row as it stands: failover binds and
+// rebinds it.
+func (m *Mount) lookupPath(vpath string, readMax uint32) (*ventry, nfs.Walked, simnet.Cost, error) {
 	o := m.begin(obs.OpcLookup, vpath)
 	if path.Clean(vpath) == "/" {
 		de, err := m.entry(RootVH)
 		o.done(InterposeCost, err)
-		return de, rootAttr, InterposeCost, err
+		return de, nfs.Walked{Attr: rootAttr}, InterposeCost, err
 	}
-	de, attr, cost, err := m.materializeRetry(o.tr, vpath)
+	de, w, cost, err := m.materializeRetry(o.tr, vpath, readMax)
 	total := simnet.Seq(InterposeCost, cost)
 	o.done(total, err)
-	return de, attr, total, err
+	return de, w, total, err
 }
 
 // vhOf issues a virtual handle for a materialized entry; the root keeps its
@@ -56,7 +58,7 @@ func (m *Mount) vhOf(de *ventry) VH {
 // one another client created meanwhile): the walk has just said the rest is
 // missing, so a name-cache hit for any of it could only be stale.
 func (m *Mount) MkdirAll(vpath string) (VH, simnet.Cost, error) {
-	de, _, total, err := m.lookupPath(vpath)
+	de, _, total, err := m.lookupPath(vpath, 0)
 	if err == nil {
 		return m.vhOf(de), total, nil
 	}
@@ -170,20 +172,37 @@ func (m *Mount) writeFileIn(tr *obs.Trace, de *ventry, name string, data []byte)
 	return simnet.Seq(cost, c), err
 }
 
-// ReadFile reads a whole file at a virtual path. It reads to EOF rather
-// than trusting the looked-up size, so a concurrent append through another
-// node can never truncate the result; the size only presizes the buffer.
+// ReadFile reads a whole file at a virtual path. The walk to the file asks
+// for its first chunk, which the LOOKUPPATH reply carries when the leaf is a
+// regular file, so a file of up to one chunk costs one round trip and no
+// virtual handle, and its bytes are the reply frame's. A longer file reads on
+// to EOF rather than trusting the looked-up size, so a concurrent append
+// through another node can never truncate the result; the size only presizes
+// the buffer. With replica reads on the walk asks for nothing, and the first
+// READ rotates across the holders as every other one does.
 func (m *Mount) ReadFile(vpath string) ([]byte, simnet.Cost, error) {
-	vh, attr, total, err := m.LookupPath(vpath)
+	const chunk = 1 << 20
+	var want uint32 = chunk
+	if m.n.cfg.ReadFromReplicas && m.n.cfg.Replicas > 0 {
+		want = 0
+	}
+	de, w, total, err := m.lookupPath(vpath, want)
 	if err != nil {
 		return nil, total, err
 	}
+	if w.EOF || len(w.Data) > 0 {
+		total = simnet.Seq(total, m.readCarried(de, w.Data))
+		if w.EOF {
+			return w.Data, total, nil
+		}
+	}
+	vh := m.vhOf(de)
 	defer m.forget(vh)
 	var data []byte
-	if attr.Size > 0 && attr.Size <= wire.MaxOpaque {
-		data = make([]byte, 0, attr.Size)
+	if w.Attr.Size > 0 && w.Attr.Size <= wire.MaxOpaque {
+		data = make([]byte, 0, w.Attr.Size)
 	}
-	const chunk = 1 << 20
+	data = append(data, w.Data...)
 	for {
 		d, eof, c, err := m.Read(vh, int64(len(data)), chunk)
 		total = simnet.Seq(total, c)
@@ -195,6 +214,22 @@ func (m *Mount) ReadFile(vpath string) ([]byte, simnet.Cost, error) {
 			return data, total, nil
 		}
 	}
+}
+
+// readCarried is the Read op whose READ a walk's reply carried: it costs the
+// interposition constant and the loopback copy of the bytes, as that READ
+// served by de's node would have, and no round trip, and it counts toward
+// ReadSpread.
+func (m *Mount) readCarried(de *ventry, data []byte) simnet.Cost {
+	o := m.begin(obs.OpcRead, de.vpath)
+	cost := InterposeCost
+	m.countRead(de.node)
+	if de.node == m.n.addr {
+		cost = simnet.Seq(cost, loopbackXfer(len(data)))
+	}
+	o.tr.SetServedBy(string(de.node))
+	o.done(cost, nil)
+	return cost
 }
 
 // RemoveAllPath recursively removes a virtual subtree. It redrives once on

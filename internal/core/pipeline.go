@@ -130,16 +130,17 @@ func cacheSuspect(err error) bool {
 		nfs.IsStatus(err, nfs.ErrIsDir)
 }
 
-// lookupAt walks phys on place's node. A NOENT below the storage root may be
-// a copy the node holds unpromoted after a fresh ownership change, so the
-// node is asked to promote and the walk repeats once. A NOENT above it means
+// lookupAt walks phys on place's node, asking for readMax bytes of a regular
+// leaf's data. A NOENT below the storage root may be a copy the node holds
+// unpromoted after a fresh ownership change, so the node is asked to promote
+// and the walk, data request and all, repeats once. A NOENT above it means
 // the resolved storage root itself dangles — a stale cache entry survived a
 // rename or removal done elsewhere — and comes back as staleStore.
-func (m *Mount) lookupAt(tr *obs.Trace, place Place, phys string) (nfs.Walked, simnet.Cost, error) {
+func (m *Mount) lookupAt(tr *obs.Trace, place Place, phys string, readMax uint32) (nfs.Walked, simnet.Cost, error) {
 	storeComps := pathComponents(place.SubtreeRoot())
 	var total simnet.Cost
 	for attempt := 0; ; attempt++ {
-		w, c, err := m.n.remoteWalk(tr.Ctx(), place.Node, phys)
+		w, c, err := m.n.remoteWalk(tr.Ctx(), place.Node, phys, readMax)
 		total = simnet.Seq(total, c)
 		if !nfs.IsStatus(err, nfs.ErrNoEnt) {
 			return w, total, err
@@ -159,18 +160,19 @@ func (m *Mount) lookupAt(tr *obs.Trace, place Place, phys string) (nfs.Walked, s
 }
 
 // materialize builds a ventry for a virtual path by resolving placement and
-// looking the path up on the storage node. It also returns the entry's
-// attributes (the walk carries them, as LOOKUP does in NFS). When only
-// components below the storage root are missing, the NOENT comes with the
-// entry of the deepest directory the walk reached, for MkdirAll to carry on
-// from; every other failure returns a nil entry.
-func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
+// looking the path up on the storage node. It also returns what the walk to
+// the entry found: its attributes (as LOOKUP does in NFS) and, when readMax
+// asked for it, the first READ of a regular file. When only components below
+// the storage root are missing, the NOENT comes with the entry of the deepest
+// directory the walk reached, for MkdirAll to carry on from; every other
+// failure returns a nil entry.
+func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventry, nfs.Walked, simnet.Cost, error) {
 	parts := SplitVirtual(vpath)
 	if len(parts) == 0 {
 		de, c, err := m.bindRoot(tr)
-		return de, rootAttr, c, err
+		return de, nfs.Walked{Attr: rootAttr}, c, err
 	}
-	place, w, total, err := m.n.resolveDir(tr, parts)
+	place, w, total, err := m.n.resolveDir(tr, parts, readMax)
 	phys := place.PhysDir()
 	switch {
 	case nfs.IsStatus(err, nfs.ErrNotDir) && w.FH != (nfs.Handle{}):
@@ -179,16 +181,16 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr,
 		// the probe that typed it has already walked to it.
 		phys, err = path.Join(phys, parts[len(parts)-1]), nil
 	case err != nil:
-		return nil, localfs.Attr{}, total, err
+		return nil, nfs.Walked{}, total, err
 	default:
 		var c simnet.Cost
-		w, c, err = m.lookupAt(tr, place, phys)
+		w, c, err = m.lookupAt(tr, place, phys, readMax)
 		total = simnet.Seq(total, c)
 	}
 	if err != nil {
 		missing := pathComponents(phys) - w.Resolved
 		if !nfs.IsStatus(err, nfs.ErrNoEnt) || missing > len(place.Rest) {
-			return nil, localfs.Attr{}, total, err
+			return nil, nfs.Walked{}, total, err
 		}
 		// The walk got below the storage root: describe the directory it
 		// reached last, whose handle the failed reply carries.
@@ -201,7 +203,7 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr,
 		tr.SetServedBy(string(place.Node))
 		m.meta.put(ve.vpath, w.Attr, nil)
 	}
-	return ve, w.Attr, total, err
+	return ve, w, total, err
 }
 
 // entryAt is the handle-table row for phys in place's hierarchy, as a walk
@@ -232,8 +234,8 @@ func entryAt(vpath string, place Place, phys string, w nfs.Walked) *ventry {
 // so a walk through the stale entry hits a non-directory where the root used
 // to be (TestScenarioRebalanceTargetCrashMidMove fails without it); a genuine
 // not-a-directory survives the retry and is returned unchanged.
-func (m *Mount) materializeRetry(tr *obs.Trace, vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
-	de, attr, total, err := m.materialize(tr, vpath)
+func (m *Mount) materializeRetry(tr *obs.Trace, vpath string, readMax uint32) (*ventry, nfs.Walked, simnet.Cost, error) {
+	de, w, total, err := m.materialize(tr, vpath, readMax)
 	revalidated := false
 	for attempt := 0; err != nil && attempt < 3; attempt++ {
 		if errors.Is(err, staleStore) || nfs.IsStatus(err, nfs.ErrNotDir) {
@@ -245,22 +247,22 @@ func (m *Mount) materializeRetry(tr *obs.Trace, vpath string) (*ventry, localfs.
 			break
 		}
 		var c simnet.Cost
-		de, attr, c, err = m.rematerialize(tr, vpath)
+		de, w, c, err = m.rematerialize(tr, vpath, readMax)
 		total = simnet.Seq(total, c)
 	}
-	return de, attr, total, err
+	return de, w, total, err
 }
 
 // rematerialize drops everything cached for vpath and resolves it afresh.
 // With no cached level left to dangle, a storage root that is missing is a
 // directory that does not exist: staleStore goes no further than here.
-func (m *Mount) rematerialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
+func (m *Mount) rematerialize(tr *obs.Trace, vpath string, readMax uint32) (*ventry, nfs.Walked, simnet.Cost, error) {
 	m.dropCachesUnder(vpath)
-	de, attr, c, err := m.materialize(tr, vpath)
+	de, w, c, err := m.materialize(tr, vpath, readMax)
 	if errors.Is(err, staleStore) {
 		err = &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNoEnt}
 	}
-	return de, attr, c, err
+	return de, w, c, err
 }
 
 // bindRoot resolves the root directory's name index: the node owning
@@ -311,7 +313,7 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 	}
 	if de.node == "" {
 		// Only the root row is ever unbound, until its first use.
-		if de, _, total, err = m.materializeRetry(tr, de.vpath); err != nil {
+		if de, _, total, err = m.materializeRetry(tr, de.vpath, 0); err != nil {
 			return total, err
 		}
 		m.replace(vh, de)
@@ -353,7 +355,7 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 		default:
 			return total, err
 		}
-		nde, _, c2, rerr := m.rematerialize(tr, de.vpath)
+		nde, _, c2, rerr := m.rematerialize(tr, de.vpath, 0)
 		total = simnet.Seq(total, c2)
 		if failedOver {
 			m.n.events.Add(obs.EvFailover, string(m.n.addr), de.vpath)
@@ -373,7 +375,7 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 			changed, c3, perr := m.n.promote(tr.Ctx(), nde.node, nde.track())
 			total = simnet.Seq(total, c3)
 			if perr == nil && changed {
-				nde, _, c3, rerr = m.rematerialize(tr, de.vpath)
+				nde, _, c3, rerr = m.rematerialize(tr, de.vpath, 0)
 				total = simnet.Seq(total, c3)
 				if rerr != nil {
 					return total, rerr

@@ -11,7 +11,8 @@ import (
 
 // TestReadFromReplicasSpreadsLoad exercises the Section 4.2 extension:
 // with ReadFromReplicas on, repeated reads of one file rotate across the
-// primary and its K replica holders.
+// primary and its K replica holders, through a handle and through ReadFile
+// alike (whose walk then asks for no data: the READ picks the holder).
 func TestReadFromReplicasSpreadsLoad(t *testing.T) {
 	_, nodes := testCluster(t, 6, 71, Config{Replicas: 2, ReadFromReplicas: true})
 	m := nodes[0].NewMount()
@@ -29,13 +30,20 @@ func TestReadFromReplicasSpreadsLoad(t *testing.T) {
 			t.Fatalf("read %d: eof=%v err=%v", i, eof, err)
 		}
 	}
-	spread := m.ReadSpread()
-	if len(spread) != 3 {
-		t.Fatalf("reads hit %d nodes (%v), want primary + 2 replicas", len(spread), spread)
+	whole := nodes[0].NewMount()
+	for i := 0; i < 30; i++ {
+		if data, _, err := whole.ReadFile("/spread/data.bin"); err != nil || !bytes.Equal(data, payload) {
+			t.Fatalf("ReadFile %d: %d bytes err=%v", i, len(data), err)
+		}
 	}
-	for addr, cnt := range spread {
-		if cnt < 5 {
-			t.Fatalf("node %s served only %d of 30 reads: %v", addr, cnt, spread)
+	for name, spread := range map[string]map[simnet.Addr]int64{"Read": m.ReadSpread(), "ReadFile": whole.ReadSpread()} {
+		if len(spread) != 3 {
+			t.Fatalf("%s hit %d nodes (%v), want primary + 2 replicas", name, len(spread), spread)
+		}
+		for addr, cnt := range spread {
+			if cnt < 5 {
+				t.Fatalf("%s: node %s served only %d of 30 reads: %v", name, addr, cnt, spread)
+			}
 		}
 	}
 }

@@ -28,10 +28,11 @@ func (n *Node) noteErr(addr simnet.Addr, err error) error {
 }
 
 // remoteWalk resolves a physical path on a remote store in one LOOKUPPATH
-// from the export's root (see withRootHandle).
-func (n *Node) remoteWalk(tc obs.TraceContext, to simnet.Addr, phys string) (w nfs.Walked, cost simnet.Cost, err error) {
+// from the export's root (see withRootHandle). A readMax above zero asks for
+// up to that many bytes of a regular leaf in the same reply (nfs.Walked.Data).
+func (n *Node) remoteWalk(tc obs.TraceContext, to simnet.Addr, phys string, readMax uint32) (w nfs.Walked, cost simnet.Cost, err error) {
 	cost, err = n.withRootHandle(tc, to, func(root nfs.Handle) (c simnet.Cost, err error) {
-		w, c, err = n.nfsCtx(tc).Walk(to, root, phys)
+		w, c, err = n.nfsCtx(tc).Walk(to, root, phys, readMax)
 		return c, err
 	})
 	if !nfs.IsStatus(err, nfs.ErrStale) {
@@ -42,7 +43,7 @@ func (n *Node) remoteWalk(tc obs.TraceContext, to simnet.Addr, phys string) (w n
 
 // remoteLookupPath is remoteWalk for callers that want only the leaf.
 func (n *Node) remoteLookupPath(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Handle, localfs.Attr, simnet.Cost, error) {
-	w, cost, err := n.remoteWalk(tc, to, phys)
+	w, cost, err := n.remoteWalk(tc, to, phys, 0)
 	return w.FH, w.Attr, cost, err
 }
 
@@ -60,18 +61,24 @@ func pathComponents(p string) int {
 // readLink reads a symlink target on a remote store by physical path; the
 // walk's reply carries it.
 func (n *Node) readLink(tc obs.TraceContext, to simnet.Addr, phys string) (string, simnet.Cost, error) {
-	w, cost, err := n.remoteWalk(tc, to, phys)
+	w, cost, err := n.remoteWalk(tc, to, phys, 0)
 	if err == nil && w.Attr.Type != localfs.TypeSymlink {
 		err = &nfs.Error{Proc: nfs.ProcReadlink, Status: nfs.ErrInval}
 	}
 	return w.Target, cost, err
 }
 
-func (n *Node) cacheGet(vpath string) (Place, bool) {
+// cachedLevel returns the deepest of the first d levels of vdirs the
+// resolver cache holds, with its place; level 0 when it holds none of them.
+func (n *Node) cachedLevel(vdirs []string, d int) (int, Place) {
 	n.cacheMu.Lock()
 	defer n.cacheMu.Unlock()
-	p, ok := n.dirCache[vpath]
-	return p, ok
+	for i := d; i > 0; i-- {
+		if p, ok := n.dirCache[JoinVirtual(vdirs[:i])]; ok {
+			return i, p
+		}
+	}
+	return 0, Place{}
 }
 
 func (n *Node) cachePut(vpath string, p Place) {
@@ -103,37 +110,43 @@ func (n *Node) cacheDropChain(parts []string) {
 // dangling is dropped with the rest of its chain and resolved once more here
 // (TestResolveDirDanglingLevel fails without it).
 func (n *Node) ResolveDir(vdirs []string) (Place, simnet.Cost, error) {
-	pl, _, cost, err := n.resolveDir(nil, vdirs)
+	pl, _, cost, err := n.resolveDir(nil, vdirs, 0)
 	if errors.Is(err, staleStore) {
 		n.cacheDropChain(vdirs)
 		var c simnet.Cost
-		pl, _, c, err = n.resolveDir(nil, vdirs)
+		pl, _, c, err = n.resolveDir(nil, vdirs, 0)
 		cost = simnet.Seq(cost, c)
 	}
 	return pl, cost, err
 }
 
 // resolveDir is ResolveDir with an optional trace receiving the route hops.
-// When the last component sits at a distributed depth and is a regular file
-// or a user symlink, the NOTDIR comes with the parent's place and what the
-// probe found there, so the caller need not walk to the leaf again; every
-// other failure returns neither.
-func (n *Node) resolveDir(tr *obs.Trace, vdirs []string) (Place, nfs.Walked, simnet.Cost, error) {
+// It starts below the deepest level up to the controlling one that the
+// resolver cache holds: a place does not depend on its ancestors' places, so
+// the levels above it need no probe. When the last component sits at a
+// distributed depth and is a regular file or a user symlink, the NOTDIR comes
+// with the parent's place and what the probe found there, so the caller need
+// not walk to the leaf again; that probe asks for readMax bytes of a regular
+// leaf's data, as the walk it saves would have. Every other failure returns
+// neither.
+func (n *Node) resolveDir(tr *obs.Trace, vdirs []string, readMax uint32) (Place, nfs.Walked, simnet.Cost, error) {
 	if len(vdirs) == 0 {
 		return Place{VRoot: true, Store: "/"}, nfs.Walked{}, 0, nil
 	}
 	d := ControllingDepth(len(vdirs), n.cfg.DistributionLevel)
-	cur := Place{VRoot: true, Store: "/"}
+	cached, cur := n.cachedLevel(vdirs, d)
+	usedCache := cached > 0
+	if !usedCache {
+		cur = Place{VRoot: true, Store: "/"}
+	}
 	var total simnet.Cost
-	usedCache := false
-	for i := 1; i <= d; i++ {
+	for i := cached + 1; i <= d; i++ {
 		vpath := JoinVirtual(vdirs[:i])
-		if pl, ok := n.cacheGet(vpath); ok {
-			cur = pl
-			usedCache = true
-			continue
-		}
 		name := vdirs[i-1]
+		var want uint32
+		if i == len(vdirs) {
+			want = readMax
+		}
 		var probeNode simnet.Addr
 		var probeDir string
 		if i == 1 {
@@ -148,7 +161,7 @@ func (n *Node) resolveDir(tr *obs.Trace, vdirs []string) (Place, nfs.Walked, sim
 		}
 		probePath := path.Join(probeDir, name)
 		wantIdx := pathComponents(probePath) - 1 // components before the name
-		w, cost, err := n.remoteWalk(tr.Ctx(), probeNode, probePath)
+		w, cost, err := n.remoteWalk(tr.Ctx(), probeNode, probePath, want)
 		total = simnet.Seq(total, cost)
 		if nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved >= wantIdx {
 			// Only the name itself is missing; the node may hold an
@@ -165,7 +178,7 @@ func (n *Node) resolveDir(tr *obs.Trace, vdirs []string) (Place, nfs.Walked, sim
 				// No NOENT to act on: the node never said what it holds.
 				return Place{}, nfs.Walked{}, total, perr
 			}
-			w, cost, err = n.remoteWalk(tr.Ctx(), probeNode, probePath)
+			w, cost, err = n.remoteWalk(tr.Ctx(), probeNode, probePath, want)
 			total = simnet.Seq(total, cost)
 		}
 		if nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved < wantIdx && usedCache {
@@ -211,23 +224,17 @@ func (n *Node) resolveDir(tr *obs.Trace, vdirs []string) (Place, nfs.Walked, sim
 
 // cachedDir is resolveDir answered from the resolver cache alone: the place
 // of the directory's controlling ancestor as an earlier resolution recorded
-// it, and no RPC. It is a hit only when every level from 1 to the controlling
-// one is cached, the levels resolveDir would pass through without a probe.
-// The entry may still be stale, and then its storage root is gone; whoever
-// acts on it finds out from the node it names.
+// it, and no RPC. It is a hit when the controlling level is cached, which is
+// when resolveDir would probe nothing. The entry may still be stale, and then
+// its storage root is gone; whoever acts on it finds out from the node it
+// names.
 func (n *Node) cachedDir(vdirs []string) (Place, bool) {
 	d := ControllingDepth(len(vdirs), n.cfg.DistributionLevel)
-	n.cacheMu.Lock()
-	defer n.cacheMu.Unlock()
-	var pl Place
-	for i := 1; i <= d; i++ {
-		var ok bool
-		if pl, ok = n.dirCache[JoinVirtual(vdirs[:i])]; !ok {
-			return Place{}, false
-		}
+	if level, pl := n.cachedLevel(vdirs, d); level == d {
+		pl.Rest = append([]string(nil), vdirs[d:]...)
+		return pl, true
 	}
-	pl.Rest = append([]string(nil), vdirs[d:]...)
-	return pl, true
+	return Place{}, false
 }
 
 // ResolvePath is ResolveDir on a slash-separated virtual path.

@@ -80,6 +80,32 @@ func TestResolveDirDanglingLevel(t *testing.T) {
 	}
 }
 
+// TestResolveDirStartsAtTheDeepestCachedLevel: a place does not depend on its
+// ancestors' places, so with the level-1 entry dropped and the level-2 one
+// still cached, a lookup below level 2 is the walk on the cached place alone —
+// no route and no probe to re-resolve level 1 first.
+func TestResolveDirStartsAtTheDeepestCachedLevel(t *testing.T) {
+	net, nodes := testCluster(t, 6, 309, Config{DistributionLevel: 2})
+	m := nodes[0].NewMount()
+	if _, err := m.WriteFile("/a/b/c/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := m.LookupPath("/a/b/c/f"); err != nil { // caches /a and /a/b
+		t.Fatal(err)
+	}
+	nodes[0].cacheDrop("/a")
+	calls := net.Stats().Messages
+	if _, attr, _, err := m.LookupPath("/a/b/c/f"); err != nil || attr.Size != 1 {
+		t.Fatalf("lookup: %+v err=%v", attr, err)
+	}
+	if calls = net.Stats().Messages - calls; calls != 1 {
+		t.Errorf("%d transport calls with level 1 dropped and level 2 cached, want 1", calls)
+	}
+	if _, ok := nodes[0].cachedDir([]string{"a", "b", "c"}); !ok {
+		t.Error("WriteFile's cache-only resolution misses with level 2 cached")
+	}
+}
+
 func TestResolveDirDeterministicAcrossNodes(t *testing.T) {
 	_, nodes := testCluster(t, 6, 303, Config{DistributionLevel: 3})
 	m := nodes[0].NewMount()

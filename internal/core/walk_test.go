@@ -199,7 +199,7 @@ func TestRemoteWalkRefreshesStaleRootHandle(t *testing.T) {
 	}
 	cached, _, _ := a.rootHandle(obs.TraceContext{}, b.Addr())
 	b.nsrv.Bump()
-	if w, _, err := a.nfsc.Walk(b.Addr(), cached, "/x/y/z"); !nfs.IsStatus(err, nfs.ErrStale) || w.Resolved != 0 {
+	if w, _, err := a.nfsc.Walk(b.Addr(), cached, "/x/y/z", 0); !nfs.IsStatus(err, nfs.ErrStale) || w.Resolved != 0 {
 		t.Fatalf("walk from the stale handle: %+v err=%v, want NFS3ERR_STALE after 0 components", w, err)
 	}
 	_, walks, _ := nfsDelta(a, func() {

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/nfs"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -18,8 +20,8 @@ import (
 // costRig is a node over a store with a disk model of its own (so a charge
 // that named simnet.Disk7200 instead of asking the store would show) and a
 // twin store holding the same tree, on which a test replays the calls a
-// compound replaces.
-func costRig(t *testing.T) (*Node, localfs.FileSystem) {
+// compound replaces. The node's network adds up what its NFS server charges.
+func costRig(t *testing.T) (*Node, localfs.FileSystem, *nfsDiskNet) {
 	t.Helper()
 	disk := simnet.DiskModel{PerOp: 3 * time.Millisecond, BytesPerSec: 10e6}
 	build := func() localfs.FileSystem {
@@ -39,8 +41,42 @@ func costRig(t *testing.T) (*Node, localfs.FileSystem) {
 		return fs
 	}
 	state := uint64(3)
-	n := NewNodeWithStore("k0", id.Rand128(&state), simnet.New(simnet.LAN100), Config{}, build())
-	return n, build()
+	net := &nfsDiskNet{Network: simnet.New(simnet.LAN100)}
+	n := NewNodeWithStore("k0", id.Rand128(&state), net, Config{}, build())
+	return n, build(), net
+}
+
+// nfsDiskNet adds up the cost the NFS servers on it report for their
+// requests: the disk side of the NFS traffic alone, with no network in it.
+type nfsDiskNet struct {
+	*simnet.Network
+	mu   sync.Mutex
+	disk simnet.Cost
+}
+
+func (n *nfsDiskNet) RegisterCtx(addr simnet.Addr, service string, h simnet.HandlerCtx) {
+	if service != nfs.Service {
+		n.Network.RegisterCtx(addr, service, h)
+		return
+	}
+	n.Network.RegisterCtx(addr, service, func(ctx obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
+		resp, c, err := h(ctx, from, req)
+		n.mu.Lock()
+		n.disk += c
+		n.mu.Unlock()
+		return resp, c, err
+	})
+}
+
+// spent reports what fn made the NFS servers charge.
+func (n *nfsDiskNet) spent(fn func()) simnet.Cost {
+	n.mu.Lock()
+	before := n.disk
+	n.mu.Unlock()
+	fn()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.disk - before
 }
 
 // refWalk replays on ref the LOOKUPs that reach dir from the export's root,
@@ -65,7 +101,7 @@ func refWalk(ref localfs.FileSystem, dir string) (uint64, simnet.Cost, error) {
 // symlink and the REMOVE, plus one resolveCost. The compounds save round
 // trips and nothing else.
 func TestWriteFileCostsWhatItReplaces(t *testing.T) {
-	n, ref := costRig(t)
+	n, ref, _ := costRig(t)
 	for _, tc := range []struct {
 		name, dir string
 		want      nfs.Status

@@ -229,10 +229,18 @@ func (c Client) Lookup(to simnet.Addr, dir Handle, name string) (Handle, localfs
 // success its attributes and link target. Intermediate symlinks are not
 // followed; a non-directory in the middle is NFS3ERR_NOTDIR. A failed walk
 // returns what it reached (see Walked) beside the error.
-func (c Client) Walk(to simnet.Addr, start Handle, p string) (Walked, simnet.Cost, error) {
+//
+// A readMax above zero asks for the leaf's first READ as well: the request
+// carries readMax after the components, and when the leaf is a regular file
+// the reply ends in that READ's eof flag and data, up to readMax bytes from
+// offset 0. With readMax 0 the request and reply carry no such words.
+func (c Client) Walk(to simnet.Addr, start Handle, p string, readMax uint32) (Walked, simnet.Cost, error) {
 	d, cost, err := c.call(to, ProcLookupPath, func(e *wire.Encoder) {
 		putHandle(e, start)
 		putPath(e, p)
+		if readMax > 0 {
+			e.PutUint32(readMax)
+		}
 	})
 	if d == nil {
 		return Walked{}, cost, err
@@ -241,6 +249,10 @@ func (c Client) Walk(to simnet.Addr, start Handle, p string) (Walked, simnet.Cos
 	if err == nil {
 		w.Attr = getAttr(d)
 		w.Target = d.String()
+		if readMax > 0 && w.Attr.Type == localfs.TypeRegular {
+			w.EOF = d.Bool()
+			w.Data = d.OpaqueRef()
+		}
 	}
 	if d.Err() != nil {
 		// An error-only reply (a request the server could not decode) keeps

@@ -59,7 +59,8 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 	c.MountRoot("srv")
 	c.Getattr("srv", file)
 	c.Setattr("srv", file, localfs.SetAttr{Size: &size})
-	c.Walk("srv", root, "/d/l")
+	c.Walk("srv", root, "/d/l", 0)
+	c.Walk("srv", root, "/d/f", 1<<20) // a reading walk: readMax after the components
 	c.Access("srv", dir, AccessLookup|AccessRead)
 	c.Readlink("srv", link)
 	c.Read("srv", file, 1, 2)

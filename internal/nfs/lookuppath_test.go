@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/localfs"
@@ -67,7 +68,7 @@ func TestWalkReplySemantics(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := c.Stats()
-			w, _, err := c.Walk("srv", tc.start, tc.path)
+			w, _, err := c.Walk("srv", tc.start, tc.path, 0)
 			if d := c.Stats().Sub(before); d.RPCs != 1 {
 				t.Errorf("%d RPCs, want 1", d.RPCs)
 			}
@@ -97,7 +98,7 @@ func TestWalkReplySemantics(t *testing.T) {
 
 	// A walk that failed says where to carry on: the handle it returns takes
 	// a MKDIR of the missing component.
-	w, _, err := c.Walk("srv", root, "/a/b/new/deeper")
+	w, _, err := c.Walk("srv", root, "/a/b/new/deeper", 0)
 	if !IsStatus(err, ErrNoEnt) || w.Resolved != 2 {
 		t.Fatalf("walk: %+v err=%v", w, err)
 	}
@@ -126,9 +127,17 @@ func (n *diskTap) CallCtx(_ obs.TraceContext, from, _ simnet.Addr, _ string, req
 // TestLookupPathCostsWhatItReplaces is the cost rule as a test: the server
 // charges a LOOKUPPATH exactly what it charges the LOOKUP (+ READLINK)
 // sequence an NFSv3 client would have sent for the same path — GETATTR only
-// for the empty path — so the procedure saves round trips and nothing else.
+// for the empty path — and a walk that asks for data the READ of a regular
+// leaf on top, so the procedure saves round trips and nothing else. The data
+// it carries is what that READ returns; a leaf that is not a regular file is
+// charged no read and carries none.
 func TestLookupPathCostsWhatItReplaces(t *testing.T) {
 	srv, _ := walkRig(t)
+	for p, data := range map[string]string{"/a/b/big": "0123456789", "/a/b/empty": ""} {
+		if err := srv.FS().WriteFile(p, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	tap := &diskTap{srv: srv}
 	c := NewClient(tap, "cli")
 	root := srv.Root()
@@ -138,18 +147,28 @@ func TestLookupPathCostsWhatItReplaces(t *testing.T) {
 		return tap.disk - before
 	}
 	for _, tc := range []struct {
-		name  string
-		path  string
-		names []string // the LOOKUPs of the equivalent walk, up to the first that fails
-		link  bool     // followed by a READLINK of the leaf
+		name    string
+		path    string
+		names   []string // the LOOKUPs of the equivalent walk, up to the first that fails
+		link    bool     // followed by a READLINK of the leaf
+		readMax uint32   // the walk asks for this much of the leaf's data
+		read    bool     // followed by a READ of readMax bytes at offset 0
 	}{
 		{name: "hit", path: "/a/b/c.txt", names: []string{"a", "b", "c.txt"}},
 		{name: "missing leaf", path: "/a/b/nope", names: []string{"a", "b", "nope"}},
 		{name: "missing middle", path: "/a/nope/c.txt", names: []string{"a", "nope"}},
 		{name: "symlink leaf", path: "/a/b/leaf", names: []string{"a", "b", "leaf"}, link: true},
 		{name: "empty", path: "/"},
+		{name: "reading a small file", path: "/a/b/c.txt", names: []string{"a", "b", "c.txt"}, readMax: 1 << 20, read: true},
+		{name: "reading past readMax", path: "/a/b/big", names: []string{"a", "b", "big"}, readMax: 4, read: true},
+		{name: "reading an empty file", path: "/a/b/empty", names: []string{"a", "b", "empty"}, readMax: 1 << 20, read: true},
+		{name: "reading a directory", path: "/a/b", names: []string{"a", "b"}, readMax: 1 << 20},
+		{name: "reading a symlink", path: "/a/b/leaf", names: []string{"a", "b", "leaf"}, link: true, readMax: 1 << 20},
+		{name: "reading a missing leaf", path: "/a/b/nope", names: []string{"a", "b", "nope"}, readMax: 1 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var data []byte
+			var eof bool
 			want := spent(func() {
 				if len(tc.names) == 0 {
 					c.Getattr("srv", root)
@@ -165,11 +184,38 @@ func TestLookupPathCostsWhatItReplaces(t *testing.T) {
 				if tc.link {
 					c.Readlink("srv", cur)
 				}
+				if tc.read {
+					data, eof, _, _ = c.Read("srv", cur, 0, int(tc.readMax))
+				}
 			})
-			got := spent(func() { c.Walk("srv", root, tc.path) })
+			var w Walked
+			got := spent(func() { w, _, _ = c.Walk("srv", root, tc.path, tc.readMax) })
 			if got != want || want == 0 {
 				t.Errorf("LOOKUPPATH charged %v on the server, the walk it replaces %v", got, want)
 			}
+			if !bytes.Equal(w.Data, data) || w.EOF != eof || (w.Data != nil || w.EOF) != tc.read {
+				t.Errorf("walk carried %q eof=%v, the READ returned %q eof=%v", w.Data, w.EOF, data, eof)
+			}
 		})
+	}
+}
+
+// TestLookupPathReadBoundedByFile: the reply is sized by the file, never by
+// readMax, so a hostile readMax on a small file allocates the file's bytes
+// and a frame, not the 4 GiB it names.
+func TestLookupPathReadBoundedByFile(t *testing.T) {
+	srv, _ := walkRig(t)
+	if err := srv.FS().WriteFile("/a/four", []byte("0123")); err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(&diskTap{srv: srv}, "cli")
+	var w Walked
+	var err error
+	n := allocatedBytes(func() { w, _, err = c.Walk("srv", srv.Root(), "/a/four", 0xFFFFFFFF) })
+	if err != nil || string(w.Data) != "0123" || !w.EOF {
+		t.Fatalf("walk: %q eof=%v err=%v", w.Data, w.EOF, err)
+	}
+	if n > 8<<10 {
+		t.Errorf("a 4-byte file asked for with readMax 2^32-1 allocated %d bytes", n)
 	}
 }

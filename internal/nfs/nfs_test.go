@@ -146,7 +146,7 @@ func TestLookupAndLookupPath(t *testing.T) {
 	}
 	// An N-component path lookup is exactly one round trip.
 	before := c.Stats()
-	w, cost, err := c.Walk("srv", root, "/a/b/c.txt")
+	w, cost, err := c.Walk("srv", root, "/a/b/c.txt", 0)
 	if err != nil || w.Attr.Size != 4 || w.Resolved != 3 {
 		t.Fatalf("walk: %+v err=%v", w, err)
 	}
@@ -573,7 +573,7 @@ func BenchmarkRPCLookup(b *testing.B) {
 	c := NewClient(net, "cli")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Walk("srv", srv.Root(), "/dir/file")
+		c.Walk("srv", srv.Root(), "/dir/file", 0)
 	}
 }
 
@@ -802,13 +802,19 @@ func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 		t.Fatalf("replay = %x (err=%v, %d replays), want %x from the cache", replay, err, srv.Replays(), first)
 	}
 
-	// What READ and READSTREAM hand the client is the client's own: scribbling
-	// over it reaches neither the store nor the next reader.
+	// What READ, READSTREAM and a reading LOOKUPPATH hand the client is the
+	// client's own: scribbling over it reaches neither the store nor the next
+	// reader.
 	data, _, _, err := c.Read("srv", fh, 1<<20-7, 64<<10)
 	if err != nil || !bytes.Equal(data, payload[1<<20-7:][:64<<10]) {
 		t.Fatalf("read: %d bytes err=%v", len(data), err)
 	}
 	scribble(data[:cap(data)])
+	walk, _, err := c.Walk("srv", srv.Root(), "/f", 64<<10)
+	if err != nil || walk.EOF || !bytes.Equal(walk.Data, payload[:64<<10]) {
+		t.Fatalf("reading walk: %d bytes eof=%v err=%v", len(walk.Data), walk.EOF, err)
+	}
+	scribble(walk.Data[:cap(walk.Data)])
 	window, _, _, err := c.ReadStream("srv", fh, 0, 32<<10, 1<<10)
 	if err != nil || !bytes.Equal(window, payload) {
 		t.Fatalf("readstream: %d bytes err=%v", len(window), err)
@@ -850,7 +856,7 @@ func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 	if !bytes.Equal(walked, held) {
 		t.Fatal("the LOOKUPPATH reply aliases its request")
 	}
-	if w, _, err := c.Walk("srv", srv.Root(), "docs/notes/todo.txt"); err != nil || w.Resolved != 3 || w.Attr.Size != 1 {
+	if w, _, err := c.Walk("srv", srv.Root(), "docs/notes/todo.txt", 0); err != nil || w.Resolved != 3 || w.Attr.Size != 1 {
 		t.Fatalf("walk after scribbling: %+v err=%v", w, err)
 	}
 }

@@ -63,7 +63,8 @@ const (
 	// ProcLookupPath resolves a whole component list below a start handle in
 	// one round trip: everything below Kosha's distribution level lives on one
 	// node, so the per-component LOOKUPs an NFSv3 client must issue would all
-	// go to the same server. Idempotent; see Client.Walk for the messages.
+	// go to the same server, and so would the READ after them, which the walk
+	// carries when asked. Idempotent; see Client.Walk for the messages.
 	ProcLookupPath Proc = 42
 	// ProcMountRoot stands in for the separate MOUNT protocol's MNT call,
 	// which hands an NFS client the root file handle of an export.
@@ -417,12 +418,16 @@ const MaxPathComponents = 1024
 // caller classifying special links needs no READLINK. On failure Resolved
 // counts the components that resolved before the failing one and FH is the
 // last directory entered, which is where a caller creating the missing rest
-// carries on.
+// carries on. A walk that asked for data and ended on a regular file also
+// carries the leaf's first READ: Data from offset 0 and whether it reached
+// EOF. Data is the reply frame's own bytes, as Client.Read's are.
 type Walked struct {
 	FH       Handle
 	Attr     localfs.Attr
 	Resolved int
 	Target   string
+	Data     []byte
+	EOF      bool
 }
 
 // nextComponent splits the first component off a slash-separated path,

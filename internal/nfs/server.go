@@ -560,10 +560,17 @@ func pageOf(n int, cookie uint64, count uint32) (start, end int) {
 // with one LOOKUP per name, run against the store in one request. It charges
 // what the RPCs it replaces charge on disk — each component's LOOKUP, the
 // leaf's READLINK when a target goes back, GETATTR only when there is no
-// component to look up — so what the procedure saves is round trips and
+// component to look up, and the READ a regular leaf's data costs when the
+// request asks for it — so what the procedure saves is round trips and
 // nothing else. Every reply carries the components resolved and the handle
 // of the last object reached; a successful one adds the leaf's attributes
-// and link target.
+// and link target, and for a regular leaf asked for data, its first READ.
+//
+// The request asks with one word after the components, readMax, which is
+// read only when it is there: a walk that wants no data sends and receives
+// the bytes it always did. The read is sized by the file, never by readMax,
+// as READSTREAM's window is. A read that fails comes back empty and short of
+// EOF, so the caller's next READ meets the failure itself.
 func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Cost) {
 	h := getHandle(d)
 	n := d.ArrayLen() // refuses a count the bytes left cannot hold
@@ -573,6 +580,8 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 	ino, st := s.check(h)
 	var attr localfs.Attr
 	var target string
+	var data []byte
+	var eof, read bool
 	var cost simnet.Cost
 	resolved := 0
 	if st == OK {
@@ -596,6 +605,17 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 			target, c, err = s.fs.Readlink(ino)
 			cost = simnet.Seq(cost, c)
 		}
+		if err == nil && attr.Type == localfs.TypeRegular && d.Remaining() >= 4 {
+			if readMax := d.Uint32(); readMax > 0 {
+				var rerr error
+				data, eof, c, rerr = s.fs.Read(ino, 0, int(readMax))
+				cost = simnet.Seq(cost, c)
+				if rerr != nil {
+					data, eof = nil, false
+				}
+				read = true
+			}
+		}
 		st = toStatus(err)
 	}
 	e.PutUint32(uint32(st))
@@ -604,6 +624,10 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 	if st == OK {
 		putAttr(e, attr)
 		e.PutString(target)
+		if read {
+			e.PutBool(eof)
+			e.PutOpaque(data)
+		}
 	}
 	return e.Bytes(), cost
 }
