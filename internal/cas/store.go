@@ -2,9 +2,7 @@ package cas
 
 import (
 	"bytes"
-	"path"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/localfs"
@@ -104,7 +102,7 @@ func (s *Store) AddFile(path string, m Manifest) {
 // digest recompute. A file written in several spans keeps only the most
 // recent span indexed; the next whole-file digest restores full coverage.
 func (s *Store) AddAt(path string, base int64, m Manifest) {
-	path = cleanPath(path)
+	path = localfs.CleanPath(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.files[path]; ok && old.base == base && old.man.Equal(m) {
@@ -135,7 +133,7 @@ func (s *Store) AddAt(path string, base int64, m Manifest) {
 func (s *Store) Forget(path string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.dropLocked(cleanPath(path))
+	s.dropLocked(localfs.CleanPath(path))
 }
 
 // ForgetTree drops p and every indexed file under it. This is the
@@ -143,16 +141,15 @@ func (s *Store) Forget(path string) {
 // notifier) forward here, so writes and removes release references
 // immediately.
 func (s *Store) ForgetTree(p string) {
-	p = cleanPath(p)
+	p = localfs.CleanPath(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p == "/" {
 		s.resetLocked()
 		return
 	}
-	prefix := p + "/"
 	for f := range s.files {
-		if f == p || strings.HasPrefix(f, prefix) {
+		if localfs.InTree(f, p) {
 			s.dropLocked(f)
 		}
 	}
@@ -230,7 +227,7 @@ func (s *Store) HasAll(hs []Hash) []bool {
 func (s *Store) ManifestFor(path string) (Manifest, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fe, ok := s.files[cleanPath(path)]
+	fe, ok := s.files[localfs.CleanPath(path)]
 	if !ok || fe.base != 0 {
 		return nil, false
 	}
@@ -344,5 +341,3 @@ func (s *Store) Stats() StoreStats {
 		LogicalBytes: s.logical,
 	}
 }
-
-func cleanPath(p string) string { return path.Clean("/" + p) }

@@ -106,7 +106,7 @@ func (m *Mount) WriteFile(vpath string, data []byte) (simnet.Cost, error) {
 }
 
 func (m *Mount) writeFile(tr *obs.Trace, vpath string, data []byte) (simnet.Cost, error) {
-	dir, name := path.Split(path.Clean("/" + vpath))
+	dir, name := path.Split(localfs.CleanPath(vpath))
 	if err := ValidName(name); err != nil {
 		return InterposeCost, err
 	}

@@ -104,7 +104,7 @@ func (f *FS) rel(host string) string {
 
 // host converts a store-relative path to the host path.
 func (f *FS) host(rel string) string {
-	return filepath.Join(f.rootDir, filepath.FromSlash(strings.TrimPrefix(path.Clean("/"+rel), "/")))
+	return filepath.Join(f.rootDir, filepath.FromSlash(strings.TrimPrefix(localfs.CleanPath(rel), "/")))
 }
 
 // inoFor returns (assigning if new) the inode number of a relative path.
@@ -732,14 +732,14 @@ func (f *FS) Statfs() (localfs.FSStat, simnet.Cost, error) {
 func (f *FS) LookupPath(p string) (localfs.Attr, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.attrAt(path.Clean("/" + p))
+	return f.attrAt(localfs.CleanPath(p))
 }
 
 // MkdirAll creates a directory path with mode 0755.
 func (f *FS) MkdirAll(p string) (localfs.Attr, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	rel := path.Clean("/" + p)
+	rel := localfs.CleanPath(p)
 	// Fail with NotDir when a prefix is a non-directory, as localfs does.
 	parts := strings.Split(strings.TrimPrefix(rel, "/"), "/")
 	cur := "/"
@@ -768,7 +768,7 @@ func (f *FS) MkdirAll(p string) (localfs.Attr, error) {
 func (f *FS) RemoveAll(p string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	rel := path.Clean("/" + p)
+	rel := localfs.CleanPath(p)
 	// Account for what disappears.
 	f.scanSubtree(rel, -1)
 	if rel == "/" {
@@ -823,7 +823,7 @@ func (f *FS) scanSubtree(rel string, sign int64) {
 func (f *FS) Walk(p string, fn localfs.WalkFunc) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	rel := path.Clean("/" + p)
+	rel := localfs.CleanPath(p)
 	if _, err := f.attrAt(rel); err != nil {
 		return err
 	}
@@ -847,7 +847,7 @@ func (f *FS) Walk(p string, fn localfs.WalkFunc) error {
 // ReadFile reads a whole file by path.
 func (f *FS) ReadFile(p string) ([]byte, error) {
 	f.mu.Lock()
-	rel := path.Clean("/" + p)
+	rel := localfs.CleanPath(p)
 	a, err := f.attrAt(rel)
 	f.mu.Unlock()
 	if err != nil {
@@ -864,7 +864,7 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 func (f *FS) WriteFile(p string, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	rel := path.Clean("/" + p)
+	rel := localfs.CleanPath(p)
 	if rel == "/" {
 		return localfs.ErrInval
 	}

@@ -123,73 +123,98 @@ func (in *inode) size() int64 {
 	}
 }
 
-// extentSize is the fixed capacity of one file extent: the write-back flush
-// span, so a streaming writer adds one allocation per flush.
-const extentSize = 1 << 20
+// Slack bounds for a piece added by an append: an append to an n-byte file
+// reserves n/16 spare bytes, clamped to [minSlack, maxSlack].
+const (
+	minSlack = 4 << 10
+	maxSlack = 1 << 20
+)
 
-// extents holds a regular file's bytes in fixed-capacity pieces, so growing
-// a file allocates only its new tail and never re-copies what is already
-// stored. Every extent but the last is exactly extentSize long; the last is
-// sized to the data, not to the extent, so a small file costs what a flat
-// slice would.
+// extents holds a regular file's bytes as pieces in file order, so growing a
+// file allocates only the bytes it adds and never re-copies what is stored.
+// Growth first fills the last piece's spare capacity; the rest becomes one
+// new piece sized to the bytes added, or to the append slack when that is
+// larger. A 32 KiB write-through client therefore allocates what it stores,
+// a byte-at-a-time writer gets amortised slack, and a big file settles at
+// about one piece per MiB, plus the 60-95 that growing to 16 MiB adds. A
+// file that fits one piece lives in a slot inside its inode: no header
+// allocation.
 type extents struct {
 	list [][]byte
-	one  [1][]byte // backs list while the file fits one extent: no header allocation
+	one  [1][]byte // backs list while the file is one piece
+	n    int64     // total bytes
 }
 
-func (x *extents) size() int64 {
-	n := len(x.list)
-	if n == 0 {
-		return 0
+func (x *extents) size() int64 { return x.n }
+
+// at locates byte off, which must lie within the file: it returns the index
+// of the piece holding it and off's position in that piece.
+func (x *extents) at(off int64) (int, int) {
+	i := 0
+	for off >= int64(len(x.list[i])) {
+		off -= int64(len(x.list[i]))
+		i++
 	}
-	return int64(n-1)*extentSize + int64(len(x.list[n-1]))
+	return i, int(off)
 }
 
 // resize truncates or zero-extends the file to size bytes.
 func (x *extents) resize(size int64) {
-	if size == 0 {
+	switch {
+	case size == 0:
 		*x = extents{}
+	case size < x.n:
+		i, o := x.at(size - 1)
+		clear(x.list[i+1:]) // release the dropped pieces
+		x.list = x.list[:i+1]
+		x.list[i] = x.list[i][:o+1]
+		x.n = size
+	case size > x.n:
+		x.grow(size - x.n)
+	}
+}
+
+// grow appends add zero bytes. Spare capacity may hold bytes a truncation cut
+// off, so it is cleared as it is taken.
+func (x *extents) grow(add int64) {
+	if k := len(x.list); k > 0 {
+		t := x.list[k-1]
+		m := int(min(add, int64(cap(t)-len(t))))
+		x.list[k-1] = t[:len(t)+m]
+		clear(x.list[k-1][len(t):])
+		x.n += int64(m)
+		add -= int64(m)
+	}
+	if add == 0 {
 		return
 	}
-	if size < x.size() {
-		keep := int((size + extentSize - 1) / extentSize)
-		clear(x.list[keep:]) // release the dropped extents
-		x.list = x.list[:keep]
-		x.list[keep-1] = x.list[keep-1][:size-int64(keep-1)*extentSize]
-		return
+	c := add
+	if x.n > 0 {
+		c = max(add, min(max(x.n/16, minSlack), maxSlack))
 	}
 	if x.list == nil {
 		x.list = x.one[:0]
 	}
-	if n := len(x.list); n > 0 {
-		x.list[n-1] = growTail(x.list[n-1], int(min(size-int64(n-1)*extentSize, extentSize)))
-	}
-	for x.size() < size {
-		x.list = append(x.list, make([]byte, min(size-x.size(), extentSize)))
-	}
-}
-
-// growTail zero-extends the last extent to n <= extentSize bytes with
-// append's amortised growth, clipped to the extent.
-func growTail(t []byte, n int) []byte {
-	if n > cap(t) && len(t) > 0 && n+n/4 > extentSize {
-		nt := make([]byte, n, extentSize)
-		copy(nt, t)
-		return nt
-	}
-	return append(t, make([]byte, n-len(t))...)
+	x.list = append(x.list, make([]byte, add, c))
+	x.n += add
 }
 
 // readAt fills dst from offset off; the caller keeps off+len(dst) within the
 // file. writeAt is its mirror image.
 func (x *extents) readAt(dst []byte, off int64) {
-	for i, o := int(off/extentSize), int(off%extentSize); len(dst) > 0; i, o = i+1, 0 {
+	if len(dst) == 0 {
+		return
+	}
+	for i, o := x.at(off); len(dst) > 0; i, o = i+1, 0 {
 		dst = dst[copy(dst, x.list[i][o:]):]
 	}
 }
 
 func (x *extents) writeAt(src []byte, off int64) {
-	for i, o := int(off/extentSize), int(off%extentSize); len(src) > 0; i, o = i+1, 0 {
+	if len(src) == 0 {
+		return
+	}
+	for i, o := x.at(off); len(src) > 0; i, o = i+1, 0 {
 		src = src[copy(x.list[i][o:], src):]
 	}
 }
@@ -364,26 +389,78 @@ func (f *FS) noteMutation(p string) {
 	}
 }
 
+// noteInode reports a successful mutation of in, building its path only when
+// someone subscribes. Caller holds f.mu.
+func (f *FS) noteInode(in *inode) {
+	if len(f.notify) > 0 {
+		f.noteMutation(f.pathOf(in))
+	}
+}
+
 // pathOf reconstructs an inode's absolute path from its parent/name
-// backpointers, for mutation notifications on handle-based ops. Caller
-// holds f.mu. Returns "" for unlinked inodes.
+// backpointers, for mutation notifications on handle-based ops, in one
+// allocation sized from the parent chain. Caller holds f.mu. Returns "" for
+// unlinked inodes.
 func (f *FS) pathOf(in *inode) string {
 	if in == f.root {
 		return "/"
 	}
-	var parts []string
+	n := 0
 	for cur := in; cur != f.root; cur = cur.parent {
 		if cur == nil {
 			return ""
 		}
-		parts = append(parts, cur.name)
+		n += 1 + len(cur.name)
 	}
 	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
-	}
+	b.Grow(n)
+	f.writePath(&b, in)
 	return b.String()
+}
+
+func (f *FS) writePath(b *strings.Builder, in *inode) {
+	if in != f.root {
+		f.writePath(b, in.parent)
+		b.WriteByte('/')
+		b.WriteString(in.name)
+	}
+}
+
+// CleanPath returns path.Clean("/" + p): p as an absolute path with no empty,
+// "." or ".." elements and no trailing slash. A path that is already so comes
+// back as it is, without allocating.
+func CleanPath(p string) string {
+	if isClean(p) {
+		return p
+	}
+	return path.Clean("/" + p)
+}
+
+func isClean(p string) bool {
+	if p == "/" {
+		return true
+	}
+	if len(p) < 2 || p[0] != '/' || p[len(p)-1] == '/' {
+		return false
+	}
+	for rest := p[1:]; ; {
+		elem, tail, more := strings.Cut(rest, "/")
+		if elem == "" || elem == "." || elem == ".." {
+			return false
+		}
+		if !more {
+			return true
+		}
+		rest = tail
+	}
+}
+
+// InTree reports whether the clean absolute path p is dir or lies below it.
+func InTree(p, dir string) bool {
+	if dir == "/" {
+		return true
+	}
+	return strings.HasPrefix(p, dir) && (len(p) == len(dir) || p[len(dir)] == '/')
 }
 
 // charge reserves n additional bytes against capacity (n may be negative).
@@ -450,7 +527,7 @@ func (f *FS) Setattr(ino uint64, sa SetAttr) (Attr, simnet.Cost, error) {
 		in.atime = *sa.Atime
 	}
 	in.ctime = f.now()
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return f.attrOf(in), cost, nil
 }
 
@@ -501,7 +578,7 @@ func (f *FS) Create(dirIno uint64, name string, mode uint32, exclusive bool) (At
 		f.used -= existing.data.size()
 		existing.data.resize(0)
 		existing.mtime = f.now()
-		f.noteMutation(f.pathOf(existing))
+		f.noteInode(existing)
 		return f.attrOf(existing), cost, nil
 	}
 	if err := f.charge(f.inodeOverhead); err != nil {
@@ -518,7 +595,7 @@ func (f *FS) Create(dirIno uint64, name string, mode uint32, exclusive bool) (At
 	dir.children[name] = in
 	dir.mtime = t
 	f.files++
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return f.attrOf(in), cost, nil
 }
 
@@ -551,7 +628,7 @@ func (f *FS) Mkdir(dirIno uint64, name string, mode uint32) (Attr, simnet.Cost, 
 	f.inodes[in.ino] = in
 	dir.children[name] = in
 	dir.mtime = t
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return f.attrOf(in), cost, nil
 }
 
@@ -584,7 +661,7 @@ func (f *FS) Symlink(dirIno uint64, name, target string) (Attr, simnet.Cost, err
 	f.inodes[in.ino] = in
 	dir.children[name] = in
 	dir.mtime = t
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return f.attrOf(in), cost, nil
 }
 
@@ -664,7 +741,7 @@ func (f *FS) Write(ino uint64, offset int64, data []byte) (int, simnet.Cost, err
 	}
 	in.data.writeAt(data, offset)
 	in.mtime = f.now()
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return len(data), cost, nil
 }
 
@@ -734,7 +811,10 @@ func (f *FS) Rmdir(dirIno uint64, name string) (simnet.Cost, error) {
 // unlink detaches in from dir and releases its storage. Caller holds f.mu
 // and has verified membership.
 func (f *FS) unlink(dir, in *inode) {
-	p := f.pathOf(in)
+	var p string
+	if len(f.notify) > 0 {
+		p = f.pathOf(in)
+	}
 	delete(dir.children, in.name)
 	delete(f.inodes, in.ino)
 	f.used -= in.size() + f.inodeOverhead
@@ -788,7 +868,10 @@ func (f *FS) Rename(srcDir uint64, srcName string, dstDir uint64, dstName string
 		}
 		f.unlink(dd, existing)
 	}
-	oldPath := f.pathOf(in)
+	var oldPath string
+	if len(f.notify) > 0 {
+		oldPath = f.pathOf(in)
+	}
 	delete(sd.children, in.name)
 	in.name = dstName
 	in.parent = dd
@@ -798,7 +881,7 @@ func (f *FS) Rename(srcDir uint64, srcName string, dstDir uint64, dstName string
 	if oldPath != "" {
 		f.noteMutation(oldPath)
 	}
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return cost, nil
 }
 
@@ -837,7 +920,7 @@ func (f *FS) Statfs() (FSStat, simnet.Cost, error) {
 
 // splitPath normalizes p and returns its components; "/" yields nil.
 func splitPath(p string) ([]string, error) {
-	clean := path.Clean("/" + p)
+	clean := CleanPath(p)
 	if clean == "/" {
 		return nil, nil
 	}
@@ -912,7 +995,7 @@ func (f *FS) MkdirAll(p string) (Attr, error) {
 		cur = next
 	}
 	if created {
-		f.noteMutation(f.pathOf(cur))
+		f.noteInode(cur)
 	}
 	return f.attrOf(cur), nil
 }
@@ -954,7 +1037,7 @@ func (f *FS) RemoveAll(p string) error {
 	f.release(in)
 	delete(cur.children, name)
 	cur.mtime = f.now()
-	f.noteMutation(path.Clean("/" + p))
+	f.noteMutation(CleanPath(p))
 	return nil
 }
 
@@ -995,7 +1078,7 @@ func (f *FS) Walk(p string, fn WalkFunc) error {
 		}
 		cur = next
 	}
-	return f.walk(path.Clean("/"+p), cur, fn)
+	return f.walk(CleanPath(p), cur, fn)
 }
 
 func (f *FS) walk(p string, in *inode, fn WalkFunc) error {
@@ -1032,7 +1115,7 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 // WriteFile is a convenience that creates (or truncates) a file by path and
 // writes data, creating missing ancestor directories.
 func (f *FS) WriteFile(p string, data []byte) error {
-	dir, base := path.Split(path.Clean("/" + p))
+	dir, base := path.Split(CleanPath(p))
 	if base == "" {
 		return ErrInval
 	}
@@ -1082,7 +1165,8 @@ func (f *FS) CorruptFile(p string, off int64) error {
 	if i < 0 {
 		i += size
 	}
-	cur.data.list[i/extentSize][i%extentSize] ^= 0xFF
+	k, o := cur.data.at(i)
+	cur.data.list[k][o] ^= 0xFF
 	return nil
 }
 

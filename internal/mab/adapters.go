@@ -54,7 +54,7 @@ func (k *KoshaFS) handle(p string) (core.VH, simnet.Cost, error) {
 // MkdirAll implements FS, walking with cached handles like a kernel NFS
 // client's dentry cache (one LOOKUP or MKDIR per missing component).
 func (k *KoshaFS) MkdirAll(p string) (simnet.Cost, error) {
-	p = path.Clean("/" + p)
+	p = localfs.CleanPath(p)
 	var total simnet.Cost
 	cur := k.M.Root()
 	walked := "/"
@@ -87,7 +87,7 @@ func (k *KoshaFS) MkdirAll(p string) (simnet.Cost, error) {
 
 // WriteFile implements FS with ChunkSize writes.
 func (k *KoshaFS) WriteFile(p string, data []byte) (simnet.Cost, error) {
-	dir := path.Dir(path.Clean("/" + p))
+	dir := path.Dir(localfs.CleanPath(p))
 	dirVH, total, err := k.handle(dir)
 	if err != nil {
 		return total, err
@@ -97,7 +97,7 @@ func (k *KoshaFS) WriteFile(p string, data []byte) (simnet.Cost, error) {
 	if err != nil {
 		return total, err
 	}
-	k.remember(path.Clean("/"+p), fvh)
+	k.remember(localfs.CleanPath(p), fvh)
 	for off := 0; off < len(data); off += ChunkSize {
 		end := min(off+ChunkSize, len(data))
 		_, c, err := k.M.Write(fvh, int64(off), data[off:end])
@@ -111,28 +111,18 @@ func (k *KoshaFS) WriteFile(p string, data []byte) (simnet.Cost, error) {
 
 // ReadFile implements FS with ChunkSize reads.
 func (k *KoshaFS) ReadFile(p string) ([]byte, simnet.Cost, error) {
-	fvh, total, err := k.handle(path.Clean("/" + p))
+	fvh, total, err := k.handle(localfs.CleanPath(p))
 	if err != nil {
 		return nil, total, err
 	}
-	var out []byte
-	for off := int64(0); ; {
-		data, eof, c, err := k.M.Read(fvh, off, ChunkSize)
-		total = simnet.Seq(total, c)
-		if err != nil {
-			return nil, total, err
-		}
-		out = append(out, data...)
-		off += int64(len(data))
-		if eof {
-			return out, total, nil
-		}
-	}
+	return gather(total, func(off int64) ([]byte, bool, simnet.Cost, error) {
+		return k.M.Read(fvh, off, ChunkSize)
+	})
 }
 
 // Stat implements FS.
 func (k *KoshaFS) Stat(p string) (simnet.Cost, error) {
-	fvh, total, err := k.handle(path.Clean("/" + p))
+	fvh, total, err := k.handle(localfs.CleanPath(p))
 	if err != nil {
 		return total, err
 	}
@@ -173,7 +163,7 @@ func (n *NFSFS) remember(p string, h nfs.Handle) {
 // handle resolves a path with per-component LOOKUPs, caching like the
 // kernel's dentry cache.
 func (n *NFSFS) handle(p string) (nfs.Handle, simnet.Cost, error) {
-	p = path.Clean("/" + p)
+	p = localfs.CleanPath(p)
 	if h, ok := n.cached(p); ok {
 		return h, 0, nil
 	}
@@ -202,7 +192,7 @@ func (n *NFSFS) handle(p string) (nfs.Handle, simnet.Cost, error) {
 
 // MkdirAll implements FS.
 func (n *NFSFS) MkdirAll(p string) (simnet.Cost, error) {
-	p = path.Clean("/" + p)
+	p = localfs.CleanPath(p)
 	var total simnet.Cost
 	cur := n.Root
 	walked := "/"
@@ -235,7 +225,7 @@ func (n *NFSFS) MkdirAll(p string) (simnet.Cost, error) {
 
 // WriteFile implements FS with ChunkSize writes.
 func (n *NFSFS) WriteFile(p string, data []byte) (simnet.Cost, error) {
-	p = path.Clean("/" + p)
+	p = localfs.CleanPath(p)
 	dirH, total, err := n.handle(path.Dir(p))
 	if err != nil {
 		return total, err
@@ -263,19 +253,38 @@ func (n *NFSFS) ReadFile(p string) ([]byte, simnet.Cost, error) {
 	if err != nil {
 		return nil, total, err
 	}
-	var out []byte
-	for off := int64(0); ; {
-		data, eof, c, err := n.C.Read(n.Server, fh, off, ChunkSize)
+	return gather(total, func(off int64) ([]byte, bool, simnet.Cost, error) {
+		return n.C.Read(n.Server, fh, off, ChunkSize)
+	})
+}
+
+// gather reads a whole file one ChunkSize READ at a time from offset 0,
+// adding each READ's cost to total. A file that fits one chunk comes back as
+// the READ reply's own bytes, which the caller owns (DESIGN §10's borrow
+// rule); a longer one is copied once into a buffer sized from the chunks.
+func gather(total simnet.Cost, read func(off int64) ([]byte, bool, simnet.Cost, error)) ([]byte, simnet.Cost, error) {
+	chunks := make([][]byte, 0, 4)
+	size := 0
+	for {
+		data, eof, c, err := read(int64(size))
 		total = simnet.Seq(total, c)
 		if err != nil {
 			return nil, total, err
 		}
-		out = append(out, data...)
-		off += int64(len(data))
+		chunks = append(chunks, data)
+		size += len(data)
 		if eof {
-			return out, total, nil
+			break
 		}
 	}
+	if len(chunks) == 1 {
+		return chunks[0], total, nil
+	}
+	out := make([]byte, 0, size)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out, total, nil
 }
 
 // Stat implements FS.

@@ -19,7 +19,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"path"
-	"strings"
 	"sync"
 
 	"repro/internal/cas"
@@ -153,7 +152,7 @@ func NewCacheWithStore(fs localfs.FileSystem, store *cas.Store) *Cache {
 // removed or renamed wholesale). Safe to call from a store's mutation hook:
 // it takes only the cache's own mutex and never calls back into the store.
 func (c *Cache) Invalidate(p string) {
-	p = path.Clean("/" + p)
+	p = localfs.CleanPath(p)
 	if c.store != nil {
 		// The block index only holds regular files, so ancestors need no
 		// forgetting there — just p and its descendants. ForgetTree takes
@@ -172,17 +171,13 @@ func (c *Cache) Invalidate(p string) {
 		dir = path.Dir(dir)
 		delete(c.memo, dir)
 	}
-	prefix := p + "/"
-	if p == "/" {
-		prefix = "/"
-	}
 	for k := range c.memo {
-		if strings.HasPrefix(k, prefix) {
+		if localfs.InTree(k, p) {
 			delete(c.memo, k)
 		}
 	}
 	for k := range c.manifests {
-		if strings.HasPrefix(k, prefix) {
+		if localfs.InTree(k, p) {
 			delete(c.manifests, k)
 		}
 	}
@@ -206,7 +201,7 @@ func (c *Cache) InvalidateAll() {
 // so holding both here in the opposite order would deadlock. A generation
 // counter discards computations that raced a mutation instead.
 func (c *Cache) DigestOf(p string) (Digest, error) {
-	p = path.Clean("/" + p)
+	p = localfs.CleanPath(p)
 	var gen uint64
 	if c.caching {
 		c.mu.Lock()
@@ -274,7 +269,7 @@ func (c *Cache) compute(p string, attr localfs.Attr) (Digest, error) {
 // its blocks for later HAVE/CHUNK_FETCH queries. Same locking discipline as
 // DigestOf: the cache mutex is never held across store calls.
 func (c *Cache) ManifestOf(p string) (cas.Manifest, error) {
-	p = path.Clean("/" + p)
+	p = localfs.CleanPath(p)
 	var gen uint64
 	if c.caching {
 		c.mu.Lock()
@@ -312,7 +307,7 @@ func (c *Cache) ManifestOf(p string) (cas.Manifest, error) {
 // corruption (which fires no mutation notification and therefore never
 // invalidates the memo) becomes detectable.
 func (c *Cache) CachedManifest(p string) (cas.Manifest, bool) {
-	p = path.Clean("/" + p)
+	p = localfs.CleanPath(p)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m, ok := c.manifests[p]
@@ -323,7 +318,7 @@ func (c *Cache) CachedManifest(p string) (cas.Manifest, bool) {
 // digests, in sorted name order. ok is false when p does not exist or is not
 // a directory.
 func (c *Cache) Entries(p string) ([]Entry, bool, error) {
-	p = path.Clean("/" + p)
+	p = localfs.CleanPath(p)
 	attr, err := c.fs.LookupPath(p)
 	if err != nil || attr.Type != localfs.TypeDir {
 		return nil, false, nil

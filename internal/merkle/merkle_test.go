@@ -3,6 +3,7 @@ package merkle
 import (
 	"testing"
 
+	"repro/internal/cas"
 	"repro/internal/localfs"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -159,5 +160,34 @@ func TestEntriesCodecRoundTrip(t *testing.T) {
 		if out[i] != in[i] {
 			t.Fatalf("entry %d: %+v != %+v", i, out[i], in[i])
 		}
+	}
+}
+
+// TestMutationHookAllocs: a write to an existing file, with a digest cache
+// and its block index subscribed, allocates only the path string the store
+// hands its subscribers.
+func TestMutationHookAllocs(t *testing.T) {
+	fs := newStore(t)
+	for _, p := range []string{"/d/f", "/e/g"} {
+		if err := fs.WriteFile(p, make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewCacheWithStore(fs, cas.NewStore(fs, nil))
+	mustDigest(t, c, "/") // the memo keeps /e and /e/g across the writes
+	attr, err := fs.LookupPath("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 512)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := fs.Write(attr.Ino, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("a write with the digest cache subscribed allocates %.0f times, want <= 1", n)
+	}
+	if len(c.memo) == 0 {
+		t.Fatal("the memo emptied: the test no longer walks it")
 	}
 }
