@@ -470,42 +470,45 @@ func (f *FS) Readlink(ino uint64) (string, simnet.Cost, error) {
 	return t, cost, nil
 }
 
-// Read returns up to count bytes at offset.
+// Read returns up to count bytes at offset in a fresh slice.
 func (f *FS) Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+	return f.AppendRead(nil, ino, offset, count)
+}
+
+// AppendRead appends up to count bytes at offset to dst, read straight into
+// its spare capacity; see localfs.FileSystem.
+func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cost := f.disk.OpCost(0)
 	rel, err := f.pathFor(ino)
 	if err != nil {
-		return nil, false, cost, err
+		return dst, false, cost, err
 	}
 	a, err := f.attrAt(rel)
 	if err != nil {
-		return nil, false, cost, err
+		return dst, false, cost, err
 	}
 	if a.Type == localfs.TypeDir {
-		return nil, false, cost, localfs.ErrIsDir
+		return dst, false, cost, localfs.ErrIsDir
 	}
 	if a.Type != localfs.TypeRegular || offset < 0 || count < 0 {
-		return nil, false, cost, localfs.ErrInval
+		return dst, false, cost, localfs.ErrInval
 	}
 	fh, err := os.Open(f.host(rel))
 	if err != nil {
-		return nil, false, cost, mapErr(err)
+		return dst, false, cost, mapErr(err)
 	}
 	defer fh.Close()
 	if offset >= a.Size {
-		return nil, true, cost, nil
+		return dst, true, cost, nil
 	}
-	end := offset + int64(count)
-	if end > a.Size {
-		end = a.Size
+	n := int(min(int64(count), a.Size-offset))
+	buf := localfs.Grow(dst, n)
+	if _, err := fh.ReadAt(buf[len(buf):len(buf)+n], offset); err != nil {
+		return dst, false, cost, mapErr(err)
 	}
-	buf := make([]byte, end-offset)
-	if _, err := fh.ReadAt(buf, offset); err != nil {
-		return nil, false, cost, mapErr(err)
-	}
-	return buf, end == a.Size, f.disk.OpCost(len(buf)), nil
+	return buf[:len(buf)+n], offset+int64(n) == a.Size, f.disk.OpCost(n), nil
 }
 
 // Write stores data at offset, extending the file as needed.

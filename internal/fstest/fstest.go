@@ -35,6 +35,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("Statfs", func(t *testing.T) { testStatfs(t, factory) })
 	t.Run("BadNames", func(t *testing.T) { testBadNames(t, factory) })
 	t.Run("ExtentBoundaries", func(t *testing.T) { testExtentBoundaries(t, factory) })
+	t.Run("AppendRead", func(t *testing.T) { testAppendRead(t, factory) })
 	t.Run("MerkleDigestStability", func(t *testing.T) { testMerkleDigest(t, factory) })
 	t.Run("ChunkManifestStability", func(t *testing.T) { testChunkManifestStability(t, factory) })
 }
@@ -633,5 +634,75 @@ func testExtentBoundaries(t *testing.T, factory Factory) {
 		}
 		model[i] ^= 0xFF
 		checkFile(t, f, a.Ino, "/big", model)
+	}
+}
+
+// testAppendRead: AppendRead is Read into the caller's buffer. It appends
+// after a prefix and leaves the prefix as it was, hands an error back with
+// the buffer untouched, agrees with Read on bytes and eof at every piece
+// boundary of a file grown 32 + 32 + 6 KiB at a time, and appends nothing at
+// or past the end.
+func testAppendRead(t *testing.T, factory Factory) {
+	f := factory(t, 0)
+	a, _, err := f.Create(localfs.RootIno, "f", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model []byte
+	for i, n := range []int{32 << 10, 32 << 10, 6 << 10} {
+		chunk := pattern(n, byte(i))
+		if _, _, err := f.Write(a.Ino, int64(len(model)), chunk); err != nil {
+			t.Fatal(err)
+		}
+		model = append(model, chunk...)
+	}
+	d, _, _ := f.Mkdir(localfs.RootIno, "d", 0o755)
+	l, _, _ := f.Symlink(localfs.RootIno, "l", "f")
+
+	prefix := []byte("prefix")
+	same := func(got []byte) bool {
+		return len(got) == len(prefix) && cap(got) == cap(prefix) && &got[0] == &prefix[0]
+	}
+	for _, c := range []struct {
+		name string
+		ino  uint64
+		off  int64
+		want error
+	}{
+		{"a directory", d.Ino, 0, localfs.ErrIsDir},
+		{"a symlink", l.Ino, 0, localfs.ErrInval},
+		{"a stale handle", 999999, 0, localfs.ErrStale},
+		{"a negative offset", a.Ino, -1, localfs.ErrInval},
+	} {
+		got, eof, _, err := f.AppendRead(prefix, c.ino, c.off, 10)
+		if !errors.Is(err, c.want) || eof || !same(got) {
+			t.Errorf("AppendRead of %s: %d bytes eof=%v err=%v, want dst back unchanged and %v", c.name, len(got), eof, err, c.want)
+		}
+	}
+
+	size := len(model)
+	for _, b := range []int{32 << 10, 64 << 10, size} {
+		for _, off := range []int{0, b - 1, b, b + 1} {
+			for _, end := range []int{b - 1, b, b + 1} {
+				if off > size || end < off {
+					continue
+				}
+				want, weof, wcost, werr := f.Read(a.Ino, int64(off), end-off)
+				got, eof, cost, err := f.AppendRead(prefix, a.Ino, int64(off), end-off)
+				if err != nil || werr != nil || eof != weof || cost != wcost {
+					t.Fatalf("AppendRead(%d, %d): eof=%v cost=%v err=%v; Read: eof=%v cost=%v err=%v",
+						off, end-off, eof, cost, err, weof, wcost, werr)
+				}
+				if !bytes.Equal(got[:len(prefix)], []byte("prefix")) || !bytes.Equal(got[len(prefix):], want) ||
+					!bytes.Equal(want, model[min(off, size):min(end, size)]) {
+					t.Fatalf("AppendRead(%d, %d) appended %d bytes that differ from Read's %d or the model", off, end-off, len(got)-len(prefix), len(want))
+				}
+			}
+		}
+	}
+	for _, off := range []int64{int64(size), int64(size) + 1} {
+		if got, eof, _, err := f.AppendRead(prefix, a.Ino, off, 10); err != nil || !eof || !same(got) {
+			t.Errorf("AppendRead at %d of a %d-byte file: %d bytes eof=%v err=%v, want nothing appended and eof", off, size, len(got), eof, err)
+		}
 	}
 }

@@ -224,6 +224,17 @@ func FuzzExtents(f *testing.F) {
 			if err != nil || !bytes.Equal(got, model) {
 				t.Fatalf("file differs from the model at size %d (err %v)", len(model), err)
 			}
+			// AppendRead is Read after a prefix, from 0 and from an offset
+			// inside the file, into spare capacity or a grown buffer.
+			head := []byte{byte(x), byte(y), 0xEE}
+			for _, off := range []int{0, x % (len(model) + 1)} {
+				want, weof, wcost, _ := fs.Read(a.Ino, int64(off), y)
+				prefix := append(make([]byte, 0, len(head)+x%97), head...)
+				got, eof, cost, err := fs.AppendRead(prefix, a.Ino, int64(off), y)
+				if err != nil || eof != weof || cost != wcost || !bytes.Equal(got, append(head[:3:3], want...)) {
+					t.Fatalf("AppendRead(prefix, %d, %d) is not prefix + Read (eof %v/%v, err %v)", off, y, eof, weof, err)
+				}
+			}
 		}
 	})
 }

@@ -680,35 +680,53 @@ func (f *FS) Readlink(ino uint64) (string, simnet.Cost, error) {
 	return in.target, cost, nil
 }
 
-// Read returns up to count bytes at offset. eof is true when the read
-// reaches the end of the file.
+// Read returns up to count bytes at offset in a fresh slice. eof is true when
+// the read reaches the end of the file.
 func (f *FS) Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+	return f.AppendRead(nil, ino, offset, count)
+}
+
+// AppendRead appends up to count bytes at offset to dst; see FileSystem.
+func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	in, err := f.get(ino)
 	if err != nil {
-		return nil, false, f.disk.OpCost(0), err
+		return dst, false, f.disk.OpCost(0), err
 	}
 	if in.typ == TypeDir {
-		return nil, false, f.disk.OpCost(0), ErrIsDir
+		return dst, false, f.disk.OpCost(0), ErrIsDir
 	}
 	if in.typ != TypeRegular {
-		return nil, false, f.disk.OpCost(0), ErrInval
+		return dst, false, f.disk.OpCost(0), ErrInval
 	}
 	if offset < 0 || count < 0 {
-		return nil, false, f.disk.OpCost(0), ErrInval
+		return dst, false, f.disk.OpCost(0), ErrInval
 	}
 	size := in.data.size()
 	if offset >= size {
-		return nil, true, f.disk.OpCost(0), nil
+		return dst, true, f.disk.OpCost(0), nil
 	}
-	end := offset + int64(count)
-	if end > size {
-		end = size
+	n := int(min(int64(count), size-offset))
+	dst = Grow(dst, n)
+	in.data.readAt(dst[len(dst):len(dst)+n], offset)
+	return dst[:len(dst)+n], offset+int64(n) == size, f.disk.OpCost(n), nil
+}
+
+// Grow returns dst with room for n more bytes, as AppendRead needs them: dst
+// itself when it has the room, else a copy with the larger of twice its
+// capacity and what it needs, rounded up to a word. One read into a fresh
+// buffer is sized exactly; a run of reads into one buffer doubles it, where
+// append would grow a large one a quarter at a time. The rounding costs
+// nothing the allocator does not charge anyway, and leaves room for the
+// padding an XDR frame puts after the bytes.
+func Grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
 	}
-	out := make([]byte, end-offset)
-	in.data.readAt(out, offset)
-	return out, end == size, f.disk.OpCost(len(out)), nil
+	out := make([]byte, len(dst), max((len(dst)+n+7)&^7, 2*cap(dst)))
+	copy(out, dst)
+	return out
 }
 
 // Write stores data at offset, extending the file as needed.
@@ -1192,6 +1210,12 @@ type FileSystem interface {
 	Symlink(dirIno uint64, name, target string) (Attr, simnet.Cost, error)
 	Readlink(ino uint64) (string, simnet.Cost, error)
 	Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error)
+	// AppendRead is Read into the caller's buffer: it appends up to count
+	// bytes at offset to dst, copied under the store's lock so a concurrent
+	// write cannot tear them, growing dst with Grow when it lacks the room.
+	// It costs what Read costs, and returns dst unchanged with any error.
+	// Read is AppendRead(nil, ...).
+	AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error)
 	Write(ino uint64, offset int64, data []byte) (int, simnet.Cost, error)
 	Remove(dirIno uint64, name string) (simnet.Cost, error)
 	RemoveUnless(dirIno uint64, name string, refuse func(victim Attr, target string) error) (simnet.Cost, error)

@@ -102,32 +102,52 @@ func TestGetWriteSpansBorrows(t *testing.T) {
 	}
 }
 
-// TestDataFramesAllocatedOnce: a READ or READSTREAM reply costs the pieces
-// the store returns plus one frame at its final size — not a growing join
-// buffer, a regrown encoder and a client-side copy on top (7x the bytes read
-// before, 2x now).
+// TestDataFramesAllocatedOnce: the store appends a read straight into the
+// reply frame, which the client then borrows from. A READ costs one frame at
+// its final size (2x before, when the store's copy came first). A window's
+// frame doubles across its chunks: under 2x for four 1 MiB chunks, and for
+// 32 KiB chunks about the 2x that joining the store's copies cost, plus the
+// page tails of the doublings.
 func TestDataFramesAllocatedOnce(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	fh, _, _, err := c.Create("srv", srv.Root(), "f", 0o644, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const size = 1 << 20
+	const mib = 1 << 20
+	const size = 4 * mib
 	if _, _, err := c.Write("srv", fh, 0, make([]byte, size)); err != nil {
 		t.Fatal(err)
 	}
-	var data []byte
-	var eof bool
-	n := allocatedBytes(func() { data, eof, _, err = c.ReadStream("srv", fh, 0, 32<<10, 64) })
-	if err != nil || len(data) != size || !eof {
-		t.Fatalf("readstream: %d bytes eof=%v err=%v", len(data), eof, err)
-	}
-	if n > size*2+size/8 {
-		t.Errorf("a %d-byte window allocated %d bytes end to end, want about 2x", size, n)
+	for _, tc := range []struct {
+		name          string
+		chunk, chunks int
+		limit         float64 // bytes allocated end to end per byte read
+	}{
+		{"a 1 MiB READ", mib, 0, 1.1},
+		{"a 4 x 1 MiB window", mib, 4, 1.99},
+		{"a 64 x 32 KiB window", 32 << 10, 64, 2 + 1.0/64},
+	} {
+		var data []byte
+		n := allocatedBytes(func() {
+			if tc.chunks == 0 {
+				data, _, _, err = c.Read("srv", fh, 0, tc.chunk)
+			} else {
+				data, _, _, err = c.ReadStream("srv", fh, 0, tc.chunk, tc.chunks)
+			}
+		})
+		want := tc.chunk * max(tc.chunks, 1)
+		if err != nil || len(data) != want {
+			t.Fatalf("%s: %d bytes err=%v", tc.name, len(data), err)
+		}
+		if ratio := float64(n) / float64(want); ratio > tc.limit {
+			t.Errorf("%s allocated %d bytes end to end, %.3fx the bytes read, want <= %.3fx", tc.name, n, ratio, tc.limit)
+		}
 	}
 	// A hostile window reserves nothing: the reply is sized by what the store
 	// returned, never by chunk x chunks.
-	n = allocatedBytes(func() { data, _, _, err = c.ReadStream("srv", fh, size-10, 1<<20, 1<<30) })
+	var data []byte
+	n := allocatedBytes(func() { data, _, _, err = c.ReadStream("srv", fh, size-10, 1<<20, 1<<30) })
 	if err != nil || len(data) != 10 {
 		t.Fatalf("tail window: %d bytes err=%v", len(data), err)
 	}

@@ -30,6 +30,9 @@ func fuzzServer(t testing.TB) *Server {
 	if err := fs.WriteFile("/d/f", []byte("0123456789")); err != nil {
 		t.Fatal(err)
 	}
+	if err := fs.WriteFile("/d/one", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
 	d, err := fs.LookupPath("/d")
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +79,15 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 	c.FSStat("srv", root)
 	c.FSInfo("srv", root)
 	c.ReadStream("srv", file, 0, 2, 2)
+	// The largest window the request can name, against a 1-byte file: the
+	// reply is sized by the byte the store returns.
+	one, err := rec.srv.FS().LookupPath("/d/one")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if data, eof, _, err := c.ReadStream("srv", Handle{Gen: root.Gen, Ino: one.Ino}, 0, 1<<32-1, 1<<32-1); err != nil || string(data) != "1" || !eof {
+		f.Fatalf("a 2^64-byte window on a 1-byte file: %q eof=%v err=%v", data, eof, err)
+	}
 	seen := map[Proc]bool{}
 	for _, req := range rec.reqs {
 		seen[Proc(wire.NewDecoder(req).Uint32())] = true

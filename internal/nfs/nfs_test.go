@@ -755,6 +755,75 @@ func scribble(p []byte) {
 	}
 }
 
+// TestReadsAreNotTornByWrites: a store read is copied into the reply frame
+// under the store's lock. While one goroutine rewrites a file whole, all
+// 0xAA then all 0xBB, every READ and reading LOOKUPPATH of it comes back
+// uniform, and so does every chunk of a READSTREAM window (the window's
+// chunks are separate reads; a write may fall between them). Run it under
+// -race.
+func TestReadsAreNotTornByWrites(t *testing.T) {
+	_, srv, c := rig(t, 0)
+	fh, _, _, err := c.Create("srv", srv.Root(), "f", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const piece, size = 32 << 10, 96 << 10
+	for off := 0; off < size; off += piece { // three store pieces
+		if _, _, err := c.Write("srv", fh, int64(off), bytes.Repeat([]byte{0xAA}, piece)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	uniform := func(what string, p []byte) {
+		t.Helper()
+		if len(p) == 0 || (p[0] != 0xAA && p[0] != 0xBB) || bytes.Count(p, p[:1]) != len(p) {
+			t.Fatalf("%s: %d bytes, not all 0xAA or all 0xBB", what, len(p))
+		}
+	}
+
+	done := make(chan struct{})
+	wrote := make(chan error, 1)
+	go func() {
+		whole := [2][]byte{bytes.Repeat([]byte{0xBB}, size), bytes.Repeat([]byte{0xAA}, size)}
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				wrote <- nil
+				return
+			default:
+			}
+			if _, _, err := c.Write("srv", fh, 0, whole[i%2]); err != nil {
+				wrote <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(done)
+		if err := <-wrote; err != nil {
+			t.Error(err)
+		}
+	}()
+	for i := 0; i < 30; i++ {
+		data, _, _, err := c.Read("srv", fh, 0, size)
+		if err != nil || len(data) != size {
+			t.Fatalf("read: %d bytes err=%v", len(data), err)
+		}
+		uniform("READ", data)
+		window, _, _, err := c.ReadStream("srv", fh, 0, piece/2, 2*size/piece)
+		if err != nil || len(window) != size {
+			t.Fatalf("readstream: %d bytes err=%v", len(window), err)
+		}
+		for off := 0; off < size; off += piece / 2 {
+			uniform("a READSTREAM chunk", window[off:off+piece/2])
+		}
+		walk, _, err := c.Walk("srv", srv.Root(), "/f", size)
+		if err != nil || len(walk.Data) != size {
+			t.Fatalf("reading walk: %d bytes err=%v", len(walk.Data), err)
+		}
+		uniform("a reading LOOKUPPATH", walk.Data)
+	}
+}
+
 // TestBorrowedBuffersDoNotAlias holds the server to the ownership rule:
 // WRITE borrows its data from the request only until the store has copied
 // it, the duplicate-request cache replays from its own record, and a READ
@@ -824,6 +893,14 @@ func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 	again, _, _, err := c.Read("srv", fh, 1<<20-7, 64<<10)
 	if err != nil || !bytes.Equal(again, payload[1<<20-7:][:64<<10]) {
 		t.Fatal("a second reader saw the first reader's scribbles")
+	}
+	// And the other way round: the store copied what a reply carries, so a
+	// write after the READ leaves the reply in hand as it was.
+	if _, _, err := c.Write("srv", fh, 1<<20-7, make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, payload[1<<20-7:][:64<<10]) {
+		t.Fatal("a write after a READ changed the READ's reply")
 	}
 
 	// LOOKUPPATH copies each name out of the request before the store sees

@@ -270,13 +270,11 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		if st != OK {
 			return s.fail(st), 0
 		}
-		data, eof, cost, err := s.fs.Read(ino, offset, int(count))
+		e.PutUint32(uint32(OK))
+		cost, err := s.putData(e, ino, offset, int(count), 1)
 		if err != nil {
 			return s.fail(toStatus(err)), cost
 		}
-		e.PutUint32(uint32(OK))
-		e.PutBool(eof)
-		e.PutOpaque(data)
 		return e.Bytes(), cost
 
 	case ProcReadStream:
@@ -294,29 +292,11 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		// The window's chunk reads run back to back against the store; their
 		// disk costs accumulate, but the propagation round trip is paid once
 		// for the whole window — that is the entire point of the procedure.
-		// The pieces go into the reply frame as they are, one opaque sized
-		// from what the store returned: the request's chunk x chunks reserves
-		// nothing, so a hostile window cannot force an allocation.
-		pieces := make([][]byte, 0, min(chunks, 8))
-		var eof bool
-		var cost simnet.Cost
-		off := offset
-		for i := 0; i < chunks; i++ {
-			piece, pe, c, err := s.fs.Read(ino, off, chunk)
-			cost = simnet.Seq(cost, c)
-			if err != nil {
-				return s.fail(toStatus(err)), cost
-			}
-			pieces = append(pieces, piece)
-			off += int64(len(piece))
-			if pe || len(piece) < chunk {
-				eof = pe
-				break
-			}
-		}
 		e.PutUint32(uint32(OK))
-		e.PutBool(eof)
-		e.PutOpaqueV(pieces...)
+		cost, err := s.putData(e, ino, offset, chunk, chunks)
+		if err != nil {
+			return s.fail(toStatus(err)), cost
+		}
 		return e.Bytes(), cost
 
 	case ProcWrite:
@@ -580,8 +560,7 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 	ino, st := s.check(h)
 	var attr localfs.Attr
 	var target string
-	var data []byte
-	var eof, read bool
+	var readMax uint32
 	var cost simnet.Cost
 	resolved := 0
 	if st == OK {
@@ -606,15 +585,7 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 			cost = simnet.Seq(cost, c)
 		}
 		if err == nil && attr.Type == localfs.TypeRegular && d.Remaining() >= 4 {
-			if readMax := d.Uint32(); readMax > 0 {
-				var rerr error
-				data, eof, c, rerr = s.fs.Read(ino, 0, int(readMax))
-				cost = simnet.Seq(cost, c)
-				if rerr != nil {
-					data, eof = nil, false
-				}
-				read = true
-			}
+			readMax = d.Uint32()
 		}
 		st = toStatus(err)
 	}
@@ -624,12 +595,40 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 	if st == OK {
 		putAttr(e, attr)
 		e.PutString(target)
-		if read {
-			e.PutBool(eof)
-			e.PutOpaque(data)
+		if readMax > 0 {
+			c, _ := s.putData(e, ino, 0, int(readMax), 1) // a failed read is empty, short of EOF
+			cost = simnet.Seq(cost, c)
 		}
 	}
 	return e.Bytes(), cost
+}
+
+// putData encodes the tail of a data reply, eof and one opaque, for up to
+// chunks reads of chunk bytes from off that stop at the first short one: one
+// chunk for READ and LOOKUPPATH's carried read, a window of them for
+// READSTREAM. The store appends each read straight into the frame, which
+// grows by what the store returned, never by chunk x chunks, so a hostile
+// window reserves nothing. The cost is the reads' in sequence. After an
+// error the opaque holds the chunks read before it and eof is false.
+func (s *Server) putData(e *wire.Encoder, ino uint64, off int64, chunk, chunks int) (cost simnet.Cost, err error) {
+	at := e.Len()
+	e.PutBool(false)
+	var eof bool
+	e.PutOpaqueFunc(func(dst []byte) []byte {
+		for i := 0; i < chunks && err == nil; i++ {
+			n := len(dst)
+			var c simnet.Cost
+			dst, eof, c, err = s.fs.AppendRead(dst, ino, off, chunk)
+			cost = simnet.Seq(cost, c)
+			off += int64(len(dst) - n)
+			if eof || len(dst)-n < chunk {
+				break
+			}
+		}
+		return dst
+	})
+	e.SetBool(at, eof)
+	return cost, err
 }
 
 // accessFor derives the ACCESS grant mask from an entry's mode bits,

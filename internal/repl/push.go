@@ -278,16 +278,19 @@ func (e *Engine) sendFile(tc obs.TraceContext, target simnet.Addr, lsrc, ldst st
 	return nil
 }
 
-// readRange reads exactly [off, off+n) of a local file.
+// readRange reads exactly [off, off+n) of a local file, straight into one
+// buffer of that size.
 func (e *Engine) readRange(ino uint64, off, n int64) ([]byte, error) {
 	buf := make([]byte, 0, n)
 	for int64(len(buf)) < n {
-		data, eof, _, err := e.store.Read(ino, off+int64(len(buf)), int(n-int64(len(buf))))
+		had := len(buf)
+		var eof bool
+		var err error
+		buf, eof, _, err = e.store.AppendRead(buf, ino, off+int64(had), int(n-int64(had)))
 		if err != nil {
 			return nil, err
 		}
-		buf = append(buf, data...)
-		if eof || len(data) == 0 {
+		if eof || len(buf) == had {
 			break
 		}
 	}

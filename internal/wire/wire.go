@@ -87,23 +87,36 @@ func (e *Encoder) Grow(n int) {
 }
 
 // PutOpaque appends variable-length opaque data: u32 length, bytes, padding.
-func (e *Encoder) PutOpaque(p []byte) { e.PutOpaqueV(p) }
+// The frame grows at most once for it.
+func (e *Encoder) PutOpaque(p []byte) {
+	e.Grow(4 + len(p) + pad4(len(p)))
+	e.PutUint32(uint32(len(p)))
+	e.PutFixedOpaque(p)
+}
 
-// PutOpaqueV appends one opaque item whose content is the concatenation of
-// parts, so a caller holding the data in pieces need not join them first.
-func (e *Encoder) PutOpaqueV(parts ...[]byte) {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	e.Grow(4 + n + pad4(n))
-	e.PutUint32(uint32(n))
-	for _, p := range parts {
-		e.buf = append(e.buf, p...)
-	}
+// PutOpaqueFunc appends one opaque item whose content fill appends to the
+// buffer it is given, so a producer writes the bytes into the frame itself
+// instead of handing over a slice to copy. The length word and the padding
+// are written after fill returns; fill must leave the bytes before its
+// argument's length as they are.
+func (e *Encoder) PutOpaqueFunc(fill func(dst []byte) []byte) {
+	at := len(e.buf)
+	e.buf = fill(append(e.buf, 0, 0, 0, 0))
+	n := len(e.buf) - at - 4
+	binary.BigEndian.PutUint32(e.buf[at:], uint32(n))
 	for i := 0; i < pad4(n); i++ {
 		e.buf = append(e.buf, 0)
 	}
+}
+
+// SetBool overwrites the boolean word at byte offset at, one an earlier
+// PutBool wrote, for a value known only after what follows it is encoded.
+func (e *Encoder) SetBool(at int, v bool) {
+	var w uint32
+	if v {
+		w = 1
+	}
+	binary.BigEndian.PutUint32(e.buf[at:], w)
 }
 
 // PutFixedOpaque appends fixed-length opaque data (no length prefix).

@@ -324,22 +324,32 @@ func TestOpaqueRefBorrows(t *testing.T) {
 	}
 }
 
-// PutOpaqueV writes the bytes PutOpaque would for the joined parts, and a
-// frame whose size is reserved up front is allocated exactly once.
-func TestPutOpaqueVAndGrow(t *testing.T) {
-	parts := [][]byte{{1, 2, 3}, nil, {4, 5}, {6}}
-	joined := bytes.Join(parts, nil)
-	want := NewEncoder(16)
-	want.PutOpaque(joined)
-	got := NewEncoder(0)
-	got.PutOpaqueV(parts...)
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("PutOpaqueV = %x, want %x", got.Bytes(), want.Bytes())
+// PutOpaqueFunc writes the bytes PutOpaque would for what fill appends, and
+// SetBool rewrites an earlier word in place: a READ reply whose eof is known
+// only after its data. A frame whose size is reserved up front is allocated
+// exactly once.
+func TestPutOpaqueFuncAndGrow(t *testing.T) {
+	for _, data := range [][]byte{nil, {1}, {1, 2, 3}, {1, 2, 3, 4}, {1, 2, 3, 4, 5, 6}} {
+		want := NewEncoder(0)
+		want.PutBool(true)
+		want.PutOpaque(data)
+		want.PutUint32(0xfeedface)
+		got := NewEncoder(0)
+		at := got.Len()
+		got.PutBool(false)
+		got.PutOpaqueFunc(func(dst []byte) []byte { return append(dst, data...) })
+		got.SetBool(at, true)
+		got.PutUint32(0xfeedface)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("PutOpaqueFunc(%d bytes) = %x, want %x", len(data), got.Bytes(), want.Bytes())
+		}
 	}
-	empty := NewEncoder(0)
-	empty.PutOpaqueV()
-	if !bytes.Equal(empty.Bytes(), []byte{0, 0, 0, 0}) {
-		t.Fatalf("empty PutOpaqueV = %x", empty.Bytes())
+
+	if n := testing.AllocsPerRun(10, func() {
+		e := NewEncoder(16)
+		e.PutOpaqueFunc(func(dst []byte) []byte { return append(dst, 1, 2, 3, 4, 5) })
+	}); n != 1 {
+		t.Errorf("a 9-byte opaque filled within a 16-byte frame took %.0f allocations, want 1", n)
 	}
 
 	payload := make([]byte, 1<<20)
@@ -347,7 +357,7 @@ func TestPutOpaqueVAndGrow(t *testing.T) {
 		e := NewEncoder(128)
 		e.PutUint32(0)
 		e.PutBool(true)
-		e.PutOpaqueV(payload[:1<<19], payload[1<<19:])
+		e.PutOpaque(payload)
 	}); n != 2 { // the 128-byte start and the frame at its final size
 		t.Errorf("a sized 1 MiB frame took %.0f allocations, want 2", n)
 	}
