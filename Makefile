@@ -114,14 +114,14 @@ test:
 	$(GO) test -short -race ./...
 
 # bench runs the concurrency-scaling benchmark (sweep goroutine counts to
-# see the sharded hot path scale) alongside the cache-ablation benchmark,
-# the full-vs-delta replica sync comparison, the content-addressed chunk
-# store comparison (dedup ratio, chunk-delta edits, promote repair), and
-# the large-file streaming comparison (stop-and-wait vs pipelined
+# see the sharded hot path scale) alongside the quick metadata-cache
+# ablation, the full-vs-delta replica sync comparison, the content-addressed
+# chunk store comparison (dedup ratio, chunk-delta edits, promote repair),
+# and the large-file streaming comparison (stop-and-wait vs pipelined
 # readahead + write-back).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallelMetadata' -cpu=1,2,4,8 -benchmem .
-	$(GO) test -run xxx -bench 'BenchmarkAblationMetadataCache' -short -benchtime=1x .
+	$(GO) run ./cmd/koshabench -exp cache -quick
 	$(GO) run ./cmd/koshabench -exp sync
 	$(GO) run ./cmd/koshabench -exp dedup
 	$(GO) run ./cmd/koshabench -exp stream
@@ -201,7 +201,7 @@ loc:
 	grep -c '^[[:space:]]Proc[A-Za-z]*[[:space:]]*Proc = ' internal/nfs/proto.go | xargs echo "nfs.Proc constants:"
 
 # gobench-smoke runs every Go benchmark in the module once (the root ones
-# are the four ablations and the parallel-metadata check: seconds in all).
+# are the three ablations and the parallel-metadata check: seconds in all).
 gobench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x ./...
 

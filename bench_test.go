@@ -1,13 +1,15 @@
 // Package repro's root benchmarks are the ablations of the design choices
 // DESIGN.md calls out, reported as custom metrics:
 //
-//	BenchmarkAblationSyncReplication  — synchronous vs asynchronous fan-out
+//	BenchmarkAblationSyncFanout       — synchronous vs asynchronous fan-out
 //	BenchmarkAblationReplicaCount     — write cost vs K under synchronous fan-out
-//	BenchmarkAblationReadFromReplicas — read-load spread with replica reads
-//	BenchmarkAblationMetadataCache    — client metadata caches on vs off
+//	BenchmarkAblationReadFromReplicas — read-load spread and per-read price of replica reads
 //
 // plus BenchmarkParallelMetadata, the concurrency-scaling check of the
-// sharded hot path. The paper's tables and figures print via
+// sharded hot path. A primary always replies before its fan-out, so the two
+// synchronous prices are derived: the run's own cost plus the fan-out time
+// every node recorded in its op.replicate histogram meanwhile. The paper's
+// tables and figures, the metadata-cache ablation among them, print via
 // `go run ./cmd/koshabench` (and run in internal/experiments' tests); the
 // per-layer microbenchmarks live in the bench/ ledger (`make bench-json`).
 package main
@@ -20,37 +22,44 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/kosha"
 )
 
-// BenchmarkAblationSyncReplication quantifies the design choice of keeping
-// replica fan-out off the client-visible path: it reruns a write-heavy
-// workload with synchronous replication and reports the slowdown.
-func BenchmarkAblationSyncReplication(b *testing.B) {
-	run := func(sync bool) float64 {
-		cfg := core.Config{Replicas: 2, SyncReplication: sync}
-		c, err := cluster.New(cluster.Options{Nodes: 6, Seed: 77, Config: cfg})
+// fanoutCost sums the op.replicate histograms of the cluster's nodes: the
+// simulated time their primaries spent fanning mutations out to replicas,
+// which a synchronous primary would have added to its replies.
+func fanoutCost(c *cluster.Cluster) simnet.Cost {
+	var sum int64
+	for _, nd := range c.Nodes {
+		sum += nd.Obs().Snapshot().Hists["op."+obs.OpReplicate].SumNS
+	}
+	return simnet.Cost(sum)
+}
+
+// BenchmarkAblationSyncFanout quantifies the design choice of keeping
+// replica fan-out off the client-visible path: the slowdown a write-heavy
+// workload would see if every primary waited for its replicas.
+func BenchmarkAblationSyncFanout(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		c, err := cluster.New(cluster.Options{Nodes: 6, Seed: 77, Config: core.Config{Replicas: 2}})
 		if err != nil {
 			b.Fatal(err)
 		}
 		m := c.Mount(0)
-		var total simnet.Cost
+		var async simnet.Cost
 		payload := make([]byte, 32<<10)
-		for i := 0; i < 50; i++ {
-			cost, err := m.WriteFile(fmt.Sprintf("/w/f%02d", i), payload)
+		before := fanoutCost(c)
+		for f := 0; f < 50; f++ {
+			cost, err := m.WriteFile(fmt.Sprintf("/w/f%02d", f), payload)
 			if err != nil {
 				b.Fatal(err)
 			}
-			total += cost
+			async += cost
 		}
-		return total.Seconds()
-	}
-	for i := 0; i < b.N; i++ {
-		async := run(false)
-		sync := run(true)
-		b.ReportMetric(sync/async, "sync/async-slowdown")
+		sync := async + fanoutCost(c) - before
+		b.ReportMetric(sync.Seconds()/async.Seconds(), "sync/async-slowdown")
 	}
 }
 
@@ -67,7 +76,7 @@ func BenchmarkAblationReplicaCount(b *testing.B) {
 			}
 			c, err := cluster.New(cluster.Options{
 				Nodes: 8, Seed: 31,
-				Config: core.Config{Replicas: kk, SyncReplication: true},
+				Config: core.Config{Replicas: kk},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -76,6 +85,7 @@ func BenchmarkAblationReplicaCount(b *testing.B) {
 			payload := make([]byte, 16<<10)
 			var total simnet.Cost
 			b.ResetTimer()
+			before := fanoutCost(c)
 			for i := 0; i < b.N; i++ {
 				cost, err := m.WriteFile(fmt.Sprintf("/k/f%04d", i%512), payload)
 				if err != nil {
@@ -83,6 +93,7 @@ func BenchmarkAblationReplicaCount(b *testing.B) {
 				}
 				total += cost
 			}
+			total += fanoutCost(c) - before
 			b.ReportMetric(total.Seconds()/float64(b.N)*1e3, "sim-ms/op")
 		})
 	}
@@ -90,7 +101,7 @@ func BenchmarkAblationReplicaCount(b *testing.B) {
 
 // BenchmarkAblationReadFromReplicas measures the Section 4.2 extension:
 // read-load spread across holders (reported as the busiest node's share of
-// reads) with replica reads off vs on.
+// reads) and the simulated price of a read, with replica reads off vs on.
 func BenchmarkAblationReadFromReplicas(b *testing.B) {
 	for _, enabled := range []bool{false, true} {
 		name := "off"
@@ -113,47 +124,30 @@ func BenchmarkAblationReadFromReplicas(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var spent simnet.Cost
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := m.Read(fvh, 0, 32<<10); err != nil {
+				_, _, cost, err := m.Read(fvh, 0, 32<<10)
+				if err != nil {
 					b.Fatal(err)
 				}
+				spent += cost
 			}
 			b.StopTimer()
+			b.ReportMetric(spent.Seconds()/float64(b.N)*1e3, "sim-ms/read")
 			spread := m.ReadSpread()
-			var total, max int64
+			var reads, max int64
 			for _, v := range spread {
-				total += v
+				reads += v
 				if v > max {
 					max = v
 				}
 			}
-			if total > 0 {
-				b.ReportMetric(float64(max)/float64(total)*100, "busiest-node-%reads")
+			if reads > 0 {
+				b.ReportMetric(float64(max)/float64(reads)*100, "busiest-node-%reads")
 				b.ReportMetric(float64(len(spread)), "nodes-serving")
 			}
 		})
-	}
-}
-
-// BenchmarkAblationMetadataCache quantifies the client-side attribute/name
-// caches plus READDIRPLUS batching: a readdir+stat-all-entries scan with the
-// caches on vs off, reported as NFS round trips per client operation and the
-// percent of RPCs the caches eliminate.
-func BenchmarkAblationMetadataCache(b *testing.B) {
-	opts := experiments.DefaultCacheAblationOptions()
-	if testing.Short() {
-		opts = experiments.QuickCacheAblationOptions()
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunCacheAblation(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.On.RPCsOp, "rpcs/op-cached")
-		b.ReportMetric(res.Off.RPCsOp, "rpcs/op-uncached")
-		b.ReportMetric(res.RPCReductionPct, "rpc-reduction-%")
-		b.ReportMetric(res.TimeSavedPct, "sim-time-saved-%")
 	}
 }
 

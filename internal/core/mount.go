@@ -94,10 +94,10 @@ type Mount struct {
 	rr        atomic.Uint64 // round-robin cursor for replica reads
 	readsFrom sync.Map      // simnet.Addr → *atomic.Int64 read counters
 
-	// Streaming state (readahead windows, write-back buffers), keyed by
-	// virtual handle. Populated only when Config enables streaming, so the
-	// default write-through/stop-and-wait paths pay one empty-map lookup at
-	// most.
+	// Per-handle state (readahead windows, write-back buffers, replica
+	// holders' handles), keyed by virtual handle. Populated only when Config
+	// enables readahead, write-back or replica reads, so the default
+	// write-through/stop-and-wait paths pay one empty-map lookup at most.
 	smu     sync.Mutex
 	streams map[VH]*stream
 
@@ -145,10 +145,7 @@ func (m *Mount) forget(vh VH) {
 	if vh == RootVH {
 		return
 	}
-	if m.n.cfg.WriteBackBytes > 0 {
-		m.flushVH(nil, vh) //nolint:errcheck // best-effort; Close reports
-	}
-	m.cancelStream(vh)
+	m.release(nil, vh) //nolint:errcheck // best-effort; Close reports
 	m.vt.delete(vh)
 }
 
@@ -301,62 +298,45 @@ func (m *Mount) read(tr *obs.Trace, vh VH, offset int64, count int) ([]byte, boo
 		data, eof, cost, err := m.readAhead(tr, vh, offset, count)
 		return data, eof, simnet.Seq(fcost, cost), err
 	}
+	var st *stream // the replica holders' handles, when replica reads are on
+	if m.n.cfg.ReadFromReplicas {
+		st = m.streamOf(vh, true)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+	}
 	var data []byte
 	var eof bool
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (c simnet.Cost, err error) {
-		data, eof, c, err = m.readAt(tr, de, offset, count)
+		data, eof, c, err = m.readAt(tr, de, st, offset, count)
 		return c, err
 	})
 	return data, eof, simnet.Seq(fcost, cost), err
 }
 
-// readAt is one stop-and-wait READ of the file behind de: from a rotating
-// replica holder when replica reads are on and it is their turn, from the
-// primary otherwise.
-func (m *Mount) readAt(tr *obs.Trace, de *ventry, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
-	if m.n.cfg.ReadFromReplicas && m.n.cfg.Replicas > 0 && de.kind == localfs.TypeRegular {
-		if d, e, c, ok := m.readViaReplica(tr, de, offset, count); ok {
-			return d, e, c, nil
+// readAt is one stop-and-wait READ of the file behind de. With replica reads
+// on it goes to the holder the mount's rotation picks from the handle's
+// holder list, and it costs that list's lookup too; otherwise, and whenever
+// the picked replica fails, it goes to the primary. st is the handle's
+// stream, locked, and may be nil when replica reads are off.
+func (m *Mount) readAt(tr *obs.Trace, de *ventry, st *stream, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+	h, total := de.node, simnet.Cost(0)
+	if m.n.cfg.ReadFromReplicas && de.kind == localfs.TypeRegular {
+		var hs []simnet.Addr
+		hs, total = m.holders(tr, de, st)
+		if len(hs) > 1 {
+			h = hs[(m.rr.Add(1)-1)%uint64(len(hs))]
 		}
 	}
-	d, e, c, err := m.n.nfsT(tr).Read(de.node, de.fh, offset, count)
-	if err == nil {
-		m.countRead(de.node)
-		if de.node == m.n.addr {
-			c = simnet.Seq(c, loopbackXfer(len(d)))
-		}
+	var d []byte
+	var eof bool
+	from, c, err := m.fromHolder(tr, de, st, h, func(to simnet.Addr, fh nfs.Handle) (c simnet.Cost, err error) {
+		d, eof, c, err = m.n.nfsT(tr).Read(to, fh, offset, count)
+		return c, err
+	})
+	if err == nil && from == m.n.addr {
+		c = simnet.Seq(c, loopbackXfer(len(d)))
 	}
-	return d, e, c, err
-}
-
-// readViaReplica attempts one read against a rotating replica holder;
-// ok=false means the caller should use the primary.
-func (m *Mount) readViaReplica(tr *obs.Trace, de *ventry, offset int64, count int) ([]byte, bool, simnet.Cost, bool) {
-	reps, total, err := m.n.replicaSet(tr.Ctx(), de.node, Key(de.pn), de.root)
-	if err != nil || len(reps) == 0 {
-		return nil, false, total, false
-	}
-	idx := (m.rr.Add(1) - 1) % uint64(len(reps)+1)
-	if idx == 0 {
-		return nil, false, total, false // the primary's turn
-	}
-	rep := reps[idx-1]
-	fh, _, c, err := m.n.remoteLookupPath(tr.Ctx(), rep, RepPath(de.physPath))
-	total = simnet.Seq(total, c)
-	if err != nil {
-		return nil, false, total, false
-	}
-	d, e, c, err := m.n.nfsT(tr).Read(rep, fh, offset, count)
-	total = simnet.Seq(total, c)
-	if err != nil {
-		return nil, false, total, false
-	}
-	m.countRead(rep)
-	tr.SetServedBy(string(rep))
-	if rep == m.n.addr {
-		total = simnet.Seq(total, loopbackXfer(len(d)))
-	}
-	return d, e, total, true
+	return d, eof, simnet.Seq(total, c), err
 }
 
 // countRead bumps the per-node read counter. Lock-free on the steady path:

@@ -183,7 +183,7 @@ func (m *Mount) writeFileIn(tr *obs.Trace, de *ventry, name string, data []byte)
 func (m *Mount) ReadFile(vpath string) ([]byte, simnet.Cost, error) {
 	const chunk = 1 << 20
 	var want uint32 = chunk
-	if m.n.cfg.ReadFromReplicas && m.n.cfg.Replicas > 0 {
+	if m.n.cfg.ReadFromReplicas {
 		want = 0
 	}
 	de, w, total, err := m.lookupPath(vpath, want)

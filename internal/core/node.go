@@ -37,16 +37,13 @@ type Config struct {
 	// K replica holders instead of always reading from the primary — the
 	// optimization Section 4.2 leaves as an exploration ("allow at least
 	// read operations to be served from any one of the K replicas").
-	// Writes still serialize through the primary.
+	// Writes still serialize through the primary. K = 0 turns it off: there
+	// is no replica to read from.
 	ReadFromReplicas bool
-	// StreamChunk is the chunk size of the streaming data path: readahead
-	// windows move multiples of it per round trip. Default repl.PushChunk
-	// (1 MiB), the bound on a replication push's inline payload.
-	StreamChunk int
-	// ReadaheadChunks is N, the readahead window in StreamChunk-sized
-	// pieces a mount keeps in flight ahead of a sequential reader (one
-	// READSTREAM round trip per window). 0 (default) disables readahead:
-	// every READ is one stop-and-wait round trip.
+	// ReadaheadChunks is N, the readahead window in repl.PushChunk-sized
+	// (1 MiB) pieces a mount keeps in flight ahead of a sequential reader
+	// (one READSTREAM round trip per window). 0 (default) disables
+	// readahead: every READ is one stop-and-wait round trip.
 	ReadaheadChunks int
 	// WriteBackBytes is the high-water mark of the per-handle write-back
 	// buffer. 0 (default) keeps writes write-through — each WRITE applies
@@ -55,11 +52,6 @@ type Config struct {
 	// water, Commit, or Close (close-to-open preserved; flush errors
 	// surface at close like NFSv3 COMMIT).
 	WriteBackBytes int
-	// SyncReplication charges replica fan-out on the client-visible
-	// critical path. Off by default: the primary replies after its local
-	// apply and mirrors propagate off the measured path, matching the
-	// small overheads the paper reports with replication enabled.
-	SyncReplication bool
 	// NoAutoSync stops overlay membership callbacks from running replica
 	// maintenance (on by default), so a harness can drive SyncReplicas
 	// explicitly for deterministic scheduling. The negative spelling keeps
@@ -153,6 +145,7 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas < 0 {
 		c.Replicas = 0
+		c.ReadFromReplicas = false
 	} else if c.Replicas == 0 {
 		c.Replicas = 1
 	}
@@ -161,9 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.UtilizationLimit == 0 {
 		c.UtilizationLimit = 0.85
-	}
-	if c.StreamChunk <= 0 {
-		c.StreamChunk = repl.PushChunk
 	}
 	if c.ReadaheadChunks < 0 {
 		c.ReadaheadChunks = 0

@@ -3,9 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"repro/internal/obs"
 	"testing"
 
+	"repro/internal/nfs"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -60,8 +61,24 @@ func TestReadFromReplicasFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill one replica holder (not the primary, not the client).
-	pl, _, _ := nodes[0].ResolvePath("/fb")
+	killReplica(t, net, nodes, "/fb")
+
+	for i := 0; i < 20; i++ {
+		data, _, _, err := m.Read(fvh, 0, 100)
+		if err != nil || string(data) != "still here" {
+			t.Fatalf("read %d with dead replica: %q err=%v", i, data, err)
+		}
+	}
+}
+
+// killReplica takes down one replica holder of dir's hierarchy that is
+// neither its primary nor nodes[0], the client, and returns its address.
+func killReplica(t *testing.T, net *simnet.Network, nodes []*Node, dir string) simnet.Addr {
+	t.Helper()
+	pl, _, err := nodes[0].ResolvePath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var primary *Node
 	for _, nd := range nodes {
 		if nd.Addr() == pl.Node {
@@ -74,12 +91,69 @@ func TestReadFromReplicasFallsBack(t *testing.T) {
 		victim = reps[1].Addr
 	}
 	net.SetDown(victim, true)
+	return victim
+}
 
+// TestReadFromReplicasChargesDeadHolderOnce pins what a dead replica holder
+// costs a handle: the one read whose turn lands on it pays for the failed
+// attempt — a timeout at least — on top of the primary's answer, and every
+// later turn skips it.
+func TestReadFromReplicasChargesDeadHolderOnce(t *testing.T) {
+	net, nodes := testCluster(t, 6, 72, Config{Replicas: 2, ReadFromReplicas: true})
+	m := nodes[0].NewMount()
+	if _, err := m.WriteFile("/fb/f", []byte("still here")); err != nil {
+		t.Fatal(err)
+	}
+	fvh, _, _, err := m.LookupPath("/fb/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := killReplica(t, net, nodes, "/fb")
+
+	charged := 0
 	for i := 0; i < 20; i++ {
-		data, _, _, err := m.Read(fvh, 0, 100)
+		data, _, cost, err := m.Read(fvh, 0, 100)
 		if err != nil || string(data) != "still here" {
 			t.Fatalf("read %d with dead replica: %q err=%v", i, data, err)
 		}
+		if cost >= net.Timeout {
+			charged++
+		}
+	}
+	if charged != 1 {
+		t.Fatalf("%d of 20 reads paid a timeout, want exactly 1: the dead holder's one attempt", charged)
+	}
+	if n := m.ReadSpread()[victim]; n != 0 {
+		t.Fatalf("dead holder %s served %d reads", victim, n)
+	}
+}
+
+// TestReadFromReplicasWalksEachHolderOnce pins the handle's holder list: 30
+// stop-and-wait reads rotating over the primary and two replica holders walk
+// to each replica's copy once, the first time a read lands there, not once
+// per turn.
+func TestReadFromReplicasWalksEachHolderOnce(t *testing.T) {
+	_, nodes := testCluster(t, 6, 71, Config{Replicas: 2, ReadFromReplicas: true})
+	m := nodes[0].NewMount()
+	payload := bytes.Repeat([]byte{0x5a}, 8192)
+	if _, err := m.WriteFile("/spread/data.bin", payload); err != nil {
+		t.Fatal(err)
+	}
+	fvh, _, _, err := m.LookupPath("/spread/data.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walks := nodes[0].NFSProcCount(nfs.ProcLookupPath)
+	for i := 0; i < 30; i++ {
+		if data, _, _, err := m.Read(fvh, 0, len(payload)); err != nil || !bytes.Equal(data, payload) {
+			t.Fatalf("read %d: %d bytes err=%v", i, len(data), err)
+		}
+	}
+	if spread := m.ReadSpread(); len(spread) != 3 {
+		t.Fatalf("reads hit %d nodes (%v), want primary + 2 replicas", len(spread), spread)
+	}
+	if n := nodes[0].NFSProcCount(nfs.ProcLookupPath) - walks; n != 2 {
+		t.Fatalf("30 reads over 3 holders issued %d LOOKUPPATHs, want 2: one per replica holder", n)
 	}
 }
 

@@ -141,11 +141,10 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 		n.repFanout.Add(uint64(len(targets)))
 		n.repHist.Observe(time.Duration(simnet.Par(fanout...)))
 	}
-	if n.cfg.SyncReplication {
-		cost = simnet.Seq(checkCost, cost, simnet.Par(fanout...))
-	} else {
-		cost = simnet.Seq(checkCost, cost)
-	}
+	// The reply is charged without the fan-out: the primary answers after
+	// its local apply and the mirrors propagate off the client's path. What
+	// a synchronous fan-out would add is op.replicate's sum.
+	cost = simnet.Seq(checkCost, cost)
 	e.PutUint32(codeOK)
 	putApplyReplyBody(e, attr, nfs.Handle{Gen: n.nsrvGen(), Ino: attr.Ino}, len(targets))
 	return cost, nil

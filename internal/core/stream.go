@@ -7,24 +7,25 @@ import (
 	"repro/internal/localfs"
 	"repro/internal/nfs"
 	"repro/internal/obs"
+	"repro/internal/repl"
 	"repro/internal/simnet"
 )
 
-// This file is the client side of the streaming data path: a per-handle
-// readahead window that turns sequential READs into pipelined READSTREAM
-// window fetches, and a per-handle write-back buffer that coalesces adjacent
-// WRITEs into one vectored flush. Both are off by default (stop-and-wait,
-// write-through) and enabled by Config.ReadaheadChunks / WriteBackBytes.
+// This file is the client side of the per-handle data path: a readahead
+// window that turns sequential READs into pipelined READSTREAM window
+// fetches, a write-back buffer that coalesces adjacent WRITEs into one
+// vectored flush, and the holder list replica reads spread over. All are off
+// by default (stop-and-wait, write-through, primary only) and enabled by
+// Config.ReadaheadChunks / WriteBackBytes / ReadFromReplicas.
 
 // wbMaxSpans bounds how many disjoint spans a write-back buffer holds before
 // it flushes regardless of the byte high-water mark, so a pathological
 // strided writer cannot grow the span vector without bound.
 const wbMaxSpans = 16
 
-// stream is the streaming state of one virtual handle: the readahead buffer
+// stream is the per-handle state of one virtual handle: the readahead buffer
 // (one fetched window, consumed front to back), the sequential-access
-// cursor, cached replica handles for window fan-out, and the write-back
-// span buffer.
+// cursor, the replica holders' handles, and the write-back span buffer.
 type stream struct {
 	mu sync.Mutex
 
@@ -36,7 +37,12 @@ type stream struct {
 	buf     []byte
 	bufOff  int64
 	bufEOF  bool
-	repFH   map[simnet.Addr]nfs.Handle // replica-area handles for fan-out
+
+	// Replica reads. repFH caches each replica holder's handle for the
+	// file's replica-area copy, resolved the first time a read lands there;
+	// a zero handle marks a holder whose read failed, skipped for the rest of
+	// the handle's life.
+	repFH map[simnet.Addr]nfs.Handle
 
 	// Write-back: disjoint dirty spans and their total payload size. spare is
 	// the previous flush's largest span buffer, refilled by the next span so a
@@ -115,8 +121,9 @@ func (st *stream) absorb(offset int64, data []byte) bool {
 }
 
 // streamOf returns the handle's stream state, creating it when create is
-// set. The table is only ever populated when streaming is enabled, so the
-// default configuration pays one empty-map lookup at most.
+// set. The table is only ever populated when readahead, write-back or
+// replica reads are on, so the default configuration pays one empty-map
+// lookup at most.
 func (m *Mount) streamOf(vh VH, create bool) *stream {
 	m.smu.Lock()
 	defer m.smu.Unlock()
@@ -128,21 +135,23 @@ func (m *Mount) streamOf(vh VH, create bool) *stream {
 	return st
 }
 
-// cancelStream drops the handle's stream state, counting any unread
-// prefetched bytes as wasted readahead.
-func (m *Mount) cancelStream(vh VH) {
+// release takes the handle's stream state out of the table, flushes its
+// write-back buffer and counts any unread prefetched bytes as wasted
+// readahead. A handle with no stream has nothing buffered: free.
+func (m *Mount) release(tr *obs.Trace, vh VH) (simnet.Cost, error) {
 	m.smu.Lock()
 	st := m.streams[vh]
 	delete(m.streams, vh)
 	m.smu.Unlock()
 	if st == nil {
-		return
+		return 0, nil
 	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if n := st.discard(); n > 0 {
 		m.n.raWasted.Add(uint64(n))
 	}
-	st.mu.Unlock()
+	return m.flushLocked(tr, vh, st)
 }
 
 // --- readahead ---
@@ -172,7 +181,7 @@ func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int) ([]byte
 	var eof bool
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (c simnet.Cost, err error) {
 		if de.kind != localfs.TypeRegular || !sequential {
-			data, eof, c, err = m.readAt(tr, de, offset, count)
+			data, eof, c, err = m.readAt(tr, de, st, offset, count)
 			return c, err
 		}
 		c, ferr := m.fillWindow(tr, de, st, offset)
@@ -193,117 +202,120 @@ func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int) ([]byte
 	return data, eof, cost, nil
 }
 
-// fillWindow fetches one readahead window starting at offset into the
-// stream buffer. With ReadFromReplicas the window fans out bitswap-style:
-// contiguous chunk ranges are pulled from the primary and its replica
-// holders concurrently (the cost is the slowest segment, not the sum) and
-// stitched back in order. A replica-side failure never fails the window —
-// its segment is refetched from the primary.
+// fillWindow fetches one readahead window of repl.PushChunk-sized chunks
+// starting at offset into the stream buffer. With ReadFromReplicas the
+// window splits bitswap-style over the handle's holder list: contiguous
+// chunk ranges are pulled from the holders concurrently (the cost is the
+// slowest segment, not the sum) and stitched back in order. A replica-side
+// failure never fails the window — its segment is refetched from the
+// primary.
 func (m *Mount) fillWindow(tr *obs.Trace, de *ventry, st *stream, offset int64) (simnet.Cost, error) {
-	chunk, window := m.n.cfg.StreamChunk, m.n.cfg.ReadaheadChunks
+	const chunk = repl.PushChunk
+	window := m.n.cfg.ReadaheadChunks
 	var total simnet.Cost
-
-	type segment struct {
-		addr   simnet.Addr
-		fh     nfs.Handle
-		off    int64
-		chunks int
-		rep    bool
-	}
-	segs := []segment{{addr: de.node, fh: de.fh, off: offset, chunks: window}}
-	if m.n.cfg.ReadFromReplicas && m.n.cfg.Replicas > 0 && window > 1 {
-		reps, c, err := m.n.replicaSet(tr.Ctx(), de.node, Key(de.pn), de.root)
-		total = simnet.Seq(total, c)
-		if err == nil && len(reps) > 0 {
-			holders := []segment{{addr: de.node, fh: de.fh}}
-			for _, rep := range reps {
-				if len(holders) == window {
-					break
-				}
-				fh, c2, ok := m.replicaHandle(tr, st, rep, de)
-				total = simnet.Seq(total, c2)
-				if ok {
-					holders = append(holders, segment{addr: rep, fh: fh, rep: true})
-				}
-			}
-			segs = segs[:0]
-			per, extra := window/len(holders), window%len(holders)
-			off := offset
-			for i, h := range holders {
-				nch := per
-				if i < extra {
-					nch++
-				}
-				if nch == 0 {
-					continue
-				}
-				h.off, h.chunks = off, nch
-				segs = append(segs, h)
-				off += int64(nch * chunk)
-			}
+	hs := []simnet.Addr{de.node}
+	if m.n.cfg.ReadFromReplicas {
+		hs, total = m.holders(tr, de, st)
+		if len(hs) > window {
+			hs = hs[:window]
 		}
 	}
 
-	parts := make([][]byte, len(segs))
-	eofs := make([]bool, len(segs))
-	costs := make([]simnet.Cost, len(segs))
-	for i, sg := range segs {
-		d, e, c, err := m.n.nfsT(tr).ReadStream(sg.addr, sg.fh, sg.off, chunk, sg.chunks)
-		served := sg.addr
-		if err != nil && sg.rep {
-			delete(st.repFH, sg.addr)
-			var c2 simnet.Cost
-			d, e, c2, err = m.n.nfsT(tr).ReadStream(de.node, de.fh, sg.off, chunk, sg.chunks)
-			c = simnet.Seq(c, c2)
-			served = de.node
+	parts := make([][]byte, len(hs))
+	costs := make([]simnet.Cost, len(hs))
+	kept, eof := len(hs), false // the segments up to the first short one
+	off := offset
+	for i, h := range hs {
+		nch := window / len(hs)
+		if i < window%len(hs) {
+			nch++
 		}
+		var d []byte
+		var e bool
+		_, c, err := m.fromHolder(tr, de, st, h, func(to simnet.Addr, fh nfs.Handle) (c simnet.Cost, err error) {
+			d, e, c, err = m.n.nfsT(tr).ReadStream(to, fh, off, chunk, nch)
+			return c, err
+		})
 		if err != nil {
 			return simnet.Seq(total, simnet.Par(costs...), c), err
 		}
-		parts[i], eofs[i], costs[i] = d, e, c
-		m.countRead(served)
-		if tr != nil && served != de.node {
-			tr.SetServedBy(string(served))
+		parts[i], costs[i] = d, c
+		if kept == len(hs) && (e || len(d) < nch*chunk) {
+			kept, eof = i+1, e
 		}
+		off += int64(nch * chunk)
 	}
 	total = simnet.Seq(total, simnet.Par(costs...))
 
-	if len(parts) == 1 {
-		// One holder served the whole window: its reply's bytes are the buffer.
-		st.buf, st.bufOff, st.bufEOF = parts[0], offset, eofs[0]
+	if kept == 1 {
+		// One holder served the window: its reply's bytes are the buffer.
+		st.buf, st.bufOff, st.bufEOF = parts[0], offset, eof
 		return total, nil
 	}
 	// Stitch segments in order, stopping at the first short one: the file
 	// ended there, or a holder had less — anything after it would be
 	// discontiguous and is refetched by a later window.
 	buf := make([]byte, 0, window*chunk)
-	eof := false
-	for i, p := range parts {
+	for _, p := range parts[:kept] {
 		buf = append(buf, p...)
-		if eofs[i] || len(p) < segs[i].chunks*chunk {
-			eof = eofs[i]
-			break
-		}
 	}
 	st.buf, st.bufOff, st.bufEOF = buf, offset, eof
 	return total, nil
 }
 
-// replicaHandle resolves (and caches per stream) a replica holder's handle
-// for the file's replica-area copy.
-func (m *Mount) replicaHandle(tr *obs.Trace, st *stream, rep simnet.Addr, de *ventry) (nfs.Handle, simnet.Cost, bool) {
-	if fh, ok := st.repFH[rep]; ok {
-		return fh, 0, true
-	}
-	fh, _, c, err := m.n.remoteLookupPath(tr.Ctx(), rep, RepPath(de.physPath))
+// holders is the handle's holder list, the one list both stop-and-wait reads
+// (readAt) and readahead windows (fillWindow) spread over: the primary, then
+// replicaSet's replica holders less those whose read failed on this handle.
+// It costs replicaSet's exchange (nothing once cached); when that fails the
+// primary stands alone.
+func (m *Mount) holders(tr *obs.Trace, de *ventry, st *stream) ([]simnet.Addr, simnet.Cost) {
+	reps, cost, err := m.n.replicaSet(tr.Ctx(), de.node, Key(de.pn), de.root)
+	hs := append(make([]simnet.Addr, 0, len(reps)+1), de.node)
 	if err != nil {
-		return nfs.Handle{}, c, false
+		return hs, cost
 	}
-	if st.repFH == nil {
-		st.repFH = make(map[simnet.Addr]nfs.Handle, 2)
+	for _, rep := range reps {
+		if fh, ok := st.repFH[rep]; !ok || !fh.IsZero() {
+			hs = append(hs, rep)
+		}
 	}
-	st.repFH[rep] = fh
-	return fh, c, true
+	return hs, cost
+}
+
+// fromHolder runs read against the holder h and counts the read toward
+// ReadSpread. A replica holder is read through its replica-area handle,
+// resolved the first time a read lands there; when that resolution or the
+// read fails, h is marked failed on this handle and read reruns against the
+// primary. It returns the node that served and the cost of every attempt.
+func (m *Mount) fromHolder(tr *obs.Trace, de *ventry, st *stream, h simnet.Addr, read func(to simnet.Addr, fh nfs.Handle) (simnet.Cost, error)) (simnet.Addr, simnet.Cost, error) {
+	var cost simnet.Cost
+	if h != de.node {
+		fh, ok := st.repFH[h]
+		var err error
+		if !ok {
+			fh, _, cost, err = m.n.remoteLookupPath(tr.Ctx(), h, RepPath(de.physPath))
+		}
+		if err == nil {
+			var c simnet.Cost
+			c, err = read(h, fh)
+			cost = simnet.Seq(cost, c)
+		}
+		if st.repFH == nil {
+			st.repFH = make(map[simnet.Addr]nfs.Handle, 2)
+		}
+		if err == nil {
+			st.repFH[h] = fh
+			m.countRead(h)
+			tr.SetServedBy(string(h))
+			return h, cost, nil
+		}
+		st.repFH[h] = nfs.Handle{} // skipped by holders from now on
+	}
+	c, err := read(de.node, de.fh)
+	if err == nil {
+		m.countRead(de.node)
+	}
+	return de.node, simnet.Seq(cost, c), err
 }
 
 // --- write-back ---
@@ -385,11 +397,9 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 }
 
 // flushVH flushes the handle's write-back buffer if one exists. A no-op
-// (zero cost) under write-through or when the handle holds no dirty data.
+// (zero cost) when the handle has no stream — the write-through case — or
+// holds no dirty data.
 func (m *Mount) flushVH(tr *obs.Trace, vh VH) (simnet.Cost, error) {
-	if m.n.cfg.WriteBackBytes <= 0 {
-		return 0, nil
-	}
 	st := m.streamOf(vh, false)
 	if st == nil {
 		return 0, nil
@@ -418,8 +428,7 @@ func (m *Mount) Commit(vh VH) (simnet.Cost, error) {
 // guaranteed to expose the written bytes.
 func (m *Mount) Close(vh VH) (simnet.Cost, error) {
 	o := m.begin(obs.OpcCommit, m.vpathOf(vh))
-	cost, err := m.flushVH(o.tr, vh)
-	m.cancelStream(vh)
+	cost, err := m.release(o.tr, vh)
 	if vh != RootVH {
 		m.vt.delete(vh)
 	}
@@ -433,9 +442,6 @@ func (m *Mount) Close(vh VH) (simnet.Cost, error) {
 // FlushAll flushes every handle's write-back buffer — the quiesce hook the
 // chaos harness runs before oracle checks. No-op under write-through.
 func (m *Mount) FlushAll() (simnet.Cost, error) {
-	if m.n.cfg.WriteBackBytes <= 0 {
-		return 0, nil
-	}
 	m.smu.Lock()
 	vhs := make([]VH, 0, len(m.streams))
 	for vh := range m.streams {

@@ -134,8 +134,8 @@ func TestWriteBackFlushErrorSurfacesAtClose(t *testing.T) {
 // client-side hit — then seeks, which must cancel the window and count the
 // prefetched remainder as wasted.
 func TestReadaheadSequentialHitsAndSeekCancel(t *testing.T) {
-	_, nodes := testCluster(t, 4, 84, Config{Replicas: 1, ReadaheadChunks: 4, StreamChunk: 4 << 10})
-	payload := make([]byte, 64<<10)
+	_, nodes := testCluster(t, 4, 84, Config{Replicas: 1, ReadaheadChunks: 4})
+	payload := make([]byte, 16<<20)
 	for i := range payload {
 		payload[i] = byte(i * 7 % 256)
 	}
@@ -148,7 +148,7 @@ func TestReadaheadSequentialHitsAndSeekCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const piece = 4 << 10
+	const piece = 1 << 20
 	var got []byte
 	for off := 0; off < len(payload); off += piece {
 		d, _, _, err := m.Read(fvh, int64(off), piece)
@@ -169,7 +169,7 @@ func TestReadaheadSequentialHitsAndSeekCancel(t *testing.T) {
 	}
 
 	// Restart the scan: the first read back at 0 is a seek (plain READ, no
-	// window), the second at 4KiB matches the cursor and refills a window.
+	// window), the second at 1MiB matches the cursor and refills a window.
 	// Then seek away mid-window: the prefetched remainder must be discarded
 	// and counted as wasted.
 	d, _, _, err := m.Read(fvh, 0, piece)
@@ -179,7 +179,8 @@ func TestReadaheadSequentialHitsAndSeekCancel(t *testing.T) {
 	if d, _, _, err = m.Read(fvh, piece, piece); err != nil || !bytes.Equal(d, payload[piece:2*piece]) {
 		t.Fatalf("refill read: %v", err)
 	}
-	if d, _, _, err = m.Read(fvh, 40<<10, piece); err != nil || !bytes.Equal(d, payload[40<<10:40<<10+piece]) {
+	const seek = 10 * piece
+	if d, _, _, err = m.Read(fvh, seek, piece); err != nil || !bytes.Equal(d, payload[seek:seek+piece]) {
 		t.Fatalf("post-seek read: %v", err)
 	}
 	if wasted := counter(nodes[0], "io.readahead.wasted"); wasted == 0 {
@@ -192,9 +193,9 @@ func TestReadaheadSequentialHitsAndSeekCancel(t *testing.T) {
 // one node and still returns the right bytes.
 func TestReadaheadWithReplicaFanout(t *testing.T) {
 	_, nodes := testCluster(t, 6, 85, Config{
-		Replicas: 2, ReadFromReplicas: true, ReadaheadChunks: 4, StreamChunk: 4 << 10,
+		Replicas: 2, ReadFromReplicas: true, ReadaheadChunks: 4,
 	})
-	payload := make([]byte, 128<<10)
+	payload := make([]byte, 16<<20)
 	for i := range payload {
 		payload[i] = byte(i * 13 % 256)
 	}
@@ -206,7 +207,7 @@ func TestReadaheadWithReplicaFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const piece = 4 << 10
+	const piece = 1 << 20
 	var got []byte
 	for off := 0; off < len(payload); off += piece {
 		d, _, _, err := m.Read(fvh, int64(off), piece)

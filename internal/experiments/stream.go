@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/nfs"
+	"repro/internal/repl"
 )
 
 // StreamOptions parameterizes the large-file streaming experiment: one
@@ -18,8 +19,7 @@ type StreamOptions struct {
 	Nodes          int
 	FileBytes      int // size of the scanned file
 	ReadSize       int // bytes per client READ call (the kernel's rsize)
-	Window         int // readahead window, in StreamChunk-sized chunks
-	StreamChunk    int // chunk size of READSTREAM windows
+	Window         int // readahead window, in repl.PushChunk-sized chunks
 	RandReads      int // random 64KiB reads after the sequential scan
 	WriteCount     int // small sequential writes in the write phase
 	WriteSize      int // bytes per write
@@ -35,7 +35,6 @@ func DefaultStreamOptions() StreamOptions {
 		FileBytes:      32 << 20,
 		ReadSize:       1 << 20,
 		Window:         8,
-		StreamChunk:    1 << 20,
 		RandReads:      16,
 		WriteCount:     128,
 		WriteSize:      4 << 10,
@@ -109,7 +108,6 @@ func runStreamArm(opts StreamOptions, streamed bool) (res struct {
 	// isolates streaming: the baseline spreads single READs, the streamed
 	// arm fans whole window segments out bitswap-style.
 	cfg.ReadFromReplicas = true
-	cfg.StreamChunk = opts.StreamChunk
 	if streamed {
 		cfg.ReadaheadChunks = opts.Window
 		cfg.WriteBackBytes = opts.WriteBackBytes
@@ -264,7 +262,7 @@ func RunStream(opts StreamOptions) (*StreamResult, error) {
 // Fprint renders the comparison as a text table.
 func (r *StreamResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Streaming I/O over a %d MiB file, %d nodes (window %d x %d KiB, write-back %d KiB)\n",
-		r.FileBytes>>20, r.Nodes, r.Window, r.opts.StreamChunk>>10, r.opts.WriteBackBytes>>10)
+		r.FileBytes>>20, r.Nodes, r.Window, repl.PushChunk>>10, r.opts.WriteBackBytes>>10)
 	fmt.Fprintf(w, "%-28s %14s %14s\n", "metric", "stop-and-wait", "streamed")
 	fmt.Fprintf(w, "%-28s %14d %14d\n", "sequential-read data RPCs", r.SeqRPCsBase, r.SeqRPCsStream)
 	fmt.Fprintf(w, "%-28s %14.1f %14.1f\n", "sequential MB/s (modeled)", r.SeqMBpsBase, r.SeqMBpsStream)

@@ -13,8 +13,7 @@ import (
 
 // PushChunk bounds the inline payload of a single mirrored write, so
 // arbitrarily large files sync with bounded memory on both ends. The
-// client-side streaming data path shares this chunk size
-// (core.Config.StreamChunk defaults to it).
+// client-side readahead window moves chunks of this size too.
 const PushChunk = 1 << 20
 
 // deltaPush brings target's copy of the subtree (remote, already digested)
