@@ -96,15 +96,6 @@ func TestSplitPathologicalContentForcesCuts(t *testing.T) {
 	}
 }
 
-func TestSplitFixed(t *testing.T) {
-	data := randBytes(3, 150<<10)
-	m := SplitFixed(data, 64<<10)
-	reassemble(t, data, m)
-	if len(m) != 3 {
-		t.Fatalf("len=%d want 3", len(m))
-	}
-}
-
 func TestManifestCodecRoundTrip(t *testing.T) {
 	m := Split(randBytes(9, 400<<10))
 	e := wire.NewEncoder(64)

@@ -134,21 +134,3 @@ func cutPoint(data []byte) int {
 	}
 	return limit
 }
-
-// SplitFixed is the degenerate fixed-grid chunker: stable offsets regardless
-// of content. It is the baseline for comparing content-defined splitting and
-// a fallback for callers that need predictable chunk positions.
-func SplitFixed(data []byte, size int) Manifest {
-	if size <= 0 {
-		size = 64 << 10
-	}
-	var m Manifest
-	for off := 0; off < len(data); off += size {
-		end := off + size
-		if end > len(data) {
-			end = len(data)
-		}
-		m = append(m, Chunk{Hash: SumChunk(data[off:end]), Len: uint32(end - off)})
-	}
-	return m
-}

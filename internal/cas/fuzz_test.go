@@ -8,9 +8,8 @@ import (
 // FuzzChunker pins the chunker's contract on arbitrary input: splitting is
 // deterministic, every chunk hash-verifies against its slice of the input,
 // concatenating the chunks reproduces the input exactly, chunk sizes stay
-// within [MinChunk, MaxChunk] (short final chunk excepted), and the
-// fixed-grid fallback round-trips too. Seed corpus lives in
-// testdata/fuzz/FuzzChunker.
+// within [MinChunk, MaxChunk] (short final chunk excepted). Seed corpus
+// lives in testdata/fuzz/FuzzChunker.
 func FuzzChunker(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("hello kosha"))
@@ -40,10 +39,6 @@ func FuzzChunker(f *testing.F) {
 		}
 		if !Split(data).Equal(m) {
 			t.Fatal("Split not deterministic")
-		}
-		fm := SplitFixed(data, 32<<10)
-		if fm.TotalLen() != int64(len(data)) {
-			t.Fatalf("SplitFixed covers %d of %d bytes", fm.TotalLen(), len(data))
 		}
 	})
 }

@@ -221,19 +221,6 @@ func (s *Store) HasAll(hs []Hash) []bool {
 	return out
 }
 
-// ManifestFor returns the indexed whole-file manifest for path, if any.
-// Span entries (AddAt with nonzero base) describe only part of the file, so
-// they don't answer.
-func (s *Store) ManifestFor(path string) (Manifest, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fe, ok := s.files[localfs.CleanPath(path)]
-	if !ok || fe.base != 0 {
-		return nil, false
-	}
-	return fe.man, true
-}
-
 // Get returns the bytes of block h if some indexed file still holds them.
 // Every candidate location is re-read and hash-verified — files mutate
 // underneath the index between invalidation and re-digest, so a location is

@@ -101,23 +101,6 @@ func (c *Cluster) AddNode() (*core.Node, error) {
 	return nd, nil
 }
 
-// AddNodes joins k nodes (default config) and stabilizes once at the end —
-// the batch form large clusters need: stabilization is cluster-wide, so
-// running it per join (as AddNode does) turns an N-node bring-up into an
-// O(N^2) affair.
-func (c *Cluster) AddNodes(k int) ([]*core.Node, error) {
-	added := make([]*core.Node, 0, k)
-	for i := 0; i < k; i++ {
-		nd, err := c.addNode(c.cfg)
-		if err != nil {
-			return added, err
-		}
-		added = append(added, nd)
-	}
-	c.Stabilize()
-	return added, nil
-}
-
 // Stabilize runs overlay repair — leaf-set probing plus background
 // routing-table maintenance — and replica synchronization until the
 // membership views settle, returning the total simulated cost.

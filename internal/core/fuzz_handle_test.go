@@ -80,9 +80,9 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	n.promote(tc, peer, track)
 	n.replicaSet(tc, peer, Key(track.PN), track.Root)
 	n.remoteDigestTree(tc, peer, track.Root, true)
-	n.remoteDirDigests(tc, peer, track.Root)
-	n.remoteChunkManifest(tc, peer, file, []cas.Hash{{1}})
-	n.remoteChunkFetch(tc, peer, file, []cas.Hash{{1}})
+	enginePeer{n}.DirDigests(tc, peer, track.Root)
+	enginePeer{n}.ChunkManifest(tc, peer, file, []cas.Hash{{1}})
+	enginePeer{n}.ChunkFetch(tc, peer, file, []cas.Hash{{1}})
 	maintHost{n}.UntrackAt(tc, peer, "/nothing")
 	// Mount.Remove's apply; its fan-out is a plain FSRemove, so the mirror
 	// frame of the new kind is sent by hand.
@@ -95,8 +95,8 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	} else if _, err := m.Remove(dir, "victim"); err != nil {
 		f.Fatal(err)
 	}
-	n.mirrorArea(tc, peer, track, FSOp{Kind: FSUnlink, Path: file}, false)
-	n.mirrorArea(tc, peer, track, FSOp{Kind: FSChunkWrite, Path: file, Chunks: []repl.ChunkRef{{Len: 2, Inline: true}}, Data: []byte("ab")}, false)
+	enginePeer{n}.Mirror(tc, peer, track, FSOp{Kind: FSUnlink, Path: file}, false)
+	enginePeer{n}.Mirror(tc, peer, track, FSOp{Kind: FSChunkWrite, Path: file, Chunks: []repl.ChunkRef{{Len: 2, Inline: true}}, Data: []byte("ab")}, false)
 
 	ctl := &CtlClient{Net: rec, From: "cli", To: n.Addr()}
 	ctl.WriteFile("/d/g", []byte("x"))

@@ -44,25 +44,16 @@ func (h maintHost) Candidates(k int) []simnet.Addr {
 	return out
 }
 
-func (h maintHost) LocalLoad() maint.Load {
-	return maint.Load{Used: h.n.store.Used(), Capacity: h.n.store.Capacity()}
-}
+func (h maintHost) LocalLoad() pastry.Load { return h.n.loadProvider() }
 
-func (h maintHost) PeerLoads() map[simnet.Addr]maint.Load {
-	peers := h.n.overlay.PeerLoads()
-	out := make(map[simnet.Addr]maint.Load, len(peers))
-	for a, l := range peers {
-		out[a] = maint.Load{Used: l.Used, Capacity: l.Capacity}
-	}
-	return out
-}
+func (h maintHost) PeerLoads() map[simnet.Addr]pastry.Load { return h.n.overlay.PeerLoads() }
 
-func (h maintHost) ProbeLoad(addr simnet.Addr) (maint.Load, simnet.Cost, error) {
+func (h maintHost) ProbeLoad(addr simnet.Addr) (pastry.Load, simnet.Cost, error) {
 	st, cost, err := h.n.remoteFSStat(obs.TraceContext{}, addr)
 	if err != nil {
-		return maint.Load{}, cost, err
+		return pastry.Load{}, cost, err
 	}
-	return maint.Load{Used: st.UsedBytes, Capacity: st.TotalBytes}, cost, nil
+	return pastry.Load{Used: st.UsedBytes, Capacity: st.TotalBytes}, cost, nil
 }
 
 // EligibleVictim admits only self-verified level-1 hierarchies: either the

@@ -34,8 +34,11 @@ func (o engineOverlay) Route(key id.ID) (pastry.RouteResult, error) {
 // enginePeer adapts the node's kosha-service and NFS clients to repl.Peer.
 type enginePeer struct{ n *Node }
 
+// Mirror ships a mutation to another node; primary selects the namespace it
+// lands in.
 func (p enginePeer) Mirror(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp, primary bool) (simnet.Cost, error) {
-	return p.n.mirrorArea(tc, to, t, op, primary)
+	r := applyReq{Track: t, Op: op, Primary: primary}
+	return p.n.sendMirror(tc, to, r.frame(kMirror))
 }
 
 func (p enginePeer) Promote(tc obs.TraceContext, to simnet.Addr, t Track) (bool, simnet.Cost, error) {
@@ -46,20 +49,72 @@ func (p enginePeer) DigestTree(tc obs.TraceContext, to simnet.Addr, root string,
 	return p.n.remoteDigestTree(tc, to, root, hash)
 }
 
+// DirDigests lists the immediate children of a remote directory with their
+// subtree digests (DIR_DIGESTS); ok is false when the directory is missing.
 func (p enginePeer) DirDigests(tc obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error) {
-	return p.n.remoteDirDigests(tc, to, dir)
+	d, cost, err := p.n.koshaPathCall(tc, to, kDirDigests, dir)
+	if err != nil {
+		return nil, false, cost, err
+	}
+	ok := d.Bool()
+	ents := merkle.GetEntries(&d)
+	return ents, ok, cost, d.Err()
 }
 
 func (p enginePeer) ReadLink(tc obs.TraceContext, to simnet.Addr, phys string) (string, simnet.Cost, error) {
 	return p.n.readLink(tc, to, phys)
 }
 
+// ChunkManifest fetches the chunk manifest of a remote regular file plus the
+// remote block index's HAVE bits for a WANT list (CHUNK_MANIFEST). A short or
+// missing HAVE reply is normalized to all-false: negotiation is an
+// optimization, so "don't know" must read as "ship it".
 func (p enginePeer) ChunkManifest(tc obs.TraceContext, to simnet.Addr, phys string, want []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
-	return p.n.remoteChunkManifest(tc, to, phys, want)
+	e := wire.NewEncoder(64 + len(want)*32)
+	e.PutUint32(kChunkManifest)
+	e.PutString(phys)
+	cas.PutHashes(e, want)
+	d, cost, err := p.n.koshaCall(tc, to, e.Bytes())
+	if err != nil {
+		return nil, false, nil, cost, err
+	}
+	exists := d.Bool()
+	man := cas.GetManifest(&d)
+	have := cas.GetBools(&d)
+	if d.Err() != nil {
+		return nil, false, nil, cost, d.Err()
+	}
+	if len(have) != len(want) {
+		have = make([]bool, len(want))
+	}
+	return man, exists, have, cost, nil
 }
 
+// ChunkFetch retrieves blocks by content hash (CHUNK_FETCH); blocks[i] is nil
+// for hashes the remote could not serve. The engine verifies every returned
+// block against its hash, so no verification happens here.
 func (p enginePeer) ChunkFetch(tc obs.TraceContext, to simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
-	return p.n.remoteChunkFetch(tc, to, phys, hashes)
+	e := wire.NewEncoder(64 + len(hashes)*32)
+	e.PutUint32(kChunkFetch)
+	e.PutString(phys)
+	cas.PutHashes(e, hashes)
+	d, cost, err := p.n.koshaCall(tc, to, e.Bytes())
+	if err != nil {
+		return nil, cost, err
+	}
+	cnt := d.ArrayLen()
+	blocks := make([][]byte, 0, cnt)
+	for i := 0; i < cnt; i++ {
+		if d.Bool() {
+			blocks = append(blocks, d.Opaque())
+		} else {
+			blocks = append(blocks, nil)
+		}
+	}
+	if d.Err() != nil {
+		return nil, cost, d.Err()
+	}
+	return blocks, cost, nil
 }
 
 var _ repl.Peer = enginePeer{}
@@ -112,13 +167,6 @@ func (n *Node) apply(tr *obs.Trace, at site, op FSOp) (localfs.Attr, nfs.Handle,
 	return attr, fh, cost, nil
 }
 
-// mirrorArea ships a mutation to another node; primary selects the
-// namespace it lands in.
-func (n *Node) mirrorArea(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp, primary bool) (simnet.Cost, error) {
-	r := applyReq{Track: t, Op: op, Primary: primary}
-	return n.sendMirror(tc, to, r.frame(kMirror))
-}
-
 // sendMirror ships an encoded kMirror request to one node. A request is
 // immutable once sent, so a fan-out sends one frame to every target.
 func (n *Node) sendMirror(tc obs.TraceContext, to simnet.Addr, frame []byte) (simnet.Cost, error) {
@@ -143,70 +191,6 @@ func (n *Node) remoteDigestTree(tc obs.TraceContext, to simnet.Addr, root string
 		td.Root = merkle.GetDigest(&d)
 	}
 	return td, cost, d.Err()
-}
-
-// remoteDirDigests lists the immediate children of a remote directory with
-// their subtree digests; ok is false when the directory is missing.
-func (n *Node) remoteDirDigests(tc obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error) {
-	d, cost, err := n.koshaPathCall(tc, to, kDirDigests, dir)
-	if err != nil {
-		return nil, false, cost, err
-	}
-	ok := d.Bool()
-	ents := merkle.GetEntries(&d)
-	return ents, ok, cost, d.Err()
-}
-
-// remoteChunkManifest fetches the chunk manifest of a remote regular file
-// plus the remote block index's HAVE bits for a WANT list (CHUNK_MANIFEST).
-// A short or missing HAVE reply is normalized to all-false: negotiation is
-// an optimization, so "don't know" must read as "ship it".
-func (n *Node) remoteChunkManifest(tc obs.TraceContext, to simnet.Addr, phys string, want []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
-	e := wire.NewEncoder(64 + len(want)*32)
-	e.PutUint32(kChunkManifest)
-	e.PutString(phys)
-	cas.PutHashes(e, want)
-	d, cost, err := n.koshaCall(tc, to, e.Bytes())
-	if err != nil {
-		return nil, false, nil, cost, err
-	}
-	exists := d.Bool()
-	man := cas.GetManifest(&d)
-	have := cas.GetBools(&d)
-	if d.Err() != nil {
-		return nil, false, nil, cost, d.Err()
-	}
-	if len(have) != len(want) {
-		have = make([]bool, len(want))
-	}
-	return man, exists, have, cost, nil
-}
-
-// remoteChunkFetch retrieves blocks by content hash (CHUNK_FETCH); blocks[i]
-// is nil for hashes the remote could not serve. The engine verifies every
-// returned block against its hash, so no verification happens here.
-func (n *Node) remoteChunkFetch(tc obs.TraceContext, to simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
-	e := wire.NewEncoder(64 + len(hashes)*32)
-	e.PutUint32(kChunkFetch)
-	e.PutString(phys)
-	cas.PutHashes(e, hashes)
-	d, cost, err := n.koshaCall(tc, to, e.Bytes())
-	if err != nil {
-		return nil, cost, err
-	}
-	cnt := d.ArrayLen()
-	blocks := make([][]byte, 0, cnt)
-	for i := 0; i < cnt; i++ {
-		if d.Bool() {
-			blocks = append(blocks, d.Opaque())
-		} else {
-			blocks = append(blocks, nil)
-		}
-	}
-	if d.Err() != nil {
-		return nil, cost, d.Err()
-	}
-	return blocks, cost, nil
 }
 
 // replicaSet asks the primary for its current replica holders of a key,

@@ -39,6 +39,11 @@ func TestDedupAcceptance(t *testing.T) {
 		t.Fatalf("block-level promote repair fetched %d bytes, >= 10%% of the %d-byte whole-file fetch (%.1f%%)",
 			res.PromoteDeltaBytes, res.PromoteFullBytes, res.PromoteDeltaPct)
 	}
+	// The walk's exact traffic, as DESIGN.md §13 quotes it: push (edit) and
+	// pull (promote) both go through one reconcile.
+	if res.EditDeltaBytes != 51864 || res.PromoteDeltaBytes != 71372 {
+		t.Fatalf("edit_delta_bytes = %d, promote_delta_bytes = %d, want 51864 and 71372", res.EditDeltaBytes, res.PromoteDeltaBytes)
+	}
 	var sb strings.Builder
 	res.Fprint(&sb)
 	for _, row := range []string{"dedup ratio", "chunk delta", "block-level repair"} {

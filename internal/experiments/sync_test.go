@@ -31,6 +31,11 @@ func TestSyncDeltaUnderTenPercent(t *testing.T) {
 	if res.FilesSkipped < uint64(opts.Files-1) {
 		t.Fatalf("delta sync skipped %d files, want >= %d", res.FilesSkipped, opts.Files-1)
 	}
+	// The walk's exact traffic, as DESIGN.md §9 quotes it: a change to either
+	// replica-repair direction that moves a byte fails here.
+	if res.DeltaBytes != 4804 || res.FilesSkipped != 99 {
+		t.Fatalf("delta_bytes = %d, files_skipped = %d, want 4804 and 99", res.DeltaBytes, res.FilesSkipped)
+	}
 	var sb strings.Builder
 	res.Fprint(&sb)
 	if !strings.Contains(sb.String(), "merkle delta") {

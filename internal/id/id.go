@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math/bits"
 )
 
 // Bytes is the identifier width in bytes (128 bits).
@@ -245,18 +244,4 @@ func splitmix64(state *uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// LeadingZeros returns the number of leading zero bits in a, handy for
-// sanity checks on hash uniformity in tests.
-func (a ID) LeadingZeros() int {
-	n := 0
-	for i := 0; i < Bytes; i++ {
-		if a[i] == 0 {
-			n += 8
-			continue
-		}
-		return n + bits.LeadingZeros8(a[i])
-	}
-	return n
 }

@@ -32,23 +32,10 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/obs"
+	"repro/internal/pastry"
 	"repro/internal/repl"
 	"repro/internal/simnet"
 )
-
-// Load is one node's capacity accounting, as gossiped on leaf-set traffic.
-type Load struct {
-	Used     int64
-	Capacity int64 // 0 = unlimited
-}
-
-// Utilization returns Used/Capacity, 0 for unlimited stores.
-func (l Load) Utilization() float64 {
-	if l.Capacity <= 0 {
-		return 0
-	}
-	return float64(l.Used) / float64(l.Capacity)
-}
 
 // Host is the node surface the engine drives. All placement knowledge
 // (salting, link encoding, routed applies) stays behind it in internal/core;
@@ -65,12 +52,12 @@ type Host interface {
 	// Candidates returns the node's current replica candidates.
 	Candidates(k int) []simnet.Addr
 	// LocalLoad reads the contributed store's live capacity accounting.
-	LocalLoad() Load
+	LocalLoad() pastry.Load
 	// PeerLoads returns the freshest gossiped loads, keyed by address.
-	PeerLoads() map[simnet.Addr]Load
+	PeerLoads() map[simnet.Addr]pastry.Load
 	// ProbeLoad fetches a node's capacity accounting directly (FSSTAT), for
 	// candidates whose gossiped load has not reached this node yet.
-	ProbeLoad(addr simnet.Addr) (Load, simnet.Cost, error)
+	ProbeLoad(addr simnet.Addr) (pastry.Load, simnet.Cost, error)
 	// EligibleVictim reports whether a tracked root is a self-verified
 	// level-1 hierarchy this node may migrate: the root has the level-1
 	// shape and the controlling special link (when one exists) still names
@@ -104,9 +91,6 @@ type Options struct {
 	Scrub     bool
 	Rebalance bool
 
-	// VerifyFiles caps files re-chunked against their manifests per round
-	// (sliding cursor). Default 4; negative disables.
-	VerifyFiles int
 	// HighWater is the utilization that arms the rebalancer (default 0.8);
 	// LowWater is where a round stops shedding (default 0.6).
 	HighWater float64
@@ -123,6 +107,9 @@ const (
 	// VerifyBlocks caps indexed blocks hash-checked per round (sliding
 	// cursor).
 	VerifyBlocks = 32
+	// VerifyFiles caps files re-chunked against their manifests per round
+	// (sliding cursor).
+	VerifyFiles = 4
 	// SaltProbes bounds the re-salting attempts per victim.
 	SaltProbes = 4
 	// MoveBytes caps the bytes migrated per round: no new move starts once
@@ -133,9 +120,6 @@ const (
 func (o Options) withDefaults() Options {
 	if o.Replicas <= 0 {
 		o.Replicas = 1
-	}
-	if o.VerifyFiles == 0 {
-		o.VerifyFiles = 4
 	}
 	if o.HighWater <= 0 {
 		o.HighWater = 0.8
@@ -290,41 +274,39 @@ func (e *Engine) scrubRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 
 	// File verification: walk every local copy's regular files in sorted
 	// order and re-chunk a budget-bounded window past the cursor.
-	if e.opts.VerifyFiles > 0 {
-		var targets []verifyTarget
-		for _, t := range live {
-			src, files := rep.LocalFiles(t.Root)
-			if len(files) == 0 {
-				continue
-			}
-			// A repair fetches blocks from the replica candidates when this is
-			// the primary copy and from the owner when it is a replica; either
-			// way the helper holds the file in the other area.
-			var helpers []simnet.Addr
-			there := repl.RepPath
-			if src != t.Root {
-				there = repl.PrimaryRoot
-			}
-			if owned[t.Root] && src == t.Root {
-				helpers = cands
-			} else if !owned[t.Root] {
-				owner, c, err := e.host.Route(t.PN)
-				total = simnet.Seq(total, c)
-				if err == nil && owner != e.host.Self() {
-					helpers = []simnet.Addr{owner}
-				}
-			}
-			for _, f := range files {
-				hs := make([]repl.BlockSource, len(helpers))
-				for j, a := range helpers {
-					hs[j] = repl.BlockSource{Addr: a, Phys: there(f)}
-				}
-				targets = append(targets, verifyTarget{phys: f, helpers: hs})
+	var targets []verifyTarget
+	for _, t := range live {
+		src, files := rep.LocalFiles(t.Root)
+		if len(files) == 0 {
+			continue
+		}
+		// A repair fetches blocks from the replica candidates when this is
+		// the primary copy and from the owner when it is a replica; either
+		// way the helper holds the file in the other area.
+		var helpers []simnet.Addr
+		there := repl.RepPath
+		if src != t.Root {
+			there = repl.PrimaryRoot
+		}
+		if owned[t.Root] && src == t.Root {
+			helpers = cands
+		} else if !owned[t.Root] {
+			owner, c, err := e.host.Route(t.PN)
+			total = simnet.Seq(total, c)
+			if err == nil && owner != e.host.Self() {
+				helpers = []simnet.Addr{owner}
 			}
 		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i].phys < targets[j].phys })
-		total = simnet.Seq(total, e.verifyWindow(tc, targets, &at.file, tokens))
+		for _, f := range files {
+			hs := make([]repl.BlockSource, len(helpers))
+			for j, a := range helpers {
+				hs[j] = repl.BlockSource{Addr: a, Phys: there(f)}
+			}
+			targets = append(targets, verifyTarget{phys: f, helpers: hs})
+		}
 	}
+	sort.Slice(targets, func(i, j int) bool { return targets[i].phys < targets[j].phys })
+	total = simnet.Seq(total, e.verifyWindow(tc, targets, &at.file, tokens))
 
 	// Digest exchange: one ask per (owned root, replica candidate) pair, and
 	// a delta re-sync fed that answer when a settled copy diverges. The pairs
@@ -359,7 +341,7 @@ func (e *Engine) verifyWindow(tc obs.TraceContext, targets []verifyTarget, curso
 	start := sort.Search(len(targets), func(i int) bool { return targets[i].phys > *cursor })
 	var total simnet.Cost
 	rep := e.host.Rep()
-	for k := 0; k < len(targets) && k < e.opts.VerifyFiles && *tokens > 0; k++ {
+	for k := 0; k < len(targets) && k < VerifyFiles && *tokens > 0; k++ {
 		tgt := targets[(start+k)%len(targets)]
 		*tokens--
 		outcome, c := rep.VerifyFile(tc, tgt.phys, tgt.helpers)

@@ -128,21 +128,21 @@ type scriptedHost struct {
 	peers *storePeers
 	reg   *obs.Registry
 
-	cands []simnet.Addr        // replica candidates
-	dest  simnet.Addr          // where every re-salted name routes ("" = nowhere)
-	loads map[simnet.Addr]Load // gossiped peer loads
+	cands []simnet.Addr               // replica candidates
+	dest  simnet.Addr                 // where every re-salted name routes ("" = nowhere)
+	loads map[simnet.Addr]pastry.Load // gossiped peer loads
 
 	relinks   []string       // "base -> new storage root", in order
 	syncs     int            // SyncReplicas calls
 	ownership map[string]int // OwnsKey calls per placement name
 }
 
-func (h *scriptedHost) Rep() *repl.Engine               { return h.rep }
-func (h *scriptedHost) Self() simnet.Addr               { return "self" }
-func (h *scriptedHost) Candidates(int) []simnet.Addr    { return h.cands }
-func (h *scriptedHost) PeerLoads() map[simnet.Addr]Load { return h.loads }
-func (h *scriptedHost) BaseName(pn string) string       { return strings.SplitN(pn, "#", 2)[0] }
-func (h *scriptedHost) NewStoreRoot(pn string) string   { return "/moved/" + pn }
+func (h *scriptedHost) Rep() *repl.Engine                      { return h.rep }
+func (h *scriptedHost) Self() simnet.Addr                      { return "self" }
+func (h *scriptedHost) Candidates(int) []simnet.Addr           { return h.cands }
+func (h *scriptedHost) PeerLoads() map[simnet.Addr]pastry.Load { return h.loads }
+func (h *scriptedHost) BaseName(pn string) string              { return strings.SplitN(pn, "#", 2)[0] }
+func (h *scriptedHost) NewStoreRoot(pn string) string          { return "/moved/" + pn }
 
 func (h *scriptedHost) OwnsKey(pn string) (bool, simnet.Cost) {
 	h.ownership[pn]++
@@ -153,12 +153,12 @@ func (h *scriptedHost) Salt(base string, attempt int) string {
 	return fmt.Sprintf("%s#%d", base, attempt)
 }
 
-func (h *scriptedHost) LocalLoad() Load {
-	return Load{Used: h.fs.Used(), Capacity: h.fs.Capacity()}
+func (h *scriptedHost) LocalLoad() pastry.Load {
+	return pastry.Load{Used: h.fs.Used(), Capacity: h.fs.Capacity()}
 }
 
-func (h *scriptedHost) ProbeLoad(simnet.Addr) (Load, simnet.Cost, error) {
-	return Load{}, 0, errScripted
+func (h *scriptedHost) ProbeLoad(simnet.Addr) (pastry.Load, simnet.Cost, error) {
+	return pastry.Load{}, 0, errScripted
 }
 
 func (h *scriptedHost) EligibleVictim(obs.TraceContext, repl.Track) (bool, simnet.Cost) {
@@ -191,7 +191,7 @@ func newHost(capacity int64) *scriptedHost {
 		fs:        localfs.New(capacity, simnet.DiskModel{}),
 		peers:     &storePeers{stores: map[simnet.Addr]*peerStore{}, asks: map[pair]int{}},
 		reg:       obs.NewRegistry(),
-		loads:     map[simnet.Addr]Load{},
+		loads:     map[simnet.Addr]pastry.Load{},
 		ownership: map[string]int{},
 	}
 	h.rep = repl.New(repl.Options{Self: "self", Store: h.fs, Overlay: noOverlay{}, Peer: h.peers, Replicas: 1, Key: func(pn string) (k id.ID) { copy(k[:], pn); return k }, Registry: h.reg})
@@ -233,33 +233,33 @@ func TestTokenBudgetEndsScrubRound(t *testing.T) {
 	for i := 0; i < roots; i++ {
 		h.home(t, fmt.Sprintf("u%03d", i), 8)
 	}
-	const verify = 10
-	e := h.engine(Options{Scrub: true, VerifyFiles: verify})
+	e := h.engine(Options{Scrub: true})
 	e.Tick()
 	// Every root diverges (r1 starts empty), so the divergence counter counts
 	// the digest exchanges the round paid for.
-	if got := h.counter("maint.scrub.divergences"); got != TokensPerTick-verify {
-		t.Fatalf("round checked %d roots, want exactly the %d tokens left after %d verifications", got, TokensPerTick-verify, verify)
+	if got := h.counter("maint.scrub.divergences"); got != TokensPerTick-VerifyFiles {
+		t.Fatalf("round checked %d roots, want exactly the %d tokens left after %d verifications", got, TokensPerTick-VerifyFiles, VerifyFiles)
 	}
-	if TokensPerTick != 64 || VerifyBlocks != 32 {
-		t.Fatalf("budgets moved: TokensPerTick=%d VerifyBlocks=%d, want 64 and 32", TokensPerTick, VerifyBlocks)
+	if TokensPerTick != 64 || VerifyBlocks != 32 || VerifyFiles != 4 {
+		t.Fatalf("budgets moved: TokensPerTick=%d VerifyBlocks=%d VerifyFiles=%d, want 64, 32 and 4", TokensPerTick, VerifyBlocks, VerifyFiles)
 	}
 }
 
 // TestExchangeCursorCoversEveryPair: a node with three rounds' worth of
-// (owned root, candidate) pairs exchanges with every one of them in exactly
-// three rounds — the cursor resumes after the last pair visited and wraps —
+// (owned root, candidate) pairs — three candidates per root, and as many
+// roots as a round has tokens left after its file verifications — exchanges
+// with every one of them in exactly three rounds — the cursor resumes after the last pair visited and wraps —
 // so a divergence on the very last pair is found and repaired; and a pair
 // costs one TREE_DIGEST ask whether or not it diverged. Reset rewinds.
 func TestExchangeCursorCoversEveryPair(t *testing.T) {
 	h := newHost(0)
 	h.cands = []simnet.Addr{"r3", "r1", "r2"} // the visit order is sorted, not the host's
 	var roots []string
-	for i := 0; i < TokensPerTick; i++ {
+	for i := 0; i < TokensPerTick-VerifyFiles; i++ {
 		roots = append(roots, h.home(t, fmt.Sprintf("u%03d", i), 8))
 	}
-	const rounds = 3 // ceil(pairs / budget) with pairs = 3 * TokensPerTick
-	e := h.engine(Options{Scrub: true, VerifyFiles: -1})
+	const rounds = 3 // pairs / exchanges per round
+	e := h.engine(Options{Scrub: true})
 
 	// sweep runs one full coverage and checks each pair was asked once more.
 	sweep := func(asksPerPair int) {
@@ -296,7 +296,7 @@ func TestExchangeCursorCoversEveryPair(t *testing.T) {
 	if got := h.counter("maint.scrub.repaired") - before; got != 1 {
 		t.Fatalf("second sweep repaired %d pairs, want exactly the planted one", got)
 	}
-	if got, err := remote.ReadFile(repl.RepPath(lastRoot + "/f00")); err != nil || !bytes.Equal(got, payload("u063", 0, 8)) {
+	if got, err := remote.ReadFile(repl.RepPath(lastRoot + "/f00")); err != nil || !bytes.Equal(got, payload(fmt.Sprintf("u%03d", len(roots)-1), 0, 8)) {
 		t.Fatalf("last root's replica not restored: %q err=%v", got, err)
 	}
 
@@ -314,7 +314,7 @@ func TestScrubAsksOwnershipOncePerRoot(t *testing.T) {
 	for _, name := range []string{"alice", "bob", "carol"} {
 		h.home(t, name, 8, 8)
 	}
-	h.engine(Options{Scrub: true, VerifyFiles: 2}).Tick()
+	h.engine(Options{Scrub: true}).Tick()
 	for _, name := range []string{"alice", "bob", "carol"} {
 		if got := h.ownership[name]; got != 1 {
 			t.Fatalf("OwnsKey(%s) asked %d times in one round, want 1", name, got)
@@ -327,11 +327,16 @@ func TestScrubAsksOwnershipOncePerRoot(t *testing.T) {
 // is visited and none starves. Reset rewinds the cursor.
 func TestVerifyCursorSlidesAndWraps(t *testing.T) {
 	h := newHost(0)
-	root := h.home(t, "alice", 8, 8, 8, 8, 8) // f00..f04
-	e := h.engine(Options{Scrub: true, VerifyFiles: 2})
-	for round, want := range []string{"f01", "f03", "f00", "f02", "f04", "f01"} {
+	const files = VerifyFiles + 1 // every round but the first wraps
+	sizes := make([]int, files)
+	for i := range sizes {
+		sizes[i] = 8
+	}
+	root := h.home(t, "alice", sizes...)
+	e := h.engine(Options{Scrub: true})
+	for round := 0; round < 6; round++ {
 		e.Tick()
-		if e.at.file != root+"/"+want {
+		if want := fmt.Sprintf("%s/f%02d", root, ((round+1)*VerifyFiles-1)%files); e.at.file != want {
 			t.Fatalf("round %d: cursor at %q, want %s", round, e.at.file, want)
 		}
 	}
@@ -341,12 +346,6 @@ func TestVerifyCursorSlidesAndWraps(t *testing.T) {
 	e.Reset()
 	if e.at.file != "" || e.at.block != (cas.Hash{}) {
 		t.Fatal("Reset left a cursor behind")
-	}
-	// A negative window disables file verification: the cursor stays put.
-	off := h.engine(Options{Scrub: true, VerifyFiles: -1})
-	off.Tick()
-	if off.at.file != "" {
-		t.Fatalf("disabled verification moved the cursor to %q", off.at.file)
 	}
 }
 
@@ -391,7 +390,7 @@ func TestRebalancerWaterMarksAndByteCap(t *testing.T) {
 	const mib = 1 << 20
 	h := newHost(100 * mib)
 	h.dest = "d1"
-	h.loads["d1"] = Load{Used: 0, Capacity: 1000 * mib}
+	h.loads["d1"] = pastry.Load{Used: 0, Capacity: 1000 * mib}
 	// 5+6+7+8+9+10+30 = 75 MiB: under the 80 % high-water mark.
 	for i, size := range []int{5, 6, 7, 8, 9, 10, 30} {
 		h.home(t, fmt.Sprintf("u%d", i), size*mib)
@@ -434,7 +433,7 @@ func TestRebalancerWaterMarksAndByteCap(t *testing.T) {
 	// byte budget, token budget and victims all to spare.
 	small := newHost(10 * mib)
 	small.dest = "d1"
-	small.loads["d1"] = Load{Capacity: 1000 * mib}
+	small.loads["d1"] = pastry.Load{Capacity: 1000 * mib}
 	for i := 0; i < 9; i++ {
 		small.home(t, fmt.Sprintf("v%d", i), 960<<10)
 	}

@@ -9,11 +9,6 @@ import (
 // procedures (kTreeDigest/kDirDigests). Follows the XDR conventions of
 // internal/wire: counted arrays, length-prefixed strings, fixed opaques.
 
-// PutDigest appends a digest as fixed-length opaque data.
-func PutDigest(e *wire.Encoder, d Digest) {
-	e.PutDigest(d)
-}
-
 // GetDigest reads a digest.
 func GetDigest(d *wire.Decoder) Digest {
 	return d.Digest()

@@ -183,18 +183,6 @@ func (c *Cache) Invalidate(p string) {
 	}
 }
 
-// InvalidateAll empties the memo.
-func (c *Cache) InvalidateAll() {
-	if c.store != nil {
-		c.store.Reset()
-	}
-	c.mu.Lock()
-	c.gen++
-	c.memo = make(map[string]Digest)
-	c.manifests = make(map[string]cas.Manifest)
-	c.mu.Unlock()
-}
-
 // DigestOf returns the subtree digest at path p, computing (and memoizing)
 // as needed. The cache mutex is never held across store calls — the store's
 // mutation hook runs under the store's own lock and takes the cache mutex,

@@ -98,12 +98,6 @@ func (c Client) WithCtx(tc obs.TraceContext) Client {
 	return c
 }
 
-// From returns the address this client originates calls from.
-func (c Client) From() simnet.Addr { return c.s.from }
-
-// Registry exposes the registry backing this client's counters.
-func (c Client) Registry() *obs.Registry { return c.s.reg }
-
 // proc returns the cached "rpc.<PROC>" latency histogram for one procedure
 // so the call hot path pays one pointer load instead of a registry lookup.
 // Per-proc counts are the histogram counts — no separate counter.

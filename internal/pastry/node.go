@@ -303,15 +303,6 @@ func (n *Node) TableStats() (entries, rows int) {
 	return entries, rows
 }
 
-// IsRootFor reports whether this node believes it is numerically closest to
-// key among the nodes it knows.
-func (n *Node) IsRootFor(key id.ID) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	_, isRoot := n.st.nextHop(key, nil)
-	return isRoot
-}
-
 // addPeer merges a peer and fires the change callback when the leaf set
 // shifts. It reports whether the leaf set changed.
 func (n *Node) addPeer(p NodeInfo) bool {

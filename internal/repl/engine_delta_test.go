@@ -308,19 +308,68 @@ func TestFetchTreeKeepsNestedFlagNamedFile(t *testing.T) {
 	}
 }
 
+// unreadableStore fails ReadFile for one path, so the digest listing of that
+// file's directory fails.
+type unreadableStore struct {
+	localfs.FileSystem
+	bad string
+}
+
+func (s unreadableStore) ReadFile(p string) ([]byte, error) {
+	if p == s.bad {
+		return nil, errPeerDown
+	}
+	return s.FileSystem.ReadFile(p)
+}
+
+// A pull whose local copy cannot be listed adopts nothing. Taking the failed
+// listing for an empty directory would keep gone.txt, which the source
+// deleted, and adopt the source's version over it, so the next refresh would
+// push gone.txt back out to every replica.
+func TestPullWithUnlistableLocalDirAdoptsNothing(t *testing.T) {
+	peer := newStorePeer()
+	mustWrite(t, peer.remote, RepPath("/pull")+"/a.txt", "new a")
+	store := unreadableStore{FileSystem: localfs.New(0, simnet.DiskModel{}), bad: "/pull/bad.txt"}
+	for _, name := range []string{"a.txt", "gone.txt", "bad.txt"} {
+		mustWrite(t, store, "/pull/"+name, "old "+name)
+	}
+	e := New(Options{
+		Self:     "self",
+		Store:    store,
+		Overlay:  &fakeOverlay{isRoot: true},
+		Peer:     peer,
+		Replicas: 1,
+		Key:      func(pn string) id.ID { return id.HashKey(pn) },
+	})
+	e.Track(Track{PN: "pull", Root: "/pull", Ver: 2}, FSOp{Kind: FSMkdirAll, Path: "/pull"})
+	if _, err := e.fetchTree(obs.TraceContext{}, "r1", nil, Track{PN: "pull", Root: "/pull"}, 5); err == nil {
+		t.Fatal("pull succeeded with the local directory unlistable")
+	}
+	if v := e.VerOf("/pull"); v != 2 {
+		t.Fatalf("a failed pull adopted version %d", v)
+	}
+	if got, err := store.ReadFile("/pull/a.txt"); err != nil || string(got) != "old a.txt" {
+		t.Fatalf("a failed pull rewrote a.txt: %q err=%v", got, err)
+	}
+}
+
 // A file the receiver holds none of ships in bounded pieces: a create, then
 // FSChunkWrite spans whose inline payload never exceeds PushChunk and which
 // reassemble, in offset order, to the source file.
 func TestSendFileChunksLargePayload(t *testing.T) {
-	e, store, _ := deltaEngine(t, newStorePeer())
+	peer := newStorePeer()
+	e, store, _ := deltaEngine(t, peer)
 	payload := patternBytes(PushChunk*2+PushChunk/2, 3)
 	if err := store.WriteFile("/big/blob", payload); err != nil {
 		t.Fatal(err)
 	}
-	var ops []FSOp
-	step := func(op FSOp) error { ops = append(ops, op); return nil }
-	if err := e.sendFile(obs.TraceContext{}, "r1", "/big/blob", "/big/blob", false, step, func(simnet.Cost) {}); err != nil {
+	var cost simnet.Cost
+	if err := e.sendFile(remoteTree{e: e, addr: "r1", cost: &cost}, "/big/blob", "/big/blob"); err != nil {
 		t.Fatal(err)
+	}
+	var ops []FSOp
+	for _, m := range peer.mirrors {
+		ops = append(ops, m.op)
 	}
 	if len(ops) < 4 || ops[0].Kind != FSCreate {
 		t.Fatalf("got %d ops (first %v), want FSCreate + at least 3 bounded spans", len(ops), ops[0].Kind)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/localfs"
-	"repro/internal/merkle"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
@@ -100,7 +99,6 @@ func (e *Engine) adopt(tc obs.TraceContext, t Track, answers []held) (total simn
 // settled holder in holders.
 func (e *Engine) fetchTree(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, t Track, remoteVer uint64) (simnet.Cost, error) {
 	var total simnet.Cost
-	src := RepPath(t.Root)
 	if _, err := e.store.MkdirAll(t.Root); err != nil {
 		return total, err
 	}
@@ -116,104 +114,21 @@ func (e *Engine) fetchTree(tc obs.TraceContext, from simnet.Addr, holders []simn
 			swarm = append(swarm, h)
 		}
 	}
-	if err := e.pullDir(tc, swarm, src, t.Root, src, &total); err != nil {
+	src := remoteTree{e: e, tc: tc, addr: from, t: t, cost: &total}
+	w := walk{e: e, src: src, dst: localTree{e}, root: t.Root,
+		file: func(s, d string) error { return e.pullFile(tc, swarm, src.phys(s), d, &total) }}
+	if err := w.reconcile(t.Root, t.Root); err != nil {
+		return total, err
+	}
+	// A flag left at the local root by an interrupted migration to this node
+	// comes down with the pull.
+	if err := e.store.RemoveAll(path.Join(t.Root, MigrationFlag)); err != nil {
 		return total, err
 	}
 	adopted := t
 	adopted.Ver = remoteVer
 	e.Track(adopted, FSOp{Kind: FSMkdirAll, Path: t.Root})
 	return total, nil
-}
-
-// pullDir reconciles one local directory against its remote counterpart on
-// swarm[0] during a delta pull: matching child digests are skipped
-// wholesale, mismatching files are rebuilt block-wise, and local-only
-// entries are deleted. flagDir is the remote hierarchy root, where the
-// migration sentinel is protocol state rather than content.
-func (e *Engine) pullDir(tc obs.TraceContext, swarm []simnet.Addr, remoteDir, localDir, flagDir string, total *simnet.Cost) error {
-	from := swarm[0]
-	remoteEnts, ok, c, err := e.peer.DirDigests(tc, from, remoteDir)
-	*total = simnet.Seq(*total, c)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	locals := make(map[string]merkle.Entry)
-	if ents, lok, err := e.mk.Entries(localDir); err == nil && lok {
-		for _, ent := range ents {
-			locals[ent.Name] = ent
-		}
-	}
-	for _, ent := range remoteEnts {
-		if remoteDir == flagDir && ent.Name == MigrationFlag {
-			continue
-		}
-		rp := joinChild(remoteDir, ent.Name)
-		lp := joinChild(localDir, ent.Name)
-		l, exists := locals[ent.Name]
-		delete(locals, ent.Name)
-		if exists && l.Type == ent.Type && l.Digest == ent.Digest {
-			e.digestHits.Add(1)
-			continue
-		}
-		if exists {
-			e.digestMisses.Add(1)
-		}
-		switch ent.Type {
-		case localfs.TypeDir:
-			if exists && l.Type != localfs.TypeDir {
-				if err := e.store.RemoveAll(lp); err != nil {
-					return err
-				}
-			}
-			if _, err := e.store.MkdirAll(lp); err != nil {
-				return err
-			}
-			if err := e.pullDir(tc, swarm, rp, lp, flagDir, total); err != nil {
-				return err
-			}
-		case localfs.TypeSymlink:
-			target, c, err := e.peer.ReadLink(tc, from, rp)
-			*total = simnet.Seq(*total, c)
-			if err != nil {
-				return err
-			}
-			if exists {
-				if err := e.store.RemoveAll(lp); err != nil {
-					return err
-				}
-			}
-			attr, err := e.store.LookupPath(path.Dir(lp))
-			if err != nil {
-				return err
-			}
-			if _, _, err := e.store.Symlink(attr.Ino, ent.Name, target); err != nil {
-				return err
-			}
-		default:
-			if exists && l.Type != localfs.TypeRegular {
-				if err := e.store.RemoveAll(lp); err != nil {
-					return err
-				}
-			}
-			if err := e.pullFile(tc, swarm, rp, lp, total); err != nil {
-				return err
-			}
-		}
-	}
-	staleNames := make([]string, 0, len(locals))
-	for name := range locals {
-		staleNames = append(staleNames, name)
-	}
-	sort.Strings(staleNames)
-	for _, name := range staleNames {
-		if err := e.store.RemoveAll(joinChild(localDir, name)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 var (

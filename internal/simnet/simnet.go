@@ -188,10 +188,6 @@ func New(link LinkModel) *Network {
 	}
 }
 
-// Registry exposes the network's metrics registry so experiments and the
-// stats surface can snapshot traffic counters alongside everything else.
-func (n *Network) Registry() *obs.Registry { return n.reg }
-
 // AddNode registers addr on the network. It is a no-op if already present.
 func (n *Network) AddNode(addr Addr) {
 	n.mu.Lock()
@@ -199,14 +195,6 @@ func (n *Network) AddNode(addr Addr) {
 	if _, ok := n.nodes[addr]; !ok {
 		n.nodes[addr] = &node{services: make(map[string]HandlerCtx)}
 	}
-}
-
-// RemoveNode unregisters addr entirely (distinct from SetDown: a removed
-// node loses its handlers, modeling a machine wiped from the cluster).
-func (n *Network) RemoveNode(addr Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.nodes, addr)
 }
 
 // Register installs a context-free service handler on addr.
@@ -412,15 +400,4 @@ func (n *Network) CallCtx(ctx obs.TraceContext, from, to Addr, service string, r
 		wireCost = Seq(wireCost, n.Link.MessageCost(len(resp)))
 	}
 	return resp, Seq(wireCost, procCost), nil
-}
-
-// Nodes returns the addresses currently registered, in unspecified order.
-func (n *Network) Nodes() []Addr {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]Addr, 0, len(n.nodes))
-	for a := range n.nodes {
-		out = append(out, a)
-	}
-	return out
 }
