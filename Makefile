@@ -160,25 +160,36 @@ bench-json:
 
 # bench-diff compares the two highest-numbered BENCH_*.json: the end-to-end
 # metrics that are a pure function of the seed must not move between them on
-# any workload's --trace 0 run, unless the last line of CHANGES.md (the PR's
-# own) names the workload and the metric together, as `meta` `rpcs_per_op`:
-# a claim about one workload excuses nothing on another. A file comparison:
-# no benchmark runs.
+# any workload's --trace 0 run, and the two allocation metrics must not grow
+# by more than their BENCHMARK.json bound, unless the last line of CHANGES.md
+# (the PR's own) names the workload and the metric together, as `meta`
+# `rpcs_per_op`: a claim about one workload excuses nothing on another. A
+# file comparison: no benchmark runs.
 SEED_EXACT = sim_ms_per_op sim_vs_nfs_ratio rpcs_per_op net_bytes_per_user_byte
+ALLOC_METRICS = allocs_per_op alloc_kb_per_op
 bench-diff:
 	@set -- $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -n 2); \
 	[ $$# -eq 2 ] || { echo "bench-diff: fewer than two BENCH_*.json" >&2; exit 1; }; \
 	claimed=$$(tail -n 1 CHANGES.md); fail=0; \
-	for w in mab meta stream; do for m in $(SEED_EXACT); do \
+	for w in mab meta stream; do for m in $(SEED_EXACT) $(ALLOC_METRICS); do \
 		a=$$(grep "^\"$$w.trace0\"" $$1 | grep -o "\"$$m\":{\"value\":[^,]*"); \
 		b=$$(grep "^\"$$w.trace0\"" $$2 | grep -o "\"$$m\":{\"value\":[^,]*"); \
-		if [ -n "$$a" ] && [ "$$a" = "$$b" ]; then continue; fi; \
+		case " $(ALLOC_METRICS) " in \
+		*" $$m "*) \
+			k=$$(awk -v m="\"$$m\"" 'index($$0, "\"name\": " m) {f=1} f && /"bound"/ {gsub(/[^0-9.]/, ""); print; exit}' BENCHMARK.json); \
+			if [ -n "$$a" ] && [ -n "$$b" ] && [ -n "$$k" ] && \
+				awk -v a="$${a##*:}" -v b="$${b##*:}" -v k="$$k" 'BEGIN {exit !(b + 0 <= (a + 0) * (1 + k))}'; then continue; fi; \
+			what="grew by more than its bound ($$k)";; \
+		*) \
+			if [ -n "$$a" ] && [ "$$a" = "$$b" ]; then continue; fi; \
+			what=moved;; \
+		esac; \
 		case "$$claimed" in \
-		*"\`$$w\` \`$$m\`"*) echo "bench-diff: $$w $$m moved, as CHANGES.md says: $${a##*:} -> $${b##*:}";; \
-		*) echo "bench-diff: $$w $$m moved from $$1 to $$2 and CHANGES.md does not say \`$$w\` \`$$m\`: $${a##*:} -> $${b##*:}" >&2; fail=1;; \
+		*"\`$$w\` \`$$m\`"*) echo "bench-diff: $$w $$m $$what, as CHANGES.md says: $${a##*:} -> $${b##*:}";; \
+		*) echo "bench-diff: $$w $$m $$what from $$1 to $$2 and CHANGES.md does not say \`$$w\` \`$$m\`: $${a##*:} -> $${b##*:}" >&2; fail=1;; \
 		esac; \
 	done; done; \
-	[ $$fail -eq 0 ] && echo "bench-diff: $$1 -> $$2: no unclaimed drift in the seed-exact end-to-end metrics"; exit $$fail
+	[ $$fail -eq 0 ] && echo "bench-diff: $$1 -> $$2: no unclaimed drift in the seed-exact end-to-end metrics, no unclaimed allocation growth"; exit $$fail
 
 # loc prints the sizes CHANGES.md tracks: non-test Go outside bench/, the
 # shares of it in internal/core, internal/nfs, internal/repl and

@@ -353,3 +353,41 @@ func TestConcurrentCacheUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestReaddirWithoutCacheBuildsNoRows: READDIRPLUS pre-warms the metadata
+// cache with a row per child, and a mount whose cache keeps nothing builds
+// none. Listing 50 entries then allocates no more than listing 5 beyond what
+// decoding the longer reply takes: a name per entry and the reply's slices
+// growing, 53 for the 45 more entries. Building the rows cost four
+// allocations an entry more (the child's virtual and physical paths, each
+// joined and cleaned): 233. With the cache on the rows are built and serve
+// the children with no RPC (TestReaddirPlusPrewarmsCaches).
+func TestReaddirWithoutCacheBuildsNoRows(t *testing.T) {
+	_, nodes := testCluster(t, 4, 9002, Config{NoMetadataCache: true, TraceBufSize: -1})
+	m := nodes[0].NewMount()
+	list := func(dir string, files int) float64 {
+		for i := 0; i < files; i++ {
+			if _, err := m.WriteFile(fmt.Sprintf("%s/f%02d", dir, i), []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vh, _, _, err := m.LookupPath(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(50, func() {
+			var ents []DirEntry
+			if ents, _, err = m.Readdir(vh); err == nil && len(ents) != files {
+				t.Fatalf("%s: %d entries, want %d", dir, len(ents), files)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	small, large := list("/proj/small", 5), list("/proj/large", 50)
+	if extra := 45.0; large-small > 1.25*extra {
+		t.Errorf("listing 50 entries allocates %.0f times, 5 entries %.0f: want at most %.0f more, what decoding the reply takes", large, small, 1.25*extra)
+	}
+}

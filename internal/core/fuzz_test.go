@@ -1,8 +1,11 @@
 package core
 
 import (
+	"path"
 	"strings"
 	"testing"
+
+	"repro/internal/localfs"
 )
 
 // FuzzPlacementFunctions checks that path/placement helpers never panic and
@@ -54,6 +57,47 @@ func FuzzPlacementFunctions(f *testing.F) {
 		}
 		if _, _, ok := ParseLinkTarget(strings.TrimPrefix(vpath, LinkMarker)); ok && !strings.HasPrefix(strings.TrimPrefix(vpath, LinkMarker), LinkMarker) {
 			t.Fatal("unmarked target recognized as special")
+		}
+	})
+}
+
+// FuzzLevels: the resolver's levels of a clean path are its prefixes, each
+// equal to joining its first i components, and the helpers that count, split
+// and extend a clean path agree with SplitVirtual, path.Split and path.Join.
+// The metadata cache's subtree test matches other against a joined path
+// without building it, as localfs.InTree would against the built one.
+func FuzzLevels(f *testing.F) {
+	for _, p := range []string{"", "/", "//", "a", "/a/b/c", "/a/b/", "a//b/./c/..", "/..", "/\x01root/u1/f", "/#/x#12345678"} {
+		f.Add(p, "/a/b/c/d")
+		f.Add(p, p+"x")
+	}
+	f.Fuzz(func(t *testing.T, vpath, other string) {
+		clean := localfs.CleanPath(vpath)
+		parts := SplitVirtual(vpath)
+		if n := pathComponents(clean); n != len(parts) {
+			t.Fatalf("pathComponents(%q) = %d, SplitVirtual has %d", clean, n, len(parts))
+		}
+		for i := 0; i <= len(parts); i++ {
+			if got, want := level(clean, i), JoinVirtual(parts[:i]); got != want {
+				t.Fatalf("level(%q, %d) = %q, want %q", clean, i, got, want)
+			}
+		}
+		if level(clean, len(parts)+1) != clean {
+			t.Fatalf("level(%q) past its depth is not the path", clean)
+		}
+		dir, name := parentOf(clean)
+		if d, n := path.Split(clean); path.Clean(d) != dir || n != name {
+			t.Fatalf("parentOf(%q) = %q, %q; path.Split: %q, %q", clean, dir, name, d, n)
+		}
+		if name != "" && childPath(dir, name) != clean {
+			t.Fatalf("childPath(parentOf(%q)) = %q", clean, childPath(dir, name))
+		}
+		other = localfs.CleanPath(other)
+		if got, want := inTree(other, dir, name), localfs.InTree(other, clean); got != want {
+			t.Fatalf("inTree(%q, %q, %q) = %v, InTree against %q says %v", other, dir, name, got, clean, want)
+		}
+		if got, want := inTree(other, clean, ""), localfs.InTree(other, clean); got != want {
+			t.Fatalf("inTree(%q, %q, \"\") = %v, want %v", other, clean, got, want)
 		}
 	})
 }

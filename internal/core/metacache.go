@@ -114,19 +114,40 @@ func (c *metaCache) drop(vpath string) {
 	s.mu.Unlock()
 }
 
-// dropUnder invalidates vpath and everything below it (rename, remove and
-// failover relocate whole subtrees). Subtree members hash to arbitrary
-// shards, so every shard is swept.
-func (c *metaCache) dropUnder(vpath string) {
-	prefix := strings.TrimSuffix(vpath, "/") + "/"
+// caching reports whether put keeps anything, so a caller can skip building
+// rows for a mount that caches nothing.
+func (c *metaCache) caching() bool { return c.attrTTL > 0 }
+
+// dropUnder invalidates the clean path dir/name and everything below it, or
+// dir and everything below it when name is "" (rename, remove and failover
+// relocate whole subtrees). Subtree members hash to arbitrary shards, so
+// every shard is swept.
+func (c *metaCache) dropUnder(dir, name string) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for p := range s.rows {
-			if p == vpath || strings.HasPrefix(p, prefix) {
+			if inTree(p, dir, name) {
 				delete(s.rows, p)
 			}
 		}
 		s.mu.Unlock()
 	}
+}
+
+// inTree reports whether the clean path p is dir/name or lies below it (dir
+// itself when name is ""): localfs.InTree against the joined path, matched in
+// place instead of built.
+func inTree(p, dir, name string) bool {
+	if name == "" {
+		return localfs.InTree(p, dir)
+	}
+	rest, ok := strings.CutPrefix(p, dir)
+	if ok && dir != "/" {
+		rest, ok = strings.CutPrefix(rest, "/")
+	}
+	if ok {
+		rest, ok = strings.CutPrefix(rest, name)
+	}
+	return ok && (rest == "" || rest[0] == '/')
 }

@@ -46,14 +46,15 @@ type ventry struct {
 func (de *ventry) isRoot() bool { return de.vpath == "/" }
 
 // child is the row for name in the directory de, as a reply from de's node
-// described it: same node, placement name and storage root.
+// described it: same node, placement name and storage root. The name must be
+// valid: one the store accepted, or that ValidName passed.
 func (de *ventry) child(name string, kind localfs.FileType, fh nfs.Handle) ventry {
 	return ventry{
-		vpath:    path.Join(de.vpath, name),
+		vpath:    childPath(de.vpath, name),
 		kind:     kind,
 		node:     de.node,
 		fh:       fh,
-		physPath: path.Join(de.physPath, name),
+		physPath: childPath(de.physPath, name),
 		pn:       de.pn,
 		root:     de.root,
 	}
@@ -121,7 +122,7 @@ func (n *Node) NewMount() *Mount {
 // in the directory de makes: whatever is cached at or below the name, and the
 // directory's own row (its attributes changed).
 func (m *Mount) childChanged(de *ventry, name string) {
-	m.meta.dropUnder(path.Join(de.vpath, name))
+	m.meta.dropUnder(de.vpath, name)
 	m.meta.drop(de.vpath)
 }
 
@@ -182,7 +183,8 @@ func (m *Mount) lookup(tr *obs.Trace, dir VH, name string) (VH, localfs.Attr, si
 		// hit that slips through self-heals: handle ops return
 		// NFS3ERR_STALE and path ops NFS3ERR_NOENT, both of which the
 		// failover path retries against a fresh resolution.
-		if r, ok := m.meta.get(path.Join(de.vpath, name), true); ok &&
+		// An invalid name finds no row: only replies the store accepted put one.
+		if r, ok := m.meta.get(childPath(de.vpath, name), true); ok &&
 			r.ve.node == de.node && r.ve.root == de.root {
 			ve := r.ve // the published row is the child's alone, not the cache's
 			ve.cached = true

@@ -226,8 +226,9 @@ func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) 
 		// Children of a sub-distribution-level directory live on the
 		// parent's node and their handles came back in the reply, so each
 		// is a complete lookup result worth caching. Distributed levels
-		// resolve through the overlay instead and are left alone.
-		prewarm := !m.distributedAt(de)
+		// resolve through the overlay instead and are left alone, and a mount
+		// whose cache keeps nothing builds no rows.
+		prewarm := !m.distributedAt(de) && m.meta.caching()
 		out = out[:0]
 		for _, e := range ents {
 			if Hidden(e.Name) {
@@ -410,7 +411,7 @@ func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstN
 	if err != nil {
 		return total, err
 	}
-	srcDepth := len(SplitVirtual(sde.vpath)) + 1
+	srcDepth := pathComponents(sde.vpath) + 1
 	src, dst := path.Join(sde.vpath, srcName), path.Join(dde.vpath, dstName)
 	moved := func() { // whatever either name reached is cached no longer
 		m.dropCachesUnder(src)

@@ -68,7 +68,7 @@ func (m *Mount) MkdirAll(vpath string) (VH, simnet.Cost, error) {
 	parts := SplitVirtual(vpath)
 	cur := m.Root()
 	if de != nil {
-		cur, parts = m.insert(de), parts[len(SplitVirtual(de.vpath)):]
+		cur, parts = m.insert(de), parts[pathComponents(de.vpath):]
 	}
 	for _, name := range parts {
 		next, _, c, err := m.Mkdir(cur, name, 0o755)
@@ -106,17 +106,16 @@ func (m *Mount) WriteFile(vpath string, data []byte) (simnet.Cost, error) {
 }
 
 func (m *Mount) writeFile(tr *obs.Trace, vpath string, data []byte) (simnet.Cost, error) {
-	dir, name := path.Split(localfs.CleanPath(vpath))
+	dir, name := parentOf(localfs.CleanPath(vpath))
 	if err := ValidName(name); err != nil {
 		return InterposeCost, err
 	}
-	dirParts := SplitVirtual(dir)
-	if len(dirParts) == 0 {
+	if dir == "/" {
 		return InterposeCost, ErrRootOnlyDirs
 	}
 	total := InterposeCost
-	if place, ok := m.n.cachedDir(dirParts); ok {
-		de := entryAt(JoinVirtual(dirParts), place, place.PhysDir(), nfs.Walked{Attr: localfs.Attr{Type: localfs.TypeDir}})
+	if place, ok := m.n.cachedDir(dir); ok {
+		de := entryAt(dir, place, place.PhysDir(), nfs.Walked{Attr: localfs.Attr{Type: localfs.TypeDir}})
 		c, err := m.writeFileIn(tr, de, name, data)
 		total = simnet.Seq(total, c)
 		if err == nil || !(retryable(err) || cacheSuspect(err)) {
@@ -149,7 +148,7 @@ func (m *Mount) writeFileIn(tr *obs.Trace, de *ventry, name string, data []byte)
 		first = data[:wb]
 	}
 	_, fh, cost, err := m.n.apply(tr, de.site(),
-		FSOp{Kind: FSWriteFile, Path: path.Join(de.physPath, name), Data: first})
+		FSOp{Kind: FSWriteFile, Path: childPath(de.physPath, name), Data: first})
 	if err != nil {
 		return cost, err
 	}
@@ -248,16 +247,16 @@ func (m *Mount) RemoveAllPath(vpath string) (simnet.Cost, error) {
 }
 
 func (m *Mount) removeAllOnce(vpath string) (simnet.Cost, error) {
-	parts := SplitVirtual(vpath)
-	if len(parts) == 0 {
+	dir, name := parentOf(localfs.CleanPath(vpath))
+	if name == "" {
 		return 0, &nfs.Error{Proc: nfs.ProcRmdir, Status: nfs.ErrInval}
 	}
-	parentVH, _, total, err := m.LookupPath(JoinVirtual(parts[:len(parts)-1]))
+	parentVH, _, total, err := m.LookupPath(dir)
 	if err != nil {
 		return total, err
 	}
 	defer m.forget(parentVH)
-	c, err := m.removeAllIn(parentVH, parts[len(parts)-1])
+	c, err := m.removeAllIn(parentVH, name)
 	return simnet.Seq(total, c), err
 }
 

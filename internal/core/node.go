@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,24 +208,22 @@ func loopbackXfer(n int) simnet.Cost {
 // selected that node, and the hierarchy's physical storage root there.
 type Place struct {
 	Node  simnet.Addr
-	Name  string   // controlling placement name ("" for the virtual root)
-	Store string   // physical storage root of the controlling hierarchy
-	Rest  []string // virtual components below the controlling directory
-	VRoot bool     // the virtual root itself (no single node)
+	Name  string // controlling placement name ("" for the virtual root)
+	Store string // physical storage root of the controlling hierarchy
+	Rest  string // virtual path below the controlling directory, "/"-led ("" at it)
+	VRoot bool   // the virtual root itself (no single node)
 }
 
 // PN returns the controlling placement name.
 func (p Place) PN() string { return p.Name }
 
-// PhysDir returns the physical store path of the directory itself.
+// PhysDir returns the physical store path of the directory itself: one
+// allocation below the controlling directory, none at it.
 func (p Place) PhysDir() string {
-	if len(p.Rest) == 0 {
-		return p.Store
+	if p.Store == "/" && p.Rest != "" {
+		return p.Rest
 	}
-	if p.Store == "/" || p.Store == "" {
-		return "/" + strings.Join(p.Rest, "/")
-	}
-	return p.Store + "/" + strings.Join(p.Rest, "/")
+	return p.Store + p.Rest
 }
 
 // SubtreeRoot returns the physical path of the replicated-hierarchy root

@@ -99,7 +99,7 @@ func (m *Mount) beginAt(op obs.OpCode, dir VH, name string) opCtx {
 // (Sections 3.2-3.3) — rather than on the parent's node. Lookup, Mkdir, and
 // Rmdir all branch on this to pick the placement path.
 func (m *Mount) distributedAt(de *ventry) bool {
-	return len(SplitVirtual(de.vpath))+1 <= m.n.cfg.DistributionLevel
+	return pathComponents(de.vpath)+1 <= m.n.cfg.DistributionLevel
 }
 
 // staleStore marks a resolution whose cached storage root no longer exists:
@@ -167,19 +167,20 @@ func (m *Mount) lookupAt(tr *obs.Trace, place Place, phys string, readMax uint32
 // directory the walk reached, for MkdirAll to carry on from; every other
 // failure returns a nil entry.
 func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventry, nfs.Walked, simnet.Cost, error) {
-	parts := SplitVirtual(vpath)
-	if len(parts) == 0 {
+	vpath = localfs.CleanPath(vpath)
+	if vpath == "/" {
 		de, c, err := m.bindRoot(tr)
 		return de, nfs.Walked{Attr: rootAttr}, c, err
 	}
-	place, w, total, err := m.n.resolveDir(tr, parts, readMax)
+	place, w, total, err := m.n.resolveDir(tr, vpath, readMax)
 	phys := place.PhysDir()
 	switch {
 	case nfs.IsStatus(err, nfs.ErrNotDir) && w.FH != (nfs.Handle{}):
 		// The final component is a file or plain symlink at a depth the
 		// resolver treated as a directory level: place is its parent's, and
 		// the probe that typed it has already walked to it.
-		phys, err = path.Join(phys, parts[len(parts)-1]), nil
+		_, name := parentOf(vpath)
+		phys, err = childPath(phys, name), nil
 	case err != nil:
 		return nil, nfs.Walked{}, total, err
 	default:
@@ -189,16 +190,18 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventr
 	}
 	if err != nil {
 		missing := pathComponents(phys) - w.Resolved
-		if !nfs.IsStatus(err, nfs.ErrNoEnt) || missing > len(place.Rest) {
+		if !nfs.IsStatus(err, nfs.ErrNoEnt) || missing > pathComponents(place.Rest) {
 			return nil, nfs.Walked{}, total, err
 		}
 		// The walk got below the storage root: describe the directory it
-		// reached last, whose handle the failed reply carries.
-		place.Rest = place.Rest[:len(place.Rest)-missing]
-		parts, phys = parts[:len(parts)-missing], place.PhysDir()
+		// reached last, whose handle the failed reply carries. Rest is the
+		// tail of vpath, so both lose the same bytes.
+		reached := level(vpath, pathComponents(vpath)-missing)
+		place.Rest = place.Rest[:len(place.Rest)-(len(vpath)-len(reached))]
+		vpath, phys = reached, place.PhysDir()
 		w.Attr = localfs.Attr{Type: localfs.TypeDir}
 	}
-	ve := entryAt(JoinVirtual(parts), place, phys, w)
+	ve := entryAt(vpath, place, phys, w)
 	if err == nil {
 		tr.SetServedBy(string(place.Node))
 		m.meta.put(ve.vpath, w.Attr, nil)
@@ -392,6 +395,7 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 // metadata caches for the path's subtree (handles and attributes cached
 // below a failed or relocated directory are all suspect).
 func (m *Mount) dropCachesUnder(vpath string) {
-	m.n.cacheDropChain(SplitVirtual(vpath))
-	m.meta.dropUnder(vpath)
+	vpath = localfs.CleanPath(vpath)
+	m.n.cacheDropChain(vpath)
+	m.meta.dropUnder(vpath, "")
 }

@@ -104,6 +104,40 @@ func JoinVirtual(parts []string) string {
 	return "/" + strings.Join(parts, "/")
 }
 
+// level returns the directory at depth i on the clean virtual path p, which is
+// JoinVirtual(SplitVirtual(p)[:i]): "/" for 0, p itself from its depth on.
+// Every level of a clean path is a prefix of it, so no level is allocated.
+func level(p string, i int) string {
+	if i <= 0 {
+		return "/"
+	}
+	for j := 1; j < len(p); j++ {
+		if p[j] == '/' {
+			if i--; i == 0 {
+				return p[:j]
+			}
+		}
+	}
+	return p
+}
+
+// parentOf splits a clean path into its parent directory and its last
+// component, as path.Split does but with no slash left on the directory:
+// ("/", "") for the root.
+func parentOf(p string) (dir, name string) {
+	i := strings.LastIndexByte(p, '/')
+	return p[:max(i, 1)], p[i+1:]
+}
+
+// childPath is path.Join(dir, name) for a clean directory and a valid name,
+// built in one allocation.
+func childPath(dir, name string) string {
+	if dir == "/" {
+		return "/" + name
+	}
+	return dir + "/" + name
+}
+
 // ControllingDepth returns the depth (1-based component index) of the
 // directory that controls placement of a path whose directory chain has
 // dirDepth components, under distribution level L: subdirectories deeper

@@ -125,8 +125,11 @@ func TestPhysPath(t *testing.T) {
 		t.Errorf("root only = %q", got)
 	}
 	want := "/a" + ChainSep + "b#12345678/x/y"
-	if got := (Place{Store: "/a" + ChainSep + "b#12345678", Rest: []string{"x", "y"}}).PhysDir(); got != want {
+	if got := (Place{Store: "/a" + ChainSep + "b#12345678", Rest: "/x/y"}).PhysDir(); got != want {
 		t.Errorf("root+rest = %q, want %q", got, want)
+	}
+	if got := (Place{Store: "/", Rest: "/x/y"}).PhysDir(); got != "/x/y" {
+		t.Errorf("store root+rest = %q, want /x/y", got)
 	}
 }
 

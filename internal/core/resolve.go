@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"path"
 
 	"repro/internal/localfs"
 	"repro/internal/nfs"
@@ -68,13 +67,14 @@ func (n *Node) readLink(tc obs.TraceContext, to simnet.Addr, phys string) (strin
 	return w.Target, cost, err
 }
 
-// cachedLevel returns the deepest of the first d levels of vdirs the
-// resolver cache holds, with its place; level 0 when it holds none of them.
-func (n *Node) cachedLevel(vdirs []string, d int) (int, Place) {
+// cachedLevel returns the deepest of the first d levels of the clean virtual
+// path dir that the resolver cache holds, with its place; level 0 when it
+// holds none of them.
+func (n *Node) cachedLevel(dir string, d int) (int, Place) {
 	n.cacheMu.Lock()
 	defer n.cacheMu.Unlock()
 	for i := d; i > 0; i-- {
-		if p, ok := n.dirCache[JoinVirtual(vdirs[:i])]; ok {
+		if p, ok := n.dirCache[level(dir, i)]; ok {
 			return i, p
 		}
 	}
@@ -93,34 +93,36 @@ func (n *Node) cacheDrop(vpath string) {
 	n.cacheMu.Unlock()
 }
 
-// cacheDropChain drops the entry of every level on the way to a path.
-func (n *Node) cacheDropChain(parts []string) {
-	for i := range parts {
-		n.cacheDrop(JoinVirtual(parts[:i+1]))
+// cacheDropChain drops the entry of every level on the way to a clean path.
+func (n *Node) cacheDropChain(vpath string) {
+	for i := pathComponents(vpath); i > 0; i-- {
+		n.cacheDrop(level(vpath, i))
 	}
 }
 
-// ResolveDir locates the virtual directory whose components are vdirs,
-// following the mapping of Section 3.1 with special-link redirection
-// (Section 3.3): hash the controlling directory's placement name, route to
-// the numerically closest node, and follow any special link found in the
-// parent directory. Resolved levels are cached, mirroring koshad's practice
-// of "record[ing] the information needed for future accesses" (Section 4).
-// It has no mount to redrive it (materializeRetry), so a cached level found
-// dangling is dropped with the rest of its chain and resolved once more here
+// ResolvePath locates the virtual directory vpath, following the mapping of
+// Section 3.1 with special-link redirection (Section 3.3): hash the
+// controlling directory's placement name, route to the numerically closest
+// node, and follow any special link found in the parent directory. Resolved
+// levels are cached, mirroring koshad's practice of "record[ing] the
+// information needed for future accesses" (Section 4). It has no mount to
+// redrive it (materializeRetry), so a cached level found dangling is dropped
+// with the rest of its chain and resolved once more here
 // (TestResolveDirDanglingLevel fails without it).
-func (n *Node) ResolveDir(vdirs []string) (Place, simnet.Cost, error) {
-	pl, _, cost, err := n.resolveDir(nil, vdirs, 0)
+func (n *Node) ResolvePath(vpath string) (Place, simnet.Cost, error) {
+	dir := localfs.CleanPath(vpath)
+	pl, _, cost, err := n.resolveDir(nil, dir, 0)
 	if errors.Is(err, staleStore) {
-		n.cacheDropChain(vdirs)
+		n.cacheDropChain(dir)
 		var c simnet.Cost
-		pl, _, c, err = n.resolveDir(nil, vdirs, 0)
+		pl, _, c, err = n.resolveDir(nil, dir, 0)
 		cost = simnet.Seq(cost, c)
 	}
 	return pl, cost, err
 }
 
-// resolveDir is ResolveDir with an optional trace receiving the route hops.
+// resolveDir is ResolvePath on a clean virtual path, with an optional trace
+// receiving the route hops. Each level it visits is a prefix of dir.
 // It starts below the deepest level up to the controlling one that the
 // resolver cache holds: a place does not depend on its ancestors' places, so
 // the levels above it need no probe. When the last component sits at a
@@ -129,37 +131,39 @@ func (n *Node) ResolveDir(vdirs []string) (Place, simnet.Cost, error) {
 // not walk to the leaf again; that probe asks for readMax bytes of a regular
 // leaf's data, as the walk it saves would have. Every other failure returns
 // neither.
-func (n *Node) resolveDir(tr *obs.Trace, vdirs []string, readMax uint32) (Place, nfs.Walked, simnet.Cost, error) {
-	if len(vdirs) == 0 {
+func (n *Node) resolveDir(tr *obs.Trace, dir string, readMax uint32) (Place, nfs.Walked, simnet.Cost, error) {
+	depth := pathComponents(dir)
+	if depth == 0 {
 		return Place{VRoot: true, Store: "/"}, nfs.Walked{}, 0, nil
 	}
-	d := ControllingDepth(len(vdirs), n.cfg.DistributionLevel)
-	cached, cur := n.cachedLevel(vdirs, d)
+	d := ControllingDepth(depth, n.cfg.DistributionLevel)
+	cached, cur := n.cachedLevel(dir, d)
 	usedCache := cached > 0
 	if !usedCache {
 		cur = Place{VRoot: true, Store: "/"}
 	}
 	var total simnet.Cost
 	for i := cached + 1; i <= d; i++ {
-		vpath := JoinVirtual(vdirs[:i])
-		name := vdirs[i-1]
+		vpath := level(dir, i)
+		_, name := parentOf(vpath)
 		var want uint32
-		if i == len(vdirs) {
+		if i == depth {
 			want = readMax
 		}
+		// A level-1 name is probed at the root of its own hash target, where
+		// its physical path is its virtual one.
 		var probeNode simnet.Addr
-		var probeDir string
+		probePath := vpath
 		if i == 1 {
 			res, c, err := n.route(tr, Key(name))
 			total = simnet.Seq(total, c)
 			if err != nil {
 				return Place{}, nfs.Walked{}, total, fmt.Errorf("kosha: resolve %s: %w", vpath, err)
 			}
-			probeNode, probeDir = res.Node.Addr, "/"
+			probeNode = res.Node.Addr
 		} else {
-			probeNode, probeDir = cur.Node, cur.PhysDir()
+			probeNode, probePath = cur.Node, childPath(cur.PhysDir(), name)
 		}
-		probePath := path.Join(probeDir, name)
 		wantIdx := pathComponents(probePath) - 1 // components before the name
 		w, cost, err := n.remoteWalk(tr.Ctx(), probeNode, probePath, want)
 		total = simnet.Seq(total, cost)
@@ -168,7 +172,7 @@ func (n *Node) resolveDir(tr *obs.Trace, vdirs []string, readMax uint32) (Place,
 			// unpromoted copy after a fresh ownership change.
 			var t Track
 			if i == 1 {
-				t = Track{PN: name, Root: path.Join("/", name), Link: path.Join("/", name)}
+				t = Track{PN: name, Root: vpath, Link: vpath}
 			} else {
 				t = Track{PN: cur.PN(), Root: cur.SubtreeRoot()}
 			}
@@ -210,7 +214,7 @@ func (n *Node) resolveDir(tr *obs.Trace, vdirs []string, readMax uint32) (Place,
 			// A file or a user symlink (no marker) is not a directory; as the
 			// path's last component it is the leaf the caller was after.
 			err := &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNotDir}
-			if i == len(vdirs) && i > 1 && w.Attr.Type != localfs.TypeDir {
+			if i == depth && i > 1 && w.Attr.Type != localfs.TypeDir {
 				return cur, w, total, err
 			}
 			return Place{}, nfs.Walked{}, total, err
@@ -218,7 +222,7 @@ func (n *Node) resolveDir(tr *obs.Trace, vdirs []string, readMax uint32) (Place,
 		n.cachePut(vpath, next)
 		cur = next
 	}
-	cur.Rest = append([]string(nil), vdirs[d:]...)
+	cur.Rest = dir[len(level(dir, d)):]
 	return cur, nfs.Walked{}, total, nil
 }
 
@@ -228,16 +232,11 @@ func (n *Node) resolveDir(tr *obs.Trace, vdirs []string, readMax uint32) (Place,
 // when resolveDir would probe nothing. The entry may still be stale, and then
 // its storage root is gone; whoever acts on it finds out from the node it
 // names.
-func (n *Node) cachedDir(vdirs []string) (Place, bool) {
-	d := ControllingDepth(len(vdirs), n.cfg.DistributionLevel)
-	if level, pl := n.cachedLevel(vdirs, d); level == d {
-		pl.Rest = append([]string(nil), vdirs[d:]...)
+func (n *Node) cachedDir(dir string) (Place, bool) {
+	d := ControllingDepth(pathComponents(dir), n.cfg.DistributionLevel)
+	if lv, pl := n.cachedLevel(dir, d); lv == d {
+		pl.Rest = dir[len(level(dir, d)):]
 		return pl, true
 	}
 	return Place{}, false
-}
-
-// ResolvePath is ResolveDir on a slash-separated virtual path.
-func (n *Node) ResolvePath(vpath string) (Place, simnet.Cost, error) {
-	return n.ResolveDir(SplitVirtual(vpath))
 }

@@ -9,7 +9,7 @@ import (
 
 func TestResolveDirRootPlace(t *testing.T) {
 	_, nodes := testCluster(t, 3, 301, Config{})
-	pl, cost, err := nodes[0].ResolveDir(nil)
+	pl, cost, err := nodes[0].ResolvePath("/")
 	if err != nil || !pl.VRoot || cost != 0 {
 		t.Fatalf("root place = %+v cost=%v err=%v", pl, cost, err)
 	}
@@ -101,7 +101,7 @@ func TestResolveDirStartsAtTheDeepestCachedLevel(t *testing.T) {
 	if calls = net.Stats().Messages - calls; calls != 1 {
 		t.Errorf("%d transport calls with level 1 dropped and level 2 cached, want 1", calls)
 	}
-	if _, ok := nodes[0].cachedDir([]string{"a", "b", "c"}); !ok {
+	if _, ok := nodes[0].cachedDir("/a/b/c"); !ok {
 		t.Error("WriteFile's cache-only resolution misses with level 2 cached")
 	}
 }
@@ -137,7 +137,7 @@ func TestResolveRejectsFileAsDirectory(t *testing.T) {
 	// file.txt sits at a distributed depth; resolving it as a directory
 	// must yield NotDir (which materialize uses to fall back to the
 	// file-leaf path).
-	_, _, err := nodes[0].ResolveDir([]string{"top", "file.txt"})
+	_, _, err := nodes[0].ResolvePath("/top/file.txt")
 	if !nfs.IsStatus(err, nfs.ErrNotDir) {
 		t.Fatalf("err = %v", err)
 	}

@@ -40,10 +40,19 @@ type proc struct {
 type serviceTable map[uint32]proc
 
 // serve returns the transport handler for one of the node's service tables:
-// it decodes the procedure number and routes to the table entry.
+// it decodes the procedure number and routes to the table entry. The reply is
+// the encoder's own bytes: the caller owns a reply (DESIGN §10), and nothing
+// else holds the encoder once the handler returns. Besides that frame a
+// request allocates one object, the decoder and the encoder together, which
+// escape through the table's indirect call.
 func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 	return func(ctx obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-		d := wire.NewDecoder(req)
+		x := new(struct {
+			d wire.Decoder
+			e wire.Encoder
+		})
+		d, e := &x.d, &x.e
+		d.Reset(req)
 		num := d.Uint32()
 		if d.Err() != nil {
 			return nil, 0, d.Err()
@@ -52,12 +61,12 @@ func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 		if !ok {
 			return nil, 0, fmt.Errorf("%s: unknown proc %d", service, num)
 		}
-		e := wire.NewEncoder(256)
+		e.Grow(256)
 		cost, err := p.serve(n, ctx, from, d, e)
 		if err != nil {
 			return nil, cost, err
 		}
-		return cp(e), cost, nil
+		return e.Bytes(), cost, nil
 	}
 }
 
@@ -128,18 +137,18 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 	if removesRoot || removesLink {
 		targets = n.overlay.Leaf()
 	}
-	fanout := make([]simnet.Cost, 0, len(targets))
 	if len(targets) > 0 {
 		// The request is the same for every replica: encode it once.
 		mr := applyReq{Track: r.Track, Op: r.Op}
 		frame := mr.frame(kMirror)
+		var fanout simnet.Cost // the mirrors run in parallel
 		for _, rep := range targets {
 			c, _ := n.sendMirror(ctx, rep.Addr, frame)
-			fanout = append(fanout, c)
+			fanout = simnet.Par(fanout, c)
 		}
 		n.repCount.Add(1)
 		n.repFanout.Add(uint64(len(targets)))
-		n.repHist.Observe(time.Duration(simnet.Par(fanout...)))
+		n.repHist.Observe(time.Duration(fanout))
 	}
 	// The reply is charged without the fan-out: the primary answers after
 	// its local apply and the mirrors propagate off the client's path. What
@@ -341,5 +350,3 @@ func getApplyReplyBody(d *wire.Decoder) (localfs.Attr, nfs.Handle, int) {
 	fh.Ino = d.Uint64()
 	return attr, fh, int(d.Uint32())
 }
-
-func cp(e *wire.Encoder) []byte { return append([]byte(nil), e.Bytes()...) }

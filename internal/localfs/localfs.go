@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -915,7 +916,7 @@ func (f *FS) Readdir(ino uint64) ([]DirEntry, simnet.Cost, error) {
 	for name, c := range dir.children {
 		out = append(out, DirEntry{Name: name, Ino: c.ino, Type: c.typ})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	return out, f.disk.OpCost(len(out) * 32), nil
 }
 
@@ -936,100 +937,129 @@ func (f *FS) Statfs() (FSStat, simnet.Cost, error) {
 
 // --- path helpers (used by Kosha's store management, tests, and tools) ---
 
-// splitPath normalizes p and returns its components; "/" yields nil.
-func splitPath(p string) ([]string, error) {
+// components steps through the components of a clean absolute path in place,
+// so a path walk allocates nothing for the components themselves. Every
+// path-based call starts here: componentsOf cleans p and checks every
+// component with checkName before the walk takes its first step.
+type components struct {
+	clean string // CleanPath of the path walked
+	rest  string // the components not yet stepped over, slash-separated
+}
+
+func componentsOf(p string) (components, error) {
 	clean := CleanPath(p)
-	if clean == "/" {
-		return nil, nil
-	}
-	parts := strings.Split(clean[1:], "/")
-	for _, part := range parts {
-		if err := checkName(part); err != nil {
-			return nil, err
+	c := components{clean: clean, rest: clean[1:]}
+	for w := c; ; {
+		name, ok := w.next()
+		if !ok {
+			return c, nil
+		}
+		if err := checkName(name); err != nil {
+			return components{}, err
 		}
 	}
-	return parts, nil
 }
 
-// LookupPath walks an absolute slash-separated path from the root without
-// following symlinks in intermediate components (Kosha resolves its special
-// links itself, at the overlay layer, not in the local FS).
-func (f *FS) LookupPath(p string) (Attr, error) {
-	parts, err := splitPath(p)
-	if err != nil {
-		return Attr{}, err
+// next returns the next component; ok is false once none is left.
+func (c *components) next() (name string, ok bool) {
+	if c.rest == "" {
+		return "", false
 	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	cur := f.root
-	for _, part := range parts {
-		if cur.typ != TypeDir {
-			return Attr{}, ErrNotDir
-		}
-		next, ok := cur.children[part]
-		if !ok {
-			return Attr{}, fmt.Errorf("%w: %q", ErrNoEnt, p)
-		}
-		cur = next
-	}
-	return f.attrOf(cur), nil
+	name, c.rest, _ = strings.Cut(c.rest, "/")
+	return name, true
 }
 
-// MkdirAll creates the directory path p (mode 0755) and any missing
-// ancestors, returning the attributes of the final directory.
-func (f *FS) MkdirAll(p string) (Attr, error) {
-	parts, err := splitPath(p)
-	if err != nil {
-		return Attr{}, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	cur := f.root
-	created := false
-	for _, part := range parts {
-		if cur.typ != TypeDir {
-			return Attr{}, ErrNotDir
+// descend walks c from the root to the inode it names and returns it with the
+// directory holding it (nil for the root). A missing component is ErrNoEnt
+// naming p, and a non-directory before the last component ErrNotDir. With
+// mkdir set a missing component is created as a directory instead, and every
+// component must be one. Caller holds f.mu, exclusively with mkdir.
+func (f *FS) descend(c components, p string, mkdir bool) (dir, in *inode, err error) {
+	in = f.root
+	for name, ok := c.next(); ok; name, ok = c.next() {
+		if in.typ != TypeDir {
+			return nil, nil, ErrNotDir
 		}
-		next, ok := cur.children[part]
-		if !ok {
+		next, found := in.children[name]
+		switch {
+		case !found && !mkdir:
+			return nil, nil, fmt.Errorf("%w: %q", ErrNoEnt, p)
+		case !found:
 			if err := f.charge(f.inodeOverhead); err != nil {
-				return Attr{}, err
+				return nil, nil, err
 			}
 			t := f.now()
 			next = &inode{
 				ino: f.nextIno, typ: TypeDir, mode: 0o755,
 				children: make(map[string]*inode),
 				atime:    t, mtime: t, ctime: t,
-				parent: cur, name: part,
+				parent: in, name: name,
 			}
 			f.nextIno++
 			f.inodes[next.ino] = next
-			cur.children[part] = next
-			cur.mtime = t
-			created = true
-		} else if next.typ != TypeDir {
-			return Attr{}, fmt.Errorf("%w: %q", ErrNotDir, part)
+			in.children[name] = next
+			in.mtime = t
+		case mkdir && next.typ != TypeDir:
+			return nil, nil, fmt.Errorf("%w: %q", ErrNotDir, name)
 		}
-		cur = next
+		dir, in = in, next
 	}
-	if created {
-		f.noteInode(cur)
+	return dir, in, nil
+}
+
+// LookupPath walks an absolute slash-separated path from the root without
+// following symlinks in intermediate components (Kosha resolves its special
+// links itself, at the overlay layer, not in the local FS).
+func (f *FS) LookupPath(p string) (Attr, error) {
+	c, err := componentsOf(p)
+	if err != nil {
+		return Attr{}, err
 	}
-	return f.attrOf(cur), nil
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	_, in, err := f.descend(c, p, false)
+	if err != nil {
+		return Attr{}, err
+	}
+	return f.attrOf(in), nil
+}
+
+// MkdirAll creates the directory path p (mode 0755) and any missing
+// ancestors, returning the attributes of the final directory.
+func (f *FS) MkdirAll(p string) (Attr, error) {
+	c, err := componentsOf(p)
+	if err != nil {
+		return Attr{}, err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	before := f.nextIno
+	_, in, err := f.descend(c, p, true)
+	if err != nil {
+		return Attr{}, err
+	}
+	if f.nextIno != before {
+		f.noteInode(in)
+	}
+	return f.attrOf(in), nil
 }
 
 // RemoveAll removes the subtree rooted at path p; missing paths are not an
 // error, matching os.RemoveAll.
 func (f *FS) RemoveAll(p string) error {
-	parts, err := splitPath(p)
+	c, err := componentsOf(p)
 	if err != nil {
 		return err
 	}
-	if len(parts) == 0 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	dir, in, err := f.descend(c, p, false)
+	switch {
+	case err != nil:
+		return nil
+	case dir == nil:
 		// Clearing the root: drop all children (used when a revived node
 		// purges its store, Section 4.3.2).
-		f.mu.Lock()
-		defer f.mu.Unlock()
 		for _, c := range f.root.children {
 			f.release(c)
 		}
@@ -1037,25 +1067,10 @@ func (f *FS) RemoveAll(p string) error {
 		f.noteMutation("/")
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	cur := f.root
-	for _, part := range parts[:len(parts)-1] {
-		next, ok := cur.children[part]
-		if !ok || next.typ != TypeDir {
-			return nil
-		}
-		cur = next
-	}
-	name := parts[len(parts)-1]
-	in, ok := cur.children[name]
-	if !ok {
-		return nil
-	}
 	f.release(in)
-	delete(cur.children, name)
-	cur.mtime = f.now()
-	f.noteMutation(CleanPath(p))
+	delete(dir.children, in.name)
+	dir.mtime = f.now()
+	f.noteMutation(c.clean)
 	return nil
 }
 
@@ -1079,24 +1094,17 @@ type WalkFunc func(p string, attr Attr, symlinkTarget string) error
 // Walk visits the subtree rooted at p in depth-first lexicographic order,
 // used by replication and migration to enumerate a hierarchy.
 func (f *FS) Walk(p string, fn WalkFunc) error {
-	parts, err := splitPath(p)
+	c, err := componentsOf(p)
 	if err != nil {
 		return err
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	cur := f.root
-	for _, part := range parts {
-		if cur.typ != TypeDir {
-			return ErrNotDir
-		}
-		next, ok := cur.children[part]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoEnt, p)
-		}
-		cur = next
+	_, in, err := f.descend(c, p, false)
+	if err != nil {
+		return err
 	}
-	return f.walk(CleanPath(p), cur, fn)
+	return f.walk(c.clean, in, fn)
 }
 
 func (f *FS) walk(p string, in *inode, fn WalkFunc) error {
@@ -1155,22 +1163,15 @@ func (f *FS) WriteFile(p string, data []byte) error {
 // mutations, so the flip leaves every memoized digest stale and only a
 // fresh re-hash of the bytes (the anti-entropy scrub) can detect it.
 func (f *FS) CorruptFile(p string, off int64) error {
-	parts, err := splitPath(p)
+	c, err := componentsOf(p)
 	if err != nil {
 		return err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cur := f.root
-	for _, part := range parts {
-		if cur.typ != TypeDir {
-			return ErrNotDir
-		}
-		next, ok := cur.children[part]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoEnt, p)
-		}
-		cur = next
+	_, cur, err := f.descend(c, p, false)
+	if err != nil {
+		return err
 	}
 	if cur.typ != TypeRegular {
 		return fmt.Errorf("%w: corrupt %q: not a regular file", ErrInval, p)

@@ -57,6 +57,26 @@ func namedProcs() []Proc {
 	return out
 }
 
+// TestLookupRoundTripAllocs pins what one LOOKUP costs end to end over
+// simnet: the request frame, the client's codec (one object holding the
+// encoder and the decoder) and the reply frame, which the client borrows. A
+// one-byte name decodes without allocating; a longer one adds its string.
+// Before the codec object the encoder and the decoder were an object each: 4.
+func TestLookupRoundTripAllocs(t *testing.T) {
+	_, srv, c := rig(t, 0)
+	if _, _, _, err := c.Create("srv", srv.Root(), "f", 0o644, false); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	n := testing.AllocsPerRun(1000, func() { _, _, _, err = c.Lookup("srv", srv.Root(), "f") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 3 {
+		t.Errorf("a LOOKUP round trip allocates %.1f times, want <= 3", n)
+	}
+}
+
 // BenchmarkProcHistLookup measures the per-RPC label path in isolation; run
 // with -benchmem to watch the 0 B/op invariant.
 func BenchmarkProcHistLookup(b *testing.B) {
@@ -153,5 +173,36 @@ func TestDataFramesAllocatedOnce(t *testing.T) {
 	}
 	if n > 8<<10 {
 		t.Errorf("a 10-byte reply to a 2^50-byte window allocated %d bytes", n)
+	}
+}
+
+// TestListingFramesSizedOnce: a READDIR or READDIRPLUS reply is sized from its
+// page before the first entry is encoded (pageSize), so the frame is
+// allocated at its size instead of regrown: the sizes must be exact.
+func TestListingFramesSizedOnce(t *testing.T) {
+	_, srv, c := rig(t, 0)
+	for i := 0; i < 40; i++ {
+		if _, _, _, err := c.Create("srv", srv.Root(), strings.Repeat("n", i%7+1)+string(rune('a'+i%26))+string(rune('a'+i/26)), 0o644, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ents, _, err := srv.FS().Readdir(srv.Root().Ino)
+	if err != nil || len(ents) != 40 {
+		t.Fatalf("%d entries, err=%v", len(ents), err)
+	}
+	for _, tc := range []struct {
+		proc     Proc
+		perEntry int
+	}{{ProcReaddir, direntSize}, {ProcReaddirPlus, direntPlusSize}} {
+		e := wire.NewEncoder(64)
+		e.PutUint32(uint32(tc.proc))
+		e.PutUint64(1)
+		putHandle(e, srv.Root())
+		e.PutUint64(0)
+		e.PutUint32(0)
+		resp, _, _ := srv.Handle("cli", e.Bytes())
+		if want := pageSize(ents, tc.perEntry); len(resp) != want {
+			t.Errorf("%s reply is %d bytes, pageSize says %d", tc.proc, len(resp), want)
+		}
 	}
 }

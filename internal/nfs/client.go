@@ -141,8 +141,16 @@ func (c Client) ResetStats() {
 // stamped via WithCtx) rides the envelope. A non-OK status comes back as an
 // *Error beside the decoder, positioned after the status word, for the
 // procedures whose failure replies carry more than the status.
+//
+// Besides the request frame a call allocates one object: the encoder and the
+// decoder together, which escape through build and the returned decoder.
 func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
-	e := wire.NewEncoder(256)
+	x := new(struct {
+		e wire.Encoder
+		d wire.Decoder
+	})
+	e := &x.e
+	e.Grow(256)
 	e.PutUint32(uint32(proc))
 	e.PutUint64(c.s.xid.Add(1))
 	if build != nil {
@@ -157,7 +165,8 @@ func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wir
 	if err != nil {
 		return nil, cost, fmt.Errorf("nfs %s to %s: %w", proc, to, err)
 	}
-	d := wire.NewDecoder(resp)
+	d := &x.d
+	d.Reset(resp)
 	st := Status(d.Uint32())
 	if d.Err() != nil {
 		return nil, cost, fmt.Errorf("nfs %s to %s: bad reply: %w", proc, to, d.Err())

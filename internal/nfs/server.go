@@ -442,6 +442,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		}
 		start, end := pageOf(len(ents), cookie, count)
 		page := ents[start:end]
+		e.Grow(pageSize(page, direntSize))
 		e.PutUint32(uint32(OK))
 		e.PutBool(end == len(ents)) // eof
 		e.PutUint64(uint64(end))    // next cookie
@@ -470,6 +471,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		}
 		start, end := pageOf(len(ents), cookie, count)
 		page := ents[start:end]
+		e.Grow(pageSize(page, direntPlusSize))
 		e.PutUint32(uint32(OK))
 		e.PutBool(end == len(ents)) // eof
 		e.PutUint64(uint64(end))    // next cookie
@@ -519,6 +521,25 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 	default:
 		return s.fail(ErrInval), 0
 	}
+}
+
+// The encoded sizes of a listing reply: the words before the entries, and per
+// entry what follows its name. A READDIRPLUS entry's link target is counted as
+// empty, as a regular file's or a directory's is.
+const (
+	pageHeaderSize = 4 + 4 + 8 + 4       // status, eof, cookie, count
+	direntSize     = 8 + 4               // ino, type
+	direntPlusSize = 8 + 4 + 16 + 60 + 4 // ino, type, handle, attributes, target
+)
+
+// pageSize is the encoded size of a listing reply carrying page, so the frame
+// is allocated once at its size instead of regrown entry by entry.
+func pageSize(page []localfs.DirEntry, perEntry int) int {
+	n := pageHeaderSize
+	for _, ent := range page {
+		n += 4 + len(ent.Name) + (4-len(ent.Name)%4)%4 + perEntry
+	}
+	return n
 }
 
 // pageOf bounds one READDIR/READDIRPLUS page of an n-entry listing: it

@@ -178,7 +178,8 @@ func (s *state) leafCovers(key id.ID) bool {
 }
 
 // closestLeaf returns the member of leafset∪self numerically closest to
-// key, excluding ids in excl.
+// key, excluding ids in excl. A node in both halves is considered twice,
+// which a minimum does not notice, so the halves are scanned as they are.
 func (s *state) closestLeaf(key id.ID, excl map[id.ID]bool) NodeInfo {
 	best := s.self
 	if excl[s.self.ID] {
@@ -197,7 +198,10 @@ func (s *state) closestLeaf(key id.ID, excl map[id.ID]bool) NodeInfo {
 			best = n
 		}
 	}
-	for _, n := range s.leafMembers() {
+	for _, n := range s.succs {
+		consider(n)
+	}
+	for _, n := range s.preds {
 		consider(n)
 	}
 	return best

@@ -237,3 +237,24 @@ func TestPropNextHopProgress(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafArcNextHopAllocs pins the leaf-set routing decision, made on every
+// hop of every route: a key inside the leaf arc is decided over the two halves
+// as they are, with no deduplicated copy of the leaf set (two objects before).
+func TestLeafArcNextHopAllocs(t *testing.T) {
+	s := newTestState(1000, 8)
+	for _, v := range []uint64{990, 995, 999, 1001, 1005, 1010, 1020, 980} {
+		s.add(info(v))
+	}
+	key := id.FromUint64(1004)
+	if !s.leafCovers(key) {
+		t.Fatal("key outside the leaf arc")
+	}
+	var next NodeInfo
+	if n := testing.AllocsPerRun(1000, func() { next, _ = s.nextHop(key, nil) }); n != 0 {
+		t.Errorf("a leaf-arc nextHop allocates %.1f times, want 0", n)
+	}
+	if next.ID != id.FromUint64(1005) {
+		t.Errorf("next hop %v, want 1005", next.ID)
+	}
+}

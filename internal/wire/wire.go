@@ -163,6 +163,11 @@ type Decoder struct {
 // NewDecoder wraps buf for decoding. The decoder does not copy buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
+// Reset points the decoder at the start of buf and clears its error, as
+// NewDecoder does, for a decoder that is part of a larger value and so needs
+// no allocation of its own.
+func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
+
 // Err returns the first error encountered, if any. Once an error occurs all
 // further reads return zero values, so call sites may decode a full struct
 // and check Err once.

@@ -362,3 +362,22 @@ func TestPutOpaqueFuncAndGrow(t *testing.T) {
 		t.Errorf("a sized 1 MiB frame took %.0f allocations, want 2", n)
 	}
 }
+
+// TestDecoderReset: a decoder held by value is pointed at a new buffer with
+// Reset, which forgets the old one's position and error, without allocating.
+func TestDecoderReset(t *testing.T) {
+	e := NewEncoder(8)
+	e.PutUint32(7)
+	var d Decoder
+	d.Reset([]byte{1})
+	if d.Uint32() != 0 || d.Err() == nil {
+		t.Fatal("a 1-byte buffer decoded a word")
+	}
+	d.Reset(e.Bytes())
+	if v := d.Uint32(); v != 7 || d.Done() != nil {
+		t.Fatalf("after Reset: %d, %v", v, d.Done())
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Reset(e.Bytes()); d.Uint32() }); n != 0 {
+		t.Errorf("Reset allocates %.0f times, want 0", n)
+	}
+}
