@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/id"
+	"repro/internal/localfs"
 	"repro/internal/nfs"
 	"repro/internal/obs"
 	"repro/internal/simnet"
@@ -150,7 +152,8 @@ func (n scribbleNet) RegisterCtx(addr simnet.Addr, service string, h simnet.Hand
 // replicas) and whole-file writes over a transport that scribbles over every
 // request after its handler returns, then checks every copy in every store
 // and reads files back through another node: one over several READs, one in
-// the walk's reply alone.
+// the walk's reply alone. A mirrored rename and LOOKUPPATH walks follow, and
+// then no store entry or tracking record on any node may hold the scribble.
 func TestHandlersDoNotRetainRequestBuffers(t *testing.T) {
 	net := scribbleNet{simnet.New(simnet.LAN100)}
 	state := uint64(86)
@@ -232,5 +235,49 @@ func TestHandlersDoNotRetainRequestBuffers(t *testing.T) {
 	}
 	if nodes[3].NFSProcCount(nfs.ProcLookupPath) == walks || nodes[3].NFSProcCount(nfs.ProcRead) != reads {
 		t.Error("the whole-file read was not served by the walk alone")
+	}
+
+	// A mirrored rename, whose replicas build both replica paths from the
+	// frame's bytes, and LOOKUPPATH walks from fresh mounts, whose server
+	// looks every component up in the frame. Nothing a node keeps — a store
+	// entry, a tracking record's names — may hold the scribble.
+	m := nodes[1].NewMount()
+	dir, _, _, err := m.LookupPath("/alias")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Rename(dir, "wt", dir, "renamed"); err != nil {
+		t.Fatal(err)
+	}
+	walks = nodes[4].NFSProcCount(nfs.ProcLookupPath)
+	for _, p := range []string{"/alias/renamed", "/alias/whole-wb", "/alias/wt"} {
+		_, _, _, err := nodes[4].NewMount().LookupPath(p)
+		if missing := p == "/alias/wt"; missing != (err != nil) {
+			t.Errorf("LookupPath(%s) err = %v, want found %v", p, err, !missing)
+		}
+	}
+	if nodes[4].NFSProcCount(nfs.ProcLookupPath) == walks {
+		t.Error("the fresh mounts' lookups sent no LOOKUPPATH")
+	}
+	scribbled := func(s string) bool { return strings.IndexByte(s, 0xA5) >= 0 }
+	copies = 0
+	for _, nd := range nodes {
+		nd.Store().Walk("/", func(p string, _ localfs.Attr, target string) error {
+			if scribbled(p) || scribbled(target) {
+				t.Errorf("%s stores %q -> %q: a name kept from a request buffer", nd.Addr(), p, target)
+			}
+			if p == "/alias/renamed" || p == RepPath("/alias/renamed") {
+				copies++
+			}
+			return nil
+		})
+		for _, tr := range nd.Repl().Tracks() {
+			if scribbled(tr.PN) || scribbled(tr.Root) || scribbled(tr.Link) {
+				t.Errorf("%s tracks %+v: a name kept from a request buffer", nd.Addr(), tr)
+			}
+		}
+	}
+	if copies != 3 {
+		t.Errorf("found %d copies of the renamed file, want 3 (a primary and 2 replicas)", copies)
 	}
 }

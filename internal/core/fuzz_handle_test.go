@@ -125,7 +125,7 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 		if proc != kApply && proc != kMirror {
 			continue
 		}
-		kind := decodeApplyReq(d).Op.Kind
+		kind := decodeApplyReq(d, n.rep, proc == kMirror).Op.Kind
 		if key := [2]uint32{proc, uint32(kind)}; (kind == FSWriteFile || kind == FSUnlink) && !compounds[key] {
 			compounds[key] = true
 			seeds = append(seeds, koshaSeed{false, req})

@@ -14,18 +14,20 @@ import (
 
 // TestLookupPathAllocs pins the allocation count of the uncached metadata
 // path: a 4-component Mount.LookupPath over simnet with the client caches
-// off is one resolver-cache hit and one LOOKUPPATH round trip: 7
+// off is one resolver-cache hit and one LOOKUPPATH round trip: 5
 // allocations. Three are the message: the request frame, the nfs client's
-// codec (its encoder and decoder in one object) and the reply frame. Two are
-// the names the server decodes to look up, the storage root's and the file's
-// (a one-byte name costs nothing). One is the physical directory, the
-// storage root joined to the levels below it, and one the handle-table row.
-// The resolver's levels are prefixes of the path and cost nothing. It was 14
-// while the path was split, every level re-joined to probe the resolver
-// cache, the codec was two objects, and the row's path was joined from the
-// components again; the per-component walk before LOOKUPPATH (a GETATTR and
-// four LOOKUPs) spent 36. A ReadFile of the same file is that walk asking
-// for the data too, which the reply frame carries: 7 as well (15 before).
+// codec (its encoder and decoder in one object) and the reply frame. One is
+// the physical directory, the storage root joined to the levels below it,
+// and one the handle-table row. The server looks every component up where
+// it lies in the request frame (FileSystem.LookupName) and the resolver's
+// levels are prefixes of the path, so neither costs anything. It was 7 while
+// the server decoded each name into a string to look it up (a one-byte name
+// cost nothing even then), 14 while the path was split, every level
+// re-joined to probe the resolver cache, the codec was two objects, and the
+// row's path was joined from the components again; the per-component walk
+// before LOOKUPPATH (a GETATTR and four LOOKUPs) spent 36. A ReadFile of the
+// same file is that walk asking for the data too, which the reply frame
+// carries: 5 as well (7, and 15 before that).
 // The cached counterpart is pinned beside it: a Mount.Lookup answered by a
 // warm name-cache row publishes one handle-table row and nothing else, no
 // RPC (4 before: the child's path joined twice over and the directory's
@@ -47,11 +49,11 @@ func TestLookupPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n > 7 {
-		t.Errorf("uncached 4-component LookupPath allocates %.1f times, want <= 7", n)
+	if n > 5 {
+		t.Errorf("uncached 4-component LookupPath allocates %.1f times, want <= 5", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { _, _, err = m.ReadFile(file) }); err != nil || n > 7 {
-		t.Errorf("uncached ReadFile of a 1-byte file allocates %.1f times (err=%v), want <= 7", n, err)
+	if n := testing.AllocsPerRun(200, func() { _, _, err = m.ReadFile(file) }); err != nil || n > 5 {
+		t.Errorf("uncached ReadFile of a 1-byte file allocates %.1f times (err=%v), want <= 5", n, err)
 	}
 
 	_, nodes = testCluster(t, 8, 5, Config{DistributionLevel: 2, AttrCacheTTL: time.Hour, NameCacheTTL: time.Hour, TraceBufSize: -1})
@@ -178,5 +180,82 @@ func TestServeAllocatesTheReplyAndOneObject(t *testing.T) {
 	}
 	if served > handler+2 {
 		t.Errorf("a served TREE_DIGEST allocates %.0f times, its handler %.0f: want the reply frame and one object beyond the handler", served, handler)
+	}
+}
+
+// TestServedMutationAllocatesNoTrackStrings: a served kApply or kMirror of a
+// write into a hierarchy the node already tracks takes the Track's names from
+// the engine's record, so it allocates no more than the same write carrying
+// no Track at all (two more, its PN and root, while the frame's names were
+// decoded into fresh strings). Of the op's paths, the apply allocates the one
+// it stores by, and the mirror exactly one replica path, the replica-area
+// prefix joined onto the frame's bytes once (two before: the decoded path,
+// then the joined one); a mirrored rename, one per path.
+func TestServedMutationAllocatesNoTrackStrings(t *testing.T) {
+	store := localfs.New(0, simnet.Disk7200)
+	state := uint64(5)
+	n := NewNodeWithStore("k0", id.Rand128(&state), simnet.New(simnet.LAN100), Config{}, store)
+	for _, p := range []string{"/home/f", RepPath("/home/f")} {
+		if err := store.WriteFile(p, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handle := n.serve(KoshaService, koshaProcs)
+	tracked := Track{PN: "home", Root: "/home"}
+	write := FSOp{Kind: FSWrite, Path: "/home/f", Data: []byte("y")}
+	served := func(proc uint32, tr Track) float64 {
+		r := applyReq{Track: tr, Op: write}
+		req := r.frame(proc)
+		var err error
+		serve := func() {
+			var resp []byte
+			if resp, _, err = handle(obs.TraceContext{}, "peer", req); err == nil && wire.NewDecoder(resp).Uint32() != codeOK {
+				err = fmt.Errorf("reply code %x", resp[:4])
+			}
+		}
+		serve() // the first apply of the hierarchy records it
+		allocs := testing.AllocsPerRun(100, serve)
+		if err != nil {
+			t.Fatalf("proc %d: %v", proc, err)
+		}
+		return allocs
+	}
+	for _, proc := range []uint32{kApply, kMirror} {
+		if got, none := served(proc, tracked), served(proc, Track{}); got > none {
+			t.Errorf("proc %d: a write into a tracked hierarchy allocates %.0f times, %.0f with no Track: want no Track strings", proc, got, none)
+		}
+	}
+
+	decoded := func(mirror bool, op FSOp) (applyReq, float64) {
+		r := applyReq{Track: tracked, Op: op}
+		req := r.frame(kMirror)[4:]
+		var d wire.Decoder
+		allocs := testing.AllocsPerRun(100, func() {
+			d.Reset(req)
+			r = decodeApplyReq(&d, n.rep, mirror)
+		})
+		if d.Err() != nil {
+			t.Fatal(d.Err())
+		}
+		return r, allocs
+	}
+	rename := FSOp{Kind: FSRename, Path: "/home/f", Path2: "/home/g"}
+	for _, c := range []struct {
+		mirror      bool
+		op          FSOp
+		path, path2 string
+		allocs      float64
+	}{
+		{false, write, "/home/f", "", 1},
+		{true, write, RepPath("/home/f"), "", 1},
+		{true, rename, RepPath("/home/f"), RepPath("/home/g"), 2},
+	} {
+		r, allocs := decoded(c.mirror, c.op)
+		if r.Op.Path != c.path || r.Op.Path2 != c.path2 || r.Track != tracked {
+			t.Errorf("mirror=%v %v: decoded %q %q %+v, want %q %q %+v", c.mirror, c.op.Kind, r.Op.Path, r.Op.Path2, r.Track, c.path, c.path2, tracked)
+		}
+		if allocs != c.allocs {
+			t.Errorf("mirror=%v %v: decoding allocates %.0f times, want %.0f: its paths and no Track string", c.mirror, c.op.Kind, allocs, c.allocs)
+		}
 	}
 }

@@ -229,7 +229,9 @@ func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) 
 		// resolve through the overlay instead and are left alone, and a mount
 		// whose cache keeps nothing builds no rows.
 		prewarm := !m.distributedAt(de) && m.meta.caching()
-		out = out[:0]
+		if out = out[:0]; cap(out) < len(ents) {
+			out = make([]DirEntry, 0, len(ents)) // at most one per entry listed
+		}
 		for _, e := range ents {
 			if Hidden(e.Name) {
 				continue

@@ -103,11 +103,13 @@ func putFSOp(e *wire.Encoder, op FSOp) {
 	}
 }
 
-func getFSOp(d *wire.Decoder) FSOp {
-	var op FSOp
+// getFSOp decodes an FSOp but for its two paths, which it returns as bytes
+// borrowed from the request for the caller to make strings of once it knows
+// where they land (decodeApplyReq).
+func getFSOp(d *wire.Decoder) (op FSOp, path, path2 []byte) {
 	op.Kind = FSOpKind(d.Uint32())
-	op.Path = d.String()
-	op.Path2 = d.String()
+	path = d.OpaqueRef()
+	path2 = d.OpaqueRef()
 	// Data and Spans borrow the request buffer: applyFSOp copies them into
 	// the store, and the mirror fan-out into its own frame, before the
 	// handler returns.
@@ -125,7 +127,7 @@ func getFSOp(d *wire.Decoder) FSOp {
 			op.Chunks = append(op.Chunks, repl.ChunkRef{Hash: d.Digest(), Len: d.Uint32(), Inline: d.Bool()})
 		}
 	}
-	return op
+	return op, path, path2
 }
 
 func putTrack(e *wire.Encoder, t Track) {
@@ -136,8 +138,17 @@ func putTrack(e *wire.Encoder, t Track) {
 	e.PutBool(t.Dead)
 }
 
-func getTrack(d *wire.Decoder) Track {
-	return Track{PN: d.String(), Root: d.String(), Link: d.String(), Ver: d.Uint64(), Dead: d.Bool()}
+// getTrack decodes a Track whose names are the engine's own strings where
+// they equal its record for the frame's link or root (repl.Engine.TrackNames),
+// so only a hierarchy new to this node, or changed, allocates them.
+func getTrack(d *wire.Decoder, rep *repl.Engine) Track {
+	pn := d.OpaqueRef()
+	root := d.OpaqueRef()
+	link := d.OpaqueRef()
+	t := rep.TrackNames(pn, root, link)
+	t.Ver = d.Uint64()
+	t.Dead = d.Bool()
+	return t
 }
 
 // applyReq is the body of kApply and kMirror. Primary marks a mirror that
@@ -168,12 +179,25 @@ func (r *applyReq) encode(e *wire.Encoder) {
 	e.PutBool(r.Primary)
 }
 
-func decodeApplyReq(d *wire.Decoder) applyReq {
+// decodeApplyReq decodes a kApply (mirror false) or kMirror body. A mirror's
+// paths land in the replica area unless the frame says Primary, which is its
+// last field, so the paths stay borrowed bytes until it has been read and
+// each is then built once, prefix and all.
+func decodeApplyReq(d *wire.Decoder, rep *repl.Engine, mirror bool) applyReq {
 	var r applyReq
+	var path, path2 []byte
 	d.FixedOpaque(r.Key[:])
-	r.Track = getTrack(d)
-	r.Op = getFSOp(d)
+	r.Track = getTrack(d, rep)
+	r.Op, path, path2 = getFSOp(d)
 	r.Primary = d.Bool()
+	if !mirror || r.Primary {
+		r.Op.Path, r.Op.Path2 = string(path), string(path2)
+		return r
+	}
+	r.Op.Path = repl.RepPathBytes(path)
+	if len(path2) > 0 {
+		r.Op.Path2 = repl.RepPathBytes(path2)
+	}
 	return r
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/merkle"
 	"repro/internal/nfs"
 	"repro/internal/obs"
+	"repro/internal/pastry"
 	"repro/internal/repl"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -85,7 +86,7 @@ var koshaProcs = serviceTable{
 
 // serveApply executes a mutation at the primary and fans out to replicas.
 func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	r := decodeApplyReq(d)
+	r := decodeApplyReq(d, n.rep, false)
 	if d.Err() != nil {
 		return 0, d.Err()
 	}
@@ -131,7 +132,8 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 	// hierarchy (or level-1 link) additionally reach every leaf-set
 	// member: former replica candidates may still hold copies, and a
 	// deletion they miss would resurrect when ownership drifts to them.
-	targets := n.overlay.ReplicaCandidates(n.cfg.Replicas)
+	var buf [8]pastry.NodeInfo
+	targets := n.overlay.AppendReplicaCandidates(buf[:0], n.cfg.Replicas)
 	removesRoot := (r.Op.Kind == FSRmdir || r.Op.Kind == FSRemoveAll) && r.Op.Path == r.Track.Root
 	removesLink := r.Op.Kind == FSRemove && r.Track.Link != ""
 	if removesRoot || removesLink {
@@ -161,19 +163,14 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 
 // serveMirror executes a mutation at a replica (no fan-out).
 func (n *Node) serveMirror(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	r := decodeApplyReq(d)
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
 	// Replica copies live in the reserved replica area, outside the
 	// primary namespace ("the replicas are inaccessible to the local
-	// users", Section 4.2). A migration push addressed to this node as
-	// the key's new primary lands in the primary namespace directly.
-	if !r.Primary {
-		r.Op.Path = RepPath(r.Op.Path)
-		if r.Op.Path2 != "" {
-			r.Op.Path2 = RepPath(r.Op.Path2)
-		}
+	// users", Section 4.2): the decoder builds the op's paths there. A
+	// migration push addressed to this node as the key's new primary lands
+	// in the primary namespace directly.
+	r := decodeApplyReq(d, n.rep, true)
+	if d.Err() != nil {
+		return 0, d.Err()
 	}
 	attr, cost, err := n.applyFSOp(r.Op, true)
 	if err != nil {
@@ -264,7 +261,7 @@ func (n *Node) serveReplicas(ctx obs.TraceContext, from simnet.Addr, d *wire.Dec
 
 // servePromote surfaces a replica-area copy at the new primary.
 func (n *Node) servePromote(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	t := getTrack(d)
+	t := getTrack(d, n.rep)
 	if d.Err() != nil {
 		return 0, d.Err()
 	}

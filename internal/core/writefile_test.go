@@ -210,7 +210,7 @@ func TestWriteFileCarriesOneBatch(t *testing.T) {
 		if d.Uint32() != kApply {
 			continue
 		}
-		op := decodeApplyReq(d).Op
+		op := decodeApplyReq(d, nodes[0].rep, false).Op
 		got = append(got, fmt.Sprintf("%v:%d", op.Kind, len(op.Data)+nfs.SpansWireSize(op.Spans)))
 	}
 	tail := nfs.SpansWireSize([]nfs.WriteSpan{{Data: data[batch:]}})

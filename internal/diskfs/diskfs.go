@@ -357,8 +357,28 @@ func (f *FS) Lookup(dirIno uint64, name string) (localfs.Attr, simnet.Cost, erro
 	} else if a.Type != localfs.TypeDir {
 		return localfs.Attr{}, cost, localfs.ErrNotDir
 	}
-	a, err := f.attrAt(path.Join(dir, name))
+	rel, err := child(dir, name)
+	if err != nil {
+		return localfs.Attr{}, cost, err
+	}
+	a, err := f.attrAt(rel)
 	return a, cost, err
+}
+
+// LookupName is Lookup of a name held as bytes; see localfs.FileSystem.
+func (f *FS) LookupName(dirIno uint64, name []byte) (localfs.Attr, simnet.Cost, error) {
+	return f.Lookup(dirIno, string(name))
+}
+
+// child joins the name of an existing entry onto its directory. A name no
+// entry can have — empty, ".", "..", holding a '/', or too long — names
+// nothing, as in localfs, so a lookup, removal or rename source can never
+// step out of dir.
+func child(dir, name string) (string, error) {
+	if checkName(name) != nil {
+		return "", fmt.Errorf("%w: %q", localfs.ErrNoEnt, name)
+	}
+	return path.Join(dir, name), nil
 }
 
 // Create makes a regular file (UNCHECKED truncate semantics when not
@@ -569,7 +589,10 @@ func (f *FS) RemoveUnless(dirIno uint64, name string, refuse func(victim localfs
 	if err != nil {
 		return cost, err
 	}
-	rel := path.Join(dir, name)
+	rel, err := child(dir, name)
+	if err != nil {
+		return cost, err
+	}
 	a, err := f.attrAt(rel)
 	if err != nil {
 		return cost, err
@@ -612,7 +635,10 @@ func (f *FS) Rmdir(dirIno uint64, name string) (simnet.Cost, error) {
 	if err != nil {
 		return cost, err
 	}
-	rel := path.Join(dir, name)
+	rel, err := child(dir, name)
+	if err != nil {
+		return cost, err
+	}
 	a, err := f.attrAt(rel)
 	if err != nil {
 		return cost, err
@@ -647,7 +673,10 @@ func (f *FS) Rename(srcDir uint64, srcName string, dstDir uint64, dstName string
 	if err != nil {
 		return cost, err
 	}
-	from := path.Join(sd, srcName)
+	from, err := child(sd, srcName)
+	if err != nil {
+		return cost, err
+	}
 	to := path.Join(dd, dstName)
 	fa, err := f.attrAt(from)
 	if err != nil {

@@ -7,6 +7,7 @@ package fstest
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,6 +35,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("RemoveAllAccounting", func(t *testing.T) { testRemoveAllAccounting(t, factory) })
 	t.Run("Statfs", func(t *testing.T) { testStatfs(t, factory) })
 	t.Run("BadNames", func(t *testing.T) { testBadNames(t, factory) })
+	t.Run("NamesStayInTheirDirectory", func(t *testing.T) { testNamesStayInTheirDirectory(t, factory) })
 	t.Run("ExtentBoundaries", func(t *testing.T) { testExtentBoundaries(t, factory) })
 	t.Run("AppendRead", func(t *testing.T) { testAppendRead(t, factory) })
 	t.Run("MerkleDigestStability", func(t *testing.T) { testMerkleDigest(t, factory) })
@@ -497,6 +499,61 @@ func testBadNames(t *testing.T, factory Factory) {
 		}
 		if _, _, err := f.Create(localfs.RootIno, bad, 0o644, false); err == nil {
 			t.Errorf("Create(%q) accepted", bad)
+		}
+	}
+}
+
+// testNamesStayInTheirDirectory: a name handed to a lookup, a removal or a
+// rename's source is one component of the directory it is looked up in, so a
+// name no entry can have — empty, ".", "..", one holding a '/', or too long —
+// names nothing. Each call answers ErrNoEnt and the tree is as it was, even
+// where the name, joined onto its directory as a path, would reach an entry:
+// the directory itself, its parent, a child, or the replica area beside it.
+func testNamesStayInTheirDirectory(t *testing.T, factory Factory) {
+	f := factory(t, 0)
+	for _, p := range []string{"/x", "/.rep/h/f", "/a/c"} {
+		if err := f.WriteFile(p, []byte("data")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/a/b", "/.rep/h/empty"} {
+		if _, err := f.MkdirAll(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir, err := f.LookupPath("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := func() string {
+		var b strings.Builder
+		f.Walk("/", func(p string, a localfs.Attr, _ string) error {
+			fmt.Fprintf(&b, "%s:%s:%d ", p, a.Type, a.Size)
+			return nil
+		})
+		return b.String()
+	}
+	before := tree()
+	names := []string{"", ".", "..", "b/", "b/..", "../x", "c/", "../.rep/h/f", "../.rep/h/empty",
+		strings.Repeat("x", localfs.MaxNameLen+1)}
+	for _, name := range names {
+		calls := []struct {
+			op  string
+			err error
+		}{
+			{"Lookup", func() error { _, _, err := f.Lookup(dir.Ino, name); return err }()},
+			{"LookupName", func() error { _, _, err := f.LookupName(dir.Ino, []byte(name)); return err }()},
+			{"Remove", func() error { _, err := f.Remove(dir.Ino, name); return err }()},
+			{"Rmdir", func() error { _, err := f.Rmdir(dir.Ino, name); return err }()},
+			{"Rename", func() error { _, err := f.Rename(dir.Ino, name, dir.Ino, "moved"); return err }()},
+		}
+		for _, c := range calls {
+			if !errors.Is(c.err, localfs.ErrNoEnt) {
+				t.Errorf("%s(/a, %q) err = %v, want ErrNoEnt", c.op, name, c.err)
+			}
+		}
+		if after := tree(); after != before {
+			t.Fatalf("calls with name %q changed the tree:\n before %s\n after  %s", name, before, after)
 		}
 	}
 }

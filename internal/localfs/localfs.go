@@ -541,6 +541,17 @@ func abs64(v int64) int64 {
 
 // Lookup finds name within directory dirIno.
 func (f *FS) Lookup(dirIno uint64, name string) (Attr, simnet.Cost, error) {
+	return lookup(f, dirIno, name)
+}
+
+// LookupName is Lookup of a name held as bytes, such as one borrowed from a
+// request frame: the directory is indexed by the bytes themselves, so a
+// lookup that finds its entry allocates nothing, and nothing keeps name.
+func (f *FS) LookupName(dirIno uint64, name []byte) (Attr, simnet.Cost, error) {
+	return lookup(f, dirIno, name)
+}
+
+func lookup[N string | []byte](f *FS, dirIno uint64, name N) (Attr, simnet.Cost, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	cost := f.disk.OpCost(0)
@@ -548,7 +559,7 @@ func (f *FS) Lookup(dirIno uint64, name string) (Attr, simnet.Cost, error) {
 	if err != nil {
 		return Attr{}, cost, err
 	}
-	child, ok := dir.children[name]
+	child, ok := dir.children[string(name)]
 	if !ok {
 		return Attr{}, cost, fmt.Errorf("%w: %q in ino %d", ErrNoEnt, name, dirIno)
 	}
@@ -1206,6 +1217,9 @@ type FileSystem interface {
 	Getattr(ino uint64) (Attr, simnet.Cost, error)
 	Setattr(ino uint64, sa SetAttr) (Attr, simnet.Cost, error)
 	Lookup(dirIno uint64, name string) (Attr, simnet.Cost, error)
+	// LookupName is Lookup of a name borrowed as bytes: it answers as Lookup
+	// does and keeps no reference to name once it returns.
+	LookupName(dirIno uint64, name []byte) (Attr, simnet.Cost, error)
 	Create(dirIno uint64, name string, mode uint32, exclusive bool) (Attr, simnet.Cost, error)
 	Mkdir(dirIno uint64, name string, mode uint32) (Attr, simnet.Cost, error)
 	Symlink(dirIno uint64, name, target string) (Attr, simnet.Cost, error)

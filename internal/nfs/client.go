@@ -503,7 +503,8 @@ func (c Client) ReaddirPlus(to simnet.Addr, dir Handle, cookie uint64, count int
 }
 
 // ReaddirPlusAll drains a directory with READDIRPLUS pages of pageSize
-// entries, returning every entry with its handle and attributes.
+// entries, returning every entry with its handle and attributes. A listing
+// that fits one page is that page's slice as decoded, not a copy of it.
 func (c Client) ReaddirPlusAll(to simnet.Addr, dir Handle, pageSize int) ([]DirEntryPlus, simnet.Cost, error) {
 	var all []DirEntryPlus
 	var total simnet.Cost
@@ -514,7 +515,11 @@ func (c Client) ReaddirPlusAll(to simnet.Addr, dir Handle, pageSize int) ([]DirE
 		if err != nil {
 			return nil, total, err
 		}
-		all = append(all, ents...)
+		if all == nil {
+			all = ents
+		} else {
+			all = append(all, ents...)
+		}
 		if eof {
 			return all, total, nil
 		}

@@ -193,7 +193,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 
 	case ProcLookup:
 		h := getHandle(d)
-		name := d.String()
+		name := d.OpaqueRef() // looked up in place, never kept
 		if d.Err() != nil {
 			return s.fail(ErrInval), 0
 		}
@@ -201,7 +201,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		if st != OK {
 			return s.fail(st), 0
 		}
-		attr, cost, err := s.fs.Lookup(ino, name)
+		attr, cost, err := s.fs.LookupName(ino, name)
 		if err != nil {
 			return s.fail(toStatus(err)), cost
 		}
@@ -566,6 +566,8 @@ func pageOf(n int, cookie uint64, count uint32) (start, end int) {
 // nothing else. Every reply carries the components resolved and the handle
 // of the last object reached; a successful one adds the leaf's attributes
 // and link target, and for a regular leaf asked for data, its first READ.
+// Each component is looked up where it lies in the request frame
+// (FileSystem.LookupName), so the walk allocates no names.
 //
 // The request asks with one word after the components, readMax, which is
 // read only when it is there: a walk that wants no data sends and receives
@@ -591,11 +593,11 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 			attr, cost, err = s.fs.Getattr(ino)
 		}
 		for err == nil && resolved < n {
-			name := d.String()
+			name := d.OpaqueRef()
 			if d.Err() != nil {
 				return s.fail(ErrInval), cost
 			}
-			if attr, c, err = s.fs.Lookup(ino, name); err == nil {
+			if attr, c, err = s.fs.LookupName(ino, name); err == nil {
 				ino = attr.Ino
 				resolved++
 			}

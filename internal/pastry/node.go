@@ -266,11 +266,18 @@ func (n *Node) NextHopLocal(key id.ID, excluded []id.ID) (next NodeInfo, isRoot 
 }
 
 // ReplicaCandidates returns up to k ring-adjacent leaf-set nodes,
-// alternating successor/predecessor (Section 4.2).
+// alternating successor/predecessor (Section 4.2), in a fresh slice.
 func (n *Node) ReplicaCandidates(k int) []NodeInfo {
+	return n.AppendReplicaCandidates(nil, k)
+}
+
+// AppendReplicaCandidates is ReplicaCandidates appended to dst: a caller
+// that fills a buffer of its own, as the primary does on every apply,
+// allocates nothing when the buffer holds k.
+func (n *Node) AppendReplicaCandidates(dst []NodeInfo, k int) []NodeInfo {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.st.replicaCandidates(k)
+	return n.st.appendReplicaCandidates(dst, k)
 }
 
 // LeafStats reports leaf-set occupancy for the overlay-health gauges: the

@@ -261,27 +261,37 @@ func (s *state) nextHop(key id.ID, excluded []id.ID) (next NodeInfo, isRoot bool
 	return best, false
 }
 
-// replicaCandidates returns up to k leaf-set nodes ring-adjacent to self,
-// alternating successor/predecessor, the paper's "neighboring K nodes in
-// the node-identifier space" that hold file replicas (Section 4.2).
-func (s *state) replicaCandidates(k int) []NodeInfo {
-	out := make([]NodeInfo, 0, k)
-	seen := map[id.ID]bool{s.self.ID: true}
+// appendReplicaCandidates appends up to k leaf-set nodes ring-adjacent to
+// self, alternating successor/predecessor, the paper's "neighboring K nodes
+// in the node-identifier space" that hold file replicas (Section 4.2). A node
+// on both sides of a small ring is taken once; the appended run is searched
+// for it, since k is a handful, so nothing is allocated beyond dst's growth.
+func (s *state) appendReplicaCandidates(dst []NodeInfo, k int) []NodeInfo {
+	base := len(dst)
+	taken := func(n NodeInfo) bool {
+		if n.ID == s.self.ID {
+			return true
+		}
+		for _, m := range dst[base:] {
+			if m.ID == n.ID {
+				return true
+			}
+		}
+		return false
+	}
 	si, pi := 0, 0
-	for len(out) < k {
+	for len(dst)-base < k {
 		advanced := false
 		if si < len(s.succs) {
-			if n := s.succs[si]; !seen[n.ID] {
-				seen[n.ID] = true
-				out = append(out, n)
+			if n := s.succs[si]; !taken(n) {
+				dst = append(dst, n)
 			}
 			si++
 			advanced = true
 		}
-		if len(out) < k && pi < len(s.preds) {
-			if n := s.preds[pi]; !seen[n.ID] {
-				seen[n.ID] = true
-				out = append(out, n)
+		if len(dst)-base < k && pi < len(s.preds) {
+			if n := s.preds[pi]; !taken(n) {
+				dst = append(dst, n)
 			}
 			pi++
 			advanced = true
@@ -290,5 +300,5 @@ func (s *state) replicaCandidates(k int) []NodeInfo {
 			break
 		}
 	}
-	return out
+	return dst
 }

@@ -129,7 +129,7 @@ func TestReplicaCandidatesOrderingAndDedup(t *testing.T) {
 	for _, v := range []uint64{1001, 1002, 998, 997} {
 		s.add(info(v))
 	}
-	got := s.replicaCandidates(3)
+	got := s.appendReplicaCandidates(nil, 3)
 	if len(got) != 3 {
 		t.Fatalf("candidates = %v", got)
 	}
@@ -141,7 +141,7 @@ func TestReplicaCandidatesOrderingAndDedup(t *testing.T) {
 		}
 	}
 	// Asking for more than available returns all without duplicates.
-	got = s.replicaCandidates(10)
+	got = s.appendReplicaCandidates(nil, 10)
 	seen := map[id.ID]bool{}
 	for _, g := range got {
 		if seen[g.ID] {
@@ -256,5 +256,38 @@ func TestLeafArcNextHopAllocs(t *testing.T) {
 	}
 	if next.ID != id.FromUint64(1005) {
 		t.Errorf("next hop %v, want 1005", next.ID)
+	}
+}
+
+// TestAppendReplicaCandidatesAllocs: the primary asks for its replica set on
+// every apply, into a buffer of its own. One that holds k is filled without
+// an allocation (it was a fresh slice on every apply before), a node on
+// both sides of a small ring is taken once, and what dst held before the
+// call is kept and not counted against k.
+func TestAppendReplicaCandidatesAllocs(t *testing.T) {
+	s := newTestState(1000, 8)
+	for _, v := range []uint64{990, 995, 999, 1001, 1005, 1010, 1020, 980} {
+		s.add(info(v))
+	}
+	var buf [4]NodeInfo
+	var got []NodeInfo
+	if n := testing.AllocsPerRun(1000, func() { got = s.appendReplicaCandidates(buf[:0], 3) }); n != 0 {
+		t.Errorf("appending 3 candidates to a 4-slot buffer allocates %.1f times, want 0", n)
+	}
+	want := []uint64{1001, 999, 1005}
+	for i, w := range want {
+		if got[i].ID != id.FromUint64(w) {
+			t.Fatalf("candidate %d = %v, want %d", i, got[i].ID, w)
+		}
+	}
+
+	small := newTestState(1000, 8)
+	for _, v := range []uint64{1001, 2000} {
+		small.add(info(v))
+	}
+	prefix := []NodeInfo{info(1001)}
+	got = small.appendReplicaCandidates(prefix, 3)
+	if len(got) != 3 || got[0].ID != id.FromUint64(1001) || got[1].ID != id.FromUint64(1001) || got[2].ID != id.FromUint64(2000) {
+		t.Fatalf("appended to %v: %v, want the prefix, then 1001 and 2000 once each", prefix, got)
 	}
 }

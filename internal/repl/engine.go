@@ -201,6 +201,32 @@ func (e *Engine) Untrack(root string) {
 	e.mu.Unlock()
 }
 
+// TrackNames makes the names of a Track out of a frame's PN, Root and Link
+// bytes: each is the string of this node's record for that link (or, with
+// none, that root) when the two are equal, and a copy of the bytes only
+// otherwise. A mutation of a hierarchy the node already tracks allocates
+// none of them; a new or changed one gets fresh strings. The bytes may be
+// borrowed: nothing keeps them.
+func (e *Engine) TrackNames(pn, root, link []byte) Track {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var rec Track
+	if len(link) > 0 {
+		rec = e.trackedLinks[string(link)]
+	} else {
+		rec = e.tracked[string(root)]
+	}
+	return Track{PN: same(rec.PN, pn), Root: same(rec.Root, root), Link: same(rec.Link, link)}
+}
+
+// same is s when b spells it, else a copy of b.
+func same(s string, b []byte) string {
+	if s == string(b) {
+		return s
+	}
+	return string(b)
+}
+
 // Stamp assigns the next mutation counter value for the op being applied at
 // the primary; Track records it afterwards together with the op's liveness.
 // A storage-root rename continues the old root's version chain.

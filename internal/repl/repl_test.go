@@ -3,6 +3,7 @@ package repl
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cas"
 	"repro/internal/id"
@@ -140,6 +141,69 @@ func TestStampAndTrackVersionChain(t *testing.T) {
 	e.Untrack("/docs-v2")
 	if len(e.TrackedRoots()) != 0 {
 		t.Fatal("Untrack left records behind")
+	}
+}
+
+// TestTrackNamesReuseOnlyEqualStrings: TrackNames hands back the engine's
+// own string for each name that equals its record for the frame's link or
+// root, and a copy of the frame's bytes for each that differs: a root
+// re-created under another placement name after its removal, a link the
+// rebalancer relinked to a new root, a hierarchy the node has never seen.
+// What the engine records afterwards is the frame's names, and none of them
+// aliases the frame, whose bytes are overwritten once TrackNames returns.
+func TestTrackNamesReuseOnlyEqualStrings(t *testing.T) {
+	e, _ := testEngine(&fakeOverlay{}, &fakePeer{})
+	e.Track(Track{PN: "docs", Root: "/docs", Ver: 1}, FSOp{Kind: FSMkdirAll, Path: "/docs"})
+	e.Track(Track{PN: "u", Root: "/u", Link: "/u", Ver: 1}, FSOp{Kind: FSSymlink, Path: "/u"})
+	frame := func(pn, root, link string) Track {
+		buf := []byte(pn + root + link)
+		got := e.TrackNames(buf[:len(pn)], buf[len(pn):len(pn)+len(root)], buf[len(pn)+len(root):])
+		for i := range buf {
+			buf[i] = '#'
+		}
+		return got
+	}
+	same := func(a, b string) bool { return len(a) > 0 && unsafe.StringData(a) == unsafe.StringData(b) }
+	check := func(what string, got, want Track, rec Track, reused [3]bool) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: TrackNames = %+v, want %+v", what, got, want)
+		}
+		for i, f := range [3][2]string{{got.PN, rec.PN}, {got.Root, rec.Root}, {got.Link, rec.Link}} {
+			if same(f[0], f[1]) != reused[i] {
+				t.Errorf("%s: name %d (%q) shares the record's string: %v, want %v", what, i, f[0], !reused[i], reused[i])
+			}
+		}
+	}
+
+	rec := e.tracked["/docs"]
+	check("unchanged root", frame("docs", "/docs", ""), Track{PN: "docs", Root: "/docs"}, rec, [3]bool{true, true, false})
+
+	e.Track(Track{PN: "docs", Root: "/docs", Ver: 2}, FSOp{Kind: FSRemoveAll, Path: "/docs"})
+	rec = e.tracked["/docs"]
+	recreated := frame("papers", "/docs", "")
+	check("root re-created under a new name", recreated, Track{PN: "papers", Root: "/docs"}, rec, [3]bool{false, true, false})
+	recreated.Ver = 3
+	e.Track(recreated, FSOp{Kind: FSMkdirAll, Path: "/docs"})
+	if got := e.tracked["/docs"]; got.PN != "papers" || got.Dead {
+		t.Errorf("re-created root recorded as %+v, want PN papers, live", got)
+	}
+
+	rec = e.trackedLinks["/u"]
+	check("unchanged link", frame("u", "/u", "/u"), Track{PN: "u", Root: "/u", Link: "/u"}, rec, [3]bool{true, true, true})
+	relinked := frame("u", "/u-v2", "/u")
+	check("relinked link", relinked, Track{PN: "u", Root: "/u-v2", Link: "/u"}, rec, [3]bool{true, false, true})
+	relinked.Ver = 2
+	e.Track(relinked, FSOp{Kind: FSRelink, Path: "/u"})
+	if got := e.trackedLinks["/u"]; got.Root != "/u-v2" || got.PN != "u" {
+		t.Errorf("relinked link recorded as %+v, want root /u-v2", got)
+	}
+
+	check("new hierarchy", frame("new", "/new", ""), Track{PN: "new", Root: "/new"}, Track{}, [3]bool{})
+	for root, pn := range e.TrackedRoots() {
+		if root != "/docs" || pn != "papers" {
+			t.Errorf("engine tracks %q as %q, want only /docs as papers", root, pn)
+		}
 	}
 }
 

@@ -40,6 +40,16 @@ func RepPath(p string) string {
 	return RepArea + p
 }
 
+// RepPathBytes is RepPath of a path held as bytes, such as one borrowed from
+// a request frame: the replica-area path is built in one allocation, and
+// nothing keeps p.
+func RepPathBytes(p []byte) string {
+	if string(p) == "/" || len(p) == 0 {
+		return RepArea
+	}
+	return RepArea + string(p)
+}
+
 // PrimaryRoot strips the replica-area prefix, returning the primary-relative
 // root that version records are keyed by.
 func PrimaryRoot(p string) string {
