@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 
@@ -254,12 +255,9 @@ func (m *Mount) fillWindow(tr *obs.Trace, de *ventry, st *stream, offset int64) 
 	}
 	// Stitch segments in order, stopping at the first short one: the file
 	// ended there, or a holder had less — anything after it would be
-	// discontiguous and is refetched by a later window.
-	buf := make([]byte, 0, window*chunk)
-	for _, p := range parts[:kept] {
-		buf = append(buf, p...)
-	}
-	st.buf, st.bufOff, st.bufEOF = buf, offset, eof
+	// discontiguous and is refetched by a later window. Join sizes the
+	// buffer by the kept bytes, which near EOF are less than the window.
+	st.buf, st.bufOff, st.bufEOF = bytes.Join(parts[:kept], nil), offset, eof
 	return total, nil
 }
 

@@ -223,3 +223,53 @@ func TestReadaheadWithReplicaFanout(t *testing.T) {
 		t.Fatalf("window segments served by %d node(s) (%v), want fan-out across >= 2", len(spread), spread)
 	}
 }
+
+// TestReadaheadFanoutAcrossEOF: a fanned-out window that crosses EOF keeps
+// the segments up to the first short one and stitches them into a buffer of
+// exactly their size, not the window's. The file is 2.5 MiB and change, so
+// of the 4 x 1 MiB window the primary serves two full chunks, the next
+// holder the short tail, and the last holder nothing.
+func TestReadaheadFanoutAcrossEOF(t *testing.T) {
+	_, nodes := testCluster(t, 6, 85, Config{
+		Replicas: 2, ReadFromReplicas: true, ReadaheadChunks: 4,
+	})
+	const piece = 1 << 20
+	payload := make([]byte, 5*piece/2+100)
+	for i := range payload {
+		payload[i] = byte(i * 7 % 251)
+	}
+	m := nodes[0].NewMount()
+	if _, err := m.WriteFile("/fan/tail.bin", payload); err != nil {
+		t.Fatal(err)
+	}
+	fvh, _, _, err := m.LookupPath("/fan/tail.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, eof, _, err := m.Read(fvh, 0, piece)
+	if err != nil || eof {
+		t.Fatalf("first read: %d bytes eof=%v err=%v", len(got), eof, err)
+	}
+	if spread := m.ReadSpread(); len(spread) < 2 {
+		t.Fatalf("window served by %d node(s) (%v), want a stitched fan-out", len(spread), spread)
+	}
+	st := m.streamOf(fvh, false)
+	st.mu.Lock()
+	left, room, bufEOF := len(st.buf), cap(st.buf), st.bufEOF
+	st.mu.Unlock()
+	if want := len(payload) - piece; left != want || room != want || !bufEOF {
+		t.Fatalf("after the first read the window holds %d bytes in room for %d (eof=%v), want %d in exactly %d and eof",
+			left, room, bufEOF, want, want)
+	}
+	for off := piece; !eof; off += piece {
+		var d []byte
+		d, eof, _, err = m.Read(fvh, int64(off), piece)
+		if err != nil {
+			t.Fatalf("read at %d: %v", off, err)
+		}
+		got = append(got, d...)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("a window across EOF returned %d bytes, want the file's %d", len(got), len(payload))
+	}
+}

@@ -492,12 +492,13 @@ func (f *FS) Readlink(ino uint64) (string, simnet.Cost, error) {
 
 // Read returns up to count bytes at offset in a fresh slice.
 func (f *FS) Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
-	return f.AppendRead(nil, ino, offset, count)
+	return f.AppendRead(nil, ino, offset, count, 1)
 }
 
-// AppendRead appends up to count bytes at offset to dst, read straight into
-// its spare capacity; see localfs.FileSystem.
-func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+// AppendRead appends a window of chunks reads of chunk bytes at offset to
+// dst, read with one open of the file straight into its spare capacity; see
+// localfs.FileSystem.
+func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cost := f.disk.OpCost(0)
@@ -512,7 +513,7 @@ func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte
 	if a.Type == localfs.TypeDir {
 		return dst, false, cost, localfs.ErrIsDir
 	}
-	if a.Type != localfs.TypeRegular || offset < 0 || count < 0 {
+	if a.Type != localfs.TypeRegular || offset < 0 || chunk < 0 || chunks < 1 {
 		return dst, false, cost, localfs.ErrInval
 	}
 	fh, err := os.Open(f.host(rel))
@@ -520,15 +521,12 @@ func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte
 		return dst, false, cost, mapErr(err)
 	}
 	defer fh.Close()
-	if offset >= a.Size {
-		return dst, true, cost, nil
-	}
-	n := int(min(int64(count), a.Size-offset))
+	n, wcost := localfs.Window(f.disk, a.Size-offset, chunk, chunks)
 	buf := localfs.Grow(dst, n)
 	if _, err := fh.ReadAt(buf[len(buf):len(buf)+n], offset); err != nil {
 		return dst, false, cost, mapErr(err)
 	}
-	return buf[:len(buf)+n], offset+int64(n) == a.Size, f.disk.OpCost(n), nil
+	return buf[:len(buf)+n], offset+int64(n) >= a.Size, wcost, nil
 }
 
 // Write stores data at offset, extending the file as needed.

@@ -230,7 +230,7 @@ func FuzzExtents(f *testing.F) {
 			for _, off := range []int{0, x % (len(model) + 1)} {
 				want, weof, wcost, _ := fs.Read(a.Ino, int64(off), y)
 				prefix := append(make([]byte, 0, len(head)+x%97), head...)
-				got, eof, cost, err := fs.AppendRead(prefix, a.Ino, int64(off), y)
+				got, eof, cost, err := fs.AppendRead(prefix, a.Ino, int64(off), y, 1)
 				if err != nil || eof != weof || cost != wcost || !bytes.Equal(got, append(head[:3:3], want...)) {
 					t.Fatalf("AppendRead(prefix, %d, %d) is not prefix + Read (eof %v/%v, err %v)", off, y, eof, weof, err)
 				}

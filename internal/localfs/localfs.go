@@ -695,11 +695,12 @@ func (f *FS) Readlink(ino uint64) (string, simnet.Cost, error) {
 // Read returns up to count bytes at offset in a fresh slice. eof is true when
 // the read reaches the end of the file.
 func (f *FS) Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
-	return f.AppendRead(nil, ino, offset, count)
+	return f.AppendRead(nil, ino, offset, count, 1)
 }
 
-// AppendRead appends up to count bytes at offset to dst; see FileSystem.
-func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+// AppendRead appends a window of chunks reads of chunk bytes at offset to
+// dst; see FileSystem.
+func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	in, err := f.get(ino)
@@ -712,31 +713,45 @@ func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte
 	if in.typ != TypeRegular {
 		return dst, false, f.disk.OpCost(0), ErrInval
 	}
-	if offset < 0 || count < 0 {
+	if offset < 0 || chunk < 0 || chunks < 1 {
 		return dst, false, f.disk.OpCost(0), ErrInval
 	}
 	size := in.data.size()
-	if offset >= size {
-		return dst, true, f.disk.OpCost(0), nil
-	}
-	n := int(min(int64(count), size-offset))
+	n, cost := Window(f.disk, size-offset, chunk, chunks)
 	dst = Grow(dst, n)
 	in.data.readAt(dst[len(dst):len(dst)+n], offset)
-	return dst[:len(dst)+n], offset+int64(n) == size, f.disk.OpCost(n), nil
+	return dst[:len(dst)+n], offset+int64(n) >= size, cost, nil
+}
+
+// Window sizes a read of chunks chunks of chunk bytes with left bytes past
+// its offset: min(chunk × chunks, left), bounded without multiplying two
+// 32-bit wire words, and the chunk reads' disk costs in sequence (the full
+// ones as one exact product), or OpCost(0) when it reads nothing.
+func Window(disk simnet.DiskModel, left int64, chunk, chunks int) (int, simnet.Cost) {
+	if left <= 0 || chunk == 0 {
+		return 0, disk.OpCost(0)
+	}
+	n := left
+	if int64(chunks) <= left/int64(chunk) {
+		n = int64(chunk) * int64(chunks)
+	}
+	cost := simnet.Cost(n/int64(chunk)) * disk.OpCost(chunk)
+	if rest := int(n % int64(chunk)); rest > 0 {
+		cost += disk.OpCost(rest)
+	}
+	return int(n), cost
 }
 
 // Grow returns dst with room for n more bytes, as AppendRead needs them: dst
-// itself when it has the room, else a copy with the larger of twice its
-// capacity and what it needs, rounded up to a word. One read into a fresh
-// buffer is sized exactly; a run of reads into one buffer doubles it, where
-// append would grow a large one a quarter at a time. The rounding costs
-// nothing the allocator does not charge anyway, and leaves room for the
-// padding an XDR frame puts after the bytes.
+// itself when it has the room, else a copy of exactly that size, rounded up
+// to a word; AppendRead sizes a whole window before it grows. The rounding
+// costs nothing the allocator does not charge anyway, and leaves room for
+// the padding an XDR frame puts after the bytes.
 func Grow(dst []byte, n int) []byte {
 	if cap(dst)-len(dst) >= n {
 		return dst
 	}
-	out := make([]byte, len(dst), max((len(dst)+n+7)&^7, 2*cap(dst)))
+	out := make([]byte, len(dst), (len(dst)+n+7)&^7)
 	copy(out, dst)
 	return out
 }
@@ -1225,12 +1240,13 @@ type FileSystem interface {
 	Symlink(dirIno uint64, name, target string) (Attr, simnet.Cost, error)
 	Readlink(ino uint64) (string, simnet.Cost, error)
 	Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error)
-	// AppendRead is Read into the caller's buffer: it appends up to count
-	// bytes at offset to dst, copied under the store's lock so a concurrent
-	// write cannot tear them, growing dst with Grow when it lacks the room.
-	// It costs what Read costs, and returns dst unchanged with any error.
-	// Read is AppendRead(nil, ...).
-	AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error)
+	// AppendRead is Read of chunks reads of chunk bytes from offset, which
+	// stop at the first short one, into the caller's buffer: it grows dst
+	// once (Grow) by what Window sizes and appends the bytes under the
+	// store's lock, so a write cannot tear the window. Cost and eof are the
+	// chunk reads' in sequence; dst comes back unchanged with any error.
+	// Read is AppendRead(nil, ino, offset, count, 1).
+	AppendRead(dst []byte, ino uint64, offset int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error)
 	Write(ino uint64, offset int64, data []byte) (int, simnet.Cost, error)
 	Remove(dirIno uint64, name string) (simnet.Cost, error)
 	RemoveUnless(dirIno uint64, name string, refuse func(victim Attr, target string) error) (simnet.Cost, error)

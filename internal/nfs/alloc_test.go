@@ -124,10 +124,12 @@ func TestGetWriteSpansBorrows(t *testing.T) {
 
 // TestDataFramesAllocatedOnce: the store appends a read straight into the
 // reply frame, which the client then borrows from. A READ costs one frame at
-// its final size (2x before, when the store's copy came first). A window's
-// frame doubles across its chunks: under 2x for four 1 MiB chunks, and for
-// 32 KiB chunks about the 2x that joining the store's copies cost, plus the
-// page tails of the doublings.
+// its final size (2x before, when the store's copy came first), and so does
+// a READSTREAM window: the store sizes the frame once from the bytes the
+// file holds past the offset, where it used to double across the window's
+// chunks (1.76x for four 1 MiB chunks, 2x for 32 KiB ones). A window that
+// crosses EOF reserves only the bytes left, and the largest window the
+// request can name, 2^32-1 chunks of 2^32-1 bytes, no more than the file.
 func TestDataFramesAllocatedOnce(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	fh, _, _, err := c.Create("srv", srv.Root(), "f", 0o644, false)
@@ -136,32 +138,43 @@ func TestDataFramesAllocatedOnce(t *testing.T) {
 	}
 	const mib = 1 << 20
 	const size = 4 * mib
+	const page = 8 << 10 // the Go runtime's page, what a large allocation rounds to
 	if _, _, err := c.Write("srv", fh, 0, make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	// What a round trip costs besides its data: request frame, codec, an
+	// empty reply. A frame sized once overshoots its data by under a page.
+	empty := allocatedBytes(func() { _, _, _, err = c.ReadStream("srv", fh, size, mib, 4) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name          string
+		off           int64
 		chunk, chunks int
-		limit         float64 // bytes allocated end to end per byte read
+		want          int    // bytes read
+		limit         uint64 // bytes allocated end to end
 	}{
-		{"a 1 MiB READ", mib, 0, 1.1},
-		{"a 4 x 1 MiB window", mib, 4, 1.99},
-		{"a 64 x 32 KiB window", 32 << 10, 64, 2 + 1.0/64},
+		{"a 1 MiB READ", 0, mib, 0, mib, mib * 11 / 10},
+		{"a 4 x 1 MiB window", 0, mib, 4, size, size * 101 / 100},
+		{"a 64 x 32 KiB window", 0, 32 << 10, 64, 2 * mib, 2 * mib * 101 / 100},
+		{"a 4 x 1 MiB window across EOF", size - 3*mib/2, mib, 4, 3 * mib / 2, 3*mib/2 + page + empty},
+		{"a 2^64-byte window", 0, 1<<32 - 1, 1<<32 - 1, size, size + page + empty},
 	} {
 		var data []byte
 		n := allocatedBytes(func() {
 			if tc.chunks == 0 {
-				data, _, _, err = c.Read("srv", fh, 0, tc.chunk)
+				data, _, _, err = c.Read("srv", fh, tc.off, tc.chunk)
 			} else {
-				data, _, _, err = c.ReadStream("srv", fh, 0, tc.chunk, tc.chunks)
+				data, _, _, err = c.ReadStream("srv", fh, tc.off, tc.chunk, tc.chunks)
 			}
 		})
-		want := tc.chunk * max(tc.chunks, 1)
-		if err != nil || len(data) != want {
-			t.Fatalf("%s: %d bytes err=%v", tc.name, len(data), err)
+		if err != nil || len(data) != tc.want {
+			t.Fatalf("%s: %d bytes err=%v, want %d", tc.name, len(data), err, tc.want)
 		}
-		if ratio := float64(n) / float64(want); ratio > tc.limit {
-			t.Errorf("%s allocated %d bytes end to end, %.3fx the bytes read, want <= %.3fx", tc.name, n, ratio, tc.limit)
+		if n > tc.limit {
+			t.Errorf("%s allocated %d bytes end to end, %.3fx the %d bytes read, want <= %d",
+				tc.name, n, float64(n)/float64(tc.want), tc.want, tc.limit)
 		}
 	}
 	// A hostile window reserves nothing: the reply is sized by what the store

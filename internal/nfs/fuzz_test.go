@@ -79,6 +79,12 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 	c.FSStat("srv", root)
 	c.FSInfo("srv", root)
 	c.ReadStream("srv", file, 0, 2, 2)
+	// The largest window the request can name, whose size overflows 64 bits,
+	// from offset 0 of a file of several bytes: the store bounds it by the
+	// bytes left without multiplying chunk by chunks.
+	if data, eof, _, err := c.ReadStream("srv", file, 0, 1<<32-1, 1<<32-1); err != nil || len(data) != int(size) || !eof {
+		f.Fatalf("a 2^64-byte window on a %d-byte file: %q eof=%v err=%v", size, data, eof, err)
+	}
 	// The largest window the request can name, against a 1-byte file: the
 	// reply is sized by the byte the store returns.
 	one, err := rec.srv.FS().LookupPath("/d/one")

@@ -289,9 +289,9 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		if st != OK {
 			return s.fail(st), 0
 		}
-		// The window's chunk reads run back to back against the store; their
-		// disk costs accumulate, but the propagation round trip is paid once
-		// for the whole window — that is the entire point of the procedure.
+		// The window's disk cost is its chunk reads' back to back, but the
+		// propagation round trip is paid once for the whole window — that
+		// is the entire point of the procedure.
 		e.PutUint32(uint32(OK))
 		cost, err := s.putData(e, ino, offset, chunk, chunks)
 		if err != nil {
@@ -629,25 +629,17 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 // putData encodes the tail of a data reply, eof and one opaque, for up to
 // chunks reads of chunk bytes from off that stop at the first short one: one
 // chunk for READ and LOOKUPPATH's carried read, a window of them for
-// READSTREAM. The store appends each read straight into the frame, which
-// grows by what the store returned, never by chunk x chunks, so a hostile
-// window reserves nothing. The cost is the reads' in sequence. After an
-// error the opaque holds the chunks read before it and eof is false.
+// READSTREAM. It is one store call (FileSystem.AppendRead), which sizes the
+// frame once by what the file holds past off, never by chunk x chunks, so a
+// hostile window reserves nothing, and appends the whole window into it
+// under one lock. The cost is the chunk reads' in sequence. After an error
+// the opaque is empty and eof is false.
 func (s *Server) putData(e *wire.Encoder, ino uint64, off int64, chunk, chunks int) (cost simnet.Cost, err error) {
 	at := e.Len()
 	e.PutBool(false)
 	var eof bool
 	e.PutOpaqueFunc(func(dst []byte) []byte {
-		for i := 0; i < chunks && err == nil; i++ {
-			n := len(dst)
-			var c simnet.Cost
-			dst, eof, c, err = s.fs.AppendRead(dst, ino, off, chunk)
-			cost = simnet.Seq(cost, c)
-			off += int64(len(dst) - n)
-			if eof || len(dst)-n < chunk {
-				break
-			}
-		}
+		dst, eof, cost, err = s.fs.AppendRead(dst, ino, off, chunk, chunks)
 		return dst
 	})
 	e.SetBool(at, eof)

@@ -145,18 +145,9 @@ func (e *Engine) sendFile(r remoteTree, lsrc, ldst string) error {
 // readRange reads exactly [off, off+n) of a local file, straight into one
 // buffer of that size.
 func (e *Engine) readRange(ino uint64, off, n int64) ([]byte, error) {
-	buf := make([]byte, 0, n)
-	for int64(len(buf)) < n {
-		had := len(buf)
-		var eof bool
-		var err error
-		buf, eof, _, err = e.store.AppendRead(buf, ino, off+int64(had), int(n-int64(had)))
-		if err != nil {
-			return nil, err
-		}
-		if eof || len(buf) == had {
-			break
-		}
+	buf, _, _, err := e.store.AppendRead(make([]byte, 0, n), ino, off, int(n), 1)
+	if err != nil {
+		return nil, err
 	}
 	if int64(len(buf)) != n {
 		return nil, errors.New("repl: short local read")
