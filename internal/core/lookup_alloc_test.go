@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,20 +15,22 @@ import (
 
 // TestLookupPathAllocs pins the allocation count of the uncached metadata
 // path: a 4-component Mount.LookupPath over simnet with the client caches
-// off is one resolver-cache hit and one LOOKUPPATH round trip: 5
-// allocations. Three are the message: the request frame, the nfs client's
-// codec (its encoder and decoder in one object) and the reply frame. One is
-// the physical directory, the storage root joined to the levels below it,
-// and one the handle-table row. The server looks every component up where
-// it lies in the request frame (FileSystem.LookupName) and the resolver's
-// levels are prefixes of the path, so neither costs anything. It was 7 while
-// the server decoded each name into a string to look it up (a one-byte name
-// cost nothing even then), 14 while the path was split, every level
-// re-joined to probe the resolver cache, the codec was two objects, and the
-// row's path was joined from the components again; the per-component walk
-// before LOOKUPPATH (a GETATTR and four LOOKUPs) spent 36. A ReadFile of the
-// same file is that walk asking for the data too, which the reply frame
-// carries: 5 as well (7, and 15 before that).
+// off is one resolver-cache hit and one LOOKUPPATH round trip: 4
+// allocations. Two are the message: the nfs client's codec (its encoder and
+// decoder in one object, with the array the request frame is encoded into)
+// and the reply frame. One is the physical directory, the storage root
+// joined to the levels below it, and one the handle-table row. The server
+// looks every component up where it lies in the request frame
+// (FileSystem.LookupName) and the resolver's levels are prefixes of the
+// path, so neither costs anything. It was 5 while the request frame was
+// allocated beside the codec, 7 while the server decoded each name into a
+// string to look it up (a one-byte name cost nothing even then), 14 while
+// the path was split, every level re-joined to probe the resolver cache, the
+// codec was two objects, and the row's path was joined from the components
+// again; the per-component walk before LOOKUPPATH (a GETATTR and four
+// LOOKUPs) spent 36. A ReadFile of the same file is that walk asking for the
+// data too, which the reply frame carries: 4 as well (5, 7, and 15 before
+// that).
 // The cached counterpart is pinned beside it: a Mount.Lookup answered by a
 // warm name-cache row publishes one handle-table row and nothing else, no
 // RPC (4 before: the child's path joined twice over and the directory's
@@ -49,11 +52,11 @@ func TestLookupPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n > 5 {
-		t.Errorf("uncached 4-component LookupPath allocates %.1f times, want <= 5", n)
+	if n > 4 {
+		t.Errorf("uncached 4-component LookupPath allocates %.1f times, want <= 4", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { _, _, err = m.ReadFile(file) }); err != nil || n > 5 {
-		t.Errorf("uncached ReadFile of a 1-byte file allocates %.1f times (err=%v), want <= 5", n, err)
+	if n := testing.AllocsPerRun(200, func() { _, _, err = m.ReadFile(file) }); err != nil || n > 4 {
+		t.Errorf("uncached ReadFile of a 1-byte file allocates %.1f times (err=%v), want <= 4", n, err)
 	}
 
 	_, nodes = testCluster(t, 8, 5, Config{DistributionLevel: 2, AttrCacheTTL: time.Hour, NameCacheTTL: time.Hour, TraceBufSize: -1})
@@ -141,46 +144,100 @@ func TestTreeDigestAnswersFromTheMemo(t *testing.T) {
 	}
 }
 
-// TestServeAllocatesTheReplyAndOneObject: a request served through the kosha
-// dispatch table allocates its reply frame and one object, the decoder and
-// the encoder together, beyond what its handler builds. The reply is the
-// encoder's own bytes; it used to be copied once more, and the decoder and
-// the encoder were an object each (4 beyond the handler).
-func TestServeAllocatesTheReplyAndOneObject(t *testing.T) {
+// TestServeAllocatesOneObject: a request served through the kosha dispatch
+// table allocates one object beyond what its handler builds, a wire.Codec:
+// the decoder, the encoder and the array a reply of up to 248 bytes is
+// encoded into, which the caller is handed. A larger reply adds the frames
+// the encoder grows into past the array, as a fresh encoder's would: exactly
+// one up to twice the array. A TREE_DIGEST reply is 52 bytes; a DIR_DIGESTS
+// reply of 6 entries, 300 bytes. It was 2 while
+// the reply was a frame beside the codec object, 4 while the reply was
+// copied once more and the decoder and the encoder were an object each.
+func TestServeAllocatesOneObject(t *testing.T) {
 	store := localfs.New(0, simnet.Disk7200)
 	state := uint64(5)
 	n := NewNodeWithStore("k0", id.Rand128(&state), simnet.New(simnet.LAN100), Config{}, store)
 	if err := store.WriteFile("/h/d/f", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	e := wire.NewEncoder(16)
-	e.PutUint32(kTreeDigest)
-	e.PutString("/h")
-	e.PutBool(true)
-	req := e.Bytes()
-	handle := n.serve(KoshaService, koshaProcs)
-	var resp []byte
-	var err error
-	serve := func() { resp, _, err = handle(obs.TraceContext{}, "peer", req) }
-	serve() // warm the memo
-	served := testing.AllocsPerRun(100, serve)
-	if err != nil || len(resp) != 52 {
-		t.Fatalf("TREE_DIGEST = %x, %v, want 52 bytes", resp, err)
+	for i := 0; i < 6; i++ {
+		if err := store.WriteFile(fmt.Sprintf("/h/wide/file%02d", i), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var d wire.Decoder
-	var out wire.Encoder
-	out.Grow(256)
-	handler := testing.AllocsPerRun(100, func() {
-		d.Reset(req[4:])
-		out.Reset()
-		_, err = n.serveTreeDigest(obs.TraceContext{}, "peer", &d, &out)
-	})
-	if err != nil {
+	treeDigest := wire.NewEncoder(16)
+	treeDigest.PutUint32(kTreeDigest)
+	treeDigest.PutString("/h")
+	treeDigest.PutBool(true)
+	dirDigests := wire.NewEncoder(16)
+	dirDigests.PutUint32(kDirDigests)
+	dirDigests.PutString("/h/wide")
+	handle := n.serve(KoshaService, koshaProcs)
+	for _, c := range []struct {
+		req    []byte
+		frames float64 // beyond the Codec
+	}{{treeDigest.Bytes(), 0}, {dirDigests.Bytes(), 1}} {
+		var resp []byte
+		var err error
+		serve := func() { resp, _, err = handle(obs.TraceContext{}, "peer", c.req) }
+		serve() // warm the memo
+		served := testing.AllocsPerRun(100, serve)
+		if err != nil || wire.NewDecoder(resp).Uint32() != codeOK || (len(resp) > 248) != (c.frames > 0) {
+			t.Fatalf("proc %d = %d bytes, %v", c.req[3], len(resp), err)
+		}
+		var d wire.Decoder
+		var out wire.Encoder
+		out.Grow(64 << 10)
+		handler := testing.AllocsPerRun(100, func() {
+			d.Reset(c.req[4:])
+			out.Reset()
+			_, err = koshaProcs[uint32(c.req[3])].serve(n, obs.TraceContext{}, "peer", &d, &out)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served != handler+1+c.frames {
+			t.Errorf("a served proc %d with a %d-byte reply allocates %.0f times, its handler %.0f: want the Codec and %.0f frames beyond the handler",
+				c.req[3], len(resp), served, handler, c.frames)
+		}
+	}
+}
+
+// TestServedReplyDoesNotPinItsRequest: a reply small enough to be encoded in
+// the serving Codec keeps that Codec alive as long as the caller holds the
+// reply, and the Codec's decoder has read the request; serve lets go of the
+// request first, so a 20-byte kApply reply held by its caller does not keep
+// the 1 MiB frame it answered alive.
+func TestServedReplyDoesNotPinItsRequest(t *testing.T) {
+	store := localfs.New(0, simnet.Disk7200)
+	state := uint64(5)
+	n := NewNodeWithStore("k0", id.Rand128(&state), simnet.New(simnet.LAN100), Config{}, store)
+	handle := n.serve(KoshaService, koshaProcs)
+	if err := store.WriteFile("/home/f", nil); err != nil {
 		t.Fatal(err)
 	}
-	if served > handler+2 {
-		t.Errorf("a served TREE_DIGEST allocates %.0f times, its handler %.0f: want the reply frame and one object beyond the handler", served, handler)
+	r := applyReq{Op: FSOp{Kind: FSWrite, Path: "/home/f", Data: make([]byte, 1<<20)}}
+	frame := r.frame(kApply)
+	req := make([]byte, len(frame))
+	copy(req, frame)
+	freed := make(chan struct{})
+	runtime.SetFinalizer(&req[0], func(*byte) { close(freed) })
+	resp, _, err := handle(obs.TraceContext{}, "peer", req)
+	if err != nil || len(resp) > 248 || wire.NewDecoder(resp).Uint32() != codeOK {
+		t.Fatalf("kApply = %d bytes, %v; want a reply inside the Codec", len(resp), err)
 	}
+	req, frame = nil, nil
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(resp)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Errorf("the %d-byte kApply request is still alive while its %d-byte reply is held", len(r.Op.Data), len(resp))
+	runtime.KeepAlive(resp)
 }
 
 // TestServedMutationAllocatesNoTrackStrings: a served kApply or kMirror of a

@@ -43,16 +43,16 @@ type serviceTable map[uint32]proc
 // serve returns the transport handler for one of the node's service tables:
 // it decodes the procedure number and routes to the table entry. The reply is
 // the encoder's own bytes: the caller owns a reply (DESIGN §10), and nothing
-// else holds the encoder once the handler returns. Besides that frame a
-// request allocates one object, the decoder and the encoder together, which
-// escape through the table's indirect call.
+// else holds the encoder once the handler returns. A request allocates one
+// object, a wire.Codec: the decoder and the encoder, which escape through the
+// table's indirect call, and the array a reply of up to 248 bytes is
+// encoded into; only a larger reply grows a frame of its own. A reply in the
+// array keeps the Codec alive, so the decoder lets go of the request first:
+// a held 20-byte kApply reply must not pin the 1 MiB request it answered.
 func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 	return func(ctx obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-		x := new(struct {
-			d wire.Decoder
-			e wire.Encoder
-		})
-		d, e := &x.d, &x.e
+		x := wire.NewCodec()
+		d, e := &x.D, &x.E
 		d.Reset(req)
 		num := d.Uint32()
 		if d.Err() != nil {
@@ -62,8 +62,8 @@ func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 		if !ok {
 			return nil, 0, fmt.Errorf("%s: unknown proc %d", service, num)
 		}
-		e.Grow(256)
 		cost, err := p.serve(n, ctx, from, d, e)
+		d.Reset(nil)
 		if err != nil {
 			return nil, cost, err
 		}

@@ -546,7 +546,7 @@ func (f *FS) Lookup(dirIno uint64, name string) (Attr, simnet.Cost, error) {
 
 // LookupName is Lookup of a name held as bytes, such as one borrowed from a
 // request frame: the directory is indexed by the bytes themselves, so a
-// lookup that finds its entry allocates nothing, and nothing keeps name.
+// lookup allocates nothing, hit or miss, and nothing keeps name.
 func (f *FS) LookupName(dirIno uint64, name []byte) (Attr, simnet.Cost, error) {
 	return lookup(f, dirIno, name)
 }
@@ -561,7 +561,9 @@ func lookup[N string | []byte](f *FS, dirIno uint64, name N) (Attr, simnet.Cost,
 	}
 	child, ok := dir.children[string(name)]
 	if !ok {
-		return Attr{}, cost, fmt.Errorf("%w: %q in ino %d", ErrNoEnt, name, dirIno)
+		// The sentinel itself: a miss is a probe's usual answer (MkdirAll
+		// asks before it creates), and every caller reduces it to a status.
+		return Attr{}, cost, ErrNoEnt
 	}
 	return f.attrOf(child), cost, nil
 }

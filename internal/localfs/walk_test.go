@@ -26,6 +26,31 @@ func TestLookupPathAllocs(t *testing.T) {
 	}
 }
 
+// TestLookupMissAllocatesNothing: a name missing from its directory is
+// ErrNoEnt itself, by string or by bytes, and costs no allocation. (It was
+// wrapped with the name and the directory's inode on every miss, text that
+// every caller reduced to a status.)
+func TestLookupMissAllocatesNothing(t *testing.T) {
+	fs := newFS(0)
+	dir, err := fs.MkdirAll("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := []byte("missing")
+	var errs [2]error
+	if n := testing.AllocsPerRun(100, func() {
+		_, _, errs[0] = fs.Lookup(dir.Ino, "missing")
+		_, _, errs[1] = fs.LookupName(dir.Ino, name)
+	}); n != 0 {
+		t.Errorf("two lookup misses allocate %.0f times, want 0", n)
+	}
+	for _, err := range errs {
+		if err != ErrNoEnt {
+			t.Errorf("lookup miss = %v, want ErrNoEnt itself", err)
+		}
+	}
+}
+
 // splitPath is the component split the walker replaced: the clean path split
 // on its separators, each component checked with checkName.
 func splitPath(p string) ([]string, error) {

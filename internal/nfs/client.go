@@ -142,15 +142,13 @@ func (c Client) ResetStats() {
 // *Error beside the decoder, positioned after the status word, for the
 // procedures whose failure replies carry more than the status.
 //
-// Besides the request frame a call allocates one object: the encoder and the
-// decoder together, which escape through build and the returned decoder.
+// A call allocates one object, a wire.Codec: the encoder and the decoder,
+// which escape through build and the returned decoder, and the array a
+// request frame of up to 248 bytes is encoded into; only a larger request
+// grows a frame of its own.
 func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
-	x := new(struct {
-		e wire.Encoder
-		d wire.Decoder
-	})
-	e := &x.e
-	e.Grow(256)
+	x := wire.NewCodec()
+	e := &x.E
 	e.PutUint32(uint32(proc))
 	e.PutUint64(c.s.xid.Add(1))
 	if build != nil {
@@ -165,7 +163,7 @@ func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wir
 	if err != nil {
 		return nil, cost, fmt.Errorf("nfs %s to %s: %w", proc, to, err)
 	}
-	d := &x.d
+	d := &x.D
 	d.Reset(resp)
 	st := Status(d.Uint32())
 	if d.Err() != nil {

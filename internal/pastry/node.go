@@ -675,9 +675,11 @@ func (n *Node) call(to simnet.Addr, proc uint32, build func(*wire.Encoder)) (*wi
 
 // callCtx is call with trace-context propagation: a valid context rides the
 // RPC envelope, so the peer's transport layer records a server span for the
-// hop.
+// hop. A call allocates one object, a wire.Codec: the request frame is
+// encoded into its array and the reply decoded by its decoder.
 func (n *Node) callCtx(tc obs.TraceContext, to simnet.Addr, proc uint32, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
-	e := wire.NewEncoder(128)
+	x := wire.NewCodec()
+	e := &x.E
 	e.PutUint32(proc)
 	if build != nil {
 		build(e)
@@ -686,7 +688,8 @@ func (n *Node) callCtx(tc obs.TraceContext, to simnet.Addr, proc uint32, build f
 	if err != nil {
 		return nil, cost, err
 	}
-	return wire.NewDecoder(resp), cost, nil
+	x.D.Reset(resp)
+	return &x.D, cost, nil
 }
 
 func (n *Node) rpcPing(to simnet.Addr) (simnet.Cost, error) {

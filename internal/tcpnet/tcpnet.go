@@ -9,10 +9,20 @@
 // cost for the message sizes, so benchmark numbers remain comparable to
 // the in-process emulation regardless of real wire latency.
 //
+// A round trip allocates one buffer each way: the frame each side reads off
+// its socket. Everything else is written from where it lies or decoded in
+// place. The envelope head (from, service, trace words and the payload's
+// length) is encoded into the connection's own scratch and sent with the
+// payload in one writev, uncopied; the server opens a request frame in place,
+// resolves the service it names to the registered name and reuses the
+// connection's last sender address while the bytes match, and the caller is
+// handed the reply as a sub-slice of the frame it read.
+//
 // Buffer ownership follows simnet.HandlerCtx's rule: every frame read off a
 // connection gets a freshly allocated slice that is never recycled, so a
-// handler may borrow from its request for the duration of the call and a
-// caller owns the response it is handed; buffers passed in are only read.
+// handler borrows its request, a sub-slice of that frame, for the duration
+// of the call, and a caller owns the response it is handed, a sub-slice of
+// the reply frame; buffers passed in are only read.
 package tcpnet
 
 import (
@@ -49,7 +59,7 @@ type Net struct {
 	ln    net.Listener
 
 	mu       sync.Mutex
-	services map[string]simnet.HandlerCtx
+	services map[string]endpoint
 	sink     simnet.SpanSink
 	conns    map[simnet.Addr]*conn
 	inbound  map[net.Conn]struct{}
@@ -59,9 +69,85 @@ type Net struct {
 	onceOff sync.Once
 }
 
+// endpoint is one registered handler under its service name, so a request
+// that names the service by bytes off the wire resolves to the name's string
+// without building one.
+type endpoint struct {
+	name string
+	h    simnet.HandlerCtx
+}
+
+// conn is a pooled client connection: one round trip at a time, under mu,
+// which also guards the link's scratch.
 type conn struct {
 	mu sync.Mutex
-	c  net.Conn
+	link
+}
+
+// zeros pads a frame's trailing opaque to a 4-byte boundary.
+var zeros [3]byte
+
+// link is one connection's framing: the socket and the scratch a frame's
+// head is encoded into, a received frame's length word is read into and the
+// writev vector is built in. Whoever holds the connection uses its scratch —
+// a caller under conn.mu, the server in the connection's goroutine. The
+// scratch is not a pool: it belongs to the socket and dies with it, holds a
+// frame's head but never its payload past the send that wrote it, and lends
+// nothing, so no buffer passes from one message or connection to another
+// through it.
+type link struct {
+	c    net.Conn
+	head wire.Encoder // the outgoing frame's length word and envelope head
+	hdr  [4]byte      // an incoming frame's length word
+	vec  [3][]byte    // head, body and padding, for one writev
+	out  net.Buffers  // vec, as WriteTo consumes it
+}
+
+// start begins a frame in the scratch: a length word, filled in by send,
+// then whatever the caller encodes.
+func (l *link) start() *wire.Encoder {
+	l.head.Reset()
+	l.head.PutUint32(0)
+	return &l.head
+}
+
+// send writes the frame whose head the scratch holds, then body — the bytes
+// of the opaque item whose length word ends the head — and its padding, in
+// one writev. body is written from where it lies, not copied.
+func (l *link) send(body []byte) error {
+	head := l.head.Bytes()
+	pad := -len(body) & 3
+	binary.BigEndian.PutUint32(head, uint32(len(head)-4+len(body)+pad))
+	l.vec = [3][]byte{head, body, zeros[:pad]}
+	l.out = l.vec[:]
+	_, err := l.out.WriteTo(l.c)
+	clear(l.vec[:]) // a failed write leaves body in the vector
+	return err
+}
+
+// recv reads one frame into a freshly allocated slice. The frame's length is
+// only a claim: the slice grows toward it as the bytes arrive, so four bytes
+// from a peer cannot reserve 96 MiB here.
+func (l *link) recv() ([]byte, error) {
+	if _, err := io.ReadFull(l.c, l.hdr[:]); err != nil {
+		return nil, err
+	}
+	size := int(binary.BigEndian.Uint32(l.hdr[:]))
+	if size > maxFrame {
+		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", size)
+	}
+	p := make([]byte, min(size, frameStep))
+	for got := 0; ; {
+		if _, err := io.ReadFull(l.c, p[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(p); got == size {
+			return p, nil
+		}
+		grown := make([]byte, min(size, 2*got))
+		copy(grown, p)
+		p = grown
+	}
 }
 
 // Listen starts a transport bound to listenAddr ("host:port"; port 0 picks
@@ -76,7 +162,7 @@ func Listen(listenAddr string, link simnet.LinkModel) (*Net, error) {
 		Timeout:  5 * time.Second,
 		local:    simnet.Addr(ln.Addr().String()),
 		ln:       ln,
-		services: make(map[string]simnet.HandlerCtx),
+		services: make(map[string]endpoint),
 		conns:    make(map[simnet.Addr]*conn),
 		inbound:  make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
@@ -93,7 +179,7 @@ func Dialer(from simnet.Addr, link simnet.LinkModel) *Net {
 		Link:     link,
 		Timeout:  5 * time.Second,
 		local:    from,
-		services: make(map[string]simnet.HandlerCtx),
+		services: make(map[string]endpoint),
 		conns:    make(map[simnet.Addr]*conn),
 		inbound:  make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
@@ -134,7 +220,7 @@ func (n *Net) RegisterCtx(addr simnet.Addr, service string, h simnet.HandlerCtx)
 		panic(fmt.Sprintf("tcpnet: cannot register %q for remote address %s (local %s)", service, addr, n.local))
 	}
 	n.mu.Lock()
-	n.services[service] = h
+	n.services[service] = endpoint{service, h}
 	n.mu.Unlock()
 }
 
@@ -148,18 +234,16 @@ func (n *Net) SetSpanSink(addr simnet.Addr, s simnet.SpanSink) {
 	n.mu.Unlock()
 }
 
-func (n *Net) handlerFor(service string) (simnet.HandlerCtx, simnet.SpanSink) {
+// serve dispatches one delivered request to the local handler of the
+// service named, recording a server span when the envelope carries a trace
+// context and a sink is installed. Shared by the loopback path, which names
+// the service by a string, and the listener, which names it by the frame's
+// bytes: the map is indexed by them directly, which does not allocate.
+func serve[S string | []byte](n *Net, ctx obs.TraceContext, from simnet.Addr, service S, req []byte) ([]byte, simnet.Cost, error) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.services[service], n.sink
-}
-
-// serve dispatches one delivered request to the local handler, recording a
-// server span when the envelope carries a trace context and a sink is
-// installed. Shared by the loopback path and the listener.
-func (n *Net) serve(ctx obs.TraceContext, from simnet.Addr, service string, req []byte) ([]byte, simnet.Cost, error) {
-	h, sink := n.handlerFor(service)
-	if h == nil {
+	ep, sink := n.services[string(service)], n.sink
+	n.mu.Unlock()
+	if ep.h == nil {
 		return nil, simnet.Cost(time.Second), fmt.Errorf("%w: %q on %s", simnet.ErrNoSuchService, service, n.local)
 	}
 	hctx := ctx
@@ -168,9 +252,9 @@ func (n *Net) serve(ctx obs.TraceContext, from simnet.Addr, service string, req 
 		span = sink.NextSpanID()
 		hctx = ctx.Child(span)
 	}
-	resp, cost, err := h(hctx, from, req)
+	resp, cost, err := ep.h(hctx, from, req)
 	if span != 0 {
-		sink.RecordServerSpan(ctx, span, service, from, req, cost, err)
+		sink.RecordServerSpan(ctx, span, ep.name, from, req, cost, err)
 	}
 	return resp, cost, err
 }
@@ -186,7 +270,7 @@ func (n *Net) Call(from, to simnet.Addr, service string, req []byte) ([]byte, si
 // the remote handler's reported processing cost.
 func (n *Net) CallCtx(ctx obs.TraceContext, from, to simnet.Addr, service string, req []byte) ([]byte, simnet.Cost, error) {
 	if to == n.local {
-		return n.serve(ctx, from, service, req)
+		return serve(n, ctx, from, service, req)
 	}
 
 	var wireCost simnet.Cost
@@ -214,7 +298,7 @@ func (n *Net) getConn(to simnet.Addr) (c *conn, fresh bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %s -> %s: %v", simnet.ErrUnreachable, n.local, to, err)
 	}
-	c = &conn{c: raw}
+	c = &conn{link: link{c: raw}}
 	n.mu.Lock()
 	if existing := n.conns[to]; existing != nil {
 		n.mu.Unlock()
@@ -257,7 +341,8 @@ func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, re
 		}
 		break
 	}
-	d := wire.NewDecoder(frame)
+	var d wire.Decoder
+	d.Reset(frame)
 	ok := d.Bool()
 	cost := simnet.Cost(d.Int64())
 	if !ok {
@@ -267,7 +352,7 @@ func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, re
 		}
 		return nil, cost, decodeRemoteError(msg)
 	}
-	resp := d.Opaque()
+	resp := d.OpaqueRef() // the caller owns the frame it was read into
 	if d.Err() != nil {
 		return nil, cost, d.Err()
 	}
@@ -275,24 +360,26 @@ func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, re
 }
 
 // exchange performs one framed request/response on a connection. The trace
-// context travels as three fixed words after the service name.
+// context travels as three fixed words after the service name. The head is
+// encoded into the connection's scratch and req is sent after it as the
+// envelope's last item, uncopied.
 func (n *Net) exchange(c *conn, ctx obs.TraceContext, service string, req []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	e := wire.NewEncoder(88 + len(req))
+	e := c.start()
 	e.PutString(string(n.local))
 	e.PutString(service)
 	e.PutUint64(ctx.Hi)
 	e.PutUint64(ctx.Lo)
 	e.PutUint64(ctx.Span)
-	e.PutOpaque(req)
+	e.PutUint32(uint32(len(req)))
 
 	c.c.SetDeadline(time.Now().Add(n.Timeout))
-	if err := writeFrame(c.c, e.Bytes()); err != nil {
+	if err := c.send(req); err != nil {
 		return nil, err
 	}
-	return readFrame(c.c)
+	return c.recv()
 }
 
 // decodeRemoteError rehydrates sentinel errors that cross the wire as
@@ -336,76 +423,65 @@ func (n *Net) serveConn(raw net.Conn) {
 		delete(n.inbound, raw)
 		n.mu.Unlock()
 	}()
+	n.serveLink(&link{c: raw})
+}
+
+// serveLink answers the requests that arrive on one connection until it
+// fails or sends a frame that does not open. A request is served from its
+// frame in place and the reply's head goes into the link's scratch, the
+// handler's reply sent after it uncopied.
+func (n *Net) serveLink(l *link) {
+	var from simnet.Addr
 	for {
-		raw.SetReadDeadline(time.Now().Add(10 * time.Minute))
-		frame, err := readFrame(raw)
+		l.c.SetReadDeadline(time.Now().Add(10 * time.Minute))
+		frame, err := l.recv()
 		if err != nil {
 			return
 		}
-		from, service, ctx, req, err := decodeRequest(frame)
+		env, err := decodeRequest(frame)
 		if err != nil {
 			return
+		}
+		if string(env.from) != string(from) {
+			from = simnet.Addr(env.from)
 		}
 
-		e := wire.NewEncoder(256)
-		resp, cost, herr := n.serve(ctx, from, service, req)
+		resp, cost, herr := serve(n, env.ctx, from, env.service, env.req)
+		e := l.start()
 		if herr != nil {
 			e.PutBool(false)
 			e.PutInt64(int64(cost))
 			e.PutString(herr.Error())
+			resp = nil
 		} else {
 			e.PutBool(true)
 			e.PutInt64(int64(cost))
-			e.PutOpaque(resp)
+			e.PutUint32(uint32(len(resp)))
 		}
-		raw.SetWriteDeadline(time.Now().Add(n.Timeout))
-		if err := writeFrame(raw, e.Bytes()); err != nil {
+		l.c.SetWriteDeadline(time.Now().Add(n.Timeout))
+		if err := l.send(resp); err != nil {
 			return
 		}
 	}
 }
 
-// decodeRequest opens the request envelope exchange builds.
-func decodeRequest(frame []byte) (from simnet.Addr, service string, ctx obs.TraceContext, req []byte, err error) {
-	d := wire.NewDecoder(frame)
-	from = simnet.Addr(d.String())
-	service = d.String()
-	ctx = obs.TraceContext{Hi: d.Uint64(), Lo: d.Uint64(), Span: d.Uint64()}
-	req = d.Opaque()
-	return from, service, ctx, req, d.Err()
+// envelope is a request frame opened in place: from, service and req are
+// sub-slices of the frame.
+type envelope struct {
+	from, service []byte
+	ctx           obs.TraceContext
+	req           []byte
 }
 
-func writeFrame(w io.Writer, p []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(p)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(p)
-	return err
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	size := int(binary.BigEndian.Uint32(hdr[:]))
-	if size > maxFrame {
-		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", size)
-	}
-	// The header is only a claim: the buffer grows toward it as the bytes
-	// arrive, so four bytes from a peer cannot reserve 96 MiB here.
-	p := make([]byte, min(size, frameStep))
-	for got := 0; ; {
-		if _, err := io.ReadFull(r, p[got:]); err != nil {
-			return nil, err
-		}
-		if got = len(p); got == size {
-			return p, nil
-		}
-		grown := make([]byte, min(size, 2*got))
-		copy(grown, p)
-		p = grown
-	}
+// decodeRequest opens the request envelope exchange builds. Bytes after the
+// request are ignored.
+func decodeRequest(frame []byte) (envelope, error) {
+	var d wire.Decoder
+	d.Reset(frame)
+	var env envelope
+	env.from = d.OpaqueRef()
+	env.service = d.OpaqueRef()
+	env.ctx = obs.TraceContext{Hi: d.Uint64(), Lo: d.Uint64(), Span: d.Uint64()}
+	env.req = d.OpaqueRef()
+	return env, d.Err()
 }

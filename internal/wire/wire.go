@@ -37,6 +37,12 @@ func NewEncoder(capHint int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capHint)}
 }
 
+// Use points the encoder at buf's storage: encoding appends from buf[:0], and
+// only a frame that outgrows cap(buf) allocates, growing past it as a fresh
+// encoder's frame would (once, for a PutOpaque). For an encoder that lives beside an array in a
+// larger object (Codec), so a small frame costs no allocation of its own.
+func (e *Encoder) Use(buf []byte) { e.buf = buf[:0] }
+
 // Bytes returns the encoded buffer. The encoder retains ownership; callers
 // must copy if they keep the slice past the next Put call.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -151,6 +157,30 @@ func (e *Encoder) PutStrings(ss []string) {
 	for _, s := range ss {
 		e.PutString(s)
 	}
+}
+
+// smallFrame is the frame a Codec holds without allocating. 248 bytes makes
+// the Codec — a 24-byte Encoder, a 48-byte Decoder and the array — 320 bytes,
+// exactly a Go size class; a 256-byte array would land it in the 352 class.
+const smallFrame = 248
+
+// Codec is one message's encoder and decoder together with storage for a
+// small frame, in one allocation: the encoder starts on the array, so a frame
+// of up to smallFrame bytes costs nothing more and only a larger one grows a
+// buffer of its own. A frame encoded into the array lives as long as the Codec does, and
+// a Codec kept alive by its frame keeps alive whatever its decoder reads:
+// point D at nil (D.Reset(nil)) before handing E's bytes away.
+type Codec struct {
+	E     Encoder
+	D     Decoder
+	small [smallFrame]byte
+}
+
+// NewCodec returns a Codec whose encoder starts on the Codec's own array.
+func NewCodec() *Codec {
+	c := new(Codec)
+	c.E.Use(c.small[:])
+	return c
 }
 
 // Decoder consumes XDR-encoded values from a byte slice.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestScalarRoundTrip(t *testing.T) {
@@ -379,5 +380,40 @@ func TestDecoderReset(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { d.Reset(e.Bytes()); d.Uint32() }); n != 0 {
 		t.Errorf("Reset allocates %.0f times, want 0", n)
+	}
+}
+
+var codecSink *Codec
+
+// TestCodecIsOneSizeClass: a Codec is exactly 320 bytes, a Go size class, so
+// the array costs no rounding; a frame that fits the array is encoded with
+// the Codec's one allocation, and one that does not grows past it once, into
+// a buffer of its own that holds the bytes written before it outgrew the
+// array.
+func TestCodecIsOneSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Codec{}); size != 320 {
+		t.Fatalf("Codec is %d bytes, want 320", size)
+	}
+	payload := make([]byte, 1<<10)
+	for _, c := range []struct {
+		body   int
+		allocs float64
+	}{{smallFrame - 8, 1}, {smallFrame - 4, 2}, {len(payload), 2}} {
+		var frame []byte
+		if n := testing.AllocsPerRun(100, func() {
+			codecSink = NewCodec()
+			codecSink.E.PutUint32(7)
+			codecSink.E.PutOpaque(payload[:c.body])
+			frame = codecSink.E.Bytes()
+		}); n != c.allocs {
+			t.Errorf("a %d-byte frame encoded in a Codec took %.0f allocations, want %.0f", len(frame), n, c.allocs)
+		}
+		want := NewEncoder(0)
+		want.PutUint32(7)
+		want.PutOpaque(payload[:c.body])
+		inArray := &frame[0] == &codecSink.small[0]
+		if !bytes.Equal(frame, want.Bytes()) || inArray != (len(frame) <= smallFrame) {
+			t.Errorf("a %d-byte frame: in the array %v, bytes equal %v", len(frame), inArray, bytes.Equal(frame, want.Bytes()))
+		}
 	}
 }
