@@ -23,8 +23,9 @@ ci: fmt-check vet build
 	$(MAKE) gobench-smoke
 
 # chaos runs the deterministic fault-injection harness under the race
-# detector: the scripted failure scenarios, a randomized schedule, and the
-# seed-replay determinism check (see internal/chaos). Every failure message
+# detector: the scripted failure scenarios, a randomized schedule, the
+# seed-replay determinism check and the 60-node availability-trace smoke
+# soak (see internal/chaos). Every failure message
 # carries the run's seed; replay it with
 #   go test -race ./internal/chaos -run <TestName> -v
 # Opt into the longer randomized soak with KOSHA_CHAOS_SOAK=<runs>, pinning
@@ -39,16 +40,17 @@ chaos:
 	$(GO) test -race -count=1 ./internal/chaos
 	$(GO) test -count=1 ./internal/cluster -run TestOracleSeedSweep -seeds 1000
 
-# soak is the gated slow target: the 500-node scale-out soak (internal/scale)
-# replaying >= 10K Purdue-trace operations under diurnal availability churn
-# with the overlay invariant oracle enforced every epoch, followed by the
-# maintenance scrub soak (internal/chaos) that injects silent corruption in
-# batches and requires the anti-entropy scrub to converge every batch. Each
-# run's seed is logged; replay a failure with
-#   KOSHA_SCALE_SOAK=1 KOSHA_SCALE_SEED=<seed> go test ./internal/scale -run TestSoakLarge -v
+# soak is the gated slow target: the 500-node scale-out soak (chaos.Run with
+# availability-trace churn as its step source and the Purdue trace as its
+# workload) replaying >= 10K operations with the overlay invariant oracle
+# enforced every step, followed by the maintenance scrub soak that injects
+# silent corruption in batches and requires the anti-entropy scrub to
+# converge every batch. Both are in internal/chaos. Each run's seed is
+# logged; replay a failure with
+#   KOSHA_SCALE_SOAK=1 KOSHA_SCALE_SEED=<seed> go test ./internal/chaos -run TestSoakLarge -v
 #   KOSHA_MAINT_SOAK=1 KOSHA_MAINT_SEED=<seed> go test ./internal/chaos -run TestMaintScrubSoak -v
 soak:
-	KOSHA_SCALE_SOAK=1 $(GO) test -count=1 -timeout 30m ./internal/scale -run TestSoakLarge -v
+	KOSHA_SCALE_SOAK=1 $(GO) test -count=1 -timeout 30m ./internal/chaos -run TestSoakLarge -v
 	KOSHA_MAINT_SOAK=1 $(GO) test -count=1 -timeout 30m ./internal/chaos -run TestMaintScrubSoak -v
 
 # fuzz runs every Fuzz* target in the module for FUZZTIME each, one after

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,6 +34,13 @@ type Scheduler struct {
 	Protected map[int]bool
 	// MinLive bounds how many nodes guarded Apply calls may leave alive.
 	MinLive int
+	// Spacing is the distance on the live ring, in nodes, that every two
+	// victims of one churn step must exceed. At K, every primary plus its
+	// K leaf-set replica candidates keeps a survivor, so no acknowledged
+	// write can lose all its copies in one step.
+	Spacing int
+
+	crashes, revives int // nodes crashed and revived by Apply and Quiesce
 }
 
 // NewScheduler wires a scheduler to a cluster and installs its (initially
@@ -107,17 +115,6 @@ func (s *Scheduler) Down(i int) bool {
 	return s.C.Net.IsDown(s.C.Nodes[i].Addr())
 }
 
-// liveCount counts nodes currently up.
-func (s *Scheduler) liveCount() int {
-	n := 0
-	for i := range s.C.Nodes {
-		if !s.Down(i) {
-			n++
-		}
-	}
-	return n
-}
-
 // Apply executes one step against the cluster. Steps that would violate the
 // guards — crashing a protected or already-down node, dropping below
 // MinLive, reviving a live node, degrading a protected node's links — are
@@ -133,7 +130,7 @@ func (s *Scheduler) Apply(st Step) (applied bool, desc string, err error) {
 	switch st.Kind {
 	case OpCrash:
 		a := idx(st.A)
-		if s.Protected[a] || s.Down(a) || s.liveCount() <= s.MinLive {
+		if s.Protected[a] || s.Down(a) || len(s.C.Alive()) <= s.MinLive {
 			return false, desc + " (skipped)", nil
 		}
 		// Crashing while loss or partitions impede replication could destroy
@@ -144,6 +141,7 @@ func (s *Scheduler) Apply(st Step) (applied bool, desc string, err error) {
 			return false, desc + " (skipped: repair impeded)", nil
 		}
 		s.C.Fail(a)
+		s.crashes++
 	case OpRevive:
 		a := idx(st.A)
 		if !s.Down(a) {
@@ -159,6 +157,7 @@ func (s *Scheduler) Apply(st Step) (applied bool, desc string, err error) {
 			}
 			return false, desc, fmt.Errorf("chaos: %s: %w", desc, err)
 		}
+		s.revives++
 	case OpJoin:
 		// Joining through a degraded or partitioned network can legitimately
 		// fail; schedules only grow the cluster on a clean network, and never
@@ -214,10 +213,71 @@ func (s *Scheduler) Apply(st Step) (applied bool, desc string, err error) {
 		s.mu.Unlock()
 	case OpStabilize:
 		s.C.Stabilize()
+	case OpChurn:
+		var back []int
+		for i := range s.C.Nodes {
+			if i < len(st.Up) && st.Up[i] && s.Down(i) {
+				back = append(back, i)
+			}
+		}
+		// One batch, one stabilization: a Stabilize per revived node is the
+		// O(N) scan that makes large-cluster churn intractable.
+		if err := s.C.ReviveNodes(back); err != nil {
+			return false, desc, fmt.Errorf("chaos: churn revive: %w", err)
+		}
+		victims := s.churnVictims(st.Up)
+		for _, v := range victims {
+			s.C.Fail(v)
+		}
+		if len(victims) > 0 {
+			s.C.Stabilize()
+		}
+		s.revives += len(back)
+		s.crashes += len(victims)
+		desc = fmt.Sprintf("churn +%d -%d", len(back), len(victims))
 	default:
 		return false, desc, fmt.Errorf("chaos: unknown op %d", st.Kind)
 	}
 	return true, desc, nil
+}
+
+// churnVictims picks, in index order, the live nodes up marks down that
+// the crash guards let go together: none protected, the live population
+// kept at MinLive or above, and each more than Spacing ring positions from
+// every other victim. Like a single crash, none fires while loss or a
+// partition impedes repair.
+func (s *Scheduler) churnVictims(up []bool) []int {
+	if s.LossActive() || s.PartitionActive() {
+		return nil
+	}
+	alive := s.C.Alive()
+	ring := slices.Clone(alive)
+	slices.SortFunc(ring, func(a, b int) int {
+		return s.C.Nodes[a].Overlay().Info().ID.Cmp(s.C.Nodes[b].Overlay().Info().ID)
+	})
+	pos := make(map[int]int, len(ring)) // node index -> position on the live ring
+	for p, i := range ring {
+		pos[i] = p
+	}
+	live := len(alive)
+	var victims []int
+	for _, i := range alive {
+		if s.Protected[i] || i >= len(up) || up[i] {
+			continue
+		}
+		if live-1 < s.MinLive {
+			break
+		}
+		crowded := slices.ContainsFunc(victims, func(v int) bool {
+			d := (pos[i] - pos[v] + len(ring)) % len(ring)
+			return min(d, len(ring)-d) <= s.Spacing
+		})
+		if !crowded {
+			victims = append(victims, i)
+			live--
+		}
+	}
+	return victims
 }
 
 // LossActive reports whether any message-drop injection is in force — the
@@ -253,8 +313,8 @@ func (s *Scheduler) SuspendLoss() (restore func()) {
 }
 
 // Quiesce removes all injected faults and partitions, revives every downed
-// node, and stabilizes — the precondition for the replica re-convergence
-// invariant.
+// node in one batch, and stabilizes — the precondition for the replica
+// re-convergence invariant.
 func (s *Scheduler) Quiesce() error {
 	s.mu.Lock()
 	s.oneway = map[[2]simnet.Addr]bool{}
@@ -262,14 +322,16 @@ func (s *Scheduler) Quiesce() error {
 	s.delay = map[simnet.Addr]simnet.Cost{}
 	s.dupP = 0
 	s.mu.Unlock()
+	var down []int
 	for i := range s.C.Nodes {
 		if s.Down(i) {
-			if err := s.C.Revive(i); err != nil {
-				return fmt.Errorf("chaos: quiesce revive %d: %w", i, err)
-			}
+			down = append(down, i)
 		}
 	}
-	s.C.Stabilize()
+	if err := s.C.ReviveNodes(down); err != nil {
+		return fmt.Errorf("chaos: quiesce revive: %w", err)
+	}
+	s.revives += len(down)
 	s.C.Stabilize()
 	return nil
 }

@@ -2,8 +2,11 @@ package chaos
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // run executes a schedule under -race-friendly sizes and fails the test with
@@ -24,7 +27,7 @@ func run(t *testing.T, o Options) *Report {
 func TestScenarioCrashDuringWrite(t *testing.T) {
 	run(t, Options{
 		Seed: 1101,
-		Steps: []Step{
+		Steps: Script{
 			{Kind: OpCrash, A: 3},
 			{Kind: OpStabilize},
 			{Kind: OpCrash, A: 5},
@@ -45,7 +48,7 @@ func TestScenarioWriteBackCrash(t *testing.T) {
 	run(t, Options{
 		Seed:           1102,
 		WriteBackBytes: 64 << 10,
-		Steps: []Step{
+		Steps: Script{
 			{Kind: OpCrash, A: 3},
 			{Kind: OpStabilize},
 			{Kind: OpCrash, A: 5},
@@ -67,7 +70,7 @@ func TestScenarioWriteBackDup(t *testing.T) {
 	run(t, Options{
 		Seed:           1103,
 		WriteBackBytes: 64 << 10,
-		Steps: []Step{
+		Steps: Script{
 			{Kind: OpDup, P: 0.50},
 			{Kind: OpStabilize},
 			{Kind: OpCrash, A: 4},
@@ -84,7 +87,7 @@ func TestScenarioWriteBackDup(t *testing.T) {
 func TestScenarioPartitionHeal(t *testing.T) {
 	run(t, Options{
 		Seed: 2202,
-		Steps: []Step{
+		Steps: Script{
 			{Kind: OpPartition, A: 2, B: 4},
 			{Kind: OpPartition, A: 4, B: 2},
 			{Kind: OpStabilize},
@@ -102,7 +105,7 @@ func TestScenarioPartitionHeal(t *testing.T) {
 func TestScenarioReplicaLoss(t *testing.T) {
 	run(t, Options{
 		Seed: 3303,
-		Steps: []Step{
+		Steps: Script{
 			{Kind: OpCrash, A: 1},
 			{Kind: OpCrash, A: 2},
 			{Kind: OpCrash, A: 6},
@@ -126,7 +129,7 @@ func TestScenarioFlappingNode(t *testing.T) {
 			Step{Kind: OpRevive, A: 4},
 		)
 	}
-	run(t, Options{Seed: 4404, Steps: steps})
+	run(t, Options{Seed: 4404, Steps: Script(steps)})
 }
 
 // TestScenarioLossyLink: sustained message loss, duplication, and latency
@@ -135,7 +138,7 @@ func TestScenarioFlappingNode(t *testing.T) {
 func TestScenarioLossyLink(t *testing.T) {
 	run(t, Options{
 		Seed: 5505,
-		Steps: []Step{
+		Steps: Script{
 			{Kind: OpLossy, A: 2, P: 0.20},
 			{Kind: OpDup, P: 0.30},
 			{Kind: OpStabilize},
@@ -153,7 +156,7 @@ func TestScenarioLossyLink(t *testing.T) {
 func TestScenarioMixed(t *testing.T) {
 	run(t, Options{
 		Seed: 6606,
-		Steps: []Step{
+		Steps: Script{
 			{Kind: OpCrash, A: 3},
 			{Kind: OpPartition, A: 1, B: 5},
 			{Kind: OpDup, P: 0.25},
@@ -169,32 +172,60 @@ func TestScenarioMixed(t *testing.T) {
 }
 
 // TestRandomizedSchedule: a short randomized run on a fixed seed, the same
-// generator the soak and the fuzzer lean on.
+// generator the soak and the fuzzer lean on. Each step is drawn when it is
+// applied, so the schedule revives nodes its own crashes took down.
 func TestRandomizedSchedule(t *testing.T) {
-	rep := run(t, Options{Seed: 7707, RandomSteps: 20})
+	rep := run(t, Options{Seed: 7707, Steps: Random(20)})
 	if rep.Applied == 0 {
 		t.Fatal("randomized schedule applied no steps")
+	}
+	revived := false
+	for _, line := range rep.Trace {
+		revived = revived || strings.Contains(line, ": revive node") && !strings.Contains(line, "skipped")
+	}
+	if !revived {
+		t.Fatalf("randomized schedule applied no revive\ntrace: %v", rep.Trace)
 	}
 }
 
 // TestDeterministicReplay: the whole harness — workload, schedule,
-// injector coin flips, retry jitter — replays bit-identically from a seed,
-// which is what makes every logged failure reproducible.
+// injector coin flips, retry jitter, maintenance — replays bit-identically
+// from a seed, which is what makes every logged failure reproducible. One
+// input per kind of run: random faults under the runner's own mix, and
+// availability-trace churn under the trace workload with maintenance and
+// the overlay invariants on.
 func TestDeterministicReplay(t *testing.T) {
-	opts := Options{Seed: 8808, RandomSteps: 15}
-	a, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed diverged:\n  run1: %+v\n  run2: %+v", a, b)
-	}
-	if len(a.Trace) == 0 {
-		t.Fatal("empty trace")
+	for _, tc := range []struct {
+		name string
+		o    Options
+	}{
+		{"random", Options{Seed: 8808, Steps: Random(15)}},
+		{"churn", Options{
+			Nodes:      40,
+			Seed:       2002,
+			Steps:      Churn(8),
+			Workload:   TraceWorkload{FS: trace.SmallFSConfig()},
+			OpsPerStep: 20,
+			Maint:      true,
+			Invariants: true,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := Run(tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("same seed diverged:\n  run1: %+v\n  run2: %+v", a, b)
+			}
+			if len(a.Trace) == 0 {
+				t.Fatal("empty trace")
+			}
+		})
 	}
 }
 
@@ -232,7 +263,7 @@ func TestGuardsHoldInvariants(t *testing.T) {
 	rep := run(t, Options{
 		Seed:    9909,
 		MinLive: 7, // 8-node cluster: at most one node may be down
-		Steps: []Step{
+		Steps: Script{
 			{Kind: OpCrash, A: 0}, // protected (mount host)
 			{Kind: OpCrash, A: 2},
 			{Kind: OpCrash, A: 3},           // would drop below MinLive

@@ -38,7 +38,7 @@ func sumCounter(c *cluster.Cluster, name string) uint64 {
 }
 
 // tickAll runs one maintenance round on every live node in index order —
-// the same deterministic schedule the runner and the scale soak use.
+// the same deterministic schedule the runner uses.
 func tickAll(c *cluster.Cluster) {
 	for _, nd := range c.Nodes {
 		if !c.Net.IsDown(nd.Addr()) {
@@ -687,7 +687,7 @@ func TestMaintScrubSoak(t *testing.T) {
 func TestMaintDeterministicReplay(t *testing.T) {
 	opts := Options{
 		Seed:           2026,
-		RandomSteps:    24,
+		Steps:          Random(24),
 		Maint:          true,
 		MaintRebalance: true,
 	}

@@ -1,7 +1,8 @@
 // Package chaos is the deterministic fault-injection harness for the Kosha
-// reproduction: a seeded scheduler drives a cluster.Cluster through scripted
-// or randomized schedules of crashes, revives, joins, asymmetric partitions,
-// message loss/duplication, and latency spikes, while an in-memory oracle
+// reproduction: a seeded scheduler drives a cluster.Cluster through scripted,
+// randomized or availability-trace schedules of crashes, revives, joins,
+// asymmetric partitions, message loss/duplication, and latency spikes, under
+// the runner's own workload or the Purdue trace, while an in-memory oracle
 // model checks the paper's availability invariants (Section 5, Figures 8-9):
 // with at least one live replica, every read returns the acknowledged
 // contents, no acknowledged write is lost, and per-subtree replica counts
@@ -25,8 +26,8 @@ import (
 )
 
 // Oracle is the in-memory reference model of the virtual file system, the
-// only one: the scheduler's runs here, the scale soak, the fuzzers and the
-// oracle sweep in internal/cluster all check a cluster against it. It is
+// only one: the runs here (availability-trace soaks included), the fuzzers
+// and the oracle sweep in internal/cluster all check a cluster against it. It is
 // exported and returns errors so that it works outside a *testing.T.
 type Oracle struct {
 	files map[string][]byte // virtual path -> contents
@@ -133,8 +134,7 @@ func (o *Oracle) Exists(p string) bool {
 }
 
 // FileContent returns the acknowledged contents of p, if the model knows
-// the file. The scale soak uses it to judge individual reads inline instead
-// of sweeping every file per step.
+// the file.
 func (o *Oracle) FileContent(p string) ([]byte, bool) {
 	data, ok := o.files[p]
 	return data, ok

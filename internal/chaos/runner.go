@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/nfs"
+	"repro/internal/obs"
 	"repro/internal/pastry"
 	"repro/internal/simnet"
 )
@@ -17,29 +17,32 @@ import (
 // an invariant-violation error, for post-mortem state dumps.
 var dbgHook func(*cluster.Cluster)
 
+const (
+	// fullCheckEvery is the cadence, in steps, of the oracle's full check
+	// (listings and removed paths as well as file contents).
+	fullCheckEvery = 8
+	// convergedEvery is the cadence, in steps, of the converged overlay
+	// invariant tier when Options.Invariants is set.
+	convergedEvery = 6
+)
+
 // Options configures one harness run. Everything observable — node
-// identifiers, workload mix, randomized schedule, injector coin flips, retry
-// jitter inside the nodes — derives from Seed, so a failing run reproduces
-// from the one number the error message carries.
+// identifiers, workload, schedule, injector coin flips, retry jitter inside
+// the nodes — derives from Seed, so a failing run reproduces from the one
+// number the error message carries.
 type Options struct {
-	Nodes             int   // cluster size (default 8)
-	Replicas          int   // K (default 2); pass -1 for none
-	DistributionLevel int   // Kosha distribution level (default 1)
-	Seed              int64 // master seed; logged on failure
+	Nodes    int   // cluster size (default 8)
+	Replicas int   // K (default 2); pass -1 for none
+	Seed     int64 // master seed; logged on failure
 
-	// Mounts lists the node indices hosting client mounts. These nodes are
-	// protected from crash/partition/degradation: a dead client machine is
-	// an NFS client failure, not a Kosha failure mode. Default {0}.
-	Mounts []int
-
-	// Steps is the scripted schedule. Nil means RandomSteps randomized steps
-	// drawn from the seeded generator.
-	Steps       []Step
-	RandomSteps int // default 40 (used only when Steps == nil)
-
-	OpsPerStep     int // workload operations between chaos steps (default 4)
-	MinLive        int // floor on live nodes (default Replicas+2)
-	FullCheckEvery int // full listing check cadence in steps (default 8)
+	// Steps is the fault schedule: a Script, Random steps (default
+	// Random(40)) or availability-trace Churn.
+	Steps StepSource
+	// Workload is the traffic between steps: the runner's own Mix (the
+	// default) or a TraceWorkload.
+	Workload   WorkloadSource
+	OpsPerStep int // workload operations after each step (default 4)
+	MinLive    int // floor on live nodes (default Replicas+2, at least 3)
 
 	// WriteBackBytes enables client write-back buffering (core.Config's
 	// knob). Mount.WriteFile flushes before acknowledging, so the oracle's
@@ -54,6 +57,11 @@ type Options struct {
 	Maint          bool
 	MaintRebalance bool
 
+	// Invariants holds the overlay to pastry.CheckInvariants during the
+	// run: the live tier after every step, the converged tier every
+	// convergedEvery steps and after quiesce.
+	Invariants bool
+
 	// Logf, when set, receives the trace live (e.g. t.Logf).
 	Logf func(format string, args ...any)
 }
@@ -65,23 +73,17 @@ func (o Options) withDefaults() Options {
 	if o.Replicas == 0 {
 		o.Replicas = 2
 	}
-	if len(o.Mounts) == 0 {
-		o.Mounts = []int{0}
+	if o.Steps == nil {
+		o.Steps = Random(40)
 	}
-	if o.RandomSteps == 0 {
-		o.RandomSteps = 40
+	if o.Workload == nil {
+		o.Workload = Mix{}
 	}
 	if o.OpsPerStep == 0 {
 		o.OpsPerStep = 4
 	}
 	if o.MinLive == 0 {
-		o.MinLive = o.Replicas + 2
-		if o.MinLive < 3 {
-			o.MinLive = 3
-		}
-	}
-	if o.FullCheckEvery == 0 {
-		o.FullCheckEvery = 8
+		o.MinLive = max(o.Replicas+2, 3)
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -91,24 +93,34 @@ func (o Options) withDefaults() Options {
 
 // Report summarizes a run for availability accounting and failure triage.
 type Report struct {
-	Seed       int64
-	Ops        int // workload operations issued
-	FailedOps  int // first attempts that failed (availability misses)
-	CheckReads int // oracle read-backs performed during checks
-	CheckMiss  int // oracle read-backs lost to injected faults (lenient mode)
-	Applied    int // chaos steps applied
-	Skipped    int // chaos steps skipped by guards
-	Trace      []string
+	Ops       int // workload operations issued
+	FailedOps int // first attempts that failed (availability misses)
+	Writes    int // acknowledged file writes
+	Reads     int // file reads judged against the model
+	Applied   int // chaos steps applied
+	Skipped   int // chaos steps skipped by guards
+	Crashes   int // nodes crashed, by steps
+	Revives   int // nodes revived, by steps and the closing quiesce
+	Trace     []string
 
-	// Maintenance totals across all nodes (populated when Options.Maint is
-	// set): scrub rounds run, divergences detected and repaired, rebalance
-	// moves completed and bytes migrated. Part of the report so determinism
-	// tests replay maintenance activity along with the workload.
-	ScrubRounds    uint64
-	ScrubDiverged  uint64
-	ScrubRepaired  uint64
-	RebalanceMoves uint64
-	RebalanceBytes uint64
+	// ScrubRounds totals the anti-entropy scrub rounds run on every node.
+	ScrubRounds uint64
+
+	// OpCost is the summed simulated critical-path cost of workload ops.
+	OpCost simnet.Cost
+	// MeanRouteHops and ReplicaFanout come from the nodes' own counters
+	// over the whole run; ProbeMeanHops and ProbeMaxHops from the converged
+	// invariant tier's route sampling after quiesce (Options.Invariants).
+	MeanRouteHops float64
+	ReplicaFanout float64
+	ProbeMeanHops float64
+	ProbeMaxHops  int
+	// MeanJoinCost averages every overlay join: bring-up and revives.
+	MeanJoinCost simnet.Cost
+	// RootReaddirMsgs is what one listing of "/" costs in network messages
+	// after quiesce, through a mount that has listed it before: the number
+	// that must stay flat as the node count grows.
+	RootReaddirMsgs uint64
 }
 
 // Availability is the fraction of workload operations whose first attempt
@@ -120,13 +132,37 @@ func (r *Report) Availability() float64 {
 	return 1 - float64(r.FailedOps)/float64(r.Ops)
 }
 
-// Run builds a cluster, drives the seeded workload interleaved with the
-// fault schedule, checks the oracle invariants after every step, then
-// quiesces and verifies full convergence (contents, listings, ghosts, and
-// per-subtree replica counts back at K). Any returned error embeds the seed.
+// harness is one run's state, shared by the runner and its step and
+// workload sources.
+type harness struct {
+	o     Options
+	c     *cluster.Cluster
+	s     *Scheduler
+	r     *rand.Rand
+	model *Oracle
+	m     *core.Mount // the client mount, on protected node 0
+	rep   *Report
+}
+
+func (x *harness) trace(format string, args ...any) {
+	line := fmt.Sprintf(format, args...)
+	x.rep.Trace = append(x.rep.Trace, line)
+	x.o.Logf("%s", line)
+}
+
+func (x *harness) degraded() bool { return x.s.LossActive() || x.s.PartitionActive() }
+
+// Run builds a cluster and takes it through the step source's schedule.
+// After each step it runs a burst of the workload source's operations, one
+// maintenance tick and the checks: the oracle's (lenient while the network
+// is degraded) and, with Options.Invariants, the overlay's. It then
+// quiesces, verifies full convergence (contents, listings, ghosts,
+// per-subtree replica counts back at K and, with Options.Invariants, the
+// converged overlay) and measures the root listing. Any returned error
+// embeds the seed.
 func Run(o Options) (*Report, error) {
 	o = o.withDefaults()
-	rep := &Report{Seed: o.Seed}
+	rep := &Report{}
 	fail := func(format string, args ...any) (*Report, error) {
 		return rep, fmt.Errorf("chaos seed %d: %s", o.Seed, fmt.Sprintf(format, args...))
 	}
@@ -134,15 +170,16 @@ func Run(o Options) (*Report, error) {
 	// Client metadata caches are wall-clock-TTL-driven; under the harness
 	// they are disabled so a run's RPC sequence — and with it every injector
 	// coin flip — is a pure function of the seed, and so every read is a
-	// strict-consistency observation the oracle can judge.
+	// strict-consistency observation the oracle can judge. Trace buffers
+	// are off: per-node rings dominate memory at hundreds of nodes.
 	cfg := core.Config{
-		Replicas:          o.Replicas,
-		DistributionLevel: o.DistributionLevel,
-		AttrCacheTTL:      -1,
-		NameCacheTTL:      -1,
-		WriteBackBytes:    o.WriteBackBytes,
-		MaintScrub:        o.Maint,
-		MaintRebalance:    o.Maint && o.MaintRebalance,
+		Replicas:       o.Replicas,
+		AttrCacheTTL:   -1,
+		NameCacheTTL:   -1,
+		TraceBufSize:   -1,
+		WriteBackBytes: o.WriteBackBytes,
+		MaintScrub:     o.Maint,
+		MaintRebalance: o.Maint && o.MaintRebalance,
 	}
 	c, err := cluster.New(cluster.Options{Nodes: o.Nodes, Seed: uint64(o.Seed), Config: cfg})
 	if err != nil {
@@ -155,181 +192,22 @@ func Run(o Options) (*Report, error) {
 			return prev(format, args...)
 		}
 	}
-	s := NewScheduler(c, uint64(o.Seed), o.Mounts...)
+	s := NewScheduler(c, uint64(o.Seed), 0)
 	defer s.Close()
 	s.MinLive = o.MinLive
+	s.Spacing = o.Replicas
+	x := &harness{o: o, c: c, s: s, r: rand.New(rand.NewSource(o.Seed)), model: NewOracle(), m: c.Mount(0), rep: rep}
 
-	r := rand.New(rand.NewSource(o.Seed))
-	model := NewOracle()
-	mounts := make([]*core.Mount, len(o.Mounts))
-	for i, n := range o.Mounts {
-		if n < 0 || n >= len(c.Nodes) {
-			return fail("mount index %d out of range", n)
-		}
-		mounts[i] = c.Mount(n)
+	op, err := o.Workload.ops(x)
+	if err != nil {
+		return fail("workload: %v", err)
 	}
-
-	trace := func(format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		rep.Trace = append(rep.Trace, line)
-		o.Logf("%s", line)
-	}
-
-	randPath := func() string {
-		depth := 1 + r.Intn(3)
-		parts := make([]string, depth)
-		for i := range parts {
-			parts[i] = fmt.Sprintf("d%d", r.Intn(3))
-		}
-		return core.JoinVirtual(parts)
-	}
-
-	// acked runs one mutating operation. A first attempt that fails under
-	// injected loss is an availability miss, not a verdict: the runner lifts
-	// the drop faults and re-issues the (idempotent) operation, so by the
-	// time the model records it the operation really is acknowledged.
-	acked := func(desc string, op func() error) error {
-		rep.Ops++
-		err := op()
-		if err == nil {
-			return nil
-		}
-		rep.FailedOps++
-		restore := s.SuspendLoss()
-		defer restore()
-		if err2 := op(); err2 != nil {
-			return fmt.Errorf("%s: %v (first attempt: %v)", desc, err2, err)
-		}
-		trace("%s: acked on retry after loss (%v)", desc, err)
-		return nil
-	}
-
-	// readback reads one known file and judges it against the model,
-	// tolerating misses and previously-acknowledged staleness only while the
-	// network is degraded.
-	readback := func() error {
-		files := model.Files()
-		if len(files) == 0 {
-			return nil
-		}
-		p := files[r.Intn(len(files))]
-		rep.Ops++
-		got, _, err := mounts[r.Intn(len(mounts))].ReadFile(p)
-		degraded := s.LossActive() || s.PartitionActive()
-		if err != nil {
-			if degraded {
-				rep.FailedOps++
-				return nil
-			}
-			return fmt.Errorf("readback %s: %v", p, err)
-		}
-		if bytes.Equal(got, model.files[p]) {
-			return nil
-		}
-		if degraded && model.acceptedStale(p, got) {
-			rep.FailedOps++
-			return nil
-		}
-		return fmt.Errorf("readback %s: wrong contents (%d bytes, want %d)", p, len(got), len(model.files[p]))
-	}
-
-	// workload performs one random file-system operation against a random
-	// mount, keeping the model in lockstep. While message loss or partitions
-	// can move subtree ownership on false suspicion, the workload is
-	// read-only: Kosha's last-writer-wins version arbitration assumes
-	// fail-stop nodes (the paper's model), so writes acknowledged by a
-	// minority view could be legitimately discarded on heal — an invariant
-	// the harness must not pretend holds. Reads keep flowing and are judged
-	// leniently; crash, duplication, and delay faults see the full mix.
-	workload := func(step int) error {
-		if s.LossActive() || s.PartitionActive() {
-			return readback()
-		}
-		m := mounts[r.Intn(len(mounts))]
-		switch r.Intn(8) {
-		case 0, 1, 2: // write (create or overwrite)
-			p := randPath() + fmt.Sprintf("/f%d", r.Intn(5))
-			data := make([]byte, r.Intn(1500))
-			r.Read(data)
-			if err := acked(fmt.Sprintf("write %s", p), func() error {
-				_, err := m.WriteFile(p, data)
-				return err
-			}); err != nil {
-				return err
-			}
-			model.WriteFile(p, data)
-		case 3: // mkdir
-			p := randPath()
-			if err := acked(fmt.Sprintf("mkdir %s", p), func() error {
-				_, _, err := m.MkdirAll(p)
-				return err
-			}); err != nil {
-				return err
-			}
-			model.MkdirAll(p)
-		case 4: // remove subtree
-			p := randPath()
-			if !model.Exists(p) {
-				return nil
-			}
-			if err := acked(fmt.Sprintf("rm %s", p), func() error {
-				_, err := m.RemoveAllPath(p)
-				if nfs.IsStatus(err, nfs.ErrNoEnt) {
-					// The earlier (lost-looking) attempt had removed it.
-					return nil
-				}
-				return err
-			}); err != nil {
-				return err
-			}
-			model.RemoveAll(p)
-		case 5, 6: // read-back of a known file
-			return readback()
-		case 7: // rename within the same parent
-			p := randPath()
-			if !model.Exists(p) {
-				return nil
-			}
-			parts := core.SplitVirtual(p)
-			parent := core.JoinVirtual(parts[:len(parts)-1])
-			newName := fmt.Sprintf("rn%d", step)
-			rep.Ops++
-			parentVH, _, _, err := m.LookupPath(parent)
-			if err != nil {
-				return fmt.Errorf("rename lookup %s: %v", parent, err)
-			}
-			if _, err := m.Rename(parentVH, parts[len(parts)-1], parentVH, newName); err != nil {
-				return fmt.Errorf("rename %s: %v", p, err)
-			}
-			model.Rename(p, path.Join(parent, newName))
-		}
-		return nil
-	}
-
-	// Prepopulate so the very first chaos step has acknowledged state to
-	// threaten.
-	for i := 0; i < 3; i++ {
-		p := fmt.Sprintf("/d%d/seed", i)
-		if _, err := mounts[0].WriteFile(p, []byte(fmt.Sprintf("seed-%d", i))); err != nil {
-			return fail("prepopulate %s: %v", p, err)
-		}
-		model.WriteFile(p, []byte(fmt.Sprintf("seed-%d", i)))
-	}
-	c.Stabilize()
-
-	steps := o.Steps
-	if steps == nil {
-		steps = make([]Step, o.RandomSteps)
-		for i := range steps {
-			steps[i] = s.RandomStep(r)
-		}
-	}
-
-	for i, st := range steps {
-		for k := 0; k < o.OpsPerStep; k++ {
-			if err := workload(i*o.OpsPerStep + k); err != nil {
-				return fail("step %d workload: %v", i, err)
-			}
+	next := o.Steps.steps(x)
+	i := 0 // steps drawn; after the loop, the schedule's length
+	for ; ; i++ {
+		st, ok := next(i)
+		if !ok {
+			break
 		}
 		applied, desc, err := s.Apply(st)
 		if err != nil {
@@ -340,16 +218,36 @@ func Run(o Options) (*Report, error) {
 		} else {
 			rep.Skipped++
 		}
-		trace("step %d: %s", i, desc)
+		x.trace("step %d: %s", i, desc)
 		// A crash is always followed by stabilization so replica repair
 		// restores K copies before the schedule may take another node: the
 		// oracle invariant assumes at least one live replica per subtree.
 		// Likewise after healing a degraded network — writes acknowledged
 		// during the outage may sit on their primary alone until replica
-		// synchronization pushes them out.
+		// synchronization pushes them out. A churn step stabilizes itself.
 		if applied && (st.Kind == OpCrash || st.Kind == OpHeal || st.Kind == OpClearFaults) {
 			c.Stabilize()
 		}
+
+		// While message loss or partitions can move subtree ownership on
+		// false suspicion, the workload is read-only: Kosha's
+		// last-writer-wins version arbitration assumes fail-stop nodes (the
+		// paper's model), so writes acknowledged by a minority view could be
+		// legitimately discarded on heal — an invariant the harness must not
+		// pretend holds. Reads keep flowing and are judged leniently; crash,
+		// duplication, and delay faults see the full workload.
+		for k := 0; k < o.OpsPerStep; k++ {
+			var err error
+			if x.degraded() {
+				err = x.readback()
+			} else {
+				err = op(i*o.OpsPerStep + k)
+			}
+			if err != nil {
+				return fail("step %d workload: %v", i, err)
+			}
+		}
+
 		// One maintenance round per step, every live node in index order:
 		// scrub exchanges and rebalance moves run between workload bursts
 		// exactly where a real deployment's low-rate timers would, and the
@@ -362,54 +260,160 @@ func Run(o Options) (*Report, error) {
 			}
 		}
 
-		m := mounts[i%len(mounts)]
-		rep.CheckReads += len(model.Files())
-		if s.LossActive() || s.PartitionActive() {
-			missed, err := model.CheckFilesLenient(m)
-			if err != nil {
+		if x.degraded() {
+			if _, err := x.model.CheckFilesLenient(x.m); err != nil {
 				return fail("step %d check (lenient): %v", i, err)
 			}
-			rep.CheckMiss += missed
-		} else if (i+1)%o.FullCheckEvery == 0 {
-			if err := model.Check(m); err != nil {
+		} else if (i+1)%fullCheckEvery == 0 {
+			if err := x.model.Check(x.m); err != nil {
 				return fail("step %d full check: %v", i, err)
 			}
-		} else {
-			if err := model.CheckFiles(m); err != nil {
-				return fail("step %d check: %v", i, err)
+		} else if err := x.model.CheckFiles(x.m); err != nil {
+			return fail("step %d check: %v", i, err)
+		}
+		if o.Invariants {
+			if _, err := x.checkOverlay(pastry.InvariantLive, uint64(i)); err != nil {
+				return fail("step %d live invariants: %v", i, err)
+			}
+			if (i+1)%convergedEvery == 0 {
+				if _, err := x.checkOverlay(pastry.InvariantConverged, uint64(i)); err != nil {
+					return fail("step %d converged invariants: %v", i, err)
+				}
 			}
 		}
 	}
 
 	// Dirty write-back buffers must land before the oracle's final
 	// read-backs. A no-op under the default write-through configuration.
-	for i, m := range mounts {
-		if _, err := m.FlushAll(); err != nil {
-			return fail("flush mount %d: %v", i, err)
-		}
+	if _, err := x.m.FlushAll(); err != nil {
+		return fail("flush: %v", err)
 	}
 	if err := s.Quiesce(); err != nil {
 		return fail("quiesce: %v", err)
 	}
-	for i, m := range mounts {
-		if err := model.Check(m); err != nil {
-			return fail("final check mount %d: %v", i, err)
-		}
+	if err := x.model.Check(x.m); err != nil {
+		return fail("final check: %v", err)
 	}
-	if err := ReplicaConvergence(c, model, o.Replicas); err != nil {
+	if err := ReplicaConvergence(c, x.model, o.Replicas); err != nil {
 		return fail("replica convergence: %v", err)
 	}
-	if o.Maint {
-		for _, nd := range c.Nodes {
-			reg := nd.Obs()
-			rep.ScrubRounds += reg.Counter("maint.scrub.rounds").Load()
-			rep.ScrubDiverged += reg.Counter("maint.scrub.divergences").Load()
-			rep.ScrubRepaired += reg.Counter("maint.scrub.repaired").Load()
-			rep.RebalanceMoves += reg.Counter("maint.rebalance.moves").Load()
-			rep.RebalanceBytes += reg.Counter("maint.rebalance.bytes").Load()
+	// Two listings, the second measured: the first pays for whatever rebind
+	// the churn left due (route hops, which do grow with N).
+	for range 2 {
+		before := c.Net.Stats().Messages
+		if _, _, err := x.m.Readdir(core.RootVH); err != nil {
+			return fail("root listing: %v", err)
 		}
+		rep.RootReaddirMsgs = c.Net.Stats().Messages - before
+	}
+	if o.Invariants {
+		inv, err := x.checkOverlay(pastry.InvariantConverged, uint64(i))
+		if err != nil {
+			return fail("final converged invariants: %v", err)
+		}
+		rep.ProbeMeanHops, rep.ProbeMaxHops = inv.MeanHops, inv.MaxHops
+	}
+
+	rep.Crashes, rep.Revives = s.crashes, s.revives
+	var agg obs.Snapshot
+	for _, nd := range c.Nodes {
+		agg.Merge(nd.Obs().Snapshot())
+	}
+	rep.MeanRouteHops = agg.MeanRatio("route.hops", "route.count")
+	rep.ReplicaFanout = agg.MeanRatio("replicate.fanout", "replicate.count")
+	rep.ScrubRounds = agg.Counters["maint.scrub.rounds"]
+	if o.Maint {
+		// Traced so that same-seed replays compare the maintenance activity.
+		x.trace("maint: %d scrub rounds, %d divergences, %d repaired, %d rebalance moves (%d bytes)",
+			rep.ScrubRounds, agg.Counters["maint.scrub.divergences"], agg.Counters["maint.scrub.repaired"],
+			agg.Counters["maint.rebalance.moves"], agg.Counters["maint.rebalance.bytes"])
+	}
+	if n := len(c.JoinCosts); n > 0 {
+		rep.MeanJoinCost = simnet.Seq(c.JoinCosts...) / simnet.Cost(n)
 	}
 	return rep, nil
+}
+
+// checkOverlay runs the pastry invariant oracle over the live membership.
+func (x *harness) checkOverlay(level pastry.InvariantLevel, salt uint64) (*pastry.InvariantReport, error) {
+	var live []*pastry.Node
+	for i, nd := range x.c.Nodes {
+		if !x.s.Down(i) {
+			live = append(live, nd.Overlay())
+		}
+	}
+	io := pastry.InvariantOptions{Level: level, Seed: uint64(x.o.Seed) ^ (salt * 0x9e3779b97f4a7c15)}
+	if level == pastry.InvariantConverged {
+		io.ReplicaK = x.o.Replicas
+	}
+	return pastry.CheckInvariants(live, io)
+}
+
+// acked runs one mutating operation. A first attempt that fails is an
+// availability miss, not a verdict: the runner lifts the drop faults and
+// re-issues the (idempotent) operation, so by the time the model records it
+// the operation really is acknowledged.
+func (x *harness) acked(desc string, op func() (simnet.Cost, error)) error {
+	x.rep.Ops++
+	cost, err := op()
+	x.rep.OpCost += cost
+	if err == nil {
+		return nil
+	}
+	x.rep.FailedOps++
+	restore := x.s.SuspendLoss()
+	defer restore()
+	cost, err2 := op()
+	x.rep.OpCost += cost
+	if err2 != nil {
+		return fmt.Errorf("%s: %v (first attempt: %v)", desc, err2, err)
+	}
+	x.trace("%s: acked on retry (%v)", desc, err)
+	return nil
+}
+
+// write writes data at p through acked and records it in the model.
+func (x *harness) write(p string, data []byte) error {
+	if err := x.acked("write "+p, func() (simnet.Cost, error) { return x.m.WriteFile(p, data) }); err != nil {
+		return err
+	}
+	x.model.WriteFile(p, data)
+	x.rep.Writes++
+	return nil
+}
+
+// readback reads one known file, drawn from the run's stream, and judges it.
+func (x *harness) readback() error {
+	files := x.model.Files()
+	if len(files) == 0 {
+		return nil
+	}
+	return x.read(files[x.r.Intn(len(files))])
+}
+
+// read reads p and judges it against the model, tolerating misses and
+// previously-acknowledged staleness only while the network is degraded.
+func (x *harness) read(p string) error {
+	x.rep.Ops++
+	x.rep.Reads++
+	got, cost, err := x.m.ReadFile(p)
+	x.rep.OpCost += cost
+	if err != nil {
+		if x.degraded() {
+			x.rep.FailedOps++
+			return nil
+		}
+		return fmt.Errorf("readback %s: %v", p, err)
+	}
+	want := x.model.files[p]
+	if bytes.Equal(got, want) {
+		return nil
+	}
+	if x.degraded() && x.model.acceptedStale(p, got) {
+		x.rep.FailedOps++
+		return nil
+	}
+	return fmt.Errorf("readback %s: wrong contents (%d bytes, want %d)", p, len(got), len(want))
 }
 
 // ReplicaConvergence verifies the paper's steady-state replication invariant

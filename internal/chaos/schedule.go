@@ -3,6 +3,8 @@ package chaos
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // OpKind enumerates the fault operations a schedule can contain.
@@ -30,8 +32,12 @@ const (
 	OpClearFaults
 	// OpStabilize runs overlay repair and replica synchronization.
 	OpStabilize
+	// OpChurn moves the live population towards Up in one batch: it
+	// revives the down nodes Up marks up, crashes the guarded set of live
+	// nodes it marks down, then stabilizes. Only Churn schedules it.
+	OpChurn
 
-	opKinds // count sentinel
+	opKinds = OpChurn // the kinds Decode draws: no byte encodes an up-set
 )
 
 func (k OpKind) String() string {
@@ -56,6 +62,8 @@ func (k OpKind) String() string {
 		return "clear-faults"
 	case OpStabilize:
 		return "stabilize"
+	case OpChurn:
+		return "churn"
 	}
 	return fmt.Sprintf("op(%d)", uint8(k))
 }
@@ -66,6 +74,7 @@ type Step struct {
 	A, B int           // node indices (crash/revive/lossy/delay use A; partition uses A->B)
 	P    float64       // probability for OpLossy / OpDup
 	D    time.Duration // latency for OpDelay
+	Up   []bool        // OpChurn: whether each node, by index, should be up
 }
 
 func (s Step) String() string {
@@ -82,6 +91,58 @@ func (s Step) String() string {
 		return fmt.Sprintf("%s node %d", s.Kind, s.A)
 	default:
 		return s.Kind.String()
+	}
+}
+
+// StepSource is a run's fault schedule: Script, Random or Churn.
+type StepSource interface {
+	// steps returns the schedule's draw: step i, taken against the cluster
+	// as the steps before it left it, or false once the schedule is over.
+	steps(x *harness) func(i int) (Step, bool)
+}
+
+// Script is a scripted schedule, applied in order.
+type Script []Step
+
+func (sc Script) steps(*harness) func(int) (Step, bool) {
+	return func(i int) (Step, bool) {
+		if i < len(sc) {
+			return sc[i], true
+		}
+		return Step{}, false
+	}
+}
+
+// Random is that many guarded random steps (Scheduler.RandomStep), each
+// drawn when it is applied, so that a revive can pick a node an earlier
+// step took down.
+type Random int
+
+func (n Random) steps(x *harness) func(int) (Step, bool) {
+	return func(i int) (Step, bool) {
+		if i >= int(n) {
+			return Step{}, false
+		}
+		return x.s.RandomStep(x.r), true
+	}
+}
+
+// Churn replays that many hours of the corporate machine-availability
+// trace (trace.GenAvail, the paper's Section 6.3), one OpChurn step per
+// hour from hour churnStart.
+type Churn int
+
+// churnStart is Churn's first trace hour, so that a 36-hour window covers
+// the hour-615 failure spike.
+const churnStart = 600
+
+func (n Churn) steps(x *harness) func(int) (Step, bool) {
+	avail := trace.GenAvail(trace.CorporateAvailConfig(len(x.c.Nodes)), uint64(x.o.Seed)+1)
+	return func(i int) (Step, bool) {
+		if i >= int(n) {
+			return Step{}, false
+		}
+		return Step{Kind: OpChurn, Up: avail.Up[(churnStart+i)%avail.Hours]}, true
 	}
 }
 

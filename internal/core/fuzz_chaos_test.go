@@ -78,7 +78,7 @@ func FuzzChaosSchedule(f *testing.F) {
 		rep, err := chaos.Run(chaos.Options{
 			Nodes:      fuzzNodes,
 			Seed:       seed,
-			Steps:      steps,
+			Steps:      chaos.Script(steps),
 			OpsPerStep: 2,
 		})
 		if err != nil {

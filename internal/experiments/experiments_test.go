@@ -247,11 +247,11 @@ func TestModelMatchesPaperDiscussion(t *testing.T) {
 
 func TestScaleSweepLogarithmicHops(t *testing.T) {
 	sopts := ScaleOptions{
-		NodeCounts: []int{16, 48},
-		Epochs:     4,
-		Ops:        80,
-		Seed:       19,
-		FS:         trace.SmallFSConfig(),
+		NodeCounts:  []int{16, 48},
+		Epochs:      4,
+		OpsPerEpoch: 20,
+		Seed:        19,
+		FS:          trace.SmallFSConfig(),
 	}
 	res, err := RunScale(sopts)
 	if err != nil {
@@ -264,12 +264,20 @@ func TestScaleSweepLogarithmicHops(t *testing.T) {
 		if row.ProbeMeanHops <= 0 || row.MeanOpMS <= 0 {
 			t.Fatalf("degenerate row: %+v", row)
 		}
+		if row.Crashes == 0 || row.Revives == 0 {
+			t.Fatalf("the availability trace drove no churn: %+v", row)
+		}
 	}
+	r0, r1 := res.Rows[0], res.Rows[1]
 	// The 3x population growth must cost well under 2x the hops — the
-	// log16 scaling the 100->1000 threshold test in internal/scale pins
-	// at full size.
-	if r0, r1 := res.Rows[0], res.Rows[1]; r1.ProbeMeanHops > 2*r0.ProbeMeanHops {
+	// log16 scaling pastry's TestHopGrowthLogarithmic pins from 100 to 1000
+	// nodes.
+	if r1.ProbeMeanHops > 2*r0.ProbeMeanHops {
 		t.Fatalf("hop growth super-logarithmic: %.2f -> %.2f", r0.ProbeMeanHops, r1.ProbeMeanHops)
+	}
+	// Listing "/" is one name-index read whatever the node count.
+	if r0.RootReaddirMsgs != r1.RootReaddirMsgs {
+		t.Fatalf("root listing cost grows with the node count: %d -> %d messages", r0.RootReaddirMsgs, r1.RootReaddirMsgs)
 	}
 	var sb strings.Builder
 	res.Fprint(&sb)

@@ -6,34 +6,35 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/scale"
+	"repro/internal/chaos"
 	"repro/internal/trace"
 )
 
-// ScaleOptions parameterizes the scale-out sweep: each point runs the
-// internal/scale soak — sustained Purdue-trace traffic under diurnal
-// availability churn with the overlay invariant oracle enforced — and
-// records how routing, latency, replication fan-out, and join convergence
-// behave as the overlay grows from LAN scale to the thousand-node
-// population Pastry was designed for. The paper measures 1..8 nodes
-// (Section 6) and argues O(log16 N) scaling; this experiment measures it.
+// ScaleOptions parameterizes the scale-out sweep: each point is a chaos.Run
+// soak — sustained Purdue-trace traffic (chaos.TraceWorkload) under
+// availability-trace churn (chaos.Churn) with the overlay invariant oracle
+// enforced — and records how routing, latency, replication fan-out, and
+// join convergence behave as the overlay grows from LAN scale to the
+// thousand-node population Pastry was designed for. The paper measures
+// 1..8 nodes (Section 6) and argues O(log16 N) scaling; this experiment
+// measures it.
 type ScaleOptions struct {
 	NodeCounts []int
-	// Epochs/Ops are per sweep point (see scale.Options).
-	Epochs int
-	Ops    int
-	Seed   uint64
-	FS     trace.FSConfig
+	// Epochs (availability-trace hours) and OpsPerEpoch are per sweep point.
+	Epochs      int
+	OpsPerEpoch int
+	Seed        uint64
+	FS          trace.FSConfig
 }
 
 // DefaultScaleOptions sweeps 100 to 1000 nodes.
 func DefaultScaleOptions() ScaleOptions {
 	return ScaleOptions{
-		NodeCounts: []int{100, 250, 500, 1000},
-		Epochs:     12,
-		Ops:        600,
-		Seed:       9,
-		FS:         trace.PurdueFSConfig(),
+		NodeCounts:  []int{100, 250, 500, 1000},
+		Epochs:      12,
+		OpsPerEpoch: 50,
+		Seed:        9,
+		FS:          trace.PurdueFSConfig(),
 	}
 }
 
@@ -43,7 +44,7 @@ func QuickScaleOptions() ScaleOptions {
 	o := DefaultScaleOptions()
 	o.NodeCounts = []int{50, 100}
 	o.Epochs = 6
-	o.Ops = 180
+	o.OpsPerEpoch = 30
 	o.FS = trace.SmallFSConfig()
 	return o
 }
@@ -75,17 +76,18 @@ type ScaleResult struct {
 	opts ScaleOptions // what the run used; the renderers read their headers from it
 }
 
-// RunScale executes the sweep. Every point must pass the soak's oracle and
+// RunScale executes the sweep. Every point must pass the run's oracle and
 // invariant checks; a violation fails the experiment.
 func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	res := &ScaleResult{opts: opts}
 	for _, n := range opts.NodeCounts {
-		rep, err := scale.Run(scale.Options{
-			Nodes:  n,
-			Seed:   opts.Seed + uint64(n)*65537,
-			Epochs: opts.Epochs,
-			Ops:    opts.Ops,
-			FS:     opts.FS,
+		rep, err := chaos.Run(chaos.Options{
+			Nodes:      n,
+			Seed:       int64(opts.Seed + uint64(n)*65537),
+			Steps:      chaos.Churn(opts.Epochs),
+			Workload:   chaos.TraceWorkload{FS: opts.FS},
+			OpsPerStep: opts.OpsPerEpoch,
+			Invariants: true,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("scale n=%d: %w", n, err)
@@ -104,9 +106,7 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 		if rep.Ops > 0 {
 			row.MeanOpMS = rep.OpCost.Duration().Seconds() * 1e3 / float64(rep.Ops)
 		}
-		if rep.Joins > 0 {
-			row.MeanJoinMS = float64(rep.MeanJoinCost.Duration()) / float64(time.Millisecond)
-		}
+		row.MeanJoinMS = float64(rep.MeanJoinCost.Duration()) / float64(time.Millisecond)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -114,8 +114,8 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 
 // Fprint renders the sweep.
 func (r *ScaleResult) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "Scale-out sweep: soak metrics vs overlay size (%d epochs, %d ops per point)\n",
-		r.opts.Epochs, r.opts.Ops)
+	fmt.Fprintf(w, "Scale-out sweep: soak metrics vs overlay size (%d epochs, %d ops per epoch)\n",
+		r.opts.Epochs, r.opts.OpsPerEpoch)
 	fmt.Fprintf(w, "%-7s %9s %10s %9s %8s %9s %8s %9s %9s %8s %8s\n",
 		"nodes", "hops", "probehops", "maxhops", "log16N", "op_ms", "fanout", "join_ms", "ls_/_msgs", "crashes", "revives")
 	for _, row := range r.Rows {

@@ -9,8 +9,8 @@ import (
 
 // This file is the overlay invariant oracle: Chord-ASM-style checkable
 // state-machine invariants over a whole overlay, judged against the live
-// membership ground truth that individual nodes never see. The scale soak
-// and the chaos harness run it at configurable intervals and after quiesce.
+// membership ground truth that individual nodes never see. The chaos
+// harness runs it after every step and after quiesce (chaos.Options.Invariants).
 //
 // Invariants come in two tiers:
 //

@@ -139,3 +139,50 @@ func TestRepairTablePurgesDeadEntries(t *testing.T) {
 		t.Fatalf("converged invariants after churn + repair: %v", err)
 	}
 }
+
+// TestHopGrowthLogarithmic pins the scaling law on pastry-only overlays:
+// Pastry promises O(log16 N) route hops, so a 10x population growth may at
+// most double the mean hop count. This is the acceptance threshold behind
+// the koshabench scale experiment's hops-vs-N curve.
+func TestHopGrowthLogarithmic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1000-node overlay build; skipped in -short")
+	}
+	mean := func(n int) float64 {
+		net := simnet.New(simnet.LAN100)
+		state := uint64(9000 + n)
+		nodes := make([]*Node, n)
+		for i := range nodes {
+			nodes[i] = NewNode(id.Rand128(&state), simnet.Addr(fmt.Sprintf("node%04d", i)), net, 0)
+			nodes[i].Attach()
+			var boot simnet.Addr
+			if i > 0 {
+				boot = nodes[0].Info().Addr
+			}
+			if _, err := nodes[i].Bootstrap(boot); err != nil {
+				t.Fatalf("bootstrap node %d of %d: %v", i, n, err)
+			}
+		}
+		for round := 0; round < 2; round++ {
+			for _, nd := range nodes {
+				nd.Stabilize()
+			}
+		}
+		rep, err := CheckInvariants(nodes, InvariantOptions{
+			Level:        InvariantConverged,
+			Seed:         uint64(n),
+			SampleRoutes: 256,
+			ReplicaK:     2,
+		})
+		if err != nil {
+			t.Fatalf("converged invariants at n=%d: %v", n, err)
+		}
+		t.Logf("n=%4d: mean hops %.2f, max %d over %d sampled routes", n, rep.MeanHops, rep.MaxHops, rep.Routes)
+		return rep.MeanHops
+	}
+	h100 := mean(100)
+	h1000 := mean(1000)
+	if h1000 > 2*h100 {
+		t.Fatalf("hop growth super-logarithmic: hops(1000)=%.2f > 2 x hops(100)=%.2f", h1000, h100)
+	}
+}

@@ -3,8 +3,8 @@ package trace
 import "math/rand"
 
 // This file turns a synthesized file-system snapshot (GenFS) into a
-// sustained operation stream: the scale soak replays the Purdue trace not
-// as a one-shot ingest but as continuous traffic — creates and overwrites
+// sustained operation stream: chaos.TraceWorkload replays the Purdue trace
+// not as a one-shot ingest but as continuous traffic — creates and overwrites
 // drawn from the trace's Zipf user activity and lognormal sizes, mixed
 // with reads, stats, and directory scans of data written so far. The
 // stream is self-consistent (reads only target files already written) and
