@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // run executes a schedule under -race-friendly sizes and fails the test with
@@ -189,43 +187,30 @@ func TestRandomizedSchedule(t *testing.T) {
 }
 
 // TestDeterministicReplay: the whole harness — workload, schedule,
-// injector coin flips, retry jitter, maintenance — replays bit-identically
-// from a seed, which is what makes every logged failure reproducible. One
-// input per kind of run: random faults under the runner's own mix, and
-// availability-trace churn under the trace workload with maintenance and
-// the overlay invariants on.
+// injector coin flips, retry jitter — replays bit-identically from a seed,
+// which is what makes every logged failure reproducible. TestSoakDeterministic
+// holds the churn source to the same rule.
 func TestDeterministicReplay(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		o    Options
-	}{
-		{"random", Options{Seed: 8808, Steps: Random(15)}},
-		{"churn", Options{
-			Nodes:      40,
-			Seed:       2002,
-			Steps:      Churn(8),
-			Workload:   TraceWorkload{FS: trace.SmallFSConfig()},
-			OpsPerStep: 20,
-			Maint:      true,
-			Invariants: true,
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a, err := Run(tc.o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Run(tc.o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("same seed diverged:\n  run1: %+v\n  run2: %+v", a, b)
-			}
-			if len(a.Trace) == 0 {
-				t.Fatal("empty trace")
-			}
-		})
+	replayTwice(t, Options{Seed: 8808, Steps: Random(15)})
+}
+
+// replayTwice runs o twice and fails unless both reports match field for
+// field and the run left a trace.
+func replayTwice(t *testing.T, o Options) {
+	t.Helper()
+	a, err := Run(o)
+	if err != nil {
+		t.Fatalf("first run (seed %d): %v", o.Seed, err)
+	}
+	b, err := Run(o)
+	if err != nil {
+		t.Fatalf("second run (seed %d): %v", o.Seed, err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed diverged:\n  run1: %+v\n  run2: %+v", a, b)
+	}
+	if len(a.Trace) == 0 {
+		t.Fatal("empty trace")
 	}
 }
 
