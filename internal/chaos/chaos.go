@@ -33,12 +33,10 @@ type Scheduler struct {
 	// through (a dead client machine is not a Kosha failure mode).
 	Protected map[int]bool
 	// MinLive bounds how many nodes guarded Apply calls may leave alive.
+	// A churn step also keeps at least half the cluster alive: the trace's
+	// down set persists across steps, so a floor sized for single crashes
+	// would let a long run drain the ring to a handful of nodes.
 	MinLive int
-	// Spacing is the distance on the live ring, in nodes, that every two
-	// victims of one churn step must exceed. At K, every primary plus its
-	// K leaf-set replica candidates keeps a survivor, so no acknowledged
-	// write can lose all its copies in one step.
-	Spacing int
 
 	crashes, revives int // nodes crashed and revived by Apply and Quiesce
 }
@@ -243,13 +241,17 @@ func (s *Scheduler) Apply(st Step) (applied bool, desc string, err error) {
 
 // churnVictims picks, in index order, the live nodes up marks down that
 // the crash guards let go together: none protected, the live population
-// kept at MinLive or above, and each more than Spacing ring positions from
-// every other victim. Like a single crash, none fires while loss or a
+// kept at MinLive and half the cluster or above, and each more than K ring
+// positions from every other victim, so every primary plus its K leaf-set
+// replica candidates keeps a survivor and no acknowledged write loses all
+// its copies in one step. Like a single crash, none fires while loss or a
 // partition impedes repair.
 func (s *Scheduler) churnVictims(up []bool) []int {
 	if s.LossActive() || s.PartitionActive() {
 		return nil
 	}
+	k := s.C.Nodes[0].Config().Replicas
+	floor := max(s.MinLive, len(s.C.Nodes)/2)
 	alive := s.C.Alive()
 	ring := slices.Clone(alive)
 	slices.SortFunc(ring, func(a, b int) int {
@@ -265,12 +267,12 @@ func (s *Scheduler) churnVictims(up []bool) []int {
 		if s.Protected[i] || i >= len(up) || up[i] {
 			continue
 		}
-		if live-1 < s.MinLive {
+		if live-1 < floor {
 			break
 		}
 		crowded := slices.ContainsFunc(victims, func(v int) bool {
 			d := (pos[i] - pos[v] + len(ring)) % len(ring)
-			return min(d, len(ring)-d) <= s.Spacing
+			return min(d, len(ring)-d) <= k
 		})
 		if !crowded {
 			victims = append(victims, i)

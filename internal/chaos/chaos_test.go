@@ -2,9 +2,14 @@ package chaos
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // run executes a schedule under -race-friendly sizes and fails the test with
@@ -186,31 +191,90 @@ func TestRandomizedSchedule(t *testing.T) {
 	}
 }
 
-// TestDeterministicReplay: the whole harness — workload, schedule,
-// injector coin flips, retry jitter — replays bit-identically from a seed,
-// which is what makes every logged failure reproducible. TestSoakDeterministic
-// holds the churn source to the same rule.
-func TestDeterministicReplay(t *testing.T) {
-	replayTwice(t, Options{Seed: 8808, Steps: Random(15)})
+// TestChurnGuards: a churn step whose trace row marks every node down
+// still spares the mount host, keeps half the cluster alive, and takes no
+// two victims within K places of each other on the live ring, with K read
+// from the nodes' config. K = 0 leaves the half-cluster floor to bind.
+func TestChurnGuards(t *testing.T) {
+	const n = 16
+	for _, k := range []int{0, 2} {
+		replicas := k
+		if k == 0 {
+			replicas = -1 // core.Config's spelling of "no replicas"
+		}
+		c, err := cluster.New(cluster.Options{Nodes: n, Seed: 7, Config: core.Config{Replicas: replicas}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScheduler(c, 7, 0)
+		ring := c.Alive()
+		slices.SortFunc(ring, func(a, b int) int {
+			return c.Nodes[a].Overlay().Info().ID.Cmp(c.Nodes[b].Overlay().Info().ID)
+		})
+		if _, _, err := s.Apply(Step{Kind: OpChurn, Up: make([]bool, n)}); err != nil {
+			t.Fatal(err)
+		}
+		if s.Down(0) {
+			t.Fatalf("K=%d: churn crashed the protected mount host", k)
+		}
+		if live := len(c.Alive()); live < n/2 || k == 0 && live != n/2 {
+			t.Fatalf("K=%d: %d of %d nodes left alive, want the floor at %d", k, live, n, n/2)
+		}
+		var down []int // ring positions of the victims
+		for p, i := range ring {
+			if s.Down(i) {
+				down = append(down, p)
+			}
+		}
+		for a := range down {
+			for b := a + 1; b < len(down); b++ {
+				if d := down[b] - down[a]; min(d, n-d) <= k {
+					t.Fatalf("K=%d: victims at ring positions %d and %d", k, down[a], down[b])
+				}
+			}
+		}
+		s.Close()
+	}
 }
 
-// replayTwice runs o twice and fails unless both reports match field for
-// field and the run left a trace.
-func replayTwice(t *testing.T, o Options) {
-	t.Helper()
-	a, err := Run(o)
-	if err != nil {
-		t.Fatalf("first run (seed %d): %v", o.Seed, err)
-	}
-	b, err := Run(o)
-	if err != nil {
-		t.Fatalf("second run (seed %d): %v", o.Seed, err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed diverged:\n  run1: %+v\n  run2: %+v", a, b)
-	}
-	if len(a.Trace) == 0 {
-		t.Fatal("empty trace")
+// TestDeterministicReplay: the whole harness — workload, schedule,
+// injector coin flips, retry jitter, maintenance — replays bit-identically
+// from a seed, which is what makes every logged failure reproducible. One
+// input per kind of run: random faults under the runner's own mix, and
+// availability-trace churn under the trace workload with maintenance and
+// the overlay invariants on.
+func TestDeterministicReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    Options
+	}{
+		{"random", Options{Seed: 8808, Steps: Random(15)}},
+		{"churn", Options{
+			Nodes:      40,
+			Seed:       2002,
+			Steps:      Churn(8),
+			Workload:   TraceWorkload{FS: trace.SmallFSConfig()},
+			OpsPerStep: 20,
+			Maint:      true,
+			Invariants: true,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := Run(tc.o)
+			if err != nil {
+				t.Fatalf("first run: %v", err)
+			}
+			b, err := Run(tc.o)
+			if err != nil {
+				t.Fatalf("second run: %v", err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("same seed diverged:\n  run1: %+v\n  run2: %+v", a, b)
+			}
+			if len(a.Trace) == 0 {
+				t.Fatal("empty trace")
+			}
+		})
 	}
 }
 

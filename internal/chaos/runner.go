@@ -13,10 +13,6 @@ import (
 	"repro/internal/simnet"
 )
 
-// dbgHook, when set by a test, receives the cluster just before Run returns
-// an invariant-violation error, for post-mortem state dumps.
-var dbgHook func(*cluster.Cluster)
-
 const (
 	// fullCheckEvery is the cadence, in steps, of the oracle's full check
 	// (listings and removed paths as well as file contents).
@@ -108,9 +104,11 @@ type Report struct {
 
 	// OpCost is the summed simulated critical-path cost of workload ops.
 	OpCost simnet.Cost
-	// MeanRouteHops and ReplicaFanout come from the nodes' own counters
-	// over the whole run; ProbeMeanHops and ProbeMaxHops from the converged
-	// invariant tier's route sampling after quiesce (Options.Invariants).
+	// MeanRouteHops averages the overlay routes the workload bursts take
+	// (the nodes' route counters across each burst); ReplicaFanout comes
+	// from the nodes' counters over the whole run. ProbeMeanHops and
+	// ProbeMaxHops come from the converged invariant tier's route sampling
+	// after quiesce (Options.Invariants).
 	MeanRouteHops float64
 	ReplicaFanout float64
 	ProbeMeanHops float64
@@ -185,23 +183,16 @@ func Run(o Options) (*Report, error) {
 	if err != nil {
 		return fail("build cluster: %v", err)
 	}
-	if dbgHook != nil {
-		prev := fail
-		fail = func(format string, args ...any) (*Report, error) {
-			dbgHook(c)
-			return prev(format, args...)
-		}
-	}
 	s := NewScheduler(c, uint64(o.Seed), 0)
 	defer s.Close()
 	s.MinLive = o.MinLive
-	s.Spacing = o.Replicas
 	x := &harness{o: o, c: c, s: s, r: rand.New(rand.NewSource(o.Seed)), model: NewOracle(), m: c.Mount(0), rep: rep}
 
 	op, err := o.Workload.ops(x)
 	if err != nil {
 		return fail("workload: %v", err)
 	}
+	var hops, routes uint64 // routing done by the workload bursts
 	next := o.Steps.steps(x)
 	i := 0 // steps drawn; after the loop, the schedule's length
 	for ; ; i++ {
@@ -236,6 +227,7 @@ func Run(o Options) (*Report, error) {
 		// legitimately discarded on heal — an invariant the harness must not
 		// pretend holds. Reads keep flowing and are judged leniently; crash,
 		// duplication, and delay faults see the full workload.
+		h0, n0 := x.routeTotals()
 		for k := 0; k < o.OpsPerStep; k++ {
 			var err error
 			if x.degraded() {
@@ -247,6 +239,8 @@ func Run(o Options) (*Report, error) {
 				return fail("step %d workload: %v", i, err)
 			}
 		}
+		h1, n1 := x.routeTotals()
+		hops, routes = hops+h1-h0, routes+n1-n0
 
 		// One maintenance round per step, every live node in index order:
 		// scrub exchanges and rebalance moves run between workload bursts
@@ -319,7 +313,9 @@ func Run(o Options) (*Report, error) {
 	for _, nd := range c.Nodes {
 		agg.Merge(nd.Obs().Snapshot())
 	}
-	rep.MeanRouteHops = agg.MeanRatio("route.hops", "route.count")
+	if routes > 0 {
+		rep.MeanRouteHops = float64(hops) / float64(routes)
+	}
 	rep.ReplicaFanout = agg.MeanRatio("replicate.fanout", "replicate.count")
 	rep.ScrubRounds = agg.Counters["maint.scrub.rounds"]
 	if o.Maint {
@@ -332,6 +328,15 @@ func Run(o Options) (*Report, error) {
 		rep.MeanJoinCost = simnet.Seq(c.JoinCosts...) / simnet.Cost(n)
 	}
 	return rep, nil
+}
+
+// routeTotals sums the route.hops and route.count counters of every node.
+func (x *harness) routeTotals() (hops, routes uint64) {
+	for _, nd := range x.c.Nodes {
+		hops += nd.Obs().Counter("route.hops").Load()
+		routes += nd.Obs().Counter("route.count").Load()
+	}
+	return hops, routes
 }
 
 // checkOverlay runs the pastry invariant oracle over the live membership.
@@ -405,7 +410,10 @@ func (x *harness) read(p string) error {
 		}
 		return fmt.Errorf("readback %s: %v", p, err)
 	}
-	want := x.model.files[p]
+	want, ok := x.model.FileContent(p)
+	if !ok {
+		return fmt.Errorf("readback %s: path the model never acknowledged", p)
+	}
 	if bytes.Equal(got, want) {
 		return nil
 	}

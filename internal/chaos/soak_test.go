@@ -79,21 +79,6 @@ func TestSoakSmoke(t *testing.T) {
 	}
 }
 
-// TestSoakDeterministic replays a smaller churn soak on one seed twice:
-// availability-trace churn under the trace workload, with maintenance and
-// the overlay invariants on, must yield identical reports.
-func TestSoakDeterministic(t *testing.T) {
-	replayTwice(t, Options{
-		Nodes:      40,
-		Seed:       2002,
-		Steps:      Churn(8),
-		Workload:   TraceWorkload{FS: trace.SmallFSConfig()},
-		OpsPerStep: 20,
-		Maint:      true,
-		Invariants: true,
-	})
-}
-
 // TestSoakLarge is the gated 500-node soak: more than 10K Purdue-trace
 // operations under 36 hours of availability-trace churn. Opt in with
 // KOSHA_SCALE_SOAK=1 (e.g. via `make soak`); KOSHA_SCALE_SEED pins the

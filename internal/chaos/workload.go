@@ -124,22 +124,18 @@ func (t TraceWorkload) ops(x *harness) (func(int) error, error) {
 			return x.write(op.Path, data)
 		case trace.OpRead:
 			return x.read(op.Path)
-		case trace.OpStat:
+		case trace.OpStat, trace.OpReaddir:
 			x.rep.Ops++
-			_, attr, cost, err := x.m.LookupPath(op.Path)
+			vh, attr, cost, err := x.m.LookupPath(op.Path)
 			x.rep.OpCost += cost
 			if err != nil {
-				return fmt.Errorf("stat %s: %v", op.Path, err)
+				return fmt.Errorf("%v %s: %v", op.Kind, op.Path, err)
 			}
-			if attr.Type != localfs.TypeRegular {
-				return fmt.Errorf("stat %s resolved to %v, want regular file", op.Path, attr.Type)
-			}
-		case trace.OpReaddir:
-			x.rep.Ops++
-			vh, _, cost, err := x.m.LookupPath(op.Path)
-			x.rep.OpCost += cost
-			if err != nil {
-				return fmt.Errorf("readdir %s: %v", op.Path, err)
+			if op.Kind == trace.OpStat {
+				if attr.Type != localfs.TypeRegular {
+					return fmt.Errorf("stat %s resolved to %v, want regular file", op.Path, attr.Type)
+				}
+				return nil
 			}
 			ents, cost, err := x.m.Readdir(vh)
 			x.rep.OpCost += cost

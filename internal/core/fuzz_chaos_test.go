@@ -70,15 +70,23 @@ func FuzzChaosSchedule(f *testing.F) {
 	for _, sched := range corpusSchedules() {
 		f.Add(int64(1), chaos.Encode(sched))
 	}
+	f.Add(int64(1), []byte{}) // a random schedule
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
 		if len(raw) > 64 { // 16 steps: keep one fuzz case sub-second
 			raw = raw[:64]
 		}
 		steps := chaos.Decode(raw, fuzzNodes)
+		// An input too short for one step leaves the schedule to the
+		// runner's default, Random(40), so the fuzzer explores seeds as
+		// well as scripts.
+		var src chaos.StepSource
+		if len(steps) > 0 {
+			src = chaos.Script(steps)
+		}
 		rep, err := chaos.Run(chaos.Options{
 			Nodes:      fuzzNodes,
 			Seed:       seed,
-			Steps:      chaos.Script(steps),
+			Steps:      src,
 			OpsPerStep: 2,
 		})
 		if err != nil {
