@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/id"
+	"repro/internal/localfs"
 	"repro/internal/simnet"
 )
 
@@ -66,33 +67,10 @@ func TestScenarioHolderCrashMidPromoteFetch(t *testing.T) {
 		t.Fatalf("replicas not converged before fault: %v", err)
 	}
 
-	place, _, err := c.Nodes[0].ResolvePath("/fjob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary := place.Node
-	pi, ok := byAddr[primary]
-	if !ok {
-		t.Fatalf("primary %s not in cluster", primary)
-	}
-	cands := c.Nodes[pi].Overlay().ReplicaCandidates(replicas)
-	if len(cands) < 2 {
-		t.Fatalf("primary has %d replica candidates, want >= 2", len(cands))
-	}
-	// The candidate closest to the tree's key inherits the root when the
-	// primary dies; leave that one stale so the promote must pull-repair,
-	// while the other candidates keep the fresh copy it repairs from.
-	ids := make([]id.ID, len(cands))
-	for i, cd := range cands {
-		ids[i] = cd.ID
-	}
-	best, _ := id.Closest(core.Key(place.Name), ids)
-	succ := cands[0].Addr
-	for _, cd := range cands {
-		if cd.ID == best {
-			succ = cd.Addr
-		}
-	}
+	// Leave the heir stale so the promote must pull-repair, while the other
+	// candidates keep the fresh copy it repairs from.
+	place, pi, si := heir(t, c, "/fjob", replicas)
+	primary, succ := place.Node, c.Nodes[si].Addr()
 
 	// One edit in the big file lands while the successor is unreachable:
 	// acknowledged by the primary, mirrored to the other candidates, and
@@ -185,4 +163,103 @@ func TestScenarioHolderCrashMidPromoteFetch(t *testing.T) {
 	if err := ReplicaConvergence(c, model, replicas); err != nil {
 		t.Fatalf("post-heal replica convergence: %v", err)
 	}
+}
+
+// TestScenarioPromotePullsSymlink: a user symlink created while the
+// primary's successor is unreachable reaches the successor only when it is
+// promoted: its adopt reads the link's target from a fresh holder
+// (enginePeer.ReadLink) and makes the link in its own store.
+func TestScenarioPromotePullsSymlink(t *testing.T) {
+	const replicas = 3
+	c, err := cluster.New(cluster.Options{
+		Nodes:  8,
+		Seed:   7711,
+		Config: core.Config{Replicas: replicas, AttrCacheTTL: -1, NameCacheTTL: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Mount(0).WriteFile("/ljob/file", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	c.Stabilize()
+	place, pi, succ := heir(t, c, "/ljob", replicas)
+	editor := -1
+	for i := range c.Nodes {
+		if i != pi && i != succ {
+			editor = i
+			break
+		}
+	}
+
+	primary, next := place.Node, c.Nodes[succ].Addr()
+	c.Net.SetPartition(func(a, b simnet.Addr) bool {
+		return (a == primary && b == next) || (a == next && b == primary)
+	})
+	m := c.Mount(editor)
+	dir, _, _, err := m.LookupPath("/ljob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Symlink(dir, "link", "../elsewhere/target"); err != nil {
+		t.Fatalf("symlink: %v", err)
+	}
+	linkPhys := joinPhys(place.PhysDir(), "link")
+	if _, err := c.Nodes[succ].Store().LookupPath(core.RepPath(linkPhys)); err == nil {
+		t.Fatal("the successor received the link through the partition: nothing to pull")
+	}
+
+	c.Fail(pi)
+	c.Net.SetPartition(nil)
+	c.Stabilize()
+	rm := c.Mount(editor)
+	vh, _, _, err := rm.LookupPath("/ljob/link")
+	if err != nil {
+		t.Fatalf("lookup after promote: %v", err)
+	}
+	if got, _, err := rm.Readlink(vh); err != nil || got != "../elsewhere/target" {
+		t.Fatalf("readlink after promote = %q, %v", got, err)
+	}
+	attr, err := c.Nodes[succ].Store().LookupPath(linkPhys)
+	if err != nil || attr.Type != localfs.TypeSymlink {
+		t.Fatalf("promoted successor holds %s as %+v, %v; want the pulled symlink", linkPhys, attr, err)
+	}
+	if got, _, err := c.Nodes[succ].Store().Readlink(attr.Ino); err != nil || got != "../elsewhere/target" {
+		t.Fatalf("promoted successor's link -> %q, %v", got, err)
+	}
+}
+
+// heir resolves dir and returns its placement, the index of its primary and
+// the index of the replica candidate that inherits the root when the primary
+// dies: the candidate closest to the tree's key.
+func heir(t *testing.T, c *cluster.Cluster, dir string, replicas int) (place core.Place, primary, succ int) {
+	t.Helper()
+	place, _, err := c.Nodes[0].ResolvePath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, succ = -1, -1
+	for i, nd := range c.Nodes {
+		if nd.Addr() == place.Node {
+			primary = i
+		}
+	}
+	if primary < 0 {
+		t.Fatalf("primary %s not in cluster", place.Node)
+	}
+	cands := c.Nodes[primary].Overlay().ReplicaCandidates(replicas)
+	if len(cands) < 2 {
+		t.Fatalf("primary has %d replica candidates, want >= 2", len(cands))
+	}
+	ids := make([]id.ID, len(cands))
+	for i, cd := range cands {
+		ids[i] = cd.ID
+	}
+	best, _ := id.Closest(core.Key(place.Name), ids)
+	for i, nd := range c.Nodes {
+		if nd.Overlay().Info().ID == best {
+			succ = i
+		}
+	}
+	return place, primary, succ
 }

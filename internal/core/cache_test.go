@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/localfs"
 	"repro/internal/nfs"
+	"repro/internal/racetest"
 )
 
 // TestCachedMetadataHitsCostInterposeOnly verifies the acceptance criterion
@@ -388,6 +389,7 @@ func TestReaddirWithoutCacheBuildsNoRows(t *testing.T) {
 		}
 		return n
 	}
+	racetest.SkipAllocs(t)
 	small, large := list("/proj/small", 5), list("/proj/large", 50)
 	if names := 45.0; large-small > names {
 		t.Errorf("listing 50 entries allocates %.0f times, 5 entries %.0f: want at most %.0f more, the names decoded", large, small, names)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/obs"
+	"repro/internal/racetest"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -42,6 +43,7 @@ func TestLookupPathAllocs(t *testing.T) {
 	if _, err := m.WriteFile(file, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
+	racetest.SkipAllocs(t)
 	var err error
 	n := testing.AllocsPerRun(200, func() {
 		var vh VH
@@ -173,6 +175,7 @@ func TestServeAllocatesOneObject(t *testing.T) {
 	dirDigests.PutUint32(kDirDigests)
 	dirDigests.PutString("/h/wide")
 	handle := n.serve(KoshaService, koshaProcs)
+	racetest.SkipAllocs(t)
 	for _, c := range []struct {
 		req    []byte
 		frames float64 // beyond the Codec
@@ -277,6 +280,7 @@ func TestServedMutationAllocatesNoTrackStrings(t *testing.T) {
 		}
 		return allocs
 	}
+	racetest.SkipAllocs(t)
 	for _, proc := range []uint32{kApply, kMirror} {
 		if got, none := served(proc, tracked), served(proc, Track{}); got > none {
 			t.Errorf("proc %d: a write into a tracked hierarchy allocates %.0f times, %.0f with no Track: want no Track strings", proc, got, none)

@@ -129,6 +129,100 @@ func TestWriteBackFlushErrorSurfacesAtClose(t *testing.T) {
 	}
 }
 
+// TestCommitFlushesWriteBack: under write-back, Commit is the NFSv3 COMMIT.
+// Bytes buffered below the high-water mark reach the primary at Commit, so a
+// second mount on another node reads them before the writer closes, and the
+// Close after it has nothing left to flush.
+func TestCommitFlushesWriteBack(t *testing.T) {
+	_, nodes := testCluster(t, 4, 84, Config{Replicas: 1, WriteBackBytes: 1 << 20})
+	m1 := nodes[0].NewMount()
+	if _, _, err := m1.MkdirAll("/commit"); err != nil {
+		t.Fatal(err)
+	}
+	dvh, _, _, err := m1.LookupPath("/commit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fvh, _, _, err := m1.Create(dvh, "f", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("commit"), 2<<10)
+	if n, _, err := m1.Write(fvh, 0, payload); err != nil || n != len(payload) {
+		t.Fatalf("buffered write: n=%d err=%v", n, err)
+	}
+	m2 := nodes[1].NewMount()
+	if data, _, err := m2.ReadFile("/commit/f"); err != nil || len(data) != 0 {
+		t.Fatalf("before Commit a second mount read %d bytes (%v), want the empty file", len(data), err)
+	}
+	before := counter(nodes[0], "io.writeback.flushes")
+	if _, err := m1.Commit(fvh); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if got := counter(nodes[0], "io.writeback.flushes"); got != before+1 {
+		t.Fatalf("commit performed %d flushes, want exactly 1", got-before)
+	}
+	if data, _, err := m2.ReadFile("/commit/f"); err != nil || !bytes.Equal(data, payload) {
+		t.Fatalf("after Commit a second mount read %d bytes (%v), want the %d written", len(data), err, len(payload))
+	}
+	if _, err := m1.Close(fvh); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if got := counter(nodes[0], "io.writeback.flushes"); got != before+1 {
+		t.Fatalf("close after commit flushed again: %d flushes, want 1", got-before)
+	}
+}
+
+// TestCommitSurfacesFlushError: a flush that fails at Commit (the primary's
+// partition is full) returns its error from Commit.
+func TestCommitSurfacesFlushError(t *testing.T) {
+	_, nodes := testCluster(t, 3, 85, Config{Replicas: 1, WriteBackBytes: 1 << 20, Capacity: 32 << 10})
+	m := nodes[0].NewMount()
+	if _, _, err := m.MkdirAll("/full"); err != nil {
+		t.Fatal(err)
+	}
+	dvh, _, _, err := m.LookupPath("/full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fvh, _, _, err := m.Create(dvh, "big", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, 64<<10)
+	if n, _, err := m.Write(fvh, 0, big); err != nil || n != len(big) {
+		t.Fatalf("buffered write: n=%d err=%v", n, err)
+	}
+	if _, err := m.Commit(fvh); !nfs.IsStatus(err, nfs.ErrNoSpc) {
+		t.Fatalf("commit error = %v, want NFS3ERR_NOSPC", err)
+	}
+}
+
+// TestCommitUnderWriteThrough: with no write-back buffer Commit has nothing
+// to flush. It costs the interposition constant and sends no RPC.
+func TestCommitUnderWriteThrough(t *testing.T) {
+	net, nodes := testCluster(t, 3, 86, Config{Replicas: 1})
+	m := nodes[0].NewMount()
+	if _, err := m.WriteFile("/wt/f", []byte("through")); err != nil {
+		t.Fatal(err)
+	}
+	fvh, _, _, err := m.LookupPath("/wt/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Write(fvh, 0, []byte("again")); err != nil {
+		t.Fatal(err)
+	}
+	before := net.Stats().Messages
+	cost, err := m.Commit(fvh)
+	if err != nil || cost != InterposeCost {
+		t.Fatalf("commit = %v, %v; want InterposeCost (%v)", cost, err, InterposeCost)
+	}
+	if sent := net.Stats().Messages - before; sent != 0 {
+		t.Fatalf("commit under write-through sent %d messages, want 0", sent)
+	}
+}
+
 // TestReadaheadSequentialHitsAndSeekCancel drives a sequential scan through
 // the readahead window — every read after the first window fetch is a
 // client-side hit — then seeks, which must cancel the window and count the

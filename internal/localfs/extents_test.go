@@ -5,6 +5,8 @@ import (
 	"path"
 	"runtime"
 	"testing"
+
+	"repro/internal/racetest"
 )
 
 // allocatedBytes reports the heap bytes fn allocates (tests in this package
@@ -97,6 +99,7 @@ func TestPieceCountStaysBounded(t *testing.T) {
 // allocation sized to its data — no separate extent-list header.
 func TestOneExtentFileHasNoHeader(t *testing.T) {
 	var x extents
+	racetest.SkipAllocs(t)
 	if n := testing.AllocsPerRun(100, func() {
 		x.resize(0)
 		x.resize(4096)
@@ -241,6 +244,7 @@ func FuzzExtents(f *testing.F) {
 
 // TestCleanPathAllocs: an absolute, clean path comes back as it is.
 func TestCleanPathAllocs(t *testing.T) {
+	racetest.SkipAllocs(t)
 	for _, p := range []string{"/", "/a", "/home/alice/src/main.c"} {
 		if n := testing.AllocsPerRun(100, func() { _ = CleanPath(p) }); n != 0 {
 			t.Errorf("CleanPath(%q) allocates %.0f times, want 0", p, n)

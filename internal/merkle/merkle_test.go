@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/localfs"
+	"repro/internal/racetest"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -180,6 +181,7 @@ func TestMutationHookAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 512)
+	racetest.SkipAllocs(t)
 	if n := testing.AllocsPerRun(100, func() {
 		if _, _, err := fs.Write(attr.Ino, 0, buf); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/racetest"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -26,6 +27,7 @@ func TestHotPathLabelsDoNotAllocate(t *testing.T) {
 	}
 	tc := obs.TraceContext{Hi: 1, Lo: 2, Span: 3}
 
+	racetest.SkipAllocs(t)
 	if n := testing.AllocsPerRun(1000, func() {
 		for _, p := range procs {
 			c.proc(p)
@@ -69,6 +71,7 @@ func TestLookupRoundTripAllocs(t *testing.T) {
 	if _, _, _, err := c.Create("srv", srv.Root(), "f", 0o644, false); err != nil {
 		t.Fatal(err)
 	}
+	racetest.SkipAllocs(t)
 	var err error
 	n := testing.AllocsPerRun(1000, func() { _, _, _, err = c.Lookup("srv", srv.Root(), "f") })
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/localfs"
 	"repro/internal/obs"
+	"repro/internal/racetest"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -162,6 +163,7 @@ func TestLookupPathBoundsItsComponentCount(t *testing.T) {
 		}
 	}
 	huge := request(wire.MaxItems, 1)
+	racetest.SkipAllocs(t)
 	if n := testing.AllocsPerRun(100, func() { srv.Handle("cli", huge) }); n > 4 {
 		t.Errorf("refusing a count of %d allocates %.0f times, want the error reply alone", wire.MaxItems, n)
 	}

@@ -21,7 +21,7 @@ func liveNodes(nodes []*Node, alive map[int]bool) []*Node {
 }
 
 func TestInvariantsHoldAfterSerialJoin(t *testing.T) {
-	for _, n := range []int{2, 5, 16, 48} {
+	for _, n := range []int{2, 5, 9, 12, 15, 16, 48} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			_, nodes := buildOverlay(t, n, uint64(100+n), 0)
 			rep, err := CheckInvariants(nodes, InvariantOptions{

@@ -140,10 +140,10 @@ func (n *Node) Known() []NodeInfo {
 
 // EnumerateRing walks the live ring clockwise from this node — one leaf-set
 // query per l/2 positions — and returns every member discovered, self
-// included, sorted by ID. Operations that need the *whole* membership (the
-// virtual-root listing is a union over all store roots, Section 3) cannot
-// rely on Known(): a node's own routing state only names O(log N) peers, so
-// at large N the union would silently drop directories hosted on strangers.
+// included, sorted by ID. Known() cannot stand in for it: a node's own
+// routing state names only O(log N) peers. Kosha itself never needs the
+// whole membership: the virtual root is listed from its replicated name
+// index. The one caller is bench/ledger.go, which prices a ring walk.
 // Dead leaf-set entries not yet repaired are skipped; the walk advances
 // through the farthest responsive successor each step.
 func (n *Node) EnumerateRing() ([]NodeInfo, simnet.Cost) {
@@ -222,7 +222,7 @@ func aheadOf(self NodeInfo, curDist id.ID, peers []NodeInfo, members map[id.ID]N
 func (n *Node) LeafHalves() (succs, preds []NodeInfo) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return append([]NodeInfo(nil), n.st.succs...), append([]NodeInfo(nil), n.st.preds...)
+	return n.st.halves()
 }
 
 // LeafSize returns the configured leaf-set size l.
@@ -281,11 +281,11 @@ func (n *Node) AppendReplicaCandidates(dst []NodeInfo, k int) []NodeInfo {
 }
 
 // LeafStats reports leaf-set occupancy for the overlay-health gauges: the
-// current deduplicated member count and the ideal (configured) size l.
+// current member count and the ideal (configured) size l.
 func (n *Node) LeafStats() (size, ideal int) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return len(n.st.leafMembers()), n.st.leafSize
+	return len(n.st.leaf), n.st.leafSize
 }
 
 // TableStats reports routing-table occupancy: filled entries and how many

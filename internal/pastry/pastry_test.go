@@ -89,7 +89,7 @@ func TestTwoNodeOverlay(t *testing.T) {
 }
 
 func TestRoutingCorrectnessSmallOverlays(t *testing.T) {
-	for _, n := range []int{3, 5, 8, 16} {
+	for _, n := range []int{3, 5, 8, 9, 12, 15, 16} {
 		_, nodes := buildOverlay(t, n, uint64(n)*7, 0)
 		for trial := 0; trial < 30; trial++ {
 			key := id.HashKey(fmt.Sprintf("dir-%d-%d", n, trial))

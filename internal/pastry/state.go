@@ -1,6 +1,7 @@
 package pastry
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/id"
@@ -21,12 +22,11 @@ type state struct {
 	// whose next digit is col. Zero value means empty.
 	table [id.Digits][1 << id.BitsPerDigit]NodeInfo
 
-	// succs/preds are the leaf set halves: successors sorted by increasing
-	// clockwise distance from self, predecessors by increasing
-	// counter-clockwise distance. In overlays with at most l nodes the two
-	// halves cover the same nodes (full wrap), as in real Pastry.
-	succs []NodeInfo
-	preds []NodeInfo
+	// leaf is the leaf set, at most l nodes sorted by increasing clockwise
+	// distance from self. Its first l/2 entries are the successors and its
+	// last l/2, read backwards, the predecessors. With fewer than l entries
+	// the two runs meet and the set wraps the whole ring, as in real Pastry.
+	leaf []NodeInfo
 }
 
 func newState(self NodeInfo, leafSize int) *state {
@@ -53,41 +53,19 @@ func (s *state) add(n NodeInfo) bool {
 			s.table[row][col] = n
 		}
 	}
-	changed := insertLeaf(&s.succs, s.self.ID, n, s.leafSize/2, false)
-	if insertLeaf(&s.preds, s.self.ID, n, s.leafSize/2, true) {
-		changed = true
-	}
-	return changed
-}
-
-// insertLeaf inserts n into one sorted leaf-set half, bounded to max
-// entries. pred selects counter-clockwise ordering. Reports insertion.
-func insertLeaf(half *[]NodeInfo, self id.ID, n NodeInfo, max int, pred bool) bool {
-	dist := func(x id.ID) id.ID {
-		if pred {
-			return x.CWDist(self)
-		}
-		return self.CWDist(x)
-	}
-	h := *half
-	for _, e := range h {
-		if e.ID == n.ID {
-			return false
-		}
-	}
-	pos := sort.Search(len(h), func(i int) bool {
-		return dist(n.ID).Less(dist(h[i].ID))
-	})
-	if pos >= max {
+	half := s.leafSize / 2
+	d := s.self.ID.CWDist(n.ID)
+	i := sort.Search(len(s.leaf), func(j int) bool { return !s.self.ID.CWDist(s.leaf[j].ID).Less(d) })
+	if i < len(s.leaf) && s.leaf[i].ID == n.ID {
 		return false
 	}
-	h = append(h, NodeInfo{})
-	copy(h[pos+1:], h[pos:])
-	h[pos] = n
-	if len(h) > max {
-		h = h[:max]
+	if i >= half && len(s.leaf)-i >= half {
+		return false // beyond the l/2 nearest in both directions
 	}
-	*half = h
+	s.leaf = slices.Insert(s.leaf, i, n)
+	if len(s.leaf) > s.leafSize {
+		s.leaf = slices.Delete(s.leaf, half, len(s.leaf)-half)
+	}
 	return true
 }
 
@@ -99,22 +77,12 @@ func (s *state) remove(dead id.ID) bool {
 			s.table[row][col] = NodeInfo{}
 		}
 	}
-	changed := removeLeaf(&s.succs, dead)
-	if removeLeaf(&s.preds, dead) {
-		changed = true
+	i := slices.IndexFunc(s.leaf, func(e NodeInfo) bool { return e.ID == dead })
+	if i < 0 {
+		return false
 	}
-	return changed
-}
-
-func removeLeaf(half *[]NodeInfo, dead id.ID) bool {
-	h := *half
-	for i, e := range h {
-		if e.ID == dead {
-			*half = append(h[:i], h[i+1:]...)
-			return true
-		}
-	}
-	return false
+	s.leaf = slices.Delete(s.leaf, i, i+1)
+	return true
 }
 
 // row returns the non-empty entries of routing-table row r.
@@ -128,30 +96,37 @@ func (s *state) row(r int) []NodeInfo {
 	return out
 }
 
-// leafMembers returns the deduplicated leaf set (not including self).
+// halves returns copies of the successor and predecessor runs, each
+// sorted nearest first.
+func (s *state) halves() (succs, preds []NodeInfo) {
+	h := min(s.leafSize/2, len(s.leaf))
+	succs = append(succs, s.leaf[:h]...)
+	for i := len(s.leaf) - 1; i >= len(s.leaf)-h; i-- {
+		preds = append(preds, s.leaf[i])
+	}
+	return succs, preds
+}
+
+// leafMembers returns the leaf set (not including self) in a fresh slice:
+// the successors nearest first, then the other entries nearest
+// counter-clockwise first. It has room for one more, the self that a
+// leaf-set reply appends.
 func (s *state) leafMembers() []NodeInfo {
-	seen := make(map[id.ID]bool, len(s.succs)+len(s.preds))
-	out := make([]NodeInfo, 0, len(s.succs)+len(s.preds))
-	for _, halves := range [2][]NodeInfo{s.succs, s.preds} {
-		for _, n := range halves {
-			if !seen[n.ID] {
-				seen[n.ID] = true
-				out = append(out, n)
-			}
-		}
+	h := min(s.leafSize/2, len(s.leaf))
+	out := make([]NodeInfo, 0, len(s.leaf)+1)
+	out = append(out, s.leaf[:h]...)
+	for i := len(s.leaf) - 1; i >= h; i-- {
+		out = append(out, s.leaf[i])
 	}
 	return out
 }
 
 // allKnown returns every node in the table and leaf set (not self).
 func (s *state) allKnown() []NodeInfo {
-	seen := make(map[id.ID]bool)
-	var out []NodeInfo
-	for _, n := range s.leafMembers() {
-		if !seen[n.ID] {
-			seen[n.ID] = true
-			out = append(out, n)
-		}
+	out := s.leafMembers()
+	seen := make(map[id.ID]bool, len(out))
+	for _, n := range out {
+		seen[n.ID] = true
 	}
 	for r := range s.table {
 		for c := range s.table[r] {
@@ -166,43 +141,36 @@ func (s *state) allKnown() []NodeInfo {
 }
 
 // leafCovers reports whether the leaf-set arc contains key, meaning the
-// root can be decided among leaf members. When a half is not full the node
-// knows so few peers that the leaf set wraps the whole ring.
+// root can be decided among leaf members. With fewer than l entries the
+// successor and predecessor runs meet and the leaf set wraps the whole ring.
 func (s *state) leafCovers(key id.ID) bool {
-	if len(s.succs) < s.leafSize/2 || len(s.preds) < s.leafSize/2 {
+	if len(s.leaf) < s.leafSize {
 		return true
 	}
-	lo := s.preds[len(s.preds)-1].ID // farthest counter-clockwise
-	hi := s.succs[len(s.succs)-1].ID // farthest clockwise
+	lo := s.leaf[len(s.leaf)-s.leafSize/2].ID // farthest counter-clockwise
+	hi := s.leaf[s.leafSize/2-1].ID           // farthest clockwise
 	return id.Between(key, lo, hi) || key == lo
 }
 
 // closestLeaf returns the member of leafset∪self numerically closest to
-// key, excluding ids in excl. A node in both halves is considered twice,
-// which a minimum does not notice, so the halves are scanned as they are.
+// key, excluding ids in excl.
 func (s *state) closestLeaf(key id.ID, excl map[id.ID]bool) NodeInfo {
 	best := s.self
 	if excl[s.self.ID] {
 		best = NodeInfo{}
 	}
-	consider := func(n NodeInfo) {
+	for _, n := range s.leaf {
 		if excl[n.ID] {
-			return
+			continue
 		}
 		if best.IsZero() {
 			best = n
-			return
+			continue
 		}
 		dn, db := key.Distance(n.ID), key.Distance(best.ID)
 		if dn.Less(db) || (dn == db && n.ID.Less(best.ID)) {
 			best = n
 		}
-	}
-	for _, n := range s.succs {
-		consider(n)
-	}
-	for _, n := range s.preds {
-		consider(n)
 	}
 	return best
 }
@@ -263,41 +231,16 @@ func (s *state) nextHop(key id.ID, excluded []id.ID) (next NodeInfo, isRoot bool
 
 // appendReplicaCandidates appends up to k leaf-set nodes ring-adjacent to
 // self, alternating successor/predecessor, the paper's "neighboring K nodes
-// in the node-identifier space" that hold file replicas (Section 4.2). A node
-// on both sides of a small ring is taken once; the appended run is searched
-// for it, since k is a handful, so nothing is allocated beyond dst's growth.
+// in the node-identifier space" that hold file replicas (Section 4.2). The
+// leaf set is read from both ends inward, so each node is taken once and
+// nothing is allocated beyond dst's growth.
 func (s *state) appendReplicaCandidates(dst []NodeInfo, k int) []NodeInfo {
-	base := len(dst)
-	taken := func(n NodeInfo) bool {
-		if n.ID == s.self.ID {
-			return true
-		}
-		for _, m := range dst[base:] {
-			if m.ID == n.ID {
-				return true
-			}
-		}
-		return false
-	}
-	si, pi := 0, 0
-	for len(dst)-base < k {
-		advanced := false
-		if si < len(s.succs) {
-			if n := s.succs[si]; !taken(n) {
-				dst = append(dst, n)
-			}
-			si++
-			advanced = true
-		}
-		if len(dst)-base < k && pi < len(s.preds) {
-			if n := s.preds[pi]; !taken(n) {
-				dst = append(dst, n)
-			}
-			pi++
-			advanced = true
-		}
-		if !advanced {
-			break
+	for i, j := 0, len(s.leaf)-1; i <= j && k > 0; i, j = i+1, j-1 {
+		dst = append(dst, s.leaf[i])
+		k--
+		if i < j && k > 0 {
+			dst = append(dst, s.leaf[j])
+			k--
 		}
 	}
 	return dst

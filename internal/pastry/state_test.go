@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/id"
+	"repro/internal/racetest"
 	"repro/internal/simnet"
 )
 
@@ -23,13 +24,17 @@ func TestLeafHalvesSortedAndBounded(t *testing.T) {
 	for _, v := range []uint64{1010, 1001, 1020, 1005, 990, 999, 800} {
 		s.add(info(v))
 	}
+	succs, preds := s.halves()
 	// Successors: two closest clockwise = 1001, 1005.
-	if len(s.succs) != 2 || s.succs[0].ID != id.FromUint64(1001) || s.succs[1].ID != id.FromUint64(1005) {
-		t.Fatalf("succs = %v", s.succs)
+	if len(succs) != 2 || succs[0].ID != id.FromUint64(1001) || succs[1].ID != id.FromUint64(1005) {
+		t.Fatalf("succs = %v", succs)
 	}
 	// Predecessors: two closest counter-clockwise = 999, 990.
-	if len(s.preds) != 2 || s.preds[0].ID != id.FromUint64(999) || s.preds[1].ID != id.FromUint64(990) {
-		t.Fatalf("preds = %v", s.preds)
+	if len(preds) != 2 || preds[0].ID != id.FromUint64(999) || preds[1].ID != id.FromUint64(990) {
+		t.Fatalf("preds = %v", preds)
+	}
+	if len(s.leaf) != 4 {
+		t.Fatalf("leaf = %v, want the two halves only", s.leaf)
 	}
 }
 
@@ -155,8 +160,8 @@ func TestReplicaCandidatesOrderingAndDedup(t *testing.T) {
 }
 
 func TestLeafMembersDeduplicated(t *testing.T) {
-	// In a tiny overlay the same nodes appear in both halves; leafMembers
-	// must not double-report them.
+	// In a tiny overlay every node is both a successor and a predecessor;
+	// leafMembers must not double-report them.
 	s := newTestState(100, 16)
 	s.add(info(200))
 	s.add(info(300))
@@ -166,37 +171,77 @@ func TestLeafMembersDeduplicated(t *testing.T) {
 	}
 }
 
-// Property: the leaf set of every node always holds the true nearest
-// neighbors on each side after any insertion order.
+// Property: the leaf set of every node always holds exactly the true nearest
+// neighbors on each side, nearest first, after any insertion order.
 func TestPropLeafSetNearest(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 50; iter++ {
-		self := r.Uint64()
-		s := newState(NodeInfo{ID: id.FromUint64(self), Addr: "s"}, 8)
-		var others []uint64
+		self := id.FromUint64(r.Uint64())
+		s := newState(NodeInfo{ID: self, Addr: "s"}, 8)
+		var others []id.ID
 		for i := 0; i < 30; i++ {
-			v := r.Uint64()
+			v := id.FromUint64(r.Uint64())
 			if v == self {
 				continue
 			}
 			others = append(others, v)
-			s.add(NodeInfo{ID: id.FromUint64(v), Addr: "x"})
+			s.add(NodeInfo{ID: v, Addr: "x"})
 		}
-		// True 4 clockwise-closest.
-		sort.Slice(others, func(i, j int) bool {
-			di := id.FromUint64(self).CWDist(id.FromUint64(others[i]))
-			dj := id.FromUint64(self).CWDist(id.FromUint64(others[j]))
-			return di.Less(dj)
-		})
-		for i := 0; i < 4 && i < len(others); i++ {
-			found := false
-			for _, m := range s.succs {
-				if m.ID == id.FromUint64(others[i]) {
-					found = true
+		// True 4 clockwise-closest, and 4 counter-clockwise-closest.
+		sort.Slice(others, func(i, j int) bool { return self.CWDist(others[i]).Less(self.CWDist(others[j])) })
+		succs, preds := s.halves()
+		if len(succs) != 4 || len(preds) != 4 {
+			t.Fatalf("iter %d: halves hold %d and %d nodes, want 4 each", iter, len(succs), len(preds))
+		}
+		for i := 0; i < 4; i++ {
+			if succs[i].ID != others[i] {
+				t.Fatalf("iter %d: succ %d = %v, want %v", iter, i, succs[i].ID, others[i])
+			}
+			if want := others[len(others)-1-i]; preds[i].ID != want {
+				t.Fatalf("iter %d: pred %d = %v, want %v", iter, i, preds[i].ID, want)
+			}
+		}
+	}
+}
+
+// TestOverlappingHalvesWrapTheRing: with more than l/2 but fewer than l
+// other nodes the successor and predecessor runs share nodes. The leaf set
+// still names each node once, covers every key and decides every key's
+// root among all nodes. Taking the leaf arc from the two overlapping halves
+// once routed keys in 9–15-node rings (at l = 16) away from their root.
+func TestOverlappingHalvesWrapTheRing(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for others := 1; others < 16; others++ {
+		selfID := id.FromUint64(r.Uint64())
+		s := newState(NodeInfo{ID: selfID, Addr: "s"}, 16)
+		all := []id.ID{selfID}
+		for len(all) <= others {
+			v := id.FromUint64(r.Uint64())
+			if s.add(NodeInfo{ID: v, Addr: "x"}) {
+				all = append(all, v)
+			}
+		}
+		if got := len(s.leafMembers()); got != others {
+			t.Fatalf("%d others: %d leaf members", others, got)
+		}
+		succs, preds := s.halves()
+		if want := min(others, 8); len(succs) != want || len(preds) != want {
+			t.Fatalf("%d others: halves hold %d and %d nodes, want %d each", others, len(succs), len(preds), want)
+		}
+		for k := 0; k < 200; k++ {
+			key := id.FromUint64(r.Uint64())
+			root := all[0]
+			for _, v := range all[1:] {
+				if dv, dr := key.Distance(v), key.Distance(root); dv.Less(dr) || (dv == dr && v.Less(root)) {
+					root = v
 				}
 			}
-			if !found {
-				t.Fatalf("iter %d: succ %d (%d) missing from %v", iter, i, others[i], s.succs)
+			if !s.leafCovers(key) {
+				t.Fatalf("%d others: key %v outside the leaf arc", others, key)
+			}
+			next, isRoot := s.nextHop(key, nil)
+			if isRoot && root != selfID || !isRoot && next.ID != root {
+				t.Fatalf("%d others: key %v routed to %v (self root %v), true root %v", others, key, next.ID, isRoot, root)
 			}
 		}
 	}
@@ -239,8 +284,8 @@ func TestPropNextHopProgress(t *testing.T) {
 }
 
 // TestLeafArcNextHopAllocs pins the leaf-set routing decision, made on every
-// hop of every route: a key inside the leaf arc is decided over the two halves
-// as they are, with no deduplicated copy of the leaf set (two objects before).
+// hop of every route: a key inside the leaf arc is decided over the leaf set
+// as it is, with no deduplicated copy of it (which cost two objects).
 func TestLeafArcNextHopAllocs(t *testing.T) {
 	s := newTestState(1000, 8)
 	for _, v := range []uint64{990, 995, 999, 1001, 1005, 1010, 1020, 980} {
@@ -250,12 +295,12 @@ func TestLeafArcNextHopAllocs(t *testing.T) {
 	if !s.leafCovers(key) {
 		t.Fatal("key outside the leaf arc")
 	}
-	var next NodeInfo
-	if n := testing.AllocsPerRun(1000, func() { next, _ = s.nextHop(key, nil) }); n != 0 {
-		t.Errorf("a leaf-arc nextHop allocates %.1f times, want 0", n)
-	}
-	if next.ID != id.FromUint64(1005) {
+	if next, _ := s.nextHop(key, nil); next.ID != id.FromUint64(1005) {
 		t.Errorf("next hop %v, want 1005", next.ID)
+	}
+	racetest.SkipAllocs(t)
+	if n := testing.AllocsPerRun(1000, func() { s.nextHop(key, nil) }); n != 0 {
+		t.Errorf("a leaf-arc nextHop allocates %.1f times, want 0", n)
 	}
 }
 
@@ -270,10 +315,7 @@ func TestAppendReplicaCandidatesAllocs(t *testing.T) {
 		s.add(info(v))
 	}
 	var buf [4]NodeInfo
-	var got []NodeInfo
-	if n := testing.AllocsPerRun(1000, func() { got = s.appendReplicaCandidates(buf[:0], 3) }); n != 0 {
-		t.Errorf("appending 3 candidates to a 4-slot buffer allocates %.1f times, want 0", n)
-	}
+	got := s.appendReplicaCandidates(buf[:0], 3)
 	want := []uint64{1001, 999, 1005}
 	for i, w := range want {
 		if got[i].ID != id.FromUint64(w) {
@@ -289,5 +331,10 @@ func TestAppendReplicaCandidatesAllocs(t *testing.T) {
 	got = small.appendReplicaCandidates(prefix, 3)
 	if len(got) != 3 || got[0].ID != id.FromUint64(1001) || got[1].ID != id.FromUint64(1001) || got[2].ID != id.FromUint64(2000) {
 		t.Fatalf("appended to %v: %v, want the prefix, then 1001 and 2000 once each", prefix, got)
+	}
+
+	racetest.SkipAllocs(t)
+	if n := testing.AllocsPerRun(1000, func() { s.appendReplicaCandidates(buf[:0], 3) }); n != 0 {
+		t.Errorf("appending 3 candidates to a 4-slot buffer allocates %.1f times, want 0", n)
 	}
 }

@@ -890,3 +890,57 @@ func TestVerifyFileSplitsWantAcrossHelpers(t *testing.T) {
 		t.Fatalf("fetches per helper %v, want one batch from each", peer.fetches)
 	}
 }
+
+// An adopt pulls symlinks through the peer's ReadLink: one the local copy
+// lacks, one whose target changed, and one where the local copy holds a
+// regular file. Each is made with the source's target, and the two copies
+// end with equal root digests.
+func TestFetchTreePullsSymlinks(t *testing.T) {
+	peer := newStorePeer()
+	link := func(fs localfs.FileSystem, p, target string) {
+		t.Helper()
+		dir, err := fs.MkdirAll(path.Dir(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := fs.Symlink(dir.Ino, path.Base(p), target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := RepPath("/links")
+	if err := peer.remote.WriteFile(src+"/a.txt", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"new": "../new-target", "changed": "/after", "wasfile": "sub/target"}
+	for name, target := range want {
+		link(peer.remote, src+"/"+name, target)
+	}
+	e, store, _ := deltaEngine(t, peer)
+	if err := store.WriteFile("/links/a.txt", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	link(store, "/links/changed", "/before")
+	if err := store.WriteFile("/links/wasfile", []byte("a regular file")); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := e.fetchTree(obs.TraceContext{}, "r1", nil, Track{PN: "links", Root: "/links"}, 2); err != nil {
+		t.Fatal(err)
+	}
+	for name, target := range want {
+		attr, err := store.LookupPath("/links/" + name)
+		if err != nil || attr.Type != localfs.TypeSymlink {
+			t.Fatalf("/links/%s: %+v, %v; want a symlink", name, attr, err)
+		}
+		if got, _, err := store.Readlink(attr.Ino); err != nil || got != target {
+			t.Errorf("/links/%s -> %q (%v), want %q", name, got, err, target)
+		}
+	}
+	local, err := e.mk.DigestOf("/links")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote, err := peer.mk.DigestOf(src); err != nil || local != remote {
+		t.Fatalf("root digest %v after the pull, the source's %v (%v)", local, remote, err)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/id"
 	"repro/internal/nfs"
 	"repro/internal/obs"
+	"repro/internal/racetest"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -502,6 +503,7 @@ func TestRoundTripAllocs(t *testing.T) {
 	srv.Register(srv.Addr(), "echo", func(_ simnet.Addr, req []byte) ([]byte, simnet.Cost, error) { return req, 0, nil })
 	cli := Dialer("client", simnet.LAN100)
 	defer cli.Close()
+	racetest.SkipAllocs(t)
 	for _, size := range []int{64, 32 << 10} {
 		req := bytes.Repeat([]byte{0x5a}, size)
 		var resp []byte

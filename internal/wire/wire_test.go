@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"repro/internal/racetest"
 )
 
 func TestScalarRoundTrip(t *testing.T) {
@@ -346,6 +348,7 @@ func TestPutOpaqueFuncAndGrow(t *testing.T) {
 		}
 	}
 
+	racetest.SkipAllocs(t)
 	if n := testing.AllocsPerRun(10, func() {
 		e := NewEncoder(16)
 		e.PutOpaqueFunc(func(dst []byte) []byte { return append(dst, 1, 2, 3, 4, 5) })
@@ -378,6 +381,7 @@ func TestDecoderReset(t *testing.T) {
 	if v := d.Uint32(); v != 7 || d.Done() != nil {
 		t.Fatalf("after Reset: %d, %v", v, d.Done())
 	}
+	racetest.SkipAllocs(t)
 	if n := testing.AllocsPerRun(100, func() { d.Reset(e.Bytes()); d.Uint32() }); n != 0 {
 		t.Errorf("Reset allocates %.0f times, want 0", n)
 	}
@@ -394,6 +398,7 @@ func TestCodecIsOneSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Codec{}); size != 320 {
 		t.Fatalf("Codec is %d bytes, want 320", size)
 	}
+	racetest.SkipAllocs(t)
 	payload := make([]byte, 1<<10)
 	for _, c := range []struct {
 		body   int
