@@ -28,8 +28,11 @@ ci: fmt-check vet build
 # soak (see internal/chaos). Every failure message
 # carries the run's seed; replay it with
 #   go test -race ./internal/chaos -run <TestName> -v
-# Opt into the longer randomized soak with KOSHA_CHAOS_SOAK=<runs>, pinning
-# its base seed with KOSHA_CHAOS_SEED=<seed>.
+# Opt into the longer randomized soak with KOSHA_CHAOS_SOAK=<runs>: it runs
+# Random(40) schedules on the consecutive seeds KOSHA_CHAOS_SEED ... +runs-1,
+# reports each red seed and ends with a `red N of M: [seeds]` line. The
+# ROADMAP's sweep of seeds 1-60 is
+#   KOSHA_CHAOS_SOAK=60 KOSHA_CHAOS_SEED=1 go test ./internal/chaos -run TestRandomizedSoak -v
 # Then the oracle sweep (internal/cluster: random operations through three
 # mounts against chaos.Oracle) over seeds 1000-1999, which must all pass. It
 # runs without the race detector (~1 min; ~8 min with it): the raced run of
@@ -54,19 +57,22 @@ soak:
 	KOSHA_MAINT_SOAK=1 $(GO) test -count=1 -timeout 30m ./internal/chaos -run TestMaintScrubSoak -v
 
 # fuzz runs every Fuzz* target in the module for FUZZTIME each, one after
-# another, and stops at the first finding (go test runs only the targets'
-# seed corpora). A finding is written under the package's testdata/fuzz/<name>
-# and replays as a plain test. Not part of ci: 14 targets at the default 20 s
-# are about six minutes.
+# another (go test runs only the targets' seed corpora). A target that fails
+# (a finding) does not stop the others: the failed targets are listed at the
+# end and the run exits 1. A finding is written under the package's
+# testdata/fuzz/<name> and replays as a plain test. Not part of ci: 14
+# targets at the default 20 s are about six minutes.
 #   make fuzz FUZZTIME=1m
 FUZZTIME ?= 20s
 fuzz:
-	@for f in $$(grep -l '^func Fuzz' $$(find . -name '*_test.go')); do \
+	@failed=""; \
+	for f in $$(grep -l '^func Fuzz' $$(find . -name '*_test.go')); do \
 		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
 			echo "fuzz: $$t ($$(dirname $$f))"; \
-			$(GO) test $$(dirname $$f) -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || exit 1; \
+			$(GO) test $$(dirname $$f) -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || failed="$$failed $$t($$(dirname $$f))"; \
 		done; \
-	done
+	done; \
+	[ -z "$$failed" ] || { echo "fuzz: failed:$$failed" >&2; exit 1; }
 
 # scale-smoke is the quick (<=100-node) scale-sweep variant wired into ci:
 # two soak points plus the hops-vs-N JSON fields the docs table is built from,

@@ -263,3 +263,85 @@ func heir(t *testing.T, c *cluster.Cluster, dir string, replicas int) (place cor
 	}
 	return place, primary, succ
 }
+
+// TestScenarioPromotedHomeCatchesUp: the heir of an unsalted home missed
+// the mirror of a create, and the primary dies. The first access after the
+// crash is a level-1 probe that finds the heir holding the home only in its
+// replica area, so the promote surfaces the stale copy. That promote must
+// also ask the other replicas, which hold the create: a fresh mount then
+// reads the file, and a sibling created next continues the version chain
+// above it. No Sync runs between the crash and the checks (NoAutoSync, and
+// only the overlay is stabilized), so nothing else can repair the heir
+// first.
+func TestScenarioPromotedHomeCatchesUp(t *testing.T) {
+	const replicas = 3
+	c, err := cluster.New(cluster.Options{
+		Nodes:  8,
+		Seed:   7713,
+		Config: core.Config{Replicas: replicas, AttrCacheTTL: -1, NameCacheTTL: -1, NoAutoSync: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := NewOracle()
+	write := func(m *core.Mount, p, data string) {
+		t.Helper()
+		if _, err := m.WriteFile(p, []byte(data)); err != nil {
+			t.Fatalf("write %s: %v", p, err)
+		}
+		model.WriteFile(p, []byte(data))
+	}
+	write(c.Mount(0), "/hhome/a", "a")
+	c.Stabilize()
+	place, pi, succ := heir(t, c, "/hhome", replicas)
+	if place.Store != "/hhome" {
+		t.Fatalf("/hhome is stored at %s; the scenario needs an unsalted home", place.Store)
+	}
+	// The writer and the reader are distinct from the primary, the heir and
+	// node 0, so the reader's resolver has never seen /hhome.
+	var others []int
+	for i := 1; i < len(c.Nodes); i++ {
+		if i != pi && i != succ {
+			others = append(others, i)
+		}
+	}
+	writer, reader := others[0], others[1]
+
+	primary, next := place.Node, c.Nodes[succ].Addr()
+	c.Net.SetPartition(func(a, b simnet.Addr) bool {
+		return (a == primary && b == next) || (a == next && b == primary)
+	})
+	write(c.Mount(writer), "/hhome/f", "acknowledged")
+	if _, err := c.Nodes[succ].Store().LookupPath(core.RepPath("/hhome/f")); err == nil {
+		t.Fatal("the heir received the create through the partition: nothing to catch up")
+	}
+
+	c.Fail(pi)
+	c.Net.SetPartition(nil)
+	for round := 0; round < 3; round++ {
+		for _, i := range c.Alive() {
+			c.Nodes[i].Overlay().Stabilize()
+			c.Nodes[i].Overlay().RepairTable()
+		}
+	}
+	m := c.Mount(reader)
+	got, _, err := m.ReadFile("/hhome/f")
+	if err != nil || string(got) != "acknowledged" {
+		t.Fatalf("read /hhome/f after the heir's promote = %q, %v", got, err)
+	}
+	if attr, err := c.Nodes[succ].Store().LookupPath("/hhome/f"); err != nil || attr.Type != localfs.TypeRegular {
+		t.Fatalf("the promoted heir holds /hhome/f as %+v, %v", attr, err)
+	}
+	write(m, "/hhome/g", "sibling")
+
+	c.Stabilize()
+	for _, p := range []string{"/hhome/a", "/hhome/f", "/hhome/g"} {
+		want, _ := model.FileContent(p)
+		if got, _, err := c.Mount(reader).ReadFile(p); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("after sync, read %s = %q, %v; want %q", p, got, err, want)
+		}
+	}
+	if err := ReplicaConvergence(c, model, replicas); err != nil {
+		t.Fatalf("replicas after sync: %v", err)
+	}
+}

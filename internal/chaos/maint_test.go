@@ -6,6 +6,7 @@ import (
 	"os"
 	"path"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -562,6 +563,64 @@ func TestScenarioRebalanceTargetCrashMidMove(t *testing.T) {
 	}
 	if err := ReplicaConvergence(c, model, 2); err != nil {
 		t.Fatalf("post-retry replica convergence: %v", err)
+	}
+}
+
+// liveRootsAtLinks lists, per node, each live root record whose path (at
+// the primary path or in the replica area) holds a link instead of the
+// hierarchy the record describes.
+func liveRootsAtLinks(c *cluster.Cluster) []string {
+	var out []string
+	for _, nd := range c.Nodes {
+		rep := nd.Repl()
+		for root := range rep.TrackedRoots() {
+			p, ok := rep.LocalTreePath(root)
+			if !ok || rep.IsDead(root) {
+				continue
+			}
+			if a, err := nd.Store().LookupPath(p); err == nil && a.Type == localfs.TypeSymlink {
+				out = append(out, fmt.Sprintf("%s:%s", nd.Addr(), p))
+			}
+		}
+	}
+	return out
+}
+
+// TestRebalanceRetiresRelinkedRoot: the rebalancer moves the unsalted home
+// /big off its overloaded owner, and the relink replaces the home in place
+// by a special link. The relink's apply and mirrors retire the home's root
+// record wherever they land, so no node keeps a live root record at a path
+// that now holds a link.
+func TestRebalanceRetiresRelinkedRoot(t *testing.T) {
+	const seed = 5151
+	probe, _, _ := rebalCluster(t, seed, -1, 0, nil)
+	place, _, err := probe.Nodes[0].ResolvePath("/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mover := slices.IndexFunc(probe.Nodes, func(nd *core.Node) bool { return nd.Addr() == place.Node })
+	c, model, _ := rebalCluster(t, seed, mover, 4<<20, nil)
+	tickAll(c)
+	if moves := sumCounter(c, "maint.rebalance.moves"); moves != 1 {
+		t.Fatalf("%d moves, want 1", moves)
+	}
+	c.Stabilize()
+	if err := model.Check(c.Mount(0)); err != nil {
+		t.Fatal(err)
+	}
+	links := 0
+	for _, nd := range c.Nodes {
+		if p, ok := nd.Repl().LocalTreePath("/big"); ok {
+			if a, err := nd.Store().LookupPath(p); err == nil && a.Type == localfs.TypeSymlink {
+				links++
+			}
+		}
+	}
+	if links == 0 {
+		t.Fatal("no node holds the relinked home: the move did not relink /big in place")
+	}
+	if stale := liveRootsAtLinks(c); len(stale) > 0 {
+		t.Errorf("live root records at paths holding a link: %v", stale)
 	}
 }
 

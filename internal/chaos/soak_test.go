@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"math/rand"
 	"os"
 	"strconv"
 	"testing"
@@ -10,12 +9,16 @@ import (
 	"repro/internal/trace"
 )
 
-// TestRandomizedSoak runs many randomized schedules on fresh seeds, logging
-// every seed so a failure is reproducible with a one-line scripted run. The
-// soak is opt-in: set KOSHA_CHAOS_SOAK to the number of runs (e.g.
-// `KOSHA_CHAOS_SOAK=100 go test -race ./internal/chaos/ -run Soak`).
-// KOSHA_CHAOS_SEED pins the base seed; otherwise it derives from the clock
-// and is printed, so a red soak is replayable even without the log.
+// TestRandomizedSoak sweeps randomized schedules over consecutive seeds and
+// reports every red one, so a sweep's red set is one command away. The soak
+// is opt-in: set KOSHA_CHAOS_SOAK to the number of runs. KOSHA_CHAOS_SEED is
+// the first seed; otherwise it derives from the clock and is printed. The
+// ROADMAP's sweep, seeds 1-60 at Random(40):
+//
+//	KOSHA_CHAOS_SOAK=60 KOSHA_CHAOS_SEED=1 go test ./internal/chaos -run TestRandomizedSoak -v
+//
+// It ends with a `red N of M: [seeds]` line; replay one seed with
+// Run(Options{Seed: seed, Steps: Random(40)}).
 func TestRandomizedSoak(t *testing.T) {
 	runs := 0
 	if v := os.Getenv("KOSHA_CHAOS_SOAK"); v != "" {
@@ -36,19 +39,21 @@ func TestRandomizedSoak(t *testing.T) {
 		}
 		base = n
 	}
-	t.Logf("soak base seed %d (%d runs); replay one with Options{Seed: seed, Steps: Random(40)}", base, runs)
-	seeds := rand.New(rand.NewSource(base))
-	for i := 0; i < runs; i++ {
-		seed := seeds.Int63()
+	t.Logf("soak seeds %d..%d", base, base+int64(runs)-1)
+	var red []int64
+	for seed := base; seed < base+int64(runs); seed++ {
 		rep, err := Run(Options{Seed: seed, Steps: Random(40)})
 		if err != nil {
-			t.Fatalf("run %d seed %d: %v", i, seed, err)
+			red = append(red, seed)
+			t.Errorf("seed %d: %v", seed, err)
+			continue
 		}
-		if i%10 == 0 {
-			t.Logf("run %d seed %d: ops=%d failed=%d applied=%d availability=%.4f",
-				i, seed, rep.Ops, rep.FailedOps, rep.Applied, rep.Availability())
+		if (seed-base)%10 == 0 {
+			t.Logf("seed %d: ops=%d failed=%d applied=%d availability=%.4f",
+				seed, rep.Ops, rep.FailedOps, rep.Applied, rep.Availability())
 		}
 	}
+	t.Logf("red %d of %d: %v", len(red), runs, red)
 }
 
 // TestSoakSmoke is the tier-1 availability soak: 60 nodes through twelve

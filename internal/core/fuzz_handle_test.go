@@ -83,7 +83,6 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	enginePeer{n}.DirDigests(tc, peer, track.Root)
 	enginePeer{n}.ChunkManifest(tc, peer, file, []cas.Hash{{1}})
 	enginePeer{n}.ChunkFetch(tc, peer, file, []cas.Hash{{1}})
-	maintHost{n}.UntrackAt(tc, peer, "/nothing")
 	// Mount.Remove's apply; its fan-out is a plain FSRemove, so the mirror
 	// frame of the new kind is sent by hand.
 	m := n.NewMount()
@@ -148,15 +147,18 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 			}
 		}
 		if svc.name == KoshaService {
-			// The retired STAT_TREE frame (proc 3: one path) keeps its place
-			// in the corpus: a retired number is refused like any unknown one.
-			e := wire.NewEncoder(64)
-			e.PutUint32(3)
-			e.PutString(track.Root)
-			if _, _, err := n.serve(KoshaService, koshaProcs)(tc, "cli", e.Bytes()); err == nil || !strings.Contains(err.Error(), "unknown proc 3") {
-				f.Fatalf("retired kosha proc 3 answered %v, want the unknown-procedure error", err)
+			// The retired STAT_TREE and UNTRACK frames (procs 3 and 4: one
+			// path each) keep their places in the corpus: a retired number is
+			// refused like any unknown one.
+			for _, proc := range []uint32{3, 4} {
+				e := wire.NewEncoder(64)
+				e.PutUint32(proc)
+				e.PutString(track.Root)
+				if _, _, err := n.serve(KoshaService, koshaProcs)(tc, "cli", e.Bytes()); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown proc %d", proc)) {
+					f.Fatalf("retired kosha proc %d answered %v, want the unknown-procedure error", proc, err)
+				}
+				last[proc] = e.Bytes()
 			}
-			last[3] = e.Bytes()
 		}
 		for proc := uint32(0); len(last) > 0; proc++ { // in procedure order
 			if req, ok := last[proc]; ok {

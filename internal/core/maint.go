@@ -113,14 +113,6 @@ func (h maintHost) Relink(tc obs.TraceContext, base, pn, storeRoot string) (simn
 	return simnet.Seq(res.Cost, c), err
 }
 
-// UntrackAt drops a root-tracking record on a peer (kUntrack), used after a
-// migration retires an unsalted home whose old replica copies were already
-// converted to links by the relink fan-out.
-func (h maintHost) UntrackAt(tc obs.TraceContext, to simnet.Addr, root string) (simnet.Cost, error) {
-	_, cost, err := h.n.koshaPathCall(tc, to, kUntrack, root)
-	return cost, err
-}
-
 func (h maintHost) SyncReplicas() simnet.Cost { return h.n.rep.Sync() }
 
 var _ maint.Host = maintHost{}

@@ -131,32 +131,17 @@ func cacheSuspect(err error) bool {
 }
 
 // lookupAt walks phys on place's node, asking for readMax bytes of a regular
-// leaf's data. A NOENT below the storage root may be a copy the node holds
-// unpromoted after a fresh ownership change, so the node is asked to promote
-// and the walk, data request and all, repeats once. A NOENT above it means
-// the resolved storage root itself dangles — a stale cache entry survived a
-// rename or removal done elsewhere — and comes back as staleStore.
+// leaf's data. A NOENT below the storage root is the answer: the root is at
+// its primary path, so nothing under it waits to be promoted. A NOENT above
+// it means the resolved storage root itself dangles — a stale cache entry
+// survived a rename or removal done elsewhere — and comes back as
+// staleStore.
 func (m *Mount) lookupAt(tr *obs.Trace, place Place, phys string, readMax uint32) (nfs.Walked, simnet.Cost, error) {
-	storeComps := pathComponents(place.SubtreeRoot())
-	var total simnet.Cost
-	for attempt := 0; ; attempt++ {
-		w, c, err := m.n.remoteWalk(tr.Ctx(), place.Node, phys, readMax)
-		total = simnet.Seq(total, c)
-		if !nfs.IsStatus(err, nfs.ErrNoEnt) {
-			return w, total, err
-		}
-		if w.Resolved < storeComps {
-			return w, total, staleStore
-		}
-		if attempt > 0 {
-			return w, total, err
-		}
-		_, c, perr := m.n.promote(tr.Ctx(), place.Node, Track{PN: place.PN(), Root: place.SubtreeRoot()})
-		total = simnet.Seq(total, c)
-		if perr != nil {
-			return w, total, err
-		}
+	w, c, err := m.n.remoteWalk(tr.Ctx(), place.Node, phys, readMax)
+	if nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved < pathComponents(place.SubtreeRoot()) {
+		err = staleStore
 	}
+	return w, c, err
 }
 
 // materialize builds a ventry for a virtual path by resolving placement and

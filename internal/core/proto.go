@@ -15,11 +15,11 @@ import (
 const KoshaService = "kosha"
 
 // kosha service procedure numbers. 3 was STAT_TREE, which kTreeDigest
-// answers; the number stays vacant.
+// answers, and 4 was UNTRACK, whose work the relink's own link record
+// does (repl.Engine.Track); both numbers stay vacant.
 const (
 	kApply      = 1 // execute an FS op at the primary; primary fans out
 	kMirror     = 2 // execute an FS op at a replica; no fan-out
-	kUntrack    = 4 // drop root-tracking metadata for a removed subtree
 	kPromote    = 5 // move a replica-area copy to the primary path
 	kReplicas   = 6 // report the primary's current replica holders for a key
 	kTreeDigest = 7 // Merkle root digest of a subtree (anti-entropy check)

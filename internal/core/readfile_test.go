@@ -144,7 +144,6 @@ func TestReadFileAsBefore(t *testing.T) {
 	// A home whose level-2 directory is stored on the mount's node, and one
 	// whose is stored elsewhere.
 	var local, remote string
-	var remotePlace Place
 	for i := 0; local == "" || remote == ""; i++ {
 		if i == 64 {
 			t.Fatal("no placement on and off node 0")
@@ -159,13 +158,7 @@ func TestReadFileAsBefore(t *testing.T) {
 		case pl.Node == nodes[0].Addr() && local == "":
 			local = dir
 		case pl.Node != nodes[0].Addr() && remote == "":
-			remote, remotePlace = dir, pl
-		}
-	}
-	var primary *Node
-	for _, nd := range nodes {
-		if nd.Addr() == remotePlace.Node {
-			primary = nd
+			remote = dir
 		}
 	}
 	big := bytes.Repeat([]byte("0123456789abcdef"), chunk/16+1)
@@ -186,7 +179,6 @@ func TestReadFileAsBefore(t *testing.T) {
 		t.Fatal(err)
 	}
 	appended := []byte("appended between the walk and the next READ")
-	lateBytes := []byte("there after the promote")
 
 	for _, tc := range []struct {
 		name     string
@@ -202,19 +194,6 @@ func TestReadFileAsBefore(t *testing.T) {
 		{name: "directory", now: remote + "/sub", was: remote + "/sub", st: nfs.ErrIsDir},
 		{name: "user symlink", now: remote + "/link", was: remote + "/link", st: nfs.ErrInval},
 		{name: "missing", now: remote + "/nope", was: remote + "/nope", st: nfs.ErrNoEnt},
-		{
-			// The first walk misses below the storage root, the node is asked
-			// to promote, and by the time the walk repeats the file is there.
-			name: "promote and retry", now: remote + "/late1", was: remote + "/late2", want: lateBytes,
-			arm: func(p string) {
-				phys := remotePlace.PhysDir() + p[len(remote):]
-				net.once(nodes[0].Addr(), KoshaService, kPromote, func() {
-					if err := primary.Store().WriteFile(phys, lateBytes); err != nil {
-						t.Fatal(err)
-					}
-				})
-			},
-		},
 		{
 			// Another mount appends once the walk has brought the first chunk.
 			name: "concurrent append", now: remote + "/big1", was: remote + "/big2", want: append(append([]byte(nil), big...), appended...),

@@ -167,16 +167,11 @@ func (n *Node) resolveDir(tr *obs.Trace, dir string, readMax uint32) (Place, nfs
 		wantIdx := pathComponents(probePath) - 1 // components before the name
 		w, cost, err := n.remoteWalk(tr.Ctx(), probeNode, probePath, want)
 		total = simnet.Seq(total, cost)
-		if nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved >= wantIdx {
-			// Only the name itself is missing; the node may hold an
-			// unpromoted copy after a fresh ownership change.
-			var t Track
-			if i == 1 {
-				t = Track{PN: name, Root: vpath, Link: vpath}
-			} else {
-				t = Track{PN: cur.PN(), Root: cur.SubtreeRoot()}
-			}
-			_, c2, perr := n.promote(tr.Ctx(), probeNode, t)
+		if i == 1 && nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved >= wantIdx {
+			// Only the level-1 name is missing; its hash target may hold an
+			// unpromoted copy after a fresh ownership change. Deeper names
+			// sit under a storage root already at its primary path.
+			_, c2, perr := n.promote(tr.Ctx(), probeNode, Track{PN: name, Root: vpath, Link: vpath})
 			total = simnet.Seq(total, c2)
 			if perr != nil {
 				// No NOENT to act on: the node never said what it holds.

@@ -75,7 +75,6 @@ func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 var koshaProcs = serviceTable{
 	kApply:         {"apply", (*Node).serveApply},
 	kMirror:        {"mirror", (*Node).serveMirror},
-	kUntrack:       {"untrack", (*Node).serveUntrack},
 	kPromote:       {"promote", (*Node).servePromote},
 	kReplicas:      {"replicas", (*Node).serveReplicas},
 	kTreeDigest:    {"tree-digest", (*Node).serveTreeDigest},
@@ -226,17 +225,6 @@ func (n *Node) serveDirDigests(ctx obs.TraceContext, from simnet.Addr, d *wire.D
 	e.PutBool(ok)
 	merkle.PutEntries(e, ents)
 	return simnet.Disk7200.OpCost(len(ents) * 64), nil
-}
-
-// serveUntrack drops root-tracking metadata for a removed subtree.
-func (n *Node) serveUntrack(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	root := d.String()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	n.rep.Untrack(root)
-	e.PutUint32(codeOK)
-	return 0, nil
 }
 
 // serveReplicas reports the primary's current replica holders for a key.

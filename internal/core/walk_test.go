@@ -157,10 +157,9 @@ func TestMkdirAllCreatesOnlyWhatIsMissing(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The walk, and the same walk again after the holder is asked to promote
-	// a copy it may hold unpromoted.
-	if walks != 2 || legacy != 0 {
-		t.Errorf("%d LOOKUPPATH and %d LOOKUP/GETATTR/READLINK to create three levels, want 2 and 0", walks, legacy)
+	// The walk alone: its NOENT below the storage root is the answer.
+	if walks != 1 || legacy != 0 {
+		t.Errorf("%d LOOKUPPATH and %d LOOKUP/GETATTR/READLINK to create three levels, want 1 and 0", walks, legacy)
 	}
 	de, err := m.entry(vh)
 	if err != nil || de.vpath != "/u/proj/src/gen/out/x86" || de.kind != localfs.TypeDir {
@@ -181,6 +180,29 @@ func TestMkdirAllCreatesOnlyWhatIsMissing(t *testing.T) {
 	}
 	if _, _, _, err := m2.LookupPath("/u/newproj/src"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMissBelowStorageRootSendsNoPromote: a name missing under a storage
+// root the resolver cache holds is answered by the walk (or, at a level
+// below 1, the probe) alone. The root is at its primary path, so there is no
+// unpromoted copy to ask for; only a level-1 name may still need one.
+func TestMissBelowStorageRootSendsNoPromote(t *testing.T) {
+	rec, _, m := walkCluster(t)
+	if _, _, _, err := m.LookupPath("/u/proj/src"); err != nil { // warm the resolver
+		t.Fatal(err)
+	}
+	p0 := rec.koshaCount(kPromote)
+	for _, p := range []string{"/u/proj/src/nope", "/u/proj/nope/deeper", "/u/absent", "/u/absent/deeper"} {
+		if _, _, _, err := m.LookupPath(p); !nfs.IsStatus(err, nfs.ErrNoEnt) {
+			t.Fatalf("LookupPath(%s): %v, want NOENT", p, err)
+		}
+	}
+	if _, _, err := m.MkdirAll("/u/proj/src/gen/out"); err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.koshaCount(kPromote) - p0; n != 0 {
+		t.Errorf("%d kPromote for misses below cached storage roots, want 0", n)
 	}
 }
 

@@ -73,8 +73,6 @@ type Host interface {
 	// link naming (pn, storeRoot), through the routed apply path so the
 	// link host's replicas mirror the flip.
 	Relink(tc obs.TraceContext, base, pn, storeRoot string) (simnet.Cost, error)
-	// UntrackAt drops a root-tracking record on a peer.
-	UntrackAt(tc obs.TraceContext, to simnet.Addr, root string) (simnet.Cost, error)
 	// SyncReplicas runs one replica-synchronization pass (tombstone
 	// propagation and replica refresh after a completed move).
 	SyncReplicas() simnet.Cost
@@ -501,18 +499,11 @@ func (e *Engine) moveVictim(tc obs.TraceContext, v victim, tokens *int) (simnet.
 		return total, false
 	}
 	// Ownership has flipped; retire the old storage root. An unsalted home
-	// was replaced in place by the link itself (the relink removed it), so
-	// only its tracking record is dropped — a tombstone would re-remove
-	// the path and take the fresh link with it.
-	rep := e.host.Rep()
-	if v.t.Root == "/"+base {
-		rep.Untrack(v.t.Root)
-		for _, cand := range e.host.Candidates(e.opts.Replicas) {
-			c, _ := e.host.UntrackAt(tc, cand, v.t.Root)
-			total = simnet.Seq(total, c)
-		}
-	} else {
-		rep.Tombstone(v.t.Root)
+	// was replaced in place by the link itself, whose record retired the
+	// root's on every holder the relink reached; a tombstone would
+	// re-remove the path and take the fresh link with it.
+	if v.t.Root != "/"+base {
+		e.host.Rep().Tombstone(v.t.Root)
 	}
 	e.rebalMoves.Add(1)
 	e.rebalBytes.Add(uint64(v.bytes))

@@ -165,10 +165,6 @@ func (h *scriptedHost) EligibleVictim(obs.TraceContext, repl.Track) (bool, simne
 	return true, 0
 }
 
-func (h *scriptedHost) UntrackAt(obs.TraceContext, simnet.Addr, string) (simnet.Cost, error) {
-	return 0, nil
-}
-
 func (h *scriptedHost) Route(string) (simnet.Addr, simnet.Cost, error) {
 	if h.dest == "" {
 		return "", 0, errScripted

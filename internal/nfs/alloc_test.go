@@ -19,8 +19,8 @@ func TestHotPathLabelsDoNotAllocate(t *testing.T) {
 	net := simnet.New(simnet.LAN100)
 	c := NewClient(net, "cli")
 	procs := namedProcs()
-	if len(procs) != 21 || procs[len(procs)-2] != ProcLookupPath {
-		t.Fatalf("named procedures = %v, want all 21 with LOOKUPPATH the last below MNT", procs)
+	if len(procs) != 18 || procs[len(procs)-2] != ProcLookupPath {
+		t.Fatalf("named procedures = %v, want all 18 with LOOKUPPATH the last below MNT", procs)
 	}
 	for _, p := range procs {
 		c.proc(p) // warm the per-proc cache

@@ -175,12 +175,6 @@ func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wir
 	return d, cost, nil
 }
 
-// Null pings the server.
-func (c Client) Null(to simnet.Addr) (simnet.Cost, error) {
-	_, cost, err := c.call(to, ProcNull, nil)
-	return cost, err
-}
-
 // MountRoot fetches the export's root handle (the MOUNT protocol's MNT).
 func (c Client) MountRoot(to simnet.Addr) (Handle, simnet.Cost, error) {
 	d, cost, err := c.call(to, ProcMountRoot, nil)
@@ -264,35 +258,6 @@ func (c Client) Walk(to simnet.Addr, start Handle, p string, readMax uint32) (Wa
 		return Walked{}, cost, err
 	}
 	return w, cost, err
-}
-
-// Access checks the caller's permissions on h, returning the granted
-// subset of the requested mask.
-func (c Client) Access(to simnet.Addr, h Handle, want uint32) (uint32, localfs.Attr, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcAccess, func(e *wire.Encoder) {
-		putHandle(e, h)
-		e.PutUint32(want)
-	})
-	if err != nil {
-		return 0, localfs.Attr{}, cost, err
-	}
-	attr := getAttr(d)
-	return d.Uint32(), attr, cost, nil
-}
-
-// FSInfo fetches the server's static limits.
-func (c Client) FSInfo(to simnet.Addr, root Handle) (FSInfo, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcFSInfo, func(e *wire.Encoder) { putHandle(e, root) })
-	if err != nil {
-		return FSInfo{}, cost, err
-	}
-	return FSInfo{
-		RTMax:   d.Uint32(),
-		WTMax:   d.Uint32(),
-		RTPref:  d.Uint32(),
-		WTPref:  d.Uint32(),
-		MaxFile: d.Int64(),
-	}, cost, nil
 }
 
 // Readlink returns the target of symlink h.

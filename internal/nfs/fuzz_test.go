@@ -59,13 +59,11 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 	file, _, _, _ := c.Lookup("srv", dir, "f")
 	link, _, _, _ := c.Lookup("srv", dir, "l")
 	size := int64(4)
-	c.Null("srv")
 	c.MountRoot("srv")
 	c.Getattr("srv", file)
 	c.Setattr("srv", file, localfs.SetAttr{Size: &size})
 	c.Walk("srv", root, "/d/l", 0)
 	c.Walk("srv", root, "/d/f", 1<<20) // a reading walk: readMax after the components
-	c.Access("srv", dir, AccessLookup|AccessRead)
 	c.Readlink("srv", link)
 	c.Read("srv", file, 1, 2)
 	c.Write("srv", file, 2, []byte("xy"))
@@ -78,7 +76,6 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 	c.Readdir("srv", dir, 0, 2)
 	c.ReaddirPlus("srv", dir, 0, 2)
 	c.FSStat("srv", root)
-	c.FSInfo("srv", root)
 	c.ReadStream("srv", file, 0, 2, 2)
 	// The largest window the request can name, whose size overflows 64 bits,
 	// from offset 0 of a file of several bytes: the store bounds it by the
@@ -105,17 +102,29 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 			f.Fatalf("no seed request for %s", p)
 		}
 	}
-	// The retired WRITEBATCH frame (proc 41: xid, handle, two spans) stays in
-	// the corpus: a retired number is refused like any unknown one.
-	e := wire.NewEncoder(64)
-	e.PutUint32(41)
-	e.PutUint64(1)
-	putHandle(e, file)
-	PutWriteSpans(e, []WriteSpan{{Offset: 0, Data: []byte("ab")}, {Offset: 6, Data: []byte("cd")}})
-	if resp, _, _ := rec.srv.Handle("cli", e.Bytes()); Status(wire.NewDecoder(resp).Uint32()) != ErrInval {
-		f.Fatalf("retired proc 41 answered %x, want NFS3ERR_INVAL", resp)
+	// The retired frames stay in the corpus: WRITEBATCH (proc 41: xid,
+	// handle, two spans), NULL (0: xid), ACCESS (4: xid, handle, mask) and
+	// FSINFO (19: xid, handle). A retired number is refused like any unknown
+	// one.
+	for _, proc := range []Proc{41, 0, 4, 19} {
+		e := wire.NewEncoder(64)
+		e.PutUint32(uint32(proc))
+		e.PutUint64(1)
+		switch proc {
+		case 41:
+			putHandle(e, file)
+			PutWriteSpans(e, []WriteSpan{{Offset: 0, Data: []byte("ab")}, {Offset: 6, Data: []byte("cd")}})
+		case 4:
+			putHandle(e, dir)
+			e.PutUint32(0x03)
+		case 19:
+			putHandle(e, root)
+		}
+		if resp, _, _ := rec.srv.Handle("cli", e.Bytes()); Status(wire.NewDecoder(resp).Uint32()) != ErrInval {
+			f.Fatalf("retired proc %d answered %x, want NFS3ERR_INVAL", proc, resp)
+		}
+		f.Add(e.Bytes())
 	}
-	f.Add(e.Bytes())
 
 	f.Fuzz(func(t *testing.T, req []byte) {
 		srv := fuzzServer(t)

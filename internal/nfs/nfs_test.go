@@ -22,17 +22,6 @@ func rig(t *testing.T, capacity int64) (*simnet.Network, *Server, Client) {
 	return net, srv, NewClient(net, "cli")
 }
 
-func TestNullPing(t *testing.T) {
-	_, _, c := rig(t, 0)
-	cost, err := c.Null("srv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost <= 0 {
-		t.Fatalf("cost = %v", cost)
-	}
-}
-
 func TestCreateWriteReadOverRPC(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	root := srv.Root()
@@ -574,59 +563,6 @@ func BenchmarkRPCLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Walk("srv", srv.Root(), "/dir/file", 0)
-	}
-}
-
-func TestAccessMask(t *testing.T) {
-	_, srv, c := rig(t, 0)
-	fs := srv.FS()
-	fs.WriteFile("/rw.txt", []byte("x"))
-	fs.MkdirAll("/dir")
-	root := srv.Root()
-
-	fh, _, _, _ := c.Lookup("srv", root, "rw.txt")
-	got, attr, _, err := c.Access("srv", fh, AccessRead|AccessModify|AccessExecute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attr.Type != localfs.TypeRegular {
-		t.Fatalf("attr = %+v", attr)
-	}
-	// 0644 file: read+modify granted, execute not.
-	if got&AccessRead == 0 || got&AccessModify == 0 || got&AccessExecute != 0 {
-		t.Fatalf("grant = %x", got)
-	}
-	// Read-only file refuses modify.
-	mode := uint32(0o444)
-	c.Setattr("srv", fh, localfs.SetAttr{Mode: &mode})
-	got, _, _, err = c.Access("srv", fh, AccessRead|AccessModify)
-	if err != nil || got != AccessRead {
-		t.Fatalf("read-only grant = %x err=%v", got, err)
-	}
-	// Directory gets lookup.
-	dh, _, _, _ := c.Lookup("srv", root, "dir")
-	got, _, _, err = c.Access("srv", dh, AccessLookup|AccessRead)
-	if err != nil || got&AccessLookup == 0 {
-		t.Fatalf("dir grant = %x err=%v", got, err)
-	}
-}
-
-func TestFSInfoLimits(t *testing.T) {
-	_, srv, c := rig(t, 0)
-	fi, _, err := c.FSInfo("srv", srv.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.RTMax < fi.RTPref || fi.WTMax < fi.WTPref {
-		t.Fatalf("incoherent limits: %+v", fi)
-	}
-	if fi.MaxFile != localfs.MaxFileSize {
-		t.Fatalf("maxfile = %d", fi.MaxFile)
-	}
-	// Stale root rejected.
-	srv.Bump()
-	if _, _, err := c.FSInfo("srv", Handle{Gen: 1, Ino: 1}); !IsStatus(err, ErrStale) {
-		t.Fatalf("stale fsinfo err = %v", err)
 	}
 }
 

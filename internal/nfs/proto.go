@@ -32,8 +32,9 @@ const Service = "nfs"
 type Proc uint32
 
 // Procedure numbers follow the NFSv3 program (RFC 1813) where one exists.
+// Kosha sends no NULL (0), ACCESS (4) or FSINFO (19), so the server answers
+// them like any unknown number.
 const (
-	ProcNull     Proc = 0
 	ProcGetattr  Proc = 1
 	ProcSetattr  Proc = 2
 	ProcLookup   Proc = 3
@@ -46,14 +47,12 @@ const (
 	ProcRemove   Proc = 12
 	ProcRmdir    Proc = 13
 	ProcRename   Proc = 14
-	ProcAccess   Proc = 4
 	ProcReaddir  Proc = 16
 	// ProcReaddirPlus returns directory entries together with each entry's
 	// handle and attributes (RFC 1813 §3.3.17), letting a client list a
 	// directory and stat every entry in one round trip instead of N+1.
 	ProcReaddirPlus Proc = 17
 	ProcFSStat      Proc = 18
-	ProcFSInfo      Proc = 19
 	// ProcReadStream is Kosha's streaming extension: one round trip moves a
 	// whole readahead window (several chunk-sized READs pipelined
 	// server-side). Extensions take numbers above the RFC 1813 program so a
@@ -74,11 +73,9 @@ const (
 // procNames is the table of defined procedures: a number without a row
 // prints as PROC(n).
 var procNames = [...]string{
-	ProcNull:        "NULL",
 	ProcGetattr:     "GETATTR",
 	ProcSetattr:     "SETATTR",
 	ProcLookup:      "LOOKUP",
-	ProcAccess:      "ACCESS",
 	ProcReadlink:    "READLINK",
 	ProcRead:        "READ",
 	ProcWrite:       "WRITE",
@@ -91,7 +88,6 @@ var procNames = [...]string{
 	ProcReaddir:     "READDIR",
 	ProcReaddirPlus: "READDIRPLUS",
 	ProcFSStat:      "FSSTAT",
-	ProcFSInfo:      "FSINFO",
 	ProcReadStream:  "READSTREAM",
 	ProcLookupPath:  "LOOKUPPATH",
 	ProcMountRoot:   "MNT",
@@ -370,25 +366,6 @@ func GetSetAttr(d *wire.Decoder) localfs.SetAttr {
 		sa.Atime = &v
 	}
 	return sa
-}
-
-// ACCESS request bits (RFC 1813 §3.3.4).
-const (
-	AccessRead    = 0x01
-	AccessLookup  = 0x02
-	AccessModify  = 0x04
-	AccessExtend  = 0x08
-	AccessDelete  = 0x10
-	AccessExecute = 0x20
-)
-
-// FSInfo carries the server's static transfer limits (RFC 1813 §3.3.19).
-type FSInfo struct {
-	RTMax   uint32 // maximum READ size
-	WTMax   uint32 // maximum WRITE size
-	RTPref  uint32
-	WTPref  uint32
-	MaxFile int64
 }
 
 // DirEntry is one readdir result row.

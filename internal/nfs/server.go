@@ -150,10 +150,6 @@ func (s *Server) check(h Handle) (uint64, Status) {
 func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 	e := wire.NewEncoder(128)
 	switch proc {
-	case ProcNull:
-		e.PutUint32(uint32(OK))
-		return e.Bytes(), 0
-
 	case ProcMountRoot:
 		e.PutUint32(uint32(OK))
 		putHandle(e, s.Root())
@@ -212,38 +208,6 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 
 	case ProcLookupPath:
 		return s.lookupPath(d, e)
-
-	case ProcAccess:
-		h := getHandle(d)
-		want := d.Uint32()
-		if d.Err() != nil {
-			return s.fail(ErrInval), 0
-		}
-		ino, st := s.check(h)
-		if st != OK {
-			return s.fail(st), 0
-		}
-		attr, cost, err := s.fs.Getattr(ino)
-		if err != nil {
-			return s.fail(toStatus(err)), cost
-		}
-		e.PutUint32(uint32(OK))
-		putAttr(e, attr)
-		e.PutUint32(want & accessFor(attr))
-		return e.Bytes(), cost
-
-	case ProcFSInfo:
-		h := getHandle(d)
-		if _, st := s.check(h); st != OK {
-			return s.fail(st), 0
-		}
-		e.PutUint32(uint32(OK))
-		e.PutUint32(64 << 10) // rtmax
-		e.PutUint32(64 << 10) // wtmax
-		e.PutUint32(32 << 10) // rtpref
-		e.PutUint32(32 << 10) // wtpref
-		e.PutInt64(localfs.MaxFileSize)
-		return e.Bytes(), 0
 
 	case ProcReadlink:
 		h := getHandle(d)
@@ -644,28 +608,4 @@ func (s *Server) putData(e *wire.Encoder, ino uint64, off int64, chunk, chunks i
 	})
 	e.SetBool(at, eof)
 	return cost, err
-}
-
-// accessFor derives the ACCESS grant mask from an entry's mode bits,
-// evaluated for the owner class (Kosha's deployment model trusts the
-// administrator-controlled nodes, Section 4.1.6, so owner-class checks are
-// the meaningful ones).
-func accessFor(a localfs.Attr) uint32 {
-	var m uint32
-	if a.Mode&0o400 != 0 {
-		m |= AccessRead
-	}
-	if a.Mode&0o200 != 0 {
-		m |= AccessModify | AccessExtend | AccessDelete
-	}
-	if a.Mode&0o100 != 0 {
-		m |= AccessExecute
-		if a.Type == localfs.TypeDir {
-			m |= AccessLookup
-		}
-	}
-	if a.Type == localfs.TypeDir && a.Mode&0o100 != 0 {
-		m |= AccessLookup
-	}
-	return m
 }

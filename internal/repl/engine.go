@@ -194,13 +194,6 @@ func (e *Engine) VerOf(key string) uint64 {
 	return 0
 }
 
-// Untrack drops the record for a root (remote-initiated cleanup).
-func (e *Engine) Untrack(root string) {
-	e.mu.Lock()
-	delete(e.tracked, root)
-	e.mu.Unlock()
-}
-
 // TrackNames makes the names of a Track out of a frame's PN, Root and Link
 // bytes: each is the string of this node's record for that link (or, with
 // none, that root) when the two are equal, and a copy of the bytes only
@@ -259,6 +252,12 @@ func (e *Engine) Track(t Track, op FSOp) {
 	if t.Link != "" {
 		t.Dead = op.Kind == FSRemove
 		e.trackedLinks[t.Link] = t
+		if op.Kind == FSRelink {
+			// The link replaced whatever hierarchy sat at its path (a
+			// relinked unsalted home), and that root's record retires with
+			// it, here and on every replica the relink's mirror reaches.
+			delete(e.tracked, t.Link)
+		}
 		return
 	}
 	if t.Root == "" {

@@ -14,13 +14,19 @@ import (
 // AdoptRoot makes this node's primary-path copy of a subtree current after
 // it becomes the key's owner: surface the local replica-area copy, then
 // ask the current replica candidates for a newer version and fetch it if
-// one exists. Runs on the cold path only (first access after an ownership
-// change, a NOENT below an existing root), when the holders' digest memos
-// are cold too, so the ask is version-only. The second result reports
-// whether local state changed — callers holding handles into the subtree
-// must re-resolve when it did.
+// one exists. Runs on the cold path only (the level-1 probe, an apply whose
+// root is missing, the failover read-repair), when the holders' digest
+// memos are cold too, so the ask is version-only. A level-1 promote asks
+// only when it surfaced a directory: an unsalted home, which a replica may
+// have outgrown. The second result reports whether local state changed —
+// callers holding handles into the subtree must re-resolve when it did.
 func (e *Engine) AdoptRoot(tc obs.TraceContext, t Track) (simnet.Cost, bool) {
 	changed := e.PromoteLocal(t)
+	if t.Link != "" && changed {
+		if attr, err := e.store.LookupPath(t.Link); err == nil && attr.Type == localfs.TypeDir {
+			t.Link = "" // reconciled under its hierarchy record
+		}
+	}
 	if t.Root == "" || t.Link != "" {
 		return 0, changed
 	}

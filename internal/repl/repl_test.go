@@ -138,9 +138,16 @@ func TestStampAndTrackVersionChain(t *testing.T) {
 		t.Fatalf("tombstone Ver = %d, want 4", v)
 	}
 
-	e.Untrack("/docs-v2")
+	// A relink at the path (the rebalancer replacing an unsalted home by a
+	// special link) retires the hierarchy's record; a link promoted or
+	// created there by any other op leaves it alone.
+	e.Track(Track{PN: "docs-v2", Link: "/docs-v2"}, FSOp{Kind: FSMkdirAll, Path: "/docs-v2"})
+	if !e.IsDead("/docs-v2") {
+		t.Fatal("a promoted link retired the root record")
+	}
+	e.Track(Track{PN: "docs-v2", Link: "/docs-v2"}, FSOp{Kind: FSRelink, Path: "/docs-v2", Target: "x"})
 	if len(e.TrackedRoots()) != 0 {
-		t.Fatal("Untrack left records behind")
+		t.Fatal("the relink left the root record behind")
 	}
 }
 
