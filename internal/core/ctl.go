@@ -269,7 +269,9 @@ func (c *CtlClient) call(proc uint32, vpath string, extra func(*wire.Encoder)) (
 	if extra != nil {
 		extra(e)
 	}
-	resp, cost, err := c.Net.CallCtx(obs.TraceContext{}, c.From, c.To, CtlService, e.Bytes())
+	f := e.Frame()
+	resp, cost, err := c.Net.CallCtx(obs.TraceContext{}, c.From, c.To, CtlService, wire.Lend(f))
+	wire.EndLend(f)
 	if err != nil {
 		return nil, cost, err
 	}
@@ -295,7 +297,7 @@ func (c *CtlClient) ReadFile(vpath string) ([]byte, simnet.Cost, error) {
 
 // WriteFile stores a whole file, creating ancestors.
 func (c *CtlClient) WriteFile(vpath string, data []byte) (simnet.Cost, error) {
-	_, cost, err := c.call(ctlWrite, vpath, func(e *wire.Encoder) { e.PutOpaque(data) })
+	_, cost, err := c.call(ctlWrite, vpath, func(e *wire.Encoder) { e.PutOpaqueRef(data) })
 	return cost, err
 }
 

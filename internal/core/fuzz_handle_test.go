@@ -16,7 +16,8 @@ import (
 )
 
 // recordingNet is a simnet that keeps every kosha and koshactl request it
-// carries, so the fuzz corpus is seeded with frames the real clients built.
+// carries, joined, so the fuzz corpus is seeded with frames the real clients
+// built.
 type recordingNet struct {
 	*simnet.Network
 	mu   sync.Mutex
@@ -28,7 +29,7 @@ func (r *recordingNet) note(service string, req []byte) {
 		return
 	}
 	r.mu.Lock()
-	r.reqs[service] = append(r.reqs[service], append([]byte(nil), req...))
+	r.reqs[service] = append(r.reqs[service], wire.FrameOf(req).AppendTo(nil))
 	r.mu.Unlock()
 }
 
@@ -127,12 +128,16 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 		kind := decodeApplyReq(d, n.rep, proc == kMirror).Op.Kind
 		if key := [2]uint32{proc, uint32(kind)}; (kind == FSWriteFile || kind == FSUnlink) && !compounds[key] {
 			compounds[key] = true
-			seeds = append(seeds, koshaSeed{false, req})
+			seeds = append(seeds, koshaSeed{req: req})
 		}
 	}
 	if len(compounds) != 4 {
 		f.Fatalf("recorded %d of the 4 apply/mirror frames of FSWriteFile and FSUnlink", len(compounds))
 	}
+	// A write as the client sends it, its data lent to the frame.
+	w := applyReq{Key: Key(track.PN), Track: track, Op: FSOp{Kind: FSWrite, Path: file, Offset: 3, Data: []byte("lent data")}}
+	lent := w.frame(kApply)
+	seeds = append(seeds, koshaSeed{req: lent.AppendTo(nil), lend: uint32(lent.Lent[0].At)<<16 | uint32(len(lent.Lent[0].Body))})
 	for _, svc := range []struct {
 		name  string
 		table serviceTable
@@ -162,7 +167,7 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 		}
 		for proc := uint32(0); len(last) > 0; proc++ { // in procedure order
 			if req, ok := last[proc]; ok {
-				seeds = append(seeds, koshaSeed{svc.name == CtlService, req})
+				seeds = append(seeds, koshaSeed{ctl: svc.name == CtlService, req: req})
 				delete(last, proc)
 			}
 		}
@@ -171,24 +176,41 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 }
 
 type koshaSeed struct {
-	ctl bool
-	req []byte
+	ctl  bool
+	req  []byte
+	lend uint32 // lendSplit's argument: 0 sends req flat
+}
+
+// lendSplit returns req as a frame that lends req[at:at+n] as a body, at and
+// n the high and low halves of lend clamped to req, so a fuzz input can name
+// any split of its bytes into a head and a lent body; n = 0 is req flat. As
+// in any frame an encoder lends from, the head keeps at least one byte.
+func lendSplit(req []byte, lend uint32) wire.Frame {
+	at := min(max(int(lend>>16), 1), len(req))
+	n := min(int(lend&0xffff), len(req)-at)
+	if n == 0 {
+		return wire.Frame{Head: req}
+	}
+	head := append(append([]byte(nil), req[:at]...), req[at+n:]...)
+	return wire.Frame{Head: head, Lent: []wire.Lent{{At: at, Body: req[at : at+n : at+n]}}}
 }
 
 // FuzzKoshaHandleNoPanic drives arbitrary bytes through the two dispatch
 // tables a koshad exposes to the network beside NFS: the kosha service
 // (apply, mirror and the replica-maintenance procedures, whose FSOp decoder
-// every root-index update rides) and the koshactl service. Whatever the
-// mutator makes of a valid frame, the handler answers or refuses: it never
-// panics, and what it allocates is bounded by the frame, not by a count the
-// frame merely claims. Run longer with
+// every root-index update rides) and the koshactl service. lend splits the
+// bytes into a head and a lent body (lendSplit), as an in-process sender
+// lends a write's data. Whatever the mutator makes of a valid frame, the
+// handler answers or refuses: it never panics, and what it allocates is
+// bounded by the frame, not by a count the frame merely claims. Run longer
+// with
 //
 //	go test ./internal/core -run '^$' -fuzz FuzzKoshaHandleNoPanic -fuzztime 30s
 func FuzzKoshaHandleNoPanic(f *testing.F) {
 	for _, s := range koshaSeeds(f) {
-		f.Add(s.ctl, s.req)
+		f.Add(s.ctl, s.req, s.lend)
 	}
-	f.Fuzz(func(t *testing.T, ctl bool, req []byte) {
+	f.Fuzz(func(t *testing.T, ctl bool, req []byte, lend uint32) {
 		n := fuzzCluster(t, simnet.New(simnet.LAN100))[1]
 		handle := n.serve(KoshaService, koshaProcs)
 		if ctl {
@@ -196,7 +218,9 @@ func FuzzKoshaHandleNoPanic(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		handle(obs.TraceContext{}, "fuzz", req)
+		frame := lendSplit(req, lend)
+		handle(obs.TraceContext{}, "fuzz", wire.Lend(frame))
+		wire.EndLend(frame)
 		runtime.ReadMemStats(&after)
 		// Decoded structures cost up to ten times their wire form (a 4-byte
 		// item can stand for a 40-byte ChunkRef); the fixed part covers a

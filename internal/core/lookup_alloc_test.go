@@ -148,7 +148,7 @@ func TestTreeDigestAnswersFromTheMemo(t *testing.T) {
 
 // TestServeAllocatesOneObject: a request served through the kosha dispatch
 // table allocates one object beyond what its handler builds, a wire.Codec:
-// the decoder, the encoder and the array a reply of up to 248 bytes is
+// the decoder, the encoder and the array a reply of up to 264 bytes is
 // encoded into, which the caller is handed. A larger reply adds the frames
 // the encoder grows into past the array, as a fresh encoder's would: exactly
 // one up to twice the array. A TREE_DIGEST reply is 52 bytes; a DIR_DIGESTS
@@ -185,7 +185,7 @@ func TestServeAllocatesOneObject(t *testing.T) {
 		serve := func() { resp, _, err = handle(obs.TraceContext{}, "peer", c.req) }
 		serve() // warm the memo
 		served := testing.AllocsPerRun(100, serve)
-		if err != nil || wire.NewDecoder(resp).Uint32() != codeOK || (len(resp) > 248) != (c.frames > 0) {
+		if err != nil || wire.NewDecoder(resp).Uint32() != codeOK || (len(resp) > 264) != (c.frames > 0) {
 			t.Fatalf("proc %d = %d bytes, %v", c.req[3], len(resp), err)
 		}
 		var d wire.Decoder
@@ -220,16 +220,14 @@ func TestServedReplyDoesNotPinItsRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := applyReq{Op: FSOp{Kind: FSWrite, Path: "/home/f", Data: make([]byte, 1<<20)}}
-	frame := r.frame(kApply)
-	req := make([]byte, len(frame))
-	copy(req, frame)
+	req := r.frame(kApply).AppendTo(nil) // as it arrives over TCP: one flat frame
 	freed := make(chan struct{})
 	runtime.SetFinalizer(&req[0], func(*byte) { close(freed) })
 	resp, _, err := handle(obs.TraceContext{}, "peer", req)
-	if err != nil || len(resp) > 248 || wire.NewDecoder(resp).Uint32() != codeOK {
+	if err != nil || len(resp) > 264 || wire.NewDecoder(resp).Uint32() != codeOK {
 		t.Fatalf("kApply = %d bytes, %v; want a reply inside the Codec", len(resp), err)
 	}
-	req, frame = nil, nil
+	req = nil
 	for i := 0; i < 20; i++ {
 		runtime.GC()
 		select {
@@ -269,9 +267,10 @@ func TestServedMutationAllocatesNoTrackStrings(t *testing.T) {
 		var err error
 		serve := func() {
 			var resp []byte
-			if resp, _, err = handle(obs.TraceContext{}, "peer", req); err == nil && wire.NewDecoder(resp).Uint32() != codeOK {
+			if resp, _, err = handle(obs.TraceContext{}, "peer", wire.Lend(req)); err == nil && wire.NewDecoder(resp).Uint32() != codeOK {
 				err = fmt.Errorf("reply code %x", resp[:4])
 			}
+			wire.EndLend(req)
 		}
 		serve() // the first apply of the hierarchy records it
 		allocs := testing.AllocsPerRun(100, serve)
@@ -289,7 +288,7 @@ func TestServedMutationAllocatesNoTrackStrings(t *testing.T) {
 
 	decoded := func(mirror bool, op FSOp) (applyReq, float64) {
 		r := applyReq{Track: tracked, Op: op}
-		req := r.frame(kMirror)[4:]
+		req := r.frame(kMirror).AppendTo(nil)[4:]
 		var d wire.Decoder
 		allocs := testing.AllocsPerRun(100, func() {
 			d.Reset(req)

@@ -74,7 +74,7 @@ func (p enginePeer) ChunkManifest(tc obs.TraceContext, to simnet.Addr, phys stri
 	e.PutUint32(kChunkManifest)
 	e.PutString(phys)
 	cas.PutHashes(e, want)
-	d, cost, err := p.n.koshaCall(tc, to, e.Bytes())
+	d, cost, err := p.n.koshaCall(tc, to, e.Frame())
 	if err != nil {
 		return nil, false, nil, cost, err
 	}
@@ -98,7 +98,7 @@ func (p enginePeer) ChunkFetch(tc obs.TraceContext, to simnet.Addr, phys string,
 	e.PutUint32(kChunkFetch)
 	e.PutString(phys)
 	cas.PutHashes(e, hashes)
-	d, cost, err := p.n.koshaCall(tc, to, e.Bytes())
+	d, cost, err := p.n.koshaCall(tc, to, e.Frame())
 	if err != nil {
 		return nil, cost, err
 	}
@@ -126,7 +126,7 @@ var _ repl.Overlay = engineOverlay{}
 // after the reply's OK code. Anything else is the error: the transport's
 // (noted against the node), a reply too short to carry a code, ErrNotPrimary,
 // or the NFS status the code stands for.
-func (n *Node) koshaCall(tc obs.TraceContext, to simnet.Addr, req []byte) (wire.Decoder, simnet.Cost, error) {
+func (n *Node) koshaCall(tc obs.TraceContext, to simnet.Addr, req wire.Frame) (wire.Decoder, simnet.Cost, error) {
 	resp, cost, err := n.callKosha(tc, to, req)
 	if err != nil {
 		return wire.Decoder{}, cost, n.noteErr(to, err)
@@ -144,7 +144,7 @@ func (n *Node) koshaPathCall(tc obs.TraceContext, to simnet.Addr, proc uint32, p
 	e := wire.NewEncoder(64)
 	e.PutUint32(proc)
 	e.PutString(phys)
-	return n.koshaCall(tc, to, e.Bytes())
+	return n.koshaCall(tc, to, e.Frame())
 }
 
 // apply sends a mutation to the primary that at addresses. A non-nil trace
@@ -169,7 +169,7 @@ func (n *Node) apply(tr *obs.Trace, at site, op FSOp) (localfs.Attr, nfs.Handle,
 
 // sendMirror ships an encoded kMirror request to one node. A request is
 // immutable once sent, so a fan-out sends one frame to every target.
-func (n *Node) sendMirror(tc obs.TraceContext, to simnet.Addr, frame []byte) (simnet.Cost, error) {
+func (n *Node) sendMirror(tc obs.TraceContext, to simnet.Addr, frame wire.Frame) (simnet.Cost, error) {
 	_, cost, err := n.koshaCall(tc, to, frame)
 	return cost, err
 }
@@ -182,7 +182,7 @@ func (n *Node) remoteDigestTree(tc obs.TraceContext, to simnet.Addr, root string
 	e.PutUint32(kTreeDigest)
 	e.PutString(root)
 	e.PutBool(hash)
-	d, cost, err := n.koshaCall(tc, to, e.Bytes())
+	d, cost, err := n.koshaCall(tc, to, e.Frame())
 	if err != nil {
 		return TreeDigest{}, cost, err
 	}
@@ -218,7 +218,7 @@ func (n *Node) askReplicas(tc obs.TraceContext, primary simnet.Addr, key id.ID) 
 	e := wire.NewEncoder(32)
 	e.PutUint32(kReplicas)
 	e.PutFixedOpaque(key[:])
-	d, cost, err := n.koshaCall(tc, primary, e.Bytes())
+	d, cost, err := n.koshaCall(tc, primary, e.Frame())
 	if err != nil {
 		return nil, cost, err
 	}
@@ -289,7 +289,7 @@ func (n *Node) promote(tc obs.TraceContext, to simnet.Addr, t Track) (changed bo
 	e := wire.NewEncoder(128)
 	e.PutUint32(kPromote)
 	putTrack(e, t)
-	d, cost, err := n.koshaCall(tc, to, e.Bytes())
+	d, cost, err := n.koshaCall(tc, to, e.Frame())
 	if err != nil {
 		return false, cost, err
 	}

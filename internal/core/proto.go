@@ -87,7 +87,7 @@ func putFSOp(e *wire.Encoder, op FSOp) {
 	e.PutUint32(uint32(op.Kind))
 	e.PutString(op.Path)
 	e.PutString(op.Path2)
-	e.PutOpaque(op.Data)
+	e.PutOpaqueRef(op.Data)
 	e.PutInt64(op.Offset)
 	e.PutUint32(op.Mode)
 	e.PutBool(op.Excl)
@@ -110,9 +110,9 @@ func getFSOp(d *wire.Decoder) (op FSOp, path, path2 []byte) {
 	op.Kind = FSOpKind(d.Uint32())
 	path = d.OpaqueRef()
 	path2 = d.OpaqueRef()
-	// Data and Spans borrow the request buffer: applyFSOp copies them into
-	// the store, and the mirror fan-out into its own frame, before the
-	// handler returns.
+	// Data and Spans borrow the request frame, the bodies it lends
+	// included: applyFSOp copies them into the store, and the mirror
+	// fan-out lends them on, before the handler returns.
 	op.Data = d.OpaqueRef()
 	op.Offset = d.Int64()
 	op.Mode = d.Uint32()
@@ -162,14 +162,17 @@ type applyReq struct {
 	Primary bool
 }
 
-// frame encodes a kApply/kMirror request in a buffer sized for the whole
-// frame (256 covers the fixed fields and path strings), so a data-bearing
-// mutation is allocated once.
-func (r *applyReq) frame(proc uint32) []byte {
-	e := wire.NewEncoder(256 + len(r.Op.Data) + nfs.SpansWireSize(r.Op.Spans) + 40*len(r.Op.Chunks))
+// frame encodes a kApply/kMirror request that lends its data: the op's
+// Data and every span's bytes go out from where they lie, and only the head
+// is encoded, into a Codec, which also records the one body a write lends,
+// so a write of any size whose head fits the Codec's array is one
+// allocation. The Codec's decoder is unused.
+func (r *applyReq) frame(proc uint32) wire.Frame {
+	x := wire.NewCodec()
+	e := &x.E
 	e.PutUint32(proc)
 	r.encode(e)
-	return e.Bytes()
+	return e.Frame()
 }
 
 func (r *applyReq) encode(e *wire.Encoder) {

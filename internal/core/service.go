@@ -45,15 +45,18 @@ type serviceTable map[uint32]proc
 // the encoder's own bytes: the caller owns a reply (DESIGN §10), and nothing
 // else holds the encoder once the handler returns. A request allocates one
 // object, a wire.Codec: the decoder and the encoder, which escape through the
-// table's indirect call, and the array a reply of up to 248 bytes is
-// encoded into; only a larger reply grows a frame of its own. A reply in the
-// array keeps the Codec alive, so the decoder lets go of the request first:
-// a held 20-byte kApply reply must not pin the 1 MiB request it answered.
+// table's indirect call, and the array a reply of up to 264 bytes is
+// encoded into; only a larger reply grows a frame of its own. The decoder
+// reads the request frame the transport was handed (wire.FrameOf), so a
+// write's lent data reaches the store, and the mirror fan-out, uncopied. A
+// reply in the array keeps the Codec alive, so the decoder lets go of the
+// request first: a held 20-byte kApply reply must not pin the 1 MiB request
+// it answered.
 func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 	return func(ctx obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
 		x := wire.NewCodec()
 		d, e := &x.D, &x.E
-		d.Reset(req)
+		d.ResetFrame(wire.FrameOf(req))
 		num := d.Uint32()
 		if d.Err() != nil {
 			return nil, 0, d.Err()

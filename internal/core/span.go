@@ -9,6 +9,7 @@ import (
 	"repro/internal/pastry"
 	"repro/internal/repl"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // Overlay-health gauge names published by ProbeHealth. They live here (not
@@ -106,9 +107,12 @@ func (n *Node) nfsCtx(tc obs.TraceContext) nfs.Client {
 
 // callKosha issues one kosha-service RPC through the retrier, carrying tc
 // across the wire so the server's handler work appears as a span in the
-// originating trace.
-func (n *Node) callKosha(tc obs.TraceContext, to simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-	return n.rpc.CallCtx(tc, n.addr, to, KoshaService, req)
+// originating trace. The frame is lent for the call, retries included: the
+// bodies it lends are read where they lie, not copied.
+func (n *Node) callKosha(tc obs.TraceContext, to simnet.Addr, req wire.Frame) ([]byte, simnet.Cost, error) {
+	resp, cost, err := n.rpc.CallCtx(tc, n.addr, to, KoshaService, wire.Lend(req))
+	wire.EndLend(req)
+	return resp, cost, err
 }
 
 // ProbeHealth refreshes the overlay-health gauges from live overlay and

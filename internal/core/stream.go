@@ -381,8 +381,9 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 		}
 		return c, aerr
 	})
-	// apply is synchronous and copied the spans into its request frame, so
-	// their buffers are free again whatever the outcome.
+	// apply is synchronous and lent the spans to its request frame only
+	// for its calls, which have all returned, so their buffers are free
+	// again whatever the outcome.
 	for _, s := range spans {
 		if cap(s.Data) > cap(st.spare) {
 			st.spare = s.Data[:0]

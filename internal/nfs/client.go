@@ -143,9 +143,11 @@ func (c Client) ResetStats() {
 // procedures whose failure replies carry more than the status.
 //
 // A call allocates one object, a wire.Codec: the encoder and the decoder,
-// which escape through build and the returned decoder, and the array a
-// request frame of up to 248 bytes is encoded into; only a larger request
-// grows a frame of its own.
+// which escape through build and the returned decoder, the array a request
+// head of up to 264 bytes is encoded into and the record of the one body a
+// WRITE lends; only a larger head grows a frame of its own. The request
+// frame is lent for the call (wire.Lend), so WRITE data goes out from the
+// caller's buffer.
 func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
 	x := wire.NewCodec()
 	e := &x.E
@@ -156,8 +158,10 @@ func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wir
 	}
 	lat := c.proc(proc)
 	c.s.rpcs.Add(1)
-	c.s.bytes.Add(uint64(len(e.Bytes())))
-	resp, cost, err := c.s.net.CallCtx(c.tc, c.s.from, to, Service, e.Bytes())
+	f := e.Frame()
+	c.s.bytes.Add(uint64(f.Len()))
+	resp, cost, err := c.s.net.CallCtx(c.tc, c.s.from, to, Service, wire.Lend(f))
+	wire.EndLend(f)
 	lat.Observe(time.Duration(cost))
 	c.s.bytes.Add(uint64(len(resp)))
 	if err != nil {
@@ -302,12 +306,13 @@ func (c Client) ReadStream(to simnet.Addr, h Handle, offset int64, chunk, chunks
 	return d.OpaqueRef(), eof, cost, nil
 }
 
-// Write stores data into h at offset.
+// Write stores data into h at offset. data is lent to the request frame,
+// not copied: it must not change until Write returns.
 func (c Client) Write(to simnet.Addr, h Handle, offset int64, data []byte) (int, simnet.Cost, error) {
 	d, cost, err := c.call(to, ProcWrite, func(e *wire.Encoder) {
 		putHandle(e, h)
 		e.PutInt64(offset)
-		e.PutOpaque(data)
+		e.PutOpaqueRef(data)
 	})
 	if err != nil {
 		return 0, cost, err

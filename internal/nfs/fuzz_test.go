@@ -11,16 +11,41 @@ import (
 )
 
 // recorder is a transport that delivers to one server and keeps every
-// request frame, so the fuzz corpus is seeded with exactly what Client puts
-// on the wire for each procedure.
+// request frame, joined, with the split of the one body it lends, so the
+// fuzz corpus is seeded with exactly what Client puts on the wire for each
+// procedure and hands the server in process.
 type recorder struct {
 	srv  *Server
-	reqs [][]byte
+	reqs []recorded
+}
+
+type recorded struct {
+	req  []byte
+	lend uint32 // lendSplit's argument
 }
 
 func (r *recorder) CallCtx(_ obs.TraceContext, from, _ simnet.Addr, _ string, req []byte) ([]byte, simnet.Cost, error) {
-	r.reqs = append(r.reqs, append([]byte(nil), req...))
+	f := wire.FrameOf(req)
+	rec := recorded{req: f.AppendTo(nil)}
+	if len(f.Lent) == 1 {
+		rec.lend = uint32(f.Lent[0].At)<<16 | uint32(len(f.Lent[0].Body))
+	}
+	r.reqs = append(r.reqs, rec)
 	return r.srv.Handle(from, req)
+}
+
+// lendSplit returns req as a frame that lends req[at:at+n] as a body, at and
+// n the high and low halves of lend clamped to req, so a fuzz input can name
+// any split of its bytes into a head and a lent body; n = 0 is req flat. As
+// in any frame an encoder lends from, the head keeps at least one byte.
+func lendSplit(req []byte, lend uint32) wire.Frame {
+	at := min(max(int(lend>>16), 1), len(req))
+	n := min(int(lend&0xffff), len(req)-at)
+	if n == 0 {
+		return wire.Frame{Head: req}
+	}
+	head := append(append([]byte(nil), req[:at]...), req[at+n:]...)
+	return wire.Frame{Head: head, Lent: []wire.Lent{{At: at, Body: req[at : at+n : at+n]}}}
 }
 
 // fuzzServer is a small export with one of each kind of object. The store
@@ -45,10 +70,11 @@ func fuzzServer(t testing.TB) *Server {
 }
 
 // FuzzServerHandleNoPanic drives arbitrary bytes through Server.Handle, the
-// decoder a daemon exposes to the network. The seed corpus holds one valid
-// request per procedure and one for a retired number; whatever the mutator
-// makes of them, the handler must answer or refuse, never panic. Run longer
-// with
+// decoder a daemon exposes to the network, split by lend into a head and a
+// lent body as an in-process client lends a WRITE's data (lendSplit). The
+// seed corpus holds one valid request per procedure, the WRITE also as the
+// client lends it, and one for a retired number; whatever the mutator makes
+// of them, the handler must answer or refuse, never panic. Run longer with
 //
 //	go test ./internal/nfs -run '^$' -fuzz FuzzServerHandleNoPanic -fuzztime 30s
 func FuzzServerHandleNoPanic(f *testing.F) {
@@ -93,9 +119,17 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 		f.Fatalf("a 2^64-byte window on a 1-byte file: %q eof=%v err=%v", data, eof, err)
 	}
 	seen := map[Proc]bool{}
-	for _, req := range rec.reqs {
-		seen[Proc(wire.NewDecoder(req).Uint32())] = true
-		f.Add(req)
+	lent := 0
+	for _, r := range rec.reqs {
+		seen[Proc(wire.NewDecoder(r.req).Uint32())] = true
+		f.Add(r.req, uint32(0))
+		if r.lend != 0 {
+			f.Add(r.req, r.lend)
+			lent++
+		}
+	}
+	if lent != 1 {
+		f.Fatalf("%d recorded requests lend a body, want 1: the WRITE", lent)
 	}
 	for _, p := range namedProcs() {
 		if !seen[p] {
@@ -120,15 +154,18 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 		case 19:
 			putHandle(e, root)
 		}
-		if resp, _, _ := rec.srv.Handle("cli", e.Bytes()); Status(wire.NewDecoder(resp).Uint32()) != ErrInval {
+		req := e.Frame().AppendTo(nil)
+		if resp, _, _ := rec.srv.Handle("cli", req); Status(wire.NewDecoder(resp).Uint32()) != ErrInval {
 			f.Fatalf("retired proc %d answered %x, want NFS3ERR_INVAL", proc, resp)
 		}
-		f.Add(e.Bytes())
+		f.Add(req, uint32(0))
 	}
 
-	f.Fuzz(func(t *testing.T, req []byte) {
+	f.Fuzz(func(t *testing.T, req []byte, lend uint32) {
 		srv := fuzzServer(t)
-		resp, _, err := srv.Handle("fuzz", req)
+		frame := lendSplit(req, lend)
+		resp, _, err := srv.Handle("fuzz", wire.Lend(frame))
+		wire.EndLend(frame)
 		if err != nil || len(resp) < 4 {
 			t.Fatalf("Handle(%x) = %x, %v: every request gets a status word", req, resp, err)
 		}

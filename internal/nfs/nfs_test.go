@@ -758,9 +758,9 @@ func TestReadsAreNotTornByWrites(t *testing.T) {
 }
 
 // TestBorrowedBuffersDoNotAlias holds the server to the ownership rule:
-// WRITE borrows its data from the request only until the store has copied
-// it, the duplicate-request cache replays from its own record, and a READ
-// reply is the client's to scribble on.
+// WRITE borrows its data from the request, or the body the frame lends, only
+// until the store has copied it, the duplicate-request cache replays from
+// its own record, and a READ reply is the client's to scribble on.
 func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	fh, _, _, err := c.Create("srv", srv.Root(), "f", 0o644, false)
@@ -794,6 +794,24 @@ func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 	first := append([]byte(nil), reply...)
 	scribble(req)
 	stored("after scribbling over the WRITE request")
+
+	// In process the data is lent to the frame: the store copies the body
+	// itself, so scribbling over it and over the head leaves the store be.
+	lentData := append([]byte(nil), payload...)
+	e := wire.NewEncoder(0)
+	e.PutUint32(uint32(ProcWrite))
+	e.PutUint64(1<<40 + 1)
+	putHandle(e, fh)
+	e.PutInt64(0)
+	e.PutOpaqueRef(lentData)
+	lent := e.Frame()
+	if _, _, err := srv.Handle("cli", wire.Lend(lent)); err != nil {
+		t.Fatal(err)
+	}
+	wire.EndLend(lent)
+	scribble(lent.Head)
+	scribble(lentData)
+	stored("after scribbling over the lent WRITE's head and data")
 
 	// A retransmission is answered from the cache, byte for byte, without
 	// touching the store. (The cached reply is the buffer the first caller

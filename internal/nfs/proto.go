@@ -444,30 +444,21 @@ type WriteSpan struct {
 	Data   []byte
 }
 
-// PutWriteSpans encodes a span vector; exposed for the kosha replication
+// PutWriteSpans encodes a span vector, lending each span's data to the
+// frame (wire.Encoder.PutOpaqueRef); exposed for the kosha replication
 // service, which ships the same vector inside its mirrored mutations.
 func PutWriteSpans(e *wire.Encoder, spans []WriteSpan) {
-	e.Grow(4 + SpansWireSize(spans))
 	e.PutUint32(uint32(len(spans)))
 	for _, s := range spans {
 		e.PutInt64(s.Offset)
-		e.PutOpaque(s.Data)
+		e.PutOpaqueRef(s.Data)
 	}
-}
-
-// SpansWireSize bounds from above the encoded size of the spans (the
-// vector's count word excluded), for sizing the frame that carries them.
-func SpansWireSize(spans []WriteSpan) int {
-	n := 0
-	for _, s := range spans {
-		n += 16 + len(s.Data) // offset, length, padding
-	}
-	return n
 }
 
 // GetWriteSpans decodes a span vector written by PutWriteSpans. The spans'
-// Data borrows the decoder's buffer (wire.Decoder.OpaqueRef): every consumer
-// copies the bytes into a store before the request returns.
+// Data borrows the decoder's frame (wire.Decoder.OpaqueRef), a lent body
+// itself where the sender lent one: every consumer copies the bytes into a
+// store, or lends them on, before the request returns.
 func GetWriteSpans(d *wire.Decoder) []WriteSpan {
 	n := d.ArrayLen()
 	if n <= 0 {

@@ -66,9 +66,12 @@ func (s *Server) Attach(n simnet.Transport, addr simnet.Addr) {
 }
 
 // Handle is the simnet.Handler entry point: decode proc and xid, consult the
-// duplicate-request cache for mutating procedures, dispatch, encode.
+// duplicate-request cache for mutating procedures, dispatch, encode. req is
+// the head of the request frame (simnet.HandlerCtx), so a WRITE's lent data
+// is read where the client holds it.
 func (s *Server) Handle(from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-	d := wire.NewDecoder(req)
+	d := new(wire.Decoder)
+	d.ResetFrame(wire.FrameOf(req))
 	proc := Proc(d.Uint32())
 	xid := d.Uint64()
 	if d.Err() != nil {

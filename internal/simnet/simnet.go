@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Addr identifies a node on the network.
@@ -40,12 +41,17 @@ var ErrNoSuchService = errors.New("simnet: no such service")
 // handler issues nest correctly in the causal tree; it is the zero context
 // on an untraced exchange.
 //
+// req is the request as the caller sent it: a flat frame, or the head of a
+// frame that lends bodies (wire.Lend). A handler decodes wire.FrameOf(req),
+// which hands it the lent bodies by reference.
+//
 // Buffer ownership (both transports; DESIGN.md §10): a request or response
-// buffer is immutable once handed to a transport, and no transport recycles
-// one — this network passes the sender's slice to the handler and the
-// handler's slice back to the caller, so one frame may be sent to several
-// destinations or delivered twice (LinkFault.Dup). A handler may alias req
-// only until it returns, unless it copies; the caller owns resp.
+// buffer, and every body a request frame lends, is immutable once handed to
+// a transport, and no transport recycles one — this network passes the
+// sender's frame to the handler and the handler's slice back to the caller,
+// so one frame may be sent to several destinations or delivered twice
+// (LinkFault.Dup). A handler may alias req or a lent body only until it
+// returns, unless it copies; the caller owns resp.
 type HandlerCtx func(ctx obs.TraceContext, from Addr, req []byte) (resp []byte, cost Cost, err error)
 
 // Handler is a HandlerCtx with no use for the trace context.
@@ -60,11 +66,14 @@ func (h Handler) Ctx() HandlerCtx {
 // the TCP transport in internal/tcpnet and by core's retrier.
 type Caller interface {
 	// CallCtx sends req from one node to another node's named service and
-	// waits for the response. cost covers the round trip plus the remote
-	// handler's own reported cost, and is meaningful even on error. A valid
-	// ctx rides the envelope: the receiving transport records a server span
-	// (if the destination installed a SpanSink) and hands the handler a
-	// re-parented child context. The zero context is an untraced call.
+	// waits for the response. req is a flat frame or a lent frame's head
+	// (wire.Lend): a transport sends, counts and charges the joined frame
+	// wire.FrameOf(req) returns, reading lent bodies where they lie. cost
+	// covers the round trip plus the remote handler's own reported cost,
+	// and is meaningful even on error. A valid ctx rides the envelope: the
+	// receiving transport records a server span (if the destination
+	// installed a SpanSink) and hands the handler a re-parented child
+	// context. The zero context is an untraced call.
 	CallCtx(ctx obs.TraceContext, from, to Addr, service string, req []byte) (resp []byte, cost Cost, err error)
 }
 
@@ -90,9 +99,9 @@ type (
 // SpanSink is how a node plugs its tracer into the transport. The transport
 // drives it around every traced exchange: NextSpanID before the handler runs
 // (the id parents the handler's nested calls), RecordServerSpan once after
-// it returns. One exchange records exactly one span even if fault injection
-// delivers the request twice — the duplicate-request path must not inflate
-// the causal tree.
+// it returns, with the request frame's head. One exchange records exactly
+// one span even if fault injection delivers the request twice — the
+// duplicate-request path must not inflate the causal tree.
 type SpanSink interface {
 	NextSpanID() uint64
 	RecordServerSpan(ctx obs.TraceContext, span uint64, service string, from Addr, req []byte, cost Cost, err error)
@@ -322,13 +331,16 @@ func (n *Network) Call(from, to Addr, service string, req []byte) ([]byte, Cost,
 }
 
 // CallCtx implements Caller. Local calls (from == to) skip the link cost but
-// still pay the handler's processing cost, mirroring a loopback RPC.
+// still pay the handler's processing cost, mirroring a loopback RPC. The
+// handler is handed req itself, so a lent body reaches it uncopied; the
+// counters and the link cost see the joined frame.
 func (n *Network) CallCtx(ctx obs.TraceContext, from, to Addr, service string, req []byte) ([]byte, Cost, error) {
+	size := wire.FrameOf(req).Len()
 	n.messages.Add(1)
-	n.bytes.Add(uint64(len(req)))
+	n.bytes.Add(uint64(size))
 	sc := n.svc(service)
 	sc.messages.Add(1)
-	sc.bytes.Add(uint64(len(req)))
+	sc.bytes.Add(uint64(size))
 
 	n.mu.RLock()
 	dst := n.nodes[to]
@@ -371,7 +383,7 @@ func (n *Network) CallCtx(ctx obs.TraceContext, from, to Addr, service string, r
 
 	var wireCost Cost
 	if from != to {
-		wireCost = n.Link.MessageCost(len(req))
+		wireCost = n.Link.MessageCost(size)
 	}
 	if fault.Delay > 0 {
 		n.delayed.Add(1)

@@ -1,11 +1,15 @@
 package simnet
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 func echoHandler(procCost Cost) Handler {
@@ -468,5 +472,50 @@ func TestResetStatsConcurrentServiceEntry(t *testing.T) {
 	}
 	if got := n.ServiceStats("echo").Messages; got != k {
 		t.Fatalf("service messages after reset = %d, want %d (entry lost?)", got, k)
+	}
+}
+
+// TestLentFrameCountsItsJoinedLength: a request frame that lends its body
+// reaches the handler by reference, the body the sender's own array, and is
+// counted and charged at its joined length, as the same frame sent flat is.
+func TestLentFrameCountsItsJoinedLength(t *testing.T) {
+	body := bytes.Repeat([]byte{0x5a}, 10_001)
+	lent, flat := wire.NewEncoder(0), wire.NewEncoder(0)
+	lent.PutUint32(1)
+	lent.PutOpaqueRef(body)
+	flat.PutUint32(1)
+	flat.PutOpaque(body)
+	f := lent.Frame()
+
+	n := New(LAN100)
+	var seen *byte
+	n.RegisterCtx("b", "svc", func(_ obs.TraceContext, _ Addr, req []byte) ([]byte, Cost, error) {
+		var d wire.Decoder
+		d.ResetFrame(wire.FrameOf(req))
+		d.Uint32()
+		if got := d.OpaqueRef(); len(got) > 0 {
+			seen = &got[0]
+		}
+		return []byte("ok"), 0, d.Done()
+	})
+	_, lentCost, err := n.Call("a", "b", "svc", wire.Lend(f))
+	wire.EndLend(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != &body[0] {
+		t.Error("the handler read a copy of the lent body")
+	}
+	lentStats := n.Stats()
+	n.ResetStats()
+	_, flatCost, err := n.Call("a", "b", "svc", flat.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := lentStats, n.Stats(); got != want || lentCost != flatCost {
+		t.Errorf("lent frame: %+v, cost %v; flat frame: %+v, cost %v", got, lentCost, want, flatCost)
+	}
+	if want := uint64(f.Len() + 2); lentStats.Bytes != want {
+		t.Errorf("counted %d bytes, want the joined frame and the reply, %d", lentStats.Bytes, want)
 	}
 }

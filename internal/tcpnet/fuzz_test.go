@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // streamConn is a net.Conn over in-memory streams, for running the framing
@@ -31,11 +32,12 @@ func (streamConn) SetReadDeadline(time.Time) error  { return nil }
 func (streamConn) SetWriteDeadline(time.Time) error { return nil }
 
 // wireBytes returns what one request puts on a connection — length word and
-// envelope — by running the client half of a real exchange.
+// envelope — by running the client half of a real exchange on the frame req
+// carries.
 func wireBytes(t testing.TB, ctx obs.TraceContext, service string, req []byte) []byte {
 	var sent bytes.Buffer
 	c := &conn{link: link{c: streamConn{r: bytes.NewReader(nil), w: &sent}}}
-	Dialer("client", simnet.LAN100).exchange(c, ctx, service, req) // fails reading the reply: there is none
+	Dialer("client", simnet.LAN100).exchange(c, ctx, service, wire.FrameOf(req)) // fails reading the reply: there is none
 	if sent.Len() == 0 {
 		t.Fatal("the request was not written")
 	}

@@ -13,16 +13,20 @@
 // its socket. Everything else is written from where it lies or decoded in
 // place. The envelope head (from, service, trace words and the payload's
 // length) is encoded into the connection's own scratch and sent with the
-// payload in one writev, uncopied; the server opens a request frame in place,
-// resolves the service it names to the registered name and reuses the
-// connection's last sender address while the bytes match, and the caller is
-// handed the reply as a sub-slice of the frame it read.
+// payload's pieces in one writev: a request frame's head and each body it
+// lends (wire.FrameOf) go out from where they lie, uncopied, so a primary
+// forwards the data it was sent to its replicas without copying it. The
+// server reads one contiguous frame, opens it in place, resolves the service
+// it names to the registered name and reuses the connection's last sender
+// address while the bytes match, and hands the handler its request as a
+// one-piece frame; the caller is handed the reply as a sub-slice of the
+// frame it read.
 //
 // Buffer ownership follows simnet.HandlerCtx's rule: every frame read off a
 // connection gets a freshly allocated slice that is never recycled, so a
 // handler borrows its request, a sub-slice of that frame, for the duration
 // of the call, and a caller owns the response it is handed, a sub-slice of
-// the reply frame; buffers passed in are only read.
+// the reply frame; buffers passed in, lent bodies included, are only read.
 package tcpnet
 
 import (
@@ -99,7 +103,7 @@ type link struct {
 	c    net.Conn
 	head wire.Encoder // the outgoing frame's length word and envelope head
 	hdr  [4]byte      // an incoming frame's length word
-	vec  [3][]byte    // head, body and padding, for one writev
+	vec  [][]byte     // head, the payload's pieces and padding, for one writev
 	out  net.Buffers  // vec, as WriteTo consumes it
 }
 
@@ -111,17 +115,19 @@ func (l *link) start() *wire.Encoder {
 	return &l.head
 }
 
-// send writes the frame whose head the scratch holds, then body — the bytes
-// of the opaque item whose length word ends the head — and its padding, in
-// one writev. body is written from where it lies, not copied.
-func (l *link) send(body []byte) error {
+// send writes the frame whose head the scratch holds, then body — the joined
+// bytes of the opaque item whose length word ends the head — and its
+// padding, in one writev. body's pieces are written from where they lie, not
+// copied.
+func (l *link) send(body wire.Frame) error {
 	head := l.head.Bytes()
-	pad := -len(body) & 3
-	binary.BigEndian.PutUint32(head, uint32(len(head)-4+len(body)+pad))
-	l.vec = [3][]byte{head, body, zeros[:pad]}
-	l.out = l.vec[:]
+	n := body.Len()
+	pad := -n & 3
+	binary.BigEndian.PutUint32(head, uint32(len(head)-4+n+pad))
+	l.vec = append(body.AppendPieces(append(l.vec[:0], head)), zeros[:pad])
+	l.out = l.vec
 	_, err := l.out.WriteTo(l.c)
-	clear(l.vec[:]) // a failed write leaves body in the vector
+	clear(l.vec) // a failed write leaves the pieces in the vector
 	return err
 }
 
@@ -273,9 +279,9 @@ func (n *Net) CallCtx(ctx obs.TraceContext, from, to simnet.Addr, service string
 		return serve(n, ctx, from, service, req)
 	}
 
-	var wireCost simnet.Cost
-	wireCost = n.Link.MessageCost(len(req))
-	resp, procCost, err := n.roundTrip(ctx, to, service, req)
+	f := wire.FrameOf(req)
+	wireCost := n.Link.MessageCost(f.Len())
+	resp, procCost, err := n.roundTrip(ctx, to, service, f)
 	if err != nil {
 		return nil, simnet.Cost(time.Second), err
 	}
@@ -324,7 +330,7 @@ func (n *Net) dropConn(to simnet.Addr, c *conn) {
 // A cached connection can have been closed by the peer while idle (server
 // restart, keepalive timeout); an IO failure on one evicts it and redials
 // once before the failure is reported as unreachability.
-func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, req []byte) ([]byte, simnet.Cost, error) {
+func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, req wire.Frame) ([]byte, simnet.Cost, error) {
 	var frame []byte
 	for attempt := 0; ; attempt++ {
 		c, fresh, err := n.getConn(to)
@@ -362,8 +368,8 @@ func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, re
 // exchange performs one framed request/response on a connection. The trace
 // context travels as three fixed words after the service name. The head is
 // encoded into the connection's scratch and req is sent after it as the
-// envelope's last item, uncopied.
-func (n *Net) exchange(c *conn, ctx obs.TraceContext, service string, req []byte) ([]byte, error) {
+// envelope's last item, its pieces uncopied.
+func (n *Net) exchange(c *conn, ctx obs.TraceContext, service string, req wire.Frame) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -373,7 +379,7 @@ func (n *Net) exchange(c *conn, ctx obs.TraceContext, service string, req []byte
 	e.PutUint64(ctx.Hi)
 	e.PutUint64(ctx.Lo)
 	e.PutUint64(ctx.Span)
-	e.PutUint32(uint32(len(req)))
+	e.PutUint32(uint32(req.Len()))
 
 	c.c.SetDeadline(time.Now().Add(n.Timeout))
 	if err := c.send(req); err != nil {
@@ -459,7 +465,7 @@ func (n *Net) serveLink(l *link) {
 			e.PutUint32(uint32(len(resp)))
 		}
 		l.c.SetWriteDeadline(time.Now().Add(n.Timeout))
-		if err := l.send(resp); err != nil {
+		if err := l.send(wire.Frame{Head: resp}); err != nil {
 			return
 		}
 	}

@@ -441,22 +441,32 @@ func TestFramesMatchTheEnvelope(t *testing.T) {
 	}
 	tc := obs.TraceContext{Hi: 0xdead, Lo: 0xbeef, Span: 7}
 	_, _, ghostErr := serve(srv, tc, "client", "ghost", nil)
+	// A request that lends two bodies whose lengths are not multiples of 4,
+	// so the padding after each is the head's.
+	lends := wire.NewEncoder(0)
+	lends.PutUint32(1)
+	lends.PutOpaqueRef(bytes.Repeat([]byte{7}, 5))
+	lends.PutString("between")
+	lends.PutOpaqueRef(bytes.Repeat([]byte{8}, 1023))
+	lends.PutUint32(2)
+	flat := func(b []byte) wire.Frame { return wire.Frame{Head: b} }
 	for _, c := range []struct {
 		service string
-		req     []byte
+		req     wire.Frame
 		reply   func(e *wire.Encoder, req []byte)
 	}{
-		{"echo", nil, nil},
-		{"echo", []byte("a"), nil},
-		{"echo", []byte("abc"), nil},
-		{"echo", []byte("abcd"), nil},
-		{"echo", bytes.Repeat([]byte{9}, 1021), nil},
-		{"fail", []byte("x"), func(e *wire.Encoder, _ []byte) {
+		{"echo", flat(nil), nil},
+		{"echo", flat([]byte("a")), nil},
+		{"echo", flat([]byte("abc")), nil},
+		{"echo", flat([]byte("abcd")), nil},
+		{"echo", flat(bytes.Repeat([]byte{9}, 1021)), nil},
+		{"echo", lends.Frame(), nil},
+		{"fail", flat([]byte("x")), func(e *wire.Encoder, _ []byte) {
 			e.PutBool(false)
 			e.PutInt64(7)
 			e.PutString("handler exploded")
 		}},
-		{"ghost", []byte("xy"), func(e *wire.Encoder, _ []byte) {
+		{"ghost", flat([]byte("xy")), func(e *wire.Encoder, _ []byte) {
 			e.PutBool(false)
 			e.PutInt64(int64(time.Second))
 			e.PutString(ghostErr.Error())
@@ -469,22 +479,24 @@ func TestFramesMatchTheEnvelope(t *testing.T) {
 				e.PutOpaque(req)
 			}
 		}
-		sent := wireBytes(t, tc, c.service, c.req)
+		joined := c.req.AppendTo(nil)
+		sent := wireBytes(t, tc, c.service, wire.Lend(c.req))
+		wire.EndLend(c.req)
 		want := frame(func(e *wire.Encoder) {
 			e.PutString("client")
 			e.PutString(c.service)
 			e.PutUint64(tc.Hi)
 			e.PutUint64(tc.Lo)
 			e.PutUint64(tc.Span)
-			e.PutOpaque(c.req)
+			e.PutOpaque(joined)
 		})
 		if !bytes.Equal(sent, want) {
-			t.Errorf("%s %d bytes: request frame\n%x, want\n%x", c.service, len(c.req), sent, want)
+			t.Errorf("%s %d bytes in %d lent: request frame\n%x, want\n%x", c.service, len(joined), len(c.req.Lent), sent, want)
 		}
 		var replied bytes.Buffer
 		srv.serveLink(&link{c: streamConn{r: bytes.NewReader(sent), w: &replied}})
-		if want := frame(func(e *wire.Encoder) { c.reply(e, c.req) }); !bytes.Equal(replied.Bytes(), want) {
-			t.Errorf("%s %d bytes: reply frame\n%x, want\n%x", c.service, len(c.req), replied.Bytes(), want)
+		if want := frame(func(e *wire.Encoder) { c.reply(e, joined) }); !bytes.Equal(replied.Bytes(), want) {
+			t.Errorf("%s %d bytes: reply frame\n%x, want\n%x", c.service, len(joined), replied.Bytes(), want)
 		}
 	}
 }
@@ -504,17 +516,28 @@ func TestRoundTripAllocs(t *testing.T) {
 	cli := Dialer("client", simnet.LAN100)
 	defer cli.Close()
 	racetest.SkipAllocs(t)
-	for _, size := range []int{64, 32 << 10} {
-		req := bytes.Repeat([]byte{0x5a}, size)
+	// Two flat requests and one whose 32 KiB body is lent: it goes out from
+	// the caller's array, so it costs no more than the flat one.
+	lent := wire.NewEncoder(16)
+	lent.PutUint32(3)
+	lent.PutOpaqueRef(bytes.Repeat([]byte{0xa5}, 32<<10))
+	for _, req := range []wire.Frame{
+		{Head: bytes.Repeat([]byte{0x5a}, 64)},
+		{Head: bytes.Repeat([]byte{0x5a}, 32<<10)},
+		lent.Frame(),
+	} {
 		var resp []byte
-		call := func() { resp, _, err = cli.Call("client", srv.Addr(), "echo", req) }
+		call := func() {
+			resp, _, err = cli.Call("client", srv.Addr(), "echo", wire.Lend(req))
+			wire.EndLend(req)
+		}
 		call() // dial, and size the connections' scratch
 		n := testing.AllocsPerRun(200, call)
-		if err != nil || !bytes.Equal(resp, req) {
-			t.Fatalf("%d-byte echo: %d bytes back, err=%v", size, len(resp), err)
+		if want := req.AppendTo(nil); err != nil || !bytes.Equal(resp, want) {
+			t.Fatalf("%d-byte echo (%d lent): %d bytes back, err=%v", len(want), len(req.Lent), len(resp), err)
 		}
 		if n > 4 {
-			t.Errorf("a %d-byte loopback round trip allocates %.1f times, want <= 4", size, n)
+			t.Errorf("a %d-byte loopback round trip (%d lent) allocates %.1f times, want <= 4", req.Len(), len(req.Lent), n)
 		}
 	}
 }

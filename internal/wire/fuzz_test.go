@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -76,6 +77,101 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if got := d.Opaque(); !bytes.Equal(got, p) && !(len(got) == 0 && len(p) == 0) {
 			t.Fatal("opaque mismatch")
+		}
+		if err := d.Done(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzLentFrame encodes one field sequence twice, flat and with every opaque
+// lent: the joined lent frame must be the flat frame byte for byte, the same
+// length, and decode to the same values, each lent opaque the body itself.
+// Each byte of ops picks a field; data supplies the values.
+func FuzzLentFrame(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 1, 4}, []byte("a field sequence with opaques of odd sizes: 1, 5, 1023"))
+	f.Add([]byte{1, 1, 1}, []byte{})
+	f.Add([]byte{}, []byte{9})
+	f.Fuzz(func(t *testing.T, ops, data []byte) {
+		next := func(n int) []byte {
+			n = min(n, len(data))
+			p := data[:n:n]
+			data = data[n:]
+			return p
+		}
+		word := func() uint64 {
+			var w [8]byte
+			copy(w[:], next(8))
+			return binary.BigEndian.Uint64(w[:])
+		}
+		flat, lent := NewEncoder(0), NewEncoder(0)
+		type field struct {
+			kind byte
+			n    uint64
+			p    []byte
+		}
+		var fields []field
+		for _, op := range ops {
+			switch fl := (field{kind: op % 5}); fl.kind {
+			case 0:
+				fl.n = uint64(uint32(word()))
+				flat.PutUint32(uint32(fl.n))
+				lent.PutUint32(uint32(fl.n))
+				fields = append(fields, fl)
+			case 1:
+				fl.p = next(int(word() % 1100))
+				flat.PutOpaque(fl.p)
+				lent.PutOpaqueRef(fl.p)
+				fields = append(fields, fl)
+			case 2:
+				fl.p = next(int(word() % 40))
+				flat.PutString(string(fl.p))
+				lent.PutString(string(fl.p))
+				fields = append(fields, fl)
+			case 3:
+				fl.n = word()
+				flat.PutUint64(fl.n)
+				lent.PutUint64(fl.n)
+				fields = append(fields, fl)
+			case 4:
+				fl.p = next(int(word() % 9))
+				flat.PutFixedOpaque(fl.p)
+				lent.PutFixedOpaque(fl.p)
+				fields = append(fields, fl)
+			}
+		}
+		fr := lent.Frame()
+		if got := fr.AppendTo(nil); !bytes.Equal(got, flat.Bytes()) || fr.Len() != len(flat.Bytes()) {
+			t.Fatalf("joined lent frame %x (Len %d), flat %x", got, fr.Len(), flat.Bytes())
+		}
+		var d Decoder
+		d.ResetFrame(fr)
+		for i, fl := range fields {
+			switch fl.kind {
+			case 0:
+				if v := d.Uint32(); uint64(v) != fl.n {
+					t.Fatalf("field %d: u32 %d, want %d", i, v, fl.n)
+				}
+			case 1:
+				got := d.OpaqueRef()
+				if !bytes.Equal(got, fl.p) || (len(got) > 0 && &got[0] != &fl.p[0]) {
+					t.Fatalf("field %d: opaque %x is not the lent body %x", i, got, fl.p)
+				}
+			case 2:
+				if v := d.String(); v != string(fl.p) {
+					t.Fatalf("field %d: string %q, want %q", i, v, fl.p)
+				}
+			case 3:
+				if v := d.Uint64(); v != fl.n {
+					t.Fatalf("field %d: u64 %d, want %d", i, v, fl.n)
+				}
+			case 4:
+				got := make([]byte, len(fl.p))
+				d.FixedOpaque(got)
+				if !bytes.Equal(got, fl.p) {
+					t.Fatalf("field %d: fixed %x, want %x", i, got, fl.p)
+				}
+			}
 		}
 		if err := d.Done(); err != nil {
 			t.Fatal(err)

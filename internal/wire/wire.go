@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // MaxOpaque bounds a single opaque/string item to keep a corrupted length
@@ -27,9 +29,11 @@ var ErrTooLong = errors.New("wire: item exceeds size limit")
 
 func pad4(n int) int { return (4 - n%4) % 4 }
 
-// Encoder appends XDR-encoded values to a byte slice.
+// Encoder appends XDR-encoded values to a byte slice, its head, and records
+// the bodies PutOpaqueRef lends it beside the head instead of copying them.
 type Encoder struct {
-	buf []byte
+	buf  []byte
+	lent []Lent
 }
 
 // NewEncoder returns an encoder with the given initial capacity hint.
@@ -41,17 +45,35 @@ func NewEncoder(capHint int) *Encoder {
 // only a frame that outgrows cap(buf) allocates, growing past it as a fresh
 // encoder's frame would (once, for a PutOpaque). For an encoder that lives beside an array in a
 // larger object (Codec), so a small frame costs no allocation of its own.
-func (e *Encoder) Use(buf []byte) { e.buf = buf[:0] }
+func (e *Encoder) Use(buf []byte) {
+	e.buf = buf[:0]
+	e.lent = e.lent[:0]
+}
 
 // Bytes returns the encoded buffer. The encoder retains ownership; callers
-// must copy if they keep the slice past the next Put call.
-func (e *Encoder) Bytes() []byte { return e.buf }
+// must copy if they keep the slice past the next Put call. A frame that
+// lends a body is not one buffer: Bytes panics on it, and Frame returns it.
+func (e *Encoder) Bytes() []byte {
+	if len(e.lent) > 0 {
+		panic("wire: Bytes of a frame that lends a body; use Frame")
+	}
+	return e.buf
+}
 
-// Len returns the number of encoded bytes so far.
+// Frame returns the encoded frame: the head and the bodies lent to it. The
+// encoder retains ownership of the head, as for Bytes.
+func (e *Encoder) Frame() Frame { return Frame{Head: e.buf, Lent: e.lent} }
+
+// Len returns the number of bytes encoded into the head so far: the offset
+// the next Put writes at, lent bodies not counted.
 func (e *Encoder) Len() int { return len(e.buf) }
 
-// Reset clears the encoder for reuse.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+// Reset clears the encoder for reuse, forgetting the bodies it was lent.
+func (e *Encoder) Reset() {
+	e.buf = e.buf[:0]
+	clear(e.lent)
+	e.lent = e.lent[:0]
+}
 
 // PutUint32 appends a 32-bit unsigned integer.
 func (e *Encoder) PutUint32(v uint32) {
@@ -98,6 +120,20 @@ func (e *Encoder) PutOpaque(p []byte) {
 	e.Grow(4 + len(p) + pad4(len(p)))
 	e.PutUint32(uint32(len(p)))
 	e.PutFixedOpaque(p)
+}
+
+// PutOpaqueRef appends variable-length opaque data without copying it: the
+// length word and the padding go into the head, and p is recorded as a body
+// lent to the frame at that offset. The joined frame is byte for byte what
+// PutOpaque encodes. p is read-only until the frame's last send returns.
+func (e *Encoder) PutOpaqueRef(p []byte) {
+	e.PutUint32(uint32(len(p)))
+	if len(p) > 0 {
+		e.lent = append(e.lent, Lent{At: len(e.buf), Body: p[:len(p):len(p)]})
+	}
+	for i := 0; i < pad4(len(p)); i++ {
+		e.buf = append(e.buf, 0)
+	}
 }
 
 // PutOpaqueFunc appends one opaque item whose content fill appends to the
@@ -159,20 +195,22 @@ func (e *Encoder) PutStrings(ss []string) {
 	}
 }
 
-// smallFrame is the frame a Codec holds without allocating. 248 bytes makes
-// the Codec — a 24-byte Encoder, a 48-byte Decoder and the array — 320 bytes,
-// exactly a Go size class; a 256-byte array would land it in the 352 class.
-const smallFrame = 248
+// smallFrame is the frame a Codec holds without allocating. 264 bytes makes
+// the Codec — a 48-byte Encoder, a 72-byte Decoder, one 32-byte Lent and the
+// array — 416 bytes, exactly a Go size class.
+const smallFrame = 264
 
 // Codec is one message's encoder and decoder together with storage for a
 // small frame, in one allocation: the encoder starts on the array, so a frame
 // of up to smallFrame bytes costs nothing more and only a larger one grows a
-// buffer of its own. A frame encoded into the array lives as long as the Codec does, and
+// buffer of its own, and the record of the first body the frame lends sits
+// beside it. A frame encoded into the array lives as long as the Codec does, and
 // a Codec kept alive by its frame keeps alive whatever its decoder reads:
 // point D at nil (D.Reset(nil)) before handing E's bytes away.
 type Codec struct {
 	E     Encoder
 	D     Decoder
+	lent  [1]Lent
 	small [smallFrame]byte
 }
 
@@ -180,14 +218,159 @@ type Codec struct {
 func NewCodec() *Codec {
 	c := new(Codec)
 	c.E.Use(c.small[:])
+	c.E.lent = c.lent[:0]
 	return c
 }
 
-// Decoder consumes XDR-encoded values from a byte slice.
+// Lent is one body lent to a frame: Body's bytes sit in the joined frame
+// just before Head[At:].
+type Lent struct {
+	At   int
+	Body []byte
+}
+
+// Frame is an encoded message as an Encoder leaves it: Head, the bytes the
+// encoder wrote, and the bodies PutOpaqueRef lent it, in order of offset.
+// Joined, it is the flat frame the same calls with PutOpaque encode. A frame
+// that lends nothing is its head.
+type Frame struct {
+	Head []byte
+	Lent []Lent
+}
+
+// Len returns the length of the joined frame.
+func (f Frame) Len() int {
+	n := len(f.Head)
+	for _, l := range f.Lent {
+		n += len(l.Body)
+	}
+	return n
+}
+
+// AppendTo appends the joined frame to dst.
+func (f Frame) AppendTo(dst []byte) []byte {
+	at := 0
+	for _, l := range f.Lent {
+		dst = append(append(dst, f.Head[at:l.At]...), l.Body...)
+		at = l.At
+	}
+	return append(dst, f.Head[at:]...)
+}
+
+// AppendPieces appends the joined frame's non-empty pieces to v in order —
+// stretches of the head and the lent bodies between them — for one
+// vectored write of the frame from where its bytes lie.
+func (f Frame) AppendPieces(v [][]byte) [][]byte {
+	at := 0
+	for _, l := range f.Lent {
+		if l.At > at {
+			v = append(v, f.Head[at:l.At])
+		}
+		if len(l.Body) > 0 {
+			v = append(v, l.Body)
+		}
+		at = l.At
+	}
+	if len(f.Head) > at {
+		v = append(v, f.Head[at:])
+	}
+	return v
+}
+
+// The request argument of a transport call is a byte slice, so a frame that
+// lends bodies crosses the call as its head, and lending keeps the frame
+// findable from that head until the call returns: Lend files the frame under
+// its head's first byte, FrameOf — what a transport counts and sends, what a
+// server decodes — looks it up, EndLend takes it out. A slice that heads no
+// lent frame is a one-piece frame.
+var lending struct {
+	mu     sync.Mutex
+	n      atomic.Int64 // frames filed, so FrameOf skips the lock when none is
+	frames map[*byte]lentFrame
+}
+
+type lentFrame struct {
+	f    Frame
+	refs int
+}
+
+// Lend returns the request slice that carries f through a transport call:
+// f's head, under which f stays filed until the matching EndLend. A frame
+// that lends nothing is returned as its head and filed nowhere. A frame an
+// Encoder built has a head whenever it lends, the body's length word.
+func Lend(f Frame) []byte {
+	if len(f.Lent) == 0 {
+		return f.Head
+	}
+	if len(f.Head) == 0 {
+		panic("wire: Lend of a frame that lends a body but has no head")
+	}
+	k := &f.Head[0]
+	lending.mu.Lock()
+	if lending.frames == nil {
+		lending.frames = make(map[*byte]lentFrame)
+	}
+	lf := lending.frames[k]
+	lf.f = f
+	lf.refs++
+	lending.frames[k] = lf
+	lending.mu.Unlock()
+	lending.n.Add(1)
+	return f.Head
+}
+
+// EndLend ends one Lend of f: once the last call that carried f has
+// returned, FrameOf no longer finds it.
+func EndLend(f Frame) {
+	if len(f.Lent) == 0 {
+		return
+	}
+	k := &f.Head[0]
+	lending.mu.Lock()
+	lf, ok := lending.frames[k]
+	if lf.refs > 1 {
+		lf.refs--
+		lending.frames[k] = lf
+	} else {
+		delete(lending.frames, k)
+	}
+	lending.mu.Unlock()
+	if ok {
+		lending.n.Add(-1)
+	}
+}
+
+// FrameOf returns the frame a transport call's request slice carries: the
+// lent frame req heads, or req itself as a one-piece frame. Every call
+// through a transport asks, so the common answer, nothing is lent, inlines.
+func FrameOf(req []byte) Frame {
+	if lending.n.Load() == 0 {
+		return Frame{Head: req}
+	}
+	return lentFrameOf(req)
+}
+
+func lentFrameOf(req []byte) Frame {
+	if len(req) == 0 {
+		return Frame{Head: req}
+	}
+	lending.mu.Lock()
+	lf, ok := lending.frames[&req[0]]
+	lending.mu.Unlock()
+	if !ok || len(lf.f.Head) != len(req) {
+		return Frame{Head: req}
+	}
+	return lf.f
+}
+
+// Decoder consumes XDR-encoded values from a byte slice or a Frame: buf is
+// the frame's head, and lent holds the bodies not yet read, each at its
+// offset of buf.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	lent []Lent
+	off  int
+	err  error
 }
 
 // NewDecoder wraps buf for decoding. The decoder does not copy buf.
@@ -198,13 +381,23 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 // no allocation of its own.
 func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
 
+// ResetFrame is Reset for a frame that may lend bodies: the decoder reads
+// the joined frame, and OpaqueRef at a lent body returns the body itself.
+func (d *Decoder) ResetFrame(f Frame) { *d = Decoder{buf: f.Head, lent: f.Lent} }
+
 // Err returns the first error encountered, if any. Once an error occurs all
 // further reads return zero values, so call sites may decode a full struct
 // and check Err once.
 func (d *Decoder) Err() error { return d.err }
 
 // Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+func (d *Decoder) Remaining() int {
+	n := len(d.buf) - d.off
+	for _, l := range d.lent {
+		n += len(l.Body)
+	}
+	return n
+}
 
 // Done returns an error if bytes remain or a decode error occurred; call it
 // at the end of a message to reject trailing garbage.
@@ -212,8 +405,8 @@ func (d *Decoder) Done() error {
 	if d.err != nil {
 		return d.err
 	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("wire: %d trailing bytes", len(d.buf)-d.off)
+	if n := d.Remaining(); n != 0 {
+		return fmt.Errorf("wire: %d trailing bytes", n)
 	}
 	return nil
 }
@@ -228,6 +421,9 @@ func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
+	if len(d.lent) > 0 && d.lent[0].At < d.off+n {
+		d.join()
+	}
 	if d.off+n > len(d.buf) || n < 0 {
 		d.fail(ErrShort)
 		return nil
@@ -235,6 +431,17 @@ func (d *Decoder) take(n int) []byte {
 	p := d.buf[d.off : d.off+n]
 	d.off += n
 	return p
+}
+
+// join copies the unread rest of the frame, lent bodies and all, into one
+// buffer and reads on from there: the path of a read that does not line up
+// with a lent body, which only a decode of the wrong message takes.
+func (d *Decoder) join() {
+	f := Frame{Head: d.buf[d.off:], Lent: make([]Lent, len(d.lent))}
+	for i, l := range d.lent {
+		f.Lent[i] = Lent{At: l.At - d.off, Body: l.Body}
+	}
+	d.buf, d.lent, d.off = f.AppendTo(make([]byte, 0, f.Len())), nil, 0
 }
 
 // Uint32 reads a 32-bit unsigned integer.
@@ -279,15 +486,21 @@ func (d *Decoder) Opaque() []byte {
 }
 
 // OpaqueRef reads variable-length opaque data without copying: the result
-// aliases the decoder's buffer, its capacity capped so an append cannot
-// reach the bytes that follow. For consumers that copy the bytes into their
-// own storage or hand them to the buffer's owner; anything kept past the
-// buffer's lifetime needs Opaque.
+// aliases the decoder's buffer, or is the body itself where the frame lends
+// one, its capacity capped so an append cannot reach the bytes that follow.
+// For consumers that copy the bytes into their own storage or hand them to
+// the buffer's owner; anything kept past the buffer's lifetime needs Opaque.
 func (d *Decoder) OpaqueRef() []byte {
 	n := d.Uint32()
 	if n > MaxOpaque {
 		d.fail(ErrTooLong)
 		return nil
+	}
+	if d.err == nil && len(d.lent) > 0 && d.lent[0].At == d.off && len(d.lent[0].Body) == int(n) {
+		p := d.lent[0].Body
+		d.lent = d.lent[1:]
+		d.take(pad4(int(n)))
+		return p[:n:n]
 	}
 	p := d.take(int(n))
 	if p == nil {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -389,14 +390,14 @@ func TestDecoderReset(t *testing.T) {
 
 var codecSink *Codec
 
-// TestCodecIsOneSizeClass: a Codec is exactly 320 bytes, a Go size class, so
+// TestCodecIsOneSizeClass: a Codec is exactly 416 bytes, a Go size class, so
 // the array costs no rounding; a frame that fits the array is encoded with
 // the Codec's one allocation, and one that does not grows past it once, into
 // a buffer of its own that holds the bytes written before it outgrew the
-// array.
+// array. A frame that lends one body records it in the Codec too.
 func TestCodecIsOneSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Codec{}); size != 320 {
-		t.Fatalf("Codec is %d bytes, want 320", size)
+	if size := unsafe.Sizeof(Codec{}); size != 416 {
+		t.Fatalf("Codec is %d bytes, want 416", size)
 	}
 	racetest.SkipAllocs(t)
 	payload := make([]byte, 1<<10)
@@ -420,5 +421,175 @@ func TestCodecIsOneSizeClass(t *testing.T) {
 		if !bytes.Equal(frame, want.Bytes()) || inArray != (len(frame) <= smallFrame) {
 			t.Errorf("a %d-byte frame: in the array %v, bytes equal %v", len(frame), inArray, bytes.Equal(frame, want.Bytes()))
 		}
+	}
+}
+
+// TestCodecLendsOneBodyInPlace: a Codec frame that lends one body of any size
+// is the Codec's one allocation; a second lent body grows the record of them.
+func TestCodecLendsOneBodyInPlace(t *testing.T) {
+	racetest.SkipAllocs(t)
+	payload := make([]byte, 32<<10)
+	for _, c := range []struct {
+		bodies int
+		allocs float64
+	}{{1, 1}, {2, 2}} {
+		if n := testing.AllocsPerRun(100, func() {
+			codecSink = NewCodec()
+			codecSink.E.PutUint32(7)
+			for i := 0; i < c.bodies; i++ {
+				codecSink.E.PutOpaqueRef(payload)
+			}
+		}); n != c.allocs {
+			t.Errorf("a Codec frame lending %d 32 KiB bodies took %.0f allocations, want %.0f", c.bodies, n, c.allocs)
+		}
+	}
+}
+
+// TestLentFrameJoinsToTheFlatFrame: PutOpaqueRef encodes what PutOpaque
+// does, padding and the fields after it in the head, the body uncopied; a
+// decoder reading the frame returns the body itself, and a read that does
+// not line up with a lent body sees the joined bytes all the same.
+func TestLentFrameJoinsToTheFlatFrame(t *testing.T) {
+	body := []byte{1, 2, 3, 4, 5, 6, 7}
+	flat, lent := NewEncoder(0), NewEncoder(0)
+	for _, e := range []*Encoder{flat, lent} {
+		e.PutUint32(9)
+		if e == flat {
+			e.PutOpaque(body)
+			e.PutOpaque(nil)
+		} else {
+			e.PutOpaqueRef(body)
+			e.PutOpaqueRef(nil)
+		}
+		e.PutString("tail")
+	}
+	f := lent.Frame()
+	if len(f.Lent) != 1 || f.Lent[0].At != 8 || &f.Lent[0].Body[0] != &body[0] {
+		t.Fatalf("lent %+v: want the one body, uncopied, at head offset 8", f.Lent)
+	}
+	if got := f.AppendTo(nil); !bytes.Equal(got, flat.Bytes()) || f.Len() != len(got) {
+		t.Fatalf("joined frame %x (Len %d), want %x", got, f.Len(), flat.Bytes())
+	}
+	var pieces []byte
+	for _, p := range f.AppendPieces(nil) {
+		if len(p) == 0 {
+			t.Fatal("an empty piece")
+		}
+		pieces = append(pieces, p...)
+	}
+	if !bytes.Equal(pieces, flat.Bytes()) {
+		t.Fatalf("pieces %x, want %x", pieces, flat.Bytes())
+	}
+
+	var d Decoder
+	d.ResetFrame(f)
+	if d.Remaining() != len(flat.Bytes()) || d.Uint32() != 9 {
+		t.Fatal("head word")
+	}
+	if got := d.OpaqueRef(); &got[0] != &body[0] || cap(got) != len(body) {
+		t.Fatal("OpaqueRef at a lent body did not return the body, capped")
+	}
+	if len(d.OpaqueRef()) != 0 || d.String() != "tail" || d.Done() != nil {
+		t.Fatalf("after the body: %v", d.Done())
+	}
+	// A read across the body's place joins the rest and reads on in it.
+	d.ResetFrame(f)
+	d.Uint32()
+	d.Uint32()
+	var fixed [7]byte
+	d.FixedOpaque(fixed[:])
+	if !bytes.Equal(fixed[:], body) || len(d.OpaqueRef()) != 0 || d.String() != "tail" || d.Done() != nil {
+		t.Fatalf("a misaligned read of the lent frame: %x, %v", fixed, d.Done())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Bytes of a lending encoder did not panic")
+		}
+	}()
+	lent.Bytes()
+}
+
+// TestLendFindsTheFrameByItsHead: between Lend and EndLend the request slice
+// Lend returned names the whole frame; any other slice, and the same one
+// after the last EndLend, is a one-piece frame.
+func TestLendFindsTheFrameByItsHead(t *testing.T) {
+	e := NewEncoder(0)
+	e.PutUint32(1)
+	e.PutOpaqueRef([]byte("body"))
+	f := e.Frame()
+	req := Lend(f)
+	if &req[0] != &f.Head[0] || len(req) != len(f.Head) {
+		t.Fatal("Lend did not return the head")
+	}
+	Lend(f) // a second send of the same frame
+	if got := FrameOf(req); got.Len() != f.Len() || len(got.Lent) != 1 {
+		t.Fatalf("FrameOf(head) = %+v", got)
+	}
+	if got := FrameOf(req[:4]); len(got.Lent) != 0 || got.Len() != 4 {
+		t.Fatal("a prefix of the head found the lent frame")
+	}
+	EndLend(f)
+	if len(FrameOf(req).Lent) != 1 {
+		t.Fatal("the first EndLend of two forgot the frame")
+	}
+	EndLend(f)
+	if got := FrameOf(req); len(got.Lent) != 0 || got.Len() != len(req) {
+		t.Fatal("the frame is still found after its last EndLend")
+	}
+	EndLend(f) // one too many: ignored
+	if lending.n.Load() != 0 {
+		t.Fatalf("%d frames counted as lent after every EndLend", lending.n.Load())
+	}
+	flat := Frame{Head: []byte{1, 2, 3, 4}}
+	if r := Lend(flat); &r[0] != &flat.Head[0] || len(FrameOf(r).Lent) != 0 {
+		t.Fatal("a frame that lends nothing")
+	}
+	EndLend(flat)
+	racetest.SkipAllocs(t)
+	if n := testing.AllocsPerRun(100, func() {
+		FrameOf(Lend(f))
+		EndLend(f)
+	}); n != 0 {
+		t.Errorf("lending a frame allocates %.0f times, want 0", n)
+	}
+}
+
+// TestLendingFromManyGoroutines: goroutines lend frames of their own and one
+// frame they share; each finds exactly its own frame from its head, and the
+// shared one stays found until its last lender is done.
+func TestLendingFromManyGoroutines(t *testing.T) {
+	shared := NewEncoder(0)
+	shared.PutUint32(0)
+	shared.PutOpaqueRef([]byte("shared"))
+	sf := shared.Frame()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := []byte{byte(g), 1, 2}
+			for i := 0; i < 500; i++ {
+				e := NewEncoder(8)
+				e.PutUint32(uint32(g))
+				e.PutOpaqueRef(body)
+				f := e.Frame()
+				req := Lend(f)
+				sreq := Lend(sf)
+				if got := FrameOf(req); len(got.Lent) != 1 || &got.Lent[0].Body[0] != &body[0] {
+					t.Errorf("goroutine %d found %+v for its own frame", g, got)
+					return
+				}
+				if got := FrameOf(sreq); len(got.Lent) != 1 || got.Len() != sf.Len() {
+					t.Errorf("goroutine %d lost the shared frame while lending it", g)
+					return
+				}
+				EndLend(sf)
+				EndLend(f)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := FrameOf(sf.Head); len(got.Lent) != 0 {
+		t.Error("the shared frame is still filed after every lender ended")
 	}
 }
