@@ -60,8 +60,8 @@ soak:
 # another (go test runs only the targets' seed corpora). A target that fails
 # (a finding) does not stop the others: the failed targets are listed at the
 # end and the run exits 1. A finding is written under the package's
-# testdata/fuzz/<name> and replays as a plain test. Not part of ci: 14
-# targets at the default 20 s are about six minutes.
+# testdata/fuzz/<name> and replays as a plain test. Not part of ci: at the
+# default 20 s a target, the run takes some six minutes.
 #   make fuzz FUZZTIME=1m
 FUZZTIME ?= 20s
 fuzz:
@@ -151,11 +151,13 @@ bench:
 
 # bench-smoke keeps the benchmark harness (bench/, BENCHMARK.json) building
 # and correct against the packages it drives: its own determinism pins, then
-# one small stream round and one small meta round (32 nodes, client caches
-# off: every path op is a LOOKUPPATH) whose exit code is the byte-exact
-# oracle's verdict.
+# one small round of each workload — mab (whole-file reads into one buffer),
+# stream, and meta (32 nodes, client caches off: every path op is a
+# LOOKUPPATH) — whose exit code is the byte-exact oracle's verdict (mab's: a
+# CRC of every acknowledged write).
 bench-smoke:
 	$(GO) test ./bench
+	$(GO) run ./bench --workload mab -quick
 	$(GO) run ./bench --workload stream -quick
 	$(GO) run ./bench --workload meta -quick
 

@@ -402,3 +402,89 @@ func TestHandlersDoNotRetainRequestBuffers(t *testing.T) {
 		t.Errorf("found %d copies of the renamed file, want 3 (a primary and 2 replicas)", copies)
 	}
 }
+
+// TestReadIntoAllocs: a 32 KiB write-through read (K = 1) into the caller's
+// buffer has the primary's store fill the buffer itself, so the read
+// allocates the READ's codecs and nothing the size of its data, under 2 KiB
+// end to end (a Read allocates a reply frame of a page-rounded 40 KiB). Op
+// tracing is off, as in the benchmark ledger's core.read32k_B case.
+func TestReadIntoAllocs(t *testing.T) {
+	_, nodes := testCluster(t, 4, 87, Config{Replicas: 1, TraceBufSize: -1})
+	m := nodes[0].NewMount()
+	dir, _, err := m.MkdirAll("/rt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fvh, _, _, err := m.Create(dir, "f", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	piece := make([]byte, 32<<10)
+	for i := 0; i < 8; i++ {
+		binary.BigEndian.PutUint64(piece, uint64(i))
+		if _, _, err := m.Write(fvh, int64(i)*int64(len(piece)), piece); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]byte, 0, len(piece))
+	read := func(i int) {
+		t.Helper()
+		got, _, _, err := m.ReadInto(fvh, int64(i%8)*int64(len(piece)), len(piece), dst)
+		if err != nil || len(got) != len(piece) || binary.BigEndian.Uint64(got) != uint64(i%8) || &got[0] != &dst[:1][0] {
+			t.Fatalf("read %d: %d bytes err=%v", i, len(got), err)
+		}
+	}
+	read(0)
+	racetest.SkipAllocs(t)
+	const reads = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read(i)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per > 2<<10 {
+		t.Errorf("a 32 KiB write-through ReadInto allocated %d bytes end to end, want <= 2 KiB", per)
+	}
+}
+
+// TestReadIntoLandsInTheCallersBuffer: on every read path the bytes land in
+// the room the caller offers — a stop-and-wait READ and a replica read from
+// the store, a readahead window's hit and fill by copy — and after what the
+// buffer held; a read that finds too little room appends, as append does.
+func TestReadIntoLandsInTheCallersBuffer(t *testing.T) {
+	for _, cfg := range []Config{
+		{Replicas: 1},
+		{Replicas: 2, ReadFromReplicas: true},
+		{Replicas: 1, ReadaheadChunks: 2},
+	} {
+		name := fmt.Sprintf("replica reads %v, readahead %d", cfg.ReadFromReplicas, cfg.ReadaheadChunks)
+		_, nodes := testCluster(t, 6, 91, cfg)
+		data := make([]byte, 3<<20+77)
+		for i := range data {
+			data[i] = byte(i / 997)
+		}
+		if _, err := nodes[1].NewMount().WriteFile("/u/f", data); err != nil {
+			t.Fatal(err)
+		}
+		m := nodes[0].NewMount()
+		fvh, _, _, err := m.LookupPath("/u/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const count = 256 << 10
+		for off := 0; off < len(data); off += count {
+			dst := append(make([]byte, 0, 4+count), "head"...)
+			got, _, _, err := m.ReadInto(fvh, int64(off), count, dst)
+			want := data[off:min(off+count, len(data))]
+			if err != nil || string(got[:4]) != "head" || !bytes.Equal(got[4:], want) || &got[0] != &dst[0] {
+				t.Fatalf("%s: read at %d: %d bytes err=%v", name, off, len(got), err)
+			}
+		}
+		short := make([]byte, 0, 10)
+		got, _, _, err := m.ReadInto(fvh, 0, count, short)
+		if err != nil || !bytes.Equal(got, data[:count]) {
+			t.Fatalf("%s: a read past the room: %d bytes err=%v", name, len(got), err)
+		}
+	}
+}

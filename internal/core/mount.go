@@ -283,21 +283,30 @@ func (m *Mount) setattr(tr *obs.Trace, vh VH, sa localfs.SetAttr) (localfs.Attr,
 // replica holders (the Section 4.2 optimization); any replica-side failure
 // falls back to the primary path transparently.
 func (m *Mount) Read(vh VH, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+	return m.ReadInto(vh, offset, count, nil)
+}
+
+// ReadInto is Read appending to dst, as append does: the READ lends dst's
+// spare capacity as its sink (nfs.Client.ReadInto), so a read the room
+// holds allocates nothing for its bytes, and a readahead window hit is
+// copied into it. Failover and replica reads write the same room again. With
+// a nil dst the data is the reply's own bytes, as Read's.
+func (m *Mount) ReadInto(vh VH, offset int64, count int, dst []byte) ([]byte, bool, simnet.Cost, error) {
 	o := m.begin(obs.OpcRead, m.vpathOf(vh))
-	data, eof, cost, err := m.read(o.tr, vh, offset, count)
+	data, eof, cost, err := m.read(o.tr, vh, offset, count, dst)
 	o.done(cost, err)
 	return data, eof, cost, err
 }
 
-func (m *Mount) read(tr *obs.Trace, vh VH, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+func (m *Mount) read(tr *obs.Trace, vh VH, offset int64, count int, dst []byte) ([]byte, bool, simnet.Cost, error) {
 	// Read-your-writes: this handle's buffered write-back data must land
 	// before bytes are served back.
 	fcost, ferr := m.flushVH(tr, vh)
 	if ferr != nil {
-		return nil, false, fcost, ferr
+		return dst, false, fcost, ferr
 	}
 	if m.n.cfg.ReadaheadChunks > 0 {
-		data, eof, cost, err := m.readAhead(tr, vh, offset, count)
+		data, eof, cost, err := m.readAhead(tr, vh, offset, count, dst)
 		return data, eof, simnet.Seq(fcost, cost), err
 	}
 	var st *stream // the replica holders' handles, when replica reads are on
@@ -306,21 +315,22 @@ func (m *Mount) read(tr *obs.Trace, vh VH, offset int64, count int) ([]byte, boo
 		st.mu.Lock()
 		defer st.mu.Unlock()
 	}
-	var data []byte
+	data := dst
 	var eof bool
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (c simnet.Cost, err error) {
-		data, eof, c, err = m.readAt(tr, de, st, offset, count)
+		data, eof, c, err = m.readAt(tr, de, st, offset, count, dst)
 		return c, err
 	})
 	return data, eof, simnet.Seq(fcost, cost), err
 }
 
-// readAt is one stop-and-wait READ of the file behind de. With replica reads
-// on it goes to the holder the mount's rotation picks from the handle's
-// holder list, and it costs that list's lookup too; otherwise, and whenever
-// the picked replica fails, it goes to the primary. st is the handle's
-// stream, locked, and may be nil when replica reads are off.
-func (m *Mount) readAt(tr *obs.Trace, de *ventry, st *stream, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+// readAt is one stop-and-wait READ of the file behind de, appended to dst
+// (ReadInto). With replica reads on it goes to the holder the mount's
+// rotation picks from the handle's holder list, and it costs that list's
+// lookup too; otherwise, and whenever the picked replica fails, it goes to
+// the primary. st is the handle's stream, locked, and may be nil when
+// replica reads are off.
+func (m *Mount) readAt(tr *obs.Trace, de *ventry, st *stream, offset int64, count int, dst []byte) ([]byte, bool, simnet.Cost, error) {
 	h, total := de.node, simnet.Cost(0)
 	if m.n.cfg.ReadFromReplicas && de.kind == localfs.TypeRegular {
 		var hs []simnet.Addr
@@ -329,14 +339,14 @@ func (m *Mount) readAt(tr *obs.Trace, de *ventry, st *stream, offset int64, coun
 			h = hs[(m.rr.Add(1)-1)%uint64(len(hs))]
 		}
 	}
-	var d []byte
+	d := dst
 	var eof bool
 	from, c, err := m.fromHolder(tr, de, st, h, func(to simnet.Addr, fh nfs.Handle) (c simnet.Cost, err error) {
-		d, eof, c, err = m.n.nfsT(tr).Read(to, fh, offset, count)
+		d, eof, c, err = m.n.nfsT(tr).ReadInto(to, fh, offset, count, dst)
 		return c, err
 	})
 	if err == nil && from == m.n.addr {
-		c = simnet.Seq(c, loopbackXfer(len(d)))
+		c = simnet.Seq(c, loopbackXfer(len(d)-len(dst)))
 	}
 	return d, eof, simnet.Seq(total, c), err
 }

@@ -177,8 +177,10 @@ func (m *Mount) writeFileIn(tr *obs.Trace, de *ventry, name string, data []byte)
 // virtual handle, and its bytes are the reply frame's. A longer file reads on
 // to EOF rather than trusting the looked-up size, so a concurrent append
 // through another node can never truncate the result; the size only presizes
-// the buffer. With replica reads on the walk asks for nothing, and the first
-// READ rotates across the holders as every other one does.
+// the buffer, and each later chunk is read in place, into the room left in
+// it (ReadInto), so its bytes are allocated once. A stale size costs a
+// regrow, not a READ. With replica reads on the walk asks for nothing, and
+// the first READ rotates across the holders as every other one does.
 func (m *Mount) ReadFile(vpath string) ([]byte, simnet.Cost, error) {
 	const chunk = 1 << 20
 	var want uint32 = chunk
@@ -203,13 +205,14 @@ func (m *Mount) ReadFile(vpath string) ([]byte, simnet.Cost, error) {
 	}
 	data = append(data, w.Data...)
 	for {
-		d, eof, c, err := m.Read(vh, int64(len(data)), chunk)
+		n := len(data)
+		d, eof, c, err := m.ReadInto(vh, int64(n), chunk, data)
 		total = simnet.Seq(total, c)
 		if err != nil {
 			return nil, total, err
 		}
-		data = append(data, d...)
-		if eof || len(d) == 0 {
+		data = d
+		if eof || len(d) == n {
 			return data, total, nil
 		}
 	}

@@ -157,13 +157,15 @@ func (m *Mount) release(tr *obs.Trace, vh VH) (simnet.Cost, error) {
 
 // --- readahead ---
 
-// readAhead serves a Read through the handle's sliding window. A hit on the
-// prefetched buffer costs only the interposition constant plus the loopback
-// copy; a miss at the sequential cursor fetches the next window with one
-// pipelined READSTREAM (fanned out across replica holders when replica
-// reads are on); any other miss — a seek — cancels the window and falls
-// back to a plain stop-and-wait READ.
-func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+// readAhead serves a Read through the handle's sliding window, appending to
+// dst (ReadInto). A hit on the prefetched buffer costs only the
+// interposition constant plus the loopback copy; a miss at the sequential
+// cursor fetches the next window with one pipelined READSTREAM (fanned out
+// across replica holders when replica reads are on); any other miss — a
+// seek — cancels the window and falls back to a plain stop-and-wait READ.
+// Bytes served from the window are copied into dst, or with a nil dst are
+// the window's own.
+func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int, dst []byte) ([]byte, bool, simnet.Cost, error) {
 	st := m.streamOf(vh, true)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -172,17 +174,17 @@ func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int) ([]byte
 		// interposition constant, the same convention the attribute cache
 		// uses (forwarded READs don't charge the loopback leg either).
 		m.n.raHits.Add(1)
-		return data, eof, InterposeCost, nil
+		return appendData(dst, data), eof, InterposeCost, nil
 	}
 	if w := st.discard(); w > 0 {
 		m.n.raWasted.Add(uint64(w))
 	}
 	sequential := offset == st.nextOff
-	var data []byte
+	data := dst
 	var eof bool
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (c simnet.Cost, err error) {
 		if de.kind != localfs.TypeRegular || !sequential {
-			data, eof, c, err = m.readAt(tr, de, st, offset, count)
+			data, eof, c, err = m.readAt(tr, de, st, offset, count, dst)
 			return c, err
 		}
 		c, ferr := m.fillWindow(tr, de, st, offset)
@@ -190,17 +192,25 @@ func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int) ([]byte
 			return c, ferr
 		}
 		d, e, _ := st.serve(offset, count)
-		data, eof = d, e
+		data, eof = appendData(dst, d), e
 		if de.node == m.n.addr {
 			c = simnet.Seq(c, loopbackXfer(len(d)))
 		}
 		return c, nil
 	})
 	if err != nil {
-		return nil, false, cost, err
+		return dst, false, cost, err
 	}
-	st.nextOff = offset + int64(len(data))
+	st.nextOff = offset + int64(len(data)-len(dst))
 	return data, eof, cost, nil
+}
+
+// appendData is data appended to dst, or data itself when there is no dst.
+func appendData(dst, data []byte) []byte {
+	if dst == nil {
+		return data
+	}
+	return append(dst, data...)
 }
 
 // fillWindow fetches one readahead window of repl.PushChunk-sized chunks

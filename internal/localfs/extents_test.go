@@ -86,8 +86,9 @@ func TestPieceCountStaysBounded(t *testing.T) {
 		total, piece int
 	}{{24 << 20, 32 << 10}, {1 << 20, 1}} {
 		var x extents
+		buf := make([]byte, c.piece)
 		for x.size() < int64(c.total) {
-			x.resize(x.size() + int64(c.piece))
+			x.write(buf, x.size())
 		}
 		if n, limit := len(x.list), c.total>>20+64; n > limit {
 			t.Errorf("%d bytes grown %d at a time: %d pieces, want <= %d", c.total, c.piece, n, limit)
@@ -99,14 +100,15 @@ func TestPieceCountStaysBounded(t *testing.T) {
 // allocation sized to its data — no separate extent-list header.
 func TestOneExtentFileHasNoHeader(t *testing.T) {
 	var x extents
+	data := make([]byte, 4096)
 	racetest.SkipAllocs(t)
 	if n := testing.AllocsPerRun(100, func() {
 		x.resize(0)
-		x.resize(4096)
+		x.write(data, 0)
 	}); n != 1 {
 		t.Errorf("a 4 KiB file costs %.0f allocations, want 1", n)
 	}
-	if c := cap(x.list[0]); c != 4096 {
+	if c := cap(x.list[0].b); c != 4096 {
 		t.Errorf("a 4 KiB file holds a %d-byte extent, want 4096", c)
 	}
 }
@@ -127,7 +129,7 @@ func TestTruncateThenExtendReadsZeros(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c := cap(f.file(a).data.list[0]); c < 9000 {
+	if c := cap(f.file(a).data.list[0].b); c < 9000 {
 		t.Fatalf("the truncated piece kept %d bytes of capacity; the test needs >= 9000", c)
 	}
 	got, _, _, _ := f.Read(a.Ino, 0, 9000)
@@ -167,15 +169,18 @@ func TestCorruptFileLaterPiece(t *testing.T) {
 // FuzzExtents drives one file through writes (in place, appending and
 // sparse), truncations, extensions and CorruptFile, checking every step
 // against a flat []byte model. Each op is five bytes: a kind and two
-// 16-bit arguments.
+// 16-bit arguments. The zeros an extension or a sparse write adds are holes:
+// the pieces never hold more bytes than the ops wrote into the file.
 func FuzzExtents(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0x27, 0x10, 2, 0x02, 0xEE, 0, 0, 3, 0x08, 0xCA, 0, 0})          // write 10000, truncate, extend: zeros from reused capacity
 	f.Add([]byte{1, 0, 0, 0x80, 0, 1, 0, 0, 0x80, 0, 1, 0, 0, 0x18, 0, 4, 0x41, 0, 0, 0}) // 32+32+6 KiB, corrupt the third piece
 	f.Add([]byte{0, 0x40, 0, 0, 0x10, 0, 0, 0x10, 0xFF, 0xFF, 2, 0, 0x01, 0, 0, 1, 0, 0, 0, 1})
+	f.Add([]byte{3, 0xFF, 0xFF, 0, 0, 0, 0x20, 0, 0, 0x10, 4, 0x30, 0, 0, 0, 0, 0x80, 0, 0, 0x08, 2, 0x30, 0x01, 0, 0}) // a hole written into, flipped in, truncated inside
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		fs := newFS(0)
 		a := mustCreate(t, fs, RootIno, "f")
 		var model []byte
+		written := 0 // bytes the ops stored: an upper bound on what pieces hold
 		grow := func(size int) {
 			if size > len(model) {
 				model = append(model, make([]byte, size-len(model))...)
@@ -195,6 +200,7 @@ func FuzzExtents(f *testing.F) {
 				}
 				grow(off + y)
 				copy(model[off:], data)
+				written += y
 			case 2, 3: // truncate to min(4x, size), or set the size to 4x
 				size := 4 * x
 				if ops[0]%5 == 2 {
@@ -214,14 +220,22 @@ func FuzzExtents(f *testing.F) {
 					t.Fatal(err)
 				}
 				model[4*x%len(model)] ^= 0xFF
+				written++
 			}
 			ext := &fs.file(a).data
-			sum := int64(0)
+			sum, held := int64(0), 0
 			for _, p := range ext.list {
-				sum += int64(len(p))
+				sum += p.len()
+				held += len(p.b)
+				if (p.b == nil) == (p.hole == 0) || len(p.b) == 0 && p.b != nil {
+					t.Fatalf("a piece of %d bytes and a %d-byte hole", len(p.b), p.hole)
+				}
 			}
 			if sum != ext.size() || ext.size() != int64(len(model)) {
 				t.Fatalf("size %d, pieces hold %d, model %d", ext.size(), sum, len(model))
+			}
+			if held > written {
+				t.Fatalf("pieces hold %d bytes, but only %d were written: a zero was allocated", held, written)
 			}
 			got, _, _, err := fs.Read(a.Ino, 0, len(model))
 			if err != nil || !bytes.Equal(got, model) {
@@ -263,4 +277,49 @@ func FuzzCleanPath(f *testing.F) {
 			t.Fatalf("CleanPath(%q) = %q, want %q", p, got, want)
 		}
 	})
+}
+
+// TestHoleHoldsNoBytes: a write of no bytes far past the end, a write that
+// starts past it and a size set past it leave holes that allocate nothing,
+// and a write into a hole allocates only its own bytes, while the quota
+// counts every byte the file's size stands for. A hole reads back as zeros
+// written into the reader's buffer, whatever that buffer held.
+func TestHoleHoldsNoBytes(t *testing.T) {
+	f := newFS(0)
+	a := mustCreate(t, f, RootIno, "sparse")
+	const size = MaxFileSize
+	got := allocatedBytes(func() {
+		if _, _, err := f.Write(a.Ino, 0xe0000003, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := f.Write(a.Ino, size-5, []byte("tail")); err != nil {
+			t.Fatal(err)
+		}
+		sz := int64(size)
+		if _, _, err := f.Setattr(a.Ino, SetAttr{Size: &sz}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := f.Write(a.Ino, 1<<30, []byte("middle")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 4<<10 {
+		t.Errorf("a %d-byte sparse file holding 10 written bytes allocated %d bytes", int64(size), got)
+	}
+	if st, _, _ := f.Statfs(); st.UsedBytes != size {
+		t.Errorf("the store charges %d bytes for a %d-byte file", st.UsedBytes, int64(size))
+	}
+	for _, c := range []struct {
+		off  int64
+		want []byte
+	}{
+		{1<<30 - 10, append(append(make([]byte, 10), "middle"...), make([]byte, 14)...)},
+		{size - 8, append(make([]byte, 3), "tail\x00"...)},
+	} {
+		dst := bytes.Repeat([]byte{0xFF}, 64)
+		out, _, _, err := f.AppendRead(dst[:0], a.Ino, c.off, len(c.want), 1)
+		if err != nil || !bytes.Equal(out, c.want) || &out[0] != &dst[0] {
+			t.Errorf("read at %d into a dirty buffer: %q (err %v), want %q in place", c.off, out, err, c.want)
+		}
+	}
 }

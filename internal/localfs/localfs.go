@@ -139,27 +139,43 @@ const (
 // a byte-at-a-time writer gets amortised slack, and a big file settles at
 // about one piece per MiB, plus the 60-95 that growing to 16 MiB adds. A
 // file that fits one piece lives in a slot inside its inode: no header
-// allocation.
+// allocation. Zeros the file was extended by — a size set past the end, a
+// write past the end — are a hole: a piece that records its length and holds
+// no bytes, so a sparse file costs what was written into it, and a write
+// into a hole allocates only the bytes it writes.
 type extents struct {
-	list [][]byte
-	one  [1][]byte // backs list while the file is one piece
-	n    int64     // total bytes
+	list []piece
+	one  [1]piece // backs list while the file is one piece
+	n    int64    // total bytes
+}
+
+// piece is one stretch of a file: its bytes, or a hole of zeros.
+type piece struct {
+	b    []byte // the stretch's bytes; nil in a hole
+	hole int64  // a hole's length
+}
+
+func (p piece) len() int64 {
+	if p.b == nil {
+		return p.hole
+	}
+	return int64(len(p.b))
 }
 
 func (x *extents) size() int64 { return x.n }
 
 // at locates byte off, which must lie within the file: it returns the index
 // of the piece holding it and off's position in that piece.
-func (x *extents) at(off int64) (int, int) {
+func (x *extents) at(off int64) (int, int64) {
 	i := 0
-	for off >= int64(len(x.list[i])) {
-		off -= int64(len(x.list[i]))
+	for off >= x.list[i].len() {
+		off -= x.list[i].len()
 		i++
 	}
-	return i, int(off)
+	return i, off
 }
 
-// resize truncates or zero-extends the file to size bytes.
+// resize truncates the file to size bytes, or extends it with a hole.
 func (x *extents) resize(size int64) {
 	switch {
 	case size == 0:
@@ -168,46 +184,89 @@ func (x *extents) resize(size int64) {
 		i, o := x.at(size - 1)
 		clear(x.list[i+1:]) // release the dropped pieces
 		x.list = x.list[:i+1]
-		x.list[i] = x.list[i][:o+1]
+		if p := &x.list[i]; p.b != nil {
+			p.b = p.b[:o+1]
+		} else {
+			p.hole = o + 1
+		}
 		x.n = size
 	case size > x.n:
-		x.grow(size - x.n)
+		x.addHole(size - x.n)
 	}
 }
 
-// grow appends add zero bytes. Spare capacity may hold bytes a truncation cut
-// off, so it is cleared as it is taken.
-func (x *extents) grow(add int64) {
-	if k := len(x.list); k > 0 {
-		t := x.list[k-1]
-		m := int(min(add, int64(cap(t)-len(t))))
-		x.list[k-1] = t[:len(t)+m]
-		clear(x.list[k-1][len(t):])
-		x.n += int64(m)
-		add -= int64(m)
+// addHole appends n zero bytes as a hole, joined to a hole that ends the file.
+func (x *extents) addHole(n int64) {
+	if k := len(x.list); k > 0 && x.list[k-1].b == nil {
+		x.list[k-1].hole += n
+	} else {
+		x.push(piece{hole: n})
 	}
-	if add == 0 {
-		return
-	}
-	c := add
-	if x.n > 0 {
-		c = max(add, min(max(x.n/16, minSlack), maxSlack))
-	}
+	x.n += n
+}
+
+func (x *extents) push(p piece) {
 	if x.list == nil {
 		x.list = x.one[:0]
 	}
-	x.list = append(x.list, make([]byte, add, c))
-	x.n += add
+	x.list = append(x.list, p)
 }
 
-// readAt fills dst from offset off; the caller keeps off+len(dst) within the
-// file. writeAt is its mirror image.
+// write stores src at off: it overwrites the stretch of the file it covers,
+// holes included, and appends the rest, after a hole when off lies past the
+// end.
+func (x *extents) write(src []byte, off int64) {
+	if off > x.n {
+		x.addHole(off - x.n)
+	}
+	k := int(min(int64(len(src)), x.n-off))
+	x.writeAt(src[:k], off)
+	x.appendBytes(src[k:])
+}
+
+// appendBytes appends src to the file: into the last piece's spare capacity
+// first, which may hold bytes a truncation cut off and so is overwritten,
+// then as one new piece, with the append slack when it continues the bytes
+// of the last piece rather than an empty file or a hole.
+func (x *extents) appendBytes(src []byte) {
+	k := len(x.list)
+	tail := k > 0 && x.list[k-1].b != nil
+	if tail {
+		t := x.list[k-1].b
+		m := min(len(src), cap(t)-len(t))
+		x.list[k-1].b = append(t, src[:m]...)
+		x.n += int64(m)
+		src = src[m:]
+	}
+	if len(src) == 0 {
+		return
+	}
+	c := len(src)
+	if tail {
+		c = max(c, int(min(max(x.n/16, minSlack), maxSlack)))
+	}
+	b := make([]byte, len(src), c)
+	copy(b, src)
+	x.push(piece{b: b})
+	x.n += int64(len(src))
+}
+
+// readAt fills dst from offset off, writing a hole's zeros as zeros: dst may
+// be a reader's buffer, not fresh memory. The caller keeps off+len(dst)
+// within the file. writeAt is its mirror image, for a stretch within the
+// file.
 func (x *extents) readAt(dst []byte, off int64) {
 	if len(dst) == 0 {
 		return
 	}
 	for i, o := x.at(off); len(dst) > 0; i, o = i+1, 0 {
-		dst = dst[copy(dst, x.list[i][o:]):]
+		if p := x.list[i]; p.b != nil {
+			dst = dst[copy(dst, p.b[o:]):]
+		} else {
+			m := int(min(int64(len(dst)), p.hole-o))
+			clear(dst[:m])
+			dst = dst[m:]
+		}
 	}
 }
 
@@ -216,8 +275,34 @@ func (x *extents) writeAt(src []byte, off int64) {
 		return
 	}
 	for i, o := x.at(off); len(src) > 0; i, o = i+1, 0 {
-		src = src[copy(x.list[i][o:], src):]
+		p := x.list[i]
+		if p.b != nil {
+			src = src[copy(p.b[o:], src):]
+			continue
+		}
+		m := int(min(int64(len(src)), p.hole-o))
+		i = x.fill(i, o, src[:m])
+		src = src[m:]
 	}
+}
+
+// fill writes src into the hole at index i, o bytes in: the stretch written
+// becomes a piece of its own, allocated to its size, between what is left
+// of the hole on either side. It returns the new piece's index.
+func (x *extents) fill(i int, o int64, src []byte) int {
+	rest := x.list[i].hole - o - int64(len(src))
+	var ps [3]piece
+	n := 0
+	if o > 0 {
+		ps[n], n = piece{hole: o}, n+1
+	}
+	at := i + n
+	ps[n], n = piece{b: append(make([]byte, 0, len(src)), src...)}, n+1
+	if rest > 0 {
+		ps[n], n = piece{hole: rest}, n+1
+	}
+	x.list = slices.Replace(x.list, i, i+1, ps[:n]...)
+	return at
 }
 
 func (in *inode) nlink() uint32 {
@@ -784,9 +869,8 @@ func (f *FS) Write(ino uint64, offset int64, data []byte) (int, simnet.Cost, err
 		if err := f.charge(grow); err != nil {
 			return 0, f.disk.OpCost(0), err
 		}
-		in.data.resize(end)
 	}
-	in.data.writeAt(data, offset)
+	in.data.write(data, offset)
 	in.mtime = f.now()
 	f.noteInode(in)
 	return len(data), cost, nil
@@ -1212,8 +1296,11 @@ func (f *FS) CorruptFile(p string, off int64) error {
 	if i < 0 {
 		i += size
 	}
-	k, o := cur.data.at(i)
-	cur.data.list[k][o] ^= 0xFF
+	if k, o := cur.data.at(i); cur.data.list[k].b != nil {
+		cur.data.list[k].b[o] ^= 0xFF
+	} else {
+		cur.data.writeAt([]byte{0xFF}, i) // a flipped zero in a hole
+	}
 	return nil
 }
 

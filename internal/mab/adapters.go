@@ -9,46 +9,64 @@ import (
 	"repro/internal/localfs"
 	"repro/internal/nfs"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
+
+// known is what an adapter keeps of one path: its handle and, for a file,
+// the last size it learnt, as a kernel client's inode keeps it. A size is
+// only a hint that presizes a ReadFile's buffer.
+type known[H any] struct {
+	h    H
+	size int64
+}
+
+// handles is an adapter's cache of known paths.
+type handles[H any] struct {
+	mu sync.Mutex
+	m  map[string]known[H]
+}
+
+func newHandles[H any](root H) handles[H] {
+	return handles[H]{m: map[string]known[H]{"/": {h: root}}}
+}
+
+func (t *handles[H]) cached(p string) (known[H], bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	k, ok := t.m[p]
+	return k, ok
+}
+
+func (t *handles[H]) remember(p string, h H, size int64) {
+	t.mu.Lock()
+	t.m[p] = known[H]{h: h, size: size}
+	t.mu.Unlock()
+}
 
 // KoshaFS drives the benchmark through a Kosha mount. Directory and file
 // handles are cached across operations, as the kernel NFS client above
-// koshad would cache them.
+// koshad would cache them, each file's beside the size it last saw.
 type KoshaFS struct {
 	M *core.Mount
 
-	mu  sync.Mutex
-	vhs map[string]core.VH
+	vhs handles[core.VH]
 }
 
 // NewKoshaFS wraps a mount.
 func NewKoshaFS(m *core.Mount) *KoshaFS {
-	return &KoshaFS{M: m, vhs: map[string]core.VH{"/": m.Root()}}
+	return &KoshaFS{M: m, vhs: newHandles(m.Root())}
 }
 
-func (k *KoshaFS) cached(p string) (core.VH, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	vh, ok := k.vhs[p]
-	return vh, ok
-}
-
-func (k *KoshaFS) remember(p string, vh core.VH) {
-	k.mu.Lock()
-	k.vhs[p] = vh
-	k.mu.Unlock()
-}
-
-func (k *KoshaFS) handle(p string) (core.VH, simnet.Cost, error) {
-	if vh, ok := k.cached(p); ok {
-		return vh, 0, nil
+func (k *KoshaFS) handle(p string) (known[core.VH], simnet.Cost, error) {
+	if f, ok := k.vhs.cached(p); ok {
+		return f, 0, nil
 	}
-	vh, _, cost, err := k.M.LookupPath(p)
+	vh, attr, cost, err := k.M.LookupPath(p)
 	if err != nil {
-		return 0, cost, err
+		return known[core.VH]{}, cost, err
 	}
-	k.remember(p, vh)
-	return vh, cost, nil
+	k.vhs.remember(p, vh, attr.Size)
+	return known[core.VH]{h: vh, size: attr.Size}, cost, nil
 }
 
 // MkdirAll implements FS, walking with cached handles like a kernel NFS
@@ -63,8 +81,8 @@ func (k *KoshaFS) MkdirAll(p string) (simnet.Cost, error) {
 			continue
 		}
 		next := path.Join(walked, part)
-		if vh, ok := k.cached(next); ok {
-			cur, walked = vh, next
+		if f, ok := k.vhs.cached(next); ok {
+			cur, walked = f.h, next
 			continue
 		}
 		vh, _, c, err := k.M.Lookup(cur, part)
@@ -79,7 +97,7 @@ func (k *KoshaFS) MkdirAll(p string) (simnet.Cost, error) {
 				return total, err
 			}
 		}
-		k.remember(next, vh)
+		k.vhs.remember(next, vh, 0)
 		cur, walked = vh, next
 	}
 	return total, nil
@@ -88,16 +106,16 @@ func (k *KoshaFS) MkdirAll(p string) (simnet.Cost, error) {
 // WriteFile implements FS with ChunkSize writes.
 func (k *KoshaFS) WriteFile(p string, data []byte) (simnet.Cost, error) {
 	dir := path.Dir(localfs.CleanPath(p))
-	dirVH, total, err := k.handle(dir)
+	d, total, err := k.handle(dir)
 	if err != nil {
 		return total, err
 	}
-	fvh, _, c, err := k.M.Create(dirVH, path.Base(p), 0o644, false)
+	fvh, _, c, err := k.M.Create(d.h, path.Base(p), 0o644, false)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		return total, err
 	}
-	k.remember(localfs.CleanPath(p), fvh)
+	k.vhs.remember(localfs.CleanPath(p), fvh, int64(len(data)))
 	for off := 0; off < len(data); off += ChunkSize {
 		end := min(off+ChunkSize, len(data))
 		_, c, err := k.M.Write(fvh, int64(off), data[off:end])
@@ -109,24 +127,28 @@ func (k *KoshaFS) WriteFile(p string, data []byte) (simnet.Cost, error) {
 	return total, nil
 }
 
-// ReadFile implements FS with ChunkSize reads.
+// ReadFile implements FS with ChunkSize reads into one buffer.
 func (k *KoshaFS) ReadFile(p string) ([]byte, simnet.Cost, error) {
-	fvh, total, err := k.handle(localfs.CleanPath(p))
+	f, total, err := k.handle(localfs.CleanPath(p))
 	if err != nil {
 		return nil, total, err
 	}
-	return gather(total, func(off int64) ([]byte, bool, simnet.Cost, error) {
-		return k.M.Read(fvh, off, ChunkSize)
+	return gather(total, f.size, func(off int64, dst []byte) ([]byte, bool, simnet.Cost, error) {
+		return k.M.ReadInto(f.h, off, ChunkSize, dst)
 	})
 }
 
 // Stat implements FS.
 func (k *KoshaFS) Stat(p string) (simnet.Cost, error) {
-	fvh, total, err := k.handle(localfs.CleanPath(p))
+	p = localfs.CleanPath(p)
+	f, total, err := k.handle(p)
 	if err != nil {
 		return total, err
 	}
-	_, c, err := k.M.Getattr(fvh)
+	attr, c, err := k.M.Getattr(f.h)
+	if err == nil {
+		k.vhs.remember(p, f.h, attr.Size)
+	}
 	return simnet.Seq(total, c), err
 }
 
@@ -138,54 +160,40 @@ type NFSFS struct {
 	Server simnet.Addr
 	Root   nfs.Handle
 
-	mu  sync.Mutex
-	fhs map[string]nfs.Handle
+	fhs handles[nfs.Handle]
 }
 
 // NewNFSFS wraps a client and the server's root handle.
 func NewNFSFS(c nfs.Client, server simnet.Addr, root nfs.Handle) *NFSFS {
-	return &NFSFS{C: c, Server: server, Root: root, fhs: map[string]nfs.Handle{"/": root}}
-}
-
-func (n *NFSFS) cached(p string) (nfs.Handle, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h, ok := n.fhs[p]
-	return h, ok
-}
-
-func (n *NFSFS) remember(p string, h nfs.Handle) {
-	n.mu.Lock()
-	n.fhs[p] = h
-	n.mu.Unlock()
+	return &NFSFS{C: c, Server: server, Root: root, fhs: newHandles(root)}
 }
 
 // handle resolves a path with per-component LOOKUPs, caching like the
 // kernel's dentry cache.
-func (n *NFSFS) handle(p string) (nfs.Handle, simnet.Cost, error) {
+func (n *NFSFS) handle(p string) (known[nfs.Handle], simnet.Cost, error) {
 	p = localfs.CleanPath(p)
-	if h, ok := n.cached(p); ok {
-		return h, 0, nil
+	if f, ok := n.fhs.cached(p); ok {
+		return f, 0, nil
 	}
 	var total simnet.Cost
-	cur := n.Root
+	cur := known[nfs.Handle]{h: n.Root}
 	walked := "/"
 	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
 		if part == "" {
 			continue
 		}
 		next := path.Join(walked, part)
-		if h, ok := n.cached(next); ok {
-			cur, walked = h, next
+		if f, ok := n.fhs.cached(next); ok {
+			cur, walked = f, next
 			continue
 		}
-		h, _, c, err := n.C.Lookup(n.Server, cur, part)
+		h, attr, c, err := n.C.Lookup(n.Server, cur.h, part)
 		total = simnet.Seq(total, c)
 		if err != nil {
-			return nfs.Handle{}, total, err
+			return known[nfs.Handle]{}, total, err
 		}
-		n.remember(next, h)
-		cur, walked = h, next
+		n.fhs.remember(next, h, attr.Size)
+		cur, walked = known[nfs.Handle]{h: h, size: attr.Size}, next
 	}
 	return cur, total, nil
 }
@@ -201,8 +209,8 @@ func (n *NFSFS) MkdirAll(p string) (simnet.Cost, error) {
 			continue
 		}
 		next := path.Join(walked, part)
-		if h, ok := n.cached(next); ok {
-			cur, walked = h, next
+		if f, ok := n.fhs.cached(next); ok {
+			cur, walked = f.h, next
 			continue
 		}
 		h, _, c, err := n.C.Lookup(n.Server, cur, part)
@@ -217,7 +225,7 @@ func (n *NFSFS) MkdirAll(p string) (simnet.Cost, error) {
 				return total, err
 			}
 		}
-		n.remember(next, h)
+		n.fhs.remember(next, h, 0)
 		cur, walked = h, next
 	}
 	return total, nil
@@ -226,16 +234,16 @@ func (n *NFSFS) MkdirAll(p string) (simnet.Cost, error) {
 // WriteFile implements FS with ChunkSize writes.
 func (n *NFSFS) WriteFile(p string, data []byte) (simnet.Cost, error) {
 	p = localfs.CleanPath(p)
-	dirH, total, err := n.handle(path.Dir(p))
+	dir, total, err := n.handle(path.Dir(p))
 	if err != nil {
 		return total, err
 	}
-	fh, _, c, err := n.C.Create(n.Server, dirH, path.Base(p), 0o644, false)
+	fh, _, c, err := n.C.Create(n.Server, dir.h, path.Base(p), 0o644, false)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		return total, err
 	}
-	n.remember(p, fh)
+	n.fhs.remember(p, fh, int64(len(data)))
 	for off := 0; off < len(data); off += ChunkSize {
 		end := min(off+ChunkSize, len(data))
 		_, c, err := n.C.Write(n.Server, fh, int64(off), data[off:end])
@@ -247,53 +255,52 @@ func (n *NFSFS) WriteFile(p string, data []byte) (simnet.Cost, error) {
 	return total, nil
 }
 
-// ReadFile implements FS with ChunkSize reads.
+// ReadFile implements FS with ChunkSize reads into one buffer.
 func (n *NFSFS) ReadFile(p string) ([]byte, simnet.Cost, error) {
-	fh, total, err := n.handle(p)
+	f, total, err := n.handle(p)
 	if err != nil {
 		return nil, total, err
 	}
-	return gather(total, func(off int64) ([]byte, bool, simnet.Cost, error) {
-		return n.C.Read(n.Server, fh, off, ChunkSize)
+	return gather(total, f.size, func(off int64, dst []byte) ([]byte, bool, simnet.Cost, error) {
+		return n.C.ReadInto(n.Server, f.h, off, ChunkSize, dst)
 	})
 }
 
-// gather reads a whole file one ChunkSize READ at a time from offset 0,
-// adding each READ's cost to total. A file that fits one chunk comes back as
-// the READ reply's own bytes, which the caller owns (DESIGN §10's borrow
-// rule); a longer one is copied once into a buffer sized from the chunks.
-func gather(total simnet.Cost, read func(off int64) ([]byte, bool, simnet.Cost, error)) ([]byte, simnet.Cost, error) {
-	chunks := make([][]byte, 0, 4)
-	size := 0
+// gather reads a whole file one ChunkSize READ at a time from offset 0 to
+// EOF, adding each READ's cost to total. The READs append into one buffer
+// presized from the size hint, so each chunk is read in place (ReadInto) and
+// the file's bytes are allocated once; a stale hint costs a regrow, never a
+// READ. With no hint the first chunk is the READ reply's own bytes, which
+// the caller owns (DESIGN §10's borrow rule), and later ones append to it.
+func gather(total simnet.Cost, hint int64, read func(off int64, dst []byte) ([]byte, bool, simnet.Cost, error)) ([]byte, simnet.Cost, error) {
+	var buf []byte
+	if hint > 0 && hint <= wire.MaxOpaque {
+		buf = make([]byte, 0, hint)
+	}
 	for {
-		data, eof, c, err := read(int64(size))
+		data, eof, c, err := read(int64(len(buf)), buf)
 		total = simnet.Seq(total, c)
 		if err != nil {
 			return nil, total, err
 		}
-		chunks = append(chunks, data)
-		size += len(data)
+		buf = data
 		if eof {
-			break
+			return buf, total, nil
 		}
 	}
-	if len(chunks) == 1 {
-		return chunks[0], total, nil
-	}
-	out := make([]byte, 0, size)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out, total, nil
 }
 
 // Stat implements FS.
 func (n *NFSFS) Stat(p string) (simnet.Cost, error) {
-	fh, total, err := n.handle(p)
+	p = localfs.CleanPath(p)
+	f, total, err := n.handle(p)
 	if err != nil {
 		return total, err
 	}
-	_, c, err := n.C.Getattr(n.Server, fh)
+	attr, c, err := n.C.Getattr(n.Server, f.h)
+	if err == nil {
+		n.fhs.remember(p, f.h, attr.Size)
+	}
 	return simnet.Seq(total, c), err
 }
 

@@ -2,11 +2,13 @@ package mab
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/nfs"
+	"repro/internal/racetest"
 	"repro/internal/simnet"
 )
 
@@ -107,6 +109,47 @@ func TestRunIsDeterministicPerSeedAndFS(t *testing.T) {
 	for _, p := range Phases {
 		if r1.Phase[p] != r2.Phase[p] {
 			t.Fatalf("phase %v differs across identical runs: %v vs %v", p, r1.Phase[p], r2.Phase[p])
+		}
+	}
+}
+
+// TestReadFileAllocatesTheFileOnce: a KoshaFS knows the size of a file it
+// wrote, so its ReadFile reads every chunk in place, into one buffer of that
+// size: a three-chunk file allocates its size and the READs' codecs, under
+// 4 KiB more, where it allocated three reply frames and the buffer they were
+// joined into. NFSFS does the same against its server.
+func TestReadFileAllocatesTheFileOnce(t *testing.T) {
+	c, err := cluster.New(cluster.Options{Nodes: 4, Seed: 61, Config: core.Config{Replicas: 1, TraceBufSize: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 2*ChunkSize+8<<10) // 72 KiB: 32 + 32 + 8
+	for i := range data {
+		data[i] = byte(i * 5)
+	}
+	for _, fs := range []FS{NewKoshaFS(c.Mount(0)), NewBaseline(simnet.LAN100, simnet.Disk7200)} {
+		if _, err := fs.MkdirAll("/r"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.WriteFile("/r/f", data); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := fs.ReadFile("/r/f")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%T: %d bytes err=%v", fs, len(got), err)
+		}
+		racetest.SkipAllocs(t)
+		const reads = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reads; i++ {
+			if _, _, err := fs.ReadFile("/r/f"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / reads; per > uint64(len(data))+4<<10 {
+			t.Errorf("%T: ReadFile of a %d-byte file allocated %d bytes, want <= its size + 4 KiB", fs, len(data), per)
 		}
 	}
 }

@@ -145,9 +145,10 @@ func (c Client) ResetStats() {
 // A call allocates one object, a wire.Codec: the encoder and the decoder,
 // which escape through build and the returned decoder, the array a request
 // head of up to 264 bytes is encoded into and the record of the one body a
-// WRITE lends; only a larger head grows a frame of its own. The request
-// frame is lent for the call (wire.Lend), so WRITE data goes out from the
-// caller's buffer.
+// WRITE lends or the sink a READ lends; only a larger head grows a frame of
+// its own. The request frame is lent for the call (wire.Lend), so WRITE data
+// goes out from the caller's buffer, and the decoder reads the reply frame
+// wire.ReplyOf gives, so READ data the server put in the sink is read there.
 func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
 	x := wire.NewCodec()
 	e := &x.E
@@ -160,15 +161,17 @@ func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wir
 	c.s.rpcs.Add(1)
 	f := e.Frame()
 	c.s.bytes.Add(uint64(f.Len()))
-	resp, cost, err := c.s.net.CallCtx(c.tc, c.s.from, to, Service, wire.Lend(f))
+	req := wire.Lend(f)
+	resp, cost, err := c.s.net.CallCtx(c.tc, c.s.from, to, Service, req)
+	reply := wire.ReplyOf(req, resp)
 	wire.EndLend(f)
 	lat.Observe(time.Duration(cost))
-	c.s.bytes.Add(uint64(len(resp)))
+	c.s.bytes.Add(uint64(reply.Len()))
 	if err != nil {
 		return nil, cost, fmt.Errorf("nfs %s to %s: %w", proc, to, err)
 	}
 	d := &x.D
-	d.Reset(resp)
+	d.ResetFrame(reply)
 	st := Status(d.Uint32())
 	if d.Err() != nil {
 		return nil, cost, fmt.Errorf("nfs %s to %s: bad reply: %w", proc, to, d.Err())
@@ -276,16 +279,44 @@ func (c Client) Readlink(to simnet.Addr, h Handle) (string, simnet.Cost, error) 
 // Read returns up to count bytes of h at offset. The data is the reply
 // frame's own bytes, handed to the caller: nothing else holds the frame.
 func (c Client) Read(to simnet.Addr, h Handle, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+	return c.ReadInto(to, h, offset, count, nil)
+}
+
+// ReadInto appends up to count bytes of h at offset to dst and returns the
+// extended slice, as append does. dst's spare capacity is lent to the
+// request as its sink (wire.Encoder.LendSink): a server that shares the
+// caller's memory and finds room there for the bytes it reads puts them
+// straight into it, and any other reply's bytes are copied in, so over
+// tcpnet it is one copy out of the reply frame. With a nil dst nothing is
+// lent and the data is the reply frame's own bytes, as Read's. A reply
+// longer than count is a bad reply and leaves dst's storage untouched.
+func (c Client) ReadInto(to simnet.Addr, h Handle, offset int64, count int, dst []byte) ([]byte, bool, simnet.Cost, error) {
 	d, cost, err := c.call(to, ProcRead, func(e *wire.Encoder) {
 		putHandle(e, h)
 		e.PutInt64(offset)
 		e.PutUint32(uint32(count))
+		if dst != nil {
+			e.LendSink(dst)
+		}
 	})
 	if err != nil {
-		return nil, false, cost, err
+		return dst, false, cost, err
 	}
 	eof := d.Bool()
-	return d.OpaqueRef(), eof, cost, nil
+	data := d.OpaqueRef()
+	if d.Err() != nil {
+		return dst, false, cost, fmt.Errorf("nfs READ to %s: bad reply: %w", to, d.Err())
+	}
+	if len(data) > count {
+		return dst, false, cost, fmt.Errorf("nfs READ to %s: bad reply: %d bytes for a count of %d", to, len(data), count)
+	}
+	if dst == nil {
+		return data, eof, cost, nil
+	}
+	if n := len(dst); len(data) > 0 && n < cap(dst) && &data[0] == &dst[:n+1][n] {
+		return dst[:n+len(data)], eof, cost, nil // the server filled the sink
+	}
+	return append(dst, data...), eof, cost, nil
 }
 
 // ReadStream reads up to chunks consecutive chunk-byte pieces of h starting

@@ -11,9 +11,10 @@ import (
 )
 
 // recorder is a transport that delivers to one server and keeps every
-// request frame, joined, with the split of the one body it lends, so the
-// fuzz corpus is seeded with exactly what Client puts on the wire for each
-// procedure and hands the server in process.
+// request frame, joined, with the split of the one body it lends and the
+// room of the sink it lends, so the fuzz corpus is seeded with exactly what
+// Client puts on the wire for each procedure and hands the server in
+// process.
 type recorder struct {
 	srv  *Server
 	reqs []recorded
@@ -22,16 +23,33 @@ type recorder struct {
 type recorded struct {
 	req  []byte
 	lend uint32 // lendSplit's argument
+	sink uint32 // withSink's argument
 }
 
 func (r *recorder) CallCtx(_ obs.TraceContext, from, _ simnet.Addr, _ string, req []byte) ([]byte, simnet.Cost, error) {
 	f := wire.FrameOf(req)
 	rec := recorded{req: f.AppendTo(nil)}
-	if len(f.Lent) == 1 {
-		rec.lend = uint32(f.Lent[0].At)<<16 | uint32(len(f.Lent[0].Body))
+	for _, l := range f.Lent {
+		if len(l.Body) == 0 {
+			rec.sink = uint32(cap(l.Body)) + 1
+		} else {
+			rec.lend = uint32(l.At)<<16 | uint32(len(l.Body))
+		}
 	}
 	r.reqs = append(r.reqs, rec)
 	return r.srv.Handle(from, req)
+}
+
+// withSink returns f lending a sink of sink-1 bytes of room, at most 64 KiB,
+// as ReadInto lends its destination's spare capacity; sink = 0 lends none,
+// and neither does a frame with no head to lend it from.
+func withSink(f wire.Frame, sink uint32) (wire.Frame, []byte) {
+	if sink == 0 || len(f.Head) == 0 {
+		return f, nil
+	}
+	room := make([]byte, 0, min(sink-1, 64<<10))
+	f.Lent = append(f.Lent[:len(f.Lent):len(f.Lent)], wire.Lent{At: len(f.Head), Body: room})
+	return f, room
 }
 
 // lendSplit returns req as a frame that lends req[at:at+n] as a body, at and
@@ -71,10 +89,13 @@ func fuzzServer(t testing.TB) *Server {
 
 // FuzzServerHandleNoPanic drives arbitrary bytes through Server.Handle, the
 // decoder a daemon exposes to the network, split by lend into a head and a
-// lent body as an in-process client lends a WRITE's data (lendSplit). The
+// lent body as an in-process client lends a WRITE's data (lendSplit), and
+// lending a sink of sink-1 bytes as an in-process READ does (withSink). The
 // seed corpus holds one valid request per procedure, the WRITE also as the
-// client lends it, and one for a retired number; whatever the mutator makes
-// of them, the handler must answer or refuse, never panic. Run longer with
+// client lends it, READs lending a sink of no room, of less than the window
+// and of the count, and one for a retired number; whatever the mutator makes
+// of them, the handler must answer or refuse, never panic, and a reply body
+// it lends lies in the sink. Run longer with
 //
 //	go test ./internal/nfs -run '^$' -fuzz FuzzServerHandleNoPanic -fuzztime 30s
 func FuzzServerHandleNoPanic(f *testing.F) {
@@ -92,6 +113,11 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 	c.Walk("srv", root, "/d/f", 1<<20) // a reading walk: readMax after the components
 	c.Readlink("srv", link)
 	c.Read("srv", file, 1, 2)
+	// READs lending a sink of no room, of less than the window and of
+	// exactly the count.
+	for _, room := range []int{0, 1, 2} {
+		c.ReadInto("srv", file, 1, 2, make([]byte, 0, room))
+	}
 	c.Write("srv", file, 2, []byte("xy"))
 	c.Create("srv", dir, "g", 0o644, true)
 	c.Mkdir("srv", dir, "sub", 0o755)
@@ -119,17 +145,21 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 		f.Fatalf("a 2^64-byte window on a 1-byte file: %q eof=%v err=%v", data, eof, err)
 	}
 	seen := map[Proc]bool{}
-	lent := 0
+	lent, sinks := 0, 0
 	for _, r := range rec.reqs {
 		seen[Proc(wire.NewDecoder(r.req).Uint32())] = true
-		f.Add(r.req, uint32(0))
+		f.Add(r.req, uint32(0), uint32(0))
 		if r.lend != 0 {
-			f.Add(r.req, r.lend)
+			f.Add(r.req, r.lend, uint32(0))
 			lent++
 		}
+		if r.sink != 0 {
+			f.Add(r.req, uint32(0), r.sink)
+			sinks++
+		}
 	}
-	if lent != 1 {
-		f.Fatalf("%d recorded requests lend a body, want 1: the WRITE", lent)
+	if lent != 1 || sinks != 3 {
+		f.Fatalf("%d recorded requests lend a body and %d a sink, want 1 (the WRITE) and 3 (the READs into a sink)", lent, sinks)
 	}
 	for _, p := range namedProcs() {
 		if !seen[p] {
@@ -158,16 +188,23 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 		if resp, _, _ := rec.srv.Handle("cli", req); Status(wire.NewDecoder(resp).Uint32()) != ErrInval {
 			f.Fatalf("retired proc %d answered %x, want NFS3ERR_INVAL", proc, resp)
 		}
-		f.Add(req, uint32(0))
+		f.Add(req, uint32(0), uint32(0))
 	}
 
-	f.Fuzz(func(t *testing.T, req []byte, lend uint32) {
+	f.Fuzz(func(t *testing.T, req []byte, lend, sink uint32) {
 		srv := fuzzServer(t)
-		frame := lendSplit(req, lend)
-		resp, _, err := srv.Handle("fuzz", wire.Lend(frame))
+		frame, room := withSink(lendSplit(req, lend), sink)
+		head := wire.Lend(frame)
+		resp, _, err := srv.Handle("fuzz", head)
+		reply := wire.ReplyOf(head, resp)
 		wire.EndLend(frame)
-		if err != nil || len(resp) < 4 {
+		if err != nil || reply.Len() < 4 {
 			t.Fatalf("Handle(%x) = %x, %v: every request gets a status word", req, resp, err)
+		}
+		for _, l := range reply.Lent {
+			if len(l.Body) > cap(room) || &l.Body[0] != &room[:1][0] {
+				t.Fatalf("Handle(%x) lent a %d-byte reply body outside the %d-byte sink", req, len(l.Body), cap(room))
+			}
 		}
 	})
 }

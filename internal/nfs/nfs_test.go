@@ -840,10 +840,21 @@ func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 		t.Fatalf("readstream: %d bytes err=%v", len(window), err)
 	}
 	scribble(window[:cap(window)])
+	// A READ that lends a sink gets its bytes in the caller's own buffer:
+	// once the call has returned, nothing else holds it.
+	dst := make([]byte, 5, 5+64<<10)
+	into, _, _, err := c.ReadInto("srv", fh, 1<<20-7, 64<<10, dst)
+	if err != nil || !bytes.Equal(into[5:], payload[1<<20-7:][:64<<10]) || &into[0] != &dst[0] {
+		t.Fatalf("read into a sink: %d bytes err=%v, in the caller's buffer %v", len(into), err, len(into) > 0 && &into[0] == &dst[0])
+	}
+	scribble(into[:cap(into)])
 	stored("after scribbling over READ replies")
 	again, _, _, err := c.Read("srv", fh, 1<<20-7, 64<<10)
 	if err != nil || !bytes.Equal(again, payload[1<<20-7:][:64<<10]) {
 		t.Fatal("a second reader saw the first reader's scribbles")
+	}
+	if later, _, _, err := c.ReadInto("srv", fh, 1<<20-7, 64<<10, make([]byte, 0, 64<<10)); err != nil || !bytes.Equal(later, again) {
+		t.Fatal("a later READ into a sink saw the first sink's scribbles")
 	}
 	// And the other way round: the store copied what a reply carries, so a
 	// write after the READ leaves the reply in hand as it was.

@@ -85,7 +85,7 @@ func (s *Server) Handle(from simnet.Addr, req []byte) ([]byte, simnet.Cost, erro
 			return resp, 0, nil
 		}
 	}
-	resp, cost := s.dispatch(proc, d)
+	resp, cost := s.dispatch(proc, req, d)
 	if mutating(proc) {
 		s.drcPut(from, xid, resp)
 	}
@@ -150,7 +150,10 @@ func (s *Server) check(h Handle) (uint64, Status) {
 	return h.Ino, OK
 }
 
-func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
+func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simnet.Cost) {
+	if proc == ProcRead {
+		return s.read(req, d)
+	}
 	e := wire.NewEncoder(128)
 	switch proc {
 	case ProcMountRoot:
@@ -224,24 +227,6 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		}
 		e.PutUint32(uint32(OK))
 		e.PutString(target)
-		return e.Bytes(), cost
-
-	case ProcRead:
-		h := getHandle(d)
-		offset := d.Int64()
-		count := d.Uint32()
-		if d.Err() != nil {
-			return s.fail(ErrInval), 0
-		}
-		ino, st := s.check(h)
-		if st != OK {
-			return s.fail(st), 0
-		}
-		e.PutUint32(uint32(OK))
-		cost, err := s.putData(e, ino, offset, int(count), 1)
-		if err != nil {
-			return s.fail(toStatus(err)), cost
-		}
 		return e.Bytes(), cost
 
 	case ProcReadStream:
@@ -591,6 +576,49 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 		}
 	}
 	return e.Bytes(), cost
+}
+
+// read serves READ. A request that lends a sink the store can fill
+// (wire.TakeSink) gets its data there: the store appends into the sink under
+// its lock, and the reply's head, status, eof, the length word and the
+// padding, lends the filled part (wire.LendReply), joined byte for byte the
+// flat reply. The head and the record of the lent part sit in one
+// wire.Codec, the reply's one allocation. A READ is not mutating, so the
+// duplicate-request cache never keeps such a head. A request without a
+// sink, a duplicate delivery that finds it taken, and a sink with no room
+// get the flat reply putData encodes; a file that outgrew the room the sink
+// offered is read into a buffer of its own, which LendReply copies into a
+// flat reply.
+func (s *Server) read(req []byte, d *wire.Decoder) ([]byte, simnet.Cost) {
+	h := getHandle(d)
+	offset := d.Int64()
+	count := int(d.Uint32())
+	if d.Err() != nil {
+		return s.fail(ErrInval), 0
+	}
+	ino, st := s.check(h)
+	if st != OK {
+		return s.fail(st), 0
+	}
+	sink, ok := wire.TakeSink(req)
+	if !ok || cap(sink) == 0 {
+		e := wire.NewEncoder(128)
+		e.PutUint32(uint32(OK))
+		cost, err := s.putData(e, ino, offset, count, 1)
+		if err != nil {
+			return s.fail(toStatus(err)), cost
+		}
+		return e.Bytes(), cost
+	}
+	data, eof, cost, err := s.fs.AppendRead(sink, ino, offset, count, 1)
+	if err != nil {
+		return s.fail(toStatus(err)), cost
+	}
+	e := &wire.NewCodec().E
+	e.PutUint32(uint32(OK))
+	e.PutBool(eof)
+	e.PutOpaqueRef(data)
+	return wire.LendReply(req, e.Frame()), cost
 }
 
 // putData encodes the tail of a data reply, eof and one opaque, for up to

@@ -43,7 +43,9 @@ var ErrNoSuchService = errors.New("simnet: no such service")
 //
 // req is the request as the caller sent it: a flat frame, or the head of a
 // frame that lends bodies (wire.Lend). A handler decodes wire.FrameOf(req),
-// which hands it the lent bodies by reference.
+// which hands it the lent bodies by reference. A request that lends a sink
+// (wire.Encoder.LendSink) lets the first run that takes it (wire.TakeSink)
+// put the reply's data there and return wire.LendReply's head.
 //
 // Buffer ownership (both transports; DESIGN.md §10): a request or response
 // buffer, and every body a request frame lends, is immutable once handed to
@@ -51,7 +53,8 @@ var ErrNoSuchService = errors.New("simnet: no such service")
 // sender's frame to the handler and the handler's slice back to the caller,
 // so one frame may be sent to several destinations or delivered twice
 // (LinkFault.Dup). A handler may alias req or a lent body only until it
-// returns, unless it copies; the caller owns resp.
+// returns, unless it copies; the caller owns resp. Only the one handler run
+// that takes a sink writes it, and only before the call returns.
 type HandlerCtx func(ctx obs.TraceContext, from Addr, req []byte) (resp []byte, cost Cost, err error)
 
 // Handler is a HandlerCtx with no use for the trace context.
@@ -68,7 +71,8 @@ type Caller interface {
 	// CallCtx sends req from one node to another node's named service and
 	// waits for the response. req is a flat frame or a lent frame's head
 	// (wire.Lend): a transport sends, counts and charges the joined frame
-	// wire.FrameOf(req) returns, reading lent bodies where they lie. cost
+	// wire.FrameOf(req) returns, reading lent bodies where they lie, and
+	// the joined reply wire.ReplyOf(req, resp) returns. cost
 	// covers the round trip plus the remote handler's own reported cost,
 	// and is meaningful even on error. A valid ctx rides the envelope: the
 	// receiving transport records a server span (if the destination
@@ -332,8 +336,9 @@ func (n *Network) Call(from, to Addr, service string, req []byte) ([]byte, Cost,
 
 // CallCtx implements Caller. Local calls (from == to) skip the link cost but
 // still pay the handler's processing cost, mirroring a loopback RPC. The
-// handler is handed req itself, so a lent body reaches it uncopied; the
-// counters and the link cost see the joined frame.
+// handler is handed req itself, so a lent body reaches it uncopied and a
+// sink the request lends is there to take; the counters and the link cost
+// see the joined frames, the reply's as wire.ReplyOf gives it.
 func (n *Network) CallCtx(ctx obs.TraceContext, from, to Addr, service string, req []byte) ([]byte, Cost, error) {
 	size := wire.FrameOf(req).Len()
 	n.messages.Add(1)
@@ -407,9 +412,10 @@ func (n *Network) CallCtx(ctx obs.TraceContext, from, to Addr, service string, r
 		n.failures.Add(1)
 		return nil, Seq(wireCost, procCost), err
 	}
-	n.bytes.Add(uint64(len(resp)))
+	rsize := wire.ReplyOf(req, resp).Len()
+	n.bytes.Add(uint64(rsize))
 	if from != to {
-		wireCost = Seq(wireCost, n.Link.MessageCost(len(resp)))
+		wireCost = Seq(wireCost, n.Link.MessageCost(rsize))
 	}
 	return resp, Seq(wireCost, procCost), nil
 }

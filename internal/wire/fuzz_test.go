@@ -178,3 +178,104 @@ func FuzzLentFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSinkReply encodes one reply twice, flat and with its first opaque put
+// in the sink its request lent (when the sink has room for it) and any other
+// opaque lent: the reply ReplyOf gives must join to the flat reply byte for
+// byte and decode to the same values, the sink's opaque the sink's own
+// bytes. Each byte of ops picks a field; data supplies the values; room is
+// the sink's.
+func FuzzSinkReply(f *testing.F) {
+	f.Add([]byte{0, 0, 1}, []byte("status, eof, then the data of a READ"), uint16(64))
+	f.Add([]byte{1, 2, 1, 3}, []byte("a sink opaque mid-frame and one lent beside it"), uint16(5))
+	f.Add([]byte{0, 1}, []byte("room short of the opaque"), uint16(2))
+	f.Add([]byte{1}, []byte{}, uint16(0))
+	f.Fuzz(func(t *testing.T, ops, data []byte, room uint16) {
+		next := func(n int) []byte {
+			n = min(n, len(data))
+			p := data[:n:n]
+			data = data[n:]
+			return p
+		}
+		dst := make([]byte, 0, room)
+		q := NewEncoder(0)
+		q.PutUint32(6)
+		q.LendSink(dst)
+		qf := q.Frame()
+		req := Lend(qf)
+		defer EndLend(qf)
+		sink, taken := TakeSink(req)
+		if !taken {
+			t.Fatal("the sink of a lent request was not there to take")
+		}
+		flat, r := NewEncoder(0), NewEncoder(0)
+		var vals [][]byte
+		inSinkAt := -1
+		for _, op := range ops {
+			switch op % 4 {
+			case 0:
+				w := next(4)
+				v := binary.BigEndian.AppendUint32(nil, uint32(len(w)))
+				flat.PutFixedOpaque(v)
+				r.PutFixedOpaque(v)
+				vals = append(vals, v)
+			case 1:
+				p := next(int(op) * 3)
+				flat.PutOpaque(p)
+				switch {
+				case inSinkAt < 0 && len(p) > 0 && len(p) <= cap(sink):
+					inSinkAt = len(vals)
+					r.PutOpaqueRef(append(sink, p...))
+				case inSinkAt >= 0 && op%8 == 5:
+					r.PutOpaqueRef(p)
+				default:
+					r.PutOpaque(p)
+				}
+				vals = append(vals, p)
+			case 2:
+				s := next(int(op) % 13)
+				flat.PutString(string(s))
+				r.PutString(string(s))
+				vals = append(vals, s)
+			case 3:
+				p := next(int(op) % 9)
+				flat.PutFixedOpaque(p)
+				r.PutFixedOpaque(p)
+				vals = append(vals, p)
+			}
+		}
+		reply := ReplyOf(req, LendReply(req, r.Frame()))
+		if got := reply.AppendTo(nil); !bytes.Equal(got, flat.Bytes()) || reply.Len() != len(flat.Bytes()) {
+			t.Fatalf("the sink reply joins to %x (Len %d), the flat one is %x", got, reply.Len(), flat.Bytes())
+		}
+		var ds, df Decoder
+		ds.ResetFrame(reply)
+		df.Reset(flat.Bytes())
+		for i, op := range ops {
+			var a, b []byte
+			switch op % 4 {
+			case 0:
+				a, b = make([]byte, 4), make([]byte, 4)
+				ds.FixedOpaque(a)
+				df.FixedOpaque(b)
+			case 1:
+				a, b = ds.OpaqueRef(), df.OpaqueRef()
+				if i == inSinkAt && len(reply.Lent) == 1 && &a[0] != &sink[:1][0] {
+					t.Fatalf("field %d: the sink's opaque decoded from elsewhere", i)
+				}
+			case 2:
+				a, b = []byte(ds.String()), []byte(df.String())
+			case 3:
+				a, b = make([]byte, len(vals[i])), make([]byte, len(vals[i]))
+				ds.FixedOpaque(a)
+				df.FixedOpaque(b)
+			}
+			if !bytes.Equal(a, b) || !bytes.Equal(a, vals[i]) {
+				t.Fatalf("field %d: %x from the sink reply, %x flat, want %x", i, a, b, vals[i])
+			}
+		}
+		if ds.Done() != nil || df.Done() != nil {
+			t.Fatalf("trailing: %v / %v", ds.Done(), df.Done())
+		}
+	})
+}

@@ -6,6 +6,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -136,6 +137,15 @@ func (e *Encoder) PutOpaqueRef(p []byte) {
 	}
 }
 
+// LendSink records the spare capacity of p, p[len(p):cap(p)], as the
+// frame's sink: the writable buffer where the caller wants the reply's data.
+// It adds no bytes to the frame and is the last call that encodes it. The
+// one handler run that takes the sink (TakeSink) may write it until the call
+// returns; nothing keeps it after that.
+func (e *Encoder) LendSink(p []byte) {
+	e.lent = append(e.lent, Lent{At: len(e.buf), Body: p[len(p):len(p):cap(p)]})
+}
+
 // PutOpaqueFunc appends one opaque item whose content fill appends to the
 // buffer it is given, so a producer writes the bytes into the frame itself
 // instead of handing over a slice to copy. The length word and the padding
@@ -203,10 +213,11 @@ const smallFrame = 264
 // Codec is one message's encoder and decoder together with storage for a
 // small frame, in one allocation: the encoder starts on the array, so a frame
 // of up to smallFrame bytes costs nothing more and only a larger one grows a
-// buffer of its own, and the record of the first body the frame lends sits
-// beside it. A frame encoded into the array lives as long as the Codec does, and
-// a Codec kept alive by its frame keeps alive whatever its decoder reads:
-// point D at nil (D.Reset(nil)) before handing E's bytes away.
+// buffer of its own, and the record of the first body the frame lends, or
+// of the sink it lends, sits beside it. A frame encoded into the array lives
+// as long as the Codec does, and a Codec kept alive by its frame keeps alive
+// whatever its decoder reads: point D at nil (D.Reset(nil)) before handing
+// E's bytes away.
 type Codec struct {
 	E     Encoder
 	D     Decoder
@@ -223,16 +234,19 @@ func NewCodec() *Codec {
 }
 
 // Lent is one body lent to a frame: Body's bytes sit in the joined frame
-// just before Head[At:].
+// just before Head[At:]. A record with an empty Body is the frame's sink
+// (LendSink), and Body's capacity is the room it offers; PutOpaqueRef never
+// records an empty body.
 type Lent struct {
 	At   int
 	Body []byte
 }
 
 // Frame is an encoded message as an Encoder leaves it: Head, the bytes the
-// encoder wrote, and the bodies PutOpaqueRef lent it, in order of offset.
-// Joined, it is the flat frame the same calls with PutOpaque encode. A frame
-// that lends nothing is its head.
+// encoder wrote, and the bodies PutOpaqueRef lent it, in order of offset,
+// with its sink if it lends one. Joined, it is the flat frame the same calls
+// with PutOpaque encode; a sink adds nothing to it. A frame that lends
+// nothing is its head.
 type Frame struct {
 	Head []byte
 	Lent []Lent
@@ -277,12 +291,27 @@ func (f Frame) AppendPieces(v [][]byte) [][]byte {
 	return v
 }
 
+// sink returns the frame's sink record, if it lends one.
+func (f Frame) sink() (Lent, bool) {
+	for _, l := range f.Lent {
+		if len(l.Body) == 0 {
+			return l, true
+		}
+	}
+	return Lent{}, false
+}
+
 // The request argument of a transport call is a byte slice, so a frame that
 // lends bodies crosses the call as its head, and lending keeps the frame
 // findable from that head until the call returns: Lend files the frame under
 // its head's first byte, FrameOf — what a transport counts and sends, what a
 // server decodes — looks it up, EndLend takes it out. A slice that heads no
 // lent frame is a one-piece frame.
+//
+// A request that lends a sink files its reply the same way: the handler run
+// that takes the sink (TakeSink) returns LendReply's head, and ReplyOf gives
+// the transport and the caller the reply frame whose body is the sink's
+// filled part.
 var lending struct {
 	mu     sync.Mutex
 	n      atomic.Int64 // frames filed, so FrameOf skips the lock when none is
@@ -290,8 +319,10 @@ var lending struct {
 }
 
 type lentFrame struct {
-	f    Frame
-	refs int
+	f     Frame
+	refs  int
+	taken bool  // a handler run has taken f's sink
+	reply Frame // the reply LendReply filed, its body in f's sink
 }
 
 // Lend returns the request slice that carries f through a transport call:
@@ -361,6 +392,79 @@ func lentFrameOf(req []byte) Frame {
 		return Frame{Head: req}
 	}
 	return lf.f
+}
+
+// TakeSink returns the sink the lent frame req heads, empty and with the room
+// its caller offers, and marks it taken: ok is false when req lends no sink
+// or a handler run took it already, so a duplicate delivery of the request
+// (simnet.LinkFault.Dup) or a retry finds it taken and replies flat. The one
+// run that takes it may append to it until the call returns, and replies
+// with LendReply.
+func TakeSink(req []byte) (sink []byte, ok bool) {
+	if lending.n.Load() == 0 || len(req) == 0 {
+		return nil, false
+	}
+	k := &req[0]
+	lending.mu.Lock()
+	defer lending.mu.Unlock()
+	lf, filed := lending.frames[k]
+	if !filed || len(lf.f.Head) != len(req) || lf.taken {
+		return nil, false
+	}
+	s, ok := lf.f.sink()
+	if !ok {
+		return nil, false
+	}
+	lf.taken = true
+	lending.frames[k] = lf
+	return s.Body, true
+}
+
+// LendReply returns the response slice that carries f, the reply of the run
+// that took req's sink, back through the transport: f's head, with f filed
+// beside req's frame until the caller's EndLend, so ReplyOf finds it. f lends
+// at most one body, the sink's filled part, which PutOpaqueRef recorded. A
+// reply that lends anything else — bytes a store read into a buffer of its
+// own because the sink had too little room — comes back joined, a flat
+// frame.
+func LendReply(req []byte, f Frame) []byte {
+	if len(f.Lent) == 0 {
+		return f.Head
+	}
+	if len(f.Lent) == 1 && len(req) > 0 {
+		k := &req[0]
+		lending.mu.Lock()
+		lf, filed := lending.frames[k]
+		s, ok := lf.f.sink()
+		if filed && ok && lf.taken && cap(s.Body) > 0 && &f.Lent[0].Body[0] == &s.Body[:1][0] {
+			lf.reply = f
+			lending.frames[k] = lf
+			lending.mu.Unlock()
+			return f.Head
+		}
+		lending.mu.Unlock()
+	}
+	return f.AppendTo(make([]byte, 0, f.Len()))
+}
+
+// ReplyOf returns the reply frame a call's response slice carries: the one
+// the handler run that took req's sink filed with LendReply, whose body is
+// the sink's filled part, or resp itself as a one-piece frame. A transport
+// counts and charges its length; the caller decodes it, before EndLend. The
+// filed reply is matched by its head's bytes, so a layer that copies the
+// response slice still finds it; a flat reply, which carries its data, never
+// has the same bytes as a head whose data sits in the sink.
+func ReplyOf(req, resp []byte) Frame {
+	if lending.n.Load() == 0 || len(req) == 0 || len(resp) == 0 {
+		return Frame{Head: resp}
+	}
+	lending.mu.Lock()
+	lf, filed := lending.frames[&req[0]]
+	lending.mu.Unlock()
+	if !filed || len(lf.f.Head) != len(req) || !bytes.Equal(lf.reply.Head, resp) {
+		return Frame{Head: resp}
+	}
+	return Frame{Head: resp, Lent: lf.reply.Lent}
 }
 
 // Decoder consumes XDR-encoded values from a byte slice or a Frame: buf is

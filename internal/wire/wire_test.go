@@ -585,6 +585,25 @@ func TestLendingFromManyGoroutines(t *testing.T) {
 				}
 				EndLend(sf)
 				EndLend(f)
+
+				sink := make([]byte, 0, 8)
+				q := NewEncoder(8)
+				q.PutUint32(uint32(g))
+				q.LendSink(sink)
+				qf := q.Frame()
+				qreq := Lend(qf)
+				s, ok := TakeSink(qreq)
+				if _, again := TakeSink(qreq); !ok || again {
+					t.Errorf("goroutine %d took its sink %v, then again %v", g, ok, again)
+					return
+				}
+				r := NewEncoder(8)
+				r.PutOpaqueRef(append(s, byte(g)))
+				if got := ReplyOf(qreq, LendReply(qreq, r.Frame())); len(got.Lent) != 1 || &got.Lent[0].Body[0] != &sink[:1][0] {
+					t.Errorf("goroutine %d lost its sink reply", g)
+					return
+				}
+				EndLend(qf)
 			}
 		}()
 	}
@@ -592,4 +611,110 @@ func TestLendingFromManyGoroutines(t *testing.T) {
 	if got := FrameOf(sf.Head); len(got.Lent) != 0 {
 		t.Error("the shared frame is still filed after every lender ended")
 	}
+}
+
+// TestSinkIsTakenOnce: a request that lends a sink adds no bytes to its
+// frame; between Lend and EndLend the first TakeSink gets the sink, empty
+// with the room the caller left, and every later one finds it taken. The
+// reply the taker files with LendReply comes back from ReplyOf for its head,
+// or a copy of it, and any other response slice is a one-piece frame.
+func TestSinkIsTakenOnce(t *testing.T) {
+	dst := make([]byte, 3, 64)
+	x := NewCodec()
+	x.E.PutUint32(6)
+	x.E.LendSink(dst)
+	f := x.E.Frame()
+	if f.Len() != 4 || len(f.AppendPieces(nil)) != 1 {
+		t.Fatalf("a frame lending a sink is %d bytes in %d pieces, want its 4-byte head", f.Len(), len(f.AppendPieces(nil)))
+	}
+	if _, ok := TakeSink(f.Head); ok {
+		t.Fatal("a sink taken before its frame was lent")
+	}
+	req := Lend(f)
+	sink, ok := TakeSink(req)
+	if !ok || len(sink) != 0 || cap(sink) != 61 || &sink[:1][0] != &dst[:4][3] {
+		t.Fatalf("TakeSink = len %d cap %d ok %v, want dst's 61 spare bytes", len(sink), cap(sink), ok)
+	}
+	if _, ok := TakeSink(req); ok {
+		t.Fatal("the sink was taken twice")
+	}
+	var d Decoder
+	d.ResetFrame(FrameOf(req))
+	if d.Uint32() != 6 || d.Done() != nil {
+		t.Fatalf("decoding a request that lends a sink: %v", d.Done())
+	}
+
+	filled := append(sink, "filled"...)
+	r := NewEncoder(0)
+	r.PutUint32(0)
+	r.PutOpaqueRef(filled)
+	head := LendReply(req, r.Frame())
+	if &head[0] != &r.Frame().Head[0] {
+		t.Fatal("LendReply did not return the reply's head")
+	}
+	flat := NewEncoder(0)
+	flat.PutUint32(0)
+	flat.PutOpaque([]byte("filled"))
+	for _, resp := range [][]byte{head, append([]byte(nil), head...)} {
+		got := ReplyOf(req, resp)
+		if !bytes.Equal(got.AppendTo(nil), flat.Bytes()) || len(got.Lent) != 1 || &got.Lent[0].Body[0] != &dst[:4][3] {
+			t.Fatalf("ReplyOf = %x, want %x with the body in the sink", got.AppendTo(nil), flat.Bytes())
+		}
+	}
+	if got := ReplyOf(req, flat.Bytes()); len(got.Lent) != 0 {
+		t.Fatal("a flat response was taken for the filed reply")
+	}
+	if !racetest.Enabled {
+		if n := testing.AllocsPerRun(100, func() {
+			TakeSink(req)
+			ReplyOf(req, head)
+		}); n != 0 {
+			t.Errorf("TakeSink and ReplyOf allocate %.0f times, want 0", n)
+		}
+	}
+	EndLend(f)
+	if got := ReplyOf(req, head); len(got.Lent) != 0 {
+		t.Fatal("the reply is still filed after EndLend")
+	}
+	if lending.n.Load() != 0 {
+		t.Fatalf("%d frames counted as lent after every EndLend", lending.n.Load())
+	}
+	racetest.SkipAllocs(t)
+	if n := testing.AllocsPerRun(100, func() {
+		x.E.Reset()
+		x.E.PutUint32(6)
+		x.E.LendSink(dst)
+	}); n != 0 {
+		t.Errorf("lending a sink from a Codec allocates %.0f times, want 0", n)
+	}
+}
+
+// TestLendReplyJoinsWhatIsNotTheSink: a reply whose request's sink no one
+// took, a reply to a request that lends no sink, and a reply that lends a
+// body outside the sink all come back joined, flat frames.
+func TestLendReplyJoinsWhatIsNotTheSink(t *testing.T) {
+	dst := make([]byte, 0, 16)
+	e := NewEncoder(0)
+	e.PutUint32(6)
+	e.LendSink(dst)
+	f := e.Frame()
+	req := Lend(f)
+	defer EndLend(f)
+	reply := func(body []byte) Frame {
+		r := NewEncoder(0)
+		r.PutUint32(0)
+		r.PutOpaqueRef(body)
+		return r.Frame()
+	}
+	joined := func(name string, req []byte, rf Frame) {
+		t.Helper()
+		resp := LendReply(req, rf)
+		if !bytes.Equal(resp, rf.AppendTo(nil)) || len(ReplyOf(req, resp).Lent) != 0 {
+			t.Errorf("%s: LendReply = %x, want the joined frame", name, resp)
+		}
+	}
+	joined("sink not taken", req, reply(append(dst, "x"...)))
+	joined("no sink lent", []byte{0, 0, 0, 6}, reply(append(dst, "x"...)))
+	TakeSink(req)
+	joined("body outside the sink", req, reply([]byte("elsewhere")))
 }
