@@ -90,7 +90,7 @@ scale-smoke:
 # are built from, and fails unless every named field is in the output.
 SMOKE_FIELDS = \
 	latency:p50_ms,p95_ms,p99_ms,mean_route_hops \
-	sync:full_bytes,delta_bytes,delta_pct,files_sent \
+	sync:full_bytes,delta_bytes,delta_pct,files_sent,files_skipped \
 	dedup:dedup_ratio,stored_bytes,edit_delta_bytes,promote_delta_bytes \
 	stream:seq_rpcs_base,seq_rpcs_stream,read_rpc_ratio,write_rpc_ratio,seq_mbps_stream \
 	rebalance:skew_before,skew_after,moved_bytes,moved_fraction,high_water
@@ -217,16 +217,17 @@ bench-diff:
 	[ $$fail -eq 0 ] && echo "bench-diff: $$1 -> $$2: no unclaimed drift in the seed-exact end-to-end metrics, no unclaimed allocation growth"; exit $$fail
 
 # loc prints the sizes CHANGES.md tracks: non-test Go outside bench/, the
-# shares of it in internal/core, internal/nfs, internal/repl and
-# internal/maint, the number of core.Config fields, the methods of the
+# shares of it in internal/core, internal/nfs, internal/repl, internal/maint
+# and internal/cas, the number of core.Config fields, the methods of the
 # replication engine's two interfaces (repl.Peer, repl.Overlay), and the wire
-# surface countable from the source: rows of the two dispatch tables and
-# nfs.Proc constants.
+# surface countable from the source: rows of the two dispatch tables,
+# repl.FSOpKind kinds in use (vacant numbers excluded) and nfs.Proc
+# constants.
 TABLE_ROWS = awk -v t="$$t" '$$0 ~ "^var " t " = serviceTable" {in_t=1; next} in_t && /^}/ {exit} in_t && /^\t[a-zA-Z]+:/ {n++} END {print n}'
 IFACE_METHODS = awk -v t="$$t" '$$0 ~ "^type " t " interface" {in_t=1; next} in_t && /^}/ {exit} in_t && /^\t[A-Z][A-Za-z0-9]*\(/ {n++} END {print n}'
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l | xargs echo "non-test Go lines outside bench/:"; \
-	for p in core nfs repl maint; do \
+	for p in core nfs repl maint cas; do \
 		find internal/$$p -name '*.go' -not -name '*_test.go' | xargs cat | wc -l | xargs echo "non-test Go lines in internal/$$p:"; \
 	done; \
 	awk '/^type Config struct/ {in_cfg=1; next} in_cfg && /^}/ {exit} in_cfg && /^\t[A-Z][A-Za-z0-9]*[ \t]+[^ \t]/ {n++} END {print "core.Config fields:", n}' internal/core/node.go; \
@@ -234,6 +235,7 @@ loc:
 	t=Overlay; echo "repl.Overlay methods: $$($(IFACE_METHODS) internal/repl/engine.go)"; \
 	t=koshaProcs; echo "koshaProcs rows: $$($(TABLE_ROWS) internal/core/service.go)"; \
 	t=ctlProcs; echo "ctlProcs rows: $$($(TABLE_ROWS) internal/core/ctl.go)"; \
+	awk '/^\tFSMkdirAll FSOpKind/ {in_k=1} in_k && /^\)/ {exit} in_k && /^\tFS[A-Za-z]+/ {n++} END {print "repl.FSOpKind kinds in use:", n}' internal/repl/types.go; \
 	grep -c '^[[:space:]]Proc[A-Za-z]*[[:space:]]*Proc = ' internal/nfs/proto.go | xargs echo "nfs.Proc constants:"
 
 # gobench-smoke runs every Go benchmark in the module once (the root ones

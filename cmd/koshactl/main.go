@@ -470,8 +470,8 @@ func printStats(w io.Writer, title string, p core.StatsPayload) {
 		s.Counters["ops.total"], s.Counters["ops.errors"],
 		s.Counters["nfs.rpcs"], s.Counters["nfs.bytes"])
 	if hits, misses := s.Counters["repl.sync.digest.hits"], s.Counters["repl.sync.digest.misses"]; hits+misses > 0 {
-		fmt.Fprintf(w, "  replica sync: %d bytes, %d files sent, %d skipped, digest hit %.1f%% (%d/%d)\n",
-			s.Counters["repl.sync.bytes"], s.Counters["repl.sync.files.sent"],
+		fmt.Fprintf(w, "  replica sync: %d bytes fetched, %d files pulled, %d skipped, digest hit %.1f%% (%d/%d)\n",
+			s.Counters["repl.fetch.bytes"], s.Counters["repl.sync.files.sent"],
 			s.Counters["repl.sync.files.skipped"],
 			float64(hits)/float64(hits+misses)*100, hits, hits+misses)
 	}

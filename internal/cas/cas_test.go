@@ -100,8 +100,11 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 	m := Split(randBytes(9, 400<<10))
 	e := wire.NewEncoder(64)
 	PutManifest(e, m)
-	PutHashes(e, m.Hashes())
-	PutBools(e, []bool{true, false, true})
+	want := make([]Hash, len(m))
+	for i, c := range m {
+		want[i] = c.Hash
+	}
+	PutHashes(e, want)
 	d := wire.NewDecoder(e.Bytes())
 	if got := GetManifest(d); !got.Equal(m) {
 		t.Fatal("manifest round trip mismatch")
@@ -109,10 +112,6 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 	hs := GetHashes(d)
 	if len(hs) != len(m) || hs[0] != m[0].Hash {
 		t.Fatal("hashes round trip mismatch")
-	}
-	bs := GetBools(d)
-	if len(bs) != 3 || !bs[0] || bs[1] || !bs[2] {
-		t.Fatal("bools round trip mismatch")
 	}
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
@@ -187,19 +186,5 @@ func TestStoreGetVerifiesAndPrunesStale(t *testing.T) {
 	}
 	if !s.Has(m[0].Hash) {
 		t.Fatal("stale location pruning must not drop the reference")
-	}
-}
-
-func TestStoreHasAll(t *testing.T) {
-	fs := localfs.New(0, simnet.DiskModel{})
-	s := NewStore(fs, nil)
-	blob := randBytes(15, 32<<10)
-	m := Split(blob)
-	s.AddFile("/x", m)
-	var absent Hash
-	absent[0] = 0xAB
-	got := s.HasAll([]Hash{m[0].Hash, absent})
-	if !got[0] || got[1] {
-		t.Fatalf("HasAll=%v", got)
 	}
 }

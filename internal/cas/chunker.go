@@ -35,15 +35,6 @@ func (m Manifest) TotalLen() int64 {
 	return n
 }
 
-// Hashes returns the manifest's chunk hashes in file order.
-func (m Manifest) Hashes() []Hash {
-	hs := make([]Hash, len(m))
-	for i, c := range m {
-		hs[i] = c.Hash
-	}
-	return hs
-}
-
 // Equal reports whether two manifests describe identical content.
 func (m Manifest) Equal(o Manifest) bool {
 	if len(m) != len(o) {

@@ -29,7 +29,7 @@ func GetManifest(d *wire.Decoder) Manifest {
 	return m
 }
 
-// PutHashes appends a counted array of chunk hashes (WANT lists).
+// PutHashes appends a counted array of chunk hashes (CHUNK_FETCH requests).
 func PutHashes(e *wire.Encoder, hs []Hash) {
 	e.PutUint32(uint32(len(hs)))
 	for _, h := range hs {
@@ -51,28 +51,4 @@ func GetHashes(d *wire.Decoder) []Hash {
 		return nil
 	}
 	return hs
-}
-
-// PutBools appends a counted bitmap (HAVE replies).
-func PutBools(e *wire.Encoder, bs []bool) {
-	e.PutUint32(uint32(len(bs)))
-	for _, b := range bs {
-		e.PutBool(b)
-	}
-}
-
-// GetBools decodes a bitmap written by PutBools.
-func GetBools(d *wire.Decoder) []bool {
-	n := d.ArrayLen()
-	if n == 0 || d.Err() != nil {
-		return nil
-	}
-	bs := make([]bool, n)
-	for i := range bs {
-		bs[i] = d.Bool()
-	}
-	if d.Err() != nil {
-		return nil
-	}
-	return bs
 }

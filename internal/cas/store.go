@@ -34,13 +34,13 @@ type StoreStats struct {
 
 // Store is a reference-counted content-addressed block index layered over a
 // node's localfs store. It records, per chunk hash, which byte ranges of
-// which indexed files hold those bytes, so the sync protocol can answer
-// HAVE queries and serve CHUNK_FETCH without shipping bytes the peer
-// already has. The index deliberately does not own storage: primary and
-// replica trees stay plain full-byte mirrors the NFS path (and the chaos
-// convergence oracle) can read directly, and "dedup" is network dedup plus
-// the stored-vs-logical accounting the experiment reports. Dropping the
-// last reference to a block garbage-collects its index entry.
+// which indexed files hold those bytes, so a pull resolves the chunks its
+// stale copy already holds locally and a holder serves CHUNK_FETCH. The
+// index deliberately does not own storage: primary and replica trees stay
+// plain full-byte mirrors the NFS path (and the chaos convergence oracle)
+// can read directly, and "dedup" is network dedup plus the stored-vs-logical
+// accounting the experiment reports. Dropping the last reference to a block
+// garbage-collects its index entry.
 //
 // Lock order: methods take only the index mutex and never call into the
 // filesystem while holding it — the localfs mutation hook calls back into
@@ -51,7 +51,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	blocks  map[Hash]*block
-	files   map[string]fileEntry
+	files   map[string]Manifest
 	unique  int64
 	logical int64
 
@@ -60,20 +60,12 @@ type Store struct {
 	gcBytes *obs.Counter // bytes of blocks dropped at zero references
 }
 
-// fileEntry is one indexed byte range of a file: a manifest whose chunks
-// start at base. Whole-file entries (AddFile) have base 0; warm-on-receive
-// spans (AddAt) may start anywhere.
-type fileEntry struct {
-	base int64
-	man  Manifest
-}
-
 // NewStore builds an empty index over fs. reg may be nil (oracle use).
 func NewStore(fs localfs.FileSystem, reg *obs.Registry) *Store {
 	s := &Store{
 		fs:     fs,
 		blocks: make(map[Hash]*block),
-		files:  make(map[string]fileEntry),
+		files:  make(map[string]Manifest),
 	}
 	if reg != nil {
 		s.stored = reg.Counter("repl.cas.blocks.stored")
@@ -92,24 +84,14 @@ func count(c *obs.Counter, n uint64) {
 // AddFile (re)indexes path as manifest m, replacing any previous entry for
 // the path. Safe to call from the merkle cache's compute path.
 func (s *Store) AddFile(path string, m Manifest) {
-	s.AddAt(path, 0, m)
-}
-
-// AddAt indexes a byte range of path — chunks of m laid out sequentially
-// from offset base — replacing any previous entry for the path. The repl
-// receiver uses it to warm the index when it applies an inline chunk span,
-// so the first push after a heal gets HAVE hits without waiting for a
-// digest recompute. A file written in several spans keeps only the most
-// recent span indexed; the next whole-file digest restores full coverage.
-func (s *Store) AddAt(path string, base int64, m Manifest) {
 	path = localfs.CleanPath(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.files[path]; ok && old.base == base && old.man.Equal(m) {
+	if old, ok := s.files[path]; ok && old.Equal(m) {
 		return
 	}
 	s.dropLocked(path)
-	off := base
+	var off int64
 	for _, c := range m {
 		b := s.blocks[c.Hash]
 		if b == nil {
@@ -125,7 +107,7 @@ func (s *Store) AddAt(path string, base int64, m Manifest) {
 		s.logical += int64(c.Len)
 		off += int64(c.Len)
 	}
-	s.files[path] = fileEntry{base: base, man: m}
+	s.files[path] = m
 }
 
 // Forget drops the index entry for one file, releasing its block references
@@ -160,7 +142,7 @@ func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.blocks = make(map[Hash]*block)
-	s.files = make(map[string]fileEntry)
+	s.files = make(map[string]Manifest)
 	s.unique, s.logical = 0, 0
 }
 
@@ -171,18 +153,18 @@ func (s *Store) resetLocked() {
 	}
 	count(s.gcBytes, uint64(dropped))
 	s.blocks = make(map[Hash]*block)
-	s.files = make(map[string]fileEntry)
+	s.files = make(map[string]Manifest)
 	s.unique, s.logical = 0, 0
 }
 
 func (s *Store) dropLocked(path string) {
-	fe, ok := s.files[path]
+	m, ok := s.files[path]
 	if !ok {
 		return
 	}
 	delete(s.files, path)
-	off := fe.base
-	for _, c := range fe.man {
+	var off int64
+	for _, c := range m {
 		b := s.blocks[c.Hash]
 		if b != nil {
 			b.refs--
@@ -208,17 +190,6 @@ func (s *Store) Has(h Hash) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.blocks[h] != nil
-}
-
-// HasAll answers a HAVE query for a list of hashes in one lock acquisition.
-func (s *Store) HasAll(hs []Hash) []bool {
-	out := make([]bool, len(hs))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, h := range hs {
-		out[i] = s.blocks[h] != nil
-	}
-	return out
 }
 
 // Get returns the bytes of block h if some indexed file still holds them.

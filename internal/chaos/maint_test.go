@@ -96,7 +96,7 @@ func TestScenarioScrubRepairsSilentCorruption(t *testing.T) {
 	write("/scrub/blob.bin", blob)
 	write("/other/seed", []byte("bystander"))
 	c.Stabilize()
-	// One more edit so the delta push renegotiates manifests, then two warm
+	// One more edit so the replicas pull new manifests, then two warm
 	// scrub rounds so every holder has verified (and so baselined) its copy
 	// before the fault lands.
 	edited := append([]byte(nil), blob...)
@@ -404,10 +404,10 @@ func armedFlagRoot(nd *core.Node) string {
 }
 
 // TestScenarioRebalanceTargetCrashMidMove: the rebalancer picks a migration
-// target, arms the MIGRATION_NOT_COMPLETE flag there, and the target dies
-// mid-push. The move must abort with the flag still armed on the partial
-// copy, the level-1 link still naming the source, and every acknowledged
-// byte readable at the source. After the target revives (purging the
+// target, the target arms the MIGRATION_NOT_COMPLETE flag as it starts
+// pulling, and dies mid-pull. The move must abort with the flag still armed
+// on the partial copy, the level-1 link still naming the source, and every
+// acknowledged byte readable at the source. After the target revives (purging the
 // orphan), the next maintenance round re-runs the migration — re-arming the
 // flag on a fresh root — and the cluster converges with utilization shed.
 func TestScenarioRebalanceTargetCrashMidMove(t *testing.T) {
@@ -477,9 +477,9 @@ func TestScenarioRebalanceTargetCrashMidMove(t *testing.T) {
 	}
 	destAddr := pl.Node
 
-	// Fault run: identical cluster, but once the migration flag lands on the
-	// destination every further kosha exchange from the mover to it is
-	// dropped — the target's koshad dies mid-move with the push half done.
+	// Fault run: identical cluster, but once the migration flag is up on the
+	// destination every further kosha exchange between it and the mover is
+	// dropped — the target's koshad dies mid-move with the pull half done.
 	c, model, blob := rebalCluster(t, seed, mover, moverCap, seedDirs)
 	dest := -1
 	for i, nd := range c.Nodes {
@@ -491,8 +491,8 @@ func TestScenarioRebalanceTargetCrashMidMove(t *testing.T) {
 		t.Fatalf("destination %s not in cluster", destAddr)
 	}
 	c.Net.SetFaults(func(from, to simnet.Addr, service string) simnet.LinkFault {
-		if from == moverAddr && to == destAddr && service == core.KoshaService &&
-			armedFlagRoot(c.Nodes[dest]) != "" {
+		between := (from == moverAddr && to == destAddr) || (from == destAddr && to == moverAddr)
+		if between && service == core.KoshaService && armedFlagRoot(c.Nodes[dest]) != "" {
 			return simnet.LinkFault{Drop: true}
 		}
 		return simnet.LinkFault{}
@@ -511,7 +511,7 @@ func TestScenarioRebalanceTargetCrashMidMove(t *testing.T) {
 	if pl, _, err := c.Nodes[0].ResolvePath("/big"); err != nil {
 		t.Fatalf("resolve /big after abort: %v", err)
 	} else if pl.Node != moverAddr {
-		t.Fatalf("/big moved to %s despite the aborted push", pl.Node)
+		t.Fatalf("/big moved to %s despite the aborted pull", pl.Node)
 	}
 
 	// Now the target dies outright. Acknowledged data stays readable at the

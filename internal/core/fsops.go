@@ -58,23 +58,14 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 		if err != nil {
 			return localfs.Attr{}, resolveCost, err
 		}
-		_, cost, err := n.store.Write(attr.Ino, op.Offset, op.Data)
-		if err != nil {
-			return localfs.Attr{}, simnet.Seq(resolveCost, cost), err
+		// A flush's spans land back to back: disk costs accumulate, the
+		// round trip was paid once. A write without spans is one span.
+		spans := op.Spans
+		if len(spans) == 0 {
+			spans = []nfs.WriteSpan{{Offset: op.Offset, Data: op.Data}}
 		}
-		attr, _ = n.store.LookupPath(op.Path)
-		return attr, simnet.Seq(resolveCost, cost), nil
-
-	case FSWriteV:
-		attr, err := n.fileForWrite(op.Path, lenient)
-		if err != nil {
-			return localfs.Attr{}, resolveCost, err
-		}
-		// The spans land back to back on the store, like the WRITEBATCH
-		// procedure they mirror: disk costs accumulate, the round trip was
-		// paid once.
 		total := resolveCost
-		for _, sp := range op.Spans {
+		for _, sp := range spans {
 			_, cost, werr := n.store.Write(attr.Ino, sp.Offset, sp.Data)
 			total = simnet.Seq(total, cost)
 			if werr != nil {
@@ -83,31 +74,6 @@ func (n *Node) applyFSOp(op FSOp, lenient bool) (localfs.Attr, simnet.Cost, erro
 		}
 		attr, _ = n.store.LookupPath(op.Path)
 		return attr, total, nil
-
-	case FSChunkWrite:
-		// A manifest span: assemble the bytes first — inline chunks from the
-		// op, referenced chunks from the local block index — and only then
-		// touch the file. Assembly failure (a reference this node promised
-		// but no longer holds) must leave the file untouched: the sender
-		// answers the error by re-shipping the span verbatim.
-		data, aerr := n.rep.AssembleChunks(op)
-		if aerr != nil {
-			return localfs.Attr{}, resolveCost, aerr
-		}
-		attr, err := n.fileForWrite(op.Path, lenient)
-		if err != nil {
-			return localfs.Attr{}, resolveCost, err
-		}
-		_, cost, err := n.store.Write(attr.Ino, op.Offset, data)
-		if err != nil {
-			return localfs.Attr{}, simnet.Seq(resolveCost, cost), err
-		}
-		// Warm-on-receive: the span's chunks just landed at known offsets, so
-		// index them immediately — the next push negotiating against this
-		// node gets HAVE hits without waiting for a digest recompute.
-		n.rep.WarmChunks(op.Path, op)
-		attr, _ = n.store.LookupPath(op.Path)
-		return attr, simnet.Seq(resolveCost, cost), nil
 
 	case FSRelink:
 		// Atomic ownership flip (rebalance migration): whatever occupies

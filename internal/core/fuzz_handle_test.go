@@ -9,8 +9,8 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/id"
+	"repro/internal/nfs"
 	"repro/internal/obs"
-	"repro/internal/repl"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -80,9 +80,14 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	// frame each.
 	n.promote(tc, peer, track)
 	n.replicaSet(tc, peer, Key(track.PN), track.Root)
+	// A pull sends the listing and block procedures back to n: the explicit
+	// calls after it are the last frames recorded for those procedures.
+	if _, err := (enginePeer{n}).Pull(tc, peer, track, track.Root, false); err != nil {
+		f.Fatal(err)
+	}
 	n.remoteDigestTree(tc, peer, track.Root, true)
 	enginePeer{n}.DirDigests(tc, peer, track.Root)
-	enginePeer{n}.ChunkManifest(tc, peer, file, []cas.Hash{{1}})
+	enginePeer{n}.ChunkManifest(tc, peer, file)
 	enginePeer{n}.ChunkFetch(tc, peer, file, []cas.Hash{{1}})
 	// Mount.Remove's apply; its fan-out is a plain FSRemove, so the mirror
 	// frame of the new kind is sent by hand.
@@ -96,7 +101,7 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 		f.Fatal(err)
 	}
 	enginePeer{n}.Mirror(tc, peer, track, FSOp{Kind: FSUnlink, Path: file}, false)
-	enginePeer{n}.Mirror(tc, peer, track, FSOp{Kind: FSChunkWrite, Path: file, Chunks: []repl.ChunkRef{{Len: 2, Inline: true}}, Data: []byte("ab")}, false)
+	enginePeer{n}.Mirror(tc, peer, track, FSOp{Kind: FSWrite, Path: file, Spans: []nfs.WriteSpan{{Offset: 0, Data: []byte("ab")}, {Offset: 5, Data: []byte("cde")}}}, false)
 
 	ctl := &CtlClient{Net: rec, From: "cli", To: n.Addr()}
 	ctl.WriteFile("/d/g", []byte("x"))
@@ -114,7 +119,7 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	ctl.SlowDump(2)
 
 	// One frame per procedure, the last recorded: for kMirror that is the
-	// chunk-write above, the op with the most structure to mutate. Beside
+	// two-span write above, the op with the most structure to mutate. Beside
 	// them, the apply and the mirror of WriteFile's compound and of the
 	// unlink, the two ops whose primary arm walks the store itself.
 	var seeds []koshaSeed
@@ -222,8 +227,8 @@ func FuzzKoshaHandleNoPanic(f *testing.F) {
 		handle(obs.TraceContext{}, "fuzz", wire.Lend(frame))
 		wire.EndLend(frame)
 		runtime.ReadMemStats(&after)
-		// Decoded structures cost up to ten times their wire form (a 4-byte
-		// item can stand for a 40-byte ChunkRef); the fixed part covers a
+		// Decoded structures cost a few times their wire form (a 12-byte
+		// item can stand for a 32-byte WriteSpan); the fixed part covers a
 		// whole replica sync or a JSON stats snapshot.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4<<20+64*len(req)); got > limit {
 			t.Fatalf("handling %d bytes allocated %d (limit %d): %x", len(req), got, limit, req)

@@ -39,7 +39,7 @@ type Config struct {
 	// Writes still serialize through the primary. K = 0 turns it off: there
 	// is no replica to read from.
 	ReadFromReplicas bool
-	// ReadaheadChunks is N, the readahead window in repl.PushChunk-sized
+	// ReadaheadChunks is N, the readahead window in StreamChunk-sized
 	// (1 MiB) pieces a mount keeps in flight ahead of a sequential reader
 	// (one READSTREAM round trip per window). 0 (default) disables
 	// readahead: every READ is one stop-and-wait round trip.

@@ -41,6 +41,18 @@ func (p enginePeer) Mirror(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp
 	return p.n.sendMirror(tc, to, r.frame(kMirror))
 }
 
+// Pull asks to to make its copy of t's hierarchy hold what this node's copy
+// at src holds (kPull); to fetches what it lacks from here.
+func (p enginePeer) Pull(tc obs.TraceContext, to simnet.Addr, t Track, src string, primary bool) (simnet.Cost, error) {
+	e := wire.NewEncoder(128)
+	e.PutUint32(kPull)
+	putTrack(e, t)
+	e.PutString(src)
+	e.PutBool(primary)
+	_, cost, err := p.n.koshaCall(tc, to, e.Frame())
+	return cost, err
+}
+
 func (p enginePeer) Promote(tc obs.TraceContext, to simnet.Addr, t Track) (bool, simnet.Cost, error) {
 	return p.n.promote(tc, to, t)
 }
@@ -65,29 +77,17 @@ func (p enginePeer) ReadLink(tc obs.TraceContext, to simnet.Addr, phys string) (
 	return p.n.readLink(tc, to, phys)
 }
 
-// ChunkManifest fetches the chunk manifest of a remote regular file plus the
-// remote block index's HAVE bits for a WANT list (CHUNK_MANIFEST). A short or
-// missing HAVE reply is normalized to all-false: negotiation is an
-// optimization, so "don't know" must read as "ship it".
-func (p enginePeer) ChunkManifest(tc obs.TraceContext, to simnet.Addr, phys string, want []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
-	e := wire.NewEncoder(64 + len(want)*32)
-	e.PutUint32(kChunkManifest)
-	e.PutString(phys)
-	cas.PutHashes(e, want)
-	d, cost, err := p.n.koshaCall(tc, to, e.Frame())
+// ChunkManifest fetches the chunk manifest and the mode of a remote regular
+// file (CHUNK_MANIFEST).
+func (p enginePeer) ChunkManifest(tc obs.TraceContext, to simnet.Addr, phys string) (cas.Manifest, uint32, bool, simnet.Cost, error) {
+	d, cost, err := p.n.koshaPathCall(tc, to, kChunkManifest, phys)
 	if err != nil {
-		return nil, false, nil, cost, err
+		return nil, 0, false, cost, err
 	}
 	exists := d.Bool()
+	mode := d.Uint32()
 	man := cas.GetManifest(&d)
-	have := cas.GetBools(&d)
-	if d.Err() != nil {
-		return nil, false, nil, cost, d.Err()
-	}
-	if len(have) != len(want) {
-		have = make([]bool, len(want))
-	}
-	return man, exists, have, cost, nil
+	return man, mode, exists, cost, d.Err()
 }
 
 // ChunkFetch retrieves blocks by content hash (CHUNK_FETCH); blocks[i] is nil

@@ -24,12 +24,15 @@ const (
 	kReplicas   = 6 // report the primary's current replica holders for a key
 	kTreeDigest = 7 // Merkle root digest of a subtree (anti-entropy check)
 	kDirDigests = 8 // immediate children of a directory with subtree digests
-	// Block-level negotiation (CHUNK_MANIFEST / CHUNK_FETCH): the
-	// content-addressed delta-sync procedures layered under the digest
-	// exchange. kChunkManifest returns a file's chunk manifest plus HAVE
-	// bits for a WANT list; kChunkFetch serves block bytes by content hash.
+	// Block-level transfer (CHUNK_MANIFEST / CHUNK_FETCH), under the digest
+	// exchange: kChunkManifest returns a file's chunk manifest, kChunkFetch
+	// serves block bytes by content hash.
 	kChunkManifest = 9
 	kChunkFetch    = 10
+	// kPull asks the receiver to make its copy of a hierarchy hold what the
+	// caller's holds, fetching from the caller what it lacks: every replica
+	// refresh and migration hand-over.
+	kPull = 11
 )
 
 // kosha reply codes beyond NFS statuses.
@@ -66,21 +69,19 @@ type (
 )
 
 const (
-	FSMkdirAll   = repl.FSMkdirAll
-	FSMkdir      = repl.FSMkdir
-	FSCreate     = repl.FSCreate
-	FSWrite      = repl.FSWrite
-	FSSetattr    = repl.FSSetattr
-	FSRemove     = repl.FSRemove
-	FSRmdir      = repl.FSRmdir
-	FSRemoveAll  = repl.FSRemoveAll
-	FSRename     = repl.FSRename
-	FSSymlink    = repl.FSSymlink
-	FSWriteFile  = repl.FSWriteFile
-	FSWriteV     = repl.FSWriteV
-	FSChunkWrite = repl.FSChunkWrite
-	FSRelink     = repl.FSRelink
-	FSUnlink     = repl.FSUnlink
+	FSMkdirAll  = repl.FSMkdirAll
+	FSMkdir     = repl.FSMkdir
+	FSCreate    = repl.FSCreate
+	FSWrite     = repl.FSWrite
+	FSSetattr   = repl.FSSetattr
+	FSRemove    = repl.FSRemove
+	FSRmdir     = repl.FSRmdir
+	FSRemoveAll = repl.FSRemoveAll
+	FSRename    = repl.FSRename
+	FSSymlink   = repl.FSSymlink
+	FSWriteFile = repl.FSWriteFile
+	FSRelink    = repl.FSRelink
+	FSUnlink    = repl.FSUnlink
 )
 
 func putFSOp(e *wire.Encoder, op FSOp) {
@@ -95,12 +96,6 @@ func putFSOp(e *wire.Encoder, op FSOp) {
 	nfs.PutSetAttr(e, op.SetAttr)
 	e.PutBool(op.Prune)
 	nfs.PutWriteSpans(e, op.Spans)
-	e.PutUint32(uint32(len(op.Chunks)))
-	for _, cr := range op.Chunks {
-		e.PutDigest(cr.Hash)
-		e.PutUint32(cr.Len)
-		e.PutBool(cr.Inline)
-	}
 }
 
 // getFSOp decodes an FSOp but for its two paths, which it returns as bytes
@@ -121,12 +116,6 @@ func getFSOp(d *wire.Decoder) (op FSOp, path, path2 []byte) {
 	op.SetAttr = nfs.GetSetAttr(d)
 	op.Prune = d.Bool()
 	op.Spans = nfs.GetWriteSpans(d)
-	if n := d.ArrayLen(); n > 0 && d.Err() == nil {
-		op.Chunks = make([]repl.ChunkRef, 0, n)
-		for i := 0; i < n; i++ {
-			op.Chunks = append(op.Chunks, repl.ChunkRef{Hash: d.Digest(), Len: d.Uint32(), Inline: d.Bool()})
-		}
-	}
 	return op, path, path2
 }
 
@@ -153,8 +142,8 @@ func getTrack(d *wire.Decoder, rep *repl.Engine) Track {
 
 // applyReq is the body of kApply and kMirror. Primary marks a mirror that
 // must land in the receiver's primary namespace rather than the replica
-// area: migration pushes to a key's new owner, whose copy must be directly
-// servable (Section 4.3.1).
+// area: a deletion or a level-1 link told to a key's new owner, whose copy
+// must be directly servable (Section 4.3.1).
 type applyReq struct {
 	Key     id.ID // DHT key the primary must own (kApply only)
 	Track   Track

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -84,6 +85,7 @@ var koshaProcs = serviceTable{
 	kDirDigests:    {"dir-digests", (*Node).serveDirDigests},
 	kChunkManifest: {"chunk-manifest", (*Node).serveChunkManifest},
 	kChunkFetch:    {"chunk-fetch", (*Node).serveChunkFetch},
+	kPull:          {"pull", (*Node).servePull},
 }
 
 // serveApply executes a mutation at the primary and fans out to replicas.
@@ -168,8 +170,8 @@ func (n *Node) serveMirror(ctx obs.TraceContext, from simnet.Addr, d *wire.Decod
 	// Replica copies live in the reserved replica area, outside the
 	// primary namespace ("the replicas are inaccessible to the local
 	// users", Section 4.2): the decoder builds the op's paths there. A
-	// migration push addressed to this node as the key's new primary lands
-	// in the primary namespace directly.
+	// deletion addressed to this node as the key's new primary lands in the
+	// primary namespace directly.
 	r := decodeApplyReq(d, n.rep, true)
 	if d.Err() != nil {
 		return 0, d.Err()
@@ -269,24 +271,20 @@ func (n *Node) servePromote(ctx obs.TraceContext, from simnet.Addr, d *wire.Deco
 	return simnet.Seq(cost, simnet.Disk7200.OpCost(0)), nil
 }
 
-// serveChunkManifest answers a CHUNK_MANIFEST negotiation: the chunk
-// manifest of the local regular file at phys (computing it also indexes the
-// file's blocks, so a stale local copy of the very file being negotiated
-// yields HAVE answers for its unchanged chunks) plus HAVE bits for the
-// caller's WANT list.
+// serveChunkManifest answers CHUNK_MANIFEST: the chunk manifest and the mode
+// of the local regular file at phys. Computing it indexes the file's blocks,
+// which the puller's CHUNK_FETCH asks for next.
 func (n *Node) serveChunkManifest(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
 	phys := d.String()
-	want := cas.GetHashes(d)
 	if d.Err() != nil {
 		return 0, d.Err()
 	}
-	man, exists := n.rep.ManifestLocal(phys)
-	have := n.rep.HaveBlocks(want)
+	man, mode, exists := n.rep.ManifestLocal(phys)
 	e.PutUint32(codeOK)
 	e.PutBool(exists)
+	e.PutUint32(mode)
 	cas.PutManifest(e, man)
-	cas.PutBools(e, have)
-	return simnet.Disk7200.OpCost(len(man)*36 + len(want)*32), nil
+	return simnet.Disk7200.OpCost(len(man) * 36), nil
 }
 
 // serveChunkFetch serves block bytes by content hash (CHUNK_FETCH). The phys
@@ -315,6 +313,29 @@ func (n *Node) serveChunkFetch(ctx obs.TraceContext, from simnet.Addr, d *wire.D
 		}
 	}
 	return simnet.Disk7200.OpCost(total), nil
+}
+
+// servePull makes this node's copy of a hierarchy hold what the caller's
+// copy holds (kPull), fetching from the caller what it lacks. The source is
+// the transport's from, never a frame field: a node can only be told to pull
+// from the node that asked.
+func (n *Node) servePull(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
+	t := getTrack(d, n.rep)
+	src := d.String()
+	primary := d.Bool()
+	if d.Err() != nil {
+		return 0, d.Err()
+	}
+	if t.Root == "" || src == "" {
+		return 0, errors.New("kosha: pull names no hierarchy")
+	}
+	cost, err := n.rep.Pull(ctx, from, t, src, primary)
+	if err != nil {
+		e.PutUint32(codeNFSBase + uint32(nfs.ToStatus(err)))
+		return cost, nil
+	}
+	e.PutUint32(codeOK)
+	return cost, nil
 }
 
 func putApplyReplyBody(e *wire.Encoder, attr localfs.Attr, fh nfs.Handle, fanout int) {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/localfs"
 	"repro/internal/nfs"
 	"repro/internal/obs"
-	"repro/internal/repl"
 	"repro/internal/simnet"
 )
 
@@ -213,7 +212,11 @@ func appendData(dst, data []byte) []byte {
 	return append(dst, data...)
 }
 
-// fillWindow fetches one readahead window of repl.PushChunk-sized chunks
+// StreamChunk is the unit a readahead window moves: a window is
+// Config.ReadaheadChunks chunks of this size, one READSTREAM round trip.
+const StreamChunk = 1 << 20
+
+// fillWindow fetches one readahead window of StreamChunk-sized chunks
 // starting at offset into the stream buffer. With ReadFromReplicas the
 // window splits bitswap-style over the handle's holder list: contiguous
 // chunk ranges are pulled from the holders concurrently (the cost is the
@@ -221,7 +224,7 @@ func appendData(dst, data []byte) []byte {
 // failure never fails the window — its segment is refetched from the
 // primary.
 func (m *Mount) fillWindow(tr *obs.Trace, de *ventry, st *stream, offset int64) (simnet.Cost, error) {
-	const chunk = repl.PushChunk
+	const chunk = StreamChunk
 	window := m.n.cfg.ReadaheadChunks
 	var total simnet.Cost
 	hs := []simnet.Addr{de.node}
@@ -364,7 +367,7 @@ func (m *Mount) writeBuffered(tr *obs.Trace, vh VH, offset int64, data []byte) (
 	return len(data), cost, true, nil
 }
 
-// flushLocked ships the buffered spans as one vectored apply through the
+// flushLocked ships the buffered spans as one FSWrite apply through the
 // primary (replica fan-out intact) and empties the buffer. Like the NFSv3
 // write-back contract, dirty data is dropped on error: the failure surfaces
 // to whoever forced the flush — high water, Commit, Close — and is gone.
@@ -382,7 +385,7 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 	}
 	var vp string
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
-		_, _, c, aerr := m.n.apply(tr, de.site(), FSOp{Kind: FSWriteV, Path: de.physPath, Spans: spans})
+		_, _, c, aerr := m.n.apply(tr, de.site(), FSOp{Kind: FSWrite, Path: de.physPath, Spans: spans})
 		if aerr == nil {
 			vp = de.vpath
 			if de.node == m.n.addr {

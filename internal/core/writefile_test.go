@@ -217,7 +217,7 @@ func TestWriteFileCarriesOneBatch(t *testing.T) {
 		}
 		got = append(got, fmt.Sprintf("%v:%d", op.Kind, size))
 	}
-	if want := []string{fmt.Sprintf("writefile:%d", batch), fmt.Sprintf("writev:%d", len(data)-batch)}; !reflect.DeepEqual(got, want) {
+	if want := []string{fmt.Sprintf("writefile:%d", batch), fmt.Sprintf("write:%d", len(data)-batch)}; !reflect.DeepEqual(got, want) {
 		t.Errorf("applies sent %v, want %v", got, want)
 	}
 	if read, _, err := nodes[2].NewMount().ReadFile("/d/big"); err != nil || !bytes.Equal(read, data) {

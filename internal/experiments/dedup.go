@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/id"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -66,7 +67,7 @@ type DedupResult struct {
 
 	EditFileSize   int     `json:"edit_file_size"`
 	EditFullBytes  uint64  `json:"edit_full_bytes"`  // EditFileSize: what a whole-file refresh ships, before framing
-	EditDeltaBytes uint64  `json:"edit_delta_bytes"` // chunk-negotiated refresh of the same edit
+	EditDeltaBytes uint64  `json:"edit_delta_bytes"` // the refresh's pull of the same edit, kosha bytes both ways
 	EditDeltaPct   float64 `json:"edit_delta_pct"`   // delta as % of whole-file
 
 	PromoteFullBytes  uint64  `json:"promote_full_bytes"`  // EditFileSize: what a whole-file promote repair fetches
@@ -115,23 +116,24 @@ func primaryOf(c *cluster.Cluster, vpath string) (*core.Node, int, error) {
 // closest to the tree's key — the node that inherits the root if the primary
 // dies, so a promote afterwards has a repair to do. The link is then healed
 // and only the overlay repaired: a full Stabilize would run everyone's
-// replica sync and converge the tree before the measured refresh.
-func staleWrite(c *cluster.Cluster, replicas int, vpath string, data []byte) (primary *core.Node, pi int, err error) {
+// replica sync and converge the tree before the measured refresh. stale is
+// the candidate's address.
+func staleWrite(c *cluster.Cluster, replicas int, vpath string, data []byte) (primary *core.Node, pi int, stale simnet.Addr, err error) {
 	pn := strings.SplitN(vpath, "/", 3)[1]
 	primary, pi, err = primaryOf(c, "/"+pn)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, "", err
 	}
 	cands := primary.Overlay().ReplicaCandidates(replicas)
 	if len(cands) < replicas {
-		return nil, 0, fmt.Errorf("primary %s has %d replica candidates, want %d", primary.Addr(), len(cands), replicas)
+		return nil, 0, "", fmt.Errorf("primary %s has %d replica candidates, want %d", primary.Addr(), len(cands), replicas)
 	}
 	ids := make([]id.ID, len(cands))
 	for i, cd := range cands {
 		ids[i] = cd.ID
 	}
 	best, _ := id.Closest(core.Key(pn), ids)
-	stale := cands[0].Addr
+	stale = cands[0].Addr
 	for _, cd := range cands {
 		if cd.ID == best {
 			stale = cd.Addr
@@ -143,22 +145,22 @@ func staleWrite(c *cluster.Cluster, replicas int, vpath string, data []byte) (pr
 	_, err = primary.NewMount().WriteFile(vpath, data)
 	c.Net.SetPartition(nil)
 	if err != nil {
-		return nil, 0, fmt.Errorf("write %s behind the partition: %w", vpath, err)
+		return nil, 0, "", fmt.Errorf("write %s behind the partition: %w", vpath, err)
 	}
 	for round := 0; round < 3; round++ {
 		for _, nd := range c.Nodes {
 			nd.Overlay().Stabilize()
 		}
 	}
-	return primary, pi, nil
+	return primary, pi, stale, nil
 }
 
 // runDedupRatioArm publishes the duplicate-heavy corpus and reads the
 // cluster-wide block-index accounting. Each tree's first file seeds the
 // hierarchy normally; the rest are written while the network is fully
 // partitioned, so the replicas catch up through the measured anti-entropy
-// push (the path that chunks, negotiates, and indexes) instead of the
-// per-op mirror fan-out.
+// pull (the path that chunks and indexes) instead of the per-op mirror
+// fan-out.
 func runDedupRatioArm(opts DedupOptions) (logical, stored int64, err error) {
 	cfg := koshaCfg()
 	cfg.NoAutoSync = true
@@ -213,7 +215,7 @@ func runDedupRatioArm(opts DedupOptions) (logical, stored int64, err error) {
 
 // runDedupEditArm replicates one big file, makes the replica stale by a
 // 16-byte edit applied behind a partition, and returns the kosha-service
-// bytes the primary's next SyncReplicas moves to reconverge.
+// bytes (both ways) the primary's next SyncReplicas moves to reconverge.
 func runDedupEditArm(opts DedupOptions) (uint64, error) {
 	cfg := koshaCfg()
 	cfg.NoAutoSync = true
@@ -228,7 +230,7 @@ func runDedupEditArm(opts DedupOptions) (uint64, error) {
 	}
 	c.Stabilize()
 
-	primary, _, err := staleWrite(c, cfg.Replicas, "/dedit00/blob.bin", spliceEdit(data, opts.EditFileSize/2))
+	primary, _, _, err := staleWrite(c, cfg.Replicas, "/dedit00/blob.bin", spliceEdit(data, opts.EditFileSize/2))
 	if err != nil {
 		return 0, err
 	}
@@ -240,8 +242,9 @@ func runDedupEditArm(opts DedupOptions) (uint64, error) {
 // runDedupPromoteArm replicates one big file at K=2, makes the would-be
 // successor's copy stale by the 16-byte edit, crashes the primary, and
 // returns how many bytes the successor's pull repair fetches while
-// promoting (the repl.fetch.bytes counter, which charges only the pull
-// path — block fetches, ranged reads, and whole-file streams).
+// promoting: its own repl.fetch.bytes counter. The replica set's other
+// repairs (a new candidate pulling the whole file from the promoted
+// successor) count on the nodes that pull them.
 func runDedupPromoteArm(opts DedupOptions) (uint64, error) {
 	cfg := koshaCfg()
 	cfg.NoAutoSync = true
@@ -261,22 +264,23 @@ func runDedupPromoteArm(opts DedupOptions) (uint64, error) {
 	}
 	c.Stabilize()
 
-	_, pi, err := staleWrite(c, cfg.Replicas, "/djob00/blob.bin", spliceEdit(data, opts.EditFileSize/2))
+	_, pi, stale, err := staleWrite(c, cfg.Replicas, "/djob00/blob.bin", spliceEdit(data, opts.EditFileSize/2))
 	if err != nil {
 		return 0, err
 	}
-
-	before := uint64(0)
+	var fetched *obs.Counter
 	for _, nd := range c.Nodes {
-		before += nd.Obs().Snapshot().Counters["repl.fetch.bytes"]
+		if nd.Addr() == stale {
+			fetched = nd.Obs().Counter("repl.fetch.bytes")
+		}
 	}
+	if fetched == nil {
+		return 0, fmt.Errorf("successor %s not in cluster", stale)
+	}
+	before := fetched.Load()
 	c.Fail(pi)
 	c.Stabilize()
-	after := uint64(0)
-	for _, nd := range c.Nodes {
-		after += nd.Obs().Snapshot().Counters["repl.fetch.bytes"]
-	}
-	return after - before, nil
+	return fetched.Load() - before, nil
 }
 
 // RunDedup executes all three arms.

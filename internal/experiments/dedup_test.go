@@ -39,10 +39,11 @@ func TestDedupAcceptance(t *testing.T) {
 		t.Fatalf("block-level promote repair fetched %d bytes, >= 10%% of the %d-byte whole-file fetch (%.1f%%)",
 			res.PromoteDeltaBytes, res.PromoteFullBytes, res.PromoteDeltaPct)
 	}
-	// The walk's exact traffic, as DESIGN.md §13 quotes it: push (edit) and
-	// pull (promote) both go through one reconcile.
-	if res.EditDeltaBytes != 51864 || res.PromoteDeltaBytes != 71372 {
-		t.Fatalf("edit_delta_bytes = %d, promote_delta_bytes = %d, want 51864 and 71372", res.EditDeltaBytes, res.PromoteDeltaBytes)
+	// The pulls' exact traffic, as DESIGN.md §13 quotes it: the refreshed
+	// replica (edit, kosha bytes both ways) and the promoted heir (promote,
+	// the blocks it fetched) both pull through one reconcile.
+	if res.EditDeltaBytes != 49544 || res.PromoteDeltaBytes != 71372 {
+		t.Fatalf("edit_delta_bytes = %d, promote_delta_bytes = %d, want 49544 and 71372", res.EditDeltaBytes, res.PromoteDeltaBytes)
 	}
 	var sb strings.Builder
 	res.Fprint(&sb)

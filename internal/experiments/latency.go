@@ -67,7 +67,7 @@ type LatencyResult struct {
 	Resyncs       uint64      `json:"resyncs"`
 	// Replica-maintenance and streaming-I/O effectiveness counters, summed
 	// over the cluster.
-	SyncBytes        uint64 `json:"repl_sync_bytes"`
+	FetchBytes       uint64 `json:"repl_fetch_bytes"`
 	SyncFilesSent    uint64 `json:"repl_sync_files_sent"`
 	SyncFilesSkipped uint64 `json:"repl_sync_files_skipped"`
 	SyncDigestHits   uint64 `json:"repl_sync_digest_hits"`
@@ -175,7 +175,7 @@ func RunLatency(opts LatencyOptions) (*LatencyResult, error) {
 	res.Replications = agg.Counters["replicate.count"]
 	res.Failovers = ev.Counts[obs.EvFailover]
 	res.Resyncs = ev.Counts[obs.EvResync]
-	res.SyncBytes = agg.Counters["repl.sync.bytes"]
+	res.FetchBytes = agg.Counters["repl.fetch.bytes"]
 	res.SyncFilesSent = agg.Counters["repl.sync.files.sent"]
 	res.SyncFilesSkipped = agg.Counters["repl.sync.files.skipped"]
 	res.SyncDigestHits = agg.Counters["repl.sync.digest.hits"]
@@ -205,8 +205,8 @@ func (r *LatencyResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "mean route hops %.2f over %d routes; %d replications, %d failovers, %d resyncs\n",
 		r.MeanRouteHops, r.Routes, r.Replications, r.Failovers, r.Resyncs)
 	if hm := r.SyncDigestHits + r.SyncDigestMisses; hm > 0 {
-		fmt.Fprintf(w, "replica sync: %d bytes, %d files sent, %d skipped, digest hit %.1f%% (%d/%d)\n",
-			r.SyncBytes, r.SyncFilesSent, r.SyncFilesSkipped,
+		fmt.Fprintf(w, "replica sync: %d bytes fetched, %d files pulled, %d skipped, digest hit %.1f%% (%d/%d)\n",
+			r.FetchBytes, r.SyncFilesSent, r.SyncFilesSkipped,
 			float64(r.SyncDigestHits)/float64(hm)*100, r.SyncDigestHits, hm)
 	}
 	if r.ReadaheadHits+r.ReadaheadWasted+r.WBFlushes > 0 {
@@ -227,8 +227,8 @@ func (r *LatencyResult) FprintCSV(w io.Writer) {
 		fmt.Fprintf(w, "%s,%d,%.3f,%.3f,%.3f,%.3f,%.3f\n",
 			o.Op, o.Count, o.MeanMS, o.P50MS, o.P95MS, o.P99MS, o.MaxMS)
 	}
-	fmt.Fprintf(w, "# repl.sync.bytes=%d repl.sync.files.sent=%d repl.sync.files.skipped=%d repl.sync.digest.hits=%d repl.sync.digest.misses=%d\n",
-		r.SyncBytes, r.SyncFilesSent, r.SyncFilesSkipped, r.SyncDigestHits, r.SyncDigestMisses)
+	fmt.Fprintf(w, "# repl.fetch.bytes=%d repl.sync.files.sent=%d repl.sync.files.skipped=%d repl.sync.digest.hits=%d repl.sync.digest.misses=%d\n",
+		r.FetchBytes, r.SyncFilesSent, r.SyncFilesSkipped, r.SyncDigestHits, r.SyncDigestMisses)
 	fmt.Fprintf(w, "# io.readahead.hits=%d io.readahead.wasted=%d io.writeback.coalesced=%d io.writeback.flushes=%d\n",
 		r.ReadaheadHits, r.ReadaheadWasted, r.WBCoalesced, r.WBFlushes)
 	if len(r.Samples) > 0 {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/nfs"
-	"repro/internal/repl"
 )
 
 // StreamOptions parameterizes the large-file streaming experiment: one
@@ -19,7 +18,7 @@ type StreamOptions struct {
 	Nodes          int
 	FileBytes      int // size of the scanned file
 	ReadSize       int // bytes per client READ call (the kernel's rsize)
-	Window         int // readahead window, in repl.PushChunk-sized chunks
+	Window         int // readahead window, in core.StreamChunk-sized chunks
 	RandReads      int // random 64KiB reads after the sequential scan
 	WriteCount     int // small sequential writes in the write phase
 	WriteSize      int // bytes per write
@@ -262,7 +261,7 @@ func RunStream(opts StreamOptions) (*StreamResult, error) {
 // Fprint renders the comparison as a text table.
 func (r *StreamResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Streaming I/O over a %d MiB file, %d nodes (window %d x %d KiB, write-back %d KiB)\n",
-		r.FileBytes>>20, r.Nodes, r.Window, repl.PushChunk>>10, r.opts.WriteBackBytes>>10)
+		r.FileBytes>>20, r.Nodes, r.Window, core.StreamChunk>>10, r.opts.WriteBackBytes>>10)
 	fmt.Fprintf(w, "%-28s %14s %14s\n", "metric", "stop-and-wait", "streamed")
 	fmt.Fprintf(w, "%-28s %14d %14d\n", "sequential-read data RPCs", r.SeqRPCsBase, r.SeqRPCsStream)
 	fmt.Fprintf(w, "%-28s %14.1f %14.1f\n", "sequential MB/s (modeled)", r.SeqMBpsBase, r.SeqMBpsStream)

@@ -44,17 +44,18 @@ type SyncResult struct {
 	Nodes        int     `json:"nodes"`
 	Files        int     `json:"files"`
 	FileSize     int     `json:"file_size"`
-	FullBytes    uint64  `json:"full_bytes"` // Files x FileSize: the content any full re-push ships, before framing
+	FullBytes    uint64  `json:"full_bytes"` // Files x FileSize: the content any full copy moves, before framing
 	DeltaBytes   uint64  `json:"delta_bytes"`
 	DeltaPct     float64 `json:"delta_pct"`     // delta bytes as % of full bytes
-	FilesSent    uint64  `json:"files_sent"`    // shipped by the delta sync
+	FilesSent    uint64  `json:"files_sent"`    // pulled by the delta sync
 	FilesSkipped uint64  `json:"files_skipped"` // proven current by digest
 }
 
 // RunSync builds a cluster, replicates a Files-file subtree, makes the
 // replica exactly one file stale by partitioning the primary from it during
-// a touch, heals the network, and sets the kosha-service bytes the primary's
-// next SyncReplicas moves against the content bytes of a full copy.
+// a touch, heals the network, and sets the kosha-service bytes (both ways)
+// the primary's next SyncReplicas moves against the content bytes of a full
+// copy.
 func RunSync(opts SyncOptions) (*SyncResult, error) {
 	cfg := koshaCfg()
 	// Membership-driven resync would heal the staleness behind the
@@ -81,23 +82,29 @@ func RunSync(opts SyncOptions) (*SyncResult, error) {
 	// replica is now stale by exactly that file.
 	touched := append([]byte(nil), data...)
 	touched[0] ^= 0xff
-	primary, _, err := staleWrite(c, cfg.Replicas, fmt.Sprintf("/sync00/f%03d", opts.Files/2), touched)
+	primary, _, _, err := staleWrite(c, cfg.Replicas, fmt.Sprintf("/sync00/f%03d", opts.Files/2), touched)
 	if err != nil {
 		return nil, err
 	}
 
-	before := primary.Obs().Snapshot().Counters
+	// The replicas pull, so the file counters are summed over the nodes.
+	sum := func(name string) (n uint64) {
+		for _, nd := range c.Nodes {
+			n += nd.Obs().Counter(name).Load()
+		}
+		return n
+	}
+	sent, skipped := sum("repl.sync.files.sent"), sum("repl.sync.files.skipped")
 	c.Net.ResetStats()
 	primary.SyncReplicas()
-	after := primary.Obs().Snapshot().Counters
 	res := &SyncResult{
 		Nodes:        opts.Nodes,
 		Files:        opts.Files,
 		FileSize:     opts.FileSize,
 		FullBytes:    uint64(opts.Files) * uint64(opts.FileSize),
 		DeltaBytes:   c.Net.ServiceStats(core.KoshaService).Bytes,
-		FilesSent:    after["repl.sync.files.sent"] - before["repl.sync.files.sent"],
-		FilesSkipped: after["repl.sync.files.skipped"] - before["repl.sync.files.skipped"],
+		FilesSent:    sum("repl.sync.files.sent") - sent,
+		FilesSkipped: sum("repl.sync.files.skipped") - skipped,
 	}
 	if res.FullBytes > 0 {
 		res.DeltaPct = float64(res.DeltaBytes) / float64(res.FullBytes) * 100
@@ -110,9 +117,9 @@ func (r *SyncResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Replica refresh after a 1-file touch, %d nodes (%d files x %d B)\n",
 		r.Nodes, r.Files, r.FileSize)
 	fmt.Fprintf(w, "%-22s %12s\n", "strategy", "bytes moved")
-	fmt.Fprintf(w, "%-22s %12d\n", "full re-push", r.FullBytes)
+	fmt.Fprintf(w, "%-22s %12d\n", "full copy", r.FullBytes)
 	fmt.Fprintf(w, "%-22s %12d\n", "merkle delta", r.DeltaBytes)
-	fmt.Fprintf(w, "delta sync moved %.1f%% of the full push; shipped %d file(s), digests skipped %d\n",
+	fmt.Fprintf(w, "delta sync moved %.1f%% of a full copy; pulled %d file(s), digests skipped %d\n",
 		r.DeltaPct, r.FilesSent, r.FilesSkipped)
 }
 

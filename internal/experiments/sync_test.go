@@ -7,7 +7,7 @@ import (
 
 // TestSyncDeltaUnderTenPercent is the anti-entropy acceptance bar: touching
 // one file in a 100-file replicated subtree must refresh the replica for
-// less than 10% of the tree's content bytes — what any full re-push would
+// less than 10% of the tree's content bytes — what any full copy would
 // have to move before framing.
 func TestSyncDeltaUnderTenPercent(t *testing.T) {
 	opts := DefaultSyncOptions()
@@ -22,7 +22,7 @@ func TestSyncDeltaUnderTenPercent(t *testing.T) {
 		t.Fatal("the refresh moved no bytes")
 	}
 	if res.DeltaBytes*10 >= res.FullBytes {
-		t.Fatalf("delta sync moved %d bytes, >= 10%% of the %d-byte full push (%.1f%%)",
+		t.Fatalf("delta sync moved %d bytes, >= 10%% of the %d-byte full copy (%.1f%%)",
 			res.DeltaBytes, res.FullBytes, res.DeltaPct)
 	}
 	if res.FilesSent != 1 {
@@ -31,10 +31,10 @@ func TestSyncDeltaUnderTenPercent(t *testing.T) {
 	if res.FilesSkipped < uint64(opts.Files-1) {
 		t.Fatalf("delta sync skipped %d files, want >= %d", res.FilesSkipped, opts.Files-1)
 	}
-	// The walk's exact traffic, as DESIGN.md §9 quotes it: a change to either
-	// replica-repair direction that moves a byte fails here.
-	if res.DeltaBytes != 4804 || res.FilesSkipped != 99 {
-		t.Fatalf("delta_bytes = %d, files_skipped = %d, want 4804 and 99", res.DeltaBytes, res.FilesSkipped)
+	// The pull's exact traffic, both ways, as DESIGN.md §9 quotes it: a
+	// change to the replica repair that moves a byte fails here.
+	if res.DeltaBytes != 8808 || res.FilesSkipped != 99 {
+		t.Fatalf("delta_bytes = %d, files_skipped = %d, want 8808 and 99", res.DeltaBytes, res.FilesSkipped)
 	}
 	var sb strings.Builder
 	res.Fprint(&sb)

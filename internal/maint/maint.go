@@ -13,9 +13,9 @@
 // The capacity rebalancer consumes the used/free accounting nodes gossip on
 // leaf-set keep-alive traffic. When local utilization crosses the high-water
 // mark it picks victim hierarchies (smallest first), re-salts their
-// placement name to find a less-utilized owner, migrates the subtree there
-// under the MIGRATION_NOT_COMPLETE flag protocol with chunk-negotiated
-// transfer, flips the level-1 special link in one atomic apply, and retires
+// placement name to find a less-utilized owner, has the owner pull the
+// subtree under the MIGRATION_NOT_COMPLETE flag protocol (only the blocks it
+// lacks move), flips the level-1 special link in one atomic apply, and retires
 // the old storage root. A target crash mid-move aborts safely: the flag
 // stays armed on the incomplete copy, the link still names the old location,
 // and every acknowledged byte remains readable at the source.
@@ -431,9 +431,9 @@ func (e *Engine) rebalanceRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 }
 
 // moveVictim migrates one hierarchy: pick the least-utilized owner among
-// the re-salted placement probes, push the subtree to a fresh storage root
-// there, flip the level-1 link, and retire the old root. Any failure aborts
-// with the link still naming the old (complete, readable) copy.
+// the re-salted placement probes, have it pull the subtree into a fresh
+// storage root, flip the level-1 link, and retire the old root. Any failure
+// aborts with the link still naming the old (complete, readable) copy.
 func (e *Engine) moveVictim(tc obs.TraceContext, v victim, tokens *int) (simnet.Cost, bool) {
 	var total simnet.Cost
 	base := e.host.BaseName(v.t.PN)

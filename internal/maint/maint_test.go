@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path"
 	"strings"
 	"testing"
 
@@ -27,17 +26,17 @@ import (
 
 var errScripted = errors.New("scripted failure")
 
-// peerStore is one remote node: its store and the digests over it.
+// peerStore is one remote node: a replication engine over its own store.
 type peerStore struct {
-	fs localfs.FileSystem
-	mk *merkle.Cache
+	fs  localfs.FileSystem
+	eng *repl.Engine
 }
 
-// storePeers is a repl.Peer over in-memory remote stores. Mirror applies the
-// ops a push emits; block negotiation always answers that the remote holds
-// neither the file nor any block, so every chunk of a push travels inline
-// and no chunk index is needed.
+// storePeers is a repl.Peer over in-memory remote nodes. Mirror applies the
+// metadata ops repair sends; Pull runs the remote engine's own pull, whose
+// listing and block calls reach the host's engine through hostPeer.
 type storePeers struct {
+	host   *repl.Engine
 	stores map[simnet.Addr]*peerStore
 	asks   map[pair]int // TREE_DIGEST asks per (primary-relative root, node)
 }
@@ -45,7 +44,8 @@ type storePeers struct {
 func (p *storePeers) at(a simnet.Addr) *peerStore {
 	if p.stores[a] == nil {
 		fs := localfs.New(0, simnet.DiskModel{})
-		p.stores[a] = &peerStore{fs: fs, mk: merkle.NewCacheWithStore(fs, cas.NewStore(fs, nil))}
+		eng := repl.New(repl.Options{Self: a, Store: fs, Overlay: noOverlay{}, Peer: hostPeer{p}, Replicas: 1, Key: func(pn string) (k id.ID) { copy(k[:], pn); return k }})
+		p.stores[a] = &peerStore{fs: fs, eng: eng}
 	}
 	return p.stores[a]
 }
@@ -59,44 +59,31 @@ func (p *storePeers) Mirror(_ obs.TraceContext, to simnet.Addr, _ repl.Track, op
 	case repl.FSMkdirAll:
 		_, err := fs.MkdirAll(op.Path)
 		return 0, err
-	case repl.FSWriteFile:
-		return 0, fs.WriteFile(op.Path, op.Data)
-	case repl.FSCreate:
-		return 0, fs.WriteFile(op.Path, nil)
-	case repl.FSWrite, repl.FSChunkWrite: // a span's chunks are all inline
-		a, err := fs.LookupPath(op.Path)
-		if err != nil {
-			return 0, err
-		}
-		_, _, err = fs.Write(a.Ino, op.Offset, op.Data)
-		return 0, err
-	case repl.FSRemove, repl.FSRemoveAll:
+	case repl.FSRemoveAll:
 		return 0, fs.RemoveAll(op.Path)
 	}
 	return 0, fmt.Errorf("storePeers: unscripted op %v", op.Kind)
 }
 
+func (p *storePeers) Pull(tc obs.TraceContext, to simnet.Addr, t repl.Track, src string, primary bool) (simnet.Cost, error) {
+	return p.at(to).eng.Pull(tc, "self", t, src, primary)
+}
+
 func (p *storePeers) DigestTree(_ obs.TraceContext, to simnet.Addr, root string, _ bool) (repl.TreeDigest, simnet.Cost, error) {
 	p.asks[pair{repl.PrimaryRoot(root), to}]++
-	s := p.at(to)
-	var td repl.TreeDigest
-	if _, err := s.fs.LookupPath(root); err != nil {
-		return td, 0, nil
-	}
-	td.Exists = true
-	_, err := s.fs.LookupPath(path.Join(root, repl.MigrationFlag))
-	td.Flag = err == nil
-	td.Root, _ = s.mk.DigestOf(root)
+	eng := p.at(to).eng
+	td := eng.DigestLocal(root, true)
+	td.Ver = eng.VerOf(repl.PrimaryRoot(root))
 	return td, 0, nil
 }
 
 func (p *storePeers) DirDigests(_ obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error) {
-	ents, ok, err := p.at(to).mk.Entries(dir)
+	ents, ok, err := p.at(to).eng.DirDigestsLocal(dir)
 	return ents, ok, 0, err
 }
 
-func (p *storePeers) ChunkManifest(_ obs.TraceContext, _ simnet.Addr, _ string, want []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
-	return nil, false, make([]bool, len(want)), 0, nil
+func (p *storePeers) ChunkManifest(obs.TraceContext, simnet.Addr, string) (cas.Manifest, uint32, bool, simnet.Cost, error) {
+	return nil, 0, false, 0, errScripted
 }
 
 func (p *storePeers) ChunkFetch(obs.TraceContext, simnet.Addr, string, []cas.Hash) ([][]byte, simnet.Cost, error) {
@@ -109,6 +96,49 @@ func (p *storePeers) Promote(obs.TraceContext, simnet.Addr, repl.Track) (bool, s
 
 func (p *storePeers) ReadLink(obs.TraceContext, simnet.Addr, string) (string, simnet.Cost, error) {
 	return "", 0, errScripted
+}
+
+// hostPeer is a remote engine's network: the listing and block calls of its
+// pulls reach the host's engine, answered from the host's store.
+type hostPeer struct{ p *storePeers }
+
+func (h hostPeer) DirDigests(_ obs.TraceContext, _ simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error) {
+	ents, ok, err := h.p.host.DirDigestsLocal(dir)
+	return ents, ok, 0, err
+}
+
+func (h hostPeer) ChunkManifest(_ obs.TraceContext, _ simnet.Addr, phys string) (cas.Manifest, uint32, bool, simnet.Cost, error) {
+	m, mode, ok := h.p.host.ManifestLocal(phys)
+	return m, mode, ok, 0, nil
+}
+
+func (h hostPeer) ChunkFetch(_ obs.TraceContext, _ simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
+	h.p.host.ManifestLocal(phys)
+	blocks := make([][]byte, len(hashes))
+	for i, hash := range hashes {
+		blocks[i], _ = h.p.host.GetBlock(hash)
+	}
+	return blocks, 0, nil
+}
+
+func (hostPeer) ReadLink(obs.TraceContext, simnet.Addr, string) (string, simnet.Cost, error) {
+	return "", 0, errScripted
+}
+
+func (hostPeer) Mirror(obs.TraceContext, simnet.Addr, repl.Track, repl.FSOp, bool) (simnet.Cost, error) {
+	return 0, errScripted
+}
+
+func (hostPeer) Pull(obs.TraceContext, simnet.Addr, repl.Track, string, bool) (simnet.Cost, error) {
+	return 0, errScripted
+}
+
+func (hostPeer) Promote(obs.TraceContext, simnet.Addr, repl.Track) (bool, simnet.Cost, error) {
+	return false, 0, errScripted
+}
+
+func (hostPeer) DigestTree(obs.TraceContext, simnet.Addr, string, bool) (repl.TreeDigest, simnet.Cost, error) {
+	return repl.TreeDigest{}, 0, errScripted
 }
 
 // noOverlay satisfies repl.Overlay; the maintenance hooks never consult it.
@@ -191,6 +221,7 @@ func newHost(capacity int64) *scriptedHost {
 		ownership: map[string]int{},
 	}
 	h.rep = repl.New(repl.Options{Self: "self", Store: h.fs, Overlay: noOverlay{}, Peer: h.peers, Replicas: 1, Key: func(pn string) (k id.ID) { copy(k[:], pn); return k }, Registry: h.reg})
+	h.peers.host = h.rep
 	return h
 }
 
@@ -272,7 +303,7 @@ func TestExchangeCursorCoversEveryPair(t *testing.T) {
 		}
 	}
 	// Every candidate starts empty, so every pair diverges: one ask and a
-	// push each, all of them within the first three rounds.
+	// pull each, all of them within the first three rounds.
 	sweep(1)
 	if got, want := h.counter("maint.scrub.repaired"), uint64(len(roots)*len(h.cands)); got != want {
 		t.Fatalf("repaired %d pairs in %d rounds, want all %d", got, rounds, want)

@@ -6,8 +6,8 @@
 // store the copy lives — the digest covers names and bytes, never absolute
 // paths, modes, or times — so a primary-path copy and a replica-area copy of
 // the same tree compare equal. Replica maintenance (internal/repl) uses the
-// digests to walk only mismatching directory nodes and ship only changed
-// files, turning a full-tree re-push into an O(changed + depth) delta.
+// digests to walk only mismatching directory nodes and pull only changed
+// files, turning a full-tree copy into an O(changed + depth) delta.
 //
 // A Cache memoizes digests per path and invalidates the affected path, its
 // ancestors, and its descendants whenever the underlying store reports a

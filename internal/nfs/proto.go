@@ -57,7 +57,8 @@ const (
 	// whole readahead window (several chunk-sized READs pipelined
 	// server-side). Extensions take numbers above the RFC 1813 program so a
 	// plain NFSv3 peer could still answer the standard procedures. 41 was
-	// WRITEBATCH (a flush is an FSWriteV apply now) and stays vacant.
+	// WRITEBATCH (a flush is an FSWrite apply carrying its spans now) and
+	// stays vacant.
 	ProcReadStream Proc = 40
 	// ProcLookupPath resolves a whole component list below a start handle in
 	// one round trip: everything below Kosha's distribution level lives on one
@@ -436,9 +437,9 @@ func putPath(e *wire.Encoder, p string) {
 	binary.BigEndian.PutUint32(e.Bytes()[at:], n)
 }
 
-// WriteSpan is one contiguous byte range of a vectored write: the unit an
-// FSWriteV mutation carries on the wire and the write-back buffer coalesces
-// adjacent WRITEs into.
+// WriteSpan is one contiguous byte range of a flushed write: the unit a
+// write-back buffer coalesces adjacent WRITEs into and its FSWrite mutation
+// carries on the wire.
 type WriteSpan struct {
 	Offset int64
 	Data   []byte

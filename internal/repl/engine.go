@@ -29,24 +29,31 @@ type Overlay interface {
 }
 
 // Peer is the engine's view of other nodes: the RPCs replica maintenance is
-// built from. File bytes move only as hash-verified blocks (ChunkManifest,
-// ChunkFetch) or as mirrored mutations (Mirror).
+// built from. File bytes move only as hash-verified blocks that the node
+// lacking them fetches (ChunkManifest, ChunkFetch): a node that finds
+// another's copy stale asks it to Pull, it never writes into it.
 // Every method takes the caller's trace context first, so anti-entropy and
 // migration traffic shows up as server spans on the remote side of the
 // assembled cross-node trace (a zero context propagates nothing).
 type Peer interface {
 	// Mirror ships one mutation to another node; primary selects whether it
-	// lands in the primary namespace (migration push) or the replica area.
+	// lands in the primary namespace or the replica area. Repair sends only
+	// metadata this way: a deletion, a level-1 link, a version re-stamp.
 	Mirror(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp, primary bool) (simnet.Cost, error)
 	// Promote asks to, as the new owner of t's key, to surface its
 	// replica-area copy; reports whether remote state changed.
 	Promote(tc obs.TraceContext, to simnet.Addr, t Track) (bool, simnet.Cost, error)
+	// Pull asks to to make its copy of t's hierarchy (at t.Root when
+	// primary, else in its replica area) hold what this node's copy at src
+	// holds, at version t.Ver: to walks this node's copy and fetches what
+	// it lacks from here (Engine.Pull), under its own MIGRATION_NOT_COMPLETE.
+	Pull(tc obs.TraceContext, to simnet.Addr, t Track, src string, primary bool) (simnet.Cost, error)
 	// DigestTree asks to what it holds at exactly root: existence, the
 	// migration flag, its recorded version and, when hash is set, the
 	// Merkle root digest. Callers that arbitrate on versions alone leave
 	// hash unset, which spares the holder computing a digest its memo has
-	// dropped since the last mutation — unless a push follows: digesting
-	// indexes the holder's blocks, which chunk negotiation answers from.
+	// dropped since the last mutation — unless a pull may follow: digesting
+	// indexes the holder's blocks, which its pull then reuses.
 	DigestTree(tc obs.TraceContext, to simnet.Addr, root string, hash bool) (TreeDigest, simnet.Cost, error)
 	// DirDigests lists the immediate children of a remote directory with
 	// their subtree digests; ok is false when dir is missing or not a
@@ -54,12 +61,11 @@ type Peer interface {
 	DirDigests(tc obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error)
 	// ReadLink reads a remote symlink target by physical path.
 	ReadLink(tc obs.TraceContext, to simnet.Addr, phys string) (string, simnet.Cost, error)
-	// ChunkManifest negotiates at the block level (CHUNK_MANIFEST): it
-	// returns the chunk manifest of the remote regular file at phys (exists
-	// false when phys is missing or not a regular file, which also indexes
-	// the remote copy's blocks as a side effect) and, for each hash in want,
-	// whether the remote's block index already holds those bytes.
-	ChunkManifest(tc obs.TraceContext, to simnet.Addr, phys string, want []cas.Hash) (man cas.Manifest, exists bool, have []bool, cost simnet.Cost, err error)
+	// ChunkManifest returns the chunk manifest and the mode of the remote
+	// regular file at phys (CHUNK_MANIFEST); exists is false when phys is
+	// missing or not a regular file. Computing it indexes the remote copy's
+	// blocks.
+	ChunkManifest(tc obs.TraceContext, to simnet.Addr, phys string) (man cas.Manifest, mode uint32, exists bool, cost simnet.Cost, err error)
 	// ChunkFetch retrieves blocks by content hash (CHUNK_FETCH); phys hints
 	// at a file whose manifest covers the hashes so a holder that never
 	// indexed it can do so on demand. blocks[i] is nil for hashes the remote
@@ -101,22 +107,22 @@ type Engine struct {
 	mk       *merkle.Cache // subtree digests over store, mutation-invalidated
 	cas      *cas.Store    // block index the merkle cache keeps in lockstep
 
-	// Sync-traffic counters: payload bytes shipped, files sent vs skipped
-	// by digest match, and whole-tree digest exchanges that hit vs missed.
-	syncBytes    *obs.Counter
+	// Sync-traffic counters: files a pull rebuilt vs skipped by digest
+	// match, and digest comparisons that hit vs missed.
 	syncSent     *obs.Counter
 	syncSkipped  *obs.Counter
 	digestHits   *obs.Counter
 	digestMisses *obs.Counter
 	// Repair counters: blocks a pull or a scrub repair obtained over
-	// CHUNK_FETCH and their bytes, so promote-repair traffic is measurable
-	// independent of the surrounding sync chatter.
+	// CHUNK_FETCH and their bytes — every file byte a repair moves, counted
+	// once, by the node that fetched it.
 	blocksFetched *obs.Counter
 	fetchBytes    *obs.Counter
 
 	mu           sync.Mutex
 	tracked      map[string]Track // physical subtree root -> metadata (PN, version)
 	trackedLinks map[string]Track // level-1 special link path -> metadata
+	pulling      map[string]bool  // local copy roots a pull is editing
 	fetchHook    func(holder simnet.Addr, blocks int)
 
 	syncing atomic.Bool
@@ -140,7 +146,6 @@ func New(o Options) *Engine {
 		tracer:        o.Tracer,
 		mk:            merkle.NewCacheWithStore(o.Store, blocks),
 		cas:           blocks,
-		syncBytes:     o.Registry.Counter("repl.sync.bytes"),
 		syncSent:      o.Registry.Counter("repl.sync.files.sent"),
 		syncSkipped:   o.Registry.Counter("repl.sync.files.skipped"),
 		digestHits:    o.Registry.Counter("repl.sync.digest.hits"),
@@ -149,6 +154,7 @@ func New(o Options) *Engine {
 		fetchBytes:    o.Registry.Counter("repl.fetch.bytes"),
 		tracked:       make(map[string]Track),
 		trackedLinks:  make(map[string]Track),
+		pulling:       make(map[string]bool),
 	}
 }
 
@@ -283,7 +289,7 @@ func (e *Engine) Track(t Track, op FSOp) {
 	t.Dead = (op.Kind == FSRmdir || op.Kind == FSRemoveAll) &&
 		(op.Path == t.Root || op.Path == RepPath(t.Root))
 	// Last writer wins: the copy now reflects the sender's version, so the
-	// record does too (a full re-push may legitimately lower it).
+	// record does too (a full re-pull may legitimately lower it).
 	e.tracked[t.Root] = t
 }
 

@@ -2,6 +2,8 @@ package repl
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"path"
 	"testing"
 
@@ -15,15 +17,22 @@ import (
 	"repro/internal/simnet"
 )
 
-// storePeer is a Peer backed by a real remote store: Mirror applies ops the
-// way a replica node would (replica-area translation, lenient semantics),
-// and the digest/read procedures answer from the store. It makes the delta
-// protocol testable end to end without a network.
+// storePeer is a Peer whose remote node is a real engine (eng) over its own
+// store (remote): digests, listings, links and blocks are answered from that
+// store, Mirror applies ops the way a replica node would (replica-area
+// translation, lenient semantics), and Pull runs the remote engine's own
+// Pull, whose listing and block calls come back to the engine under test
+// (local) through backPeer. Both repair directions are testable end to end
+// without a network.
 type storePeer struct {
 	remote  localfs.FileSystem
-	mk      *merkle.Cache
-	blocks  *cas.Store // the remote's content-addressed block index
+	eng     *Engine
+	reg     *obs.Registry // the remote engine's counters
+	mk      *merkle.Cache // eng's digest cache
+	blocks  *cas.Store    // eng's content-addressed block index
+	local   *Engine       // the engine under test, which a Pull fetches from
 	mirrors []mirrorRec
+	pulls   []pullRec
 	vers    map[string]uint64    // primary-relative root -> recorded Ver
 	fetches map[simnet.Addr]int  // CHUNK_FETCH round trips served per holder address
 	down    map[simnet.Addr]bool // addresses whose block procedures fail
@@ -33,21 +42,53 @@ type storePeer struct {
 	noManifest, noFetch bool
 	// onManifest, when set, runs once after a CHUNK_MANIFEST is answered.
 	onManifest func()
+	// localDown fails the block procedures a remote pull sends back to
+	// local; localBatches records the size of each CHUNK_FETCH it sends.
+	localDown    bool
+	localBatches []int
+}
+
+// pullRec is one recorded Pull call.
+type pullRec struct {
+	to      simnet.Addr
+	t       Track
+	src     string
+	primary bool
 }
 
 var errPeerDown = &nfs.Error{Proc: nfs.Proc(200), Status: nfs.ErrIO}
 
 func newStorePeer() *storePeer {
-	remote := localfs.New(0, simnet.DiskModel{})
-	blocks := cas.NewStore(remote, nil)
-	return &storePeer{
-		remote:  remote,
-		mk:      merkle.NewCacheWithStore(remote, blocks),
-		blocks:  blocks,
+	s := &storePeer{
+		remote:  localfs.New(0, simnet.DiskModel{}),
+		reg:     obs.NewRegistry(),
 		vers:    map[string]uint64{},
 		fetches: map[simnet.Addr]int{},
 		down:    map[simnet.Addr]bool{},
 		lies:    map[simnet.Addr]bool{},
+	}
+	s.eng = New(Options{
+		Self:     "remote",
+		Store:    s.remote,
+		Overlay:  &fakeOverlay{},
+		Peer:     backPeer{s},
+		Replicas: 1,
+		Key:      func(pn string) id.ID { return id.HashKey(pn) },
+		Registry: s.reg,
+	})
+	s.mk, s.blocks = s.eng.mk, s.eng.cas
+	return s
+}
+
+// serve makes e the engine the peer's pulls fetch from.
+func serve(peer Peer, e *Engine) {
+	switch p := peer.(type) {
+	case *storePeer:
+		p.local = e
+	case *countingPeers:
+		for _, s := range p.at {
+			s.local = e
+		}
 	}
 }
 
@@ -55,18 +96,6 @@ func (s *storePeer) Mirror(_ obs.TraceContext, to simnet.Addr, t Track, op FSOp,
 	s.mirrors = append(s.mirrors, mirrorRec{to: to, op: op, primary: primary})
 	if !primary {
 		op.Path = RepPath(op.Path)
-		if op.Path2 != "" {
-			op.Path2 = RepPath(op.Path2)
-		}
-	}
-	if op.Kind == FSChunkWrite {
-		// Assemble like a replica node would: inline bytes from the op,
-		// references from the remote's own block index.
-		data, err := s.assemble(op)
-		if err != nil {
-			return 0, err
-		}
-		op = FSOp{Kind: FSWrite, Path: op.Path, Offset: op.Offset, Data: data}
 	}
 	if err := applyLenient(s.remote, op); err != nil {
 		return 0, err
@@ -75,86 +104,28 @@ func (s *storePeer) Mirror(_ obs.TraceContext, to simnet.Addr, t Track, op FSOp,
 	return 0, nil
 }
 
-// assemble resolves an FSChunkWrite span the way core's replica apply does.
-func (s *storePeer) assemble(op FSOp) ([]byte, error) {
-	var buf []byte
-	data := op.Data
-	local := map[cas.Hash][]byte{}
-	for _, cr := range op.Chunks {
-		if cr.Inline {
-			if len(data) < int(cr.Len) {
-				return nil, ErrMissingChunk
-			}
-			b := data[:cr.Len]
-			data = data[cr.Len:]
-			if cas.SumChunk(b) != cr.Hash {
-				return nil, ErrMissingChunk
-			}
-			buf = append(buf, b...)
-			local[cr.Hash] = b
-			continue
-		}
-		if b, ok := local[cr.Hash]; ok {
-			buf = append(buf, b...)
-			continue
-		}
-		b, ok := s.blocks.Get(cr.Hash)
-		if !ok || len(b) != int(cr.Len) {
-			return nil, ErrMissingChunk
-		}
-		buf = append(buf, b...)
-		local[cr.Hash] = b
+// Pull runs the remote engine's pull from local, as a kPull handler would,
+// and records the version the remote now holds.
+func (s *storePeer) Pull(tc obs.TraceContext, to simnet.Addr, t Track, src string, primary bool) (simnet.Cost, error) {
+	s.pulls = append(s.pulls, pullRec{to: to, t: t, src: src, primary: primary})
+	c, err := s.eng.Pull(tc, "self", t, src, primary)
+	if err == nil {
+		s.vers[t.Root] = t.Ver
 	}
-	return buf, nil
+	return c, err
 }
 
-// applyLenient executes the op kinds the push protocol emits, with the
-// tolerant semantics core's replica apply uses.
+// applyLenient executes the op kinds repair mirrors, with the tolerant
+// semantics core's replica apply uses.
 func applyLenient(fs localfs.FileSystem, op FSOp) error {
-	parent := func(p string) (localfs.Attr, error) {
-		if _, err := fs.MkdirAll(path.Dir(p)); err != nil {
-			return localfs.Attr{}, err
-		}
-		return fs.LookupPath(path.Dir(p))
-	}
 	switch op.Kind {
 	case FSMkdirAll:
 		_, err := fs.MkdirAll(op.Path)
 		return err
-	case FSWriteFile:
-		return fs.WriteFile(op.Path, op.Data)
-	case FSCreate:
-		dir, err := parent(op.Path)
-		if err != nil {
-			return err
-		}
-		_, _, err = fs.Create(dir.Ino, path.Base(op.Path), op.Mode, false)
-		return err
-	case FSWrite:
-		a, err := fs.LookupPath(op.Path)
-		if err != nil {
-			return err
-		}
-		_, _, err = fs.Write(a.Ino, op.Offset, op.Data)
-		return err
-	case FSRemove:
-		dir, err := fs.LookupPath(path.Dir(op.Path))
-		if err != nil {
-			return nil
-		}
-		fs.Remove(dir.Ino, path.Base(op.Path))
-		return nil
 	case FSRemoveAll:
 		return fs.RemoveAll(op.Path)
-	case FSSetattr:
-		a, err := fs.LookupPath(op.Path)
-		if err != nil {
-			return err
-		}
-		_, _, err = fs.Setattr(a.Ino, op.SetAttr)
-		return err
 	case FSSymlink:
-		dir, err := parent(op.Path)
+		dir, err := fs.MkdirAll(path.Dir(op.Path))
 		if err != nil {
 			return err
 		}
@@ -162,7 +133,62 @@ func applyLenient(fs localfs.FileSystem, op FSOp) error {
 		_, _, err = fs.Symlink(dir.Ino, path.Base(op.Path), op.Target)
 		return err
 	}
-	return nil
+	return fmt.Errorf("storePeer: unscripted op %v", op.Kind)
+}
+
+// backPeer is the remote engine's network: every call reaches the engine
+// under test, answered from its store as its koshad's handlers would.
+type backPeer struct{ s *storePeer }
+
+func (b backPeer) DirDigests(_ obs.TraceContext, _ simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error) {
+	ents, ok, err := b.s.local.DirDigestsLocal(dir)
+	return ents, ok, 0, err
+}
+
+func (b backPeer) ReadLink(_ obs.TraceContext, _ simnet.Addr, phys string) (string, simnet.Cost, error) {
+	attr, err := b.s.local.store.LookupPath(phys)
+	if err != nil {
+		return "", 0, err
+	}
+	t, _, err := b.s.local.store.Readlink(attr.Ino)
+	return t, 0, err
+}
+
+func (b backPeer) ChunkManifest(_ obs.TraceContext, _ simnet.Addr, phys string) (cas.Manifest, uint32, bool, simnet.Cost, error) {
+	if b.s.localDown {
+		return nil, 0, false, 0, errPeerDown
+	}
+	m, mode, ok := b.s.local.ManifestLocal(phys)
+	return m, mode, ok, 0, nil
+}
+
+func (b backPeer) ChunkFetch(_ obs.TraceContext, _ simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
+	b.s.localBatches = append(b.s.localBatches, len(hashes))
+	if b.s.localDown {
+		return nil, 0, errPeerDown
+	}
+	b.s.local.ManifestLocal(phys)
+	blocks := make([][]byte, len(hashes))
+	for i, h := range hashes {
+		blocks[i], _ = b.s.local.GetBlock(h)
+	}
+	return blocks, 0, nil
+}
+
+func (backPeer) Mirror(obs.TraceContext, simnet.Addr, Track, FSOp, bool) (simnet.Cost, error) {
+	return 0, errPeerDown
+}
+
+func (backPeer) Promote(obs.TraceContext, simnet.Addr, Track) (bool, simnet.Cost, error) {
+	return false, 0, errPeerDown
+}
+
+func (backPeer) Pull(obs.TraceContext, simnet.Addr, Track, string, bool) (simnet.Cost, error) {
+	return 0, errPeerDown
+}
+
+func (backPeer) DigestTree(obs.TraceContext, simnet.Addr, string, bool) (TreeDigest, simnet.Cost, error) {
+	return TreeDigest{}, 0, errPeerDown
 }
 
 func (s *storePeer) Promote(obs.TraceContext, simnet.Addr, Track) (bool, simnet.Cost, error) {
@@ -199,23 +225,23 @@ func (s *storePeer) ReadLink(_ obs.TraceContext, to simnet.Addr, phys string) (s
 	return t, 0, err
 }
 
-func (s *storePeer) ChunkManifest(_ obs.TraceContext, to simnet.Addr, phys string, want []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
+func (s *storePeer) ChunkManifest(_ obs.TraceContext, to simnet.Addr, phys string) (cas.Manifest, uint32, bool, simnet.Cost, error) {
 	if s.down[to] {
-		return nil, false, nil, 0, errPeerDown
+		return nil, 0, false, 0, errPeerDown
 	}
 	var man cas.Manifest
+	var mode uint32
 	exists := false
 	if attr, err := s.remote.LookupPath(phys); !s.noManifest && err == nil && attr.Type == localfs.TypeRegular {
 		if m, err := s.mk.ManifestOf(phys); err == nil {
-			man, exists = m, true
+			man, mode, exists = m, attr.Mode, true
 		}
 	}
-	have := s.blocks.HasAll(want)
 	if hook := s.onManifest; hook != nil {
 		s.onManifest = nil
 		hook()
 	}
-	return man, exists, have, 0, nil
+	return man, mode, exists, 0, nil
 }
 
 func (s *storePeer) ChunkFetch(_ obs.TraceContext, to simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
@@ -266,6 +292,7 @@ func deltaEngine(t *testing.T, peer Peer) (*Engine, localfs.FileSystem, *obs.Reg
 		Events:   obs.NewEventLog(16),
 		Registry: reg,
 	})
+	serve(peer, e)
 	return e, store, reg
 }
 
@@ -353,53 +380,43 @@ func TestPullWithUnlistableLocalDirAdoptsNothing(t *testing.T) {
 	}
 }
 
-// A file the receiver holds none of ships in bounded pieces: a create, then
-// FSChunkWrite spans whose inline payload never exceeds PushChunk and which
-// reassemble, in offset order, to the source file.
-func TestSendFileChunksLargePayload(t *testing.T) {
+// A file the puller holds none of arrives in bounded pieces: CHUNK_FETCH
+// round trips of at most fetchBatch blocks each, which reassemble to the
+// source file, and the remote counts it as the one file it pulled.
+func TestPullLargeFileFetchesBoundedBatches(t *testing.T) {
 	peer := newStorePeer()
 	e, store, _ := deltaEngine(t, peer)
-	payload := patternBytes(PushChunk*2+PushChunk/2, 3)
+	payload := patternBytes(5<<19, 3)
 	if err := store.WriteFile("/big/blob", payload); err != nil {
 		t.Fatal(err)
 	}
-	var cost simnet.Cost
-	if err := e.sendFile(remoteTree{e: e, addr: "r1", cost: &cost}, "/big/blob", "/big/blob"); err != nil {
+	if _, err := refreshAsked(e, peer, Track{PN: "big", Root: "/big", Ver: 1}); err != nil {
 		t.Fatal(err)
 	}
-	var ops []FSOp
-	for _, m := range peer.mirrors {
-		ops = append(ops, m.op)
+	if got, err := peer.remote.ReadFile(RepPath("/big/blob")); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("pulled file diverged (err=%v, %d bytes)", err, len(got))
 	}
-	if len(ops) < 4 || ops[0].Kind != FSCreate {
-		t.Fatalf("got %d ops (first %v), want FSCreate + at least 3 bounded spans", len(ops), ops[0].Kind)
+	if len(peer.localBatches) < 2 {
+		t.Fatalf("%d CHUNK_FETCH round trips for %d bytes, want the file split over several", len(peer.localBatches), len(payload))
 	}
-	var rebuilt []byte
-	for i, op := range ops[1:] {
-		if op.Kind != FSChunkWrite {
-			t.Fatalf("op %d kind %v, want FSChunkWrite", i+1, op.Kind)
+	for i, n := range peer.localBatches {
+		if n > fetchBatch {
+			t.Fatalf("round trip %d asked for %d blocks, over the %d bound", i, n, fetchBatch)
 		}
-		if op.Offset != int64(len(rebuilt)) {
-			t.Fatalf("op %d offset %d, want %d", i+1, op.Offset, len(rebuilt))
-		}
-		if len(op.Data) > PushChunk {
-			t.Fatalf("span %d carries %d inline bytes, over the %d limit", i+1, len(op.Data), PushChunk)
-		}
-		for _, cr := range op.Chunks {
-			if !cr.Inline {
-				t.Fatalf("span %d references a block the receiver does not hold", i+1)
-			}
-		}
-		rebuilt = append(rebuilt, op.Data...)
 	}
-	if !bytes.Equal(rebuilt, payload) {
-		t.Fatal("spans do not reassemble to the source file")
+	if b := peer.reg.Counter("repl.fetch.bytes").Load(); b != uint64(len(payload)) {
+		t.Fatalf("fetch.bytes = %d, want the file's %d", b, len(payload))
+	}
+	if sent := peer.reg.Counter("repl.sync.files.sent").Load(); sent != 1 {
+		t.Fatalf("files.sent = %d, want 1", sent)
 	}
 }
 
 // The tentpole guarantee: a matching replica costs one digest exchange and
-// zero mutations; a one-file change ships only that file; and the replica
-// tree is never removed wholesale (stays readable throughout).
+// nothing else; a one-file change moves only that file; and the replica tree
+// is never removed wholesale (stays readable throughout): the pull rewrites
+// the changed file and removes the deleted one, and every other entry keeps
+// its inode.
 func TestRefreshDeltaSkipsAndShipsOnlyChanges(t *testing.T) {
 	peer := newStorePeer()
 	e, store, reg := deltaEngine(t, peer)
@@ -415,19 +432,29 @@ func TestRefreshDeltaSkipsAndShipsOnlyChanges(t *testing.T) {
 	}
 	peer.vers["/proj"] = 1
 	tr := Track{PN: "proj", Root: "/proj", Ver: 1}
+	inos := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, p := range append([]string{""}, files...) {
+			if a, err := peer.remote.LookupPath(path.Join(RepPath("/proj"), p)); err == nil {
+				out[p] = a.Ino
+			}
+		}
+		return out
+	}
 
-	// Identical copy, identical version: one digest exchange, no mutations.
+	// Identical copy, identical version: one digest exchange, nothing else.
 	if _, err := refreshAsked(e, peer, tr); err != nil {
 		t.Fatal(err)
 	}
-	if len(peer.mirrors) != 0 {
-		t.Fatalf("matching replica still received %d ops: %v", len(peer.mirrors), peer.mirrors)
+	if len(peer.mirrors)+len(peer.pulls) != 0 {
+		t.Fatalf("matching replica still received %v and pulls %v", peer.mirrors, peer.pulls)
 	}
 	if h := reg.Counter("repl.sync.digest.hits").Load(); h == 0 {
 		t.Fatal("digest hit not counted")
 	}
 
-	// Touch one file; the delta must ship that file and nothing else.
+	// Touch one file; the pull must rewrite that file and nothing else.
+	before := inos()
 	if err := store.WriteFile("/proj/f2.txt", []byte("CHANGED")); err != nil {
 		t.Fatal(err)
 	}
@@ -435,22 +462,13 @@ func TestRefreshDeltaSkipsAndShipsOnlyChanges(t *testing.T) {
 	if _, err := refreshAsked(e, peer, tr); err != nil {
 		t.Fatal(err)
 	}
-	var wrote []string
-	for _, m := range peer.mirrors {
-		if m.op.Kind == FSRemoveAll {
-			t.Fatalf("delta sync issued FSRemoveAll on %s: replicas must stay readable", m.op.Path)
-		}
-		if m.op.Kind == FSCreate || m.op.Kind == FSWrite || m.op.Kind == FSChunkWrite || m.op.Kind == FSSetattr {
-			wrote = append(wrote, m.op.Path)
-		}
+	if len(peer.pulls) != 1 || peer.pulls[0] != (pullRec{to: "r1", t: tr, src: "/proj"}) || len(peer.mirrors) != 0 {
+		t.Fatalf("pulls %v, mirrors %v; want one pull of /proj into r1's replica area at version 2", peer.pulls, peer.mirrors)
 	}
-	for _, p := range wrote {
-		if p != "/proj/f2.txt" {
-			t.Fatalf("unchanged path %s was re-shipped", p)
+	for p, ino := range inos() {
+		if p != "f2.txt" && ino != before[p] {
+			t.Fatalf("replica entry %q was rewritten or re-created by the pull", p)
 		}
-	}
-	if len(wrote) == 0 {
-		t.Fatal("changed file never shipped")
 	}
 
 	// The replica's bytes now match the primary's, and the sentinel is gone.
@@ -468,14 +486,17 @@ func TestRefreshDeltaSkipsAndShipsOnlyChanges(t *testing.T) {
 	if _, err := peer.remote.LookupPath(RepPath("/proj") + "/" + MigrationFlag); err == nil {
 		t.Fatal("migration sentinel left behind after sync")
 	}
-	if sent := reg.Counter("repl.sync.files.sent").Load(); sent != 1 {
+	if v := peer.eng.VerOf("/proj"); v != 2 {
+		t.Fatalf("the puller records version %d, want 2", v)
+	}
+	if sent := peer.reg.Counter("repl.sync.files.sent").Load(); sent != 1 {
 		t.Fatalf("files.sent = %d, want 1", sent)
 	}
-	if skipped := reg.Counter("repl.sync.files.skipped").Load(); skipped < 4 {
-		t.Fatalf("files.skipped = %d, want >= 4", skipped)
+	if skipped := peer.reg.Counter("repl.sync.files.skipped").Load(); skipped != 4 {
+		t.Fatalf("files.skipped = %d, want 4", skipped)
 	}
 
-	// A deletion propagates as a targeted remove of the stale entry only.
+	// A deletion propagates as a removal of the stale entry only.
 	attr, err := store.LookupPath("/proj")
 	if err != nil {
 		t.Fatal(err)
@@ -484,21 +505,18 @@ func TestRefreshDeltaSkipsAndShipsOnlyChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Ver = 3
-	peer.mirrors = nil
+	before = inos()
 	if _, err := refreshAsked(e, peer, tr); err != nil {
 		t.Fatal(err)
 	}
-	var removed []string
-	for _, m := range peer.mirrors {
-		if m.op.Kind == FSRemoveAll {
-			removed = append(removed, m.op.Path)
-		}
-	}
-	if len(removed) != 1 || removed[0] != "/proj/f4.txt" {
-		t.Fatalf("stale-entry removal ops %v, want exactly /proj/f4.txt", removed)
-	}
-	if _, err := peer.remote.LookupPath(RepPath("/proj") + "/f4.txt"); err == nil {
+	after := inos()
+	if _, ok := after["f4.txt"]; ok {
 		t.Fatal("deleted file survived on the replica")
+	}
+	for p, ino := range after {
+		if ino != before[p] {
+			t.Fatalf("replica entry %q was rewritten or re-created by the pull", p)
+		}
 	}
 }
 
@@ -514,12 +532,12 @@ func patternBytes(n int, seed uint64) []byte {
 	return b
 }
 
-// The tentpole's delta guarantee, pinned: a small edit to a large file ships
-// at most 10% of the file's bytes over the wire. The receiver's stale copy of
-// the very file being negotiated is its chunk source — no pre-seeding.
-func TestSendFileDeltaWithinTenPercent(t *testing.T) {
+// The tentpole's delta guarantee, pinned: a small edit to a large file
+// moves at most 10% of the file's bytes. The puller's stale copy of the very
+// file being pulled is its chunk source — no pre-seeding.
+func TestPullDeltaWithinTenPercent(t *testing.T) {
 	peer := newStorePeer()
-	e, store, reg := deltaEngine(t, peer)
+	e, store, _ := deltaEngine(t, peer)
 
 	const size = 4 << 20
 	content := patternBytes(size, 1)
@@ -543,12 +561,12 @@ func TestSendFileDeltaWithinTenPercent(t *testing.T) {
 	if got, err := peer.remote.ReadFile(RepPath("/proj") + "/big.bin"); err != nil || !bytes.Equal(got, edited) {
 		t.Fatalf("replica content diverged after delta (err=%v, %d bytes)", err, len(got))
 	}
-	shipped := reg.Counter("repl.sync.bytes").Load()
-	if shipped == 0 {
-		t.Fatal("no bytes shipped for a changed file")
+	fetched := peer.reg.Counter("repl.fetch.bytes").Load()
+	if fetched == 0 {
+		t.Fatal("no bytes fetched for a changed file")
 	}
-	if shipped > size/10 {
-		t.Fatalf("delta shipped %d bytes, want <= %d (10%% of %d)", shipped, size/10, size)
+	if fetched > size/10 {
+		t.Fatalf("delta fetched %d bytes, want <= %d (10%% of %d)", fetched, size/10, size)
 	}
 }
 
@@ -642,55 +660,58 @@ func TestRefreshRestampsMatchingReplica(t *testing.T) {
 	if _, err := refreshAsked(e, peer, Track{PN: "w", Root: "/w", Ver: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if len(peer.mirrors) != 1 || peer.mirrors[0].op.Kind != FSMkdirAll {
-		t.Fatalf("restamp ops %v, want a single FSMkdirAll", peer.mirrors)
+	if len(peer.mirrors) != 1 || peer.mirrors[0].op.Kind != FSMkdirAll || len(peer.pulls) != 0 {
+		t.Fatalf("restamp ops %v and pulls %v, want a single FSMkdirAll", peer.mirrors, peer.pulls)
 	}
 	if peer.vers["/w"] != 4 {
 		t.Fatalf("replica version %d after restamp, want 4", peer.vers["/w"])
 	}
 }
 
-// A CHUNK_MANIFEST that fails fails the push: nothing of the file is
-// mirrored, the remote root keeps MIGRATION_NOT_COMPLETE armed, and the next
-// refresh, with the peer back, converges byte-exact and drops the flag.
-func TestSendFileNegotiationFailureLeavesFlagArmed(t *testing.T) {
+// A CHUNK_MANIFEST that fails fails the pull: nothing of the file is
+// written, the puller's root keeps MIGRATION_NOT_COMPLETE armed and its
+// version stays, and the next refresh, with the source answering again,
+// converges byte-exact and drops the flag.
+func TestPullManifestFailureLeavesFlagArmed(t *testing.T) {
 	peer := newStorePeer()
 	e, store, _ := deltaEngine(t, peer)
-	content := patternBytes(PushChunk+PushChunk/2, 21)
+	content := patternBytes(3<<19, 21)
 	if err := store.WriteFile("/proj/big.bin", content); err != nil {
 		t.Fatal(err)
 	}
 	if err := peer.remote.WriteFile(RepPath("/proj")+"/big.bin", []byte("stale")); err != nil {
 		t.Fatal(err)
 	}
+	peer.eng.Track(Track{PN: "proj", Root: "/proj", Ver: 1}, FSOp{Kind: FSMkdirAll, Path: RepPath("/proj")})
 	tr := Track{PN: "proj", Root: "/proj", Ver: 2}
 	flag := RepPath("/proj") + "/" + MigrationFlag
 
-	peer.down["r1"] = true // block procedures fail; mirrors and digests still work
+	peer.localDown = true // the source's block procedures fail; its listings answer
 	if _, err := refreshAsked(e, peer, tr); err == nil {
 		t.Fatal("refresh succeeded with CHUNK_MANIFEST failing")
 	}
-	for _, m := range peer.mirrors {
-		switch m.op.Kind {
-		case FSCreate, FSWrite, FSWriteFile, FSChunkWrite:
-			if m.op.Path != "/proj/"+MigrationFlag {
-				t.Fatalf("failed negotiation still mirrored %v %s", m.op.Kind, m.op.Path)
-			}
-		}
+	if got, err := peer.remote.ReadFile(RepPath("/proj") + "/big.bin"); err != nil || string(got) != "stale" {
+		t.Fatalf("the failed pull wrote the file: %q err=%v", got, err)
 	}
 	if _, err := peer.remote.LookupPath(flag); err != nil {
-		t.Fatal("migration flag not armed after the failed push")
+		t.Fatal("migration flag not armed after the failed pull")
+	}
+	if v := peer.eng.VerOf("/proj"); v != 1 {
+		t.Fatalf("the failed pull recorded version %d", v)
 	}
 
-	peer.down["r1"] = false
+	peer.localDown = false
 	if _, err := refreshAsked(e, peer, tr); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := peer.remote.ReadFile(RepPath("/proj") + "/big.bin"); err != nil || !bytes.Equal(got, content) {
-		t.Fatalf("replica diverged after the retried push (err=%v, %d bytes)", err, len(got))
+		t.Fatalf("replica diverged after the retried pull (err=%v, %d bytes)", err, len(got))
 	}
 	if _, err := peer.remote.LookupPath(flag); err == nil {
-		t.Fatal("migration flag still armed after the retried push converged")
+		t.Fatal("migration flag still armed after the retried pull converged")
+	}
+	if v := peer.eng.VerOf("/proj"); v != 2 {
+		t.Fatalf("the retried pull recorded version %d, want 2", v)
 	}
 }
 
@@ -942,5 +963,92 @@ func TestFetchTreePullsSymlinks(t *testing.T) {
 	}
 	if remote, err := peer.mk.DigestOf(src); err != nil || local != remote {
 		t.Fatalf("root digest %v after the pull, the source's %v (%v)", local, remote, err)
+	}
+}
+
+// A pulled file takes the source's mode, whether the pull creates it or
+// rewrites a stale copy: a refresh into the replica area and a migration into
+// a new owner's primary path alike.
+func TestPullKeepsTheSourceMode(t *testing.T) {
+	chmod := func(t *testing.T, fs localfs.FileSystem, p string, mode uint32) {
+		t.Helper()
+		a, err := fs.LookupPath(p)
+		if err == nil {
+			_, _, err = fs.Setattr(a.Ino, localfs.SetAttr{Mode: &mode})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantMode := func(t *testing.T, fs localfs.FileSystem, p string) {
+		t.Helper()
+		if a, err := fs.LookupPath(p); err != nil || a.Mode != 0o755 {
+			t.Fatalf("%s after the pull: mode %o, err %v; want 755", p, a.Mode, err)
+		}
+	}
+	source := func(t *testing.T, peer *storePeer) (*Engine, Track) {
+		e, store, _ := deltaEngine(t, peer)
+		for _, name := range []string{"new.sh", "old.sh"} {
+			if err := store.WriteFile("/proj/"+name, []byte("#!/bin/sh\n# "+name)); err != nil {
+				t.Fatal(err)
+			}
+			chmod(t, store, "/proj/"+name, 0o755)
+		}
+		return e, Track{PN: "proj", Root: "/proj", Ver: 1}
+	}
+
+	t.Run("refresh", func(t *testing.T) {
+		peer := newStorePeer()
+		e, tr := source(t, peer)
+		if err := peer.remote.WriteFile(RepPath("/proj")+"/old.sh", []byte("stale")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := refreshAsked(e, peer, tr); err != nil {
+			t.Fatal(err)
+		}
+		wantMode(t, peer.remote, RepPath("/proj")+"/new.sh")
+		wantMode(t, peer.remote, RepPath("/proj")+"/old.sh")
+	})
+	t.Run("migrate", func(t *testing.T) {
+		peer := newStorePeer()
+		e, tr := source(t, peer)
+		if _, err := e.MigrateTree(obs.TraceContext{}, "r1", tr, "/proj"); err != nil {
+			t.Fatal(err)
+		}
+		if len(peer.pulls) != 1 || !peer.pulls[0].primary {
+			t.Fatalf("pulls %v, want one into r1's primary path", peer.pulls)
+		}
+		wantMode(t, peer.remote, "/proj/new.sh")
+		wantMode(t, peer.remote, "/proj/old.sh")
+	})
+}
+
+// A pull into a copy another pull is still editing is refused as busy and
+// edits nothing, and the first pull completes as if alone: two walks never
+// edit one copy, and the flag comes down only when the one running is done.
+func TestPullIntoABusyCopyIsRefused(t *testing.T) {
+	peer := newStorePeer()
+	e, store, _ := pullFixture(t, peer)
+	tr := Track{PN: "pull", Root: "/pull", Ver: 3}
+	var second error
+	peer.onManifest = func() {
+		_, second = e.Pull(obs.TraceContext{}, "r1", tr, RepPath("/pull"), true)
+	}
+	if _, err := e.fetchTree(obs.TraceContext{}, "r1", nil, tr, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(second, ErrPullBusy) {
+		t.Fatalf("a pull into the copy the first pull is editing: %v, want ErrPullBusy", second)
+	}
+	want, _ := peer.remote.ReadFile(RepPath("/pull") + "/doc.bin")
+	if got, err := store.ReadFile("/pull/doc.bin"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the first pull diverged (err=%v, %d bytes)", err, len(got))
+	}
+	if v := e.VerOf("/pull"); v != 3 {
+		t.Fatalf("version %d after the first pull, want 3", v)
+	}
+	// Once it is done the copy takes pulls again.
+	if _, err := e.Pull(obs.TraceContext{}, "r1", tr, RepPath("/pull"), true); err != nil {
+		t.Fatalf("a pull after the first one finished: %v", err)
 	}
 }

@@ -83,20 +83,19 @@ func (e *Engine) ScrubReplica(tc obs.TraceContext, cand simnet.Addr, root string
 }
 
 // MigrateTree hands the local subtree at src to target as the primary copy
-// at t.Root: Sync's push to the key's new owner after an ownership change,
-// and a rebalance move, which ships an existing hierarchy under a fresh
-// destination root (so src is separate from t.Root). Versions arbitrate: a
-// settled remote copy at least as new as ours wins; otherwise the target
-// surfaces its replica-area copy if that is new enough, or ours is pushed
-// (Section 4.3.1) under the MIGRATION_NOT_COMPLETE flag protocol with
-// chunk-negotiated delta transfer (Section 4.4). Safe to retry after a
-// mid-move target crash: the flag re-arms and negotiation skips blocks that
-// already arrived.
+// at t.Root: Sync's hand-over to the key's new owner after an ownership
+// change, and a rebalance move, which places an existing hierarchy under a
+// fresh destination root (so src is separate from t.Root). Versions
+// arbitrate: a settled remote copy at least as new as ours wins; otherwise
+// the target surfaces its replica-area copy if that is new enough, or pulls
+// ours (Section 4.3.1) under its own MIGRATION_NOT_COMPLETE flag (Section
+// 4.4). Safe to retry after a mid-move crash: the flag stays armed and the
+// next pull fetches only the blocks that did not arrive.
 func (e *Engine) MigrateTree(tc obs.TraceContext, target simnet.Addr, t Track, src string) (simnet.Cost, error) {
 	if _, err := e.store.LookupPath(src); err != nil {
 		return 0, err
 	}
-	// Only versions arbitrate, but a push may follow: ask for the hash.
+	// Only versions arbitrate, but a pull may follow: ask for the hash.
 	remote, cost, err := e.peer.DigestTree(tc, target, t.Root, true)
 	if err != nil {
 		return cost, err
@@ -106,7 +105,7 @@ func (e *Engine) MigrateTree(tc obs.TraceContext, target simnet.Addr, t Track, s
 	}
 	if !remote.Exists && remote.Ver > t.Ver {
 		// The target knows a strictly newer state and holds no data: that
-		// is a deletion tombstone. Pushing our older copy would resurrect
+		// is a deletion tombstone. Handing it our older copy would resurrect
 		// the hierarchy; leave it and let the tombstone propagate back to us
 		// through the normal sync path.
 		return cost, nil
@@ -120,24 +119,8 @@ func (e *Engine) MigrateTree(tc obs.TraceContext, target simnet.Addr, t Track, s
 		_, c, err := e.peer.Promote(tc, target, t)
 		return simnet.Seq(cost, c), err
 	}
-	c, err = e.deltaPush(tc, target, t, src, true, remote)
+	c, err = e.peer.Pull(tc, target, t, src, true)
 	return simnet.Seq(cost, c), err
-}
-
-// WarmChunks indexes an applied FSChunkWrite span into the local block
-// index at the path and offset it landed at. The receiver-side half of
-// warm-on-receive: the write's mutation notification just dropped this
-// file's index entry, so re-registering the span keeps HAVE answers warm
-// for the next negotiation without a digest recompute.
-func (e *Engine) WarmChunks(phys string, op FSOp) {
-	if op.Kind != FSChunkWrite || len(op.Chunks) == 0 {
-		return
-	}
-	m := make(cas.Manifest, 0, len(op.Chunks))
-	for _, cr := range op.Chunks {
-		m = append(m, cas.Chunk{Hash: cr.Hash, Len: cr.Len})
-	}
-	e.cas.AddAt(phys, op.Offset, m)
 }
 
 // LocalFiles lists the regular files under this node's copy of a tracked

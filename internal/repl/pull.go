@@ -95,18 +95,32 @@ func (e *Engine) adopt(tc obs.TraceContext, t Track, answers []held) (total simn
 	return total, changed
 }
 
+// Pull is the kPull server side, run by the node whose copy is behind: it
+// makes its copy of t's hierarchy — at t.Root when primary, else in its
+// replica area — hold what from's copy at src holds, fetching from from only
+// what it lacks, and records t's version. MIGRATION_NOT_COMPLETE goes up at
+// the copy's root once from has answered the first listing, before any edit,
+// and comes down only when the walk is done (Section 4.4): a pull cut short
+// leaves the copy flagged, so no promote adopts it as settled and the next
+// refresh pulls again.
+func (e *Engine) Pull(tc obs.TraceContext, from simnet.Addr, t Track, src string, primary bool) (simnet.Cost, error) {
+	dst := t.Root
+	if !primary {
+		dst = RepPath(t.Root)
+	}
+	return e.pullTree(&walk{e: e, tc: tc, swarm: []simnet.Addr{from}, root: dst, arm: true}, src, t)
+}
+
 // fetchTree pulls a remote replica-area copy of a subtree into this node's
 // primary namespace, adopting the remote's version. Used when a freshly
 // promoted primary discovers a replica holding a newer copy than the one it
-// surfaced. It is a block-level delta pull: the local (promoted, stale) copy
-// is kept as a chunk source, directory digests skip identical subtrees, and
-// each mismatching file is rebuilt from its remote manifest, fetching only
-// the blocks no local file holds — in parallel from `from` and every other
-// settled holder in holders.
+// surfaced. The local (promoted, stale) copy is kept as a chunk source,
+// directory digests skip identical subtrees, and each mismatching file is
+// rebuilt from its remote manifest, fetching only the blocks no local file
+// holds — in parallel from `from` and every other settled holder in holders.
 func (e *Engine) fetchTree(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, t Track, remoteVer uint64) (simnet.Cost, error) {
-	var total simnet.Cost
 	if _, err := e.store.MkdirAll(t.Root); err != nil {
-		return total, err
+		return 0, err
 	}
 	// The swarm is `from` first, then the other holders in address order
 	// (deterministic for seed-exact replay), never this node itself.
@@ -120,21 +134,39 @@ func (e *Engine) fetchTree(tc obs.TraceContext, from simnet.Addr, holders []simn
 			swarm = append(swarm, h)
 		}
 	}
-	src := remoteTree{e: e, tc: tc, addr: from, t: t, cost: &total}
-	w := walk{e: e, src: src, dst: localTree{e}, root: t.Root,
-		file: func(s, d string) error { return e.pullFile(tc, swarm, src.phys(s), d, &total) }}
-	if err := w.reconcile(t.Root, t.Root); err != nil {
-		return total, err
+	t.Ver = remoteVer
+	return e.pullTree(&walk{e: e, tc: tc, swarm: swarm, root: t.Root}, RepPath(t.Root), t)
+}
+
+// ErrPullBusy answers a pull into a copy another pull is still editing, such
+// as one whose caller stopped waiting for it: the caller's refresh or
+// migration is not done yet, and a later Sync asks again.
+var ErrPullBusy = errors.New("repl: a pull into this copy is already running")
+
+// pullTree runs w from the peer's src, unless another pull is editing w.root.
+// Once the walk is done it clears the flag at w.root, whether this pull
+// raised it or an interrupted migration to this node left it, and records t.
+func (e *Engine) pullTree(w *walk, src string, t Track) (simnet.Cost, error) {
+	e.mu.Lock()
+	busy := e.pulling[w.root]
+	e.pulling[w.root] = true
+	e.mu.Unlock()
+	if busy {
+		return 0, ErrPullBusy
 	}
-	// A flag left at the local root by an interrupted migration to this node
-	// comes down with the pull.
-	if err := e.store.RemoveAll(path.Join(t.Root, MigrationFlag)); err != nil {
-		return total, err
+	defer func() {
+		e.mu.Lock()
+		delete(e.pulling, w.root)
+		e.mu.Unlock()
+	}()
+	if err := w.reconcile(src, w.root); err != nil {
+		return w.cost, err
 	}
-	adopted := t
-	adopted.Ver = remoteVer
-	e.Track(adopted, FSOp{Kind: FSMkdirAll, Path: t.Root})
-	return total, nil
+	if err := e.store.RemoveAll(path.Join(w.root, MigrationFlag)); err != nil {
+		return w.cost, err
+	}
+	e.Track(t, FSOp{Kind: FSMkdirAll, Path: w.root})
+	return w.cost, nil
 }
 
 var (
@@ -146,14 +178,15 @@ var (
 	errShortRepair = errors.New("repl: a chunk is held by no source")
 )
 
-// pullFile rebuilds one local file from the chunk manifest of its copy on
-// swarm[0], gathering the chunks from the local block index and the swarm.
-// The local file is overwritten only once every chunk is in hand, so the
-// stale copy stays available as a chunk source throughout and a pull that
-// comes up short leaves it untouched.
-func (e *Engine) pullFile(tc obs.TraceContext, swarm []simnet.Addr, rp, lp string, total *simnet.Cost) error {
-	man, exists, _, c, err := e.peer.ChunkManifest(tc, swarm[0], rp, nil)
-	*total = simnet.Seq(*total, c)
+// pullFile rebuilds the local file lp from the chunk manifest of the peer's
+// copy at rp, gathering the chunks from the local block index and the swarm,
+// and gives it the peer's mode. The local file is overwritten only once every
+// chunk is in hand, so the stale copy stays available as a chunk source
+// throughout and a pull that comes up short leaves it untouched.
+func (w *walk) pullFile(rp, lp string) error {
+	e := w.e
+	man, mode, exists, c, err := e.peer.ChunkManifest(w.tc, w.swarm[0], rp)
+	w.cost = simnet.Seq(w.cost, c)
 	if err != nil {
 		return err
 	}
@@ -165,16 +198,29 @@ func (e *Engine) pullFile(tc obs.TraceContext, swarm []simnet.Addr, rp, lp strin
 	if attr, lerr := e.store.LookupPath(lp); lerr == nil && attr.Type == localfs.TypeRegular {
 		e.mk.ManifestOf(lp)
 	}
-	sources := make([]BlockSource, len(swarm))
-	for i, a := range swarm {
+	sources := make([]BlockSource, len(w.swarm))
+	for i, a := range w.swarm {
 		sources[i] = BlockSource{Addr: a, Phys: rp}
 	}
-	buf, c, ok := e.gather(tc, man, nil, sources)
-	*total = simnet.Seq(*total, c)
+	buf, c, ok := e.gather(w.tc, man, nil, sources)
+	w.cost = simnet.Seq(w.cost, c)
 	if !ok {
 		return errShortRepair
 	}
-	return e.store.WriteFile(lp, buf)
+	if err := e.store.WriteFile(lp, buf); err != nil {
+		return err
+	}
+	attr, err := e.store.LookupPath(lp)
+	if err != nil {
+		return err
+	}
+	if attr.Mode != mode {
+		if _, _, err := e.store.Setattr(attr.Ino, localfs.SetAttr{Mode: &mode}); err != nil {
+			return err
+		}
+	}
+	e.syncSent.Add(1)
+	return nil
 }
 
 // BlockSource is one remote node a repair may fetch blocks from, with the

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"fmt"
 	"path"
 	"sort"
 
@@ -11,138 +10,57 @@ import (
 	"repro/internal/simnet"
 )
 
-// tree is one copy of a hierarchy as reconcile sees it: a digest listing per
-// directory, symlink reads, and path-based edits. One side of every repair is
-// this node's store (localTree), the other a peer's copy (remoteTree).
-type tree interface {
-	// list returns dir's children with their subtree digests in name order;
-	// ok is false when dir is missing or not a directory.
-	list(dir string) (ents []merkle.Entry, ok bool, err error)
-	readLink(p string) (string, error)
-	apply(op FSOp) error
-}
-
-// localTree is this node's store.
-type localTree struct{ e *Engine }
-
-func (l localTree) list(dir string) ([]merkle.Entry, bool, error) { return l.e.mk.Entries(dir) }
-
-func (l localTree) readLink(p string) (string, error) {
-	attr, err := l.e.store.LookupPath(p)
-	if err != nil {
-		return "", err
-	}
-	target, _, err := l.e.store.Readlink(attr.Ino)
-	return target, err
-}
-
-// apply runs the edits reconcile makes, on the local store.
-func (l localTree) apply(op FSOp) error {
-	s := l.e.store
-	switch op.Kind {
-	case FSMkdirAll:
-		_, err := s.MkdirAll(op.Path)
-		return err
-	case FSRemoveAll:
-		return s.RemoveAll(op.Path)
-	case FSWriteFile:
-		return s.WriteFile(op.Path, op.Data)
-	case FSSymlink:
-		dir, err := s.LookupPath(path.Dir(op.Path))
-		if err != nil {
-			return err
-		}
-		_, _, err = s.Symlink(dir.Ino, path.Base(op.Path), op.Target)
-		return err
-	}
-	return fmt.Errorf("repl: no local apply for %v", op.Kind)
-}
-
-// remoteTree is a peer's copy of t's hierarchy: in its primary namespace, or
-// in its replica area when primary is false. Paths are primary-relative;
-// listings and reads translate them, Mirror does so on the far side. Every
-// RPC's cost is added to *cost.
-type remoteTree struct {
-	e       *Engine
-	tc      obs.TraceContext
-	addr    simnet.Addr
-	t       Track
-	primary bool
-	cost    *simnet.Cost
-}
-
-// phys is where the peer keeps the primary-relative path p.
-func (r remoteTree) phys(p string) string {
-	if r.primary {
-		return p
-	}
-	return RepPath(p)
-}
-
-func (r remoteTree) add(c simnet.Cost) { *r.cost = simnet.Seq(*r.cost, c) }
-
-func (r remoteTree) list(dir string) ([]merkle.Entry, bool, error) {
-	ents, ok, c, err := r.e.peer.DirDigests(r.tc, r.addr, r.phys(dir))
-	r.add(c)
-	return ents, ok, err
-}
-
-func (r remoteTree) readLink(p string) (string, error) {
-	target, c, err := r.e.peer.ReadLink(r.tc, r.addr, r.phys(p))
-	r.add(c)
-	return target, err
-}
-
-func (r remoteTree) apply(op FSOp) error {
-	c, err := r.e.peer.Mirror(r.tc, r.addr, r.t, op, r.primary)
-	r.add(c)
-	return err
-}
-
-// walk is one replica repair: dst's copy of a hierarchy is made to hold what
-// src's holds. A push walks the local store into a peer's copy with sendFile
-// as its file step; a pull walks a peer's copy into the local store with
-// pullFile.
+// walk is one replica repair, run by the node whose copy is behind: the local
+// copy of a hierarchy, rooted at root, is made to hold what a peer's copy
+// holds. The peer is swarm[0]: it answers the digest listings and symlink
+// reads, and with the rest of the swarm serves the blocks of every file that
+// differs. Every RPC's cost is added to cost.
 type walk struct {
-	e        *Engine
-	src, dst tree
-	root     string                      // dst's hierarchy root
-	file     func(src, dst string) error // brings one regular file at dst up to src's
-	push     bool                        // src is the local store: count the files a match skips
+	e     *Engine
+	tc    obs.TraceContext
+	swarm []simnet.Addr
+	root  string // the local hierarchy root
+	arm   bool   // raise MigrationFlag at root before the first edit
+	cost  simnet.Cost
 }
 
-// reconcile makes dst's directory dstDir hold what src's srcDir holds. Both
-// sides are listed with subtree digests: matching entries are skipped whole,
-// mismatching directories are recursed into, symlinks are replaced, regular
-// files go to the file step, and names only dst holds are removed in sorted
-// order, so the RPC sequence is the same on every replay. A listing that
-// fails on either side fails the walk: a directory whose content cannot be
-// read is never taken for an empty one. A dst directory that is missing or
-// not a directory is created empty; a missing src directory leaves dst as it
-// is. At the root, MigrationFlag is protocol state, not content: the walk
-// neither copies nor deletes it, and re-arms it if re-creating the root
-// removed it; the caller clears it once the walk is done.
-func (w walk) reconcile(srcDir, dstDir string) error {
-	flag := path.Join(w.root, MigrationFlag)
-	dstEnts, ok, err := w.dst.list(dstDir)
+// reconcile makes the local directory dstDir hold what the peer's srcDir
+// holds. Both sides are listed with subtree digests, the peer's first, so a
+// pull the peer cannot serve edits nothing: matching entries are skipped
+// whole, mismatching directories are recursed into, symlinks are replaced,
+// regular files are pulled, and names only the local copy holds are removed
+// in sorted order, so the RPC sequence is the same on every replay. A listing
+// that fails on either side fails the walk: a directory whose content cannot
+// be read is never taken for an empty one. A local directory that is missing
+// or not a directory is created empty; a missing peer directory leaves the
+// local one as it is. At the root, MigrationFlag is protocol state, not
+// content: the walk neither copies nor deletes it, and raises it when armed;
+// the caller clears it once the walk is done.
+func (w *walk) reconcile(srcDir, dstDir string) error {
+	srcEnts, ok, c, err := w.e.peer.DirDigests(w.tc, w.swarm[0], srcDir)
+	w.cost = simnet.Seq(w.cost, c)
+	if err != nil || !ok {
+		return err
+	}
+	s := w.e.store
+	dstEnts, ok, err := w.e.mk.Entries(dstDir)
 	if err != nil {
 		return err
 	}
 	if !ok {
-		ops := []FSOp{{Kind: FSRemoveAll, Path: dstDir}, {Kind: FSMkdirAll, Path: dstDir}}
-		if dstDir == w.root {
-			ops = append(ops, FSOp{Kind: FSWriteFile, Path: flag})
+		if err := s.RemoveAll(dstDir); err != nil {
+			return err
 		}
-		for _, op := range ops {
-			if err := w.dst.apply(op); err != nil {
-				return err
-			}
+		if _, err := s.MkdirAll(dstDir); err != nil {
+			return err
 		}
 		dstEnts = nil
 	}
-	srcEnts, ok, err := w.src.list(srcDir)
-	if err != nil || !ok {
-		return err
+	flag := path.Join(w.root, MigrationFlag)
+	if dstDir == w.root && w.arm {
+		if err := s.WriteFile(flag, nil); err != nil {
+			return err
+		}
 	}
 	stale := make(map[string]merkle.Entry, len(dstEnts))
 	for _, ent := range dstEnts {
@@ -152,7 +70,7 @@ func (w walk) reconcile(srcDir, dstDir string) error {
 		delete(stale, MigrationFlag)
 	}
 	for _, ent := range srcEnts {
-		s, d := joinChild(srcDir, ent.Name), joinChild(dstDir, ent.Name)
+		sp, d := joinChild(srcDir, ent.Name), joinChild(dstDir, ent.Name)
 		if d == flag {
 			continue
 		}
@@ -160,9 +78,7 @@ func (w walk) reconcile(srcDir, dstDir string) error {
 		delete(stale, ent.Name)
 		if exists && have.Type == ent.Type && have.Digest == ent.Digest {
 			w.e.digestHits.Add(1)
-			if w.push {
-				w.e.syncSkipped.Add(uint64(w.e.countFiles(s, ent.Type)))
-			}
+			w.e.syncSkipped.Add(uint64(w.e.countFiles(d, ent.Type)))
 			continue
 		}
 		if exists {
@@ -170,27 +86,32 @@ func (w walk) reconcile(srcDir, dstDir string) error {
 		}
 		var target string
 		if ent.Type == localfs.TypeSymlink {
-			if target, err = w.src.readLink(s); err != nil {
+			target, c, err = w.e.peer.ReadLink(w.tc, w.swarm[0], sp)
+			w.cost = simnet.Seq(w.cost, c)
+			if err != nil {
 				return err
 			}
 		}
 		if exists && (have.Type != ent.Type || ent.Type == localfs.TypeSymlink) {
-			if err := w.dst.apply(FSOp{Kind: FSRemoveAll, Path: d}); err != nil {
+			if err := s.RemoveAll(d); err != nil {
 				return err
 			}
 		}
 		switch ent.Type {
 		case localfs.TypeDir:
 			if !exists || have.Type != localfs.TypeDir {
-				if err := w.dst.apply(FSOp{Kind: FSMkdirAll, Path: d}); err != nil {
+				if _, err := s.MkdirAll(d); err != nil {
 					return err
 				}
 			}
-			err = w.reconcile(s, d)
+			err = w.reconcile(sp, d)
 		case localfs.TypeSymlink:
-			err = w.dst.apply(FSOp{Kind: FSSymlink, Path: d, Target: target})
+			var dir localfs.Attr
+			if dir, err = s.LookupPath(dstDir); err == nil {
+				_, _, err = s.Symlink(dir.Ino, ent.Name, target)
+			}
 		default:
-			err = w.file(s, d)
+			err = w.pullFile(sp, d)
 		}
 		if err != nil {
 			return err
@@ -202,7 +123,7 @@ func (w walk) reconcile(srcDir, dstDir string) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if err := w.dst.apply(FSOp{Kind: FSRemoveAll, Path: joinChild(dstDir, name)}); err != nil {
+		if err := s.RemoveAll(joinChild(dstDir, name)); err != nil {
 			return err
 		}
 	}

@@ -35,10 +35,11 @@ type mirrorRec struct {
 	primary bool
 }
 
-// fakePeer records Mirror traffic and answers DigestTree/DirDigests from
-// scripts keyed by "addr path"; it holds no file bytes.
+// fakePeer records Mirror and Pull traffic and answers DigestTree/DirDigests
+// from scripts keyed by "addr path"; it holds no file bytes.
 type fakePeer struct {
 	mirrors []mirrorRec
+	pulls   []pullRec
 	digests map[string]TreeDigest
 	dirs    map[string][]merkle.Entry // presence of the key = directory exists
 	dirAsks int                       // DirDigests calls: a fetch or delta walk began
@@ -46,6 +47,11 @@ type fakePeer struct {
 
 func (f *fakePeer) Mirror(_ obs.TraceContext, to simnet.Addr, t Track, op FSOp, primary bool) (simnet.Cost, error) {
 	f.mirrors = append(f.mirrors, mirrorRec{to: to, op: op, primary: primary})
+	return 0, nil
+}
+
+func (f *fakePeer) Pull(_ obs.TraceContext, to simnet.Addr, t Track, src string, primary bool) (simnet.Cost, error) {
+	f.pulls = append(f.pulls, pullRec{to: to, t: t, src: src, primary: primary})
 	return 0, nil
 }
 
@@ -67,10 +73,8 @@ func (f *fakePeer) ReadLink(obs.TraceContext, simnet.Addr, string) (string, simn
 	return "", 0, fmt.Errorf("fakePeer: no remote store")
 }
 
-// ChunkManifest answers as a remote that holds neither the file nor any of
-// the wanted blocks, so a push ships everything inline.
-func (f *fakePeer) ChunkManifest(_ obs.TraceContext, _ simnet.Addr, _ string, want []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
-	return nil, false, make([]bool, len(want)), 0, nil
+func (f *fakePeer) ChunkManifest(obs.TraceContext, simnet.Addr, string) (cas.Manifest, uint32, bool, simnet.Cost, error) {
+	return nil, 0, false, 0, fmt.Errorf("fakePeer: no remote store")
 }
 
 func (f *fakePeer) ChunkFetch(obs.TraceContext, simnet.Addr, string, []cas.Hash) ([][]byte, simnet.Cost, error) {
@@ -269,11 +273,20 @@ func TestPromoteLocalHonorsTombstone(t *testing.T) {
 	}
 }
 
-func TestSyncPushesToReplicas(t *testing.T) {
-	rep := pastry.NodeInfo{ID: id.HashKey("r1"), Addr: "r1"}
-	ov := &fakeOverlay{isRoot: true, reps: []pastry.NodeInfo{rep}}
-	peer := &fakePeer{} // replica holds nothing
-	e, store := testEngine(ov, peer)
+// Sync as primary has its replica pull: one Pull of the local copy into the
+// replica area at the root's version, after which the replica holds the
+// data. The replica raises MIGRATION_NOT_COMPLETE before the data lands and
+// takes it down after.
+func TestSyncHasReplicasPull(t *testing.T) {
+	peer := newStorePeer() // the replica, r1, holds nothing
+	e, store, _ := deltaEngine(t, peer)
+	flag := RepPath("/music/" + MigrationFlag)
+	var order []string
+	peer.remote.(localfs.MutationNotifier).OnMutation(func(p string) {
+		if p == flag || p == RepPath("/music/a.mp3") {
+			order = append(order, p)
+		}
+	})
 
 	if err := store.WriteFile("/music/a.mp3", []byte("notes")); err != nil {
 		t.Fatal(err)
@@ -282,35 +295,21 @@ func TestSyncPushesToReplicas(t *testing.T) {
 
 	e.Sync()
 
-	if len(peer.mirrors) == 0 {
-		t.Fatal("Sync as primary pushed nothing to its replica")
+	want := pullRec{to: "r1", t: Track{PN: "music", Root: "/music", Ver: 1}, src: "/music"}
+	if len(peer.pulls) != 1 || peer.pulls[0] != want {
+		t.Fatalf("pulls %v, want exactly %v", peer.pulls, want)
 	}
-	var sawFlagCreate, sawFlagRemove, sawData bool
-	for _, m := range peer.mirrors {
-		if m.to != "r1" {
-			t.Fatalf("mirror to %s, want r1", m.to)
-		}
-		if m.primary {
-			t.Fatal("primary->replica refresh must land in the replica area")
-		}
-		switch {
-		case m.op.Kind == FSWriteFile && m.op.Path == "/music/"+MigrationFlag:
-			sawFlagCreate = true
-		case m.op.Kind == FSRemove && m.op.Path == "/music/"+MigrationFlag:
-			sawFlagRemove = true
-		case m.op.Kind == FSChunkWrite && m.op.Path == "/music/a.mp3":
-			sawData = true
-			if !sawFlagCreate {
-				t.Fatal("data pushed before the migration flag was set")
-			}
-			if string(m.op.Data) != "notes" {
-				t.Fatalf("pushed data %q", m.op.Data)
-			}
-		}
+	if got, err := peer.remote.ReadFile(RepPath("/music/a.mp3")); err != nil || string(got) != "notes" {
+		t.Fatalf("replica holds %q, err=%v; want the pulled data", got, err)
 	}
-	if !sawFlagCreate || !sawData || !sawFlagRemove {
-		t.Fatalf("push sequence incomplete: flag=%v data=%v unflag=%v",
-			sawFlagCreate, sawData, sawFlagRemove)
+	if _, err := peer.remote.LookupPath(flag); err == nil {
+		t.Fatal("migration flag left up after the pull")
+	}
+	if len(order) < 3 || order[0] != flag || order[len(order)-1] != flag {
+		t.Fatalf("replica mutations %v: want the flag raised first and taken down last", order)
+	}
+	if v := peer.eng.VerOf("/music"); v != 1 {
+		t.Fatalf("replica records version %d, want 1", v)
 	}
 }
 
@@ -327,17 +326,9 @@ func TestSyncMigratesWhenOwnershipMoved(t *testing.T) {
 
 	e.Sync()
 
-	var pushed bool
-	for _, m := range peer.mirrors {
-		if m.to == "n2" && m.op.Kind == FSChunkWrite && m.op.Path == "/work/w.txt" {
-			pushed = true
-			if !m.primary {
-				t.Fatal("migration push must target the new primary's namespace")
-			}
-		}
-	}
-	if !pushed {
-		t.Fatal("Sync did not migrate the subtree to the new owner")
+	want := pullRec{to: "n2", t: Track{PN: "work", Root: "/work", Ver: 3}, src: "/work", primary: true}
+	if len(peer.pulls) != 1 || peer.pulls[0] != want {
+		t.Fatalf("pulls %v, want the new owner to pull into its primary namespace: %v", peer.pulls, want)
 	}
 	// Our copy stays behind as a replica, parked in the replica area.
 	if _, err := store.LookupPath("/work"); err == nil {

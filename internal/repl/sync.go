@@ -9,10 +9,10 @@ import (
 )
 
 // Sync re-establishes the replication invariant for every subtree and
-// level-1 link this node tracks: if this node is the primary it pushes to
-// its current K leaf-set neighbors; if ownership moved (a closer node
-// joined) it migrates the subtree to the new primary, keeping its own copy
-// as a replica (Section 4.3.1). Returns the simulated cost.
+// level-1 link this node tracks: if this node is the primary it has its
+// current K leaf-set neighbors pull what they lack; if ownership moved (a
+// closer node joined) it has the new primary pull the subtree, keeping its
+// own copy as a replica (Section 4.3.1). Returns the simulated cost.
 func (e *Engine) Sync() (total simnet.Cost) {
 	if !e.syncing.CompareAndSwap(false, true) {
 		return 0
@@ -161,9 +161,10 @@ func (e *Engine) Sync() (total simnet.Cost) {
 // given what target answered when asked (remote, with the hash). The
 // primary's copy is authoritative for its version: a settled replica whose
 // root digest matches is byte-identical and nothing moves (at most it is
-// re-stamped). Otherwise the delta walk descends only into differing
-// directories and ships only changed files and deletions, under the
-// MIGRATION_NOT_COMPLETE flag protocol (Section 4.4).
+// re-stamped). Otherwise target pulls: it walks the local copy's digest
+// listings, descends only into differing directories and fetches only
+// changed files' missing blocks, under its MIGRATION_NOT_COMPLETE flag
+// (Section 4.4).
 func (e *Engine) refresh(tc obs.TraceContext, target simnet.Addr, t Track, remote TreeDigest) (simnet.Cost, error) {
 	src, ok := e.LocalTreePath(t.Root)
 	if !ok {
@@ -181,5 +182,5 @@ func (e *Engine) refresh(tc obs.TraceContext, target simnet.Addr, t Track, remot
 		return e.peer.Mirror(tc, target, t, FSOp{Kind: FSMkdirAll, Path: t.Root}, false)
 	}
 	e.digestMisses.Add(1)
-	return e.deltaPush(tc, target, t, src, false, remote)
+	return e.peer.Pull(tc, target, t, src, false)
 }

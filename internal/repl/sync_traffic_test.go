@@ -64,16 +64,23 @@ func (p *countingPeers) ReadLink(tc obs.TraceContext, to simnet.Addr, phys strin
 	return p.at[to].ReadLink(tc, to, phys)
 }
 
-func (p *countingPeers) ChunkManifest(tc obs.TraceContext, to simnet.Addr, phys string, want []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
-	return p.at[to].ChunkManifest(tc, to, phys, want)
+func (p *countingPeers) Pull(tc obs.TraceContext, to simnet.Addr, t Track, src string, primary bool) (simnet.Cost, error) {
+	return p.at[to].Pull(tc, to, t, src, primary)
+}
+
+func (p *countingPeers) ChunkManifest(tc obs.TraceContext, to simnet.Addr, phys string) (cas.Manifest, uint32, bool, simnet.Cost, error) {
+	return p.at[to].ChunkManifest(tc, to, phys)
 }
 
 func (p *countingPeers) ChunkFetch(tc obs.TraceContext, to simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
 	return p.at[to].ChunkFetch(tc, to, phys, hashes)
 }
 
-// mirrorsTo counts the mutations one candidate received.
-func (p *countingPeers) mirrorsTo(a simnet.Addr) int { return len(p.at[a].mirrors) }
+// mirrorsTo counts the mutations one candidate received and the pulls it
+// was asked to run.
+func (p *countingPeers) mirrorsTo(a simnet.Addr) int {
+	return len(p.at[a].mirrors) + len(p.at[a].pulls)
+}
 
 // wantAsks fails unless Sync asked each of cands exactly once about each of
 // roots' replica-area copies, all with (or all without) the hash.
@@ -113,6 +120,7 @@ func ownerEngine(peers Peer, cands ...simnet.Addr) (*Engine, localfs.FileSystem)
 		Key:      func(pn string) id.ID { return id.HashKey(pn) },
 		Registry: obs.NewRegistry(),
 	})
+	serve(peers, e)
 	return e, store
 }
 
@@ -123,8 +131,8 @@ func mustWrite(t *testing.T, fs localfs.FileSystem, p, data string) {
 	}
 }
 
-// A Sync that ships nothing costs one hashed ask per candidate per owned live
-// root and not one mirror, for K = 1, 2, 3.
+// A Sync that moves nothing costs one hashed ask per candidate per owned live
+// root and not one mirror or pull, for K = 1, 2, 3.
 func TestSyncNoopAsksEachCandidateOnce(t *testing.T) {
 	all := []simnet.Addr{"r1", "r2", "r3"}
 	roots := []string{"/a", "/b", "/c", "/d"}
@@ -195,7 +203,7 @@ func TestSyncAdoptsNewerCopyAndRefreshesTheRestOnOneAskEach(t *testing.T) {
 }
 
 // A newer deletion among the answers becomes the local tombstone, and this
-// round pushes nothing: the next one propagates it.
+// round sends nothing: the next one propagates it.
 func TestSyncAdoptsNewerTombstoneAndPushesNothing(t *testing.T) {
 	peers := newCountingPeers("r1", "r2")
 	e, store := ownerEngine(peers, "r1", "r2")
@@ -215,7 +223,7 @@ func TestSyncAdoptsNewerTombstoneAndPushesNothing(t *testing.T) {
 		t.Fatal("local copy survived a newer deletion")
 	}
 	if n := peers.mirrorsTo("r1") + peers.mirrorsTo("r2"); n != 0 {
-		t.Fatalf("%d mutations pushed in the round that adopted the tombstone", n)
+		t.Fatalf("%d mutations sent in the round that adopted the tombstone", n)
 	}
 
 	// The next round owns a tombstone: K version-only asks, and the deletion

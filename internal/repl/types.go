@@ -2,17 +2,22 @@
 // (Sections 4.2-4.4): it records which replicated hierarchies a node holds
 // (primary or replica), arbitrates versions between copies, re-establishes
 // the K-replica invariant after membership changes, and migrates subtrees
-// when key ownership moves. The engine sees the rest of the system through
-// two narrow interfaces — Overlay (who owns a key, who the replica
-// candidates are) and Peer (remote digest/mirror/promote and hash-verified
-// block exchange) — so it carries no dependency on the koshad wiring that
+// when key ownership moves. Every repair moves file bytes in one direction:
+// the copy that is behind pulls them. A primary refreshing a stale replica,
+// and an old owner handing a hierarchy to the new one, ask the target to
+// pull (Peer.Pull); a promoted primary that finds a newer replica pulls from
+// it on its own. Either way the puller walks the source's digest listings,
+// skips every matching subtree, and fetches only the blocks it lacks. The
+// engine sees the rest of the system through two narrow interfaces —
+// Overlay (who owns a key, who the replica candidates are) and Peer (remote
+// digests, mirrored mutations, promote and pull requests, hash-verified
+// block fetches) — so it carries no dependency on the koshad wiring that
 // consumes it.
 package repl
 
 import (
 	"fmt"
 
-	"repro/internal/cas"
 	"repro/internal/localfs"
 	"repro/internal/merkle"
 	"repro/internal/nfs"
@@ -66,18 +71,18 @@ const (
 	FSMkdirAll FSOpKind = iota + 1
 	FSMkdir             // strict: fails if the directory exists
 	FSCreate
-	FSWrite
+	FSWrite // Data at Offset, or with Spans each span at its own offset: a write-back flush
 	FSSetattr
 	FSRemove
 	FSRmdir
 	FSRemoveAll // recursive removal (migration resync, forced deletes)
 	FSRename
 	FSSymlink
-	FSWriteFile  // create-or-truncate plus full contents: Mount.WriteFile's one apply, and migration
-	FSWriteV     // vectored write: a write-back buffer's coalesced spans
-	FSChunkWrite // manifest span: chunk refs resolved against the receiver's block index
-	FSRelink     // atomic ownership flip: replace the entry at Path with a symlink to Target
-	FSUnlink     // user-level remove: ISDIR for a directory or a special link; mirrored as FSRemove
+	FSWriteFile // create-or-truncate plus full contents: Mount.WriteFile's one apply
+	_           // 12 was FSWriteV, a flush's spans, which FSWrite carries now; vacant
+	_           // 13 was FSChunkWrite, the replica push's chunk span, gone with the push; vacant
+	FSRelink    // atomic ownership flip: replace the entry at Path with a symlink to Target
+	FSUnlink    // user-level remove: ISDIR for a directory or a special link; mirrored as FSRemove
 )
 
 func (k FSOpKind) String() string {
@@ -104,10 +109,6 @@ func (k FSOpKind) String() string {
 		return "symlink"
 	case FSWriteFile:
 		return "writefile"
-	case FSWriteV:
-		return "writev"
-	case FSChunkWrite:
-		return "chunkwrite"
 	case FSRelink:
 		return "relink"
 	case FSUnlink:
@@ -132,21 +133,7 @@ type FSOp struct {
 	Target  string // symlink target
 	SetAttr localfs.SetAttr
 	Prune   bool            // rmdir/remove: prune empty scaffolding above
-	Spans   []nfs.WriteSpan // writev: coalesced spans, applied in order
-	Chunks  []ChunkRef      // chunkwrite: the span's chunk sequence, at Offset
-}
-
-// ChunkRef is one chunk of an FSChunkWrite span. Inline chunks carry their
-// bytes concatenated (in chunk order) in the op's Data; the rest are
-// references the receiver resolves against its own content-addressed block
-// index — bytes it already holds are never reshipped. The receiver
-// hash-verifies both kinds and rejects the whole span if any reference
-// cannot be resolved, which the sender answers by re-shipping the span
-// verbatim.
-type ChunkRef struct {
-	Hash   cas.Hash
-	Len    uint32
-	Inline bool
+	Spans   []nfs.WriteSpan // write: a flush's coalesced spans, applied in order
 }
 
 // Track carries subtree-ownership metadata alongside mutations so replicas

@@ -414,6 +414,7 @@ func (n *Network) CallCtx(ctx obs.TraceContext, from, to Addr, service string, r
 	}
 	rsize := wire.ReplyOf(req, resp).Len()
 	n.bytes.Add(uint64(rsize))
+	sc.bytes.Add(uint64(rsize))
 	if from != to {
 		wireCost = Seq(wireCost, n.Link.MessageCost(rsize))
 	}

@@ -36,8 +36,8 @@ func (streamConn) SetWriteDeadline(time.Time) error { return nil }
 // carries.
 func wireBytes(t testing.TB, ctx obs.TraceContext, service string, req []byte) []byte {
 	var sent bytes.Buffer
-	c := &conn{link: link{c: streamConn{r: bytes.NewReader(nil), w: &sent}}}
-	Dialer("client", simnet.LAN100).exchange(c, ctx, service, wire.FrameOf(req)) // fails reading the reply: there is none
+	l := &link{c: streamConn{r: bytes.NewReader(nil), w: &sent}}
+	Dialer("client", simnet.LAN100).exchange(l, ctx, service, wire.FrameOf(req)) // fails reading the reply: there is none
 	if sent.Len() == 0 {
 		t.Fatal("the request was not written")
 	}

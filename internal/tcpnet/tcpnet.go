@@ -9,6 +9,10 @@
 // cost for the message sizes, so benchmark numbers remain comparable to
 // the in-process emulation regardless of real wire latency.
 //
+// A call takes an idle connection to its peer, or dials one, and returns it
+// after a clean exchange, so calls never queue behind each other: a handler
+// may call back into the node whose call it is serving.
+//
 // A round trip allocates one buffer each way: the frame each side reads off
 // its socket. Everything else is written from where it lies or decoded in
 // place. The envelope head (from, service, trace words and the payload's
@@ -53,6 +57,13 @@ const (
 	frameStep = 4 << 20
 )
 
+// maxIdle bounds the idle client connections kept per peer. A call takes an
+// idle connection or dials one, so calls to one peer never wait on each
+// other — a handler that calls back into its caller while the caller waits
+// on it included — and only this many stay open between bursts: two, the
+// concurrent callers to one peer the benchmark measures (tcpnet.rtt_us.c2).
+const maxIdle = 2
+
 // Net is a TCP-backed simnet.Transport. Handlers registered for the local
 // address are served from the listener; calls to other addresses dial out.
 type Net struct {
@@ -65,7 +76,7 @@ type Net struct {
 	mu       sync.Mutex
 	services map[string]endpoint
 	sink     simnet.SpanSink
-	conns    map[simnet.Addr]*conn
+	idle     map[simnet.Addr][]*link // client connections between calls
 	inbound  map[net.Conn]struct{}
 
 	closed  chan struct{}
@@ -81,24 +92,17 @@ type endpoint struct {
 	h    simnet.HandlerCtx
 }
 
-// conn is a pooled client connection: one round trip at a time, under mu,
-// which also guards the link's scratch.
-type conn struct {
-	mu sync.Mutex
-	link
-}
-
 // zeros pads a frame's trailing opaque to a 4-byte boundary.
 var zeros [3]byte
 
 // link is one connection's framing: the socket and the scratch a frame's
 // head is encoded into, a received frame's length word is read into and the
 // writev vector is built in. Whoever holds the connection uses its scratch —
-// a caller under conn.mu, the server in the connection's goroutine. The
-// scratch is not a pool: it belongs to the socket and dies with it, holds a
-// frame's head but never its payload past the send that wrote it, and lends
-// nothing, so no buffer passes from one message or connection to another
-// through it.
+// a caller that took it from the idle pool, the server in the connection's
+// goroutine. The scratch is not a pool: it belongs to the socket and dies
+// with it, holds a frame's head but never its payload past the send that
+// wrote it, and lends nothing, so no buffer passes from one message or
+// connection to another through it.
 type link struct {
 	c    net.Conn
 	head wire.Encoder // the outgoing frame's length word and envelope head
@@ -158,18 +162,18 @@ func (l *link) recv() ([]byte, error) {
 
 // Listen starts a transport bound to listenAddr ("host:port"; port 0 picks
 // a free port). The advertised node address is the listener's address.
-func Listen(listenAddr string, link simnet.LinkModel) (*Net, error) {
+func Listen(listenAddr string, model simnet.LinkModel) (*Net, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", listenAddr, err)
 	}
 	n := &Net{
-		Link:     link,
+		Link:     model,
 		Timeout:  5 * time.Second,
 		local:    simnet.Addr(ln.Addr().String()),
 		ln:       ln,
 		services: make(map[string]endpoint),
-		conns:    make(map[simnet.Addr]*conn),
+		idle:     make(map[simnet.Addr][]*link),
 		inbound:  make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
 	}
@@ -180,13 +184,13 @@ func Listen(listenAddr string, link simnet.LinkModel) (*Net, error) {
 
 // Dialer returns a client-only transport (no listener) that originates
 // calls from the given logical address, for tools like koshactl.
-func Dialer(from simnet.Addr, link simnet.LinkModel) *Net {
+func Dialer(from simnet.Addr, model simnet.LinkModel) *Net {
 	return &Net{
-		Link:     link,
+		Link:     model,
 		Timeout:  5 * time.Second,
 		local:    from,
 		services: make(map[string]endpoint),
-		conns:    make(map[simnet.Addr]*conn),
+		idle:     make(map[simnet.Addr][]*link),
 		inbound:  make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
 	}
@@ -195,17 +199,21 @@ func Dialer(from simnet.Addr, link simnet.LinkModel) *Net {
 // Addr returns the transport's local (advertised) address.
 func (n *Net) Addr() simnet.Addr { return n.local }
 
-// Close shuts the listener and all pooled connections.
+// Close shuts the listener, the idle client connections and the inbound
+// ones. A connection in a call when Close runs is closed when the call
+// returns it.
 func (n *Net) Close() error {
 	n.onceOff.Do(func() { close(n.closed) })
 	if n.ln != nil {
 		n.ln.Close()
 	}
 	n.mu.Lock()
-	for _, c := range n.conns {
-		c.c.Close()
+	for _, idle := range n.idle {
+		for _, l := range idle {
+			l.c.Close()
+		}
 	}
-	n.conns = make(map[simnet.Addr]*conn)
+	n.idle = make(map[simnet.Addr][]*link)
 	for c := range n.inbound {
 		c.Close()
 	}
@@ -289,63 +297,80 @@ func (n *Net) CallCtx(ctx obs.TraceContext, from, to simnet.Addr, service string
 	return resp, simnet.Seq(wireCost, procCost), nil
 }
 
-// getConn returns the pooled connection to a peer, dialing if none is
-// cached. fresh reports whether the connection was just dialed: an IO error
-// on a fresh connection is a real reachability problem, while one on a
-// cached connection may just mean the peer closed it while idle.
-func (n *Net) getConn(to simnet.Addr) (c *conn, fresh bool, err error) {
+// take returns an idle connection to a peer, or dials one if none is idle.
+// fresh reports whether it was just dialed: an IO error on a fresh
+// connection is a real reachability problem, while one on an idle connection
+// may just mean the peer closed it while idle.
+func (n *Net) take(to simnet.Addr) (l *link, fresh bool, err error) {
 	n.mu.Lock()
-	c = n.conns[to]
-	n.mu.Unlock()
-	if c != nil {
-		return c, false, nil
+	if idle := n.idle[to]; len(idle) > 0 {
+		l = idle[len(idle)-1]
+		idle[len(idle)-1] = nil
+		n.idle[to] = idle[:len(idle)-1]
+		n.mu.Unlock()
+		return l, false, nil
 	}
+	n.mu.Unlock()
 	raw, err := net.DialTimeout("tcp", string(to), n.Timeout)
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %s -> %s: %v", simnet.ErrUnreachable, n.local, to, err)
 	}
-	c = &conn{link: link{c: raw}}
-	n.mu.Lock()
-	if existing := n.conns[to]; existing != nil {
-		n.mu.Unlock()
-		raw.Close()
-		return existing, false, nil
-	}
-	n.conns[to] = c
-	n.mu.Unlock()
-	return c, true, nil
+	return &link{c: raw}, true, nil
 }
 
-func (n *Net) dropConn(to simnet.Addr, c *conn) {
+// put returns a connection after a clean exchange. It is closed instead when
+// maxIdle connections to the peer are already idle or the transport is
+// closed.
+func (n *Net) put(to simnet.Addr, l *link) {
 	n.mu.Lock()
-	if n.conns[to] == c {
-		delete(n.conns, to)
+	select {
+	case <-n.closed:
+	default:
+		if idle := n.idle[to]; len(idle) < maxIdle {
+			n.idle[to] = append(idle, l)
+			n.mu.Unlock()
+			return
+		}
 	}
 	n.mu.Unlock()
-	c.c.Close()
+	l.c.Close()
 }
 
-// roundTrip sends one framed request on the pooled connection and reads the
-// response. One in-flight request per connection keeps framing trivial.
-// A cached connection can have been closed by the peer while idle (server
-// restart, keepalive timeout); an IO failure on one evicts it and redials
-// once before the failure is reported as unreachability.
+// dropIdle closes every idle connection to a peer.
+func (n *Net) dropIdle(to simnet.Addr) {
+	n.mu.Lock()
+	idle := n.idle[to]
+	delete(n.idle, to)
+	n.mu.Unlock()
+	for _, l := range idle {
+		l.c.Close()
+	}
+}
+
+// roundTrip sends one framed request on a connection of its own and reads
+// the response. One in-flight request per connection keeps framing trivial.
+// An idle connection can have been closed by the peer (server restart,
+// keepalive timeout), and then so were the others idle beside it: an IO
+// failure on one closes them all and redials once before the failure is
+// reported as unreachability.
 func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, req wire.Frame) ([]byte, simnet.Cost, error) {
 	var frame []byte
 	for attempt := 0; ; attempt++ {
-		c, fresh, err := n.getConn(to)
+		l, fresh, err := n.take(to)
 		if err != nil {
 			return nil, 0, err
 		}
-		frame, err = n.exchange(c, ctx, service, req)
-		if err != nil {
-			n.dropConn(to, c)
-			if !fresh && attempt == 0 {
-				continue // stale pooled connection; retry on a fresh dial
-			}
-			return nil, 0, fmt.Errorf("%w: %s -> %s: %v", simnet.ErrUnreachable, n.local, to, err)
+		frame, err = n.exchange(l, ctx, service, req)
+		if err == nil {
+			n.put(to, l)
+			break
 		}
-		break
+		l.c.Close()
+		if !fresh && attempt == 0 {
+			n.dropIdle(to)
+			continue // stale idle connection; retry on a fresh dial
+		}
+		return nil, 0, fmt.Errorf("%w: %s -> %s: %v", simnet.ErrUnreachable, n.local, to, err)
 	}
 	var d wire.Decoder
 	d.Reset(frame)
@@ -369,11 +394,8 @@ func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, re
 // context travels as three fixed words after the service name. The head is
 // encoded into the connection's scratch and req is sent after it as the
 // envelope's last item, its pieces uncopied.
-func (n *Net) exchange(c *conn, ctx obs.TraceContext, service string, req wire.Frame) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	e := c.start()
+func (n *Net) exchange(l *link, ctx obs.TraceContext, service string, req wire.Frame) ([]byte, error) {
+	e := l.start()
 	e.PutString(string(n.local))
 	e.PutString(service)
 	e.PutUint64(ctx.Hi)
@@ -381,11 +403,11 @@ func (n *Net) exchange(c *conn, ctx obs.TraceContext, service string, req wire.F
 	e.PutUint64(ctx.Span)
 	e.PutUint32(uint32(req.Len()))
 
-	c.c.SetDeadline(time.Now().Add(n.Timeout))
-	if err := c.send(req); err != nil {
+	l.c.SetDeadline(time.Now().Add(n.Timeout))
+	if err := l.send(req); err != nil {
 		return nil, err
 	}
-	return c.recv()
+	return l.recv()
 }
 
 // decodeRemoteError rehydrates sentinel errors that cross the wire as

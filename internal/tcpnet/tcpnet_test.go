@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,14 +237,15 @@ func TestStalePooledConnRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill the pooled socket the way a restarted peer would: the cached
-	// conn object survives in the pool but its transport is dead.
+	// Kill the idle socket the way a restarted peer would: the link survives
+	// in the pool but its transport is dead.
 	cli.mu.Lock()
-	pooled := cli.conns[srv.Addr()]
+	idle := cli.idle[srv.Addr()]
 	cli.mu.Unlock()
-	if pooled == nil {
-		t.Fatal("no pooled connection after first call")
+	if len(idle) != 1 {
+		t.Fatalf("%d idle connections after one call, want 1", len(idle))
 	}
+	pooled := idle[0]
 	pooled.c.Close()
 
 	resp, _, err := cli.Call("client", srv.Addr(), "echo", []byte("after"))
@@ -256,10 +258,12 @@ func TestStalePooledConnRedials(t *testing.T) {
 
 	// The dead conn must have been evicted, not resurrected.
 	cli.mu.Lock()
-	repooled := cli.conns[srv.Addr()]
+	repooled := cli.idle[srv.Addr()]
 	cli.mu.Unlock()
-	if repooled == pooled {
-		t.Fatal("stale connection still pooled")
+	for _, l := range repooled {
+		if l == pooled {
+			t.Fatal("stale connection still pooled")
+		}
 	}
 }
 
@@ -377,16 +381,18 @@ func TestLookupPathIsOneFrameEachWay(t *testing.T) {
 	if holder == "" {
 		t.Fatal("every candidate directory hashed to the client's own node")
 	}
+	// Count frames on the idle connection the next call takes: the last one
+	// returned.
 	nets[0].mu.Lock()
-	pooled := nets[0].conns[holder]
-	nets[0].mu.Unlock()
-	if pooled == nil {
-		t.Fatalf("no pooled connection to %s", holder)
+	idle := nets[0].idle[holder]
+	if len(idle) == 0 {
+		nets[0].mu.Unlock()
+		t.Fatalf("no idle connection to %s", holder)
 	}
+	pooled := idle[len(idle)-1]
 	fc := &frameCounter{Conn: pooled.c}
-	pooled.mu.Lock()
 	pooled.c = fc
-	pooled.mu.Unlock()
+	nets[0].mu.Unlock()
 
 	rpcs := nodes[0].NFSStats().RPCs
 	walks := nodes[0].NFSProcCount(nfs.ProcLookupPath)
@@ -622,4 +628,217 @@ func TestReadIntoOverTCP(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCrossCallsDoNotWaitOnEachOther: two transports call each other at the
+// same moment, and each handler calls back into its caller before it
+// answers, as two neighbours refreshing each other do when each one's pull
+// lists the other's copy. Every call gets a connection of its own, so all
+// four finish far inside the deadline. With one connection per peer, held
+// for a whole call, each callback waited on the other side's outer call
+// until the deadline and failed.
+func TestCrossCallsDoNotWaitOnEachOther(t *testing.T) {
+	var nets [2]*Net
+	for i := range nets {
+		n, err := Listen("127.0.0.1:0", simnet.LAN100)
+		if err != nil {
+			t.Skipf("no loopback TCP: %v", err)
+		}
+		defer n.Close()
+		nets[i] = n
+	}
+	// Each handler calls back only once both outer calls are in flight.
+	both := make(chan struct{})
+	var arrived atomic.Int32
+	for _, n := range nets {
+		n.Register(n.Addr(), "back", func(_ simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
+			return req, 0, nil
+		})
+		n.Register(n.Addr(), "outer", func(from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
+			if arrived.Add(1) == 2 {
+				close(both)
+			}
+			select {
+			case <-both:
+			case <-time.After(n.Timeout):
+				return nil, 0, errors.New("the other outer call never arrived")
+			}
+			resp, _, err := n.Call(n.Addr(), from, "back", req)
+			return resp, 0, err
+		})
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make([]error, len(nets))
+	for i, n := range nets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, _, err := n.Call(n.Addr(), nets[1-i].Addr(), "outer", []byte{byte(i)})
+			if err == nil && !bytes.Equal(resp, []byte{byte(i)}) {
+				err = fmt.Errorf("reply %v", resp)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("outer call from %d: %v", i, err)
+		}
+	}
+	if d, limit := time.Since(start), nets[0].Timeout/5; d > limit {
+		t.Fatalf("the crossed calls took %v, want well inside the %v deadline (< %v)", d, nets[0].Timeout, limit)
+	}
+}
+
+// rottedReplicaOverTCP is three koshads over real sockets, whose transports
+// use the given deadline, holding /tcpsync with one replica, and that
+// replica's copy of the blob rotted in place. It returns the subtree's primary
+// and replica and its physical root.
+func rottedReplicaOverTCP(t *testing.T, timeout time.Duration) (primary, rep *core.Node, root string) {
+	t.Helper()
+	state := uint64(4242)
+	var nodes []*core.Node
+	for i := 0; i < 3; i++ {
+		tn, err := Listen("127.0.0.1:0", simnet.LAN100)
+		if err != nil {
+			t.Skipf("no loopback TCP: %v", err)
+		}
+		t.Cleanup(func() { tn.Close() })
+		tn.Timeout = timeout
+		nd := core.NewNode(tn.Addr(), id.Rand128(&state), tn, core.Config{Replicas: 1, NoAutoSync: true})
+		var boot simnet.Addr
+		if i > 0 {
+			boot = nodes[0].Addr()
+		}
+		if _, err := nd.Join(boot); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+		nodes = append(nodes, nd)
+	}
+	for round := 0; round < 3; round++ {
+		for _, nd := range nodes {
+			nd.Overlay().Stabilize()
+		}
+	}
+	m := nodes[0].NewMount()
+	blob := bytes.Repeat([]byte("over real sockets "), 16<<10)
+	for p, data := range map[string][]byte{"/tcpsync/a.txt": []byte("a"), "/tcpsync/sub/blob.bin": blob} {
+		if _, err := m.WriteFile(p, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pl, _, err := nodes[0].ResolvePath("/tcpsync")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byAddr := map[simnet.Addr]*core.Node{}
+	for _, nd := range nodes {
+		byAddr[nd.Addr()] = nd
+	}
+	primary, root = byAddr[pl.Node], pl.SubtreeRoot()
+	rep = byAddr[primary.Overlay().ReplicaCandidates(1)[0].Addr]
+	rotted := core.RepPath(root + "/sub/blob.bin")
+	if got, err := rep.Store().ReadFile(rotted); err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("the replica never received the blob: %d bytes, %v", len(got), err)
+	}
+	if err := rep.Store().WriteFile(rotted, []byte("rot")); err != nil {
+		t.Fatal(err)
+	}
+	return primary, rep, root
+}
+
+// wantPulled fails unless rep's replica of root is the primary's, unflagged,
+// rebuilt by exactly one file pull.
+func wantPulled(t *testing.T, primary, rep *core.Node, root string) {
+	t.Helper()
+	want := primary.Repl().DigestLocal(root, true)
+	got := rep.Repl().DigestLocal(core.RepPath(root), true)
+	if !got.Exists || got.Flag || got.Root != want.Root {
+		t.Fatalf("replica after the refresh: %+v, want the primary's digest %x unflagged", got, want.Root)
+	}
+	if n := rep.Obs().Counter("repl.fetch.bytes").Load(); n == 0 {
+		t.Fatal("the replica fetched nothing from the primary")
+	}
+	if n := rep.Obs().Counter("repl.sync.files.sent").Load(); n != 1 {
+		t.Fatalf("the replica rebuilt %d files, want the rotted one", n)
+	}
+}
+
+// TestRefreshPullsOverTCP: a replica's copy rots in place, and the primary's
+// Sync has the replica pull the primary's copy over real sockets — the
+// pull's listing and block calls go back into the primary while the primary
+// waits on the kPull. Afterwards the replica's root digest is the primary's.
+func TestRefreshPullsOverTCP(t *testing.T) {
+	primary, rep, root := rottedReplicaOverTCP(t, 5*time.Second)
+	primary.SyncReplicas()
+	wantPulled(t, primary, rep, root)
+}
+
+// TestPullOutlivingItsDeadlineIsNotDoubled: a replica's pull runs longer than
+// the transport deadline, so the primary's kPull fails while the replica
+// keeps pulling. Every kPull that reaches the replica meanwhile — the
+// transport's resend of the timed-out request on a fresh connection, and the
+// next Sync's, which finds the copy flagged — is answered busy at once
+// instead of starting a second walk over the same copy. The first pull then
+// completes alone: the copy is the primary's, unflagged, and one file was
+// rebuilt.
+func TestPullOutlivingItsDeadlineIsNotDoubled(t *testing.T) {
+	const deadline = 500 * time.Millisecond
+	primary, rep, root := rottedReplicaOverTCP(t, deadline)
+	held, release := make(chan struct{}), make(chan struct{})
+	var fetches atomic.Int32
+	rep.Repl().SetFetchHook(func(simnet.Addr, int) {
+		if fetches.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+	})
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	primary.SyncReplicas() // returns once the kPull hits the deadline
+	select {
+	case <-held:
+	case <-time.After(5 * deadline):
+		t.Fatal("the replica never started pulling")
+	}
+	// The failed kPull marked the replica dead at the primary; it is back
+	// among the candidates after stabilisation.
+	for round := 0; primary.Overlay().ReplicaCandidates(1)[0].Addr != rep.Addr(); round++ {
+		if round == 10 {
+			t.Fatal("the replica never came back among the primary's candidates")
+		}
+		primary.Overlay().Stabilize()
+		rep.Overlay().Stabilize()
+	}
+	misses := primary.Obs().Counter("repl.sync.digest.misses").Load()
+	start := time.Now()
+	primary.SyncReplicas()
+	if primary.Obs().Counter("repl.sync.digest.misses").Load() == misses {
+		t.Fatal("the second Sync did not find the replica's copy behind")
+	}
+	if d := time.Since(start); d >= deadline {
+		t.Fatalf("the second Sync took %v: its kPull waited instead of being answered busy", d)
+	}
+	if n := fetches.Load(); n != 1 {
+		t.Fatalf("%d CHUNK_FETCH round trips while the first pull was held, want its one: a second walk ran", n)
+	}
+
+	close(release)
+	for start := time.Now(); ; time.Sleep(10 * time.Millisecond) {
+		if got := rep.Repl().DigestLocal(core.RepPath(root), true); got.Exists && !got.Flag {
+			break
+		}
+		if time.Since(start) > 10*deadline {
+			t.Fatal("the first pull never completed")
+		}
+	}
+	wantPulled(t, primary, rep, root)
 }
