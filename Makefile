@@ -225,6 +225,7 @@ bench-diff:
 # constants.
 TABLE_ROWS = awk -v t="$$t" '$$0 ~ "^var " t " = serviceTable" {in_t=1; next} in_t && /^}/ {exit} in_t && /^\t[a-zA-Z]+:/ {n++} END {print n}'
 IFACE_METHODS = awk -v t="$$t" '$$0 ~ "^type " t " interface" {in_t=1; next} in_t && /^}/ {exit} in_t && /^\t[A-Z][A-Za-z0-9]*\(/ {n++} END {print n}'
+STRUCT_FIELDS = awk -v t="$$t" '$$0 ~ "^type " t " struct" {in_t=1; next} in_t && /^}/ {exit} in_t && /^\t[A-Z][A-Za-z0-9]*[ \t]+[^ \t]/ {n++} END {print n}'
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l | xargs echo "non-test Go lines outside bench/:"; \
 	for p in core nfs repl maint cas; do \
@@ -232,6 +233,7 @@ loc:
 	done; \
 	awk '/^type Config struct/ {in_cfg=1; next} in_cfg && /^}/ {exit} in_cfg && /^\t[A-Z][A-Za-z0-9]*[ \t]+[^ \t]/ {n++} END {print "core.Config fields:", n}' internal/core/node.go; \
 	t=Peer; echo "repl.Peer methods: $$($(IFACE_METHODS) internal/repl/engine.go)"; \
+	t=Track; echo "repl.Track fields: $$($(STRUCT_FIELDS) internal/repl/types.go)"; \
 	t=Overlay; echo "repl.Overlay methods: $$($(IFACE_METHODS) internal/repl/engine.go)"; \
 	t=koshaProcs; echo "koshaProcs rows: $$($(TABLE_ROWS) internal/core/service.go)"; \
 	t=ctlProcs; echo "ctlProcs rows: $$($(TABLE_ROWS) internal/core/ctl.go)"; \

@@ -566,32 +566,13 @@ func TestScenarioRebalanceTargetCrashMidMove(t *testing.T) {
 	}
 }
 
-// liveRootsAtLinks lists, per node, each live root record whose path (at
-// the primary path or in the replica area) holds a link instead of the
-// hierarchy the record describes.
-func liveRootsAtLinks(c *cluster.Cluster) []string {
-	var out []string
-	for _, nd := range c.Nodes {
-		rep := nd.Repl()
-		for root := range rep.TrackedRoots() {
-			p, ok := rep.LocalTreePath(root)
-			if !ok || rep.IsDead(root) {
-				continue
-			}
-			if a, err := nd.Store().LookupPath(p); err == nil && a.Type == localfs.TypeSymlink {
-				out = append(out, fmt.Sprintf("%s:%s", nd.Addr(), p))
-			}
-		}
-	}
-	return out
-}
-
-// TestRebalanceRetiresRelinkedRoot: the rebalancer moves the unsalted home
-// /big off its overloaded owner, and the relink replaces the home in place
-// by a special link. The relink's apply and mirrors retire the home's root
-// record wherever they land, so no node keeps a live root record at a path
-// that now holds a link.
-func TestRebalanceRetiresRelinkedRoot(t *testing.T) {
+// TestRebalanceRelinkContinuesTheHomesRecord: the rebalancer moves the
+// unsalted home /big off its overloaded owner, and the relink replaces the
+// home in place by a special link. The entry at /big stays one record with
+// one version chain: on every holder it is live, at a version above the
+// home's last, and its copy is a link. A later promote on a replica (what a
+// level-1 probe at a new owner sends, version 0) keeps the chain.
+func TestRebalanceRelinkContinuesTheHomesRecord(t *testing.T) {
 	const seed = 5151
 	probe, _, _ := rebalCluster(t, seed, -1, 0, nil)
 	place, _, err := probe.Nodes[0].ResolvePath("/big")
@@ -600,6 +581,7 @@ func TestRebalanceRetiresRelinkedRoot(t *testing.T) {
 	}
 	mover := slices.IndexFunc(probe.Nodes, func(nd *core.Node) bool { return nd.Addr() == place.Node })
 	c, model, _ := rebalCluster(t, seed, mover, 4<<20, nil)
+	homeVer := c.Nodes[mover].Repl().VerOf("/big")
 	tickAll(c)
 	if moves := sumCounter(c, "maint.rebalance.moves"); moves != 1 {
 		t.Fatalf("%d moves, want 1", moves)
@@ -608,19 +590,34 @@ func TestRebalanceRetiresRelinkedRoot(t *testing.T) {
 	if err := model.Check(c.Mount(0)); err != nil {
 		t.Fatal(err)
 	}
-	links := 0
+	var replica *repl.Engine
+	holders := 0
 	for _, nd := range c.Nodes {
-		if p, ok := nd.Repl().LocalTreePath("/big"); ok {
-			if a, err := nd.Store().LookupPath(p); err == nil && a.Type == localfs.TypeSymlink {
-				links++
-			}
+		rep := nd.Repl()
+		rec, ok := rep.TrackOf("/big")
+		if !ok {
+			continue
+		}
+		holders++
+		p, held := rep.LocalTreePath("/big")
+		a, err := nd.Store().LookupPath(p)
+		if rec.Dead || rec.Ver <= homeVer || !held || err != nil || a.Type != localfs.TypeSymlink {
+			t.Errorf("%s: record %+v (home's last version %d), copy at %q is %v (err %v): want a live record above the home's chain and a link",
+				nd.Addr(), rec, homeVer, p, a.Type, err)
+		}
+		if p == repl.RepPath("/big") {
+			replica = rep
 		}
 	}
-	if links == 0 {
-		t.Fatal("no node holds the relinked home: the move did not relink /big in place")
+	if holders < 3 || replica == nil {
+		t.Fatalf("%d holders of /big, replica found: %v; want the owner and its 2 replicas", holders, replica != nil)
 	}
-	if stale := liveRootsAtLinks(c); len(stale) > 0 {
-		t.Errorf("live root records at paths holding a link: %v", stale)
+	before := replica.VerOf("/big")
+	if !replica.PromoteLocal(repl.Track{PN: "big", Root: "/big"}) {
+		t.Fatal("the promote surfaced nothing")
+	}
+	if rec, _ := replica.TrackOf("/big"); rec.Ver != before || rec.Dead {
+		t.Errorf("after a promote the record is %+v, want live at %d", rec, before)
 	}
 }
 

@@ -393,7 +393,7 @@ func TestHandlersDoNotRetainRequestBuffers(t *testing.T) {
 			return nil
 		})
 		for _, tr := range nd.Repl().Tracks() {
-			if scribbled(tr.PN) || scribbled(tr.Root) || scribbled(tr.Link) {
+			if scribbled(tr.PN) || scribbled(tr.Root) {
 				t.Errorf("%s tracks %+v: a name kept from a request buffer", nd.Addr(), tr)
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -80,9 +81,16 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	// frame each.
 	n.promote(tc, peer, track)
 	n.replicaSet(tc, peer, Key(track.PN), track.Root)
-	// A pull sends the listing and block procedures back to n: the explicit
-	// calls after it are the last frames recorded for those procedures.
-	if _, err := (enginePeer{n}).Pull(tc, peer, track, track.Root, false); err != nil {
+	// A pull sends the listing and block procedures back to the node asking
+	// for it, which must hold the copy, so the primary asks another node: the
+	// explicit calls after it are the last frames recorded for those
+	// procedures.
+	owner := nodes[slices.IndexFunc(nodes, func(nd *Node) bool { return nd.Addr() == pl.Node })]
+	puller := nodes[0]
+	if owner == puller {
+		puller = nodes[1]
+	}
+	if _, err := (enginePeer{owner}).Pull(tc, puller.Addr(), track, track.Root, false); err != nil {
 		f.Fatal(err)
 	}
 	n.remoteDigestTree(tc, peer, track.Root, true)
@@ -139,8 +147,12 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	if len(compounds) != 4 {
 		f.Fatalf("recorded %d of the 4 apply/mirror frames of FSWriteFile and FSUnlink", len(compounds))
 	}
-	// A write as the client sends it, its data lent to the frame.
-	w := applyReq{Key: Key(track.PN), Track: track, Op: FSOp{Kind: FSWrite, Path: file, Offset: 3, Data: []byte("lent data")}}
+	// A write as the client sends it, its data lent to the frame, far past
+	// the end of the file: such a write once allocated 7.5 GB. The corpus
+	// keeps that frame (apply-write-far-past-the-end) as a stale peer would
+	// send it, its Track in the old layout with a fifth field, the level-1
+	// link name; it decodes as malformed and is refused.
+	w := applyReq{Key: Key(track.PN), Track: track, Op: FSOp{Kind: FSWrite, Path: file, Offset: 0xe0000003, Data: []byte("lent data")}}
 	lent := w.frame(kApply)
 	seeds = append(seeds, koshaSeed{req: lent.AppendTo(nil), lend: uint32(lent.Lent[0].At)<<16 | uint32(len(lent.Lent[0].Body))})
 	for _, svc := range []struct {

@@ -9,6 +9,7 @@ package core
 import (
 	"strings"
 
+	"repro/internal/localfs"
 	"repro/internal/maint"
 	"repro/internal/obs"
 	"repro/internal/pastry"
@@ -59,10 +60,13 @@ func (h maintHost) ProbeLoad(addr simnet.Addr) (pastry.Load, simnet.Cost, error)
 // EligibleVictim admits only self-verified level-1 hierarchies: either the
 // unsalted home directory itself, or a salted chain root whose controlling
 // special link still names exactly this placement and storage root. Deeper
-// chain roots (whose link lives inside another hierarchy) and anything the
-// link no longer points at are rejected — migrating those would race the
-// namespace.
+// chain roots (whose link lives inside another hierarchy), anything the
+// link no longer points at, and a level-1 record whose copy is that link
+// are rejected — migrating those would race the namespace.
 func (h maintHost) EligibleVictim(tc obs.TraceContext, t repl.Track) (bool, simnet.Cost) {
+	if a, err := h.n.store.LookupPath(t.Root); err == nil && a.Type == localfs.TypeSymlink {
+		return false, 0
+	}
 	base := BaseName(t.PN)
 	if t.Root == "/"+base {
 		// The unsalted level-1 home: a plain directory at the name itself,
@@ -93,8 +97,9 @@ func (h maintHost) NewStoreRoot(pn string) string { return h.n.newStoreRoot(pn) 
 
 // Relink flips the level-1 entry for base into a special link naming
 // (pn, storeRoot), through the routed apply path: the link host stamps the
-// link track and mirrors the flip to its replica candidates, exactly like a
-// foreground re-salting redirect.
+// next version of the entry's record, whose chain the home started, and
+// mirrors the flip to its replica candidates, exactly like a foreground
+// re-salting redirect.
 func (h maintHost) Relink(tc obs.TraceContext, base, pn, storeRoot string) (simnet.Cost, error) {
 	res, err := h.n.overlay.Route(Key(base))
 	if err != nil {
@@ -102,7 +107,7 @@ func (h maintHost) Relink(tc obs.TraceContext, base, pn, storeRoot string) (simn
 	}
 	r := applyReq{
 		Key:   Key(base),
-		Track: Track{PN: base, Link: "/" + base},
+		Track: Track{PN: base, Root: "/" + base},
 		Op:    FSOp{Kind: FSRelink, Path: "/" + base, Target: MakeLinkTarget(pn, storeRoot)},
 	}
 	d, c, err := h.n.koshaCall(tc, res.Node.Addr, r.frame(kApply))

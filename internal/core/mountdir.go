@@ -187,7 +187,7 @@ func (m *Mount) linkSite(tr *obs.Trace, parent *ventry, name string) (site, stri
 		return parent.site(), parent.physPath, 0, nil
 	}
 	res, c, err := m.n.route(tr, Key(name))
-	return site{res.Node.Addr, Key(name), Track{PN: name, Link: path.Join("/", name)}}, "/", c, err
+	return site{res.Node.Addr, Key(name), Track{PN: name, Root: path.Join("/", name)}}, "/", c, err
 }
 
 // Readdir lists a virtual directory: physical entries minus Kosha-internal

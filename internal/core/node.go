@@ -292,7 +292,6 @@ type Node struct {
 	maintEng *maint.Engine
 
 	storeSeq atomic.Uint64 // storage-root allocation counter
-	gen      uint64        // store incarnation counter
 }
 
 // nodeHistNames are the histogram keys every node registers at
@@ -327,7 +326,6 @@ func NewNodeWithStore(addr simnet.Addr, nodeID id.ID, net simnet.Transport, cfg 
 		rootHandles:  make(map[simnet.Addr]nfs.Handle),
 		replicaCache: make(map[string][]simnet.Addr),
 		dirCache:     make(map[string]Place),
-		gen:          1,
 	}
 	n.reg = obs.NewRegistry()
 	tbuf := cfg.TraceBufSize
@@ -354,7 +352,7 @@ func NewNodeWithStore(addr simnet.Addr, nodeID id.ID, net simnet.Transport, cfg 
 	hists := n.reg.Histograms(nodeHistNames...)
 	n.routeHist, n.repHist = hists[0], hists[1]
 	copy(n.opHists[:], hists[2:])
-	n.nsrv = nfs.NewServer(n.store, n.gen)
+	n.nsrv = nfs.NewServer(n.store, 1) // incarnation 1; Revive bumps it
 	// Client-path RPCs (NFS forwarding and the kosha service) go through a
 	// retrying caller so transient message loss does not read as node death;
 	// the overlay keeps the raw transport because its liveness probes need
@@ -510,7 +508,6 @@ func (n *Node) Revive(newID id.ID, seed simnet.Addr) (simnet.Cost, error) {
 		n.maintEng.Reset()
 	}
 	n.mu.Lock()
-	n.gen++
 	n.rootHandles = make(map[simnet.Addr]nfs.Handle)
 	n.replicaCache = make(map[string][]simnet.Addr)
 	n.mu.Unlock()

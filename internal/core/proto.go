@@ -122,19 +122,17 @@ func getFSOp(d *wire.Decoder) (op FSOp, path, path2 []byte) {
 func putTrack(e *wire.Encoder, t Track) {
 	e.PutString(t.PN)
 	e.PutString(t.Root)
-	e.PutString(t.Link)
 	e.PutUint64(t.Ver)
 	e.PutBool(t.Dead)
 }
 
 // getTrack decodes a Track whose names are the engine's own strings where
-// they equal its record for the frame's link or root (repl.Engine.TrackNames),
-// so only a hierarchy new to this node, or changed, allocates them.
+// they equal its record for the frame's root (repl.Engine.TrackNames), so
+// only a hierarchy new to this node, or changed, allocates them.
 func getTrack(d *wire.Decoder, rep *repl.Engine) Track {
 	pn := d.OpaqueRef()
 	root := d.OpaqueRef()
-	link := d.OpaqueRef()
-	t := rep.TrackNames(pn, root, link)
+	t := rep.TrackNames(pn, root)
 	t.Ver = d.Uint64()
 	t.Dead = d.Bool()
 	return t

@@ -171,7 +171,7 @@ func (n *Node) resolveDir(tr *obs.Trace, dir string, readMax uint32) (Place, nfs
 			// Only the level-1 name is missing; its hash target may hold an
 			// unpromoted copy after a fresh ownership change. Deeper names
 			// sit under a storage root already at its primary path.
-			_, c2, perr := n.promote(tr.Ctx(), probeNode, Track{PN: name, Root: vpath, Link: vpath})
+			_, c2, perr := n.promote(tr.Ctx(), probeNode, Track{PN: name, Root: vpath})
 			total = simnet.Seq(total, c2)
 			if perr != nil {
 				// No NOENT to act on: the node never said what it holds.

@@ -113,7 +113,7 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 		// path already exists — the warm, per-mutation case.
 		if r.Track.Root != "" {
 			if _, err := n.store.LookupPath(r.Track.Root); err != nil {
-				c, _ := n.rep.AdoptRoot(ctx, r.Track)
+				c, _ := n.rep.AdoptRoot(ctx, r.Track, true)
 				checkCost = simnet.Seq(checkCost, c)
 			}
 		}
@@ -133,14 +133,13 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 	// Fan out to the K leaf-set replicas; the primary "forwards the
 	// RPC to all the replicas" (Section 4.2). Failures are tolerated:
 	// replica repair happens on membership change. Removals of a whole
-	// hierarchy (or level-1 link) additionally reach every leaf-set
-	// member: former replica candidates may still hold copies, and a
-	// deletion they miss would resurrect when ownership drifts to them.
+	// hierarchy (or of the level-1 link standing at its root) additionally
+	// reach every leaf-set member: former replica candidates may still hold
+	// copies, and a deletion they miss would resurrect when ownership drifts
+	// to them.
 	var buf [8]pastry.NodeInfo
 	targets := n.overlay.AppendReplicaCandidates(buf[:0], n.cfg.Replicas)
-	removesRoot := (r.Op.Kind == FSRmdir || r.Op.Kind == FSRemoveAll) && r.Op.Path == r.Track.Root
-	removesLink := r.Op.Kind == FSRemove && r.Track.Link != ""
-	if removesRoot || removesLink {
+	if r.Track.RemovedBy(r.Op) {
 		targets = n.overlay.Leaf()
 	}
 	if len(targets) > 0 {
@@ -264,7 +263,7 @@ func (n *Node) servePromote(ctx obs.TraceContext, from simnet.Addr, d *wire.Deco
 		e.PutUint32(codeNotPrimary)
 		return cost, nil
 	}
-	c, changed := n.rep.AdoptRoot(ctx, t)
+	c, changed := n.rep.AdoptRoot(ctx, t, false)
 	cost = simnet.Seq(cost, c)
 	e.PutUint32(codeOK)
 	e.PutBool(changed)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"repro/internal/nfs"
 	"repro/internal/obs"
@@ -128,16 +127,12 @@ func (n *Node) ProbeHealth() {
 	n.reg.Gauge(GaugeTableEntries).Set(int64(entries))
 	n.reg.Gauge(GaugeTableRows).Set(int64(rows))
 
-	roots := make([]string, 0, 8)
-	for root := range n.rep.TrackedRoots() {
-		if n.rep.IsDead(root) {
-			continue
-		}
-		if local := n.rep.DigestLocal(root, false); local.Exists {
-			roots = append(roots, root)
+	var roots []string
+	for _, t := range n.rep.Tracks() { // sorted
+		if !t.Dead && n.rep.DigestLocal(t.Root, false).Exists {
+			roots = append(roots, t.Root)
 		}
 	}
-	sort.Strings(roots)
 	reps := n.overlay.ReplicaCandidates(n.cfg.Replicas)
 	lag := 0
 	for _, root := range roots {

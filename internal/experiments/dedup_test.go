@@ -42,8 +42,8 @@ func TestDedupAcceptance(t *testing.T) {
 	// The pulls' exact traffic, as DESIGN.md §13 quotes it: the refreshed
 	// replica (edit, kosha bytes both ways) and the promoted heir (promote,
 	// the blocks it fetched) both pull through one reconcile.
-	if res.EditDeltaBytes != 49544 || res.PromoteDeltaBytes != 71372 {
-		t.Fatalf("edit_delta_bytes = %d, promote_delta_bytes = %d, want 49544 and 71372", res.EditDeltaBytes, res.PromoteDeltaBytes)
+	if res.EditDeltaBytes != 49540 || res.PromoteDeltaBytes != 71372 {
+		t.Fatalf("edit_delta_bytes = %d, promote_delta_bytes = %d, want 49540 and 71372", res.EditDeltaBytes, res.PromoteDeltaBytes)
 	}
 	var sb strings.Builder
 	res.Fprint(&sb)

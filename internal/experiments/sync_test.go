@@ -33,8 +33,8 @@ func TestSyncDeltaUnderTenPercent(t *testing.T) {
 	}
 	// The pull's exact traffic, both ways, as DESIGN.md §9 quotes it: a
 	// change to the replica repair that moves a byte fails here.
-	if res.DeltaBytes != 8808 || res.FilesSkipped != 99 {
-		t.Fatalf("delta_bytes = %d, files_skipped = %d, want 8808 and 99", res.DeltaBytes, res.FilesSkipped)
+	if res.DeltaBytes != 8804 || res.FilesSkipped != 99 {
+		t.Fatalf("delta_bytes = %d, files_skipped = %d, want 8804 and 99", res.DeltaBytes, res.FilesSkipped)
 	}
 	var sb strings.Builder
 	res.Fprint(&sb)

@@ -499,9 +499,8 @@ func (e *Engine) moveVictim(tc obs.TraceContext, v victim, tokens *int) (simnet.
 		return total, false
 	}
 	// Ownership has flipped; retire the old storage root. An unsalted home
-	// was replaced in place by the link itself, whose record retired the
-	// root's on every holder the relink reached; a tombstone would
-	// re-remove the path and take the fresh link with it.
+	// was replaced in place by the link, whose record is the home's: a
+	// tombstone would take the fresh link with it.
 	if v.t.Root != "/"+base {
 		e.host.Rep().Tombstone(v.t.Root)
 	}

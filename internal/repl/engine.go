@@ -38,7 +38,7 @@ type Overlay interface {
 type Peer interface {
 	// Mirror ships one mutation to another node; primary selects whether it
 	// lands in the primary namespace or the replica area. Repair sends only
-	// metadata this way: a deletion, a level-1 link, a version re-stamp.
+	// metadata this way: a deletion or a version re-stamp.
 	Mirror(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp, primary bool) (simnet.Cost, error)
 	// Promote asks to, as the new owner of t's key, to surface its
 	// replica-area copy; reports whether remote state changed.
@@ -119,11 +119,10 @@ type Engine struct {
 	blocksFetched *obs.Counter
 	fetchBytes    *obs.Counter
 
-	mu           sync.Mutex
-	tracked      map[string]Track // physical subtree root -> metadata (PN, version)
-	trackedLinks map[string]Track // level-1 special link path -> metadata
-	pulling      map[string]bool  // local copy roots a pull is editing
-	fetchHook    func(holder simnet.Addr, blocks int)
+	mu        sync.Mutex
+	tracked   map[string]Track // physical subtree root -> metadata (PN, version)
+	pulling   map[string]bool  // local copy roots a pull is editing
+	fetchHook func(holder simnet.Addr, blocks int)
 
 	syncing atomic.Bool
 }
@@ -153,7 +152,6 @@ func New(o Options) *Engine {
 		blocksFetched: o.Registry.Counter("repl.cas.blocks.fetched"),
 		fetchBytes:    o.Registry.Counter("repl.fetch.bytes"),
 		tracked:       make(map[string]Track),
-		trackedLinks:  make(map[string]Track),
 		pulling:       make(map[string]bool),
 	}
 }
@@ -163,7 +161,6 @@ func New(o Options) *Engine {
 func (e *Engine) Reset() {
 	e.mu.Lock()
 	e.tracked = make(map[string]Track)
-	e.trackedLinks = make(map[string]Track)
 	e.mu.Unlock()
 	e.cas.Reset()
 }
@@ -187,35 +184,23 @@ func (e *Engine) IsDead(root string) bool {
 	return ok && t.Dead
 }
 
-// VerOf returns this node's recorded mutation counter for a root or link.
-func (e *Engine) VerOf(key string) uint64 {
+// VerOf returns this node's recorded mutation counter for a root.
+func (e *Engine) VerOf(root string) uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if t, ok := e.tracked[key]; ok {
-		return t.Ver
-	}
-	if t, ok := e.trackedLinks[key]; ok {
-		return t.Ver
-	}
-	return 0
+	return e.tracked[root].Ver
 }
 
-// TrackNames makes the names of a Track out of a frame's PN, Root and Link
-// bytes: each is the string of this node's record for that link (or, with
-// none, that root) when the two are equal, and a copy of the bytes only
-// otherwise. A mutation of a hierarchy the node already tracks allocates
-// none of them; a new or changed one gets fresh strings. The bytes may be
-// borrowed: nothing keeps them.
-func (e *Engine) TrackNames(pn, root, link []byte) Track {
+// TrackNames makes the names of a Track out of a frame's PN and Root bytes:
+// each is the string of this node's record for that root when the two are
+// equal, and a copy of the bytes only otherwise. A mutation of a hierarchy
+// the node already tracks allocates neither; a new or changed one gets fresh
+// strings. The bytes may be borrowed: nothing keeps them.
+func (e *Engine) TrackNames(pn, root []byte) Track {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var rec Track
-	if len(link) > 0 {
-		rec = e.trackedLinks[string(link)]
-	} else {
-		rec = e.tracked[string(root)]
-	}
-	return Track{PN: same(rec.PN, pn), Root: same(rec.Root, root), Link: same(rec.Link, link)}
+	rec := e.tracked[string(root)]
+	return Track{PN: same(rec.PN, pn), Root: same(rec.Root, root)}
 }
 
 // same is s when b spells it, else a copy of b.
@@ -236,10 +221,6 @@ func (e *Engine) Stamp(t Track, op FSOp) Track {
 		t.Ver = e.tracked[op.Path].Ver + 1
 		return t
 	}
-	if t.Link != "" {
-		t.Ver = e.trackedLinks[t.Link].Ver + 1
-		return t
-	}
 	if t.Root == "" {
 		t.Ver = 0
 		return t
@@ -248,27 +229,14 @@ func (e *Engine) Stamp(t Track, op FSOp) Track {
 	return t
 }
 
-// Track records subtree/link ownership metadata shipped with a mutation.
+// Track records subtree ownership metadata shipped with a mutation: one
+// record per root, a level-1 link's included (see Track).
 func (e *Engine) Track(t Track, op FSOp) {
-	if t.PN == "" {
+	if t.PN == "" || t.Root == "" {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if t.Link != "" {
-		t.Dead = op.Kind == FSRemove
-		e.trackedLinks[t.Link] = t
-		if op.Kind == FSRelink {
-			// The link replaced whatever hierarchy sat at its path (a
-			// relinked unsalted home), and that root's record retires with
-			// it, here and on every replica the relink's mirror reaches.
-			delete(e.tracked, t.Link)
-		}
-		return
-	}
-	if t.Root == "" {
-		return
-	}
 	// A storage-root rename (the cheap-rename path) rekeys the entry,
 	// carrying the version chain to the new root.
 	if op.Kind == FSRename && (op.Path2 == t.Root || op.Path2 == RepPath(t.Root)) {
@@ -282,12 +250,11 @@ func (e *Engine) Track(t Track, op FSOp) {
 		e.tracked[t.Root] = t
 		return
 	}
-	// A removal of the hierarchy root becomes a tombstone: the entry stays
-	// with a bumped version so a node holding a stale copy can learn that
-	// deletion is the newer state, and a later re-creation continues the
-	// version chain above the tombstone.
-	t.Dead = (op.Kind == FSRmdir || op.Kind == FSRemoveAll) &&
-		(op.Path == t.Root || op.Path == RepPath(t.Root))
+	// A removal of the root becomes a tombstone: the entry stays with a
+	// bumped version so a node holding a stale copy can learn that deletion
+	// is the newer state, and a later re-creation continues the version
+	// chain above the tombstone.
+	t.Dead = t.RemovedBy(op)
 	// Last writer wins: the copy now reflects the sender's version, so the
 	// record does too (a full re-pull may legitimately lower it).
 	e.tracked[t.Root] = t
@@ -385,36 +352,32 @@ func (e *Engine) LocalTreePath(root string) (string, bool) {
 	return "", false
 }
 
-// PromoteLocal moves a replica-area copy of a subtree (or level-1 special
-// link) to its primary path. Call only after confirming ownership of the
-// key; it is a no-op when the primary path already exists or no replica
-// copy is held. Reports whether it surfaced anything.
+// PromoteLocal moves a replica-area copy of a subtree (or of the special
+// link at a level-1 root) to its primary path. Call only after confirming
+// ownership of the key; it is a no-op when the primary path already exists
+// or no replica copy is held. The record keeps its version: a promote moves
+// no content, so it does not restart the chain. Reports whether it surfaced
+// anything.
 func (e *Engine) PromoteLocal(t Track) bool {
-	target := t.Root
-	if t.Link != "" {
-		target = t.Link
-	}
-	if target == "" {
+	if t.Root == "" {
 		return false
 	}
 	e.mu.Lock()
 	meta, ok := e.tracked[t.Root]
-	if t.Link != "" {
-		meta, ok = e.trackedLinks[t.Link]
-	}
 	e.mu.Unlock()
 	if ok && meta.Dead {
 		// We saw the hierarchy's deletion: nothing to surface, and any
 		// leftover replica-area data is stale.
-		e.store.RemoveAll(RepPath(target))
+		e.store.RemoveAll(RepPath(t.Root))
 		return false
 	}
-	if _, err := e.store.LookupPath(target); err == nil {
+	if _, err := e.store.LookupPath(t.Root); err == nil {
 		return false
 	}
-	if !e.moveTree(RepPath(target), target) {
+	if !e.moveTree(RepPath(t.Root), t.Root) {
 		return false
 	}
+	t.Ver = max(t.Ver, meta.Ver)
 	e.Track(t, FSOp{Kind: FSMkdirAll, Path: t.Root})
 	return true
 }
@@ -450,16 +413,12 @@ func (e *Engine) moveTree(src, dst string) bool {
 // replica-area copy the next time ownership returns here ("their copy on N
 // becomes one of the replicas", Section 4.3.1).
 func (e *Engine) DemoteLocal(t Track) {
-	target := t.Root
-	if t.Link != "" {
-		target = t.Link
-	}
-	if target == "" || target == "/" {
+	if t.Root == "" || t.Root == "/" {
 		return
 	}
-	if _, err := e.store.LookupPath(target); err != nil {
+	if _, err := e.store.LookupPath(t.Root); err != nil {
 		return
 	}
-	e.store.RemoveAll(RepPath(target))
-	e.moveTree(target, RepPath(target))
+	e.store.RemoveAll(RepPath(t.Root))
+	e.moveTree(t.Root, RepPath(t.Root))
 }

@@ -765,7 +765,7 @@ func TestPullFileWithoutManifestWritesNothing(t *testing.T) {
 	peers.at["r1"].noManifest = true
 	mustWrite(t, store, "/pull/doc.bin", "stale")
 	e.Track(Track{PN: "pull", Root: "/pull", Ver: 2}, FSOp{Kind: FSMkdirAll, Path: "/pull"})
-	if _, changed := e.AdoptRoot(obs.TraceContext{}, Track{PN: "pull", Root: "/pull", Ver: 2}); !changed {
+	if _, changed := e.AdoptRoot(obs.TraceContext{}, Track{PN: "pull", Root: "/pull", Ver: 2}, false); !changed {
 		t.Fatal("adopt gave up after the first holder of the version failed")
 	}
 	if got, err := store.ReadFile("/pull/doc.bin"); err != nil || !bytes.Equal(got, content) {
@@ -918,29 +918,19 @@ func TestVerifyFileSplitsWantAcrossHelpers(t *testing.T) {
 // end with equal root digests.
 func TestFetchTreePullsSymlinks(t *testing.T) {
 	peer := newStorePeer()
-	link := func(fs localfs.FileSystem, p, target string) {
-		t.Helper()
-		dir, err := fs.MkdirAll(path.Dir(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := fs.Symlink(dir.Ino, path.Base(p), target); err != nil {
-			t.Fatal(err)
-		}
-	}
 	src := RepPath("/links")
 	if err := peer.remote.WriteFile(src+"/a.txt", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]string{"new": "../new-target", "changed": "/after", "wasfile": "sub/target"}
 	for name, target := range want {
-		link(peer.remote, src+"/"+name, target)
+		mustLink(t, peer.remote, src+"/"+name, target)
 	}
 	e, store, _ := deltaEngine(t, peer)
 	if err := store.WriteFile("/links/a.txt", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	link(store, "/links/changed", "/before")
+	mustLink(t, store, "/links/changed", "/before")
 	if err := store.WriteFile("/links/wasfile", []byte("a regular file")); err != nil {
 		t.Fatal(err)
 	}
@@ -949,13 +939,7 @@ func TestFetchTreePullsSymlinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, target := range want {
-		attr, err := store.LookupPath("/links/" + name)
-		if err != nil || attr.Type != localfs.TypeSymlink {
-			t.Fatalf("/links/%s: %+v, %v; want a symlink", name, attr, err)
-		}
-		if got, _, err := store.Readlink(attr.Ino); err != nil || got != target {
-			t.Errorf("/links/%s -> %q (%v), want %q", name, got, err, target)
-		}
+		wantLink(t, store, "/links/"+name, target)
 	}
 	local, err := e.mk.DigestOf("/links")
 	if err != nil {
@@ -963,6 +947,124 @@ func TestFetchTreePullsSymlinks(t *testing.T) {
 	}
 	if remote, err := peer.mk.DigestOf(src); err != nil || local != remote {
 		t.Fatalf("root digest %v after the pull, the source's %v (%v)", local, remote, err)
+	}
+}
+
+// mustLink makes p a symlink to target in fs, creating its parents.
+func mustLink(t *testing.T, fs localfs.FileSystem, p, target string) {
+	t.Helper()
+	dir, err := fs.MkdirAll(path.Dir(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fs.Symlink(dir.Ino, path.Base(p), target); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wantLink fails unless fs holds a symlink to target at p.
+func wantLink(t *testing.T, fs localfs.FileSystem, p, target string) {
+	t.Helper()
+	attr, err := fs.LookupPath(p)
+	if err != nil || attr.Type != localfs.TypeSymlink {
+		t.Fatalf("%s: %+v, %v; want a symlink", p, attr, err)
+	}
+	if got, _, err := fs.Readlink(attr.Ino); err != nil || got != target {
+		t.Fatalf("%s -> %q (%v), want %q", p, got, err, target)
+	}
+}
+
+// A level-1 special link is a root like any other: the owner's Sync repairs a
+// replica whose copy is missing, names an old target or is the home the link
+// replaced through one Pull that makes the replica's entry the owner's link,
+// at the owner's version, with no Mirror; once the copies match, a Sync moves
+// nothing. The hand-over to a new owner and a promoted owner's adopt pull the
+// link the same way.
+func TestLevel1LinkIsPulledLikeAHome(t *testing.T) {
+	const target = "placement-link-new"
+	rec := Track{PN: "u", Root: "/u", Ver: 3}
+	for _, c := range []struct {
+		name  string
+		stale func(t *testing.T, fs localfs.FileSystem)
+	}{
+		{"missing", func(*testing.T, localfs.FileSystem) {}},
+		{"old target", func(t *testing.T, fs localfs.FileSystem) { mustLink(t, fs, RepPath("/u"), "placement-link-old") }},
+		{"the relinked home", func(t *testing.T, fs localfs.FileSystem) { mustWrite(t, fs, RepPath("/u/f"), "home data") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			peer := newStorePeer()
+			c.stale(t, peer.remote)
+			peer.vers["/u"] = 2
+			e, store, _ := deltaEngine(t, peer)
+			mustLink(t, store, "/u", target)
+			e.Track(rec, FSOp{Kind: FSSymlink, Path: "/u"})
+
+			e.Sync()
+			want := pullRec{to: "r1", t: rec, src: "/u"}
+			if len(peer.pulls) != 1 || peer.pulls[0] != want || len(peer.mirrors) != 0 {
+				t.Fatalf("pulls %v, mirrors %v; want exactly %v and no mirror", peer.pulls, peer.mirrors, want)
+			}
+			wantLink(t, peer.remote, RepPath("/u"), target)
+			if got, ok := peer.eng.TrackOf("/u"); !ok || got.Ver != 3 || got.Dead {
+				t.Fatalf("replica records %+v, want /u live at 3", got)
+			}
+
+			e.Sync()
+			if len(peer.pulls) != 1 || len(peer.mirrors) != 0 {
+				t.Fatalf("a Sync over matching links moved something: pulls %v, mirrors %v", peer.pulls, peer.mirrors)
+			}
+		})
+	}
+
+	t.Run("hand-over", func(t *testing.T) {
+		peer := newStorePeer()
+		e, store, _ := deltaEngine(t, peer)
+		e.ov = &fakeOverlay{routeTo: pastry.NodeInfo{ID: id.HashKey("n2"), Addr: "n2"}}
+		mustLink(t, store, "/u", target)
+		e.Track(rec, FSOp{Kind: FSSymlink, Path: "/u"})
+		e.Sync()
+		if len(peer.pulls) != 1 || !peer.pulls[0].primary || len(peer.mirrors) != 0 {
+			t.Fatalf("pulls %v, mirrors %v; want one primary pull", peer.pulls, peer.mirrors)
+		}
+		wantLink(t, peer.remote, "/u", target)
+		wantLink(t, store, RepPath("/u"), target)
+	})
+
+	t.Run("adopt", func(t *testing.T) {
+		peer := newStorePeer()
+		mustLink(t, peer.remote, RepPath("/u"), target)
+		e, store, _ := deltaEngine(t, peer)
+		mustWrite(t, store, "/u/f", "home data")
+		e.Track(Track{PN: "u", Root: "/u", Ver: 2}, FSOp{Kind: FSMkdirAll, Path: "/u"})
+		if _, err := e.fetchTree(obs.TraceContext{}, "r1", nil, rec, 3); err != nil {
+			t.Fatal(err)
+		}
+		wantLink(t, store, "/u", target)
+		if v := e.VerOf("/u"); v != 3 {
+			t.Fatalf("adopted version %d, want 3", v)
+		}
+	})
+}
+
+// A pull whose source root is neither a directory nor a link fails and
+// records nothing: it never passes for an empty copy.
+func TestPullOfAMissingRootFails(t *testing.T) {
+	peer := newStorePeer()
+	e, store, _ := deltaEngine(t, peer)
+	mustWrite(t, store, "/u/f", "kept")
+	for _, source := range []string{"missing", "a regular file"} {
+		if source != "missing" {
+			mustWrite(t, peer.remote, RepPath("/u"), "not a root")
+		}
+		if _, err := e.fetchTree(obs.TraceContext{}, "r1", nil, Track{PN: "u", Root: "/u"}, 3); err == nil {
+			t.Fatalf("a pull from a source root that is %s succeeded", source)
+		}
+	}
+	if got, err := store.ReadFile("/u/f"); err != nil || string(got) != "kept" {
+		t.Fatalf("the failed pulls changed the copy: %q, %v", got, err)
+	}
+	if v := e.VerOf("/u"); v != 0 {
+		t.Fatalf("a failed pull recorded version %d", v)
 	}
 }
 

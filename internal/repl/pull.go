@@ -13,21 +13,20 @@ import (
 
 // AdoptRoot makes this node's primary-path copy of a subtree current after
 // it becomes the key's owner: surface the local replica-area copy, then
-// ask the current replica candidates for a newer version and fetch it if
-// one exists. Runs on the cold path only (the level-1 probe, an apply whose
-// root is missing, the failover read-repair), when the holders' digest
-// memos are cold too, so the ask is version-only. A level-1 promote asks
-// only when it surfaced a directory: an unsalted home, which a replica may
-// have outgrown. The second result reports whether local state changed —
-// callers holding handles into the subtree must re-resolve when it did.
-func (e *Engine) AdoptRoot(tc obs.TraceContext, t Track) (simnet.Cost, bool) {
+// ask the current replica candidates for a newer version or a newer
+// deletion and adopt it. Runs on the cold path only (the level-1 probe, an
+// apply whose root is missing, the failover read-repair, a hand-over's
+// Promote), when the holders' digest memos are cold too, so the ask is
+// version-only. A promote asks only when a copy is held at the primary path
+// once the replica-area copy is surfaced, so a level-1 miss at a node
+// holding nothing costs one kPromote. An apply asks regardless: a node that
+// just became the owner must learn of a newer copy or a tombstone before it
+// creates the root anew. The second result reports whether local state
+// changed — callers holding handles into the subtree must re-resolve when
+// it did.
+func (e *Engine) AdoptRoot(tc obs.TraceContext, t Track, apply bool) (simnet.Cost, bool) {
 	changed := e.PromoteLocal(t)
-	if t.Link != "" && changed {
-		if attr, err := e.store.LookupPath(t.Link); err == nil && attr.Type == localfs.TypeDir {
-			t.Link = "" // reconciled under its hierarchy record
-		}
-	}
-	if t.Root == "" || t.Link != "" {
+	if _, err := e.store.LookupPath(t.Root); t.Root == "" || (err != nil && !apply) {
 		return 0, changed
 	}
 	answers, cost := e.askCandidates(tc, t.Root, false)
@@ -118,10 +117,8 @@ func (e *Engine) Pull(tc obs.TraceContext, from simnet.Addr, t Track, src string
 // directory digests skip identical subtrees, and each mismatching file is
 // rebuilt from its remote manifest, fetching only the blocks no local file
 // holds — in parallel from `from` and every other settled holder in holders.
+// The walk creates the local root, or replaces it by the remote's link.
 func (e *Engine) fetchTree(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, t Track, remoteVer uint64) (simnet.Cost, error) {
-	if _, err := e.store.MkdirAll(t.Root); err != nil {
-		return 0, err
-	}
 	// The swarm is `from` first, then the other holders in address order
 	// (deterministic for seed-exact replay), never this node itself.
 	swarm := []simnet.Addr{from}

@@ -32,15 +32,23 @@ type walk struct {
 // in sorted order, so the RPC sequence is the same on every replay. A listing
 // that fails on either side fails the walk: a directory whose content cannot
 // be read is never taken for an empty one. A local directory that is missing
-// or not a directory is created empty; a missing peer directory leaves the
-// local one as it is. At the root, MigrationFlag is protocol state, not
-// content: the walk neither copies nor deletes it, and raises it when armed;
-// the caller clears it once the walk is done.
+// or not a directory is created empty; below the root, a missing peer
+// directory leaves the local one as it is. At the root, a peer copy that is
+// no directory must be the special link a level-1 record may hold (pullLink),
+// and MigrationFlag is protocol state, not content: the walk neither copies
+// nor deletes it, and raises it when armed; the caller clears it once the
+// walk is done.
 func (w *walk) reconcile(srcDir, dstDir string) error {
 	srcEnts, ok, c, err := w.e.peer.DirDigests(w.tc, w.swarm[0], srcDir)
 	w.cost = simnet.Seq(w.cost, c)
-	if err != nil || !ok {
+	if err != nil {
 		return err
+	}
+	if !ok {
+		if dstDir == w.root {
+			return w.pullLink(srcDir)
+		}
+		return nil
 	}
 	s := w.e.store
 	dstEnts, ok, err := w.e.mk.Entries(dstDir)
@@ -128,6 +136,28 @@ func (w *walk) reconcile(srcDir, dstDir string) error {
 		}
 	}
 	return nil
+}
+
+// pullLink makes the local root the link the peer's root is: one ReadLink,
+// then the local entry, directory or stale link, is replaced. That is a single
+// edit, so no MigrationFlag goes up. A peer root that is missing or is no
+// link fails the pull: it never passes for an empty copy.
+func (w *walk) pullLink(src string) error {
+	target, c, err := w.e.peer.ReadLink(w.tc, w.swarm[0], src)
+	w.cost = simnet.Seq(w.cost, c)
+	if err != nil {
+		return err
+	}
+	s := w.e.store
+	if err := s.RemoveAll(w.root); err != nil {
+		return err
+	}
+	dir, err := s.MkdirAll(path.Dir(w.root))
+	if err != nil {
+		return err
+	}
+	_, _, err = s.Symlink(dir.Ino, path.Base(w.root), target)
+	return err
 }
 
 // countFiles returns the number of regular files under a matched local

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 	"unsafe"
 
@@ -142,45 +143,63 @@ func TestStampAndTrackVersionChain(t *testing.T) {
 		t.Fatalf("tombstone Ver = %d, want 4", v)
 	}
 
-	// A relink at the path (the rebalancer replacing an unsalted home by a
-	// special link) retires the hierarchy's record; a link promoted or
-	// created there by any other op leaves it alone.
-	e.Track(Track{PN: "docs-v2", Link: "/docs-v2"}, FSOp{Kind: FSMkdirAll, Path: "/docs-v2"})
-	if !e.IsDead("/docs-v2") {
-		t.Fatal("a promoted link retired the root record")
+	// A level-1 entry is one record whatever it holds: the relink that
+	// replaces the home by a special link continues the home's chain, and
+	// removing the link, here or in a replica's area, tombstones the record
+	// like removing the home would.
+	home := Track{PN: "u", Root: "/u"}
+	for i, op := range []FSOp{
+		{Kind: FSMkdirAll, Path: "/u"},
+		{Kind: FSRelink, Path: "/u", Target: "x"},
+		{Kind: FSRemove, Path: "/u"},
+	} {
+		e.Track(e.Stamp(home, op), op)
+		if v := e.VerOf("/u"); v != uint64(i+1) {
+			t.Fatalf("after %v: Ver = %d, want %d", op.Kind, v, i+1)
+		}
+		if dead := e.IsDead("/u"); dead != (op.Kind == FSRemove) {
+			t.Fatalf("after %v: dead = %v", op.Kind, dead)
+		}
 	}
-	e.Track(Track{PN: "docs-v2", Link: "/docs-v2"}, FSOp{Kind: FSRelink, Path: "/docs-v2", Target: "x"})
-	if len(e.TrackedRoots()) != 0 {
-		t.Fatal("the relink left the root record behind")
+	e.Track(Track{PN: "w", Root: "/w", Ver: 5}, FSOp{Kind: FSRelink, Path: RepPath("/w"), Target: "x"})
+	e.Track(Track{PN: "w", Root: "/w", Ver: 6}, FSOp{Kind: FSRemove, Path: RepPath("/w")})
+	if !e.IsDead("/w") || e.VerOf("/w") != 6 {
+		t.Fatalf("a mirrored link removal left %+v, want a tombstone at 6", e.tracked["/w"])
+	}
+	// A removal below the root is content, not the root's.
+	e.Track(Track{PN: "docs", Root: "/docs", Ver: 1}, FSOp{Kind: FSMkdirAll, Path: "/docs"})
+	e.Track(Track{PN: "docs", Root: "/docs", Ver: 2}, FSOp{Kind: FSRemove, Path: "/docs/a"})
+	if e.IsDead("/docs") {
+		t.Fatal("removing a file tombstoned its hierarchy")
 	}
 }
 
 // TestTrackNamesReuseOnlyEqualStrings: TrackNames hands back the engine's
-// own string for each name that equals its record for the frame's link or
-// root, and a copy of the frame's bytes for each that differs: a root
-// re-created under another placement name after its removal, a link the
-// rebalancer relinked to a new root, a hierarchy the node has never seen.
-// What the engine records afterwards is the frame's names, and none of them
-// aliases the frame, whose bytes are overwritten once TrackNames returns.
+// own string for each name that equals its record for the frame's root, and
+// a copy of the frame's bytes for each that differs: a root re-created under
+// another placement name after its removal, a hierarchy the node has never
+// seen. A level-1 link is a root like any other, relinked or not. What the
+// engine records afterwards is the frame's names, and none of them aliases
+// the frame, whose bytes are overwritten once TrackNames returns.
 func TestTrackNamesReuseOnlyEqualStrings(t *testing.T) {
 	e, _ := testEngine(&fakeOverlay{}, &fakePeer{})
 	e.Track(Track{PN: "docs", Root: "/docs", Ver: 1}, FSOp{Kind: FSMkdirAll, Path: "/docs"})
-	e.Track(Track{PN: "u", Root: "/u", Link: "/u", Ver: 1}, FSOp{Kind: FSSymlink, Path: "/u"})
-	frame := func(pn, root, link string) Track {
-		buf := []byte(pn + root + link)
-		got := e.TrackNames(buf[:len(pn)], buf[len(pn):len(pn)+len(root)], buf[len(pn)+len(root):])
+	e.Track(Track{PN: "u", Root: "/u", Ver: 1}, FSOp{Kind: FSSymlink, Path: "/u"})
+	frame := func(pn, root string) Track {
+		buf := []byte(pn + root)
+		got := e.TrackNames(buf[:len(pn)], buf[len(pn):])
 		for i := range buf {
 			buf[i] = '#'
 		}
 		return got
 	}
 	same := func(a, b string) bool { return len(a) > 0 && unsafe.StringData(a) == unsafe.StringData(b) }
-	check := func(what string, got, want Track, rec Track, reused [3]bool) {
+	check := func(what string, got, want Track, rec Track, reused [2]bool) {
 		t.Helper()
 		if got != want {
 			t.Errorf("%s: TrackNames = %+v, want %+v", what, got, want)
 		}
-		for i, f := range [3][2]string{{got.PN, rec.PN}, {got.Root, rec.Root}, {got.Link, rec.Link}} {
+		for i, f := range [2][2]string{{got.PN, rec.PN}, {got.Root, rec.Root}} {
 			if same(f[0], f[1]) != reused[i] {
 				t.Errorf("%s: name %d (%q) shares the record's string: %v, want %v", what, i, f[0], !reused[i], reused[i])
 			}
@@ -188,33 +207,31 @@ func TestTrackNamesReuseOnlyEqualStrings(t *testing.T) {
 	}
 
 	rec := e.tracked["/docs"]
-	check("unchanged root", frame("docs", "/docs", ""), Track{PN: "docs", Root: "/docs"}, rec, [3]bool{true, true, false})
+	check("unchanged root", frame("docs", "/docs"), Track{PN: "docs", Root: "/docs"}, rec, [2]bool{true, true})
 
 	e.Track(Track{PN: "docs", Root: "/docs", Ver: 2}, FSOp{Kind: FSRemoveAll, Path: "/docs"})
 	rec = e.tracked["/docs"]
-	recreated := frame("papers", "/docs", "")
-	check("root re-created under a new name", recreated, Track{PN: "papers", Root: "/docs"}, rec, [3]bool{false, true, false})
+	recreated := frame("papers", "/docs")
+	check("root re-created under a new name", recreated, Track{PN: "papers", Root: "/docs"}, rec, [2]bool{false, true})
 	recreated.Ver = 3
 	e.Track(recreated, FSOp{Kind: FSMkdirAll, Path: "/docs"})
 	if got := e.tracked["/docs"]; got.PN != "papers" || got.Dead {
 		t.Errorf("re-created root recorded as %+v, want PN papers, live", got)
 	}
 
-	rec = e.trackedLinks["/u"]
-	check("unchanged link", frame("u", "/u", "/u"), Track{PN: "u", Root: "/u", Link: "/u"}, rec, [3]bool{true, true, true})
-	relinked := frame("u", "/u-v2", "/u")
-	check("relinked link", relinked, Track{PN: "u", Root: "/u-v2", Link: "/u"}, rec, [3]bool{true, false, true})
+	rec = e.tracked["/u"]
+	relinked := frame("u", "/u")
+	check("relinked level-1 link", relinked, Track{PN: "u", Root: "/u"}, rec, [2]bool{true, true})
 	relinked.Ver = 2
 	e.Track(relinked, FSOp{Kind: FSRelink, Path: "/u"})
-	if got := e.trackedLinks["/u"]; got.Root != "/u-v2" || got.PN != "u" {
-		t.Errorf("relinked link recorded as %+v, want root /u-v2", got)
+	if got := e.tracked["/u"]; got.Ver != 2 || got.Dead {
+		t.Errorf("relinked link recorded as %+v, want live at 2", got)
 	}
 
-	check("new hierarchy", frame("new", "/new", ""), Track{PN: "new", Root: "/new"}, Track{}, [3]bool{})
-	for root, pn := range e.TrackedRoots() {
-		if root != "/docs" || pn != "papers" {
-			t.Errorf("engine tracks %q as %q, want only /docs as papers", root, pn)
-		}
+	check("new hierarchy", frame("new", "/new"), Track{PN: "new", Root: "/new"}, Track{}, [2]bool{})
+	want := map[string]string{"/docs": "papers", "/u": "u"}
+	if got := e.TrackedRoots(); !maps.Equal(got, want) {
+		t.Errorf("engine tracks %v, want %v", got, want)
 	}
 }
 
@@ -384,7 +401,7 @@ func TestAdoptRootAdoptsNewerTombstone(t *testing.T) {
 			}
 			e.Track(Track{PN: "share", Root: "/share", Ver: 2}, FSOp{Kind: FSMkdirAll, Path: "/share"})
 
-			_, changed := e.AdoptRoot(obs.TraceContext{}, Track{PN: "share", Root: "/share", Ver: 2})
+			_, changed := e.AdoptRoot(obs.TraceContext{}, Track{PN: "share", Root: "/share", Ver: 2}, false)
 			if changed != c.dead || e.IsDead("/share") != c.dead {
 				t.Fatalf("changed=%v dead=%v, want both %v", changed, e.IsDead("/share"), c.dead)
 			}

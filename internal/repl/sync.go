@@ -1,18 +1,18 @@
 package repl
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
-// Sync re-establishes the replication invariant for every subtree and
-// level-1 link this node tracks: if this node is the primary it has its
-// current K leaf-set neighbors pull what they lack; if ownership moved (a
-// closer node joined) it has the new primary pull the subtree, keeping its
-// own copy as a replica (Section 4.3.1). Returns the simulated cost.
+// Sync re-establishes the replication invariant for every root this node
+// tracks, a level-1 special link included: if this node is the primary it
+// has its current K leaf-set neighbors pull what they lack; if ownership
+// moved (a closer node joined) it has the new primary pull the subtree,
+// keeping its own copy as a replica (Section 4.3.1). Returns the simulated
+// cost.
 func (e *Engine) Sync() (total simnet.Cost) {
 	if !e.syncing.CompareAndSwap(false, true) {
 		return 0
@@ -27,17 +27,6 @@ func (e *Engine) Sync() (total simnet.Cost) {
 		e.reg.Observe("op."+obs.OpResync, time.Duration(total))
 		e.tracer.Finish(str, time.Duration(total), nil)
 	}()
-	// Both snapshots are in sorted order: map iteration order would otherwise
-	// vary the RPC sequence between runs, breaking seed-exact replay of fault
-	// schedules (the chaos harness's determinism contract).
-	e.mu.Lock()
-	links := make([]Track, 0, len(e.trackedLinks))
-	for _, t := range e.trackedLinks {
-		links = append(links, t)
-	}
-	e.mu.Unlock()
-	sort.Slice(links, func(i, j int) bool { return links[i].Link < links[j].Link })
-
 	// fanOut runs one step per replica candidate. The replicas are
 	// independent peers, so the cost is the slowest branch, not the sum.
 	fanOut := func(n int, step func(i int) simnet.Cost) {
@@ -47,7 +36,9 @@ func (e *Engine) Sync() (total simnet.Cost) {
 		}
 		total = simnet.Seq(total, simnet.Par(fan...))
 	}
-
+	// Tracks is in sorted order: map iteration order would otherwise vary
+	// the RPC sequence between runs, breaking seed-exact replay of fault
+	// schedules (the chaos harness's determinism contract).
 	for _, t := range e.Tracks() {
 		root := t.Root
 		key := e.key(t.PN)
@@ -112,46 +103,6 @@ func (e *Engine) Sync() (total simnet.Cost) {
 			if err == nil {
 				e.DemoteLocal(t)
 			}
-		}
-	}
-
-	for _, t := range links {
-		src, ok := e.LocalTreePath(t.Link)
-		if !ok {
-			continue
-		}
-		linkAttr, err := e.store.LookupPath(src)
-		if err != nil {
-			continue
-		}
-		tgt, _, err := e.store.Readlink(linkAttr.Ino)
-		if err != nil {
-			continue
-		}
-		op := FSOp{Kind: FSSymlink, Path: t.Link, Target: tgt}
-		key := e.key(t.PN)
-		isRoot, c := e.ov.EnsureRootFor(key)
-		total = simnet.Seq(total, c)
-		if isRoot {
-			e.PromoteLocal(t)
-			cands := e.ov.ReplicaCandidates(e.replicas)
-			fanOut(len(cands), func(i int) simnet.Cost {
-				c, _ := e.peer.Mirror(tc, cands[i].Addr, t, op, false)
-				return c
-			})
-			continue
-		}
-		res, err := e.ov.Route(key)
-		total = simnet.Seq(total, res.Cost)
-		if err != nil || res.Node.Addr == e.self {
-			continue
-		}
-		c, merr := e.peer.Mirror(tc, res.Node.Addr, t, op, false)
-		total = simnet.Seq(total, c)
-		_, c, perr := e.peer.Promote(tc, res.Node.Addr, t)
-		total = simnet.Seq(total, c)
-		if merr == nil && perr == nil {
-			e.DemoteLocal(t)
 		}
 	}
 	return total

@@ -143,12 +143,27 @@ type FSOp struct {
 // the value shipped with each mirror, and replica maintenance uses it to
 // tell a fresh copy from one left behind by an old membership — higher
 // version wins.
+//
+// A level-1 entry at /name on Key(name)'s node is one record, {PN: name,
+// Root: "/name"}, whether it holds the unsalted home or the special link a
+// redirect or a relink put there (Section 3.3): it is replicated, versioned
+// and migrated like any other root, and a relink continues its chain.
 type Track struct {
 	PN   string // controlling placement name; Key(PN) is the DHT key
 	Root string // physical path of the replicated hierarchy root
-	Link string // for level-1 special links: the link's name ("" if none)
 	Ver  uint64 // subtree mutation counter
 	Dead bool   // tombstone: the hierarchy was deleted at this version
+}
+
+// RemovedBy reports whether op removes the root itself, the hierarchy or the
+// link standing at it, at its primary path or in the replica area: the op
+// that makes the record a tombstone.
+func (t Track) RemovedBy(op FSOp) bool {
+	switch op.Kind {
+	case FSRemove, FSRmdir, FSRemoveAll:
+		return op.Path == t.Root || PrimaryRoot(op.Path) == t.Root
+	}
+	return false
 }
 
 // TreeStat is the local summary of a hierarchy the capacity rebalancer
