@@ -219,10 +219,10 @@ bench-diff:
 # loc prints the sizes CHANGES.md tracks: non-test Go outside bench/, the
 # shares of it in internal/core, internal/nfs, internal/repl, internal/maint
 # and internal/cas, the number of core.Config fields, the methods of the
-# replication engine's two interfaces (repl.Peer, repl.Overlay), and the wire
-# surface countable from the source: rows of the two dispatch tables,
-# repl.FSOpKind kinds in use (vacant numbers excluded) and nfs.Proc
-# constants.
+# replication engine's two interfaces (repl.Peer, repl.Overlay) and of the
+# maintenance engine's host (maint.Host), and the wire surface countable
+# from the source: rows of the two dispatch tables, repl.FSOpKind kinds in
+# use (vacant numbers excluded) and nfs.Proc constants.
 TABLE_ROWS = awk -v t="$$t" '$$0 ~ "^var " t " = serviceTable" {in_t=1; next} in_t && /^}/ {exit} in_t && /^\t[a-zA-Z]+:/ {n++} END {print n}'
 IFACE_METHODS = awk -v t="$$t" '$$0 ~ "^type " t " interface" {in_t=1; next} in_t && /^}/ {exit} in_t && /^\t[A-Z][A-Za-z0-9]*\(/ {n++} END {print n}'
 STRUCT_FIELDS = awk -v t="$$t" '$$0 ~ "^type " t " struct" {in_t=1; next} in_t && /^}/ {exit} in_t && /^\t[A-Z][A-Za-z0-9]*[ \t]+[^ \t]/ {n++} END {print n}'
@@ -235,6 +235,7 @@ loc:
 	t=Peer; echo "repl.Peer methods: $$($(IFACE_METHODS) internal/repl/engine.go)"; \
 	t=Track; echo "repl.Track fields: $$($(STRUCT_FIELDS) internal/repl/types.go)"; \
 	t=Overlay; echo "repl.Overlay methods: $$($(IFACE_METHODS) internal/repl/engine.go)"; \
+	t=Host; echo "maint.Host methods: $$($(IFACE_METHODS) internal/maint/maint.go)"; \
 	t=koshaProcs; echo "koshaProcs rows: $$($(TABLE_ROWS) internal/core/service.go)"; \
 	t=ctlProcs; echo "ctlProcs rows: $$($(TABLE_ROWS) internal/core/ctl.go)"; \
 	awk '/^\tFSMkdirAll FSOpKind/ {in_k=1} in_k && /^\)/ {exit} in_k && /^\tFS[A-Za-z]+/ {n++} END {print "repl.FSOpKind kinds in use:", n}' internal/repl/types.go; \

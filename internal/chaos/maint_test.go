@@ -173,14 +173,16 @@ func TestScenarioScrubRepairsSilentCorruption(t *testing.T) {
 }
 
 // TestScenarioScrubRepairsLastRootOfOverBudgetNode: one node owns more
-// (root, candidate) pairs than a round's token budget, and two silent faults
-// land on the replica of its last root in pair order, on the last candidate.
+// records than a round's token budget pays owner rounds for (one token per
+// candidate asked), and two silent faults land on the replica of its last
+// root in root order, on the last candidate.
 // One file's digest memo there is warm, so only that candidate's own file
 // verification can see the rot; it rebuilds the file with the gatherer, from
 // blocks the owner serves. The other file was rewritten just before the
 // fault, so its memo is cold and the candidate's digest reports the rot;
-// only the owner's digest exchange, once its cursor reaches the last pair,
-// repairs that one. Both must be repaired within ceil(pairs/64) + 1 rounds.
+// only the owner's exchange, once its cursor reaches the last record,
+// repairs that one. Both must be repaired within ceil(records·K/64) + 1
+// rounds.
 func TestScenarioScrubRepairsLastRootOfOverBudgetNode(t *testing.T) {
 	const (
 		seed     = 6161
@@ -250,7 +252,8 @@ func TestScenarioScrubRepairsLastRootOfOverBudgetNode(t *testing.T) {
 		t.Fatalf("replicas not converged before fault: %v", err)
 	}
 
-	// The pairs the owner's exchange visits, counted the way its scrub does.
+	// The owned live records the owner's exchange visits, counted the way its
+	// scrub does, times the candidates each one asks.
 	on := byAddr[owner]
 	cands := on.Overlay().ReplicaCandidates(replicas)
 	roots, last := 0, ""
@@ -323,7 +326,7 @@ func TestScenarioScrubRepairsLastRootOfOverBudgetNode(t *testing.T) {
 		t.Fatal("the candidate's file verification repaired nothing: warm.bin was not rebuilt by the gatherer")
 	}
 	if repairedAt(on) == ownerBefore {
-		t.Fatal("the owner's exchange repaired nothing: cold.bin was not pushed from the last pair")
+		t.Fatal("the owner's exchange repaired nothing: cold.bin was not pulled from the last record")
 	}
 	if err := model.Check(m); err != nil {
 		t.Fatalf("post-repair oracle check: %v", err)
@@ -594,7 +597,7 @@ func TestRebalanceRelinkContinuesTheHomesRecord(t *testing.T) {
 	holders := 0
 	for _, nd := range c.Nodes {
 		rep := nd.Repl()
-		rec, ok := rep.TrackOf("/big")
+		rec, ok := record(rep, "/big")
 		if !ok {
 			continue
 		}
@@ -616,9 +619,19 @@ func TestRebalanceRelinkContinuesTheHomesRecord(t *testing.T) {
 	if !replica.PromoteLocal(repl.Track{PN: "big", Root: "/big"}) {
 		t.Fatal("the promote surfaced nothing")
 	}
-	if rec, _ := replica.TrackOf("/big"); rec.Ver != before || rec.Dead {
+	if rec, _ := record(replica, "/big"); rec.Ver != before || rec.Dead {
 		t.Errorf("after a promote the record is %+v, want live at %d", rec, before)
 	}
+}
+
+// record is rep's record for root.
+func record(rep *repl.Engine, root string) (repl.Track, bool) {
+	tracks := rep.Tracks()
+	i := slices.IndexFunc(tracks, func(tr repl.Track) bool { return tr.Root == root })
+	if i < 0 {
+		return repl.Track{}, false
+	}
+	return tracks[i], true
 }
 
 // TestMaintScrubSoak is the gated long-run scrub soak: a sustained loop of

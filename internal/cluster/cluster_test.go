@@ -68,7 +68,7 @@ func TestChurnJoinFailRevive(t *testing.T) {
 	if err := c.Revive(3); err != nil {
 		t.Fatal(err)
 	}
-	if c.Nodes[3].Store().NumFiles() != 0 && len(c.Nodes[3].TrackedRoots()) == 0 {
+	if c.Nodes[3].Store().NumFiles() != 0 && len(c.Nodes[3].Repl().Tracks()) == 0 {
 		t.Fatal("revived node kept files without tracking")
 	}
 	for i := 0; i < 6; i++ {

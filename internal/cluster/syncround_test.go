@@ -25,8 +25,8 @@ func TestNoopSyncRoundMessages(t *testing.T) {
 			c, want := noopSyncCluster(t, k, redirect)
 			owned := 0
 			for _, nd := range c.Nodes {
-				for _, pn := range nd.TrackedRoots() {
-					if owns, _ := nd.Overlay().EnsureRootFor(core.Key(pn)); owns {
+				for _, tr := range nd.Repl().Tracks() {
+					if owns, _ := nd.Overlay().EnsureRootFor(core.Key(tr.PN)); owns {
 						owned++
 					}
 				}

@@ -118,8 +118,6 @@ func (h maintHost) Relink(tc obs.TraceContext, base, pn, storeRoot string) (simn
 	return simnet.Seq(res.Cost, c), err
 }
 
-func (h maintHost) SyncReplicas() simnet.Cost { return h.n.rep.Sync() }
-
 var _ maint.Host = maintHost{}
 
 // Maint returns the node's background maintenance engine.

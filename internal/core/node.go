@@ -524,13 +524,9 @@ func (n *Node) Revive(newID id.ID, seed simnet.Addr) (simnet.Cost, error) {
 // Repl exposes the node's replication engine (tests, experiments).
 func (n *Node) Repl() *repl.Engine { return n.rep }
 
-// SyncReplicas re-establishes the replication invariant for every subtree
-// and level-1 link this node tracks (Section 4.3); see repl.Engine.Sync.
+// SyncReplicas re-establishes the replication invariant for every record
+// this node tracks (Section 4.3); see repl.Engine.Sync.
 func (n *Node) SyncReplicas() simnet.Cost { return n.rep.Sync() }
-
-// TrackedRoots returns a snapshot of the subtree roots this node holds
-// (primary or replica), for tests and experiments.
-func (n *Node) TrackedRoots() map[string]string { return n.rep.TrackedRoots() }
 
 func (n *Node) nsrvGen() uint64 {
 	return n.nsrv.Root().Gen

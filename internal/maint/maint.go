@@ -6,9 +6,10 @@
 // keeps describing the intended bytes), invalidations lost to crashes, and
 // heal races that left a settled replica diverged. Each round it hash-checks
 // a sampled window of the local block index, re-chunks a sliding window of
-// local files against the manifests replication believes, and exchanges
-// TREE_DIGESTs with the replica candidates of every owned root, scheduling a
-// delta re-sync when a settled copy diverges.
+// local files against the manifests replication believes, and runs Sync's
+// owner round (repl.Engine.SyncOwned) over a sliding window of the owned
+// live records: one TREE_DIGEST per replica candidate, adopting a newer
+// settled copy or deletion, and a delta re-sync of each diverged copy.
 //
 // The capacity rebalancer consumes the used/free accounting nodes gossip on
 // leaf-set keep-alive traffic. When local utilization crosses the high-water
@@ -16,7 +17,8 @@
 // placement name to find a less-utilized owner, has the owner pull the
 // subtree under the MIGRATION_NOT_COMPLETE flag protocol (only the blocks it
 // lacks move), flips the level-1 special link in one atomic apply, and retires
-// the old storage root. A target crash mid-move aborts safely: the flag
+// the old storage root, whose tombstone the owner round takes to its
+// replicas. A target crash mid-move aborts safely: the flag
 // stays armed on the incomplete copy, the link still names the old location,
 // and every acknowledged byte remains readable at the source.
 //
@@ -73,9 +75,6 @@ type Host interface {
 	// link naming (pn, storeRoot), through the routed apply path so the
 	// link host's replicas mirror the flip.
 	Relink(tc obs.TraceContext, base, pn, storeRoot string) (simnet.Cost, error)
-	// SyncReplicas runs one replica-synchronization pass (tombstone
-	// propagation and replica refresh after a completed move).
-	SyncReplicas() simnet.Cost
 }
 
 // Options configures one maintenance engine.
@@ -99,8 +98,8 @@ type Options struct {
 // constants rather than Options.
 const (
 	// TokensPerTick is the shared work budget both loops draw from each
-	// round: one token per digest exchange or file verification, one per
-	// MiB migrated (plus one per move).
+	// round: one token per replica candidate asked or file verification,
+	// one per MiB migrated (plus one per move).
 	TokensPerTick = 64
 	// VerifyBlocks caps indexed blocks hash-checked per round (sliding
 	// cursor).
@@ -128,23 +127,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// pair is one digest exchange: an owned root and a replica candidate.
-type pair struct {
-	root string
-	cand simnet.Addr
-}
-
-// after orders pairs by root, then candidate: the order the exchange visits.
-func (p pair) after(q pair) bool {
-	return p.root > q.root || (p.root == q.root && p.cand > q.cand)
-}
-
 // cursors is where the scrub's three sweeps stopped: each round resumes just
-// past them and wraps, so every block, file and pair is reached in turn.
+// past them and wraps, so every block, file and owned record is reached in
+// turn.
 type cursors struct {
 	block cas.Hash // block-index sampling cursor
 	file  string   // last file verified
-	pair  pair     // last (root, candidate) exchanged with
+	root  string   // last owned record exchanged for
 }
 
 // Engine is one node's maintenance engine. Tick runs one bounded round of
@@ -224,8 +213,8 @@ type verifyTarget struct {
 }
 
 // scrubRound runs one bounded anti-entropy pass: local block-index
-// verification, file verification against the memoized manifests, then
-// digest exchanges with the replica candidates of every owned root.
+// verification, file verification against the memoized manifests, then the
+// owner round for a window of the owned live records.
 // Verification runs first so a corrupt primary is repaired (or its memo
 // dropped, making its digests honest) before its digests are compared —
 // otherwise the exchange would propagate corruption as truth.
@@ -250,11 +239,10 @@ func (e *Engine) scrubRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 	e.scrubBadBlocks.Add(uint64(bad))
 
 	// Ownership is asked once per live root per round (each ask can ping): it
-	// picks a file's repair helpers and the pairs the exchange visits.
+	// picks a file's repair helpers and the records the exchange visits.
 	cands := e.host.Candidates(e.opts.Replicas)
-	var live []repl.Track
+	var live, mine []repl.Track
 	owned := map[string]bool{}
-	var pairs []pair
 	for _, t := range rep.Tracks() {
 		if t.Dead {
 			continue
@@ -264,9 +252,7 @@ func (e *Engine) scrubRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 		live = append(live, t)
 		owned[t.Root] = owns
 		if owns {
-			for _, cand := range cands {
-				pairs = append(pairs, pair{t.Root, cand})
-			}
+			mine = append(mine, t)
 		}
 	}
 
@@ -306,28 +292,28 @@ func (e *Engine) scrubRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].phys < targets[j].phys })
 	total = simnet.Seq(total, e.verifyWindow(tc, targets, &at.file, tokens))
 
-	// Digest exchange: one ask per (owned root, replica candidate) pair, and
-	// a delta re-sync fed that answer when a settled copy diverges. The pairs
-	// are visited in (root, candidate) order from just past the cursor,
-	// wrapping, one token each, so a node with more pairs than one round's
-	// budget still reaches every pair: in ceil(pairs/budget) rounds while the
-	// pair set holds still.
-	sort.Slice(pairs, func(i, j int) bool { return pairs[j].after(pairs[i]) })
-	start := sort.Search(len(pairs), func(i int) bool { return pairs[i].after(at.pair) })
-	for k := 0; k < len(pairs) && *tokens > 0; k++ {
-		at.pair = pairs[(start+k)%len(pairs)]
-		*tokens--
-		diverged, c, err := rep.ScrubReplica(tc, at.pair.cand, at.pair.root)
+	// Exchange: Sync's owner round for each owned live record, in root order
+	// from just past the cursor, wrapping. A record costs one token per
+	// candidate asked and no record starts that the round cannot pay for, so
+	// a node with more records than one round's budget still reaches every
+	// record: in ceil(records·K/budget) rounds, when K divides the budget,
+	// while the record set holds still. Each candidate repaired is a
+	// divergence.
+	start := sort.Search(len(mine), func(i int) bool { return mine[i].Root > at.root })
+	for k := 0; k < len(mine) && *tokens >= max(len(cands), 1); k++ {
+		t := mine[(start+k)%len(mine)]
+		at.root = t.Root
+		*tokens -= len(cands)
+		repairs, c := rep.SyncOwned(tc, t)
 		total = simnet.Seq(total, c)
-		if !diverged {
-			continue
-		}
-		e.scrubDivergences.Add(1)
-		if e.events != nil {
-			e.events.Add(obs.EvScrubRepair, string(at.pair.cand), at.pair.root)
-		}
-		if err == nil {
-			e.scrubRepaired.Add(1)
+		for _, r := range repairs {
+			e.scrubDivergences.Add(1)
+			if e.events != nil {
+				e.events.Add(obs.EvScrubRepair, string(r.Cand), t.Root)
+			}
+			if r.Err == nil {
+				e.scrubRepaired.Add(1)
+			}
 		}
 	}
 	return total
@@ -422,18 +408,15 @@ func (e *Engine) rebalanceRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 			moved += v.bytes
 		}
 	}
-	if moved > 0 {
-		// Propagate the retired roots' tombstones and re-replicate eagerly
-		// rather than waiting for the next membership event.
-		total = simnet.Seq(total, e.host.SyncReplicas())
-	}
 	return total
 }
 
 // moveVictim migrates one hierarchy: pick the least-utilized owner among
 // the re-salted placement probes, have it pull the subtree into a fresh
-// storage root, flip the level-1 link, and retire the old root. Any failure
-// aborts with the link still naming the old (complete, readable) copy.
+// storage root, flip the level-1 link, and retire the old root, taking its
+// tombstone to the replicas at once rather than at the next membership
+// event. Any failure aborts with the link still naming the old (complete,
+// readable) copy.
 func (e *Engine) moveVictim(tc obs.TraceContext, v victim, tokens *int) (simnet.Cost, bool) {
 	var total simnet.Cost
 	base := e.host.BaseName(v.t.PN)
@@ -502,7 +485,10 @@ func (e *Engine) moveVictim(tc obs.TraceContext, v victim, tokens *int) (simnet.
 	// was replaced in place by the link, whose record is the home's: a
 	// tombstone would take the fresh link with it.
 	if v.t.Root != "/"+base {
-		e.host.Rep().Tombstone(v.t.Root)
+		if dead, ok := e.host.Rep().Tombstone(v.t.Root); ok {
+			_, c = e.host.Rep().SyncOwned(tc, dead)
+			total = simnet.Seq(total, c)
+		}
 	}
 	e.rebalMoves.Add(1)
 	e.rebalBytes.Add(uint64(v.bytes))

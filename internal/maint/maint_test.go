@@ -34,11 +34,19 @@ type peerStore struct {
 
 // storePeers is a repl.Peer over in-memory remote nodes. Mirror applies the
 // metadata ops repair sends; Pull runs the remote engine's own pull, whose
-// listing and block calls reach the host's engine through hostPeer.
+// listing and block calls reach the host's engine through hostPeer; the
+// listing and block calls of the host's own pulls (an adopt) are answered
+// from the remote stores.
 type storePeers struct {
 	host   *repl.Engine
 	stores map[simnet.Addr]*peerStore
-	asks   map[pair]int // TREE_DIGEST asks per (primary-relative root, node)
+	asks   map[ask]int // TREE_DIGEST asks
+}
+
+// ask is one TREE_DIGEST target: a primary-relative root at a node.
+type ask struct {
+	root string
+	node simnet.Addr
 }
 
 func (p *storePeers) at(a simnet.Addr) *peerStore {
@@ -50,19 +58,24 @@ func (p *storePeers) at(a simnet.Addr) *peerStore {
 	return p.stores[a]
 }
 
-func (p *storePeers) Mirror(_ obs.TraceContext, to simnet.Addr, _ repl.Track, op repl.FSOp, primary bool) (simnet.Cost, error) {
-	fs := p.at(to).fs
+func (p *storePeers) Mirror(_ obs.TraceContext, to simnet.Addr, t repl.Track, op repl.FSOp, primary bool) (simnet.Cost, error) {
+	ps := p.at(to)
 	if !primary {
 		op.Path = repl.RepPath(op.Path)
 	}
+	var err error
 	switch op.Kind {
 	case repl.FSMkdirAll:
-		_, err := fs.MkdirAll(op.Path)
-		return 0, err
+		_, err = ps.fs.MkdirAll(op.Path)
 	case repl.FSRemoveAll:
-		return 0, fs.RemoveAll(op.Path)
+		err = ps.fs.RemoveAll(op.Path)
+	default:
+		return 0, fmt.Errorf("storePeers: unscripted op %v", op.Kind)
 	}
-	return 0, fmt.Errorf("storePeers: unscripted op %v", op.Kind)
+	if err == nil {
+		ps.eng.Track(t, op)
+	}
+	return 0, err
 }
 
 func (p *storePeers) Pull(tc obs.TraceContext, to simnet.Addr, t repl.Track, src string, primary bool) (simnet.Cost, error) {
@@ -70,7 +83,7 @@ func (p *storePeers) Pull(tc obs.TraceContext, to simnet.Addr, t repl.Track, src
 }
 
 func (p *storePeers) DigestTree(_ obs.TraceContext, to simnet.Addr, root string, _ bool) (repl.TreeDigest, simnet.Cost, error) {
-	p.asks[pair{repl.PrimaryRoot(root), to}]++
+	p.asks[ask{repl.PrimaryRoot(root), to}]++
 	eng := p.at(to).eng
 	td := eng.DigestLocal(root, true)
 	td.Ver = eng.VerOf(repl.PrimaryRoot(root))
@@ -82,12 +95,28 @@ func (p *storePeers) DirDigests(_ obs.TraceContext, to simnet.Addr, dir string) 
 	return ents, ok, 0, err
 }
 
-func (p *storePeers) ChunkManifest(obs.TraceContext, simnet.Addr, string) (cas.Manifest, uint32, bool, simnet.Cost, error) {
-	return nil, 0, false, 0, errScripted
+func (p *storePeers) ChunkManifest(_ obs.TraceContext, to simnet.Addr, phys string) (cas.Manifest, uint32, bool, simnet.Cost, error) {
+	return serveManifest(p.at(to).eng, phys)
 }
 
-func (p *storePeers) ChunkFetch(obs.TraceContext, simnet.Addr, string, []cas.Hash) ([][]byte, simnet.Cost, error) {
-	return nil, 0, errScripted
+func (p *storePeers) ChunkFetch(_ obs.TraceContext, to simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
+	return serveBlocks(p.at(to).eng, phys, hashes)
+}
+
+// serveManifest and serveBlocks answer CHUNK_MANIFEST and CHUNK_FETCH from
+// eng's store.
+func serveManifest(eng *repl.Engine, phys string) (cas.Manifest, uint32, bool, simnet.Cost, error) {
+	m, mode, ok := eng.ManifestLocal(phys)
+	return m, mode, ok, 0, nil
+}
+
+func serveBlocks(eng *repl.Engine, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
+	eng.ManifestLocal(phys)
+	blocks := make([][]byte, len(hashes))
+	for i, hash := range hashes {
+		blocks[i], _ = eng.GetBlock(hash)
+	}
+	return blocks, 0, nil
 }
 
 func (p *storePeers) Promote(obs.TraceContext, simnet.Addr, repl.Track) (bool, simnet.Cost, error) {
@@ -108,17 +137,11 @@ func (h hostPeer) DirDigests(_ obs.TraceContext, _ simnet.Addr, dir string) ([]m
 }
 
 func (h hostPeer) ChunkManifest(_ obs.TraceContext, _ simnet.Addr, phys string) (cas.Manifest, uint32, bool, simnet.Cost, error) {
-	m, mode, ok := h.p.host.ManifestLocal(phys)
-	return m, mode, ok, 0, nil
+	return serveManifest(h.p.host, phys)
 }
 
 func (h hostPeer) ChunkFetch(_ obs.TraceContext, _ simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
-	h.p.host.ManifestLocal(phys)
-	blocks := make([][]byte, len(hashes))
-	for i, hash := range hashes {
-		blocks[i], _ = h.p.host.GetBlock(hash)
-	}
-	return blocks, 0, nil
+	return serveBlocks(h.p.host, phys, hashes)
 }
 
 func (hostPeer) ReadLink(obs.TraceContext, simnet.Addr, string) (string, simnet.Cost, error) {
@@ -141,12 +164,28 @@ func (hostPeer) DigestTree(obs.TraceContext, simnet.Addr, string, bool) (repl.Tr
 	return repl.TreeDigest{}, 0, errScripted
 }
 
-// noOverlay satisfies repl.Overlay; the maintenance hooks never consult it.
+// noOverlay is a remote engine's overlay: it owns every key and names no
+// replica candidate.
 type noOverlay struct{}
 
 func (noOverlay) EnsureRootFor(id.ID) (bool, simnet.Cost) { return true, 0 }
 func (noOverlay) ReplicaCandidates(int) []pastry.NodeInfo { return nil }
 func (noOverlay) Route(id.ID) (pastry.RouteResult, error) { return pastry.RouteResult{}, errScripted }
+
+// hostOverlay is the host engine's overlay: it owns every key, as the host
+// does, and names the host's replica candidates.
+type hostOverlay struct {
+	noOverlay
+	h *scriptedHost
+}
+
+func (o hostOverlay) ReplicaCandidates(int) []pastry.NodeInfo {
+	out := make([]pastry.NodeInfo, len(o.h.cands))
+	for i, a := range o.h.cands {
+		out[i] = pastry.NodeInfo{Addr: a}
+	}
+	return out
+}
 
 // scriptedHost is the Host: a real replication engine over a local store
 // plus the placement answers the test scripts. It owns every key, calls every
@@ -163,7 +202,6 @@ type scriptedHost struct {
 	loads map[simnet.Addr]pastry.Load // gossiped peer loads
 
 	relinks   []string       // "base -> new storage root", in order
-	syncs     int            // SyncReplicas calls
 	ownership map[string]int // OwnsKey calls per placement name
 }
 
@@ -207,20 +245,15 @@ func (h *scriptedHost) Relink(_ obs.TraceContext, base, _, storeRoot string) (si
 	return 0, nil
 }
 
-func (h *scriptedHost) SyncReplicas() simnet.Cost {
-	h.syncs++
-	return 0
-}
-
 func newHost(capacity int64) *scriptedHost {
 	h := &scriptedHost{
 		fs:        localfs.New(capacity, simnet.DiskModel{}),
-		peers:     &storePeers{stores: map[simnet.Addr]*peerStore{}, asks: map[pair]int{}},
+		peers:     &storePeers{stores: map[simnet.Addr]*peerStore{}, asks: map[ask]int{}},
 		reg:       obs.NewRegistry(),
 		loads:     map[simnet.Addr]pastry.Load{},
 		ownership: map[string]int{},
 	}
-	h.rep = repl.New(repl.Options{Self: "self", Store: h.fs, Overlay: noOverlay{}, Peer: h.peers, Replicas: 1, Key: func(pn string) (k id.ID) { copy(k[:], pn); return k }, Registry: h.reg})
+	h.rep = repl.New(repl.Options{Self: "self", Store: h.fs, Overlay: hostOverlay{h: h}, Peer: h.peers, Replicas: 1, Key: func(pn string) (k id.ID) { copy(k[:], pn); return k }, Registry: h.reg})
 	h.peers.host = h.rep
 	return h
 }
@@ -251,8 +284,8 @@ func (h *scriptedHost) engine(o Options) *Engine {
 func (h *scriptedHost) counter(name string) uint64 { return h.reg.Counter(name).Load() }
 
 // TestTokenBudgetEndsScrubRound: one round spends at most TokensPerTick
-// tokens, one per file verification and one per digest exchange, and a round
-// that runs out stops exchanging rather than overdrawing.
+// tokens, one per file verification and one per replica candidate asked, and
+// a round that runs out stops exchanging rather than overdrawing.
 func TestTokenBudgetEndsScrubRound(t *testing.T) {
 	h := newHost(0)
 	h.cands = []simnet.Addr{"r1"}
@@ -273,22 +306,27 @@ func TestTokenBudgetEndsScrubRound(t *testing.T) {
 }
 
 // TestExchangeCursorCoversEveryPair: a node with three rounds' worth of
-// (owned root, candidate) pairs — three candidates per root, and as many
-// roots as a round has tokens left after its file verifications — exchanges
-// with every one of them in exactly three rounds — the cursor resumes after the last pair visited and wraps —
-// so a divergence on the very last pair is found and repaired; and a pair
-// costs one TREE_DIGEST ask whether or not it diverged. Reset rewinds.
+// owned records — three candidates each, and as many records as a round has
+// tokens left after its file verifications — runs the owner round for every
+// one of them in ceil(records·K/tokens) = 3 rounds: the cursor resumes past
+// the last record visited and wraps, so a divergence at the very last record
+// is found and repaired. Each candidate of a record costs one TREE_DIGEST ask
+// whether or not it diverged. Reset rewinds.
 func TestExchangeCursorCoversEveryPair(t *testing.T) {
 	h := newHost(0)
-	h.cands = []simnet.Addr{"r3", "r1", "r2"} // the visit order is sorted, not the host's
+	h.cands = []simnet.Addr{"r3", "r1", "r2"}
 	var roots []string
 	for i := 0; i < TokensPerTick-VerifyFiles; i++ {
 		roots = append(roots, h.home(t, fmt.Sprintf("u%03d", i), 8))
 	}
-	const rounds = 3 // pairs / exchanges per round
+	rounds := (len(roots)*len(h.cands) + TokensPerTick - VerifyFiles - 1) / (TokensPerTick - VerifyFiles)
+	if rounds != 3 {
+		t.Fatalf("%d rounds per sweep, want 3", rounds)
+	}
 	e := h.engine(Options{Scrub: true})
 
-	// sweep runs one full coverage and checks each pair was asked once more.
+	// sweep runs one full coverage and checks each candidate of each record
+	// was asked once more.
 	sweep := func(asksPerPair int) {
 		t.Helper()
 		for r := 0; r < rounds; r++ {
@@ -296,40 +334,116 @@ func TestExchangeCursorCoversEveryPair(t *testing.T) {
 		}
 		for _, root := range roots {
 			for _, cand := range h.cands {
-				if got := h.peers.asks[pair{root, cand}]; got != asksPerPair {
+				if got := h.peers.asks[ask{root, cand}]; got != asksPerPair {
 					t.Fatalf("%s at %s asked %d times after %d rounds, want %d", root, cand, got, asksPerPair*rounds, asksPerPair)
 				}
 			}
 		}
 	}
-	// Every candidate starts empty, so every pair diverges: one ask and a
-	// pull each, all of them within the first three rounds.
+	// Every candidate starts empty, so every candidate of every record
+	// diverges: one ask and a pull each, all of them within the first sweep.
 	sweep(1)
 	if got, want := h.counter("maint.scrub.repaired"), uint64(len(roots)*len(h.cands)); got != want {
-		t.Fatalf("repaired %d pairs in %d rounds, want all %d", got, rounds, want)
+		t.Fatalf("repaired %d copies in %d rounds, want all %d", got, rounds, want)
 	}
-	if last := (pair{roots[len(roots)-1], "r3"}); e.at.pair != last {
-		t.Fatalf("cursor at %v after a full sweep, want the last pair %v", e.at.pair, last)
+	if last := roots[len(roots)-1]; e.at.root != last {
+		t.Fatalf("cursor at %q after a full sweep, want the last record %q", e.at.root, last)
 	}
 
-	// Rot on the last pair in visit order; everything else is converged.
+	// Rot at the last record, on its last candidate; everything else is
+	// converged.
 	lastRoot := roots[len(roots)-1]
-	remote := h.peers.at("r3").fs
+	remote := h.peers.at("r2").fs
 	if err := remote.WriteFile(repl.RepPath(lastRoot+"/f00"), []byte("bit rot")); err != nil {
 		t.Fatal(err)
 	}
 	before := h.counter("maint.scrub.repaired")
 	sweep(2)
 	if got := h.counter("maint.scrub.repaired") - before; got != 1 {
-		t.Fatalf("second sweep repaired %d pairs, want exactly the planted one", got)
+		t.Fatalf("second sweep repaired %d copies, want exactly the planted one", got)
 	}
 	if got, err := remote.ReadFile(repl.RepPath(lastRoot + "/f00")); err != nil || !bytes.Equal(got, payload(fmt.Sprintf("u%03d", len(roots)-1), 0, 8)) {
 		t.Fatalf("last root's replica not restored: %q err=%v", got, err)
 	}
 
 	e.Reset()
-	if e.at.pair != (pair{}) {
+	if e.at.root != "" {
 		t.Fatal("Reset left the exchange cursor behind")
+	}
+}
+
+// TestScrubKeepsANewerSettledReplica: a candidate holding a settled copy at
+// a newer version than the owner's keeps its version and bytes through a
+// scrub round, and the owner adopts that copy: the scrub runs Sync's owner
+// round, which adopts before it refreshes.
+func TestScrubKeepsANewerSettledReplica(t *testing.T) {
+	h := newHost(0)
+	h.cands = []simnet.Addr{"r1"}
+	root := h.home(t, "alice", 100, 200)
+	newer := map[string][]byte{"f00": []byte("written at version 3"), "f01": payload("alice", 1, 200)}
+	r1 := h.peers.at("r1")
+	for name, data := range newer {
+		if err := r1.fs.WriteFile(repl.RepPath(root+"/"+name), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r1.eng.Track(repl.Track{PN: "alice", Root: root, Ver: 3}, repl.FSOp{Kind: repl.FSMkdirAll, Path: repl.RepPath(root)})
+
+	h.engine(Options{Scrub: true}).Tick()
+	for _, c := range []struct {
+		who string
+		ps  *peerStore
+		at  string
+	}{{"candidate", r1, repl.RepPath(root)}, {"owner", &peerStore{h.fs, h.rep}, root}} {
+		if v := c.ps.eng.VerOf(root); v != 3 {
+			t.Errorf("%s records version %d, want the candidate's 3", c.who, v)
+		}
+		for name, data := range newer {
+			if got, err := c.ps.fs.ReadFile(c.at + "/" + name); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("%s's %s is %.20q (err %v), want version 3's %q", c.who, name, got, err, data)
+			}
+		}
+	}
+}
+
+// TestFlaggedOwnerCopyIsNoSource: the owner's copy is still being filled
+// (MIGRATION_NOT_COMPLETE up) and lacks a file that a candidate's settled
+// copy holds. Neither Sync nor a scrub round refreshes the candidate from
+// it.
+func TestFlaggedOwnerCopyIsNoSource(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		round func(h *scriptedHost)
+	}{
+		{"sync", func(h *scriptedHost) { h.rep.Sync() }},
+		{"scrub", func(h *scriptedHost) { h.engine(Options{Scrub: true}).Tick() }},
+	} {
+		h := newHost(0)
+		h.cands = []simnet.Addr{"r1"}
+		root := h.home(t, "alice", 100, 200)
+		r1 := h.peers.at("r1")
+		for i, size := range []int{100, 200} {
+			if err := r1.fs.WriteFile(repl.RepPath(fmt.Sprintf("%s/f%02d", root, i)), payload("alice", i, size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r1.eng.Track(repl.Track{PN: "alice", Root: root, Ver: 1}, repl.FSOp{Kind: repl.FSMkdirAll, Path: repl.RepPath(root)})
+		// Version 2 is arriving at the owner: f01 has not landed yet.
+		if err := h.fs.RemoveAll(root + "/f01"); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.fs.WriteFile(root+"/"+repl.MigrationFlag, nil); err != nil {
+			t.Fatal(err)
+		}
+		h.rep.Track(repl.Track{PN: "alice", Root: root, Ver: 2}, repl.FSOp{Kind: repl.FSMkdirAll, Path: root})
+
+		c.round(h)
+		if got, err := r1.fs.ReadFile(repl.RepPath(root + "/f01")); err != nil || !bytes.Equal(got, payload("alice", 1, 200)) {
+			t.Errorf("%s: the candidate's f01 is %d bytes (err %v): refreshed from a flagged copy", c.name, len(got), err)
+		}
+		if v := r1.eng.VerOf(root); v != 1 {
+			t.Errorf("%s: the candidate records version %d, want 1", c.name, v)
+		}
 	}
 }
 
@@ -410,18 +524,23 @@ func TestScrubRepairsDivergedReplica(t *testing.T) {
 }
 
 // TestRebalancerWaterMarksAndByteCap: the rebalancer does nothing under the
-// high-water mark; over it, it sheds smallest-first to the re-salted owner;
-// one round starts no new move once it has shipped MoveBytes; and a round
-// stops as soon as utilization is under the low-water mark.
+// high-water mark; over it, it sheds smallest-first to the re-salted owner
+// and takes each retired root's tombstone to that root's candidates, and to
+// no other record's; one round starts no new move once it has shipped
+// MoveBytes; and a round stops as soon as utilization is under the low-water
+// mark.
 func TestRebalancerWaterMarksAndByteCap(t *testing.T) {
 	const mib = 1 << 20
 	h := newHost(100 * mib)
 	h.dest = "d1"
+	h.cands = []simnet.Addr{"r1"}
 	h.loads["d1"] = pastry.Load{Used: 0, Capacity: 1000 * mib}
 	// 5+6+7+8+9+10+30 = 75 MiB: under the 80 % high-water mark.
+	var roots []string
 	for i, size := range []int{5, 6, 7, 8, 9, 10, 30} {
-		h.home(t, fmt.Sprintf("u%d", i), size*mib)
+		roots = append(roots, h.home(t, fmt.Sprintf("u%d", i), size*mib))
 	}
+	h.rep.Sync() // r1 holds a replica of every root
 	e := h.engine(Options{Rebalance: true})
 	e.Tick()
 	if len(h.relinks) != 0 {
@@ -444,8 +563,16 @@ func TestRebalancerWaterMarksAndByteCap(t *testing.T) {
 	if _, err := h.peers.at("d1").fs.LookupPath("/moved/u1#1/f00"); err != nil {
 		t.Fatalf("moved hierarchy not at the destination: %v", err)
 	}
-	if h.syncs != 1 {
-		t.Fatalf("SyncReplicas ran %d times after a moving round, want 1", h.syncs)
+	r1 := h.peers.at("r1")
+	for i, root := range roots {
+		asks := h.peers.asks[ask{root, "r1"}]
+		_, err := r1.fs.LookupPath(repl.RepPath(root))
+		if retired := i < 2; retired && (asks != 2 || err == nil || !r1.eng.IsDead(root) || r1.eng.VerOf(root) != 2) {
+			t.Errorf("retired %s: r1 asked %d times, holds a copy: %v, records dead %v at %d; want 2 asks, no copy, a tombstone at 2",
+				root, asks, err == nil, r1.eng.IsDead(root), r1.eng.VerOf(root))
+		} else if !retired && (asks != 1 || err != nil) {
+			t.Errorf("kept %s: r1 asked %d times, copy err %v; want only the Sync's ask and the copy kept", root, asks, err)
+		}
 	}
 
 	// 74 MiB is under high water: the rebalancer is disarmed again even

@@ -165,17 +165,6 @@ func (e *Engine) Reset() {
 	e.cas.Reset()
 }
 
-// TrackedRoots returns a snapshot (fresh map) of root -> placement name.
-func (e *Engine) TrackedRoots() map[string]string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]string, len(e.tracked))
-	for k, v := range e.tracked {
-		out[k] = v.PN
-	}
-	return out
-}
-
 // IsDead reports whether this node's record for a root is a tombstone.
 func (e *Engine) IsDead(root string) bool {
 	e.mu.Lock()

@@ -267,14 +267,19 @@ func (s *storePeer) ChunkFetch(_ obs.TraceContext, to simnet.Addr, phys string, 
 	return blocks, 0, nil
 }
 
-// refreshAsked is the primary->replica tail as Sync and the scrub run it:
+// refreshAsked is the primary->replica tail of the owner round (SyncOwned):
 // ask r1 once, with the hash, and hand the answer to refresh.
 func refreshAsked(e *Engine, peer *storePeer, t Track) (simnet.Cost, error) {
 	remote, _, err := peer.DigestTree(obs.TraceContext{}, "r1", RepPath(t.Root), true)
 	if err != nil {
 		return 0, err
 	}
-	return e.refresh(obs.TraceContext{}, "r1", t, remote)
+	src, ok := e.LocalTreePath(t.Root)
+	if !ok {
+		return 0, nil
+	}
+	_, cost, err := e.refresh(obs.TraceContext{}, "r1", t, src, remote)
+	return cost, err
 }
 
 func deltaEngine(t *testing.T, peer Peer) (*Engine, localfs.FileSystem, *obs.Registry) {
@@ -1005,7 +1010,7 @@ func TestLevel1LinkIsPulledLikeAHome(t *testing.T) {
 				t.Fatalf("pulls %v, mirrors %v; want exactly %v and no mirror", peer.pulls, peer.mirrors, want)
 			}
 			wantLink(t, peer.remote, RepPath("/u"), target)
-			if got, ok := peer.eng.TrackOf("/u"); !ok || got.Ver != 3 || got.Dead {
+			if got := trackOf(peer.eng, "/u"); got.Ver != 3 || got.Dead {
 				t.Fatalf("replica records %+v, want /u live at 3", got)
 			}
 

@@ -12,20 +12,9 @@ import (
 
 // This file is the engine surface the background maintenance subsystem
 // (internal/maint) is built from: tracked-state snapshots, the anti-entropy
-// verify and exchange actions, and subtree migration as a library call. The
-// maintenance engine owns scheduling, budgets, and policy; everything here
-// is a single bounded action.
-
-// TrackOf returns a snapshot of the tracked metadata for one subtree root.
-func (e *Engine) TrackOf(root string) (Track, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t, ok := e.tracked[root]
-	if ok {
-		t.Root = root
-	}
-	return t, ok
-}
+// verify actions, and subtree migration as a library call; its exchange is
+// Sync's owner round, SyncOwned. The maintenance engine owns scheduling,
+// budgets, and policy; everything here is a single bounded action.
 
 // Tracks returns a sorted snapshot of every tracked subtree root's metadata
 // (Root filled in from the map key). Sorted so maintenance walks visit roots
@@ -42,17 +31,17 @@ func (e *Engine) Tracks() []Track {
 	return out
 }
 
-// Tombstone records the deletion of a tracked root at the next version and
-// removes any local copies. The next Sync propagates the tombstone to the
-// replica set exactly like a foreground removal would. Used by the
-// rebalancer after a migration's ownership flip: the old root's data now
-// lives under the new root on the new owner.
-func (e *Engine) Tombstone(root string) {
+// Tombstone records the deletion of a tracked root at the next version,
+// removes any local copies and returns the tombstone, which the owner round
+// (SyncOwned) propagates to the replica set exactly like a foreground
+// removal. Used by the rebalancer after a migration's ownership flip: the
+// old root's data now lives under the new root on the new owner.
+func (e *Engine) Tombstone(root string) (Track, bool) {
 	e.mu.Lock()
 	t, ok := e.tracked[root]
 	if !ok {
 		e.mu.Unlock()
-		return
+		return t, false
 	}
 	t.Root = root
 	t.Ver++
@@ -61,25 +50,7 @@ func (e *Engine) Tombstone(root string) {
 	e.mu.Unlock()
 	e.store.RemoveAll(root)
 	e.store.RemoveAll(RepPath(root))
-}
-
-// ScrubReplica is the scrub's exchange for one (owned root, replica
-// candidate) pair: one hashed TREE_DIGEST ask, and when the candidate's
-// settled copy differs from the local content or is missing, a refresh fed
-// that same answer. A copy in flight on either side (migration flag up) is
-// never touched. diverged reports that a repair ran; err is its outcome.
-func (e *Engine) ScrubReplica(tc obs.TraceContext, cand simnet.Addr, root string) (diverged bool, cost simnet.Cost, err error) {
-	t, ok := e.TrackOf(root)
-	local := e.DigestLocal(root, true)
-	if !ok || t.Dead || !local.Exists || local.Flag {
-		return false, 0, nil
-	}
-	remote, cost, err := e.peer.DigestTree(tc, cand, RepPath(root), true)
-	if err != nil || remote.Flag || (remote.Exists && remote.Root == local.Root) {
-		return false, cost, err
-	}
-	c, err := e.refresh(tc, cand, t, remote)
-	return true, simnet.Seq(cost, c), err
+	return t, true
 }
 
 // MigrateTree hands the local subtree at src to target as the primary copy

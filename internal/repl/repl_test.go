@@ -129,7 +129,7 @@ func TestStampAndTrackVersionChain(t *testing.T) {
 	if v := e.VerOf("/docs-v2"); v != 3 {
 		t.Fatalf("VerOf new root = %d, want 3", v)
 	}
-	if _, ok := e.TrackedRoots()["/docs"]; ok {
+	if trackOf(e, "/docs").Root != "" {
 		t.Fatal("old root record survived the rename rekeying")
 	}
 
@@ -230,18 +230,31 @@ func TestTrackNamesReuseOnlyEqualStrings(t *testing.T) {
 
 	check("new hierarchy", frame("new", "/new"), Track{PN: "new", Root: "/new"}, Track{}, [2]bool{})
 	want := map[string]string{"/docs": "papers", "/u": "u"}
-	if got := e.TrackedRoots(); !maps.Equal(got, want) {
+	got := map[string]string{}
+	for _, tr := range e.Tracks() {
+		got[tr.Root] = tr.PN
+	}
+	if !maps.Equal(got, want) {
 		t.Errorf("engine tracks %v, want %v", got, want)
 	}
+}
+
+// trackOf is e's record for root, the zero Track when it has none.
+func trackOf(e *Engine, root string) Track {
+	for _, tr := range e.Tracks() {
+		if tr.Root == root {
+			return tr
+		}
+	}
+	return Track{}
 }
 
 func TestTrackedRootsIsASnapshot(t *testing.T) {
 	e, _ := testEngine(&fakeOverlay{}, &fakePeer{})
 	e.Track(Track{PN: "a", Root: "/a", Ver: 1}, FSOp{Kind: FSMkdirAll, Path: "/a"})
-	snap := e.TrackedRoots()
-	delete(snap, "/a")
-	snap["/bogus"] = "bogus"
-	if got := e.TrackedRoots(); len(got) != 1 || got["/a"] != "a" {
+	snap := e.Tracks()
+	snap[0] = Track{PN: "bogus", Root: "/bogus", Ver: 9}
+	if got := e.Tracks(); len(got) != 1 || got[0] != (Track{PN: "a", Root: "/a", Ver: 1}) {
 		t.Fatalf("mutating the snapshot leaked into the engine: %v", got)
 	}
 }

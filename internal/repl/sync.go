@@ -9,10 +9,9 @@ import (
 
 // Sync re-establishes the replication invariant for every root this node
 // tracks, a level-1 special link included: if this node is the primary it
-// has its current K leaf-set neighbors pull what they lack; if ownership
-// moved (a closer node joined) it has the new primary pull the subtree,
-// keeping its own copy as a replica (Section 4.3.1). Returns the simulated
-// cost.
+// runs the record's owner round (SyncOwned); if ownership moved (a closer
+// node joined) it has the new primary pull the subtree, keeping its own copy
+// as a replica (Section 4.3.1). Returns the simulated cost.
 func (e *Engine) Sync() (total simnet.Cost) {
 	if !e.syncing.CompareAndSwap(false, true) {
 		return 0
@@ -27,15 +26,6 @@ func (e *Engine) Sync() (total simnet.Cost) {
 		e.reg.Observe("op."+obs.OpResync, time.Duration(total))
 		e.tracer.Finish(str, time.Duration(total), nil)
 	}()
-	// fanOut runs one step per replica candidate. The replicas are
-	// independent peers, so the cost is the slowest branch, not the sum.
-	fanOut := func(n int, step func(i int) simnet.Cost) {
-		fan := make([]simnet.Cost, n)
-		for i := range fan {
-			fan[i] = step(i)
-		}
-		total = simnet.Seq(total, simnet.Par(fan...))
-	}
 	// Tracks is in sorted order: map iteration order would otherwise vary
 	// the RPC sequence between runs, breaking seed-exact replay of fault
 	// schedules (the chaos harness's determinism contract).
@@ -45,37 +35,8 @@ func (e *Engine) Sync() (total simnet.Cost) {
 		isRoot, c := e.ov.EnsureRootFor(key)
 		total = simnet.Seq(total, c)
 		if isRoot {
-			// Ask every candidate once and act on the answers. A live root
-			// asks for the hash, which the refresh compares; for a tombstone
-			// versions alone arbitrate.
-			answers, c := e.askCandidates(tc, root, !t.Dead)
+			_, c = e.SyncOwned(tc, t)
 			total = simnet.Seq(total, c)
-			if t.Dead {
-				// Propagate the deletion to any replica still holding a copy
-				// older than the tombstone.
-				fanOut(len(answers), func(i int) simnet.Cost {
-					if h := answers[i]; !h.Exists && h.Ver >= t.Ver {
-						return 0
-					}
-					c, _ := e.peer.Mirror(tc, answers[i].addr, t, FSOp{Kind: FSRemoveAll, Path: root}, false)
-					return c
-				})
-				continue
-			}
-			// Surface any replica-area copy; if a replica holds a newer
-			// version or a newer deletion, adopt it; then refresh every
-			// candidate whose answer differs from what is now here.
-			e.PromoteLocal(t)
-			c, _ = e.adopt(tc, t, answers)
-			total = simnet.Seq(total, c)
-			t.Ver = e.VerOf(root)
-			if e.IsDead(root) {
-				continue
-			}
-			fanOut(len(answers), func(i int) simnet.Cost {
-				c, _ := e.refresh(tc, answers[i].addr, t, answers[i].TreeDigest)
-				return c
-			})
 			continue
 		}
 		res, err := e.ov.Route(key)
@@ -108,30 +69,83 @@ func (e *Engine) Sync() (total simnet.Cost) {
 	return total
 }
 
-// refresh makes target's replica-area copy of the local subtree current,
-// given what target answered when asked (remote, with the hash). The
-// primary's copy is authoritative for its version: a settled replica whose
-// root digest matches is byte-identical and nothing moves (at most it is
-// re-stamped). Otherwise target pulls: it walks the local copy's digest
+// Repair is one replica candidate an owner round changed: it was told of a
+// deletion, re-stamped, or made to pull. Err is the repair's outcome.
+type Repair struct {
+	Cand simnet.Addr
+	Err  error
+}
+
+// SyncOwned is the owner round for one record: Sync runs it for each root
+// this node owns, the maintenance scrub for its owned live records and the
+// rebalancer for each root it retired. Call it only after confirming
+// ownership of t's key (as PromoteLocal requires). Every replica candidate
+// is asked once, and the round acts on the answers. A tombstone is sent to
+// each candidate holding a copy or an older version. For a live record the
+// replica-area copy is surfaced, a newer settled copy or deletion a
+// candidate holds is adopted, and every candidate whose answer differs from
+// what is now here is refreshed — but never from a local copy whose
+// MIGRATION_NOT_COMPLETE flag is up: a partial copy is no one's source
+// (Section 4.4). Returns the repairs sent, in candidate order.
+func (e *Engine) SyncOwned(tc obs.TraceContext, t Track) (repairs []Repair, total simnet.Cost) {
+	// A live root asks for the hash, which the refresh compares; for a
+	// tombstone versions alone arbitrate.
+	answers, total := e.askCandidates(tc, t.Root, !t.Dead)
+	var src string
+	if !t.Dead {
+		e.PromoteLocal(t)
+		c, _ := e.adopt(tc, t, answers)
+		total = simnet.Seq(total, c)
+		t.Ver = e.VerOf(t.Root)
+		var ok bool
+		src, ok = e.LocalTreePath(t.Root)
+		if !ok || e.IsDead(t.Root) || e.DigestLocal(src, false).Flag {
+			return nil, total
+		}
+	}
+	// The candidates are independent peers, so the cost is the slowest
+	// branch, not the sum.
+	fan := make([]simnet.Cost, len(answers))
+	for i, h := range answers {
+		var sent bool
+		var err error
+		if t.Dead {
+			sent = h.Exists || h.Ver < t.Ver
+			if sent {
+				fan[i], err = e.peer.Mirror(tc, h.addr, t, FSOp{Kind: FSRemoveAll, Path: t.Root}, false)
+			}
+		} else {
+			sent, fan[i], err = e.refresh(tc, h.addr, t, src, h.TreeDigest)
+		}
+		if sent {
+			repairs = append(repairs, Repair{h.addr, err})
+		}
+	}
+	return repairs, simnet.Seq(total, simnet.Par(fan...))
+}
+
+// refresh makes target's replica-area copy of the local subtree at src
+// current, given what target answered when asked (remote, with the hash).
+// The primary's copy is authoritative for its version: a settled replica
+// whose root digest matches is byte-identical and nothing moves (at most it
+// is re-stamped). Otherwise target pulls: it walks the local copy's digest
 // listings, descends only into differing directories and fetches only
 // changed files' missing blocks, under its MIGRATION_NOT_COMPLETE flag
-// (Section 4.4).
-func (e *Engine) refresh(tc obs.TraceContext, target simnet.Addr, t Track, remote TreeDigest) (simnet.Cost, error) {
-	src, ok := e.LocalTreePath(t.Root)
-	if !ok {
-		return 0, nil
-	}
+// (Section 4.4). sent reports whether target was sent anything.
+func (e *Engine) refresh(tc obs.TraceContext, target simnet.Addr, t Track, src string, remote TreeDigest) (sent bool, cost simnet.Cost, err error) {
 	local, err := e.mk.DigestOf(src)
 	if err == nil && remote.Exists && !remote.Flag && remote.Root == local {
 		e.digestHits.Add(1)
 		if remote.Ver == t.Ver {
-			return 0, nil
+			return false, 0, nil
 		}
 		// Content matches but the replica's recorded version lags (e.g. it
 		// missed the mirrors but obtained the bytes elsewhere). One
 		// metadata-only op re-stamps it without moving data.
-		return e.peer.Mirror(tc, target, t, FSOp{Kind: FSMkdirAll, Path: t.Root}, false)
+		cost, err = e.peer.Mirror(tc, target, t, FSOp{Kind: FSMkdirAll, Path: t.Root}, false)
+		return true, cost, err
 	}
 	e.digestMisses.Add(1)
-	return e.peer.Pull(tc, target, t, src, false)
+	cost, err = e.peer.Pull(tc, target, t, src, false)
+	return true, cost, err
 }
