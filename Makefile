@@ -236,6 +236,7 @@ loc:
 	t=Track; echo "repl.Track fields: $$($(STRUCT_FIELDS) internal/repl/types.go)"; \
 	t=Overlay; echo "repl.Overlay methods: $$($(IFACE_METHODS) internal/repl/engine.go)"; \
 	t=Host; echo "maint.Host methods: $$($(IFACE_METHODS) internal/maint/maint.go)"; \
+	t=Options; echo "maint.Options fields: $$($(STRUCT_FIELDS) internal/maint/maint.go)"; \
 	t=koshaProcs; echo "koshaProcs rows: $$($(TABLE_ROWS) internal/core/service.go)"; \
 	t=ctlProcs; echo "ctlProcs rows: $$($(TABLE_ROWS) internal/core/ctl.go)"; \
 	awk '/^\tFSMkdirAll FSOpKind/ {in_k=1} in_k && /^\)/ {exit} in_k && /^\tFS[A-Za-z]+/ {n++} END {print "repl.FSOpKind kinds in use:", n}' internal/repl/types.go; \

@@ -172,17 +172,72 @@ func TestScenarioScrubRepairsSilentCorruption(t *testing.T) {
 	}
 }
 
-// TestScenarioScrubRepairsLastRootOfOverBudgetNode: one node owns more
-// records than a round's token budget pays owner rounds for (one token per
-// candidate asked), and two silent faults land on the replica of its last
-// root in root order, on the last candidate.
+// TestScenarioScrubAtKZeroFetchesFromNoNeighbour: with no replicas
+// (Config.Replicas -1, so K = 0) a rotted owner file has no copy anywhere
+// else. The scrub takes K from the replication engine, so the repair names
+// no helper: it fails without a CHUNK_FETCH to a leaf-set neighbour that
+// holds nothing, and the divergence is counted.
+func TestScenarioScrubAtKZeroFetchesFromNoNeighbour(t *testing.T) {
+	const seed = 5151
+	c, err := cluster.New(cluster.Options{
+		Nodes: 4,
+		Seed:  seed,
+		Config: core.Config{
+			Replicas:     -1,
+			AttrCacheTTL: -1,
+			NameCacheTTL: -1,
+			MaintScrub:   true,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := make([]byte, 64<<10)
+	lcgFill(blob, seed)
+	if _, err := c.Mount(0).WriteFile("/solo/blob.bin", blob); err != nil {
+		t.Fatal(err)
+	}
+	c.Stabilize()
+	tickAll(c) // baseline the owner's manifest
+	place, _, err := c.Nodes[0].ResolvePath("/solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owner *core.Node
+	for _, nd := range c.Nodes {
+		if nd.Addr() == place.Node {
+			owner = nd
+		}
+	}
+	if len(owner.Overlay().ReplicaCandidates(1)) == 0 {
+		t.Fatal("the owner has no leaf-set neighbour")
+	}
+	fetches := 0
+	owner.Repl().SetFetchHook(func(simnet.Addr, int) { fetches++ })
+	if err := owner.Store().(localfs.Corrupter).CorruptFile(joinPhys(place.PhysDir(), "blob.bin"), 1024); err != nil {
+		t.Fatal(err)
+	}
+	before := owner.Obs().Counter("maint.scrub.divergences").Load()
+	owner.Maint().Tick()
+	if fetches != 0 {
+		t.Fatalf("%d CHUNK_FETCH round trips at K = 0, want none", fetches)
+	}
+	if owner.Obs().Counter("maint.scrub.divergences").Load() == before {
+		t.Fatal("the rotted file was not verified")
+	}
+}
+
+// TestScenarioScrubRepairsLastRootOfOverBudgetNode: one node tracks more
+// records than a round's token budget pays record steps for (one token per
+// candidate), owns the last of them in root order, and two silent faults
+// land on that root's replica on its last candidate.
 // One file's digest memo there is warm, so only that candidate's own file
 // verification can see the rot; it rebuilds the file with the gatherer, from
 // blocks the owner serves. The other file was rewritten just before the
 // fault, so its memo is cold and the candidate's digest reports the rot;
 // only the owner's exchange, once its cursor reaches the last record,
-// repairs that one. Both must be repaired within ceil(records·K/64) + 1
-// rounds.
+// repairs that one. Both must be repaired within DESIGN §14's coverage
+// bound, ceil(records / floor((TokensPerTick − VerifyFiles) / K)) rounds.
 func TestScenarioScrubRepairsLastRootOfOverBudgetNode(t *testing.T) {
 	const (
 		seed     = 6161
@@ -252,20 +307,14 @@ func TestScenarioScrubRepairsLastRootOfOverBudgetNode(t *testing.T) {
 		t.Fatalf("replicas not converged before fault: %v", err)
 	}
 
-	// The owned live records the owner's exchange visits, counted the way its
-	// scrub does, times the candidates each one asks.
+	// The owner's exchange steps every record it tracks, owned or held, and
+	// each costs one token per candidate.
 	on := byAddr[owner]
-	cands := on.Overlay().ReplicaCandidates(replicas)
-	roots, last := 0, ""
-	for _, tr := range on.Repl().Tracks() {
-		if owns, _ := on.Overlay().EnsureRootFor(core.Key(tr.PN)); owns && !tr.Dead {
-			roots++
-			last = tr.Root
-		}
-	}
-	pairs := roots * len(cands)
-	if pairs <= maint.TokensPerTick {
-		t.Fatalf("owner has %d pairs, want more than %d", pairs, maint.TokensPerTick)
+	cands := on.Repl().Candidates()
+	tracks := on.Repl().Tracks()
+	records, last := len(tracks), tracks[len(tracks)-1].Root
+	if records*len(cands) <= maint.TokensPerTick {
+		t.Fatalf("owner tracks %d records at %d tokens each, want more than %d tokens' worth", records, len(cands), maint.TokensPerTick)
 	}
 	place, _, err := c.Nodes[0].ResolvePath(lastDir)
 	if err != nil {
@@ -274,12 +323,7 @@ func TestScenarioScrubRepairsLastRootOfOverBudgetNode(t *testing.T) {
 	if place.Node != owner || place.SubtreeRoot() != last {
 		t.Fatalf("%s is %s on %s, want the owner's last root %s", lastDir, place.SubtreeRoot(), place.Node, last)
 	}
-	lastCand := cands[0].Addr
-	for _, cd := range cands {
-		if cd.Addr > lastCand {
-			lastCand = cd.Addr
-		}
-	}
+	lastCand := slices.Max(cands)
 	rep := byAddr[lastCand]
 	warmPhys := core.RepPath(joinPhys(place.PhysDir(), "warm.bin"))
 	coldPhys := core.RepPath(joinPhys(place.PhysDir(), "cold.bin"))
@@ -309,7 +353,8 @@ func TestScenarioScrubRepairsLastRootOfOverBudgetNode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bound := (pairs+maint.TokensPerTick-1)/maint.TokensPerTick + 1
+	perRound := (maint.TokensPerTick - maint.VerifyFiles) / max(len(cands), 1)
+	bound := (records + perRound - 1) / perRound
 	repairedIn := -1
 	for round := 1; round <= bound; round++ {
 		tickAll(c)
@@ -319,9 +364,9 @@ func TestScenarioScrubRepairsLastRootOfOverBudgetNode(t *testing.T) {
 		}
 	}
 	if repairedIn < 0 {
-		t.Fatalf("scrub did not repair the last root's replica within %d rounds (%d pairs)", bound, pairs)
+		t.Fatalf("scrub did not repair the last root's replica within %d rounds (%d records)", bound, records)
 	}
-	t.Logf("%d pairs on the owner: repaired in %d of %d rounds", pairs, repairedIn, bound)
+	t.Logf("%d records on the owner: repaired in %d of %d rounds", records, repairedIn, bound)
 	if repairedAt(rep) == repBefore {
 		t.Fatal("the candidate's file verification repaired nothing: warm.bin was not rebuilt by the gatherer")
 	}

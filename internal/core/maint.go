@@ -1,10 +1,11 @@
 package core
 
 // Background-maintenance host adapter: internal/maint owns scheduling and
-// policy, but every placement-aware action a maintenance loop takes —
-// routing a salted name, verifying the level-1 special link that controls a
+// policy, and asks the replication engine who owns a key and who the replica
+// candidates are, but every namespace-aware action a maintenance loop takes
+// — salting a name, verifying the level-1 special link that controls a
 // victim hierarchy, flipping it atomically after a migration — needs the
-// namespace knowledge that lives here. maintHost is that surface.
+// knowledge that lives here. maintHost is that surface.
 
 import (
 	"strings"
@@ -21,29 +22,6 @@ import (
 type maintHost struct{ n *Node }
 
 func (h maintHost) Rep() *repl.Engine { return h.n.rep }
-
-func (h maintHost) Self() simnet.Addr { return h.n.addr }
-
-func (h maintHost) OwnsKey(pn string) (bool, simnet.Cost) {
-	return h.n.overlay.EnsureRootFor(Key(pn))
-}
-
-func (h maintHost) Route(pn string) (simnet.Addr, simnet.Cost, error) {
-	res, err := h.n.overlay.Route(Key(pn))
-	if err != nil {
-		return "", res.Cost, err
-	}
-	return res.Node.Addr, res.Cost, nil
-}
-
-func (h maintHost) Candidates(k int) []simnet.Addr {
-	cands := h.n.overlay.ReplicaCandidates(k)
-	out := make([]simnet.Addr, len(cands))
-	for i, c := range cands {
-		out[i] = c.Addr
-	}
-	return out
-}
 
 func (h maintHost) LocalLoad() pastry.Load { return h.n.loadProvider() }
 

@@ -377,7 +377,6 @@ func NewNodeWithStore(addr simnet.Addr, nodeID id.ID, net simnet.Transport, cfg 
 		Host:      maintHost{n},
 		Registry:  n.reg,
 		Events:    n.events,
-		Replicas:  cfg.Replicas,
 		Scrub:     cfg.MaintScrub,
 		Rebalance: cfg.MaintRebalance,
 		HighWater: cfg.MaintHighWater,

@@ -4,12 +4,16 @@
 // The anti-entropy scrub catches what no foreground event can: silent media
 // corruption (which fires no mutation notification, so every digest memo
 // keeps describing the intended bytes), invalidations lost to crashes, and
-// heal races that left a settled replica diverged. Each round it hash-checks
-// a sampled window of the local block index, re-chunks a sliding window of
-// local files against the manifests replication believes, and runs Sync's
-// owner round (repl.Engine.SyncOwned) over a sliding window of the owned
-// live records: one TREE_DIGEST per replica candidate, adopting a newer
-// settled copy or deletion, and a delta re-sync of each diverged copy.
+// heal races that left a settled replica diverged, a tombstone unseen or a
+// hand-over unmade. Each round it hash-checks a sampled window of the local
+// block index, re-chunks a sliding window of local files against the
+// manifests replication believes, and runs Sync's record step
+// (repl.Engine.SyncRecord) over a sliding window of every tracked record,
+// owned or held, live or dead: Sync on a budget. An owned record gets the
+// owner round (one TREE_DIGEST per replica candidate, adopting a newer
+// settled copy or deletion, a delta re-sync of each diverged copy or the
+// tombstone fanned out); a held one is handed to its owner if the owner
+// lacks it, or the owner is told of a deletion it has not seen.
 //
 // The capacity rebalancer consumes the used/free accounting nodes gossip on
 // leaf-set keep-alive traffic. When local utilization crosses the high-water
@@ -23,7 +27,8 @@
 // and every acknowledged byte remains readable at the source.
 //
 // The engine owns scheduling, budgets, and policy only; each bounded action
-// it takes is a library call on the replication engine or the host node.
+// it takes is a library call on the replication engine (which also answers
+// who owns a key and who the replica candidates are) or the host node.
 // Everything is driven by explicit Tick calls in deterministic order, so
 // simulated clusters replay maintenance exactly from a seed.
 package maint
@@ -43,16 +48,9 @@ import (
 // (salting, link encoding, routed applies) stays behind it in internal/core;
 // the engine sees only bounded, addressable actions.
 type Host interface {
-	// Rep returns the node's replication engine.
+	// Rep returns the node's replication engine: its records, ownership
+	// (Self, Owns, Owner) and replica candidates.
 	Rep() *repl.Engine
-	// Self returns the node's network address.
-	Self() simnet.Addr
-	// OwnsKey reports whether this node is the overlay root for pn's key.
-	OwnsKey(pn string) (bool, simnet.Cost)
-	// Route resolves the current owner of pn's key.
-	Route(pn string) (simnet.Addr, simnet.Cost, error)
-	// Candidates returns the node's current replica candidates.
-	Candidates(k int) []simnet.Addr
 	// LocalLoad reads the contributed store's live capacity accounting.
 	LocalLoad() pastry.Load
 	// PeerLoads returns the freshest gossiped loads, keyed by address.
@@ -82,7 +80,6 @@ type Options struct {
 	Host     Host
 	Registry *obs.Registry
 	Events   *obs.EventLog
-	Replicas int
 
 	// Scrub enables the anti-entropy loop; Rebalance the capacity loop.
 	Scrub     bool
@@ -98,8 +95,9 @@ type Options struct {
 // constants rather than Options.
 const (
 	// TokensPerTick is the shared work budget both loops draw from each
-	// round: one token per replica candidate asked or file verification,
-	// one per MiB migrated (plus one per move).
+	// round: one per file verification, one per replica candidate for each
+	// record stepped (at least one a record), one per MiB migrated (plus one
+	// per move).
 	TokensPerTick = 64
 	// VerifyBlocks caps indexed blocks hash-checked per round (sliding
 	// cursor).
@@ -115,9 +113,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.Replicas <= 0 {
-		o.Replicas = 1
-	}
 	if o.HighWater <= 0 {
 		o.HighWater = 0.8
 	}
@@ -128,12 +123,12 @@ func (o Options) withDefaults() Options {
 }
 
 // cursors is where the scrub's three sweeps stopped: each round resumes just
-// past them and wraps, so every block, file and owned record is reached in
+// past them and wraps, so every block, file and tracked record is reached in
 // turn.
 type cursors struct {
 	block cas.Hash // block-index sampling cursor
 	file  string   // last file verified
-	root  string   // last owned record exchanged for
+	root  string   // last record stepped
 }
 
 // Engine is one node's maintenance engine. Tick runs one bounded round of
@@ -205,16 +200,18 @@ func (e *Engine) Tick() simnet.Cost {
 	return total
 }
 
-// verifyTarget is one local file scheduled for re-chunk verification with
-// the helpers a repair may fetch blocks from.
+// verifyTarget is one local file scheduled for re-chunk verification: the
+// record's placement name and whether the copy sits at the primary path
+// pick the helpers a repair may fetch blocks from.
 type verifyTarget struct {
 	phys    string
-	helpers []repl.BlockSource
+	pn      string
+	primary bool
 }
 
 // scrubRound runs one bounded anti-entropy pass: local block-index
-// verification, file verification against the memoized manifests, then the
-// owner round for a window of the owned live records.
+// verification, file verification against the memoized manifests, then
+// Sync's record step for a window of the tracked records.
 // Verification runs first so a corrupt primary is repaired (or its memo
 // dropped, making its digests honest) before its digests are compared —
 // otherwise the exchange would propagate corruption as truth.
@@ -238,78 +235,40 @@ func (e *Engine) scrubRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 	at.block, _, bad = rep.VerifyBlocks(at.block, VerifyBlocks)
 	e.scrubBadBlocks.Add(uint64(bad))
 
-	// Ownership is asked once per live root per round (each ask can ping): it
-	// picks a file's repair helpers and the records the exchange visits.
-	cands := e.host.Candidates(e.opts.Replicas)
-	var live, mine []repl.Track
-	owned := map[string]bool{}
-	for _, t := range rep.Tracks() {
+	// File verification: walk every live local copy's regular files in
+	// sorted order and re-chunk a budget-bounded window past the cursor.
+	tracks := rep.Tracks()
+	var targets []verifyTarget
+	for _, t := range tracks {
 		if t.Dead {
 			continue
 		}
-		owns, c := e.host.OwnsKey(t.PN)
-		total = simnet.Seq(total, c)
-		live = append(live, t)
-		owned[t.Root] = owns
-		if owns {
-			mine = append(mine, t)
-		}
-	}
-
-	// File verification: walk every local copy's regular files in sorted
-	// order and re-chunk a budget-bounded window past the cursor.
-	var targets []verifyTarget
-	for _, t := range live {
 		src, files := rep.LocalFiles(t.Root)
-		if len(files) == 0 {
-			continue
-		}
-		// A repair fetches blocks from the replica candidates when this is
-		// the primary copy and from the owner when it is a replica; either
-		// way the helper holds the file in the other area.
-		var helpers []simnet.Addr
-		there := repl.RepPath
-		if src != t.Root {
-			there = repl.PrimaryRoot
-		}
-		if owned[t.Root] && src == t.Root {
-			helpers = cands
-		} else if !owned[t.Root] {
-			owner, c, err := e.host.Route(t.PN)
-			total = simnet.Seq(total, c)
-			if err == nil && owner != e.host.Self() {
-				helpers = []simnet.Addr{owner}
-			}
-		}
 		for _, f := range files {
-			hs := make([]repl.BlockSource, len(helpers))
-			for j, a := range helpers {
-				hs[j] = repl.BlockSource{Addr: a, Phys: there(f)}
-			}
-			targets = append(targets, verifyTarget{phys: f, helpers: hs})
+			targets = append(targets, verifyTarget{phys: f, pn: t.PN, primary: src == t.Root})
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].phys < targets[j].phys })
-	total = simnet.Seq(total, e.verifyWindow(tc, targets, &at.file, tokens))
+	cands := rep.Candidates()
+	total = simnet.Seq(total, e.verifyWindow(tc, targets, cands, &at.file, tokens))
 
-	// Exchange: Sync's owner round for each owned live record, in root order
+	// Exchange: Sync's record step for every tracked record, in root order
 	// from just past the cursor, wrapping. A record costs one token per
-	// candidate asked and no record starts that the round cannot pay for, so
-	// a node with more records than one round's budget still reaches every
-	// record: in ceil(records·K/budget) rounds, when K divides the budget,
-	// while the record set holds still. Each candidate repaired is a
-	// divergence.
-	start := sort.Search(len(mine), func(i int) bool { return mine[i].Root > at.root })
-	for k := 0; k < len(mine) && *tokens >= max(len(cands), 1); k++ {
-		t := mine[(start+k)%len(mine)]
+	// replica candidate, at least one, and no record starts that the round
+	// cannot pay for (DESIGN §14 states the coverage bound). Each peer
+	// repaired is a divergence.
+	per := max(len(cands), 1)
+	start := sort.Search(len(tracks), func(i int) bool { return tracks[i].Root > at.root })
+	for k := 0; k < len(tracks) && *tokens >= per; k++ {
+		t := tracks[(start+k)%len(tracks)]
 		at.root = t.Root
-		*tokens -= len(cands)
-		repairs, c := rep.SyncOwned(tc, t)
+		*tokens -= per
+		repairs, c := rep.SyncRecord(tc, t)
 		total = simnet.Seq(total, c)
 		for _, r := range repairs {
 			e.scrubDivergences.Add(1)
 			if e.events != nil {
-				e.events.Add(obs.EvScrubRepair, string(r.Cand), t.Root)
+				e.events.Add(obs.EvScrubRepair, string(r.Node), t.Root)
 			}
 			if r.Err == nil {
 				e.scrubRepaired.Add(1)
@@ -320,15 +279,30 @@ func (e *Engine) scrubRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 }
 
 // verifyWindow verifies up to VerifyFiles targets past the cursor, wrapping
-// at the end of the sorted list so every file is eventually visited.
-func (e *Engine) verifyWindow(tc obs.TraceContext, targets []verifyTarget, cursor *string, tokens *int) simnet.Cost {
+// at the end of the sorted list so every file is eventually visited. A
+// repair fetches blocks from the copies in the other area: the replica
+// candidates' for a copy at the primary path, the key's owner's for one in
+// the replica area (none when that is this node).
+func (e *Engine) verifyWindow(tc obs.TraceContext, targets []verifyTarget, cands []simnet.Addr, cursor *string, tokens *int) simnet.Cost {
 	start := sort.Search(len(targets), func(i int) bool { return targets[i].phys > *cursor })
 	var total simnet.Cost
 	rep := e.host.Rep()
 	for k := 0; k < len(targets) && k < VerifyFiles && *tokens > 0; k++ {
 		tgt := targets[(start+k)%len(targets)]
 		*tokens--
-		outcome, c := rep.VerifyFile(tc, tgt.phys, tgt.helpers)
+		var helpers []repl.BlockSource
+		if tgt.primary {
+			for _, a := range cands {
+				helpers = append(helpers, repl.BlockSource{Addr: a, Phys: repl.RepPath(tgt.phys)})
+			}
+		} else {
+			owner, c, err := rep.Owner(tgt.pn)
+			total = simnet.Seq(total, c)
+			if err == nil && owner != rep.Self() {
+				helpers = []repl.BlockSource{{Addr: owner, Phys: repl.PrimaryRoot(tgt.phys)}}
+			}
+		}
+		outcome, c := rep.VerifyFile(tc, tgt.phys, helpers)
 		total = simnet.Seq(total, c)
 		*cursor = tgt.phys
 		switch outcome {
@@ -336,7 +310,7 @@ func (e *Engine) verifyWindow(tc obs.TraceContext, targets []verifyTarget, curso
 			e.scrubDivergences.Add(1)
 			e.scrubRepaired.Add(1)
 			if e.events != nil {
-				e.events.Add(obs.EvScrubRepair, string(e.host.Self()), tgt.phys)
+				e.events.Add(obs.EvScrubRepair, string(rep.Self()), tgt.phys)
 			}
 		case repl.VerifyFailed:
 			e.scrubDivergences.Add(1)
@@ -368,7 +342,7 @@ func (e *Engine) rebalanceRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 		if t.Dead {
 			continue
 		}
-		owns, c := e.host.OwnsKey(t.PN)
+		owns, c := rep.Owns(t.PN)
 		total = simnet.Seq(total, c)
 		if !owns {
 			continue
@@ -419,6 +393,7 @@ func (e *Engine) rebalanceRound(tc obs.TraceContext, tokens *int) simnet.Cost {
 // readable) copy.
 func (e *Engine) moveVictim(tc obs.TraceContext, v victim, tokens *int) (simnet.Cost, bool) {
 	var total simnet.Cost
+	rep := e.host.Rep()
 	base := e.host.BaseName(v.t.PN)
 	localU := e.host.LocalLoad().Utilization()
 	peers := e.host.PeerLoads()
@@ -431,9 +406,9 @@ func (e *Engine) moveVictim(tc obs.TraceContext, v victim, tokens *int) (simnet.
 		if pn == v.t.PN {
 			continue
 		}
-		addr, c, err := e.host.Route(pn)
+		addr, c, err := rep.Owner(pn)
 		total = simnet.Seq(total, c)
-		if err != nil || addr == e.host.Self() {
+		if err != nil || addr == rep.Self() {
 			continue
 		}
 		ld, known := peers[addr]
@@ -464,7 +439,7 @@ func (e *Engine) moveVictim(tc obs.TraceContext, v victim, tokens *int) (simnet.
 
 	*tokens -= 1 + int(v.bytes>>20)
 	newRoot := e.host.NewStoreRoot(destPN)
-	c, err := e.host.Rep().MigrateTree(tc, destAddr, repl.Track{PN: destPN, Root: newRoot, Ver: v.t.Ver}, v.t.Root)
+	_, c, err := rep.MigrateTree(tc, destAddr, repl.Track{PN: destPN, Root: newRoot, Ver: v.t.Ver}, v.t.Root)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		// Mid-move failure: the migration flag stays armed on the partial
@@ -485,8 +460,8 @@ func (e *Engine) moveVictim(tc obs.TraceContext, v victim, tokens *int) (simnet.
 	// was replaced in place by the link, whose record is the home's: a
 	// tombstone would take the fresh link with it.
 	if v.t.Root != "/"+base {
-		if dead, ok := e.host.Rep().Tombstone(v.t.Root); ok {
-			_, c = e.host.Rep().SyncOwned(tc, dead)
+		if dead, ok := rep.Tombstone(v.t.Root); ok {
+			_, c = rep.SyncOwned(tc, dead)
 			total = simnet.Seq(total, c)
 		}
 	}

@@ -19,8 +19,8 @@ import (
 
 // The engine under test runs over a scripted Host: a real replication engine
 // on a real local store, whose peers are stores held by the test (storePeers)
-// and whose placement answers (ownership, routes, salts, gossiped loads) are
-// maps the test fills in. No network, no overlay: every round's inputs are in
+// and whose placement answers (ownership and routes through the engine's
+// overlay, salts, gossiped loads) are maps the test fills in. No network, no overlay: every round's inputs are in
 // plain sight, and what the engine did is read off the peers' stores, the
 // host's call log and the engine's own counters.
 
@@ -52,7 +52,7 @@ type ask struct {
 func (p *storePeers) at(a simnet.Addr) *peerStore {
 	if p.stores[a] == nil {
 		fs := localfs.New(0, simnet.DiskModel{})
-		eng := repl.New(repl.Options{Self: a, Store: fs, Overlay: noOverlay{}, Peer: hostPeer{p}, Replicas: 1, Key: func(pn string) (k id.ID) { copy(k[:], pn); return k }})
+		eng := repl.New(repl.Options{Self: a, Store: fs, Overlay: noOverlay{}, Peer: hostPeer{p}, Replicas: 1, Key: key})
 		p.stores[a] = &peerStore{fs: fs, eng: eng}
 	}
 	return p.stores[a]
@@ -172,11 +172,27 @@ func (noOverlay) EnsureRootFor(id.ID) (bool, simnet.Cost) { return true, 0 }
 func (noOverlay) ReplicaCandidates(int) []pastry.NodeInfo { return nil }
 func (noOverlay) Route(id.ID) (pastry.RouteResult, error) { return pastry.RouteResult{}, errScripted }
 
-// hostOverlay is the host engine's overlay: it owns every key, as the host
-// does, and names the host's replica candidates.
-type hostOverlay struct {
-	noOverlay
-	h *scriptedHost
+// key is the scripted placement hash: the name's bytes; nameOf inverts it.
+func key(pn string) (k id.ID) {
+	copy(k[:], pn)
+	return k
+}
+
+func nameOf(k id.ID) string { return strings.TrimRight(string(k[:]), "\x00") }
+
+// hostOverlay is the host engine's overlay: it counts the ownership asks,
+// routes each key as the host's placement script says and names the host's
+// replica candidates.
+type hostOverlay struct{ h *scriptedHost }
+
+func (o hostOverlay) EnsureRootFor(k id.ID) (bool, simnet.Cost) {
+	pn := nameOf(k)
+	o.h.ownership[pn]++
+	return o.h.owner(pn) == "self", 0
+}
+
+func (o hostOverlay) Route(k id.ID) (pastry.RouteResult, error) {
+	return pastry.RouteResult{Node: pastry.NodeInfo{Addr: o.h.owner(nameOf(k))}}, nil
 }
 
 func (o hostOverlay) ReplicaCandidates(int) []pastry.NodeInfo {
@@ -188,33 +204,38 @@ func (o hostOverlay) ReplicaCandidates(int) []pastry.NodeInfo {
 }
 
 // scriptedHost is the Host: a real replication engine over a local store
-// plus the placement answers the test scripts. It owns every key, calls every
-// tracked root an eligible victim, salts "base" into "base#attempt", and
-// routes every salted probe to dest.
+// plus the placement answers the test scripts. It owns every key but those
+// named in owners, calls every tracked root an eligible victim, salts "base"
+// into "base#attempt", and routes every salted probe to dest.
 type scriptedHost struct {
 	fs    localfs.FileSystem
 	rep   *repl.Engine
 	peers *storePeers
 	reg   *obs.Registry
 
-	cands []simnet.Addr               // replica candidates
-	dest  simnet.Addr                 // where every re-salted name routes ("" = nowhere)
-	loads map[simnet.Addr]pastry.Load // gossiped peer loads
+	cands  []simnet.Addr               // replica candidates
+	owners map[string]simnet.Addr      // placement names another node owns
+	dest   simnet.Addr                 // where every re-salted name routes ("" = here)
+	loads  map[simnet.Addr]pastry.Load // gossiped peer loads
 
 	relinks   []string       // "base -> new storage root", in order
-	ownership map[string]int // OwnsKey calls per placement name
+	ownership map[string]int // ownership asks per placement name
 }
 
 func (h *scriptedHost) Rep() *repl.Engine                      { return h.rep }
-func (h *scriptedHost) Self() simnet.Addr                      { return "self" }
-func (h *scriptedHost) Candidates(int) []simnet.Addr           { return h.cands }
 func (h *scriptedHost) PeerLoads() map[simnet.Addr]pastry.Load { return h.loads }
 func (h *scriptedHost) BaseName(pn string) string              { return strings.SplitN(pn, "#", 2)[0] }
 func (h *scriptedHost) NewStoreRoot(pn string) string          { return "/moved/" + pn }
 
-func (h *scriptedHost) OwnsKey(pn string) (bool, simnet.Cost) {
-	h.ownership[pn]++
-	return true, 0
+// owner is the node pn's key routes to.
+func (h *scriptedHost) owner(pn string) simnet.Addr {
+	if a, ok := h.owners[pn]; ok {
+		return a
+	}
+	if h.dest != "" && strings.Contains(pn, "#") {
+		return h.dest
+	}
+	return "self"
 }
 
 func (h *scriptedHost) Salt(base string, attempt int) string {
@@ -233,13 +254,6 @@ func (h *scriptedHost) EligibleVictim(obs.TraceContext, repl.Track) (bool, simne
 	return true, 0
 }
 
-func (h *scriptedHost) Route(string) (simnet.Addr, simnet.Cost, error) {
-	if h.dest == "" {
-		return "", 0, errScripted
-	}
-	return h.dest, 0, nil
-}
-
 func (h *scriptedHost) Relink(_ obs.TraceContext, base, _, storeRoot string) (simnet.Cost, error) {
 	h.relinks = append(h.relinks, base+" -> "+storeRoot)
 	return 0, nil
@@ -250,10 +264,11 @@ func newHost(capacity int64) *scriptedHost {
 		fs:        localfs.New(capacity, simnet.DiskModel{}),
 		peers:     &storePeers{stores: map[simnet.Addr]*peerStore{}, asks: map[ask]int{}},
 		reg:       obs.NewRegistry(),
+		owners:    map[string]simnet.Addr{},
 		loads:     map[simnet.Addr]pastry.Load{},
 		ownership: map[string]int{},
 	}
-	h.rep = repl.New(repl.Options{Self: "self", Store: h.fs, Overlay: hostOverlay{h: h}, Peer: h.peers, Replicas: 1, Key: func(pn string) (k id.ID) { copy(k[:], pn); return k }, Registry: h.reg})
+	h.rep = repl.New(repl.Options{Self: "self", Store: h.fs, Overlay: hostOverlay{h}, Peer: h.peers, Replicas: 1, Key: key, Registry: h.reg})
 	h.peers.host = h.rep
 	return h
 }
@@ -283,6 +298,15 @@ func (h *scriptedHost) engine(o Options) *Engine {
 
 func (h *scriptedHost) counter(name string) uint64 { return h.reg.Counter(name).Load() }
 
+// sweepRounds is DESIGN §14's coverage bound: with every round verifying a
+// full VerifyFiles window, a record costing max(candidates, 1) tokens and
+// no record started that a round cannot pay for, every one of records
+// tracked records is stepped within this many consecutive rounds.
+func sweepRounds(records, candidates int) int {
+	perRound := (TokensPerTick - VerifyFiles) / max(candidates, 1)
+	return (records + perRound - 1) / perRound
+}
+
 // TestTokenBudgetEndsScrubRound: one round spends at most TokensPerTick
 // tokens, one per file verification and one per replica candidate asked, and
 // a round that runs out stops exchanging rather than overdrawing.
@@ -306,12 +330,12 @@ func TestTokenBudgetEndsScrubRound(t *testing.T) {
 }
 
 // TestExchangeCursorCoversEveryPair: a node with three rounds' worth of
-// owned records — three candidates each, and as many records as a round has
-// tokens left after its file verifications — runs the owner round for every
-// one of them in ceil(records·K/tokens) = 3 rounds: the cursor resumes past
-// the last record visited and wraps, so a divergence at the very last record
-// is found and repaired. Each candidate of a record costs one TREE_DIGEST ask
-// whether or not it diverged. Reset rewinds.
+// tracked records — three candidates each, and as many records as a round
+// has tokens left after its file verifications — steps every one of them
+// within sweepRounds = 3 rounds: the cursor resumes past the last record
+// visited and wraps, so a divergence at the very last record is found and
+// repaired. Each candidate of a record costs one TREE_DIGEST ask whether or
+// not it diverged. Reset rewinds.
 func TestExchangeCursorCoversEveryPair(t *testing.T) {
 	h := newHost(0)
 	h.cands = []simnet.Addr{"r3", "r1", "r2"}
@@ -319,7 +343,7 @@ func TestExchangeCursorCoversEveryPair(t *testing.T) {
 	for i := 0; i < TokensPerTick-VerifyFiles; i++ {
 		roots = append(roots, h.home(t, fmt.Sprintf("u%03d", i), 8))
 	}
-	rounds := (len(roots)*len(h.cands) + TokensPerTick - VerifyFiles - 1) / (TokensPerTick - VerifyFiles)
+	rounds := sweepRounds(len(roots), len(h.cands))
 	if rounds != 3 {
 		t.Fatalf("%d rounds per sweep, want 3", rounds)
 	}
@@ -447,19 +471,96 @@ func TestFlaggedOwnerCopyIsNoSource(t *testing.T) {
 	}
 }
 
-// TestScrubAsksOwnershipOncePerRoot: a round asks the host who owns a root
-// once, however many of its loops use the answer.
+// TestScrubAsksOwnershipOncePerRoot: a round asks who owns a record once
+// for each record its window steps and never for one outside the window;
+// file verification asks none.
 func TestScrubAsksOwnershipOncePerRoot(t *testing.T) {
 	h := newHost(0)
 	h.cands = []simnet.Addr{"r1"}
-	for _, name := range []string{"alice", "bob", "carol"} {
-		h.home(t, name, 8, 8)
+	const roots = TokensPerTick // more than one round's window
+	for i := 0; i < roots; i++ {
+		h.home(t, fmt.Sprintf("u%03d", i), 8)
 	}
 	h.engine(Options{Scrub: true}).Tick()
-	for _, name := range []string{"alice", "bob", "carol"} {
-		if got := h.ownership[name]; got != 1 {
-			t.Fatalf("OwnsKey(%s) asked %d times in one round, want 1", name, got)
+	window := TokensPerTick - VerifyFiles
+	for i := 0; i < roots; i++ {
+		name := fmt.Sprintf("u%03d", i)
+		want := 0
+		if i < window {
+			want = 1
 		}
+		if got := h.ownership[name]; got != want {
+			t.Fatalf("ownership of %s asked %d times in one round, want %d (the window is the first %d records)", name, got, want, window)
+		}
+	}
+}
+
+// TestScrubDeliversAMissedTombstone: a root tombstoned after its candidate
+// pulled a copy, with no Sync since, is a dead record the scrub steps like
+// any other: within the coverage bound the owner round tells the candidate,
+// whose copy goes and whose record turns dead. The live records ahead of it
+// in root order use up the first round.
+func TestScrubDeliversAMissedTombstone(t *testing.T) {
+	h := newHost(0)
+	h.cands = []simnet.Addr{"r1"}
+	for i := 0; i < TokensPerTick; i++ {
+		h.home(t, fmt.Sprintf("u%03d", i), 8)
+	}
+	root := h.home(t, "zed", 100)
+	h.rep.Sync()
+	r1 := h.peers.at("r1")
+	if _, err := r1.fs.LookupPath(repl.RepPath(root)); err != nil {
+		t.Fatalf("the Sync left r1 no copy: %v", err)
+	}
+	if _, ok := h.rep.Tombstone(root); !ok {
+		t.Fatal("no record to tombstone")
+	}
+
+	e := h.engine(Options{Scrub: true})
+	rounds := sweepRounds(len(h.rep.Tracks()), len(h.cands))
+	for r := 0; r < rounds; r++ {
+		e.Tick()
+	}
+	if _, err := r1.fs.LookupPath(repl.RepPath(root)); err == nil {
+		t.Errorf("r1 still holds a copy of %s after %d scrub rounds", root, rounds)
+	}
+	if !r1.eng.IsDead(root) || r1.eng.VerOf(root) != 2 {
+		t.Errorf("r1 records %s dead %v at version %d, want the tombstone at 2", root, r1.eng.IsDead(root), r1.eng.VerOf(root))
+	}
+}
+
+// TestScrubHandsOverARecordItNoLongerOwns: the host holds a live record
+// whose key now routes to a peer holding nothing. Scrub rounds alone have
+// that peer pull the copy to its primary path at the record's version, and
+// park the host's copy in the replica area.
+func TestScrubHandsOverARecordItNoLongerOwns(t *testing.T) {
+	h := newHost(0)
+	root := h.home(t, "alice", 100, 200)
+	h.owners["alice"] = "n1"
+
+	e := h.engine(Options{Scrub: true})
+	rounds := sweepRounds(len(h.rep.Tracks()), len(h.cands))
+	for r := 0; r < rounds; r++ {
+		e.Tick()
+	}
+	n1 := h.peers.at("n1")
+	for i, size := range []int{100, 200} {
+		name := fmt.Sprintf("/f%02d", i)
+		if got, err := n1.fs.ReadFile(root + name); err != nil || !bytes.Equal(got, payload("alice", i, size)) {
+			t.Errorf("the new owner's %s is %d bytes (err %v), want the host's %d", name, len(got), err, size)
+		}
+		if _, err := h.fs.LookupPath(repl.RepPath(root) + name); err != nil {
+			t.Errorf("the host's %s is not in the replica area: %v", name, err)
+		}
+	}
+	if v := n1.eng.VerOf(root); v != 1 {
+		t.Errorf("the new owner records version %d, want 1", v)
+	}
+	if _, err := h.fs.LookupPath(root); err == nil {
+		t.Error("the host's copy still sits at the primary path")
+	}
+	if got := h.counter("maint.scrub.repaired"); got != 1 {
+		t.Errorf("repaired = %d, want the one hand-over", got)
 	}
 }
 

@@ -1119,7 +1119,7 @@ func TestPullKeepsTheSourceMode(t *testing.T) {
 	t.Run("migrate", func(t *testing.T) {
 		peer := newStorePeer()
 		e, tr := source(t, peer)
-		if _, err := e.MigrateTree(obs.TraceContext{}, "r1", tr, "/proj"); err != nil {
+		if _, _, err := e.MigrateTree(obs.TraceContext{}, "r1", tr, "/proj"); err != nil {
 			t.Fatal(err)
 		}
 		if len(peer.pulls) != 1 || !peer.pulls[0].primary {

@@ -11,10 +11,40 @@ import (
 )
 
 // This file is the engine surface the background maintenance subsystem
-// (internal/maint) is built from: tracked-state snapshots, the anti-entropy
-// verify actions, and subtree migration as a library call; its exchange is
-// Sync's owner round, SyncOwned. The maintenance engine owns scheduling,
-// budgets, and policy; everything here is a single bounded action.
+// (internal/maint) is built from: tracked-state snapshots, ownership over the
+// engine's own overlay, key function and K, the anti-entropy verify actions,
+// and subtree migration as a library call; its exchange is Sync's record
+// step, SyncRecord. The maintenance engine owns scheduling, budgets, and
+// policy; everything here is a single bounded action.
+
+// Self returns this node's address.
+func (e *Engine) Self() simnet.Addr { return e.self }
+
+// Owns reports whether this node is the overlay root for pn's key, pinging
+// a better candidate if need be (Overlay.EnsureRootFor).
+func (e *Engine) Owns(pn string) (bool, simnet.Cost) {
+	return e.ov.EnsureRootFor(e.key(pn))
+}
+
+// Owner resolves the node currently owning pn's key.
+func (e *Engine) Owner(pn string) (simnet.Addr, simnet.Cost, error) {
+	res, err := e.ov.Route(e.key(pn))
+	if err != nil {
+		return "", res.Cost, err
+	}
+	return res.Node.Addr, res.Cost, nil
+}
+
+// Candidates returns the addresses of this node's current K replica
+// candidates.
+func (e *Engine) Candidates() []simnet.Addr {
+	cands := e.ov.ReplicaCandidates(e.replicas)
+	out := make([]simnet.Addr, len(cands))
+	for i, c := range cands {
+		out[i] = c.Addr
+	}
+	return out
+}
 
 // Tracks returns a sorted snapshot of every tracked subtree root's metadata
 // (Root filled in from the map key). Sorted so maintenance walks visit roots
@@ -54,44 +84,45 @@ func (e *Engine) Tombstone(root string) (Track, bool) {
 }
 
 // MigrateTree hands the local subtree at src to target as the primary copy
-// at t.Root: Sync's hand-over to the key's new owner after an ownership
-// change, and a rebalance move, which places an existing hierarchy under a
-// fresh destination root (so src is separate from t.Root). Versions
-// arbitrate: a settled remote copy at least as new as ours wins; otherwise
-// the target surfaces its replica-area copy if that is new enough, or pulls
-// ours (Section 4.3.1) under its own MIGRATION_NOT_COMPLETE flag (Section
-// 4.4). Safe to retry after a mid-move crash: the flag stays armed and the
-// next pull fetches only the blocks that did not arrive.
-func (e *Engine) MigrateTree(tc obs.TraceContext, target simnet.Addr, t Track, src string) (simnet.Cost, error) {
+// at t.Root: the record step's hand-over to the key's new owner after an
+// ownership change, and a rebalance move, which places an existing
+// hierarchy under a fresh destination root (so src is separate from
+// t.Root). Versions arbitrate: a settled remote copy at least as new as
+// ours wins; otherwise the target surfaces its replica-area copy if that is
+// new enough, or pulls ours (Section 4.3.1) under its own
+// MIGRATION_NOT_COMPLETE flag (Section 4.4). Safe to retry after a mid-move
+// crash: the flag stays armed and the next pull fetches only the blocks
+// that did not arrive. sent reports whether target was sent anything.
+func (e *Engine) MigrateTree(tc obs.TraceContext, target simnet.Addr, t Track, src string) (sent bool, cost simnet.Cost, err error) {
 	if _, err := e.store.LookupPath(src); err != nil {
-		return 0, err
+		return false, 0, err
 	}
 	// Only versions arbitrate, but a pull may follow: ask for the hash.
 	remote, cost, err := e.peer.DigestTree(tc, target, t.Root, true)
 	if err != nil {
-		return cost, err
+		return false, cost, err
 	}
 	if remote.Exists && !remote.Flag && remote.Ver >= t.Ver {
-		return cost, nil
+		return false, cost, nil
 	}
 	if !remote.Exists && remote.Ver > t.Ver {
 		// The target knows a strictly newer state and holds no data: that
 		// is a deletion tombstone. Handing it our older copy would resurrect
 		// the hierarchy; leave it and let the tombstone propagate back to us
 		// through the normal sync path.
-		return cost, nil
+		return false, cost, nil
 	}
 	repRemote, c, err := e.peer.DigestTree(tc, target, RepPath(t.Root), true)
 	cost = simnet.Seq(cost, c)
 	if err != nil {
-		return cost, err
+		return false, cost, err
 	}
 	if repRemote.Exists && !repRemote.Flag && repRemote.Ver >= t.Ver && !remote.Exists {
-		_, c, err := e.peer.Promote(tc, target, t)
-		return simnet.Seq(cost, c), err
+		_, c, err = e.peer.Promote(tc, target, t)
+	} else {
+		c, err = e.peer.Pull(tc, target, t, src, true)
 	}
-	c, err = e.peer.Pull(tc, target, t, src, true)
-	return simnet.Seq(cost, c), err
+	return true, simnet.Seq(cost, c), err
 }
 
 // LocalFiles lists the regular files under this node's copy of a tracked

@@ -8,10 +8,8 @@ import (
 )
 
 // Sync re-establishes the replication invariant for every root this node
-// tracks, a level-1 special link included: if this node is the primary it
-// runs the record's owner round (SyncOwned); if ownership moved (a closer
-// node joined) it has the new primary pull the subtree, keeping its own copy
-// as a replica (Section 4.3.1). Returns the simulated cost.
+// tracks, a level-1 special link included, one record step (SyncRecord)
+// each. Returns the simulated cost.
 func (e *Engine) Sync() (total simnet.Cost) {
 	if !e.syncing.CompareAndSwap(false, true) {
 		return 0
@@ -30,63 +28,74 @@ func (e *Engine) Sync() (total simnet.Cost) {
 	// the RPC sequence between runs, breaking seed-exact replay of fault
 	// schedules (the chaos harness's determinism contract).
 	for _, t := range e.Tracks() {
-		root := t.Root
-		key := e.key(t.PN)
-		isRoot, c := e.ov.EnsureRootFor(key)
+		_, c := e.SyncRecord(tc, t)
 		total = simnet.Seq(total, c)
-		if isRoot {
-			_, c = e.SyncOwned(tc, t)
-			total = simnet.Seq(total, c)
-			continue
-		}
-		res, err := e.ov.Route(key)
-		total = simnet.Seq(total, res.Cost)
-		if err != nil || res.Node.Addr == e.self {
-			continue
-		}
-		if t.Dead {
-			// Tell the new owner about the deletion unless it already
-			// knows a state at least as new.
-			td, c, err := e.peer.DigestTree(tc, res.Node.Addr, root, false)
-			total = simnet.Seq(total, c)
-			if err == nil && td.Ver < t.Ver {
-				c, _ = e.peer.Mirror(tc, res.Node.Addr, t, FSOp{Kind: FSRemoveAll, Path: root, Prune: true}, true)
-				total = simnet.Seq(total, c)
-			}
-			continue
-		}
-		// Someone else owns the key now: migrate the subtree to them; our
-		// copy stays behind as one of the replicas (Section 4.3.1), parked
-		// back in the replica area.
-		if src, ok := e.LocalTreePath(root); ok {
-			c, err = e.MigrateTree(tc, res.Node.Addr, t, src)
-			total = simnet.Seq(total, c)
-			if err == nil {
-				e.DemoteLocal(t)
-			}
-		}
 	}
 	return total
 }
 
-// Repair is one replica candidate an owner round changed: it was told of a
-// deletion, re-stamped, or made to pull. Err is the repair's outcome.
+// SyncRecord is the record step, run by Sync for every record and by the
+// maintenance scrub for each record its cursor reaches, owned or held, live
+// or dead. If this node is the primary it runs the record's owner round
+// (SyncOwned). Otherwise ownership moved (a closer node joined): the new
+// owner is told of a deletion it has not seen, or pulls a live subtree,
+// and the local copy stays behind as one of the replicas (Section 4.3.1),
+// parked back in the replica area. Returns the repairs sent: the owner
+// round's, or the one to the new owner.
+func (e *Engine) SyncRecord(tc obs.TraceContext, t Track) ([]Repair, simnet.Cost) {
+	owns, total := e.Owns(t.PN)
+	if owns {
+		repairs, c := e.SyncOwned(tc, t)
+		return repairs, simnet.Seq(total, c)
+	}
+	owner, c, err := e.Owner(t.PN)
+	total = simnet.Seq(total, c)
+	if err != nil || owner == e.self {
+		return nil, total
+	}
+	var sent bool
+	if t.Dead {
+		// Tell the new owner about the deletion unless it already knows a
+		// state at least as new.
+		var td TreeDigest
+		td, c, err = e.peer.DigestTree(tc, owner, t.Root, false)
+		total = simnet.Seq(total, c)
+		if sent = err == nil && td.Ver < t.Ver; sent {
+			c, err = e.peer.Mirror(tc, owner, t, FSOp{Kind: FSRemoveAll, Path: t.Root, Prune: true}, true)
+			total = simnet.Seq(total, c)
+		}
+	} else if src, ok := e.LocalTreePath(t.Root); ok {
+		sent, c, err = e.MigrateTree(tc, owner, t, src)
+		total = simnet.Seq(total, c)
+		if err == nil {
+			e.DemoteLocal(t)
+		}
+	}
+	if !sent {
+		return nil, total
+	}
+	return []Repair{{owner, err}}, total
+}
+
+// Repair is one peer a record step changed: a replica candidate or a new
+// owner told of a deletion, re-stamped, or made to pull. Err is the repair's
+// outcome.
 type Repair struct {
-	Cand simnet.Addr
+	Node simnet.Addr
 	Err  error
 }
 
-// SyncOwned is the owner round for one record: Sync runs it for each root
-// this node owns, the maintenance scrub for its owned live records and the
-// rebalancer for each root it retired. Call it only after confirming
-// ownership of t's key (as PromoteLocal requires). Every replica candidate
-// is asked once, and the round acts on the answers. A tombstone is sent to
-// each candidate holding a copy or an older version. For a live record the
-// replica-area copy is surfaced, a newer settled copy or deletion a
-// candidate holds is adopted, and every candidate whose answer differs from
-// what is now here is refreshed — but never from a local copy whose
-// MIGRATION_NOT_COMPLETE flag is up: a partial copy is no one's source
-// (Section 4.4). Returns the repairs sent, in candidate order.
+// SyncOwned is the owner round for one record: the record step runs it for
+// each root this node owns, and the rebalancer for each root it retired.
+// Call it only after confirming ownership of t's key (as PromoteLocal
+// requires). Every replica candidate is asked once, and the round acts on
+// the answers. A tombstone is sent to each candidate holding a copy or an
+// older version. For a live record the replica-area copy is surfaced, a
+// newer settled copy or deletion a candidate holds is adopted, and every
+// candidate whose answer differs from what is now here is refreshed — but
+// never from a local copy whose MIGRATION_NOT_COMPLETE flag is up: a
+// partial copy is no one's source (Section 4.4). Returns the repairs sent,
+// in candidate order.
 func (e *Engine) SyncOwned(tc obs.TraceContext, t Track) (repairs []Repair, total simnet.Cost) {
 	// A live root asks for the hash, which the refresh compares; for a
 	// tombstone versions alone arbitrate.

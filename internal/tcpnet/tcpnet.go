@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -352,7 +353,9 @@ func (n *Net) dropIdle(to simnet.Addr) {
 // An idle connection can have been closed by the peer (server restart,
 // keepalive timeout), and then so were the others idle beside it: an IO
 // failure on one closes them all and redials once before the failure is
-// reported as unreachability.
+// reported as unreachability. A timeout is not a stale connection: the
+// peer may be running the request still, so it is reported at once and
+// never resent.
 func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, req wire.Frame) ([]byte, simnet.Cost, error) {
 	var frame []byte
 	for attempt := 0; ; attempt++ {
@@ -366,7 +369,7 @@ func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, re
 			break
 		}
 		l.c.Close()
-		if !fresh && attempt == 0 {
+		if !fresh && attempt == 0 && !errors.Is(err, os.ErrDeadlineExceeded) {
 			n.dropIdle(to)
 			continue // stale idle connection; retry on a fresh dial
 		}

@@ -267,6 +267,42 @@ func TestStalePooledConnRedials(t *testing.T) {
 	}
 }
 
+// TestTimeoutOnPooledConnIsNotResent: a call that times out on a reused
+// connection is not taken for a stale one. The peer may still be running
+// the request, so the call fails at once as unreachable and the request is
+// not sent again: the handler runs once.
+func TestTimeoutOnPooledConnIsNotResent(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", simnet.LAN100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const timeout = 200 * time.Millisecond
+	var runs atomic.Int32
+	done := make(chan struct{})
+	srv.Register(srv.Addr(), "slow", func(from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
+		if string(req) == "slow" && runs.Add(1) == 1 {
+			time.Sleep(timeout + timeout/2)
+			close(done)
+		}
+		return req, simnet.Cost(1), nil
+	})
+
+	cli := Dialer("client", simnet.LAN100)
+	cli.Timeout = timeout
+	defer cli.Close()
+	if _, _, err := cli.Call("client", srv.Addr(), "slow", []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cli.Call("client", srv.Addr(), "slow", []byte("slow")); !errors.Is(err, simnet.ErrUnreachable) {
+		t.Fatalf("err = %v, want ErrUnreachable", err)
+	}
+	<-done
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("the handler ran %d times, want once", n)
+	}
+}
+
 // TestFreshDialFailureIsUnreachable ensures the redial loop does not spin:
 // an IO failure on a connection that was just dialed reports unreachability
 // immediately.
@@ -778,9 +814,8 @@ func TestRefreshPullsOverTCP(t *testing.T) {
 
 // TestPullOutlivingItsDeadlineIsNotDoubled: a replica's pull runs longer than
 // the transport deadline, so the primary's kPull fails while the replica
-// keeps pulling. Every kPull that reaches the replica meanwhile — the
-// transport's resend of the timed-out request on a fresh connection, and the
-// next Sync's, which finds the copy flagged — is answered busy at once
+// keeps pulling; the transport does not resend a timed-out request. The
+// next Sync's kPull, which finds the copy flagged, is answered busy at once
 // instead of starting a second walk over the same copy. The first pull then
 // completes alone: the copy is the primary's, unflagged, and one file was
 // rebuilt.
