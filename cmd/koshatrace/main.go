@@ -25,6 +25,10 @@ func main() {
 	nodes := flag.Int("nodes", 200, "machine count for the availability trace")
 	full := flag.Bool("full", false, "availability: emit the full per-node matrix")
 	flag.Parse()
+	if *nodes < 1 {
+		fmt.Fprintf(os.Stderr, "koshatrace: -nodes %d: want at least 1 machine\n", *nodes)
+		os.Exit(2)
+	}
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()

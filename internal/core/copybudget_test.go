@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -131,10 +132,12 @@ func TestFlushCopyBudget(t *testing.T) {
 
 // TestWriteThroughOverwriteAllocs: a 32 KiB write-through Write that
 // overwrites in place (K = 1) lends its data all the way to the two stores,
-// so the client's kApply frame and the primary's kMirror frame each cost a
-// head and the whole write stays under 2 KiB (82.6 KB while each frame was a
-// 40 KiB page-rounded copy of the data). Op tracing is off, as in the
-// benchmark ledger's core.write32k_B case this pins.
+// and the client's kApply frame and the primary's kMirror frame are encoded
+// into pooled codecs, so the whole write costs the two replies' codecs and
+// little else: 880 bytes end to end (1712 while each request allocated its
+// codec, 82.6 KB while each frame was a 40 KiB page-rounded copy of the
+// data). Op tracing is off, as in the benchmark ledger's core.write32k_B
+// case this pins.
 func TestWriteThroughOverwriteAllocs(t *testing.T) {
 	_, nodes := testCluster(t, 4, 87, Config{Replicas: 1, TraceBufSize: -1})
 	m := nodes[0].NewMount()
@@ -157,16 +160,30 @@ func TestWriteThroughOverwriteAllocs(t *testing.T) {
 		write(i)
 	}
 	racetest.SkipAllocs(t)
-	const writes = 64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < writes; i++ {
-		write(i)
+	if per := bytesPerCall(64, write); per > 896 {
+		t.Errorf("a 32 KiB write-through overwrite allocated %d bytes end to end, want <= 896", per)
 	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / writes; per > 2<<10 {
-		t.Errorf("a 32 KiB write-through overwrite allocated %d bytes end to end, want <= 2 KiB", per)
+}
+
+// bytesPerCall reports the heap bytes a call of fn allocates, counted
+// process-wide over n calls: the fewest of three windows, each after a GC
+// and a warm-up call. So every window starts with the pool of request Codecs
+// (wire.GetCodec) holding what the warm-up freed, and a disturbance in one
+// window, a GC or another goroutine's allocation, does not decide the count.
+func bytesPerCall(n int, fn func(i int)) uint64 {
+	least := uint64(math.MaxUint64)
+	for w := 0; w < 3; w++ {
+		runtime.GC()
+		fn(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(n))
 	}
+	return least
 }
 
 // lentNet records the first byte of every body a kMirror frame lends, as the
@@ -405,9 +422,10 @@ func TestHandlersDoNotRetainRequestBuffers(t *testing.T) {
 
 // TestReadIntoAllocs: a 32 KiB write-through read (K = 1) into the caller's
 // buffer has the primary's store fill the buffer itself, so the read
-// allocates the READ's codecs and nothing the size of its data, under 2 KiB
-// end to end (a Read allocates a reply frame of a page-rounded 40 KiB). Op
-// tracing is off, as in the benchmark ledger's core.read32k_B case.
+// allocates the READ's reply codec and nothing the size of its data, 416
+// bytes end to end (832 while the request allocated its codec too; a Read
+// allocates a reply frame of a page-rounded 40 KiB). Op tracing is off, as
+// in the benchmark ledger's core.read32k_B case.
 func TestReadIntoAllocs(t *testing.T) {
 	_, nodes := testCluster(t, 4, 87, Config{Replicas: 1, TraceBufSize: -1})
 	m := nodes[0].NewMount()
@@ -436,15 +454,8 @@ func TestReadIntoAllocs(t *testing.T) {
 	}
 	read(0)
 	racetest.SkipAllocs(t)
-	const reads = 64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < reads; i++ {
-		read(i)
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per > 2<<10 {
-		t.Errorf("a 32 KiB write-through ReadInto allocated %d bytes end to end, want <= 2 KiB", per)
+	if per := bytesPerCall(64, read); per > 416 {
+		t.Errorf("a 32 KiB write-through ReadInto allocated %d bytes end to end, want <= 416", per)
 	}
 }
 

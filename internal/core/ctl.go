@@ -262,8 +262,12 @@ type CtlClient struct {
 	To   simnet.Addr
 }
 
+// call sends one ctl request, encoded into a pooled wire.Codec that is freed
+// once the call has returned, and returns a decoder on the reply, the
+// caller's own buffer, positioned after the ok word.
 func (c *CtlClient) call(proc uint32, vpath string, extra func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
-	e := wire.NewEncoder(256)
+	x := wire.GetCodec()
+	e := &x.E
 	e.PutUint32(proc)
 	e.PutString(vpath)
 	if extra != nil {
@@ -272,6 +276,7 @@ func (c *CtlClient) call(proc uint32, vpath string, extra func(*wire.Encoder)) (
 	f := e.Frame()
 	resp, cost, err := c.Net.CallCtx(obs.TraceContext{}, c.From, c.To, CtlService, wire.Lend(f))
 	wire.EndLend(f)
+	x.Free()
 	if err != nil {
 		return nil, cost, err
 	}

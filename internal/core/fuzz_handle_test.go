@@ -153,7 +153,7 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	// send it, its Track in the old layout with a fifth field, the level-1
 	// link name; it decodes as malformed and is refused.
 	w := applyReq{Key: Key(track.PN), Track: track, Op: FSOp{Kind: FSWrite, Path: file, Offset: 0xe0000003, Data: []byte("lent data")}}
-	lent := w.frame(kApply)
+	lent := w.request(kApply).E.Frame()
 	seeds = append(seeds, koshaSeed{req: lent.AppendTo(nil), lend: uint32(lent.Lent[0].At)<<16 | uint32(len(lent.Lent[0].Body))})
 	for _, svc := range []struct {
 		name  string

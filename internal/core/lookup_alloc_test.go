@@ -16,22 +16,23 @@ import (
 
 // TestLookupPathAllocs pins the allocation count of the uncached metadata
 // path: a 4-component Mount.LookupPath over simnet with the client caches
-// off is one resolver-cache hit and one LOOKUPPATH round trip: 4
-// allocations. Two are the message: the nfs client's codec (its encoder and
-// decoder in one object, with the array the request frame is encoded into)
-// and the reply frame. One is the physical directory, the storage root
-// joined to the levels below it, and one the handle-table row. The server
-// looks every component up where it lies in the request frame
+// off is one resolver-cache hit and one LOOKUPPATH round trip: 3
+// allocations. One is the message, the reply frame: the nfs client's codec
+// (its encoder and decoder in one object, with the array the request frame
+// is encoded into) is a pooled one. One is the physical directory, the
+// storage root joined to the levels below it, and one the handle-table row.
+// The server looks every component up where it lies in the request frame
 // (FileSystem.LookupName) and the resolver's levels are prefixes of the
-// path, so neither costs anything. It was 5 while the request frame was
+// path, so neither costs anything. It was 4 while every call allocated its
+// codec, 5 while the request frame was
 // allocated beside the codec, 7 while the server decoded each name into a
 // string to look it up (a one-byte name cost nothing even then), 14 while
 // the path was split, every level re-joined to probe the resolver cache, the
 // codec was two objects, and the row's path was joined from the components
 // again; the per-component walk before LOOKUPPATH (a GETATTR and four
 // LOOKUPs) spent 36. A ReadFile of the same file is that walk asking for the
-// data too, which the reply frame carries: 4 as well (5, 7, and 15 before
-// that).
+// data too, which the reply frame carries: 3 as well (4, 5, 7, and 15
+// before that).
 // The cached counterpart is pinned beside it: a Mount.Lookup answered by a
 // warm name-cache row publishes one handle-table row and nothing else, no
 // RPC (4 before: the child's path joined twice over and the directory's
@@ -54,11 +55,11 @@ func TestLookupPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n > 4 {
-		t.Errorf("uncached 4-component LookupPath allocates %.1f times, want <= 4", n)
+	if n > 3 {
+		t.Errorf("uncached 4-component LookupPath allocates %.1f times, want <= 3", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { _, _, err = m.ReadFile(file) }); err != nil || n > 4 {
-		t.Errorf("uncached ReadFile of a 1-byte file allocates %.1f times (err=%v), want <= 4", n, err)
+	if n := testing.AllocsPerRun(200, func() { _, _, err = m.ReadFile(file) }); err != nil || n > 3 {
+		t.Errorf("uncached ReadFile of a 1-byte file allocates %.1f times (err=%v), want <= 3", n, err)
 	}
 
 	_, nodes = testCluster(t, 8, 5, Config{DistributionLevel: 2, AttrCacheTTL: time.Hour, NameCacheTTL: time.Hour, TraceBufSize: -1})
@@ -220,7 +221,7 @@ func TestServedReplyDoesNotPinItsRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := applyReq{Op: FSOp{Kind: FSWrite, Path: "/home/f", Data: make([]byte, 1<<20)}}
-	req := r.frame(kApply).AppendTo(nil) // as it arrives over TCP: one flat frame
+	req := r.request(kApply).E.Frame().AppendTo(nil) // as it arrives over TCP: one flat frame
 	freed := make(chan struct{})
 	runtime.SetFinalizer(&req[0], func(*byte) { close(freed) })
 	resp, _, err := handle(obs.TraceContext{}, "peer", req)
@@ -263,7 +264,7 @@ func TestServedMutationAllocatesNoTrackStrings(t *testing.T) {
 	write := FSOp{Kind: FSWrite, Path: "/home/f", Data: []byte("y")}
 	served := func(proc uint32, tr Track) float64 {
 		r := applyReq{Track: tr, Op: write}
-		req := r.frame(proc)
+		req := r.request(proc).E.Frame()
 		var err error
 		serve := func() {
 			var resp []byte
@@ -288,7 +289,7 @@ func TestServedMutationAllocatesNoTrackStrings(t *testing.T) {
 
 	decoded := func(mirror bool, op FSOp) (applyReq, float64) {
 		r := applyReq{Track: tracked, Op: op}
-		req := r.frame(kMirror).AppendTo(nil)[4:]
+		req := r.request(kMirror).E.Frame().AppendTo(nil)[4:]
 		var d wire.Decoder
 		allocs := testing.AllocsPerRun(100, func() {
 			d.Reset(req)

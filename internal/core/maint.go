@@ -88,7 +88,7 @@ func (h maintHost) Relink(tc obs.TraceContext, base, pn, storeRoot string) (simn
 		Track: Track{PN: base, Root: "/" + base},
 		Op:    FSOp{Kind: FSRelink, Path: "/" + base, Target: MakeLinkTarget(pn, storeRoot)},
 	}
-	d, c, err := h.n.koshaCall(tc, res.Node.Addr, r.frame(kApply))
+	d, c, err := h.n.koshaCall(tc, res.Node.Addr, r.request(kApply))
 	if err == nil {
 		getApplyReplyBody(&d)
 		err = d.Err()

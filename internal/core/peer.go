@@ -38,18 +38,20 @@ type enginePeer struct{ n *Node }
 // lands in.
 func (p enginePeer) Mirror(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp, primary bool) (simnet.Cost, error) {
 	r := applyReq{Track: t, Op: op, Primary: primary}
-	return p.n.sendMirror(tc, to, r.frame(kMirror))
+	_, cost, err := p.n.koshaCall(tc, to, r.request(kMirror))
+	return cost, err
 }
 
 // Pull asks to to make its copy of t's hierarchy hold what this node's copy
 // at src holds (kPull); to fetches what it lacks from here.
 func (p enginePeer) Pull(tc obs.TraceContext, to simnet.Addr, t Track, src string, primary bool) (simnet.Cost, error) {
-	e := wire.NewEncoder(128)
+	x := wire.GetCodec()
+	e := &x.E
 	e.PutUint32(kPull)
 	putTrack(e, t)
 	e.PutString(src)
 	e.PutBool(primary)
-	_, cost, err := p.n.koshaCall(tc, to, e.Frame())
+	_, cost, err := p.n.koshaCall(tc, to, x)
 	return cost, err
 }
 
@@ -94,11 +96,13 @@ func (p enginePeer) ChunkManifest(tc obs.TraceContext, to simnet.Addr, phys stri
 // for hashes the remote could not serve. The engine verifies every returned
 // block against its hash, so no verification happens here.
 func (p enginePeer) ChunkFetch(tc obs.TraceContext, to simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
-	e := wire.NewEncoder(64 + len(hashes)*32)
+	x := wire.GetCodec()
+	e := &x.E
+	e.Grow(64 + len(hashes)*32)
 	e.PutUint32(kChunkFetch)
 	e.PutString(phys)
 	cas.PutHashes(e, hashes)
-	d, cost, err := p.n.koshaCall(tc, to, e.Frame())
+	d, cost, err := p.n.koshaCall(tc, to, x)
 	if err != nil {
 		return nil, cost, err
 	}
@@ -122,11 +126,20 @@ var _ repl.Overlay = engineOverlay{}
 
 // --- kosha service (client side) ---
 
-// koshaCall sends one kosha-service request and returns a decoder positioned
-// after the reply's OK code. Anything else is the error: the transport's
-// (noted against the node), a reply too short to carry a code, ErrNotPrimary,
-// or the NFS status the code stands for.
-func (n *Node) koshaCall(tc obs.TraceContext, to simnet.Addr, req wire.Frame) (wire.Decoder, simnet.Cost, error) {
+// koshaCall sends the kosha-service request encoded in x, frees x once the
+// call has returned (the reply is a buffer of its own, never the request's),
+// and returns a decoder positioned after the reply's OK code. Anything else
+// is the error: the transport's (noted against the node), a reply too short
+// to carry a code, ErrNotPrimary, or the NFS status the code stands for.
+func (n *Node) koshaCall(tc obs.TraceContext, to simnet.Addr, x *wire.Codec) (wire.Decoder, simnet.Cost, error) {
+	d, cost, err := n.koshaSend(tc, to, x.E.Frame())
+	x.Free()
+	return d, cost, err
+}
+
+// koshaSend is koshaCall for a request frame its caller frees, so one frame
+// can go to several nodes: the mirror fan-out's.
+func (n *Node) koshaSend(tc obs.TraceContext, to simnet.Addr, req wire.Frame) (wire.Decoder, simnet.Cost, error) {
 	resp, cost, err := n.callKosha(tc, to, req)
 	if err != nil {
 		return wire.Decoder{}, cost, n.noteErr(to, err)
@@ -141,17 +154,18 @@ func (n *Node) koshaCall(tc obs.TraceContext, to simnet.Addr, req wire.Frame) (w
 
 // koshaPathCall is koshaCall for the procedures whose request is one path.
 func (n *Node) koshaPathCall(tc obs.TraceContext, to simnet.Addr, proc uint32, phys string) (wire.Decoder, simnet.Cost, error) {
-	e := wire.NewEncoder(64)
+	x := wire.GetCodec()
+	e := &x.E
 	e.PutUint32(proc)
 	e.PutString(phys)
-	return n.koshaCall(tc, to, e.Frame())
+	return n.koshaCall(tc, to, x)
 }
 
 // apply sends a mutation to the primary that at addresses. A non-nil trace
 // records the serving node, the replica fan-out width, and an apply span.
 func (n *Node) apply(tr *obs.Trace, at site, op FSOp) (localfs.Attr, nfs.Handle, simnet.Cost, error) {
 	r := applyReq{Key: at.key, Track: at.track, Op: op}
-	d, cost, err := n.koshaCall(tr.Ctx(), at.node, r.frame(kApply))
+	d, cost, err := n.koshaCall(tr.Ctx(), at.node, r.request(kApply))
 	if err != nil {
 		return localfs.Attr{}, nfs.Handle{}, cost, err
 	}
@@ -167,22 +181,16 @@ func (n *Node) apply(tr *obs.Trace, at site, op FSOp) (localfs.Attr, nfs.Handle,
 	return attr, fh, cost, nil
 }
 
-// sendMirror ships an encoded kMirror request to one node. A request is
-// immutable once sent, so a fan-out sends one frame to every target.
-func (n *Node) sendMirror(tc obs.TraceContext, to simnet.Addr, frame wire.Frame) (simnet.Cost, error) {
-	_, cost, err := n.koshaCall(tc, to, frame)
-	return cost, err
-}
-
 // remoteDigestTree asks another node what it holds at root (TREE_DIGEST);
 // the reply carries the Merkle root digest when hash asked for it and the
 // root exists.
 func (n *Node) remoteDigestTree(tc obs.TraceContext, to simnet.Addr, root string, hash bool) (TreeDigest, simnet.Cost, error) {
-	e := wire.NewEncoder(64)
+	x := wire.GetCodec()
+	e := &x.E
 	e.PutUint32(kTreeDigest)
 	e.PutString(root)
 	e.PutBool(hash)
-	d, cost, err := n.koshaCall(tc, to, e.Frame())
+	d, cost, err := n.koshaCall(tc, to, x)
 	if err != nil {
 		return TreeDigest{}, cost, err
 	}
@@ -215,10 +223,11 @@ func (n *Node) replicaSet(tc obs.TraceContext, primary simnet.Addr, key id.ID, r
 // askReplicas is the exchange under replicaSet. Only key's current owner
 // answers, the rest say ErrNotPrimary: readdir's check of a long-held handle.
 func (n *Node) askReplicas(tc obs.TraceContext, primary simnet.Addr, key id.ID) ([]simnet.Addr, simnet.Cost, error) {
-	e := wire.NewEncoder(32)
+	x := wire.GetCodec()
+	e := &x.E
 	e.PutUint32(kReplicas)
 	e.PutFixedOpaque(key[:])
-	d, cost, err := n.koshaCall(tc, primary, e.Frame())
+	d, cost, err := n.koshaCall(tc, primary, x)
 	if err != nil {
 		return nil, cost, err
 	}
@@ -286,10 +295,11 @@ func (n *Node) rootHandle(tc obs.TraceContext, to simnet.Addr) (nfs.Handle, simn
 // reports whether the target's state moved — handles resolved before the
 // call may then be stale and must be re-resolved.
 func (n *Node) promote(tc obs.TraceContext, to simnet.Addr, t Track) (changed bool, cost simnet.Cost, err error) {
-	e := wire.NewEncoder(128)
+	x := wire.GetCodec()
+	e := &x.E
 	e.PutUint32(kPromote)
 	putTrack(e, t)
-	d, cost, err := n.koshaCall(tc, to, e.Frame())
+	d, cost, err := n.koshaCall(tc, to, x)
 	if err != nil {
 		return false, cost, err
 	}

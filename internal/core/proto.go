@@ -149,17 +149,17 @@ type applyReq struct {
 	Primary bool
 }
 
-// frame encodes a kApply/kMirror request that lends its data: the op's
+// request encodes a kApply/kMirror request that lends its data: the op's
 // Data and every span's bytes go out from where they lie, and only the head
-// is encoded, into a Codec, which also records the one body a write lends,
-// so a write of any size whose head fits the Codec's array is one
-// allocation. The Codec's decoder is unused.
-func (r *applyReq) frame(proc uint32) wire.Frame {
-	x := wire.NewCodec()
-	e := &x.E
-	e.PutUint32(proc)
-	r.encode(e)
-	return e.Frame()
+// is encoded, into a pooled Codec (wire.GetCodec), which also records the one
+// body a write lends, so a write of any size whose head fits the Codec's
+// array allocates nothing for its request. The caller frees the Codec after
+// its last send; its decoder is unused.
+func (r *applyReq) request(proc uint32) *wire.Codec {
+	x := wire.GetCodec()
+	x.E.PutUint32(proc)
+	r.encode(&x.E)
+	return x
 }
 
 func (r *applyReq) encode(e *wire.Encoder) {

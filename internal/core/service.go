@@ -145,12 +145,13 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 	if len(targets) > 0 {
 		// The request is the same for every replica: encode it once.
 		mr := applyReq{Track: r.Track, Op: r.Op}
-		frame := mr.frame(kMirror)
+		x := mr.request(kMirror)
 		var fanout simnet.Cost // the mirrors run in parallel
 		for _, rep := range targets {
-			c, _ := n.sendMirror(ctx, rep.Addr, frame)
+			_, c, _ := n.koshaSend(ctx, rep.Addr, x.E.Frame())
 			fanout = simnet.Par(fanout, c)
 		}
+		x.Free()
 		n.repCount.Add(1)
 		n.repFanout.Add(uint64(len(targets)))
 		n.repHist.Observe(time.Duration(fanout))

@@ -142,15 +142,18 @@ func (c Client) ResetStats() {
 // *Error beside the decoder, positioned after the status word, for the
 // procedures whose failure replies carry more than the status.
 //
-// A call allocates one object, a wire.Codec: the encoder and the decoder,
-// which escape through build and the returned decoder, the array a request
-// head of up to 264 bytes is encoded into and the record of the one body a
-// WRITE lends or the sink a READ lends; only a larger head grows a frame of
-// its own. The request frame is lent for the call (wire.Lend), so WRITE data
-// goes out from the caller's buffer, and the decoder reads the reply frame
-// wire.ReplyOf gives, so READ data the server put in the sink is read there.
-func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
-	x := wire.NewCodec()
+// A call allocates no object of its own: the request is encoded into a
+// wire.Codec from the pool (wire.GetCodec), whose array holds a head of up to
+// 264 bytes and whose records hold the one body a WRITE lends or the sink a
+// READ lends; only a larger head grows a frame of its own. The request frame
+// is lent for the call (wire.Lend), so WRITE data goes out from the caller's
+// buffer, and the Codec's decoder reads the reply frame wire.ReplyOf gives,
+// so READ data the server put in the sink is read there. The caller frees
+// the Codec it is handed with that decoder once it has decoded the reply;
+// the reply itself, and any data aliasing it, stays the caller's. A call
+// that gets no status back frees the Codec itself and returns nil for both.
+func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wire.Codec, *wire.Decoder, simnet.Cost, error) {
+	x := wire.GetCodec()
 	e := &x.E
 	e.PutUint32(uint32(proc))
 	e.PutUint64(c.s.xid.Add(1))
@@ -168,23 +171,27 @@ func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wir
 	lat.Observe(time.Duration(cost))
 	c.s.bytes.Add(uint64(reply.Len()))
 	if err != nil {
-		return nil, cost, fmt.Errorf("nfs %s to %s: %w", proc, to, err)
+		x.Free()
+		return nil, nil, cost, fmt.Errorf("nfs %s to %s: %w", proc, to, err)
 	}
 	d := &x.D
 	d.ResetFrame(reply)
 	st := Status(d.Uint32())
 	if d.Err() != nil {
-		return nil, cost, fmt.Errorf("nfs %s to %s: bad reply: %w", proc, to, d.Err())
+		err := d.Err()
+		x.Free()
+		return nil, nil, cost, fmt.Errorf("nfs %s to %s: bad reply: %w", proc, to, err)
 	}
 	if st != OK {
-		return d, cost, &Error{Proc: proc, Status: st}
+		return x, d, cost, &Error{Proc: proc, Status: st}
 	}
-	return d, cost, nil
+	return x, d, cost, nil
 }
 
 // MountRoot fetches the export's root handle (the MOUNT protocol's MNT).
 func (c Client) MountRoot(to simnet.Addr) (Handle, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcMountRoot, nil)
+	x, d, cost, err := c.call(to, ProcMountRoot, nil)
+	defer x.Free()
 	if err != nil {
 		return Handle{}, cost, err
 	}
@@ -193,7 +200,8 @@ func (c Client) MountRoot(to simnet.Addr) (Handle, simnet.Cost, error) {
 
 // Getattr fetches attributes for h.
 func (c Client) Getattr(to simnet.Addr, h Handle) (localfs.Attr, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcGetattr, func(e *wire.Encoder) { putHandle(e, h) })
+	x, d, cost, err := c.call(to, ProcGetattr, func(e *wire.Encoder) { putHandle(e, h) })
+	defer x.Free()
 	if err != nil {
 		return localfs.Attr{}, cost, err
 	}
@@ -202,10 +210,11 @@ func (c Client) Getattr(to simnet.Addr, h Handle) (localfs.Attr, simnet.Cost, er
 
 // Setattr updates attributes on h.
 func (c Client) Setattr(to simnet.Addr, h Handle, sa localfs.SetAttr) (localfs.Attr, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcSetattr, func(e *wire.Encoder) {
+	x, d, cost, err := c.call(to, ProcSetattr, func(e *wire.Encoder) {
 		putHandle(e, h)
 		PutSetAttr(e, sa)
 	})
+	defer x.Free()
 	if err != nil {
 		return localfs.Attr{}, cost, err
 	}
@@ -214,10 +223,11 @@ func (c Client) Setattr(to simnet.Addr, h Handle, sa localfs.SetAttr) (localfs.A
 
 // Lookup resolves name within directory dir.
 func (c Client) Lookup(to simnet.Addr, dir Handle, name string) (Handle, localfs.Attr, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcLookup, func(e *wire.Encoder) {
+	x, d, cost, err := c.call(to, ProcLookup, func(e *wire.Encoder) {
 		putHandle(e, dir)
 		e.PutString(name)
 	})
+	defer x.Free()
 	if err != nil {
 		return Handle{}, localfs.Attr{}, cost, err
 	}
@@ -237,13 +247,14 @@ func (c Client) Lookup(to simnet.Addr, dir Handle, name string) (Handle, localfs
 // the reply ends in that READ's eof flag and data, up to readMax bytes from
 // offset 0. With readMax 0 the request and reply carry no such words.
 func (c Client) Walk(to simnet.Addr, start Handle, p string, readMax uint32) (Walked, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcLookupPath, func(e *wire.Encoder) {
+	x, d, cost, err := c.call(to, ProcLookupPath, func(e *wire.Encoder) {
 		putHandle(e, start)
 		putPath(e, p)
 		if readMax > 0 {
 			e.PutUint32(readMax)
 		}
 	})
+	defer x.Free()
 	if d == nil {
 		return Walked{}, cost, err
 	}
@@ -269,7 +280,8 @@ func (c Client) Walk(to simnet.Addr, start Handle, p string, readMax uint32) (Wa
 
 // Readlink returns the target of symlink h.
 func (c Client) Readlink(to simnet.Addr, h Handle) (string, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcReadlink, func(e *wire.Encoder) { putHandle(e, h) })
+	x, d, cost, err := c.call(to, ProcReadlink, func(e *wire.Encoder) { putHandle(e, h) })
+	defer x.Free()
 	if err != nil {
 		return "", cost, err
 	}
@@ -291,7 +303,7 @@ func (c Client) Read(to simnet.Addr, h Handle, offset int64, count int) ([]byte,
 // lent and the data is the reply frame's own bytes, as Read's. A reply
 // longer than count is a bad reply and leaves dst's storage untouched.
 func (c Client) ReadInto(to simnet.Addr, h Handle, offset int64, count int, dst []byte) ([]byte, bool, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcRead, func(e *wire.Encoder) {
+	x, d, cost, err := c.call(to, ProcRead, func(e *wire.Encoder) {
 		putHandle(e, h)
 		e.PutInt64(offset)
 		e.PutUint32(uint32(count))
@@ -299,6 +311,7 @@ func (c Client) ReadInto(to simnet.Addr, h Handle, offset int64, count int, dst 
 			e.LendSink(dst)
 		}
 	})
+	defer x.Free()
 	if err != nil {
 		return dst, false, cost, err
 	}
@@ -324,12 +337,13 @@ func (c Client) ReadInto(to simnet.Addr, h Handle, offset int64, count int, dst 
 // client's readahead. The reply concatenates the pieces; eof reports whether
 // the file ended within the window. Like Read, the data is the reply frame's.
 func (c Client) ReadStream(to simnet.Addr, h Handle, offset int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcReadStream, func(e *wire.Encoder) {
+	x, d, cost, err := c.call(to, ProcReadStream, func(e *wire.Encoder) {
 		putHandle(e, h)
 		e.PutInt64(offset)
 		e.PutUint32(uint32(chunk))
 		e.PutUint32(uint32(chunks))
 	})
+	defer x.Free()
 	if err != nil {
 		return nil, false, cost, err
 	}
@@ -340,11 +354,12 @@ func (c Client) ReadStream(to simnet.Addr, h Handle, offset int64, chunk, chunks
 // Write stores data into h at offset. data is lent to the request frame,
 // not copied: it must not change until Write returns.
 func (c Client) Write(to simnet.Addr, h Handle, offset int64, data []byte) (int, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcWrite, func(e *wire.Encoder) {
+	x, d, cost, err := c.call(to, ProcWrite, func(e *wire.Encoder) {
 		putHandle(e, h)
 		e.PutInt64(offset)
 		e.PutOpaqueRef(data)
 	})
+	defer x.Free()
 	if err != nil {
 		return 0, cost, err
 	}
@@ -353,12 +368,13 @@ func (c Client) Write(to simnet.Addr, h Handle, offset int64, data []byte) (int,
 
 // Create makes a regular file in dir.
 func (c Client) Create(to simnet.Addr, dir Handle, name string, mode uint32, exclusive bool) (Handle, localfs.Attr, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcCreate, func(e *wire.Encoder) {
+	x, d, cost, err := c.call(to, ProcCreate, func(e *wire.Encoder) {
 		putHandle(e, dir)
 		e.PutString(name)
 		e.PutUint32(mode)
 		e.PutBool(exclusive)
 	})
+	defer x.Free()
 	if err != nil {
 		return Handle{}, localfs.Attr{}, cost, err
 	}
@@ -368,11 +384,12 @@ func (c Client) Create(to simnet.Addr, dir Handle, name string, mode uint32, exc
 
 // Mkdir makes a directory in dir.
 func (c Client) Mkdir(to simnet.Addr, dir Handle, name string, mode uint32) (Handle, localfs.Attr, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcMkdir, func(e *wire.Encoder) {
+	x, d, cost, err := c.call(to, ProcMkdir, func(e *wire.Encoder) {
 		putHandle(e, dir)
 		e.PutString(name)
 		e.PutUint32(mode)
 	})
+	defer x.Free()
 	if err != nil {
 		return Handle{}, localfs.Attr{}, cost, err
 	}
@@ -382,11 +399,12 @@ func (c Client) Mkdir(to simnet.Addr, dir Handle, name string, mode uint32) (Han
 
 // Symlink makes a symbolic link in dir.
 func (c Client) Symlink(to simnet.Addr, dir Handle, name, target string) (Handle, localfs.Attr, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcSymlink, func(e *wire.Encoder) {
+	x, d, cost, err := c.call(to, ProcSymlink, func(e *wire.Encoder) {
 		putHandle(e, dir)
 		e.PutString(name)
 		e.PutString(target)
 	})
+	defer x.Free()
 	if err != nil {
 		return Handle{}, localfs.Attr{}, cost, err
 	}
@@ -396,41 +414,45 @@ func (c Client) Symlink(to simnet.Addr, dir Handle, name, target string) (Handle
 
 // Remove unlinks a file or symlink.
 func (c Client) Remove(to simnet.Addr, dir Handle, name string) (simnet.Cost, error) {
-	_, cost, err := c.call(to, ProcRemove, func(e *wire.Encoder) {
+	x, _, cost, err := c.call(to, ProcRemove, func(e *wire.Encoder) {
 		putHandle(e, dir)
 		e.PutString(name)
 	})
+	x.Free()
 	return cost, err
 }
 
 // Rmdir removes an empty directory.
 func (c Client) Rmdir(to simnet.Addr, dir Handle, name string) (simnet.Cost, error) {
-	_, cost, err := c.call(to, ProcRmdir, func(e *wire.Encoder) {
+	x, _, cost, err := c.call(to, ProcRmdir, func(e *wire.Encoder) {
 		putHandle(e, dir)
 		e.PutString(name)
 	})
+	x.Free()
 	return cost, err
 }
 
 // Rename moves fromName in fromDir to toName in toDir on the same server.
 func (c Client) Rename(to simnet.Addr, fromDir Handle, fromName string, toDir Handle, toName string) (simnet.Cost, error) {
-	_, cost, err := c.call(to, ProcRename, func(e *wire.Encoder) {
+	x, _, cost, err := c.call(to, ProcRename, func(e *wire.Encoder) {
 		putHandle(e, fromDir)
 		e.PutString(fromName)
 		putHandle(e, toDir)
 		e.PutString(toName)
 	})
+	x.Free()
 	return cost, err
 }
 
 // Readdir reads one page of directory entries starting at cookie; count 0
 // means "all remaining".
 func (c Client) Readdir(to simnet.Addr, dir Handle, cookie uint64, count int) ([]DirEntry, bool, uint64, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcReaddir, func(e *wire.Encoder) {
+	x, d, cost, err := c.call(to, ProcReaddir, func(e *wire.Encoder) {
 		putHandle(e, dir)
 		e.PutUint64(cookie)
 		e.PutUint32(uint32(count))
 	})
+	defer x.Free()
 	if err != nil {
 		return nil, false, 0, cost, err
 	}
@@ -473,11 +495,12 @@ func (c Client) ReaddirAll(to simnet.Addr, dir Handle, pageSize int) ([]DirEntry
 // ReaddirPlus reads one page of directory entries with handles and
 // attributes, starting at cookie; count 0 means "all remaining".
 func (c Client) ReaddirPlus(to simnet.Addr, dir Handle, cookie uint64, count int) ([]DirEntryPlus, bool, uint64, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcReaddirPlus, func(e *wire.Encoder) {
+	x, d, cost, err := c.call(to, ProcReaddirPlus, func(e *wire.Encoder) {
 		putHandle(e, dir)
 		e.PutUint64(cookie)
 		e.PutUint32(uint32(count))
 	})
+	defer x.Free()
 	if err != nil {
 		return nil, false, 0, cost, err
 	}
@@ -528,7 +551,8 @@ func (c Client) ReaddirPlusAll(to simnet.Addr, dir Handle, pageSize int) ([]DirE
 
 // FSStat fetches capacity accounting from the server exporting root.
 func (c Client) FSStat(to simnet.Addr, root Handle) (FSStat, simnet.Cost, error) {
-	d, cost, err := c.call(to, ProcFSStat, func(e *wire.Encoder) { putHandle(e, root) })
+	x, d, cost, err := c.call(to, ProcFSStat, func(e *wire.Encoder) { putHandle(e, root) })
+	defer x.Free()
 	if err != nil {
 		return FSStat{}, cost, err
 	}

@@ -669,16 +669,18 @@ func (n *Node) Leave() simnet.Cost {
 
 // --- RPC client stubs ---
 
-func (n *Node) call(to simnet.Addr, proc uint32, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
+func (n *Node) call(to simnet.Addr, proc uint32, build func(*wire.Encoder)) (*wire.Codec, *wire.Decoder, simnet.Cost, error) {
 	return n.callCtx(obs.TraceContext{}, to, proc, build)
 }
 
 // callCtx is call with trace-context propagation: a valid context rides the
 // RPC envelope, so the peer's transport layer records a server span for the
-// hop. A call allocates one object, a wire.Codec: the request frame is
-// encoded into its array and the reply decoded by its decoder.
-func (n *Node) callCtx(tc obs.TraceContext, to simnet.Addr, proc uint32, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
-	x := wire.NewCodec()
+// hop. The request frame is encoded into the array of a wire.Codec from the
+// pool and the reply decoded by its decoder, so a call allocates nothing of
+// its own; the caller frees the Codec once it has decoded the reply. A
+// failed call frees the Codec itself and returns nil for both.
+func (n *Node) callCtx(tc obs.TraceContext, to simnet.Addr, proc uint32, build func(*wire.Encoder)) (*wire.Codec, *wire.Decoder, simnet.Cost, error) {
+	x := wire.GetCodec()
 	e := &x.E
 	e.PutUint32(proc)
 	if build != nil {
@@ -686,22 +688,25 @@ func (n *Node) callCtx(tc obs.TraceContext, to simnet.Addr, proc uint32, build f
 	}
 	resp, cost, err := n.net.CallCtx(tc, n.Info().Addr, to, Service, e.Bytes())
 	if err != nil {
-		return nil, cost, err
+		x.Free()
+		return nil, nil, cost, err
 	}
 	x.D.Reset(resp)
-	return &x.D, cost, nil
+	return x, &x.D, cost, nil
 }
 
 func (n *Node) rpcPing(to simnet.Addr) (simnet.Cost, error) {
-	_, cost, err := n.call(to, pPing, nil)
+	x, _, cost, err := n.call(to, pPing, nil)
+	x.Free()
 	return cost, err
 }
 
 func (n *Node) rpcNextHop(tc obs.TraceContext, to simnet.Addr, key id.ID, excluded []id.ID) (NodeInfo, bool, simnet.Cost, error) {
-	d, cost, err := n.callCtx(tc, to, pNextHop, func(e *wire.Encoder) {
+	x, d, cost, err := n.callCtx(tc, to, pNextHop, func(e *wire.Encoder) {
 		e.PutFixedOpaque(key[:])
 		putIDs(e, excluded)
 	})
+	defer x.Free()
 	if err != nil {
 		return NodeInfo{}, false, cost, err
 	}
@@ -714,15 +719,21 @@ func (n *Node) rpcNextHop(tc obs.TraceContext, to simnet.Addr, key id.ID, exclud
 }
 
 func (n *Node) rpcGetState(to simnet.Addr) ([]NodeInfo, simnet.Cost, error) {
-	d, cost, err := n.call(to, pGetState, nil)
-	if err != nil {
-		return nil, cost, err
-	}
-	return getNodeInfos(d), cost, d.Err()
+	return n.rpcNodeInfos(to, pGetState, nil)
 }
 
 func (n *Node) rpcGetLeafSet(to simnet.Addr) ([]NodeInfo, simnet.Cost, error) {
-	d, cost, err := n.call(to, pGetLeafSet, nil)
+	return n.rpcNodeInfos(to, pGetLeafSet, nil)
+}
+
+func (n *Node) rpcGetRow(to simnet.Addr, row int) ([]NodeInfo, simnet.Cost, error) {
+	return n.rpcNodeInfos(to, pGetRow, func(e *wire.Encoder) { e.PutUint32(uint32(row)) })
+}
+
+// rpcNodeInfos is the exchange of the procedures whose reply is a node list.
+func (n *Node) rpcNodeInfos(to simnet.Addr, proc uint32, build func(*wire.Encoder)) ([]NodeInfo, simnet.Cost, error) {
+	x, d, cost, err := n.call(to, proc, build)
+	defer x.Free()
 	if err != nil {
 		return nil, cost, err
 	}
@@ -730,10 +741,11 @@ func (n *Node) rpcGetLeafSet(to simnet.Addr) ([]NodeInfo, simnet.Cost, error) {
 }
 
 func (n *Node) rpcNotify(to simnet.Addr, who NodeInfo) (simnet.Cost, error) {
-	d, cost, err := n.call(to, pNotify, func(e *wire.Encoder) {
+	x, d, cost, err := n.call(to, pNotify, func(e *wire.Encoder) {
 		putNodeInfo(e, who)
 		putLoad(e, n.localLoad())
 	})
+	defer x.Free()
 	if err != nil {
 		return cost, err
 	}
@@ -745,16 +757,9 @@ func (n *Node) rpcNotify(to simnet.Addr, who NodeInfo) (simnet.Cost, error) {
 	return cost, nil
 }
 
-func (n *Node) rpcGetRow(to simnet.Addr, row int) ([]NodeInfo, simnet.Cost, error) {
-	d, cost, err := n.call(to, pGetRow, func(e *wire.Encoder) { e.PutUint32(uint32(row)) })
-	if err != nil {
-		return nil, cost, err
-	}
-	return getNodeInfos(d), cost, d.Err()
-}
-
 func (n *Node) rpcRemoveNode(to simnet.Addr, dead id.ID) (simnet.Cost, error) {
-	_, cost, err := n.call(to, pRemoveNode, func(e *wire.Encoder) { e.PutFixedOpaque(dead[:]) })
+	x, _, cost, err := n.call(to, pRemoveNode, func(e *wire.Encoder) { e.PutFixedOpaque(dead[:]) })
+	x.Free()
 	return cost, err
 }
 

@@ -218,6 +218,11 @@ const smallFrame = 264
 // as long as the Codec does, and a Codec kept alive by its frame keeps alive
 // whatever its decoder reads: point D at nil (D.Reset(nil)) before handing
 // E's bytes away.
+//
+// A request is encoded into a Codec from GetCodec and freed (Free) once its
+// call has returned and its reply has been decoded: no transport and no
+// handler keeps a request past its call (DESIGN §10), so the head is dead
+// then. A reply is the caller's to keep, so it is encoded into a NewCodec.
 type Codec struct {
 	E     Encoder
 	D     Decoder
@@ -225,12 +230,75 @@ type Codec struct {
 	small [smallFrame]byte
 }
 
-// NewCodec returns a Codec whose encoder starts on the Codec's own array.
-func NewCodec() *Codec {
-	c := new(Codec)
+// NewCodec returns a Codec whose encoder starts on the Codec's own array:
+// the one for a reply, which its caller keeps.
+func NewCodec() *Codec { return new(Codec).start() }
+
+func (c *Codec) start() *Codec {
 	c.E.Use(c.small[:])
 	c.E.lent = c.lent[:0]
 	return c
+}
+
+// codecs holds the freed request Codecs. Free leaves nothing in one that
+// points outside it, so the pool pins no frame, reply or body.
+var codecs = sync.Pool{New: func() any { return new(Codec) }}
+
+// GetCodec returns a Codec for a request, as NewCodec does but recycled from
+// the pool: its caller frees it once the call has returned and the reply has
+// been decoded.
+func GetCodec() *Codec { return codecs.Get().(*Codec).start() }
+
+// Free returns a Codec from GetCodec to the pool. Nothing may use c, a frame
+// it encoded or a slice of its head afterwards. It resets the decoder to
+// nil, clears the records of the bodies and the sink the frame lent, and
+// drops a head that grew past the array, so the pooled Codec holds no
+// reply, request or body, nor a large frame. A nil c is a no-op, for a call
+// that failed before it had a reply.
+func (c *Codec) Free() {
+	if c == nil {
+		return
+	}
+	if poisonFreed.Load() {
+		c.poison()
+	} else {
+		clear(c.E.lent)
+		c.lent = [1]Lent{}
+	}
+	c.D = Decoder{}
+	c.E = Encoder{}
+	codecs.Put(c)
+}
+
+// Poison is the byte a freed Codec's head is filled with while PoisonFreed is
+// on, so a use after Free shows as a run of it where data was expected.
+const Poison = 0xDB
+
+var (
+	poisonFreed atomic.Bool
+	poisonBody  = bytes.Repeat([]byte{Poison}, 16)
+)
+
+func init() { poisonFreed.Store(raceEnabled) }
+
+// PoisonFreed sets whether Free fills a Codec's head, the array and any
+// larger head it grew, with Poison and points its lent records at a body of
+// Poison before pooling it, and returns the previous setting. It is on in a
+// binary built with the race detector, so the raced tests run every call
+// path against recycled heads; a test turns it on to do the same without.
+func PoisonFreed(on bool) bool { return poisonFreed.Swap(on) }
+
+func (c *Codec) poison() {
+	for _, head := range [][]byte{c.small[:], c.E.buf[:cap(c.E.buf)]} {
+		for i := range head {
+			head[i] = Poison
+		}
+	}
+	for _, lent := range [][]Lent{c.lent[:], c.E.lent[:cap(c.E.lent)]} {
+		for i := range lent {
+			lent[i] = Lent{At: -1, Body: poisonBody}
+		}
+	}
 }
 
 // Lent is one body lent to a frame: Body's bytes sit in the joined frame
