@@ -55,6 +55,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if *stabilize <= 0 {
+		fmt.Fprintf(os.Stderr, "koshad: -stabilize %v: the stabilization interval must be positive\n", *stabilize)
+		os.Exit(2)
+	}
 
 	tn, err := tcpnet.Listen(*listen, simnet.LAN100)
 	if err != nil {

@@ -1,6 +1,52 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the tests below re-execute the test binary as koshad.
+func TestMain(m *testing.M) {
+	if os.Getenv("KOSHAD_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// koshad runs the command with args and returns its exit code and output.
+func koshad(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "KOSHAD_AS_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode(), out.String(), errOut.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, out.String(), errOut.String()
+}
+
+// A non-positive -stabilize is refused with exit status 2 before the
+// listener opens: the -listen address here has no port, so a daemon that
+// got as far as listening would exit 1 with a listen error instead. It used
+// to join the overlay and then panic in time.NewTicker.
+func TestNonPositiveStabilizeIsRefused(t *testing.T) {
+	for _, v := range []string{"0", "-1s"} {
+		code, stdout, stderr := koshad(t, "-listen", "no-port", "-stabilize", v)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-stabilize") || strings.Contains(stderr, "panic") {
+			t.Errorf("koshad -stabilize %s: exit %d, stdout %q, stderr %q; want exit 2, no output and a -stabilize message",
+				v, code, stdout, stderr)
+		}
+	}
+}
 
 func TestParseSize(t *testing.T) {
 	cases := map[string]int64{

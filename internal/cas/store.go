@@ -121,7 +121,7 @@ func (s *Store) Forget(path string) {
 // ForgetTree drops p and every indexed file under it. This is the
 // invalidation hook: merkle invalidations (driven by the store's mutation
 // notifier) forward here, so writes and removes release references
-// immediately.
+// immediately. It keeps nothing of p, which a mutation hook is only lent.
 func (s *Store) ForgetTree(p string) {
 	p = localfs.CleanPath(p)
 	s.mu.Lock()

@@ -19,8 +19,10 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // File types, mirroring NFSv3 ftype3 values we support.
@@ -337,6 +339,9 @@ type FS struct {
 	// notify holds mutation subscribers (OnMutation). Hooks run with f.mu
 	// held, so they must not call back into the file system.
 	notify []func(path string)
+	// path is the scratch pathOf builds a notified path in, lent to the
+	// hooks; it is written only under f.mu's write lock.
+	path []byte
 }
 
 // MutationNotifier is implemented by stores that report successful
@@ -346,6 +351,11 @@ type MutationNotifier interface {
 	// OnMutation registers fn to be called with the affected store path
 	// after every successful mutating operation. fn runs under the store's
 	// internal lock: it must be fast and must not call back into the store.
+	// The path is lent to fn, as a request is lent to its handler: it is
+	// valid only until fn returns, and fn copies it (strings.Clone) to keep
+	// any of it. localfs builds it in a scratch it reuses for the next
+	// mutation, and poisons that once the hooks have returned
+	// (wire.PoisonLent).
 	OnMutation(fn func(path string))
 }
 
@@ -468,15 +478,18 @@ func (f *FS) OnMutation(fn func(path string)) {
 	f.mu.Unlock()
 }
 
-// noteMutation reports a successful mutation at p. Caller holds f.mu.
+// noteMutation reports a successful mutation at p. Caller holds f.mu for
+// writing. p may be a view of f.path (pathOf), which is poisoned once the
+// last hook has returned, so a hook that kept it finds wire.Poison.
 func (f *FS) noteMutation(p string) {
 	for _, fn := range f.notify {
 		fn(p)
 	}
+	wire.PoisonLent(f.path[:cap(f.path)])
 }
 
 // noteInode reports a successful mutation of in, building its path only when
-// someone subscribes. Caller holds f.mu.
+// someone subscribes. Caller holds f.mu for writing.
 func (f *FS) noteInode(in *inode) {
 	if len(f.notify) > 0 {
 		f.noteMutation(f.pathOf(in))
@@ -484,9 +497,11 @@ func (f *FS) noteInode(in *inode) {
 }
 
 // pathOf reconstructs an inode's absolute path from its parent/name
-// backpointers, for mutation notifications on handle-based ops, in one
-// allocation sized from the parent chain. Caller holds f.mu. Returns "" for
-// unlinked inodes.
+// backpointers, for mutation notifications on handle-based ops. It builds
+// the path in f.path, which grows only for a path longer than any before, and
+// returns a view of it: valid until the next pathOf, and lent to the hooks
+// (MutationNotifier). Caller holds f.mu for writing. Returns "" for unlinked
+// inodes.
 func (f *FS) pathOf(in *inode) string {
 	if in == f.root {
 		return "/"
@@ -498,18 +513,17 @@ func (f *FS) pathOf(in *inode) string {
 		}
 		n += 1 + len(cur.name)
 	}
-	var b strings.Builder
-	b.Grow(n)
-	f.writePath(&b, in)
-	return b.String()
-}
-
-func (f *FS) writePath(b *strings.Builder, in *inode) {
-	if in != f.root {
-		f.writePath(b, in.parent)
-		b.WriteByte('/')
-		b.WriteString(in.name)
+	if n > cap(f.path) {
+		f.path = make([]byte, 0, max(n, 2*cap(f.path)))
 	}
+	b := f.path[:n]
+	for cur := in; cur != f.root; cur = cur.parent {
+		n -= len(cur.name)
+		copy(b[n:], cur.name)
+		n--
+		b[n] = '/'
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 // CleanPath returns path.Clean("/" + p): p as an absolute path with no empty,
@@ -999,6 +1013,8 @@ func (f *FS) Rename(srcDir uint64, srcName string, dstDir uint64, dstName string
 		}
 		f.unlink(dd, existing)
 	}
+	// oldPath is a view of f.path: it is notified before noteInode builds the
+	// new path in the same scratch.
 	var oldPath string
 	if len(f.notify) > 0 {
 		oldPath = f.pathOf(in)

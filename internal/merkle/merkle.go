@@ -151,6 +151,8 @@ func NewCacheWithStore(fs localfs.FileSystem, store *cas.Store) *Cache {
 // directory digests embed p's), and every descendant (p may have been
 // removed or renamed wholesale). Safe to call from a store's mutation hook:
 // it takes only the cache's own mutex and never calls back into the store.
+// It keeps nothing of p, only deletes by it, so the path a store lends its
+// hooks (localfs.MutationNotifier) needs no copy.
 func (c *Cache) Invalidate(p string) {
 	p = localfs.CleanPath(p)
 	if c.store != nil {

@@ -852,6 +852,7 @@ func (n *Node) handle(_ obs.TraceContext, from simnet.Addr, req []byte) ([]byte,
 		return nil, 0, fmt.Errorf("pastry: unknown proc %d", proc)
 	}
 	// Overlay control messages are tiny; processing cost is dominated by
-	// the link model, so report zero local cost.
-	return append([]byte(nil), e.Bytes()...), 0, nil
+	// the link model, so report zero local cost. The reply is the encoder's
+	// own bytes: nothing else holds them, and the caller owns a reply.
+	return e.Bytes(), 0, nil
 }

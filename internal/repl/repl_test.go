@@ -3,6 +3,7 @@ package repl
 import (
 	"fmt"
 	"maps"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -314,7 +315,7 @@ func TestSyncHasReplicasPull(t *testing.T) {
 	var order []string
 	peer.remote.(localfs.MutationNotifier).OnMutation(func(p string) {
 		if p == flag || p == RepPath("/music/a.mp3") {
-			order = append(order, p)
+			order = append(order, strings.Clone(p)) // p is lent to the hook
 		}
 	})
 

@@ -288,12 +288,24 @@ func init() { poisonFreed.Store(raceEnabled) }
 // path against recycled heads; a test turns it on to do the same without.
 func PoisonFreed(on bool) bool { return poisonFreed.Swap(on) }
 
-func (c *Codec) poison() {
-	for _, head := range [][]byte{c.small[:], c.E.buf[:cap(c.E.buf)]} {
-		for i := range head {
-			head[i] = Poison
-		}
+// PoisonLent fills b with Poison while PoisonFreed is on: for a buffer
+// outside this package that is lent as a request head is, and dead once its
+// borrower has returned, so a borrower that kept it reads Poison there too.
+func PoisonLent(b []byte) {
+	if poisonFreed.Load() {
+		fillPoison(b)
 	}
+}
+
+func fillPoison(b []byte) {
+	for i := range b {
+		b[i] = Poison
+	}
+}
+
+func (c *Codec) poison() {
+	fillPoison(c.small[:])
+	fillPoison(c.E.buf[:cap(c.E.buf)])
 	for _, lent := range [][]Lent{c.lent[:], c.E.lent[:cap(c.E.lent)]} {
 		for i := range lent {
 			lent[i] = Lent{At: -1, Body: poisonBody}
