@@ -105,8 +105,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "koshad: join: %v\n", err)
 		os.Exit(1)
 	}
-	node.Overlay().Stabilize()
-	node.SyncReplicas()
+	maintain(node)
 
 	fmt.Printf("koshad: serving on %s  nodeId=%s  L=%d K=%d capacity=%s\n",
 		tn.Addr(), nodeID.Short(), *level, cfg.Replicas, *capacity)
@@ -160,8 +159,7 @@ func main() {
 	for {
 		select {
 		case <-ticker.C:
-			node.Overlay().Stabilize()
-			node.SyncReplicas()
+			maintain(node)
 		case <-statsC:
 			logStats(node)
 		case <-probeC:
@@ -172,6 +170,17 @@ func main() {
 			return
 		}
 	}
+}
+
+// maintain is the daemon's maintenance round, run once after the join and
+// then on every -stabilize tick: leaf-set repair, then the routing-table
+// repair that leaf-set repair does not cover (a table entry outside the
+// leaf set is otherwise never probed and stays dead forever), then replica
+// synchronization.
+func maintain(node *core.Node) {
+	node.Overlay().Stabilize()
+	node.Overlay().RepairTable()
+	node.SyncReplicas()
 }
 
 // logStats prints one line per active op histogram plus the route-hop mean,

@@ -6,6 +6,9 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/pastry"
 )
 
 // TestMain lets the tests below re-execute the test binary as koshad.
@@ -69,4 +72,55 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("parseSize(%q) accepted", bad)
 		}
 	}
+}
+
+// The daemon's maintenance round repairs the routing table as well as the
+// leaf set. On an overlay larger than the leaf set, a crashed node that sits
+// in another node's table but not in its leaf set survives a leaf-set
+// Stabilize, which never probes it, and is purged by one maintain.
+func TestMaintainPurgesADeadTableEntry(t *testing.T) {
+	c, err := cluster.New(cluster.Options{Nodes: 40, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holds := func(o *pastry.Node, dead pastry.NodeInfo) bool {
+		for _, te := range o.TableEntries() {
+			if te.Node.ID == dead.ID {
+				return true
+			}
+		}
+		return false
+	}
+	for _, a := range c.Nodes {
+		o := a.Overlay()
+		var victim pastry.NodeInfo
+		for _, te := range o.TableEntries() {
+			inLeaf := false
+			for _, l := range o.Leaf() {
+				inLeaf = inLeaf || l.ID == te.Node.ID
+			}
+			if !inLeaf {
+				victim = te.Node
+				break
+			}
+		}
+		if victim.IsZero() {
+			continue
+		}
+		for i, b := range c.Nodes {
+			if b.Addr() == victim.Addr {
+				c.Fail(i)
+			}
+		}
+		o.Stabilize()
+		if !holds(o, victim) {
+			t.Fatalf("Stabilize alone purged %s from %s's table: the test no longer tells the two apart", victim.Addr, a.Addr())
+		}
+		maintain(a)
+		if holds(o, victim) {
+			t.Fatalf("after maintain, %s's table still names the crashed %s", a.Addr(), victim.Addr)
+		}
+		return
+	}
+	t.Fatal("no node has a table entry outside its leaf set")
 }

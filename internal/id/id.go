@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 )
 
 // Bytes is the identifier width in bytes (128 bits).
@@ -88,17 +89,42 @@ func (a ID) Short() string { return hex.EncodeToString(a[:4]) }
 // IsZero reports whether a is the zero identifier.
 func (a ID) IsZero() bool { return a == Zero }
 
+// words splits a into its big-endian halves: hi holds bytes 0-7.
+func (a ID) words() (hi, lo uint64) {
+	return binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])
+}
+
+// fromWords joins two big-endian halves into an identifier.
+func fromWords(hi, lo uint64) ID {
+	var out ID
+	binary.BigEndian.PutUint64(out[:8], hi)
+	binary.BigEndian.PutUint64(out[8:], lo)
+	return out
+}
+
+// sub returns (ahi:alo) - (bhi:blo) mod 2^128 as two words.
+func sub(ahi, alo, bhi, blo uint64) (hi, lo uint64) {
+	lo, borrow := bits.Sub64(alo, blo, 0)
+	hi, _ = bits.Sub64(ahi, bhi, borrow)
+	return hi, lo
+}
+
+// cmp compares two word pairs as unsigned 128-bit integers: -1, 0, or +1.
+func cmp(ahi, alo, bhi, blo uint64) int {
+	switch {
+	case ahi < bhi, ahi == bhi && alo < blo:
+		return -1
+	case ahi == bhi && alo == blo:
+		return 0
+	}
+	return 1
+}
+
 // Cmp compares a and b as unsigned integers: -1, 0, or +1.
 func (a ID) Cmp(b ID) int {
-	for i := 0; i < Bytes; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
+	ahi, alo := a.words()
+	bhi, blo := b.words()
+	return cmp(ahi, alo, bhi, blo)
 }
 
 // Less reports a < b as unsigned integers.
@@ -106,30 +132,18 @@ func (a ID) Less(b ID) bool { return a.Cmp(b) < 0 }
 
 // Add returns a + b mod 2^128.
 func (a ID) Add(b ID) ID {
-	var out ID
-	var carry uint64
-	for i := Bytes - 1; i >= 0; i-- {
-		s := uint64(a[i]) + uint64(b[i]) + carry
-		out[i] = byte(s)
-		carry = s >> 8
-	}
-	return out
+	ahi, alo := a.words()
+	bhi, blo := b.words()
+	lo, carry := bits.Add64(alo, blo, 0)
+	hi, _ := bits.Add64(ahi, bhi, carry)
+	return fromWords(hi, lo)
 }
 
 // Sub returns a - b mod 2^128.
 func (a ID) Sub(b ID) ID {
-	var out ID
-	var borrow uint64
-	for i := Bytes - 1; i >= 0; i-- {
-		d := uint64(a[i]) - uint64(b[i]) - borrow
-		out[i] = byte(d)
-		if d>>63 != 0 { // wrapped below zero
-			borrow = 1
-		} else {
-			borrow = 0
-		}
-	}
-	return out
+	ahi, alo := a.words()
+	bhi, blo := b.words()
+	return fromWords(sub(ahi, alo, bhi, blo))
 }
 
 // Half is 2^127, the midpoint of the ring.
@@ -138,12 +152,14 @@ var Half = ID{0x80}
 // Distance returns the minimal circular distance between a and b, i.e.
 // min(a-b, b-a) mod 2^128. The result is at most 2^127.
 func (a ID) Distance(b ID) ID {
-	d1 := a.Sub(b)
-	d2 := b.Sub(a)
-	if d1.Less(d2) {
-		return d1
+	ahi, alo := a.words()
+	bhi, blo := b.words()
+	h1, l1 := sub(ahi, alo, bhi, blo)
+	h2, l2 := sub(bhi, blo, ahi, alo)
+	if cmp(h1, l1, h2, l2) < 0 {
+		return fromWords(h1, l1)
 	}
-	return d2
+	return fromWords(h2, l2)
 }
 
 // CWDist returns the clockwise (increasing, wrapping) distance from a to b.
@@ -156,7 +172,12 @@ func Between(x, a, b ID) bool {
 	if a == b {
 		return x != a
 	}
-	return a.CWDist(x).Cmp(a.CWDist(b)) <= 0 && x != a
+	xhi, xlo := x.words()
+	ahi, alo := a.words()
+	bhi, blo := b.words()
+	dxh, dxl := sub(xhi, xlo, ahi, alo)
+	dbh, dbl := sub(bhi, blo, ahi, alo)
+	return cmp(dxh, dxl, dbh, dbl) <= 0 && x != a
 }
 
 // Digit returns the i-th base-2^BitsPerDigit digit of a, counting from the
@@ -175,15 +196,13 @@ func (a ID) Digit(i int) int {
 // SharedPrefixLen returns the number of leading base-2^b digits a and b
 // share. It is the row index used by Pastry's prefix routing.
 func SharedPrefixLen(a, b ID) int {
-	for i := 0; i < Bytes; i++ {
-		if a[i] == b[i] {
-			continue
-		}
-		// Bytes hold two digits; check whether the high nibble matches.
-		if a[i]>>4 == b[i]>>4 {
-			return 2*i + 1
-		}
-		return 2 * i
+	ahi, alo := a.words()
+	bhi, blo := b.words()
+	if x := ahi ^ bhi; x != 0 {
+		return bits.LeadingZeros64(x) / BitsPerDigit
+	}
+	if x := alo ^ blo; x != 0 {
+		return Digits/2 + bits.LeadingZeros64(x)/BitsPerDigit
 	}
 	return Digits
 }
@@ -213,7 +232,7 @@ func Closest(key ID, candidates []ID) (best ID, ok bool) {
 			best, ok = c, true
 			continue
 		}
-		dc, db := key.Distance(c), key.Distance(b4(best))
+		dc, db := key.Distance(c), key.Distance(best)
 		switch dc.Cmp(db) {
 		case -1:
 			best = c
@@ -225,8 +244,6 @@ func Closest(key ID, candidates []ID) (best ID, ok bool) {
 	}
 	return best, ok
 }
-
-func b4(x ID) ID { return x }
 
 // Rand128 derives a pseudo-random identifier from a 64-bit stream state,
 // suitable for simulations that must be reproducible per seed. It applies a

@@ -244,15 +244,7 @@ func (n *Node) Alive() bool {
 func (n *Node) TableEntries() []TableEntry {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	var out []TableEntry
-	for r := range n.st.table {
-		for c := range n.st.table[r] {
-			if e := n.st.table[r][c]; !e.IsZero() {
-				out = append(out, TableEntry{Row: r, Col: c, Node: e})
-			}
-		}
-	}
-	return out
+	return n.st.tableEntries()
 }
 
 // NextHopLocal computes the routing decision for key from this node's
@@ -295,19 +287,7 @@ func (n *Node) LeafStats() (size, ideal int) {
 func (n *Node) TableStats() (entries, rows int) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for r := range n.st.table {
-		rowHas := false
-		for c := range n.st.table[r] {
-			if !n.st.table[r][c].IsZero() {
-				entries++
-				rowHas = true
-			}
-		}
-		if rowHas {
-			rows++
-		}
-	}
-	return entries, rows
+	return n.st.tableStats()
 }
 
 // addPeer merges a peer and fires the change callback when the leaf set
@@ -612,9 +592,10 @@ func (n *Node) RepairTable() simnet.Cost {
 	// vetted is pinged before adoption — the pass never re-plants a dead
 	// entry it just removed, which is what lets concurrent repairs converge.
 	n.mu.RLock()
-	rows := make([]NodeInfo, id.Digits)
-	for r := 0; r < id.Digits; r++ {
-		if es := n.st.row(r); len(es) > 0 {
+	var rows [id.Digits]NodeInfo
+	for r := range rows {
+		var buf [cols]NodeInfo
+		if es := n.st.appendRow(buf[:0], r); len(es) > 0 {
 			rows[r] = es[0]
 		}
 	}
@@ -711,7 +692,9 @@ func (n *Node) rpcNextHop(tc obs.TraceContext, to simnet.Addr, key id.ID, exclud
 		return NodeInfo{}, false, cost, err
 	}
 	isRoot := d.Bool()
-	next := getNodeInfo(d)
+	n.mu.RLock()
+	next := n.st.getNodeInfo(d)
+	n.mu.RUnlock()
 	if d.Err() != nil {
 		return NodeInfo{}, false, cost, d.Err()
 	}
@@ -731,13 +714,26 @@ func (n *Node) rpcGetRow(to simnet.Addr, row int) ([]NodeInfo, simnet.Cost, erro
 }
 
 // rpcNodeInfos is the exchange of the procedures whose reply is a node list.
+// The list is the one allocation: each address takes the string this node
+// already holds for that peer (state.getNodeInfo).
 func (n *Node) rpcNodeInfos(to simnet.Addr, proc uint32, build func(*wire.Encoder)) ([]NodeInfo, simnet.Cost, error) {
 	x, d, cost, err := n.call(to, proc, build)
 	defer x.Free()
 	if err != nil {
 		return nil, cost, err
 	}
-	return getNodeInfos(d), cost, d.Err()
+	cnt := d.ArrayLen()
+	out := make([]NodeInfo, 0, min(cnt, 1024))
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for i := 0; i < cnt; i++ {
+		p := n.st.getNodeInfo(d)
+		if d.Err() != nil {
+			return nil, cost, d.Err()
+		}
+		out = append(out, p)
+	}
+	return out, cost, d.Err()
 }
 
 func (n *Node) rpcNotify(to simnet.Addr, who NodeInfo) (simnet.Cost, error) {
@@ -766,40 +762,45 @@ func (n *Node) rpcRemoveNode(to simnet.Addr, dead id.ID) (simnet.Cost, error) {
 // --- RPC server handler ---
 
 func (n *Node) handle(_ obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-	d := wire.NewDecoder(req)
+	var d wire.Decoder
+	d.Reset(req)
 	proc := d.Uint32()
 	if d.Err() != nil {
 		return nil, 0, d.Err()
 	}
-	e := wire.NewEncoder(128)
+	// Each reply is encoded at its exact size, a node list straight from
+	// the state through a stack buffer, so the reply is the one allocation.
+	var e wire.Encoder
 	switch proc {
 	case pPing:
+		e.Grow(4)
 		e.PutUint32(0)
 
 	case pNextHop:
 		var key id.ID
 		d.FixedOpaque(key[:])
-		excluded := getIDs(d)
+		excluded := getIDs(&d)
 		if d.Err() != nil {
 			return nil, 0, d.Err()
 		}
 		n.mu.RLock()
 		next, isRoot := n.st.nextHop(key, excluded)
 		n.mu.RUnlock()
+		e.Grow(4 + nodeInfoLen(next))
 		e.PutBool(isRoot)
-		putNodeInfo(e, next)
+		putNodeInfo(&e, next)
 
 	case pGetState:
+		var buf [64]NodeInfo
 		n.mu.RLock()
-		all := append(n.st.allKnown(), n.st.self)
+		putNodeInfos(&e, append(n.st.appendKnown(buf[:0]), n.st.self))
 		n.mu.RUnlock()
-		putNodeInfos(e, all)
 
 	case pGetLeafSet:
+		var buf [64]NodeInfo
 		n.mu.RLock()
-		leafs := append(n.st.leafMembers(), n.st.self)
+		putNodeInfos(&e, append(n.st.appendLeaf(buf[:0]), n.st.self))
 		n.mu.RUnlock()
-		putNodeInfos(e, leafs)
 
 	case pGetRow:
 		row := int(d.Uint32())
@@ -809,24 +810,27 @@ func (n *Node) handle(_ obs.TraceContext, from simnet.Addr, req []byte) ([]byte,
 		if row < 0 || row >= id.Digits {
 			return nil, 0, fmt.Errorf("pastry: get-row: row %d out of range", row)
 		}
+		var buf [64]NodeInfo
 		n.mu.RLock()
 		// The responder itself shares the requester's row-r prefix (the
 		// requester picked it from its own row r), so include it: a row with
 		// a single mutual entry still self-heals.
-		entries := append(n.st.row(row), n.st.self)
+		putNodeInfos(&e, append(n.st.appendRow(buf[:0], row), n.st.self))
 		n.mu.RUnlock()
-		putNodeInfos(e, entries)
 
 	case pNotify:
-		who := getNodeInfo(d)
-		ld := getLoad(d)
+		n.mu.RLock()
+		who := n.st.getNodeInfo(&d)
+		n.mu.RUnlock()
+		ld := getLoad(&d)
 		if d.Err() != nil {
 			return nil, 0, d.Err()
 		}
 		n.addPeer(who)
 		n.recordLoad(who.Addr, ld)
+		e.Grow(4 + loadLen)
 		e.PutUint32(0)
-		putLoad(e, n.localLoad())
+		putLoad(&e, n.localLoad())
 
 	case pRemoveNode:
 		var dead id.ID
@@ -835,17 +839,12 @@ func (n *Node) handle(_ obs.TraceContext, from simnet.Addr, req []byte) ([]byte,
 			return nil, 0, d.Err()
 		}
 		n.mu.RLock()
-		var info NodeInfo
-		for _, p := range n.st.allKnown() {
-			if p.ID == dead {
-				info = p
-				break
-			}
-		}
+		info, ok := n.st.known(dead)
 		n.mu.RUnlock()
-		if !info.IsZero() {
+		if ok {
 			n.removePeer(info)
 		}
+		e.Grow(4)
 		e.PutUint32(0)
 
 	default:

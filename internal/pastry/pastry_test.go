@@ -451,6 +451,18 @@ func BenchmarkRoute8Nodes(b *testing.B) {
 	}
 }
 
+// BenchmarkStabilize times one leaf-set repair pass of a settled node in a
+// 32-node overlay: a NOTIFY and a GET_LEAFSET to each of its 16 leaf
+// members, and the merge of every list they return.
+func BenchmarkStabilize(b *testing.B) {
+	_, nodes := buildOverlay(b, 32, 1, 16)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		nodes[i%len(nodes)].Stabilize()
+	}
+}
+
 func BenchmarkRingRoot(b *testing.B) {
 	ring := RandomRing(10000, 3)
 	key := id.HashKey("target")

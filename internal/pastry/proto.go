@@ -86,6 +86,9 @@ func (l Load) Utilization() float64 {
 	return float64(l.Used) / float64(l.Capacity)
 }
 
+// loadLen is the encoded size of a Load.
+const loadLen = 16
+
 func putLoad(e *wire.Encoder, l Load) {
 	e.PutInt64(l.Used)
 	e.PutInt64(l.Capacity)
@@ -95,35 +98,38 @@ func getLoad(d *wire.Decoder) Load {
 	return Load{Used: d.Int64(), Capacity: d.Int64()}
 }
 
+// nodeInfoLen is the encoded size of n: its id, then its address as a
+// length-prefixed string padded to a word.
+func nodeInfoLen(n NodeInfo) int {
+	return id.Bytes + 4 + (len(n.Addr)+3)&^3
+}
+
 func putNodeInfo(e *wire.Encoder, n NodeInfo) {
 	e.PutFixedOpaque(n.ID[:])
 	e.PutString(string(n.Addr))
 }
 
-func getNodeInfo(d *wire.Decoder) NodeInfo {
+// getNodeInfo decodes a node. Its address is read in place and takes the
+// string s already holds for that peer (state.knownAddr), so only a
+// stranger's address is allocated. The caller holds the node's lock.
+func (s *state) getNodeInfo(d *wire.Decoder) NodeInfo {
 	var n NodeInfo
 	d.FixedOpaque(n.ID[:])
-	n.Addr = simnet.Addr(d.String())
+	n.Addr = s.knownAddr(n.ID, d.OpaqueRef())
 	return n
 }
 
+// putNodeInfos encodes a counted node list, growing the frame once to fit.
 func putNodeInfos(e *wire.Encoder, ns []NodeInfo) {
+	size := 4
+	for _, n := range ns {
+		size += nodeInfoLen(n)
+	}
+	e.Grow(size)
 	e.PutUint32(uint32(len(ns)))
 	for _, n := range ns {
 		putNodeInfo(e, n)
 	}
-}
-
-func getNodeInfos(d *wire.Decoder) []NodeInfo {
-	n := d.ArrayLen()
-	out := make([]NodeInfo, 0, min(n, 1024))
-	for i := 0; i < n; i++ {
-		out = append(out, getNodeInfo(d))
-		if d.Err() != nil {
-			return nil
-		}
-	}
-	return out
 }
 
 func putIDs(e *wire.Encoder, ids []id.ID) {

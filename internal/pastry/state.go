@@ -1,10 +1,12 @@
 package pastry
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 
 	"repro/internal/id"
+	"repro/internal/simnet"
 )
 
 // DefaultLeafSize is l, the leaf-set size (l/2 numerically larger and l/2
@@ -12,15 +14,21 @@ import (
 // default.
 const DefaultLeafSize = 16
 
+// cols is the routing table's width: one column per digit value.
+const cols = 1 << id.BitsPerDigit
+
 // state holds a node's bounded overlay state: the prefix routing table and
 // the leaf set. It is not itself synchronized; Node guards it.
 type state struct {
 	self     NodeInfo
 	leafSize int
 
-	// table[row][col] is a node sharing `row` leading digits with self and
-	// whose next digit is col. Zero value means empty.
-	table [id.Digits][1 << id.BitsPerDigit]NodeInfo
+	// rows[r][c] is a node sharing r leading digits with self and whose
+	// next digit is c; bit c of occ[r] is set while that slot is occupied.
+	// A row is allocated when its first entry arrives, so the table costs
+	// the ⌈log₁₆ N⌉ rows an overlay of N nodes fills, not all id.Digits.
+	rows [id.Digits]*[cols]NodeInfo
+	occ  [id.Digits]uint16
 
 	// leaf is the leaf set, at most l nodes sorted by increasing clockwise
 	// distance from self. Its first l/2 entries are the successors and its
@@ -46,19 +54,21 @@ func (s *state) add(n NodeInfo) bool {
 	if n.ID == s.self.ID || n.IsZero() {
 		return false
 	}
-	row := id.SharedPrefixLen(s.self.ID, n.ID)
-	if row < id.Digits {
-		col := n.ID.Digit(row)
-		if s.table[row][col].IsZero() {
-			s.table[row][col] = n
+	if r, c, ok := s.slotOf(n.ID); ok && s.occ[r]&(1<<c) == 0 {
+		if s.rows[r] == nil {
+			s.rows[r] = new([cols]NodeInfo)
 		}
+		s.rows[r][c] = n
+		s.occ[r] |= 1 << c
+	}
+	// A member is found by id, which costs less than the distance search
+	// that places a newcomer; nearly every add in a repair pass is one.
+	if _, ok := s.leafMember(n.ID); ok {
+		return false
 	}
 	half := s.leafSize / 2
 	d := s.self.ID.CWDist(n.ID)
 	i := sort.Search(len(s.leaf), func(j int) bool { return !s.self.ID.CWDist(s.leaf[j].ID).Less(d) })
-	if i < len(s.leaf) && s.leaf[i].ID == n.ID {
-		return false
-	}
 	if i >= half && len(s.leaf)-i >= half {
 		return false // beyond the l/2 nearest in both directions
 	}
@@ -71,11 +81,9 @@ func (s *state) add(n NodeInfo) bool {
 
 // remove purges a node from all state. Reports whether the leaf set changed.
 func (s *state) remove(dead id.ID) bool {
-	if row := id.SharedPrefixLen(s.self.ID, dead); row < id.Digits {
-		col := dead.Digit(row)
-		if s.table[row][col].ID == dead {
-			s.table[row][col] = NodeInfo{}
-		}
+	if r, c, ok := s.slotOf(dead); ok && s.slot(r, c).ID == dead {
+		s.rows[r][c] = NodeInfo{}
+		s.occ[r] &^= 1 << c
 	}
 	i := slices.IndexFunc(s.leaf, func(e NodeInfo) bool { return e.ID == dead })
 	if i < 0 {
@@ -85,15 +93,55 @@ func (s *state) remove(dead id.ID) bool {
 	return true
 }
 
-// row returns the non-empty entries of routing-table row r.
-func (s *state) row(r int) []NodeInfo {
-	var out []NodeInfo
-	for c := range s.table[r] {
-		if e := s.table[r][c]; !e.IsZero() {
-			out = append(out, e)
+// slotOf returns the routing-table slot a node with identifier x belongs
+// in; ok is false for self's own identifier, which has none.
+func (s *state) slotOf(x id.ID) (r, c int, ok bool) {
+	r = id.SharedPrefixLen(s.self.ID, x)
+	if r == id.Digits {
+		return 0, 0, false
+	}
+	return r, x.Digit(r), true
+}
+
+// slot returns routing-table entry (r, c), the zero NodeInfo when empty.
+func (s *state) slot(r, c int) NodeInfo {
+	if s.occ[r]&(1<<c) == 0 {
+		return NodeInfo{}
+	}
+	return s.rows[r][c]
+}
+
+// tableStats counts the occupied routing-table slots and the rows holding
+// at least one.
+func (s *state) tableStats() (entries, rows int) {
+	for _, m := range s.occ {
+		entries += bits.OnesCount16(m)
+		if m != 0 {
+			rows++
+		}
+	}
+	return entries, rows
+}
+
+// tableEntries returns every occupied routing-table slot by row and column.
+func (s *state) tableEntries() []TableEntry {
+	entries, _ := s.tableStats()
+	out := make([]TableEntry, 0, entries)
+	for r, m := range s.occ {
+		for ; m != 0; m &= m - 1 {
+			c := bits.TrailingZeros16(m)
+			out = append(out, TableEntry{Row: r, Col: c, Node: s.rows[r][c]})
 		}
 	}
 	return out
+}
+
+// appendRow appends the entries of routing-table row r, by column.
+func (s *state) appendRow(dst []NodeInfo, r int) []NodeInfo {
+	for m := s.occ[r]; m != 0; m &= m - 1 {
+		dst = append(dst, s.rows[r][bits.TrailingZeros16(m)])
+	}
+	return dst
 }
 
 // halves returns copies of the successor and predecessor runs, each
@@ -107,37 +155,79 @@ func (s *state) halves() (succs, preds []NodeInfo) {
 	return succs, preds
 }
 
-// leafMembers returns the leaf set (not including self) in a fresh slice:
-// the successors nearest first, then the other entries nearest
-// counter-clockwise first. It has room for one more, the self that a
-// leaf-set reply appends.
-func (s *state) leafMembers() []NodeInfo {
+// appendLeaf appends the leaf set (not including self): the successors
+// nearest first, then the other entries nearest counter-clockwise first.
+func (s *state) appendLeaf(dst []NodeInfo) []NodeInfo {
 	h := min(s.leafSize/2, len(s.leaf))
-	out := make([]NodeInfo, 0, len(s.leaf)+1)
-	out = append(out, s.leaf[:h]...)
+	dst = append(dst, s.leaf[:h]...)
 	for i := len(s.leaf) - 1; i >= h; i-- {
-		out = append(out, s.leaf[i])
+		dst = append(dst, s.leaf[i])
 	}
-	return out
+	return dst
 }
 
-// allKnown returns every node in the table and leaf set (not self).
-func (s *state) allKnown() []NodeInfo {
-	out := s.leafMembers()
-	seen := make(map[id.ID]bool, len(out))
-	for _, n := range out {
-		seen[n.ID] = true
+// leafMembers returns appendLeaf in a fresh slice.
+func (s *state) leafMembers() []NodeInfo {
+	return s.appendLeaf(make([]NodeInfo, 0, len(s.leaf)))
+}
+
+// leafMember returns the leaf-set member with identifier x, if any.
+func (s *state) leafMember(x id.ID) (NodeInfo, bool) {
+	for _, p := range s.leaf {
+		if p.ID == x {
+			return p, true
+		}
 	}
-	for r := range s.table {
-		for c := range s.table[r] {
-			n := s.table[r][c]
-			if !n.IsZero() && !seen[n.ID] {
-				seen[n.ID] = true
-				out = append(out, n)
+	return NodeInfo{}, false
+}
+
+// appendKnown appends every node in the leaf set and table (not self): the
+// leaf set as appendLeaf orders it, then the table entries by row and
+// column. A node has one table slot, so an entry can only repeat a leaf
+// member, and those are skipped.
+func (s *state) appendKnown(dst []NodeInfo) []NodeInfo {
+	dst = s.appendLeaf(dst)
+	for r, m := range s.occ {
+		for ; m != 0; m &= m - 1 {
+			n := s.rows[r][bits.TrailingZeros16(m)]
+			if _, dup := s.leafMember(n.ID); !dup {
+				dst = append(dst, n)
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+// allKnown returns appendKnown in a fresh slice.
+func (s *state) allKnown() []NodeInfo { return s.appendKnown(nil) }
+
+// known returns the node this state holds under identifier x, self
+// excluded: a leaf member first, else the occupant of x's table slot.
+func (s *state) known(x id.ID) (NodeInfo, bool) {
+	if n, ok := s.leafMember(x); ok {
+		return n, true
+	}
+	if r, c, ok := s.slotOf(x); ok {
+		if n := s.slot(r, c); n.ID == x && !n.IsZero() {
+			return n, true
+		}
+	}
+	return NodeInfo{}, false
+}
+
+// knownAddr returns raw, the address a peer reported for the node x, as a
+// string: the one this state already holds when self, x's table slot or a
+// leaf member has that id and those bytes, so only a stranger's address
+// (or a changed one) is allocated.
+func (s *state) knownAddr(x id.ID, raw []byte) simnet.Addr {
+	if x == s.self.ID {
+		if string(s.self.Addr) == string(raw) {
+			return s.self.Addr
+		}
+	} else if n, ok := s.known(x); ok && string(n.Addr) == string(raw) {
+		return n.Addr
+	}
+	return simnet.Addr(raw)
 }
 
 // leafCovers reports whether the leaf-set arc contains key, meaning the
@@ -197,8 +287,7 @@ func (s *state) nextHop(key id.ID, excluded []id.ID) (next NodeInfo, isRoot bool
 	// Prefix routing.
 	row := id.SharedPrefixLen(s.self.ID, key)
 	if row < id.Digits {
-		col := key.Digit(row)
-		if e := s.table[row][col]; !e.IsZero() && !excl[e.ID] {
+		if e := s.slot(row, key.Digit(row)); !e.IsZero() && !excl[e.ID] {
 			return e, false
 		}
 	}
@@ -208,7 +297,8 @@ func (s *state) nextHop(key id.ID, excluded []id.ID) (next NodeInfo, isRoot bool
 	selfDist := key.Distance(s.self.ID)
 	var best NodeInfo
 	var bestDist id.ID
-	for _, n := range s.allKnown() {
+	var buf [64]NodeInfo
+	for _, n := range s.appendKnown(buf[:0]) {
 		if excl[n.ID] {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/id"
 	"repro/internal/racetest"
@@ -84,13 +85,13 @@ func TestRoutingTableSlot(t *testing.T) {
 	// Shares 1 digit ("a"), next digit "b": row 1, col 0xb.
 	peer := NodeInfo{ID: id.MustHex("ab000000000000000000000000000000"), Addr: "p"}
 	s.add(peer)
-	if got := s.table[1][0xb]; got.ID != peer.ID {
+	if got := s.slot(1, 0xb); got.ID != peer.ID {
 		t.Fatalf("table[1][b] = %v", got)
 	}
 	// First-writer-wins: another node for the same slot doesn't evict.
 	peer2 := NodeInfo{ID: id.MustHex("ab100000000000000000000000000000"), Addr: "p2"}
 	s.add(peer2)
-	if got := s.table[1][0xb]; got.ID != peer.ID {
+	if got := s.slot(1, 0xb); got.ID != peer.ID {
 		t.Fatalf("slot evicted: %v", got)
 	}
 }
@@ -336,5 +337,29 @@ func TestAppendReplicaCandidatesAllocs(t *testing.T) {
 	racetest.SkipAllocs(t)
 	if n := testing.AllocsPerRun(1000, func() { s.appendReplicaCandidates(buf[:0], 3) }); n != 0 {
 		t.Errorf("appending 3 candidates to a 4-slot buffer allocates %.1f times, want 0", n)
+	}
+}
+
+// A decoded node list takes an address string from the state only when the
+// state holds that id under those very bytes: self, a table slot or a leaf
+// member. A changed address or a stranger's is its own string.
+func TestKnownAddrReusesOnlyEqualAddresses(t *testing.T) {
+	self := NodeInfo{ID: id.MustHex("a0000000000000000000000000000000"), Addr: "self:1"}
+	s := newState(self, 8)
+	table := NodeInfo{ID: id.MustHex("b0000000000000000000000000000000"), Addr: "table:1"}
+	leaf := NodeInfo{ID: id.MustHex("a0000000000000000000000000000001"), Addr: "leaf:1"}
+	s.add(table)
+	s.add(leaf)
+	same := func(a, b simnet.Addr) bool { return unsafe.StringData(string(a)) == unsafe.StringData(string(b)) }
+	for _, n := range []NodeInfo{self, table, leaf} {
+		if got := s.knownAddr(n.ID, []byte(n.Addr)); got != n.Addr || !same(got, n.Addr) {
+			t.Errorf("knownAddr(%s, %q) = %q, not the held string", n.ID.Short(), n.Addr, got)
+		}
+		if got := s.knownAddr(n.ID, []byte("moved:2")); got != "moved:2" {
+			t.Errorf("knownAddr(%s, moved:2) = %q", n.ID.Short(), got)
+		}
+	}
+	if got := s.knownAddr(id.MustHex("c0"), []byte("table:1")); got != "table:1" || same(got, table.Addr) {
+		t.Errorf("a stranger's address %q shares a held string", got)
 	}
 }
