@@ -1,6 +1,11 @@
+# Kosha reproduction. `make ci` is the pull-request gate; the targets below
+# it are its parts. `make quick-json-diff REF=<rev>` checks that a change
+# leaves every koshabench experiment's quick JSON byte-identical to <rev>'s
+# (see the target).
+
 GO ?= go
 
-.PHONY: all ci fmt-check vet build test bench bench-smoke bench-json bench-diff gobench-smoke smoke scale-smoke metrics-smoke chaos soak fuzz loc clean
+.PHONY: all ci fmt-check vet build test bench bench-smoke bench-json bench-diff gobench-smoke smoke scale-smoke metrics-smoke chaos soak fuzz loc quick-json-diff clean
 
 all: vet build test
 
@@ -241,6 +246,23 @@ loc:
 	t=ctlProcs; echo "ctlProcs rows: $$($(TABLE_ROWS) internal/core/ctl.go)"; \
 	awk '/^\tFSMkdirAll FSOpKind/ {in_k=1} in_k && /^\)/ {exit} in_k && /^\tFS[A-Za-z]+/ {n++} END {print "repl.FSOpKind kinds in use:", n}' internal/repl/types.go; \
 	grep -c '^[[:space:]]Proc[A-Za-z]*[[:space:]]*Proc = ' internal/nfs/proto.go | xargs echo "nfs.Proc constants:"
+
+# quick-json-diff builds cmd/koshabench from the tree at REF (a `git archive`
+# unpacked into a temporary directory, so an interrupted run leaves nothing
+# registered in .git) and from the working tree, runs `-quick -format json`
+# (every experiment) with each, and prints the unified diff of the two
+# outputs. Any difference fails the target.
+#   make quick-json-diff REF=HEAD~1
+REF ?= HEAD
+quick-json-diff:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive $(REF) | tar -x -C "$$tmp" || exit 1; \
+	(cd "$$tmp" && $(GO) build -o koshabench.ref ./cmd/koshabench) || exit 1; \
+	$(GO) build -o "$$tmp/koshabench.new" ./cmd/koshabench || exit 1; \
+	(cd "$$tmp" && ./koshabench.ref -quick -format json) > "$$tmp/ref.json" || exit 1; \
+	"$$tmp/koshabench.new" -quick -format json > "$$tmp/new.json" || exit 1; \
+	diff -u --label "koshabench@$(REF)" --label "koshabench (working tree)" "$$tmp/ref.json" "$$tmp/new.json" || exit 1; \
+	echo "quick-json-diff: koshabench -quick JSON identical to $(REF)"
 
 # gobench-smoke runs every Go benchmark in the module once (the root ones
 # are the three ablations and the parallel-metadata check: seconds in all).

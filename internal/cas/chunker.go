@@ -11,6 +11,8 @@ package cas
 import (
 	"crypto/sha256"
 	"math/bits"
+
+	"repro/internal/id"
 )
 
 // Hash identifies a chunk by the SHA-256 of its bytes.
@@ -72,13 +74,9 @@ const (
 var buzTable = buildBuzTable()
 
 func buildBuzTable() (t [256]uint64) {
-	s := uint64(0x9e3779b97f4a7c15)
+	s := uint64(id.SplitMixGamma)
 	for i := range t {
-		s += 0x9e3779b97f4a7c15
-		z := s
-		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-		z = (z ^ z>>27) * 0x94d049bb133111eb
-		t[i] = z ^ z>>31
+		t[i] = id.SplitMix64(&s)
 	}
 	return t
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/id"
 	"repro/internal/simnet"
 )
 
@@ -67,17 +68,9 @@ func (s *Scheduler) Close() {
 	s.C.Net.SetFaults(nil)
 }
 
-func (s *Scheduler) splitmix64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // chance flips a deterministic coin with probability p (mutex held).
 func (s *Scheduler) chance(p float64) bool {
-	return float64(s.splitmix64()>>11)/(1<<53) < p
+	return float64(id.SplitMix64(&s.state)>>11)/(1<<53) < p
 }
 
 // blocked is the partition predicate installed into the network.

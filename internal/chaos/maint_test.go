@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/maint"
 	"repro/internal/repl"
@@ -709,13 +710,7 @@ func TestMaintScrubSoak(t *testing.T) {
 		maxRepair = 15 // scrub rounds allowed to clear one batch
 	)
 	rng := seed
-	next := func() uint64 {
-		rng += 0x9e3779b97f4a7c15
-		z := rng
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
+	next := func() uint64 { return id.SplitMix64(&rng) }
 
 	c, err := cluster.New(cluster.Options{
 		Nodes: 10,

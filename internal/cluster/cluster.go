@@ -6,7 +6,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
@@ -73,10 +72,6 @@ func (c *Cluster) addNode(cfg core.Config) (*core.Node, error) {
 	addr := simnet.Addr(fmt.Sprintf("node%02d", c.nextAddr))
 	c.nextAddr++
 	nodeID := id.Rand128(&c.seedState)
-	// Per-node seed for the node's own randomized choices (retry jitter),
-	// derived from the cluster seed sequence so one Options.Seed reproduces
-	// the whole run.
-	cfg.Seed = binary.BigEndian.Uint64(nodeID[:8])
 	nd := core.NewNode(addr, nodeID, c.Net, cfg)
 	var boot simnet.Addr
 	if len(c.Nodes) > 0 {

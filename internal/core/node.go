@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,10 +86,10 @@ type Config struct {
 	// behind a latency SLO breach stay inspectable (koshactl trace -slow).
 	// 0 (default) disables the recorder.
 	SlowOpNS int64
-	// Seed drives every seeded random choice the node makes (currently the
-	// retry backoff jitter), so a failing run is reproducible from one
-	// logged value. The cluster harness derives per-node seeds from its own
-	// Options.Seed.
+	// Seed drives every seeded random choice the node makes (the retry
+	// backoff jitter and the trace ids), so a failing run is reproducible
+	// from one logged value. 0 derives it from the node id, so nodes built
+	// from one Config still draw apart.
 	Seed uint64
 
 	// Background maintenance (internal/maint). MaintScrub enables the
@@ -318,6 +319,9 @@ func NewNode(addr simnet.Addr, nodeID id.ID, net simnet.Transport, cfg Config) *
 // store (e.g. internal/diskfs for a persistent partition).
 func NewNodeWithStore(addr simnet.Addr, nodeID id.ID, net simnet.Transport, cfg Config, store localfs.FileSystem) *Node {
 	cfg = cfg.withDefaults()
+	if cfg.Seed == 0 {
+		cfg.Seed = binary.BigEndian.Uint64(nodeID[:8])
+	}
 	n := &Node{
 		cfg:          cfg,
 		net:          net,
@@ -459,10 +463,10 @@ func (n *Node) onLeafChange(c pastry.LeafSetChange) {
 	}
 	n.events.Add(obs.EvCachePurge, string(n.addr), "leaf-set change")
 	n.cacheMu.Lock()
-	n.dirCache = make(map[string]Place)
+	clear(n.dirCache)
 	n.cacheMu.Unlock()
 	n.mu.Lock()
-	n.replicaCache = make(map[string][]simnet.Addr)
+	clear(n.replicaCache)
 	n.mu.Unlock()
 	if !n.cfg.NoAutoSync {
 		n.SyncReplicas()

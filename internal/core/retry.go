@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/id"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
@@ -40,19 +41,16 @@ func newRetrier(net simnet.Caller, seed uint64, reg *obs.Registry) *retrier {
 		retries: reg.Counter(obs.CtrRetries),
 		giveups: reg.Counter(obs.CtrGiveups),
 	}
-	r.state.Store(seed ^ 0x9e3779b97f4a7c15)
+	r.state.Store(seed ^ id.SplitMixGamma)
 	return r
 }
 
-// splitmix64 advances the jitter state and returns the next value. Atomic so
+// splitmix64 is id.SplitMix64 on the jitter state, advanced atomically so
 // concurrent mounts on one node draw from one deterministic sequence without
 // a lock (the interleaving under real concurrency is scheduling-dependent,
 // but single-goroutine harness runs — the reproduction path — are exact).
 func (r *retrier) splitmix64() uint64 {
-	z := r.state.Add(0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return id.Mix64(r.state.Add(id.SplitMixGamma))
 }
 
 // backoff returns the pause before retry number try (0-based): exponential

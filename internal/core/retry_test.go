@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/id"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
@@ -110,5 +111,16 @@ func TestRetrierBackoffDeterministic(t *testing.T) {
 		if d < RetryBackoff/2 || d > RetryBackoffCap {
 			t.Fatalf("try %d: backoff %v outside [%v/2, %v]", i, d, RetryBackoff, RetryBackoffCap)
 		}
+	}
+}
+
+// Nodes built from one zero Config (every koshad) seed their jitter from
+// their ids, so their retries do not back off in lockstep.
+func TestRetrierSeedDerivedFromNodeID(t *testing.T) {
+	net := simnet.New(simnet.LAN100)
+	a := NewNode("a", id.HashKey("a"), net, Config{})
+	b := NewNode("b", id.HashKey("b"), net, Config{})
+	if da, db := a.rpc.backoff(0), b.rpc.backoff(0); da == db {
+		t.Fatalf("nodes with different ids drew the same first backoff %v", da)
 	}
 }

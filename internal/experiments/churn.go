@@ -81,7 +81,6 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 				seed := opts.Seed + int64(run)*65537 + int64(k)*257 + int64(failed)
 				cfg := koshaCfg()
 				cfg.Replicas = k
-				cfg.Seed = uint64(seed)
 				// Wall-clock TTL caches would make results timing-dependent.
 				cfg.AttrCacheTTL = -1
 				cfg.NameCacheTTL = -1

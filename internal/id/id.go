@@ -250,14 +250,25 @@ func Closest(key ID, candidates []ID) (best ID, ok bool) {
 // splitmix64-style mix twice to fill the 128 bits.
 func Rand128(state *uint64) ID {
 	var out ID
-	binary.BigEndian.PutUint64(out[:8], splitmix64(state))
-	binary.BigEndian.PutUint64(out[8:], splitmix64(state))
+	binary.BigEndian.PutUint64(out[:8], SplitMix64(state))
+	binary.BigEndian.PutUint64(out[8:], SplitMix64(state))
 	return out
 }
 
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+// SplitMixGamma is splitmix64's increment, the odd 64-bit golden ratio.
+const SplitMixGamma = 0x9e3779b97f4a7c15
+
+// SplitMix64 advances a splitmix64 stream and returns its next value. Every
+// splitmix64 stream in the module draws through it or Mix64, so a run
+// seeded the same replays the same values everywhere.
+func SplitMix64(state *uint64) uint64 {
+	*state += SplitMixGamma
+	return Mix64(*state)
+}
+
+// Mix64 is splitmix64's finalizer, a bijection of the 64-bit words that
+// flips about half the output bits for each input bit.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -668,13 +669,7 @@ func newRand(seed int64) *mrand { return &mrand{state: uint64(seed)} }
 // other tests' use of math/rand.
 type mrand struct{ state uint64 }
 
-func (m *mrand) next() uint64 {
-	m.state += 0x9e3779b97f4a7c15
-	z := m.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (m *mrand) next() uint64 { return id.SplitMix64(&m.state) }
 
 func (m *mrand) Intn(n int) int { return int(m.next() % uint64(n)) }
 

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/id"
 )
 
 // DefaultTraceBuf is the default capacity of the per-node trace ring buffer.
@@ -172,16 +174,14 @@ func (t *Tracer) SeedIDs(seed uint64) {
 // goroutines at once, and a single atomic RMW on the shared state keeps the
 // contention there no worse than the pre-tracing sequence counter.
 func (t *Tracer) rand3() (a, b, c uint64) {
-	base := t.idState.Add(0x9e3779b97f4a7c15)
+	base := t.idState.Add(id.SplitMixGamma)
 	return mix64(base), mix64(base ^ 0x94d049bb133111eb), mix64(base ^ 0xbf58476d1ce4e5b9)
 }
 
-// mix64 is the splitmix64 finalizer, zero-guarded so a drawn id is always
+// mix64 is id.Mix64, zero-guarded so a drawn id is always
 // distinguishable from the zero ("no trace") context.
 func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z = id.Mix64(z)
 	if z == 0 {
 		z = 1
 	}
@@ -195,7 +195,7 @@ func (t *Tracer) NextSpanID() uint64 {
 	if t == nil {
 		return 0
 	}
-	return mix64(t.idState.Add(0x9e3779b97f4a7c15))
+	return mix64(t.idState.Add(id.SplitMixGamma))
 }
 
 // SetSlowThreshold arms the slow-op flight recorder: finished traces whose

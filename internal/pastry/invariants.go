@@ -290,7 +290,7 @@ func log16Ceil(n int) int {
 // freedom and that every route terminates at the true numerically closest
 // live node.
 func checkRoutes(live []*Node, ring []NodeInfo, byAddr map[string]*Node, opts InvariantOptions, rep *InvariantReport) error {
-	state := opts.Seed ^ 0x9e3779b97f4a7c15
+	state := opts.Seed ^ id.SplitMixGamma
 	maxHops := 64 // the protocol's own routing budget, for the live tier
 	if opts.Level == InvariantConverged {
 		maxHops = log16Ceil(len(live)) + opts.HopSlack
@@ -301,7 +301,7 @@ func checkRoutes(live []*Node, ring []NodeInfo, byAddr map[string]*Node, opts In
 	}
 	var totalHops int
 	for s := 0; s < opts.SampleRoutes; s++ {
-		src := live[int(splitmix(&state)%uint64(len(live)))]
+		src := live[int(id.SplitMix64(&state)%uint64(len(live)))]
 		key := id.Rand128(&state)
 		cur := src
 		visited := map[id.ID]bool{cur.Info().ID: true}
@@ -358,12 +358,4 @@ func checkRoutes(live []*Node, ring []NodeInfo, byAddr map[string]*Node, opts In
 		rep.MeanHops = float64(totalHops) / float64(rep.Routes)
 	}
 	return nil
-}
-
-func splitmix(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

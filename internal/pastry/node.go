@@ -3,6 +3,8 @@ package pastry
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,7 +20,8 @@ var ErrRouteFailed = errors.New("pastry: route failed")
 
 // LeafSetChange describes a leaf-set membership delta delivered to the
 // application ("The p2p component ... informs Kosha on a node N when nodes
-// in N's leaf set are affected", Section 4.3).
+// in N's leaf set are affected", Section 4.3). One change covers one
+// overlay message's worth of membership and is never empty.
 type LeafSetChange struct {
 	Joined []NodeInfo
 	Left   []NodeInfo
@@ -290,35 +293,31 @@ func (n *Node) TableStats() (entries, rows int) {
 	return n.st.tableStats()
 }
 
-// addPeer merges a peer and fires the change callback when the leaf set
-// shifts. It reports whether the leaf set changed.
-func (n *Node) addPeer(p NodeInfo) bool {
+// update is the one writer of the membership state: under the write lock
+// it merges joined, then purges left, and reports the members whose merge
+// or purge changed the leaf set, in that order, as one LeafSetChange. A
+// caller hands it one message's worth of membership. It reports whether the
+// leaf set changed.
+func (n *Node) update(joined, left []NodeInfo) bool {
+	var c LeafSetChange
 	n.mu.Lock()
-	changed := n.st.add(p)
+	for _, p := range joined {
+		if n.st.add(p) {
+			c.Joined = append(c.Joined, p)
+		}
+	}
+	for _, p := range left {
+		if n.st.remove(p.ID) {
+			c.Left = append(c.Left, p)
+		}
+	}
 	cb := n.onChange
 	n.mu.Unlock()
+	changed := c.Joined != nil || c.Left != nil
 	if changed && cb != nil {
-		cb(LeafSetChange{Joined: []NodeInfo{p}})
+		cb(c)
 	}
 	return changed
-}
-
-func (n *Node) addPeers(ps []NodeInfo) {
-	for _, p := range ps {
-		n.addPeer(p)
-	}
-}
-
-// removePeer purges a dead peer and fires the change callback when the leaf
-// set shifts.
-func (n *Node) removePeer(dead NodeInfo) {
-	n.mu.Lock()
-	changed := n.st.remove(dead.ID)
-	cb := n.onChange
-	n.mu.Unlock()
-	if changed && cb != nil {
-		cb(LeafSetChange{Left: []NodeInfo{dead}})
-	}
 }
 
 // Bootstrap joins the overlay via a seed node's address; an empty seed
@@ -343,7 +342,7 @@ func (n *Node) Bootstrap(seed simnet.Addr) (simnet.Cost, error) {
 	if err != nil {
 		return total, fmt.Errorf("pastry: bootstrap via %s: %w", seed, err)
 	}
-	n.addPeers(state)
+	n.update(state, nil)
 
 	// Route toward our own id to find our ring neighborhood; merge state
 	// from each hop on the way.
@@ -358,20 +357,21 @@ func (n *Node) Bootstrap(seed simnet.Addr) (simnet.Cost, error) {
 		leafs, cost, err := n.rpcGetLeafSet(res.Node.Addr)
 		total = simnet.Seq(total, cost)
 		if err == nil {
-			n.addPeers(leafs)
-			n.addPeer(res.Node)
+			n.update(append(leafs, res.Node), nil)
 		}
 	}
 
 	// Announce ourselves to everyone we know so their leaf sets include us
 	// and their Kosha layers can migrate content (Section 4.3.1).
+	var gone []NodeInfo
 	for _, p := range n.Known() {
 		cost, err := n.rpcNotify(p.Addr, self)
 		total = simnet.Seq(total, cost)
 		if err != nil {
-			n.removePeer(p)
+			gone = append(gone, p)
 		}
 	}
+	n.update(nil, gone)
 	return total, nil
 }
 
@@ -394,7 +394,7 @@ func (n *Node) EnsureRootFor(key id.ID) (bool, simnet.Cost) {
 		if err == nil {
 			return false, total
 		}
-		n.removePeer(next)
+		n.update(nil, []NodeInfo{next})
 	}
 	return false, total
 }
@@ -403,11 +403,13 @@ func (n *Node) EnsureRootFor(key id.ID) (bool, simnet.Cost) {
 // used by the application layer when an RPC to that node failed outside the
 // overlay (e.g. an NFS forward timed out, Section 4.4).
 func (n *Node) MarkDead(addr simnet.Addr) {
-	for _, p := range n.Known() {
-		if p.Addr == addr {
-			n.removePeer(p)
-			return
-		}
+	var buf [64]NodeInfo
+	n.mu.RLock()
+	known := n.st.appendKnown(buf[:0])
+	i := slices.IndexFunc(known, func(p NodeInfo) bool { return p.Addr == addr })
+	n.mu.RUnlock()
+	if i >= 0 {
+		n.update(nil, known[i:i+1])
 	}
 }
 
@@ -452,10 +454,15 @@ restart:
 		cur := next
 		walk := len(res.Path) // this attempt's hops are res.Path[walk:]
 		for hop := 0; hop < maxHops; hop++ {
+			// A hop is one change: the state it sent when collecting, then
+			// the hop itself, merged if it answered and purged if not. The
+			// hop alone fits in buf, so a plain route allocates nothing.
+			var buf [1]NodeInfo
+			st := buf[:0]
 			if collect {
-				if st, cost, err := n.rpcGetState(cur.Addr); err == nil {
+				if got, cost, err := n.rpcGetState(cur.Addr); err == nil {
 					res.Cost = simnet.Seq(res.Cost, cost)
-					n.addPeers(st)
+					st = got
 				}
 			}
 			nh, isRoot, cost, err := n.rpcNextHop(tc, cur.Addr, key, excluded)
@@ -464,10 +471,10 @@ restart:
 			if err != nil {
 				// cur is dead: exclude it, purge it, restart from self.
 				excluded = append(excluded, cur.ID)
-				n.removePeer(cur)
+				n.update(st, []NodeInfo{cur})
 				continue restart
 			}
-			n.addPeer(cur)
+			n.update(append(st, cur), nil)
 			res.Path = append(res.Path, cur)
 			if isRoot {
 				res.Node = cur
@@ -514,24 +521,24 @@ func (n *Node) Stabilize() simnet.Cost {
 	dead := make(map[id.ID]bool)
 	self := n.Info()
 	for pass := 0; pass < 6; pass++ {
-		changed := false
+		// The dead members the probe finds are purged together, after it.
+		var gone []NodeInfo
 		for _, p := range n.Leaf() {
-			if dead[p.ID] {
-				n.removePeer(p)
-				changed = true
-				continue
-			}
-			// Notify doubles as the liveness probe and re-announces us, so
-			// a node that joined through a stale neighborhood is
-			// eventually pulled into its true neighbors' leaf sets.
-			cost, err := n.rpcNotify(p.Addr, self)
-			total = simnet.Seq(total, cost)
-			if err != nil {
+			if !dead[p.ID] {
+				// Notify doubles as the liveness probe and re-announces us,
+				// so a node that joined through a stale neighborhood is
+				// eventually pulled into its true neighbors' leaf sets.
+				cost, err := n.rpcNotify(p.Addr, self)
+				total = simnet.Seq(total, cost)
+				if err == nil {
+					continue
+				}
 				dead[p.ID] = true
-				n.removePeer(p)
-				changed = true
 			}
+			gone = append(gone, p)
 		}
+		n.update(nil, gone)
+		changed := gone != nil
 		// Pull survivors' leaf sets to fill holes, skipping nodes we just
 		// observed dead (their entries may still name the dead).
 		for _, p := range n.Leaf() {
@@ -539,17 +546,13 @@ func (n *Node) Stabilize() simnet.Cost {
 			total = simnet.Seq(total, cost)
 			if err != nil {
 				dead[p.ID] = true
-				n.removePeer(p)
+				n.update(nil, []NodeInfo{p})
 				changed = true
 				continue
 			}
-			for _, q := range leafs {
-				if dead[q.ID] || q.ID == self.ID {
-					continue
-				}
-				if n.addPeer(q) {
-					changed = true
-				}
+			leafs = slices.DeleteFunc(leafs, func(q NodeInfo) bool { return dead[q.ID] })
+			if n.update(leafs, nil) {
+				changed = true
 			}
 		}
 		if !changed {
@@ -572,19 +575,21 @@ func (n *Node) RepairTable() simnet.Cost {
 	var total simnet.Cost
 	self := n.Info()
 	dead := map[id.ID]bool{}
-	probed := map[id.ID]bool{}
+	// vetted holds the nodes this pass adopts without a ping: every table
+	// entry once probed, the leaf set after the purge, and each candidate
+	// once pinged.
+	vetted := map[id.ID]bool{}
+	var gone []NodeInfo
 	for _, te := range n.TableEntries() {
-		if probed[te.Node.ID] {
-			continue
-		}
-		probed[te.Node.ID] = true
+		vetted[te.Node.ID] = true
 		cost, err := n.rpcPing(te.Node.Addr)
 		total = simnet.Seq(total, cost)
 		if err != nil {
 			dead[te.Node.ID] = true
-			n.removePeer(te.Node)
+			gone = append(gone, te.Node)
 		}
 	}
+	n.update(nil, gone)
 	// Refill pass: one row fetch per occupied row, from the first surviving
 	// entry of that row (the snapshot follows the purge, so the peers asked
 	// were just probed alive). Peers that have not run their own repair yet
@@ -593,17 +598,15 @@ func (n *Node) RepairTable() simnet.Cost {
 	// entry it just removed, which is what lets concurrent repairs converge.
 	n.mu.RLock()
 	var rows [id.Digits]NodeInfo
-	for r := range rows {
-		var buf [cols]NodeInfo
-		if es := n.st.appendRow(buf[:0], r); len(es) > 0 {
-			rows[r] = es[0]
+	for r, m := range n.st.occ {
+		if m != 0 {
+			rows[r] = n.st.rows[r][bits.TrailingZeros16(m)]
 		}
 	}
-	n.mu.RUnlock()
-	known := map[id.ID]bool{}
-	for _, p := range n.Known() {
-		known[p.ID] = true
+	for _, p := range n.st.leaf {
+		vetted[p.ID] = true
 	}
+	n.mu.RUnlock()
 	for r, peer := range rows {
 		if peer.IsZero() || dead[peer.ID] {
 			continue
@@ -612,24 +615,26 @@ func (n *Node) RepairTable() simnet.Cost {
 		total = simnet.Seq(total, cost)
 		if err != nil {
 			dead[peer.ID] = true
-			n.removePeer(peer)
+			n.update(nil, []NodeInfo{peer})
 			continue
 		}
+		adopt := entries[:0]
 		for _, cand := range entries {
 			if cand.ID == self.ID || dead[cand.ID] {
 				continue
 			}
-			if !known[cand.ID] {
+			if !vetted[cand.ID] {
+				vetted[cand.ID] = true
 				cost, err := n.rpcPing(cand.Addr)
 				total = simnet.Seq(total, cost)
 				if err != nil {
 					dead[cand.ID] = true
 					continue
 				}
-				known[cand.ID] = true
 			}
-			n.addPeer(cand)
+			adopt = append(adopt, cand)
 		}
+		n.update(adopt, nil)
 	}
 	return total
 }
@@ -826,7 +831,7 @@ func (n *Node) handle(_ obs.TraceContext, from simnet.Addr, req []byte) ([]byte,
 		if d.Err() != nil {
 			return nil, 0, d.Err()
 		}
-		n.addPeer(who)
+		n.update([]NodeInfo{who}, nil)
 		n.recordLoad(who.Addr, ld)
 		e.Grow(4 + loadLen)
 		e.PutUint32(0)
@@ -842,7 +847,7 @@ func (n *Node) handle(_ obs.TraceContext, from simnet.Addr, req []byte) ([]byte,
 		info, ok := n.st.known(dead)
 		n.mu.RUnlock()
 		if ok {
-			n.removePeer(info)
+			n.update(nil, []NodeInfo{info})
 		}
 		e.Grow(4)
 		e.PutUint32(0)

@@ -218,9 +218,14 @@ func TestFailureRerouting(t *testing.T) {
 
 func TestStabilizeAfterFailuresFiresCallbacks(t *testing.T) {
 	net, nodes := buildOverlay(t, 10, 47, 8)
-	var left []NodeInfo
+	var lefts [][]NodeInfo
 	nodes[0].OnLeafSetChange(func(c LeafSetChange) {
-		left = append(left, c.Left...)
+		if c.Joined == nil && c.Left == nil {
+			t.Error("empty LeafSetChange")
+		}
+		if c.Left != nil {
+			lefts = append(lefts, c.Left)
+		}
 	})
 	// Kill two of node0's leaf members.
 	leafs := nodes[0].Leaf()
@@ -233,8 +238,9 @@ func TestStabilizeAfterFailuresFiresCallbacks(t *testing.T) {
 
 	nodes[0].Stabilize()
 
-	if len(left) < 2 {
-		t.Fatalf("expected >=2 departure callbacks, got %v", left)
+	// One probe pass finds both, and its purge is one change.
+	if len(lefts) != 1 || len(lefts[0]) != 2 {
+		t.Fatalf("departures reported as %v, want one change naming both", lefts)
 	}
 	for _, l := range nodes[0].Leaf() {
 		if dead[l.ID] {
@@ -243,11 +249,37 @@ func TestStabilizeAfterFailuresFiresCallbacks(t *testing.T) {
 	}
 }
 
+// A Stabilize pass reports what one GET_LEAFSET reply restores as one
+// change: the k successors a node lost all come back in its nearest
+// successor's reply, so Kosha hears of them once, not k times.
+func TestStabilizeReportsOneReplyAsOneChange(t *testing.T) {
+	const k = 3
+	_, nodes := buildOverlay(t, 20, 11, 8)
+	x := nodes[0]
+	succs, _ := x.LeafHalves()
+	lost := succs[1 : 1+k]
+	x.update(nil, lost)
+	var changes []LeafSetChange
+	x.OnLeafSetChange(func(c LeafSetChange) { changes = append(changes, c) })
+
+	x.Stabilize()
+
+	if len(changes) != 1 {
+		t.Fatalf("one reply restoring %d members fired %d changes: %v", k, len(changes), changes)
+	}
+	if c := changes[0]; len(c.Left) != 0 || fmt.Sprint(c.Joined) != fmt.Sprint(lost) {
+		t.Fatalf("change = %+v, want Joined %v", c, lost)
+	}
+}
+
 func TestJoinFiresCallbacksOnNeighbors(t *testing.T) {
 	net, nodes := buildOverlay(t, 6, 21, 8)
 	joinedSeen := 0
 	for _, nd := range nodes {
 		nd.OnLeafSetChange(func(c LeafSetChange) {
+			if c.Joined == nil && c.Left == nil {
+				t.Error("empty LeafSetChange")
+			}
 			joinedSeen += len(c.Joined)
 		})
 	}

@@ -14,7 +14,9 @@ func FuzzDecoderNoPanic(f *testing.F) {
 	e.PutUint32(7)
 	e.PutString("seed")
 	e.PutOpaque([]byte{1, 2, 3})
-	e.PutStrings([]string{"a", "b"})
+	e.PutUint32(2) // a counted array of two strings
+	e.PutString("a")
+	e.PutString("b")
 	f.Add(append([]byte(nil), e.Bytes()...))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
@@ -24,12 +26,14 @@ func FuzzDecoderNoPanic(f *testing.F) {
 		sink := int(d.Uint32())
 		sink += len(d.String())
 		sink += len(d.Opaque())
-		sink += len(d.Strings())
+		for i := d.ArrayLen(); i > 0; i-- {
+			sink += len(d.String())
+		}
 		if d.Bool() {
 			sink++
 		}
 		sink += int(d.Int64())
-		_ = d.Float64()
+		sink += int(d.Uint64())
 		var fixed [8]byte
 		d.FixedOpaque(fixed[:])
 		sink += d.ArrayLen()

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -81,9 +80,6 @@ func (e *Encoder) PutUint32(v uint32) {
 	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
 }
 
-// PutInt32 appends a 32-bit signed integer.
-func (e *Encoder) PutInt32(v int32) { e.PutUint32(uint32(v)) }
-
 // PutUint64 appends a 64-bit unsigned integer.
 func (e *Encoder) PutUint64(v uint64) {
 	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
@@ -100,9 +96,6 @@ func (e *Encoder) PutBool(v bool) {
 		e.PutUint32(0)
 	}
 }
-
-// PutFloat64 appends an IEEE-754 double.
-func (e *Encoder) PutFloat64(v float64) { e.PutUint64(math.Float64bits(v)) }
 
 // Grow reserves room for n more bytes, so a frame whose size is known up
 // front is allocated once, at that size, instead of regrown as it fills.
@@ -194,14 +187,6 @@ func (e *Encoder) PutString(s string) {
 	e.buf = append(e.buf, s...)
 	for i := 0; i < pad4(len(s)); i++ {
 		e.buf = append(e.buf, 0)
-	}
-}
-
-// PutStrings appends a counted array of strings.
-func (e *Encoder) PutStrings(ss []string) {
-	e.PutUint32(uint32(len(ss)))
-	for _, s := range ss {
-		e.PutString(s)
 	}
 }
 
@@ -637,9 +622,6 @@ func (d *Decoder) Uint32() uint32 {
 	return binary.BigEndian.Uint32(p)
 }
 
-// Int32 reads a 32-bit signed integer.
-func (d *Decoder) Int32() int32 { return int32(d.Uint32()) }
-
 // Uint64 reads a 64-bit unsigned integer.
 func (d *Decoder) Uint64() uint64 {
 	p := d.take(8)
@@ -654,9 +636,6 @@ func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
 
 // Bool reads a 32-bit boolean. Any nonzero value is true, per XDR practice.
 func (d *Decoder) Bool() bool { return d.Uint32() != 0 }
-
-// Float64 reads an IEEE-754 double.
-func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
 // Opaque reads variable-length opaque data. The returned slice is a copy.
 func (d *Decoder) Opaque() []byte {
@@ -723,23 +702,6 @@ func (d *Decoder) String() string {
 	}
 	d.take(pad4(int(n)))
 	return string(p)
-}
-
-// Strings reads a counted array of strings.
-func (d *Decoder) Strings() []string {
-	n := d.Uint32()
-	if n > MaxItems {
-		d.fail(ErrTooLong)
-		return nil
-	}
-	out := make([]string, 0, min(int(n), 1024))
-	for i := uint32(0); i < n; i++ {
-		out = append(out, d.String())
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
 }
 
 // ArrayLen reads a counted-array length prefix and validates it: against

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -14,20 +13,14 @@ import (
 func TestScalarRoundTrip(t *testing.T) {
 	e := NewEncoder(64)
 	e.PutUint32(0xdeadbeef)
-	e.PutInt32(-7)
 	e.PutUint64(0x0123456789abcdef)
 	e.PutInt64(-1 << 62)
 	e.PutBool(true)
 	e.PutBool(false)
-	e.PutFloat64(3.5)
-	e.PutFloat64(math.Inf(-1))
 
 	d := NewDecoder(e.Bytes())
 	if v := d.Uint32(); v != 0xdeadbeef {
 		t.Errorf("u32 = %x", v)
-	}
-	if v := d.Int32(); v != -7 {
-		t.Errorf("i32 = %d", v)
 	}
 	if v := d.Uint64(); v != 0x0123456789abcdef {
 		t.Errorf("u64 = %x", v)
@@ -37,12 +30,6 @@ func TestScalarRoundTrip(t *testing.T) {
 	}
 	if !d.Bool() || d.Bool() {
 		t.Error("bool mismatch")
-	}
-	if v := d.Float64(); v != 3.5 {
-		t.Errorf("f64 = %v", v)
-	}
-	if v := d.Float64(); !math.IsInf(v, -1) {
-		t.Errorf("f64 inf = %v", v)
 	}
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
@@ -100,25 +87,6 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStringsArray(t *testing.T) {
-	ss := []string{"a", "", "directory name", "x/y/z"}
-	e := NewEncoder(64)
-	e.PutStrings(ss)
-	d := NewDecoder(e.Bytes())
-	got := d.Strings()
-	if len(got) != len(ss) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range ss {
-		if got[i] != ss[i] {
-			t.Errorf("strings[%d] = %q", i, got[i])
-		}
-	}
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShortBufferErrors(t *testing.T) {
 	d := NewDecoder([]byte{0, 0})
 	if d.Uint32() != 0 {
@@ -142,13 +110,6 @@ func TestCorruptLengthRejected(t *testing.T) {
 	d := NewDecoder(e.Bytes())
 	if d.Opaque() != nil || d.Err() != ErrTooLong {
 		t.Errorf("oversized opaque accepted: %v", d.Err())
-	}
-
-	e.Reset()
-	e.PutUint32(MaxItems + 1)
-	d = NewDecoder(e.Bytes())
-	if d.Strings() != nil || d.Err() != ErrTooLong {
-		t.Errorf("oversized array accepted: %v", d.Err())
 	}
 
 	e.Reset()
@@ -198,24 +159,15 @@ func TestDecoderDoesNotCopyInput(t *testing.T) {
 }
 
 func TestPropScalarsRoundTrip(t *testing.T) {
-	f := func(a uint32, b int32, c uint64, e64 int64, bl bool, fl float64) bool {
+	f := func(a uint32, c uint64, e64 int64, bl bool) bool {
 		e := NewEncoder(64)
 		e.PutUint32(a)
-		e.PutInt32(b)
 		e.PutUint64(c)
 		e.PutInt64(e64)
 		e.PutBool(bl)
-		e.PutFloat64(fl)
 		d := NewDecoder(e.Bytes())
-		ok := d.Uint32() == a && d.Int32() == b && d.Uint64() == c &&
-			d.Int64() == e64 && d.Bool() == bl
-		g := d.Float64()
-		if math.IsNaN(fl) {
-			ok = ok && math.IsNaN(g)
-		} else {
-			ok = ok && g == fl
-		}
-		return ok && d.Done() == nil
+		return d.Uint32() == a && d.Uint64() == c && d.Int64() == e64 &&
+			d.Bool() == bl && d.Done() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -223,30 +175,17 @@ func TestPropScalarsRoundTrip(t *testing.T) {
 }
 
 func TestPropOpaqueStringsRoundTrip(t *testing.T) {
-	f := func(p []byte, s string, ss []string) bool {
+	f := func(p []byte, s string) bool {
 		e := NewEncoder(64)
 		e.PutOpaque(p)
 		e.PutString(s)
-		e.PutStrings(ss)
 		d := NewDecoder(e.Bytes())
 		gp := d.Opaque()
 		gs := d.String()
-		gss := d.Strings()
 		if !bytes.Equal(gp, p) && !(len(gp) == 0 && len(p) == 0) {
 			return false
 		}
-		if gs != s {
-			return false
-		}
-		if len(gss) != len(ss) {
-			return false
-		}
-		for i := range ss {
-			if gss[i] != ss[i] {
-				return false
-			}
-		}
-		return d.Done() == nil
+		return gs == s && d.Done() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
