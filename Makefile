@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all ci fmt-check vet build test bench bench-smoke bench-json bench-diff gobench-smoke smoke scale-smoke metrics-smoke chaos soak fuzz loc quick-json-diff clean
+.PHONY: all ci fmt-check vet build test bench bench-smoke bench-json bench-diff gobench-smoke smoke scale-smoke metrics-smoke chaos soak fuzz fuzz-smoke loc quick-json-diff clean
 
 all: vet build test
 
@@ -15,12 +15,15 @@ all: vet build test
 # tests), a koshabench smoke run that
 # fails unless the JSON output carries the latency-percentile fields, a
 # /metrics exposition smoke against a live koshad, a smoke run of the
-# benchmark harness, one iteration of every Go benchmark, and the ledger
-# comparison of the two newest BENCH_*.json.
+# benchmark harness, one iteration of every Go benchmark, the ledger
+# comparison of the two newest BENCH_*.json, and a short fuzz of every
+# decoder a peer's bytes reach (fuzz-smoke), so CI mutates those inputs
+# instead of only replaying the seed corpora.
 ci: fmt-check vet build
 	$(MAKE) bench-diff
 	$(MAKE) chaos
 	$(GO) test -race ./...
+	$(MAKE) fuzz-smoke
 	$(MAKE) smoke
 	$(MAKE) scale-smoke
 	$(MAKE) metrics-smoke
@@ -69,15 +72,30 @@ soak:
 # default 20 s a target, the run takes some six minutes.
 #   make fuzz FUZZTIME=1m
 FUZZTIME ?= 20s
+# FUZZ_RUN defines `run <target> <package>`, which fuzzes one target for
+# FUZZTIME and notes a failure; FUZZ_DONE lists the failed targets and exits 1
+# when there are any.
+FUZZ_RUN = failed=""; run() { echo "fuzz: $$1 ($$2)"; $(GO) test $$2 -run '^$$' -fuzz "^$$1\$$" -fuzztime $(FUZZTIME) || failed="$$failed $$1($$2)"; }
+FUZZ_DONE = [ -z "$$failed" ] || { echo "fuzz: failed:$$failed" >&2; exit 1; }
 fuzz:
-	@failed=""; \
+	@$(FUZZ_RUN); \
 	for f in $$(grep -l '^func Fuzz' $$(find . -name '*_test.go')); do \
-		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
-			echo "fuzz: $$t ($$(dirname $$f))"; \
-			$(GO) test $$(dirname $$f) -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || failed="$$failed $$t($$(dirname $$f))"; \
-		done; \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do run $$t $$(dirname $$f); done; \
 	done; \
-	[ -z "$$failed" ] || { echo "fuzz: failed:$$failed" >&2; exit 1; }
+	$(FUZZ_DONE)
+
+# fuzz-smoke is the part of fuzz that ci runs: the four targets that decode
+# what a peer sends (the NFS server, the kosha service, the overlay and the
+# TCP frame reader) for FUZZTIME = 5s each, a finding failing the target as
+# in fuzz.
+fuzz-smoke: FUZZTIME = 5s
+fuzz-smoke:
+	@$(FUZZ_RUN); \
+	run FuzzServerHandleNoPanic ./internal/nfs; \
+	run FuzzKoshaHandleNoPanic ./internal/core; \
+	run FuzzPastryHandleNoPanic ./internal/pastry; \
+	run FuzzFrameNoPanic ./internal/tcpnet; \
+	$(FUZZ_DONE)
 
 # scale-smoke is the quick (<=100-node) scale-sweep variant wired into ci:
 # two soak points plus the hops-vs-N JSON fields the docs table is built from,

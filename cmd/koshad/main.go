@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -39,7 +40,7 @@ func main() {
 	capacity := flag.String("capacity", "0", "contributed store bytes (supports K/M/G suffix; 0 = unlimited)")
 	level := flag.Int("level", 1, "distribution level L")
 	replicas := flag.Int("replicas", 1, "replication factor K")
-	redirects := flag.Int("redirects", 4, "capacity redirection attempts")
+	redirects := flag.Int("redirects", 4, "capacity redirection attempts (negative = none: only the unsalted placement)")
 	stabilize := flag.Duration("stabilize", 10*time.Second, "overlay stabilization interval")
 	datadir := flag.String("datadir", "", "persist the contributed store in this directory (default: in-memory)")
 	seed := flag.Uint64("seed", 0, "nodeId seed (0 = random)")
@@ -53,6 +54,10 @@ func main() {
 	capBytes, err := parseSize(*capacity)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if capBytes < 0 {
+		fmt.Fprintf(os.Stderr, "koshad: -capacity %s: the contributed store cannot be negative\n", *capacity)
 		os.Exit(2)
 	}
 	if *stabilize <= 0 {
@@ -223,7 +228,7 @@ func parseSize(s string) (int64, error) {
 		mult, s = 1<<10, strings.TrimSuffix(s, "K")
 	}
 	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
+	if err != nil || v > math.MaxInt64/mult || v < math.MinInt64/mult {
 		return 0, fmt.Errorf("koshad: bad size %q", s)
 	}
 	return v * mult, nil

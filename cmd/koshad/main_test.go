@@ -51,6 +51,19 @@ func TestNonPositiveStabilizeIsRefused(t *testing.T) {
 	}
 }
 
+// A negative -capacity is refused the same way, before the listener opens.
+// It used to reach the store, which treats a negative capacity as
+// unlimited while FSSTAT reports it as the total.
+func TestNegativeCapacityIsRefused(t *testing.T) {
+	for _, v := range []string{"-1", "-1G"} {
+		code, stdout, stderr := koshad(t, "-listen", "no-port", "-capacity", v)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-capacity "+v+":") || strings.Contains(stderr, "panic") {
+			t.Errorf("koshad -capacity %s: exit %d, stdout %q, stderr %q; want exit 2, no output and a -capacity message",
+				v, code, stdout, stderr)
+		}
+	}
+}
+
 func TestParseSize(t *testing.T) {
 	cases := map[string]int64{
 		"0":    0,
@@ -67,7 +80,7 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("parseSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "x", "12Q", "G"} {
+	for _, bad := range []string{"", "x", "12Q", "G", "8589934592G", "-8589934593G"} {
 		if _, err := parseSize(bad); err == nil {
 			t.Errorf("parseSize(%q) accepted", bad)
 		}

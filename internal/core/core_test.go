@@ -295,6 +295,33 @@ func TestCapacityRedirection(t *testing.T) {
 	}
 }
 
+// A negative RedirectAttempts means no redirection: a directory goes to its
+// unsalted placement or nowhere. The placement loop used to run no attempt
+// at all, so every distributed mkdir answered NOSPC, on an empty cluster
+// too.
+func TestNegativeRedirectAttemptsPlacesUnsalted(t *testing.T) {
+	_, nodes := testCluster(t, 4, 31, Config{Replicas: -1, RedirectAttempts: -1, Capacity: 4 << 10, UtilizationLimit: 0.5})
+	m := nodes[0].NewMount()
+	if _, _, err := m.MkdirAll("/a"); err != nil {
+		t.Fatalf("MkdirAll(/a) without redirection: %v", err)
+	}
+	if pl, _, err := nodes[0].ResolvePath("/a"); err != nil || pl.PN() != "a" {
+		t.Fatalf("/a placed as %q (err=%v), want its unsalted name", pl.PN(), err)
+	}
+	// Fill every store past the limit: the one target asked is full, and
+	// no salted name is tried after it.
+	for _, nd := range nodes {
+		nd.Store().WriteFile(RepPath("/filler"), make([]byte, 3<<10))
+	}
+	before := nodes[0].NFSProcCount(nfs.ProcFSStat)
+	if _, _, err := m.MkdirAll("/b"); !nfs.IsStatus(err, nfs.ErrNoSpc) {
+		t.Fatalf("MkdirAll(/b) on full stores: %v, want NOSPC", err)
+	}
+	if n := nodes[0].NFSProcCount(nfs.ProcFSStat) - before; n != 1 {
+		t.Fatalf("a mkdir without redirection asked %d targets for their space, want 1", n)
+	}
+}
+
 // readCopy reads a node's copy of a primary-relative physical path, whether
 // it holds it as primary or in the replica area.
 func readCopy(nd *Node, phys string) ([]byte, error) {

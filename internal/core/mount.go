@@ -339,12 +339,7 @@ func (m *Mount) readAt(tr *obs.Trace, de *ventry, st *stream, offset int64, coun
 			h = hs[(m.rr.Add(1)-1)%uint64(len(hs))]
 		}
 	}
-	d := dst
-	var eof bool
-	from, c, err := m.fromHolder(tr, de, st, h, func(to simnet.Addr, fh nfs.Handle) (c simnet.Cost, err error) {
-		d, eof, c, err = m.n.nfsT(tr).ReadInto(to, fh, offset, count, dst)
-		return c, err
-	})
+	d, eof, from, c, err := m.readFrom(tr, de, st, h, offset, count, dst)
 	if err == nil && from == m.n.addr {
 		c = simnet.Seq(c, loopbackXfer(len(d)-len(dst)))
 	}

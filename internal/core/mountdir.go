@@ -573,9 +573,8 @@ func (m *Mount) copyTree(srcDir VH, srcName string, dstDir VH, dstName string) (
 			return total, err
 		}
 		defer m.forget(dstVH)
-		const chunk = 1 << 20
 		for off := int64(0); ; {
-			data, eof, c, err := m.Read(srcVH, off, chunk)
+			data, eof, c, err := m.Read(srcVH, off, localfs.ReadUnit)
 			total = simnet.Seq(total, c)
 			if err != nil {
 				return total, err

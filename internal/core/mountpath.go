@@ -182,7 +182,7 @@ func (m *Mount) writeFileIn(tr *obs.Trace, de *ventry, name string, data []byte)
 // regrow, not a READ. With replica reads on the walk asks for nothing, and
 // the first READ rotates across the holders as every other one does.
 func (m *Mount) ReadFile(vpath string) ([]byte, simnet.Cost, error) {
-	const chunk = 1 << 20
+	const chunk = localfs.ReadUnit
 	var want uint32 = chunk
 	if m.n.cfg.ReadFromReplicas {
 		want = 0

@@ -26,7 +26,8 @@ type Config struct {
 	// neighbors (Section 4.2). Default 1 (the Table 1 setting).
 	Replicas int
 	// RedirectAttempts bounds capacity redirection retries (Section 3.3).
-	// Default 4 (the Figure 6 sweet spot).
+	// Default 4 (the Figure 6 sweet spot); negative means no redirection:
+	// only the unsalted placement is tried.
 	RedirectAttempts int
 	// UtilizationLimit is the store utilization beyond which new
 	// directories are redirected elsewhere. Default 0.85.
@@ -40,10 +41,10 @@ type Config struct {
 	// Writes still serialize through the primary. K = 0 turns it off: there
 	// is no replica to read from.
 	ReadFromReplicas bool
-	// ReadaheadChunks is N, the readahead window in StreamChunk-sized
+	// ReadaheadChunks is N, the readahead window in localfs.ReadUnit-sized
 	// (1 MiB) pieces a mount keeps in flight ahead of a sequential reader
-	// (one READSTREAM round trip per window). 0 (default) disables
-	// readahead: every READ is one stop-and-wait round trip.
+	// (one READ of the window per holder). 0 (default) disables readahead:
+	// every READ is one stop-and-wait round trip.
 	ReadaheadChunks int
 	// WriteBackBytes is the high-water mark of the per-handle write-back
 	// buffer. 0 (default) keeps writes write-through — each WRITE applies
@@ -149,7 +150,9 @@ func (c Config) withDefaults() Config {
 	} else if c.Replicas == 0 {
 		c.Replicas = 1
 	}
-	if c.RedirectAttempts == 0 {
+	if c.RedirectAttempts < 0 {
+		c.RedirectAttempts = 0
+	} else if c.RedirectAttempts == 0 {
 		c.RedirectAttempts = 4
 	}
 	if c.UtilizationLimit == 0 {

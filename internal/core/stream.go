@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"sort"
 	"sync"
 
@@ -12,11 +11,12 @@ import (
 )
 
 // This file is the client side of the per-handle data path: a readahead
-// window that turns sequential READs into pipelined READSTREAM window
-// fetches, a write-back buffer that coalesces adjacent WRITEs into one
-// vectored flush, and the holder list replica reads spread over. All are off
-// by default (stop-and-wait, write-through, primary only) and enabled by
-// Config.ReadaheadChunks / WriteBackBytes / ReadFromReplicas.
+// window that turns sequential READs into one READ per window (one per
+// holder when the window fans out), a write-back buffer that coalesces
+// adjacent WRITEs into one vectored flush, and the holder list replica reads
+// spread over. All are off by default (stop-and-wait, write-through, primary
+// only) and enabled by Config.ReadaheadChunks / WriteBackBytes /
+// ReadFromReplicas.
 
 // wbMaxSpans bounds how many disjoint spans a write-back buffer holds before
 // it flushes regardless of the byte high-water mark, so a pathological
@@ -159,7 +159,7 @@ func (m *Mount) release(tr *obs.Trace, vh VH) (simnet.Cost, error) {
 // readAhead serves a Read through the handle's sliding window, appending to
 // dst (ReadInto). A hit on the prefetched buffer costs only the
 // interposition constant plus the loopback copy; a miss at the sequential
-// cursor fetches the next window with one pipelined READSTREAM (fanned out
+// cursor fetches the next window with one READ of its byte count (fanned out
 // across replica holders when replica reads are on); any other miss — a
 // seek — cancels the window and falls back to a plain stop-and-wait READ.
 // Bytes served from the window are copied into dst, or with a nil dst are
@@ -212,19 +212,15 @@ func appendData(dst, data []byte) []byte {
 	return append(dst, data...)
 }
 
-// StreamChunk is the unit a readahead window moves: a window is
-// Config.ReadaheadChunks chunks of this size, one READSTREAM round trip.
-const StreamChunk = 1 << 20
-
-// fillWindow fetches one readahead window of StreamChunk-sized chunks
-// starting at offset into the stream buffer. With ReadFromReplicas the
-// window splits bitswap-style over the handle's holder list: contiguous
-// chunk ranges are pulled from the holders concurrently (the cost is the
-// slowest segment, not the sum) and stitched back in order. A replica-side
-// failure never fails the window — its segment is refetched from the
-// primary.
+// fillWindow fetches one readahead window, Config.ReadaheadChunks
+// ReadUnits from offset, into the stream buffer. With one holder it is one
+// READ, whose reply's bytes become the buffer. With ReadFromReplicas the
+// window splits bitswap-style over the handle's holder list: each holder
+// serves one READ of a contiguous run of units, concurrently (the cost is
+// the slowest segment, not the sum), into its own slice of one buffer sized
+// for the window. A replica-side failure never fails the window — its
+// segment is refetched from the primary.
 func (m *Mount) fillWindow(tr *obs.Trace, de *ventry, st *stream, offset int64) (simnet.Cost, error) {
-	const chunk = StreamChunk
 	window := m.n.cfg.ReadaheadChunks
 	var total simnet.Cost
 	hs := []simnet.Addr{de.node}
@@ -234,44 +230,48 @@ func (m *Mount) fillWindow(tr *obs.Trace, de *ventry, st *stream, offset int64) 
 			hs = hs[:window]
 		}
 	}
-
-	parts := make([][]byte, len(hs))
-	costs := make([]simnet.Cost, len(hs))
-	kept, eof := len(hs), false // the segments up to the first short one
-	off := offset
+	var buf []byte
+	if len(hs) > 1 {
+		buf = make([]byte, window*localfs.ReadUnit)
+	}
+	var segs simnet.Cost
+	kept, short, eof := 0, false, false // the bytes up to the first short segment
+	o := 0
 	for i, h := range hs {
-		nch := window / len(hs)
+		n := window / len(hs)
 		if i < window%len(hs) {
-			nch++
+			n++
 		}
-		var d []byte
-		var e bool
-		_, c, err := m.fromHolder(tr, de, st, h, func(to simnet.Addr, fh nfs.Handle) (c simnet.Cost, err error) {
-			d, e, c, err = m.n.nfsT(tr).ReadStream(to, fh, off, chunk, nch)
-			return c, err
-		})
+		n *= localfs.ReadUnit
+		var dst []byte
+		if buf != nil {
+			dst = buf[o : o : o+n]
+		}
+		d, e, _, c, err := m.readFrom(tr, de, st, h, offset+int64(o), n, dst)
 		if err != nil {
-			return simnet.Seq(total, simnet.Par(costs...), c), err
+			return simnet.Seq(total, segs, c), err
 		}
-		parts[i], costs[i] = d, c
-		if kept == len(hs) && (e || len(d) < nch*chunk) {
-			kept, eof = i+1, e
+		segs = simnet.Par(segs, c)
+		if !short {
+			if buf == nil {
+				buf = d // the one holder's reply
+			}
+			kept += len(d)
+			short, eof = e || len(d) < n, e
 		}
-		off += int64(nch * chunk)
+		o += n
 	}
-	total = simnet.Seq(total, simnet.Par(costs...))
-
-	if kept == 1 {
-		// One holder served the window: its reply's bytes are the buffer.
-		st.buf, st.bufOff, st.bufEOF = parts[0], offset, eof
-		return total, nil
+	if kept < len(buf) {
+		// The file ended inside the window, or a holder had less: keep the
+		// bytes before the first short segment in a buffer of their size, so
+		// a stream never holds a window's room for a file's tail. Anything
+		// after it would be discontiguous; a later window refetches it.
+		tail := make([]byte, kept)
+		copy(tail, buf)
+		buf = tail
 	}
-	// Stitch segments in order, stopping at the first short one: the file
-	// ended there, or a holder had less — anything after it would be
-	// discontiguous and is refetched by a later window. Join sizes the
-	// buffer by the kept bytes, which near EOF are less than the window.
-	st.buf, st.bufOff, st.bufEOF = bytes.Join(parts[:kept], nil), offset, eof
-	return total, nil
+	st.buf, st.bufOff, st.bufEOF = buf, offset, eof
+	return simnet.Seq(total, segs), nil
 }
 
 // holders is the handle's holder list, the one list both stop-and-wait reads
@@ -293,22 +293,21 @@ func (m *Mount) holders(tr *obs.Trace, de *ventry, st *stream) ([]simnet.Addr, s
 	return hs, cost
 }
 
-// fromHolder runs read against the holder h and counts the read toward
-// ReadSpread. A replica holder is read through its replica-area handle,
-// resolved the first time a read lands there; when that resolution or the
-// read fails, h is marked failed on this handle and read reruns against the
-// primary. It returns the node that served and the cost of every attempt.
-func (m *Mount) fromHolder(tr *obs.Trace, de *ventry, st *stream, h simnet.Addr, read func(to simnet.Addr, fh nfs.Handle) (simnet.Cost, error)) (simnet.Addr, simnet.Cost, error) {
-	var cost simnet.Cost
+// readFrom is one READ of count bytes at off from the holder h, appended to
+// dst (ReadInto) and counted toward ReadSpread. A replica holder is read
+// through its replica-area handle, resolved the first time a read lands
+// there; when that resolution or the read fails, h is marked failed on this
+// handle and the read reruns against the primary. It returns the node that
+// served and the cost of every attempt.
+func (m *Mount) readFrom(tr *obs.Trace, de *ventry, st *stream, h simnet.Addr, off int64, count int, dst []byte) (data []byte, eof bool, from simnet.Addr, cost simnet.Cost, err error) {
 	if h != de.node {
 		fh, ok := st.repFH[h]
-		var err error
 		if !ok {
 			fh, _, cost, err = m.n.remoteLookupPath(tr.Ctx(), h, RepPath(de.physPath))
 		}
 		if err == nil {
 			var c simnet.Cost
-			c, err = read(h, fh)
+			data, eof, c, err = m.n.nfsT(tr).ReadInto(h, fh, off, count, dst)
 			cost = simnet.Seq(cost, c)
 		}
 		if st.repFH == nil {
@@ -318,15 +317,15 @@ func (m *Mount) fromHolder(tr *obs.Trace, de *ventry, st *stream, h simnet.Addr,
 			st.repFH[h] = fh
 			m.countRead(h)
 			tr.SetServedBy(string(h))
-			return h, cost, nil
+			return data, eof, h, cost, nil
 		}
 		st.repFH[h] = nfs.Handle{} // skipped by holders from now on
 	}
-	c, err := read(de.node, de.fh)
+	data, eof, c, err := m.n.nfsT(tr).ReadInto(de.node, de.fh, off, count, dst)
 	if err == nil {
 		m.countRead(de.node)
 	}
-	return de.node, simnet.Seq(cost, c), err
+	return data, eof, de.node, simnet.Seq(cost, c), err
 }
 
 // --- write-back ---

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/localfs"
 	"repro/internal/nfs"
+	"repro/internal/racetest"
 )
 
 func counter(n *Node, name string) uint64 {
@@ -319,10 +321,10 @@ func TestReadaheadWithReplicaFanout(t *testing.T) {
 }
 
 // TestReadaheadFanoutAcrossEOF: a fanned-out window that crosses EOF keeps
-// the segments up to the first short one and stitches them into a buffer of
-// exactly their size, not the window's. The file is 2.5 MiB and change, so
-// of the 4 x 1 MiB window the primary serves two full chunks, the next
-// holder the short tail, and the last holder nothing.
+// the segments up to the first short one in a buffer of exactly their size,
+// not the window's. The file is 2.5 MiB and change, so of the 4 x 1 MiB
+// window the primary serves two full units, the next holder the short tail,
+// and the last holder nothing.
 func TestReadaheadFanoutAcrossEOF(t *testing.T) {
 	_, nodes := testCluster(t, 6, 85, Config{
 		Replicas: 2, ReadFromReplicas: true, ReadaheadChunks: 4,
@@ -365,5 +367,52 @@ func TestReadaheadFanoutAcrossEOF(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("a window across EOF returned %d bytes, want the file's %d", len(got), len(payload))
+	}
+}
+
+// TestWindowAllocatesItsBytesOnce: a readahead window's bytes are allocated
+// once end to end. With one holder the window is the reply's own bytes; with
+// three, each holder's segment lands in its own slice of one buffer sized
+// for the window (through the sink the READ lends), where the segments used
+// to arrive as replies of their own that were then joined, about 2x the
+// window.
+func TestWindowAllocatesItsBytesOnce(t *testing.T) {
+	const window = 3 * localfs.ReadUnit
+	for _, fromReplicas := range []bool{false, true} {
+		_, nodes := testCluster(t, 6, 85, Config{
+			Replicas: 2, ReadFromReplicas: fromReplicas, ReadaheadChunks: window / localfs.ReadUnit,
+		})
+		m := nodes[0].NewMount()
+		payload := make([]byte, 2*window)
+		for i := range payload {
+			payload[i] = byte(i * 7 % 251)
+		}
+		if _, err := m.WriteFile("/win/f.bin", payload); err != nil {
+			t.Fatal(err)
+		}
+		// Each call opens the file, whose first READ fetches a window, and
+		// closes it again.
+		fill := func(int) {
+			vh, _, _, err := m.LookupPath("/win/f.bin")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, _, _, err := m.Read(vh, 0, 32<<10)
+			if err != nil || !bytes.Equal(d, payload[:32<<10]) {
+				t.Fatalf("first read: %d bytes err=%v", len(d), err)
+			}
+			if _, err := m.Close(vh); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fill(0)
+		if spread := len(m.ReadSpread()); fromReplicas != (spread == 3) {
+			t.Fatalf("replica reads %v: the window was served by %d node(s)", fromReplicas, spread)
+		}
+		racetest.SkipAllocs(t)
+		if per := bytesPerCall(4, fill); per > window*11/10 {
+			t.Errorf("replica reads %v: a %d-byte window allocated %d bytes, %.2fx, want at most 1.1x",
+				fromReplicas, window, per, float64(per)/window)
+		}
 	}
 }

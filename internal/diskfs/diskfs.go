@@ -492,13 +492,12 @@ func (f *FS) Readlink(ino uint64) (string, simnet.Cost, error) {
 
 // Read returns up to count bytes at offset in a fresh slice.
 func (f *FS) Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
-	return f.AppendRead(nil, ino, offset, count, 1)
+	return f.AppendRead(nil, ino, offset, count)
 }
 
-// AppendRead appends a window of chunks reads of chunk bytes at offset to
-// dst, read with one open of the file straight into its spare capacity; see
-// localfs.FileSystem.
-func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
+// AppendRead appends up to count bytes at offset to dst, read with one open
+// of the file straight into its spare capacity; see localfs.FileSystem.
+func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cost := f.disk.OpCost(0)
@@ -513,7 +512,7 @@ func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, chunk, chunks int)
 	if a.Type == localfs.TypeDir {
 		return dst, false, cost, localfs.ErrIsDir
 	}
-	if a.Type != localfs.TypeRegular || offset < 0 || chunk < 0 || chunks < 1 {
+	if a.Type != localfs.TypeRegular || offset < 0 || count < 0 {
 		return dst, false, cost, localfs.ErrInval
 	}
 	fh, err := os.Open(f.host(rel))
@@ -521,7 +520,7 @@ func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, chunk, chunks int)
 		return dst, false, cost, mapErr(err)
 	}
 	defer fh.Close()
-	n, wcost := localfs.Window(f.disk, a.Size-offset, chunk, chunks)
+	n, wcost := localfs.Window(f.disk, a.Size-offset, count)
 	buf := localfs.Grow(dst, n)
 	if _, err := fh.ReadAt(buf[len(buf):len(buf)+n], offset); err != nil {
 		return dst, false, cost, mapErr(err)

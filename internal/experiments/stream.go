@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/localfs"
 	"repro/internal/nfs"
 )
 
@@ -18,7 +19,7 @@ type StreamOptions struct {
 	Nodes          int
 	FileBytes      int // size of the scanned file
 	ReadSize       int // bytes per client READ call (the kernel's rsize)
-	Window         int // readahead window, in core.StreamChunk-sized chunks
+	Window         int // readahead window, in localfs.ReadUnit-sized chunks
 	RandReads      int // random 64KiB reads after the sequential scan
 	WriteCount     int // small sequential writes in the write phase
 	WriteSize      int // bytes per write
@@ -59,7 +60,7 @@ type StreamResult struct {
 	Window    int `json:"window"`
 
 	SeqRPCsBase    uint64  `json:"seq_rpcs_base"`   // READ RPCs, stop-and-wait scan
-	SeqRPCsStream  uint64  `json:"seq_rpcs_stream"` // READ+READSTREAM RPCs, windowed scan
+	SeqRPCsStream  uint64  `json:"seq_rpcs_stream"` // READ RPCs, windowed scan
 	ReadRPCRatio   float64 `json:"read_rpc_ratio"`  // base / stream
 	SeqMBpsBase    float64 `json:"seq_mbps_base"`   // modeled sequential throughput
 	SeqMBpsStream  float64 `json:"seq_mbps_stream"`
@@ -79,12 +80,12 @@ type StreamResult struct {
 	opts StreamOptions // what the run used; the renderers read their headers from it
 }
 
-// dataRPCs sums the data-bearing read procedures issued by every node: the
-// client's forwarded READs plus any READSTREAM window segments.
+// dataRPCs sums the READs every node served: the client's forwarded READs
+// and the readahead windows' segments.
 func dataRPCs(c *cluster.Cluster) uint64 {
 	var total uint64
 	for _, nd := range c.Nodes {
-		total += nd.NFSProcCount(nfs.ProcRead) + nd.NFSProcCount(nfs.ProcReadStream)
+		total += nd.NFSProcCount(nfs.ProcRead)
 	}
 	return total
 }
@@ -261,7 +262,7 @@ func RunStream(opts StreamOptions) (*StreamResult, error) {
 // Fprint renders the comparison as a text table.
 func (r *StreamResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Streaming I/O over a %d MiB file, %d nodes (window %d x %d KiB, write-back %d KiB)\n",
-		r.FileBytes>>20, r.Nodes, r.Window, core.StreamChunk>>10, r.opts.WriteBackBytes>>10)
+		r.FileBytes>>20, r.Nodes, r.Window, localfs.ReadUnit>>10, r.opts.WriteBackBytes>>10)
 	fmt.Fprintf(w, "%-28s %14s %14s\n", "metric", "stop-and-wait", "streamed")
 	fmt.Fprintf(w, "%-28s %14d %14d\n", "sequential-read data RPCs", r.SeqRPCsBase, r.SeqRPCsStream)
 	fmt.Fprintf(w, "%-28s %14.1f %14.1f\n", "sequential MB/s (modeled)", r.SeqMBpsBase, r.SeqMBpsStream)

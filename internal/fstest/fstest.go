@@ -15,7 +15,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// Factory builds a fresh, empty file system with the given capacity.
+// Factory builds a fresh, empty file system with the given capacity on the
+// simnet.Disk7200 disk model, which the cost checks charge against.
 type Factory func(t *testing.T, capacity int64) localfs.FileSystem
 
 // Run executes the conformance battery against the factory.
@@ -732,7 +733,7 @@ func testAppendRead(t *testing.T, factory Factory) {
 		{"a stale handle", 999999, 0, localfs.ErrStale},
 		{"a negative offset", a.Ino, -1, localfs.ErrInval},
 	} {
-		got, eof, _, err := f.AppendRead(prefix, c.ino, c.off, 10, 1)
+		got, eof, _, err := f.AppendRead(prefix, c.ino, c.off, 10)
 		if !errors.Is(err, c.want) || eof || !same(got) {
 			t.Errorf("AppendRead of %s: %d bytes eof=%v err=%v, want dst back unchanged and %v", c.name, len(got), eof, err, c.want)
 		}
@@ -746,7 +747,7 @@ func testAppendRead(t *testing.T, factory Factory) {
 					continue
 				}
 				want, weof, wcost, werr := f.Read(a.Ino, int64(off), end-off)
-				got, eof, cost, err := f.AppendRead(prefix, a.Ino, int64(off), end-off, 1)
+				got, eof, cost, err := f.AppendRead(prefix, a.Ino, int64(off), end-off)
 				if err != nil || werr != nil || eof != weof || cost != wcost {
 					t.Fatalf("AppendRead(%d, %d): eof=%v cost=%v err=%v; Read: eof=%v cost=%v err=%v",
 						off, end-off, eof, cost, err, weof, wcost, werr)
@@ -759,78 +760,89 @@ func testAppendRead(t *testing.T, factory Factory) {
 		}
 	}
 	for _, off := range []int64{int64(size), int64(size) + 1} {
-		if got, eof, _, err := f.AppendRead(prefix, a.Ino, off, 10, 1); err != nil || !eof || !same(got) {
+		if got, eof, _, err := f.AppendRead(prefix, a.Ino, off, 10); err != nil || !eof || !same(got) {
 			t.Errorf("AppendRead at %d of a %d-byte file: %d bytes eof=%v err=%v, want nothing appended and eof", off, size, len(got), eof, err)
 		}
 	}
 }
 
-// testWindowRead: a window read, AppendRead of chunks reads of chunk bytes,
-// is the chunk-by-chunk sequence it replaces done as one copy. At every
-// offset of a 1000-byte file, for windows that end short of EOF, on it at a
-// chunk boundary, in a short last chunk and past it, it appends the bytes
-// the sequence would, reports its eof and charges its cost, into a buffer
-// grown once to the word-rounded size. So does the largest window a request
-// can name, 2^32-1 chunks of 2^32-1 bytes, whose size overflows 64 bits.
+// testWindowRead: a read is charged one disk operation per started
+// localfs.ReadUnit, and a read of several units is the unit-by-unit
+// sequence it replaces done as one copy. From offsets at and around the unit
+// boundaries of a file of two units and a tail, for counts that end short of
+// a boundary, on it and past it, it appends the bytes the sequence would,
+// reports its eof and charges its cost, into a buffer grown once to the
+// word-rounded size. The cost is OpCost(n) for n <= ReadUnit bytes,
+// k × OpCost(ReadUnit) + OpCost(r) for k units and r > 0 bytes more, and
+// OpCost(0) at or past EOF, on the simnet.Disk7200 model both stores are
+// built with. The largest count a request can name, 2^32-1, sizes the
+// buffer by the file.
 func testWindowRead(t *testing.T, factory Factory) {
 	f := factory(t, 0)
 	a, _, err := f.Create(localfs.RootIno, "f", 0o644, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const size = 1000
+	const unit = localfs.ReadUnit
+	const size = 2*unit + 1000
 	model := pattern(size, 3)
 	if _, _, err := f.Write(a.Ino, 0, model); err != nil {
 		t.Fatal(err)
 	}
-	// sequence is the reference: the window read chunk by chunk, stopping
-	// at the first short chunk or at EOF.
-	sequence := func(off int64, chunk, chunks int) ([]byte, bool, simnet.Cost) {
+	disk := simnet.Disk7200
+	// sequence is the reference: the read unit by unit, stopping at the
+	// first short unit, at EOF or when count is read.
+	sequence := func(off int64, count int) ([]byte, bool, simnet.Cost) {
 		var out []byte
 		var eof bool
 		var cost simnet.Cost
-		for i := 0; i < chunks; i++ {
-			d, e, c, err := f.Read(a.Ino, off, chunk)
+		for left := count; ; {
+			d, e, c, err := f.Read(a.Ino, off, min(left, unit))
 			if err != nil {
-				t.Fatalf("Read(%d, %d): %v", off, chunk, err)
+				t.Fatalf("Read(%d, %d): %v", off, min(left, unit), err)
 			}
 			out, eof, cost = append(out, d...), e, simnet.Seq(cost, c)
-			off += int64(len(d))
-			if e || len(d) < chunk {
-				break
+			off, left = off+int64(len(d)), left-len(d)
+			if e || len(d) < unit || left == 0 {
+				return out, eof, cost
 			}
 		}
-		return out, eof, cost
 	}
 	prefix := []byte("prefix")
-	check := func(off int64, chunk, chunks int) {
+	check := func(off int64, count int) {
 		t.Helper()
-		want, weof, wcost := sequence(off, chunk, chunks)
-		got, eof, cost, err := f.AppendRead(prefix, a.Ino, off, chunk, chunks)
+		want, weof, wcost := sequence(off, count)
+		got, eof, cost, err := f.AppendRead(prefix, a.Ino, off, count)
 		if err != nil || eof != weof || cost != wcost {
-			t.Fatalf("AppendRead(%d, %d x %d): eof=%v cost=%v err=%v; chunk by chunk: eof=%v cost=%v",
-				off, chunks, chunk, eof, cost, err, weof, wcost)
+			t.Fatalf("AppendRead(%d, %d): eof=%v cost=%v err=%v; unit by unit: eof=%v cost=%v",
+				off, count, eof, cost, err, weof, wcost)
+		}
+		n := len(want)
+		rule := disk.OpCost(n)
+		if n > unit {
+			rule = simnet.Cost(n/unit) * disk.OpCost(unit)
+			if n%unit > 0 {
+				rule += disk.OpCost(n % unit)
+			}
+		}
+		if cost != rule {
+			t.Fatalf("AppendRead(%d, %d) of %d bytes cost %v, want %v", off, count, n, cost, rule)
 		}
 		if !bytes.Equal(got[:len(prefix)], []byte("prefix")) || !bytes.Equal(got[len(prefix):], want) ||
-			!bytes.Equal(want, model[min(off, size):min(off+int64(len(want)), size)]) {
-			t.Fatalf("AppendRead(%d, %d x %d) appended %d bytes that differ from the sequence's %d or the model",
-				off, chunks, chunk, len(got)-len(prefix), len(want))
+			!bytes.Equal(want, model[min(off, size):min(off+int64(n), size)]) {
+			t.Fatalf("AppendRead(%d, %d) appended %d bytes that differ from the sequence's %d or the model",
+				off, count, len(got)-len(prefix), n)
 		}
-		if len(want) > 0 && cap(got) > (len(got)+7)&^7 {
-			t.Fatalf("AppendRead(%d, %d x %d) grew the buffer to %d for %d bytes", off, chunks, chunk, cap(got), len(got))
-		}
-	}
-	for off := int64(0); off <= size+1; off++ {
-		for _, w := range [][2]int{{1, 3}, {7, 5}, {100, 4}, {250, 3}, {333, 2}, {1000, 1}, {0, 1}} {
-			check(off, w[0], w[1])
+		if n > 0 && cap(got) > (len(got)+7)&^7 {
+			t.Fatalf("AppendRead(%d, %d) grew the buffer to %d for %d bytes", off, count, cap(got), len(got))
 		}
 	}
-	for _, off := range []int64{0, 1, size / 2, size - 1, size, size + 1} {
-		check(off, 1<<32-1, 1<<32-1)
-	}
-	for _, c := range [][2]int{{-1, 1}, {1, 0}, {1, -1}} {
-		if got, eof, _, err := f.AppendRead(prefix, a.Ino, 0, c[0], c[1]); !errors.Is(err, localfs.ErrInval) || eof || len(got) != len(prefix) {
-			t.Errorf("AppendRead(0, %d x %d): %d bytes eof=%v err=%v, want dst back and ErrInval", c[1], c[0], len(got), eof, err)
+	for _, off := range []int64{0, 1, unit - 1, unit, unit + 1, 2*unit - 1, 2 * unit, size - 1, size, size + 1} {
+		for _, count := range []int{0, 1, 1000, unit - 1, unit, unit + 1, 2*unit - 1, 2 * unit, 2*unit + 7, 3 * unit, 1<<32 - 1} {
+			check(off, count)
 		}
+	}
+	if got, eof, _, err := f.AppendRead(prefix, a.Ino, 0, -1); !errors.Is(err, localfs.ErrInval) || eof || len(got) != len(prefix) {
+		t.Errorf("AppendRead(0, -1): %d bytes eof=%v err=%v, want dst back and ErrInval", len(got), eof, err)
 	}
 }

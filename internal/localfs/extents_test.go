@@ -247,7 +247,7 @@ func FuzzExtents(f *testing.F) {
 			for _, off := range []int{0, x % (len(model) + 1)} {
 				want, weof, wcost, _ := fs.Read(a.Ino, int64(off), y)
 				prefix := append(make([]byte, 0, len(head)+x%97), head...)
-				got, eof, cost, err := fs.AppendRead(prefix, a.Ino, int64(off), y, 1)
+				got, eof, cost, err := fs.AppendRead(prefix, a.Ino, int64(off), y)
 				if err != nil || eof != weof || cost != wcost || !bytes.Equal(got, append(head[:3:3], want...)) {
 					t.Fatalf("AppendRead(prefix, %d, %d) is not prefix + Read (eof %v/%v, err %v)", off, y, eof, weof, err)
 				}
@@ -317,7 +317,7 @@ func TestHoleHoldsNoBytes(t *testing.T) {
 		{size - 8, append(make([]byte, 3), "tail\x00"...)},
 	} {
 		dst := bytes.Repeat([]byte{0xFF}, 64)
-		out, _, _, err := f.AppendRead(dst[:0], a.Ino, c.off, len(c.want), 1)
+		out, _, _, err := f.AppendRead(dst[:0], a.Ino, c.off, len(c.want))
 		if err != nil || !bytes.Equal(out, c.want) || &out[0] != &dst[0] {
 			t.Errorf("read at %d into a dirty buffer: %q (err %v), want %q in place", c.off, out, err, c.want)
 		}

@@ -796,12 +796,11 @@ func (f *FS) Readlink(ino uint64) (string, simnet.Cost, error) {
 // Read returns up to count bytes at offset in a fresh slice. eof is true when
 // the read reaches the end of the file.
 func (f *FS) Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
-	return f.AppendRead(nil, ino, offset, count, 1)
+	return f.AppendRead(nil, ino, offset, count)
 }
 
-// AppendRead appends a window of chunks reads of chunk bytes at offset to
-// dst; see FileSystem.
-func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
+// AppendRead appends up to count bytes at offset to dst; see FileSystem.
+func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	in, err := f.get(ino)
@@ -814,30 +813,30 @@ func (f *FS) AppendRead(dst []byte, ino uint64, offset int64, chunk, chunks int)
 	if in.typ != TypeRegular {
 		return dst, false, f.disk.OpCost(0), ErrInval
 	}
-	if offset < 0 || chunk < 0 || chunks < 1 {
+	if offset < 0 || count < 0 {
 		return dst, false, f.disk.OpCost(0), ErrInval
 	}
 	size := in.data.size()
-	n, cost := Window(f.disk, size-offset, chunk, chunks)
+	n, cost := Window(f.disk, size-offset, count)
 	dst = Grow(dst, n)
 	in.data.readAt(dst[len(dst):len(dst)+n], offset)
 	return dst[:len(dst)+n], offset+int64(n) >= size, cost, nil
 }
 
-// Window sizes a read of chunks chunks of chunk bytes with left bytes past
-// its offset: min(chunk × chunks, left), bounded without multiplying two
-// 32-bit wire words, and the chunk reads' disk costs in sequence (the full
-// ones as one exact product), or OpCost(0) when it reads nothing.
-func Window(disk simnet.DiskModel, left int64, chunk, chunks int) (int, simnet.Cost) {
-	if left <= 0 || chunk == 0 {
+// ReadUnit is the unit a read is charged in: the disk moves a read in
+// ReadUnit-sized operations, the last one short.
+const ReadUnit = 1 << 20
+
+// Window sizes a read of count bytes with left bytes past its offset,
+// min(count, left), and charges it one disk operation per started ReadUnit
+// (the full units as one exact product), or OpCost(0) when it reads nothing.
+func Window(disk simnet.DiskModel, left int64, count int) (int, simnet.Cost) {
+	n := min(int64(count), left)
+	if n <= 0 {
 		return 0, disk.OpCost(0)
 	}
-	n := left
-	if int64(chunks) <= left/int64(chunk) {
-		n = int64(chunk) * int64(chunks)
-	}
-	cost := simnet.Cost(n/int64(chunk)) * disk.OpCost(chunk)
-	if rest := int(n % int64(chunk)); rest > 0 {
+	cost := simnet.Cost(n/ReadUnit) * disk.OpCost(ReadUnit)
+	if rest := int(n % ReadUnit); rest > 0 {
 		cost += disk.OpCost(rest)
 	}
 	return int(n), cost
@@ -845,7 +844,7 @@ func Window(disk simnet.DiskModel, left int64, chunk, chunks int) (int, simnet.C
 
 // Grow returns dst with room for n more bytes, as AppendRead needs them: dst
 // itself when it has the room, else a copy of exactly that size, rounded up
-// to a word; AppendRead sizes a whole window before it grows. The rounding
+// to a word; AppendRead sizes a whole read before it grows. The rounding
 // costs nothing the allocator does not charge anyway, and leaves room for
 // the padding an XDR frame puts after the bytes.
 func Grow(dst []byte, n int) []byte {
@@ -1345,13 +1344,12 @@ type FileSystem interface {
 	Symlink(dirIno uint64, name, target string) (Attr, simnet.Cost, error)
 	Readlink(ino uint64) (string, simnet.Cost, error)
 	Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error)
-	// AppendRead is Read of chunks reads of chunk bytes from offset, which
-	// stop at the first short one, into the caller's buffer: it grows dst
-	// once (Grow) by what Window sizes and appends the bytes under the
-	// store's lock, so a write cannot tear the window. Cost and eof are the
-	// chunk reads' in sequence; dst comes back unchanged with any error.
-	// Read is AppendRead(nil, ino, offset, count, 1).
-	AppendRead(dst []byte, ino uint64, offset int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error)
+	// AppendRead is Read into the caller's buffer: it grows dst once (Grow)
+	// by what Window sizes, min(count, the bytes left), and appends the
+	// bytes under the store's lock, so a write cannot tear the read. Window
+	// charges the cost; dst comes back unchanged with any error. Read is
+	// AppendRead(nil, ino, offset, count).
+	AppendRead(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error)
 	Write(ino uint64, offset int64, data []byte) (int, simnet.Cost, error)
 	Remove(dirIno uint64, name string) (simnet.Cost, error)
 	RemoveUnless(dirIno uint64, name string, refuse func(victim Attr, target string) error) (simnet.Cost, error)

@@ -21,8 +21,8 @@ func TestHotPathLabelsDoNotAllocate(t *testing.T) {
 	net := simnet.New(simnet.LAN100)
 	c := NewClient(net, "cli")
 	procs := namedProcs()
-	if len(procs) != 18 || procs[len(procs)-2] != ProcLookupPath {
-		t.Fatalf("named procedures = %v, want all 18 with LOOKUPPATH the last below MNT", procs)
+	if len(procs) != 17 || procs[len(procs)-2] != ProcLookupPath {
+		t.Fatalf("named procedures = %v, want all 17 with LOOKUPPATH the last below MNT", procs)
 	}
 	for _, p := range procs {
 		c.proc(p) // warm the per-proc cache
@@ -50,7 +50,7 @@ func TestHotPathLabelsDoNotAllocate(t *testing.T) {
 func named(p Proc) bool { return !strings.HasPrefix(p.String(), "PROC(") }
 
 // namedProcs lists every defined procedure, the extension numbers above the
-// RFC 1813 program (READSTREAM, LOOKUPPATH, MNT) included.
+// RFC 1813 program (LOOKUPPATH, MNT) included.
 func namedProcs() []Proc {
 	var out []Proc
 	for p := Proc(0); p < maxProc; p++ {
@@ -157,12 +157,12 @@ func TestGetWriteSpansBorrows(t *testing.T) {
 
 // TestDataFramesAllocatedOnce: the store appends a read straight into the
 // reply frame, which the client then borrows from. A READ costs one frame at
-// its final size (2x before, when the store's copy came first), and so does
-// a READSTREAM window: the store sizes the frame once from the bytes the
-// file holds past the offset, where it used to double across the window's
-// chunks (1.76x for four 1 MiB chunks, 2x for 32 KiB ones). A window that
-// crosses EOF reserves only the bytes left, and the largest window the
-// request can name, 2^32-1 chunks of 2^32-1 bytes, no more than the file.
+// its final size (2x before, when the store's copy came first), a READ of
+// several units, a readahead window's, too: the store sizes the frame once
+// from the bytes the file holds past the offset, where a window of chunks
+// used to double across them (1.76x for four 1 MiB chunks). A READ that
+// crosses EOF reserves only the bytes left, and the largest count a request
+// can name, 2^32-1, no more than the file.
 func TestDataFramesAllocatedOnce(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	fh, _, _, err := c.Create("srv", srv.Root(), "f", 0o644, false)
@@ -177,31 +177,25 @@ func TestDataFramesAllocatedOnce(t *testing.T) {
 	}
 	// What a round trip costs besides its data: request frame, codec, an
 	// empty reply. A frame sized once overshoots its data by under a page.
-	empty := allocatedBytes(func() { _, _, _, err = c.ReadStream("srv", fh, size, mib, 4) })
+	empty := allocatedBytes(func() { _, _, _, err = c.Read("srv", fh, size, 4*mib) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name          string
-		off           int64
-		chunk, chunks int
-		want          int    // bytes read
-		limit         uint64 // bytes allocated end to end
+		name  string
+		off   int64
+		count int
+		want  int    // bytes read
+		limit uint64 // bytes allocated end to end
 	}{
-		{"a 1 MiB READ", 0, mib, 0, mib, mib * 11 / 10},
-		{"a 4 x 1 MiB window", 0, mib, 4, size, size * 101 / 100},
-		{"a 64 x 32 KiB window", 0, 32 << 10, 64, 2 * mib, 2 * mib * 101 / 100},
-		{"a 4 x 1 MiB window across EOF", size - 3*mib/2, mib, 4, 3 * mib / 2, 3*mib/2 + page + empty},
-		{"a 2^64-byte window", 0, 1<<32 - 1, 1<<32 - 1, size, size + page + empty},
+		{"a 1 MiB READ", 0, mib, mib, mib * 11 / 10},
+		{"a 4 MiB READ", 0, 4 * mib, size, size * 101 / 100},
+		{"a 2 MiB READ from inside a unit", 32 << 10, 2 * mib, 2 * mib, 2 * mib * 101 / 100},
+		{"a 4 MiB READ across EOF", size - 3*mib/2, 4 * mib, 3 * mib / 2, 3*mib/2 + page + empty},
+		{"a READ of 2^32-1 bytes", 0, 1<<32 - 1, size, size + page + empty},
 	} {
 		var data []byte
-		n := allocatedBytes(func() {
-			if tc.chunks == 0 {
-				data, _, _, err = c.Read("srv", fh, tc.off, tc.chunk)
-			} else {
-				data, _, _, err = c.ReadStream("srv", fh, tc.off, tc.chunk, tc.chunks)
-			}
-		})
+		n := allocatedBytes(func() { data, _, _, err = c.Read("srv", fh, tc.off, tc.count) })
 		if err != nil || len(data) != tc.want {
 			t.Fatalf("%s: %d bytes err=%v, want %d", tc.name, len(data), err, tc.want)
 		}
@@ -210,15 +204,15 @@ func TestDataFramesAllocatedOnce(t *testing.T) {
 				tc.name, n, float64(n)/float64(tc.want), tc.want, tc.limit)
 		}
 	}
-	// A hostile window reserves nothing: the reply is sized by what the store
-	// returned, never by chunk x chunks.
+	// A hostile count reserves nothing: the reply is sized by what the store
+	// returned, never by the count.
 	var data []byte
-	n := allocatedBytes(func() { data, _, _, err = c.ReadStream("srv", fh, size-10, 1<<20, 1<<30) })
+	n := allocatedBytes(func() { data, _, _, err = c.Read("srv", fh, size-10, 1<<32-1) })
 	if err != nil || len(data) != 10 {
-		t.Fatalf("tail window: %d bytes err=%v", len(data), err)
+		t.Fatalf("tail READ: %d bytes err=%v", len(data), err)
 	}
 	if n > 8<<10 {
-		t.Errorf("a 10-byte reply to a 2^50-byte window allocated %d bytes", n)
+		t.Errorf("a 10-byte reply to a READ of 2^32-1 bytes allocated %d bytes", n)
 	}
 }
 

@@ -332,25 +332,6 @@ func (c Client) ReadInto(to simnet.Addr, h Handle, offset int64, count int, dst 
 	return append(dst, data...), eof, cost, nil
 }
 
-// ReadStream reads up to chunks consecutive chunk-byte pieces of h starting
-// at offset in one round trip — the pipelined window transfer behind the
-// client's readahead. The reply concatenates the pieces; eof reports whether
-// the file ended within the window. Like Read, the data is the reply frame's.
-func (c Client) ReadStream(to simnet.Addr, h Handle, offset int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
-	x, d, cost, err := c.call(to, ProcReadStream, func(e *wire.Encoder) {
-		putHandle(e, h)
-		e.PutInt64(offset)
-		e.PutUint32(uint32(chunk))
-		e.PutUint32(uint32(chunks))
-	})
-	defer x.Free()
-	if err != nil {
-		return nil, false, cost, err
-	}
-	eof := d.Bool()
-	return d.OpaqueRef(), eof, cost, nil
-}
-
 // Write stores data into h at offset. data is lent to the request frame,
 // not copied: it must not change until Write returns.
 func (c Client) Write(to simnet.Addr, h Handle, offset int64, data []byte) (int, simnet.Cost, error) {

@@ -92,8 +92,9 @@ func fuzzServer(t testing.TB) *Server {
 // lent body as an in-process client lends a WRITE's data (lendSplit), and
 // lending a sink of sink-1 bytes as an in-process READ does (withSink). The
 // seed corpus holds one valid request per procedure, the WRITE also as the
-// client lends it, READs lending a sink of no room, of less than the window
-// and of the count, and one for a retired number; whatever the mutator makes
+// client lends it, READs lending a sink of no room, of less than the count
+// and of the count, READs of nothing, of a readahead window and of the
+// largest count, and the retired numbers' frames; whatever the mutator makes
 // of them, the handler must answer or refuse, never panic, and a reply body
 // it lends lies in the sink. Run longer with
 //
@@ -128,21 +129,21 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 	c.Readdir("srv", dir, 0, 2)
 	c.ReaddirPlus("srv", dir, 0, 2)
 	c.FSStat("srv", root)
-	c.ReadStream("srv", file, 0, 2, 2)
-	// The largest window the request can name, whose size overflows 64 bits,
-	// from offset 0 of a file of several bytes: the store bounds it by the
-	// bytes left without multiplying chunk by chunks.
-	if data, eof, _, err := c.ReadStream("srv", file, 0, 1<<32-1, 1<<32-1); err != nil || len(data) != int(size) || !eof {
-		f.Fatalf("a 2^64-byte window on a %d-byte file: %q eof=%v err=%v", size, data, eof, err)
+	c.Read("srv", file, 0, 4<<20) // a readahead window's count: four units
+	c.Read("srv", file, 0, 0)
+	// The largest count a READ can name, from offset 0 of a file of several
+	// bytes: the store sizes the reply by the bytes left.
+	if data, eof, _, err := c.Read("srv", file, 0, 1<<32-1); err != nil || len(data) != int(size) || !eof {
+		f.Fatalf("a READ of 2^32-1 bytes on a %d-byte file: %q eof=%v err=%v", size, data, eof, err)
 	}
-	// The largest window the request can name, against a 1-byte file: the
-	// reply is sized by the byte the store returns.
+	// The largest count, against a 1-byte file: the reply is sized by the
+	// byte the store returns.
 	one, err := rec.srv.FS().LookupPath("/d/one")
 	if err != nil {
 		f.Fatal(err)
 	}
-	if data, eof, _, err := c.ReadStream("srv", Handle{Gen: root.Gen, Ino: one.Ino}, 0, 1<<32-1, 1<<32-1); err != nil || string(data) != "1" || !eof {
-		f.Fatalf("a 2^64-byte window on a 1-byte file: %q eof=%v err=%v", data, eof, err)
+	if data, eof, _, err := c.Read("srv", Handle{Gen: root.Gen, Ino: one.Ino}, 0, 1<<32-1); err != nil || string(data) != "1" || !eof {
+		f.Fatalf("a READ of 2^32-1 bytes on a 1-byte file: %q eof=%v err=%v", data, eof, err)
 	}
 	seen := map[Proc]bool{}
 	lent, sinks := 0, 0
@@ -166,15 +167,21 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 			f.Fatalf("no seed request for %s", p)
 		}
 	}
-	// The retired frames stay in the corpus: WRITEBATCH (proc 41: xid,
-	// handle, two spans), NULL (0: xid), ACCESS (4: xid, handle, mask) and
-	// FSINFO (19: xid, handle). A retired number is refused like any unknown
-	// one.
-	for _, proc := range []Proc{41, 0, 4, 19} {
+	// The retired frames stay in the corpus: READSTREAM (proc 40: xid,
+	// handle, offset, a window of 2^32-1 chunks of 2^32-1 bytes), WRITEBATCH
+	// (41: xid, handle, two spans), NULL (0: xid), ACCESS (4: xid, handle,
+	// mask) and FSINFO (19: xid, handle). A retired number is refused like
+	// any unknown one.
+	for _, proc := range []Proc{40, 41, 0, 4, 19} {
 		e := wire.NewEncoder(64)
 		e.PutUint32(uint32(proc))
 		e.PutUint64(1)
 		switch proc {
+		case 40:
+			putHandle(e, file)
+			e.PutInt64(0)
+			e.PutUint32(1<<32 - 1)
+			e.PutUint32(1<<32 - 1)
 		case 41:
 			putHandle(e, file)
 			PutWriteSpans(e, []WriteSpan{{Offset: 0, Data: []byte("ab")}, {Offset: 6, Data: []byte("cd")}})

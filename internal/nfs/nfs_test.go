@@ -686,11 +686,11 @@ func scribble(p []byte) {
 	}
 }
 
-// TestReadsAreNotTornByWrites: a store read is copied into the reply frame
-// under the store's lock, and a READSTREAM window is one such read however
-// many chunks it names. While one goroutine rewrites a file whole, all 0xAA
-// then all 0xBB, every READ, READSTREAM window and reading LOOKUPPATH of it
-// comes back uniform as a whole. Run it under -race.
+// TestReadsAreNotTornByWrites: a store read is copied into the reply frame,
+// or into the sink a READ lends, under the store's lock. While one goroutine
+// rewrites a file whole, all 0xAA then all 0xBB, every whole-file READ, with
+// a sink or without, and reading LOOKUPPATH of it comes back uniform as a
+// whole. Run it under -race.
 func TestReadsAreNotTornByWrites(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	fh, _, _, err := c.Create("srv", srv.Root(), "f", 0o644, false)
@@ -739,11 +739,11 @@ func TestReadsAreNotTornByWrites(t *testing.T) {
 			t.Fatalf("read: %d bytes err=%v", len(data), err)
 		}
 		uniform("READ", data)
-		window, _, _, err := c.ReadStream("srv", fh, 0, piece/2, 2*size/piece)
-		if err != nil || len(window) != size {
-			t.Fatalf("readstream: %d bytes err=%v", len(window), err)
+		into, _, _, err := c.ReadInto("srv", fh, 0, size, make([]byte, 0, size))
+		if err != nil || len(into) != size {
+			t.Fatalf("read into a sink: %d bytes err=%v", len(into), err)
 		}
-		uniform("a READSTREAM window", window)
+		uniform("a READ into a sink", into)
 		walk, _, err := c.Walk("srv", srv.Root(), "/f", size)
 		if err != nil || len(walk.Data) != size {
 			t.Fatalf("reading walk: %d bytes err=%v", len(walk.Data), err)
@@ -817,9 +817,8 @@ func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 		t.Fatalf("replay = %x (err=%v, %d replays), want %x from the cache", replay, err, srv.Replays(), first)
 	}
 
-	// What READ, READSTREAM and a reading LOOKUPPATH hand the client is the
-	// client's own: scribbling over it reaches neither the store nor the next
-	// reader.
+	// What READ and a reading LOOKUPPATH hand the client is the client's
+	// own: scribbling over it reaches neither the store nor the next reader.
 	data, _, _, err := c.Read("srv", fh, 1<<20-7, 64<<10)
 	if err != nil || !bytes.Equal(data, payload[1<<20-7:][:64<<10]) {
 		t.Fatalf("read: %d bytes err=%v", len(data), err)
@@ -830,11 +829,11 @@ func TestBorrowedBuffersDoNotAlias(t *testing.T) {
 		t.Fatalf("reading walk: %d bytes eof=%v err=%v", len(walk.Data), walk.EOF, err)
 	}
 	scribble(walk.Data[:cap(walk.Data)])
-	window, _, _, err := c.ReadStream("srv", fh, 0, 32<<10, 1<<10)
-	if err != nil || !bytes.Equal(window, payload) {
-		t.Fatalf("readstream: %d bytes err=%v", len(window), err)
+	whole, _, _, err := c.Read("srv", fh, 0, len(payload))
+	if err != nil || !bytes.Equal(whole, payload) {
+		t.Fatalf("whole-file read: %d bytes err=%v", len(whole), err)
 	}
-	scribble(window[:cap(window)])
+	scribble(whole[:cap(whole)])
 	// A READ that lends a sink gets its bytes in the caller's own buffer:
 	// once the call has returned, nothing else holds it.
 	dst := make([]byte, 5, 5+64<<10)

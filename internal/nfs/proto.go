@@ -53,13 +53,12 @@ const (
 	// directory and stat every entry in one round trip instead of N+1.
 	ProcReaddirPlus Proc = 17
 	ProcFSStat      Proc = 18
-	// ProcReadStream is Kosha's streaming extension: one round trip moves a
-	// whole readahead window (several chunk-sized READs pipelined
-	// server-side). Extensions take numbers above the RFC 1813 program so a
-	// plain NFSv3 peer could still answer the standard procedures. 41 was
-	// WRITEBATCH (a flush is an FSWrite apply carrying its spans now) and
-	// stays vacant.
-	ProcReadStream Proc = 40
+	// Extensions take numbers above the RFC 1813 program so a plain NFSv3
+	// peer could still answer the standard procedures. 40 was READSTREAM (a
+	// readahead window is one READ of its byte count now) and 41 was
+	// WRITEBATCH (a flush is an FSWrite apply carrying its spans now); both
+	// stay vacant.
+
 	// ProcLookupPath resolves a whole component list below a start handle in
 	// one round trip: everything below Kosha's distribution level lives on one
 	// node, so the per-component LOOKUPs an NFSv3 client must issue would all
@@ -89,7 +88,6 @@ var procNames = [...]string{
 	ProcReaddir:     "READDIR",
 	ProcReaddirPlus: "READDIRPLUS",
 	ProcFSStat:      "FSSTAT",
-	ProcReadStream:  "READSTREAM",
 	ProcLookupPath:  "LOOKUPPATH",
 	ProcMountRoot:   "MNT",
 }

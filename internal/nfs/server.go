@@ -229,28 +229,6 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		e.PutString(target)
 		return e.Bytes(), cost
 
-	case ProcReadStream:
-		h := getHandle(d)
-		offset := d.Int64()
-		chunk := int(d.Uint32())
-		chunks := int(d.Uint32())
-		if d.Err() != nil || chunk <= 0 || chunks <= 0 {
-			return s.fail(ErrInval), 0
-		}
-		ino, st := s.check(h)
-		if st != OK {
-			return s.fail(st), 0
-		}
-		// The window's disk cost is its chunk reads' back to back, but the
-		// propagation round trip is paid once for the whole window — that
-		// is the entire point of the procedure.
-		e.PutUint32(uint32(OK))
-		cost, err := s.putData(e, ino, offset, chunk, chunks)
-		if err != nil {
-			return s.fail(toStatus(err)), cost
-		}
-		return e.Bytes(), cost
-
 	case ProcWrite:
 		h := getHandle(d)
 		offset := d.Int64()
@@ -524,7 +502,7 @@ func pageOf(n int, cookie uint64, count uint32) (start, end int) {
 // The request asks with one word after the components, readMax, which is
 // read only when it is there: a walk that wants no data sends and receives
 // the bytes it always did. The read is sized by the file, never by readMax,
-// as READSTREAM's window is. A read that fails comes back empty and short of
+// as a READ is by its count. A read that fails comes back empty and short of
 // EOF, so the caller's next READ meets the failure itself.
 func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Cost) {
 	h := getHandle(d)
@@ -571,7 +549,7 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 		putAttr(e, attr)
 		e.PutString(target)
 		if readMax > 0 {
-			c, _ := s.putData(e, ino, 0, int(readMax), 1) // a failed read is empty, short of EOF
+			c, _ := s.putData(e, ino, 0, int(readMax)) // a failed read is empty, short of EOF
 			cost = simnet.Seq(cost, c)
 		}
 	}
@@ -604,13 +582,13 @@ func (s *Server) read(req []byte, d *wire.Decoder) ([]byte, simnet.Cost) {
 	if !ok || cap(sink) == 0 {
 		e := wire.NewEncoder(128)
 		e.PutUint32(uint32(OK))
-		cost, err := s.putData(e, ino, offset, count, 1)
+		cost, err := s.putData(e, ino, offset, count)
 		if err != nil {
 			return s.fail(toStatus(err)), cost
 		}
 		return e.Bytes(), cost
 	}
-	data, eof, cost, err := s.fs.AppendRead(sink, ino, offset, count, 1)
+	data, eof, cost, err := s.fs.AppendRead(sink, ino, offset, count)
 	if err != nil {
 		return s.fail(toStatus(err)), cost
 	}
@@ -622,19 +600,17 @@ func (s *Server) read(req []byte, d *wire.Decoder) ([]byte, simnet.Cost) {
 }
 
 // putData encodes the tail of a data reply, eof and one opaque, for up to
-// chunks reads of chunk bytes from off that stop at the first short one: one
-// chunk for READ and LOOKUPPATH's carried read, a window of them for
-// READSTREAM. It is one store call (FileSystem.AppendRead), which sizes the
-// frame once by what the file holds past off, never by chunk x chunks, so a
-// hostile window reserves nothing, and appends the whole window into it
-// under one lock. The cost is the chunk reads' in sequence. After an error
-// the opaque is empty and eof is false.
-func (s *Server) putData(e *wire.Encoder, ino uint64, off int64, chunk, chunks int) (cost simnet.Cost, err error) {
+// count bytes from off: a READ's without a sink and LOOKUPPATH's carried
+// read. It is one store call (FileSystem.AppendRead), which sizes the frame
+// once by what the file holds past off, never by count, so a hostile count
+// reserves nothing, and appends the bytes into it under one lock. After an
+// error the opaque is empty and eof is false.
+func (s *Server) putData(e *wire.Encoder, ino uint64, off int64, count int) (cost simnet.Cost, err error) {
 	at := e.Len()
 	e.PutBool(false)
 	var eof bool
 	e.PutOpaqueFunc(func(dst []byte) []byte {
-		dst, eof, cost, err = s.fs.AppendRead(dst, ino, off, chunk, chunks)
+		dst, eof, cost, err = s.fs.AppendRead(dst, ino, off, count)
 		return dst
 	})
 	e.SetBool(at, eof)

@@ -3,6 +3,7 @@ package nfs
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -200,6 +201,46 @@ func TestReadIntoRefusesALongReply(t *testing.T) {
 	}
 	if bytes.Count(buf, []byte{0xEE}) != len(buf) {
 		t.Fatal("a reply longer than the room was written past the caller's storage")
+	}
+}
+
+// cannedReply answers every call with the same reply bytes.
+type cannedReply []byte
+
+func (r cannedReply) CallCtx(_ obs.TraceContext, _, _ simnet.Addr, _ string, _ []byte) ([]byte, simnet.Cost, error) {
+	return append([]byte(nil), r...), 0, nil
+}
+
+// TestWindowRefusesABadReply: a readahead window is a READ of the window's
+// byte count, so it gets READ's reply checks. A reply cut short of the
+// length its opaque declares, or one that carries more than the window, is
+// a bad reply, with a sink lent or without. READSTREAM, which fetched
+// windows before, took the first as an empty window and the second whole,
+// both without an error.
+func TestWindowRefusesABadReply(t *testing.T) {
+	const window = 4 << 20
+	reply := func(n int) []byte {
+		e := wire.NewEncoder(0)
+		e.PutUint32(uint32(OK))
+		e.PutBool(false)
+		e.PutOpaque(make([]byte, n))
+		return e.Bytes()
+	}
+	for _, tc := range []struct {
+		name  string
+		reply []byte
+	}{
+		{"a reply cut short", reply(window)[:4+4+4+1000]}, // status, eof, length and 1000 bytes
+		{"a reply past the window", reply(window + 1)},
+	} {
+		c := NewClient(cannedReply(tc.reply), "cli")
+		for _, dst := range [][]byte{nil, make([]byte, 0, window)} {
+			data, _, _, err := c.ReadInto("srv", Handle{Gen: 1, Ino: 2}, 0, window, dst)
+			if err == nil || !strings.Contains(err.Error(), "bad reply") || len(data) != 0 {
+				t.Errorf("%s to a %d-byte window (sink %v): %d bytes err=%v, want a bad reply",
+					tc.name, window, dst != nil, len(data), err)
+			}
+		}
 	}
 }
 

@@ -51,8 +51,9 @@ import (
 
 // maxFrame bounds one request or response frame. frameStep bounds what a
 // frame header alone can make the reader allocate: frames up to frameStep —
-// every frame but a multi-chunk READSTREAM window — are allocated once at
-// their stated size, larger ones grow geometrically as their bytes arrive.
+// every frame but the reply to a READ of a 4 MiB or larger readahead window
+// — are allocated once at their stated size, larger ones grow geometrically
+// as their bytes arrive.
 const (
 	maxFrame  = 96 << 20
 	frameStep = 4 << 20
