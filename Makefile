@@ -41,6 +41,9 @@ ci: fmt-check vet build
 # reports each red seed and ends with a `red N of M: [seeds]` line. The
 # ROADMAP's sweep of seeds 1-60 is
 #   KOSHA_CHAOS_SOAK=60 KOSHA_CHAOS_SEED=1 go test ./internal/chaos -run TestRandomizedSoak -v
+# and its sweep at the chaos fuzz target's settings (6 nodes, 2 operations a
+# step), seeds 1-400, is
+#   KOSHA_CHAOS_SWEEP6=400 KOSHA_CHAOS_SEED=1 go test ./internal/chaos -run TestSixNodeSweep -v
 # Then the oracle sweep (internal/cluster: random operations through three
 # mounts against chaos.Oracle) over seeds 1000-1999, which must all pass. It
 # runs without the race detector (~1 min; ~8 min with it): the raced run of

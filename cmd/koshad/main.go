@@ -40,7 +40,7 @@ func main() {
 	capacity := flag.String("capacity", "0", "contributed store bytes (supports K/M/G suffix; 0 = unlimited)")
 	level := flag.Int("level", 1, "distribution level L")
 	replicas := flag.Int("replicas", 1, "replication factor K")
-	redirects := flag.Int("redirects", 4, "capacity redirection attempts (negative = none: only the unsalted placement)")
+	redirects := flag.Int("redirects", 4, "capacity redirection attempts (0 = none: only the unsalted placement)")
 	stabilize := flag.Duration("stabilize", 10*time.Second, "overlay stabilization interval")
 	datadir := flag.String("datadir", "", "persist the contributed store in this directory (default: in-memory)")
 	seed := flag.Uint64("seed", 0, "nodeId seed (0 = random)")
@@ -80,19 +80,7 @@ func main() {
 	}
 	nodeID := id.Rand128(&s)
 
-	cfg := core.Config{
-		DistributionLevel: *level,
-		Replicas:          *replicas,
-		RedirectAttempts:  *redirects,
-		Capacity:          capBytes,
-		// A real transport serves real clients: histogram samples are wall
-		// time, not the modeled simnet cost.
-		WallClockStats: true,
-		SlowOpNS:       slowOp.Nanoseconds(),
-	}
-	if *replicas == 0 {
-		cfg.Replicas = -1
-	}
+	cfg := config(*level, *replicas, *redirects, capBytes, *slowOp)
 	var node *core.Node
 	if *datadir != "" {
 		store, err := diskfs.Open(*datadir, capBytes, simnet.Disk7200)
@@ -175,6 +163,21 @@ func main() {
 			return
 		}
 	}
+}
+
+// config is the node configuration the flags ask for. A 0 for -replicas or
+// -redirects means none, which core.Config spells negative.
+func config(level, replicas, redirects int, capBytes int64, slowOp time.Duration) core.Config {
+	if replicas == 0 {
+		replicas = -1
+	}
+	if redirects == 0 {
+		redirects = -1
+	}
+	// A real transport serves real clients: histogram samples are wall
+	// time, not the modeled simnet cost.
+	return core.Config{DistributionLevel: level, Replicas: replicas, RedirectAttempts: redirects,
+		Capacity: capBytes, WallClockStats: true, SlowOpNS: slowOp.Nanoseconds()}
 }
 
 // maintain is the daemon's maintenance round, run once after the join and

@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/id"
 	"repro/internal/pastry"
+	"repro/internal/simnet"
 )
 
 // TestMain lets the tests below re-execute the test binary as koshad.
@@ -136,4 +139,20 @@ func TestMaintainPurgesADeadTableEntry(t *testing.T) {
 		return
 	}
 	t.Fatal("no node has a table entry outside its leaf set")
+}
+
+// -redirects 0 and -replicas 0 each mean none: the node runs with no
+// redirection and no replicas. -redirects 0 used to reach core.Config as 0,
+// which selects the default of four redirections.
+func TestZeroMeansNone(t *testing.T) {
+	for _, c := range []struct {
+		replicas, redirects         int
+		wantReplicas, wantRedirects int
+	}{{0, 0, 0, 0}, {1, 4, 1, 4}, {2, -1, 2, 0}} {
+		got := core.NewNode("n", id.HashKey("n"), simnet.New(simnet.LAN100), config(1, c.replicas, c.redirects, 0, 0)).Config()
+		if got.Replicas != c.wantReplicas || got.RedirectAttempts != c.wantRedirects {
+			t.Errorf("-replicas %d -redirects %d: the node runs with K=%d and %d redirections, want K=%d and %d",
+				c.replicas, c.redirects, got.Replicas, got.RedirectAttempts, c.wantReplicas, c.wantRedirects)
+		}
+	}
 }

@@ -25,8 +25,8 @@ func run(t *testing.T, o Options) *Report {
 }
 
 // TestScenarioCrashDuringWrite: nodes die while the workload keeps writing;
-// failover plus read-repair must keep every acknowledged byte readable, and
-// replica counts must be back at K after the dust settles.
+// failover onto a promoted replica must keep every acknowledged byte
+// readable, and replica counts must be back at K after the dust settles.
 func TestScenarioCrashDuringWrite(t *testing.T) {
 	run(t, Options{
 		Seed: 1101,

@@ -270,15 +270,14 @@ func heir(t *testing.T, c *cluster.Cluster, dir string, replicas int) (place cor
 // replica area, so the promote surfaces the stale copy. That promote must
 // also ask the other replicas, which hold the create: a fresh mount then
 // reads the file, and a sibling created next continues the version chain
-// above it. No Sync runs between the crash and the checks (NoAutoSync, and
-// only the overlay is stabilized), so nothing else can repair the heir
-// first.
+// above it. No Sync runs between the crash and the checks (only the overlay
+// is stabilized), so nothing else can repair the heir first.
 func TestScenarioPromotedHomeCatchesUp(t *testing.T) {
 	const replicas = 3
 	c, err := cluster.New(cluster.Options{
 		Nodes:  8,
 		Seed:   7713,
-		Config: core.Config{Replicas: replicas, AttrCacheTTL: -1, NameCacheTTL: -1, NoAutoSync: true},
+		Config: core.Config{Replicas: replicas, AttrCacheTTL: -1, NameCacheTTL: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func staleHeir(t *testing.T, seed uint64) (c *cluster.Cluster, model *Oracle, pl
 	c, err := cluster.New(cluster.Options{
 		Nodes:  8,
 		Seed:   seed,
-		Config: core.Config{Replicas: replicas, AttrCacheTTL: -1, NameCacheTTL: -1, NoAutoSync: true},
+		Config: core.Config{Replicas: replicas, AttrCacheTTL: -1, NameCacheTTL: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

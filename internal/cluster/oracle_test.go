@@ -169,9 +169,11 @@ var sweepSeeds = flag.Int("seeds", 0, "TestOracleSeedSweep: run seeds 1000..1000
 // are what every run sweeps: the first ten were red from PR 16 to PR 20 (nine
 // wrote under the old name of a distributed directory renamed above the leaf
 // distributed level, 1021 returned the resolver's internal sentinel from
-// Rename), and 1284 is the one seed that needs RemoveAllPath's NOTEMPTY
-// redrive.
-var regressionSeeds = []int64{1013, 1021, 1025, 1031, 1049, 1067, 1073, 1109, 1121, 1163, 1284}
+// Rename), 1284 is the one seed that needs RemoveAllPath's NOTEMPTY
+// redrive, and 1152 emptied the root index once leaf-set changes stopped
+// running Sync: a bind at a node that took itself for the index's owner
+// stamped a no-op MkdirAll of the index and mirrored an empty copy.
+var regressionSeeds = []int64{1013, 1021, 1025, 1031, 1049, 1067, 1073, 1109, 1121, 1163, 1284, 1152}
 
 // TestOracleSeedSweep runs shorter sequences across many seeds to shake out
 // ordering-dependent bugs the fixed-seed cases miss. The seed picks the

@@ -8,10 +8,11 @@ import (
 	"repro/internal/core"
 )
 
-// reviveCfg keeps replica maintenance harness-driven so each assertion runs
-// against a known synchronization state.
+// reviveCfg is the configuration of the revive tests: replica maintenance
+// runs only where a test calls Stabilize or SyncReplicas, so each assertion
+// runs against a known synchronization state.
 func reviveCfg() core.Config {
-	return core.Config{Replicas: 2, NoAutoSync: true}
+	return core.Config{Replicas: 2}
 }
 
 // TestReviveSkipsDeadSeed: reviving node i must not bootstrap through the

@@ -59,7 +59,7 @@ func TestNoopSyncRoundMessages(t *testing.T) {
 // placement, and its link is the full node's.
 func noopSyncCluster(t *testing.T, k int, redirect bool) (*Cluster, int) {
 	t.Helper()
-	opts := Options{Nodes: 8, Seed: 1, Config: core.Config{Replicas: k, NoAutoSync: true}}
+	opts := Options{Nodes: 8, Seed: 1, Config: core.Config{Replicas: k}}
 	full, filler := -1, ""
 	if redirect {
 		probe, err := New(opts)

@@ -53,10 +53,8 @@ type Config struct {
 	// water, Commit, or Close (close-to-open preserved; flush errors
 	// surface at close like NFSv3 COMMIT).
 	WriteBackBytes int
-	// NoAutoSync stops overlay membership callbacks from running replica
-	// maintenance (on by default), so a harness can drive SyncReplicas
-	// explicitly for deterministic scheduling. The negative spelling keeps
-	// the zero value meaning "on"; bench/ sets it by this name.
+	// NoAutoSync has no effect: a membership change only drops caches (see
+	// onLeafChange). The field stays only because bench/ sets it.
 	NoAutoSync bool
 	// RingCacheTTL has no effect: the ring walk it tuned is gone (the root
 	// is listed from its name index). The field stays only because bench/
@@ -456,7 +454,9 @@ func (n *Node) Join(seed simnet.Addr) (simnet.Cost, error) {
 }
 
 // onLeafChange reacts to overlay membership changes: location caches become
-// suspect, and replica placement must be re-established (Section 4.3).
+// suspect and are dropped. It runs inside the overlay's handlers, so it
+// makes no RPC: replica placement is re-established (Section 4.3) by the
+// drivers that charge Sync, and until then by a fresh resolution (walkUnder).
 func (n *Node) onLeafChange(c pastry.LeafSetChange) {
 	for _, p := range c.Joined {
 		n.events.Add(obs.EvJoin, string(p.Addr), p.ID.Short())
@@ -471,9 +471,6 @@ func (n *Node) onLeafChange(c pastry.LeafSetChange) {
 	n.mu.Lock()
 	clear(n.replicaCache)
 	n.mu.Unlock()
-	if !n.cfg.NoAutoSync {
-		n.SyncReplicas()
-	}
 }
 
 // invalidateNode drops all client-side state naming a (presumed dead) node

@@ -105,9 +105,10 @@ func (m *Mount) distributedAt(de *ventry) bool {
 // staleStore marks a resolution whose cached storage root no longer exists:
 // the hierarchy was renamed or removed through another node, and either
 // takes the root away (a resolver entry names the directory its path reaches
-// now, or a root that is gone). resolveDir and lookupAt report it,
-// materializeRetry drops the caches and resolves again, and it never leaves
-// the package: rematerialize turns a second one into NOENT.
+// now, or a root that is gone). walkUnder reports it for a place read from
+// the resolver cache, materializeRetry drops the caches and resolves again,
+// and it never leaves the package: rematerialize turns a second one into
+// NOENT.
 var staleStore = errors.New("kosha: cached storage root dangles")
 
 // retryable reports whether an error warrants transparent failover:
@@ -130,20 +131,6 @@ func cacheSuspect(err error) bool {
 		nfs.IsStatus(err, nfs.ErrIsDir)
 }
 
-// lookupAt walks phys on place's node, asking for readMax bytes of a regular
-// leaf's data. A NOENT below the storage root is the answer: the root is at
-// its primary path, so nothing under it waits to be promoted. A NOENT above
-// it means the resolved storage root itself dangles — a stale cache entry
-// survived a rename or removal done elsewhere — and comes back as
-// staleStore.
-func (m *Mount) lookupAt(tr *obs.Trace, place Place, phys string, readMax uint32) (nfs.Walked, simnet.Cost, error) {
-	w, c, err := m.n.remoteWalk(tr.Ctx(), place.Node, phys, readMax)
-	if nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved < pathComponents(place.SubtreeRoot()) {
-		err = staleStore
-	}
-	return w, c, err
-}
-
 // materialize builds a ventry for a virtual path by resolving placement and
 // looking the path up on the storage node. It also returns what the walk to
 // the entry found: its attributes (as LOOKUP does in NFS) and, when readMax
@@ -157,7 +144,7 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventr
 		de, c, err := m.bindRoot(tr)
 		return de, nfs.Walked{Attr: rootAttr}, c, err
 	}
-	place, w, total, err := m.n.resolveDir(tr, vpath, readMax)
+	place, w, cached, total, err := m.n.resolveDir(tr, vpath, readMax)
 	phys := place.PhysDir()
 	switch {
 	case nfs.IsStatus(err, nfs.ErrNotDir) && w.FH != (nfs.Handle{}):
@@ -170,7 +157,7 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventr
 		return nil, nfs.Walked{}, total, err
 	default:
 		var c simnet.Cost
-		w, c, err = m.lookupAt(tr, place, phys, readMax)
+		w, c, err = m.n.walkUnder(tr, place.Node, Track{PN: place.Name, Root: place.SubtreeRoot()}, phys, readMax, !cached)
 		total = simnet.Seq(total, c)
 	}
 	if err != nil {
@@ -242,8 +229,9 @@ func (m *Mount) materializeRetry(tr *obs.Trace, vpath string, readMax uint32) (*
 }
 
 // rematerialize drops everything cached for vpath and resolves it afresh.
-// With no cached level left to dangle, a storage root that is missing is a
-// directory that does not exist: staleStore goes no further than here.
+// A root a fresh resolution still finds missing after its promote is a
+// directory that does not exist; staleStore, from a level cached again
+// meanwhile, goes no further than here.
 func (m *Mount) rematerialize(tr *obs.Trace, vpath string, readMax uint32) (*ventry, nfs.Walked, simnet.Cost, error) {
 	m.dropCachesUnder(vpath)
 	de, w, c, err := m.materialize(tr, vpath, readMax)
@@ -352,23 +340,6 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 		}
 		if rerr != nil {
 			return total, rerr
-		}
-		if failedOver && nde.root != "" {
-			// Read-repair: the key now resolves to a (possibly freshly
-			// promoted) replacement primary. Ask it to surface its replica
-			// copy and reconcile versions against the surviving replica set
-			// so the retried operation — and a later revival of the failed
-			// node — sees converged state. If repair moved the subtree, the
-			// handle just materialized is stale; resolve it again.
-			changed, c3, perr := m.n.promote(tr.Ctx(), nde.node, nde.track())
-			total = simnet.Seq(total, c3)
-			if perr == nil && changed {
-				nde, _, c3, rerr = m.rematerialize(tr, de.vpath, 0)
-				total = simnet.Seq(total, c3)
-				if rerr != nil {
-					return total, rerr
-				}
-			}
 		}
 		m.replace(vh, nde)
 		de = nde

@@ -67,6 +67,31 @@ func (n *Node) readLink(tc obs.TraceContext, to simnet.Addr, phys string) (strin
 	return w.Target, cost, err
 }
 
+// walkUnder walks phys, under the storage root of record t, on node at,
+// asking for readMax bytes of a regular leaf's data. A NOENT above that root
+// means the root is missing there. A fresh resolution, which routed to at
+// itself, may have reached a new owner yet to surface or fetch its copy: at
+// is asked once to promote t (Section 4.3) and phys is walked again. A place
+// read from the resolver cache may have outlived a rename or removal done
+// elsewhere, which takes its root away: its miss is staleStore.
+func (n *Node) walkUnder(tr *obs.Trace, at simnet.Addr, t Track, phys string, readMax uint32, fresh bool) (nfs.Walked, simnet.Cost, error) {
+	w, cost, err := n.remoteWalk(tr.Ctx(), at, phys, readMax)
+	if !nfs.IsStatus(err, nfs.ErrNoEnt) || w.Resolved >= pathComponents(t.Root) {
+		return w, cost, err
+	}
+	if !fresh {
+		return w, cost, staleStore
+	}
+	_, c, err := n.promote(tr.Ctx(), at, t)
+	cost = simnet.Seq(cost, c)
+	if err != nil {
+		// No NOENT to act on: the node never said what it holds.
+		return nfs.Walked{}, cost, err
+	}
+	w, c, err = n.remoteWalk(tr.Ctx(), at, phys, readMax)
+	return w, simnet.Seq(cost, c), err
+}
+
 // cachedLevel returns the deepest of the first d levels of the clean virtual
 // path dir that the resolver cache holds, with its place; level 0 when it
 // holds none of them.
@@ -111,11 +136,11 @@ func (n *Node) cacheDropChain(vpath string) {
 // (TestResolveDirDanglingLevel fails without it).
 func (n *Node) ResolvePath(vpath string) (Place, simnet.Cost, error) {
 	dir := localfs.CleanPath(vpath)
-	pl, _, cost, err := n.resolveDir(nil, dir, 0)
+	pl, _, _, cost, err := n.resolveDir(nil, dir, 0)
 	if errors.Is(err, staleStore) {
 		n.cacheDropChain(dir)
 		var c simnet.Cost
-		pl, _, c, err = n.resolveDir(nil, dir, 0)
+		pl, _, _, c, err = n.resolveDir(nil, dir, 0)
 		cost = simnet.Seq(cost, c)
 	}
 	return pl, cost, err
@@ -130,20 +155,17 @@ func (n *Node) ResolvePath(vpath string) (Place, simnet.Cost, error) {
 // with the parent's place and what the probe found there, so the caller need
 // not walk to the leaf again; that probe asks for readMax bytes of a regular
 // leaf's data, as the walk it saves would have. Every other failure returns
-// neither.
-func (n *Node) resolveDir(tr *obs.Trace, dir string, readMax uint32) (Place, nfs.Walked, simnet.Cost, error) {
+// neither. Each probe follows walkUnder's rule, fresh unless its level is
+// the cached one; cached reports a place read from the cache with no probe.
+func (n *Node) resolveDir(tr *obs.Trace, dir string, readMax uint32) (_ Place, _ nfs.Walked, cached bool, _ simnet.Cost, _ error) {
 	depth := pathComponents(dir)
 	if depth == 0 {
-		return Place{VRoot: true, Store: "/"}, nfs.Walked{}, 0, nil
+		return Place{VRoot: true, Store: "/"}, nfs.Walked{}, false, 0, nil
 	}
 	d := ControllingDepth(depth, n.cfg.DistributionLevel)
-	cached, cur := n.cachedLevel(dir, d)
-	usedCache := cached > 0
-	if !usedCache {
-		cur = Place{VRoot: true, Store: "/"}
-	}
+	lv, cur := n.cachedLevel(dir, d)
 	var total simnet.Cost
-	for i := cached + 1; i <= d; i++ {
+	for i := lv + 1; i <= d; i++ {
 		vpath := level(dir, i)
 		_, name := parentOf(vpath)
 		var want uint32
@@ -151,42 +173,26 @@ func (n *Node) resolveDir(tr *obs.Trace, dir string, readMax uint32) (Place, nfs
 			want = readMax
 		}
 		// A level-1 name is probed at the root of its own hash target, where
-		// its physical path is its virtual one.
-		var probeNode simnet.Addr
-		probePath := vpath
+		// its physical path is its virtual one and its record's root.
+		var at simnet.Addr
+		var t Track // the record whose storage root the probe walks under
+		probePath, fresh := vpath, true
 		if i == 1 {
 			res, c, err := n.route(tr, Key(name))
 			total = simnet.Seq(total, c)
 			if err != nil {
-				return Place{}, nfs.Walked{}, total, fmt.Errorf("kosha: resolve %s: %w", vpath, err)
+				return Place{}, nfs.Walked{}, false, total, fmt.Errorf("kosha: resolve %s: %w", vpath, err)
 			}
-			probeNode = res.Node.Addr
+			at, t = res.Node.Addr, Track{PN: name, Root: vpath}
 		} else {
-			probeNode, probePath = cur.Node, childPath(cur.PhysDir(), name)
+			// cur was routed by this call unless it is the cached level.
+			at, t, fresh = cur.Node, Track{PN: cur.Name, Root: cur.SubtreeRoot()}, i > lv+1
+			probePath = childPath(cur.PhysDir(), name)
 		}
-		wantIdx := pathComponents(probePath) - 1 // components before the name
-		w, cost, err := n.remoteWalk(tr.Ctx(), probeNode, probePath, want)
+		w, cost, err := n.walkUnder(tr, at, t, probePath, want, fresh)
 		total = simnet.Seq(total, cost)
-		if i == 1 && nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved >= wantIdx {
-			// Only the level-1 name is missing; its hash target may hold an
-			// unpromoted copy after a fresh ownership change. Deeper names
-			// sit under a storage root already at its primary path.
-			_, c2, perr := n.promote(tr.Ctx(), probeNode, Track{PN: name, Root: vpath})
-			total = simnet.Seq(total, c2)
-			if perr != nil {
-				// No NOENT to act on: the node never said what it holds.
-				return Place{}, nfs.Walked{}, total, perr
-			}
-			w, cost, err = n.remoteWalk(tr.Ctx(), probeNode, probePath, want)
-			total = simnet.Seq(total, cost)
-		}
-		if nfs.IsStatus(err, nfs.ErrNoEnt) && w.Resolved < wantIdx && usedCache {
-			// The cached level's storage root dangles: the directory was
-			// renamed or removed elsewhere, which always takes its root away.
-			err = staleStore
-		}
 		if err != nil {
-			return Place{}, nfs.Walked{}, total, err
+			return Place{}, nfs.Walked{}, false, total, err
 		}
 		var next Place
 		pn, store, special := ParseLinkTarget(w.Target)
@@ -195,14 +201,14 @@ func (n *Node) resolveDir(tr *obs.Trace, dir string, readMax uint32) (Place, nfs
 			// A real directory at the probe location only occurs for an
 			// unsalted level-1 home sitting at its own hash target; deeper
 			// distributed children are always behind special links.
-			next = Place{Node: probeNode, Name: name, Store: "/" + name}
+			next = Place{Node: at, Name: name, Store: "/" + name}
 		case special:
 			// Special link: follow to the placement name and storage root,
 			// which the probe's reply carried.
 			res, c, err := n.route(tr, Key(pn))
 			total = simnet.Seq(total, c)
 			if err != nil {
-				return Place{}, nfs.Walked{}, total, err
+				return Place{}, nfs.Walked{}, false, total, err
 			}
 			next = Place{Node: res.Node.Addr, Name: pn, Store: store}
 		default:
@@ -210,15 +216,15 @@ func (n *Node) resolveDir(tr *obs.Trace, dir string, readMax uint32) (Place, nfs
 			// path's last component it is the leaf the caller was after.
 			err := &nfs.Error{Proc: nfs.ProcLookup, Status: nfs.ErrNotDir}
 			if i == depth && i > 1 && w.Attr.Type != localfs.TypeDir {
-				return cur, w, total, err
+				return cur, w, false, total, err
 			}
-			return Place{}, nfs.Walked{}, total, err
+			return Place{}, nfs.Walked{}, false, total, err
 		}
 		n.cachePut(vpath, next)
 		cur = next
 	}
 	cur.Rest = dir[len(level(dir, d)):]
-	return cur, nfs.Walked{}, total, nil
+	return cur, nfs.Walked{}, lv == d, total, nil
 }
 
 // cachedDir is resolveDir answered from the resolver cache alone: the place

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/id"
 	"repro/internal/localfs"
 	"repro/internal/nfs"
+	"repro/internal/simnet"
 )
 
 func TestResolveDirRootPlace(t *testing.T) {
@@ -256,5 +259,74 @@ func TestDemotePreservesDataInReplicaArea(t *testing.T) {
 	data, err = primary.Store().ReadFile(pl.SubtreeRoot() + "/f")
 	if err != nil || string(data) != "kept" {
 		t.Fatalf("after promote: %q err=%v", data, err)
+	}
+}
+
+// TestJoinerServesWhatItNowOwns: a node that joins next to a key owns it at
+// once, before any Sync hands the key's hierarchy over. A reader whose fresh
+// resolution reaches the joiner must still find the directory, and a mkdir
+// under it must extend the old hierarchy, not start an empty one there; the
+// root name index, whose key moves the same way, must still list the name.
+// Once every node has run two Syncs, a miss at the joiner asks no runner-up:
+// one kPromote is its only kosha message.
+func TestJoinerServesWhatItNowOwns(t *testing.T) {
+	for _, k := range []int{-1, 1, 2} {
+		t.Run(fmt.Sprintf("K=%d", max(k, 0)), func(t *testing.T) {
+			cfg := Config{Replicas: k}
+			net, nodes := testCluster(t, 6, 303, cfg)
+			var joiners []*Node
+			if _, err := nodes[0].NewMount().WriteFile("/d/f", []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			for i, key := range []id.ID{Key("d"), Key(RootPN)} {
+				nd := NewNode(simnet.Addr(fmt.Sprintf("j%d", i)), key.Add(id.FromUint64(1)), net, cfg)
+				if _, err := nd.Join(nodes[0].Addr()); err != nil {
+					t.Fatal(err)
+				}
+				if closestTo(append(nodes, nd), key, 1)[0] != nd {
+					t.Fatalf("set-up: %s does not own %v", nd.Addr(), key)
+				}
+				joiners = append(joiners, nd)
+			}
+
+			m := nodes[1].NewMount()
+			if got, _, err := m.ReadFile("/d/f"); err != nil || string(got) != "x" {
+				t.Fatalf("read /d/f after the join: %q, err=%v", got, err)
+			}
+			if got := rootNames(t, m); got != "[d]" {
+				t.Errorf("root lists %s after the join, want [d]", got)
+			}
+			mustMkdirAll(t, nodes[2].NewMount(), "/d/g")
+			nodes = append(nodes, joiners...)
+			stabilizeAll(nodes)
+			vh, _, _, err := m.LookupPath("/d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ents, _, err := m.Readdir(vh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, e := range ents {
+				got = append(got, e.Name)
+			}
+			if fmt.Sprint(got) != "[f g]" {
+				t.Errorf("/d lists %v once synced, want [f g]", got)
+			}
+
+			stabilizeAll(nodes)
+			miss := "d0"
+			for closestTo(nodes, Key(miss), 1)[0] != joiners[0] {
+				miss += "0"
+			}
+			before := net.ServiceStats(KoshaService).Messages
+			if _, _, _, err := nodes[1].NewMount().LookupPath("/" + miss); !nfs.IsStatus(err, nfs.ErrNoEnt) {
+				t.Fatalf("lookup /%s: %v, want NOENT", miss, err)
+			}
+			if sent := net.ServiceStats(KoshaService).Messages - before; sent != 1 {
+				t.Errorf("a miss at the synced joiner sent %d kosha messages, want 1 (its kPromote)", sent)
+			}
+		})
 	}
 }

@@ -362,3 +362,53 @@ func TestRootIndexKeepsLiveNames(t *testing.T) {
 		t.Fatalf("root lists %s after mkdir answered EXIST, want [a]", got)
 	}
 }
+
+// TestBareCandidateTakesNoVersion: a mount that binds the root at a new
+// owner, whose index is still in its replica area, has the owner surface it
+// and lists it. The bind's MkdirAll of the index's root is mirrored to the
+// owner's candidates, and one that held no copy of the index gets only an
+// empty directory from it: it must not record the owner's version for it.
+// Recorded, the empty index outranked the full one when ownership next moved
+// (TestOracleSeedSweep/seed1152).
+func TestBareCandidateTakesNoVersion(t *testing.T) {
+	_, nodes := testCluster(t, 8, 5, Config{Replicas: 2, NoMetadataCache: true})
+	m := nodes[0].NewMount()
+	mustMkdirAll(t, m, "/a")
+	mustMkdirAll(t, m, "/b")
+	owner := closestTo(nodes, Key(RootPN), 1)[0]
+	owner.Fail()
+	nodes = remove(nodes, owner)
+	for range 3 {
+		for _, nd := range nodes {
+			nd.Overlay().Stabilize()
+		}
+	}
+	heir := closestTo(nodes, Key(RootPN), 1)[0]
+	if _, err := heir.Store().LookupPath(RootStore); err == nil {
+		t.Fatalf("set-up: %s holds the index at its primary path before any bind", heir.Addr())
+	}
+	var bare []*Node // the heir's candidates that hold no copy
+	for _, c := range heir.Overlay().ReplicaCandidates(2) {
+		for _, nd := range nodes {
+			if _, err := nd.Store().LookupPath(RepPath(RootStore)); nd.Addr() == c.Addr && err != nil {
+				bare = append(bare, nd)
+			}
+		}
+	}
+	if len(bare) == 0 {
+		t.Fatal("set-up: every candidate of the heir holds the index")
+	}
+
+	client := nodes[0]
+	if client == heir {
+		client = nodes[1]
+	}
+	if got := rootNames(t, client.NewMount()); got != "[a b]" {
+		t.Fatalf("a fresh mount lists %s, want [a b]", got)
+	}
+	for _, nd := range bare {
+		if got, want := nd.Repl().VerOf(RootStore), heir.Repl().VerOf(RootStore); got >= want {
+			t.Errorf("%s, which held no index, records version %d for it, the owner's is %d", nd.Addr(), got, want)
+		}
+	}
+}

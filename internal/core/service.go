@@ -131,12 +131,11 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 	r.Track = n.rep.Stamp(r.Track, r.Op)
 	n.rep.Track(r.Track, r.Op)
 	// Fan out to the K leaf-set replicas; the primary "forwards the
-	// RPC to all the replicas" (Section 4.2). Failures are tolerated:
-	// replica repair happens on membership change. Removals of a whole
-	// hierarchy (or of the level-1 link standing at its root) additionally
-	// reach every leaf-set member: former replica candidates may still hold
-	// copies, and a deletion they miss would resurrect when ownership drifts
-	// to them.
+	// RPC to all the replicas" (Section 4.2). Failures are tolerated: the
+	// next Sync repairs the replica. Removals of a whole hierarchy (or of
+	// the level-1 link standing at its root) additionally reach every
+	// leaf-set member: former replica candidates may still hold copies, and
+	// a deletion they miss would resurrect when ownership drifts to them.
 	var buf [8]pastry.NodeInfo
 	targets := n.overlay.AppendReplicaCandidates(buf[:0], n.cfg.Replicas)
 	if r.Track.RemovedBy(r.Op) {
@@ -176,16 +175,36 @@ func (n *Node) serveMirror(ctx obs.TraceContext, from simnet.Addr, d *wire.Decod
 	if d.Err() != nil {
 		return 0, d.Err()
 	}
+	// A copy this mirror makes from nothing (lenient parents) keeps its old
+	// version, for the owner's next Sync to refresh: at the primary's, it
+	// would outrank the full copy once ownership moves (seed 1152).
+	whole := r.Track.Ver == n.rep.VerOf(r.Track.Root)+1 || r.Track.RemovedBy(r.Op) || n.holdsMirrored(r)
 	attr, cost, err := n.applyFSOp(r.Op, true)
 	if err != nil {
 		e.PutUint32(codeNFSBase + uint32(nfs.ToStatus(err)))
 		putApplyReplyBody(e, localfs.Attr{}, nfs.Handle{}, 0)
 		return cost, nil
 	}
-	n.rep.Track(r.Track, r.Op)
+	if whole {
+		n.rep.Track(r.Track, r.Op)
+	}
 	e.PutUint32(codeOK)
 	putApplyReplyBody(e, attr, nfs.Handle{Gen: n.nsrvGen(), Ino: attr.Ino}, 0)
 	return cost, nil
+}
+
+// holdsMirrored reports whether this node holds the copy mirror r edits: the
+// root in r's area, a prefix of r's path, or the source of a root rename.
+func (n *Node) holdsMirrored(r applyReq) bool {
+	p, end := r.Op.Path, len(r.Track.Root)
+	if !r.Primary {
+		end += len(repl.RepArea)
+	}
+	if r.Op.Kind != FSRename || repl.PrimaryRoot(r.Op.Path2) != r.Track.Root {
+		p = p[:min(end, len(p))]
+	}
+	_, err := n.store.LookupPath(p)
+	return err == nil
 }
 
 // serveTreeDigest reports what this node holds at a path — existence,

@@ -162,9 +162,7 @@ func staleWrite(c *cluster.Cluster, replicas int, vpath string, data []byte) (pr
 // pull (the path that chunks and indexes) instead of the per-op mirror
 // fan-out.
 func runDedupRatioArm(opts DedupOptions) (logical, stored int64, err error) {
-	cfg := koshaCfg()
-	cfg.NoAutoSync = true
-	c, err := cluster.New(cluster.Options{Nodes: opts.Nodes, Seed: opts.Seed, Config: cfg})
+	c, err := cluster.New(cluster.Options{Nodes: opts.Nodes, Seed: opts.Seed, Config: koshaCfg()})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -218,7 +216,6 @@ func runDedupRatioArm(opts DedupOptions) (logical, stored int64, err error) {
 // bytes (both ways) the primary's next SyncReplicas moves to reconverge.
 func runDedupEditArm(opts DedupOptions) (uint64, error) {
 	cfg := koshaCfg()
-	cfg.NoAutoSync = true
 	c, err := cluster.New(cluster.Options{Nodes: opts.Nodes, Seed: opts.Seed, Config: cfg})
 	if err != nil {
 		return 0, err
@@ -247,7 +244,6 @@ func runDedupEditArm(opts DedupOptions) (uint64, error) {
 // successor) count on the nodes that pull them.
 func runDedupPromoteArm(opts DedupOptions) (uint64, error) {
 	cfg := koshaCfg()
-	cfg.NoAutoSync = true
 	cfg.Replicas = 2
 	nodes := opts.Nodes
 	if nodes < 5 {

@@ -103,7 +103,6 @@ func runStreamArm(opts StreamOptions, streamed bool) (res struct {
 	WBFlush   uint64
 }, err error) {
 	cfg := koshaCfg()
-	cfg.NoAutoSync = true
 	// Both arms rotate reads across replica holders so the comparison
 	// isolates streaming: the baseline spreads single READs, the streamed
 	// arm fans whole window segments out bitswap-style.

@@ -58,9 +58,6 @@ type SyncResult struct {
 // copy.
 func RunSync(opts SyncOptions) (*SyncResult, error) {
 	cfg := koshaCfg()
-	// Membership-driven resync would heal the staleness behind the
-	// experiment's back; every sync here is driven explicitly.
-	cfg.NoAutoSync = true
 	c, err := cluster.New(cluster.Options{Nodes: opts.Nodes, Seed: opts.Seed, Config: cfg})
 	if err != nil {
 		return nil, err

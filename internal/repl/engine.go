@@ -125,6 +125,7 @@ type Engine struct {
 	fetchHook func(holder simnet.Addr, blocks int)
 
 	syncing atomic.Bool
+	syncs   atomic.Uint32 // Syncs run since the engine was built or Reset
 }
 
 // New builds an engine with empty tracking state.
@@ -163,6 +164,7 @@ func (e *Engine) Reset() {
 	e.tracked = make(map[string]Track)
 	e.mu.Unlock()
 	e.cas.Reset()
+	e.syncs.Store(0)
 }
 
 // IsDead reports whether this node's record for a root is a tombstone.

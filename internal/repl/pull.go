@@ -8,30 +8,68 @@ import (
 	"repro/internal/cas"
 	"repro/internal/localfs"
 	"repro/internal/obs"
+	"repro/internal/pastry"
 	"repro/internal/simnet"
 )
 
 // AdoptRoot makes this node's primary-path copy of a subtree current after
 // it becomes the key's owner: surface the local replica-area copy, then
 // ask the current replica candidates for a newer version or a newer
-// deletion and adopt it. Runs on the cold path only (the level-1 probe, an
-// apply whose root is missing, the failover read-repair, a hand-over's
-// Promote), when the holders' digest memos are cold too, so the ask is
-// version-only. A promote asks only when a copy is held at the primary path
-// once the replica-area copy is surfaced, so a level-1 miss at a node
-// holding nothing costs one kPromote. An apply asks regardless: a node that
-// just became the owner must learn of a newer copy or a tombstone before it
-// creates the root anew. The second result reports whether local state
-// changed — callers holding handles into the subtree must re-resolve when
-// it did.
+// deletion and adopt it. Runs on the cold path only (a fresh resolution
+// that finds the root missing, an apply whose root is missing, a
+// hand-over's Promote), when the holders' digest memos are cold too, so the
+// ask is version-only. A node still holding nothing first adopts its
+// runner-up's copy (adoptRunnerUp), and a promote then asks no further. An
+// apply asks the candidates regardless, to learn of a newer copy or a
+// tombstone before it creates the root anew. The second result reports
+// whether local state changed — callers holding handles into the subtree
+// must re-resolve when it did.
 func (e *Engine) AdoptRoot(tc obs.TraceContext, t Track, apply bool) (simnet.Cost, bool) {
 	changed := e.PromoteLocal(t)
-	if _, err := e.store.LookupPath(t.Root); t.Root == "" || (err != nil && !apply) {
+	if t.Root == "" {
 		return 0, changed
 	}
-	answers, cost := e.askCandidates(tc, t.Root, false)
-	c, adopted := e.adopt(tc, t, answers)
-	return simnet.Seq(cost, c), changed || adopted
+	var total simnet.Cost
+	if _, err := e.store.LookupPath(t.Root); err != nil {
+		c, got := e.adoptRunnerUp(tc, t)
+		if total, changed = c, changed || got; !apply && !got {
+			return total, changed
+		}
+	}
+	answers, c := e.askCandidates(tc, t.Root, false)
+	c2, adopted := e.adopt(tc, t, answers)
+	return simnet.Seq(total, c, c2), changed || adopted
+}
+
+// adoptRunnerUp pulls the newer settled copy of t that this node's ring
+// neighbour closest to the key holds at the primary path: the key's owner
+// before this node joined, until its next Sync hands the copy over. Only a
+// node that has run fewer than two Syncs asks: every driver syncs each node
+// once a period, so by its second Sync each neighbour has run one. A
+// runner-up holding no copy there is no answer: its version may be a
+// replica's.
+func (e *Engine) adoptRunnerUp(tc obs.TraceContext, t Track) (simnet.Cost, bool) {
+	if e.syncs.Load() >= 2 {
+		return 0, false
+	}
+	var prev pastry.NodeInfo
+	key := e.key(t.PN)
+	for _, c := range e.ov.ReplicaCandidates(2) {
+		if prev.IsZero() || key.Distance(c.ID).Less(key.Distance(prev.ID)) {
+			prev = c
+		}
+	}
+	if prev.IsZero() {
+		return 0, false
+	}
+	// A pull may follow: ask for the hash, which indexes the holder's blocks.
+	td, cost, err := e.peer.DigestTree(tc, prev.Addr, t.Root, true)
+	if err != nil || !td.Exists || td.Flag || td.Ver <= e.VerOf(t.Root) {
+		return cost, false
+	}
+	t.Ver = td.Ver
+	c, err := e.pullTree(&walk{e: e, tc: tc, swarm: []simnet.Addr{prev.Addr}, root: t.Root}, t.Root, t)
+	return simnet.Seq(cost, c), err == nil
 }
 
 // held is what one replica candidate answered that it holds of a root.

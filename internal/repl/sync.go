@@ -15,6 +15,7 @@ func (e *Engine) Sync() (total simnet.Cost) {
 		return 0
 	}
 	defer e.syncing.Store(false)
+	defer e.syncs.Add(1)
 	e.events.Add(obs.EvResync, string(e.self), "")
 	// Each sync run is its own traced operation: the remote side of every
 	// digest/mirror below records a span under this trace id.

@@ -743,7 +743,7 @@ func rottedReplicaOverTCP(t *testing.T, timeout time.Duration) (primary, rep *co
 		}
 		t.Cleanup(func() { tn.Close() })
 		tn.Timeout = timeout
-		nd := core.NewNode(tn.Addr(), id.Rand128(&state), tn, core.Config{Replicas: 1, NoAutoSync: true})
+		nd := core.NewNode(tn.Addr(), id.Rand128(&state), tn, core.Config{Replicas: 1})
 		var boot simnet.Addr
 		if i > 0 {
 			boot = nodes[0].Addr()
