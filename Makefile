@@ -163,13 +163,15 @@ test:
 	$(GO) test -short -race ./...
 
 # bench runs the concurrency-scaling benchmark (sweep goroutine counts to
-# see the sharded hot path scale) alongside the quick metadata-cache
+# see the sharded hot path scale) and the metadata cache's invalidation
+# cost beside 10 000 unrelated rows, alongside the quick metadata-cache
 # ablation, the full-vs-delta replica sync comparison, the content-addressed
 # chunk store comparison (dedup ratio, chunk-delta edits, promote repair),
 # and the large-file streaming comparison (stop-and-wait vs pipelined
 # readahead + write-back).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallelMetadata' -cpu=1,2,4,8 -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkChildChanged' -benchmem ./internal/core
 	$(GO) run ./cmd/koshabench -exp cache -quick
 	$(GO) run ./cmd/koshabench -exp sync
 	$(GO) run ./cmd/koshabench -exp dedup

@@ -64,8 +64,8 @@ func FuzzPlacementFunctions(f *testing.F) {
 // FuzzLevels: the resolver's levels of a clean path are its prefixes, each
 // equal to joining its first i components, and the helpers that count, split
 // and extend a clean path agree with SplitVirtual, path.Split and path.Join.
-// The metadata cache's subtree test matches other against a joined path
-// without building it, as localfs.InTree would against the built one.
+// The metadata cache's subtree test (strictlyUnder) agrees with
+// localfs.InTree on every path but the subtree's root.
 func FuzzLevels(f *testing.F) {
 	for _, p := range []string{"", "/", "//", "a", "/a/b/c", "/a/b/", "a//b/./c/..", "/..", "/\x01root/u1/f", "/#/x#12345678"} {
 		f.Add(p, "/a/b/c/d")
@@ -93,11 +93,8 @@ func FuzzLevels(f *testing.F) {
 			t.Fatalf("childPath(parentOf(%q)) = %q", clean, childPath(dir, name))
 		}
 		other = localfs.CleanPath(other)
-		if got, want := inTree(other, dir, name), localfs.InTree(other, clean); got != want {
-			t.Fatalf("inTree(%q, %q, %q) = %v, InTree against %q says %v", other, dir, name, got, clean, want)
-		}
-		if got, want := inTree(other, clean, ""), localfs.InTree(other, clean); got != want {
-			t.Fatalf("inTree(%q, %q, \"\") = %v, want %v", other, clean, got, want)
+		if got, want := strictlyUnder(other, []byte(clean)), localfs.InTree(other, clean) && other != clean; got != want {
+			t.Fatalf("strictlyUnder(%q, %q) = %v, InTree says %v", other, clean, got, want)
 		}
 	})
 }

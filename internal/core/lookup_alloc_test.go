@@ -210,7 +210,7 @@ func TestServeAllocatesOneObject(t *testing.T) {
 // TestServedReplyDoesNotPinItsRequest: a reply small enough to be encoded in
 // the serving Codec keeps that Codec alive as long as the caller holds the
 // reply, and the Codec's decoder has read the request; serve lets go of the
-// request first, so a 20-byte kApply reply held by its caller does not keep
+// request first, so an 84-byte kApply reply held by its caller does not keep
 // the 1 MiB frame it answered alive.
 func TestServedReplyDoesNotPinItsRequest(t *testing.T) {
 	store := localfs.New(0, simnet.Disk7200)

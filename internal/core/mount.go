@@ -126,6 +126,18 @@ func (m *Mount) childChanged(de *ventry, name string) {
 	m.meta.drop(de.vpath)
 }
 
+// childMade is childChanged for a mutation that made the child ve in the
+// directory de: the child's row records the post-op attributes a of the
+// reply to an apply sent after the cache's generation was since, beside the
+// resolved entry (as a LOOKUP's reply would), and only what lies below the
+// child is dropped. The row is recorded before the directory's is dropped,
+// which stamps the generation the guard compares.
+func (m *Mount) childMade(de, ve *ventry, a localfs.Attr, since uint64) {
+	m.meta.put(ve.vpath, a, ve, since)
+	m.meta.dropBelow(ve.vpath)
+	m.meta.drop(de.vpath)
+}
+
 // Root returns the mount's root virtual handle.
 func (m *Mount) Root() VH { return RootVH }
 
@@ -193,13 +205,14 @@ func (m *Mount) lookup(tr *obs.Trace, dir VH, name string) (VH, localfs.Attr, si
 		var out VH
 		var attr localfs.Attr
 		cost, err := m.withFailover(tr, dir, func(de *ventry) (simnet.Cost, error) {
+			since := m.meta.sample()
 			fh, a, c, err := m.n.nfsT(tr).Lookup(de.node, de.fh, name)
 			if err != nil {
 				return c, err
 			}
 			attr = a
 			ve := de.child(name, a.Type, fh)
-			m.meta.put(ve.vpath, a, &ve)
+			m.meta.put(ve.vpath, a, &ve, since)
 			out = m.insert(&ve)
 			return c, nil
 		})
@@ -229,23 +242,27 @@ func (m *Mount) getattr(tr *obs.Trace, vh VH) (localfs.Attr, simnet.Cost, error)
 	if vh == RootVH {
 		return rootAttr, InterposeCost, nil
 	}
-	if de, err := m.entry(vh); err == nil {
-		if r, ok := m.meta.get(de.vpath, false); ok {
-			return r.attr, InterposeCost, nil
+	// The attributes must reflect buffered write-back data (size, mtime), so
+	// dirty spans land first, and the flush's reply records them.
+	var fcost simnet.Cost
+	if m.n.cfg.WriteBackBytes > 0 {
+		var err error
+		if fcost, err = m.flushVH(tr, vh); err != nil {
+			return localfs.Attr{}, fcost, err
 		}
 	}
-	// The fetched attributes must reflect buffered write-back data (size,
-	// mtime), so dirty spans land first.
-	fcost, ferr := m.flushVH(tr, vh)
-	if ferr != nil {
-		return localfs.Attr{}, fcost, ferr
+	if de, err := m.entry(vh); err == nil {
+		if r, ok := m.meta.get(de.vpath, false); ok {
+			return r.attr, max(fcost, InterposeCost), nil
+		}
 	}
 	var attr localfs.Attr
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
+		since := m.meta.sample()
 		a, c, err := m.n.nfsT(tr).Getattr(de.node, de.fh)
 		if err == nil {
 			attr = a
-			m.meta.put(de.vpath, a, nil)
+			m.meta.put(de.vpath, a, nil, since)
 		}
 		return c, err
 	})
@@ -268,10 +285,11 @@ func (m *Mount) setattr(tr *obs.Trace, vh VH, sa localfs.SetAttr) (localfs.Attr,
 	}
 	var attr localfs.Attr
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
+		since := m.meta.sample()
 		a, _, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSSetattr, Path: de.physPath, SetAttr: sa})
 		if err == nil {
 			attr = a
-			m.meta.drop(de.vpath)
+			m.meta.put(de.vpath, a, nil, since)
 		}
 		return c, err
 	})
@@ -386,11 +404,12 @@ func (m *Mount) write(tr *obs.Trace, vh VH, offset int64, data []byte) (int, sim
 	}
 	n := 0
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
-		_, _, c, err := m.n.apply(tr, de.site(),
+		since := m.meta.sample()
+		a, _, c, err := m.n.apply(tr, de.site(),
 			FSOp{Kind: FSWrite, Path: de.physPath, Offset: offset, Data: data})
 		if err == nil {
 			n = len(data)
-			m.meta.drop(de.vpath)
+			m.meta.put(de.vpath, a, nil, since)
 			if de.node == m.n.addr {
 				c = simnet.Seq(c, loopbackXfer(len(data)))
 			}
@@ -423,13 +442,14 @@ func (m *Mount) create(tr *obs.Trace, dir VH, name string, mode uint32, exclusiv
 			return 0, &nfs.Error{Proc: nfs.ProcCreate, Status: nfs.ErrNotDir}
 		}
 		file := de.child(name, localfs.TypeRegular, nfs.Handle{}) // the reply brings the handle
+		since := m.meta.sample()
 		a, fh, c, err := m.n.apply(tr, de.site(),
 			FSOp{Kind: FSCreate, Path: file.physPath, Mode: mode, Excl: exclusive})
 		if err != nil {
 			return c, err
 		}
 		attr, file.fh = a, fh
-		m.childChanged(de, name)
+		m.childMade(de, &file, a, since)
 		out = m.insert(&file)
 		return c, nil
 	})
@@ -459,12 +479,13 @@ func (m *Mount) symlink(tr *obs.Trace, dir VH, name, target string) (VH, simnet.
 			return 0, ErrRootOnlyDirs
 		}
 		link := de.child(name, localfs.TypeSymlink, nfs.Handle{}) // the reply brings the handle
-		_, fh, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSSymlink, Path: link.physPath, Target: target})
+		since := m.meta.sample()
+		a, fh, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSSymlink, Path: link.physPath, Target: target})
 		if err != nil {
 			return c, err
 		}
 		link.fh = fh
-		m.childChanged(de, name)
+		m.childMade(de, &link, a, since)
 		out = m.insert(&link)
 		return c, nil
 	})

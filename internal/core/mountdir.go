@@ -41,12 +41,13 @@ func (m *Mount) mkdir(tr *obs.Trace, dir VH, name string, mode uint32) (VH, loca
 			return c, err
 		}
 		child := de.child(name, localfs.TypeDir, nfs.Handle{}) // the reply brings the handle
+		since := m.meta.sample()
 		a, fh, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSMkdir, Path: child.physPath, Mode: mode})
 		if err != nil {
 			return c, err
 		}
 		attr, child.fh = a, fh
-		m.childChanged(de, name)
+		m.childMade(de, &child, a, since)
 		out = m.insert(&child)
 		return c, nil
 	})
@@ -136,6 +137,7 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	}
 
 	// Create the subtree root on the chosen node.
+	since := m.meta.sample()
 	attr, fh, c, err := n.apply(tr, site{target, Key(pn), Track{PN: pn, Root: subRoot}},
 		FSOp{Kind: FSMkdirAll, Path: subRoot, Mode: mode})
 	total = simnet.Seq(total, c)
@@ -155,8 +157,9 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	place := Place{Node: target, Name: pn, Store: subRoot}
 	vpath := path.Join(parent.vpath, name)
 	n.cachePut(vpath, place)
-	vh := m.insert(entryAt(vpath, place, subRoot, nfs.Walked{FH: fh, Attr: localfs.Attr{Type: localfs.TypeDir}}))
-	return vh, attr, total, nil
+	de := entryAt(vpath, place, subRoot, nfs.Walked{FH: fh, Attr: localfs.Attr{Type: localfs.TypeDir}})
+	m.childMade(parent, de, attr, since)
+	return m.insert(de), attr, total, nil
 }
 
 // indexRoot adds or drops a level-1 name in the root directory's name index
@@ -210,6 +213,7 @@ func (m *Mount) Readdir(dir VH) ([]DirEntry, simnet.Cost, error) {
 func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) {
 	var out []DirEntry
 	cost, err := m.withFailover(tr, dir, func(de *ventry) (simnet.Cost, error) {
+		since := m.meta.sample()
 		ents, c, err := m.n.nfsT(tr).ReaddirPlusAll(de.node, de.fh, 256)
 		if err != nil {
 			return c, m.n.noteErr(de.node, err)
@@ -246,7 +250,7 @@ func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) 
 			out = append(out, DirEntry{Name: e.Name, Type: e.Type})
 			if prewarm {
 				ve := de.child(e.Name, e.Type, e.FH)
-				m.meta.put(ve.vpath, e.Attr, &ve)
+				m.meta.put(ve.vpath, e.Attr, &ve, since)
 			}
 		}
 		return c, nil

@@ -144,6 +144,7 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventr
 		de, c, err := m.bindRoot(tr)
 		return de, nfs.Walked{Attr: rootAttr}, c, err
 	}
+	since := m.meta.sample()
 	place, w, cached, total, err := m.n.resolveDir(tr, vpath, readMax)
 	phys := place.PhysDir()
 	switch {
@@ -176,7 +177,7 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventr
 	ve := entryAt(vpath, place, phys, w)
 	if err == nil {
 		tr.SetServedBy(string(place.Node))
-		m.meta.put(ve.vpath, w.Attr, nil)
+		m.meta.put(ve.vpath, w.Attr, nil, since)
 	}
 	return ve, w, total, err
 }

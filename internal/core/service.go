@@ -51,7 +51,7 @@ type serviceTable map[uint32]proc
 // reads the request frame the transport was handed (wire.FrameOf), so a
 // write's lent data reaches the store, and the mirror fan-out, uncopied. A
 // reply in the array keeps the Codec alive, so the decoder lets go of the
-// request first: a held 20-byte kApply reply must not pin the 1 MiB request
+// request first: a held 84-byte kApply reply must not pin the 1 MiB request
 // it answered.
 func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 	return func(ctx obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
@@ -104,7 +104,6 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 		checkCost = c
 		if !isRoot {
 			e.PutUint32(codeNotPrimary)
-			putApplyReplyBody(e, localfs.Attr{}, nfs.Handle{}, 0)
 			return checkCost, nil
 		}
 		// Cold path after an ownership change: surface the local
@@ -121,7 +120,6 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 	attr, cost, err := n.applyFSOp(r.Op, false)
 	if err != nil {
 		e.PutUint32(codeNFSBase + uint32(nfs.ToStatus(err)))
-		putApplyReplyBody(e, localfs.Attr{}, nfs.Handle{}, 0)
 		return simnet.Seq(checkCost, cost), nil
 	}
 	if r.Op.Kind == FSUnlink {
@@ -164,7 +162,9 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 	return cost, nil
 }
 
-// serveMirror executes a mutation at a replica (no fan-out).
+// serveMirror executes a mutation at a replica (no fan-out). Its reply is
+// the status code alone: the primary's fan-out and a repair's Mirror only
+// learn whether the replica applied the op.
 func (n *Node) serveMirror(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
 	// Replica copies live in the reserved replica area, outside the
 	// primary namespace ("the replicas are inaccessible to the local
@@ -179,17 +179,15 @@ func (n *Node) serveMirror(ctx obs.TraceContext, from simnet.Addr, d *wire.Decod
 	// version, for the owner's next Sync to refresh: at the primary's, it
 	// would outrank the full copy once ownership moves (seed 1152).
 	whole := r.Track.Ver == n.rep.VerOf(r.Track.Root)+1 || r.Track.RemovedBy(r.Op) || n.holdsMirrored(r)
-	attr, cost, err := n.applyFSOp(r.Op, true)
+	_, cost, err := n.applyFSOp(r.Op, true)
 	if err != nil {
 		e.PutUint32(codeNFSBase + uint32(nfs.ToStatus(err)))
-		putApplyReplyBody(e, localfs.Attr{}, nfs.Handle{}, 0)
 		return cost, nil
 	}
 	if whole {
 		n.rep.Track(r.Track, r.Op)
 	}
 	e.PutUint32(codeOK)
-	putApplyReplyBody(e, attr, nfs.Handle{Gen: n.nsrvGen(), Ino: attr.Ino}, 0)
 	return cost, nil
 }
 
@@ -357,22 +355,20 @@ func (n *Node) servePull(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder
 	return cost, nil
 }
 
+// putApplyReplyBody encodes what follows codeOK in a kApply reply: the
+// target's post-op attributes, all ten fields as an NFSv3 reply's wcc_data
+// carries them, so the client caches what it just wrote without a GETATTR;
+// the target's handle; and the replica fan-out width, for trace records. A
+// failed apply's reply is its status code alone.
 func putApplyReplyBody(e *wire.Encoder, attr localfs.Attr, fh nfs.Handle, fanout int) {
-	e.PutUint64(attr.Ino)
-	e.PutUint32(uint32(attr.Type))
-	e.PutUint32(attr.Mode)
-	e.PutInt64(attr.Size)
+	nfs.PutAttr(e, attr)
 	e.PutUint64(fh.Gen)
 	e.PutUint64(fh.Ino)
-	e.PutUint32(uint32(fanout)) // replica fan-out width, for trace records
+	e.PutUint32(uint32(fanout))
 }
 
 func getApplyReplyBody(d *wire.Decoder) (localfs.Attr, nfs.Handle, int) {
-	var attr localfs.Attr
-	attr.Ino = d.Uint64()
-	attr.Type = localfs.FileType(d.Uint32())
-	attr.Mode = d.Uint32()
-	attr.Size = d.Int64()
+	attr := nfs.GetAttr(d)
 	var fh nfs.Handle
 	fh.Gen = d.Uint64()
 	fh.Ino = d.Uint64()

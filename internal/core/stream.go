@@ -354,8 +354,10 @@ func (m *Mount) writeBuffered(tr *obs.Trace, vh VH, offset int64, data []byte) (
 		}
 		st.absorb(offset, data)
 	}
+	// An absorb leaves the cached row alone, which still describes what the
+	// primary holds: a Getattr on this handle flushes before it reads the
+	// cache, and the flush's reply records the new attributes.
 	m.n.wbCoalesced.Add(1)
-	m.meta.drop(de.vpath)
 	if st.wbBytes >= m.n.cfg.WriteBackBytes || len(st.spans) > wbMaxSpans {
 		c, ferr := m.flushLocked(tr, vh, st)
 		cost = simnet.Seq(cost, c)
@@ -382,11 +384,11 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 	for _, s := range spans {
 		size += len(s.Data)
 	}
-	var vp string
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
-		_, _, c, aerr := m.n.apply(tr, de.site(), FSOp{Kind: FSWrite, Path: de.physPath, Spans: spans})
+		since := m.meta.sample()
+		a, _, c, aerr := m.n.apply(tr, de.site(), FSOp{Kind: FSWrite, Path: de.physPath, Spans: spans})
 		if aerr == nil {
-			vp = de.vpath
+			m.meta.put(de.vpath, a, nil, since)
 			if de.node == m.n.addr {
 				c = simnet.Seq(c, loopbackXfer(size))
 			}
@@ -400,9 +402,6 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 		if cap(s.Data) > cap(st.spare) {
 			st.spare = s.Data[:0]
 		}
-	}
-	if vp != "" {
-		m.meta.drop(vp)
 	}
 	return cost, err
 }

@@ -109,6 +109,7 @@ type inode struct {
 
 	data     extents           // TypeRegular
 	children map[string]*inode // TypeDir
+	subdirs  uint32            // TypeDir: the children that are directories
 	target   string            // TypeSymlink
 
 	parent *inode
@@ -307,17 +308,30 @@ func (x *extents) fill(i int, o int64, src []byte) int {
 	return at
 }
 
+// nlink is a directory's "." and its entry in its parent plus each
+// subdirectory's "..", and 1 for anything else.
 func (in *inode) nlink() uint32 {
 	if in.typ != TypeDir {
 		return 1
 	}
-	n := uint32(2)
-	for _, c := range in.children {
-		if c.typ == TypeDir {
-			n++
-		}
+	return 2 + in.subdirs
+}
+
+// attach enters child in the directory in under name. Every entry is made
+// here and removed by detach, which keep subdirs.
+func (in *inode) attach(name string, child *inode) {
+	in.children[name] = child
+	if child.typ == TypeDir {
+		in.subdirs++
 	}
-	return n
+}
+
+// detach removes child's entry from the directory in.
+func (in *inode) detach(child *inode) {
+	delete(in.children, child.name)
+	if child.typ == TypeDir {
+		in.subdirs--
+	}
 }
 
 // FS is one node's contributed partition.
@@ -705,7 +719,7 @@ func (f *FS) Create(dirIno uint64, name string, mode uint32, exclusive bool) (At
 	}
 	f.nextIno++
 	f.inodes[in.ino] = in
-	dir.children[name] = in
+	dir.attach(name, in)
 	dir.mtime = t
 	f.files++
 	f.noteInode(in)
@@ -739,7 +753,7 @@ func (f *FS) Mkdir(dirIno uint64, name string, mode uint32) (Attr, simnet.Cost, 
 	}
 	f.nextIno++
 	f.inodes[in.ino] = in
-	dir.children[name] = in
+	dir.attach(name, in)
 	dir.mtime = t
 	f.noteInode(in)
 	return f.attrOf(in), cost, nil
@@ -772,7 +786,7 @@ func (f *FS) Symlink(dirIno uint64, name, target string) (Attr, simnet.Cost, err
 	}
 	f.nextIno++
 	f.inodes[in.ino] = in
-	dir.children[name] = in
+	dir.attach(name, in)
 	dir.mtime = t
 	f.noteInode(in)
 	return f.attrOf(in), cost, nil
@@ -959,7 +973,7 @@ func (f *FS) unlink(dir, in *inode) {
 	if len(f.notify) > 0 {
 		p = f.pathOf(in)
 	}
-	delete(dir.children, in.name)
+	dir.detach(in)
 	delete(f.inodes, in.ino)
 	f.used -= in.size() + f.inodeOverhead
 	if in.typ == TypeRegular {
@@ -1018,10 +1032,10 @@ func (f *FS) Rename(srcDir uint64, srcName string, dstDir uint64, dstName string
 	if len(f.notify) > 0 {
 		oldPath = f.pathOf(in)
 	}
-	delete(sd.children, in.name)
+	sd.detach(in)
 	in.name = dstName
 	in.parent = dd
-	dd.children[dstName] = in
+	dd.attach(dstName, in)
 	t := f.now()
 	sd.mtime, dd.mtime, in.ctime = t, t, t
 	if oldPath != "" {
@@ -1124,7 +1138,7 @@ func (f *FS) descend(c components, p string, mkdir bool) (dir, in *inode, err er
 			}
 			f.nextIno++
 			f.inodes[next.ino] = next
-			in.children[name] = next
+			in.attach(name, next)
 			in.mtime = t
 		case mkdir && next.typ != TypeDir:
 			return nil, nil, fmt.Errorf("%w: %q", ErrNotDir, name)
@@ -1190,12 +1204,12 @@ func (f *FS) RemoveAll(p string) error {
 		for _, c := range f.root.children {
 			f.release(c)
 		}
-		f.root.children = make(map[string]*inode)
+		f.root.children, f.root.subdirs = make(map[string]*inode), 0
 		f.noteMutation("/")
 		return nil
 	}
 	f.release(in)
-	delete(dir.children, in.name)
+	dir.detach(in)
 	dir.mtime = f.now()
 	f.noteMutation(c.clean)
 	return nil

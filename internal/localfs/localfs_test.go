@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path"
 	"strings"
 	"testing"
 	"time"
@@ -585,5 +586,73 @@ func BenchmarkLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.Lookup(RootIno, "f50")
+	}
+}
+
+// TestPropNlinkMatchesRecount: a directory's link count is kept as entries
+// come and go, not counted at every attrOf; after every step of a random
+// sequence of mkdir, rmdir, rename, RemoveAll, MkdirAll and create, every
+// directory's count equals a recount of its subdirectories.
+func TestPropNlinkMatchesRecount(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	f := newFS(0)
+	paths := func() (dirs, all []string) {
+		f.Walk("/", func(p string, a Attr, _ string) error {
+			all = append(all, p)
+			if a.Type == TypeDir {
+				dirs = append(dirs, p)
+			}
+			return nil
+		})
+		return dirs, all
+	}
+	pick := func(ps []string) string { return ps[r.Intn(len(ps))] }
+	ino := func(p string) uint64 {
+		a, err := f.LookupPath(p)
+		if err != nil {
+			t.Fatalf("LookupPath(%q): %v", p, err)
+		}
+		return a.Ino
+	}
+	for step := 0; step < 2000; step++ {
+		dirs, all := paths()
+		name := fmt.Sprintf("n%d", r.Intn(40))
+		switch r.Intn(7) {
+		case 0, 1:
+			f.Mkdir(ino(pick(dirs)), name, 0o755)
+		case 2:
+			f.Create(ino(pick(dirs)), name, 0o644, false)
+		case 3:
+			if p := pick(all); p != "/" {
+				f.Rmdir(ino(path.Dir(p)), path.Base(p))
+			}
+		case 4:
+			if p := pick(all); p != "/" {
+				f.Rename(ino(path.Dir(p)), path.Base(p), ino(pick(dirs)), name)
+			}
+		case 5:
+			if p := pick(all); r.Intn(4) == 0 {
+				f.RemoveAll(p)
+			}
+		case 6:
+			f.MkdirAll(path.Join(pick(dirs), name, fmt.Sprintf("m%d", r.Intn(3))))
+		}
+		f.mu.RLock()
+		for _, in := range f.inodes {
+			want := uint32(1)
+			if in.typ == TypeDir {
+				want = 2
+				for _, c := range in.children {
+					if c.typ == TypeDir {
+						want++
+					}
+				}
+			}
+			if got := f.attrOf(in).Nlink; got != want {
+				f.mu.RUnlock()
+				t.Fatalf("step %d: inode %d (%s) has nlink %d, recount %d", step, in.ino, in.name, got, want)
+			}
+		}
+		f.mu.RUnlock()
 	}
 }

@@ -205,7 +205,7 @@ func (c Client) Getattr(to simnet.Addr, h Handle) (localfs.Attr, simnet.Cost, er
 	if err != nil {
 		return localfs.Attr{}, cost, err
 	}
-	return getAttr(d), cost, nil
+	return GetAttr(d), cost, nil
 }
 
 // Setattr updates attributes on h.
@@ -218,7 +218,7 @@ func (c Client) Setattr(to simnet.Addr, h Handle, sa localfs.SetAttr) (localfs.A
 	if err != nil {
 		return localfs.Attr{}, cost, err
 	}
-	return getAttr(d), cost, nil
+	return GetAttr(d), cost, nil
 }
 
 // Lookup resolves name within directory dir.
@@ -232,7 +232,7 @@ func (c Client) Lookup(to simnet.Addr, dir Handle, name string) (Handle, localfs
 		return Handle{}, localfs.Attr{}, cost, err
 	}
 	h := getHandle(d)
-	return h, getAttr(d), cost, nil
+	return h, GetAttr(d), cost, nil
 }
 
 // Walk resolves the slash-separated path p below start in one LOOKUPPATH
@@ -260,7 +260,7 @@ func (c Client) Walk(to simnet.Addr, start Handle, p string, readMax uint32) (Wa
 	}
 	w := Walked{Resolved: int(d.Uint32()), FH: getHandle(d)}
 	if err == nil {
-		w.Attr = getAttr(d)
+		w.Attr = GetAttr(d)
 		w.Target = d.String()
 		if readMax > 0 && w.Attr.Type == localfs.TypeRegular {
 			w.EOF = d.Bool()
@@ -360,7 +360,7 @@ func (c Client) Create(to simnet.Addr, dir Handle, name string, mode uint32, exc
 		return Handle{}, localfs.Attr{}, cost, err
 	}
 	h := getHandle(d)
-	return h, getAttr(d), cost, nil
+	return h, GetAttr(d), cost, nil
 }
 
 // Mkdir makes a directory in dir.
@@ -375,7 +375,7 @@ func (c Client) Mkdir(to simnet.Addr, dir Handle, name string, mode uint32) (Han
 		return Handle{}, localfs.Attr{}, cost, err
 	}
 	h := getHandle(d)
-	return h, getAttr(d), cost, nil
+	return h, GetAttr(d), cost, nil
 }
 
 // Symlink makes a symbolic link in dir.
@@ -390,7 +390,7 @@ func (c Client) Symlink(to simnet.Addr, dir Handle, name, target string) (Handle
 		return Handle{}, localfs.Attr{}, cost, err
 	}
 	h := getHandle(d)
-	return h, getAttr(d), cost, nil
+	return h, GetAttr(d), cost, nil
 }
 
 // Remove unlinks a file or symlink.
@@ -495,7 +495,7 @@ func (c Client) ReaddirPlus(to simnet.Addr, dir Handle, cookie uint64, count int
 		ent.Ino = d.Uint64()
 		ent.Type = localfs.FileType(d.Uint32())
 		ent.FH = getHandle(d)
-		ent.Attr = getAttr(d)
+		ent.Attr = GetAttr(d)
 		ent.SymTarget = d.String()
 		ents = append(ents, ent)
 	}

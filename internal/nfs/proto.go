@@ -254,7 +254,10 @@ func getHandle(d *wire.Decoder) Handle {
 	}
 }
 
-func putAttr(e *wire.Encoder, a localfs.Attr) {
+// PutAttr encodes all ten attribute fields, the NFSv3 fattr3 a reply
+// carries; exposed for the kosha replication protocol, whose apply reply
+// carries the same post-op record.
+func PutAttr(e *wire.Encoder, a localfs.Attr) {
 	e.PutUint64(a.Ino)
 	e.PutUint32(uint32(a.Type))
 	e.PutUint32(a.Mode)
@@ -267,7 +270,8 @@ func putAttr(e *wire.Encoder, a localfs.Attr) {
 	e.PutInt64(a.Ctime.UnixNano())
 }
 
-func getAttr(d *wire.Decoder) localfs.Attr {
+// GetAttr decodes what PutAttr encodes.
+func GetAttr(d *wire.Decoder) localfs.Attr {
 	var a localfs.Attr
 	a.Ino = d.Uint64()
 	a.Type = localfs.FileType(d.Uint32())

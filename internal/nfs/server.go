@@ -172,7 +172,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
-		putAttr(e, attr)
+		PutAttr(e, attr)
 		return e.Bytes(), cost
 
 	case ProcSetattr:
@@ -190,7 +190,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
-		putAttr(e, attr)
+		PutAttr(e, attr)
 		return e.Bytes(), cost
 
 	case ProcLookup:
@@ -209,7 +209,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		}
 		e.PutUint32(uint32(OK))
 		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
-		putAttr(e, attr)
+		PutAttr(e, attr)
 		return e.Bytes(), cost
 
 	case ProcLookupPath:
@@ -266,7 +266,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		}
 		e.PutUint32(uint32(OK))
 		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
-		putAttr(e, attr)
+		PutAttr(e, attr)
 		return e.Bytes(), cost
 
 	case ProcMkdir:
@@ -286,7 +286,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		}
 		e.PutUint32(uint32(OK))
 		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
-		putAttr(e, attr)
+		PutAttr(e, attr)
 		return e.Bytes(), cost
 
 	case ProcSymlink:
@@ -306,7 +306,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		}
 		e.PutUint32(uint32(OK))
 		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
-		putAttr(e, attr)
+		PutAttr(e, attr)
 		return e.Bytes(), cost
 
 	case ProcRemove, ProcRmdir:
@@ -428,7 +428,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 			e.PutUint64(ent.Ino)
 			e.PutUint32(uint32(ent.Type))
 			putHandle(e, Handle{Gen: h.Gen, Ino: ent.Ino})
-			putAttr(e, attr)
+			PutAttr(e, attr)
 			e.PutString(target)
 		}
 		return e.Bytes(), cost
@@ -546,7 +546,7 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 	e.PutUint32(uint32(resolved))
 	putHandle(e, Handle{Gen: h.Gen, Ino: ino})
 	if st == OK {
-		putAttr(e, attr)
+		PutAttr(e, attr)
 		e.PutString(target)
 		if readMax > 0 {
 			c, _ := s.putData(e, ino, 0, int(readMax)) // a failed read is empty, short of EOF
