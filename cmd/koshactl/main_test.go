@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/id"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -17,7 +20,7 @@ import (
 // its ctl service attached, run() in place of main.
 func TestRun(t *testing.T) {
 	net := simnet.New(simnet.LAN100)
-	node := core.NewNode("k0", id.FromUint64(7), net, core.Config{})
+	node := core.NewNode("k0", id.FromUint64(7), net, core.Config{SlowOpNS: 1})
 	if _, err := node.Join(""); err != nil {
 		t.Fatal(err)
 	}
@@ -77,5 +80,68 @@ func TestRun(t *testing.T) {
 	}
 	if code, _, errw := ctl("-node", "nobody", "status"); code != 1 || !strings.HasPrefix(errw, "koshactl: ") {
 		t.Errorf("status of an absent node: exit %d, stderr %q", code, errw)
+	}
+
+	// Traces. A second node joins, and k0's mount writes a file under a
+	// name k1 owns, so the op's tree holds k1's server spans.
+	k1 := core.NewNode("k1", id.FromUint64(1<<62), net, core.Config{})
+	if _, err := k1.Join(node.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	k1.AttachCtl()
+	name := ""
+	for i := 0; name == ""; i++ {
+		res, err := node.Overlay().Route(core.Key(fmt.Sprintf("bob%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Node.Addr == k1.Addr() {
+			name = fmt.Sprintf("bob%d", i)
+		}
+	}
+	path := "/" + name + "/f.txt"
+	if _, err := node.NewMount().WriteFile(path, []byte("traced")); err != nil {
+		t.Fatal(err)
+	}
+	header := regexp.MustCompile(`(?m)^#\d+ WRITE ` + path + ` .* served by k1`)
+	code, out, errw = ctl("trace", "dump")
+	if code != 0 || errw != "" || !header.MatchString(out) || !strings.Contains(out, "\n    apply ") {
+		t.Errorf("trace dump: exit %d, stderr %q, stdout %q; want the WRITE served by k1 and its apply stage", code, errw, out)
+	}
+	code, out, errw = ctl("trace", "dump", "-op", "write", "-path", "/"+name+"/")
+	if code != 0 || errw != "" || len(regexp.MustCompile(`(?m)^#`).FindAllString(out, -1)) != 1 || !header.MatchString(out) {
+		t.Errorf("trace dump -op write -path: exit %d, stderr %q, stdout %q; want the one WRITE", code, errw, out)
+	}
+	code, out, errw = ctl("-json", "trace", "dump")
+	var traces []obs.Trace
+	if code != 0 || errw != "" || json.Unmarshal([]byte(out), &traces) != nil {
+		t.Fatalf("-json trace dump: exit %d, stderr %q, stdout %q; want the traces as JSON", code, errw, out)
+	}
+	var write *obs.Trace
+	for i := range traces {
+		if traces[i].Op == obs.OpWrite && traces[i].Path == path {
+			write = &traces[i]
+		}
+	}
+	if write == nil || write.ServedBy != "k1" {
+		t.Fatalf("-json trace dump holds no WRITE of %s served by k1: %+v", path, traces)
+	}
+	if code, out, errw := ctl("trace", "-slow"); code != 0 || errw != "" || !header.MatchString(out) {
+		t.Errorf("trace -slow: exit %d, stderr %q, stdout %q; want the WRITE, over a 1 ns threshold", code, errw, out)
+	}
+
+	// The assembled tree: k0's origin record, k1's kosha.apply and, under
+	// it, the mirror k1 sent back to k0.
+	traceID := obs.FormatTraceID(write.Hi, write.Lo)
+	code, out, errw = ctl("trace", "-id", traceID)
+	for _, want := range []string{
+		`^trace ` + traceID + `  WRITE ` + path + `  origin k0 `,
+		`(?m)^  3 spans across 2 nodes$`,
+		`(?m)^  kosha\.apply +node=k1 +from=k0 `,
+		`(?m)^    kosha\.mirror +node=k0 +from=k1 `,
+	} {
+		if code != 0 || errw != "" || !regexp.MustCompile(want).MatchString(out) {
+			t.Errorf("trace -id: exit %d, stderr %q, stdout %q; want a match for %s", code, errw, out, want)
+		}
 	}
 }

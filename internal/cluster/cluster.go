@@ -25,8 +25,6 @@ type Options struct {
 	// Capacities optionally overrides Config.Capacity per node, for the
 	// heterogeneous-capacity experiment (Figure 6: 8x3 GB, 4x4 GB, 4x5 GB).
 	Capacities []int64
-	// Link overrides the network model (default LAN100).
-	Link simnet.LinkModel
 }
 
 // Cluster is a running set of Kosha nodes on one simulated network.
@@ -44,14 +42,10 @@ type Cluster struct {
 	nextAddr  int
 }
 
-// New builds, joins, and stabilizes a cluster.
+// New builds, joins, and stabilizes a cluster on a LAN100 network.
 func New(opts Options) (*Cluster, error) {
-	link := opts.Link
-	if link == (simnet.LinkModel{}) {
-		link = simnet.LAN100
-	}
 	c := &Cluster{
-		Net:       simnet.New(link),
+		Net:       simnet.New(simnet.LAN100),
 		seedState: opts.Seed,
 		cfg:       opts.Config,
 	}

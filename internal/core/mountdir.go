@@ -319,7 +319,7 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 	if child.kind != localfs.TypeDir {
 		return total, &nfs.Error{Proc: nfs.ProcRmdir, Status: nfs.ErrNotDir}
 	}
-	ents, c, err := n.nfsT(tr).ReaddirAll(child.node, child.fh, 256)
+	ents, c, err := n.nfsT(tr).ReaddirPlusAll(child.node, child.fh, 256)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		return total, err

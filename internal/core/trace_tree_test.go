@@ -437,7 +437,7 @@ func TestCtlObservabilityRoundTrip(t *testing.T) {
 
 // TestDistributedMkdirRmdirTraceEveryRPC: the capacity probe of a
 // distributed mkdir (FSSTAT, with the MNT that fetches the export's root
-// handle) and the emptiness listing of a distributed rmdir (READDIR) carry
+// handle) and the emptiness listing of a distributed rmdir (READDIRPLUS) carry
 // the operation's trace context, so each shows as a server span in its tree.
 func TestDistributedMkdirRmdirTraceEveryRPC(t *testing.T) {
 	_, nodes := testCluster(t, 4, 61, Config{Replicas: 1})
@@ -475,8 +475,8 @@ func TestDistributedMkdirRmdirTraceEveryRPC(t *testing.T) {
 		if _, err := m.Rmdir(m.Root(), name); err != nil {
 			t.Fatal(err)
 		}
-		if got := spansOf(obs.OpRmdir); !got["nfs.READDIR"] {
-			t.Errorf("traced rmdir recorded %v, want nfs.READDIR among them", got)
+		if got := spansOf(obs.OpRmdir); !got["nfs.READDIRPLUS"] {
+			t.Errorf("traced rmdir recorded %v, want nfs.READDIRPLUS among them", got)
 		}
 		return
 	}

@@ -341,14 +341,13 @@ type FS struct {
 	inodes   map[uint64]*inode
 	nextIno  uint64
 	capacity int64 // bytes; 0 means unlimited
-	used     int64
-	files    int64 // count of regular files
-	disk     simnet.DiskModel
-	now      func() time.Time
-	// InodeOverhead is charged against capacity per inode, modeling
-	// metadata blocks. Zero by default to match the paper's accounting,
-	// which counts file bytes against contributed gigabytes.
-	inodeOverhead int64
+	// used counts file bytes and link targets against capacity, as the
+	// paper counts file bytes against contributed gigabytes: an inode
+	// itself is free.
+	used  int64
+	files int64 // count of regular files
+	disk  simnet.DiskModel
+	now   func() time.Time
 
 	// notify holds mutation subscribers (OnMutation). Hooks run with f.mu
 	// held, so they must not call back into the file system.
@@ -379,9 +378,6 @@ type Option func(*FS)
 // WithClock overrides the time source (deterministic tests).
 func WithClock(now func() time.Time) Option { return func(f *FS) { f.now = now } }
 
-// WithInodeOverhead charges n bytes of capacity per inode.
-func WithInodeOverhead(n int64) Option { return func(f *FS) { f.inodeOverhead = n } }
-
 // New creates a file system with the given capacity in bytes (0 = unlimited)
 // and disk cost model.
 func New(capacity int64, disk simnet.DiskModel, opts ...Option) *FS {
@@ -404,7 +400,6 @@ func New(capacity int64, disk simnet.DiskModel, opts ...Option) *FS {
 	}
 	fs.nextIno = 2
 	fs.inodes[1] = fs.root
-	fs.used = fs.inodeOverhead
 	return fs
 }
 
@@ -708,9 +703,6 @@ func (f *FS) Create(dirIno uint64, name string, mode uint32, exclusive bool) (At
 		f.noteInode(existing)
 		return f.attrOf(existing), cost, nil
 	}
-	if err := f.charge(f.inodeOverhead); err != nil {
-		return Attr{}, cost, err
-	}
 	t := f.now()
 	in := &inode{
 		ino: f.nextIno, typ: TypeRegular, mode: mode,
@@ -740,9 +732,6 @@ func (f *FS) Mkdir(dirIno uint64, name string, mode uint32) (Attr, simnet.Cost, 
 	}
 	if _, ok := dir.children[name]; ok {
 		return Attr{}, cost, fmt.Errorf("%w: %q", ErrExist, name)
-	}
-	if err := f.charge(f.inodeOverhead); err != nil {
-		return Attr{}, cost, err
 	}
 	t := f.now()
 	in := &inode{
@@ -774,7 +763,7 @@ func (f *FS) Symlink(dirIno uint64, name, target string) (Attr, simnet.Cost, err
 	if _, ok := dir.children[name]; ok {
 		return Attr{}, cost, fmt.Errorf("%w: %q", ErrExist, name)
 	}
-	if err := f.charge(f.inodeOverhead + int64(len(target))); err != nil {
+	if err := f.charge(int64(len(target))); err != nil {
 		return Attr{}, cost, err
 	}
 	t := f.now()
@@ -975,7 +964,7 @@ func (f *FS) unlink(dir, in *inode) {
 	}
 	dir.detach(in)
 	delete(f.inodes, in.ino)
-	f.used -= in.size() + f.inodeOverhead
+	f.used -= in.size()
 	if in.typ == TypeRegular {
 		f.files--
 	}
@@ -1126,9 +1115,6 @@ func (f *FS) descend(c components, p string, mkdir bool) (dir, in *inode, err er
 		case !found && !mkdir:
 			return nil, nil, fmt.Errorf("%w: %q", ErrNoEnt, p)
 		case !found:
-			if err := f.charge(f.inodeOverhead); err != nil {
-				return nil, nil, err
-			}
 			t := f.now()
 			next = &inode{
 				ino: f.nextIno, typ: TypeDir, mode: 0o755,
@@ -1223,7 +1209,7 @@ func (f *FS) release(in *inode) {
 		}
 	}
 	delete(f.inodes, in.ino)
-	f.used -= in.size() + f.inodeOverhead
+	f.used -= in.size()
 	if in.typ == TypeRegular {
 		f.files--
 	}

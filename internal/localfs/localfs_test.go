@@ -453,22 +453,6 @@ func TestStatfs(t *testing.T) {
 	}
 }
 
-func TestInodeOverheadCharged(t *testing.T) {
-	f := New(1200, simnet.Disk7200, WithInodeOverhead(512))
-	// Root costs 512 already.
-	if f.Used() != 512 {
-		t.Fatalf("initial used = %d", f.Used())
-	}
-	mustMkdir(t, f, RootIno, "d")
-	if f.Used() != 1024 {
-		t.Fatalf("used after mkdir = %d", f.Used())
-	}
-	// Third inode exceeds 1200.
-	if _, _, err := f.Mkdir(RootIno, "e", 0o755); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("expected ErrNoSpace, got %v", err)
-	}
-}
-
 func TestClockInjection(t *testing.T) {
 	fake := time.Date(2004, 11, 6, 0, 0, 0, 0, time.UTC)
 	f := New(0, simnet.Disk7200, WithClock(func() time.Time { return fake }))

@@ -21,8 +21,8 @@ func TestHotPathLabelsDoNotAllocate(t *testing.T) {
 	net := simnet.New(simnet.LAN100)
 	c := NewClient(net, "cli")
 	procs := namedProcs()
-	if len(procs) != 17 || procs[len(procs)-2] != ProcLookupPath {
-		t.Fatalf("named procedures = %v, want all 17 with LOOKUPPATH the last below MNT", procs)
+	if len(procs) != 14 || procs[len(procs)-2] != ProcLookupPath {
+		t.Fatalf("named procedures = %v, want all 14 with LOOKUPPATH the last below MNT", procs)
 	}
 	for _, p := range procs {
 		c.proc(p) // warm the per-proc cache
@@ -216,9 +216,9 @@ func TestDataFramesAllocatedOnce(t *testing.T) {
 	}
 }
 
-// TestListingFramesSizedOnce: a READDIR or READDIRPLUS reply is sized from its
-// page before the first entry is encoded (pageSize), so the frame is
-// allocated at its size instead of regrown: the sizes must be exact.
+// TestListingFramesSizedOnce: a READDIRPLUS reply is sized from its page
+// before the first entry is encoded (pageSize), so the frame is allocated at
+// its size instead of regrown: the size must be exact.
 func TestListingFramesSizedOnce(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	for i := 0; i < 40; i++ {
@@ -230,20 +230,15 @@ func TestListingFramesSizedOnce(t *testing.T) {
 	if err != nil || len(ents) != 40 {
 		t.Fatalf("%d entries, err=%v", len(ents), err)
 	}
-	for _, tc := range []struct {
-		proc     Proc
-		perEntry int
-	}{{ProcReaddir, direntSize}, {ProcReaddirPlus, direntPlusSize}} {
-		e := wire.NewEncoder(64)
-		e.PutUint32(uint32(tc.proc))
-		e.PutUint64(1)
-		putHandle(e, srv.Root())
-		e.PutUint64(0)
-		e.PutUint32(0)
-		resp, _, _ := srv.Handle("cli", e.Bytes())
-		if want := pageSize(ents, tc.perEntry); len(resp) != want {
-			t.Errorf("%s reply is %d bytes, pageSize says %d", tc.proc, len(resp), want)
-		}
+	e := wire.NewEncoder(64)
+	e.PutUint32(uint32(ProcReaddirPlus))
+	e.PutUint64(1)
+	putHandle(e, srv.Root())
+	e.PutUint64(0)
+	e.PutUint32(0)
+	resp, _, _ := srv.Handle("cli", e.Bytes())
+	if want := pageSize(ents); len(resp) != want {
+		t.Errorf("READDIRPLUS reply is %d bytes, pageSize says %d", len(resp), want)
 	}
 }
 

@@ -208,19 +208,6 @@ func (c Client) Getattr(to simnet.Addr, h Handle) (localfs.Attr, simnet.Cost, er
 	return GetAttr(d), cost, nil
 }
 
-// Setattr updates attributes on h.
-func (c Client) Setattr(to simnet.Addr, h Handle, sa localfs.SetAttr) (localfs.Attr, simnet.Cost, error) {
-	x, d, cost, err := c.call(to, ProcSetattr, func(e *wire.Encoder) {
-		putHandle(e, h)
-		PutSetAttr(e, sa)
-	})
-	defer x.Free()
-	if err != nil {
-		return localfs.Attr{}, cost, err
-	}
-	return GetAttr(d), cost, nil
-}
-
 // Lookup resolves name within directory dir.
 func (c Client) Lookup(to simnet.Addr, dir Handle, name string) (Handle, localfs.Attr, simnet.Cost, error) {
 	x, d, cost, err := c.call(to, ProcLookup, func(e *wire.Encoder) {
@@ -378,21 +365,6 @@ func (c Client) Mkdir(to simnet.Addr, dir Handle, name string, mode uint32) (Han
 	return h, GetAttr(d), cost, nil
 }
 
-// Symlink makes a symbolic link in dir.
-func (c Client) Symlink(to simnet.Addr, dir Handle, name, target string) (Handle, localfs.Attr, simnet.Cost, error) {
-	x, d, cost, err := c.call(to, ProcSymlink, func(e *wire.Encoder) {
-		putHandle(e, dir)
-		e.PutString(name)
-		e.PutString(target)
-	})
-	defer x.Free()
-	if err != nil {
-		return Handle{}, localfs.Attr{}, cost, err
-	}
-	h := getHandle(d)
-	return h, GetAttr(d), cost, nil
-}
-
 // Remove unlinks a file or symlink.
 func (c Client) Remove(to simnet.Addr, dir Handle, name string) (simnet.Cost, error) {
 	x, _, cost, err := c.call(to, ProcRemove, func(e *wire.Encoder) {
@@ -423,54 +395,6 @@ func (c Client) Rename(to simnet.Addr, fromDir Handle, fromName string, toDir Ha
 	})
 	x.Free()
 	return cost, err
-}
-
-// Readdir reads one page of directory entries starting at cookie; count 0
-// means "all remaining".
-func (c Client) Readdir(to simnet.Addr, dir Handle, cookie uint64, count int) ([]DirEntry, bool, uint64, simnet.Cost, error) {
-	x, d, cost, err := c.call(to, ProcReaddir, func(e *wire.Encoder) {
-		putHandle(e, dir)
-		e.PutUint64(cookie)
-		e.PutUint32(uint32(count))
-	})
-	defer x.Free()
-	if err != nil {
-		return nil, false, 0, cost, err
-	}
-	eof := d.Bool()
-	next := d.Uint64()
-	n := d.ArrayLen()
-	ents := make([]DirEntry, 0, n)
-	for i := 0; i < n; i++ {
-		ents = append(ents, DirEntry{
-			Name: d.String(),
-			Ino:  d.Uint64(),
-			Type: localfs.FileType(d.Uint32()),
-		})
-	}
-	if d.Err() != nil {
-		return nil, false, 0, cost, fmt.Errorf("nfs READDIR: bad reply: %w", d.Err())
-	}
-	return ents, eof, next, cost, nil
-}
-
-// ReaddirAll drains a directory, issuing pages of pageSize entries.
-func (c Client) ReaddirAll(to simnet.Addr, dir Handle, pageSize int) ([]DirEntry, simnet.Cost, error) {
-	var all []DirEntry
-	var total simnet.Cost
-	var cookie uint64
-	for {
-		ents, eof, next, cost, err := c.Readdir(to, dir, cookie, pageSize)
-		total = simnet.Seq(total, cost)
-		if err != nil {
-			return nil, total, err
-		}
-		all = append(all, ents...)
-		if eof {
-			return all, total, nil
-		}
-		cookie = next
-	}
 }
 
 // ReaddirPlus reads one page of directory entries with handles and

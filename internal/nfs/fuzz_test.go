@@ -1,6 +1,8 @@
 package nfs
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/localfs"
@@ -67,8 +69,8 @@ func lendSplit(req []byte, lend uint32) wire.Frame {
 }
 
 // fuzzServer is a small export with one of each kind of object. The store
-// has a quota, as a contributed store does: a hostile SETATTR or WRITE far
-// past the end is refused instead of allocated.
+// has a quota, as a contributed store does: a hostile WRITE far past the end
+// is refused instead of allocated.
 func fuzzServer(t testing.TB) *Server {
 	fs := localfs.New(1<<20, simnet.Disk7200)
 	if err := fs.WriteFile("/d/f", []byte("0123456789")); err != nil {
@@ -77,13 +79,7 @@ func fuzzServer(t testing.TB) *Server {
 	if err := fs.WriteFile("/d/one", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	d, err := fs.LookupPath("/d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := fs.Symlink(d.Ino, "l", "f"); err != nil {
-		t.Fatal(err)
-	}
+	symlink(t, fs, "/d", "l", "f")
 	return NewServer(fs, 1)
 }
 
@@ -106,10 +102,8 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 	dir, _, _, _ := c.Lookup("srv", root, "d")
 	file, _, _, _ := c.Lookup("srv", dir, "f")
 	link, _, _, _ := c.Lookup("srv", dir, "l")
-	size := int64(4)
 	c.MountRoot("srv")
 	c.Getattr("srv", file)
-	c.Setattr("srv", file, localfs.SetAttr{Size: &size})
 	c.Walk("srv", root, "/d/l", 0)
 	c.Walk("srv", root, "/d/f", 1<<20) // a reading walk: readMax after the components
 	c.Readlink("srv", link)
@@ -122,19 +116,17 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 	c.Write("srv", file, 2, []byte("xy"))
 	c.Create("srv", dir, "g", 0o644, true)
 	c.Mkdir("srv", dir, "sub", 0o755)
-	c.Symlink("srv", dir, "l2", "g")
 	c.Rename("srv", dir, "g", dir, "h")
 	c.Remove("srv", dir, "h")
 	c.Rmdir("srv", dir, "sub")
-	c.Readdir("srv", dir, 0, 2)
 	c.ReaddirPlus("srv", dir, 0, 2)
 	c.FSStat("srv", root)
 	c.Read("srv", file, 0, 4<<20) // a readahead window's count: four units
 	c.Read("srv", file, 0, 0)
 	// The largest count a READ can name, from offset 0 of a file of several
 	// bytes: the store sizes the reply by the bytes left.
-	if data, eof, _, err := c.Read("srv", file, 0, 1<<32-1); err != nil || len(data) != int(size) || !eof {
-		f.Fatalf("a READ of 2^32-1 bytes on a %d-byte file: %q eof=%v err=%v", size, data, eof, err)
+	if data, eof, _, err := c.Read("srv", file, 0, 1<<32-1); err != nil || string(data) != "01xy456789" || !eof {
+		f.Fatalf("a READ of 2^32-1 bytes on a 10-byte file: %q eof=%v err=%v", data, eof, err)
 	}
 	// The largest count, against a 1-byte file: the reply is sized by the
 	// byte the store returns.
@@ -167,31 +159,10 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 			f.Fatalf("no seed request for %s", p)
 		}
 	}
-	// The retired frames stay in the corpus: READSTREAM (proc 40: xid,
-	// handle, offset, a window of 2^32-1 chunks of 2^32-1 bytes), WRITEBATCH
-	// (41: xid, handle, two spans), NULL (0: xid), ACCESS (4: xid, handle,
-	// mask) and FSINFO (19: xid, handle). A retired number is refused like
-	// any unknown one.
-	for _, proc := range []Proc{40, 41, 0, 4, 19} {
-		e := wire.NewEncoder(64)
-		e.PutUint32(uint32(proc))
-		e.PutUint64(1)
-		switch proc {
-		case 40:
-			putHandle(e, file)
-			e.PutInt64(0)
-			e.PutUint32(1<<32 - 1)
-			e.PutUint32(1<<32 - 1)
-		case 41:
-			putHandle(e, file)
-			PutWriteSpans(e, []WriteSpan{{Offset: 0, Data: []byte("ab")}, {Offset: 6, Data: []byte("cd")}})
-		case 4:
-			putHandle(e, dir)
-			e.PutUint32(0x03)
-		case 19:
-			putHandle(e, root)
-		}
-		req := e.Frame().AppendTo(nil)
+	// The retired frames stay in the corpus, each refused like any unknown
+	// number.
+	for _, proc := range retiredProcs {
+		req := retiredRequest(f, rec.srv, proc)
 		if resp, _, _ := rec.srv.Handle("cli", req); Status(wire.NewDecoder(resp).Uint32()) != ErrInval {
 			f.Fatalf("retired proc %d answered %x, want NFS3ERR_INVAL", proc, resp)
 		}
@@ -214,6 +185,92 @@ func FuzzServerHandleNoPanic(f *testing.F) {
 			}
 		}
 	})
+}
+
+// retiredProcs are the numbers the server does not define whose frames the
+// corpus keeps: SETATTR (2), SYMLINK (10) and READDIR (16), which nothing
+// sends since every mutation between nodes is a kosha apply and a listing a
+// READDIRPLUS; READSTREAM (40) and WRITEBATCH (41); and NULL (0), ACCESS (4)
+// and FSINFO (19), which Kosha never sent.
+var retiredProcs = []Proc{2, 10, 16, 40, 41, 0, 4, 19}
+
+// retiredRequest is a frame of proc, xid 1, laid out as its sender did: a
+// SETATTR's handle and setattr record, a SYMLINK's directory handle, name
+// and target, a READDIR's directory handle, cookie and count, READSTREAM's
+// handle, offset and a window of 2^32-1 chunks of 2^32-1 bytes,
+// WRITEBATCH's handle and two spans, ACCESS's handle and mask, FSINFO's
+// handle, and NULL's xid alone. Its handles name fuzzServer's objects.
+func retiredRequest(t testing.TB, srv *Server, proc Proc) []byte {
+	handle := func(p string) Handle {
+		a, err := srv.FS().LookupPath(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Handle{Gen: srv.Root().Gen, Ino: a.Ino}
+	}
+	dir, file := handle("/d"), handle("/d/f")
+	e := wire.NewEncoder(64)
+	e.PutUint32(uint32(proc))
+	e.PutUint64(1)
+	switch proc {
+	case 2:
+		size := int64(4)
+		putHandle(e, file)
+		PutSetAttr(e, localfs.SetAttr{Size: &size})
+	case 10:
+		putHandle(e, dir)
+		e.PutString("l2")
+		e.PutString("g")
+	case 16:
+		putHandle(e, dir)
+		e.PutUint64(0)
+		e.PutUint32(2)
+	case 40:
+		putHandle(e, file)
+		e.PutInt64(0)
+		e.PutUint32(1<<32 - 1)
+		e.PutUint32(1<<32 - 1)
+	case 41:
+		putHandle(e, file)
+		PutWriteSpans(e, []WriteSpan{{Offset: 0, Data: []byte("ab")}, {Offset: 6, Data: []byte("cd")}})
+	case 4:
+		putHandle(e, dir)
+		e.PutUint32(0x03)
+	case 19:
+		putHandle(e, srv.Root())
+	}
+	return e.Frame().AppendTo(nil)
+}
+
+// TestRetiredProcsAreRefused: a request numbered SETATTR, SYMLINK, READDIR
+// or any other retired procedure gets the unknown-procedure reply, the bare
+// NFS3ERR_INVAL word, at no disk cost, and changes nothing: the store is as
+// it was, and the duplicate-request cache records nothing, so a
+// retransmission is refused again rather than replayed.
+func TestRetiredProcsAreRefused(t *testing.T) {
+	srv := fuzzServer(t)
+	before, err := srv.FS().ReadFile("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, proc := range retiredProcs {
+		req := retiredRequest(t, srv, proc)
+		for try := 0; try < 2; try++ {
+			resp, cost, err := srv.Handle("cli", req)
+			if err != nil || !bytes.Equal(resp, srv.fail(ErrInval)) || cost != 0 {
+				t.Fatalf("%s (try %d) = %x cost %v err %v, want the bare NFS3ERR_INVAL word at no cost", proc, try, resp, cost, err)
+			}
+		}
+	}
+	if n := len(srv.drc); n != 0 || srv.Replays() != 0 {
+		t.Fatalf("the duplicate-request cache holds %d replies and replayed %d, want none", n, srv.Replays())
+	}
+	if _, err := srv.FS().LookupPath("/d/l2"); !errors.Is(err, localfs.ErrNoEnt) {
+		t.Fatalf("a refused SYMLINK left /d/l2 behind: %v", err)
+	}
+	if after, err := srv.FS().ReadFile("/d/f"); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("/d/f is %q after the refused requests (err=%v), was %q", after, err, before)
+	}
 }
 
 // TestLookupPathBoundsItsComponentCount: the count word is checked against

@@ -20,20 +20,8 @@ func walkRig(t *testing.T) (*Server, Client) {
 	if err := srv.FS().WriteFile("/a/b/c.txt", []byte("deep")); err != nil {
 		t.Fatal(err)
 	}
-	a, _, _, err := c.Lookup("srv", srv.Root(), "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := c.Symlink("srv", a, "link", "b"); err != nil {
-		t.Fatal(err)
-	}
-	b, _, _, err := c.Lookup("srv", a, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := c.Symlink("srv", b, "leaf", "c.txt"); err != nil {
-		t.Fatal(err)
-	}
+	symlink(t, srv.FS(), "/a", "link", "b")
+	symlink(t, srv.FS(), "/a/b", "leaf", "c.txt")
 	return srv, c
 }
 

@@ -23,6 +23,19 @@ func rig(t *testing.T, capacity int64) (*simnet.Network, *Server, Client) {
 	return net, srv, NewClient(net, "cli")
 }
 
+// symlink makes a link named name to target in the store's directory dir,
+// as a kosha apply does: no NFS procedure makes one.
+func symlink(t testing.TB, fs localfs.FileSystem, dir, name, target string) {
+	t.Helper()
+	d, err := fs.LookupPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fs.Symlink(d.Ino, name, target); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCreateWriteReadOverRPC(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	root := srv.Root()
@@ -156,29 +169,12 @@ func TestLookupAndLookupPath(t *testing.T) {
 	}
 }
 
-func TestSetattrTruncate(t *testing.T) {
-	_, srv, c := rig(t, 0)
-	srv.FS().WriteFile("/f", []byte("0123456789"))
-	root := srv.Root()
-	fh, _, _, _ := c.Lookup("srv", root, "f")
-	sz := int64(3)
-	attr, _, err := c.Setattr("srv", fh, localfs.SetAttr{Size: &sz})
-	if err != nil || attr.Size != 3 {
-		t.Fatalf("setattr: %+v err=%v", attr, err)
-	}
-	mode := uint32(0o600)
-	attr, _, err = c.Setattr("srv", fh, localfs.SetAttr{Mode: &mode})
-	if err != nil || attr.Mode != 0o600 || attr.Size != 3 {
-		t.Fatalf("setattr mode: %+v err=%v", attr, err)
-	}
-}
-
 func TestSymlinkReadlinkOverRPC(t *testing.T) {
 	_, srv, c := rig(t, 0)
-	root := srv.Root()
-	lh, lattr, _, err := c.Symlink("srv", root, "sdirm", "sdirm#1a2b")
+	symlink(t, srv.FS(), "/", "sdirm", "sdirm#1a2b")
+	lh, lattr, _, err := c.Lookup("srv", srv.Root(), "sdirm")
 	if err != nil || lattr.Type != localfs.TypeSymlink {
-		t.Fatalf("symlink: %+v err=%v", lattr, err)
+		t.Fatalf("lookup symlink: %+v err=%v", lattr, err)
 	}
 	target, _, err := c.Readlink("srv", lh)
 	if err != nil || target != "sdirm#1a2b" {
@@ -214,57 +210,14 @@ func TestRemoveRmdirRename(t *testing.T) {
 	}
 }
 
-func TestReaddirPaging(t *testing.T) {
-	_, srv, c := rig(t, 0)
-	for i := 0; i < 25; i++ {
-		srv.FS().WriteFile(fmt.Sprintf("/f%02d", i), []byte("x"))
-	}
-	root := srv.Root()
-
-	// Page through with size 10: 10 + 10 + 5.
-	var names []string
-	var cookie uint64
-	pages := 0
-	for {
-		ents, eof, next, _, err := c.Readdir("srv", root, cookie, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages++
-		for _, e := range ents {
-			names = append(names, e.Name)
-		}
-		if eof {
-			break
-		}
-		cookie = next
-	}
-	if pages != 3 || len(names) != 25 {
-		t.Fatalf("pages=%d names=%d", pages, len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("names not sorted: %v", names)
-		}
-	}
-	// ReaddirAll agrees.
-	all, _, err := c.ReaddirAll("srv", root, 7)
-	if err != nil || len(all) != 25 {
-		t.Fatalf("ReaddirAll n=%d err=%v", len(all), err)
-	}
-}
-
 func TestReaddirPlusCarriesAttrsHandlesAndTargets(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	fs := srv.FS()
 	fs.WriteFile("/d/file", []byte("payload"))
 	fs.MkdirAll("/d/sub")
-	root := srv.Root()
-	dh, _, _, err := c.Lookup("srv", root, "d")
+	symlink(t, fs, "/d", "ln", "target-path")
+	dh, _, _, err := c.Lookup("srv", srv.Root(), "d")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := c.Symlink("srv", dh, "ln", "target-path"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -309,6 +262,8 @@ func TestReaddirPlusPaging(t *testing.T) {
 		srv.FS().WriteFile(fmt.Sprintf("/f%02d", i), []byte("x"))
 	}
 	root := srv.Root()
+
+	// Page through with size 10: 10 + 10 + 5.
 	var names []string
 	var cookie uint64
 	pages := 0
@@ -338,22 +293,23 @@ func TestReaddirPlusPaging(t *testing.T) {
 	if err != nil || len(all) != 25 {
 		t.Fatalf("ReaddirPlusAll n=%d err=%v", len(all), err)
 	}
-	// One READDIRPLUS page must cost less than READDIR + per-entry GETATTRs.
-	_, _, _, plusCost, err := c.ReaddirPlus("srv", root, 0, 25)
+	// The page's attributes ride the listing: all 25 entries must cost less
+	// than a one-entry page, which reads the same directory, followed by a
+	// GETATTR per entry.
+	ents, _, _, plusCost, err := c.ReaddirPlus("srv", root, 0, 25)
+	if err != nil || len(ents) != 25 {
+		t.Fatalf("READDIRPLUS n=%d err=%v", len(ents), err)
+	}
+	_, _, _, sum, err := c.ReaddirPlus("srv", root, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ents, _, _, readdirCost, err := c.Readdir("srv", root, 0, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := readdirCost
 	for range ents {
 		_, c1, _ := c.Getattr("srv", root)
 		sum += c1
 	}
 	if plusCost >= sum {
-		t.Fatalf("READDIRPLUS cost %v not below READDIR+N GETATTR %v", plusCost, sum)
+		t.Fatalf("READDIRPLUS cost %v not below a one-entry page plus N GETATTRs %v", plusCost, sum)
 	}
 }
 
@@ -649,7 +605,7 @@ func TestProtocolOracle(t *testing.T) {
 			if !p.isDir {
 				continue
 			}
-			e1, _, err1 := c.ReaddirAll("srv", p.viaRPC, 7)
+			e1, _, err1 := c.ReaddirPlusAll("srv", p.viaRPC, 7)
 			e2, _, err2 := direct.Readdir(p.direct)
 			if (err1 == nil) != (err2 == nil) || len(e1) != len(e2) {
 				t.Fatalf("step %d readdir divergence: %d vs %d (%v/%v)", step, len(e1), len(e2), err1, err2)

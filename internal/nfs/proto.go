@@ -1,8 +1,8 @@
 // Package nfs implements the NFSv3-like remote file protocol that Kosha
 // interposes on (Sections 2, 4.1). It provides opaque file handles, the
-// procedure vocabulary Kosha forwards (LOOKUP, READ, WRITE, CREATE, MKDIR,
-// SYMLINK, READLINK, REMOVE, RMDIR, RENAME, GETATTR, SETATTR, READDIR,
-// FSSTAT), an XDR wire encoding, a Server backed by localfs, and a Client.
+// procedure vocabulary Kosha sends (LOOKUP, READ, WRITE, CREATE, MKDIR,
+// READLINK, REMOVE, RMDIR, RENAME, GETATTR, READDIRPLUS, FSSTAT), an XDR
+// wire encoding, a Server backed by localfs, and a Client.
 //
 // Faithfulness notes: handles are opaque to clients ("they only have meaning
 // to the NFS server", Section 4.1.2) — this opacity is exactly what lets
@@ -33,21 +33,20 @@ type Proc uint32
 
 // Procedure numbers follow the NFSv3 program (RFC 1813) where one exists.
 // Kosha sends no NULL (0), ACCESS (4) or FSINFO (19), so the server answers
-// them like any unknown number.
+// them like any unknown number. SETATTR (2), SYMLINK (10) and READDIR (16)
+// stay vacant too: every mutation between koshads is a kosha apply, and a
+// listing is a READDIRPLUS.
 const (
 	ProcGetattr  Proc = 1
-	ProcSetattr  Proc = 2
 	ProcLookup   Proc = 3
 	ProcReadlink Proc = 5
 	ProcRead     Proc = 6
 	ProcWrite    Proc = 7
 	ProcCreate   Proc = 8
 	ProcMkdir    Proc = 9
-	ProcSymlink  Proc = 10
 	ProcRemove   Proc = 12
 	ProcRmdir    Proc = 13
 	ProcRename   Proc = 14
-	ProcReaddir  Proc = 16
 	// ProcReaddirPlus returns directory entries together with each entry's
 	// handle and attributes (RFC 1813 §3.3.17), letting a client list a
 	// directory and stat every entry in one round trip instead of N+1.
@@ -74,18 +73,15 @@ const (
 // prints as PROC(n).
 var procNames = [...]string{
 	ProcGetattr:     "GETATTR",
-	ProcSetattr:     "SETATTR",
 	ProcLookup:      "LOOKUP",
 	ProcReadlink:    "READLINK",
 	ProcRead:        "READ",
 	ProcWrite:       "WRITE",
 	ProcCreate:      "CREATE",
 	ProcMkdir:       "MKDIR",
-	ProcSymlink:     "SYMLINK",
 	ProcRemove:      "REMOVE",
 	ProcRmdir:       "RMDIR",
 	ProcRename:      "RENAME",
-	ProcReaddir:     "READDIR",
 	ProcReaddirPlus: "READDIRPLUS",
 	ProcFSStat:      "FSSTAT",
 	ProcLookupPath:  "LOOKUPPATH",
@@ -296,9 +292,9 @@ const (
 	saAtime
 )
 
-// PutSetAttr encodes the fields a SETATTR sets behind a presence mask;
-// exposed for the kosha replication protocol, which carries the same record
-// inside its mutation frames.
+// PutSetAttr encodes the fields a setattr sets behind a presence mask, the
+// record the kosha replication protocol carries inside its FSSetattr
+// mutation frames.
 func PutSetAttr(e *wire.Encoder, sa localfs.SetAttr) {
 	var mask uint32
 	if sa.Mode != nil {
@@ -371,7 +367,7 @@ func GetSetAttr(d *wire.Decoder) localfs.SetAttr {
 	return sa
 }
 
-// DirEntry is one readdir result row.
+// DirEntry is the name, inode and type of one READDIRPLUS row.
 type DirEntry struct {
 	Name string
 	Ino  uint64

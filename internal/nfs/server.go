@@ -97,8 +97,7 @@ func (s *Server) Handle(from simnet.Addr, req []byte) ([]byte, simnet.Cost, erro
 // idempotent and bypass the cache.
 func mutating(p Proc) bool {
 	switch p {
-	case ProcSetattr, ProcWrite, ProcCreate, ProcMkdir, ProcSymlink,
-		ProcRemove, ProcRmdir, ProcRename:
+	case ProcWrite, ProcCreate, ProcMkdir, ProcRemove, ProcRmdir, ProcRename:
 		return true
 	}
 	return false
@@ -168,24 +167,6 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 			return s.fail(st), 0
 		}
 		attr, cost, err := s.fs.Getattr(ino)
-		if err != nil {
-			return s.fail(toStatus(err)), cost
-		}
-		e.PutUint32(uint32(OK))
-		PutAttr(e, attr)
-		return e.Bytes(), cost
-
-	case ProcSetattr:
-		h := getHandle(d)
-		sa := GetSetAttr(d)
-		if d.Err() != nil {
-			return s.fail(ErrInval), 0
-		}
-		ino, st := s.check(h)
-		if st != OK {
-			return s.fail(st), 0
-		}
-		attr, cost, err := s.fs.Setattr(ino, sa)
 		if err != nil {
 			return s.fail(toStatus(err)), cost
 		}
@@ -289,26 +270,6 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		PutAttr(e, attr)
 		return e.Bytes(), cost
 
-	case ProcSymlink:
-		h := getHandle(d)
-		name := d.String()
-		target := d.String()
-		if d.Err() != nil {
-			return s.fail(ErrInval), 0
-		}
-		ino, st := s.check(h)
-		if st != OK {
-			return s.fail(st), 0
-		}
-		attr, cost, err := s.fs.Symlink(ino, name, target)
-		if err != nil {
-			return s.fail(toStatus(err)), cost
-		}
-		e.PutUint32(uint32(OK))
-		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
-		PutAttr(e, attr)
-		return e.Bytes(), cost
-
 	case ProcRemove, ProcRmdir:
 		h := getHandle(d)
 		name := d.String()
@@ -355,35 +316,6 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		e.PutUint32(uint32(OK))
 		return e.Bytes(), cost
 
-	case ProcReaddir:
-		h := getHandle(d)
-		cookie := d.Uint64()
-		count := d.Uint32()
-		if d.Err() != nil {
-			return s.fail(ErrInval), 0
-		}
-		ino, st := s.check(h)
-		if st != OK {
-			return s.fail(st), 0
-		}
-		ents, cost, err := s.fs.Readdir(ino)
-		if err != nil {
-			return s.fail(toStatus(err)), cost
-		}
-		start, end := pageOf(len(ents), cookie, count)
-		page := ents[start:end]
-		e.Grow(pageSize(page, direntSize))
-		e.PutUint32(uint32(OK))
-		e.PutBool(end == len(ents)) // eof
-		e.PutUint64(uint64(end))    // next cookie
-		e.PutUint32(uint32(len(page)))
-		for _, ent := range page {
-			e.PutString(ent.Name)
-			e.PutUint64(ent.Ino)
-			e.PutUint32(uint32(ent.Type))
-		}
-		return e.Bytes(), cost
-
 	case ProcReaddirPlus:
 		h := getHandle(d)
 		cookie := d.Uint64()
@@ -401,7 +333,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		}
 		start, end := pageOf(len(ents), cookie, count)
 		page := ents[start:end]
-		e.Grow(pageSize(page, direntPlusSize))
+		e.Grow(pageSize(page))
 		e.PutUint32(uint32(OK))
 		e.PutBool(end == len(ents)) // eof
 		e.PutUint64(uint64(end))    // next cookie
@@ -409,7 +341,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		// Per-entry attributes and link targets come from the inodes the
 		// directory scan just brought into the server's cache, so only the
 		// directory read is charged — the very asymmetry that makes
-		// READDIRPLUS cheaper than a READDIR followed by N GETATTRs.
+		// READDIRPLUS cheaper than a listing followed by N GETATTRs.
 		for _, ent := range page {
 			attr, _, aerr := s.fs.Getattr(ent.Ino)
 			if aerr != nil {
@@ -453,26 +385,25 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 	}
 }
 
-// The encoded sizes of a listing reply: the words before the entries, and per
-// entry what follows its name. A READDIRPLUS entry's link target is counted as
+// The encoded sizes of a READDIRPLUS reply: the words before the entries, and
+// per entry what follows its name. An entry's link target is counted as
 // empty, as a regular file's or a directory's is.
 const (
 	pageHeaderSize = 4 + 4 + 8 + 4       // status, eof, cookie, count
-	direntSize     = 8 + 4               // ino, type
 	direntPlusSize = 8 + 4 + 16 + 60 + 4 // ino, type, handle, attributes, target
 )
 
-// pageSize is the encoded size of a listing reply carrying page, so the frame
-// is allocated once at its size instead of regrown entry by entry.
-func pageSize(page []localfs.DirEntry, perEntry int) int {
+// pageSize is the encoded size of a READDIRPLUS reply carrying page, so the
+// frame is allocated once at its size instead of regrown entry by entry.
+func pageSize(page []localfs.DirEntry) int {
 	n := pageHeaderSize
 	for _, ent := range page {
-		n += 4 + len(ent.Name) + (4-len(ent.Name)%4)%4 + perEntry
+		n += 4 + len(ent.Name) + (4-len(ent.Name)%4)%4 + direntPlusSize
 	}
 	return n
 }
 
-// pageOf bounds one READDIR/READDIRPLUS page of an n-entry listing: it
+// pageOf bounds one READDIRPLUS page of an n-entry listing: it
 // starts at cookie and holds count entries, count 0 meaning all that remain.
 // The cookie is compared unsigned, so a hostile one cannot go negative.
 func pageOf(n int, cookie uint64, count uint32) (start, end int) {
