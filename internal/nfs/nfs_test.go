@@ -210,6 +210,78 @@ func TestRemoveRmdirRename(t *testing.T) {
 	}
 }
 
+func TestReaddirPaging(t *testing.T) {
+	_, srv, c := rig(t, 0)
+	for i := 0; i < 25; i++ {
+		srv.FS().WriteFile(fmt.Sprintf("/f%02d", i), []byte("x"))
+	}
+	srv.FS().MkdirAll("/empty")
+	root := srv.Root()
+
+	// Every page size drains the same sorted listing, each page's cookie
+	// picking up where the last left off; 0 asks for all that remain.
+	for _, size := range []int{1, 7, 10, 25, 100, 0} {
+		var names []string
+		var cookie uint64
+		pages := 0
+		for {
+			ents, eof, next, _, err := c.ReaddirPlus("srv", root, cookie, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages++
+			if next != cookie+uint64(len(ents)) {
+				t.Fatalf("size %d: cookie %d + %d entries gave next %d", size, cookie, len(ents), next)
+			}
+			for _, e := range ents {
+				names = append(names, e.Name)
+			}
+			if eof {
+				break
+			}
+			if pages > 26 {
+				t.Fatalf("size %d: no eof after %d pages", size, pages)
+			}
+			cookie = next
+		}
+		want := 1
+		if size > 0 {
+			want = (26 + size - 1) / size // 25 files and /empty
+		}
+		if pages != want || len(names) != 26 {
+			t.Fatalf("size %d: pages=%d names=%d, want %d pages of 26", size, pages, len(names), want)
+		}
+		for i := 1; i < len(names); i++ {
+			if names[i-1] >= names[i] {
+				t.Fatalf("size %d: names not sorted: %v", size, names)
+			}
+		}
+	}
+
+	// A cookie at or past the end reads an empty, final page.
+	for _, cookie := range []uint64{26, 1 << 40, ^uint64(0)} {
+		ents, eof, _, _, err := c.ReaddirPlus("srv", root, cookie, 10)
+		if err != nil || !eof || len(ents) != 0 {
+			t.Fatalf("cookie %d: n=%d eof=%v err=%v", cookie, len(ents), eof, err)
+		}
+	}
+
+	// An empty directory's first page is final and empty, which is what the
+	// distributed rmdir's emptiness check relies on.
+	eh, _, _, err := c.Lookup("srv", root, "empty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, eof, _, _, err := c.ReaddirPlus("srv", eh, 0, 256)
+	if err != nil || !eof || len(ents) != 0 {
+		t.Fatalf("empty dir: n=%d eof=%v err=%v", len(ents), eof, err)
+	}
+	all, _, err := c.ReaddirPlusAll("srv", eh, 256)
+	if err != nil || len(all) != 0 {
+		t.Fatalf("ReaddirPlusAll of empty dir n=%d err=%v", len(all), err)
+	}
+}
+
 func TestReaddirPlusCarriesAttrsHandlesAndTargets(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	fs := srv.FS()
