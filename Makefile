@@ -17,8 +17,8 @@ all: vet build test
 # /metrics exposition smoke against a live koshad, a smoke run of the
 # benchmark harness, one iteration of every Go benchmark, the ledger
 # comparison of the two newest BENCH_*.json, and a short fuzz of every
-# decoder a peer's bytes reach (fuzz-smoke), so CI mutates those inputs
-# instead of only replaying the seed corpora.
+# decoder a peer's bytes reach and of the store's extents (fuzz-smoke), so CI
+# mutates those inputs instead of only replaying the seed corpora.
 ci: fmt-check vet build
 	$(MAKE) bench-diff
 	$(MAKE) chaos
@@ -89,8 +89,9 @@ fuzz:
 
 # fuzz-smoke is the part of fuzz that ci runs: the four targets that decode
 # what a peer sends (the NFS server, the kosha service, the overlay and the
-# TCP frame reader) for FUZZTIME = 5s each, a finding failing the target as
-# in fuzz.
+# TCP frame reader) and the store's file representation (localfs extents,
+# against a flat model) for FUZZTIME = 5s each, a finding failing the target
+# as in fuzz.
 fuzz-smoke: FUZZTIME = 5s
 fuzz-smoke:
 	@$(FUZZ_RUN); \
@@ -98,6 +99,7 @@ fuzz-smoke:
 	run FuzzKoshaHandleNoPanic ./internal/core; \
 	run FuzzPastryHandleNoPanic ./internal/pastry; \
 	run FuzzFrameNoPanic ./internal/tcpnet; \
+	run FuzzExtents ./internal/localfs; \
 	$(FUZZ_DONE)
 
 # scale-smoke is the quick (<=100-node) scale-sweep variant wired into ci:

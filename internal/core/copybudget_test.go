@@ -132,10 +132,12 @@ func TestFlushCopyBudget(t *testing.T) {
 
 // TestWriteThroughOverwriteAllocs: a 32 KiB write-through Write that
 // overwrites in place (K = 1) lends its data all the way to the two stores,
-// and the client's kApply frame and the primary's kMirror frame are encoded
-// into pooled codecs, so the whole write costs the two replies' codecs and
-// little else: 880 bytes end to end (1712 while each request allocated its
-// codec, 82.6 KB while each frame was a 40 KiB page-rounded copy of the
+// and every frame, the client's kApply and the primary's kMirror requests and
+// both servers' replies, is encoded into a pooled codec, so the whole write
+// costs the two replies at their own length, 96 bytes for the kApply's and 8
+// for the kMirror's, and little else: 128 bytes end to end (880 while each
+// reply was a fresh 416-byte codec, 1712 while each request allocated its
+// codec too, 82.6 KB while each frame was a 40 KiB page-rounded copy of the
 // data). Op tracing is off, as in the benchmark ledger's core.write32k_B
 // case this pins.
 func TestWriteThroughOverwriteAllocs(t *testing.T) {
@@ -160,8 +162,32 @@ func TestWriteThroughOverwriteAllocs(t *testing.T) {
 		write(i)
 	}
 	racetest.SkipAllocs(t)
-	if per := bytesPerCall(64, write); per > 896 {
-		t.Errorf("a 32 KiB write-through overwrite allocated %d bytes end to end, want <= 896", per)
+	if per := bytesPerCall(64, write); per > 128 {
+		t.Errorf("a 32 KiB write-through overwrite allocated %d bytes end to end, want <= 128", per)
+	}
+}
+
+// TestWriteFileRewriteAllocs: a same-size Mount.WriteFile rewrite at K = 2
+// lands in three stores, each of which truncates the file to zero and then
+// refills the piece the truncation kept, so no store allocates the file
+// again: the whole rewrite of 16 KiB costs the replies at their own length
+// and little else, 160 bytes end to end (50 432, three copies of the file
+// and the replies' 416-byte codecs, while a truncation dropped the file's
+// piece and each reply was a fresh codec).
+func TestWriteFileRewriteAllocs(t *testing.T) {
+	_, nodes := testCluster(t, 4, 87, Config{Replicas: 2, TraceBufSize: -1})
+	m := nodes[0].NewMount()
+	data := make([]byte, 16<<10)
+	write := func(int) {
+		t.Helper()
+		if _, err := m.WriteFile("/rw/f", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0)
+	racetest.SkipAllocs(t)
+	if per := bytesPerCall(64, write); per > 160 {
+		t.Errorf("a %d-byte WriteFile rewrite at K = 2 allocated %d bytes end to end, want <= 160", len(data), per)
 	}
 }
 

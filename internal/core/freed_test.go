@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/id"
 	"repro/internal/localfs"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -145,5 +146,47 @@ func TestNothingKeepsAFreedRequest(t *testing.T) {
 	}
 	if copies != 3*len(files) {
 		t.Errorf("found %d stored copies, want %d (%d files on a primary and 2 replicas each)", copies, 3*len(files), len(files))
+	}
+}
+
+// TestNothingKeepsAServedReply: a kosha server encodes its reply into a
+// pooled wire.Codec and frees it once the handler has returned, so the reply
+// it hands back must not be the Codec's bytes. Each caller here holds its
+// undecoded kApply reply while later applies to the same server, and their
+// kMirror fan-outs, recycle the serving Codecs with wire.PoisonFreed on; the
+// post-op attributes, handle and fan-out width each then decodes are still
+// its own write's, with no wire.Poison in them.
+func TestNothingKeepsAServedReply(t *testing.T) {
+	defer wire.PoisonFreed(wire.PoisonFreed(true))
+	_, nodes := testCluster(t, 5, 86, Config{Replicas: 2})
+	primary, caller := nodes[0], nodes[1]
+	const files = 4
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/served/f%d", i)
+		if err := primary.Store().WriteFile(paths[i], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replies := make([]wire.Decoder, files)
+	for i, p := range paths {
+		r := applyReq{Op: FSOp{Kind: FSWrite, Path: p, Data: bytes.Repeat([]byte{'a' + byte(i)}, 10*(i+1))}}
+		d, _, err := caller.koshaCall(obs.TraceContext{}, primary.Addr(), r.request(kApply))
+		if err != nil {
+			t.Fatalf("kApply %s: %v", p, err)
+		}
+		replies[i] = d
+	}
+	for i, p := range paths {
+		attr, fh, fanout := getApplyReplyBody(&replies[i])
+		want, err := primary.Store().LookupPath(p)
+		if err != nil || replies[i].Err() != nil {
+			t.Fatalf("%s: decode %v, lookup %v", p, replies[i].Err(), err)
+		}
+		if attr.Ino != want.Ino || attr.Size != want.Size || attr.Mode != want.Mode || !attr.Mtime.Equal(want.Mtime) ||
+			fh.Ino != want.Ino || fanout != 2 {
+			t.Errorf("%s: the held kApply reply decodes as ino %#x size %d mode %#o, handle ino %#x, fan-out %d; want ino %#x size %d mode %#o, fan-out 2",
+				p, attr.Ino, attr.Size, attr.Mode, fh.Ino, fanout, want.Ino, want.Size, want.Mode)
+		}
 	}
 }

@@ -148,13 +148,16 @@ func TestTreeDigestAnswersFromTheMemo(t *testing.T) {
 }
 
 // TestServeAllocatesOneObject: a request served through the kosha dispatch
-// table allocates one object beyond what its handler builds, a wire.Codec:
-// the decoder, the encoder and the array a reply of up to 264 bytes is
-// encoded into, which the caller is handed. A larger reply adds the frames
-// the encoder grows into past the array, as a fresh encoder's would: exactly
-// one up to twice the array. A TREE_DIGEST reply is 52 bytes; a DIR_DIGESTS
-// reply of 6 entries, 300 bytes. It was 2 while
-// the reply was a frame beside the codec object, 4 while the reply was
+// table allocates one object beyond what its handler builds: the reply at
+// its own length. The decoder and the encoder sit in a pooled wire.Codec,
+// whose array a reply of up to 264 bytes is encoded into and then copied out
+// of; a larger reply is the frame the encoder grew past the array, exactly
+// one up to twice the array, handed over as it is. A TREE_DIGEST reply is 52
+// bytes, and the caller gets them in a 64-byte slice; a DIR_DIGESTS reply of
+// 6 entries, 300 bytes, in its grown 576-byte frame (the size class of twice
+// the array), with no Codec. It was the
+// Codec, 416 bytes, while each reply was encoded into a fresh one, 2 objects
+// while the reply was a frame beside the codec object, 4 while the reply was
 // copied once more and the decoder and the encoder were an object each.
 func TestServeAllocatesOneObject(t *testing.T) {
 	store := localfs.New(0, simnet.Disk7200)
@@ -178,16 +181,16 @@ func TestServeAllocatesOneObject(t *testing.T) {
 	handle := n.serve(KoshaService, koshaProcs)
 	racetest.SkipAllocs(t)
 	for _, c := range []struct {
-		req    []byte
-		frames float64 // beyond the Codec
-	}{{treeDigest.Bytes(), 0}, {dirDigests.Bytes(), 1}} {
+		req      []byte
+		len, cap int // the reply's length and the most room it may hold
+	}{{treeDigest.Bytes(), 52, 64}, {dirDigests.Bytes(), 300, 576}} {
 		var resp []byte
 		var err error
 		serve := func() { resp, _, err = handle(obs.TraceContext{}, "peer", c.req) }
 		serve() // warm the memo
 		served := testing.AllocsPerRun(100, serve)
-		if err != nil || wire.NewDecoder(resp).Uint32() != codeOK || (len(resp) > 264) != (c.frames > 0) {
-			t.Fatalf("proc %d = %d bytes, %v", c.req[3], len(resp), err)
+		if err != nil || wire.NewDecoder(resp).Uint32() != codeOK || len(resp) != c.len || cap(resp) > c.cap {
+			t.Fatalf("proc %d = %d bytes in %d of room, %v; want %d in at most %d", c.req[3], len(resp), cap(resp), err, c.len, c.cap)
 		}
 		var d wire.Decoder
 		var out wire.Encoder
@@ -200,9 +203,9 @@ func TestServeAllocatesOneObject(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if served != handler+1+c.frames {
-			t.Errorf("a served proc %d with a %d-byte reply allocates %.0f times, its handler %.0f: want the Codec and %.0f frames beyond the handler",
-				c.req[3], len(resp), served, handler, c.frames)
+		if served != handler+1 {
+			t.Errorf("a served proc %d with a %d-byte reply allocates %.0f times, its handler %.0f: want the reply and nothing else beyond the handler",
+				c.req[3], len(resp), served, handler)
 		}
 	}
 }

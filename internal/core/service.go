@@ -42,20 +42,19 @@ type proc struct {
 type serviceTable map[uint32]proc
 
 // serve returns the transport handler for one of the node's service tables:
-// it decodes the procedure number and routes to the table entry. The reply is
-// the encoder's own bytes: the caller owns a reply (DESIGN §10), and nothing
-// else holds the encoder once the handler returns. A request allocates one
-// object, a wire.Codec: the decoder and the encoder, which escape through the
-// table's indirect call, and the array a reply of up to 264 bytes is
-// encoded into; only a larger reply grows a frame of its own. The decoder
-// reads the request frame the transport was handed (wire.FrameOf), so a
-// write's lent data reaches the store, and the mirror fan-out, uncopied. A
-// reply in the array keeps the Codec alive, so the decoder lets go of the
-// request first: a held 84-byte kApply reply must not pin the 1 MiB request
-// it answered.
+// it decodes the procedure number and routes to the table entry. The decoder
+// and the encoder live in one pooled wire.Codec, freed on every path: they
+// escape through the table's indirect call, and the Codec's array takes a
+// reply of up to 264 bytes. The caller owns a reply (DESIGN §10), so it gets
+// the reply at its own length (Codec.Keep): a copy of one in the array, or
+// the frame a larger reply grew, so a served request allocates one object
+// beyond its handler. The decoder reads the request frame the transport was
+// handed (wire.FrameOf), so a write's lent data reaches the store, and the
+// mirror fan-out, uncopied; nothing held by the reply pins the request.
 func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 	return func(ctx obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-		x := wire.NewCodec()
+		x := wire.GetCodec()
+		defer x.Free()
 		d, e := &x.D, &x.E
 		d.ResetFrame(wire.FrameOf(req))
 		num := d.Uint32()
@@ -67,11 +66,10 @@ func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 			return nil, 0, fmt.Errorf("%s: unknown proc %d", service, num)
 		}
 		cost, err := p.serve(n, ctx, from, d, e)
-		d.Reset(nil)
 		if err != nil {
 			return nil, cost, err
 		}
-		return e.Bytes(), cost, nil
+		return x.Keep(), cost, nil
 	}
 }
 

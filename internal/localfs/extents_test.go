@@ -97,19 +97,98 @@ func TestPieceCountStaysBounded(t *testing.T) {
 }
 
 // TestOneExtentFileHasNoHeader: a file that fits one extent costs one
-// allocation sized to its data — no separate extent-list header.
+// allocation sized to its data — no separate extent-list header. Each run
+// writes a fresh file: a truncated one would refill the piece it kept.
 func TestOneExtentFileHasNoHeader(t *testing.T) {
 	var x extents
 	data := make([]byte, 4096)
 	racetest.SkipAllocs(t)
 	if n := testing.AllocsPerRun(100, func() {
-		x.resize(0)
+		x = extents{}
 		x.write(data, 0)
 	}); n != 1 {
 		t.Errorf("a 4 KiB file costs %.0f allocations, want 1", n)
 	}
 	if c := cap(x.list[0].b); c != 4096 {
 		t.Errorf("a 4 KiB file holds a %d-byte extent, want 4096", c)
+	}
+}
+
+// TestRewriteRefillsItsExtent: a truncation to zero — an UNCHECKED Create of
+// an existing file, or a size set to 0 — keeps the first piece's storage,
+// and the next write fills it. A same-size or shorter whole-file rewrite
+// allocates nothing. A longer one allocates one piece for the bytes past
+// the kept room, at least the append slack, and the list of the file's two
+// pieces, as any file that outgrows one piece does; not a copy of the whole
+// file. A first piece of more than maxSlack bytes is not kept. Every rewrite
+// reads back as exactly what it wrote.
+func TestRewriteRefillsItsExtent(t *testing.T) {
+	f := newFS(0)
+	a := mustCreate(t, f, RootIno, "f")
+	const room = 32 << 10
+	old := bytes.Repeat([]byte{0xAB}, room)
+	if _, _, err := f.Write(a.Ino, 0, old); err != nil {
+		t.Fatal(err)
+	}
+	kept := &f.file(a).data.list[0].b[0]
+	create := func() {
+		if _, _, err := f.Create(RootIno, "f", 0o644, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zero := int64(0)
+	setZero := func() {
+		if _, _, err := f.Setattr(a.Ino, SetAttr{Size: &zero}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	racetest.SkipAllocs(t)
+	for _, c := range []struct {
+		name     string
+		truncate func()
+		n        int
+		allocs   float64
+	}{
+		{"same size", create, room, 0},
+		{"shorter", create, room / 4, 0},
+		{"Setattr size 0", setZero, room, 0},
+		{"longer", create, room + 100, 2},
+	} {
+		data := bytes.Repeat([]byte{byte(c.n)}, c.n)
+		rewrite := func() {
+			c.truncate()
+			if _, _, err := f.Write(a.Ino, 0, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, rewrite); n != c.allocs {
+			t.Errorf("%s: a %d-byte rewrite of a file that kept %d bytes allocates %.0f times, want %.0f", c.name, c.n, room, n, c.allocs)
+		}
+		if got := allocatedBytes(rewrite); c.allocs > 0 && got > minSlack+64 {
+			t.Errorf("%s: a %d-byte rewrite of a file that kept %d bytes allocates %d bytes, want <= %d: the slack and the list", c.name, c.n, room, got, minSlack+64)
+		}
+		x := &f.file(a).data
+		if &x.list[0].b[0] != kept || cap(x.list[0].b) != room {
+			t.Errorf("%s: the rewritten file starts in a %d-byte piece of its own, want the %d bytes it kept", c.name, cap(x.list[0].b), room)
+		}
+		got, _, _, err := f.Read(a.Ino, 0, 2*room)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s: read back %d bytes (err %v), want the %d written", c.name, len(got), err, len(data))
+		}
+	}
+
+	// A first piece of at most maxSlack bytes is kept; a larger one is not.
+	for _, size := range []int{maxSlack, maxSlack + 1} {
+		b := mustCreate(t, f, RootIno, "big")
+		if _, _, err := f.Write(b.Ino, 0, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := f.Create(RootIno, "big", 0o644, false); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(f.file(b).data.one[0].b); (c == size) != (size <= maxSlack) {
+			t.Errorf("a %d-byte first piece truncated to zero keeps %d bytes of room", size, c)
+		}
 	}
 }
 
@@ -168,14 +247,24 @@ func TestCorruptFileLaterPiece(t *testing.T) {
 
 // FuzzExtents drives one file through writes (in place, appending and
 // sparse), truncations, extensions and CorruptFile, checking every step
-// against a flat []byte model. Each op is five bytes: a kind and two
-// 16-bit arguments. The zeros an extension or a sparse write adds are holes:
-// the pieces never hold more bytes than the ops wrote into the file.
+// against a flat []byte model. Each op is five bytes: a kind and two 16-bit
+// arguments. The zeros an extension or a sparse write adds are holes: the
+// pieces never hold more bytes than the ops wrote into the file. A file
+// truncated to zero holds no piece, only the room it kept, which the next
+// append refills.
 func FuzzExtents(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0x27, 0x10, 2, 0x02, 0xEE, 0, 0, 3, 0x08, 0xCA, 0, 0})          // write 10000, truncate, extend: zeros from reused capacity
 	f.Add([]byte{1, 0, 0, 0x80, 0, 1, 0, 0, 0x80, 0, 1, 0, 0, 0x18, 0, 4, 0x41, 0, 0, 0}) // 32+32+6 KiB, corrupt the third piece
 	f.Add([]byte{0, 0x40, 0, 0, 0x10, 0, 0, 0x10, 0xFF, 0xFF, 2, 0, 0x01, 0, 0, 1, 0, 0, 0, 1})
 	f.Add([]byte{3, 0xFF, 0xFF, 0, 0, 0, 0x20, 0, 0, 0x10, 4, 0x30, 0, 0, 0, 0, 0x80, 0, 0, 0x08, 2, 0x30, 0x01, 0, 0}) // a hole written into, flipped in, truncated inside
+	// Truncated to zero, the file keeps its first piece's room; a rewrite
+	// shorter than it, of its size or longer refills it, as does an append
+	// after the size is set to 0, and a hole or a sparse write drops it.
+	f.Add([]byte{1, 0, 0, 0x10, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0x03, 0xE8, 4, 0, 0x10, 0, 0})
+	f.Add([]byte{1, 0, 0, 0x10, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0x10, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0x10, 0})
+	f.Add([]byte{1, 0, 0, 0x10, 0, 1, 0, 0, 0x08, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0x20, 0, 4, 0x04, 0x01, 0, 0})
+	f.Add([]byte{1, 0, 0, 0x10, 0, 2, 0, 0, 0, 0, 3, 0, 0x10, 0, 0, 0, 0, 0x01, 0, 0x40, 1, 0, 0, 0x01, 0})
+	f.Add([]byte{1, 0, 0, 0x10, 0, 3, 0, 0, 0, 0, 1, 0, 0, 0x0C, 0, 3, 0, 0, 0, 0, 0, 0, 0x10, 0, 0x10})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		fs := newFS(0)
 		a := mustCreate(t, fs, RootIno, "f")
@@ -230,6 +319,9 @@ func FuzzExtents(f *testing.F) {
 				if (p.b == nil) == (p.hole == 0) || len(p.b) == 0 && p.b != nil {
 					t.Fatalf("a piece of %d bytes and a %d-byte hole", len(p.b), p.hole)
 				}
+			}
+			if len(ext.list) == 0 && (ext.size() != 0 || cap(ext.one[0].b) > maxSlack) || len(ext.list) > 0 && ext.size() == 0 {
+				t.Fatalf("a %d-byte file of %d pieces keeping %d bytes of room", ext.size(), len(ext.list), cap(ext.one[0].b))
 			}
 			if sum != ext.size() || ext.size() != int64(len(model)) {
 				t.Fatalf("size %d, pieces hold %d, model %d", ext.size(), sum, len(model))

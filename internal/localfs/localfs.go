@@ -145,10 +145,13 @@ const (
 // allocation. Zeros the file was extended by — a size set past the end, a
 // write past the end — are a hole: a piece that records its length and holds
 // no bytes, so a sparse file costs what was written into it, and a write
-// into a hole allocates only the bytes it writes.
+// into a hole allocates only the bytes it writes. A truncation to zero keeps
+// the first piece's storage, up to maxSlack, as the empty file's spare room,
+// which the next append fills first: a whole-file rewrite of the same size
+// or shorter allocates nothing, and a longer one only the bytes past it.
 type extents struct {
 	list []piece
-	one  [1]piece // backs list while the file is one piece
+	one  [1]piece // backs list while the file is one piece; while it is empty, holds the spare room
 	n    int64    // total bytes
 }
 
@@ -178,11 +181,17 @@ func (x *extents) at(off int64) (int, int64) {
 	return i, off
 }
 
-// resize truncates the file to size bytes, or extends it with a hole.
+// resize truncates the file to size bytes, or extends it with a hole. A
+// truncation to zero keeps the first piece's storage as spare room when it
+// is a data piece of at most maxSlack bytes of capacity.
 func (x *extents) resize(size int64) {
 	switch {
-	case size == 0:
-		*x = extents{}
+	case size == 0 && x.n > 0:
+		var spare []byte
+		if b := x.list[0].b; cap(b) <= maxSlack {
+			spare = b[:0]
+		}
+		*x = extents{one: [1]piece{{b: spare}}}
 	case size < x.n:
 		i, o := x.at(size - 1)
 		clear(x.list[i+1:]) // release the dropped pieces
@@ -228,11 +237,19 @@ func (x *extents) write(src []byte, off int64) {
 }
 
 // appendBytes appends src to the file: into the last piece's spare capacity
-// first, which may hold bytes a truncation cut off and so is overwritten,
-// then as one new piece, with the append slack when it continues the bytes
-// of the last piece rather than an empty file or a hole.
+// first, or the spare room an empty file kept from its truncation, which may
+// hold bytes a truncation cut off and so is overwritten, then as one new
+// piece, with the append slack when it continues the bytes of the last piece
+// rather than an empty file or a hole.
 func (x *extents) appendBytes(src []byte) {
+	if len(src) == 0 {
+		return
+	}
 	k := len(x.list)
+	if spare := x.one[0].b; k == 0 && spare != nil {
+		x.push(piece{b: spare}) // filled below: the piece never stays empty
+		k = 1
+	}
 	tail := k > 0 && x.list[k-1].b != nil
 	if tail {
 		t := x.list[k-1].b

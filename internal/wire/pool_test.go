@@ -116,3 +116,31 @@ func TestFreedCodecIsPoisoned(t *testing.T) {
 		t.Errorf("a kept frame's lent body reads %q after Free, want %#x", kept.Lent[0].Body, Poison)
 	}
 }
+
+// TestKeptReplyOutlivesFree: Keep hands out a head that a later Free and
+// reuse of the Codec leave alone, with PoisonFreed on: a head in the array
+// as a copy of its own length, one that grew past the array as the grown
+// frame itself, which the Codec no longer points at.
+func TestKeptReplyOutlivesFree(t *testing.T) {
+	defer PoisonFreed(PoisonFreed(true))
+	for _, n := range []int{4, smallFrame, smallFrame + 4, 3 * smallFrame} {
+		x := GetCodec()
+		want := bytes.Repeat([]byte{0x5A}, n)
+		x.E.PutFixedOpaque(want)
+		head := x.E.Bytes()
+		got := x.Keep()
+		if &got[0] == &x.small[0] || n > smallFrame && &got[0] != &head[0] {
+			t.Errorf("a %d-byte head is kept in the Codec's array, or a grown one as a copy", n)
+		}
+		if x.E.Len() != 0 && n > smallFrame {
+			t.Errorf("a %d-byte grown head is still the Codec's after Keep", n)
+		}
+		x.Free()
+		y := GetCodec()
+		y.E.PutFixedOpaque(bytes.Repeat([]byte{0x11}, 2*n))
+		y.Free()
+		if !bytes.Equal(got, want) {
+			t.Errorf("a kept %d-byte head changed after Free and reuse: %x...", n, got[:4])
+		}
+	}
+}

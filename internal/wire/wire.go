@@ -207,7 +207,9 @@ const smallFrame = 264
 // A request is encoded into a Codec from GetCodec and freed (Free) once its
 // call has returned and its reply has been decoded: no transport and no
 // handler keeps a request past its call (DESIGN §10), so the head is dead
-// then. A reply is the caller's to keep, so it is encoded into a NewCodec.
+// then. A reply is the caller's to keep: a server encodes it into a pooled
+// Codec too and hands the caller Keep's bytes, or into a NewCodec when the
+// reply's head must outlive the handler (LendReply).
 type Codec struct {
 	E     Encoder
 	D     Decoder
@@ -253,6 +255,19 @@ func (c *Codec) Free() {
 	c.D = Decoder{}
 	c.E = Encoder{}
 	codecs.Put(c)
+}
+
+// Keep returns the encoded head, which lends no body, for a caller to keep
+// past Free: a head in the Codec's array as a copy of its own length, and a
+// head that grew past the array as itself, which the Codec then lets go of,
+// so Free neither poisons it nor pools it.
+func (c *Codec) Keep() []byte {
+	b := c.E.Bytes()
+	if cap(b) > 0 && &b[:1][0] == &c.small[0] {
+		return bytes.Clone(b)
+	}
+	c.E.Use(c.small[:])
+	return b
 }
 
 // Poison is the byte a freed Codec's head is filled with while PoisonFreed is
