@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
@@ -138,7 +139,7 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 		if proc != kApply && proc != kMirror {
 			continue
 		}
-		kind := decodeApplyReq(d, n.rep, proc == kMirror).Op.Kind
+		kind := decodeApplyReq(d, n.rep, proc == kMirror, nil).Op.Kind
 		if key := [2]uint32{proc, uint32(kind)}; (kind == FSWriteFile || kind == FSUnlink) && !compounds[key] {
 			compounds[key] = true
 			seeds = append(seeds, koshaSeed{req: req})
@@ -155,6 +156,21 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	w := applyReq{Key: Key(track.PN), Track: track, Op: FSOp{Kind: FSWrite, Path: file, Offset: 0xe0000003, Data: []byte("lent data")}}
 	lent := w.request(kApply).E.Frame()
 	seeds = append(seeds, koshaSeed{req: lent.AppendTo(nil), lend: uint32(lent.Lent[0].At)<<16 | uint32(len(lent.Lent[0].Body))})
+	// Flush mirrors around the room a handler decodes spans into (spanRoom):
+	// none, a full room, one past it, and a frame whose span count, the
+	// word before Primary, claims MaxItems.
+	for _, count := range []int{0, wbMaxSpans + 1, wbMaxSpans + 2, -1} {
+		var spans []nfs.WriteSpan
+		for i := 0; i < count; i++ {
+			spans = append(spans, nfs.WriteSpan{Offset: int64(4 * i), Data: []byte("ab")})
+		}
+		mr := applyReq{Track: track, Op: FSOp{Kind: FSWrite, Path: file, Spans: spans}}
+		req := mr.request(kMirror).E.Frame().AppendTo(nil)
+		if count < 0 { // no spans: the count and Primary are the last two words
+			binary.BigEndian.PutUint32(req[len(req)-8:], wire.MaxItems)
+		}
+		seeds = append(seeds, koshaSeed{req: req})
+	}
 	for _, svc := range []struct {
 		name  string
 		table serviceTable

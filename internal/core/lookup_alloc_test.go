@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/id"
 	"repro/internal/localfs"
+	"repro/internal/nfs"
 	"repro/internal/obs"
 	"repro/internal/racetest"
 	"repro/internal/simnet"
@@ -155,7 +156,9 @@ func TestTreeDigestAnswersFromTheMemo(t *testing.T) {
 // one up to twice the array, handed over as it is. A TREE_DIGEST reply is 52
 // bytes, and the caller gets them in a 64-byte slice; a DIR_DIGESTS reply of
 // 6 entries, 300 bytes, in its grown 576-byte frame (the size class of twice
-// the array), with no Codec. It was the
+// the array), with no Codec. A reply that is a status alone, a failure's or
+// a kMirror's, is the status's shared frame (wire.StatusFrame): nothing
+// beyond the handler (it was a 4-byte copy). It was the
 // Codec, 416 bytes, while each reply was encoded into a fresh one, 2 objects
 // while the reply was a frame beside the codec object, 4 while the reply was
 // copied once more and the decoder and the encoder were an object each.
@@ -178,19 +181,32 @@ func TestServeAllocatesOneObject(t *testing.T) {
 	dirDigests := wire.NewEncoder(16)
 	dirDigests.PutUint32(kDirDigests)
 	dirDigests.PutString("/h/wide")
+	missing := applyReq{Op: FSOp{Kind: FSRemove, Path: "/h/none"}}
+	mirror := applyReq{Op: FSOp{Kind: FSWrite, Path: "/h/d/f", Data: []byte("y")}}
 	handle := n.serve(KoshaService, koshaProcs)
 	racetest.SkipAllocs(t)
 	for _, c := range []struct {
 		req      []byte
-		len, cap int // the reply's length and the most room it may hold
-	}{{treeDigest.Bytes(), 52, 64}, {dirDigests.Bytes(), 300, 576}} {
+		code     uint32
+		len, cap int     // the reply's length and the most room it may hold
+		objs     float64 // objects beyond the handler's
+	}{
+		{treeDigest.Bytes(), codeOK, 52, 64, 1},
+		{dirDigests.Bytes(), codeOK, 300, 576, 1},
+		// A reply that is a status alone is the status's shared frame.
+		{missing.request(kApply).E.Bytes(), codeNFSBase + uint32(nfs.ErrNoEnt), 4, 4, 0},
+		{mirror.request(kMirror).E.Frame().AppendTo(nil), codeOK, 4, 4, 0},
+	} {
 		var resp []byte
 		var err error
 		serve := func() { resp, _, err = handle(obs.TraceContext{}, "peer", c.req) }
 		serve() // warm the memo
 		served := testing.AllocsPerRun(100, serve)
-		if err != nil || wire.NewDecoder(resp).Uint32() != codeOK || len(resp) != c.len || cap(resp) > c.cap {
+		if err != nil || wire.NewDecoder(resp).Uint32() != c.code || len(resp) != c.len || cap(resp) > c.cap {
 			t.Fatalf("proc %d = %d bytes in %d of room, %v; want %d in at most %d", c.req[3], len(resp), cap(resp), err, c.len, c.cap)
+		}
+		if c.len == 4 && &resp[0] != &wire.StatusFrame(c.code)[0] {
+			t.Errorf("proc %d: a bare status %d is not its shared frame", c.req[3], c.code)
 		}
 		var d wire.Decoder
 		var out wire.Encoder
@@ -203,9 +219,9 @@ func TestServeAllocatesOneObject(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if served != handler+1 {
-			t.Errorf("a served proc %d with a %d-byte reply allocates %.0f times, its handler %.0f: want the reply and nothing else beyond the handler",
-				c.req[3], len(resp), served, handler)
+		if served != handler+c.objs {
+			t.Errorf("a served proc %d with a %d-byte reply allocates %.0f times, its handler %.0f: want %.0f beyond the handler",
+				c.req[3], len(resp), served, handler, c.objs)
 		}
 	}
 }
@@ -296,7 +312,7 @@ func TestServedMutationAllocatesNoTrackStrings(t *testing.T) {
 		var d wire.Decoder
 		allocs := testing.AllocsPerRun(100, func() {
 			d.Reset(req)
-			r = decodeApplyReq(&d, n.rep, mirror)
+			r = decodeApplyReq(&d, n.rep, mirror, nil)
 		})
 		if d.Err() != nil {
 			t.Fatal(d.Err())

@@ -8,20 +8,56 @@ import (
 	"repro/internal/localfs"
 )
 
-// metaRow is everything a mount caches about one virtual path: its
-// attributes and, once a LOOKUP or READDIRPLUS reply has described it as a
-// directory's child, its resolved handle-table row. A row always holds
-// attributes; nameAt is the zero time until a reply fills ve. key is the
-// row's own map key, so a row found by a path built in scratch is removed by
-// a string the cache already holds; stamp is the generation that recorded
-// it.
+// metaRow is what the cache holds for one virtual path, as get returns it:
+// the path's attributes and, once a LOOKUP or READDIRPLUS reply has
+// described it as a directory's child, its resolved handle-table row.
 type metaRow struct {
-	attr   localfs.Attr
-	at     time.Time
-	ve     ventry
-	nameAt time.Time
-	key    string
-	stamp  uint64
+	attr localfs.Attr
+	ve   ventry
+}
+
+// A path's row is kept in two halves, each within the 128 bytes a Go map
+// stores in place, so recording a new path allocates nothing of its own:
+// attrRow, which every row has, and nameRow, which only a row a reply has
+// resolved has. An attrRow holds the attributes as the wire carries them
+// (nfs.PutAttr's ten fields, the times as Unix nanoseconds), which is all a
+// reply ever holds, so attr gives back what the reply decoded to. A nameRow
+// points at the resolved row rather than holding a copy: the row the handle
+// table holds for the handle the same reply made, which nothing changes once
+// published. Times are offsets from the cache's epoch; stamp is the
+// generation that recorded the attributes.
+type (
+	attrRow struct {
+		ino                   uint64
+		size                  int64
+		atime, mtime, ctime   int64
+		typ                   localfs.FileType
+		mode, nlink, uid, gid uint32
+		at                    time.Duration
+		stamp                 uint64
+	}
+	nameRow struct {
+		ve *ventry
+		at time.Duration
+	}
+)
+
+func newAttrRow(a localfs.Attr, at time.Duration, stamp uint64) attrRow {
+	return attrRow{
+		ino: a.Ino, size: a.Size,
+		atime: a.Atime.UnixNano(), mtime: a.Mtime.UnixNano(), ctime: a.Ctime.UnixNano(),
+		typ: a.Type, mode: a.Mode, nlink: a.Nlink, uid: a.UID, gid: a.GID,
+		at: at, stamp: stamp,
+	}
+}
+
+// attr is the row's attributes as nfs.GetAttr decodes them.
+func (r *attrRow) attr() localfs.Attr {
+	return localfs.Attr{
+		Ino: r.ino, Type: r.typ, Mode: r.mode, Nlink: r.nlink, UID: r.uid, GID: r.gid,
+		Size:  r.size,
+		Atime: time.Unix(0, r.atime), Mtime: time.Unix(0, r.mtime), Ctime: time.Unix(0, r.ctime),
+	}
 }
 
 // mcShards is the shard count of the metadata cache; selection is an FNV-1a
@@ -33,7 +69,8 @@ const mcShards = 16
 // last invalidation of any path that hashes to it.
 type mcShard struct {
 	mu      sync.Mutex
-	rows    map[string]metaRow // virtual path -> what is cached for it
+	attrs   map[string]attrRow // virtual path -> its cached attributes
+	names   map[string]nameRow // virtual path -> its resolved row, for some attrs keys
 	dropped uint64
 }
 
@@ -55,28 +92,30 @@ type mcShard struct {
 // the row holds.
 //
 // below counts, for every directory path with cached rows strictly beneath
-// it, how many there are, keyed by a prefix of one of those rows' keys, so
-// invalidating a name that has nothing cached below it touches that name's
-// row alone and only a populated subtree is swept. Sharding by path hash
-// keeps probes for different files off one global mutex; the TTL clock is a
-// field so tests can warp time per mount. bmu is taken inside a shard's
-// mutex, never the other way round.
+// it, how many there are, keyed by the path's 64-bit FNV-1a hash (dirHash),
+// so invalidating a name that has nothing cached below it touches that
+// name's row alone and only a populated subtree is swept. Directories whose
+// hashes collide share one count, which then reads as a populated subtree
+// for each: a sweep too many, never one too few. A hash keeps no path, so a
+// row is counted in and out by whatever bytes name it. Sharding by path
+// hash keeps probes for different files off one global mutex; the TTL clock
+// is a field so tests can warp time per mount. bmu is taken inside a
+// shard's mutex, never the other way round.
 type metaCache struct {
 	attrTTL, nameTTL time.Duration // <= 0: nothing is cached / no names are
 	now              func() time.Time
+	epoch            time.Time // what a row's times are offsets from
 	gen              atomic.Uint64
 	shards           [mcShards]mcShard
 
 	bmu   sync.Mutex
-	below map[string]int32
+	below map[uint64]int32
 }
 
 func (c *metaCache) init(attrTTL, nameTTL time.Duration) {
 	c.attrTTL, c.nameTTL, c.now = attrTTL, nameTTL, time.Now
-	for i := range c.shards {
-		c.shards[i].rows = make(map[string]metaRow)
-	}
-	c.below = make(map[string]int32)
+	c.epoch = c.now()
+	c.below = make(map[uint64]int32)
 }
 
 func (c *metaCache) shard(vpath string) *mcShard { return &c.shards[shardOf(vpath)] }
@@ -99,79 +138,132 @@ func shardOf[P string | []byte](vpath P) int {
 // recorded against (put).
 func (c *metaCache) sample() uint64 { return c.gen.Load() }
 
+// clock returns the cache's time, an offset from its epoch.
+func (c *metaCache) clock() time.Duration { return c.now().Sub(c.epoch) }
+
 // put records a path's attributes, and with a non-nil ve the resolved child
 // they came with, from a reply to an RPC sent after sample returned since.
+// The cache keeps ve itself, so it must be a row nothing changes: one the
+// caller publishes in the handle table, or one resolved returned.
 func (c *metaCache) put(vpath string, a localfs.Attr, ve *ventry, since uint64) {
 	if c.attrTTL <= 0 {
 		return
 	}
-	now := c.now()
+	now := c.clock()
 	s := c.shard(vpath)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.rows[vpath]
+	r, ok := s.attrs[vpath]
 	if s.dropped > since || ok && r.stamp > since {
 		if ok {
-			c.remove(s, r.key)
+			removeRow(c, s, vpath)
 		}
 		s.dropped = c.gen.Add(1)
 		return
 	}
 	if !ok {
-		r.key = vpath
-		c.count(vpath, 1)
+		countBelow(c, vpath, 1)
 	}
-	r.attr, r.at, r.stamp = a, now, c.gen.Add(1)
+	if s.attrs == nil { // a shard's maps are made by its first row
+		s.attrs = make(map[string]attrRow)
+	}
+	s.attrs[vpath] = newAttrRow(a, now, c.gen.Add(1))
 	if ve != nil && c.nameTTL > 0 {
-		r.ve, r.nameAt = *ve, now
+		if s.names == nil {
+			s.names = make(map[string]nameRow)
+		}
+		s.names[vpath] = nameRow{ve: ve, at: now}
 	}
-	s.rows[vpath] = r
 }
 
 // get returns the row cached for a path while its attributes are fresh; a
 // row found stale is dropped whole. With name set it is a probe of the name
-// cache and the resolved child must be fresh as well (the zero nameAt of a row
-// no reply has filled is older than any TTL).
+// cache and the resolved child must be cached and fresh as well.
 func (c *metaCache) get(vpath string, name bool) (metaRow, bool) {
 	if c.attrTTL <= 0 {
 		return metaRow{}, false
 	}
-	now := c.now()
+	now := c.clock()
 	s := c.shard(vpath)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.rows[vpath]
+	r, ok := s.attrs[vpath]
+	var row metaRow
 	switch {
 	case !ok:
-	case now.Sub(r.at) > c.attrTTL:
-		c.remove(s, r.key)
+	case now-r.at > c.attrTTL:
+		removeRow(c, s, vpath)
 		ok = false
-	case name && now.Sub(r.nameAt) > c.nameTTL:
-		ok = false
+	case name:
+		n, named := s.names[vpath]
+		if ok = named && now-n.at <= c.nameTTL; ok {
+			row.ve = *n.ve
+		}
 	}
-	return r, ok
+	if ok {
+		row.attr = r.attr()
+	}
+	return row, ok
 }
 
-// remove deletes the row at key, which s holds; the caller holds s.mu.
-func (c *metaCache) remove(s *mcShard, key string) {
-	delete(s.rows, key)
-	c.count(key, -1)
+// resolved returns a row equal to ve for put to keep, for a reply that
+// resolved a child without publishing a handle for it (a READDIRPLUS
+// pre-warm): the row the cache holds for ve's path when it is equal, so
+// warming a name again allocates nothing, or else a copy of ve. It returns
+// nil when the cache keeps no names.
+func (c *metaCache) resolved(ve *ventry) *ventry {
+	if c.nameTTL <= 0 {
+		return nil
+	}
+	s := c.shard(ve.vpath)
+	s.mu.Lock()
+	n, ok := s.names[ve.vpath]
+	s.mu.Unlock()
+	if ok && *n.ve == *ve {
+		return n.ve
+	}
+	p := new(ventry)
+	*p = *ve
+	return p
 }
 
-// count adds d to the rows counted below each of vpath's ancestors but the
-// root.
-func (c *metaCache) count(vpath string, d int32) {
+// removeRow deletes the row at vpath, which s holds; the caller holds s.mu.
+func removeRow[P string | []byte](c *metaCache, s *mcShard, vpath P) {
+	delete(s.attrs, string(vpath))
+	delete(s.names, string(vpath))
+	countBelow(c, vpath, -1)
+}
+
+// FNV-1a, 64 bits: dirHash's offset basis and prime.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// dirHash is the key below counts a directory path under.
+func dirHash(p []byte) uint64 {
+	h := uint64(fnvOffset64)
+	for _, b := range p {
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
+	return h
+}
+
+// countBelow adds d to the rows counted below each of vpath's ancestors but
+// the root, hashing the path once: at each separator but the first, the hash
+// so far is the hash of the directory that ends there.
+func countBelow[P string | []byte](c *metaCache, vpath P, d int32) {
+	h := uint64(fnvOffset64)
 	c.bmu.Lock()
-	for i := len(vpath) - 1; i > 0; i-- {
-		if vpath[i] != '/' {
-			continue
+	for i := 0; i < len(vpath); i++ {
+		if vpath[i] == '/' && i > 0 {
+			if n := c.below[h] + d; n > 0 {
+				c.below[h] = n
+			} else {
+				delete(c.below, h)
+			}
 		}
-		k := vpath[:i]
-		if n := c.below[k] + d; n > 0 {
-			c.below[k] = n
-		} else {
-			delete(c.below, k)
-		}
+		h = (h ^ uint64(vpath[i])) * fnvPrime64
 	}
 	c.bmu.Unlock()
 }
@@ -183,8 +275,8 @@ func (c *metaCache) drop(vpath string) {
 	}
 	s := c.shard(vpath)
 	s.mu.Lock()
-	if r, ok := s.rows[vpath]; ok {
-		c.remove(s, r.key)
+	if _, ok := s.attrs[vpath]; ok {
+		removeRow(c, s, vpath)
 	}
 	s.dropped = c.gen.Add(1)
 	s.mu.Unlock()
@@ -212,8 +304,8 @@ func (c *metaCache) dropUnder(dir, name string) (swept bool) {
 	}
 	s := &c.shards[shardOf(p)]
 	s.mu.Lock()
-	if r, ok := s.rows[string(p)]; ok {
-		c.remove(s, r.key)
+	if _, ok := s.attrs[string(p)]; ok {
+		removeRow(c, s, p)
 	}
 	s.dropped = c.gen.Add(1)
 	s.mu.Unlock()
@@ -237,7 +329,7 @@ func (c *metaCache) dropBelow(vpath string) {
 func (c *metaCache) sweepBelow(p []byte) (swept bool) {
 	if len(p) > 1 {
 		c.bmu.Lock()
-		n := c.below[string(p)]
+		n := c.below[dirHash(p)]
 		c.bmu.Unlock()
 		if n == 0 {
 			return false
@@ -246,9 +338,9 @@ func (c *metaCache) sweepBelow(p []byte) (swept bool) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for q := range s.rows {
+		for q := range s.attrs {
 			if strictlyUnder(q, p) {
-				c.remove(s, q)
+				removeRow(c, s, q)
 			}
 		}
 		s.dropped = c.gen.Add(1)

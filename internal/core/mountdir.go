@@ -250,7 +250,7 @@ func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) 
 			out = append(out, DirEntry{Name: e.Name, Type: e.Type})
 			if prewarm {
 				ve := de.child(e.Name, e.Type, e.FH)
-				m.meta.put(ve.vpath, e.Attr, &ve, since)
+				m.meta.put(ve.vpath, e.Attr, m.meta.resolved(&ve), since)
 			}
 		}
 		return c, nil

@@ -5,10 +5,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/localfs"
 	"repro/internal/nfs"
 	"repro/internal/obs"
+	"repro/internal/racetest"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -383,6 +385,58 @@ func TestDropUnderCostsWhatItDrops(t *testing.T) {
 	defer c.bmu.Unlock()
 	if len(c.below) != 0 {
 		t.Errorf("an emptied cache still counts rows below %d paths", len(c.below))
+	}
+}
+
+// TestNewRowAllocatesNothing: a cached path is two halves, each at most the
+// 128 bytes a Go map stores in place (attrRow, nameRow, which points at the
+// handle table's row), so recording a path the cache does not hold —
+// childMade does it for every create — allocates nothing of its own once the
+// maps have grown, and nor does probing it or dropping it by a path built in
+// scratch. It was one object per new path, a 296-byte row in a 320-byte size
+// class, while the row was one value.
+func TestNewRowAllocatesNothing(t *testing.T) {
+	if a, n := unsafe.Sizeof(attrRow{}), unsafe.Sizeof(nameRow{}); a > 128 || n > 128 {
+		t.Fatalf("a row's halves are %d and %d bytes, over the 128 a map stores in place", a, n)
+	}
+	var c metaCache
+	c.init(time.Hour, time.Hour)
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("f%d", i)
+	}
+	de := &ventry{vpath: "/home/d", node: "k1", physPath: "/home/d", pn: "home", root: "/home"}
+	rows := make([]ventry, len(names))
+	for i, name := range names {
+		rows[i] = de.child(name, localfs.TypeRegular, nfs.Handle{Gen: 1, Ino: uint64(i)})
+		c.put(rows[i].vpath, localfs.Attr{Ino: uint64(i)}, &rows[i], c.sample()) // grow the maps
+		c.dropUnder(de.vpath, name)
+	}
+	racetest.SkipAllocs(t)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		ve := &rows[i%len(rows)]
+		i++
+		c.put(ve.vpath, localfs.Attr{Ino: ve.fh.Ino, Size: 1}, ve, c.sample())
+		if r, ok := c.get(ve.vpath, true); !ok || r.ve != *ve || r.attr.Size != 1 {
+			t.Fatalf("%s: cached %+v, %v", ve.vpath, r, ok)
+		}
+		if c.dropUnder(de.vpath, names[ve.fh.Ino]) {
+			t.Fatal("dropping a name with nothing below it swept the cache")
+		}
+	}); n != 0 {
+		t.Errorf("recording, probing and dropping a new path allocates %.2f times, want 0", n)
+	}
+	// A pre-warm builds the child's row on its stack; warming a name the
+	// cache holds unchanged keeps the row it has.
+	if n := testing.AllocsPerRun(100, func() {
+		ve := rows[3]
+		c.put(ve.vpath, localfs.Attr{Ino: 3}, c.resolved(&ve), c.sample())
+	}); n != 0 {
+		t.Errorf("warming an unchanged name allocates %.2f times, want 0", n)
+	}
+	if r, ok := c.get(rows[3].vpath, true); !ok || r.ve != rows[3] {
+		t.Errorf("warmed row %+v, %v", r.ve, ok)
 	}
 }
 

@@ -100,8 +100,8 @@ func putFSOp(e *wire.Encoder, op FSOp) {
 
 // getFSOp decodes an FSOp but for its two paths, which it returns as bytes
 // borrowed from the request for the caller to make strings of once it knows
-// where they land (decodeApplyReq).
-func getFSOp(d *wire.Decoder) (op FSOp, path, path2 []byte) {
+// where they land (decodeApplyReq). The op's spans are appended to spans.
+func getFSOp(d *wire.Decoder, spans []nfs.WriteSpan) (op FSOp, path, path2 []byte) {
 	op.Kind = FSOpKind(d.Uint32())
 	path = d.OpaqueRef()
 	path2 = d.OpaqueRef()
@@ -115,7 +115,10 @@ func getFSOp(d *wire.Decoder) (op FSOp, path, path2 []byte) {
 	op.Target = d.String()
 	op.SetAttr = nfs.GetSetAttr(d)
 	op.Prune = d.Bool()
-	op.Spans = nfs.GetWriteSpans(d)
+	// An op without spans holds no slice of the caller's room.
+	if op.Spans = nfs.GetWriteSpans(d, spans); len(op.Spans) == 0 {
+		op.Spans = nil
+	}
 	return op, path, path2
 }
 
@@ -172,13 +175,15 @@ func (r *applyReq) encode(e *wire.Encoder) {
 // decodeApplyReq decodes a kApply (mirror false) or kMirror body. A mirror's
 // paths land in the replica area unless the frame says Primary, which is its
 // last field, so the paths stay borrowed bytes until it has been read and
-// each is then built once, prefix and all.
-func decodeApplyReq(d *wire.Decoder, rep *repl.Engine, mirror bool) applyReq {
+// each is then built once, prefix and all. The op's spans are appended to
+// spans, the room of the handler's spanRoom, so a flush's vector costs no
+// allocation.
+func decodeApplyReq(d *wire.Decoder, rep *repl.Engine, mirror bool, spans []nfs.WriteSpan) applyReq {
 	var r applyReq
 	var path, path2 []byte
 	d.FixedOpaque(r.Key[:])
 	r.Track = getTrack(d, rep)
-	r.Op, path, path2 = getFSOp(d)
+	r.Op, path, path2 = getFSOp(d, spans)
 	r.Primary = d.Bool()
 	if !mirror || r.Primary {
 		r.Op.Path, r.Op.Path2 = string(path), string(path2)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cas"
@@ -73,6 +74,28 @@ func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 	}
 }
 
+// spanRoom is the array a kApply or kMirror handler decodes the op's spans
+// into: wbMaxSpans+1 spans, the most a write-back flush carries
+// (writeBuffered). A vector longer than that, which only another client
+// sends, grows on the heap past it. The room lives in a pool, not on the
+// handler's stack, because the decoded op's paths reach the store's
+// interface, and escape analysis lets whatever the op points at escape with
+// them.
+type spanRoom [wbMaxSpans + 1]nfs.WriteSpan
+
+var spanRooms = sync.Pool{New: func() any { return new(spanRoom) }}
+
+// getSpanRoom takes a room for one handler run, which frees it (free) once
+// the op has been applied and mirrored.
+func getSpanRoom() *spanRoom { return spanRooms.Get().(*spanRoom) }
+
+// free clears the room, so the pool pins no request frame or lent body, and
+// pools it.
+func (r *spanRoom) free() {
+	clear(r[:])
+	spanRooms.Put(r)
+}
+
 // koshaProcs is the kosha replication service (Sections 4.2-4.4).
 var koshaProcs = serviceTable{
 	kApply:         {"apply", (*Node).serveApply},
@@ -88,7 +111,9 @@ var koshaProcs = serviceTable{
 
 // serveApply executes a mutation at the primary and fans out to replicas.
 func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	r := decodeApplyReq(d, n.rep, false)
+	room := getSpanRoom()
+	defer room.free()
+	r := decodeApplyReq(d, n.rep, false, room[:0])
 	if d.Err() != nil {
 		return 0, d.Err()
 	}
@@ -169,7 +194,9 @@ func (n *Node) serveMirror(ctx obs.TraceContext, from simnet.Addr, d *wire.Decod
 	// users", Section 4.2): the decoder builds the op's paths there. A
 	// deletion addressed to this node as the key's new primary lands in the
 	// primary namespace directly.
-	r := decodeApplyReq(d, n.rep, true)
+	room := getSpanRoom()
+	defer room.free()
+	r := decodeApplyReq(d, n.rep, true, room[:0])
 	if d.Err() != nil {
 		return 0, d.Err()
 	}

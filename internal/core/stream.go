@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/localfs"
@@ -46,8 +47,8 @@ type stream struct {
 
 	// Write-back: disjoint dirty spans and their total payload size. spare is
 	// the previous flush's largest span buffer, refilled by the next span so a
-	// sequential writer does not regrow a buffer per flush; it dies with the
-	// handle.
+	// sequential writer does not regrow a buffer per flush, and spans keeps
+	// the previous flush's emptied vector; both die with the handle.
 	spans   []nfs.WriteSpan
 	wbBytes int
 	spare   []byte
@@ -88,9 +89,10 @@ func (st *stream) discard() int {
 }
 
 // absorb merges one write into the span buffer: grow an adjacent span or
-// open a new one. ok=false reports an overlap with buffered data — the
-// caller flushes first so bytes always land in write order.
-func (st *stream) absorb(offset int64, data []byte) bool {
+// open a new one, a span's bytes growing by appendSpan up to limit, the
+// write-back high-water mark. ok=false reports an overlap with buffered data
+// — the caller flushes first so bytes always land in write order.
+func (st *stream) absorb(offset int64, data []byte, limit int) bool {
 	end := offset + int64(len(data))
 	var adj *nfs.WriteSpan
 	prepend := false
@@ -108,16 +110,31 @@ func (st *stream) absorb(offset int64, data []byte) bool {
 	}
 	switch {
 	case adj == nil:
-		st.spans = append(st.spans, nfs.WriteSpan{Offset: offset, Data: append(st.spare, data...)})
+		st.spans = append(st.spans, nfs.WriteSpan{Offset: offset, Data: appendSpan(st.spare, data, limit)})
 		st.spare = nil
 	case prepend:
 		adj.Data = append(append([]byte(nil), data...), adj.Data...)
 		adj.Offset = offset
 	default:
-		adj.Data = append(adj.Data, data...)
+		adj.Data = appendSpan(adj.Data, data, limit)
 	}
 	st.wbBytes += len(data)
 	return true
+}
+
+// appendSpan appends data to a span buffer, doubling its room when it must
+// grow, but to no more than limit, the write-back high-water mark, unless
+// the bytes need more. So a sequential writer's buffer reaches the mark in
+// a few steps (append grows a large slice by a quarter), and a small file's
+// never holds a whole flush's room.
+func appendSpan(buf, data []byte, limit int) []byte {
+	need := len(buf) + len(data)
+	if need > cap(buf) {
+		grown := make([]byte, len(buf), max(need, min(2*cap(buf), limit)))
+		copy(grown, buf)
+		buf = grown
+	}
+	return append(buf, data...)
 }
 
 // streamOf returns the handle's stream state, creating it when create is
@@ -344,7 +361,8 @@ func (m *Mount) writeBuffered(tr *obs.Trace, vh VH, offset int64, data []byte) (
 	// Absorbing into the client-side buffer costs the interposition
 	// constant alone; the network and disk are paid at flush time.
 	cost := InterposeCost
-	if !st.absorb(offset, data) {
+	limit := m.n.cfg.WriteBackBytes
+	if !st.absorb(offset, data, limit) {
 		// The write overlaps buffered data: flush first so bytes land in
 		// write order, then buffer the new write.
 		c, ferr := m.flushLocked(tr, vh, st)
@@ -352,13 +370,13 @@ func (m *Mount) writeBuffered(tr *obs.Trace, vh VH, offset int64, data []byte) (
 		if ferr != nil {
 			return 0, cost, true, ferr
 		}
-		st.absorb(offset, data)
+		st.absorb(offset, data, limit)
 	}
 	// An absorb leaves the cached row alone, which still describes what the
 	// primary holds: a Getattr on this handle flushes before it reads the
 	// cache, and the flush's reply records the new attributes.
 	m.n.wbCoalesced.Add(1)
-	if st.wbBytes >= m.n.cfg.WriteBackBytes || len(st.spans) > wbMaxSpans {
+	if st.wbBytes >= limit || len(st.spans) > wbMaxSpans {
 		c, ferr := m.flushLocked(tr, vh, st)
 		cost = simnet.Seq(cost, c)
 		if ferr != nil {
@@ -378,7 +396,8 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 	}
 	spans := st.spans
 	st.spans, st.wbBytes = nil, 0
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Offset < spans[j].Offset })
+	// The spans are disjoint, so ordering by offset is a total order.
+	slices.SortFunc(spans, func(a, b nfs.WriteSpan) int { return cmp.Compare(a.Offset, b.Offset) })
 	m.n.wbFlushes.Add(1)
 	size := 0
 	for _, s := range spans {
@@ -397,12 +416,15 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 	})
 	// apply is synchronous and lent the spans to its request frame only
 	// for its calls, which have all returned, so their buffers are free
-	// again whatever the outcome.
+	// again whatever the outcome: the largest is the next span's, and the
+	// emptied vector the next flush's.
 	for _, s := range spans {
 		if cap(s.Data) > cap(st.spare) {
 			st.spare = s.Data[:0]
 		}
 	}
+	clear(spans)
+	st.spans = spans[:0]
 	return cost, err
 }
 

@@ -147,8 +147,9 @@ const (
 // no bytes, so a sparse file costs what was written into it, and a write
 // into a hole allocates only the bytes it writes. A truncation to zero keeps
 // the first piece's storage, up to maxSlack, as the empty file's spare room,
-// which the next append fills first: a whole-file rewrite of the same size
-// or shorter allocates nothing, and a longer one only the bytes past it.
+// which the next append fills when it fits: a whole-file rewrite of the same
+// size or shorter allocates nothing, and a longer one allocates one piece
+// for itself, which the next truncation keeps in turn.
 type extents struct {
 	list []piece
 	one  [1]piece // backs list while the file is one piece; while it is empty, holds the spare room
@@ -237,16 +238,18 @@ func (x *extents) write(src []byte, off int64) {
 }
 
 // appendBytes appends src to the file: into the last piece's spare capacity
-// first, or the spare room an empty file kept from its truncation, which may
-// hold bytes a truncation cut off and so is overwritten, then as one new
-// piece, with the append slack when it continues the bytes of the last piece
-// rather than an empty file or a hole.
+// first, or the spare room an empty file kept from its truncation when src
+// fits it (the room may hold bytes a truncation cut off, and so is
+// overwritten), then as one new piece, with the append slack when it
+// continues the bytes of the last piece rather than an empty file or a hole.
+// An empty file's room that src outgrows is dropped for one piece that holds
+// all of src, so the next truncation keeps room for a rewrite of this size.
 func (x *extents) appendBytes(src []byte) {
 	if len(src) == 0 {
 		return
 	}
 	k := len(x.list)
-	if spare := x.one[0].b; k == 0 && spare != nil {
+	if spare := x.one[0].b; k == 0 && cap(spare) >= len(src) {
 		x.push(piece{b: spare}) // filled below: the piece never stays empty
 		k = 1
 	}

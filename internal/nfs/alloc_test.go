@@ -104,8 +104,12 @@ func BenchmarkProcHistLookup(b *testing.B) {
 // compare what their calls allocate, not whether a GC emptied the pool
 // between them. Under the race detector sync.Pool drops one freed Codec in
 // four at random, so a run allocates a Codec with odds 1/4; the fewest of
-// eight is a run whose Codec came from the pool but once in 65 536.
+// eight is a run whose Codec came from the pool but once in 65 536. The runs
+// use one P: sync.Pool keeps its free Codecs per P, and a call the scheduler
+// moves to a P whose pool has no room yet allocates the pool's own
+// bookkeeping (176 bytes), which is no part of the call.
 func allocatedBytes(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	least := uint64(math.MaxUint64)
 	for i := 0; i < 8; i++ {
 		runtime.GC()
@@ -132,7 +136,7 @@ func TestGetWriteSpansBorrows(t *testing.T) {
 	PutWriteSpans(e, spans)
 	var d wire.Decoder
 	d.ResetFrame(e.Frame())
-	for i, s := range GetWriteSpans(&d) {
+	for i, s := range GetWriteSpans(&d, nil) {
 		if &s.Data[0] != &spans[i].Data[0] {
 			t.Errorf("span %d: the decode of the lent frame is not the sender's array", i)
 		}
@@ -143,7 +147,7 @@ func TestGetWriteSpansBorrows(t *testing.T) {
 	req := e.Frame().AppendTo(nil)
 
 	var got []WriteSpan
-	n := allocatedBytes(func() { got = GetWriteSpans(wire.NewDecoder(req)) })
+	n := allocatedBytes(func() { got = GetWriteSpans(wire.NewDecoder(req), nil) })
 	if len(got) != len(spans) || len(got[3].Data) != 256<<10 {
 		t.Fatalf("decoded %d spans", len(got))
 	}
@@ -279,5 +283,98 @@ func TestWriteLendsItsData(t *testing.T) {
 		}
 	}) / writes; per > 8 {
 		t.Errorf("a 32 KiB WRITE allocated %d bytes with the tap's reply, want <= 8", per)
+	}
+}
+
+// TestServerRepliesAreOneObject: the server decodes each request and encodes
+// its reply in one pooled wire.Codec, so a served reply is one object at its
+// own length — a copy out of the Codec's array, or the frame a larger reply
+// grew, sized once — and a reply that is a status alone is the status's
+// shared frame, no object at all. A READ without a sink is the frame the
+// store sized; it was two, a 128-byte head and then that frame. A
+// READDIRPLUS adds the store's listing it encodes the page from.
+func TestServerRepliesAreOneObject(t *testing.T) {
+	_, srv, c := rig(t, 0)
+	fs := srv.FS()
+	root := srv.Root()
+	if err := fs.WriteFile("/d/small", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/d/big", make([]byte, 32<<10)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if err := fs.WriteFile("/d/many/entry-"+strings.Repeat("x", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	symlink(t, fs, "/d", "link", "/d/small")
+	walk := func(p string) Handle {
+		w, _, err := c.Walk("srv", root, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.FH
+	}
+	dir, small, big, many, link := walk("d"), walk("d/small"), walk("d/big"), walk("d/many"), walk("d/link")
+	stale := Handle{Gen: root.Gen + 1, Ino: small.Ino}
+
+	request := func(proc Proc, args func(e *wire.Encoder)) []byte {
+		e := wire.NewEncoder(64)
+		e.PutUint32(uint32(proc))
+		e.PutUint64(1)
+		args(e)
+		return e.Bytes()
+	}
+	read := func(h Handle, count int) func(e *wire.Encoder) {
+		return func(e *wire.Encoder) {
+			putHandle(e, h)
+			e.PutInt64(0)
+			e.PutUint32(uint32(count))
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		req    []byte
+		status Status
+		objs   float64
+	}{
+		{"MNT", request(ProcMountRoot, func(*wire.Encoder) {}), OK, 1},
+		{"GETATTR", request(ProcGetattr, func(e *wire.Encoder) { putHandle(e, small) }), OK, 1},
+		{"LOOKUP", request(ProcLookup, func(e *wire.Encoder) { putHandle(e, dir); e.PutString("small") }), OK, 1},
+		{"LOOKUPPATH", request(ProcLookupPath, func(e *wire.Encoder) { putHandle(e, root); putPath(e, "d/link") }), OK, 1},
+		{"LOOKUPPATH carrying 5 bytes", request(ProcLookupPath, func(e *wire.Encoder) { putHandle(e, root); putPath(e, "d/small"); e.PutUint32(1 << 20) }), OK, 1},
+		{"LOOKUPPATH carrying 32 KiB", request(ProcLookupPath, func(e *wire.Encoder) { putHandle(e, root); putPath(e, "d/big"); e.PutUint32(1 << 20) }), OK, 1},
+		{"READLINK", request(ProcReadlink, func(e *wire.Encoder) { putHandle(e, link) }), OK, 1},
+		{"READ of 5 bytes", request(ProcRead, read(small, 1<<20)), OK, 1},
+		{"READ of 32 KiB", request(ProcRead, read(big, 1<<20)), OK, 1},
+		// and the store's listing, which the reply is encoded from
+		{"READDIRPLUS", request(ProcReaddirPlus, func(e *wire.Encoder) { putHandle(e, many); e.PutUint64(0); e.PutUint32(0) }), OK, 2},
+		{"FSSTAT", request(ProcFSStat, func(e *wire.Encoder) { putHandle(e, root) }), OK, 1},
+		{"GETATTR of a stale handle", request(ProcGetattr, func(e *wire.Encoder) { putHandle(e, stale) }), ErrStale, 0},
+		{"LOOKUP of a missing name", request(ProcLookup, func(e *wire.Encoder) { putHandle(e, dir); e.PutString("none") }), ErrNoEnt, 0},
+		{"READ of a stale handle", request(ProcRead, read(stale, 10)), ErrStale, 0},
+		{"an unknown procedure", request(Proc(2), func(*wire.Encoder) {}), ErrInval, 0},
+	} {
+		var resp []byte
+		var err error
+		serve := func() { resp, _, err = srv.Handle("cli", tc.req) }
+		serve()
+		if err != nil || len(resp) < 4 || Status(wire.NewDecoder(resp).Uint32()) != tc.status {
+			t.Fatalf("%s: reply %x, %v; want status %d", tc.name, resp[:min(len(resp), 8)], err, tc.status)
+		}
+		if tc.status != OK {
+			if len(resp) != 4 || &resp[0] != &wire.StatusFrame(uint32(tc.status))[0] {
+				t.Errorf("%s: a %d-byte failure reply, not the status's shared frame", tc.name, len(resp))
+			}
+		} else if cap(resp) >= len(resp)+32 {
+			t.Errorf("%s: a %d-byte reply holds %d bytes of room", tc.name, len(resp), cap(resp))
+		}
+		if racetest.Enabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, serve); n != tc.objs {
+			t.Errorf("%s: a served %d-byte reply allocates %.0f objects, want %.0f", tc.name, len(resp), n, tc.objs)
+		}
 	}
 }

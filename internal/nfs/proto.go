@@ -454,20 +454,21 @@ func PutWriteSpans(e *wire.Encoder, spans []WriteSpan) {
 	}
 }
 
-// GetWriteSpans decodes a span vector written by PutWriteSpans. The spans'
-// Data borrows the decoder's frame (wire.Decoder.OpaqueRef), a lent body
-// itself where the sender lent one: every consumer copies the bytes into a
-// store, or lends them on, before the request returns.
-func GetWriteSpans(d *wire.Decoder) []WriteSpan {
+// GetWriteSpans appends the span vector PutWriteSpans wrote to dst and
+// returns the extended slice, as append does. A caller that lends the room
+// of a fixed array decodes a vector that fits it without an allocation;
+// past that room the vector grows on the heap span by span as the spans
+// decode, never by the count the frame names, so a hostile count reserves
+// nothing. The spans' Data borrows the decoder's frame
+// (wire.Decoder.OpaqueRef), a lent body itself where the sender lent one:
+// every consumer copies the bytes into a store, or lends them on, before the
+// request returns.
+func GetWriteSpans(d *wire.Decoder, dst []WriteSpan) []WriteSpan {
 	n := d.ArrayLen()
-	if n <= 0 {
-		return nil
+	for i := 0; i < n && d.Err() == nil; i++ {
+		dst = append(dst, WriteSpan{Offset: d.Int64(), Data: d.OpaqueRef()})
 	}
-	spans := make([]WriteSpan, 0, n)
-	for i := 0; i < n; i++ {
-		spans = append(spans, WriteSpan{Offset: d.Int64(), Data: d.OpaqueRef()})
-	}
-	return spans
+	return dst
 }
 
 // FSStat mirrors localfs.FSStat on the wire.

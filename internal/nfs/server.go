@@ -69,8 +69,15 @@ func (s *Server) Attach(n simnet.Transport, addr simnet.Addr) {
 // duplicate-request cache for mutating procedures, dispatch, encode. req is
 // the head of the request frame (simnet.HandlerCtx), so a WRITE's lent data
 // is read where the client holds it.
+//
+// Each request is decoded and its reply encoded in one pooled wire.Codec,
+// freed on every path: the caller gets the reply at its own length
+// (Codec.Keep), or a bare status as its shared frame, so nothing it holds,
+// the duplicate-request cache included, is a pooled head.
 func (s *Server) Handle(from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-	d := new(wire.Decoder)
+	x := wire.GetCodec()
+	defer x.Free()
+	d := &x.D
 	d.ResetFrame(wire.FrameOf(req))
 	proc := Proc(d.Uint32())
 	xid := d.Uint64()
@@ -85,7 +92,7 @@ func (s *Server) Handle(from simnet.Addr, req []byte) ([]byte, simnet.Cost, erro
 			return resp, 0, nil
 		}
 	}
-	resp, cost := s.dispatch(proc, req, d)
+	resp, cost := s.dispatch(proc, req, x)
 	if mutating(proc) {
 		s.drcPut(from, xid, resp)
 	}
@@ -134,12 +141,8 @@ func (s *Server) drcPut(from simnet.Addr, xid uint64, resp []byte) {
 	s.drcNext = (s.drcNext + 1) % drcSize
 }
 
-// fail encodes an error-only reply.
-func (s *Server) fail(st Status) []byte {
-	e := wire.NewEncoder(4)
-	e.PutUint32(uint32(st))
-	return e.Bytes()
-}
+// fail returns an error-only reply, the status's shared frame.
+func (s *Server) fail(st Status) []byte { return wire.StatusFrame(uint32(st)) }
 
 // check resolves a handle to an inode number, validating the incarnation.
 func (s *Server) check(h Handle) (uint64, Status) {
@@ -149,16 +152,18 @@ func (s *Server) check(h Handle) (uint64, Status) {
 	return h.Ino, OK
 }
 
-func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simnet.Cost) {
+// dispatch serves one procedure, reading the request from x's decoder and
+// encoding the reply with x's encoder, which it hands over with x.Keep.
+func (s *Server) dispatch(proc Proc, req []byte, x *wire.Codec) ([]byte, simnet.Cost) {
+	d, e := &x.D, &x.E
 	if proc == ProcRead {
-		return s.read(req, d)
+		return s.read(req, x)
 	}
-	e := wire.NewEncoder(128)
 	switch proc {
 	case ProcMountRoot:
 		e.PutUint32(uint32(OK))
 		putHandle(e, s.Root())
-		return e.Bytes(), 0
+		return x.Keep(), 0
 
 	case ProcGetattr:
 		h := getHandle(d)
@@ -172,7 +177,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		}
 		e.PutUint32(uint32(OK))
 		PutAttr(e, attr)
-		return e.Bytes(), cost
+		return x.Keep(), cost
 
 	case ProcLookup:
 		h := getHandle(d)
@@ -191,10 +196,10 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		e.PutUint32(uint32(OK))
 		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
 		PutAttr(e, attr)
-		return e.Bytes(), cost
+		return x.Keep(), cost
 
 	case ProcLookupPath:
-		return s.lookupPath(d, e)
+		return s.lookupPath(x)
 
 	case ProcReadlink:
 		h := getHandle(d)
@@ -208,7 +213,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		}
 		e.PutUint32(uint32(OK))
 		e.PutString(target)
-		return e.Bytes(), cost
+		return x.Keep(), cost
 
 	case ProcWrite:
 		h := getHandle(d)
@@ -227,7 +232,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		}
 		e.PutUint32(uint32(OK))
 		e.PutUint32(uint32(n))
-		return e.Bytes(), cost
+		return x.Keep(), cost
 
 	case ProcCreate:
 		h := getHandle(d)
@@ -248,7 +253,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		e.PutUint32(uint32(OK))
 		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
 		PutAttr(e, attr)
-		return e.Bytes(), cost
+		return x.Keep(), cost
 
 	case ProcMkdir:
 		h := getHandle(d)
@@ -268,7 +273,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		e.PutUint32(uint32(OK))
 		putHandle(e, Handle{Gen: h.Gen, Ino: attr.Ino})
 		PutAttr(e, attr)
-		return e.Bytes(), cost
+		return x.Keep(), cost
 
 	case ProcRemove, ProcRmdir:
 		h := getHandle(d)
@@ -291,7 +296,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
-		return e.Bytes(), cost
+		return x.Keep(), cost
 
 	case ProcRename:
 		fromH := getHandle(d)
@@ -314,7 +319,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 			return s.fail(toStatus(err)), cost
 		}
 		e.PutUint32(uint32(OK))
-		return e.Bytes(), cost
+		return x.Keep(), cost
 
 	case ProcReaddirPlus:
 		h := getHandle(d)
@@ -363,7 +368,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 			PutAttr(e, attr)
 			e.PutString(target)
 		}
-		return e.Bytes(), cost
+		return x.Keep(), cost
 
 	case ProcFSStat:
 		h := getHandle(d)
@@ -378,7 +383,7 @@ func (s *Server) dispatch(proc Proc, req []byte, d *wire.Decoder) ([]byte, simne
 		e.PutInt64(st.TotalBytes)
 		e.PutInt64(st.UsedBytes)
 		e.PutInt64(st.Files)
-		return e.Bytes(), cost
+		return x.Keep(), cost
 
 	default:
 		return s.fail(ErrInval), 0
@@ -435,7 +440,8 @@ func pageOf(n int, cookie uint64, count uint32) (start, end int) {
 // the bytes it always did. The read is sized by the file, never by readMax,
 // as a READ is by its count. A read that fails comes back empty and short of
 // EOF, so the caller's next READ meets the failure itself.
-func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Cost) {
+func (s *Server) lookupPath(x *wire.Codec) ([]byte, simnet.Cost) {
+	d, e := &x.D, &x.E
 	h := getHandle(d)
 	n := d.ArrayLen() // refuses a count the bytes left cannot hold
 	if d.Err() != nil || n > MaxPathComponents {
@@ -484,7 +490,7 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 			cost = simnet.Seq(cost, c)
 		}
 	}
-	return e.Bytes(), cost
+	return x.Keep(), cost
 }
 
 // read serves READ. A request that lends a sink the store can fill
@@ -495,10 +501,12 @@ func (s *Server) lookupPath(d *wire.Decoder, e *wire.Encoder) ([]byte, simnet.Co
 // wire.Codec, the reply's one allocation. A READ is not mutating, so the
 // duplicate-request cache never keeps such a head. A request without a
 // sink, a duplicate delivery that finds it taken, and a sink with no room
-// get the flat reply putData encodes; a file that outgrew the room the sink
-// offered is read into a buffer of its own, which LendReply copies into a
-// flat reply.
-func (s *Server) read(req []byte, d *wire.Decoder) ([]byte, simnet.Cost) {
+// get the flat reply putData encodes in the request's Codec, whose frame the
+// store grows once and Keep hands over: that frame is the reply's one
+// allocation. A file that outgrew the room the sink offered is read into a
+// buffer of its own, which LendReply copies into a flat reply.
+func (s *Server) read(req []byte, x *wire.Codec) ([]byte, simnet.Cost) {
+	d := &x.D
 	h := getHandle(d)
 	offset := d.Int64()
 	count := int(d.Uint32())
@@ -511,13 +519,13 @@ func (s *Server) read(req []byte, d *wire.Decoder) ([]byte, simnet.Cost) {
 	}
 	sink, ok := wire.TakeSink(req)
 	if !ok || cap(sink) == 0 {
-		e := wire.NewEncoder(128)
+		e := &x.E
 		e.PutUint32(uint32(OK))
 		cost, err := s.putData(e, ino, offset, count)
 		if err != nil {
 			return s.fail(toStatus(err)), cost
 		}
-		return e.Bytes(), cost
+		return x.Keep(), cost
 	}
 	data, eof, cost, err := s.fs.AppendRead(sink, ino, offset, count)
 	if err != nil {

@@ -144,3 +144,44 @@ func TestKeptReplyOutlivesFree(t *testing.T) {
 		}
 	}
 }
+
+// TestStatusFrameIsShared: a reply that is a status word alone is kept as
+// the package's shared frame for that word, not a copy, and neither Free nor
+// reuse of the Codec, with PoisonFreed on, poisons it or hands it out as a
+// head to encode into. A word past the table gets a frame of its own.
+func TestStatusFrameIsShared(t *testing.T) {
+	defer PoisonFreed(PoisonFreed(true))
+	for _, v := range []uint32{0, 1, 22, 170, 255} {
+		x := GetCodec()
+		x.E.PutUint32(v)
+		got := x.Keep()
+		if &got[0] != &statusFrames[v][0] || len(got) != 4 || cap(got) != 4 {
+			t.Fatalf("status %d: kept %x (cap %d), not the shared frame", v, got, cap(got))
+		}
+		x.Free()
+		for i := 0; i < 4; i++ {
+			y := GetCodec()
+			if len(y.E.Bytes()) != 0 || cap(y.E.Bytes()) > 0 && &y.E.Bytes()[:1][0] == &statusFrames[v][0] {
+				t.Fatalf("status %d: a pooled Codec encodes into the shared frame", v)
+			}
+			y.E.PutFixedOpaque(bytes.Repeat([]byte{0x11}, 64))
+			y.Free()
+		}
+		want := []byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
+		if !bytes.Equal(got, want) || !bytes.Equal(StatusFrame(v), want) {
+			t.Errorf("status %d reads %x after Free and reuse, want %x", v, got, want)
+		}
+	}
+	if a, b := StatusFrame(1<<16), StatusFrame(1<<16); &a[0] == &b[0] || !bytes.Equal(a, []byte{0, 1, 0, 0}) {
+		t.Errorf("status 65536 = %x, shared %v; want a frame of its own", a, &a[0] == &b[0])
+	}
+	racetest.SkipAllocs(t)
+	if n := testing.AllocsPerRun(100, func() {
+		x := GetCodec()
+		x.E.PutUint32(0)
+		x.Keep()
+		x.Free()
+	}); n != 0 {
+		t.Errorf("keeping a bare status allocates %.0f times, want 0", n)
+	}
+}

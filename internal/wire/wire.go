@@ -98,11 +98,16 @@ func (e *Encoder) PutBool(v bool) {
 }
 
 // Grow reserves room for n more bytes, so a frame whose size is known up
-// front is allocated once, at that size, instead of regrown as it fills.
-// Repeated small reservations still amortise by doubling.
+// front is allocated once, at that size, instead of regrown as it fills. A
+// reservation into an empty frame is exact, whatever room the frame started
+// on (a Codec's array); later ones amortise by doubling.
 func (e *Encoder) Grow(n int) {
 	if need := len(e.buf) + n; need > cap(e.buf) {
-		buf := make([]byte, len(e.buf), max(need, 2*cap(e.buf)))
+		size := need
+		if len(e.buf) > 0 {
+			size = max(need, 2*cap(e.buf))
+		}
+		buf := make([]byte, len(e.buf), size)
 		copy(buf, e.buf)
 		e.buf = buf
 	}
@@ -258,16 +263,42 @@ func (c *Codec) Free() {
 }
 
 // Keep returns the encoded head, which lends no body, for a caller to keep
-// past Free: a head in the Codec's array as a copy of its own length, and a
-// head that grew past the array as itself, which the Codec then lets go of,
-// so Free neither poisons it nor pools it.
+// past Free: a bare status word as its shared frame (StatusFrame), any other
+// head in the Codec's array as a copy of its own length, and a head that
+// grew past the array as itself, which the Codec then lets go of, so Free
+// neither poisons it nor pools it.
 func (c *Codec) Keep() []byte {
 	b := c.E.Bytes()
 	if cap(b) > 0 && &b[:1][0] == &c.small[0] {
+		if len(b) == 4 {
+			return StatusFrame(binary.BigEndian.Uint32(b))
+		}
 		return bytes.Clone(b)
 	}
 	c.E.Use(c.small[:])
 	return b
+}
+
+// statusFrames holds the frame of every reply that is a status word alone,
+// for the words below its length: every NFS status and every kosha code.
+var statusFrames = func() (t [256][4]byte) {
+	for i := range t {
+		binary.BigEndian.PutUint32(t[i][:], uint32(i))
+	}
+	return t
+}()
+
+// StatusFrame returns the 4-byte frame of a reply that is the status word v
+// alone. For v below 256 it is a package-level frame shared by every such
+// reply, so a bare status costs no allocation; it is read-only, as every
+// reply is once handed to a transport (DESIGN §10's borrow rule), and no
+// Codec owns it, so no Free poisons or pools it. A larger v gets a frame of
+// its own.
+func StatusFrame(v uint32) []byte {
+	if v < uint32(len(statusFrames)) {
+		return statusFrames[v][:4:4]
+	}
+	return binary.BigEndian.AppendUint32(make([]byte, 0, 4), v)
 }
 
 // Poison is the byte a freed Codec's head is filled with while PoisonFreed is
