@@ -90,15 +90,16 @@ func TestReadFilePresizesFromLookup(t *testing.T) {
 // before that: a regrown span buffer, per-replica frames, decode copies and
 // whole-file regrowth in every store).
 //
-// It allocates 10 objects: each store's new piece and the piece list it
-// joins (the file's first piece sat in the inode's slot), the kApply reply,
-// and the three op paths the holders decode (the primary's path and each
-// mirror's replica-area path). The span vectors the three handlers decode go
-// into pooled rooms, the mirrors' status replies are shared frames, and the
-// sort, the span array and the span buffer cost nothing once the handle has
-// flushed. It was 17, with op tracing off as here. A GC empties the pools,
-// so the count is taken with it off, the fewest of three files' second
-// flushes.
+// It allocates 7 objects: each store's new piece and the piece list it
+// joins (the file's first piece sat in the inode's slot), and the kApply
+// reply. The three handlers lend the op's path to their stores as a view,
+// the primary's of the frame and each mirror's of the replica-area path it
+// builds in its pooled room, beside the span vector it decodes there; the
+// mirrors' status replies are shared frames, and the sort, the span array
+// and the span buffer cost nothing once the handle has flushed. It was 10
+// while the three op paths were strings, and 17 before that, with op tracing
+// off as here. A GC empties the pools, so the count is taken with it off,
+// the fewest of three files' second flushes.
 func TestFlushCopyBudget(t *testing.T) {
 	const flush = 1 << 20
 	_, nodes := testCluster(t, 5, 85, Config{Replicas: 2, WriteBackBytes: flush, TraceBufSize: -1})
@@ -145,21 +146,22 @@ func TestFlushCopyBudget(t *testing.T) {
 			t.Fatalf("read back %d bytes err=%v", len(got), err)
 		}
 	}
-	if objects != 10 && !racetest.Enabled {
-		t.Errorf("a %d-byte flush allocated %d objects end to end, want 10", flush, objects)
+	if objects != 7 && !racetest.Enabled {
+		t.Errorf("a %d-byte flush allocated %d objects end to end, want 7", flush, objects)
 	}
 }
 
 // TestWriteThroughOverwriteAllocs: a 32 KiB write-through Write that
 // overwrites in place (K = 1) lends its data all the way to the two stores,
 // and every frame, the client's kApply and the primary's kMirror requests and
-// both servers' replies, is encoded into a pooled codec, so the whole write
-// costs the two replies at their own length, 96 bytes for the kApply's and 8
-// for the kMirror's, and little else: 128 bytes end to end (880 while each
-// reply was a fresh 416-byte codec, 1712 while each request allocated its
-// codec too, 82.6 KB while each frame was a 40 KiB page-rounded copy of the
-// data). Op tracing is off, as in the benchmark ledger's core.write32k_B
-// case this pins.
+// both servers' replies, is encoded into a pooled codec, the kMirror's
+// status reply is a shared frame, and both stores take the op's path as a
+// view, so the whole write costs the kApply's reply at its own length and
+// nothing else: 96 bytes end to end (112 while the two op paths were
+// strings, 880 while each reply was a fresh 416-byte codec, 1712 while each
+// request allocated its codec too, 82.6 KB while each frame was a 40 KiB
+// page-rounded copy of the data). Op tracing is off, as in the benchmark
+// ledger's core.write32k_B case this pins.
 func TestWriteThroughOverwriteAllocs(t *testing.T) {
 	_, nodes := testCluster(t, 4, 87, Config{Replicas: 1, TraceBufSize: -1})
 	m := nodes[0].NewMount()
@@ -182,8 +184,8 @@ func TestWriteThroughOverwriteAllocs(t *testing.T) {
 		write(i)
 	}
 	racetest.SkipAllocs(t)
-	if per := bytesPerCall(64, write); per > 128 {
-		t.Errorf("a 32 KiB write-through overwrite allocated %d bytes end to end, want <= 128", per)
+	if per := bytesPerCall(64, write); per > 96 {
+		t.Errorf("a 32 KiB write-through overwrite allocated %d bytes end to end, want <= 96", per)
 	}
 }
 

@@ -139,7 +139,7 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 		if proc != kApply && proc != kMirror {
 			continue
 		}
-		kind := decodeApplyReq(d, n.rep, proc == kMirror, nil).Op.Kind
+		kind := decodeApplyReq(d, n.rep, proc == kMirror, new(applyRoom)).Op.Kind
 		if key := [2]uint32{proc, uint32(kind)}; (kind == FSWriteFile || kind == FSUnlink) && !compounds[key] {
 			compounds[key] = true
 			seeds = append(seeds, koshaSeed{req: req})
@@ -156,7 +156,7 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 	w := applyReq{Key: Key(track.PN), Track: track, Op: FSOp{Kind: FSWrite, Path: file, Offset: 0xe0000003, Data: []byte("lent data")}}
 	lent := w.request(kApply).E.Frame()
 	seeds = append(seeds, koshaSeed{req: lent.AppendTo(nil), lend: uint32(lent.Lent[0].At)<<16 | uint32(len(lent.Lent[0].Body))})
-	// Flush mirrors around the room a handler decodes spans into (spanRoom):
+	// Flush mirrors around the room a handler decodes spans into (applyRoom):
 	// none, a full room, one past it, and a frame whose span count, the
 	// word before Primary, claims MaxItems.
 	for _, count := range []int{0, wbMaxSpans + 1, wbMaxSpans + 2, -1} {
@@ -171,6 +171,20 @@ func koshaSeeds(f *testing.F) []koshaSeed {
 		}
 		seeds = append(seeds, koshaSeed{req: req})
 	}
+	// Mirrors of a rename pair whose two replica-area paths fill the
+	// handler's room (applyRoom) to the byte, spill one byte past it and far
+	// past it, a create of each pair's long path, and a rename pair the frame
+	// sends to the primary area.
+	room := len(applyRoom{}.paths)
+	for _, size := range []int{room/2 - len(RepArea), room/2 - len(RepArea) + 1, 4 * room} {
+		long := file + "/" + strings.Repeat("n", size-len(file)-1)
+		for _, op := range []FSOp{{Kind: FSCreate, Path: long, Mode: 0o644}, {Kind: FSRename, Path: long, Path2: long[:len(long)-1] + "m"}} {
+			mr := applyReq{Track: track, Op: op}
+			seeds = append(seeds, koshaSeed{req: mr.request(kMirror).E.Frame().AppendTo(nil)})
+		}
+	}
+	primary := applyReq{Track: track, Op: FSOp{Kind: FSRename, Path: file, Path2: file + "-renamed"}, Primary: true}
+	seeds = append(seeds, koshaSeed{req: primary.request(kMirror).E.Frame().AppendTo(nil)})
 	for _, svc := range []struct {
 		name  string
 		table serviceTable

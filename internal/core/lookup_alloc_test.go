@@ -265,10 +265,10 @@ func TestServedReplyDoesNotPinItsRequest(t *testing.T) {
 // write into a hierarchy the node already tracks takes the Track's names from
 // the engine's record, so it allocates no more than the same write carrying
 // no Track at all (two more, its PN and root, while the frame's names were
-// decoded into fresh strings). Of the op's paths, the apply allocates the one
-// it stores by, and the mirror exactly one replica path, the replica-area
-// prefix joined onto the frame's bytes once (two before: the decoded path,
-// then the joined one); a mirrored rename, one per path.
+// decoded into fresh strings). The op's paths allocate nothing: an apply's
+// are views of the frame, and a mirror's replica paths, a rename's two
+// included, are built into the handler's room (one per path while each was
+// a fresh string, two before that: the decoded path, then the joined one).
 func TestServedMutationAllocatesNoTrackStrings(t *testing.T) {
 	store := localfs.New(0, simnet.Disk7200)
 	state := uint64(5)
@@ -310,9 +310,10 @@ func TestServedMutationAllocatesNoTrackStrings(t *testing.T) {
 		r := applyReq{Track: tracked, Op: op}
 		req := r.request(kMirror).E.Frame().AppendTo(nil)[4:]
 		var d wire.Decoder
+		room := new(applyRoom)
 		allocs := testing.AllocsPerRun(100, func() {
 			d.Reset(req)
-			r = decodeApplyReq(&d, n.rep, mirror, nil)
+			r = decodeApplyReq(&d, n.rep, mirror, room)
 		})
 		if d.Err() != nil {
 			t.Fatal(d.Err())
@@ -326,16 +327,17 @@ func TestServedMutationAllocatesNoTrackStrings(t *testing.T) {
 		path, path2 string
 		allocs      float64
 	}{
-		{false, write, "/home/f", "", 1},
-		{true, write, RepPath("/home/f"), "", 1},
-		{true, rename, RepPath("/home/f"), RepPath("/home/g"), 2},
+		{false, write, "/home/f", "", 0},
+		{true, write, RepPath("/home/f"), "", 0},
+		{true, rename, RepPath("/home/f"), RepPath("/home/g"), 0},
+		{false, rename, "/home/f", "/home/g", 0},
 	} {
 		r, allocs := decoded(c.mirror, c.op)
 		if r.Op.Path != c.path || r.Op.Path2 != c.path2 || r.Track != tracked {
 			t.Errorf("mirror=%v %v: decoded %q %q %+v, want %q %q %+v", c.mirror, c.op.Kind, r.Op.Path, r.Op.Path2, r.Track, c.path, c.path2, tracked)
 		}
 		if allocs != c.allocs {
-			t.Errorf("mirror=%v %v: decoding allocates %.0f times, want %.0f: its paths and no Track string", c.mirror, c.op.Kind, allocs, c.allocs)
+			t.Errorf("mirror=%v %v: decoding allocates %.0f times, want %.0f: no path and no Track string", c.mirror, c.op.Kind, allocs, c.allocs)
 		}
 	}
 }

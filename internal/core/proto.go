@@ -99,24 +99,25 @@ func putFSOp(e *wire.Encoder, op FSOp) {
 }
 
 // getFSOp decodes an FSOp but for its two paths, which it returns as bytes
-// borrowed from the request for the caller to make strings of once it knows
-// where they land (decodeApplyReq). The op's spans are appended to spans.
-func getFSOp(d *wire.Decoder, spans []nfs.WriteSpan) (op FSOp, path, path2 []byte) {
+// borrowed from the request for the caller to view once it knows where they
+// land (decodeApplyReq). The op's spans and the values its SetAttr points at
+// go into room.
+func getFSOp(d *wire.Decoder, room *applyRoom) (op FSOp, path, path2 []byte) {
 	op.Kind = FSOpKind(d.Uint32())
 	path = d.OpaqueRef()
 	path2 = d.OpaqueRef()
-	// Data and Spans borrow the request frame, the bodies it lends
+	// Data, Target and Spans borrow the request frame, the bodies it lends
 	// included: applyFSOp copies them into the store, and the mirror
 	// fan-out lends them on, before the handler returns.
 	op.Data = d.OpaqueRef()
 	op.Offset = d.Int64()
 	op.Mode = d.Uint32()
 	op.Excl = d.Bool()
-	op.Target = d.String()
-	op.SetAttr = nfs.GetSetAttr(d)
+	op.Target = d.StringRef()
+	op.SetAttr = nfs.GetSetAttr(d, &room.setattr)
 	op.Prune = d.Bool()
 	// An op without spans holds no slice of the caller's room.
-	if op.Spans = nfs.GetWriteSpans(d, spans); len(op.Spans) == 0 {
+	if op.Spans = nfs.GetWriteSpans(d, room.spans[:0]); len(op.Spans) == 0 {
 		op.Spans = nil
 	}
 	return op, path, path2
@@ -172,26 +173,36 @@ func (r *applyReq) encode(e *wire.Encoder) {
 	e.PutBool(r.Primary)
 }
 
-// decodeApplyReq decodes a kApply (mirror false) or kMirror body. A mirror's
-// paths land in the replica area unless the frame says Primary, which is its
-// last field, so the paths stay borrowed bytes until it has been read and
-// each is then built once, prefix and all. The op's spans are appended to
-// spans, the room of the handler's spanRoom, so a flush's vector costs no
-// allocation.
-func decodeApplyReq(d *wire.Decoder, rep *repl.Engine, mirror bool, spans []nfs.WriteSpan) applyReq {
+// decodeApplyReq decodes a kApply (mirror false) or kMirror body into the
+// handler's room. The op's paths and link target are views (wire.View) that
+// the handler lends to applyFSOp and the store, which copies only the names
+// it keeps. They are views of the frame, except a mirror's paths: those land
+// in the replica area unless the frame says Primary, its last field, so once
+// it has been read both are built into room.paths, prefix and all, and
+// viewed there. The op's spans and its SetAttr's values go into the room
+// too, so a flush's vector and a setattr cost no allocation either. Nothing
+// of the result may be kept past the handler run: the caller frees the
+// request's frame once the call has returned, and the room is pooled.
+func decodeApplyReq(d *wire.Decoder, rep *repl.Engine, mirror bool, room *applyRoom) applyReq {
 	var r applyReq
 	var path, path2 []byte
 	d.FixedOpaque(r.Key[:])
 	r.Track = getTrack(d, rep)
-	r.Op, path, path2 = getFSOp(d, spans)
+	r.Op, path, path2 = getFSOp(d, room)
 	r.Primary = d.Bool()
 	if !mirror || r.Primary {
-		r.Op.Path, r.Op.Path2 = string(path), string(path2)
+		r.Op.Path, r.Op.Path2 = wire.View(path), wire.View(path2)
 		return r
 	}
-	r.Op.Path = repl.RepPathBytes(path)
+	buf := room.paths[:0]
+	if need := 2*len(repl.RepArea) + len(path) + len(path2); need > cap(buf) {
+		buf = make([]byte, 0, need) // both paths in one buffer, sized once
+	}
+	buf = repl.AppendRepPath(buf, path)
+	r.Op.Path = wire.View(buf)
 	if len(path2) > 0 {
-		r.Op.Path2 = repl.RepPathBytes(path2)
+		rest := repl.AppendRepPath(buf[len(buf):], path2)
+		r.Op.Path2 = wire.View(rest)
 	}
 	return r
 }

@@ -74,26 +74,35 @@ func (n *Node) serve(service string, table serviceTable) simnet.HandlerCtx {
 	}
 }
 
-// spanRoom is the array a kApply or kMirror handler decodes the op's spans
-// into: wbMaxSpans+1 spans, the most a write-back flush carries
-// (writeBuffered). A vector longer than that, which only another client
-// sends, grows on the heap past it. The room lives in a pool, not on the
-// handler's stack, because the decoded op's paths reach the store's
-// interface, and escape analysis lets whatever the op points at escape with
-// them.
-type spanRoom [wbMaxSpans + 1]nfs.WriteSpan
+// applyRoom is what a kApply or kMirror handler decodes the op into: spans,
+// wbMaxSpans+1 of them, the most a write-back flush carries
+// (writeBuffered), the values of a setattr, and paths, where a mirror builds
+// its replica-area paths (decodeApplyReq). A vector longer than that, which
+// only another client sends, grows on the heap past it, as do the paths of
+// a mirror longer than the array. The room lives in a pool, not on the
+// handler's stack, because the decoded op reaches the store's interface, and
+// escape analysis lets whatever the op points at escape with it.
+type applyRoom struct {
+	spans   [wbMaxSpans + 1]nfs.WriteSpan
+	setattr nfs.SetAttrValues
+	// paths makes the room 1152 bytes, a size class, and holds the two
+	// replica-area paths of a rename up to about 260 bytes each.
+	paths [536]byte
+}
 
-var spanRooms = sync.Pool{New: func() any { return new(spanRoom) }}
+var applyRooms = sync.Pool{New: func() any { return new(applyRoom) }}
 
-// getSpanRoom takes a room for one handler run, which frees it (free) once
+// getApplyRoom takes a room for one handler run, which frees it (free) once
 // the op has been applied and mirrored.
-func getSpanRoom() *spanRoom { return spanRooms.Get().(*spanRoom) }
+func getApplyRoom() *applyRoom { return applyRooms.Get().(*applyRoom) }
 
-// free clears the room, so the pool pins no request frame or lent body, and
-// pools it.
-func (r *spanRoom) free() {
-	clear(r[:])
-	spanRooms.Put(r)
+// free clears the room's spans, so the pool pins no request frame or lent
+// body, poisons its paths while wire.PoisonFreed is on, so a store that kept
+// a replica-area path reads wire.Poison there, and pools it.
+func (r *applyRoom) free() {
+	clear(r.spans[:])
+	wire.PoisonLent(r.paths[:])
+	applyRooms.Put(r)
 }
 
 // koshaProcs is the kosha replication service (Sections 4.2-4.4).
@@ -111,9 +120,9 @@ var koshaProcs = serviceTable{
 
 // serveApply executes a mutation at the primary and fans out to replicas.
 func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	room := getSpanRoom()
+	room := getApplyRoom()
 	defer room.free()
-	r := decodeApplyReq(d, n.rep, false, room[:0])
+	r := decodeApplyReq(d, n.rep, false, room)
 	if d.Err() != nil {
 		return 0, d.Err()
 	}
@@ -194,9 +203,9 @@ func (n *Node) serveMirror(ctx obs.TraceContext, from simnet.Addr, d *wire.Decod
 	// users", Section 4.2): the decoder builds the op's paths there. A
 	// deletion addressed to this node as the key's new primary lands in the
 	// primary namespace directly.
-	room := getSpanRoom()
+	room := getApplyRoom()
 	defer room.free()
-	r := decodeApplyReq(d, n.rep, true, room[:0])
+	r := decodeApplyReq(d, n.rep, true, room)
 	if d.Err() != nil {
 		return 0, d.Err()
 	}

@@ -210,7 +210,7 @@ func TestWriteFileCarriesOneBatch(t *testing.T) {
 		if d.Uint32() != kApply {
 			continue
 		}
-		op := decodeApplyReq(d, nodes[0].rep, false, nil).Op
+		op := decodeApplyReq(d, nodes[0].rep, false, new(applyRoom)).Op
 		size := len(op.Data)
 		for _, s := range op.Spans {
 			size += len(s.Data)

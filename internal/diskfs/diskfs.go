@@ -108,11 +108,14 @@ func (f *FS) host(rel string) string {
 }
 
 // inoFor returns (assigning if new) the inode number of a relative path.
-// Caller holds f.mu.
+// rel may be the caller's own path, which the store only borrows
+// (localfs.FileSystem), so a new binding keeps a copy of it. Caller holds
+// f.mu.
 func (f *FS) inoFor(rel string) uint64 {
 	if ino, ok := f.inoOf[rel]; ok {
 		return ino
 	}
+	rel = strings.Clone(rel)
 	ino := f.nextIno
 	f.nextIno++
 	f.inoOf[rel] = ino

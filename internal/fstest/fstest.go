@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/localfs"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // Factory builds a fresh, empty file system with the given capacity on the
@@ -37,6 +38,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("Statfs", func(t *testing.T) { testStatfs(t, factory) })
 	t.Run("BadNames", func(t *testing.T) { testBadNames(t, factory) })
 	t.Run("NamesStayInTheirDirectory", func(t *testing.T) { testNamesStayInTheirDirectory(t, factory) })
+	t.Run("NamesAreBorrowed", func(t *testing.T) { testNamesAreBorrowed(t, factory) })
 	t.Run("ExtentBoundaries", func(t *testing.T) { testExtentBoundaries(t, factory) })
 	t.Run("AppendRead", func(t *testing.T) { testAppendRead(t, factory) })
 	t.Run("WindowRead", func(t *testing.T) { testWindowRead(t, factory) })
@@ -374,6 +376,114 @@ func testSymlink(t *testing.T, factory Factory) {
 	g := factory(t, 5)
 	if _, _, err := g.Symlink(localfs.RootIno, "l", "123456"); !errors.Is(err, localfs.ErrNoSpace) {
 		t.Fatalf("symlink quota err = %v", err)
+	}
+}
+
+// lent returns s as a view of a buffer of its own (wire.View), as a handler
+// lends a store a name it decoded from a request frame, and a func that
+// overwrites the buffer with wire.Poison, as the caller's next request does.
+func lent(s string) (string, func()) {
+	b := []byte(s)
+	return wire.View(b), func() {
+		for i := range b {
+			b[i] = wire.Poison
+		}
+	}
+}
+
+// testNamesAreBorrowed: every name, path and link target a store takes is
+// borrowed for the call (localfs.FileSystem), so a store that made an entry
+// or bound an inode from one must have kept a copy. Each argument here is a
+// view of a buffer overwritten once the call returns; the tree then lists
+// the exact names, a link reads its exact target, and a handle bound by a
+// path lookup still resolves.
+func testNamesAreBorrowed(t *testing.T, factory Factory) {
+	f := factory(t, 0)
+	call := func(what string, args []string, fn func(args []string) error) {
+		t.Helper()
+		views := make([]string, len(args))
+		var scribbles []func()
+		for i, a := range args {
+			var scribble func()
+			views[i], scribble = lent(a)
+			scribbles = append(scribbles, scribble)
+		}
+		if err := fn(views); err != nil {
+			t.Fatalf("%s%q: %v", what, args, err)
+		}
+		for _, scribble := range scribbles {
+			scribble()
+		}
+	}
+	var dir, lookedUp localfs.Attr
+	call("Mkdir", []string{"dir"}, func(a []string) (err error) {
+		dir, _, err = f.Mkdir(localfs.RootIno, a[0], 0o755)
+		return err
+	})
+	call("Create", []string{"file"}, func(a []string) error {
+		_, _, err := f.Create(dir.Ino, a[0], 0o644, false)
+		return err
+	})
+	call("Create", []string{"gone"}, func(a []string) error {
+		_, _, err := f.Create(dir.Ino, a[0], 0o644, false)
+		return err
+	})
+	call("Symlink", []string{"link", "/a/target"}, func(a []string) error {
+		_, _, err := f.Symlink(dir.Ino, a[0], a[1])
+		return err
+	})
+	call("Rename", []string{"gone", "moved"}, func(a []string) error {
+		_, err := f.Rename(dir.Ino, a[0], dir.Ino, a[1])
+		return err
+	})
+	call("MkdirAll", []string{"/deep/er"}, func(a []string) error {
+		_, err := f.MkdirAll(a[0])
+		return err
+	})
+	call("WriteFile", []string{"/deep/er/whole"}, func(a []string) error {
+		return f.WriteFile(a[0], []byte("whole"))
+	})
+	call("LookupPath", []string{"/deep/er/whole"}, func(a []string) (err error) {
+		lookedUp, err = f.LookupPath(a[0])
+		return err
+	})
+
+	want := map[string]localfs.FileType{
+		"/dir": localfs.TypeDir, "/dir/file": localfs.TypeRegular, "/dir/link": localfs.TypeSymlink,
+		"/dir/moved": localfs.TypeRegular, "/deep": localfs.TypeDir, "/deep/er": localfs.TypeDir,
+		"/deep/er/whole": localfs.TypeRegular,
+	}
+	got := map[string]localfs.FileType{}
+	var list func(p string, ino uint64)
+	list = func(p string, ino uint64) {
+		ents, _, err := f.Readdir(ino)
+		if err != nil {
+			t.Fatalf("Readdir(%s): %v", p, err)
+		}
+		for _, e := range ents {
+			child := strings.TrimSuffix(p, "/") + "/" + e.Name
+			got[child] = e.Type
+			if e.Type == localfs.TypeDir {
+				list(child, e.Ino)
+			}
+		}
+	}
+	list("/", localfs.RootIno)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("the tree lists %v, want %v", got, want)
+	}
+	for p := range want {
+		if _, err := f.LookupPath(p); err != nil {
+			t.Errorf("LookupPath(%s): %v", p, err)
+		}
+	}
+	if a, err := f.LookupPath("/dir/link"); err != nil {
+		t.Error(err)
+	} else if target, _, err := f.Readlink(a.Ino); err != nil || target != "/a/target" {
+		t.Errorf("the link reads %q, %v; want %q", target, err, "/a/target")
+	}
+	if a, _, err := f.Getattr(lookedUp.Ino); err != nil || a.Type != localfs.TypeRegular || a.Size != 5 {
+		t.Errorf("the handle LookupPath bound reads %+v, %v; want the 5-byte file", a, err)
 	}
 }
 

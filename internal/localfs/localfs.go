@@ -338,8 +338,13 @@ func (in *inode) nlink() uint32 {
 }
 
 // attach enters child in the directory in under name. Every entry is made
-// here and removed by detach, which keep subdirs.
+// here and removed by detach, which keep subdirs. name is borrowed, as every
+// name and path argument of the store is (FileSystem): attach keeps a copy
+// of it, which the entry and the child's name share, so a name costs one
+// object of its own length however its caller holds it.
 func (in *inode) attach(name string, child *inode) {
+	name = strings.Clone(name)
+	child.name = name
 	in.children[name] = child
 	if child.typ == TypeDir {
 		in.subdirs++
@@ -712,7 +717,7 @@ func (f *FS) Create(dirIno uint64, name string, mode uint32, exclusive bool) (At
 	}
 	if existing, ok := dir.children[name]; ok {
 		if exclusive {
-			return Attr{}, cost, fmt.Errorf("%w: %q", ErrExist, name)
+			return Attr{}, cost, ErrExist
 		}
 		if existing.typ != TypeRegular {
 			return Attr{}, cost, ErrIsDir
@@ -727,7 +732,7 @@ func (f *FS) Create(dirIno uint64, name string, mode uint32, exclusive bool) (At
 	in := &inode{
 		ino: f.nextIno, typ: TypeRegular, mode: mode,
 		atime: t, mtime: t, ctime: t,
-		parent: dir, name: name,
+		parent: dir,
 	}
 	f.nextIno++
 	f.inodes[in.ino] = in
@@ -751,14 +756,16 @@ func (f *FS) Mkdir(dirIno uint64, name string, mode uint32) (Attr, simnet.Cost, 
 		return Attr{}, cost, err
 	}
 	if _, ok := dir.children[name]; ok {
-		return Attr{}, cost, fmt.Errorf("%w: %q", ErrExist, name)
+		// The sentinel itself, as a lookup miss is: a replica's lenient
+		// re-apply meets it, and every caller reduces it to a status.
+		return Attr{}, cost, ErrExist
 	}
 	t := f.now()
 	in := &inode{
 		ino: f.nextIno, typ: TypeDir, mode: mode,
 		children: make(map[string]*inode),
 		atime:    t, mtime: t, ctime: t,
-		parent: dir, name: name,
+		parent: dir,
 	}
 	f.nextIno++
 	f.inodes[in.ino] = in
@@ -781,7 +788,7 @@ func (f *FS) Symlink(dirIno uint64, name, target string) (Attr, simnet.Cost, err
 		return Attr{}, cost, err
 	}
 	if _, ok := dir.children[name]; ok {
-		return Attr{}, cost, fmt.Errorf("%w: %q", ErrExist, name)
+		return Attr{}, cost, ErrExist
 	}
 	if err := f.charge(int64(len(target))); err != nil {
 		return Attr{}, cost, err
@@ -789,9 +796,9 @@ func (f *FS) Symlink(dirIno uint64, name, target string) (Attr, simnet.Cost, err
 	t := f.now()
 	in := &inode{
 		ino: f.nextIno, typ: TypeSymlink, mode: 0o777,
-		target: target,
+		target: strings.Clone(target),
 		atime:  t, mtime: t, ctime: t,
-		parent: dir, name: name,
+		parent: dir,
 	}
 	f.nextIno++
 	f.inodes[in.ino] = in
@@ -934,7 +941,7 @@ func (f *FS) RemoveUnless(dirIno uint64, name string, refuse func(victim Attr, t
 	}
 	in, ok := dir.children[name]
 	if !ok {
-		return cost, fmt.Errorf("%w: %q", ErrNoEnt, name)
+		return cost, ErrNoEnt
 	}
 	if refuse != nil {
 		if in.typ == TypeSymlink {
@@ -963,7 +970,7 @@ func (f *FS) Rmdir(dirIno uint64, name string) (simnet.Cost, error) {
 	}
 	in, ok := dir.children[name]
 	if !ok {
-		return cost, fmt.Errorf("%w: %q", ErrNoEnt, name)
+		return cost, ErrNoEnt
 	}
 	if in.typ != TypeDir {
 		return cost, ErrNotDir
@@ -1014,7 +1021,7 @@ func (f *FS) Rename(srcDir uint64, srcName string, dstDir uint64, dstName string
 	}
 	in, ok := sd.children[srcName]
 	if !ok {
-		return cost, fmt.Errorf("%w: %q", ErrNoEnt, srcName)
+		return cost, ErrNoEnt
 	}
 	// Moving a directory into its own subtree would orphan it.
 	if in.typ == TypeDir {
@@ -1042,7 +1049,6 @@ func (f *FS) Rename(srcDir uint64, srcName string, dstDir uint64, dstName string
 		oldPath = f.pathOf(in)
 	}
 	sd.detach(in)
-	in.name = dstName
 	in.parent = dd
 	dd.attach(dstName, in)
 	t := f.now()
@@ -1140,7 +1146,7 @@ func (f *FS) descend(c components, p string, mkdir bool) (dir, in *inode, err er
 				ino: f.nextIno, typ: TypeDir, mode: 0o755,
 				children: make(map[string]*inode),
 				atime:    t, mtime: t, ctime: t,
-				parent: in, name: name,
+				parent: in,
 			}
 			f.nextIno++
 			f.inodes[next.ino] = next
@@ -1351,6 +1357,14 @@ var _ Corrupter = (*FS)(nil)
 // in this package and the persistent on-disk store in internal/diskfs
 // implement it, so a node's contributed partition can live in RAM (tests,
 // emulation, benchmarks) or on a real directory (cmd/koshad -datadir).
+//
+// Every name, path and link target a method takes is borrowed for the call,
+// as LookupName's bytes are: a caller may pass a view of a request frame
+// (wire.View) and reuse its bytes once the call has returned. A store copies
+// what it keeps: localfs one object per entry it makes, the length of the
+// new name (attach), and a symlink's target; diskfs the relative path it
+// binds to a new inode number. A call that makes no entry, a write, a
+// setattr, a removal or a lookup, keeps nothing of its arguments.
 type FileSystem interface {
 	// Handle-based operations (the NFS server's surface).
 	Getattr(ino uint64) (Attr, simnet.Cost, error)

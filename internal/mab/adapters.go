@@ -70,19 +70,24 @@ func (k *KoshaFS) handle(p string) (known[core.VH], simnet.Cost, error) {
 }
 
 // MkdirAll implements FS, walking with cached handles like a kernel NFS
-// client's dentry cache (one LOOKUP or MKDIR per missing component).
+// client's dentry cache (one LOOKUP or MKDIR per missing component). Each
+// prefix it probes is a slice of the clean path, which the cache may keep:
+// p is the caller's string.
 func (k *KoshaFS) MkdirAll(p string) (simnet.Cost, error) {
 	p = localfs.CleanPath(p)
 	var total simnet.Cost
 	cur := k.M.Root()
-	walked := "/"
-	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
-		if part == "" {
-			continue
+	for start := 1; start < len(p); {
+		end := strings.IndexByte(p[start:], '/')
+		if end < 0 {
+			end = len(p)
+		} else {
+			end += start
 		}
-		next := path.Join(walked, part)
+		next, part := p[:end], p[start:end]
+		start = end + 1
 		if f, ok := k.vhs.cached(next); ok {
-			cur, walked = f.h, next
+			cur = f.h
 			continue
 		}
 		vh, _, c, err := k.M.Lookup(cur, part)
@@ -98,7 +103,7 @@ func (k *KoshaFS) MkdirAll(p string) (simnet.Cost, error) {
 			}
 		}
 		k.vhs.remember(next, vh, 0)
-		cur, walked = vh, next
+		cur = vh
 	}
 	return total, nil
 }

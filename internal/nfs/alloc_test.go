@@ -292,7 +292,11 @@ func TestWriteLendsItsData(t *testing.T) {
 // grew, sized once — and a reply that is a status alone is the status's
 // shared frame, no object at all. A READ without a sink is the frame the
 // store sized; it was two, a 128-byte head and then that frame. A
-// READDIRPLUS adds the store's listing it encodes the page from.
+// READDIRPLUS adds the store's listing it encodes the page from, and a CREATE
+// of a new name what the store keeps of the entry, its inode and the one copy
+// of its name: the server lends every name to the store as a view of the
+// request (wire.Decoder.StringRef), so the store's copy is the only one, and
+// a REMOVE costs nothing.
 func TestServerRepliesAreOneObject(t *testing.T) {
 	_, srv, c := rig(t, 0)
 	fs := srv.FS()
@@ -376,5 +380,37 @@ func TestServerRepliesAreOneObject(t *testing.T) {
 		if n := testing.AllocsPerRun(100, serve); n != tc.objs {
 			t.Errorf("%s: a served %d-byte reply allocates %.0f objects, want %.0f", tc.name, len(resp), n, tc.objs)
 		}
+	}
+	// A CREATE of a new name keeps the entry's inode and its name, and the
+	// REMOVE of it allocates nothing: its reply is the shared OK frame, and
+	// the server looks the name up where it lies in the request (it decoded
+	// a string for it before). Each goes under an xid of its own, so the
+	// duplicate-request cache does not answer it.
+	named := func(proc Proc, args func(e *wire.Encoder)) []byte {
+		return request(proc, func(e *wire.Encoder) {
+			putHandle(e, dir)
+			e.PutString("a-new-file-name")
+			args(e)
+		})
+	}
+	create := named(ProcCreate, func(e *wire.Encoder) { e.PutUint32(0o644); e.PutBool(true) })
+	remove := named(ProcRemove, func(*wire.Encoder) {})
+	xid := uint64(1)
+	call := func(req []byte) {
+		xid++
+		binary.BigEndian.PutUint64(req[4:12], xid)
+		if resp, _, err := srv.Handle("cli", req); err != nil || Status(wire.NewDecoder(resp).Uint32()) != OK {
+			t.Fatalf("proc %d: reply %x, %v", Proc(binary.BigEndian.Uint32(req)), resp[:min(len(resp), 8)], err)
+		}
+	}
+	serve := func() {
+		call(create)
+		call(remove)
+	}
+	if serve(); racetest.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, serve); n != 3 {
+		t.Errorf("a CREATE of a new name and its REMOVE allocate %.0f objects, want 3: the CREATE's reply, and the inode and name the store keeps", n)
 	}
 }

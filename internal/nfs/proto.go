@@ -336,33 +336,42 @@ func PutSetAttr(e *wire.Encoder, sa localfs.SetAttr) {
 	}
 }
 
-// GetSetAttr decodes a record written by PutSetAttr.
-func GetSetAttr(d *wire.Decoder) localfs.SetAttr {
+// SetAttrValues is the room a decoded SetAttr's fields point into.
+type SetAttrValues struct {
+	Mode, UID, GID uint32
+	Size           int64
+	Mtime, Atime   time.Time
+}
+
+// GetSetAttr decodes a record written by PutSetAttr into v, which each field
+// it sets points at: the caller's room, so the decode allocates nothing and
+// the SetAttr is valid as long as v is.
+func GetSetAttr(d *wire.Decoder, v *SetAttrValues) localfs.SetAttr {
 	var sa localfs.SetAttr
 	mask := d.Uint32()
 	if mask&saMode != 0 {
-		v := d.Uint32()
-		sa.Mode = &v
+		v.Mode = d.Uint32()
+		sa.Mode = &v.Mode
 	}
 	if mask&saUID != 0 {
-		v := d.Uint32()
-		sa.UID = &v
+		v.UID = d.Uint32()
+		sa.UID = &v.UID
 	}
 	if mask&saGID != 0 {
-		v := d.Uint32()
-		sa.GID = &v
+		v.GID = d.Uint32()
+		sa.GID = &v.GID
 	}
 	if mask&saSize != 0 {
-		v := d.Int64()
-		sa.Size = &v
+		v.Size = d.Int64()
+		sa.Size = &v.Size
 	}
 	if mask&saMtime != 0 {
-		v := time.Unix(0, d.Int64())
-		sa.Mtime = &v
+		v.Mtime = time.Unix(0, d.Int64())
+		sa.Mtime = &v.Mtime
 	}
 	if mask&saAtime != 0 {
-		v := time.Unix(0, d.Int64())
-		sa.Atime = &v
+		v.Atime = time.Unix(0, d.Int64())
+		sa.Atime = &v.Atime
 	}
 	return sa
 }

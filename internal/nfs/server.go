@@ -236,7 +236,7 @@ func (s *Server) dispatch(proc Proc, req []byte, x *wire.Codec) ([]byte, simnet.
 
 	case ProcCreate:
 		h := getHandle(d)
-		name := d.String()
+		name := d.StringRef() // borrowed: the store copies the name it enters
 		mode := d.Uint32()
 		exclusive := d.Bool()
 		if d.Err() != nil {
@@ -257,7 +257,7 @@ func (s *Server) dispatch(proc Proc, req []byte, x *wire.Codec) ([]byte, simnet.
 
 	case ProcMkdir:
 		h := getHandle(d)
-		name := d.String()
+		name := d.StringRef() // borrowed: the store copies the name it enters
 		mode := d.Uint32()
 		if d.Err() != nil {
 			return s.fail(ErrInval), 0
@@ -277,7 +277,7 @@ func (s *Server) dispatch(proc Proc, req []byte, x *wire.Codec) ([]byte, simnet.
 
 	case ProcRemove, ProcRmdir:
 		h := getHandle(d)
-		name := d.String()
+		name := d.StringRef() // looked up in place, never kept
 		if d.Err() != nil {
 			return s.fail(ErrInval), 0
 		}
@@ -300,9 +300,9 @@ func (s *Server) dispatch(proc Proc, req []byte, x *wire.Codec) ([]byte, simnet.
 
 	case ProcRename:
 		fromH := getHandle(d)
-		fromName := d.String()
+		fromName := d.StringRef() // borrowed, as every name the store takes
 		toH := getHandle(d)
-		toName := d.String()
+		toName := d.StringRef()
 		if d.Err() != nil {
 			return s.fail(ErrInval), 0
 		}

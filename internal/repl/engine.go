@@ -230,7 +230,7 @@ func (e *Engine) Track(t Track, op FSOp) {
 	defer e.mu.Unlock()
 	// A storage-root rename (the cheap-rename path) rekeys the entry,
 	// carrying the version chain to the new root.
-	if op.Kind == FSRename && (op.Path2 == t.Root || op.Path2 == RepPath(t.Root)) {
+	if op.Kind == FSRename && (op.Path2 == t.Root || IsRepPath(op.Path2, t.Root)) {
 		old := PrimaryRoot(op.Path)
 		if cur, ok := e.tracked[old]; ok {
 			if cur.Ver > t.Ver {

@@ -45,14 +45,24 @@ func RepPath(p string) string {
 	return RepArea + p
 }
 
-// RepPathBytes is RepPath of a path held as bytes, such as one borrowed from
-// a request frame: the replica-area path is built in one allocation, and
-// nothing keeps p.
-func RepPathBytes(p []byte) string {
-	if string(p) == "/" || len(p) == 0 {
-		return RepArea
+// AppendRepPath appends RepPath of a path held as bytes, such as one borrowed
+// from a request frame, to dst: a handler builds the replica-area path in
+// room of its own and lends it on, so nothing keeps p and nothing allocates
+// while dst has the room.
+func AppendRepPath(dst, p []byte) []byte {
+	dst = append(dst, RepArea...)
+	if string(p) == "/" {
+		return dst
 	}
-	return RepArea + string(p)
+	return append(dst, p...)
+}
+
+// IsRepPath reports whether p == RepPath(root), without building RepPath.
+func IsRepPath(p, root string) bool {
+	if root == "/" || root == "" {
+		return p == RepArea
+	}
+	return len(p) == len(RepArea)+len(root) && p[:len(RepArea)] == RepArea && p[len(RepArea):] == root
 }
 
 // PrimaryRoot strips the replica-area prefix, returning the primary-relative

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // MaxOpaque bounds a single opaque/string item to keep a corrupted length
@@ -749,6 +750,17 @@ func (d *Decoder) String() string {
 	d.take(pad4(int(n)))
 	return string(p)
 }
+
+// StringRef reads a length-prefixed string without copying it: a view of the
+// bytes OpaqueRef would return, valid only as long as they are. It is for a
+// name or path a handler lends to calls that borrow it, a store's included
+// (localfs.FileSystem); anything kept past the request needs String, or
+// strings.Clone of the view.
+func (d *Decoder) StringRef() string { return View(d.OpaqueRef()) }
+
+// View returns b's bytes as a string without copying them. The string is
+// valid only while b's bytes are alive and unchanged, so it is lent as b is.
+func View(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // ArrayLen reads a counted-array length prefix and validates it: against
 // MaxItems, and against the bytes that follow — every item encodes to at
