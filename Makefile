@@ -89,9 +89,10 @@ fuzz:
 
 # fuzz-smoke is the part of fuzz that ci runs: the four targets that decode
 # what a peer sends (the NFS server, the kosha service, the overlay and the
-# TCP frame reader) and the store's file representation (localfs extents,
-# against a flat model) for FUZZTIME = 5s each, a finding failing the target
-# as in fuzz.
+# TCP frame reader), the store's file representation (localfs extents,
+# against a flat model) and the requests a mount encodes from a path's parts
+# (against the joined path's) for FUZZTIME = 5s each, a finding failing the
+# target as in fuzz.
 fuzz-smoke: FUZZTIME = 5s
 fuzz-smoke:
 	@$(FUZZ_RUN); \
@@ -100,6 +101,7 @@ fuzz-smoke:
 	run FuzzPastryHandleNoPanic ./internal/pastry; \
 	run FuzzFrameNoPanic ./internal/tcpnet; \
 	run FuzzExtents ./internal/localfs; \
+	run FuzzPartsEncodeTheJoinedPath ./internal/core; \
 	$(FUZZ_DONE)
 
 # scale-smoke is the quick (<=100-node) scale-sweep variant wired into ci:

@@ -190,3 +190,90 @@ func TestNothingKeepsAServedReply(t *testing.T) {
 		}
 	}
 }
+
+// TestNothingKeepsAListedName lists a directory through Mount.Readdir and
+// through nfs.Client.ReaddirPlusAll, in pages, whose names and link targets
+// are views of their reply frames, then makes enough further calls, with
+// wire.PoisonFreed on, that every pooled Codec on both sides is reused: a
+// name or a target decoded into anything recycled would read wire.Poison, or
+// another call's bytes. The frames are the caller's, so every one stays as
+// listed.
+func TestNothingKeepsAListedName(t *testing.T) {
+	defer wire.PoisonFreed(wire.PoisonFreed(true))
+	_, nodes := testCluster(t, 5, 86, Config{Replicas: 2, DistributionLevel: 1})
+	m := nodes[1].NewMount()
+	dir, _, err := m.MkdirAll("/listed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{} // name → link target, "" for a file
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("entry%02d%s", i, strings.Repeat("n", i%24))
+		if i%3 == 0 {
+			want[name] = "../" + name + "/target"
+			if _, _, err := m.Symlink(dir, name, want[name]); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want[name] = ""
+		vh, _, _, err := m.Create(dir, name, 0o644, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Forget(vh)
+	}
+	ents, _, err := m.Readdir(dir)
+	if err != nil || len(ents) != len(want) {
+		t.Fatalf("Readdir: %d entries err=%v, want %d", len(ents), err, len(want))
+	}
+	de, err := m.entry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plus, _, err := nodes[2].nfsc.ReaddirPlusAll(de.node, de.fh, 7)
+	if err != nil || len(plus) != len(want) {
+		t.Fatalf("ReaddirPlusAll: %d entries err=%v, want %d", len(plus), err, len(want))
+	}
+
+	other := nodes[3].NewMount()
+	odir, _, err := other.MkdirAll("/other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		name := fmt.Sprintf("x%02d", i)
+		vh, _, _, err := other.Create(odir, name, 0o644, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := other.Write(vh, 0, []byte(name)); err != nil {
+			t.Fatal(err)
+		}
+		other.Forget(vh)
+		if _, _, err := other.Readdir(odir); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := nodes[2].nfsc.ReaddirPlusAll(de.node, de.fh, 7); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := nodes[4].nfsc.Getattr(de.node, de.fh); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	seen := map[string]bool{}
+	for _, e := range ents {
+		if _, ok := want[e.Name]; !ok || seen[e.Name] {
+			t.Errorf("Readdir's name %q reads as no entry listed once after the Codecs were reused", e.Name)
+		}
+		seen[e.Name] = true
+	}
+	clear(seen)
+	for _, e := range plus {
+		if target, ok := want[e.Name]; !ok || seen[e.Name] || e.SymTarget != target {
+			t.Errorf("ReaddirPlusAll's entry %q (target %q) reads as no entry listed once after the Codecs were reused", e.Name, e.SymTarget)
+		}
+		seen[e.Name] = true
+	}
+}

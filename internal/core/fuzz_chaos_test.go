@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 )
 
 const fuzzNodes = 6
@@ -96,4 +97,25 @@ func FuzzChaosSchedule(f *testing.F) {
 			t.Fatalf("negative availability: %+v", rep)
 		}
 	})
+}
+
+// TestRowPathsAcrossChaosSeeds runs the 6-node random schedules of seeds
+// 1-40, the chaos fuzz target's settings, and holds every handle row their
+// mounts publish — through crashes, partitions, failovers and renames — to
+// the physical path rows used to store (core.WatchRowPaths).
+func TestRowPathsAcrossChaosSeeds(t *testing.T) {
+	stop := core.WatchRowPaths()
+	for seed := int64(1); seed <= 40; seed++ {
+		if _, err := chaos.Run(chaos.Options{Nodes: fuzzNodes, Seed: seed, OpsPerStep: 2, Steps: chaos.Random(40)}); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+	rows, bad := stop()
+	for _, b := range bad {
+		t.Errorf("row %s", b)
+	}
+	if rows == 0 {
+		t.Fatal("the schedules published no row")
+	}
+	t.Logf("%d rows checked", rows)
 }

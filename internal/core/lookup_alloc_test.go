@@ -17,11 +17,14 @@ import (
 
 // TestLookupPathAllocs pins the allocation count of the uncached metadata
 // path: a 4-component Mount.LookupPath over simnet with the client caches
-// off is one resolver-cache hit and one LOOKUPPATH round trip: 3
+// off is one resolver-cache hit and one LOOKUPPATH round trip: 2
 // allocations. One is the message, the reply frame: the nfs client's codec
 // (its encoder and decoder in one object, with the array the request frame
-// is encoded into) is a pooled one. One is the physical directory, the
-// storage root joined to the levels below it, and one the handle-table row.
+// is encoded into) is a pooled one. The other is the handle-table row, which
+// keeps no physical path: the walk encodes the storage root and the levels
+// below it as components where they lie (nfs.Client.WalkParts), and the row
+// derives the path from them (ventry.at). It was 3 while the physical
+// directory was joined for the walk and kept in the row.
 // The server looks every component up where it lies in the request frame
 // (FileSystem.LookupName) and the resolver's levels are prefixes of the
 // path, so neither costs anything. It was 4 while every call allocated its
@@ -32,7 +35,7 @@ import (
 // codec was two objects, and the row's path was joined from the components
 // again; the per-component walk before LOOKUPPATH (a GETATTR and four
 // LOOKUPs) spent 36. A ReadFile of the same file is that walk asking for the
-// data too, which the reply frame carries: 3 as well (4, 5, 7, and 15
+// data too, which the reply frame carries: 2 as well (3, 4, 5, 7, and 15
 // before that).
 // The cached counterpart is pinned beside it: a Mount.Lookup answered by a
 // warm name-cache row publishes one handle-table row and nothing else, no
@@ -56,11 +59,11 @@ func TestLookupPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n > 3 {
-		t.Errorf("uncached 4-component LookupPath allocates %.1f times, want <= 3", n)
+	if n > 2 {
+		t.Errorf("uncached 4-component LookupPath allocates %.1f times, want <= 2: the row and the reply", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { _, _, err = m.ReadFile(file) }); err != nil || n > 3 {
-		t.Errorf("uncached ReadFile of a 1-byte file allocates %.1f times (err=%v), want <= 3", n, err)
+	if n := testing.AllocsPerRun(200, func() { _, _, err = m.ReadFile(file) }); err != nil || n > 2 {
+		t.Errorf("uncached ReadFile of a 1-byte file allocates %.1f times (err=%v), want <= 2", n, err)
 	}
 
 	_, nodes = testCluster(t, 8, 5, Config{DistributionLevel: 2, AttrCacheTTL: time.Hour, NameCacheTTL: time.Hour, TraceBufSize: -1})
@@ -84,6 +87,128 @@ func TestLookupPathAllocs(t *testing.T) {
 	}
 	if rpcs := nodes[0].NFSStats().RPCs; n > 1 || rpcs > 1 {
 		t.Errorf("warm name-hit Lookup allocates %.1f times over %d RPCs, want <= 1 and the one warming LOOKUP", n, rpcs)
+	}
+}
+
+// servingNet is simnet counting the objects allocated inside its outermost
+// calls: by the transport, the handlers serving them and every call those
+// make, so what a caller allocates itself is the rest.
+type servingNet struct {
+	*simnet.Network
+	depth  int
+	inside uint64
+}
+
+func (s *servingNet) CallCtx(ctx obs.TraceContext, from, to simnet.Addr, service string, req []byte) ([]byte, simnet.Cost, error) {
+	var ms runtime.MemStats
+	if s.depth++; s.depth == 1 {
+		runtime.ReadMemStats(&ms)
+		s.inside -= ms.Mallocs
+	}
+	resp, cost, err := s.Network.CallCtx(ctx, from, to, service, req)
+	if s.depth--; s.depth == 0 {
+		runtime.ReadMemStats(&ms)
+		s.inside += ms.Mallocs
+	}
+	return resp, cost, err
+}
+
+// callerAllocs returns the fewest objects op allocated outside s's calls over
+// runs runs of it, which it is handed the index of.
+func (s *servingNet) callerAllocs(t *testing.T, runs int, op func(i int) error) uint64 {
+	t.Helper()
+	least := ^uint64(0)
+	var ms runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&ms)
+		total, inside := ms.Mallocs, s.inside
+		err := op(i)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, ms.Mallocs-total-(s.inside-inside))
+	}
+	return least
+}
+
+// TestHeldHandleMutationsAllocateOnlyTheirReply pins what Remove, Rmdir and
+// Rename cost a client that holds the directory's handle below level L:
+// nothing beyond the kApply reply, which the serving side allocates. The
+// request encodes each physical path from the row's parts (ventry.at) and
+// the caches drop the names in place (dropChildUnder); a Remove or an Rmdir
+// allocated 2 objects before, joining the path, and a Rename 8.
+func TestHeldHandleMutationsAllocateOnlyTheirReply(t *testing.T) {
+	sn := &servingNet{Network: simnet.New(simnet.LAN100)}
+	nodes := testClusterOn(t, sn, 8, 5, Config{DistributionLevel: 2, Replicas: 2, TraceBufSize: -1})
+	m := nodes[0].NewMount()
+	dir, _, err := m.MkdirAll("/a/b/c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 16
+	names := func(prefix string) []string {
+		out := make([]string, runs)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+		return out
+	}
+	files, dirs, from, to := names("f"), names("d"), names("r"), names("s")
+	for i := 0; i < runs; i++ {
+		for _, name := range []string{files[i], from[i]} {
+			vh, _, _, err := m.Create(dir, name, 0o644, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Forget(vh)
+		}
+		vh, _, _, err := m.Mkdir(dir, dirs[i], 0o755)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Forget(vh)
+	}
+	racetest.SkipAllocs(t)
+	ops := []struct {
+		name string
+		op   func(i int) error
+	}{
+		{"Remove", func(i int) error { _, err := m.Remove(dir, files[i]); return err }},
+		{"Rmdir", func(i int) error { _, err := m.Rmdir(dir, dirs[i]); return err }},
+		{"Rename", func(i int) error { _, err := m.Rename(dir, from[i], dir, to[i]); return err }},
+	}
+	for _, o := range ops {
+		if n := sn.callerAllocs(t, runs, o.op); n != 0 {
+			t.Errorf("%s on a held handle allocates %d objects on the client, want 0 beyond the kApply reply", o.name, n)
+		}
+	}
+}
+
+// TestRootListingAllocatesItsSlices: listing "/" asks the index's holder
+// whether it still owns the key beside the READDIRPLUS, and reads only the
+// verdict, so the client allocates the page's entry slice and the listing
+// alone; the names are views of the page. It was 8 objects with three names
+// at K = 2: a string per name, and the K holders' addresses decoded into a
+// fresh slice of fresh strings.
+func TestRootListingAllocatesItsSlices(t *testing.T) {
+	sn := &servingNet{Network: simnet.New(simnet.LAN100)}
+	nodes := testClusterOn(t, sn, 8, 5, Config{Replicas: 2, TraceBufSize: -1})
+	m := nodes[0].NewMount()
+	for _, name := range []string{"alice", "bob", "carol"} {
+		if _, _, _, err := m.Mkdir(m.Root(), name, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	racetest.SkipAllocs(t)
+	if n := sn.callerAllocs(t, 16, func(int) error {
+		ents, _, err := m.Readdir(m.Root())
+		if err == nil && len(ents) != 3 {
+			t.Fatalf("the root lists %v", ents)
+		}
+		return err
+	}); n != 2 {
+		t.Errorf("listing the root allocates %d objects on the client, want 2: the page's entries and the listing", n)
 	}
 }
 

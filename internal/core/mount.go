@@ -28,35 +28,48 @@ var rootAttr = localfs.Attr{Ino: 1, Type: localfs.TypeDir, Mode: 0o755, Nlink: 2
 // ventry is one row of the virtual-handle table: virtual handle → full
 // path, storage node, and real handle (Section 4.1.2 stores exactly this),
 // plus the replicated hierarchy the path sits in — its placement name and
-// storage root, which every apply is addressed by (site). Rows are immutable
-// once published in the table; rebinding installs a fresh row (see vtable).
+// storage root, which every apply is addressed by (site). The physical path
+// is not stored: it is root plus the tail of vpath below the controlling
+// directory, whose length the row keeps (below), and a request encodes it
+// from those parts (at). Rows are immutable once published in the table;
+// rebinding installs a fresh row (see vtable).
 type ventry struct {
-	vpath    string
-	kind     localfs.FileType
-	node     simnet.Addr
-	fh       nfs.Handle
-	physPath string
-	pn       string // controlling placement name
-	root     string // physical subtree root of the replicated hierarchy
-	cached   bool   // served from the name cache, not a fresh resolution
+	vpath  string
+	node   simnet.Addr
+	fh     nfs.Handle
+	pn     string // controlling placement name
+	root   string // physical subtree root of the replicated hierarchy
+	below  int    // bytes of vpath below the controlling directory: its tail
+	kind   localfs.FileType
+	cached bool // served from the name cache, not a fresh resolution
 }
 
 // isRoot reports whether the row is the mount root's: the one directory whose
 // children are placed by their own names, not stored beside its handle.
 func (de *ventry) isRoot() bool { return de.vpath == "/" }
 
+// tail is the row's virtual path below its controlling directory, "/"-led,
+// or "" at it: its physical path below root.
+func (de *ventry) tail() string { return de.vpath[len(de.vpath)-de.below:] }
+
+// at is the physical path of name in the directory de, or of de itself for
+// an empty name, in parts (physRef.child).
+func (de *ventry) at(name string) physRef { return physRef{root: de.root, tail: de.tail()}.child(name) }
+
 // child is the row for name in the directory de, as a reply from de's node
 // described it: same node, placement name and storage root. The name must be
-// valid: one the store accepted, or that ValidName passed.
+// valid: one the store accepted, or that ValidName passed. Its path is the
+// one string it allocates.
 func (de *ventry) child(name string, kind localfs.FileType, fh nfs.Handle) ventry {
+	vpath := childPath(de.vpath, name)
 	return ventry{
-		vpath:    childPath(de.vpath, name),
-		kind:     kind,
-		node:     de.node,
-		fh:       fh,
-		physPath: childPath(de.physPath, name),
-		pn:       de.pn,
-		root:     de.root,
+		vpath: vpath,
+		kind:  kind,
+		node:  de.node,
+		fh:    fh,
+		pn:    de.pn,
+		root:  de.root,
+		below: de.below + len(vpath) - len(de.vpath),
 	}
 }
 
@@ -146,9 +159,26 @@ var ErrBadHandle = errors.New("kosha: unknown virtual handle")
 
 func (m *Mount) entry(vh VH) (*ventry, error) { return m.vt.get(vh) }
 
-func (m *Mount) insert(de *ventry) VH { return m.vt.insert(de) }
+func (m *Mount) insert(de *ventry) VH {
+	m.published(de)
+	return m.vt.insert(de)
+}
 
-func (m *Mount) replace(vh VH, de *ventry) { m.vt.set(vh, de) }
+func (m *Mount) replace(vh VH, de *ventry) {
+	m.published(de)
+	m.vt.set(vh, de)
+}
+
+// rowHook, when set, sees every row a mount publishes in its handle table:
+// the tests hold each row's derived physical path to the construction the
+// row's stored one had (rowpath_test.go). It is nil outside them.
+var rowHook atomic.Pointer[func(m *Mount, de *ventry)]
+
+func (m *Mount) published(de *ventry) {
+	if h := rowHook.Load(); h != nil {
+		(*h)(m, de)
+	}
+}
 
 // forget drops a virtual handle (e.g. after unlink). The root handle is
 // permanent. Dirty write-back data is flushed best-effort first — internal
@@ -286,7 +316,7 @@ func (m *Mount) setattr(tr *obs.Trace, vh VH, sa localfs.SetAttr) (localfs.Attr,
 	var attr localfs.Attr
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
 		since := m.meta.sample()
-		a, _, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSSetattr, Path: de.physPath, SetAttr: sa})
+		a, _, c, err := m.n.applyAt(tr, de.site(), FSOp{Kind: FSSetattr, SetAttr: sa}, de.at(""), physRef{})
 		if err == nil {
 			attr = a
 			m.meta.put(de.vpath, a, nil, since)
@@ -405,8 +435,8 @@ func (m *Mount) write(tr *obs.Trace, vh VH, offset int64, data []byte) (int, sim
 	n := 0
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
 		since := m.meta.sample()
-		a, _, c, err := m.n.apply(tr, de.site(),
-			FSOp{Kind: FSWrite, Path: de.physPath, Offset: offset, Data: data})
+		a, _, c, err := m.n.applyAt(tr, de.site(),
+			FSOp{Kind: FSWrite, Offset: offset, Data: data}, de.at(""), physRef{})
 		if err == nil {
 			n = len(data)
 			m.meta.put(de.vpath, a, nil, since)
@@ -441,14 +471,14 @@ func (m *Mount) create(tr *obs.Trace, dir VH, name string, mode uint32, exclusiv
 		if de.kind != localfs.TypeDir {
 			return 0, &nfs.Error{Proc: nfs.ProcCreate, Status: nfs.ErrNotDir}
 		}
-		file := de.child(name, localfs.TypeRegular, nfs.Handle{}) // the reply brings the handle
 		since := m.meta.sample()
-		a, fh, c, err := m.n.apply(tr, de.site(),
-			FSOp{Kind: FSCreate, Path: file.physPath, Mode: mode, Excl: exclusive})
+		a, fh, c, err := m.n.applyAt(tr, de.site(),
+			FSOp{Kind: FSCreate, Mode: mode, Excl: exclusive}, de.at(name), physRef{})
 		if err != nil {
 			return c, err
 		}
-		attr, file.fh = a, fh
+		file := de.child(name, localfs.TypeRegular, fh)
+		attr = a
 		m.childMade(de, &file, a, since)
 		out = m.insert(&file)
 		return c, nil
@@ -478,13 +508,12 @@ func (m *Mount) symlink(tr *obs.Trace, dir VH, name, target string) (VH, simnet.
 		if de.isRoot() {
 			return 0, ErrRootOnlyDirs
 		}
-		link := de.child(name, localfs.TypeSymlink, nfs.Handle{}) // the reply brings the handle
 		since := m.meta.sample()
-		a, fh, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSSymlink, Path: link.physPath, Target: target})
+		a, fh, c, err := m.n.applyAt(tr, de.site(), FSOp{Kind: FSSymlink, Target: target}, de.at(name), physRef{})
 		if err != nil {
 			return c, err
 		}
-		link.fh = fh
+		link := de.child(name, localfs.TypeSymlink, fh)
 		m.childMade(de, &link, a, since)
 		out = m.insert(&link)
 		return c, nil

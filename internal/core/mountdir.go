@@ -40,13 +40,13 @@ func (m *Mount) mkdir(tr *obs.Trace, dir VH, name string, mode uint32) (VH, loca
 			out, attr, c, err = m.mkdirDistributed(tr, de, name, mode)
 			return c, err
 		}
-		child := de.child(name, localfs.TypeDir, nfs.Handle{}) // the reply brings the handle
 		since := m.meta.sample()
-		a, fh, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSMkdir, Path: child.physPath, Mode: mode})
+		a, fh, c, err := m.n.applyAt(tr, de.site(), FSOp{Kind: FSMkdir, Mode: mode}, de.at(name), physRef{})
 		if err != nil {
 			return c, err
 		}
-		attr, child.fh = a, fh
+		child := de.child(name, localfs.TypeDir, fh)
+		attr = a
 		m.childMade(de, &child, a, since)
 		out = m.insert(&child)
 		return c, nil
@@ -62,7 +62,7 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	n := m.n
 	var total simnet.Cost
 
-	link, linkDir, c, err := m.linkSite(tr, parent, name)
+	link, linkPath, c, err := m.linkSite(tr, parent, name)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		return 0, localfs.Attr{}, total, err
@@ -70,7 +70,7 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 
 	// Existence check at the probe location. A level-1 name that exists is
 	// listed again: the only repair the index has against the homes.
-	if _, _, c, err := n.remoteLookupPath(tr.Ctx(), link.node, path.Join(linkDir, name)); err == nil {
+	if _, _, c, err := n.remoteLookupPath(tr.Ctx(), link.node, linkPath.root, linkPath.tail, linkPath.name); err == nil {
 		if parent.isRoot() {
 			total = simnet.Seq(total, c)
 			c, err = m.indexRoot(tr, name, true)
@@ -146,8 +146,8 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	}
 
 	if needLink {
-		_, _, c, err := n.apply(tr, link,
-			FSOp{Kind: FSSymlink, Path: path.Join(linkDir, name), Target: MakeLinkTarget(pn, subRoot)})
+		_, _, c, err := n.applyAt(tr, link,
+			FSOp{Kind: FSSymlink, Target: MakeLinkTarget(pn, subRoot)}, linkPath, physRef{})
 		total = simnet.Seq(total, c)
 		if err != nil {
 			return 0, localfs.Attr{}, total, err
@@ -157,7 +157,7 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	place := Place{Node: target, Name: pn, Store: subRoot}
 	vpath := path.Join(parent.vpath, name)
 	n.cachePut(vpath, place)
-	de := entryAt(vpath, place, subRoot, nfs.Walked{FH: fh, Attr: localfs.Attr{Type: localfs.TypeDir}})
+	de := entryAt(vpath, place, "", nfs.Walked{FH: fh, Attr: localfs.Attr{Type: localfs.TypeDir}})
 	m.childMade(parent, de, attr, since)
 	return m.insert(de), attr, total, nil
 }
@@ -172,11 +172,11 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 // over, rmdir and rename drop the name before reporting NOENT.
 func (m *Mount) indexRoot(tr *obs.Trace, name string, add bool) (simnet.Cost, error) {
 	return m.failover(tr, RootVH, func(root *ventry) (simnet.Cost, error) {
-		op := FSOp{Kind: FSRemoveAll, Path: path.Join(root.physPath, name)}
+		op := FSOp{Kind: FSRemoveAll}
 		if add {
 			op.Kind = FSMkdirAll
 		}
-		_, _, c, err := m.n.apply(tr, root.site(), op)
+		_, _, c, err := m.n.applyAt(tr, root.site(), op, root.at(name), physRef{})
 		return c, err
 	})
 }
@@ -184,13 +184,13 @@ func (m *Mount) indexRoot(tr *obs.Trace, name string, add bool) (simnet.Cost, er
 // linkSite says where resolution probes for a distributed child's name, and
 // so where its special link lives: the root of the name's own hash target
 // for a level-1 directory, the parent's directory otherwise. It returns what
-// an apply to the link is addressed by, and the directory it sits in there.
-func (m *Mount) linkSite(tr *obs.Trace, parent *ventry, name string) (site, string, simnet.Cost, error) {
+// an apply to the link is addressed by, and the link's path there.
+func (m *Mount) linkSite(tr *obs.Trace, parent *ventry, name string) (site, physRef, simnet.Cost, error) {
 	if !parent.isRoot() {
-		return parent.site(), parent.physPath, 0, nil
+		return parent.site(), parent.at(name), 0, nil
 	}
 	res, c, err := m.n.route(tr, Key(name))
-	return site{res.Node.Addr, Key(name), Track{PN: name, Root: path.Join("/", name)}}, "/", c, err
+	return site{res.Node.Addr, Key(name), Track{PN: name, Root: path.Join("/", name)}}, physOf("/").child(name), c, err
 }
 
 // Readdir lists a virtual directory: physical entries minus Kosha-internal
@@ -222,7 +222,7 @@ func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) 
 			// The root row is permanent, and a holder that lost the index's
 			// key keeps its copy's inode but soon gets no mirrors: it is asked
 			// beside the listing whether it still owns the key, or we rebind.
-			_, c2, err := m.n.askReplicas(tr.Ctx(), de.node, Key(de.pn))
+			_, c2, err := m.n.replicasCall(tr.Ctx(), de.node, Key(de.pn))
 			if c = simnet.Par(c, c2); err != nil {
 				return c, err
 			}
@@ -274,7 +274,7 @@ func (m *Mount) remove(tr *obs.Trace, dir VH, name string) (simnet.Cost, error) 
 		}
 		// The primary types the victim itself: a directory or a special link
 		// answers ISDIR (FSUnlink in applyFSOp).
-		_, _, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSUnlink, Path: path.Join(de.physPath, name)})
+		_, _, c, err := m.n.applyAt(tr, de.site(), FSOp{Kind: FSUnlink}, de.at(name), physRef{})
 		if err == nil {
 			m.childChanged(de, name)
 		}
@@ -296,7 +296,7 @@ func (m *Mount) rmdir(tr *obs.Trace, dir VH, name string) (simnet.Cost, error) {
 		if m.distributedAt(de) {
 			return m.rmdirDistributed(tr, de, name)
 		}
-		_, _, c, err := m.n.apply(tr, de.site(), FSOp{Kind: FSRmdir, Path: path.Join(de.physPath, name)})
+		_, _, c, err := m.n.applyAt(tr, de.site(), FSOp{Kind: FSRmdir}, de.at(name), physRef{})
 		if err == nil {
 			m.childChanged(de, name)
 		}
@@ -339,7 +339,7 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 	}
 
 	// Remove the special link from the parent, if one exists.
-	link, linkDir, c, err := m.linkSite(tr, parent, name)
+	link, linkPath, c, err := m.linkSite(tr, parent, name)
 	total = simnet.Seq(total, c)
 	if err != nil {
 		return total, err
@@ -347,17 +347,16 @@ func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (si
 	if !(parent.isRoot() && child.root == "/"+name) {
 		// A level-1 link sits in its hash target's export root; any other is
 		// one name below the parent handle already held.
-		linkPath := path.Join(linkDir, name)
 		var w nfs.Walked
 		var lerr error
 		if parent.isRoot() {
-			w, c, lerr = n.remoteWalk(tr.Ctx(), link.node, linkPath, 0)
+			w, c, lerr = n.remoteWalk(tr.Ctx(), link.node, 0, linkPath.root, linkPath.tail, linkPath.name)
 		} else {
 			w, c, lerr = n.nfsT(tr).Walk(link.node, parent.fh, name, 0)
 		}
 		total = simnet.Seq(total, c)
 		if lerr == nil && w.Attr.Type == localfs.TypeSymlink {
-			_, _, c, derr := n.apply(tr, link, FSOp{Kind: FSRemove, Path: linkPath})
+			_, _, c, derr := n.applyAt(tr, link, FSOp{Kind: FSRemove}, linkPath, physRef{})
 			total = simnet.Seq(total, c)
 			if derr != nil {
 				return total, derr
@@ -418,25 +417,21 @@ func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstN
 		return total, err
 	}
 	srcDepth := pathComponents(sde.vpath) + 1
+	if srcDepth > m.n.cfg.DistributionLevel && sde.node == dde.node && sde.root == dde.root {
+		c, err := m.withFailover(tr, srcDir, func(de *ventry) (simnet.Cost, error) {
+			_, _, c, err := m.n.applyAt(tr, de.site(), FSOp{Kind: FSRename}, sde.at(srcName), dde.at(dstName))
+			return c, err
+		})
+		m.dropChildUnder(sde, srcName)
+		m.dropChildUnder(dde, dstName)
+		m.meta.drop(sde.vpath)
+		m.meta.drop(dde.vpath)
+		return simnet.Seq(total, c), err
+	}
 	src, dst := path.Join(sde.vpath, srcName), path.Join(dde.vpath, dstName)
 	moved := func() { // whatever either name reached is cached no longer
 		m.dropCachesUnder(src)
 		m.dropCachesUnder(dst)
-	}
-
-	if srcDepth > m.n.cfg.DistributionLevel && sde.node == dde.node && sde.root == dde.root {
-		c, err := m.withFailover(tr, srcDir, func(de *ventry) (simnet.Cost, error) {
-			_, _, c, err := m.n.apply(tr, de.site(), FSOp{
-				Kind:  FSRename,
-				Path:  path.Join(sde.physPath, srcName),
-				Path2: path.Join(dde.physPath, dstName),
-			})
-			return c, err
-		})
-		moved()
-		m.meta.drop(sde.vpath)
-		m.meta.drop(dde.vpath)
-		return simnet.Seq(total, c), err
 	}
 
 	// Cheap rename of a distributed directory within the same parent
@@ -469,6 +464,19 @@ func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstN
 	}
 	c, err = m.RemoveAllPath(src)
 	return simnet.Seq(total, c), err
+}
+
+// dropChildUnder is dropCachesUnder of name in the directory de, without
+// building the path for a name below the distribution level: no resolver
+// entry holds such a name, so the levels above it are what the resolver
+// drops, and the metadata cache drops the name and what lies below it.
+func (m *Mount) dropChildUnder(de *ventry, name string) {
+	if m.distributedAt(de) || !oneComponent(name) {
+		m.dropCachesUnder(path.Join(de.vpath, name))
+		return
+	}
+	m.n.cacheDropChain(de.vpath)
+	m.meta.dropUnder(de.vpath, name)
 }
 
 // renameDistributedLink renames a distributed directory cheaply (Section
@@ -531,13 +539,12 @@ func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, ds
 	// directory and the old one goes first; at level 1 the link moves between
 	// the two names' hash targets, new name first.
 	relink := func(name string, op FSOp) error {
-		link, dir, c, err := m.linkSite(tr, parent, name)
+		link, at, c, err := m.linkSite(tr, parent, name)
 		total = simnet.Seq(total, c)
 		if err != nil {
 			return err
 		}
-		op.Path = path.Join(dir, name)
-		_, _, c, err = n.apply(tr, link, op)
+		_, _, c, err = n.applyAt(tr, link, op, at, physRef{})
 		total = simnet.Seq(total, c)
 		return err
 	}

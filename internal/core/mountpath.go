@@ -115,7 +115,7 @@ func (m *Mount) writeFile(tr *obs.Trace, vpath string, data []byte) (simnet.Cost
 	}
 	total := InterposeCost
 	if place, ok := m.n.cachedDir(dir); ok {
-		de := entryAt(dir, place, place.PhysDir(), nfs.Walked{Attr: localfs.Attr{Type: localfs.TypeDir}})
+		de := entryAt(dir, place, place.Rest, nfs.Walked{Attr: localfs.Attr{Type: localfs.TypeDir}})
 		c, err := m.writeFileIn(tr, de, name, data)
 		total = simnet.Seq(total, c)
 		if err == nil || !(retryable(err) || cacheSuspect(err)) {
@@ -147,8 +147,8 @@ func (m *Mount) writeFileIn(tr *obs.Trace, de *ventry, name string, data []byte)
 	if wb := m.n.cfg.WriteBackBytes; wb > 0 && len(data) > wb {
 		first = data[:wb]
 	}
-	_, fh, cost, err := m.n.apply(tr, de.site(),
-		FSOp{Kind: FSWriteFile, Path: childPath(de.physPath, name), Data: first})
+	_, fh, cost, err := m.n.applyAt(tr, de.site(),
+		FSOp{Kind: FSWriteFile, Data: first}, de.at(name), physRef{})
 	if err != nil {
 		return cost, err
 	}

@@ -164,7 +164,14 @@ func (n *Node) koshaPathCall(tc obs.TraceContext, to simnet.Addr, proc uint32, p
 // apply sends a mutation to the primary that at addresses. A non-nil trace
 // records the serving node, the replica fan-out width, and an apply span.
 func (n *Node) apply(tr *obs.Trace, at site, op FSOp) (localfs.Attr, nfs.Handle, simnet.Cost, error) {
-	r := applyReq{Key: at.key, Track: at.track, Op: op}
+	return n.applyAt(tr, at, op, physRef{}, physRef{})
+}
+
+// applyAt is apply for an op whose paths are path and path2, in parts: the
+// request encodes them where the op's Path and Path2 go (applyReq). A zero
+// one stands for the op's own string.
+func (n *Node) applyAt(tr *obs.Trace, at site, op FSOp, path, path2 physRef) (localfs.Attr, nfs.Handle, simnet.Cost, error) {
+	r := applyReq{Key: at.key, Track: at.track, Op: op, at: path, at2: path2}
 	d, cost, err := n.koshaCall(tr.Ctx(), at.node, r.request(kApply))
 	if err != nil {
 		return localfs.Attr{}, nfs.Handle{}, cost, err
@@ -220,14 +227,10 @@ func (n *Node) replicaSet(tc obs.TraceContext, primary simnet.Addr, key id.ID, r
 	return reps, cost, err
 }
 
-// askReplicas is the exchange under replicaSet. Only key's current owner
-// answers, the rest say ErrNotPrimary: readdir's check of a long-held handle.
+// askReplicas is the exchange under replicaSet, replicasCall with the holder
+// list decoded.
 func (n *Node) askReplicas(tc obs.TraceContext, primary simnet.Addr, key id.ID) ([]simnet.Addr, simnet.Cost, error) {
-	x := wire.GetCodec()
-	e := &x.E
-	e.PutUint32(kReplicas)
-	e.PutFixedOpaque(key[:])
-	d, cost, err := n.koshaCall(tc, primary, x)
+	d, cost, err := n.replicasCall(tc, primary, key)
 	if err != nil {
 		return nil, cost, err
 	}
@@ -237,6 +240,18 @@ func (n *Node) askReplicas(tc obs.TraceContext, primary simnet.Addr, key id.ID) 
 		reps = append(reps, simnet.Addr(d.String()))
 	}
 	return reps, cost, d.Err()
+}
+
+// replicasCall sends kReplicas for key to primary and returns the reply
+// after its code. Only key's current owner answers, the rest say
+// ErrNotPrimary: readdir's check of a long-held handle reads that verdict
+// alone and leaves the holder list undecoded.
+func (n *Node) replicasCall(tc obs.TraceContext, primary simnet.Addr, key id.ID) (wire.Decoder, simnet.Cost, error) {
+	x := wire.GetCodec()
+	e := &x.E
+	e.PutUint32(kReplicas)
+	e.PutFixedOpaque(key[:])
+	return n.koshaCall(tc, primary, x)
 }
 
 // withRootHandle runs fn with the root handle of a node's export, fetched

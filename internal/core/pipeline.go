@@ -146,35 +146,38 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventr
 	}
 	since := m.meta.sample()
 	place, w, cached, total, err := m.n.resolveDir(tr, vpath, readMax)
-	phys := place.PhysDir()
+	// place.Rest, vpath's tail below the controlling directory, is the row's
+	// tail and what the walk goes down below the storage root.
+	tail := place.Rest
 	switch {
 	case nfs.IsStatus(err, nfs.ErrNotDir) && w.FH != (nfs.Handle{}):
 		// The final component is a file or plain symlink at a depth the
 		// resolver treated as a directory level: place is its parent's, and
 		// the probe that typed it has already walked to it.
 		_, name := parentOf(vpath)
-		phys, err = childPath(phys, name), nil
+		tail, err = vpath[len(vpath)-len(tail)-1-len(name):], nil
 	case err != nil:
 		return nil, nfs.Walked{}, total, err
 	default:
 		var c simnet.Cost
-		w, c, err = m.n.walkUnder(tr, place.Node, Track{PN: place.Name, Root: place.SubtreeRoot()}, phys, readMax, !cached)
+		phys := physRef{root: place.SubtreeRoot(), tail: tail}
+		w, c, err = m.n.walkUnder(tr, place.Node, Track{PN: place.Name, Root: phys.root}, phys, readMax, !cached)
 		total = simnet.Seq(total, c)
-	}
-	if err != nil {
-		missing := pathComponents(phys) - w.Resolved
-		if !nfs.IsStatus(err, nfs.ErrNoEnt) || missing > pathComponents(place.Rest) {
-			return nil, nfs.Walked{}, total, err
+		if err != nil {
+			missing := phys.components() - w.Resolved
+			if !nfs.IsStatus(err, nfs.ErrNoEnt) || missing > pathComponents(tail) {
+				return nil, nfs.Walked{}, total, err
+			}
+			// The walk got below the storage root: describe the directory it
+			// reached last, whose handle the failed reply carries. The tail
+			// is a suffix of vpath, so both lose the same bytes.
+			reached := level(vpath, pathComponents(vpath)-missing)
+			tail = tail[:len(tail)-(len(vpath)-len(reached))]
+			vpath = reached
+			w.Attr = localfs.Attr{Type: localfs.TypeDir}
 		}
-		// The walk got below the storage root: describe the directory it
-		// reached last, whose handle the failed reply carries. Rest is the
-		// tail of vpath, so both lose the same bytes.
-		reached := level(vpath, pathComponents(vpath)-missing)
-		place.Rest = place.Rest[:len(place.Rest)-(len(vpath)-len(reached))]
-		vpath, phys = reached, place.PhysDir()
-		w.Attr = localfs.Attr{Type: localfs.TypeDir}
 	}
-	ve := entryAt(vpath, place, phys, w)
+	ve := entryAt(vpath, place, tail, w)
 	if err == nil {
 		tr.SetServedBy(string(place.Node))
 		m.meta.put(ve.vpath, w.Attr, nil, since)
@@ -182,17 +185,18 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventr
 	return ve, w, total, err
 }
 
-// entryAt is the handle-table row for phys in place's hierarchy, as a walk
-// found it.
-func entryAt(vpath string, place Place, phys string, w nfs.Walked) *ventry {
+// entryAt is the handle-table row for vpath in place's hierarchy, as a walk
+// found it, whose tail below the controlling directory — a suffix of vpath
+// — is tail.
+func entryAt(vpath string, place Place, tail string, w nfs.Walked) *ventry {
 	return &ventry{
-		vpath:    vpath,
-		kind:     w.Attr.Type,
-		node:     place.Node,
-		fh:       w.FH,
-		physPath: phys,
-		pn:       place.PN(),
-		root:     place.SubtreeRoot(),
+		vpath: vpath,
+		kind:  w.Attr.Type,
+		node:  place.Node,
+		fh:    w.FH,
+		pn:    place.PN(),
+		root:  place.SubtreeRoot(),
+		below: len(tail),
 	}
 }
 
@@ -253,7 +257,7 @@ func (m *Mount) bindRoot(tr *obs.Trace) (*ventry, simnet.Cost, error) {
 	}
 	root := &ventry{
 		vpath: "/", kind: localfs.TypeDir,
-		node: res.Node.Addr, physPath: RootStore, pn: RootPN, root: RootStore,
+		node: res.Node.Addr, pn: RootPN, root: RootStore,
 	}
 	var c simnet.Cost
 	root.fh, _, c, err = m.n.remoteLookupPath(tr.Ctx(), root.node, RootStore)

@@ -138,6 +138,84 @@ func childPath(dir, name string) string {
 	return dir + "/" + name
 }
 
+// physRef is a physical store path held in the parts a handle row keeps: the
+// storage root of its hierarchy, the "/"-led tail of its virtual path below
+// the controlling directory ("" at it), and an optional last name. Its bytes
+// are those Place.PhysDir builds for root and tail, with name joined on as
+// childPath joins it, so a request encodes the path from the parts
+// (appendTo, putPhys) and no string of it is built. A path that is already a
+// string is its root alone (physOf).
+type physRef struct{ root, tail, name string }
+
+// physOf is the physRef of a whole physical path.
+func physOf(p string) physRef { return physRef{root: p} }
+
+// child is the path of name in the directory p names (p has no name of its
+// own), as path.Join(p, name) would build it. A name that is not one
+// component — "." or "..", or one holding a slash, which Remove, Rmdir and
+// Rename take unchecked — is joined and cleaned that way; any other is kept
+// as the last part.
+func (p physRef) child(name string) physRef {
+	if name != "" && !oneComponent(name) {
+		return physOf(path.Join(p.String(), name))
+	}
+	p.name = name
+	return p
+}
+
+// oneComponent reports whether name is one path component as it stands: not
+// empty, "." or "..", and holding no slash.
+func oneComponent(name string) bool {
+	return name != "" && name != "." && name != ".." && strings.IndexByte(name, '/') < 0
+}
+
+// dir returns the path's directory part in up to two pieces: the tail alone
+// below the "/" store, whose root adds nothing; otherwise root then tail.
+func (p physRef) dir() (string, string) {
+	if p.root == "/" && p.tail != "" {
+		return "", p.tail
+	}
+	return p.root, p.tail
+}
+
+// joinsName reports whether the name is joined on with a slash: it is, but
+// to the "/" store itself.
+func (p physRef) joinsName() bool {
+	a, b := p.dir()
+	return p.name != "" && !(a == "/" && b == "")
+}
+
+// appendTo appends the joined path to dst.
+func (p physRef) appendTo(dst []byte) []byte {
+	a, b := p.dir()
+	dst = append(append(dst, a...), b...)
+	if p.joinsName() {
+		dst = append(dst, '/')
+	}
+	return append(dst, p.name...)
+}
+
+// String returns the joined path; it allocates unless the path is one part.
+func (p physRef) String() string {
+	a, b := p.dir()
+	switch {
+	case p.name == "" && b == "":
+		return a
+	case p.name == "" && a == "":
+		return b
+	}
+	return string(p.appendTo(nil))
+}
+
+// components counts the components of the joined path.
+func (p physRef) components() int {
+	n := pathComponents(p.root) + pathComponents(p.tail)
+	if p.name != "" {
+		n++
+	}
+	return n
+}
+
 // ControllingDepth returns the depth (1-based component index) of the
 // directory that controls placement of a path whose directory chain has
 // dirDepth components, under distribution level L: subdirectories deeper

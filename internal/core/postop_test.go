@@ -405,7 +405,7 @@ func TestNewRowAllocatesNothing(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("f%d", i)
 	}
-	de := &ventry{vpath: "/home/d", node: "k1", physPath: "/home/d", pn: "home", root: "/home"}
+	de := &ventry{vpath: "/home/d", node: "k1", pn: "home", root: "/home", below: len("/d")}
 	rows := make([]ventry, len(names))
 	for i, name := range names {
 		rows[i] = de.child(name, localfs.TypeRegular, nfs.Handle{Gen: 1, Ino: uint64(i)})

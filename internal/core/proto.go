@@ -84,10 +84,11 @@ const (
 	FSUnlink    = repl.FSUnlink
 )
 
-func putFSOp(e *wire.Encoder, op FSOp) {
+// putFSOp encodes op with path and path2 in the place of its own two paths.
+func putFSOp(e *wire.Encoder, op FSOp, path, path2 physRef) {
 	e.PutUint32(uint32(op.Kind))
-	e.PutString(op.Path)
-	e.PutString(op.Path2)
+	putPhys(e, path)
+	putPhys(e, path2)
 	e.PutOpaqueRef(op.Data)
 	e.PutInt64(op.Offset)
 	e.PutUint32(op.Mode)
@@ -123,6 +124,10 @@ func getFSOp(d *wire.Decoder, room *applyRoom) (op FSOp, path, path2 []byte) {
 	return op, path, path2
 }
 
+// putPhys encodes a physical path from its parts: byte for byte what
+// PutString encodes for the joined path, which is never built.
+func putPhys(e *wire.Encoder, p physRef) { e.PutOpaqueFunc(p.appendTo) }
+
 func putTrack(e *wire.Encoder, t Track) {
 	e.PutString(t.PN)
 	e.PutString(t.Root)
@@ -146,11 +151,17 @@ func getTrack(d *wire.Decoder, rep *repl.Engine) Track {
 // must land in the receiver's primary namespace rather than the replica
 // area: a deletion or a level-1 link told to a key's new owner, whose copy
 // must be directly servable (Section 4.3.1).
+//
+// at and at2 are what a request encodes for the op's Path and Path2: the
+// parts of a handle row's path (physRef), so an apply builds no path string.
+// A zero one encodes the op's own string, as the mirror fan-out re-sends a
+// decoded op's views; a decoded request leaves both zero.
 type applyReq struct {
 	Key     id.ID // DHT key the primary must own (kApply only)
 	Track   Track
 	Op      FSOp
 	Primary bool
+	at, at2 physRef
 }
 
 // request encodes a kApply/kMirror request that lends its data: the op's
@@ -169,8 +180,16 @@ func (r *applyReq) request(proc uint32) *wire.Codec {
 func (r *applyReq) encode(e *wire.Encoder) {
 	e.PutFixedOpaque(r.Key[:])
 	putTrack(e, r.Track)
-	putFSOp(e, r.Op)
+	putFSOp(e, r.Op, orPath(r.at, r.Op.Path), orPath(r.at2, r.Op.Path2))
 	e.PutBool(r.Primary)
+}
+
+// orPath is p, or the whole path s when p is zero.
+func orPath(p physRef, s string) physRef {
+	if p == (physRef{}) {
+		return physOf(s)
+	}
+	return p
 }
 
 // decodeApplyReq decodes a kApply (mirror false) or kMirror body into the

@@ -27,11 +27,13 @@ func (n *Node) noteErr(addr simnet.Addr, err error) error {
 }
 
 // remoteWalk resolves a physical path on a remote store in one LOOKUPPATH
-// from the export's root (see withRootHandle). A readMax above zero asks for
-// up to that many bytes of a regular leaf in the same reply (nfs.Walked.Data).
-func (n *Node) remoteWalk(tc obs.TraceContext, to simnet.Addr, phys string, readMax uint32) (w nfs.Walked, cost simnet.Cost, err error) {
+// from the export's root (see withRootHandle). The path is given in parts,
+// whose components are walked in turn (nfs.Client.WalkParts), so a path held
+// as a root and a tail is never joined. A readMax above zero asks for up to
+// that many bytes of a regular leaf in the same reply (nfs.Walked.Data).
+func (n *Node) remoteWalk(tc obs.TraceContext, to simnet.Addr, readMax uint32, phys ...string) (w nfs.Walked, cost simnet.Cost, err error) {
 	cost, err = n.withRootHandle(tc, to, func(root nfs.Handle) (c simnet.Cost, err error) {
-		w, c, err = n.nfsCtx(tc).Walk(to, root, phys, readMax)
+		w, c, err = n.nfsCtx(tc).WalkParts(to, root, readMax, phys...)
 		return c, err
 	})
 	if !nfs.IsStatus(err, nfs.ErrStale) {
@@ -41,8 +43,8 @@ func (n *Node) remoteWalk(tc obs.TraceContext, to simnet.Addr, phys string, read
 }
 
 // remoteLookupPath is remoteWalk for callers that want only the leaf.
-func (n *Node) remoteLookupPath(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Handle, localfs.Attr, simnet.Cost, error) {
-	w, cost, err := n.remoteWalk(tc, to, phys, 0)
+func (n *Node) remoteLookupPath(tc obs.TraceContext, to simnet.Addr, phys ...string) (nfs.Handle, localfs.Attr, simnet.Cost, error) {
+	w, cost, err := n.remoteWalk(tc, to, 0, phys...)
 	return w.FH, w.Attr, cost, err
 }
 
@@ -60,7 +62,7 @@ func pathComponents(p string) int {
 // readLink reads a symlink target on a remote store by physical path; the
 // walk's reply carries it.
 func (n *Node) readLink(tc obs.TraceContext, to simnet.Addr, phys string) (string, simnet.Cost, error) {
-	w, cost, err := n.remoteWalk(tc, to, phys, 0)
+	w, cost, err := n.remoteWalk(tc, to, 0, phys)
 	if err == nil && w.Attr.Type != localfs.TypeSymlink {
 		err = &nfs.Error{Proc: nfs.ProcReadlink, Status: nfs.ErrInval}
 	}
@@ -74,8 +76,8 @@ func (n *Node) readLink(tc obs.TraceContext, to simnet.Addr, phys string) (strin
 // is asked once to promote t (Section 4.3) and phys is walked again. A place
 // read from the resolver cache may have outlived a rename or removal done
 // elsewhere, which takes its root away: its miss is staleStore.
-func (n *Node) walkUnder(tr *obs.Trace, at simnet.Addr, t Track, phys string, readMax uint32, fresh bool) (nfs.Walked, simnet.Cost, error) {
-	w, cost, err := n.remoteWalk(tr.Ctx(), at, phys, readMax)
+func (n *Node) walkUnder(tr *obs.Trace, at simnet.Addr, t Track, phys physRef, readMax uint32, fresh bool) (nfs.Walked, simnet.Cost, error) {
+	w, cost, err := n.remoteWalk(tr.Ctx(), at, readMax, phys.root, phys.tail, phys.name)
 	if !nfs.IsStatus(err, nfs.ErrNoEnt) || w.Resolved >= pathComponents(t.Root) {
 		return w, cost, err
 	}
@@ -88,7 +90,7 @@ func (n *Node) walkUnder(tr *obs.Trace, at simnet.Addr, t Track, phys string, re
 		// No NOENT to act on: the node never said what it holds.
 		return nfs.Walked{}, cost, err
 	}
-	w, c, err = n.remoteWalk(tr.Ctx(), at, phys, readMax)
+	w, c, err = n.remoteWalk(tr.Ctx(), at, readMax, phys.root, phys.tail, phys.name)
 	return w, simnet.Seq(cost, c), err
 }
 
@@ -176,7 +178,7 @@ func (n *Node) resolveDir(tr *obs.Trace, dir string, readMax uint32) (_ Place, _
 		// its physical path is its virtual one and its record's root.
 		var at simnet.Addr
 		var t Track // the record whose storage root the probe walks under
-		probePath, fresh := vpath, true
+		probe, fresh := physOf(vpath), true
 		if i == 1 {
 			res, c, err := n.route(tr, Key(name))
 			total = simnet.Seq(total, c)
@@ -187,9 +189,9 @@ func (n *Node) resolveDir(tr *obs.Trace, dir string, readMax uint32) (_ Place, _
 		} else {
 			// cur was routed by this call unless it is the cached level.
 			at, t, fresh = cur.Node, Track{PN: cur.Name, Root: cur.SubtreeRoot()}, i > lv+1
-			probePath = childPath(cur.PhysDir(), name)
+			probe = physRef{root: cur.Store, tail: cur.Rest, name: name}
 		}
-		w, cost, err := n.walkUnder(tr, at, t, probePath, want, fresh)
+		w, cost, err := n.walkUnder(tr, at, t, probe, want, fresh)
 		total = simnet.Seq(total, cost)
 		if err != nil {
 			return Place{}, nfs.Walked{}, false, total, err

@@ -294,7 +294,8 @@ func (n *Node) serveReplicas(ctx obs.TraceContext, from simnet.Addr, d *wire.Dec
 		e.PutUint32(codeNotPrimary)
 		return cost, nil
 	}
-	reps := n.overlay.ReplicaCandidates(n.cfg.Replicas)
+	var buf [8]pastry.NodeInfo
+	reps := n.overlay.AppendReplicaCandidates(buf[:0], n.cfg.Replicas)
 	e.PutUint32(codeOK)
 	e.PutUint32(uint32(len(reps)))
 	for _, rep := range reps {

@@ -320,7 +320,7 @@ func (m *Mount) readFrom(tr *obs.Trace, de *ventry, st *stream, h simnet.Addr, o
 	if h != de.node {
 		fh, ok := st.repFH[h]
 		if !ok {
-			fh, _, cost, err = m.n.remoteLookupPath(tr.Ctx(), h, RepPath(de.physPath))
+			fh, _, cost, err = m.n.remoteLookupPath(tr.Ctx(), h, RepArea, de.root, de.tail())
 		}
 		if err == nil {
 			var c simnet.Cost
@@ -405,7 +405,7 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 	}
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
 		since := m.meta.sample()
-		a, _, c, aerr := m.n.apply(tr, de.site(), FSOp{Kind: FSWrite, Path: de.physPath, Spans: spans})
+		a, _, c, aerr := m.n.applyAt(tr, de.site(), FSOp{Kind: FSWrite, Spans: spans}, de.at(""), physRef{})
 		if aerr == nil {
 			m.meta.put(de.vpath, a, nil, since)
 			if de.node == m.n.addr {

@@ -2,6 +2,7 @@ package nfs
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -243,6 +244,59 @@ func TestListingFramesSizedOnce(t *testing.T) {
 	resp, _, _ := srv.Handle("cli", e.Bytes())
 	if want := pageSize(ents); len(resp) != want {
 		t.Errorf("READDIRPLUS reply is %d bytes, pageSize says %d", len(resp), want)
+	}
+}
+
+// replyTap answers every call with one reply, without a server.
+type replyTap struct{ reply []byte }
+
+func (r *replyTap) CallCtx(obs.TraceContext, simnet.Addr, simnet.Addr, string, []byte) ([]byte, simnet.Cost, error) {
+	return r.reply, 0, nil
+}
+
+// TestListingPageAllocsAreFlat: a READDIRPLUS page costs the client its
+// entry slice and nothing per entry, whether it holds 8 entries or 200,
+// files and links alike: each name and link target is a view of the reply
+// frame (Decoder.StringRef), which is the caller's. It was one object more
+// per name and per target while each was decoded into a string of its own.
+func TestListingPageAllocsAreFlat(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, n := range []int{8, 200} {
+		_, srv, _ := rig(t, 0)
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("entry%03d", i)
+			if i%4 == 0 {
+				symlink(t, srv.FS(), "/", name, "target/"+name)
+			} else if err := srv.FS().WriteFile("/"+name, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := wire.NewEncoder(64)
+		e.PutUint32(uint32(ProcReaddirPlus))
+		e.PutUint64(1)
+		putHandle(e, srv.Root())
+		e.PutUint64(0)
+		e.PutUint32(0)
+		resp, _, err := srv.Handle("cli", e.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewClient(&replyTap{reply: resp}, "cli")
+		var ents []DirEntryPlus
+		list := func() {
+			if ents, _, _, _, err = c.ReaddirPlus("srv", srv.Root(), 0, 0); err != nil || len(ents) != n {
+				t.Fatalf("a page of %d entries lists %d, err=%v", n, len(ents), err)
+			}
+		}
+		list()
+		if ents[4].Name != "entry004" || ents[4].SymTarget != "target/entry004" {
+			t.Fatalf("entry 4 lists as %q -> %q", ents[4].Name, ents[4].SymTarget)
+		}
+		racetest.SkipAllocs(t)
+		allocs[n] = testing.AllocsPerRun(100, list)
+	}
+	if allocs[8] != 1 || allocs[200] != 1 {
+		t.Errorf("a READDIRPLUS page allocates %.1f objects on the client at 8 entries and %.1f at 200, want 1 (its entry slice) for both", allocs[8], allocs[200])
 	}
 }
 

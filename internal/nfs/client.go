@@ -234,9 +234,17 @@ func (c Client) Lookup(to simnet.Addr, dir Handle, name string) (Handle, localfs
 // the reply ends in that READ's eof flag and data, up to readMax bytes from
 // offset 0. With readMax 0 the request and reply carry no such words.
 func (c Client) Walk(to simnet.Addr, start Handle, p string, readMax uint32) (Walked, simnet.Cost, error) {
+	return c.WalkParts(to, start, readMax, p)
+}
+
+// WalkParts is Walk for a path held in parts, such as a storage root and
+// the tail below it: the components are each part's in turn, so the request
+// is byte for byte Walk's of the parts joined with slashes, and no joined
+// string is built.
+func (c Client) WalkParts(to simnet.Addr, start Handle, readMax uint32, parts ...string) (Walked, simnet.Cost, error) {
 	x, d, cost, err := c.call(to, ProcLookupPath, func(e *wire.Encoder) {
 		putHandle(e, start)
-		putPath(e, p)
+		putPath(e, parts...)
 		if readMax > 0 {
 			e.PutUint32(readMax)
 		}
@@ -398,7 +406,11 @@ func (c Client) Rename(to simnet.Addr, fromDir Handle, fromName string, toDir Ha
 }
 
 // ReaddirPlus reads one page of directory entries with handles and
-// attributes, starting at cookie; count 0 means "all remaining".
+// attributes, starting at cookie; count 0 means "all remaining". Each
+// entry's Name and SymTarget are views of the reply frame
+// (wire.Decoder.StringRef), which is the caller's and which nothing else
+// holds or reuses, as Walk's and Read's data are: a page allocates its entry
+// slice and nothing per entry, and a name kept keeps its page's frame.
 func (c Client) ReaddirPlus(to simnet.Addr, dir Handle, cookie uint64, count int) ([]DirEntryPlus, bool, uint64, simnet.Cost, error) {
 	x, d, cost, err := c.call(to, ProcReaddirPlus, func(e *wire.Encoder) {
 		putHandle(e, dir)
@@ -415,12 +427,12 @@ func (c Client) ReaddirPlus(to simnet.Addr, dir Handle, cookie uint64, count int
 	ents := make([]DirEntryPlus, 0, n)
 	for i := 0; i < n; i++ {
 		var ent DirEntryPlus
-		ent.Name = d.String()
+		ent.Name = d.StringRef()
 		ent.Ino = d.Uint64()
 		ent.Type = localfs.FileType(d.Uint32())
 		ent.FH = getHandle(d)
 		ent.Attr = GetAttr(d)
-		ent.SymTarget = d.String()
+		ent.SymTarget = d.StringRef()
 		ents = append(ents, ent)
 	}
 	if d.Err() != nil {

@@ -431,15 +431,18 @@ func nextComponent(p string) (name, rest string) {
 	return "", ""
 }
 
-// putPath encodes p as LOOKUPPATH's counted component list, straight from
-// the string: no component slice is built.
-func putPath(e *wire.Encoder, p string) {
+// putPath encodes the path the parts make as LOOKUPPATH's counted component
+// list, straight from the strings: the components of each part in turn, so
+// neither a joined path nor a component slice is built.
+func putPath(e *wire.Encoder, parts ...string) {
 	at := e.Len()
 	e.PutUint32(0)
 	n := uint32(0)
-	for name, rest := nextComponent(p); name != ""; name, rest = nextComponent(rest) {
-		e.PutString(name)
-		n++
+	for _, p := range parts {
+		for name, rest := nextComponent(p); name != ""; name, rest = nextComponent(rest) {
+			e.PutString(name)
+			n++
+		}
 	}
 	binary.BigEndian.PutUint32(e.Bytes()[at:], n)
 }
