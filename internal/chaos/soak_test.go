@@ -3,9 +3,11 @@ package chaos
 import (
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/racetest"
 	"repro/internal/trace"
 )
 
@@ -25,15 +27,52 @@ func TestRandomizedSoak(t *testing.T) {
 	})
 }
 
-// TestSixNodeSweep is TestRandomizedSoak at the chaos fuzz target's settings
-// (6 nodes, 2 operations a step, Random(40)), where most red seeds have been
-// found. Opt in with KOSHA_CHAOS_SWEEP6=<runs>; the ROADMAP's sweep is
-//
-//	KOSHA_CHAOS_SWEEP6=400 KOSHA_CHAOS_SEED=1 go test ./internal/chaos -run TestSixNodeSweep -v
-//
-// Replay one seed with Run(sixNode(seed)).
+// TestSixNodeSweep is the sweep at the chaos fuzz target's settings (6
+// nodes, 2 operations a step, Random(40)), where most red seeds have been
+// found. It runs seeds 1-400 on every test run and holds their red seeds,
+// by failure family, to sixNodeRed: a seed that turns red or green fails it
+// either way, so no change moves the red set unseen, and a fix removes its
+// seeds from the map. Under -short or the race detector it runs every 10th
+// seed and says so. Replay one seed with Run(sixNode(seed)).
 func TestSixNodeSweep(t *testing.T) {
-	sweep(t, "KOSHA_CHAOS_SWEEP6", sixNode)
+	const first, last = 1, 400
+	stride := int64(1)
+	if testing.Short() || racetest.Enabled {
+		stride = 10
+		t.Logf("-short or -race: seeds %d..%d, every %dth", first, last, stride)
+	}
+	red := sweepSeeds(t, first, last, stride, sixNode)
+	for seed := int64(first); seed <= last; seed += stride {
+		want, wantRed := sixNodeRed[seed]
+		err, gotRed := red[seed]
+		switch {
+		case gotRed && !wantRed:
+			t.Errorf("seed %d turned red (%s): %v", seed, family(err), err)
+		case !gotRed && wantRed:
+			t.Errorf("seed %d (%s) turned green: take it out of sixNodeRed", seed, want)
+		case gotRed && family(err) != want:
+			t.Errorf("seed %d: red in family %q, want %q: %v", seed, family(err), want, err)
+		}
+	}
+}
+
+// sixNodeRed is TestSixNodeSweep's red set: seed to failure family. Both
+// seeds end with the overlay split into islands (ROADMAP item 1).
+var sixNodeRed = map[int64]string{
+	198: "replica candidates",
+	271: "replica convergence",
+}
+
+// family names the check a sweep run failed by its message: root listing,
+// replica candidates, replica convergence, converged invariants, or other.
+func family(err error) string {
+	msg := err.Error()
+	for _, f := range []string{"root listing", "replica candidates", "replica convergence", "converged invariants"} {
+		if strings.Contains(msg, f) {
+			return f
+		}
+	}
+	return "other"
 }
 
 // sixNode is the chaos fuzz target's random schedule on seed.
@@ -80,21 +119,35 @@ func sweep(t *testing.T, runsVar string, opts func(seed int64) Options) {
 		}
 		base = n
 	}
-	t.Logf("soak seeds %d..%d", base, base+int64(runs)-1)
-	var red []int64
-	for seed := base; seed < base+int64(runs); seed++ {
+	if red := sweepSeeds(t, base, base+int64(runs)-1, 1, opts); len(red) > 0 {
+		t.Fail()
+	}
+}
+
+// sweepSeeds runs opts(seed) for seed = first, first+stride, ... up to last
+// and returns the red ones with their errors. It logs the range, every
+// tenth seed's report and a closing `red N of M: [seeds]` line.
+func sweepSeeds(t *testing.T, first, last, stride int64, opts func(seed int64) Options) map[int64]error {
+	t.Logf("soak seeds %d..%d", first, last)
+	red := map[int64]error{}
+	var reds []int64
+	runs := 0
+	for seed := first; seed <= last; seed += stride {
+		runs++
 		rep, err := Run(opts(seed))
 		if err != nil {
-			red = append(red, seed)
-			t.Errorf("seed %d: %v", seed, err)
+			red[seed] = err
+			reds = append(reds, seed)
+			t.Logf("seed %d: %v", seed, err)
 			continue
 		}
-		if (seed-base)%10 == 0 {
+		if (seed-first)%10 == 0 {
 			t.Logf("seed %d: ops=%d failed=%d applied=%d availability=%.4f",
 				seed, rep.Ops, rep.FailedOps, rep.Applied, rep.Availability())
 		}
 	}
-	t.Logf("red %d of %d: %v", len(red), runs, red)
+	t.Logf("red %d of %d: %v", len(reds), runs, reds)
+	return red
 }
 
 // TestSoakSmoke is the tier-1 availability soak: 60 nodes through twelve

@@ -42,8 +42,37 @@ type Cluster struct {
 	nextAddr  int
 }
 
+// overlayRounds is how many rounds of overlay repair Stabilize runs.
+const overlayRounds = 3
+
 // New builds, joins, and stabilizes a cluster on a LAN100 network.
+//
+// Its overlay rounds stop at the first one that changes no node's overlay
+// state (pastry.Node.Mutations), at most overlayRounds. New's network is
+// private and fault-free until New returns, so such a quiet round is a
+// fixpoint: every later round would send the same messages, get the same
+// answers and change nothing either. Stabilize keeps its fixed rounds,
+// because its callers run it with faults installed, where the injector
+// draws afresh for every message and a quiet round predicts nothing.
 func New(opts Options) (*Cluster, error) {
+	c, err := join(opts)
+	if err != nil {
+		return nil, err
+	}
+	for round := 0; round < overlayRounds; round++ {
+		before := c.mutations()
+		c.overlayRound()
+		if c.mutations() == before {
+			break
+		}
+	}
+	c.syncRounds()
+	return c, nil
+}
+
+// join builds the cluster New settles: opts.Nodes nodes joined one by one
+// through the first.
+func join(opts Options) (*Cluster, error) {
 	c := &Cluster{
 		Net:       simnet.New(simnet.LAN100),
 		seedState: opts.Seed,
@@ -58,7 +87,6 @@ func New(opts Options) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	c.Stabilize()
 	return c, nil
 }
 
@@ -95,17 +123,31 @@ func (c *Cluster) AddNode() (*core.Node, error) {
 // membership views settle, returning the total simulated cost.
 func (c *Cluster) Stabilize() simnet.Cost {
 	var total simnet.Cost
-	for round := 0; round < 3; round++ {
-		for _, nd := range c.Nodes {
-			if !c.Net.IsDown(nd.Addr()) {
-				total = simnet.Seq(total, nd.Overlay().Stabilize())
-				total = simnet.Seq(total, nd.Overlay().RepairTable())
-			}
+	for round := 0; round < overlayRounds; round++ {
+		total = simnet.Seq(total, c.overlayRound())
+	}
+	return simnet.Seq(total, c.syncRounds())
+}
+
+// overlayRound runs one round of overlay repair: leaf-set probing, then
+// routing-table maintenance, on every live node in index order.
+func (c *Cluster) overlayRound() simnet.Cost {
+	var total simnet.Cost
+	for _, nd := range c.Nodes {
+		if !c.Net.IsDown(nd.Addr()) {
+			total = simnet.Seq(total, nd.Overlay().Stabilize())
+			total = simnet.Seq(total, nd.Overlay().RepairTable())
 		}
 	}
-	// Two synchronization rounds: after heavy churn a node promoted from a
-	// stale copy first learns the newer version (or deletion) from a peer
-	// in round one and redistributes it in round two.
+	return total
+}
+
+// syncRounds runs replica synchronization twice on every live node: after
+// heavy churn a node promoted from a stale copy first learns the newer
+// version (or deletion) from a peer in round one and redistributes it in
+// round two.
+func (c *Cluster) syncRounds() simnet.Cost {
+	var total simnet.Cost
 	for round := 0; round < 2; round++ {
 		for _, nd := range c.Nodes {
 			if !c.Net.IsDown(nd.Addr()) {
@@ -114,6 +156,15 @@ func (c *Cluster) Stabilize() simnet.Cost {
 		}
 	}
 	return total
+}
+
+// mutations sums every node's overlay mutation count.
+func (c *Cluster) mutations() uint64 {
+	var sum uint64
+	for _, nd := range c.Nodes {
+		sum += nd.Overlay().Mutations()
+	}
+	return sum
 }
 
 // Mount returns a client mount attached through node i's koshad.

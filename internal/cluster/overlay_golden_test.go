@@ -10,13 +10,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/nfs"
 	"repro/internal/pastry"
+	"repro/internal/simnet"
 )
 
-// overlayDigest hashes what a cluster build leaves behind in the overlay:
-// every node's leaf halves and routing-table entries (row, col, id, addr),
-// the simulated cost of each join and of one more Stabilize, and the
-// simnet message, byte and failure counts of every service after it.
-func overlayDigest(t testing.TB, nodes int, seed uint64) string {
+// goldenServices are the services whose traffic a build is pinned by, in
+// the order overlayDigest reports them.
+var goldenServices = [...]string{pastry.Service, core.KoshaService, nfs.Service, core.CtlService}
+
+// overlayDigest builds a cluster and runs one more Stabilize. It hashes
+// what the build leaves behind in the overlay: every node's leaf halves and
+// routing-table entries (row, col, id, addr) and the simulated cost of each
+// join and of that Stabilize. Beside the hash it returns the simnet
+// message, byte and failure counts of every goldenServices entry after it.
+func overlayDigest(t testing.TB, nodes int, seed uint64) (string, [len(goldenServices)]simnet.Stats) {
 	t.Helper()
 	c, err := New(Options{Nodes: nodes, Seed: seed})
 	if err != nil {
@@ -44,30 +50,41 @@ func overlayDigest(t testing.TB, nodes int, seed uint64) string {
 		fmt.Fprintln(h)
 	}
 	fmt.Fprintf(h, "joins %v\nstabilize %d\n", c.JoinCosts, stab)
-	for _, svc := range []string{pastry.Service, core.KoshaService, nfs.Service, core.CtlService} {
-		fmt.Fprintf(h, "%s %+v\n", svc, c.Net.ServiceStats(svc))
+	var traffic [len(goldenServices)]simnet.Stats
+	for i, svc := range goldenServices {
+		traffic[i] = c.Net.ServiceStats(svc)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), traffic
 }
 
-// The overlay a cluster build settles into is pinned, per (N, seed), by
-// the digest recorded before the overlay's state was made to cost what it
-// holds (rows allocated on first entry, word-wise ring arithmetic, node
-// lists reusing known addresses): a change in how the state is stored or
-// encoded must reproduce every leaf half, table entry, message count and
-// cost exactly.
+// The overlay a cluster build settles into is pinned, per (N, seed), by two
+// records. The state digest was recorded before the overlay's state was
+// made to cost what it holds (rows allocated on first entry, word-wise ring
+// arithmetic, node lists reusing known addresses) and before a build
+// stopped at its first quiet round: a change in how the overlay is built,
+// stored or encoded must reproduce every leaf half, table entry and cost
+// exactly. The traffic of the build and the extra Stabilize is pinned
+// apart, at its value since the build stops at its first quiet round, so a
+// change that moves a message must say so here.
 func TestOverlayGolden(t *testing.T) {
 	for _, c := range []struct {
-		nodes int
-		seed  uint64
-		want  string
+		nodes   int
+		seed    uint64
+		state   string
+		traffic [len(goldenServices)]simnet.Stats // pastry, kosha, nfs, ctl
 	}{
-		{8, 1, "84a279cc3ad87c078395a3737d31aebfb8705a31c6d4ea4d2e031d3344da9144"},
-		{32, 7, "0c947222eeaec172a9e86ea72e48eaf1dbedf1ce6962b4011bfe1e4feaddd292"},
-		{100, 3, "56ebf4c2c6da7792fcb3e2b99ab6ea68624cdd8c08bdf33019caacc261bf77d8"},
+		{8, 1, "2bd993d33c3349afd3c8ebab92910f0651a6d19257282e40cff38d83d6a00a9b", [4]simnet.Stats{{Messages: 707, Bytes: 78200}}},
+		{32, 7, "486418f09e5d99ac86a9751b9b3ba7e02041b1b35f7fa38e9c46a1c7229389c3", [4]simnet.Stats{{Messages: 8570, Bytes: 1626800}}},
+		{100, 3, "1dc577904a2c41a0875ef1aeb6e57b6c440ee1fec5578cf22f44c46bb17ba79a", [4]simnet.Stats{{Messages: 32083, Bytes: 5560632}}},
 	} {
-		if got := overlayDigest(t, c.nodes, c.seed); got != c.want {
-			t.Errorf("%d nodes, seed %d: overlay digest %s, want %s", c.nodes, c.seed, got, c.want)
+		state, traffic := overlayDigest(t, c.nodes, c.seed)
+		if state != c.state {
+			t.Errorf("%d nodes, seed %d: overlay state digest %s, want %s", c.nodes, c.seed, state, c.state)
+		}
+		for i, svc := range goldenServices {
+			if traffic[i] != c.traffic[i] {
+				t.Errorf("%d nodes, seed %d: %s traffic %+v, want %+v", c.nodes, c.seed, svc, traffic[i], c.traffic[i])
+			}
 		}
 	}
 }

@@ -35,8 +35,9 @@ import (
 // codec was two objects, and the row's path was joined from the components
 // again; the per-component walk before LOOKUPPATH (a GETATTR and four
 // LOOKUPs) spent 36. A ReadFile of the same file is that walk asking for the
-// data too, which the reply frame carries: 2 as well (3, 4, 5, 7, and 15
-// before that).
+// data too, which the reply frame carries whole, so it needs no handle and
+// allocates the reply alone: 1 (2 while the row was allocated before the
+// walk's reply said whether it was kept; 3, 4, 5, 7, and 15 before that).
 // The cached counterpart is pinned beside it: a Mount.Lookup answered by a
 // warm name-cache row publishes one handle-table row and nothing else, no
 // RPC (4 before: the child's path joined twice over and the directory's
@@ -62,8 +63,8 @@ func TestLookupPathAllocs(t *testing.T) {
 	if n > 2 {
 		t.Errorf("uncached 4-component LookupPath allocates %.1f times, want <= 2: the row and the reply", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { _, _, err = m.ReadFile(file) }); err != nil || n > 2 {
-		t.Errorf("uncached ReadFile of a 1-byte file allocates %.1f times (err=%v), want <= 2", n, err)
+	if n := testing.AllocsPerRun(200, func() { _, _, err = m.ReadFile(file) }); err != nil || n > 1 {
+		t.Errorf("uncached ReadFile of a 1-byte file allocates %.1f times (err=%v), want <= 1: the reply", n, err)
 	}
 
 	_, nodes = testCluster(t, 8, 5, Config{DistributionLevel: 2, AttrCacheTTL: time.Hour, NameCacheTTL: time.Hour, TraceBufSize: -1})

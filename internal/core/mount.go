@@ -164,9 +164,15 @@ func (m *Mount) insert(de *ventry) VH {
 	return m.vt.insert(de)
 }
 
-func (m *Mount) replace(vh VH, de *ventry) {
-	m.published(de)
-	m.vt.set(vh, de)
+// publish inserts a row built as a value: its heap copy is made here, once
+// the row is known to be kept.
+func (m *Mount) publish(de ventry) VH { return m.insert(&de) }
+
+// replace rebinds vh to a heap copy of de and returns that row.
+func (m *Mount) replace(vh VH, de ventry) *ventry {
+	m.published(&de)
+	m.vt.set(vh, &de)
+	return &de
 }
 
 // rowHook, when set, sees every row a mount publishes in its handle table:
@@ -255,7 +261,7 @@ func (m *Mount) lookup(tr *obs.Trace, dir VH, name string) (VH, localfs.Attr, si
 	if err != nil {
 		return 0, localfs.Attr{}, total, err
 	}
-	return m.insert(child), w.Attr, total, nil
+	return m.publish(child), w.Attr, total, nil
 }
 
 // Getattr fetches attributes for a virtual handle. Within the attribute

@@ -158,8 +158,8 @@ func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mod
 	vpath := path.Join(parent.vpath, name)
 	n.cachePut(vpath, place)
 	de := entryAt(vpath, place, "", nfs.Walked{FH: fh, Attr: localfs.Attr{Type: localfs.TypeDir}})
-	m.childMade(parent, de, attr, since)
-	return m.insert(de), attr, total, nil
+	m.childMade(parent, &de, attr, since)
+	return m.insert(&de), attr, total, nil
 }
 
 // indexRoot adds or drops a level-1 name in the root directory's name index

@@ -27,12 +27,15 @@ func (m *Mount) LookupPath(vpath string) (VH, localfs.Attr, simnet.Cost, error) 
 // may come with the entry of the deepest existing ancestor (see materialize).
 // The root resolves to its permanent row as it stands: failover binds and
 // rebinds it.
-func (m *Mount) lookupPath(vpath string, readMax uint32) (*ventry, nfs.Walked, simnet.Cost, error) {
+func (m *Mount) lookupPath(vpath string, readMax uint32) (ventry, nfs.Walked, simnet.Cost, error) {
 	o := m.begin(obs.OpcLookup, vpath)
 	if path.Clean(vpath) == "/" {
 		de, err := m.entry(RootVH)
 		o.done(InterposeCost, err)
-		return de, nfs.Walked{Attr: rootAttr}, InterposeCost, err
+		if err != nil {
+			return ventry{}, nfs.Walked{}, InterposeCost, err
+		}
+		return *de, nfs.Walked{Attr: rootAttr}, InterposeCost, nil
 	}
 	de, w, cost, err := m.materializeRetry(o.tr, vpath, readMax)
 	total := simnet.Seq(InterposeCost, cost)
@@ -42,11 +45,11 @@ func (m *Mount) lookupPath(vpath string, readMax uint32) (*ventry, nfs.Walked, s
 
 // vhOf issues a virtual handle for a materialized entry; the root keeps its
 // permanent handle.
-func (m *Mount) vhOf(de *ventry) VH {
+func (m *Mount) vhOf(de ventry) VH {
 	if de.isRoot() {
 		return RootVH
 	}
-	return m.insert(de)
+	return m.publish(de)
 }
 
 // MkdirAll creates a directory path and any missing ancestors. It resolves
@@ -67,8 +70,8 @@ func (m *Mount) MkdirAll(vpath string) (VH, simnet.Cost, error) {
 	}
 	parts := SplitVirtual(vpath)
 	cur := m.Root()
-	if de != nil {
-		cur, parts = m.insert(de), parts[pathComponents(de.vpath):]
+	if de.vpath != "" {
+		cur, parts = m.publish(de), parts[pathComponents(de.vpath):]
 	}
 	for _, name := range parts {
 		next, _, c, err := m.Mkdir(cur, name, 0o755)
@@ -116,7 +119,7 @@ func (m *Mount) writeFile(tr *obs.Trace, vpath string, data []byte) (simnet.Cost
 	total := InterposeCost
 	if place, ok := m.n.cachedDir(dir); ok {
 		de := entryAt(dir, place, place.Rest, nfs.Walked{Attr: localfs.Attr{Type: localfs.TypeDir}})
-		c, err := m.writeFileIn(tr, de, name, data)
+		c, err := m.writeFileIn(tr, &de, name, data)
 		total = simnet.Seq(total, c)
 		if err == nil || !(retryable(err) || cacheSuspect(err)) {
 			return total, err
@@ -192,7 +195,7 @@ func (m *Mount) ReadFile(vpath string) ([]byte, simnet.Cost, error) {
 		return nil, total, err
 	}
 	if w.EOF || len(w.Data) > 0 {
-		total = simnet.Seq(total, m.readCarried(de, w.Data))
+		total = simnet.Seq(total, m.readCarried(&de, w.Data))
 		if w.EOF {
 			return w.Data, total, nil
 		}

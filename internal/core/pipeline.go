@@ -137,8 +137,10 @@ func cacheSuspect(err error) bool {
 // asked for it, the first READ of a regular file. When only components below
 // the storage root are missing, the NOENT comes with the entry of the deepest
 // directory the walk reached, for MkdirAll to carry on from; every other
-// failure returns a nil entry.
-func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventry, nfs.Walked, simnet.Cost, error) {
+// failure returns the zero entry. The entry is a value: it takes heap room
+// only when it is published (publish, replace), so a lookup whose caller
+// needs no handle allocates no row.
+func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (ventry, nfs.Walked, simnet.Cost, error) {
 	vpath = localfs.CleanPath(vpath)
 	if vpath == "/" {
 		de, c, err := m.bindRoot(tr)
@@ -157,7 +159,7 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventr
 		_, name := parentOf(vpath)
 		tail, err = vpath[len(vpath)-len(tail)-1-len(name):], nil
 	case err != nil:
-		return nil, nfs.Walked{}, total, err
+		return ventry{}, nfs.Walked{}, total, err
 	default:
 		var c simnet.Cost
 		phys := physRef{root: place.SubtreeRoot(), tail: tail}
@@ -166,7 +168,7 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventr
 		if err != nil {
 			missing := phys.components() - w.Resolved
 			if !nfs.IsStatus(err, nfs.ErrNoEnt) || missing > pathComponents(tail) {
-				return nil, nfs.Walked{}, total, err
+				return ventry{}, nfs.Walked{}, total, err
 			}
 			// The walk got below the storage root: describe the directory it
 			// reached last, whose handle the failed reply carries. The tail
@@ -188,8 +190,8 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string, readMax uint32) (*ventr
 // entryAt is the handle-table row for vpath in place's hierarchy, as a walk
 // found it, whose tail below the controlling directory — a suffix of vpath
 // — is tail.
-func entryAt(vpath string, place Place, tail string, w nfs.Walked) *ventry {
-	return &ventry{
+func entryAt(vpath string, place Place, tail string, w nfs.Walked) ventry {
+	return ventry{
 		vpath: vpath,
 		kind:  w.Attr.Type,
 		node:  place.Node,
@@ -214,7 +216,7 @@ func entryAt(vpath string, place Place, tail string, w nfs.Walked) *ventry {
 // so a walk through the stale entry hits a non-directory where the root used
 // to be (TestScenarioRebalanceTargetCrashMidMove fails without it); a genuine
 // not-a-directory survives the retry and is returned unchanged.
-func (m *Mount) materializeRetry(tr *obs.Trace, vpath string, readMax uint32) (*ventry, nfs.Walked, simnet.Cost, error) {
+func (m *Mount) materializeRetry(tr *obs.Trace, vpath string, readMax uint32) (ventry, nfs.Walked, simnet.Cost, error) {
 	de, w, total, err := m.materialize(tr, vpath, readMax)
 	revalidated := false
 	for attempt := 0; err != nil && attempt < 3; attempt++ {
@@ -237,7 +239,7 @@ func (m *Mount) materializeRetry(tr *obs.Trace, vpath string, readMax uint32) (*
 // A root a fresh resolution still finds missing after its promote is a
 // directory that does not exist; staleStore, from a level cached again
 // meanwhile, goes no further than here.
-func (m *Mount) rematerialize(tr *obs.Trace, vpath string, readMax uint32) (*ventry, nfs.Walked, simnet.Cost, error) {
+func (m *Mount) rematerialize(tr *obs.Trace, vpath string, readMax uint32) (ventry, nfs.Walked, simnet.Cost, error) {
 	m.dropCachesUnder(vpath)
 	de, w, c, err := m.materialize(tr, vpath, readMax)
 	if errors.Is(err, staleStore) {
@@ -250,12 +252,12 @@ func (m *Mount) rematerialize(tr *obs.Trace, vpath string, readMax uint32) (*ven
 // Key(RootPN) and the handle of RootStore there. Before the first level-1
 // mkdir the directory is missing, after an ownership change it sits in the
 // replica area; the routed apply's cold path adopts that, MkdirAll the rest.
-func (m *Mount) bindRoot(tr *obs.Trace) (*ventry, simnet.Cost, error) {
+func (m *Mount) bindRoot(tr *obs.Trace) (ventry, simnet.Cost, error) {
 	res, total, err := m.n.route(tr, Key(RootPN))
 	if err != nil {
-		return nil, total, err
+		return ventry{}, total, err
 	}
-	root := &ventry{
+	root := ventry{
 		vpath: "/", kind: localfs.TypeDir,
 		node: res.Node.Addr, pn: RootPN, root: RootStore,
 	}
@@ -267,7 +269,7 @@ func (m *Mount) bindRoot(tr *obs.Trace) (*ventry, simnet.Cost, error) {
 		total = simnet.Seq(total, c)
 	}
 	if err != nil {
-		return nil, total, err
+		return ventry{}, total, err
 	}
 	return root, total, nil
 }
@@ -294,10 +296,11 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 	}
 	if de.node == "" {
 		// Only the root row is ever unbound, until its first use.
-		if de, _, total, err = m.materializeRetry(tr, de.vpath, 0); err != nil {
+		var bound ventry
+		if bound, _, total, err = m.materializeRetry(tr, de.vpath, 0); err != nil {
 			return total, err
 		}
-		m.replace(vh, de)
+		de = m.replace(vh, bound)
 	}
 	cacheRetried := false
 	for attempt := 0; ; attempt++ {
@@ -346,8 +349,7 @@ func (m *Mount) failover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost,
 		if rerr != nil {
 			return total, rerr
 		}
-		m.replace(vh, nde)
-		de = nde
+		de = m.replace(vh, nde)
 	}
 }
 

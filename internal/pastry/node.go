@@ -104,13 +104,29 @@ func (n *Node) localLoad() Load {
 	return fn()
 }
 
+// recordLoad keeps l as the freshest Load heard from addr. A new or
+// changed Load is a mutation of the overlay state: the rebalancer reads
+// PeerLoads.
 func (n *Node) recordLoad(addr simnet.Addr, l Load) {
 	n.mu.Lock()
 	if n.loads == nil {
 		n.loads = make(map[simnet.Addr]Load)
 	}
-	n.loads[addr] = l
+	if old, ok := n.loads[addr]; !ok || old != l {
+		n.loads[addr] = l
+		n.st.muts++
+	}
 	n.mu.Unlock()
+}
+
+// Mutations returns how many times this node's overlay state has changed:
+// a routing-table slot or leaf-set entry taken or freed, or a peer's Load
+// first heard or changed. It only grows, so two equal readings bracket a
+// stretch in which nothing changed.
+func (n *Node) Mutations() uint64 {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.st.muts
 }
 
 // OnLeafSetChange registers the callback invoked when leaf-set membership

@@ -35,6 +35,12 @@ type state struct {
 	// last l/2, read backwards, the predecessors. With fewer than l entries
 	// the two runs meet and the set wraps the whole ring, as in real Pastry.
 	leaf []NodeInfo
+
+	// muts counts the changes made to this state: each table slot or
+	// leaf-set entry an add or remove takes or frees, and each new or
+	// changed peer Load the Node records. A round of overlay repair that
+	// leaves every node's count where it was changed nothing.
+	muts uint64
 }
 
 func newState(self NodeInfo, leafSize int) *state {
@@ -60,6 +66,7 @@ func (s *state) add(n NodeInfo) bool {
 		}
 		s.rows[r][c] = n
 		s.occ[r] |= 1 << c
+		s.muts++
 	}
 	// A member is found by id, which costs less than the distance search
 	// that places a newcomer; nearly every add in a repair pass is one.
@@ -76,6 +83,7 @@ func (s *state) add(n NodeInfo) bool {
 	if len(s.leaf) > s.leafSize {
 		s.leaf = slices.Delete(s.leaf, half, len(s.leaf)-half)
 	}
+	s.muts++
 	return true
 }
 
@@ -84,12 +92,14 @@ func (s *state) remove(dead id.ID) bool {
 	if r, c, ok := s.slotOf(dead); ok && s.slot(r, c).ID == dead {
 		s.rows[r][c] = NodeInfo{}
 		s.occ[r] &^= 1 << c
+		s.muts++
 	}
 	i := slices.IndexFunc(s.leaf, func(e NodeInfo) bool { return e.ID == dead })
 	if i < 0 {
 		return false
 	}
 	s.leaf = slices.Delete(s.leaf, i, i+1)
+	s.muts++
 	return true
 }
 

@@ -50,13 +50,16 @@ import (
 )
 
 // maxFrame bounds one request or response frame. frameStep bounds what a
-// frame header alone can make the reader allocate: frames up to frameStep —
-// every frame but the reply to a READ of a 4 MiB or larger readahead window
-// — are allocated once at their stated size, larger ones grow geometrically
-// as their bytes arrive.
+// frame header alone can make the reader allocate: frames up to frameStep
+// are allocated once at their stated size, larger ones grow geometrically
+// as their bytes arrive. It holds the reply to a READ of a 4 MiB readahead
+// window (four localfs.ReadUnit pieces, the largest window the benchmark
+// reads) with the envelope and reply words ahead of the data (frameHead),
+// so every frame but a larger window's is read into one allocation.
 const (
 	maxFrame  = 96 << 20
-	frameStep = 4 << 20
+	frameHead = 4 << 10
+	frameStep = 4<<20 + frameHead
 )
 
 // maxIdle bounds the idle client connections kept per peer. A call takes an

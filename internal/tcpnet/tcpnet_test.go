@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -876,4 +878,51 @@ func TestPullOutlivingItsDeadlineIsNotDoubled(t *testing.T) {
 		}
 	}
 	wantPulled(t, primary, rep, root)
+}
+
+// TestFourMiBReadIsOneFrameEachWay: the reply to a READ of a 4 MiB window,
+// the data and the words ahead of it, fits in frameStep, so over loopback
+// TCP the READ allocates the server's reply frame and the client's read
+// frame and little else. When frameStep was 4 MiB flat, the client read
+// the first 4 MiB, then allocated the whole frame again and copied it over:
+// 3.00 times the bytes.
+func TestFourMiBReadIsOneFrameEachWay(t *testing.T) {
+	const count = 4 << 20
+	fs := localfs.New(0, simnet.Disk7200)
+	if err := fs.WriteFile("/f", bytes.Repeat([]byte{0x3c}, count+1)); err != nil {
+		t.Fatal(err)
+	}
+	attr, err := fs.LookupPath("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp, err := Listen("127.0.0.1:0", simnet.LAN100)
+	if err != nil {
+		t.Skipf("no loopback TCP: %v", err)
+	}
+	defer tcp.Close()
+	nfs.NewServer(fs, 1).Attach(tcp, tcp.Addr())
+	dialer := Dialer("cli", simnet.LAN100)
+	defer dialer.Close()
+	racetest.SkipAllocs(t)
+	cl, fh := nfs.NewClient(dialer, "cli"), nfs.Handle{Gen: 1, Ino: attr.Ino}
+	read := func() {
+		data, eof, _, err := cl.Read(tcp.Addr(), fh, 0, count)
+		if err != nil || len(data) != count || eof {
+			t.Fatalf("READ of %d bytes: %d bytes, eof=%v, err=%v", count, len(data), eof, err)
+		}
+	}
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		runtime.GC()
+		read()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if ratio := float64(least) / count; ratio > 2.05 {
+		t.Errorf("a %d-byte READ over loopback TCP allocates %d bytes, %.2f times its data, want <= 2.05", count, least, ratio)
+	}
 }
